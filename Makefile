@@ -2,12 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint analyze race check cover bench bench-smoke opt-equiv reproduce sweep examples serve-smoke pipe-smoke clean
+.PHONY: all build fmt vet test lint analyze race check cover bench bench-smoke bench-test opt-equiv reproduce sweep examples serve-smoke pipe-smoke clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when anything is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -71,8 +75,16 @@ pipe-smoke:
 		-devices RPi3,JetsonNano,JetsonTX2 -link ethernet \
 		-check 4 -attack auto,2s,4 -smoke
 
+# The repository benchmark's own tests (bench/ is a separate module, so
+# `go test ./...` does not reach it): unit tests, a smoke run of every
+# workload, and TestRealModels — the real MobileNet-v2 / SqueezeNet-int8
+# graphs, one bit-verified op each, exact dispatch counts — which is
+# what stands guard over the kernels the stream workloads measure.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # The CI gate: everything that must be clean before a merge.
-check: build analyze opt-equiv race serve-smoke pipe-smoke
+check: build fmt analyze opt-equiv race bench-test serve-smoke pipe-smoke
 
 cover:
 	$(GO) test -cover ./...

@@ -270,6 +270,45 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardPanicBecomesNodeError: a kernel that panics inside a sharded
+// loop does so on whichever goroutine claimed the bad chunk, usually a
+// pool worker that evalNode's recover guard is not on the stack of. The
+// pool must carry the panic back to the calling goroutine so Run returns
+// a "kernel panic:" error naming the node, and later runs still work.
+func TestShardPanicBecomesNodeError(t *testing.T) {
+	b := nn.NewBuilder("dw", nn.Options{Materialize: true, Seed: 12}, 32, 64, 64)
+	victim := b.DepthwiseConv2D("dw1", 3, 1, 1, true)
+	g := b.Build()
+	if victim.OutShape.NumElems()*9 < tensor.ParallelThresholdMACs() {
+		t.Fatal("test layer too small to shard")
+	}
+	in := tensor.New(32, 64, 64).Fill(0.5)
+	want, err := (&graph.Executor{}).Run(g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the upper channels' taps: shards over the lower channels run
+	// clean, shards over the upper ones index past the end.
+	full := victim.Weights.Data
+	victim.Weights.Data = full[: len(full)/2 : len(full)/2]
+	for _, e := range []*graph.Executor{{}, {Pooled: true, Parallel: true}} {
+		_, err := e.Run(g, in)
+		if err == nil || !strings.Contains(err.Error(), "kernel panic:") || !strings.Contains(err.Error(), victim.Name) {
+			t.Fatalf("Run with truncated weights: err = %v, want a kernel panic naming %s", err, victim.Name)
+		}
+	}
+	victim.Weights.Data = full
+	got, err := (&graph.Executor{Pooled: true, Parallel: true}).Run(g, in)
+	if err != nil {
+		t.Fatalf("Run after the contained panic: %v", err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("output %d differs after the contained panic", i)
+		}
+	}
+}
+
 // TestRunValuesUnaffectedByPooling checks the training path still retains
 // every node value when the executor is configured for pooling.
 func TestRunValuesUnaffectedByPooling(t *testing.T) {

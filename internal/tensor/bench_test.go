@@ -83,3 +83,45 @@ func BenchmarkSparseMatMul(b *testing.B) {
 		MatMul(x, y)
 	}
 }
+
+// The two benchmarks below sit at MobileNet-v2's hottest shapes (the
+// layers a CPU profile of the served model ranks first), so a kernel
+// change can be judged where the model's time goes.
+
+func BenchmarkDepthwise3x3(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		c, h, w int
+		stride  int
+	}{
+		{"144x56x56-s1", 144, 56, 56, 1},
+		{"96x112x112-s2", 96, 112, 112, 2},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := benchInput(tc.c, tc.h, tc.w)
+			w := New(tc.c, 3, 3).Randomize(stats.NewRNG(4), 1)
+			spec := Conv2DSpec{Stride: tc.stride, Pad: 1}
+			hout, wout := spec.OutDims(tc.h, tc.w, 3, 3)
+			dst := New(tc.c, hout, wout)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DepthwiseConv2DInto(dst, in, w, nil, spec)
+			}
+			b.ReportMetric(float64(tc.c*hout*wout*9)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkGemmPrepacked is the 112x112 pointwise projection 16→96 as the
+// prepacked path runs it: a 12544x16 im2row matrix times packed weights.
+func BenchmarkGemmPrepacked(b *testing.B) {
+	const m, k, n = 12544, 16, 96
+	a := New(m, k).Randomize(stats.NewRNG(1), 1)
+	pw := PackGemmB(New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n)
+	dst := make([]float32, m*n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmPrepacked(dst, a.Data, pw, m)
+	}
+	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}

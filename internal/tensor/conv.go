@@ -263,7 +263,10 @@ func DepthwiseConv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec) {
 }
 
 // depthwiseRows computes the flattened output-row tiles [lo, hi), where
-// tile u covers output row (ic = u/hout, oy = u%hout).
+// tile u covers output row (ic = u/hout, oy = u%hout). 3x3 kernels — the
+// only depthwise size MobileNet-class models use — take depthwiseRow3x3
+// on rows whose three input rows are all in bounds; everything else goes
+// pixel by pixel through the generic tap loop.
 func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int) {
 	h, wd := in.Shape[1], in.Shape[2]
 	kh, kw := w.Shape[1], w.Shape[2]
@@ -275,22 +278,86 @@ func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi i
 		if bias != nil {
 			b = bias[ic]
 		}
-		for ox := 0; ox < wout; ox++ {
-			sum := b
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*spec.Stride + ky - padH
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*spec.Stride + kx - padW
-					if ix < 0 || ix >= wd {
-						continue
-					}
-					sum += in.Data[(ic*h+iy)*wd+ix] * w.Data[(ic*kh+ky)*kw+kx]
-				}
-			}
-			dst.Data[(ic*hout+oy)*wout+ox] = sum
+		plane := in.Data[ic*h*wd : (ic+1)*h*wd]
+		taps := w.Data[ic*kh*kw : (ic+1)*kh*kw]
+		orow := dst.Data[u*wout : (u+1)*wout]
+		iy0 := oy*spec.Stride - padH
+		if kh == 3 && kw == 3 && iy0 >= 0 && iy0+3 <= h {
+			depthwiseRow3x3(orow, plane, taps, b, h, wd, spec.Stride, iy0, padW)
+			continue
 		}
+		for ox := range orow {
+			orow[ox] = depthwisePixel(plane, taps, b, h, wd, kh, kw, iy0, ox*spec.Stride-padW)
+		}
+	}
+}
+
+// depthwisePixel computes one depthwise output element whose kernel
+// window starts at input (iy0, ix0), skipping taps that fall in the
+// padding. Its accumulation order — bias first, then taps in (ky, kx)
+// order — is the one every depthwise fast path must reproduce bit for
+// bit, and the tests use it as the reference.
+func depthwisePixel(plane, taps []float32, b float32, h, wd, kh, kw, iy0, ix0 int) float32 {
+	sum := b
+	for ky := 0; ky < kh; ky++ {
+		iy := iy0 + ky
+		if iy < 0 || iy >= h {
+			continue
+		}
+		for kx := 0; kx < kw; kx++ {
+			ix := ix0 + kx
+			if ix < 0 || ix >= wd {
+				continue
+			}
+			sum += plane[iy*wd+ix] * taps[ky*kw+kx]
+		}
+	}
+	return sum
+}
+
+// depthwiseRow3x3 computes one output row of a 3x3 depthwise convolution
+// whose input rows iy0..iy0+2 are in bounds. Output columns whose window
+// also lies inside the row run the unrolled nine-tap chain — no bounds
+// test per tap, weights held in locals — in depthwisePixel's order; the
+// left and right border columns go through depthwisePixel itself.
+func depthwiseRow3x3(orow, plane, taps []float32, b float32, h, wd, stride, iy0, padW int) {
+	// Interior columns satisfy 0 <= ox*stride-padW and ox*stride-padW+3 <= wd.
+	oxLo := min((padW+stride-1)/stride, len(orow))
+	oxHi := oxLo
+	if wd+padW >= 3 {
+		oxHi = max(oxLo, min((wd+padW-3)/stride+1, len(orow)))
+	}
+	for ox := 0; ox < oxLo; ox++ {
+		orow[ox] = depthwisePixel(plane, taps, b, h, wd, 3, 3, iy0, ox*stride-padW)
+	}
+	for ox := oxHi; ox < len(orow); ox++ {
+		orow[ox] = depthwisePixel(plane, taps, b, h, wd, 3, 3, iy0, ox*stride-padW)
+	}
+	if oxLo == oxHi {
+		return
+	}
+	w0, w1, w2 := taps[0], taps[1], taps[2]
+	w3, w4, w5 := taps[3], taps[4], taps[5]
+	w6, w7, w8 := taps[6], taps[7], taps[8]
+	out := orow[oxLo:oxHi]
+	ix0 := oxLo*stride - padW
+	span := (len(out)-1)*stride + 3
+	r0 := plane[iy0*wd+ix0:][:span]
+	r1 := plane[(iy0+1)*wd+ix0:][:span]
+	r2 := plane[(iy0+2)*wd+ix0:][:span]
+	x := 0
+	for i := range out {
+		sum := b
+		sum += r0[x] * w0
+		sum += r0[x+1] * w1
+		sum += r0[x+2] * w2
+		sum += r1[x] * w3
+		sum += r1[x+1] * w4
+		sum += r1[x+2] * w5
+		sum += r2[x] * w6
+		sum += r2[x+1] * w7
+		sum += r2[x+2] * w8
+		out[i] = sum
+		x += stride
 	}
 }

@@ -211,9 +211,7 @@ func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, sc
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	checkConvDst(dst, cout, hout, wout)
-	if c := len(epi.Scale); c > 0 && (len(epi.Shift) != c || c != cout) {
-		panic("tensor: Conv2DGEMMFused epilogue length mismatch")
-	}
+	checkEpilogueChannels(epi, cout)
 	cin, kh, kw := w.Shape[1], w.Shape[2], w.Shape[3]
 	rows := cin * kh * kw
 	ncols := hout * wout

@@ -90,33 +90,59 @@ func matmulBlockedRange(dst, a, b []float32, m, k, n, rlo, rhi int, panel []floa
 	for i := rlo; i < rhi; i++ {
 		clear(dst[i*n : (i+1)*n])
 	}
-	var abuf [gemmKC]float32
 	for jc := 0; jc < n; jc += gemmNC {
-		jb := n - jc
-		if jb > gemmNC {
-			jb = gemmNC
-		}
+		jb := min(n-jc, gemmNC)
 		for kc := 0; kc < k; kc += gemmKC {
-			kb := k - kc
-			if kb > gemmKC {
-				kb = gemmKC
-			}
+			kb := min(k-kc, gemmKC)
 			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
 			packPanel(panel, b, n, kc, kb, kb4, jc, jb)
-			for i := rlo; i < rhi; i++ {
-				copy(abuf[:kb], a[i*k+kc:i*k+kc+kb])
-				for z := kb; z < kb4; z++ {
-					abuf[z] = 0
-				}
-				orow := dst[i*n+jc : i*n+jc+jb]
-				for g := 0; g < kb4; g += gemmMR {
-					a0, a1, a2, a3 := abuf[g], abuf[g+1], abuf[g+2], abuf[g+3]
-					p := panel[g*jb : g*jb+jb*gemmMR]
-					for j := range orow {
-						base := j * gemmMR
-						orow[j] += a0*p[base] + a1*p[base+1] + a2*p[base+2] + a3*p[base+3]
-					}
-				}
+			gemmPanelRows(dst, a, panel[:kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
+		}
+	}
+}
+
+// gemmPanelRows is the register-tiled microkernel both blocked kernels
+// share: it accumulates one packed (K-block, N-block) panel into output
+// rows [rlo, rhi), dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go
+// two at a time so each panel quad is loaded once and feeds both rows'
+// accumulators; an odd last row takes the one-row form. Every output
+// element sees the same expression and the same K order whichever form
+// handles its row, so results do not depend on how callers split rows.
+// The A spans are staged into zero-padded buffers so the kb..kb4 tail
+// multiplies the panel's +0.0 padding by +0.0.
+func gemmPanelRows(dst, a, panel []float32, k, n, kc, kb, jc, jb, rlo, rhi int) {
+	kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
+	var abuf0, abuf1 [gemmKC]float32
+	i := rlo
+	for ; i+1 < rhi; i += 2 {
+		copy(abuf0[:kb], a[i*k+kc:i*k+kc+kb])
+		copy(abuf1[:kb], a[(i+1)*k+kc:(i+1)*k+kc+kb])
+		clear(abuf0[kb:kb4])
+		clear(abuf1[kb:kb4])
+		o0 := dst[i*n+jc : i*n+jc+jb]
+		o1 := dst[(i+1)*n+jc : (i+1)*n+jc+jb]
+		o1 = o1[:len(o0)]
+		for g := 0; g < kb4; g += gemmMR {
+			a0, a1, a2, a3 := abuf0[g], abuf0[g+1], abuf0[g+2], abuf0[g+3]
+			b0, b1, b2, b3 := abuf1[g], abuf1[g+1], abuf1[g+2], abuf1[g+3]
+			p := panel[g*jb : g*jb+jb*gemmMR]
+			for j := range o0 {
+				q := p[j*gemmMR : j*gemmMR+gemmMR : j*gemmMR+gemmMR]
+				o0[j] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
+				o1[j] += b0*q[0] + b1*q[1] + b2*q[2] + b3*q[3]
+			}
+		}
+	}
+	if i < rhi {
+		copy(abuf0[:kb], a[i*k+kc:i*k+kc+kb])
+		clear(abuf0[kb:kb4])
+		o0 := dst[i*n+jc : i*n+jc+jb]
+		for g := 0; g < kb4; g += gemmMR {
+			a0, a1, a2, a3 := abuf0[g], abuf0[g+1], abuf0[g+2], abuf0[g+3]
+			p := panel[g*jb : g*jb+jb*gemmMR]
+			for j := range o0 {
+				q := p[j*gemmMR : j*gemmMR+gemmMR : j*gemmMR+gemmMR]
+				o0[j] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
 			}
 		}
 	}

@@ -132,38 +132,22 @@ func GemmPrepacked(dst, a []float32, pw *PackedWeights, m int) {
 	gemmPrepackedRange(dst, a, pw, 0, m)
 }
 
-// gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B.
-// The loop structure, A-row staging, and microkernel are exactly
-// matmulBlockedRange's; only the panel source differs.
+// gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B:
+// matmulBlockedRange's tile loop over the same microkernel, with each
+// tile's panel read from pw.Panels instead of packed on the spot.
 func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 	k, n := pw.K, pw.N
 	for i := rlo; i < rhi; i++ {
 		clear(dst[i*n : (i+1)*n])
 	}
-	var abuf [gemmKC]float32
 	off := 0
 	for jc := 0; jc < n; jc += gemmNC {
 		jb := min(n-jc, gemmNC)
 		for kc := 0; kc < k; kc += gemmKC {
 			kb := min(k-kc, gemmKC)
 			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-			panel := pw.Panels[off : off+kb4*jb]
+			gemmPanelRows(dst, a, pw.Panels[off:off+kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
 			off += kb4 * jb
-			for i := rlo; i < rhi; i++ {
-				copy(abuf[:kb], a[i*k+kc:i*k+kc+kb])
-				for z := kb; z < kb4; z++ {
-					abuf[z] = 0
-				}
-				orow := dst[i*n+jc : i*n+jc+jb]
-				for g := 0; g < kb4; g += gemmMR {
-					a0, a1, a2, a3 := abuf[g], abuf[g+1], abuf[g+2], abuf[g+3]
-					p := panel[g*jb : g*jb+jb*gemmMR]
-					for j := range orow {
-						base := j * gemmMR
-						orow[j] += a0*p[base] + a1*p[base+1] + a2*p[base+2] + a3*p[base+3]
-					}
-				}
-			}
 		}
 	}
 }
@@ -191,6 +175,10 @@ func im2rowInto(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, 
 func im2rowPixels(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout, plo, phi int) {
 	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
 	padH, padW := spec.padHW()
+	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
+		transposePixels(rowsA, in.Data, cin, h*wd, plo, phi)
+		return
+	}
 	rdim := cin * kh * kw
 	for p := plo; p < phi; p++ {
 		oy, ox := p/wout, p%wout
@@ -214,6 +202,29 @@ func im2rowPixels(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout
 					}
 					r++
 				}
+			}
+		}
+	}
+}
+
+// transposeTile is how many pixels transposePixels moves per pass: 32
+// floats is two cache lines of contiguous reads per channel, and the
+// tile's destination rows (32 x cin floats) stay cache-resident while
+// every channel scatters into them.
+const transposeTile = 32
+
+// transposePixels is the pointwise (1x1, stride 1, unpadded) lowering:
+// there the im2row matrix is just the [cin, npix] input transposed, so
+// rows [plo, phi) of dst[npix, cin] are filled a tile of pixels at a
+// time with contiguous per-channel reads, no per-pixel div/mod and no
+// per-tap bounds test.
+func transposePixels(dst, src []float32, cin, npix, plo, phi int) {
+	for p0 := plo; p0 < phi; p0 += transposeTile {
+		p1 := min(p0+transposeTile, phi)
+		out := dst[p0*cin : p1*cin]
+		for ic := 0; ic < cin; ic++ {
+			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
+				out[t*cin+ic] = v
 			}
 		}
 	}
@@ -297,21 +308,26 @@ func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spe
 		panic("tensor: prepacked conv bias length mismatch")
 	}
 	ncols := hout * wout
+	var rt, ot *Tensor
+	var s *prepackScratch
 	var rowsA, outT []float32
 	if scratch != nil {
-		rt := scratch.Get(ncols, pw.K)
-		ot := scratch.Get(ncols, cout)
-		defer func() { scratch.Put(rt); scratch.Put(ot) }()
+		rt, ot = scratch.Get(ncols, pw.K), scratch.Get(ncols, cout)
 		rowsA, outT = rt.Data, ot.Data
 	} else {
-		s := prepackScratchPool.Get().(*prepackScratch)
+		s = prepackScratchPool.Get().(*prepackScratch)
 		s.grow(ncols*pw.K, ncols*cout)
-		defer prepackScratchPool.Put(s)
 		rowsA, outT = s.rows, s.outT
 	}
 	im2rowInto(rowsA, in, kh, kw, spec, hout, wout)
 	GemmPrepacked(outT, rowsA, pw, ncols)
 	convEpilogueSweep(dst.Data, outT, cout, ncols, bias, epi)
+	if scratch != nil {
+		scratch.Put(rt)
+		scratch.Put(ot)
+	} else {
+		prepackScratchPool.Put(s)
+	}
 }
 
 // convEpilogueSweep runs convEpilogueTransposed over every output

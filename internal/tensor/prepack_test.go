@@ -85,10 +85,10 @@ func TestPackConvWeightsSkipsSparse(t *testing.T) {
 
 // convCase is one prepacked-vs-unpacked conv comparison geometry.
 type convCase struct {
-	name           string
-	cin, h, w      int
-	cout, kh, kw   int
-	spec           Conv2DSpec
+	name         string
+	cin, h, w    int
+	cout, kh, kw int
+	spec         Conv2DSpec
 }
 
 func prepackConvCases() []convCase {
@@ -98,7 +98,7 @@ func prepackConvCases() []convCase {
 		{"3x3-stride2", 6, 11, 11, 9, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},
 		{"asym-1x7", 4, 8, 8, 6, 1, 7, Conv2DSpec{Stride: 1, PadW: 3, Asym: true}},
 		{"k-remainder", 16, 7, 7, 11, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, // rows=144 > gemmKC
-		{"odd-ncols", 5, 5, 7, 4, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},    // hout*wout odd
+		{"odd-ncols", 5, 5, 7, 4, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},     // hout*wout odd
 	}
 }
 

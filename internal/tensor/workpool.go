@@ -45,18 +45,31 @@ const (
 
 // workTask is one parallelFor invocation's shared state. Workers claim
 // chunk indices from cursor; wg counts enlisted helpers so the caller
-// can await them before returning.
+// can await them before returning. panicked holds the first value any
+// runner's fn panicked with, for the caller to re-raise.
 type workTask struct {
-	cursor atomic.Int64
-	chunks int
-	chunk  int
-	n      int
-	fn     func(lo, hi int)
-	wg     sync.WaitGroup
+	cursor   atomic.Int64
+	chunks   int
+	chunk    int
+	n        int
+	fn       func(lo, hi int)
+	wg       sync.WaitGroup
+	panicked atomic.Pointer[any]
 }
 
-// run claims chunks until the cursor passes the end of the range.
+// run claims chunks until the cursor passes the end of the range. A
+// panic in fn is contained here — on a pool worker nothing above this
+// frame could recover it, and it would take the process down: the first
+// panic value is kept for parallelFor's caller, and the cursor is moved
+// past the end so no runner starts another chunk.
 func (t *workTask) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			first := r // heap copy on the panic path only
+			t.panicked.CompareAndSwap(nil, &first)
+			t.cursor.Store(int64(t.chunks))
+		}
+	}()
 	for {
 		c := int(t.cursor.Add(1)) - 1
 		if c >= t.chunks {
@@ -157,7 +170,10 @@ func shutdownPool() {
 // on the calling goroutine plus any idle pool workers. fn must treat
 // [lo, hi) ranges as disjoint work with no cross-chunk ordering
 // dependency; every parallel kernel in this package satisfies that by
-// writing disjoint output rows. Returns only after every chunk ran.
+// writing disjoint output rows. Returns only after every chunk ran. If
+// fn panics on any goroutine, the remaining chunks are abandoned and the
+// first panic value is re-raised here, on the caller, once every helper
+// has stopped — so a caller's recover guard covers the whole range.
 func parallelFor(n, grain int, fn func(lo, hi int)) {
 	parallelForMax(n, grain, 0, fn)
 }
@@ -225,7 +241,11 @@ enlist:
 	t.run()
 	t.wg.Wait()
 	t.fn = nil
+	p := t.panicked.Swap(nil)
 	taskPool.Put(t)
+	if p != nil {
+		panic(*p)
+	}
 }
 
 // grainForMACs converts a per-unit work estimate into a parallelFor

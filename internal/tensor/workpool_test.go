@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,4 +157,61 @@ func TestGrainForMACs(t *testing.T) {
 	if small < 2 {
 		t.Fatalf("grainForMACs(1) = %d, want a batching grain > 1", small)
 	}
+}
+
+// onPoolWorker reports whether the calling goroutine is a pool helper
+// (poolWorker is on its stack) rather than parallelFor's caller.
+func onPoolWorker() bool {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".poolWorker") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestParallelForHelperPanicReachesCaller: a panic in a chunk that a pool
+// worker runs must not kill the process from that goroutine; it must come
+// back as a panic on the goroutine that called ParallelFor, after which
+// the pool still works. The caller's own first chunk waits for the helper
+// to have started, so the panicking chunk really is helper-run.
+func TestParallelForHelperPanicReachesCaller(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	if old < 2 {
+		runtime.GOMAXPROCS(2)
+	}
+	for attempt := 0; attempt < 1000; attempt++ {
+		enlisted := poolEnlistments.Load()
+		helperStarted := make(chan struct{})
+		var once sync.Once
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			ParallelFor(64, 1, func(lo, hi int) {
+				if onPoolWorker() {
+					once.Do(func() { close(helperStarted) })
+					panic("boom on helper")
+				}
+				if poolEnlistments.Load() > enlisted {
+					<-helperStarted
+				}
+			})
+		}()
+		if poolEnlistments.Load() == enlisted {
+			runtime.Gosched() // no worker was parked yet; ask again
+			continue
+		}
+		if got != "boom on helper" {
+			t.Fatalf("caller recovered %v, want the helper's panic value", got)
+		}
+		coverage(t, 4096, 1)
+		return
+	}
+	t.Fatal("no pool worker was ever enlisted")
 }
