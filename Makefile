@@ -79,9 +79,13 @@ pipe-smoke:
 # `go test ./...` does not reach it): unit tests, a smoke run of every
 # workload, and TestRealModels — the real MobileNet-v2 / SqueezeNet-int8
 # graphs, one bit-verified op each, exact dispatch counts — which is
-# what stands guard over the kernels the stream workloads measure.
+# what stands guard over the kernels the stream workloads measure. Then
+# one iteration of each hot-shape kernel micro-benchmark in
+# internal/tensor, so one that stops compiling or starts panicking fails
+# the gate.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|Depthwise3x3|GemmPrepacked' -benchtime 1x
 
 # The CI gate: everything that must be clean before a merge.
 check: build fmt analyze opt-equiv race bench-test serve-smoke pipe-smoke

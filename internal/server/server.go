@@ -124,6 +124,7 @@ type Server struct {
 	mux      *http.ServeMux
 	ready    atomic.Bool
 	shape    tensor.Shape
+	maxBody  int64 // /infer request body limit, bytes
 	scrapeMu sync.Mutex
 	onScrape []func()
 }
@@ -141,6 +142,7 @@ func New(eng Engine, cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		shape: eng.InputShape(),
 	}
+	s.maxBody = inferBodyLimit(s.shape.NumElems())
 	m.ExecDType.Set(eng.ExecDType(), 1)
 	m.WeightBytes.Set(float64(eng.WeightBytes()))
 	s.mux.HandleFunc("/infer", s.handleInfer)
@@ -214,6 +216,13 @@ type InferResponse struct {
 	TotalMs float64 `json:"total_ms"`
 }
 
+// inferBodyLimit is the largest /infer body the server reads for a
+// model of n input elements: 32 bytes per element — a float64 printed
+// in full is 25 with its comma, a float32 at most 16 — plus 4 KB for
+// the envelope's other fields and whitespace. Anything longer cannot be
+// a well-formed request for this model, so it is refused unread.
+func inferBodyLimit(n int) int64 { return 32*int64(n) + 4<<10 }
+
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
@@ -226,8 +235,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	// An empty body is legal (seed-0 generated input), so io.EOF passes.
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	in, err := s.buildInput(req)

@@ -122,6 +122,40 @@ func TestServerBadInput(t *testing.T) {
 	}
 }
 
+// TestServerOversizedBodyReturns413: /infer reads no more than the
+// model's input could need. A body past that bound is refused with 413
+// before it is buffered, while a full-size tensor printed at the widest
+// a float32 gets still fits.
+func TestServerOversizedBodyReturns413(t *testing.T) {
+	_, eng := buildEngine(t, 1)
+	srv := server.New(eng, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/infer", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	n := eng.InputShape().NumElems()
+	widest := `{"data":[` + strings.TrimSuffix(strings.Repeat("-1.2345678e-10,", n), ",") + `],"deadline_ms":1000.5}`
+	if code := post(widest); code != http.StatusOK {
+		t.Errorf("full-size request of %d bytes: status %d, want 200", len(widest), code)
+	}
+	huge := `{"data":[` + strings.Repeat("0,", 64*n) + `0]}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(huge), code)
+	}
+	if got := srv.Metrics().Requests.Value("413"); got != 1 {
+		t.Errorf("413 counter = %d, want 1", got)
+	}
+}
+
 // slowEngine delays every dispatch so the admission queue observably
 // fills during the overload flood regardless of how fast the kernels
 // themselves run (pre-packed GEMM made the tiny test model quick

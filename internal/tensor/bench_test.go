@@ -125,3 +125,57 @@ func BenchmarkGemmPrepacked(b *testing.B) {
 	}
 	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }
+
+// The benchmarks below sit at SqueezeNet v1.1's hottest int8-path
+// shapes: the stem, the widest 3x3 expand, the classifier's 1x1, and
+// the first max-pool and the activation quantizer on its input.
+
+func BenchmarkConv2DQPrepacked(b *testing.B) {
+	for _, tc := range []struct {
+		name                 string
+		cin, h, w            int
+		cout, k, stride, pad int
+	}{
+		{"conv1-3x224x224-3x3s2-64", 3, 224, 224, 64, 3, 2, 0},
+		{"fire3e3-16x55x55-3x3p1-64", 16, 55, 55, 64, 3, 1, 1},
+		{"conv10-512x13x13-1x1-1000", 512, 13, 13, 1000, 1, 1, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := benchInput(tc.cin, tc.h, tc.w)
+			qw := QuantizePerChannel(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1))
+			pq := PackQConvWeights(qw)
+			spec := Conv2DSpec{Stride: tc.stride, Pad: tc.pad}
+			hout, wout := spec.OutDims(tc.h, tc.w, tc.k, tc.k)
+			dst := New(tc.cout, hout, wout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Conv2DQPrepackedInto(dst, in, pq, qw, nil, spec, ActReLU, 0)
+			}
+			b.ReportMetric(float64(pq.K*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+func BenchmarkMaxPool3x3s2(b *testing.B) {
+	in := benchInput(64, 111, 111)
+	spec := PoolSpec{Kernel: 3, Stride: 2}
+	dst := New(64, spec.OutDim(111), spec.OutDim(111))
+	b.ReportAllocs()
+	b.SetBytes(int64(4 * len(in.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaxPool2DInto(dst, in, spec)
+	}
+}
+
+func BenchmarkQuantizeDynamic(b *testing.B) {
+	in := benchInput(64, 111, 111)
+	dst := make([]int8, len(in.Data))
+	b.ReportAllocs()
+	b.SetBytes(int64(4 * len(in.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QuantizeDynamicInto(dst, in.Data)
+	}
+}

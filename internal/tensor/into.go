@@ -197,35 +197,104 @@ func Pad2DInto(dst, src *Tensor, p int) {
 }
 
 // MaxPool2DInto applies max pooling of src into dst of shape
-// [C, Hout, Wout]. Padded positions never win the max.
+// [C, Hout, Wout]. Padded positions never win the max. Large poolings
+// shard channel planes across the worker pool; each plane is written by
+// exactly one chunk.
 func MaxPool2DInto(dst, src *Tensor, spec PoolSpec) {
 	spec = spec.check()
 	c, h, w := src.Shape[0], src.Shape[1], src.Shape[2]
 	hout, wout := spec.OutDim(h), spec.OutDim(w)
 	checkSameShape("MaxPool2D", dst, Shape{c, hout, wout})
-	for ic := 0; ic < c; ic++ {
+	perPlane := hout * wout * spec.Kernel * spec.Kernel
+	if c*perPlane < maxPoolParallelTaps {
+		maxPoolPlanes(dst.Data, src.Data, h, w, hout, wout, spec, 0, c)
+		return
+	}
+	parallelFor(c, grainForMACs(perPlane), func(lo, hi int) {
+		maxPoolPlanes(dst.Data, src.Data, h, w, hout, wout, spec, lo, hi)
+	})
+}
+
+// maxPoolParallelTaps is the comparison count from which max pooling
+// shards: a tap is cheaper than a multiply-accumulate but the pass is
+// memory-bound, so the cut sits a factor below the MAC threshold.
+const maxPoolParallelTaps = parallelThresholdMACs / 4
+
+// maxPoolPlanes pools channel planes [clo, chi). Windows that lie
+// wholly inside the plane — all of them when Pad is 0 — read pre-sliced
+// rows with no per-tap bounds tests, in maxPoolWindow's tap order, so
+// the result is the same bit for bit; border windows go through
+// maxPoolWindow.
+func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo, chi int) {
+	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
+	// Output rows [oyLo, oyHi) and columns [oxLo, oxHi) have their whole
+	// window in bounds: o*stride-pad >= 0 and o*stride-pad+k <= size.
+	oyLo, oyHi := interiorSpan(h, hout, k, stride, pad)
+	oxLo, oxHi := interiorSpan(w, wout, k, stride, pad)
+	for ic := clo; ic < chi; ic++ {
+		plane := src[ic*h*w : (ic+1)*h*w]
+		out := dst[ic*hout*wout : (ic+1)*hout*wout]
 		for oy := 0; oy < hout; oy++ {
-			for ox := 0; ox < wout; ox++ {
+			orow := out[oy*wout : (oy+1)*wout]
+			lo, hi := oxLo, oxHi
+			if oy < oyLo || oy >= oyHi {
+				lo, hi = wout, wout // a clipped row has no interior
+			}
+			for ox := 0; ox < lo; ox++ {
+				orow[ox] = maxPoolWindow(plane, h, w, oy, ox, spec)
+			}
+			top := (oy*stride - pad) * w
+			for ox := lo; ox < hi; ox++ {
 				m := negInf
-				for ky := 0; ky < spec.Kernel; ky++ {
-					iy := oy*spec.Stride + ky - spec.Pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < spec.Kernel; kx++ {
-						ix := ox*spec.Stride + kx - spec.Pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						if v := src.Data[(ic*h+iy)*w+ix]; v > m {
+				for off := top + ox*stride - pad; off < top+k*w; off += w {
+					for _, v := range plane[off : off+k] {
+						if v > m {
 							m = v
 						}
 					}
 				}
-				dst.Data[(ic*hout+oy)*wout+ox] = m
+				orow[ox] = m
+			}
+			for ox := hi; ox < wout; ox++ {
+				orow[ox] = maxPoolWindow(plane, h, w, oy, ox, spec)
 			}
 		}
 	}
+}
+
+// interiorSpan returns the output index range [lo, hi) along one axis
+// whose pooling windows need no clipping, 0 <= lo <= hi <= out; it is
+// [out, out) when every window is clipped.
+func interiorSpan(in, out, k, stride, pad int) (lo, hi int) {
+	lo = (pad + stride - 1) / stride
+	hi = min((in+pad-k)/stride+1, out)
+	if in+pad < k || hi < lo {
+		return out, out
+	}
+	return lo, hi
+}
+
+// maxPoolWindow is one output element of max pooling over a [h, w]
+// plane, every tap bounds-tested: the border path of maxPoolPlanes and
+// the reference its fast path is tested against.
+func maxPoolWindow(plane []float32, h, w, oy, ox int, spec PoolSpec) float32 {
+	m := negInf
+	for ky := 0; ky < spec.Kernel; ky++ {
+		iy := oy*spec.Stride + ky - spec.Pad
+		if iy < 0 || iy >= h {
+			continue
+		}
+		for kx := 0; kx < spec.Kernel; kx++ {
+			ix := ox*spec.Stride + kx - spec.Pad
+			if ix < 0 || ix >= w {
+				continue
+			}
+			if v := plane[iy*w+ix]; v > m {
+				m = v
+			}
+		}
+	}
+	return m
 }
 
 // AvgPool2DInto applies average pooling of src into dst of shape

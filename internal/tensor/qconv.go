@@ -34,27 +34,44 @@ const (
 // qscratch holds the per-call scratch of the int8 path. Pooled through
 // a sync.Pool so concurrent executor replicas and wavefront workers
 // never share or reallocate buffers.
+//
+// It also carries the arguments of the passes the prepacked path shards
+// (quant, conv) and their shard bodies as functions bound once, when
+// the scratch is made: a closure built per call would be one heap
+// allocation per parallelFor, several per convolution.
 type qscratch struct {
-	qin  []int8  // quantized input activations
-	cols []int8  // int8 im2col matrix
-	acc  []int32 // GEMM accumulators
+	qin    []int8    // quantized input activations
+	cols   []int8    // int8 im2col matrix
+	acc    []int32   // GEMM accumulators
+	scales []float32 // requantize scales, activation scale x weight scale, per (sample, channel)
+	maxima []float32 // per-chunk max-abs of the activation being quantized
+
+	quant quantJob
+	conv  qconvJob
+	io    [2]*Tensor // the single-sample entry point's one-element dsts and ins
+
+	maxFn, roundFn, convFn func(lo, hi int)
 }
 
-var qscratchPool = sync.Pool{New: func() any { return new(qscratch) }}
+var qscratchPool = sync.Pool{New: func() any {
+	s := new(qscratch)
+	s.maxFn, s.roundFn, s.convFn = s.quantMaxChunks, s.quantRoundChunks, s.convShard
+	return s
+}}
 
 func (s *qscratch) grow(nqin, ncols, nacc int) {
-	if cap(s.qin) < nqin {
-		s.qin = make([]int8, nqin)
+	s.qin = growSlice(s.qin, nqin)
+	s.cols = growSlice(s.cols, ncols)
+	s.acc = growSlice(s.acc, nacc)
+}
+
+// growSlice returns buf resized to n elements, reallocating only when
+// its capacity is short; the contents are unspecified.
+func growSlice[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s.qin = s.qin[:nqin]
-	if cap(s.cols) < ncols {
-		s.cols = make([]int8, ncols)
-	}
-	s.cols = s.cols[:ncols]
-	if cap(s.acc) < nacc {
-		s.acc = make([]int32, nacc)
-	}
-	s.acc = s.acc[:nacc]
+	return buf[:n]
 }
 
 // im2colQInto is the int8 twin of im2colInto: it lowers the quantized

@@ -1,0 +1,372 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Bit-exact differential tests for the int8 fast paths: the banded
+// prepacked convolution, the sharded activation quantizer, the max-pool
+// interior path, and the four-column SWAR microkernel. Each is compared
+// with a kernel that shares none of the new code, so any difference at
+// all is a bug.
+
+// checkBandedQConv runs the prepacked int8 conv and requires it to equal
+// the unpacked Conv2DQInt8Into (im2col, per-call packing, contiguous
+// epilogue) bit for bit.
+func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *PackedQWeights, bias []float32, spec Conv2DSpec, act Act) {
+	t.Helper()
+	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], qw.Shape[2], qw.Shape[3])
+	want := dirty(qw.Shape[0], hout, wout)
+	Conv2DQInt8Into(want, in, qw, bias, spec, act, 0.1)
+	got := dirty(want.Shape...)
+	Conv2DQPrepackedInto(got, in, pq, qw, bias, spec, act, 0.1)
+	if !bitsEqual(got.Data, want.Data) {
+		t.Errorf("%s: banded prepacked int8 conv differs from the unpacked kernel", name)
+	}
+}
+
+// TestConv2DQPrepackedBandSweep crosses kernel 1/3/5/7 with stride 1-3,
+// per-axis padding 0-2 (symmetric specs where the two agree, Asym ones
+// otherwise), bias nil or not, per-tensor and per-channel weight scales
+// and every epilogue activation, on planes that give odd pixel counts,
+// a single output pixel, and H or W smaller than the kernel.
+func TestConv2DQPrepackedBandSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	const cin, cout = 3, 5
+	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
+	cases, single, clipped := 0, 0, 0
+	for _, k := range []int{1, 3, 5, 7} {
+		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
+		w := randTensor(r, cout, cin, k, k)
+		quantized := []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)}
+		packed := []*PackedQWeights{PackQConvWeights(quantized[0]), PackQConvWeights(quantized[1])}
+		for stride := 1; stride <= 3; stride++ {
+			for padH := 0; padH <= 2; padH++ {
+				for padW := 0; padW <= 2; padW++ {
+					spec := Conv2DSpec{Stride: stride, PadH: padH, PadW: padW, Asym: true}
+					if padH == padW {
+						spec = Conv2DSpec{Stride: stride, Pad: padH}
+					}
+					for _, hw := range planes {
+						h, wd := hw[0], hw[1]
+						if h+2*padH < k || wd+2*padW < k {
+							continue
+						}
+						hout, wout := spec.OutDims(h, wd, k, k)
+						if hout*wout == 1 {
+							single++
+						}
+						if h < k || wd < k {
+							clipped++
+						}
+						in := randTensor(r, cin, h, wd)
+						for _, bias := range [][]float32{nil, randTensor(r, cout).Data} {
+							for qi, qw := range quantized {
+								for _, act := range acts {
+									name := fmt.Sprintf("k%d s%d pad%dx%d in%dx%d bias=%v perchannel=%v act=%d",
+										k, stride, padH, padW, h, wd, bias != nil, qi == 1, act)
+									checkBandedQConv(t, name, in, qw, packed[qi], bias, spec, act)
+									cases++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if cases < 5000 || single == 0 || clipped == 0 {
+		t.Fatalf("sweep ran %d cases, %d with one output pixel, %d with a plane below the kernel", cases, single, clipped)
+	}
+}
+
+// TestConv2DQPrepackedShardedBands uses layers above the parallel
+// threshold with an odd pixel count, so the pooled run cuts several
+// bands, none a multiple of the requantize tile: a 3x3 padded conv (the
+// copy and the per-tap lowering), a strided one, and a 1x1 (the
+// transposing lowering, band edges inside its pixel tile). A batch of
+// three over the same layers — sample boundaries at odd stacked rows —
+// must equal three single calls.
+func TestConv2DQPrepackedShardedBands(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	for _, c := range []convCase{
+		{"3x3-pad", 8, 45, 45, 32, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"3x3-stride2", 16, 63, 63, 40, 3, 3, Conv2DSpec{Stride: 2}},
+		{"1x1", 64, 37, 41, 48, 1, 1, Conv2DSpec{Stride: 1}},
+	} {
+		spec := c.spec.check()
+		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
+		ncols := hout * wout
+		if ncols%2 == 0 || ncols*c.cin*c.kh*c.kw*c.cout < parallelThresholdMACs {
+			t.Fatalf("%s: %d pixels do not exercise the sharded odd-row path", c.name, ncols)
+		}
+		qw := QuantizePerChannel(randTensor(r, c.cout, c.cin, c.kh, c.kw))
+		pq := PackQConvWeights(qw)
+		bias := randTensor(r, c.cout).Data
+		const B = 3
+		ins, wants, gots := make([]*Tensor, B), make([]*Tensor, B), make([]*Tensor, B)
+		for i := range ins {
+			ins[i] = randTensor(r, c.cin, c.h, c.w)
+			checkBandedQConv(t, c.name, ins[i], qw, pq, bias, spec, ActReLU)
+			wants[i] = dirty(c.cout, hout, wout)
+			Conv2DQPrepackedInto(wants[i], ins[i], pq, qw, bias, spec, ActReLU, 0.1)
+			gots[i] = dirty(c.cout, hout, wout)
+		}
+		Conv2DQPrepackedBatchInto(gots, ins, pq, qw, bias, spec, ActReLU, 0.1)
+		for i := range gots {
+			if !bitsEqual(gots[i].Data, wants[i].Data) {
+				t.Errorf("%s: batch sample %d differs from its single call", c.name, i)
+			}
+		}
+	}
+}
+
+// quantizeDynamicSerial is QuantizeDynamicInto as it stood before it was
+// sharded, kept here as the reference.
+func quantizeDynamicSerial(dst []int8, src []float32) float32 {
+	var maxAbs float32
+	for _, v := range src {
+		if v < 0 {
+			v = -v
+		}
+		if v > maxAbs {
+			maxAbs = v
+		}
+	}
+	scale := symmetricScale(maxAbs)
+	inv := 1 / scale
+	for i, v := range src {
+		r := v * inv
+		if r >= 0 {
+			r += 0.5
+		} else {
+			r -= 0.5
+		}
+		n := int32(r)
+		if n > 127 {
+			n = 127
+		} else if n < -127 {
+			n = -127
+		}
+		dst[i] = int8(n)
+	}
+	return scale
+}
+
+func checkQuantizer(t *testing.T, name string, src []float32) {
+	t.Helper()
+	want := make([]int8, len(src))
+	wantScale := quantizeDynamicSerial(want, src)
+	got := make([]int8, len(src))
+	for i := range got {
+		got[i] = -128 // a code the quantizer never emits
+	}
+	scale := QuantizeDynamicInto(got, src)
+	if math.Float32bits(scale) != math.Float32bits(wantScale) {
+		t.Errorf("%s: scale %v, want %v", name, scale, wantScale)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: code[%d] = %d, want %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestQuantizeDynamicShardedMatchesSerial walks lengths either side of
+// the sharding threshold and of a chunk boundary, puts the maximum in
+// the last (partial) chunk, and feeds the inputs that stress the
+// reduction: all zeros, infinities, and NaNs, which must never win it.
+func TestQuantizeDynamicShardedMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(101))
+	for _, n := range []int{
+		quantChunk, quantParallelElems - 1, quantParallelElems, quantParallelElems + 1,
+		quantParallelElems + quantChunk - 1, quantParallelElems + quantChunk, quantParallelElems + quantChunk + 1,
+		5*quantChunk + 17,
+	} {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = float32(r.NormFloat64())
+		}
+		checkQuantizer(t, fmt.Sprintf("n=%d", n), src)
+
+		src[n-1] = -40
+		checkQuantizer(t, fmt.Sprintf("n=%d max last", n), src)
+
+		src[n/3] = float32(math.NaN())
+		src[n-2] = float32(math.NaN())
+		checkQuantizer(t, fmt.Sprintf("n=%d NaN", n), src)
+
+		src[n/2] = float32(math.Inf(-1))
+		src[0] = float32(math.Inf(1))
+		checkQuantizer(t, fmt.Sprintf("n=%d Inf", n), src)
+
+		clear(src)
+		checkQuantizer(t, fmt.Sprintf("n=%d zero", n), src)
+		if s := QuantizeDynamicInto(make([]int8, n), src); s != 1 {
+			t.Errorf("n=%d: all-zero scale %v, want 1", n, s)
+		}
+	}
+}
+
+// maxPoolReference pools every window through maxPoolWindow, never
+// entering the interior loop.
+func maxPoolReference(src *Tensor, spec PoolSpec) *Tensor {
+	c, h, w := src.Shape[0], src.Shape[1], src.Shape[2]
+	hout, wout := spec.OutDim(h), spec.OutDim(w)
+	out := New(c, hout, wout)
+	for ic := 0; ic < c; ic++ {
+		for oy := 0; oy < hout; oy++ {
+			for ox := 0; ox < wout; ox++ {
+				out.Data[(ic*hout+oy)*wout+ox] = maxPoolWindow(src.Data[ic*h*w:(ic+1)*h*w], h, w, oy, ox, spec.check())
+			}
+		}
+	}
+	return out
+}
+
+// poolInput is random data salted with the values a max must order
+// carefully: NaN, both zeros, and both infinities.
+func poolInput(r *rand.Rand, shape ...int) *Tensor {
+	in := randTensor(r, shape...)
+	special := []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 0; i < len(in.Data); i += 7 {
+		in.Data[i] = special[r.Intn(len(special))]
+	}
+	return in
+}
+
+// TestMaxPoolInteriorMatchesWindowReference sweeps kernel 2-3, stride
+// 1-3 and pad 0-1 over planes from one element up, including planes
+// smaller than the window, against the per-window reference and the
+// allocating MaxPool2D.
+func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
+	r := rand.New(rand.NewSource(103))
+	cases := 0
+	for k := 2; k <= 3; k++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 1; pad++ {
+				for _, h := range []int{1, 2, 3, 4, 7, 10} {
+					for _, w := range []int{1, 2, 3, 5, 8, 11} {
+						if h+2*pad < k || w+2*pad < k {
+							continue
+						}
+						spec := PoolSpec{Kernel: k, Stride: stride, Pad: pad}
+						in := poolInput(r, 3, h, w)
+						name := fmt.Sprintf("k%d s%d p%d in%dx%d", k, stride, pad, h, w)
+						want := maxPoolReference(in, spec)
+						got := dirty(want.Shape...)
+						MaxPool2DInto(got, in, spec)
+						if !bitsEqual(got.Data, want.Data) {
+							t.Errorf("%s: MaxPool2DInto differs from the per-window reference", name)
+						}
+						if !bitsEqual(MaxPool2D(in, spec).Data, want.Data) {
+							t.Errorf("%s: per-window reference differs from MaxPool2D", name)
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if cases < 300 {
+		t.Fatalf("sweep ran only %d cases", cases)
+	}
+}
+
+// TestMaxPoolShardedMatchesSerial crosses the sharding threshold: the
+// pooled run, one serial pass over all planes, and the per-window
+// reference must agree bit for bit, padded and not.
+func TestMaxPoolShardedMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(107))
+	for _, spec := range []PoolSpec{{Kernel: 3, Stride: 2}, {Kernel: 3, Stride: 2, Pad: 1}, {Kernel: 2}} {
+		spec = spec.check()
+		const c, h, w = 64, 81, 83
+		in := poolInput(r, c, h, w)
+		want := maxPoolReference(in, spec)
+		if want.Shape.NumElems()*spec.Kernel*spec.Kernel < maxPoolParallelTaps {
+			t.Fatalf("%+v: pooling too small to hit the sharded path", spec)
+		}
+		pooled := dirty(want.Shape...)
+		MaxPool2DInto(pooled, in, spec)
+		if !bitsEqual(pooled.Data, want.Data) {
+			t.Errorf("%+v: pooled max-pool differs from the per-window reference", spec)
+		}
+		serial := dirty(want.Shape...)
+		maxPoolPlanes(serial.Data, in.Data, h, w, want.Shape[1], want.Shape[2], spec, 0, c)
+		if !bitsEqual(serial.Data, want.Data) {
+			t.Errorf("%+v: serial max-pool differs from the per-window reference", spec)
+		}
+	}
+}
+
+// checkQGemmKernels asserts the per-call-packing kernel, the prepacked
+// kernel, and the prepacked kernel run as two row ranges split at an odd
+// row (so the pairs fall differently) all equal the plain triple loop.
+func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
+	t.Helper()
+	want := make([]int32, m*n)
+	qnaive(want, a, b, m, k, n)
+	check := func(kernel string, got []int32) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s m=%d k=%d n=%d: %s dst[%d] = %d, want %d", name, m, k, n, kernel, i, got[i], want[i])
+			}
+		}
+	}
+	got := make([]int32, m*n)
+	QGEMMSerial(got, a, b, m, k, n)
+	check("QGEMMSerial", got)
+
+	pq := PackQGemmB(b, k, n)
+	for i := range got {
+		got[i] = math.MinInt32
+	}
+	QGemmPrepacked(got, a, pq, m)
+	check("QGemmPrepacked", got)
+
+	for i := range got {
+		got[i] = math.MinInt32
+	}
+	qgemmPrepackedRange(got, a, pq, 0, min(1, m))
+	qgemmPrepackedRange(got, a, pq, min(1, m), m)
+	check("odd row-range split", got)
+}
+
+// TestQGemmPanelRowsMatchesNaive covers every column remainder of the
+// four-column pass, the one-row kernel (M = 1, odd M), K off the
+// interleave, and more than one K- and N-block.
+func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(109))
+	for _, c := range []struct{ m, k, n int }{
+		{1, 1, 1}, {1, 9, 4}, {2, 8, 5}, {3, 7, 6}, {4, 13, 7}, {5, 16, 8},
+		{1, 30, 11}, {7, qgemmKC + 2, 9}, {6, 2*qgemmKC + 3, 10},
+		{5, 30, qgemmNC + 3}, {9, qgemmKC - 1, 2*qgemmNC + 1}, {64, 144, 64},
+	} {
+		checkQGemmKernels(t, "random", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
+	}
+}
+
+// TestQGemmLaneSumEdge pins every code at +-127 over a full 256-deep
+// K-block, the largest lane sum a column accumulator can reach
+// (127*255*256 with the panel's +128 bias): rows of either sign paired
+// with each other, against columns of either sign, through the four-,
+// two- and one-column passes.
+func TestQGemmLaneSumEdge(t *testing.T) {
+	const m, k, n = 5, qgemmKC, 7
+	rowSign := []int8{127, -127, -127, 127, 127}
+	for _, colSign := range [][]int8{{127}, {-127}, {127, -127}} {
+		a := make([]int8, m*k)
+		for i := range a {
+			a[i] = rowSign[i/k]
+		}
+		b := make([]int8, k*n)
+		for i := range b {
+			b[i] = colSign[(i%n)%len(colSign)]
+		}
+		checkQGemmKernels(t, fmt.Sprintf("pinned cols %v", colSign), a, b, m, k, n)
+	}
+}

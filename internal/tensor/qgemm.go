@@ -77,7 +77,7 @@ func QGEMMSerial(dst []int32, a, b []int8, m, k, n int) {
 // qgemmBlockedRange computes output rows [rlo, rhi) of dst = a x b with
 // cache blocking. panel is optional scratch of qgemmPanelElems() bytes
 // (allocated when nil). Rows are zeroed first, then accumulated one
-// (K-block, N-block) panel at a time; two A rows ride each panel pass.
+// (K-block, N-block) panel at a time.
 func qgemmBlockedRange(dst []int32, a, b []int8, m, k, n, rlo, rhi int, panel []byte) {
 	_ = m
 	if panel == nil {
@@ -86,35 +86,42 @@ func qgemmBlockedRange(dst []int32, a, b []int8, m, k, n, rlo, rhi int, panel []
 	for i := rlo; i < rhi; i++ {
 		clear(dst[i*n : (i+1)*n])
 	}
-	var abuf0, abuf1 [qgemmKC]int8
-	var pair [qgemmKC]int64
 	for jc := 0; jc < n; jc += qgemmNC {
-		jb := n - jc
-		if jb > qgemmNC {
-			jb = qgemmNC
-		}
+		jb := min(n-jc, qgemmNC)
 		for kc := 0; kc < k; kc += qgemmKC {
-			kb := k - kc
-			if kb > qgemmKC {
-				kb = qgemmKC
-			}
+			kb := min(k-kc, qgemmKC)
 			kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
 			packQPanel(panel, b, n, kc, kb, kb4, jc, jb)
-			i := rlo
-			for ; i+1 < rhi; i += 2 {
-				s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
-				s1 := loadQRow(&abuf1, a, i+1, k, kc, kb, kb4)
-				for g := 0; g < kb4; g++ {
-					pair[g] = int64(abuf1[g])<<32 + int64(abuf0[g])
-				}
-				qkernel2(dst[i*n+jc:i*n+jc+jb], dst[(i+1)*n+jc:(i+1)*n+jc+jb],
-					panel, pair[:kb4], 128*s0, 128*s1, kb4)
-			}
-			if i < rhi {
-				s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
-				qkernel1(dst[i*n+jc:i*n+jc+jb], panel, abuf0[:kb4], 128*s0, kb4)
-			}
+			qgemmPanelRows(dst, a, panel[:kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
 		}
+	}
+}
+
+// qgemmPanelRows is the row-staging loop both blocked int8 kernels
+// share (the int8 mirror of gemmPanelRows): it accumulates one packed
+// (K-block, N-block) panel into output rows [rlo, rhi),
+// dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go two at a time,
+// staged into one SWAR lane pair per K index, so a single 64-bit
+// multiply serves both; an odd last row takes the one-row kernel.
+// Integer accumulation is exact, so results do not depend on how
+// callers split rows.
+func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, rlo, rhi int) {
+	kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
+	var abuf0, abuf1 [qgemmKC]int8
+	var pair [qgemmKC]int64
+	i := rlo
+	for ; i+1 < rhi; i += 2 {
+		s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
+		s1 := loadQRow(&abuf1, a, i+1, k, kc, kb, kb4)
+		for g := 0; g < kb4; g++ {
+			pair[g] = int64(abuf1[g])<<32 + int64(abuf0[g])
+		}
+		qkernel2(dst[i*n+jc:i*n+jc+jb], dst[(i+1)*n+jc:(i+1)*n+jc+jb],
+			panel, pair[:kb4], 128*s0, 128*s1, kb4)
+	}
+	if i < rhi {
+		s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
+		qkernel1(dst[i*n+jc:i*n+jc+jb], panel, abuf0[:kb4], 128*s0, kb4)
 	}
 }
 
@@ -137,14 +144,44 @@ func loadQRow(abuf *[qgemmKC]int8, a []int8, i, k, kc, kb, kb4 int) int32 {
 // qkernel2 accumulates two output rows against one packed panel. Each
 // packed lane pair (row1<<32 + row0) times a biased panel byte yields
 // both rows' products in one 64-bit multiply; a whole panel column is
-// summed into four independent accumulators (the lane sums stay below
-// 2^24, so a single 2^31 low-lane bias splits the final value without
-// a carry), and the +128 panel bias is removed per column via
-// corr0/corr1 (128 x the rows' A sums).
+// summed lane-wise (the lane sums over a qgemmKC-deep block stay below
+// 127*255*256 < 2^24, so a single 2^31 low-lane bias splits the final
+// value without a carry), and the +128 panel bias is removed per column
+// via corr0/corr1 (128 x the rows' A sums).
 func qkernel2(o0, o1 []int32, panel []byte, pair []int64, corr0, corr1 int32, kb4 int) {
+	o1 = o1[:len(o0)]
 	j := 0
-	// Two panel columns per pass: each loaded lane pair is used twice,
-	// halving the pair-load traffic per multiply.
+	// Four panel columns per pass, one accumulator each: every loaded
+	// lane pair feeds four multiplies.
+	for ; j+3 < len(o0); j += 4 {
+		c0 := panel[j*kb4 : j*kb4+kb4]
+		c1 := panel[(j+1)*kb4 : (j+1)*kb4+kb4]
+		c2 := panel[(j+2)*kb4 : (j+2)*kb4+kb4]
+		c3 := panel[(j+3)*kb4 : (j+3)*kb4+kb4]
+		var a, b, c, d uint64
+		for g := 0; g < kb4; g += qgemmMR {
+			pr := pair[g : g+qgemmMR : g+qgemmMR]
+			q0 := c0[g : g+qgemmMR : g+qgemmMR]
+			q1 := c1[g : g+qgemmMR : g+qgemmMR]
+			q2 := c2[g : g+qgemmMR : g+qgemmMR]
+			q3 := c3[g : g+qgemmMR : g+qgemmMR]
+			p0, p1, p2, p3 := uint64(pr[0]), uint64(pr[1]), uint64(pr[2]), uint64(pr[3])
+			a += p0*uint64(q0[0]) + p1*uint64(q0[1]) + p2*uint64(q0[2]) + p3*uint64(q0[3])
+			b += p0*uint64(q1[0]) + p1*uint64(q1[1]) + p2*uint64(q1[2]) + p3*uint64(q1[3])
+			c += p0*uint64(q2[0]) + p1*uint64(q2[1]) + p2*uint64(q2[2]) + p3*uint64(q2[3])
+			d += p0*uint64(q3[0]) + p1*uint64(q3[1]) + p2*uint64(q3[2]) + p3*uint64(q3[3])
+		}
+		a, b, c, d = a+1<<31, b+1<<31, c+1<<31, d+1<<31
+		o0[j] += int32(uint32(a)^1<<31) - corr0
+		o1[j] += int32(uint32(a>>32)) - corr1
+		o0[j+1] += int32(uint32(b)^1<<31) - corr0
+		o1[j+1] += int32(uint32(b>>32)) - corr1
+		o0[j+2] += int32(uint32(c)^1<<31) - corr0
+		o1[j+2] += int32(uint32(c>>32)) - corr1
+		o0[j+3] += int32(uint32(d)^1<<31) - corr0
+		o1[j+3] += int32(uint32(d>>32)) - corr1
+	}
+	// Columns N mod 4: a two-column pass, then a single column.
 	for ; j+1 < len(o0); j += 2 {
 		c0 := panel[j*kb4 : j*kb4+kb4]
 		c1 := panel[(j+1)*kb4 : (j+1)*kb4+kb4]

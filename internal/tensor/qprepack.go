@@ -109,52 +109,45 @@ func QGemmPrepacked(dst []int32, a []int8, pq *PackedQWeights, m int) {
 	})
 }
 
-// qgemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B.
-// The loop structure, row staging, and SWAR microkernels are exactly
-// qgemmBlockedRange's; only the panel source differs.
+// qgemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B:
+// qgemmBlockedRange's tile loop over the same row-staging loop, with
+// each tile's panel read from pq.Panels instead of packed on the spot.
 func qgemmPrepackedRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int) {
 	k, n := pq.K, pq.N
 	for i := rlo; i < rhi; i++ {
 		clear(dst[i*n : (i+1)*n])
 	}
-	var abuf0, abuf1 [qgemmKC]int8
-	var pair [qgemmKC]int64
 	off := 0
 	for jc := 0; jc < n; jc += qgemmNC {
 		jb := min(n-jc, qgemmNC)
 		for kc := 0; kc < k; kc += qgemmKC {
 			kb := min(k-kc, qgemmKC)
 			kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
-			panel := pq.Panels[off : off+kb4*jb]
+			qgemmPanelRows(dst, a, pq.Panels[off:off+kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
 			off += kb4 * jb
-			i := rlo
-			for ; i+1 < rhi; i += 2 {
-				s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
-				s1 := loadQRow(&abuf1, a, i+1, k, kc, kb, kb4)
-				for g := 0; g < kb4; g++ {
-					pair[g] = int64(abuf1[g])<<32 + int64(abuf0[g])
-				}
-				qkernel2(dst[i*n+jc:i*n+jc+jb], dst[(i+1)*n+jc:(i+1)*n+jc+jb],
-					panel, pair[:kb4], 128*s0, 128*s1, kb4)
-			}
-			if i < rhi {
-				s0 := loadQRow(&abuf0, a, i, k, kc, kb, kb4)
-				qkernel1(dst[i*n+jc:i*n+jc+jb], panel, abuf0[:kb4], 128*s0, kb4)
-			}
 		}
 	}
 }
 
-// im2rowQInto is the int8 twin of im2rowInto: it lowers the quantized
-// input (layout [Cin, H, W]) into rowsQ as a [Hout*Wout, Cin*KH*KW]
-// int8 matrix, padding positions written as explicit zeros (the int8
-// zero-point of the symmetric scheme).
-func im2rowQInto(rowsQ []int8, qin []int8, cin, h, wd, kh, kw int, spec Conv2DSpec, hout, wout int) {
+// im2rowQPixels is the int8 twin of im2rowPixels: it writes rows
+// [plo, phi) of the [Hout*Wout, Cin*KH*KW] lowering of the quantized
+// input (layout [Cin, H, W]), one row per output pixel, every element
+// stored — padding positions are explicit zeros, the int8 zero-point of
+// the symmetric scheme. A window whose columns are all in bounds copies
+// its kw taps per (channel, ky) at once; only border windows test each
+// tap.
+func im2rowQPixels(rowsQ, qin []int8, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
 	padH, padW := spec.padHW()
+	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
+		transposePixelsQ(rowsQ, qin, cin, h*wd, plo, phi)
+		return
+	}
 	rdim := cin * kh * kw
-	for p := 0; p < hout*wout; p++ {
-		oy, ox := p/wout, p%wout
+	oy, ox := plo/wout, plo%wout
+	for p := plo; p < phi; p++ {
 		dst := rowsQ[p*rdim : (p+1)*rdim]
+		ix0 := ox*spec.Stride - padW
+		inside := ix0 >= 0 && ix0+kw <= wd
 		r := 0
 		for ic := 0; ic < cin; ic++ {
 			for ky := 0; ky < kh; ky++ {
@@ -165,8 +158,13 @@ func im2rowQInto(rowsQ []int8, qin []int8, cin, h, wd, kh, kw int, spec Conv2DSp
 					continue
 				}
 				src := qin[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
+				if inside {
+					copy(dst[r:r+kw], src[ix0:ix0+kw])
+					r += kw
+					continue
+				}
 				for kx := 0; kx < kw; kx++ {
-					ix := ox*spec.Stride + kx - padW
+					ix := ix0 + kx
 					if ix >= 0 && ix < wd {
 						dst[r] = src[ix]
 					} else {
@@ -174,6 +172,29 @@ func im2rowQInto(rowsQ []int8, qin []int8, cin, h, wd, kh, kw int, spec Conv2DSp
 					}
 					r++
 				}
+			}
+		}
+		if ox++; ox == wout {
+			oy, ox = oy+1, 0
+		}
+	}
+}
+
+// transposeTileQ is transposePixelsQ's pixel tile: one cache line of
+// contiguous int8 reads per channel.
+const transposeTileQ = 64
+
+// transposePixelsQ is the pointwise (1x1, stride 1, unpadded) int8
+// lowering, transposePixels for bytes: rows [plo, phi) of dst[npix, cin]
+// are the [cin, npix] input transposed, a tile of pixels at a time with
+// contiguous per-channel reads.
+func transposePixelsQ(dst, src []int8, cin, npix, plo, phi int) {
+	for p0 := plo; p0 < phi; p0 += transposeTileQ {
+		p1 := min(p0+transposeTileQ, phi)
+		out := dst[p0*cin : p1*cin]
+		for ic := 0; ic < cin; ic++ {
+			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
+				out[t*cin+ic] = v
 			}
 		}
 	}
@@ -239,11 +260,96 @@ func prepackedQConvDims(in *Tensor, pq *PackedQWeights, spec Conv2DSpec) (int, i
 	return cin, h, wd, cout, kh, kw, hout, wout
 }
 
+// qconvJob is the convolution a scratch's band pass is working on: a
+// batch of len(dsts) samples whose quantized inputs sit back to back in
+// qin, whose lowerings and accumulators stack into one
+// (len(dsts)*Hout*Wout)-row matrix each, and whose requantize scales
+// are scales[sample*cout+oc].
+type qconvJob struct {
+	dsts                           []*Tensor
+	pq                             *PackedQWeights
+	bias                           []float32
+	spec                           Conv2DSpec
+	cin, h, wd, kh, kw, hout, wout int
+	act                            Act
+	alpha                          float32
+}
+
+// requantTile is how many pixels of a band are requantized per sweep
+// over the output channels: 64 accumulator rows are still in cache from
+// the GEMM, and each channel gets a 256-byte contiguous store.
+const requantTile = 64
+
+// runConv quantizes every input with its own dynamic scale, then cuts
+// the stacked output-pixel rows into row-pair-aligned bands and runs
+// each band through lower → QGEMM → requantize on whichever core picks
+// it up, so a band's slices of cols and acc never leave that core's
+// cache between the three steps. Bands write disjoint rows of cols and
+// acc and disjoint pixels of dsts. Integer accumulation is exact and
+// every float expression is per element, so the output does not depend
+// on the cut — it is Conv2DQInt8Into's, bit for bit.
+func (s *qscratch) runConv(ins []*Tensor, qw *QTensor) {
+	j := &s.conv
+	k, cout := j.pq.K, j.pq.N
+	nin := len(ins[0].Data)
+	rows := len(ins) * j.hout * j.wout
+	s.grow(len(ins)*nin, rows*k, rows*cout)
+	s.scales = growSlice(s.scales, len(ins)*cout)
+	for i, in := range ins {
+		sx := s.quantize(s.qin[i*nin:(i+1)*nin], in.Data)
+		for oc := 0; oc < cout; oc++ {
+			s.scales[i*cout+oc] = sx * qw.ScaleFor(oc)
+		}
+	}
+	pairs := (rows + 1) / 2
+	if rows*k*cout < parallelThresholdMACs {
+		s.convShard(0, pairs)
+	} else {
+		parallelFor(pairs, grainForMACs(2*k*cout), s.convFn)
+	}
+	s.conv, s.io = qconvJob{}, [2]*Tensor{}
+}
+
+// convShard runs the row pairs [lo, hi) of the stacked matrix, one band
+// per sample they touch.
+func (s *qscratch) convShard(lo, hi int) {
+	ncols := s.conv.hout * s.conv.wout
+	rlo, rhi := qgemmPairRange(lo, hi, len(s.conv.dsts)*ncols)
+	for i := rlo / ncols; i*ncols < rhi; i++ {
+		s.convBand(i, max(rlo-i*ncols, 0), min(rhi-i*ncols, ncols))
+	}
+}
+
+// convBand computes output pixels [plo, phi) of sample i.
+func (s *qscratch) convBand(i, plo, phi int) {
+	j := &s.conv
+	k, cout := j.pq.K, j.pq.N
+	ncols := j.hout * j.wout
+	nin := len(s.qin) / len(j.dsts)
+	base := i * ncols
+	im2rowQPixels(s.cols[base*k:(base+ncols)*k], s.qin[i*nin:(i+1)*nin],
+		j.cin, j.h, j.wd, j.kh, j.kw, j.spec, j.wout, plo, phi)
+	qgemmPrepackedRange(s.acc, s.cols, j.pq, base+plo, base+phi)
+	out := j.dsts[i].Data
+	scales := s.scales[i*cout : (i+1)*cout]
+	for p0 := plo; p0 < phi; p0 += requantTile {
+		p1 := min(p0+requantTile, phi)
+		for oc, scale := range scales {
+			var b float32
+			if j.bias != nil {
+				b = j.bias[oc]
+			}
+			requantizeStrided(out[oc*ncols+p0:oc*ncols+p1], s.acc[(base+p0)*cout+oc:],
+				cout, scale, b, j.act, j.alpha)
+		}
+	}
+}
+
 // Conv2DQPrepackedInto is Conv2DQInt8Into against AOT-packed weights:
-// dynamic activation quantization, int8 im2row, prepacked QGEMM, and
-// the fused requantize+bias+activation epilogue applied through the
-// strided (transposed) accumulator view. qw supplies the weight scales
-// (per-tensor or per-channel); its codes are not read.
+// dynamic activation quantization, then int8 im2row, prepacked QGEMM
+// and the fused requantize+bias+activation epilogue band by band
+// (runConv). qw supplies the weight scales (per-tensor or per-channel);
+// its codes are not read.
 func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	spec = spec.check()
 	cin, h, wd, cout, kh, kw, hout, wout := prepackedQConvDims(in, pq, spec)
@@ -251,30 +357,19 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 		panic("tensor: prepacked qconv bias length mismatch")
 	}
 	checkConvDst(dst, cout, hout, wout)
-	ncols := hout * wout
 	s := qscratchPool.Get().(*qscratch)
-	s.grow(len(in.Data), ncols*pq.K, ncols*cout)
-
-	sx := QuantizeDynamicInto(s.qin, in.Data)
-	im2rowQInto(s.cols, s.qin, cin, h, wd, kh, kw, spec, hout, wout)
-	QGemmPrepacked(s.acc, s.cols, pq, ncols)
-
-	for oc := 0; oc < cout; oc++ {
-		var b float32
-		if bias != nil {
-			b = bias[oc]
-		}
-		requantizeStrided(dst.Data[oc*ncols:(oc+1)*ncols], s.acc[oc:],
-			cout, sx*qw.ScaleFor(oc), b, act, alpha)
-	}
+	s.io = [2]*Tensor{dst, in}
+	s.conv = qconvJob{dsts: s.io[:1], pq: pq, bias: bias, spec: spec,
+		cin: cin, h: h, wd: wd, kh: kh, kw: kw, hout: hout, wout: wout, act: act, alpha: alpha}
+	s.runConv(s.io[1:], qw)
 	qscratchPool.Put(s)
 }
 
 // Conv2DQPrepackedBatchInto is the batch-folded prepacked int8
 // convolution: every sample is quantized with its own dynamic scale
-// (bitwise matching B sequential calls), the im2row lowerings stack
-// into one (B*Hout*Wout) x rows matrix, and a single prepacked QGEMM
-// produces all accumulators before the per-sample requantize sweeps.
+// (bitwise matching B sequential calls) and the samples' output pixels
+// stack into one (B*Hout*Wout)-row matrix that the same band pass as
+// the single-sample call cuts up.
 func Conv2DQPrepackedBatchInto(dsts, ins []*Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	if len(dsts) != len(ins) || len(ins) == 0 {
 		panic("tensor: prepacked batch qconv needs equal non-empty dst/in slices")
@@ -290,27 +385,10 @@ func Conv2DQPrepackedBatchInto(dsts, ins []*Tensor, pq *PackedQWeights, qw *QTen
 		}
 		checkConvDst(dsts[i], cout, hout, wout)
 	}
-	b := len(ins)
-	ncols := hout * wout
 	s := qscratchPool.Get().(*qscratch)
-	s.grow(len(ins[0].Data), b*ncols*pq.K, b*ncols*cout)
-	scales := make([]float32, b)
-	for i, in := range ins {
-		scales[i] = QuantizeDynamicInto(s.qin, in.Data)
-		im2rowQInto(s.cols[i*ncols*pq.K:(i+1)*ncols*pq.K], s.qin, cin, h, wd, kh, kw, spec, hout, wout)
-	}
-	QGemmPrepacked(s.acc, s.cols, pq, b*ncols)
-	for i, dst := range dsts {
-		acc := s.acc[i*ncols*cout : (i+1)*ncols*cout]
-		for oc := 0; oc < cout; oc++ {
-			var bb float32
-			if bias != nil {
-				bb = bias[oc]
-			}
-			requantizeStrided(dst.Data[oc*ncols:(oc+1)*ncols], acc[oc:],
-				cout, scales[i]*qw.ScaleFor(oc), bb, act, alpha)
-		}
-	}
+	s.conv = qconvJob{dsts: dsts, pq: pq, bias: bias, spec: spec,
+		cin: cin, h: h, wd: wd, kh: kh, kw: kw, hout: hout, wout: wout, act: act, alpha: alpha}
+	s.runConv(ins, qw)
 	qscratchPool.Put(s)
 }
 
@@ -331,7 +409,7 @@ func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x
 	}
 	s := qscratchPool.Get().(*qscratch)
 	s.grow(pq.K, 0, m)
-	sx := QuantizeDynamicInto(s.qin, x)
+	sx := s.quantize(s.qin, x)
 	QGemmPrepacked(s.acc, s.qin, pq, 1)
 	for i := range dst {
 		var b float32
@@ -370,9 +448,9 @@ func DenseQPrepackedBatchInto(dsts []*Tensor, ins []*Tensor, pq *PackedQWeights,
 	}
 	s := qscratchPool.Get().(*qscratch)
 	s.grow(b*pq.K, 0, b*m)
-	scales := make([]float32, b)
+	s.scales = growSlice(s.scales, b)
 	for i, in := range ins {
-		scales[i] = QuantizeDynamicInto(s.qin[i*pq.K:(i+1)*pq.K], in.Data)
+		s.scales[i] = s.quantize(s.qin[i*pq.K:(i+1)*pq.K], in.Data)
 	}
 	QGemmPrepacked(s.acc, s.qin, pq, b)
 	for i, dst := range dsts {
@@ -382,7 +460,7 @@ func DenseQPrepackedBatchInto(dsts []*Tensor, ins []*Tensor, pq *PackedQWeights,
 			if bias != nil {
 				bb = bias[j]
 			}
-			requantizeInto(dst.Data[j:j+1], acc[j:j+1], scales[i]*qw.ScaleFor(j), bb, act, alpha)
+			requantizeInto(dst.Data[j:j+1], acc[j:j+1], s.scales[i]*qw.ScaleFor(j), bb, act, alpha)
 		}
 	}
 	qscratchPool.Put(s)

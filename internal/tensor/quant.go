@@ -92,16 +92,7 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	}
 	for oc := 0; oc < cout; oc++ {
 		seg := t.Data[oc*per : (oc+1)*per]
-		var maxAbs float32
-		for _, v := range seg {
-			if v < 0 {
-				v = -v
-			}
-			if v > maxAbs {
-				maxAbs = v
-			}
-		}
-		scale := symmetricScale(maxAbs)
+		scale := symmetricScale(maxAbs(seg))
 		q.Scales[oc] = scale
 		inv := 1 / float64(scale)
 		dst := q.Data[oc*per : (oc+1)*per]
@@ -116,18 +107,92 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 // (same length, overwritten) and returns the scale — the runtime
 // activation quantization step of the int8 execution path. It is the
 // hot-path variant of QuantizeSymmetric: no allocation, float32 rounding.
+// Long inputs are sharded across the worker pool; max-abs is an exact
+// reduction in any order and every element is rounded by the same code
+// with the same scale, so the result does not depend on the split.
 func QuantizeDynamicInto(dst []int8, src []float32) float32 {
-	var maxAbs float32
+	if len(src) < quantParallelElems {
+		return quantizeSerial(dst, src)
+	}
+	s := qscratchPool.Get().(*qscratch)
+	scale := s.quantize(dst, src)
+	qscratchPool.Put(s)
+	return scale
+}
+
+const (
+	// quantParallelElems is the activation length from which the
+	// quantizer shards: below it the two pool hand-offs cost more than
+	// the second core saves.
+	quantParallelElems = 1 << 15
+	// quantChunk is the unit the sharded quantizer hands out, and the
+	// span one per-chunk maximum covers: 32 KB of float32, so a chunk's
+	// max-abs pass and its rounding pass each stream from L1.
+	quantChunk = 1 << 13
+)
+
+// quantJob is the activation a scratch's sharded quantizer is working on.
+type quantJob struct {
+	dst []int8
+	src []float32
+	inv float32
+}
+
+// quantize is QuantizeDynamicInto with the per-chunk maxima held in s.
+func (s *qscratch) quantize(dst []int8, src []float32) float32 {
+	if len(src) < quantParallelElems {
+		return quantizeSerial(dst, src)
+	}
+	chunks := (len(src) + quantChunk - 1) / quantChunk
+	s.maxima = growSlice(s.maxima, chunks)
+	s.quant = quantJob{dst: dst, src: src}
+	parallelFor(chunks, 1, s.maxFn)
+	scale := symmetricScale(maxAbs(s.maxima))
+	s.quant.inv = 1 / scale
+	parallelFor(chunks, 1, s.roundFn)
+	s.quant = quantJob{}
+	return scale
+}
+
+// quantMaxChunks stores the max-abs of chunks [lo, hi) of the source.
+func (s *qscratch) quantMaxChunks(lo, hi int) {
+	src := s.quant.src
+	for c := lo; c < hi; c++ {
+		s.maxima[c] = maxAbs(src[c*quantChunk : min((c+1)*quantChunk, len(src))])
+	}
+}
+
+// quantRoundChunks rounds chunks [lo, hi) of the source into dst.
+func (s *qscratch) quantRoundChunks(lo, hi int) {
+	q := &s.quant
+	end := min(hi*quantChunk, len(q.src))
+	quantizeRound(q.dst[lo*quantChunk:end], q.src[lo*quantChunk:end], q.inv)
+}
+
+// quantizeSerial is the whole quantizer on the calling goroutine.
+func quantizeSerial(dst []int8, src []float32) float32 {
+	scale := symmetricScale(maxAbs(src))
+	quantizeRound(dst, src, 1/scale)
+	return scale
+}
+
+// maxAbs returns the largest magnitude in src; a NaN never wins.
+func maxAbs(src []float32) float32 {
+	var m float32
 	for _, v := range src {
 		if v < 0 {
 			v = -v
 		}
-		if v > maxAbs {
-			maxAbs = v
+		if v > m {
+			m = v
 		}
 	}
-	scale := symmetricScale(maxAbs)
-	inv := 1 / scale
+	return m
+}
+
+// quantizeRound writes the int8 code of every src element, scaled by
+// inv, into dst.
+func quantizeRound(dst []int8, src []float32, inv float32) {
 	for i, v := range src {
 		r := v * inv
 		// Round half away from zero: cheaper than RoundToEven and at most
@@ -146,7 +211,6 @@ func QuantizeDynamicInto(dst []int8, src []float32) float32 {
 		}
 		dst[i] = int8(n)
 	}
-	return scale
 }
 
 // Dequantize reconstructs a float32 tensor from q, honouring per-channel

@@ -137,15 +137,4 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 
 // MaxAbs returns the largest absolute element value, or 0 for an empty
 // tensor. Quantization uses it to pick symmetric scales.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (t *Tensor) MaxAbs() float32 { return maxAbs(t.Data) }
