@@ -100,14 +100,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration engbench run: exercises every benchmark path and every
-# regression gate (int8 vs FP32, the O2 fused forward vs unfused, and —
-# on hosts with >= 4 CPUs, loudly WAIVED below — the perf-floor gates:
-# pooled conv2d/gemm must not lose to the allocating path, the
-# pre-packed forward must beat the unpacked forward by >= 1.15x, a
-# batch-8 InferBatch must beat 8 sequential Infers by >= 1.3x, and the
-# intra-op scaling gate: parallel GEMM/forward must beat serial at the
-# swept GOMAXPROCS points). Writes a throwaway JSON so the committed
-# BENCH_engine.json is never clobbered by a smoke run.
+# regression gate (int8 GEMM vs FP32; the int8 and the O2-fused forward
+# vs the pre-packed FP32 forward; the folded depthwise epilogue vs two
+# sweeps; and — on hosts with >= 4 CPUs, loudly WAIVED below — the
+# perf-floor gates: the pre-packed forward must not lose to the unpacked
+# forward, a batch-8 InferBatch must beat 8 sequential Infers by >= 1.3x,
+# and the intra-op scaling gate: parallel GEMM/forward must beat serial
+# at the swept GOMAXPROCS points). Writes a throwaway JSON so the
+# committed BENCH_engine.json is never clobbered by a smoke run.
 bench-smoke:
 	$(GO) run ./cmd/engbench -benchtime 1x -o BENCH_smoke.json
 

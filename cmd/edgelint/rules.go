@@ -140,11 +140,11 @@ func isGraphType(t types.Type) bool {
 }
 
 // poolAllocAnalyzer flags direct tensor.New calls inside internal/graph:
-// executor eval paths must obtain output buffers through the run state's
-// pool-aware allocator so the static-graph planner's arena keeps being
-// reused. A new op wired up with tensor.New would silently regress
-// steady-state allocation behaviour; the single legitimate non-planned
-// fallback carries an edgelint:ignore directive.
+// kernels must obtain output buffers through the step allocator
+// (frame.alloc) so the static-graph planner's arena keeps being reused.
+// A new op wired up with tensor.New would silently regress steady-state
+// allocation behaviour; the allocator's own "fresh" case is the one
+// sanctioned call and carries an edgelint:ignore directive.
 var poolAllocAnalyzer = register(&Analyzer{
 	Name:    "pool-alloc",
 	Doc:     "no direct tensor.New inside internal/graph; use the pool-aware allocator",
@@ -164,7 +164,7 @@ var poolAllocAnalyzer = register(&Analyzer{
 			if !ok || pn.Imported().Path() != tensorPkg {
 				return
 			}
-			ctx.reportf(call.Pos(), "tensor.New inside internal/graph; allocate through the executor's pool-aware alloc so planned buffers are reused")
+			ctx.reportf(call.Pos(), "tensor.New inside internal/graph; allocate through the step allocator (frame.alloc) so planned buffers are reused")
 		})
 	},
 })

@@ -1,0 +1,190 @@
+package graph
+
+import (
+	"fmt"
+
+	"edgebench/internal/tensor"
+)
+
+// program is a graph compiled for execution: every decision that does
+// not depend on the input tensor — which kernel runs a node, where its
+// operands and result live, whether its result comes from the arena,
+// what can be dropped once it has run — is taken here, once, and the
+// schedules in exec.go only walk the result. Values are numbered by
+// their node's position in g.Nodes. An Executor caches the program of
+// the last graph it ran; a graph edited afterwards needs a fresh
+// Executor (core.Session.Optimize drops its own for that reason).
+type program struct {
+	g    *Graph
+	plan *Plan // nil for dynamic graphs, which have no arena
+
+	steps  []step  // one per non-input node, in graph order
+	levels []level // the wavefront partition of steps
+
+	// slot[v] is the arena slot the plan gave value v, or -1 when v is
+	// allocated fresh: kept roots, kernels that allocate their own
+	// output, and every value of a dynamic graph.
+	slot []int
+
+	input, output int // value numbers of g.Input and g.Output
+	nargs         int // input edges over all steps: the size of a frame's args
+}
+
+// step is one node ready to run.
+type step struct {
+	n *Node
+	k kernel
+
+	in  []int // value numbers of n.Inputs
+	out int   // value number of n
+	arg int   // start of this step's window in a frame's args
+
+	// free lists the values dead once this step has run in graph order.
+	free []int
+}
+
+// level is one wavefront rank: steps whose inputs all come from earlier
+// ranks, and the values dead once the whole rank has run.
+type level struct {
+	steps []int
+	free  []int
+}
+
+// compile builds g's program. It fails for graphs that cannot execute:
+// structural-only parameters, a node no kernel accepts, or a static
+// graph the planner rejects.
+func compile(g *Graph) (*program, error) {
+	p := &program{g: g, slot: make([]int, len(g.Nodes))}
+	index := make(map[*Node]int, len(g.Nodes))
+	depth := make([]int, len(g.Nodes)) // wavefront rank; 0 for the input
+	edges := 0
+	for i, n := range g.Nodes {
+		if !n.Materialized() {
+			return nil, fmt.Errorf("graph %s: node %s has structural-only parameters; build the model with materialized weights to execute it", g.Name, n)
+		}
+		for _, in := range n.Inputs {
+			j, ok := index[in]
+			if !ok {
+				return nil, fmt.Errorf("graph %s: node %s uses input %s before definition", g.Name, n, in)
+			}
+			depth[i] = max(depth[i], depth[j])
+		}
+		index[n] = i
+		if n.Kind != OpInput {
+			depth[i]++
+			edges += len(n.Inputs)
+		}
+	}
+	var ok bool
+	if p.input, ok = index[g.Input]; !ok {
+		return nil, fmt.Errorf("graph %s: input node not in graph", g.Name)
+	}
+	if p.output, ok = index[g.Output]; !ok {
+		return nil, fmt.Errorf("graph %s: output node not in graph", g.Name)
+	}
+	st := analyze(g, index)
+	dead := st.deadAfter(g, index, graphOrder(g), len(g.Nodes))
+	if g.Mode == Static {
+		// Shape inference is the source of slot sizes, so the planner
+		// only takes graphs that validate.
+		if err := g.Validate(); err != nil {
+			return nil, fmt.Errorf("graph %s: plan: %w", g.Name, err)
+		}
+		p.plan = assignSlots(g, st, dead)
+	}
+	ins := make([]int, 0, edges)
+	for i, n := range g.Nodes {
+		p.slot[i] = -1
+		if n.Kind == OpInput {
+			continue
+		}
+		k, err := bind(n)
+		if err != nil {
+			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, n, err)
+		}
+		s := step{n: n, k: k, out: i, arg: len(ins), free: dead[i]}
+		for _, in := range n.Inputs {
+			ins = append(ins, index[in])
+		}
+		s.in = ins[s.arg:]
+		if p.plan != nil {
+			if slot, ok := p.plan.SlotOf(n); ok {
+				p.slot[i] = slot
+			}
+		}
+		for len(p.levels) < depth[i] {
+			p.levels = append(p.levels, level{})
+		}
+		p.levels[depth[i]-1].steps = append(p.levels[depth[i]-1].steps, len(p.steps))
+		p.steps = append(p.steps, s)
+	}
+	p.nargs = len(ins)
+
+	// Under the wavefront a value is dead once the last rank reading it
+	// has run, which need not be the rank of its last reader in graph
+	// order.
+	rank := make([]int, len(g.Nodes))
+	for i := range rank {
+		rank[i] = depth[i] - 1
+	}
+	for l, free := range st.deadAfter(g, index, rank, len(p.levels)) {
+		p.levels[l].free = free
+	}
+	return p, nil
+}
+
+// frame is one sample's mutable execution state, reused across runs so a
+// steady-state inference builds nothing: vals holds the value of every
+// node (nil before it is computed and after it is dead), args is the
+// backing array steps gather their operand lists into, one disjoint
+// window per step so concurrent steps never share one, and arena is the
+// sample's buffer arena, created by its first pooled run.
+type frame struct {
+	vals   []*tensor.Tensor
+	args   []*tensor.Tensor
+	arena  *tensor.Pool
+	pooled bool // this run takes planned results from arena
+}
+
+// alloc returns the output buffer for step s: a recycled arena buffer
+// when this run is pooled and the plan assigned one (contents arbitrary —
+// every kernel writing into it must store all elements), a fresh tensor
+// otherwise. Adding a tensor.New call to a kernel instead silently
+// defeats the planner; edgelint's pool-alloc rule flags that.
+func (f *frame) alloc(p *program, s *step, in []*tensor.Tensor, debug bool) *tensor.Tensor {
+	if f.pooled && p.slot[s.out] >= 0 {
+		t := f.arena.Get(s.n.OutShape...)
+		if debug {
+			assertNoAlias(s.n, t, in)
+		}
+		return t
+	}
+	return tensor.New(s.n.OutShape...) // edgelint:ignore pool-alloc — the step allocator's "fresh" case
+}
+
+// assertNoAlias is the Debug-mode dynamic complement of the static plan
+// checker: a recycled dst buffer must not still back one of n's live
+// inputs, or the kernel would corrupt its own operand mid-write (the
+// *Into contract says dst contents are arbitrary on entry). The panic is
+// converted to an error by eval's recover guard.
+func assertNoAlias(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) {
+	for i, v := range in {
+		if v != nil && tensor.SameStorage(v, dst) {
+			panic(fmt.Sprintf("debug: planned dst buffer for %s aliases live input %s", n, n.Inputs[i]))
+		}
+	}
+}
+
+// release drops the values in free, returning arena buffers to the
+// arena. It is the one release rule: a pooled run recycles what the plan
+// placed, and every run — static or dynamic — stops referencing a value
+// the moment nothing will read it again, which is define-by-run's eager
+// release.
+func (f *frame) release(p *program, free []int) {
+	for _, v := range free {
+		if t := f.vals[v]; t != nil && f.pooled && p.slot[v] >= 0 {
+			f.arena.Put(t)
+		}
+		f.vals[v] = nil
+	}
+}

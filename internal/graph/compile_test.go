@@ -1,0 +1,218 @@
+package graph_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"edgebench/internal/graph"
+	"edgebench/internal/model"
+	"edgebench/internal/nn"
+	"edgebench/internal/opt"
+	"edgebench/internal/tensor"
+)
+
+// zooGraph builds a materialized zoo model at one of the three levels
+// the serving stack deploys: as built ("O0"), through the O2 pass
+// pipeline (which pre-packs), or O2 then int8-quantized and re-packed.
+func zooGraph(t testing.TB, name, level string) *graph.Graph {
+	t.Helper()
+	spec, ok := model.Get(name)
+	if !ok {
+		t.Fatalf("no model %q in the zoo", name)
+	}
+	g := spec.Build(nn.Options{Materialize: true, Seed: 7})
+	if level == "O0" {
+		return g
+	}
+	if _, err := opt.Optimize(g, opt.O2); err != nil {
+		t.Fatalf("%s O2: %v", name, err)
+	}
+	if level == "O2+int8" {
+		opt.QuantizeINT8(g)
+		graph.PrepackWeights(g)
+	}
+	return g
+}
+
+// checkCountersMatchSteps runs g once and requires the executor's
+// dispatch counters to equal what the compiled steps say one pass
+// dispatches: every step ran exactly once, on the kernel bound to it.
+func checkCountersMatchSteps(t *testing.T, g *graph.Graph) (int8, fp32, fused int64) {
+	t.Helper()
+	wantI8, wantF32, wantFused, wantPacked, err := graph.KernelCounts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &graph.Executor{Pooled: g.Mode == graph.Static}
+	if _, err := e.Run(g, seededInput(g.Input.OutShape, 3)); err != nil {
+		t.Fatal(err)
+	}
+	int8, fp32, fused = e.DispatchCounts()
+	if int8 != wantI8 || fp32 != wantF32 || fused != wantFused || e.PrepackedDispatches() != wantPacked {
+		t.Fatalf("dispatch counters int8/fp32/fused/prepacked = %d/%d/%d/%d, compiled steps say %d/%d/%d/%d",
+			int8, fp32, fused, e.PrepackedDispatches(), wantI8, wantF32, wantFused, wantPacked)
+	}
+	return int8, fp32, fused
+}
+
+// TestDispatchCountersMatchCompiledSteps pins the single source of truth
+// zoo-wide: for every model under the compute budget, at every deployed
+// level, the counters after one Run are the compiled steps' counts.
+// (The two benchmark graphs, over budget here, are pinned to their exact
+// numbers in exec_alloc_test.go.)
+func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
+	ran := 0
+	for _, spec := range model.AllWithExtensions() {
+		if spec.GFLOPs() > zooBudgetGF {
+			continue
+		}
+		for _, level := range []string{"O0", "O2", "O2+int8"} {
+			ran++
+			t.Run(spec.Name+"/"+level, func(t *testing.T) {
+				checkCountersMatchSteps(t, zooGraph(t, spec.Name, level))
+			})
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no zoo model under the compute budget")
+	}
+}
+
+// TestPackedUnpackedBitIdentical: a graph gives the same bits with its
+// weights pre-packed or not, under every Executor setting and through
+// both Run and RunBatch — the executor has one convolution lowering, and
+// the packed kernel is bit-identical to it.
+func TestPackedUnpackedBitIdentical(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"grouped":  prepackCNN(t, 61),
+		"branchy":  branchyCNN(t, 62),
+		"CifarNet": zooGraph(t, "CifarNet", "O0"),
+	}
+	for name, g := range graphs {
+		ins := []*tensor.Tensor{
+			seededInput(g.Input.OutShape, 1), seededInput(g.Input.OutShape, 2), seededInput(g.Input.OutShape, 3),
+		}
+		wants := make([]*tensor.Tensor, len(ins))
+		for i, in := range ins {
+			var err error
+			if wants[i], err = (&graph.Executor{}).Run(g, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		packed := g.Clone()
+		if graph.PrepackWeights(packed) == 0 {
+			t.Fatalf("%s: nothing to pack", name)
+		}
+		for _, tg := range []*graph.Graph{g, packed} {
+			for _, pooled := range []bool{false, true} {
+				for _, parallel := range []bool{false, true} {
+					label := fmt.Sprintf("%s/packed=%v/pooled=%v/parallel=%v", name, tg == packed, pooled, parallel)
+					e := &graph.Executor{Pooled: pooled, Parallel: parallel}
+					for i, in := range ins {
+						got, err := e.Run(tg, in)
+						if err != nil {
+							t.Fatalf("%s: Run: %v", label, err)
+						}
+						requireBitEqual(t, label+"/Run", got, wants[i])
+					}
+					gots, err := e.RunBatch(tg, ins)
+					if err != nil {
+						t.Fatalf("%s: RunBatch: %v", label, err)
+					}
+					for i := range gots {
+						requireBitEqual(t, label+"/RunBatch", gots[i], wants[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.Shape.Equal(want.Shape) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%s: out[%d] = %v, want %v (bitwise)", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestNilInputIsAnError: a nil input tensor is reported as an error
+// naming its index, by Run and by RunBatch at any batch size, instead of
+// a nil dereference outside the executor's recover guard.
+func TestNilInputIsAnError(t *testing.T) {
+	g := smallCNN(t, 71)
+	x := tensor.New(3, 8, 8).Fill(0.5)
+	for _, c := range []struct {
+		name  string
+		run   func(e *graph.Executor) error
+		index string
+	}{
+		{"Run(nil)", func(e *graph.Executor) error { _, err := e.Run(g, nil); return err }, "input 0"},
+		{"RunBatch([nil])", func(e *graph.Executor) error { _, err := e.RunBatch(g, []*tensor.Tensor{nil}); return err }, "input 0"},
+		{"RunBatch([x, nil])", func(e *graph.Executor) error { _, err := e.RunBatch(g, []*tensor.Tensor{x, nil}); return err }, "input 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run(&graph.Executor{})
+			if err == nil || !strings.Contains(err.Error(), c.index+" is nil") {
+				t.Fatalf("err = %v, want one naming %s as nil", err, c.index)
+			}
+		})
+	}
+}
+
+// TestRunValuesLeavesGraphShared: executors are per goroutine but a
+// graph is shared (serving replicas all run one), so RunValues must not
+// write it. One goroutine trains (RunValues) while another infers (Run)
+// on the same dynamic graph; under -race any write to the graph is
+// reported, and both must see the sequential reference's bits.
+func TestRunValuesLeavesGraphShared(t *testing.T) {
+	g := smallCNN(t, 72)
+	g.Mode = graph.Dynamic
+	in := tensor.New(3, 8, 8).Fill(0.3)
+	want, err := (&graph.Executor{}).Run(g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var e graph.Executor
+		for i := 0; i < 20; i++ {
+			vals, err := e.RunValues(g, in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(vals) != len(g.Nodes) || vals[g.Output].Data[0] != want.Data[0] {
+				t.Error("RunValues lost values or diverged while Run shared the graph")
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var e graph.Executor
+		for i := 0; i < 20; i++ {
+			got, err := e.Run(g, in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got.Data[0] != want.Data[0] {
+				t.Error("Run diverged while RunValues shared the graph")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if g.Mode != graph.Dynamic {
+		t.Fatal("graph mode changed")
+	}
+}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"edgebench/internal/tensor"
@@ -13,30 +13,26 @@ import (
 // analytic cost model in internal/core instead, since the paper's device
 // latencies cannot be reproduced by host-CPU wall time).
 //
+// The first run on a graph compiles it (compile.go) into a flat list of
+// steps, each with its kernel already chosen (bind.go); Run, RunValues
+// and RunBatch are schedules over that one list, so a graph gives the
+// same bits under every setting below, with weights pre-packed or not.
+//
 // Two orthogonal options accelerate repeated inference. Parallel runs
 // data-independent nodes (Inception branches, residual arms) concurrently
-// on a bounded worker pool; outputs are identical to sequential order
-// because node inputs are only read from completed earlier levels and
-// results are published at level barriers. Pooled plans a static graph's
-// intermediate buffers once (PlanBuffers) and recycles them through a
-// tensor.Pool arena across Run calls, reproducing the static-framework
-// memory reuse the paper measures against define-by-run allocation;
-// dynamic graphs keep today's eager-release semantics. An Executor is not
+// on the kernel worker pool; outputs are identical to sequential order
+// because node inputs are only read from completed earlier levels.
+// Pooled recycles a static graph's intermediate buffers through a
+// tensor.Pool arena across Run calls, as the buffer plan lays them out,
+// reproducing the static-framework memory reuse the paper measures
+// against define-by-run allocation; dynamic graphs allocate every
+// intermediate and drop it after its last reader. An Executor is not
 // safe for concurrent Run calls — use one per goroutine (see
 // serving.Engine).
 type Executor struct {
-	// UseGEMMConv selects the im2col+GEMM convolution lowering instead of
-	// the direct loop nest. Both produce equal results; the ablation
-	// benchmarks compare their host cost.
-	UseGEMMConv bool
-
 	// Parallel enables wavefront scheduling: nodes whose inputs are all
-	// computed run concurrently, bounded by Workers.
+	// computed run concurrently, bounded by GOMAXPROCS.
 	Parallel bool
-
-	// Workers bounds the scheduler's concurrency when Parallel is set;
-	// <= 0 means GOMAXPROCS.
-	Workers int
 
 	// Pooled enables the static-graph buffer plan: intermediates live in
 	// a per-executor arena reused across Run calls. Ignored for dynamic
@@ -47,35 +43,30 @@ type Executor struct {
 	// each graph the registered DebugChecker (internal/verify's dataflow
 	// passes) revalidates the graph and its buffer plan, and every
 	// pooled allocation asserts the recycled dst buffer does not alias a
-	// live input of the node about to write it. Costs one map sweep per
-	// alloc; off in production, on in tests and `edgeserve -debug`.
+	// live input of the node about to write it. Off in production, on in
+	// tests and `edgeserve -debug`.
 	Debug bool
 
-	// plan/pool cache the buffer plan and arena for the last planned
-	// graph; replanned when Run sees a different graph. debugged is the
+	// prog is the compiled form of the last graph run; debugged is the
 	// last graph the Debug checker accepted, so revalidation runs once
 	// per graph, not per inference.
-	plan     *Plan
-	planned  *Graph
-	pool     *tensor.Pool
+	prog     *program
 	debugged *Graph
 
-	// batchPools are the extra per-sample arenas RunBatch lends to
-	// samples 1..B-1 (sample 0 reuses pool). One arena per sample keeps
-	// the pools single-goroutine while non-folded nodes evaluate all
-	// samples concurrently; the slice grows to the largest batch seen
-	// and is dropped on replan.
-	batchPools []*tensor.Pool
+	// frames holds the per-sample run state for prog: frame 0 serves Run
+	// and RunValues, frames 1..B-1 the other samples of a RunBatch. One
+	// arena per sample keeps the pools single-goroutine while non-folded
+	// nodes evaluate all samples concurrently; the slice grows to the
+	// largest batch seen and is dropped on recompile.
+	frames []*frame
 
-	// levels/leveled cache the wavefront partition for the last graph the
-	// Parallel scheduler saw; louts/lerrs are the per-level result slices,
-	// sized to the widest level and reused across Run calls so steady-state
-	// parallel execution allocates nothing per level. (Safe to keep on the
-	// Executor: Run is documented single-goroutine per Executor.)
-	levels  [][]*Node
-	leveled *Graph
-	louts   []*tensor.Tensor
-	lerrs   []error
+	// errs collects one error per concurrently evaluated step (a
+	// wavefront level's nodes, or a batch's samples); bins and bdsts are
+	// a folded batch step's operand and result lists. All are reused
+	// across runs. (Safe to keep on the Executor: Run is documented
+	// single-goroutine per Executor.)
+	errs        []error
+	bins, bdsts []*tensor.Tensor
 
 	// nInt8/nFP32 count compute-kernel dispatches (conv/dense families)
 	// by execution datatype — the probe tests and the serving metrics
@@ -91,32 +82,38 @@ type Executor struct {
 	// per call — the probe serving metrics and prepack tests use to
 	// assert a pre-packed graph really skips the pack step.
 	nPrepacked atomic.Int64
-
-	// lastValues retains the most recent forward pass's node values for
-	// RunValues (training) callers.
-	lastValues map[*Node]*tensor.Tensor
 }
 
 // RunValues evaluates g on input and returns the value of every node —
 // the retain-all forward pass training needs (backpropagation reads each
-// op's inputs). Dynamic-mode eager release and buffer pooling are
-// disabled.
+// op's inputs). Nothing is released and nothing comes from the arena,
+// whatever the graph's mode; the graph itself is only read, so other
+// executors may run it at the same time.
 func (e *Executor) RunValues(g *Graph, input *tensor.Tensor) (map[*Node]*tensor.Tensor, error) {
-	saved := g.Mode
-	g.Mode = Static
-	defer func() { g.Mode = saved }()
-	if _, err := e.run(g, input, true); err != nil {
+	f, err := e.forward(g, input, true)
+	if err != nil {
 		return nil, err
 	}
-	return e.lastValues, nil
+	values := make(map[*Node]*tensor.Tensor, len(g.Nodes))
+	for i, n := range g.Nodes {
+		values[n] = f.vals[i]
+	}
+	clear(f.vals)
+	return values, nil
 }
 
-// Run evaluates g on input and returns the output tensor. Intermediates
-// for nodes whose consumers have all executed are released eagerly in
-// Dynamic mode (mirroring define-by-run memory behaviour) and recycled
-// into the arena in Pooled static mode.
+// Run evaluates g on input and returns the output tensor. An
+// intermediate is dropped as soon as every node reading it has executed
+// (define-by-run memory behaviour), and in Pooled static mode its buffer
+// goes back to the arena.
 func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
-	return e.run(g, input, false)
+	f, err := e.forward(g, input, false)
+	if err != nil {
+		return nil, err
+	}
+	out := f.vals[e.prog.output]
+	clear(f.vals)
+	return out, nil
 }
 
 // DispatchCounts reports how many compute-kernel dispatches (the
@@ -134,16 +131,16 @@ func (e *Executor) DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int6
 // Safe to call concurrently with Run.
 func (e *Executor) PrepackedDispatches() int64 { return e.nPrepacked.Load() }
 
-// PoolStats reports the arena traffic counters summed across the main
-// arena and any per-sample batch arenas; zero-valued until a Pooled run
-// or a pooled RunBatch has executed.
+// PoolStats reports the arena traffic counters summed across the
+// per-sample arenas; zero-valued until a Pooled run or a RunBatch on a
+// static graph has executed.
 func (e *Executor) PoolStats() tensor.PoolStats {
 	var total tensor.PoolStats
-	if e.pool != nil {
-		total = e.pool.Stats()
-	}
-	for _, p := range e.batchPools {
-		st := p.Stats()
+	for _, f := range e.frames {
+		if f.arena == nil {
+			continue
+		}
+		st := f.arena.Stats()
 		total.Gets += st.Gets
 		total.Misses += st.Misses
 		total.Puts += st.Puts
@@ -152,697 +149,311 @@ func (e *Executor) PoolStats() tensor.PoolStats {
 	return total
 }
 
-func (e *Executor) run(g *Graph, input *tensor.Tensor, retain bool) (*tensor.Tensor, error) {
-	if !input.Shape.Equal(g.Input.OutShape) {
-		return nil, fmt.Errorf("graph %s: input shape %v, want %v", g.Name, input.Shape, g.Input.OutShape)
+// checkInput validates the i-th input tensor of a run on g.
+func checkInput(g *Graph, i int, in *tensor.Tensor) error {
+	if in == nil {
+		return fmt.Errorf("graph %s: input %d is nil", g.Name, i)
 	}
-	for _, n := range g.Nodes {
-		if !n.Materialized() {
-			return nil, fmt.Errorf("graph %s: node %s has structural-only parameters; build the model with materialized weights to execute it", g.Name, n)
-		}
+	if !in.Shape.Equal(g.Input.OutShape) {
+		return fmt.Errorf("graph %s: input %d shape %v, want %v", g.Name, i, in.Shape, g.Input.OutShape)
 	}
-	rt := &runState{
-		exec:   e,
-		g:      g,
-		values: make(map[*Node]*tensor.Tensor, len(g.Nodes)),
-		retain: retain,
+	return nil
+}
+
+// prepare readies the executor to run g on the given number of samples:
+// it compiles g unless the cached program is g's, runs the Debug checker
+// once per graph, and sizes the first `samples` frames. pooled asks for
+// arena-backed results; it is granted only where a plan exists.
+func (e *Executor) prepare(g *Graph, samples int, pooled bool) (*program, error) {
+	if e.prog == nil || e.prog.g != g {
+		p, err := compile(g)
+		if err != nil {
+			return nil, err
+		}
+		e.prog, e.frames = p, nil
 	}
-	if e.Pooled && !retain && g.Mode == Static {
-		if e.plan == nil || e.planned != g {
-			plan, err := PlanBuffers(g)
-			if err != nil {
-				return nil, fmt.Errorf("graph %s: %w", g.Name, err)
-			}
-			e.plan, e.planned = plan, g
-			e.pool = tensor.NewPool()
-			e.pool.Preallocate(plan.Slots...)
-			e.pool.Preallocate(plan.Scratch...)
-			e.batchPools = nil
-		}
-		rt.pooled = true
-		rt.plan = e.plan
-		rt.pool = e.pool
-		rt.left = make(map[*Node]int, len(e.plan.refs))
-		for n, c := range e.plan.refs {
-			rt.left[n] = c
-		}
-	} else if g.Mode == Dynamic && !retain {
-		rt.remaining = make(map[*Node]int, len(g.Nodes))
-		for _, n := range g.Nodes {
-			for _, in := range n.Inputs {
-				rt.remaining[in]++
-			}
-		}
-	}
+	p := e.prog
+	pooled = pooled && p.plan != nil
 	if e.Debug && e.debugged != g {
 		var plan *Plan
-		if rt.pooled {
-			plan = rt.plan
+		if pooled {
+			plan = p.plan
 		}
 		if err := debugCheck(g, plan); err != nil {
 			return nil, fmt.Errorf("graph %s: debug check: %w", g.Name, err)
 		}
 		e.debugged = g
 	}
-	rt.keep = make(map[*Node]bool, 1+len(g.Extra))
-	for _, root := range g.Roots() {
-		rt.keep[root] = true
+	for len(e.frames) < samples {
+		e.frames = append(e.frames, &frame{
+			vals: make([]*tensor.Tensor, len(g.Nodes)),
+			args: make([]*tensor.Tensor, p.nargs),
+		})
 	}
-	rt.values[g.Input] = input
+	for _, f := range e.frames[:samples] {
+		f.pooled = pooled
+		if pooled && f.arena == nil {
+			f.arena = tensor.NewPool()
+			f.arena.Preallocate(p.plan.Slots...)
+		}
+	}
+	return p, nil
+}
 
-	var err error
+// forward runs one sample through frame 0 and returns the frame with its
+// values in place. retain keeps every value alive (RunValues); the
+// caller clears the frame once it has taken what it needs.
+func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame, error) {
+	if err := checkInput(g, 0, input); err != nil {
+		return nil, err
+	}
+	p, err := e.prepare(g, 1, e.Pooled && !retain)
+	if err != nil {
+		return nil, err
+	}
+	f := e.frames[0]
+	f.vals[p.input] = input
 	if e.Parallel {
-		err = rt.runLevels()
+		err = e.wavefront(p, f, retain)
 	} else {
-		err = rt.runSequential()
+		err = e.sequential(p, f, retain)
+	}
+	if err != nil {
+		clear(f.vals)
+		return nil, err
+	}
+	return f, nil
+}
+
+// eval runs one step on one frame and publishes its value. It is the
+// only place a kernel is called for a single sample. Conditions the
+// static verifier prevents (shape mismatches) surface here as wrapped
+// errors rather than panics, so a verifier miss degrades gracefully
+// instead of crashing a whole sweep: the recover guard converts residual
+// kernel panics from internal/tensor into errors.
+func (e *Executor) eval(p *program, f *frame, s *step) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("kernel panic: %v", r)
+		}
+	}()
+	in := f.args[s.arg : s.arg+len(s.in)]
+	for i, v := range s.in {
+		in[i] = f.vals[v]
+	}
+	var dst *tensor.Tensor
+	if s.k.dst {
+		dst = f.alloc(p, s, in, e.Debug)
+	}
+	f.vals[s.out] = s.k.run(s.n, dst, in)
+	clear(in)
+	e.count(&s.k, 1)
+	return nil
+}
+
+// count records samples evaluations of kernel k in the dispatch counters.
+func (e *Executor) count(k *kernel, samples int64) {
+	switch {
+	case k.int8:
+		e.nInt8.Add(samples)
+	case k.compute:
+		e.nFP32.Add(samples)
+	}
+	if k.fused {
+		e.nFused.Add(samples)
+	}
+	if k.packed {
+		e.nPrepacked.Add(samples)
+	}
+}
+
+// stepError names the failing node the way every schedule reports it.
+func stepError(p *program, s *step, err error) error {
+	return fmt.Errorf("graph %s: node %s: %w", p.g.Name, s.n, err)
+}
+
+// sequential executes the steps in graph (topological) order.
+func (e *Executor) sequential(p *program, f *frame, retain bool) error {
+	for i := range p.steps {
+		s := &p.steps[i]
+		if err := e.eval(p, f, s); err != nil {
+			return stepError(p, s, err)
+		}
+		if !retain {
+			f.release(p, s.free)
+		}
+	}
+	return nil
+}
+
+// wavefront executes the program level by level: every step in a level
+// depends only on strictly earlier levels. Multi-step levels are sharded
+// over the persistent kernel worker pool (tensor.ParallelFor), so
+// inter-op and intra-op parallelism share one fixed worker set. Each
+// step writes only its own value and reads values of earlier levels, and
+// ParallelFor returns only after every shard ran, so evaluation is
+// race-free without locking and output values equal sequential
+// execution because per-node inputs are identical. Errors surface
+// deterministically as the first failing node in graph order. Values are
+// released at the level barrier: recycled buffers are only handed to
+// later levels, which start strictly after that point.
+func (e *Executor) wavefront(p *program, f *frame, retain bool) error {
+	for l := range p.levels {
+		lv := &p.levels[l]
+		if len(lv.steps) == 1 {
+			s := &p.steps[lv.steps[0]]
+			if err := e.eval(p, f, s); err != nil {
+				return stepError(p, s, err)
+			}
+		} else {
+			errs := e.errBuf(len(lv.steps))
+			tensor.ParallelFor(len(lv.steps), 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					errs[i] = e.eval(p, f, &p.steps[lv.steps[i]])
+				}
+			})
+			if i, err := firstError(errs); err != nil {
+				return stepError(p, &p.steps[lv.steps[i]], err)
+			}
+		}
+		if !retain {
+			f.release(p, lv.free)
+		}
+	}
+	return nil
+}
+
+// errBuf returns the executor's reusable error slice at length n, all nil.
+func (e *Executor) errBuf(n int) []error {
+	if cap(e.errs) < n {
+		e.errs = make([]error, n)
+	}
+	return e.errs[:n]
+}
+
+// firstError returns the lowest-index error in errs, clearing the slice
+// for its next use.
+func firstError(errs []error) (index int, first error) {
+	for i := len(errs) - 1; i >= 0; i-- {
+		if errs[i] != nil {
+			index, first = i, errs[i]
+		}
+		errs[i] = nil
+	}
+	return index, first
+}
+
+// RunBatch evaluates g on a micro-batch of inputs, folding the batch
+// dimension through every node whose kernel has a batch form (the
+// pre-packed conv/dense kernels): the B lowered activation matrices
+// stack into one (B·M)×K operand and run as a single wide GEMM against
+// the node's ahead-of-time packed panels, which is where a batch window
+// earns real throughput (wider GEMMs amortize panel traversal and spread
+// rows across the worker pool). Other nodes evaluate per sample —
+// concurrently, one goroutine per sample, since samples are independent —
+// so outputs are bitwise identical to B sequential Run calls on the same
+// graph. On static graphs each sample runs against its own arena (sample
+// 0 shares Run's) with the same release rule as Run: a buffer returns
+// to its free list the moment its owning sample is done with it, so each
+// arena holds one live buffer per plan slot instead of retaining every
+// intermediate (pooling never changes values, only allocation traffic).
+// Like Run, RunBatch is single-goroutine per Executor.
+func (e *Executor) RunBatch(g *Graph, inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("graph %s: empty batch", g.Name)
+	}
+	for i, in := range inputs {
+		if err := checkInput(g, i, in); err != nil {
+			return nil, err
+		}
+	}
+	if len(inputs) == 1 {
+		out, err := e.Run(g, inputs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []*tensor.Tensor{out}, nil
+	}
+	p, err := e.prepare(g, len(inputs), true)
+	if err != nil {
+		return nil, err
+	}
+	frames := e.frames[:len(inputs)]
+	for i, f := range frames {
+		f.vals[p.input] = inputs[i]
+	}
+	err = e.batch(p, frames)
+	outs := make([]*tensor.Tensor, len(frames))
+	for i, f := range frames {
+		outs[i] = f.vals[p.output]
+		clear(f.vals)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out, ok := rt.values[g.Output]
-	if !ok {
-		return nil, fmt.Errorf("graph %s: output value missing", g.Name)
-	}
-	e.lastValues = rt.values
-	return out, nil
+	return outs, nil
 }
 
-// runState carries one forward pass's mutable state: computed values,
-// release bookkeeping, and the arena when pooling is active.
-type runState struct {
-	exec   *Executor
-	g      *Graph
-	values map[*Node]*tensor.Tensor
-	keep   map[*Node]bool
-	retain bool
-
-	// Dynamic-mode eager release: remaining consumer count per node.
-	remaining map[*Node]int
-
-	// Pooled static mode: plan, arena, and remaining counted consumer
-	// edges per storage root.
-	pooled bool
-	plan   *Plan
-	pool   *tensor.Pool
-	left   map[*Node]int
-}
-
-// alloc returns the output buffer for n: a recycled arena slot buffer
-// when the plan assigned one (contents arbitrary — every kernel writing
-// into it must store all elements), a fresh tensor otherwise. Adding a
-// tensor.New call to an eval path instead of alloc silently defeats the
-// planner; edgelint's pool-alloc rule flags that.
-func (rt *runState) alloc(n *Node) *tensor.Tensor {
-	if rt.pooled && rt.plan.Pooled(n) {
-		t := rt.pool.Get(n.OutShape...)
-		if rt.exec.Debug {
-			rt.assertNoAlias(n, t)
-		}
-		return t
-	}
-	return tensor.New(n.OutShape...) // edgelint:ignore pool-alloc — the single non-planned fallback
-}
-
-// assertNoAlias is the Debug-mode dynamic complement of the static plan
-// checker: a recycled dst buffer must not still back one of n's live
-// inputs, or the kernel would corrupt its own operand mid-write (the
-// *Into contract says dst contents are arbitrary on entry). The panic is
-// converted to an error by evalNode's recover guard.
-func (rt *runState) assertNoAlias(n *Node, dst *tensor.Tensor) {
-	for _, in := range n.Inputs {
-		if v := rt.values[in]; v != nil && tensor.SameStorage(v, dst) {
-			panic(fmt.Sprintf("debug: planned dst buffer for %s aliases live input %s", n, in))
-		}
-	}
-}
-
-// scratch returns the arena for kernel-internal scratch (im2col) when
-// pooling, nil otherwise.
-func (rt *runState) scratch() *tensor.Pool {
-	if rt.pooled {
-		return rt.pool
-	}
-	return nil
-}
-
-// release runs after node n's value is published: dynamic mode drops
-// values whose consumers all executed; pooled mode additionally returns
-// planned buffers to the arena. Alias nodes (Flatten) hold no storage and
-// keep their source buffer alive through the plan's root refcounts.
-func (rt *runState) release(n *Node) {
-	switch {
-	case rt.pooled:
-		if isAliasOp(n) {
-			return // alias reads don't finish the source buffer
-		}
-		for _, in := range n.Inputs {
-			root := rt.plan.Root(in)
-			rt.left[root]--
-			if rt.left[root] == 0 && !rt.keep[root] && root.Kind != OpInput {
-				if v := rt.values[root]; v != nil && rt.plan.Pooled(root) {
-					rt.pool.Put(v)
-				}
-				delete(rt.values, root)
-				for _, al := range rt.plan.aliases[root] {
-					delete(rt.values, al)
-				}
-			}
-		}
-	case rt.g.Mode == Dynamic && rt.remaining != nil:
-		for _, in := range n.Inputs {
-			rt.remaining[in]--
-			if rt.remaining[in] == 0 && !rt.keep[in] {
-				delete(rt.values, in)
-			}
-		}
-	}
-}
-
-// runSequential executes nodes in graph (topological) order.
-func (rt *runState) runSequential() error {
-	for _, n := range rt.g.Nodes {
-		if n.Kind == OpInput {
-			continue
-		}
-		out, err := rt.exec.evalNode(n, rt)
-		if err != nil {
-			return fmt.Errorf("graph %s: node %s: %w", rt.g.Name, n, err)
-		}
-		rt.values[n] = out
-		rt.release(n)
-	}
-	return nil
-}
-
-// runLevels executes the graph as a wavefront: level(n) = 1 +
-// max(level(inputs)), every node in a level depends only on strictly
-// earlier levels. Multi-node levels are sharded over the persistent
-// kernel worker pool (tensor.ParallelForMax, bounded by Workers);
-// results land in executor-cached per-level slices and the coordinator
-// publishes them into the values map at the level barrier. The
-// happens-before chain (ParallelForMax completion before map writes,
-// map writes before the next level's shards run) makes node evaluation
-// race-free without locking, and output values equal sequential
-// execution because per-node inputs are identical. Errors surface
-// deterministically as the first failing node in graph order. The
-// level partition and result slices are cached on the Executor, so a
-// steady-state pass allocates nothing for scheduling.
-func (rt *runState) runLevels() error {
-	e := rt.exec
-	if e.leveled != rt.g {
-		e.levels, e.leveled = levelize(rt.g), rt.g
-		widest := 0
-		for _, level := range e.levels {
-			if len(level) > widest {
-				widest = len(level)
-			}
-		}
-		e.louts = make([]*tensor.Tensor, widest)
-		e.lerrs = make([]error, widest)
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	for _, level := range e.levels {
-		if len(level) == 1 || workers <= 1 {
-			for _, n := range level {
-				out, err := e.evalNode(n, rt)
-				if err != nil {
-					return fmt.Errorf("graph %s: node %s: %w", rt.g.Name, n, err)
-				}
-				rt.values[n] = out
-			}
+// batch executes the steps in graph order for every frame at once.
+func (e *Executor) batch(p *program, frames []*frame) error {
+	for i := range p.steps {
+		s := &p.steps[i]
+		var err error
+		if s.k.batch != nil {
+			err = e.evalFolded(p, frames, s)
 		} else {
-			outs, errs := e.louts[:len(level)], e.lerrs[:len(level)]
-			tensor.ParallelForMax(len(level), 1, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					outs[i], errs[i] = e.evalNode(level[i], rt)
-				}
-			})
-			var ferr error
-			for i, n := range level {
-				if errs[i] != nil && ferr == nil {
-					ferr = fmt.Errorf("graph %s: node %s: %w", rt.g.Name, n, errs[i])
-				}
-				rt.values[n] = outs[i]
-				outs[i], errs[i] = nil, nil
+			// Samples are independent, so evaluate all of them
+			// concurrently: each frame owns its values and arena, dispatch
+			// counters are atomic, and every sample computes exactly what
+			// a sequential Run would, so concurrency changes wall-clock,
+			// never values. This is where a batch earns throughput on the
+			// ops with no wide kernel — B depthwise/pool/activation
+			// evaluations overlap instead of queueing behind one another.
+			errs := e.errBuf(len(frames))
+			var wg sync.WaitGroup
+			for j, f := range frames {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[j] = e.eval(p, f, s)
+				}()
 			}
-			if ferr != nil {
-				return ferr
-			}
+			wg.Wait()
+			_, err = firstError(errs)
 		}
-		// Release at the barrier: recycled buffers are only handed to
-		// later levels, which start strictly after this point.
-		for _, n := range level {
-			rt.release(n)
+		if err != nil {
+			return stepError(p, s, err)
+		}
+		for _, f := range frames {
+			f.release(p, s.free)
 		}
 	}
 	return nil
 }
 
-// levelize partitions non-input nodes into dependency levels, preserving
-// graph order within each level.
-func levelize(g *Graph) [][]*Node {
-	depth := make(map[*Node]int, len(g.Nodes))
-	var levels [][]*Node
-	for _, n := range g.Nodes {
-		if n.Kind == OpInput {
-			depth[n] = 0
-			continue
-		}
-		d := 1
-		for _, in := range n.Inputs {
-			if depth[in]+1 > d {
-				d = depth[in] + 1
-			}
-		}
-		depth[n] = d
-		for len(levels) < d {
-			levels = append(levels, nil)
-		}
-		levels[d-1] = append(levels[d-1], n)
-	}
-	return levels
-}
-
-// evalNode evaluates one node including its fused activation. Conditions
-// the static verifier prevents (shape mismatches, unknown ops) surface
-// here as wrapped errors rather than panics, so a verifier miss degrades
-// gracefully instead of crashing a whole sweep: the recover guard
-// converts residual kernel panics from internal/tensor into errors.
-func (e *Executor) evalNode(n *Node, rt *runState) (out *tensor.Tensor, err error) {
+// evalFolded runs one step's batch kernel over all frames: eval for a
+// whole micro-batch, with the same recover guard.
+func (e *Executor) evalFolded(p *program, frames []*frame, s *step) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("kernel panic: %v", r)
+			err = fmt.Errorf("kernel panic: %v", r)
 		}
 	}()
-	if out, ok, qerr := e.evalQuantized(n, rt); ok {
-		// The int8 kernels fuse the activation into their requantize
-		// epilogue, so no separate applyActivation pass runs here.
-		e.nInt8.Add(1)
-		if n.Activation != 0 {
-			e.nFused.Add(1)
-		}
-		return out, qerr
+	if cap(e.bins) < len(frames) {
+		e.bins = make([]*tensor.Tensor, len(frames))
+		e.bdsts = make([]*tensor.Tensor, len(frames))
 	}
-	if out, ok, ferr := e.evalFused(n, rt); ok {
-		// One fused FP32 kernel call: absorbed BN affine and activation
-		// run in the output buffer, no separate elementwise dispatches.
-		// (Fused adds count as fused kernels but, like unfused adds, stay
-		// outside the conv/dense dispatch-family counter.)
-		if isComputeKernelKind(n.Kind) {
-			e.nFP32.Add(1)
-		}
-		e.nFused.Add(1)
-		return out, ferr
+	ins, dsts := e.bins[:len(frames)], e.bdsts[:len(frames)]
+	for i, f := range frames {
+		ins[i] = f.vals[s.in[0]]
+		dsts[i] = f.alloc(p, s, ins[i:i+1], e.Debug)
 	}
-	out, err = e.eval(n, rt)
-	if err == nil && n.Activation != 0 {
-		out, err = applyActivation(n.Activation, n.Attrs.LeakySlope(), out)
+	s.k.batch(s.n, dsts, ins)
+	for i, f := range frames {
+		f.vals[s.out] = dsts[i]
 	}
-	if err == nil && isComputeKernelKind(n.Kind) {
-		e.nFP32.Add(1)
-	}
-	return out, err
-}
-
-// evalFused dispatches nodes carrying a fused FP32 epilogue (an
-// absorbed batch-norm affine and/or activation from the pattern-fusion
-// pass) to the single-call fused kernels in internal/tensor, mirroring
-// the int8 path's requantize epilogue. ok is false when the node has
-// nothing fused or no fused kernel exists for its kind (grouped/3-D
-// convolutions keep the eval + applyActivation fallback). A node with
-// an absorbed affine but no fused kernel is an error: the fallback
-// would silently skip the affine, so the verifier forbids the
-// combination and the executor refuses it.
-func (e *Executor) evalFused(n *Node, rt *runState) (out *tensor.Tensor, ok bool, err error) {
-	if n.Activation == 0 && n.EpiChannels == 0 {
-		return nil, false, nil
-	}
-	fusable := false
-	switch n.Kind {
-	case OpConv2D:
-		fusable = n.Attrs.GroupCount() == 1
-	case OpDepthwiseConv2D, OpDense:
-		fusable = true
-	case OpAdd:
-		fusable = n.EpiChannels == 0 // adds absorb activations only
-	}
-	if !fusable {
-		if n.EpiChannels > 0 {
-			return nil, true, fmt.Errorf("no fused kernel for %s with an absorbed batch-norm epilogue", n.Kind)
-		}
-		return nil, false, nil
-	}
-	epi := tensor.Epilogue{
-		Scale: n.EpiScale,
-		Shift: n.EpiShift,
-		Act:   actFor(n.Activation),
-		Alpha: n.Attrs.LeakySlope(),
-	}
-	in, found := rt.values[n.Inputs[0]]
-	if !found {
-		return nil, true, fmt.Errorf("input %s not computed", n.Inputs[0])
-	}
-	dst := rt.alloc(n)
-	switch n.Kind {
-	case OpConv2D:
-		switch {
-		case n.Packed != nil:
-			// Ahead-of-time packed panels force the GEMM lowering (the
-			// layout is the GEMM microkernel's); bitwise identical to
-			// Conv2DGEMMFusedInto, minus the per-call weight packing.
-			tensor.Conv2DPrepackedInto(dst, in, n.Packed, n.Bias, n.Attrs.ConvSpec(), epi, rt.scratch())
-			e.nPrepacked.Add(1)
-		case e.UseGEMMConv:
-			tensor.Conv2DGEMMFusedInto(dst, in, n.Weights, n.Bias, n.Attrs.ConvSpec(), rt.scratch(), epi)
-		default:
-			tensor.Conv2DFusedInto(dst, in, n.Weights, n.Bias, n.Attrs.ConvSpec(), epi)
-		}
-	case OpDepthwiseConv2D:
-		tensor.DepthwiseConv2DFusedInto(dst, in, n.Weights, n.Bias, n.Attrs.ConvSpec(), epi)
-	case OpDense:
-		tensor.DenseFusedInto(dst, n.Weights, n.Bias, in.Data, epi)
-	case OpAdd:
-		b, found := rt.values[n.Inputs[1]]
-		if !found {
-			return nil, true, fmt.Errorf("input %s not computed", n.Inputs[1])
-		}
-		tensor.AddFusedInto(dst, in, b, epi)
-	}
-	return dst, true, nil
-}
-
-// isComputeKernelKind reports whether the op is in the conv/dense kernel
-// family the dispatch counters track.
-func isComputeKernelKind(k OpKind) bool {
-	switch k {
-	case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
-		return true
-	}
-	return false
-}
-
-// actFor maps a node's fused activation to the tensor epilogue enum.
-func actFor(k OpKind) tensor.Act {
-	switch k {
-	case OpReLU:
-		return tensor.ActReLU
-	case OpReLU6:
-		return tensor.ActReLU6
-	case OpLeakyReLU:
-		return tensor.ActLeakyReLU
-	case OpSigmoid:
-		return tensor.ActSigmoid
-	case OpTanh:
-		return tensor.ActTanh
-	}
-	return tensor.ActNone
-}
-
-// evalQuantized dispatches nodes carrying real int8 weights to the int8
-// kernel path: dynamic per-tensor activation quantization, int8 GEMM,
-// fused requantize+bias+activation epilogue. ok is false when the node
-// has no int8 kernel (no QWeights, grouped conv, unknown fused
-// activation) — the caller then takes the FP32 path, which works because
-// Weights keeps the dequantized shadow.
-func (e *Executor) evalQuantized(n *Node, rt *runState) (out *tensor.Tensor, ok bool, err error) {
-	if n.QWeights == nil {
-		return nil, false, nil
-	}
-	if n.EpiChannels > 0 {
-		// The int8 requantize epilogue has no per-channel affine stage;
-		// fall back to the FP32 fused path via the dequantized shadow.
-		return nil, false, nil
-	}
-	if n.Activation != 0 && actFor(n.Activation) == tensor.ActNone {
-		return nil, false, nil
-	}
-	switch n.Kind {
-	case OpConv2D:
-		if n.Attrs.GroupCount() > 1 {
-			return nil, false, nil
-		}
-	case OpDense:
-	default:
-		return nil, false, nil
-	}
-	in, found := rt.values[n.Inputs[0]]
-	if !found {
-		return nil, true, fmt.Errorf("input %s not computed", n.Inputs[0])
-	}
-	dst := rt.alloc(n)
-	switch {
-	case n.Kind == OpConv2D && n.PackedQ != nil:
-		tensor.Conv2DQPrepackedInto(dst, in, n.PackedQ, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-			actFor(n.Activation), n.Attrs.LeakySlope())
-		e.nPrepacked.Add(1)
-	case n.Kind == OpConv2D:
-		tensor.Conv2DQInt8Into(dst, in, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-			actFor(n.Activation), n.Attrs.LeakySlope())
-	case n.PackedQ != nil:
-		tensor.DenseQPrepackedInto(dst.Data, n.PackedQ, n.QWeights, n.Bias, in.Data,
-			actFor(n.Activation), n.Attrs.LeakySlope())
-		e.nPrepacked.Add(1)
-	default:
-		tensor.DenseQInt8Into(dst.Data, n.QWeights, n.Bias, in.Data,
-			actFor(n.Activation), n.Attrs.LeakySlope())
-	}
-	return dst, true, nil
-}
-
-func (e *Executor) eval(n *Node, rt *runState) (*tensor.Tensor, error) {
-	get := func(i int) (*tensor.Tensor, error) {
-		v, ok := rt.values[n.Inputs[i]]
-		if !ok {
-			return nil, fmt.Errorf("input %s not computed", n.Inputs[i])
-		}
-		return v, nil
-	}
-	switch n.Kind {
-	case OpConst:
-		// The value is the node's weight tensor; consumers treat inputs
-		// as read-only, so no defensive copy is made.
-		return n.Weights, nil
-	case OpConv2D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		spec := n.Attrs.ConvSpec()
-		if g := n.Attrs.GroupCount(); g > 1 {
-			return e.groupedConv(n, in, g, spec)
-		}
-		dst := rt.alloc(n)
-		switch {
-		case n.Packed != nil:
-			tensor.Conv2DPrepackedInto(dst, in, n.Packed, n.Bias, spec, tensor.Epilogue{}, rt.scratch())
-			e.nPrepacked.Add(1)
-		case e.UseGEMMConv:
-			tensor.Conv2DGEMMInto(dst, in, n.Weights, n.Bias, spec, rt.scratch())
-		default:
-			tensor.Conv2DAutoInto(dst, in, n.Weights, n.Bias, spec)
-		}
-		return dst, nil
-	case OpDepthwiseConv2D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.DepthwiseConv2DInto(dst, in, n.Weights, n.Bias, n.Attrs.ConvSpec())
-		return dst, nil
-	case OpConv3D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		spec := tensor.Conv3DSpec{Stride: n.Attrs.Stride, Pad: n.Attrs.Pad}
-		return tensor.Conv3D(in, n.Weights, n.Bias, spec), nil
-	case OpDense:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.DenseInto(dst.Data, n.Weights, n.Bias, in.Data)
-		return dst, nil
-	case OpBatchNorm:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.BatchNormInto(dst, in, n.BN.Gamma, n.BN.Beta, n.BN.Mean, n.BN.Variance, n.BN.Eps)
-		return dst, nil
-	case OpReLU, OpReLU6, OpLeakyReLU, OpSigmoid, OpTanh:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		switch n.Kind {
-		case OpReLU:
-			tensor.ReLUInto(dst, in)
-		case OpReLU6:
-			tensor.ReLU6Into(dst, in)
-		case OpLeakyReLU:
-			tensor.LeakyReLUInto(dst, in, n.Attrs.LeakySlope())
-		case OpSigmoid:
-			tensor.SigmoidInto(dst, in)
-		case OpTanh:
-			tensor.TanhInto(dst, in)
-		}
-		return dst, nil
-	case OpMaxPool2D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.MaxPool2DInto(dst, in, tensor.PoolSpec{Kernel: n.Attrs.Kernel, Stride: n.Attrs.Stride, Pad: n.Attrs.Pad})
-		return dst, nil
-	case OpAvgPool2D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.AvgPool2DInto(dst, in, tensor.PoolSpec{Kernel: n.Attrs.Kernel, Stride: n.Attrs.Stride, Pad: n.Attrs.Pad})
-		return dst, nil
-	case OpMaxPool3D:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		return tensor.MaxPool3DSpec(in, n.Attrs.Pool3DSpec()), nil
-	case OpUpsample:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.UpsampleNearest2DInto(dst, in, n.Attrs.Factor)
-		return dst, nil
-	case OpLSTM:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		h := tensor.LSTM(n.Weights, n.Bias, in)
-		return tensor.FromData(h, len(h)), nil
-	case OpShuffle:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.ShuffleChannelsInto(dst, in, n.Attrs.GroupCount())
-		return dst, nil
-	case OpGlobalAvgPool:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.GlobalAvgPool2DInto(dst.Data, in)
-		return dst, nil
-	case OpAdd:
-		a, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := get(1)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.AddInto(dst, a, b)
-		return dst, nil
-	case OpConcat:
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for i := range n.Inputs {
-			v, err := get(i)
-			if err != nil {
-				return nil, err
-			}
-			ins[i] = v
-		}
-		dst := rt.alloc(n)
-		tensor.ConcatChannelsInto(dst, ins...)
-		return dst, nil
-	case OpFlatten:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		return in.Reshape(in.Shape.NumElems()), nil
-	case OpSoftmax:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.SoftmaxInto(dst.Data, in.Data)
-		return dst, nil
-	case OpPad:
-		in, err := get(0)
-		if err != nil {
-			return nil, err
-		}
-		dst := rt.alloc(n)
-		tensor.Pad2DInto(dst, in, n.Attrs.Pad)
-		return dst, nil
-	default:
-		return nil, fmt.Errorf("unsupported op %v", n.Kind)
-	}
-}
-
-// groupedConv splits the input channels into groups and convolves each
-// group with its own filter slice (AlexNet's two-GPU heritage layout).
-// Weights are [Cout, Cin/groups, KH, KW]; output channels partition evenly
-// across groups.
-func (e *Executor) groupedConv(n *Node, in *tensor.Tensor, groups int, spec tensor.Conv2DSpec) (*tensor.Tensor, error) {
-	cin, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	cout := n.WShape[0]
-	if cin%groups != 0 || cout%groups != 0 {
-		return nil, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups)
-	}
-	cinG, coutG := cin/groups, cout/groups
-	kh, kw := n.WShape[2], n.WShape[3]
-	outs := make([]*tensor.Tensor, groups)
-	plane := h * w
-	wPer := coutG * cinG * kh * kw
-	for gi := 0; gi < groups; gi++ {
-		gin := tensor.FromData(in.Data[gi*cinG*plane:(gi+1)*cinG*plane], cinG, h, w)
-		gw := tensor.FromData(n.Weights.Data[gi*wPer:(gi+1)*wPer], coutG, cinG, kh, kw)
-		var gb []float32
-		if n.Bias != nil {
-			gb = n.Bias[gi*coutG : (gi+1)*coutG]
-		}
-		if e.UseGEMMConv {
-			outs[gi] = tensor.Conv2DGEMM(gin, gw, gb, spec)
-		} else {
-			outs[gi] = tensor.Conv2D(gin, gw, gb, spec)
-		}
-	}
-	return tensor.ConcatChannels(outs...), nil
-}
-
-func applyActivation(k OpKind, alpha float32, t *tensor.Tensor) (*tensor.Tensor, error) {
-	switch k {
-	case OpReLU:
-		return tensor.ReLU(t), nil
-	case OpReLU6:
-		return tensor.ReLU6(t), nil
-	case OpLeakyReLU:
-		return tensor.LeakyReLU(t, alpha), nil
-	case OpSigmoid:
-		return tensor.Sigmoid(t), nil
-	case OpTanh:
-		return tensor.Tanh(t), nil
-	default:
-		return nil, fmt.Errorf("%v is not an activation", k)
-	}
+	clear(ins)
+	clear(dsts)
+	e.count(&s.k, int64(len(frames)))
+	return nil
 }

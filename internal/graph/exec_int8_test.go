@@ -34,7 +34,7 @@ func TestQuantizedDispatchProbe(t *testing.T) {
 		mk   func() *graph.Executor
 	}{
 		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
-		{"parallel", func() *graph.Executor { return &graph.Executor{Parallel: true, Workers: 4} }},
+		{"parallel", func() *graph.Executor { return &graph.Executor{Parallel: true} }},
 		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
 	}
 	for _, mode := range modes {

@@ -11,8 +11,8 @@ import (
 
 // TestEveryOpKindExecutes drives each operation kind through the
 // executor and the cost model from within the graph package's own test
-// suite: builder construction, shape inference, numeric execution (both
-// conv paths), and per-node cost.
+// suite: builder construction, shape inference, numeric execution
+// (weights unpacked and pre-packed), and per-node cost.
 func TestEveryOpKindExecutes(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -67,18 +67,19 @@ func TestEveryOpKindExecutes(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := tensor.New(c.shape...).Randomize(stats.NewRNG(6), 1)
-			direct, err := (&graph.Executor{}).Run(g, in.Clone())
+			unpacked, err := (&graph.Executor{}).Run(g, in.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
-			gemm, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in.Clone())
+			pg := g.Clone()
+			graph.PrepackWeights(pg)
+			packed, err := (&graph.Executor{}).Run(pg, in.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range direct.Data {
-				d := direct.Data[i] - gemm.Data[i]
-				if d > 1e-3 || d < -1e-3 {
-					t.Fatalf("conv paths diverge at %d: %v vs %v", i, direct.Data[i], gemm.Data[i])
+			for i := range unpacked.Data {
+				if unpacked.Data[i] != packed.Data[i] {
+					t.Fatalf("packed and unpacked weights diverge at %d: %v vs %v", i, unpacked.Data[i], packed.Data[i])
 				}
 			}
 			// Every node must price without panicking, with non-negative
@@ -123,8 +124,7 @@ func TestDynamicModeReleasesIntermediates(t *testing.T) {
 	if !out.Shape.Equal(tensor.Shape{2, 6, 6}) {
 		t.Fatalf("output shape %v", out.Shape)
 	}
-	// RunValues on a dynamic graph must still retain everything (it
-	// temporarily forces static retention).
+	// RunValues on a dynamic graph must still retain everything.
 	values, err := (&graph.Executor{}).RunValues(g, tensor.New(2, 6, 6).Fill(0.5))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestDynamicModeReleasesIntermediates(t *testing.T) {
 		t.Fatal("RunValues must retain all values even in dynamic mode")
 	}
 	if g.Mode != graph.Dynamic {
-		t.Fatal("RunValues must restore the graph mode")
+		t.Fatal("RunValues must not touch the graph mode")
 	}
 }
 

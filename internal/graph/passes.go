@@ -142,25 +142,13 @@ func EliminateDead(g *Graph) {
 	removeNodes(g, dead)
 }
 
-// int8Executable reports whether the executor has a real int8 kernel
-// for n: dense convolutions (groups == 1) and dense layers. Other ops
-// (depthwise, grouped, 3-D convs, LSTM) keep dequantized FP32 weights
-// and take the executor's FP32 fallback.
-func int8Executable(n *Node) bool {
-	switch n.Kind {
-	case OpConv2D:
-		return n.Attrs.GroupCount() == 1
-	case OpDense:
-		return true
-	}
-	return false
-}
-
-// quantizeNode stores real int8 weights on an int8-executable node (per
-// channel when perChannel is set) and replaces the FP32 weights with the
-// dequantized shadow, so the int8 kernels and the FP32 fallback compute
-// from identical calibrated values. Non-executable weight-bearing nodes
-// get only the round-trip (quantization error without an int8 kernel).
+// quantizeNode stores real int8 weights on a node the executor has an
+// int8 kernel for — dense convolutions (groups == 1) and dense layers —
+// per channel when perChannel is set, and replaces the FP32 weights with
+// the dequantized shadow, so the int8 kernels and the FP32 fallback
+// compute from identical calibrated values. Other weight-bearing nodes
+// (depthwise, grouped, 3-D convs, LSTM) get only the round-trip
+// (quantization error without an int8 kernel).
 func quantizeNode(n *Node, perChannel bool) {
 	if n.Weights == nil {
 		return
@@ -173,11 +161,13 @@ func quantizeNode(n *Node, perChannel bool) {
 	}
 	n.Weights = q.Dequantize()
 	n.Packed, n.PackedQ = nil, nil // both layouts derive from the replaced weights
-	// A node carrying an absorbed-BN epilogue stays on the FP32 fused
-	// path: the int8 requantize epilogue has no per-channel affine stage
-	// (verify's fusion rule rejects the combination).
-	if int8Executable(n) && n.EpiChannels == 0 {
-		n.QWeights = q
+	// The codes stay only where bind would run them. A node carrying an
+	// absorbed-BN epilogue, for one, stays on the FP32 fused path: the
+	// int8 requantize epilogue has no per-channel affine stage (verify's
+	// fusion rule rejects the combination).
+	n.QWeights = q
+	if k, _ := bind(n); !k.int8 {
+		n.QWeights = nil
 	}
 }
 

@@ -17,39 +17,93 @@ type Plan struct {
 	// outputs.
 	PeakBytes int64
 
-	// Scratch holds the element counts of the persistent im2col/GEMM
-	// scratch buffers the pre-packed conv kernels borrow from the arena
-	// (the lowered [ncols, K] rows matrix and the transposed [ncols, N]
-	// GEMM output per distinct geometry), sized from inferred shapes so
-	// Executor.run can preallocate them once and lowering reuses stable
-	// arena slots instead of churning the pool.
-	Scratch []int
-
-	slot    map[*Node]int     // pooled node -> slot index
-	root    map[*Node]*Node   // alias node -> storage owner
-	aliases map[*Node][]*Node // storage owner -> alias nodes
-	refs    map[*Node]int     // storage owner -> counted consumer edges
-	keep    map[*Node]bool    // storage owners that outlive the run
+	slot map[*Node]int  // pooled node -> slot index
+	keep map[*Node]bool // nodes whose storage outlives the run
 }
 
 // isAliasOp reports whether a node's output is a view sharing its input's
 // storage (no buffer of its own; its reads keep the input buffer alive).
 func isAliasOp(n *Node) bool { return n.Kind == OpFlatten }
 
-// poolable reports whether the executor can evaluate n into a dirty
-// recycled buffer. Ops outside this set (Conv3D, LSTM, grouped
-// convolutions, pool3d) allocate eagerly; aliases own no storage at all.
-func poolable(n *Node) bool {
-	switch n.Kind {
-	case OpConv2D:
-		return n.Attrs.GroupCount() <= 1
-	case OpDepthwiseConv2D, OpDense, OpBatchNorm,
-		OpReLU, OpReLU6, OpLeakyReLU, OpSigmoid, OpTanh,
-		OpMaxPool2D, OpAvgPool2D, OpGlobalAvgPool,
-		OpAdd, OpConcat, OpSoftmax, OpPad, OpUpsample, OpShuffle:
-		return true
+// storage is the buffer-level view of a graph that the planner and the
+// executor's compile step both read. Values are numbered by their node's
+// position in g.Nodes.
+type storage struct {
+	// owner maps a value to the value whose buffer holds it: itself,
+	// or for a view (Flatten) chain the non-view ancestor.
+	owner []int
+	// kept marks owners that outlive the run: the caller's input, the
+	// output and the extra roots.
+	kept []bool
+}
+
+// indexNodes numbers g's nodes by position.
+func indexNodes(g *Graph) map[*Node]int {
+	index := make(map[*Node]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		index[n] = i
 	}
-	return false
+	return index
+}
+
+// analyze resolves storage owners through alias chains (nodes appear
+// after their inputs, so the input's owner is already known) and marks
+// the kept ones.
+func analyze(g *Graph, index map[*Node]int) storage {
+	st := storage{owner: make([]int, len(g.Nodes)), kept: make([]bool, len(g.Nodes))}
+	for i, n := range g.Nodes {
+		st.owner[i] = i
+		if isAliasOp(n) {
+			st.owner[i] = st.owner[index[n.Inputs[0]]]
+		}
+	}
+	for _, root := range g.Roots() {
+		st.kept[st.owner[index[root]]] = true
+	}
+	if g.Input != nil {
+		st.kept[index[g.Input]] = true
+	}
+	return st
+}
+
+// deadAfter returns, per execution position, the values finished once
+// every node at that position has run: an owner dies at the latest
+// position of any node reading it, directly or through a view, and its
+// views die with it. pos gives each node's position (its index in
+// graph order for sequential execution, its level under the wavefront).
+// Alias nodes don't finish a buffer by reading it — their consumers do.
+// Kept owners and owners nothing reads never die.
+func (st storage) deadAfter(g *Graph, index map[*Node]int, pos []int, npos int) [][]int {
+	last := make([]int, len(g.Nodes))
+	for i := range last {
+		last[i] = -1
+	}
+	for i, n := range g.Nodes {
+		if isAliasOp(n) {
+			continue
+		}
+		for _, in := range n.Inputs {
+			o := st.owner[index[in]]
+			last[o] = max(last[o], pos[i])
+		}
+	}
+	dead := make([][]int, npos)
+	for v := range g.Nodes {
+		if o := st.owner[v]; last[o] >= 0 && !st.kept[o] {
+			dead[last[o]] = append(dead[last[o]], v)
+		}
+	}
+	return dead
+}
+
+// graphOrder is the sequential schedule's position table: node i runs
+// at position i.
+func graphOrder(g *Graph) []int {
+	pos := make([]int, len(g.Nodes))
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
 }
 
 // PlanBuffers computes the buffer plan for a static graph. The graph must
@@ -67,61 +121,42 @@ func PlanBuffers(g *Graph) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	p := &Plan{
-		slot:    make(map[*Node]int),
-		root:    make(map[*Node]*Node),
-		aliases: make(map[*Node][]*Node),
-		refs:    make(map[*Node]int),
-		keep:    make(map[*Node]bool),
-	}
-	// Resolve storage owners through alias chains (nodes appear after
-	// their inputs, so the input's root is already known).
-	for _, n := range g.Nodes {
-		if isAliasOp(n) {
-			p.root[n] = p.Root(n.Inputs[0])
+	index := indexNodes(g)
+	st := analyze(g, index)
+	return assignSlots(g, st, st.deadAfter(g, index, graphOrder(g), len(g.Nodes))), nil
+}
+
+// assignSlots is the planner proper, for a validated static graph whose
+// storage analysis the caller already holds (PlanBuffers, or the
+// executor's compile step, which needs the same analysis for its own
+// release lists): dead is deadAfter in graph order.
+func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
+	p := &Plan{slot: make(map[*Node]int), keep: make(map[*Node]bool)}
+	for i, n := range g.Nodes {
+		if st.kept[st.owner[i]] {
+			p.keep[n] = true
 		}
-	}
-	// Count consumer edges against storage owners. Alias nodes don't
-	// finish a buffer by reading it — their consumers do.
-	for _, n := range g.Nodes {
-		if isAliasOp(n) {
-			continue
-		}
-		for _, in := range n.Inputs {
-			p.refs[p.Root(in)]++
-		}
-	}
-	for _, root := range g.Roots() {
-		p.keep[p.Root(root)] = true
-	}
-	if g.Input != nil {
-		p.keep[g.Input] = true
-	}
-	for owner, root := range p.root {
-		p.aliases[root] = append(p.aliases[root], owner)
 	}
 
-	// Liveness walk in executor order: assign each pooled node the first
-	// free slot of its exact element count (mirroring the pool's keying),
-	// then return the slots of inputs whose last counted consumer just
-	// ran. Allocation happens before release on purpose: a node must
-	// never be handed one of its own inputs' buffers.
+	// Liveness walk in executor order: assign each node whose kernel
+	// writes into a caller-supplied buffer the first free slot of its
+	// exact element count (mirroring the pool's keying), then return the
+	// slots of the values that die here. Allocation happens before
+	// release on purpose: a node must never be handed one of its own
+	// inputs' buffers.
 	free := make(map[int][]int)
-	left := make(map[*Node]int, len(p.refs))
-	for n, c := range p.refs {
-		left[n] = c
-	}
-	var cur, peak int64
+	var cur int64
 	if g.Input != nil {
-		cur += int64(g.Input.OutShape.NumElems()) * 4
+		cur = int64(g.Input.OutShape.NumElems()) * 4
 	}
-	peak = cur
-	for _, n := range g.Nodes {
+	p.PeakBytes = cur
+	for i, n := range g.Nodes {
 		if n.Kind == OpInput || isAliasOp(n) {
 			continue
 		}
 		elems := n.OutShape.NumElems()
-		if poolable(n) && !p.keep[n] {
+		// A node bind refuses gets no slot; running it reports the error.
+		if k, _ := bind(n); k.dst && !p.keep[n] {
 			if ids := free[elems]; len(ids) > 0 {
 				p.slot[n] = ids[len(ids)-1]
 				free[elems] = ids[:len(ids)-1]
@@ -131,50 +166,19 @@ func PlanBuffers(g *Graph) (*Plan, error) {
 			}
 		}
 		cur += int64(elems) * 4
-		if cur > peak {
-			peak = cur
-		}
-		for _, in := range n.Inputs {
-			root := p.Root(in)
-			left[root]--
-			if left[root] == 0 && !p.keep[root] {
-				cur -= int64(root.OutShape.NumElems()) * 4
-				if s, ok := p.slot[root]; ok {
-					free[root.OutShape.NumElems()] = append(free[root.OutShape.NumElems()], s)
-				}
+		p.PeakBytes = max(p.PeakBytes, cur)
+		for _, v := range dead[i] {
+			if st.owner[v] != v {
+				continue // views hold no storage of their own
+			}
+			elems := g.Nodes[v].OutShape.NumElems()
+			cur -= int64(elems) * 4
+			if s, ok := p.slot[g.Nodes[v]]; ok {
+				free[elems] = append(free[elems], s)
 			}
 		}
 	}
-	p.PeakBytes = peak
-
-	// Reserve persistent scratch for pre-packed convolutions: the kernel
-	// Gets exactly these sizes per dispatch, so preallocating one buffer
-	// per distinct size turns the per-call im2col lowering into writes
-	// against stable arena slots. (Concurrent same-level dispatches under
-	// the wavefront scheduler fall back to on-demand pool growth.)
-	seen := make(map[int]bool)
-	for _, n := range g.Nodes {
-		if n.Packed == nil || n.Kind != OpConv2D || n.Attrs.GroupCount() > 1 {
-			continue
-		}
-		ncols := n.OutShape[1] * n.OutShape[2]
-		for _, elems := range []int{ncols * n.Packed.K, ncols * n.Packed.N} {
-			if !seen[elems] {
-				seen[elems] = true
-				p.Scratch = append(p.Scratch, elems)
-			}
-		}
-	}
-	return p, nil
-}
-
-// Root returns the storage owner of n's output buffer: n itself, or the
-// non-alias ancestor a view chain (Flatten) shares data with.
-func (p *Plan) Root(n *Node) *Node {
-	if r, ok := p.root[n]; ok {
-		return r
-	}
-	return n
+	return p
 }
 
 // Pooled reports whether the plan assigned n an arena slot.
@@ -204,7 +208,7 @@ func (p *Plan) Reassign(n *Node, slot int) {
 
 // Kept reports whether n's storage owner must survive the run (graph
 // input, output, or extra root) and so never returns to the arena.
-func (p *Plan) Kept(n *Node) bool { return p.keep[p.Root(n)] }
+func (p *Plan) Kept(n *Node) bool { return p.keep[n] }
 
 // NumSlots returns the number of arena slots the plan uses.
 func (p *Plan) NumSlots() int { return len(p.Slots) }

@@ -135,20 +135,11 @@ func runVariants(t *testing.T, g *graph.Graph, in *tensor.Tensor) {
 	}
 	variants := map[string]*graph.Executor{
 		"parallel":        {Parallel: true},
-		"parallel2":       {Parallel: true, Workers: 2},
 		"pooled":          {Pooled: true},
 		"pooled+parallel": {Pooled: true, Parallel: true},
-		"pooled+gemm":     {Pooled: true, UseGEMMConv: true},
-	}
-	gemmRef, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for name, e := range variants {
 		want := ref
-		if e.UseGEMMConv {
-			want = gemmRef
-		}
 		for pass := 0; pass < 3; pass++ {
 			got, err := e.Run(g, in)
 			if err != nil {

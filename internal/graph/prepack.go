@@ -10,19 +10,19 @@ import "edgebench/internal/tensor"
 // served graph, the opt pass manager runs it as the final O1/O2 pass,
 // and pipeline stage workers inherit it through their stage engines.
 //
-// Packing follows the executor's dispatch rules exactly:
+// What gets packed is what bind would then use:
 //
 //   - Ungrouped FP32 Conv2D packs Weights (transposed to [rows, Cout])
 //     unless the weights are sparse enough for the zero-skipping GEMM
 //     dispatch, which a fixed panel layout cannot reproduce —
 //     tensor.PackConvWeights returns nil there and the node keeps the
 //     unpacked path.
-//   - Quantized Conv2D/Dense pack QWeights whenever the node is
-//     int8-dispatchable; nodes the int8 path rejects (absorbed-BN
-//     epilogues, unfusable activations) run FP32 and get FP32 panels
-//     for their dequantized shadow instead.
+//   - Quantized Conv2D/Dense pack QWeights whenever bind selects an int8
+//     kernel; nodes the int8 path rejects (absorbed-BN epilogues,
+//     unfusable activations) run FP32 and get FP32 panels for their
+//     dequantized shadow instead.
 //   - FP32 Dense stays unpacked on purpose: its matvec kernel
-//     accumulates in a 4-chain order the blocked GEMM cannot reproduce
+//     accumulates in an order the blocked GEMM cannot reproduce
 //     bitwise, and a 1×N GEMM wins nothing over the matvec.
 //
 // The call is idempotent (already-packed nodes are skipped), which is
@@ -38,48 +38,28 @@ func PrepackWeights(g *Graph) int {
 	return packed
 }
 
-// int8Prepackable mirrors Executor.evalQuantized's dispatch guards: a
-// PackedQ panel is only useful (and only valid) on nodes the int8
-// kernel path actually accepts.
-func int8Prepackable(n *Node) bool {
-	if n.QWeights == nil || n.EpiChannels > 0 {
-		return false
-	}
-	if n.Activation != 0 && actFor(n.Activation) == tensor.ActNone {
-		return false
-	}
-	return int8Executable(n)
+// prepackNode packs one node's weights if its kernel has a packed twin
+// and runs unpacked so far; it reports whether it packed anything.
+func prepackNode(n *Node) bool {
+	// A node bind refuses has no kernel to pack for.
+	k, _ := bind(n)
+	return k.pack != nil && k.pack(n)
 }
 
-// prepackNode packs one node's weights if a panel layout applies and
-// none is cached yet; it reports whether it packed anything.
-func prepackNode(n *Node) bool {
-	switch n.Kind {
-	case OpConv2D:
-		if n.Attrs.GroupCount() > 1 {
-			return false // grouped convs slice weights per group at run time
-		}
-		if int8Prepackable(n) {
-			if n.PackedQ != nil {
-				return false
-			}
-			n.PackedQ = tensor.PackQConvWeights(n.QWeights)
-			return true
-		}
-		if n.Weights == nil || n.Packed != nil {
-			return false
-		}
-		if pw := tensor.PackConvWeights(n.Weights); pw != nil {
-			n.Packed = pw
-			return true
-		}
-		return false
-	case OpDense:
-		if !int8Prepackable(n) || n.PackedQ != nil {
-			return false
-		}
-		n.PackedQ = tensor.PackQDenseWeights(n.QWeights)
-		return true
+func packConvQ(n *Node) bool {
+	n.PackedQ = tensor.PackQConvWeights(n.QWeights)
+	return true
+}
+
+func packDenseQ(n *Node) bool {
+	n.PackedQ = tensor.PackQDenseWeights(n.QWeights)
+	return true
+}
+
+func packConv(n *Node) bool {
+	if n.Weights == nil {
+		return false // structural-only graph
 	}
-	return false
+	n.Packed = tensor.PackConvWeights(n.Weights)
+	return n.Packed != nil
 }

@@ -55,10 +55,9 @@ func TestPrepackDispatchProbe(t *testing.T) {
 	g := prepackCNN(t, 31)
 	in := seededInput(g.Input.OutShape, 1)
 
-	// Reference BEFORE packing, pinned to the GEMM lowering: the packed
-	// kernel's bitwise contract is against the blocked GEMM, not direct
-	// conv (which accumulates in a different order).
-	want, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in)
+	// Reference BEFORE packing: the unpacked GEMM lowering the packed
+	// kernel's bitwise contract is against.
+	want, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +80,13 @@ func TestPrepackDispatchProbe(t *testing.T) {
 		t.Fatalf("second PrepackWeights repacked %d nodes, want 0", n)
 	}
 
-	// UseGEMMConv stays pinned on the packed-graph executors too: the
-	// prepacked conv ignores the flag (dispatch is on n.Packed), but the
-	// UNpacked grouped conv honors it, and the reference above lowered
-	// that node through GEMM.
 	modes := []struct {
 		name string
 		mk   func() *graph.Executor
 	}{
-		{"sequential", func() *graph.Executor { return &graph.Executor{UseGEMMConv: true} }},
-		{"parallel", func() *graph.Executor { return &graph.Executor{UseGEMMConv: true, Parallel: true, Workers: 4} }},
-		{"pooled", func() *graph.Executor { return &graph.Executor{UseGEMMConv: true, Pooled: true} }},
+		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
+		{"parallel", func() *graph.Executor { return &graph.Executor{Parallel: true} }},
+		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -252,47 +247,6 @@ func TestRunBatchEdgeCases(t *testing.T) {
 	for i := range want.Data {
 		if outs[0].Data[i] != want.Data[i] {
 			t.Fatalf("single-input RunBatch diverges from Run at %d", i)
-		}
-	}
-}
-
-// TestPlanReservesPrepackScratch: buffer planning on a pre-packed graph
-// reserves the persistent im2col and transposed-output scratch the
-// prepacked conv kernel borrows per call — two element counts per
-// distinct conv geometry — and reserves nothing before packing.
-func TestPlanReservesPrepackScratch(t *testing.T) {
-	g := smallCNN(t, 51)
-	plain, err := graph.PlanBuffers(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Scratch) != 0 {
-		t.Fatalf("unpacked graph reserved scratch %v", plain.Scratch)
-	}
-
-	graph.PrepackWeights(g)
-	p, err := graph.PlanBuffers(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{}
-	for _, n := range g.Nodes {
-		if n.Packed == nil {
-			continue
-		}
-		ncols := n.OutShape[1] * n.OutShape[2]
-		want[ncols*n.Packed.K] = true
-		want[ncols*n.Packed.N] = true
-	}
-	if len(want) == 0 {
-		t.Fatal("no packed convs to plan for")
-	}
-	if len(p.Scratch) != len(want) {
-		t.Fatalf("plan reserved %d scratch sizes %v, want %d", len(p.Scratch), p.Scratch, len(want))
-	}
-	for _, sz := range p.Scratch {
-		if !want[sz] {
-			t.Fatalf("unexpected scratch reservation %d (want one of %v)", sz, want)
 		}
 	}
 }

@@ -85,9 +85,9 @@ func TestZooExecEquivalence(t *testing.T) {
 				exec   *graph.Executor
 				passes int
 			}{
-				{"parallel", &graph.Executor{Parallel: true, Workers: 2}, 1},
+				{"parallel", &graph.Executor{Parallel: true}, 1},
 				{"pooled", &graph.Executor{Pooled: true}, 2},
-				{"pooled-parallel", &graph.Executor{Pooled: true, Parallel: true, Workers: 2}, 2},
+				{"pooled-parallel", &graph.Executor{Pooled: true, Parallel: true}, 2},
 			}
 			for _, v := range variants {
 				for pass := 0; pass < v.passes; pass++ {

@@ -60,7 +60,7 @@ func TestZooInt8Conformance(t *testing.T) {
 			}{
 				{"sequential", &graph.Executor{}},
 				{"pooled", &graph.Executor{Pooled: true}},
-				{"parallel", &graph.Executor{Parallel: true, Workers: 2}},
+				{"parallel", &graph.Executor{Parallel: true}},
 			}
 			for _, v := range variants {
 				got, err := v.exec.Run(qg, in)

@@ -66,11 +66,9 @@ func TestZooOptEquivalence(t *testing.T) {
 			for i := range in.Data {
 				in.Data[i] = float32(math.Sin(float64(i)*0.7)) * 0.5
 			}
-			// UseGEMMConv on both sides: O1+ pre-packs conv weights
-			// zoo-wide, which pins the optimized graph to the GEMM
-			// lowering, and the bitwise contract holds relative to that
-			// same lowering (direct conv accumulates in another order).
-			want, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in)
+			// The reference runs unpacked weights, the O2 graph pre-packed
+			// ones: the bitwise contract spans that difference too.
+			want, err := (&graph.Executor{}).Run(g, in)
 			if err != nil {
 				t.Fatalf("unoptimized: %v", err)
 			}
@@ -79,7 +77,7 @@ func TestZooOptEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("O2: %v", err)
 			}
-			ex := &graph.Executor{UseGEMMConv: true, Pooled: og.Mode == graph.Static, Parallel: true, Workers: 2}
+			ex := &graph.Executor{Pooled: og.Mode == graph.Static, Parallel: true}
 			for pass := 0; pass < 2; pass++ { // twice: arena recycling over fused dispatches
 				got, err := ex.Run(og, in)
 				if err != nil {

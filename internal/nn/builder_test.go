@@ -89,16 +89,6 @@ func TestGroupedConvExecutionMatchesBlockDiagonal(t *testing.T) {
 			}
 		}
 	}
-	// GEMM path agrees too.
-	out2, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Data {
-		if d := out.Data[i] - out2.Data[i]; d > 1e-4 || d < -1e-4 {
-			t.Fatal("gemm grouped path diverges")
-		}
-	}
 }
 
 func TestSeparableConv(t *testing.T) {

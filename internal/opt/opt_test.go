@@ -209,11 +209,9 @@ func TestOptimizeBitEquivalence(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i%17)/8 - 1
 	}
-	// UseGEMMConv on both sides: O1+ pre-packs conv weights, which pins
-	// the optimized graph to the GEMM lowering, and the bitwise contract
-	// is relative to that same lowering (direct conv sums in a different
-	// order).
-	ref, err := (&graph.Executor{UseGEMMConv: true}).Run(g, in)
+	// The reference runs unpacked weights, the O2 graph pre-packed ones:
+	// the bitwise contract spans that difference too.
+	ref, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +219,7 @@ func TestOptimizeBitEquivalence(t *testing.T) {
 	if _, err := opt.Optimize(og, opt.O2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&graph.Executor{UseGEMMConv: true, Pooled: true}).Run(og, in)
+	got, err := (&graph.Executor{Pooled: true}).Run(og, in)
 	if err != nil {
 		t.Fatal(err)
 	}

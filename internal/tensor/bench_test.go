@@ -105,7 +105,7 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 			dst := New(tc.c, hout, wout)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DepthwiseConv2DInto(dst, in, w, nil, spec)
+				DepthwiseConv2DFusedInto(dst, in, w, nil, spec, Epilogue{})
 			}
 			b.ReportMetric(float64(tc.c*hout*wout*9)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

@@ -83,14 +83,15 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 	}
 }
 
-// Conv2D computes a direct (naive loop-nest) 2-D convolution with bias.
-// bias may be nil. This is the reference implementation; Conv2DGEMM is the
-// optimized path, and tests assert both agree.
+// Conv2D computes a direct (naive loop-nest) 2-D convolution with bias
+// on the calling goroutine. bias may be nil. This is the reference
+// implementation; Conv2DGEMM is the optimized path, and tests assert both
+// agree.
 func Conv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	out := New(cout, hout, wout)
-	convChannels(in, w, bias, spec, out, 0, cout)
+	convRows(in, w, bias, spec, out, 0, cout*hout)
 	return out
 }
 
@@ -101,7 +102,43 @@ func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec) {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	checkConvDst(dst, cout, hout, wout)
-	convChannels(in, w, bias, spec, dst, 0, cout)
+	convRows(in, w, bias, spec, dst, 0, cout*hout)
+}
+
+// convRows computes the flattened output-row tiles [lo, hi) into out,
+// where tile index u covers output row (oc = u/hout, oy = u%hout).
+func convRows(in, w *Tensor, bias []float32, spec Conv2DSpec, out *Tensor, lo, hi int) {
+	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
+	kh, kw := w.Shape[2], w.Shape[3]
+	padH, padW := spec.padHW()
+	hout, wout := out.Shape[1], out.Shape[2]
+	for u := lo; u < hi; u++ {
+		oc, oy := u/hout, u%hout
+		var b float32
+		if bias != nil {
+			b = bias[oc]
+		}
+		for ox := 0; ox < wout; ox++ {
+			sum := b
+			for ic := 0; ic < cin; ic++ {
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*spec.Stride + ky - padH
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*spec.Stride + kx - padW
+						if ix < 0 || ix >= wd {
+							continue
+						}
+						sum += in.Data[(ic*h+iy)*wd+ix] *
+							w.Data[((oc*cin+ic)*kh+ky)*kw+kx]
+					}
+				}
+			}
+			out.Data[(oc*hout+oy)*wout+ox] = sum
+		}
+	}
 }
 
 // Im2Col lowers the convolution input into a [Cin*KH*KW, Hout*Wout] matrix
@@ -173,53 +210,14 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 }
 
 // Conv2DGEMM computes the convolution by im2col lowering followed by
-// matrix multiplication. Results match Conv2D to floating-point
-// reassociation tolerance.
+// matrix multiplication (Conv2DGEMMFusedInto with nothing fused). Results
+// match Conv2D to floating-point reassociation tolerance.
 func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	out := New(cout, hout, wout)
-	conv2DGEMMInto(out, in, w, bias, spec, nil)
+	Conv2DGEMMFusedInto(out, in, w, bias, spec, Epilogue{})
 	return out
-}
-
-// Conv2DGEMMInto computes the im2col+GEMM convolution into a preallocated
-// dst of shape [Cout, Hout, Wout], overwriting every element. When
-// scratch is non-nil the im2col matrix is borrowed from (and returned to)
-// it, so repeated calls on a static graph do no scratch allocation.
-func Conv2DGEMMInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, scratch *Pool) {
-	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	checkConvDst(dst, cout, hout, wout)
-	conv2DGEMMInto(dst, in, w, bias, spec, scratch)
-}
-
-func conv2DGEMMInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, scratch *Pool) {
-	cout, cin, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	hout, wout := dst.Shape[1], dst.Shape[2]
-	rows := cin * kh * kw
-	ncols := hout * wout
-	var cols *Tensor
-	if scratch != nil {
-		cols = scratch.Get(rows, ncols)
-	} else {
-		cols = New(rows, ncols)
-	}
-	im2colInto(cols.Data, in, kh, kw, spec, hout, wout)
-	matmulInto(dst.Data, w.Data, cols.Data, cout, rows, ncols)
-	if scratch != nil {
-		scratch.Put(cols)
-	}
-	if bias != nil {
-		plane := ncols
-		for oc := 0; oc < cout; oc++ {
-			b := bias[oc]
-			seg := dst.Data[oc*plane : (oc+1)*plane]
-			for i := range seg {
-				seg[i] += b
-			}
-		}
-	}
 }
 
 // DepthwiseConv2D applies one [KH, KW] filter per input channel (the
@@ -231,35 +229,8 @@ func DepthwiseConv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	kh, kw := w.Shape[1], w.Shape[2]
 	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
 	out := New(c, hout, wout)
-	DepthwiseConv2DInto(out, in, w, bias, spec)
+	DepthwiseConv2DFusedInto(out, in, w, bias, spec, Epilogue{})
 	return out
-}
-
-// DepthwiseConv2DInto computes the depthwise convolution into a
-// preallocated dst of shape [C, Hout, Wout], overwriting every element.
-// Above the MAC work threshold the channel×row tile space is sharded
-// across the worker pool (per-tile writes are disjoint, so results are
-// bitwise identical to serial); small layers stay on the caller.
-func DepthwiseConv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec) {
-	spec = spec.check()
-	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	wc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
-	if c != wc {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D channel mismatch: %v vs %v", in.Shape, w.Shape))
-	}
-	if bias != nil && len(bias) != c {
-		panic("tensor: DepthwiseConv2D bias length mismatch")
-	}
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	checkConvDst(dst, c, hout, wout)
-	macsPerRow := kh * kw * wout
-	if c*hout*macsPerRow < parallelThresholdMACs {
-		depthwiseRows(dst, in, w, bias, spec, 0, c*hout)
-		return
-	}
-	parallelFor(c*hout, grainForMACs(macsPerRow), func(lo, hi int) {
-		depthwiseRows(dst, in, w, bias, spec, lo, hi)
-	})
 }
 
 // depthwiseRows computes the flattened output-row tiles [lo, hi), where

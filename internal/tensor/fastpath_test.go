@@ -66,7 +66,7 @@ func TestDepthwise3x3MatchesPixelReference(t *testing.T) {
 							name := fmt.Sprintf("s%d pad%dx%d in%dx%d bias=%v", stride, padH, padW, h, wd, bias != nil)
 							want := depthwiseReference(in, w, bias, spec)
 							got := dirty(want.Shape...)
-							DepthwiseConv2DInto(got, in, w, bias, spec)
+							DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
 							assertBitEqual(t, got, want, name)
 
 							_, _, _, _, _, epi := bnEpilogue(c, cases)
@@ -103,7 +103,7 @@ func TestDepthwise3x3ShardedMatchesSerial(t *testing.T) {
 			t.Fatal("test layer too small to hit the parallel path")
 		}
 		pooled := dirty(want.Shape...)
-		DepthwiseConv2DInto(pooled, in, w, bias, spec)
+		DepthwiseConv2DFusedInto(pooled, in, w, bias, spec, Epilogue{})
 		assertBitEqual(t, pooled, want, fmt.Sprintf("stride %d pooled", stride))
 		serial := dirty(want.Shape...)
 		depthwiseRows(serial, in, w, bias, spec.check(), 0, c*want.Shape[1])

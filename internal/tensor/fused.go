@@ -61,8 +61,8 @@ func (e Epilogue) ApplyInto(dst *Tensor) {
 	}
 }
 
-// applyActInPlace applies the activation elementwise in place, using
-// the exact expressions of the standalone *Into activation kernels.
+// applyActInPlace applies the activation elementwise in place: the one
+// implementation behind both the fused epilogues and ActivationInto.
 func applyActInPlace(data []float32, act Act, alpha float32) {
 	switch act {
 	case ActReLU:
@@ -174,40 +174,15 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 	}
 }
 
-// convRowsFused computes the flattened output-row tiles [lo, hi) and
-// then applies the epilogue to just those rows while the shard is still
-// cache-resident — the epilogue work rides along with each compute
-// shard instead of running as two extra whole-tensor sweeps after all
-// shards finish.
-func convRowsFused(in, w *Tensor, bias []float32, spec Conv2DSpec, out *Tensor, lo, hi int, epi Epilogue) {
-	convRows(in, w, bias, spec, out, lo, hi)
-	foldEpilogueRows(out, lo, hi, epi)
-}
-
-// Conv2DFusedInto computes the direct convolution with bias and the
-// epilogue folded into the row loop — one output traversal per fused
-// Conv→BN→act node, sharded across the worker pool above the MAC
-// threshold exactly like Conv2DAutoInto.
-func Conv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	checkConvDst(dst, cout, hout, wout)
-	checkEpilogueChannels(epi, cout)
-	if ConvMACs(w, hout, wout) >= parallelThresholdMACs {
-		macsPerRow := in.Shape[0] * w.Shape[2] * w.Shape[3] * wout
-		parallelFor(cout*hout, grainForMACs(macsPerRow), func(lo, hi int) {
-			convRowsFused(in, w, bias, spec, dst, lo, hi, epi)
-		})
-		return
-	}
-	convRowsFused(in, w, bias, spec, dst, 0, cout*hout, epi)
-}
-
-// Conv2DGEMMFusedInto is the im2col+GEMM convolution with the bias,
-// affine, and activation folded into one per-channel output sweep (the
-// GEMM path's bias loop already traverses the output once; the fused
-// sweep does bias+epilogue in that same pass).
-func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, scratch *Pool, epi Epilogue) {
+// Conv2DGEMMFusedInto is the im2col+GEMM convolution into a
+// preallocated dst of shape [Cout, Hout, Wout], overwriting every
+// element, with the bias, affine, and activation folded into one
+// per-channel output sweep. A zero epi is the plain GEMM convolution.
+// Weights that are mostly zeros (pruned models) reach the zero-skipping
+// kernel through matmulInto's own check of its left operand. The
+// im2col matrix is borrowed from the package scratch pool. This is the
+// reference the pre-packed kernel is bit-identical to.
+func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	checkConvDst(dst, cout, hout, wout)
@@ -215,17 +190,11 @@ func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, sc
 	cin, kh, kw := w.Shape[1], w.Shape[2], w.Shape[3]
 	rows := cin * kh * kw
 	ncols := hout * wout
-	var cols *Tensor
-	if scratch != nil {
-		cols = scratch.Get(rows, ncols)
-	} else {
-		cols = New(rows, ncols)
-	}
-	im2colInto(cols.Data, in, kh, kw, spec, hout, wout)
-	matmulInto(dst.Data, w.Data, cols.Data, cout, rows, ncols)
-	if scratch != nil {
-		scratch.Put(cols)
-	}
+	s := convScratchPool.Get().(*convScratch)
+	s.grow(rows*ncols, 0)
+	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
+	matmulInto(dst.Data, w.Data, s.rows, cout, rows, ncols)
+	convScratchPool.Put(s)
 	for oc := 0; oc < cout; oc++ {
 		seg := dst.Data[oc*ncols : (oc+1)*ncols]
 		if bias != nil {
@@ -244,16 +213,22 @@ func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, sc
 	}
 }
 
-// depthwiseRowsFused is depthwiseRows with the epilogue folded into the
-// row loop, mirroring convRowsFused.
+// depthwiseRowsFused computes the flattened output-row tiles [lo, hi)
+// and then applies the epilogue to just those rows while the shard is
+// still cache-resident, instead of as whole-tensor sweeps after all
+// shards finish.
 func depthwiseRowsFused(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int, epi Epilogue) {
 	depthwiseRows(dst, in, w, bias, spec, lo, hi)
 	foldEpilogueRows(dst, lo, hi, epi)
 }
 
-// DepthwiseConv2DFusedInto computes the depthwise convolution with the
-// epilogue folded into the row loop — one output traversal, same
-// sharding policy as DepthwiseConv2DInto.
+// DepthwiseConv2DFusedInto computes the depthwise convolution into a
+// preallocated dst of shape [C, Hout, Wout], overwriting every element,
+// with the epilogue folded into the row loop — one output traversal; a
+// zero epi is the plain depthwise convolution. Above the MAC work
+// threshold the channel×row tile space is sharded across the worker
+// pool (per-tile writes are disjoint, so results are bitwise identical
+// to serial); small layers stay on the caller.
 func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]

@@ -31,7 +31,7 @@ func BenchmarkDepthwiseEpilogueSweep(b *testing.B) {
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DepthwiseConv2DInto(dst, in, dw, bias, spec)
+		DepthwiseConv2DFusedInto(dst, in, dw, bias, spec, Epilogue{})
 		epi.ApplyInto(dst)
 	}
 }

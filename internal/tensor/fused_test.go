@@ -72,8 +72,7 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		// Unfused chain: conv kernel, then the standalone BN kernel, then
 		// the standalone activation kernel.
-		want := New(6, 9, 9)
-		Conv2DAutoInto(want, in, w, bias, spec)
+		want := Conv2DGEMM(in, w, bias, spec)
 		BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 		applySeparateAct(want, act, 0.1)
 
@@ -81,8 +80,8 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		e.Act = act
 		e.Alpha = 0.1
 		got := New(6, 9, 9)
-		Conv2DFusedInto(got, in, w, bias, spec, e)
-		assertBitEqual(t, got, want, "Conv2DFusedInto/"+actName(act))
+		Conv2DGEMMFusedInto(got, in, w, bias, spec, e)
+		assertBitEqual(t, got, want, "Conv2DGEMMFusedInto/"+actName(act))
 	}
 }
 
@@ -97,20 +96,19 @@ func TestConv2DGEMMFusedBitEquivalence(t *testing.T) {
 	gamma, beta, mean, variance, eps, epi := bnEpilogue(5, 8)
 
 	want := New(5, 8, 8)
-	Conv2DGEMMInto(want, in, w, bias, spec, nil)
+	Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{})
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
-	ReLUInto(want, want)
+	ActivationInto(want, want, ActReLU, 0)
 
 	e := epi
 	e.Act = ActReLU
-	scratch := NewPool()
 	got := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got, in, w, bias, spec, scratch, e)
+	Conv2DGEMMFusedInto(got, in, w, bias, spec, e)
 	assertBitEqual(t, got, want, "Conv2DGEMMFusedInto")
 
-	// Second call through the warmed scratch pool must be identical too.
+	// Second call, through the recycled package scratch, must be identical too.
 	got2 := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got2, in, w, bias, spec, scratch, e)
+	Conv2DGEMMFusedInto(got2, in, w, bias, spec, e)
 	assertBitEqual(t, got2, want, "Conv2DGEMMFusedInto (pooled)")
 }
 
@@ -123,9 +121,9 @@ func TestDepthwiseConv2DFusedBitEquivalence(t *testing.T) {
 	gamma, beta, mean, variance, eps, epi := bnEpilogue(4, 11)
 
 	want := New(4, 7, 7)
-	DepthwiseConv2DInto(want, in, w, nil, spec)
+	DepthwiseConv2DFusedInto(want, in, w, nil, spec, Epilogue{})
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
-	ReLU6Into(want, want)
+	ActivationInto(want, want, ActReLU6, 0)
 
 	e := epi
 	e.Act = ActReLU6
@@ -148,7 +146,7 @@ func TestDenseFusedBitEquivalence(t *testing.T) {
 	want := New(6)
 	DenseInto(want.Data, w, bias, x)
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
-	SigmoidInto(want, want)
+	ActivationInto(want, want, ActSigmoid, 0)
 
 	e := epi
 	e.Act = ActSigmoid
@@ -164,7 +162,7 @@ func TestAddFusedBitEquivalence(t *testing.T) {
 
 	want := New(3, 5, 5)
 	AddInto(want, a, b)
-	LeakyReLUInto(want, want, 0.2)
+	ActivationInto(want, want, ActLeakyReLU, 0.2)
 
 	got := New(3, 5, 5)
 	AddFusedInto(got, a, b, Epilogue{Act: ActLeakyReLU, Alpha: 0.2})
@@ -202,18 +200,7 @@ func TestEpilogueRejectsMismatchedChannels(t *testing.T) {
 // applySeparateAct applies the standalone activation kernel matching
 // act — the unfused reference path.
 func applySeparateAct(tns *Tensor, act Act, alpha float32) {
-	switch act {
-	case ActReLU:
-		ReLUInto(tns, tns)
-	case ActReLU6:
-		ReLU6Into(tns, tns)
-	case ActLeakyReLU:
-		LeakyReLUInto(tns, tns, alpha)
-	case ActSigmoid:
-		SigmoidInto(tns, tns)
-	case ActTanh:
-		TanhInto(tns, tns)
-	}
+	ActivationInto(tns, tns, act, alpha)
 }
 
 func actName(a Act) string {
@@ -245,17 +232,16 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		bias := make([]float32, 24)
 		fillPseudo(bias, 7)
 		spec := Conv2DSpec{Stride: 1, Pad: 1}
-		if ConvMACs(w, 32, 32) < ParallelThresholdMACs() {
+		if w.Shape.NumElems()*32*32 < ParallelThresholdMACs() {
 			t.Fatal("test layer too small to hit the parallel path")
 		}
 		_, _, _, _, _, epi := bnEpilogue(24, 8)
 		epi.Act = ActReLU6
-		want := New(24, 32, 32)
-		Conv2DAutoInto(want, in, w, bias, spec)
+		want := Conv2DGEMM(in, w, bias, spec)
 		epi.ApplyInto(want)
 		got := New(24, 32, 32)
-		Conv2DFusedInto(got, in, w, bias, spec, epi)
-		assertBitEqual(t, got, want, "parallel folded conv")
+		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi)
+		assertBitEqual(t, got, want, "parallel fused conv")
 	})
 	t.Run("depthwise", func(t *testing.T) {
 		c, hw := 64, 160
@@ -273,7 +259,7 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		epi.Act = ActLeakyReLU
 		epi.Alpha = 0.1
 		want := New(c, hw, hw)
-		DepthwiseConv2DInto(want, in, w, bias, spec)
+		DepthwiseConv2DFusedInto(want, in, w, bias, spec, Epilogue{})
 		epi.ApplyInto(want)
 		got := New(c, hw, hw)
 		DepthwiseConv2DFusedInto(got, in, w, bias, spec, epi)
@@ -293,6 +279,6 @@ func TestFoldedEpilogueChannelMismatchPanics(t *testing.T) {
 	in := New(2, 5, 5)
 	w := New(3, 2, 3, 3)
 	dst := New(3, 5, 5)
-	Conv2DFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
+	Conv2DGEMMFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
 		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)})
 }

@@ -38,7 +38,9 @@ func matmulInto(dst, a, b []float32, m, k, n int) {
 		matmulParallelInto(dst, a, b, m, k, n)
 		return
 	}
-	matmulBlockedRange(dst, a, b, m, k, n, 0, m, nil)
+	panel := gemmPanelPool.Get().(*[]float32)
+	matmulBlockedRange(dst, a, b, m, k, n, 0, m, *panel)
+	gemmPanelPool.Put(panel)
 }
 
 // zeroFraction returns the fraction of exactly-zero entries in a.

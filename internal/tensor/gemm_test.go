@@ -100,38 +100,18 @@ func TestMatMulSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestConvMACsDispatchThreshold pins the Conv2DAuto dispatch metric: the
-// old estimate divided and re-multiplied by Cout, truncating to a wrong
-// value; the metric must be exactly filter-elems x output-positions.
+// TestConvMACsDispatchThreshold pins the threshold itself so dispatch
+// behaviour cannot drift silently. A convolution's MAC count — filter
+// elements times output positions, the m*k*n its GEMM lowering hands
+// matmulInto — decides whether it shards: a 16->16 3x3 conv on a 56x56
+// output (7.2M MACs) is above the threshold, the same conv on 14x14
+// (450K MACs) is below.
 func TestConvMACsDispatchThreshold(t *testing.T) {
-	// 7 output channels: w elems = 7*3*3*3 = 189. With hout=wout=10,
-	// MACs = 189*100 = 18900. The old buggy form computed
-	// 18900/7*7 = 18900 only when divisible — pick dims where the
-	// truncation bites: elems*hout*wout = 18900, /7*7 = 18900 (divisible);
-	// instead check against an explicit product for several shapes.
-	cases := []struct {
-		cout, cin, kh, kw, hout, wout int
-	}{
-		{7, 3, 3, 3, 10, 10},
-		{5, 13, 3, 1, 17, 23},
-		{64, 32, 3, 3, 28, 28},
-	}
-	for _, c := range cases {
-		w := New(c.cout, c.cin, c.kh, c.kw)
-		want := c.cout * c.cin * c.kh * c.kw * c.hout * c.wout
-		if got := ConvMACs(w, c.hout, c.wout); got != want {
-			t.Errorf("ConvMACs(%dx%dx%dx%d, %dx%d) = %d, want %d",
-				c.cout, c.cin, c.kh, c.kw, c.hout, c.wout, got, want)
-		}
-	}
-	// Pin the threshold itself so dispatch behaviour cannot drift
-	// silently: a 16->16 3x3 conv on a 56x56 output (7.2M MACs) is above
-	// it, the same conv on 14x14 (450K MACs) is below.
-	w := New(16, 16, 3, 3)
-	if ConvMACs(w, 56, 56) < ParallelThresholdMACs() {
+	filterElems := 16 * 16 * 3 * 3
+	if filterElems*56*56 < ParallelThresholdMACs() {
 		t.Error("56x56 16->16 3x3 conv should dispatch parallel")
 	}
-	if ConvMACs(w, 14, 14) >= ParallelThresholdMACs() {
+	if filterElems*14*14 >= ParallelThresholdMACs() {
 		t.Error("14x14 16->16 3x3 conv should stay serial")
 	}
 	if ParallelThresholdMACs() != 1<<20 {
@@ -169,19 +149,18 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 	}
 
 	check("Conv2DInto", Conv2D(in, w, bias, spec), func(d *Tensor) { Conv2DInto(d, in, w, bias, spec) })
-	check("Conv2DAutoInto", Conv2DAuto(in, w, bias, spec), func(d *Tensor) { Conv2DAutoInto(d, in, w, bias, spec) })
-	check("Conv2DGEMMInto", Conv2DGEMM(in, w, bias, spec), func(d *Tensor) { Conv2DGEMMInto(d, in, w, bias, spec, nil) })
-	check("DepthwiseConv2DInto", DepthwiseConv2D(in, dw, bias[:3], spec), func(d *Tensor) { DepthwiseConv2DInto(d, in, dw, bias[:3], spec) })
+	check("Conv2DGEMMFusedInto", Conv2DGEMM(in, w, bias, spec), func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}) })
+	check("DepthwiseConv2DFusedInto", DepthwiseConv2D(in, dw, bias[:3], spec), func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) })
 	check("AddInto", Add(in, in), func(d *Tensor) { AddInto(d, in, in) })
 	check("ConcatChannelsInto", ConcatChannels(in, in), func(d *Tensor) { ConcatChannelsInto(d, in, in) })
 	check("Pad2DInto", Pad2D(in, 2), func(d *Tensor) { Pad2DInto(d, in, 2) })
 	check("UpsampleNearest2DInto", UpsampleNearest2D(in, 2), func(d *Tensor) { UpsampleNearest2DInto(d, in, 2) })
 	check("ShuffleChannelsInto", ShuffleChannels(in, 3), func(d *Tensor) { ShuffleChannelsInto(d, in, 3) })
-	check("ReLUInto", ReLU(in.Clone()), func(d *Tensor) { ReLUInto(d, in) })
-	check("ReLU6Into", ReLU6(in.Clone()), func(d *Tensor) { ReLU6Into(d, in) })
-	check("LeakyReLUInto", LeakyReLU(in.Clone(), 0.1), func(d *Tensor) { LeakyReLUInto(d, in, 0.1) })
-	check("SigmoidInto", Sigmoid(in.Clone()), func(d *Tensor) { SigmoidInto(d, in) })
-	check("TanhInto", Tanh(in.Clone()), func(d *Tensor) { TanhInto(d, in) })
+	for _, act := range []Act{ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
+		want := in.Clone()
+		Epilogue{Act: act, Alpha: 0.1}.ApplyInto(want)
+		check("ActivationInto/"+actName(act), want, func(d *Tensor) { ActivationInto(d, in, act, 0.1) })
+	}
 
 	gamma := []float32{1, 0.5, 2}
 	beta := []float32{0, 1, -1}
@@ -240,27 +219,26 @@ func TestIm2ColIntoWritesPaddingZeros(t *testing.T) {
 	}
 }
 
-// TestConv2DGEMMIntoWithPoolScratch runs the pooled-scratch GEMM conv
-// twice so the second call reuses the first call's dirty im2col buffer.
+// TestConv2DGEMMIntoWithPoolScratch runs the GEMM conv against a dirty
+// recycled im2col buffer: a larger convolution over different values
+// goes first, so the package scratch pool hands the measured calls a
+// buffer full of stale lowerings (padding positions included).
 func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	in := New(3, 17, 17).Randomize(r, 1)
 	w := New(8, 3, 3, 3).Randomize(r, 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	want := Conv2DGEMM(in, w, nil, spec)
-	pool := NewPool()
+	want := New(8, 17, 17)
+	convRows(in, w, nil, spec, want, 0, 8*17)
 	for run := 0; run < 2; run++ {
+		Conv2DGEMM(New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1), nil, Conv2DSpec{})
 		dst := dirty(want.Shape...)
-		Conv2DGEMMInto(dst, in, w, nil, spec, pool)
+		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{})
 		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
+			if d := dst.Data[i] - want.Data[i]; !(d < 1e-4 && d > -1e-4) {
 				t.Fatalf("run %d: dst[%d] = %v, want %v", run, i, dst.Data[i], want.Data[i])
 			}
 		}
-	}
-	st := pool.Stats()
-	if st.Gets != 2 || st.Misses != 1 || st.Puts != 2 {
-		t.Errorf("pool stats %+v: want 2 gets, 1 miss, 2 puts (scratch reused)", st)
 	}
 }
 

@@ -28,59 +28,14 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// ActivationInto copies src into dst applying the activation f elementwise.
-func activationInto(dst, src *Tensor, f func(float32) float32) {
+// ActivationInto writes act(src) into dst elementwise (dst may be src);
+// alpha is the LeakyReLU negative slope. The expressions are the fused
+// epilogue's, so a standalone activation node and an activation fused
+// into its producer agree bit for bit.
+func ActivationInto(dst, src *Tensor, act Act, alpha float32) {
 	checkSameShape("activation", dst, src.Shape)
-	for i, v := range src.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// ReLUInto writes max(0, src) into dst.
-func ReLUInto(dst, src *Tensor) {
-	activationInto(dst, src, func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-}
-
-// ReLU6Into writes min(max(0, src), 6) into dst.
-func ReLU6Into(dst, src *Tensor) {
-	activationInto(dst, src, func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		if v > 6 {
-			return 6
-		}
-		return v
-	})
-}
-
-// LeakyReLUInto writes x if x>0 else alpha*x into dst.
-func LeakyReLUInto(dst, src *Tensor, alpha float32) {
-	activationInto(dst, src, func(v float32) float32 {
-		if v < 0 {
-			return alpha * v
-		}
-		return v
-	})
-}
-
-// SigmoidInto writes the logistic function of src into dst.
-func SigmoidInto(dst, src *Tensor) {
-	activationInto(dst, src, func(v float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(v))))
-	})
-}
-
-// TanhInto writes the hyperbolic tangent of src into dst.
-func TanhInto(dst, src *Tensor) {
-	activationInto(dst, src, func(v float32) float32 {
-		return float32(math.Tanh(float64(v)))
-	})
+	copy(dst.Data, src.Data)
+	applyActInPlace(dst.Data, act, alpha)
 }
 
 // ConcatChannelsInto concatenates [C?, H, W] tensors along channels into

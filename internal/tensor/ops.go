@@ -5,56 +5,6 @@ import (
 	"math"
 )
 
-// ReLU applies max(0, x) elementwise in place and returns t.
-func ReLU(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
-		}
-	}
-	return t
-}
-
-// ReLU6 applies min(max(0, x), 6) in place — the MobileNet activation.
-func ReLU6(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		switch {
-		case v < 0:
-			t.Data[i] = 0
-		case v > 6:
-			t.Data[i] = 6
-		}
-	}
-	return t
-}
-
-// LeakyReLU applies x if x>0 else alpha*x in place — the DarkNet/YOLO
-// activation (alpha = 0.1 in DarkNet).
-func LeakyReLU(t *Tensor, alpha float32) *Tensor {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = alpha * v
-		}
-	}
-	return t
-}
-
-// Sigmoid applies the logistic function in place.
-func Sigmoid(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return t
-}
-
-// Tanh applies the hyperbolic tangent in place.
-func Tanh(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	return t
-}
-
 // Add computes a + b elementwise into a new tensor (residual connections).
 func Add(a, b *Tensor) *Tensor {
 	if !a.Shape.Equal(b.Shape) {

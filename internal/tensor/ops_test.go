@@ -10,19 +10,24 @@ import (
 
 func TestActivations(t *testing.T) {
 	a := FromData([]float32{-2, 0, 3, 8}, 4)
-	if got := ReLU(a.Clone()).Data; got[0] != 0 || got[2] != 3 || got[3] != 8 {
+	apply := func(src *Tensor, act Act) []float32 {
+		dst := New(src.Shape...)
+		ActivationInto(dst, src, act, 0.1)
+		return dst.Data
+	}
+	if got := apply(a, ActReLU); got[0] != 0 || got[2] != 3 || got[3] != 8 {
 		t.Fatalf("ReLU = %v", got)
 	}
-	if got := ReLU6(a.Clone()).Data; got[0] != 0 || got[2] != 3 || got[3] != 6 {
+	if got := apply(a, ActReLU6); got[0] != 0 || got[2] != 3 || got[3] != 6 {
 		t.Fatalf("ReLU6 = %v", got)
 	}
-	if got := LeakyReLU(a.Clone(), 0.1).Data; !almostEq32(got[0], -0.2, 1e-6) || got[2] != 3 {
+	if got := apply(a, ActLeakyReLU); !almostEq32(got[0], -0.2, 1e-6) || got[2] != 3 {
 		t.Fatalf("LeakyReLU = %v", got)
 	}
-	if got := Sigmoid(FromData([]float32{0}, 1)).Data[0]; !almostEq32(got, 0.5, 1e-6) {
+	if got := apply(FromData([]float32{0}, 1), ActSigmoid)[0]; !almostEq32(got, 0.5, 1e-6) {
 		t.Fatalf("Sigmoid(0) = %v", got)
 	}
-	if got := Tanh(FromData([]float32{0}, 1)).Data[0]; got != 0 {
+	if got := apply(FromData([]float32{0}, 1), ActTanh)[0]; got != 0 {
 		t.Fatalf("Tanh(0) = %v", got)
 	}
 }

@@ -230,17 +230,22 @@ func transposePixels(dst, src []float32, cin, npix, plo, phi int) {
 	}
 }
 
-// prepackScratch holds the FP32 prepacked path's per-call scratch when
-// the caller supplies no arena: the im2row matrix and the transposed
-// GEMM output. Pooled so concurrent replicas never share or reallocate.
-type prepackScratch struct {
+// convScratch is the FP32 GEMM convolutions' per-call scratch: the
+// lowered activation matrix (im2row for the pre-packed kernel, im2col
+// for the unpacked one) and the pre-packed kernel's transposed GEMM
+// output. One package pool serves every caller, as qscratchPool does
+// for the int8 kernels, so concurrent executors never share a buffer
+// and a steady stream of convolutions reallocates nothing. io backs the
+// single-sample entry point's one-element dst/in slices.
+type convScratch struct {
 	rows []float32
 	outT []float32
+	io   [2]*Tensor
 }
 
-var prepackScratchPool = sync.Pool{New: func() any { return new(prepackScratch) }}
+var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
 
-func (s *prepackScratch) grow(nrows, nout int) {
+func (s *convScratch) grow(nrows, nout int) {
 	if cap(s.rows) < nrows {
 		s.rows = make([]float32, nrows)
 	}
@@ -291,45 +296,6 @@ func convEpilogueTransposed(seg, outT []float32, oc, cout int, bias []float32, e
 	applyActInPlace(seg, epi.Act, epi.Alpha)
 }
 
-// Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
-// into a preallocated dst of shape [Cout, Hout, Wout], overwriting
-// every element, with the bias/affine/activation epilogue applied
-// during the transpose back to channel-major layout. A zero-value epi
-// reproduces the plain GEMM conv (bias sweep only). When scratch is
-// non-nil the lowering and transposed-output buffers are borrowed from
-// (and returned to) it — the planner-reserved arena slots — otherwise a
-// package pool supplies them.
-func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue, scratch *Pool) {
-	spec = spec.check()
-	cout, kh, kw, hout, wout := prepackedConvDims(in, pw, spec)
-	checkConvDst(dst, cout, hout, wout)
-	checkEpilogueChannels(epi, cout)
-	if bias != nil && len(bias) != cout {
-		panic("tensor: prepacked conv bias length mismatch")
-	}
-	ncols := hout * wout
-	var rt, ot *Tensor
-	var s *prepackScratch
-	var rowsA, outT []float32
-	if scratch != nil {
-		rt, ot = scratch.Get(ncols, pw.K), scratch.Get(ncols, cout)
-		rowsA, outT = rt.Data, ot.Data
-	} else {
-		s = prepackScratchPool.Get().(*prepackScratch)
-		s.grow(ncols*pw.K, ncols*cout)
-		rowsA, outT = s.rows, s.outT
-	}
-	im2rowInto(rowsA, in, kh, kw, spec, hout, wout)
-	GemmPrepacked(outT, rowsA, pw, ncols)
-	convEpilogueSweep(dst.Data, outT, cout, ncols, bias, epi)
-	if scratch != nil {
-		scratch.Put(rt)
-		scratch.Put(ot)
-	} else {
-		prepackScratchPool.Put(s)
-	}
-}
-
 // convEpilogueSweep runs convEpilogueTransposed over every output
 // channel, sharding channels across the worker pool when the output is
 // large (each channel's plane is written by exactly one chunk, so the
@@ -348,6 +314,20 @@ func convEpilogueSweep(dst, outT []float32, cout, ncols int, bias []float32, epi
 	})
 }
 
+// Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
+// into a preallocated dst of shape [Cout, Hout, Wout], overwriting
+// every element, with the bias/affine/activation epilogue applied
+// during the transpose back to channel-major layout. A zero-value epi
+// reproduces the plain GEMM conv (bias sweep only). It is the batch
+// kernel at B = 1.
+func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
+	s := convScratchPool.Get().(*convScratch)
+	s.io = [2]*Tensor{dst, in}
+	s.runPrepacked(s.io[:1], s.io[1:], pw, bias, spec, epi)
+	s.io = [2]*Tensor{}
+	convScratchPool.Put(s)
+}
+
 // Conv2DPrepackedBatchInto is the batch-folded prepacked convolution:
 // the B inputs' im2row lowerings are stacked into one (B*Hout*Wout) x
 // rows matrix and multiplied in a single prepacked GEMM, so a serving
@@ -358,6 +338,14 @@ func Conv2DPrepackedBatchInto(dsts, ins []*Tensor, pw *PackedWeights, bias []flo
 	if len(dsts) != len(ins) || len(ins) == 0 {
 		panic("tensor: prepacked batch conv needs equal non-empty dst/in slices")
 	}
+	s := convScratchPool.Get().(*convScratch)
+	s.runPrepacked(dsts, ins, pw, bias, spec, epi)
+	convScratchPool.Put(s)
+}
+
+// runPrepacked is the one FP32 pre-packed convolution body: lower every
+// sample, one GEMM over the stacked rows, one epilogue sweep per sample.
+func (s *convScratch) runPrepacked(dsts, ins []*Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	cout, kh, kw, hout, wout := prepackedConvDims(ins[0], pw, spec)
 	for i, in := range ins {
@@ -370,15 +358,12 @@ func Conv2DPrepackedBatchInto(dsts, ins []*Tensor, pw *PackedWeights, bias []flo
 	if bias != nil && len(bias) != cout {
 		panic("tensor: prepacked conv bias length mismatch")
 	}
-	b := len(ins)
 	ncols := hout * wout
-	s := prepackScratchPool.Get().(*prepackScratch)
-	s.grow(b*ncols*pw.K, b*ncols*cout)
-	defer prepackScratchPool.Put(s)
+	s.grow(len(ins)*ncols*pw.K, len(ins)*ncols*cout)
 	for i, in := range ins {
 		im2rowInto(s.rows[i*ncols*pw.K:(i+1)*ncols*pw.K], in, kh, kw, spec, hout, wout)
 	}
-	GemmPrepacked(s.outT, s.rows, pw, b*ncols)
+	GemmPrepacked(s.outT, s.rows, pw, len(ins)*ncols)
 	for i, dst := range dsts {
 		convEpilogueSweep(dst.Data, s.outT[i*ncols*cout:(i+1)*ncols*cout], cout, ncols, bias, epi)
 	}

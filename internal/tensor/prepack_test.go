@@ -116,13 +116,13 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		}
 		hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 		want := New(c.cout, hout, wout)
-		Conv2DGEMMInto(want, in, w, bias, c.spec, nil)
+		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, Epilogue{})
 		pw := PackConvWeights(w)
 		if pw == nil {
 			t.Fatalf("%s: dense weights did not pack", c.name)
 		}
 		got := New(c.cout, hout, wout)
-		Conv2DPrepackedInto(got, in, pw, bias, c.spec, Epilogue{}, nil)
+		Conv2DPrepackedInto(got, in, pw, bias, c.spec, Epilogue{})
 		if !bitsEqual(got.Data, want.Data) {
 			t.Errorf("%s: prepacked conv differs from unpacked GEMM conv", c.name)
 		}
@@ -158,9 +158,9 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 	}
 	for _, epi := range epis {
 		want := New(c.cout, hout, wout)
-		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, nil, epi)
+		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, epi)
 		got := New(c.cout, hout, wout)
-		Conv2DPrepackedInto(got, in, pw, bias, c.spec, epi, nil)
+		Conv2DPrepackedInto(got, in, pw, bias, c.spec, epi)
 		if !bitsEqual(got.Data, want.Data) {
 			t.Errorf("act=%d affine=%v: prepacked fused conv differs from unpacked", epi.Act, len(epi.Scale) > 0)
 		}
@@ -176,10 +176,10 @@ func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	w := randTensor(r, 48, 32, 3, 3)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	want := New(48, 24, 24)
-	Conv2DGEMMInto(want, in, w, nil, spec, nil)
+	Conv2DGEMMFusedInto(want, in, w, nil, spec, Epilogue{})
 	pw := PackConvWeights(w)
 	got := New(48, 24, 24)
-	Conv2DPrepackedInto(got, in, pw, nil, spec, Epilogue{}, nil)
+	Conv2DPrepackedInto(got, in, pw, nil, spec, Epilogue{})
 	if !bitsEqual(got.Data, want.Data) {
 		t.Fatal("large prepacked conv differs from unpacked GEMM conv")
 	}
@@ -205,7 +205,7 @@ func TestConv2DPrepackedBatchMatchesSequential(t *testing.T) {
 	for i := 0; i < B; i++ {
 		ins[i] = randTensor(r, c.cin, c.h, c.w)
 		wants[i] = New(c.cout, hout, wout)
-		Conv2DPrepackedInto(wants[i], ins[i], pw, bias, c.spec, epi, nil)
+		Conv2DPrepackedInto(wants[i], ins[i], pw, bias, c.spec, epi)
 		gots[i] = New(c.cout, hout, wout)
 	}
 	Conv2DPrepackedBatchInto(gots, ins, pw, bias, c.spec, epi)
@@ -361,9 +361,10 @@ func TestDenseQPrepackedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConv2DPrepackedScratchPool: the arena-backed scratch path must
-// produce the same bits as the self-allocating path and return its
-// buffers to the pool.
+// TestConv2DPrepackedScratchPool: a call handed recycled scratch — the
+// package pool's buffers left dirty by a larger convolution over
+// different values — must produce the same bits as a call on fresh
+// scratch, and the same bits as the unpacked GEMM reference.
 func TestConv2DPrepackedScratchPool(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	c := convCase{"scratch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
@@ -372,15 +373,18 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	pw := PackConvWeights(w)
 	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	want := New(c.cout, hout, wout)
-	Conv2DPrepackedInto(want, in, pw, nil, c.spec, Epilogue{}, nil)
-	pool := NewPool()
+	new(convScratch).runPrepacked([]*Tensor{want}, []*Tensor{in}, pw, nil, c.spec, Epilogue{})
+	big := randTensor(r, 7, 15, 15)
+	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
+	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})
 	got := New(c.cout, hout, wout)
-	Conv2DPrepackedInto(got, in, pw, nil, c.spec, Epilogue{}, pool)
+	Conv2DPrepackedInto(got, in, pw, nil, c.spec, Epilogue{})
 	if !bitsEqual(got.Data, want.Data) {
-		t.Fatal("pooled-scratch prepacked conv differs from unpooled")
+		t.Fatal("prepacked conv on recycled scratch differs from fresh scratch")
 	}
-	st := pool.Stats()
-	if st.Gets != 2 || st.Puts != 2 {
-		t.Fatalf("scratch pool traffic gets=%d puts=%d, want 2/2", st.Gets, st.Puts)
+	ref := New(c.cout, hout, wout)
+	Conv2DGEMMFusedInto(ref, in, w, nil, c.spec, Epilogue{})
+	if !bitsEqual(got.Data, ref.Data) {
+		t.Fatal("prepacked conv differs from the unpacked GEMM reference")
 	}
 }

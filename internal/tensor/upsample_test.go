@@ -74,32 +74,33 @@ func TestMaxPool3DSpecPadding(t *testing.T) {
 	}
 }
 
+// TestConv2DParallelWorkerPath: the convolution the executor runs
+// shards its lowering and its GEMM across the worker pool above the MAC
+// threshold; the sharded result must be bit-identical to the same
+// kernel confined to one goroutine, and agree with the serial oracle.
 func TestConv2DParallelWorkerPath(t *testing.T) {
+	r := stats.NewRNG(31)
+	in := New(16, 40, 40).Randomize(r, 1)
+	w := New(16, 16, 3, 3).Randomize(r, 1)
+	bias := make([]float32, 16)
+	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	if w.Shape.NumElems()*40*40 < ParallelThresholdMACs() {
+		t.Fatal("test layer too small to shard")
+	}
 	// The host may have one CPU; raise GOMAXPROCS so the sharded path
 	// actually runs multiple goroutines.
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	r := stats.NewRNG(31)
-	in := New(8, 12, 12).Randomize(r, 1)
-	w := New(8, 8, 3, 3).Randomize(r, 1)
-	bias := make([]float32, 8)
-	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	a := Conv2D(in, w, bias, spec)
-	b := Conv2DParallel(in, w, bias, spec)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("worker-sharded conv diverges from serial")
+	old := runtime.GOMAXPROCS(1)
+	serial := Conv2DGEMM(in, w, bias, spec)
+	runtime.GOMAXPROCS(4)
+	sharded := Conv2DGEMM(in, w, bias, spec)
+	runtime.GOMAXPROCS(old)
+	oracle := Conv2D(in, w, bias, spec)
+	for i := range serial.Data {
+		if sharded.Data[i] != serial.Data[i] {
+			t.Fatal("worker-sharded conv diverges from single-goroutine run")
 		}
-	}
-	// More workers than channels clamps.
-	small := New(2, 4, 4).Randomize(r, 1)
-	sw := New(2, 2, 1, 1).Randomize(r, 1)
-	c := Conv2DParallel(small, sw, nil, Conv2DSpec{})
-	d := Conv2D(small, sw, nil, Conv2DSpec{})
-	for i := range c.Data {
-		if c.Data[i] != d.Data[i] {
-			t.Fatal("clamped worker conv diverges")
+		if d := serial.Data[i] - oracle.Data[i]; d > 1e-3 || d < -1e-3 {
+			t.Fatalf("GEMM conv diverges from the direct oracle at %d: %v vs %v", i, serial.Data[i], oracle.Data[i])
 		}
 	}
 }

@@ -32,6 +32,10 @@ import (
 // serial instead of deadlocking (nobody ever blocks waiting for a
 // worker) or oversubscribing (the worker set is fixed).
 const (
+	// parallelThresholdMACs is the work level above which sharding pays
+	// for its hand-off overhead (~1M multiply-accumulates).
+	parallelThresholdMACs = 1 << 20
+
 	// chunksPerWorker is how many chunks parallelFor aims to cut per
 	// available worker. >1 lets fast workers steal from slow ones;
 	// too many and panel repacking (GEMM) and handoff overhead grow.
@@ -175,13 +179,6 @@ func shutdownPool() {
 // first panic value is re-raised here, on the caller, once every helper
 // has stopped — so a caller's recover guard covers the whole range.
 func parallelFor(n, grain int, fn func(lo, hi int)) {
-	parallelForMax(n, grain, 0, fn)
-}
-
-// parallelForMax is parallelFor with an explicit cap on total
-// goroutines working the range, caller included; bound <= 0 means the
-// pool size. The graph executor passes its Workers knob through this.
-func parallelForMax(n, grain, bound int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -190,9 +187,6 @@ func parallelForMax(n, grain, bound int, fn func(lo, hi int)) {
 	}
 	s := ensurePool()
 	limit := s.size
-	if bound > 0 && bound < limit {
-		limit = bound
-	}
 	if limit <= 1 || n <= grain {
 		poolSerialRuns.Add(1)
 		fn(0, n)
@@ -270,9 +264,9 @@ func grainForMACs(macsPerUnit int) int {
 // semantics.
 func ParallelFor(n, grain int, fn func(lo, hi int)) { parallelFor(n, grain, fn) }
 
-// ParallelForMax is ParallelFor with an upper bound on the goroutines
-// working the range, caller included; bound <= 0 means the pool size.
-func ParallelForMax(n, grain, bound int, fn func(lo, hi int)) { parallelForMax(n, grain, bound, fn) }
+// ParallelThresholdMACs exposes the kernel-dispatch work threshold for
+// tests and benchmarks that pin dispatch behaviour.
+func ParallelThresholdMACs() int { return parallelThresholdMACs }
 
 // KernelParallelism reports the worker count the kernel pool targets
 // (GOMAXPROCS at last resize). Serving layers export it as a metric so

@@ -36,20 +36,6 @@ func TestParallelForExactCoverage(t *testing.T) {
 	}
 }
 
-func TestParallelForMaxBound(t *testing.T) {
-	// bound=1 must run the whole range in a single call on the caller.
-	var calls int32
-	ParallelForMax(100, 1, 1, func(lo, hi int) {
-		atomic.AddInt32(&calls, 1)
-		if lo != 0 || hi != 100 {
-			t.Errorf("bound=1 range [%d, %d), want [0, 100)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("bound=1: fn called %d times, want 1", calls)
-	}
-}
-
 // TestParallelForNested drives nested parallelFor under load: inner
 // calls must complete (serial fallback when the pool is saturated)
 // without deadlock, and every index must still be covered exactly once.
