@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test lint analyze race check cover bench bench-smoke bench-test opt-equiv reproduce sweep examples serve-smoke pipe-smoke clean
+.PHONY: all build fmt vet test lint analyze race check cover bench bench-smoke bench-test opt-equiv reproduce sweep examples serve-smoke pipe-smoke loc clean
 
 all: build vet test
 
@@ -41,10 +41,11 @@ opt-equiv:
 	$(GO) run ./cmd/modelzoo -opt O2
 	$(GO) test -count=1 -run 'TestZooOpt|TestOptimize' ./internal/model/ ./internal/opt/
 
-# Full test suite under the race detector. This is the scheduler's
+# Full test suite under the race detector. This is the concurrency
 # correctness gate: the engine-equivalence tests (internal/graph,
-# internal/model, internal/serving, internal/core) run the parallel and
-# pooled executors against sequential reference outputs with -race on.
+# internal/model, internal/serving, internal/core) run the pooled
+# executor, the sharded kernels and the replica fan-out against
+# reference outputs with -race on.
 race:
 	$(GO) test -race ./...
 
@@ -104,12 +105,16 @@ bench:
 # vs the pre-packed FP32 forward; the folded depthwise epilogue vs two
 # sweeps; and — on hosts with >= 4 CPUs, loudly WAIVED below — the
 # perf-floor gates: the pre-packed forward must not lose to the unpacked
-# forward, a batch-8 InferBatch must beat 8 sequential Infers by >= 1.3x,
-# and the intra-op scaling gate: parallel GEMM/forward must beat serial
-# at the swept GOMAXPROCS points). Writes a throwaway JSON so the
+# forward, and the intra-op scaling gate: parallel GEMM/forward must beat
+# serial at the swept GOMAXPROCS points). Writes a throwaway JSON so the
 # committed BENCH_engine.json is never clobbered by a smoke run.
 bench-smoke:
 	$(GO) run ./cmd/engbench -benchtime 1x -o BENCH_smoke.json
+
+# Non-test lines in the two engine packages: the number ROADMAP aim 2
+# and CHANGES.md quote.
+loc:
+	@ls internal/graph/*.go internal/tensor/*.go | grep -v _test | xargs cat | wc -l
 
 # Regenerate every paper table/figure plus the extensions.
 reproduce:

@@ -29,7 +29,6 @@ var hotPackRoots = map[string]bool{
 	"Infer":      true,
 	"InferBatch": true,
 	"Run":        true,
-	"RunBatch":   true,
 	"RunValues":  true,
 }
 

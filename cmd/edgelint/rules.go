@@ -181,7 +181,6 @@ var graphPassFns = map[string]bool{
 	"FoldBN":                 true,
 	"FuseActivations":        true,
 	"EliminateDead":          true,
-	"EliminateDeadCount":     true,
 	"QuantizeINT8":           true,
 	"QuantizeINT8PerChannel": true,
 	"CastFP16":               true,

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -253,7 +252,7 @@ func runPipeline(args []string) int {
 		killAll(procs)
 		return 1
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := srv.HTTPServer()
 	go func() { _ = hs.Serve(ln) }()
 	front := ln.Addr().String()
 	fmt.Printf("serving %s on http://%s (front of a %d-stage pipeline)\n\n", plan.Model, front, len(stages))

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -178,7 +177,7 @@ func serve(s *core.Session, o serveOptions) {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := srv.HTTPServer()
 	go hs.Serve(ln)
 	addr := ln.Addr().String()
 	fmt.Printf("serving %s on http://%s (replicas %d, batch <= %d within %v, queue %d, exec %s, weights %d bytes)\n",

@@ -1,25 +1,21 @@
 // Command engbench benchmarks the numeric execution engine — the
-// blocked GEMM kernels, the pooled (static-memory-planner) executor,
-// and the branch-parallel scheduler — and writes the measurements to
-// BENCH_engine.json so perf regressions are diffable across commits.
+// blocked GEMM kernels and the pooled (static-memory-planner) executor —
+// and writes the measurements to BENCH_engine.json so perf regressions
+// are diffable across commits.
 //
-// Four groups:
+// Groups:
 //
 //   - matmul: naive ijk baseline vs the cache-blocked serial kernel vs
 //     the pool-sharded parallel kernel, at a large square size.
-//   - conv2d: im2col+GEMM convolution, allocating vs pooled-scratch.
-//   - forward: a full MobileNet-class model forward pass under the
-//     executor's four modes (serial, parallel, pooled, pooled+parallel),
-//     with allocs/op capturing the static memory planner's effect.
-//   - prepack: the same model with ahead-of-time packed weight panels
-//     (the session-open pre-pack pass) vs the unpacked pooled forward.
-//   - serving: 8 frames through a serving engine, sequentially vs
-//     batch-folded InferBatch at batch 2/4/8 — the batch curve.
+//   - conv2d: one layer through the serial direct loop, the unpacked
+//     im2col+GEMM kernel and the pre-packed kernel.
+//   - forward: a full MobileNet-class model forward pass, one change per
+//     rung: unpooled, pooled (allocs/op capturing the static memory
+//     planner's effect), pre-packed, int8, O2-fused.
 //   - scaling: the -procs sweep re-times the blocked vs parallel GEMM
-//     and the pooled vs pooled-parallel forward pass at each GOMAXPROCS
-//     setting (resizing the persistent kernel worker pool in-process),
-//     recording the intra-op scaling curve the ISSUE's tentpole is
-//     about.
+//     and the pooled forward pass at each GOMAXPROCS setting (resizing
+//     the persistent kernel worker pool in-process), recording the
+//     intra-op scaling curve.
 //
 // The headline groups run at the host's full width: GOMAXPROCS is
 // pinned to NumCPU at startup, so p=1 appears only as a swept point in
@@ -28,10 +24,9 @@
 // Speedups are computed from the host's actual timings. The scaling
 // regression gate (parallel beats serial) only enforces at swept points
 // with 4 <= p <= NumCPU: below that the pool legitimately cannot win,
-// and points above the physical core count oversubscribe. The
-// pooled-conv, pre-pack, and batch-fold gates likewise enforce only on
-// hosts with >= 4 CPUs. On smaller hosts every waived gate says so
-// loudly; the curves are still recorded.
+// and points above the physical core count oversubscribe. The pre-pack
+// gate likewise enforces only on hosts with >= 4 CPUs. On smaller hosts
+// every waived gate says so loudly; the curves are still recorded.
 package main
 
 import (
@@ -49,7 +44,6 @@ import (
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
 	"edgebench/internal/opt"
-	"edgebench/internal/serving"
 	"edgebench/internal/tensor"
 )
 
@@ -317,13 +311,10 @@ func main() {
 		}
 	}
 	serial := bench("forward/serial", &rep.Results, forward(&graph.Executor{}, g))
-	bench("forward/parallel", &rep.Results, forward(&graph.Executor{Parallel: true}, g))
 	// Pooled feeds the prepack gate, so it gets the noise-robust
 	// estimator.
 	fpool := benchMin("forward/pooled", &rep.Results, forward(&graph.Executor{Pooled: true}, g))
-	both := bench("forward/pooled-parallel", &rep.Results, forward(&graph.Executor{Pooled: true, Parallel: true}, g))
 	rep.Summary["forward_pooled_alloc_reduction"] = reduction(serial.AllocsPerOp, fpool.AllocsPerOp)
-	rep.Summary["forward_pooled_parallel_speedup"] = ratio(serial.NsPerOp, both.NsPerOp)
 
 	// --- prepack group ------------------------------------------------
 	// Session-open weight pre-packing: every GEMM-executable operand is
@@ -359,60 +350,12 @@ func main() {
 	fused := benchMin("forward/fused", &rep.Results, forward(&graph.Executor{Pooled: true}, fg))
 	rep.Summary["forward_fused_vs_fp32_speedup"] = ratio(prepacked.NsPerOp, fused.NsPerOp)
 
-	// --- serving batch group ------------------------------------------
-	// 8 frames through a serving engine (which pre-packs at session
-	// open): one at a time vs batch-folded InferBatch at 2/4/8. Every
-	// point processes the same 8 frames, so ns/op compares directly and
-	// the batch sizes trace the batch-fold curve.
-	sg := g.Clone()
-	eng, err := serving.NewEngine(sg, 0)
-	if err != nil {
-		log.Fatalf("engbench: serving engine for %s: %v", *modelName, err)
-	}
-	frames := make([]*tensor.Tensor, 8)
-	for i := range frames {
-		frames[i] = tensor.New(g.Input.OutShape...)
-		fill(frames[i], 20+i)
-	}
-	if _, err := eng.InferBatch(frames); err != nil { // warm plans + arenas
-		log.Fatalf("engbench: warmup InferBatch: %v", err)
-	}
-	seq8 := benchMin("serving/sequential-8", &rep.Results, func(bb *testing.B) {
-		for i := 0; i < bb.N; i++ {
-			for _, f := range frames {
-				if _, err := eng.Infer(f); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		}
-	})
-	var batch8 result
-	for _, bsz := range []int{2, 4, 8} {
-		r := benchMin(fmt.Sprintf("serving/batch-%d", bsz), &rep.Results, func(bb *testing.B) {
-			for i := 0; i < bb.N; i++ {
-				for lo := 0; lo < len(frames); lo += bsz {
-					if _, err := eng.InferBatch(frames[lo : lo+bsz]); err != nil {
-						bb.Fatal(err)
-					}
-				}
-			}
-		})
-		rep.Summary[fmt.Sprintf("serving_batch%d_vs_sequential_speedup", bsz)] = ratio(seq8.NsPerOp, r.NsPerOp)
-		if bsz == 8 {
-			batch8 = r
-		}
-	}
-	if err := eng.Close(); err != nil {
-		log.Fatalf("engbench: engine close: %v", err)
-	}
-
 	// --- scaling sweep ------------------------------------------------
 	// Re-time the parallel-vs-serial pairs at each GOMAXPROCS setting.
 	// runtime.GOMAXPROCS(p) takes effect immediately and the tensor
 	// worker pool resizes itself to match on its next dispatch, so the
 	// whole curve comes from one process. Executors are rebuilt per
-	// point so cached plans or level partitions never leak timing
-	// between settings.
+	// point so cached programs never leak timing between settings.
 	ambient := runtime.GOMAXPROCS(0)
 	for _, p := range procs {
 		fmt.Printf("\n--- scaling GOMAXPROCS=%d ---\n", p)
@@ -429,10 +372,8 @@ func main() {
 				tensor.MatMulParallel(a, b)
 			}
 		})
-		spool := bench("forward/pooled", &sp.Results, forward(&graph.Executor{Pooled: true}, g))
-		sboth := bench("forward/pooled-parallel", &sp.Results, forward(&graph.Executor{Pooled: true, Parallel: true}, g))
+		bench("forward/pooled", &sp.Results, forward(&graph.Executor{Pooled: true}, g))
 		sp.Summary["matmul_parallel_vs_blocked_speedup"] = ratio(sblk.NsPerOp, spar.NsPerOp)
-		sp.Summary["forward_pooled_parallel_vs_pooled_speedup"] = ratio(spool.NsPerOp, sboth.NsPerOp)
 		rep.Scaling = append(rep.Scaling, sp)
 	}
 	runtime.GOMAXPROCS(ambient)
@@ -488,41 +429,29 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Pre-pack and batch-fold gates. Both compare timings of the same
-	// arithmetic under different memory behavior, so they enforce only on
-	// hosts with >= 4 CPUs — the CI floor bench-smoke documents — and are
-	// loudly waived below it (ratios still recorded above).
-	if rep.NumCPU >= 4 {
-		// Session-open pre-packing must pay for itself: the prepacked
-		// forward runs the same GEMMs minus the per-call weight packing,
-		// so it must not lose to the unpacked pooled forward beyond
-		// timer noise (5%).
-		if prepacked.NsPerOp > fpool.NsPerOp+fpool.NsPerOp/20 {
-			fmt.Fprintf(os.Stderr, "engbench: REGRESSION: prepacked forward %d ns/op is above unpacked %d ns/op beyond noise\n",
-				prepacked.NsPerOp, fpool.NsPerOp)
-			os.Exit(1)
-		}
-		// Batch folding must amortize: 8 frames through one batch-folded
-		// InferBatch must beat the same 8 frames one at a time by 30%.
-		if spd := ratio(seq8.NsPerOp, batch8.NsPerOp); spd < 1.3 {
-			fmt.Fprintf(os.Stderr, "engbench: REGRESSION: batched-8 serving is only %.3fx vs 8 sequential (gate 1.30x): %d vs %d ns/op\n",
-				spd, batch8.NsPerOp, seq8.NsPerOp)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "engbench: prepack/batch-fold gates WAIVED: host has %d CPUs (< 4); ratios recorded, not enforced\n",
+	// Pre-pack gate: session-open pre-packing must pay for itself. The
+	// prepacked forward runs the same GEMMs minus the per-call weight
+	// packing, so it must not lose to the unpacked pooled forward beyond
+	// timer noise (5%). It compares timings of the same arithmetic under
+	// different memory behavior, so it enforces only on hosts with >= 4
+	// CPUs — the CI floor bench-smoke documents — and is loudly waived
+	// below it (ratio still recorded above).
+	if rep.NumCPU < 4 {
+		fmt.Fprintf(os.Stderr, "engbench: prepack gate WAIVED: host has %d CPUs (< 4); ratio recorded, not enforced\n",
 			rep.NumCPU)
+	} else if prepacked.NsPerOp > fpool.NsPerOp+fpool.NsPerOp/20 {
+		fmt.Fprintf(os.Stderr, "engbench: REGRESSION: prepacked forward %d ns/op is above unpacked %d ns/op beyond noise\n",
+			prepacked.NsPerOp, fpool.NsPerOp)
+		os.Exit(1)
 	}
 
 	// Scaling gate: intra-op parallelism must actually win where it can.
 	// At every swept point with 4 <= p <= NumCPU, the pool-sharded GEMM
-	// must beat the serial blocked kernel at the same p, and the
-	// pooled-parallel forward must beat the p=1 pooled forward (the p=1
-	// point executes every kernel serial, so it is the true serial
-	// baseline; same-p pooled vs pooled-parallel differ only by
-	// wavefront scheduling and sit inside noise on mostly-sequential
-	// graphs). Points the host cannot satisfy (p < 4, or p beyond the
-	// physical core count) are recorded but not enforced.
+	// must beat the serial blocked kernel at the same p, and the pooled
+	// forward must beat the p=1 pooled forward (the p=1 point executes
+	// every kernel serial, so it is the true serial baseline). Points the
+	// host cannot satisfy (p < 4, or p beyond the physical core count)
+	// are recorded but not enforced.
 	var base1 *scalePoint
 	for i := range rep.Scaling {
 		if rep.Scaling[i].GoMaxProcs == 1 {
@@ -543,7 +472,7 @@ func main() {
 		}
 		if base1 != nil {
 			sser := findResult(base1.Results, "forward/pooled")
-			spar := findResult(sp.Results, "forward/pooled-parallel")
+			spar := findResult(sp.Results, "forward/pooled")
 			if sser != nil && spar != nil && spar.NsPerOp >= sser.NsPerOp {
 				fmt.Fprintf(os.Stderr, "engbench: REGRESSION: parallel forward %d ns/op at GOMAXPROCS=%d is not below serial forward %d ns/op at GOMAXPROCS=1\n",
 					spar.NsPerOp, sp.GoMaxProcs, sser.NsPerOp)

@@ -58,16 +58,12 @@ func (s *Session) Optimize(level opt.Level) (*opt.Report, error) {
 
 // Infer executes one real single-batch forward pass through the lowered
 // graph and returns the output tensor. Static-graph frameworks run with
-// the planned buffer arena (allocation-free in steady state) and the
-// wavefront scheduler; dynamic frameworks run define-by-run with eager
-// release. The graph must carry materialized weights (Materialize, or a
+// the planned buffer arena (allocation-free in steady state); dynamic
+// frameworks run define-by-run with eager release. The graph must carry materialized weights (Materialize, or a
 // NewFromGraph session built from a materialized graph).
 func (s *Session) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	if s.exec == nil {
-		s.exec = &graph.Executor{
-			Parallel: true,
-			Pooled:   s.lowered.Mode == graph.Static,
-		}
+		s.exec = &graph.Executor{Pooled: s.lowered.Mode == graph.Static}
 	}
 	return s.exec.Run(s.lowered, in)
 }

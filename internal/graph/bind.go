@@ -7,8 +7,8 @@ import (
 )
 
 // kernel is the implementation bind selects for one node, with the
-// facts the planner, the pre-packer, the batch schedule and the dispatch
-// counters need about it. It is the single place the question "which
+// facts the planner, the pre-packer and the dispatch counters need
+// about it. It is the single place the question "which
 // kernel runs this node" is answered; everything else reads the answer.
 type kernel struct {
 	// run evaluates the node on in, its input values in Inputs order.
@@ -20,25 +20,21 @@ type kernel struct {
 	run func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor
 	dst bool
 
-	// batch, when non-nil, is the node's batch-folded form: one wide
-	// GEMM over all samples' first inputs into the per-sample dsts,
-	// bitwise identical to calling run once per sample.
-	batch func(n *Node, dsts, ins []*tensor.Tensor)
-
 	// pack, on a kernel that packs its weight operand on every call,
 	// caches on the node the ahead-of-time panels bind then selects the
 	// kernel's pre-packed twin for; it reports whether it packed.
 	pack func(n *Node) bool
 
-	// act and affine say how much of a node's epilogue run and batch
-	// apply themselves: a fused activation, an absorbed batch-norm.
+	// act and affine say how much of a node's epilogue run applies
+	// itself: a fused activation, an absorbed batch-norm.
 	act, affine bool
 
-	// What DispatchCounts and PrepackedDispatches record per evaluation:
-	// compute marks the conv/dense family; int8 the int8 path (else a
-	// compute kernel counts as FP32); fused a non-empty epilogue applied
-	// inside the kernel; packed the use of an ahead-of-time panel. int8
-	// is also the quantizer's question: would int8 codes be used here.
+	// What DispatchCounts records per evaluation: compute marks the
+	// conv/dense family; int8 the int8 path (else a compute kernel counts
+	// as FP32); fused a non-empty epilogue applied inside the kernel.
+	// int8 is also the quantizer's question: would int8 codes be used
+	// here. packed is a fact nothing counts: the kernel reads an
+	// ahead-of-time panel.
 	compute, int8, fused, packed bool
 }
 
@@ -62,11 +58,11 @@ func bind(n *Node) (kernel, error) {
 		case n.Attrs.GroupCount() > 1:
 			k = kernel{run: runConvGrouped}
 		case int8 && n.PackedQ != nil:
-			k = kernel{run: runConvQPacked, batch: batchConvQPacked, dst: true, act: true, int8: true, packed: true}
+			k = kernel{run: runConvQPacked, dst: true, act: true, int8: true, packed: true}
 		case int8:
 			k = kernel{run: runConvQ, pack: packConvQ, dst: true, act: true, int8: true}
 		case n.Packed != nil:
-			k = kernel{run: runConvPacked, batch: batchConvPacked, dst: true, act: true, affine: true, packed: true}
+			k = kernel{run: runConvPacked, dst: true, act: true, affine: true, packed: true}
 		default:
 			k = kernel{run: runConvGEMM, pack: packConv, dst: true, act: true, affine: true}
 		}
@@ -78,7 +74,7 @@ func bind(n *Node) (kernel, error) {
 	case OpDense:
 		switch {
 		case int8 && n.PackedQ != nil:
-			k = kernel{run: runDenseQPacked, batch: batchDenseQPacked, dst: true, act: true, int8: true, packed: true}
+			k = kernel{run: runDenseQPacked, dst: true, act: true, int8: true, packed: true}
 		case int8:
 			k = kernel{run: runDenseQ, pack: packDenseQ, dst: true, act: true, int8: true}
 		default:
@@ -173,7 +169,7 @@ func poolSpec(n *Node) tensor.PoolSpec {
 }
 
 // The kernels bind chooses between. Each adapts one internal/tensor
-// entry point to the run (or batch) signature and reads the node's
+// entry point to the run signature and reads the node's
 // parameters when called, so training's in-place weight updates are seen.
 
 func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
@@ -187,11 +183,6 @@ func runConvQPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Te
 	return dst
 }
 
-func batchConvQPacked(n *Node, dsts, ins []*tensor.Tensor) {
-	tensor.Conv2DQPrepackedBatchInto(dsts, ins, n.PackedQ, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-		actFor(n.Activation), n.Attrs.LeakySlope())
-}
-
 func runConvQ(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 	tensor.Conv2DQInt8Into(dst, in[0], n.QWeights, n.Bias, n.Attrs.ConvSpec(),
 		actFor(n.Activation), n.Attrs.LeakySlope())
@@ -201,10 +192,6 @@ func runConvQ(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 func runConvPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 	tensor.Conv2DPrepackedInto(dst, in[0], n.Packed, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
 	return dst
-}
-
-func batchConvPacked(n *Node, dsts, ins []*tensor.Tensor) {
-	tensor.Conv2DPrepackedBatchInto(dsts, ins, n.Packed, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
 }
 
 func runConvGEMM(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
@@ -253,11 +240,6 @@ func runDenseQPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.T
 	tensor.DenseQPrepackedInto(dst.Data, n.PackedQ, n.QWeights, n.Bias, in[0].Data,
 		actFor(n.Activation), n.Attrs.LeakySlope())
 	return dst
-}
-
-func batchDenseQPacked(n *Node, dsts, ins []*tensor.Tensor) {
-	tensor.DenseQPrepackedBatchInto(dsts, ins, n.PackedQ, n.QWeights, n.Bias,
-		actFor(n.Activation), n.Attrs.LeakySlope())
 }
 
 func runDenseQ(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

@@ -10,7 +10,7 @@ import (
 // not depend on the input tensor — which kernel runs a node, where its
 // operands and result live, whether its result comes from the arena,
 // what can be dropped once it has run — is taken here, once, and the
-// schedules in exec.go only walk the result. Values are numbered by
+// executor only walks the result. Values are numbered by
 // their node's position in g.Nodes. An Executor caches the program of
 // the last graph it ran; a graph edited afterwards needs a fresh
 // Executor (core.Session.Optimize drops its own for that reason).
@@ -18,8 +18,7 @@ type program struct {
 	g    *Graph
 	plan *Plan // nil for dynamic graphs, which have no arena
 
-	steps  []step  // one per non-input node, in graph order
-	levels []level // the wavefront partition of steps
+	steps []step // one per non-input node, in graph order
 
 	// slot[v] is the arena slot the plan gave value v, or -1 when v is
 	// allocated fresh: kept roots, kernels that allocate their own
@@ -27,7 +26,7 @@ type program struct {
 	slot []int
 
 	input, output int // value numbers of g.Input and g.Output
-	nargs         int // input edges over all steps: the size of a frame's args
+	nargs         int // the widest step's input count: the size of a frame's args
 }
 
 // step is one node ready to run.
@@ -37,17 +36,9 @@ type step struct {
 
 	in  []int // value numbers of n.Inputs
 	out int   // value number of n
-	arg int   // start of this step's window in a frame's args
 
-	// free lists the values dead once this step has run in graph order.
+	// free lists the values dead once this step has run.
 	free []int
-}
-
-// level is one wavefront rank: steps whose inputs all come from earlier
-// ranks, and the values dead once the whole rank has run.
-type level struct {
-	steps []int
-	free  []int
 }
 
 // compile builds g's program. It fails for graphs that cannot execute:
@@ -56,22 +47,18 @@ type level struct {
 func compile(g *Graph) (*program, error) {
 	p := &program{g: g, slot: make([]int, len(g.Nodes))}
 	index := make(map[*Node]int, len(g.Nodes))
-	depth := make([]int, len(g.Nodes)) // wavefront rank; 0 for the input
 	edges := 0
 	for i, n := range g.Nodes {
 		if !n.Materialized() {
 			return nil, fmt.Errorf("graph %s: node %s has structural-only parameters; build the model with materialized weights to execute it", g.Name, n)
 		}
 		for _, in := range n.Inputs {
-			j, ok := index[in]
-			if !ok {
+			if _, ok := index[in]; !ok {
 				return nil, fmt.Errorf("graph %s: node %s uses input %s before definition", g.Name, n, in)
 			}
-			depth[i] = max(depth[i], depth[j])
 		}
 		index[n] = i
 		if n.Kind != OpInput {
-			depth[i]++
 			edges += len(n.Inputs)
 		}
 	}
@@ -83,7 +70,7 @@ func compile(g *Graph) (*program, error) {
 		return nil, fmt.Errorf("graph %s: output node not in graph", g.Name)
 	}
 	st := analyze(g, index)
-	dead := st.deadAfter(g, index, graphOrder(g), len(g.Nodes))
+	dead := st.deadAfter(g, index)
 	if g.Mode == Static {
 		// Shape inference is the source of slot sizes, so the planner
 		// only takes graphs that validate.
@@ -102,43 +89,28 @@ func compile(g *Graph) (*program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, n, err)
 		}
-		s := step{n: n, k: k, out: i, arg: len(ins), free: dead[i]}
+		s := step{n: n, k: k, out: i, free: dead[i]}
+		first := len(ins)
 		for _, in := range n.Inputs {
 			ins = append(ins, index[in])
 		}
-		s.in = ins[s.arg:]
+		s.in = ins[first:]
+		p.nargs = max(p.nargs, len(s.in))
 		if p.plan != nil {
 			if slot, ok := p.plan.SlotOf(n); ok {
 				p.slot[i] = slot
 			}
 		}
-		for len(p.levels) < depth[i] {
-			p.levels = append(p.levels, level{})
-		}
-		p.levels[depth[i]-1].steps = append(p.levels[depth[i]-1].steps, len(p.steps))
 		p.steps = append(p.steps, s)
-	}
-	p.nargs = len(ins)
-
-	// Under the wavefront a value is dead once the last rank reading it
-	// has run, which need not be the rank of its last reader in graph
-	// order.
-	rank := make([]int, len(g.Nodes))
-	for i := range rank {
-		rank[i] = depth[i] - 1
-	}
-	for l, free := range st.deadAfter(g, index, rank, len(p.levels)) {
-		p.levels[l].free = free
 	}
 	return p, nil
 }
 
-// frame is one sample's mutable execution state, reused across runs so a
+// frame is an executor's mutable run state, reused across runs so a
 // steady-state inference builds nothing: vals holds the value of every
 // node (nil before it is computed and after it is dead), args is the
-// backing array steps gather their operand lists into, one disjoint
-// window per step so concurrent steps never share one, and arena is the
-// sample's buffer arena, created by its first pooled run.
+// buffer each step gathers its operand list into, and arena is the
+// buffer arena, created by the first pooled run.
 type frame struct {
 	vals   []*tensor.Tensor
 	args   []*tensor.Tensor

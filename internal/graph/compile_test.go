@@ -41,7 +41,7 @@ func zooGraph(t testing.TB, name, level string) *graph.Graph {
 // dispatches: every step ran exactly once, on the kernel bound to it.
 func checkCountersMatchSteps(t *testing.T, g *graph.Graph) (int8, fp32, fused int64) {
 	t.Helper()
-	wantI8, wantF32, wantFused, wantPacked, err := graph.KernelCounts(g)
+	wantI8, wantF32, wantFused, _, err := graph.KernelCounts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,9 @@ func checkCountersMatchSteps(t *testing.T, g *graph.Graph) (int8, fp32, fused in
 		t.Fatal(err)
 	}
 	int8, fp32, fused = e.DispatchCounts()
-	if int8 != wantI8 || fp32 != wantF32 || fused != wantFused || e.PrepackedDispatches() != wantPacked {
-		t.Fatalf("dispatch counters int8/fp32/fused/prepacked = %d/%d/%d/%d, compiled steps say %d/%d/%d/%d",
-			int8, fp32, fused, e.PrepackedDispatches(), wantI8, wantF32, wantFused, wantPacked)
+	if int8 != wantI8 || fp32 != wantF32 || fused != wantFused {
+		t.Fatalf("dispatch counters int8/fp32/fused = %d/%d/%d, compiled steps say %d/%d/%d",
+			int8, fp32, fused, wantI8, wantF32, wantFused)
 	}
 	return int8, fp32, fused
 }
@@ -81,9 +81,8 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 }
 
 // TestPackedUnpackedBitIdentical: a graph gives the same bits with its
-// weights pre-packed or not, under every Executor setting and through
-// both Run and RunBatch — the executor has one convolution lowering, and
-// the packed kernel is bit-identical to it.
+// weights pre-packed or not, pooled or not — the executor has one
+// convolution lowering, and the packed kernel is bit-identical to it.
 func TestPackedUnpackedBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grouped":  prepackCNN(t, 61),
@@ -107,23 +106,14 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 		}
 		for _, tg := range []*graph.Graph{g, packed} {
 			for _, pooled := range []bool{false, true} {
-				for _, parallel := range []bool{false, true} {
-					label := fmt.Sprintf("%s/packed=%v/pooled=%v/parallel=%v", name, tg == packed, pooled, parallel)
-					e := &graph.Executor{Pooled: pooled, Parallel: parallel}
-					for i, in := range ins {
-						got, err := e.Run(tg, in)
-						if err != nil {
-							t.Fatalf("%s: Run: %v", label, err)
-						}
-						requireBitEqual(t, label+"/Run", got, wants[i])
-					}
-					gots, err := e.RunBatch(tg, ins)
+				label := fmt.Sprintf("%s/packed=%v/pooled=%v", name, tg == packed, pooled)
+				e := &graph.Executor{Pooled: pooled}
+				for i, in := range ins {
+					got, err := e.Run(tg, in)
 					if err != nil {
-						t.Fatalf("%s: RunBatch: %v", label, err)
+						t.Fatalf("%s: Run: %v", label, err)
 					}
-					for i := range gots {
-						requireBitEqual(t, label+"/RunBatch", gots[i], wants[i])
-					}
+					requireBitEqual(t, label, got, wants[i])
 				}
 			}
 		}
@@ -142,25 +132,22 @@ func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 	}
 }
 
-// TestNilInputIsAnError: a nil input tensor is reported as an error
-// naming its index, by Run and by RunBatch at any batch size, instead of
-// a nil dereference outside the executor's recover guard.
+// TestNilInputIsAnError: a nil input tensor is reported as an error by
+// Run and RunValues, instead of a nil dereference outside the executor's
+// recover guard.
 func TestNilInputIsAnError(t *testing.T) {
 	g := smallCNN(t, 71)
-	x := tensor.New(3, 8, 8).Fill(0.5)
 	for _, c := range []struct {
-		name  string
-		run   func(e *graph.Executor) error
-		index string
+		name string
+		run  func(e *graph.Executor) error
 	}{
-		{"Run(nil)", func(e *graph.Executor) error { _, err := e.Run(g, nil); return err }, "input 0"},
-		{"RunBatch([nil])", func(e *graph.Executor) error { _, err := e.RunBatch(g, []*tensor.Tensor{nil}); return err }, "input 0"},
-		{"RunBatch([x, nil])", func(e *graph.Executor) error { _, err := e.RunBatch(g, []*tensor.Tensor{x, nil}); return err }, "input 1"},
+		{"Run(nil)", func(e *graph.Executor) error { _, err := e.Run(g, nil); return err }},
+		{"RunValues(nil)", func(e *graph.Executor) error { _, err := e.RunValues(g, nil); return err }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.run(&graph.Executor{})
-			if err == nil || !strings.Contains(err.Error(), c.index+" is nil") {
-				t.Fatalf("err = %v, want one naming %s as nil", err, c.index)
+			if err == nil || !strings.Contains(err.Error(), "input is nil") {
+				t.Fatalf("err = %v, want one saying the input is nil", err)
 			}
 		})
 	}

@@ -26,7 +26,7 @@ func mixedCNN(t testing.TB, seed int64) *graph.Graph {
 // TestQuantizedDispatchProbe asserts a QuantizeINT8 graph actually
 // executes the int8 kernels: the executor's dispatch counters must show
 // int8 dispatches for the conv and dense nodes and an FP32 fallback for
-// the depthwise conv — in sequential, parallel, and pooled modes.
+// the depthwise conv — unpooled and pooled.
 func TestQuantizedDispatchProbe(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.25)
 	modes := []struct {
@@ -34,7 +34,6 @@ func TestQuantizedDispatchProbe(t *testing.T) {
 		mk   func() *graph.Executor
 	}{
 		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
-		{"parallel", func() *graph.Executor { return &graph.Executor{Parallel: true} }},
 		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
 	}
 	for _, mode := range modes {

@@ -115,9 +115,12 @@ func FuseActivations(g *Graph) {
 	removeNodes(g, dead)
 }
 
-// EliminateDead removes nodes unreachable from the graph output —
+// EliminateDead removes nodes unreachable from any graph root —
 // TFLite's "removing several redundant and unnecessary operations" when
-// freezing a graph (§III-A).
+// freezing a graph (§III-A). The graph input is always kept even when
+// unreferenced (constant folding can orphan it; a graph without its
+// input node no longer verifies). The node count before and after tells
+// a caller how many were removed.
 func EliminateDead(g *Graph) {
 	reachable := map[*Node]bool{}
 	var mark func(*Node)
@@ -132,6 +135,9 @@ func EliminateDead(g *Graph) {
 	}
 	for _, root := range g.Roots() {
 		mark(root)
+	}
+	if g.Input != nil {
+		reachable[g.Input] = true
 	}
 	dead := map[*Node]bool{}
 	for _, n := range g.Nodes {

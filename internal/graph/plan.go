@@ -66,14 +66,12 @@ func analyze(g *Graph, index map[*Node]int) storage {
 	return st
 }
 
-// deadAfter returns, per execution position, the values finished once
-// every node at that position has run: an owner dies at the latest
-// position of any node reading it, directly or through a view, and its
-// views die with it. pos gives each node's position (its index in
-// graph order for sequential execution, its level under the wavefront).
-// Alias nodes don't finish a buffer by reading it — their consumers do.
-// Kept owners and owners nothing reads never die.
-func (st storage) deadAfter(g *Graph, index map[*Node]int, pos []int, npos int) [][]int {
+// deadAfter returns, per node position, the values finished once that
+// node has run: an owner dies at the last node reading it, directly or
+// through a view, and its views die with it. Alias nodes don't finish a
+// buffer by reading it — their consumers do. Kept owners and owners
+// nothing reads never die.
+func (st storage) deadAfter(g *Graph, index map[*Node]int) [][]int {
 	last := make([]int, len(g.Nodes))
 	for i := range last {
 		last[i] = -1
@@ -84,26 +82,16 @@ func (st storage) deadAfter(g *Graph, index map[*Node]int, pos []int, npos int) 
 		}
 		for _, in := range n.Inputs {
 			o := st.owner[index[in]]
-			last[o] = max(last[o], pos[i])
+			last[o] = i
 		}
 	}
-	dead := make([][]int, npos)
+	dead := make([][]int, len(g.Nodes))
 	for v := range g.Nodes {
 		if o := st.owner[v]; last[o] >= 0 && !st.kept[o] {
 			dead[last[o]] = append(dead[last[o]], v)
 		}
 	}
 	return dead
-}
-
-// graphOrder is the sequential schedule's position table: node i runs
-// at position i.
-func graphOrder(g *Graph) []int {
-	pos := make([]int, len(g.Nodes))
-	for i := range pos {
-		pos[i] = i
-	}
-	return pos
 }
 
 // PlanBuffers computes the buffer plan for a static graph. The graph must
@@ -123,13 +111,13 @@ func PlanBuffers(g *Graph) (*Plan, error) {
 	}
 	index := indexNodes(g)
 	st := analyze(g, index)
-	return assignSlots(g, st, st.deadAfter(g, index, graphOrder(g), len(g.Nodes))), nil
+	return assignSlots(g, st, st.deadAfter(g, index)), nil
 }
 
 // assignSlots is the planner proper, for a validated static graph whose
 // storage analysis the caller already holds (PlanBuffers, or the
 // executor's compile step, which needs the same analysis for its own
-// release lists): dead is deadAfter in graph order.
+// release lists): dead is st.deadAfter.
 func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
 	p := &Plan{slot: make(map[*Node]int), keep: make(map[*Node]bool)}
 	for i, n := range g.Nodes {

@@ -124,34 +124,27 @@ func TestPlanBuffersLeavesGraphVerified(t *testing.T) {
 	}
 }
 
-// runVariants executes g under every executor configuration and checks
-// outputs match the plain sequential run bitwise. Each pooled executor
-// runs three times so later passes consume recycled (dirty) buffers.
+// runVariants executes g on a pooled executor and checks outputs match
+// the unpooled run bitwise. The pooled executor runs three times so
+// later passes consume recycled (dirty) buffers.
 func runVariants(t *testing.T, g *graph.Graph, in *tensor.Tensor) {
 	t.Helper()
 	ref, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]*graph.Executor{
-		"parallel":        {Parallel: true},
-		"pooled":          {Pooled: true},
-		"pooled+parallel": {Pooled: true, Parallel: true},
-	}
-	for name, e := range variants {
-		want := ref
-		for pass := 0; pass < 3; pass++ {
-			got, err := e.Run(g, in)
-			if err != nil {
-				t.Fatalf("%s pass %d: %v", name, pass, err)
-			}
-			if !got.Shape.Equal(want.Shape) {
-				t.Fatalf("%s pass %d: shape %v, want %v", name, pass, got.Shape, want.Shape)
-			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s pass %d: out[%d] = %v, want %v", name, pass, i, got.Data[i], want.Data[i])
-				}
+	e := &graph.Executor{Pooled: true}
+	for pass := 0; pass < 3; pass++ {
+		got, err := e.Run(g, in)
+		if err != nil {
+			t.Fatalf("pooled pass %d: %v", pass, err)
+		}
+		if !got.Shape.Equal(ref.Shape) {
+			t.Fatalf("pooled pass %d: shape %v, want %v", pass, got.Shape, ref.Shape)
+		}
+		for i := range ref.Data {
+			if got.Data[i] != ref.Data[i] {
+				t.Fatalf("pooled pass %d: out[%d] = %v, want %v", pass, i, got.Data[i], ref.Data[i])
 			}
 		}
 	}
@@ -238,29 +231,6 @@ func TestPooledExecutorReusesArena(t *testing.T) {
 	}
 }
 
-// TestParallelErrorDeterministic forces a kernel failure and checks the
-// parallel scheduler reports the same first-failing node as sequential.
-func TestParallelErrorDeterministic(t *testing.T) {
-	g := smallCNN(t, 10)
-	// Corrupt a mid-graph node's weights so its kernel panics.
-	var victim *graph.Node
-	for _, n := range g.Nodes {
-		if n.Kind == graph.OpDense {
-			victim = n
-		}
-	}
-	victim.Weights = tensor.New(1, 1)
-	in := tensor.New(3, 8, 8).Fill(0.5)
-	_, errSeq := (&graph.Executor{}).Run(g, in)
-	_, errPar := (&graph.Executor{Parallel: true}).Run(g, in)
-	if errSeq == nil || errPar == nil {
-		t.Fatalf("expected failures, got seq=%v par=%v", errSeq, errPar)
-	}
-	if !strings.Contains(errPar.Error(), victim.Name) || !strings.Contains(errSeq.Error(), victim.Name) {
-		t.Fatalf("errors should name node %s: seq=%v par=%v", victim.Name, errSeq, errPar)
-	}
-}
-
 // TestShardPanicBecomesNodeError: a kernel that panics inside a sharded
 // loop does so on whichever goroutine claimed the bad chunk, usually a
 // pool worker that evalNode's recover guard is not on the stack of. The
@@ -282,14 +252,14 @@ func TestShardPanicBecomesNodeError(t *testing.T) {
 	// clean, shards over the upper ones index past the end.
 	full := victim.Weights.Data
 	victim.Weights.Data = full[: len(full)/2 : len(full)/2]
-	for _, e := range []*graph.Executor{{}, {Pooled: true, Parallel: true}} {
+	for _, e := range []*graph.Executor{{}, {Pooled: true}} {
 		_, err := e.Run(g, in)
 		if err == nil || !strings.Contains(err.Error(), "kernel panic:") || !strings.Contains(err.Error(), victim.Name) {
 			t.Fatalf("Run with truncated weights: err = %v, want a kernel panic naming %s", err, victim.Name)
 		}
 	}
 	victim.Weights.Data = full
-	got, err := (&graph.Executor{Pooled: true, Parallel: true}).Run(g, in)
+	got, err := (&graph.Executor{Pooled: true}).Run(g, in)
 	if err != nil {
 		t.Fatalf("Run after the contained panic: %v", err)
 	}
@@ -305,7 +275,7 @@ func TestShardPanicBecomesNodeError(t *testing.T) {
 func TestRunValuesUnaffectedByPooling(t *testing.T) {
 	g := smallCNN(t, 11)
 	in := tensor.New(3, 8, 8).Fill(0.3)
-	vals, err := (&graph.Executor{Pooled: true, Parallel: true}).RunValues(g, in)
+	vals, err := (&graph.Executor{Pooled: true}).RunValues(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,8 @@ func seededInput(shape tensor.Shape, seed int) *tensor.Tensor {
 
 // TestPrepackDispatchProbe: PrepackWeights packs exactly the eligible
 // nodes, executing a packed graph is bitwise identical to the unpacked
-// GEMM lowering in every executor mode, and the executor's counter
-// proves the prepacked kernel actually ran.
+// GEMM lowering pooled or not, and the compiled steps show the packed
+// node bound to the prepacked kernel.
 func TestPrepackDispatchProbe(t *testing.T) {
 	g := prepackCNN(t, 31)
 	in := seededInput(g.Input.OutShape, 1)
@@ -85,7 +85,6 @@ func TestPrepackDispatchProbe(t *testing.T) {
 		mk   func() *graph.Executor
 	}{
 		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
-		{"parallel", func() *graph.Executor { return &graph.Executor{Parallel: true} }},
 		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
 	}
 	for _, mode := range modes {
@@ -100,17 +99,28 @@ func TestPrepackDispatchProbe(t *testing.T) {
 					t.Fatalf("out[%d] = %v, want %v (bitwise)", i, got.Data[i], want.Data[i])
 				}
 			}
-			if e.PrepackedDispatches() != 1 {
-				t.Fatalf("prepacked dispatches = %d, want 1", e.PrepackedDispatches())
-			}
 		})
 	}
+	if n := packedSteps(t, g); n != 1 {
+		t.Fatalf("compiled steps reading packed panels = %d, want 1", n)
+	}
+}
+
+// packedSteps reports how many of g's compiled steps run a kernel that
+// reads ahead-of-time packed panels.
+func packedSteps(t *testing.T, g *graph.Graph) int64 {
+	t.Helper()
+	_, _, _, packed, err := graph.KernelCounts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return packed
 }
 
 // TestPrepackInt8DispatchProbe: on a quantized graph the pre-pack pass
 // caches int8 panels for the conv and the dense head, execution stays
 // bitwise identical to the unpacked QGEMM path (integer accumulation is
-// order-independent), and both prepacked dispatches are counted.
+// order-independent), and both nodes compile to prepacked kernels.
 func TestPrepackInt8DispatchProbe(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.25)
 	g := mixedCNN(t, 33)
@@ -138,115 +148,11 @@ func TestPrepackInt8DispatchProbe(t *testing.T) {
 			t.Fatalf("out[%d] = %v, want %v (bitwise vs unpacked int8)", i, got.Data[i], ref.Data[i])
 		}
 	}
-	if e.PrepackedDispatches() != 2 {
-		t.Fatalf("prepacked dispatches = %d, want 2", e.PrepackedDispatches())
+	if n := packedSteps(t, g); n != 2 {
+		t.Fatalf("compiled steps reading packed panels = %d, want 2", n)
 	}
 	i8, f32, _ := e.DispatchCounts()
 	if i8 != 2 || f32 != 1 {
 		t.Fatalf("dispatch counts i8=%d f32=%d, want 2/1", i8, f32)
-	}
-}
-
-// TestRunBatchMatchesSequential is the batch-folding contract: RunBatch
-// over B distinct inputs is bitwise identical to B sequential Runs, for
-// both an FP32 pre-packed graph and a quantized one, and the dispatch
-// counters account for every folded sample.
-func TestRunBatchMatchesSequential(t *testing.T) {
-	const B = 5
-	cases := []struct {
-		name      string
-		mk        func() *graph.Graph
-		prepacked int // nodes RunBatch folds through prepacked kernels
-	}{
-		{"fp32", func() *graph.Graph {
-			g := smallCNN(t, 41)
-			if n := graph.PrepackWeights(g); n != 2 {
-				t.Fatalf("packed %d, want 2 convs", n)
-			}
-			return g
-		}, 2},
-		{"int8", func() *graph.Graph {
-			g := mixedCNN(t, 43)
-			graph.FuseActivations(g)
-			graph.QuantizeINT8(g)
-			if n := graph.PrepackWeights(g); n != 2 {
-				t.Fatalf("packed %d, want conv1+fc", n)
-			}
-			return g
-		}, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := tc.mk()
-			ins := make([]*tensor.Tensor, B)
-			for i := range ins {
-				ins[i] = seededInput(g.Input.OutShape, i)
-			}
-			wants := make([]*tensor.Tensor, B)
-			for i := range ins {
-				w, err := (&graph.Executor{}).Run(g, ins[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				wants[i] = w
-			}
-			e := &graph.Executor{}
-			outs, err := e.RunBatch(g, ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(outs) != B {
-				t.Fatalf("RunBatch returned %d outputs, want %d", len(outs), B)
-			}
-			for b := range outs {
-				if !outs[b].Shape.Equal(wants[b].Shape) {
-					t.Fatalf("sample %d: shape %v, want %v", b, outs[b].Shape, wants[b].Shape)
-				}
-				for i := range wants[b].Data {
-					if outs[b].Data[i] != wants[b].Data[i] {
-						t.Fatalf("sample %d: out[%d] = %v, want %v (bitwise)",
-							b, i, outs[b].Data[i], wants[b].Data[i])
-					}
-				}
-			}
-			if got := e.PrepackedDispatches(); got != int64(tc.prepacked*B) {
-				t.Fatalf("prepacked dispatches = %d, want %d (%d nodes x %d samples)",
-					got, tc.prepacked*B, tc.prepacked, B)
-			}
-		})
-	}
-}
-
-// TestRunBatchEdgeCases covers the batched entry point's error paths
-// and its single-input delegation.
-func TestRunBatchEdgeCases(t *testing.T) {
-	g := smallCNN(t, 47)
-	graph.PrepackWeights(g)
-	e := &graph.Executor{}
-
-	if _, err := e.RunBatch(g, nil); err == nil {
-		t.Fatal("empty batch must error")
-	}
-	bad := []*tensor.Tensor{seededInput(g.Input.OutShape, 0), tensor.New(3, 4, 4).Fill(1)}
-	if _, err := e.RunBatch(g, bad); err == nil {
-		t.Fatal("shape-mismatched batch member must error")
-	}
-
-	in := seededInput(g.Input.OutShape, 9)
-	want, err := (&graph.Executor{}).Run(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.RunBatch(g, []*tensor.Tensor{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 1 {
-		t.Fatalf("got %d outputs, want 1", len(outs))
-	}
-	for i := range want.Data {
-		if outs[0].Data[i] != want.Data[i] {
-			t.Fatalf("single-input RunBatch diverges from Run at %d", i)
-		}
 	}
 }

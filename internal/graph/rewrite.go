@@ -258,35 +258,3 @@ func isIdentityNode(n *Node) bool {
 	}
 	return false
 }
-
-// EliminateDeadCount removes nodes unreachable from any graph root and
-// returns how many were removed. The graph input is always kept even
-// when unreferenced (constant folding can orphan it; a graph without
-// its input node no longer verifies).
-func EliminateDeadCount(g *Graph) int {
-	reachable := map[*Node]bool{}
-	var mark func(*Node)
-	mark = func(n *Node) {
-		if reachable[n] {
-			return
-		}
-		reachable[n] = true
-		for _, in := range n.Inputs {
-			mark(in)
-		}
-	}
-	for _, root := range g.Roots() {
-		mark(root)
-	}
-	if g.Input != nil {
-		reachable[g.Input] = true
-	}
-	dead := map[*Node]bool{}
-	for _, n := range g.Nodes {
-		if !reachable[n] {
-			dead[n] = true
-		}
-	}
-	removeNodes(g, dead)
-	return len(dead)
-}

@@ -212,11 +212,12 @@ func TestFoldConstantsCascades(t *testing.T) {
 	}
 	// Dead elimination sweeps the orphaned source consts (and the
 	// intermediate folded const) but keeps the graph input.
-	removed := graph.EliminateDeadCount(g)
-	if removed != 3 {
+	before := len(g.Nodes)
+	graph.EliminateDead(g)
+	if removed := before - len(g.Nodes); removed != 3 {
 		t.Fatalf("dead elimination removed %d nodes, want 3", removed)
 	}
-	checkAfterPass(t, g, "FoldConstants+EliminateDeadCount")
+	checkAfterPass(t, g, "FoldConstants+EliminateDead")
 	in := tensor.New(4).Fill(10)
 	got := run(t, g, in)
 	for i, v := range want {
@@ -287,8 +288,9 @@ func TestEliminateDeadCountKeepsInput(t *testing.T) {
 	// unreferenced but must survive (a graph without its input node does
 	// not verify).
 	g.Output = g.Nodes[4] // the relu over consts
-	removed := graph.EliminateDeadCount(g)
-	if removed != 1 { // only the input+relu add is dead
+	before := len(g.Nodes)
+	graph.EliminateDead(g)
+	if removed := before - len(g.Nodes); removed != 1 { // only the input+relu add is dead
 		t.Fatalf("removed %d nodes, want 1", removed)
 	}
 	foundInput := false

@@ -52,12 +52,12 @@ func TestZooPlanConformance(t *testing.T) {
 }
 
 // TestZooExecEquivalence materializes every zoo model under the compute
-// budget and checks the parallel scheduler and the pooled (planned-
-// arena) executor produce bitwise-identical outputs to plain sequential
-// execution — across repeated runs, so arena recycling is exercised.
-// Under `-race` (see make race) this doubles as the scheduler's data-race
-// gate over real model topologies: Inception branches, residual adds,
-// depthwise chains, and recurrent tails.
+// budget and checks the pooled (planned-arena) executor produces
+// bitwise-identical outputs to the unpooled one — across repeated runs,
+// so arena recycling is exercised. Under `-race` (see make race) this
+// doubles as the sharded kernels' data-race gate over real model
+// topologies: Inception branches, residual adds, depthwise chains, and
+// recurrent tails.
 func TestZooExecEquivalence(t *testing.T) {
 	budget := execBudgetGF()
 	if testing.Short() {
@@ -80,29 +80,18 @@ func TestZooExecEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			variants := []struct {
-				name   string
-				exec   *graph.Executor
-				passes int
-			}{
-				{"parallel", &graph.Executor{Parallel: true}, 1},
-				{"pooled", &graph.Executor{Pooled: true}, 2},
-				{"pooled-parallel", &graph.Executor{Pooled: true, Parallel: true}, 2},
-			}
-			for _, v := range variants {
-				for pass := 0; pass < v.passes; pass++ {
-					got, err := v.exec.Run(g, in)
-					if err != nil {
-						t.Fatalf("%s pass %d: %v", v.name, pass, err)
-					}
-					if !got.Shape.Equal(want.Shape) {
-						t.Fatalf("%s pass %d: shape %v, want %v", v.name, pass, got.Shape, want.Shape)
-					}
-					for i := range want.Data {
-						if got.Data[i] != want.Data[i] {
-							t.Fatalf("%s pass %d: out[%d] = %v, want %v",
-								v.name, pass, i, got.Data[i], want.Data[i])
-						}
+			pooled := &graph.Executor{Pooled: true}
+			for pass := 0; pass < 2; pass++ {
+				got, err := pooled.Run(g, in)
+				if err != nil {
+					t.Fatalf("pooled pass %d: %v", pass, err)
+				}
+				if !got.Shape.Equal(want.Shape) {
+					t.Fatalf("pooled pass %d: shape %v, want %v", pass, got.Shape, want.Shape)
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("pooled pass %d: out[%d] = %v, want %v", pass, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

@@ -39,7 +39,9 @@ func IdentityElimination() Pass {
 // keeping the graph input alive even when orphaned.
 func DeadElimination() Pass {
 	return NewPass("dead-elimination", func(g *graph.Graph) (int, error) {
-		return graph.EliminateDeadCount(g), nil
+		before := len(g.Nodes)
+		graph.EliminateDead(g)
+		return before - len(g.Nodes), nil
 	})
 }
 

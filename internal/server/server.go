@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -177,8 +178,53 @@ func (s *Server) OnScrape(fn func()) {
 	s.scrapeMu.Unlock()
 }
 
-// Handler returns the root handler (mount it on an http.Server).
+// Handler returns the root handler (tests mount it on httptest servers;
+// a listening deployment wants HTTPServer's timeouts around it).
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// The net/http timeouts of a listening deployment. None is a tuning
+// knob: each bounds how long one peer can hold a connection without the
+// server making progress.
+const (
+	// readHeaderTimeout bounds a request's header read, the slow-loris
+	// surface: headers arrive in the first packets or not at all.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds headers plus body. The largest body /infer
+	// accepts (inferBodyLimit: ~5 MB for a 3x224x224 model) fits in it
+	// at 170 KB/s.
+	readTimeout = 30 * time.Second
+	// idleTimeout bounds a keep-alive connection between requests.
+	idleTimeout = 2 * time.Minute
+	// batchServiceCeiling bounds one batch's time inside the engine for
+	// writeTimeout's derivation: the slowest zoo model (Inception-v4,
+	// ~3 s a frame on the 2-core reference host) at the default MaxBatch
+	// over two replicas.
+	batchServiceCeiling = 15 * time.Second
+)
+
+// writeTimeout bounds a request from the end of its headers to the end
+// of its response, so it must outlast the body read and the longest
+// legitimate residence: a request admitted at the back of a full queue
+// waits for every batch ahead of it, each at most one MaxWait window and
+// one engine pass.
+func (c Config) writeTimeout() time.Duration {
+	batchesAhead := (c.QueueCap + c.MaxBatch - 1) / c.MaxBatch
+	return readTimeout + time.Duration(batchesAhead+1)*(c.MaxWait+batchServiceCeiling)
+}
+
+// HTTPServer returns the http.Server a deployment listens with: the
+// root handler behind read-header, read, write and idle timeouts, so a
+// client that stalls mid-header, mid-body or mid-response is
+// disconnected instead of holding a connection open indefinitely.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      s.cfg.writeTimeout(),
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // Metrics exposes the metric set for in-process assertions.
 func (s *Server) Metrics() *Metrics { return s.m }
@@ -277,6 +323,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, code, err)
 		return
 	}
+	// encoding/json refuses NaN and ±Inf, and by then the 200 would be on
+	// the wire with an empty body: check before touching w.
+	if i := firstNonFinite(out.Data); i >= 0 {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("model output is not finite: output[%d] = %v", i, out.Data[i]))
+		return
+	}
 	elapsed := time.Since(start)
 	s.m.Latency.Observe(elapsed.Seconds())
 	s.m.Requests.Inc("200")
@@ -351,6 +403,17 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf element, or
+// -1 when every element is finite.
+func firstNonFinite(xs []float32) int {
+	for i, x := range xs {
+		if f := float64(x); math.IsNaN(f) || math.IsInf(f, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // argmax returns the index of the largest element (0 for empty).

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,6 +155,100 @@ func TestServerOversizedBodyReturns413(t *testing.T) {
 	}
 	if got := srv.Metrics().Requests.Value("413"); got != 1 {
 		t.Errorf("413 counter = %d, want 1", got)
+	}
+}
+
+// TestServerNonFiniteOutputReturns500: encoding/json refuses NaN and
+// ±Inf, so a model that produces one must be answered with the JSON
+// error envelope and a 500 — and counted as one — rather than a 200
+// whose body the encoder then declines to write.
+func TestServerNonFiniteOutputReturns500(t *testing.T) {
+	g, eng := buildEngine(t, 1)
+	for _, n := range g.Nodes {
+		if n.Kind == graph.OpDense {
+			n.Bias[0] = float32(math.NaN()) // poisons the logit, and softmax spreads it
+		}
+	}
+	srv := server.New(eng, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	resp, err := http.Post(ts.URL+"/infer", "application/json", strings.NewReader(`{"seed":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("500 body is not the JSON error envelope: %v", err)
+	}
+	if !strings.Contains(body.Error, "not finite") {
+		t.Errorf("error %q does not say the output was not finite", body.Error)
+	}
+	if ok, failed := srv.Metrics().Requests.Value("200"), srv.Metrics().Requests.Value("500"); ok != 0 || failed != 1 {
+		t.Errorf("request counters 200=%d 500=%d, want 0 and 1", ok, failed)
+	}
+}
+
+// TestHTTPServerDisconnectsHalfHeader: the http.Server both commands
+// listen with carries timeouts, so a client that sends half a request
+// header and then stalls is disconnected once ReadHeaderTimeout passes
+// instead of holding the connection for as long as it likes.
+func TestHTTPServerDisconnectsHalfHeader(t *testing.T) {
+	_, eng := buildEngine(t, 1)
+	srv := server.New(eng, server.Config{})
+	defer srv.Close()
+	hs := srv.HTTPServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout < hs.ReadHeaderTimeout ||
+		hs.WriteTimeout <= hs.ReadTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts header/read/write/idle = %v/%v/%v/%v: want all set, header <= read < write",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/infer", "application/json", strings.NewReader(`{"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a whole request on the same server: status %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /infer HTTP/1.1\r\nHost: edge\r\nContent-Le"); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 408 before hanging up; what matters is that it
+	// hangs up, and does so because of its own timeout, not ours.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(hs.ReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled half-header connection was not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < hs.ReadHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before ReadHeaderTimeout %v could have fired", waited, hs.ReadHeaderTimeout)
 	}
 }
 

@@ -153,24 +153,19 @@ func (e *Engine) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 }
 
-// maxFoldPerRun bounds how many inputs fold into one batch-folded
-// executor forward: past ~8 samples the stacked (B·M)×K lowered matrix
-// stops fitting the panel reuse the blocking gives and latency for the
-// whole chunk grows without throughput to show for it, so larger
-// batches split into chunks that spread across idle replicas instead.
-const maxFoldPerRun = 8
-
-// InferBatch runs a micro-batch and returns outputs in input order.
-// Inputs are folded into batched executor forwards (Executor.RunBatch)
-// in chunks of up to maxFoldPerRun: every pre-packed conv/dense node
-// executes the whole chunk as one wide GEMM instead of B narrow ones.
-// Chunks spread across however many replicas are idle right now — one
-// replica is always acquired (blocking), extras are taken
-// opportunistically — so a batch never waits behind the full pool.
-// Outputs are bitwise identical to per-input Infer calls. An empty
-// batch fails with ErrEmptyBatch and a nil tensor with ErrNilInput
-// (both before any work is dispatched); otherwise the first error (by
-// input index) is returned, and outputs of a failed chunk are nil.
+// InferBatch runs a micro-batch and returns outputs in input order. It
+// is replica fan-out: one replica is always acquired (blocking), any
+// others idle right now are taken opportunistically — so a batch never
+// waits behind the full pool — and sample i runs on replica i mod R
+// through Executor.Run, exactly as Infer would run it. The calling
+// goroutine works replica 0's share itself, so a batch of one (or a
+// busy pool) spawns no goroutine. A batch-folded form (one wide GEMM per
+// layer over the whole batch) was measured against this and lost on the
+// serving workload; see EXPERIMENTS.md, "Mechanisms judged". An empty
+// batch fails with ErrEmptyBatch and a nil tensor with ErrNilInput (both
+// before any work is dispatched); otherwise every sample runs, the
+// output of a failed one is nil, and the error returned is the failure
+// with the lowest input index, which it names.
 func (e *Engine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, ErrEmptyBatch
@@ -185,15 +180,7 @@ func (e *Engine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		return nil, ErrEngineClosed
 	default:
 	}
-	var chunks [][2]int
-	for lo := 0; lo < len(ins); lo += maxFoldPerRun {
-		hi := lo + maxFoldPerRun
-		if hi > len(ins) {
-			hi = len(ins)
-		}
-		chunks = append(chunks, [2]int{lo, hi})
-	}
-	exs := make([]*graph.Executor, 0, len(chunks))
+	exs := make([]*graph.Executor, 0, min(len(ins), e.size))
 	select {
 	case ex := <-e.replicas:
 		exs = append(exs, ex)
@@ -201,7 +188,7 @@ func (e *Engine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		return nil, ErrEngineClosed
 	}
 acquire:
-	for len(exs) < len(chunks) {
+	for len(exs) < cap(exs) {
 		select {
 		case ex := <-e.replicas:
 			exs = append(exs, ex)
@@ -210,30 +197,28 @@ acquire:
 		}
 	}
 	outs := make([]*tensor.Tensor, len(ins))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for w := range exs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := w; c < len(chunks); c += len(exs) {
-				lo, hi := chunks[c][0], chunks[c][1]
-				res, err := exs[w].RunBatch(e.g, ins[lo:hi])
-				if err != nil {
-					errs[c] = err
-					continue
-				}
-				copy(outs[lo:hi], res)
-			}
-		}(w)
+	errs := make([]error, len(ins))
+	share := func(w int) {
+		for i := w; i < len(ins); i += len(exs) {
+			outs[i], errs[i] = exs[w].Run(e.g, ins[i])
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(exs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share(w)
+		}()
+	}
+	share(0)
 	wg.Wait()
 	for _, ex := range exs {
 		e.replicas <- ex
 	}
-	for c, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return outs, fmt.Errorf("serving: request %d: %w", chunks[c][0], err)
+			return outs, fmt.Errorf("serving: request %d: %w", i, err)
 		}
 	}
 	return outs, nil

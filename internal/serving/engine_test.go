@@ -2,9 +2,12 @@ package serving_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
@@ -80,6 +83,83 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 	}
 	if hits := st.Gets - st.Misses; hits <= st.Misses {
 		t.Errorf("arena stats %+v: expected steady-state reuse to dominate", st)
+	}
+}
+
+// TestInferBatchFanOut pins InferBatch as replica fan-out: on engines
+// with one and two replicas, batches of 1, R, R+1 and 3R come back in
+// input order with exactly Infer's bits; a sample that fails is named by
+// its index while every other sample still returns; and every replica is
+// back in the pool afterwards (Close drains them all, so it would hang
+// on a lost one).
+func TestInferBatchFanOut(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		for k, n := range []int{1, replicas, replicas + 1, 3 * replicas} {
+			if k == 1 && n == 1 {
+				continue // R = 1: the batch of R is the batch of 1
+			}
+			t.Run(fmt.Sprintf("replicas=%d/batch=%d", replicas, n), func(t *testing.T) {
+				eng, err := serving.NewEngine(engineCNN(t), replicas)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins := make([]*tensor.Tensor, n)
+				wants := make([]*tensor.Tensor, n)
+				for i := range ins {
+					ins[i] = engineInput(7*n + i)
+					if wants[i], err = eng.Infer(ins[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check := func(outs []*tensor.Tensor, skip int) {
+					t.Helper()
+					if len(outs) != n {
+						t.Fatalf("%d outputs for %d inputs", len(outs), n)
+					}
+					for i, out := range outs {
+						if i == skip {
+							continue
+						}
+						if out == nil {
+							t.Fatalf("sample %d has no output", i)
+						}
+						for j := range wants[i].Data {
+							if out.Data[j] != wants[i].Data[j] {
+								t.Fatalf("sample %d: out[%d] = %v, Infer gives %v", i, j, out.Data[j], wants[i].Data[j])
+							}
+						}
+					}
+				}
+				outs, err := eng.InferBatch(ins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(outs, -1)
+
+				// The last sample has the wrong shape: only it fails.
+				bad := n - 1
+				ins[bad] = tensor.New(3, 8, 8)
+				outs, err = eng.InferBatch(ins)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d:", bad)) {
+					t.Fatalf("err = %v, want one naming request %d", err, bad)
+				}
+				if outs[bad] != nil {
+					t.Errorf("failed sample %d still has an output", bad)
+				}
+				check(outs, bad)
+
+				closed := make(chan error, 1)
+				go func() { closed <- eng.Close() }()
+				select {
+				case err := <-closed:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Close still waiting: a replica never came back to the pool")
+				}
+			})
+		}
 	}
 }
 

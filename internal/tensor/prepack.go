@@ -235,12 +235,10 @@ func transposePixels(dst, src []float32, cin, npix, plo, phi int) {
 // for the unpacked one) and the pre-packed kernel's transposed GEMM
 // output. One package pool serves every caller, as qscratchPool does
 // for the int8 kernels, so concurrent executors never share a buffer
-// and a steady stream of convolutions reallocates nothing. io backs the
-// single-sample entry point's one-element dst/in slices.
+// and a steady stream of convolutions reallocates nothing.
 type convScratch struct {
 	rows []float32
 	outT []float32
-	io   [2]*Tensor
 }
 
 var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
@@ -318,53 +316,26 @@ func convEpilogueSweep(dst, outT []float32, cout, ncols int, bias []float32, epi
 // into a preallocated dst of shape [Cout, Hout, Wout], overwriting
 // every element, with the bias/affine/activation epilogue applied
 // during the transpose back to channel-major layout. A zero-value epi
-// reproduces the plain GEMM conv (bias sweep only). It is the batch
-// kernel at B = 1.
+// reproduces the plain GEMM conv (bias sweep only).
 func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	s := convScratchPool.Get().(*convScratch)
-	s.io = [2]*Tensor{dst, in}
-	s.runPrepacked(s.io[:1], s.io[1:], pw, bias, spec, epi)
-	s.io = [2]*Tensor{}
+	s.runPrepacked(dst, in, pw, bias, spec, epi)
 	convScratchPool.Put(s)
 }
 
-// Conv2DPrepackedBatchInto is the batch-folded prepacked convolution:
-// the B inputs' im2row lowerings are stacked into one (B*Hout*Wout) x
-// rows matrix and multiplied in a single prepacked GEMM, so a serving
-// micro-batch becomes one wide GEMM instead of B narrow ones. Each
-// sample's rows are independent in the blocked kernel, so every output
-// is bitwise identical to B separate Conv2DPrepackedInto calls.
-func Conv2DPrepackedBatchInto(dsts, ins []*Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	if len(dsts) != len(ins) || len(ins) == 0 {
-		panic("tensor: prepacked batch conv needs equal non-empty dst/in slices")
-	}
-	s := convScratchPool.Get().(*convScratch)
-	s.runPrepacked(dsts, ins, pw, bias, spec, epi)
-	convScratchPool.Put(s)
-}
-
-// runPrepacked is the one FP32 pre-packed convolution body: lower every
-// sample, one GEMM over the stacked rows, one epilogue sweep per sample.
-func (s *convScratch) runPrepacked(dsts, ins []*Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
+// runPrepacked is the FP32 pre-packed convolution body: lower the input,
+// one GEMM against the packed panels, one epilogue sweep.
+func (s *convScratch) runPrepacked(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
-	cout, kh, kw, hout, wout := prepackedConvDims(ins[0], pw, spec)
-	for i, in := range ins {
-		if !in.Shape.Equal(ins[0].Shape) {
-			panic(fmt.Sprintf("tensor: prepacked batch conv input %d shape %v, want %v", i, in.Shape, ins[0].Shape))
-		}
-		checkConvDst(dsts[i], cout, hout, wout)
-	}
+	cout, kh, kw, hout, wout := prepackedConvDims(in, pw, spec)
+	checkConvDst(dst, cout, hout, wout)
 	checkEpilogueChannels(epi, cout)
 	if bias != nil && len(bias) != cout {
 		panic("tensor: prepacked conv bias length mismatch")
 	}
 	ncols := hout * wout
-	s.grow(len(ins)*ncols*pw.K, len(ins)*ncols*cout)
-	for i, in := range ins {
-		im2rowInto(s.rows[i*ncols*pw.K:(i+1)*ncols*pw.K], in, kh, kw, spec, hout, wout)
-	}
-	GemmPrepacked(s.outT, s.rows, pw, len(ins)*ncols)
-	for i, dst := range dsts {
-		convEpilogueSweep(dst.Data, s.outT[i*ncols*cout:(i+1)*ncols*cout], cout, ncols, bias, epi)
-	}
+	s.grow(ncols*pw.K, ncols*cout)
+	im2rowInto(s.rows, in, kh, kw, spec, hout, wout)
+	GemmPrepacked(s.outT, s.rows, pw, ncols)
+	convEpilogueSweep(dst.Data, s.outT, cout, ncols, bias, epi)
 }

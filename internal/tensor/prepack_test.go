@@ -185,37 +185,6 @@ func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	}
 }
 
-// TestConv2DPrepackedBatchMatchesSequential: the batch-folded wide GEMM
-// must reproduce per-sample prepacked outputs bit for bit.
-func TestConv2DPrepackedBatchMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	const B = 3
-	c := convCase{"batch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
-	w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-	bias := make([]float32, c.cout)
-	for i := range bias {
-		bias[i] = r.Float32() - 0.5
-	}
-	pw := PackConvWeights(w)
-	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
-	epi := Epilogue{Act: ActReLU}
-	ins := make([]*Tensor, B)
-	wants := make([]*Tensor, B)
-	gots := make([]*Tensor, B)
-	for i := 0; i < B; i++ {
-		ins[i] = randTensor(r, c.cin, c.h, c.w)
-		wants[i] = New(c.cout, hout, wout)
-		Conv2DPrepackedInto(wants[i], ins[i], pw, bias, c.spec, epi)
-		gots[i] = New(c.cout, hout, wout)
-	}
-	Conv2DPrepackedBatchInto(gots, ins, pw, bias, c.spec, epi)
-	for i := 0; i < B; i++ {
-		if !bitsEqual(gots[i].Data, wants[i].Data) {
-			t.Errorf("sample %d: batch-folded conv differs from sequential prepacked", i)
-		}
-	}
-}
-
 // TestQGemmPrepackedMatchesSerial pins the int8 twin: prepacked QGEMM
 // equals the unpacked blocked kernel, including the odd-M single-row
 // remainder and K blocks past qgemmKC.
@@ -276,37 +245,6 @@ func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestConv2DQPrepackedBatchMatchesSequential: batch-folded int8 conv
-// (per-sample dynamic scales, one wide QGEMM) vs sequential calls.
-func TestConv2DQPrepackedBatchMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	const B = 3
-	c := convCase{"qbatch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
-	w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-	qw := QuantizePerChannel(w)
-	pq := PackQConvWeights(qw)
-	bias := make([]float32, c.cout)
-	for i := range bias {
-		bias[i] = r.Float32() - 0.5
-	}
-	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
-	ins := make([]*Tensor, B)
-	wants := make([]*Tensor, B)
-	gots := make([]*Tensor, B)
-	for i := 0; i < B; i++ {
-		ins[i] = randTensor(r, c.cin, c.h, c.w)
-		wants[i] = New(c.cout, hout, wout)
-		Conv2DQPrepackedInto(wants[i], ins[i], pq, qw, bias, c.spec, ActReLU, 0)
-		gots[i] = New(c.cout, hout, wout)
-	}
-	Conv2DQPrepackedBatchInto(gots, ins, pq, qw, bias, c.spec, ActReLU, 0)
-	for i := 0; i < B; i++ {
-		if !bitsEqual(gots[i].Data, wants[i].Data) {
-			t.Errorf("sample %d: batch-folded int8 conv differs from sequential", i)
-		}
-	}
-}
-
 // TestDenseQPrepackedMatchesUnpacked: prepacked int8 dense (single-row
 // QGEMM) vs the unpacked matvec path, per-tensor and per-channel.
 func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
@@ -332,35 +270,6 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestDenseQPrepackedBatchMatchesSequential: the folded [B, In] QGEMM
-// vs B single-sample calls (each with its own dynamic scale).
-func TestDenseQPrepackedBatchMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(83))
-	const B, out, in = 5, 33, 127 // odd B: pair remainder in the folded GEMM
-	w := randTensor(r, out, in)
-	qw := QuantizeSymmetric(w)
-	pq := PackQDenseWeights(qw)
-	bias := make([]float32, out)
-	for i := range bias {
-		bias[i] = r.Float32() - 0.5
-	}
-	ins := make([]*Tensor, B)
-	wants := make([]*Tensor, B)
-	gots := make([]*Tensor, B)
-	for i := 0; i < B; i++ {
-		ins[i] = randTensor(r, in)
-		wants[i] = New(out)
-		DenseQPrepackedInto(wants[i].Data, pq, qw, bias, ins[i].Data, ActReLU, 0)
-		gots[i] = New(out)
-	}
-	DenseQPrepackedBatchInto(gots, ins, pq, qw, bias, ActReLU, 0)
-	for i := 0; i < B; i++ {
-		if !bitsEqual(gots[i].Data, wants[i].Data) {
-			t.Errorf("sample %d: batch-folded int8 dense differs from sequential", i)
-		}
-	}
-}
-
 // TestConv2DPrepackedScratchPool: a call handed recycled scratch — the
 // package pool's buffers left dirty by a larger convolution over
 // different values — must produce the same bits as a call on fresh
@@ -373,7 +282,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	pw := PackConvWeights(w)
 	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	want := New(c.cout, hout, wout)
-	new(convScratch).runPrepacked([]*Tensor{want}, []*Tensor{in}, pw, nil, c.spec, Epilogue{})
+	new(convScratch).runPrepacked(want, in, pw, nil, c.spec, Epilogue{})
 	big := randTensor(r, 7, 15, 15)
 	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
 	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})

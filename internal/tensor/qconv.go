@@ -32,8 +32,8 @@ const (
 )
 
 // qscratch holds the per-call scratch of the int8 path. Pooled through
-// a sync.Pool so concurrent executor replicas and wavefront workers
-// never share or reallocate buffers.
+// a sync.Pool so concurrent executor replicas never share or reallocate
+// buffers.
 //
 // It also carries the arguments of the passes the prepacked path shards
 // (quant, conv) and their shard bodies as functions bound once, when
@@ -43,19 +43,18 @@ type qscratch struct {
 	qin    []int8    // quantized input activations
 	cols   []int8    // int8 im2col matrix
 	acc    []int32   // GEMM accumulators
-	scales []float32 // requantize scales, activation scale x weight scale, per (sample, channel)
+	scales []float32 // requantize scales, activation scale x weight scale, per channel
 	maxima []float32 // per-chunk max-abs of the activation being quantized
 
 	quant quantJob
 	conv  qconvJob
-	io    [2]*Tensor // the single-sample entry point's one-element dsts and ins
 
 	maxFn, roundFn, convFn func(lo, hi int)
 }
 
 var qscratchPool = sync.Pool{New: func() any {
 	s := new(qscratch)
-	s.maxFn, s.roundFn, s.convFn = s.quantMaxChunks, s.quantRoundChunks, s.convShard
+	s.maxFn, s.roundFn, s.convFn = s.quantMaxChunks, s.quantRoundChunks, s.convBand
 	return s
 }}
 

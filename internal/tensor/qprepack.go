@@ -260,13 +260,12 @@ func prepackedQConvDims(in *Tensor, pq *PackedQWeights, spec Conv2DSpec) (int, i
 	return cin, h, wd, cout, kh, kw, hout, wout
 }
 
-// qconvJob is the convolution a scratch's band pass is working on: a
-// batch of len(dsts) samples whose quantized inputs sit back to back in
-// qin, whose lowerings and accumulators stack into one
-// (len(dsts)*Hout*Wout)-row matrix each, and whose requantize scales
-// are scales[sample*cout+oc].
+// qconvJob is the convolution a scratch's band pass is working on: the
+// lowering and the accumulators are (Hout*Wout)-row matrices, out is the
+// destination's data and the requantize scale of channel oc is
+// scales[oc].
 type qconvJob struct {
-	dsts                           []*Tensor
+	out                            []float32
 	pq                             *PackedQWeights
 	bias                           []float32
 	spec                           Conv2DSpec
@@ -280,66 +279,49 @@ type qconvJob struct {
 // the GEMM, and each channel gets a 256-byte contiguous store.
 const requantTile = 64
 
-// runConv quantizes every input with its own dynamic scale, then cuts
-// the stacked output-pixel rows into row-pair-aligned bands and runs
-// each band through lower → QGEMM → requantize on whichever core picks
-// it up, so a band's slices of cols and acc never leave that core's
-// cache between the three steps. Bands write disjoint rows of cols and
-// acc and disjoint pixels of dsts. Integer accumulation is exact and
-// every float expression is per element, so the output does not depend
-// on the cut — it is Conv2DQInt8Into's, bit for bit.
-func (s *qscratch) runConv(ins []*Tensor, qw *QTensor) {
+// runConv quantizes the input with its dynamic scale, then cuts the
+// output-pixel rows into row-pair-aligned bands and runs each band
+// through lower → QGEMM → requantize on whichever core picks it up, so a
+// band's slices of cols and acc never leave that core's cache between
+// the three steps. Bands write disjoint rows of cols and acc and
+// disjoint pixels of out. Integer accumulation is exact and every float
+// expression is per element, so the output does not depend on the cut —
+// it is Conv2DQInt8Into's, bit for bit.
+func (s *qscratch) runConv(in []float32, qw *QTensor) {
 	j := &s.conv
 	k, cout := j.pq.K, j.pq.N
-	nin := len(ins[0].Data)
-	rows := len(ins) * j.hout * j.wout
-	s.grow(len(ins)*nin, rows*k, rows*cout)
-	s.scales = growSlice(s.scales, len(ins)*cout)
-	for i, in := range ins {
-		sx := s.quantize(s.qin[i*nin:(i+1)*nin], in.Data)
-		for oc := 0; oc < cout; oc++ {
-			s.scales[i*cout+oc] = sx * qw.ScaleFor(oc)
-		}
+	rows := j.hout * j.wout
+	s.grow(len(in), rows*k, rows*cout)
+	s.scales = growSlice(s.scales, cout)
+	sx := s.quantize(s.qin, in)
+	for oc := range s.scales {
+		s.scales[oc] = sx * qw.ScaleFor(oc)
 	}
 	pairs := (rows + 1) / 2
 	if rows*k*cout < parallelThresholdMACs {
-		s.convShard(0, pairs)
+		s.convBand(0, pairs)
 	} else {
 		parallelFor(pairs, grainForMACs(2*k*cout), s.convFn)
 	}
-	s.conv, s.io = qconvJob{}, [2]*Tensor{}
+	s.conv = qconvJob{}
 }
 
-// convShard runs the row pairs [lo, hi) of the stacked matrix, one band
-// per sample they touch.
-func (s *qscratch) convShard(lo, hi int) {
-	ncols := s.conv.hout * s.conv.wout
-	rlo, rhi := qgemmPairRange(lo, hi, len(s.conv.dsts)*ncols)
-	for i := rlo / ncols; i*ncols < rhi; i++ {
-		s.convBand(i, max(rlo-i*ncols, 0), min(rhi-i*ncols, ncols))
-	}
-}
-
-// convBand computes output pixels [plo, phi) of sample i.
-func (s *qscratch) convBand(i, plo, phi int) {
+// convBand computes the output pixels of row pairs [lo, hi).
+func (s *qscratch) convBand(lo, hi int) {
 	j := &s.conv
-	k, cout := j.pq.K, j.pq.N
+	cout := j.pq.N
 	ncols := j.hout * j.wout
-	nin := len(s.qin) / len(j.dsts)
-	base := i * ncols
-	im2rowQPixels(s.cols[base*k:(base+ncols)*k], s.qin[i*nin:(i+1)*nin],
-		j.cin, j.h, j.wd, j.kh, j.kw, j.spec, j.wout, plo, phi)
-	qgemmPrepackedRange(s.acc, s.cols, j.pq, base+plo, base+phi)
-	out := j.dsts[i].Data
-	scales := s.scales[i*cout : (i+1)*cout]
+	plo, phi := qgemmPairRange(lo, hi, ncols)
+	im2rowQPixels(s.cols, s.qin, j.cin, j.h, j.wd, j.kh, j.kw, j.spec, j.wout, plo, phi)
+	qgemmPrepackedRange(s.acc, s.cols, j.pq, plo, phi)
 	for p0 := plo; p0 < phi; p0 += requantTile {
 		p1 := min(p0+requantTile, phi)
-		for oc, scale := range scales {
+		for oc, scale := range s.scales {
 			var b float32
 			if j.bias != nil {
 				b = j.bias[oc]
 			}
-			requantizeStrided(out[oc*ncols+p0:oc*ncols+p1], s.acc[(base+p0)*cout+oc:],
+			requantizeStrided(j.out[oc*ncols+p0:oc*ncols+p1], s.acc[p0*cout+oc:],
 				cout, scale, b, j.act, j.alpha)
 		}
 	}
@@ -358,37 +340,9 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 	}
 	checkConvDst(dst, cout, hout, wout)
 	s := qscratchPool.Get().(*qscratch)
-	s.io = [2]*Tensor{dst, in}
-	s.conv = qconvJob{dsts: s.io[:1], pq: pq, bias: bias, spec: spec,
+	s.conv = qconvJob{out: dst.Data, pq: pq, bias: bias, spec: spec,
 		cin: cin, h: h, wd: wd, kh: kh, kw: kw, hout: hout, wout: wout, act: act, alpha: alpha}
-	s.runConv(s.io[1:], qw)
-	qscratchPool.Put(s)
-}
-
-// Conv2DQPrepackedBatchInto is the batch-folded prepacked int8
-// convolution: every sample is quantized with its own dynamic scale
-// (bitwise matching B sequential calls) and the samples' output pixels
-// stack into one (B*Hout*Wout)-row matrix that the same band pass as
-// the single-sample call cuts up.
-func Conv2DQPrepackedBatchInto(dsts, ins []*Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
-	if len(dsts) != len(ins) || len(ins) == 0 {
-		panic("tensor: prepacked batch qconv needs equal non-empty dst/in slices")
-	}
-	spec = spec.check()
-	cin, h, wd, cout, kh, kw, hout, wout := prepackedQConvDims(ins[0], pq, spec)
-	if bias != nil && len(bias) != cout {
-		panic("tensor: prepacked qconv bias length mismatch")
-	}
-	for i, in := range ins {
-		if !in.Shape.Equal(ins[0].Shape) {
-			panic(fmt.Sprintf("tensor: prepacked batch qconv input %d shape %v, want %v", i, in.Shape, ins[0].Shape))
-		}
-		checkConvDst(dsts[i], cout, hout, wout)
-	}
-	s := qscratchPool.Get().(*qscratch)
-	s.conv = qconvJob{dsts: dsts, pq: pq, bias: bias, spec: spec,
-		cin: cin, h: h, wd: wd, kh: kh, kw: kw, hout: hout, wout: wout, act: act, alpha: alpha}
-	s.runConv(ins, qw)
+	s.runConv(in.Data, qw)
 	qscratchPool.Put(s)
 }
 
@@ -417,51 +371,6 @@ func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x
 			b = bias[i]
 		}
 		requantizeInto(dst[i:i+1], s.acc[i:i+1], sx*qw.ScaleFor(i), b, act, alpha)
-	}
-	qscratchPool.Put(s)
-}
-
-// DenseQPrepackedBatchInto folds a micro-batch of dense forwards into
-// one prepacked QGEMM: each sample quantizes with its own dynamic scale
-// into one A row, so B matvecs become a [B, In] x [In, Out] multiply —
-// wide enough to engage the SWAR row-pairing the single-row path cannot
-// use. Outputs are bitwise identical to B sequential calls.
-func DenseQPrepackedBatchInto(dsts []*Tensor, ins []*Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, act Act, alpha float32) {
-	if len(dsts) != len(ins) || len(ins) == 0 {
-		panic("tensor: prepacked batch dense needs equal non-empty dst/in slices")
-	}
-	if len(pq.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: DenseQPrepackedBatch weights carry shape %v, want rank 2", pq.Shape))
-	}
-	m := pq.N
-	if bias != nil && len(bias) != m {
-		panic("tensor: DenseQPrepacked bias length mismatch")
-	}
-	b := len(ins)
-	for i, in := range ins {
-		if len(in.Data) != pq.K {
-			panic(fmt.Sprintf("tensor: DenseQPrepackedBatch input %d length %d, want %d", i, len(in.Data), pq.K))
-		}
-		if len(dsts[i].Data) != m {
-			panic("tensor: DenseQPrepacked dst length mismatch")
-		}
-	}
-	s := qscratchPool.Get().(*qscratch)
-	s.grow(b*pq.K, 0, b*m)
-	s.scales = growSlice(s.scales, b)
-	for i, in := range ins {
-		s.scales[i] = s.quantize(s.qin[i*pq.K:(i+1)*pq.K], in.Data)
-	}
-	QGemmPrepacked(s.acc, s.qin, pq, b)
-	for i, dst := range dsts {
-		acc := s.acc[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			var bb float32
-			if bias != nil {
-				bb = bias[j]
-			}
-			requantizeInto(dst.Data[j:j+1], acc[j:j+1], s.scales[i]*qw.ScaleFor(j), bb, act, alpha)
-		}
 	}
 	qscratchPool.Put(s)
 }

@@ -8,13 +8,13 @@ import (
 
 // This file is the package's intra-op parallelism substrate: a
 // persistent, GOMAXPROCS-sized worker pool that every parallel kernel
-// (GEMM, int8 GEMM, conv, depthwise, im2col, matvec) and the graph
-// executor's wavefront scheduler share. The previous design spawned
-// goroutines per kernel call; at single-inference granularity the spawn
-// and exit cost ate the sharding win (BENCH_engine.json recorded the
-// parallel kernels *losing* to serial). Here workers are spawned once,
-// park on a channel, and are enlisted per call with a single
-// non-blocking channel send.
+// (GEMM, int8 GEMM, conv, depthwise, im2col, matvec) shares, whichever
+// executor replica or pipeline stage called it. The previous design
+// spawned goroutines per kernel call; at single-inference granularity
+// the spawn and exit cost ate the sharding win (BENCH_engine.json
+// recorded the parallel kernels *losing* to serial). Here workers are
+// spawned once, park on a channel, and are enlisted per call with a
+// single non-blocking channel send.
 //
 // Scheduling model: parallelFor cuts the index range [0, n) into chunks
 // of at least `grain` units and publishes an atomic cursor; the caller
@@ -25,12 +25,13 @@ import (
 //
 // Nested-parallelism rule: enlisting is non-blocking, and the caller
 // always works the range itself. When the pool is saturated — a
-// parallel kernel invoked from inside another parallel region, e.g. the
-// wavefront executor evaluating two conv nodes whose kernels both try
-// to shard — the inner call finds no parked worker and simply runs its
-// whole range on the calling goroutine. Inner parallelism degrades to
-// serial instead of deadlocking (nobody ever blocks waiting for a
-// worker) or oversubscribing (the worker set is fixed).
+// parallel kernel invoked while every worker is busy, e.g. two serving
+// replicas running conv nodes whose kernels both try to shard, or a
+// kernel called from inside another kernel's shard — the call finds no
+// parked worker and simply runs its whole range on the calling
+// goroutine. Parallelism degrades to serial instead of deadlocking
+// (nobody ever blocks waiting for a worker) or oversubscribing (the
+// worker set is fixed).
 const (
 	// parallelThresholdMACs is the work level above which sharding pays
 	// for its hand-off overhead (~1M multiply-accumulates).
@@ -255,14 +256,6 @@ func grainForMACs(macsPerUnit int) int {
 	}
 	return g
 }
-
-// ParallelFor exposes the kernel worker pool's chunked scheduling to
-// sibling packages: the graph executor's wavefront runs level nodes
-// through it so inter-op and intra-op parallelism share one fixed
-// worker set instead of stacking goroutines. See the package comment
-// at the top of this file for the saturation (nested-parallelism)
-// semantics.
-func ParallelFor(n, grain int, fn func(lo, hi int)) { parallelFor(n, grain, fn) }
 
 // ParallelThresholdMACs exposes the kernel-dispatch work threshold for
 // tests and benchmarks that pin dispatch behaviour.

@@ -163,7 +163,7 @@ func onPoolWorker() bool {
 
 // TestParallelForHelperPanicReachesCaller: a panic in a chunk that a pool
 // worker runs must not kill the process from that goroutine; it must come
-// back as a panic on the goroutine that called ParallelFor, after which
+// back as a panic on the goroutine that called parallelFor, after which
 // the pool still works. The caller's own first chunk waits for the helper
 // to have started, so the panicking chunk really is helper-run.
 func TestParallelForHelperPanicReachesCaller(t *testing.T) {
@@ -179,7 +179,7 @@ func TestParallelForHelperPanicReachesCaller(t *testing.T) {
 		var got any
 		func() {
 			defer func() { got = recover() }()
-			ParallelFor(64, 1, func(lo, hi int) {
+			parallelFor(64, 1, func(lo, hi int) {
 				if onPoolWorker() {
 					once.Do(func() { close(helperStarted) })
 					panic("boom on helper")
