@@ -53,7 +53,8 @@ race:
 # port, auto-picks an attack rate well inside both the live and the
 # simulated envelope, fires a burst load through the built-in generator,
 # scrapes /metrics, and exits nonzero unless the run was clean (zero
-# errors, zero shed, micro-batching demonstrably active). Runs twice:
+# errors, zero shed, both replicas demonstrably inside the engine at
+# once: edgeserve_engine_inflight_max = min(replicas, burst)). Runs twice:
 # the FP32 path under the O2 graph compiler (live pattern-fused serving)
 # and the real-int8 path (-quantize int8), which must also prove int8
 # kernel dispatches in /metrics.

@@ -386,7 +386,7 @@ func hasLifecyclePlumbing(ctx *Context, body ast.Node) bool {
 // lifecycle plumbing: no context, no done channel, no WaitGroup, no
 // channel whose close ends them. Such a goroutine cannot be cancelled or
 // awaited, so server shutdown either leaks it or races it; every
-// goroutine the batcher, load generator, and engine spawn must be
+// goroutine the dispatcher, load generator, and engine spawn must be
 // joinable. Scoped to internal/server, internal/serving, and — since
 // the kernels moved from per-call goroutine fan-out to a persistent
 // worker pool — internal/tensor, whose long-lived pool workers must be

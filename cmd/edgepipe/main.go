@@ -126,8 +126,6 @@ func runPipeline(args []string) int {
 	replicas := fs.Int("replicas", 1, "executor replicas per stage worker")
 	credits := fs.Int("credits", 0, "per-hop credit window (0 = default)")
 	check := fs.Int("check", 4, "verify this many seeded inputs bitwise against a single-process run (0 disables)")
-	maxBatch := fs.Int("maxbatch", 4, "front server: max requests per micro-batch")
-	maxWait := fs.Duration("maxwait", 2*time.Millisecond, "front server: micro-batch window")
 	queueCap := fs.Int("queue", 64, "front server: admission queue capacity")
 	attack := fs.String("attack", "", "fire the built-in load generator: rate,duration[,burst] with rate in req/s or 'auto'")
 	smoke := fs.Bool("smoke", false, "with -attack: exit nonzero unless the run is clean and (on hosts with enough CPUs) pipeline throughput beats the single-replica baseline")
@@ -238,11 +236,7 @@ func runPipeline(args []string) int {
 		fmt.Printf("bit-exact: %d seeded frames match the single-process executor\n", *check)
 	}
 
-	srv := server.New(p, server.Config{
-		MaxBatch: *maxBatch,
-		MaxWait:  *maxWait,
-		QueueCap: *queueCap,
-	})
+	srv := server.New(p, server.Config{QueueCap: *queueCap})
 	wireStageMetrics(srv, p)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -255,7 +249,8 @@ func runPipeline(args []string) int {
 	hs := srv.HTTPServer()
 	go func() { _ = hs.Serve(ln) }()
 	front := ln.Addr().String()
-	fmt.Printf("serving %s on http://%s (front of a %d-stage pipeline)\n\n", plan.Model, front, len(stages))
+	fmt.Printf("serving %s on http://%s (front of a %d-stage pipeline, %d frames in flight)\n\n",
+		plan.Model, front, len(stages), p.Concurrency())
 
 	code := 0
 	if *attack != "" {

@@ -6,11 +6,11 @@
 // overload — all from the analytic discrete-event model.
 //
 // Live serving (-listen): materializes the model, builds a replica-pool
-// engine, and serves real inferences over HTTP with dynamic
-// micro-batching, admission control, and a Prometheus /metrics
-// endpoint, so the simulated envelope can be validated against a live
-// process. With -attack it also drives its own load generator against
-// the listener and compares the measured tail to the simulation.
+// engine, and serves real inferences over HTTP with admission control,
+// one dispatcher per replica, and a Prometheus /metrics endpoint, so the
+// simulated envelope can be validated against a live process. With
+// -attack it also drives its own load generator against the listener and
+// compares the measured tail to the simulation.
 //
 // Usage:
 //
@@ -51,12 +51,10 @@ func main() {
 
 	listen := flag.String("listen", "", "serve real inferences over HTTP on this address (e.g. :8080); empty runs the simulation")
 	replicas := flag.Int("replicas", 0, "executor replicas in the serving engine (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("maxbatch", 8, "max requests per micro-batch")
-	maxWait := flag.Duration("maxwait", 2*time.Millisecond, "micro-batch window")
 	queueCap := flag.Int("queue", 64, "admission queue capacity (overflow is shed with 429)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	attack := flag.String("attack", "", "fire the built-in load generator: rate,duration[,burst] with rate in req/s or 'auto'")
-	smoke := flag.Bool("smoke", false, "with -attack: exit nonzero unless the run is clean (no errors, no shed, batching active)")
+	smoke := flag.Bool("smoke", false, "with -attack: exit nonzero unless the run is clean (no errors, no shed, replicas ran concurrently)")
 	quantize := flag.String("quantize", "", "execution quantization for live serving: 'int8' (per-tensor) or 'int8-perchannel'; empty serves FP32")
 	optLevel := flag.String("opt", "O0", "graph optimization level for live serving: O0 (off), O1 (cleanups), O2 (cleanups + pattern fusion)")
 	flag.Parse()
@@ -94,8 +92,6 @@ func main() {
 		quantize: *quantize,
 		level:    level,
 		cfg: server.Config{
-			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
 			QueueCap: *queueCap,
 			Deadline: *deadline,
 		},
@@ -180,9 +176,8 @@ func serve(s *core.Session, o serveOptions) {
 	hs := srv.HTTPServer()
 	go hs.Serve(ln)
 	addr := ln.Addr().String()
-	fmt.Printf("serving %s on http://%s (replicas %d, batch <= %d within %v, queue %d, exec %s, weights %d bytes)\n",
-		s.Model.Name, addr, eng.Replicas(), o.cfg.MaxBatch, o.cfg.MaxWait, o.cfg.QueueCap,
-		eng.ExecDType(), eng.WeightBytes())
+	fmt.Printf("serving %s on http://%s (replicas %d, queue %d, exec %s, weights %d bytes)\n",
+		s.Model.Name, addr, eng.Replicas(), o.cfg.QueueCap, eng.ExecDType(), eng.WeightBytes())
 
 	// The simulated envelope for the same deployment, for comparison.
 	simMax, err := serving.MaxSustainableRate(s, o.p99.Seconds(), 30, o.seed)
@@ -271,8 +266,8 @@ func runAttack(srv *server.Server, eng *serving.Engine, baseURL string, o serveO
 	if errs := series["edgeserve_engine_errors_total"]; errs != 0 {
 		problems = append(problems, fmt.Sprintf("%v engine errors", errs))
 	}
-	if opts.Burst > 1 && series["edgeserve_batch_size_max"] < 2 {
-		problems = append(problems, "micro-batching never coalesced (batch_size_max < 2)")
+	if want := min(eng.Replicas(), opts.Burst); series["edgeserve_engine_inflight_max"] < float64(want) {
+		problems = append(problems, fmt.Sprintf("replicas never ran concurrently (edgeserve_engine_inflight_max < %d)", want))
 	}
 	if o.quantize != "" {
 		if series[`edgeserve_exec_dtype{dtype="int8"}`] < 1 {
@@ -286,7 +281,7 @@ func runAttack(srv *server.Server, eng *serving.Engine, baseURL string, o serveO
 		fmt.Fprintf(os.Stderr, "\nedgeserve: smoke FAILED: %s\n", strings.Join(problems, "; "))
 		return 1
 	}
-	fmt.Println("\nsmoke OK: zero errors, zero shed, micro-batching active")
+	fmt.Println("\nsmoke OK: zero errors, zero shed, replicas ran concurrently")
 	return 0
 }
 

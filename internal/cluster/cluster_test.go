@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func TestPipelineBitExact(t *testing.T) {
 		}
 	}
 
-	// Concurrent batch: all frames in flight at once, outputs must
+	// Concurrent callers: all frames in flight at once, outputs must
 	// still match their own seeds (no cross-wiring of sequence numbers).
 	ins := make([]*tensor.Tensor, 6)
 	wants := make([]*tensor.Tensor, len(ins))
@@ -140,14 +141,24 @@ func TestPipelineBitExact(t *testing.T) {
 		}
 		wants[i] = w
 	}
-	outs, err := p.InferBatch(ins)
-	if err != nil {
-		t.Fatal(err)
+	outs := make([]*tensor.Tensor, len(ins))
+	errs := make([]error, len(ins))
+	var wg sync.WaitGroup
+	for i := range ins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = p.Infer(ins[i])
+		}()
 	}
+	wg.Wait()
 	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent frame %d: %v", i, errs[i])
+		}
 		for j := range wants[i].Data {
 			if outs[i].Data[j] != wants[i].Data[j] {
-				t.Fatalf("batch item %d diverges at %d", i, j)
+				t.Fatalf("concurrent frame %d diverges at %d", i, j)
 			}
 		}
 	}
@@ -237,9 +248,10 @@ func TestPipelineKillMiddleStage(t *testing.T) {
 	}
 	defer func() { _ = p.Close() }()
 
-	srv := server.New(p, server.Config{MaxBatch: 4, QueueCap: 16})
+	srv := server.New(p, server.Config{QueueCap: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer func() { _ = srv.Close() }()
 
 	// Warm traffic through the full chain.
 	if _, err := p.Infer(server.SeededInput(g.Input.OutShape, 0)); err != nil {
@@ -289,6 +301,71 @@ func TestPipelineKillMiddleStage(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("front server returned %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestPipelineFrontServerKeepsStagesFed: the front server sizes its
+// dispatch from Pipeline.Concurrency — one frame per stage and one for
+// the hops — so concurrent HTTP requests overlap inside the chain
+// instead of crossing it one at a time, and every answer still carries
+// the single-process executor's bits.
+func TestPipelineFrontServerKeepsStagesFed(t *testing.T) {
+	g := testModel(t)
+	graph.PrepackWeights(g) // match the stage engines' pre-packed lowering
+	parts := splitThree(t, g)
+	stages, _ := startWorkers(t, 3)
+	p, err := cluster.Connect(parts, stages, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Concurrency(); got != 4 {
+		t.Fatalf("3-stage pipeline declares concurrency %d, want 4 (a frame per stage + 1)", got)
+	}
+	srv := server.New(p, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() { _ = srv.Close() }() // closes the pipeline too
+
+	const n = 16
+	outs := make([]server.InferResponse, n)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(server.InferRequest{Seed: int64(i)})
+			resp, err := http.Post(ts.URL+"/infer", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer func() { _ = resp.Body.Close() }()
+			if err := json.NewDecoder(resp.Body).Decode(&outs[i]); err != nil {
+				t.Errorf("seed %d: status %d: %v", i, resp.StatusCode, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		want, err := (&graph.Executor{}).Run(g, server.SeededInput(g.Input.OutShape, int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Output) != len(want.Data) {
+			t.Fatalf("seed %d: %d outputs, want %d", i, len(out.Output), len(want.Data))
+		}
+		for j := range want.Data {
+			if out.Output[j] != want.Data[j] {
+				t.Fatalf("seed %d: output[%d] = %v, single-process %v", i, j, out.Output[j], want.Data[j])
+			}
+		}
+	}
+	m := srv.Metrics()
+	if got := m.EngineInflightMax.Value(); got < 2 || got > 4 {
+		t.Errorf("most frames in flight at once %v, want 2..4 (16 concurrent requests, concurrency 4)", got)
+	}
+	if got := m.Batches.Value(); got != n {
+		t.Errorf("%d dispatches for %d requests, want one each", got, n)
 	}
 }
 

@@ -121,9 +121,8 @@ func (c *ctrlConn) write(f *Frame) error {
 
 // Pipeline is a connected multi-process inference chain. It implements
 // server.Engine, so the standard HTTP front end (admission queue,
-// micro-batching, deadlines, /metrics) can sit in front of a
-// distributed pipeline exactly as it does a local engine. Safe for
-// concurrent use.
+// dispatch, deadlines, /metrics) can sit in front of a distributed
+// pipeline exactly as it does a local engine. Safe for concurrent use.
 type Pipeline struct {
 	parts  []*graph.Graph
 	stages []Stage
@@ -467,35 +466,15 @@ func (p *Pipeline) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 }
 
-// InferBatch satisfies server.Backend: inputs run concurrently through
-// the chain (each input is still a single-batch frame — micro-batches
-// pipeline across stages rather than fusing into one kernel call).
-func (p *Pipeline) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(ins) == 0 {
-		return nil, serving.ErrEmptyBatch
-	}
-	for i, in := range ins {
-		if in == nil {
-			return nil, fmt.Errorf("cluster: request %d: %w", i, serving.ErrNilInput)
-		}
-	}
-	outs := make([]*tensor.Tensor, len(ins))
-	errs := make([]error, len(ins))
-	var wg sync.WaitGroup
-	for i, in := range ins {
-		wg.Add(1)
-		go func(i int, in *tensor.Tensor) {
-			defer wg.Done()
-			outs[i], errs[i] = p.Infer(in)
-		}(i, in)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return outs, fmt.Errorf("cluster: request %d: %w", i, err)
-		}
-	}
-	return outs, nil
+// Concurrency is the number of frames in flight that keeps every stage
+// computing — what the front server sizes its dispatch loops from. A
+// stage's compute loop takes one frame at a time, so that is one frame
+// per stage, plus one to cover the hops and the dispatcher's turn-around
+// (with exactly one frame per stage, each stage idles for the hop after
+// every frame). The hops' credit windows bound what the chain can hold
+// at all.
+func (p *Pipeline) Concurrency() int {
+	return min(len(p.stages)+1, len(p.stages)*p.opts.Credits)
 }
 
 // InputShape is the first stage's input shape.

@@ -2,26 +2,28 @@
 // inference server fronting the serving.Engine replica pool. Where
 // internal/serving *simulates* the paper's §VI-C single-batch serving
 // regime, this package actually runs it — requests arrive over
-// stdlib net/http, queue into a dynamic micro-batching scheduler
-// (bounded queue, per-model batch window), execute on the engine, and
-// are observable through a Prometheus-text /metrics endpoint — so the
-// analytic envelope can be validated against a live process under load.
+// stdlib net/http, wait in a bounded admission queue, execute one at a
+// time on whichever engine replica is free, and are observable through a
+// Prometheus-text /metrics endpoint — so the analytic envelope can be
+// validated against a live process under load.
 //
-// The pipeline is queue → batcher → replica pool:
+// The pipeline is queue → dispatchers → replica pool:
 //
 //	POST /infer ─▶ admission (bounded queue, 429 on overflow)
-//	            ─▶ batch window (≤ MaxBatch requests or MaxWait, whichever first)
-//	            ─▶ Engine.InferBatch across executor replicas
+//	            ─▶ one dispatch loop per inference the backend runs at once
+//	            ─▶ Engine.Infer on an idle executor replica
 //
-// Deadlines ride on context.Context end to end: a request whose context
-// expires while queued is dropped before dispatch and never touches the
-// engine.
+// It is the c-server FIFO queue serving.Simulate models: a request waits
+// only while every replica is busy. Deadlines ride on context.Context
+// end to end: a request whose context expires while queued is dropped
+// before dispatch and never touches the engine.
 package server
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgebench/internal/tensor"
@@ -35,20 +37,20 @@ var ErrOverloaded = errors.New("server: queue full, request shed")
 // ErrClosed reports a request submitted after shutdown began.
 var ErrClosed = errors.New("server: shutting down")
 
-// Backend executes one batch of inference requests. *serving.Engine is
-// the production implementation; tests substitute instrumented fakes.
+// Backend runs single-request inferences and says how many it runs at
+// once. *serving.Engine is the production implementation; tests
+// substitute instrumented fakes.
 type Backend interface {
-	InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error)
+	// Infer runs one forward pass. Safe for concurrent use.
+	Infer(in *tensor.Tensor) (*tensor.Tensor, error)
+	// Concurrency is the number of Infer calls that make progress at the
+	// same time (an engine's replicas, a pipeline's frames in flight).
+	// The dispatcher keeps exactly that many inside the backend.
+	Concurrency() int
 }
 
 // Config parameterizes the serving pipeline.
 type Config struct {
-	// MaxBatch caps requests per dispatched batch (default 8).
-	MaxBatch int
-	// MaxWait bounds how long the first request of a window waits for
-	// company before the batch dispatches anyway (default 2ms, the
-	// latency cost ceiling of batching).
-	MaxWait time.Duration
 	// QueueCap bounds the admission queue; arrivals beyond it are shed
 	// with ErrOverloaded (default 64).
 	QueueCap int
@@ -62,12 +64,6 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -77,11 +73,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// result is what the batch loop hands back to a waiting request.
+// Budget splits a served request's residence in the dispatcher: Queue
+// is admission to a dispatch loop picking it up, Engine the backend call.
+type Budget struct {
+	Queue, Engine time.Duration
+}
+
+// result is what a dispatch loop hands back to a waiting request.
 type result struct {
-	out   *tensor.Tensor
-	err   error
-	batch int // size of the dispatched batch the request rode in
+	out    *tensor.Tensor
+	err    error
+	budget Budget
 }
 
 // request is one queued inference.
@@ -89,202 +91,140 @@ type request struct {
 	ctx  context.Context
 	in   *tensor.Tensor
 	enq  time.Time
-	done chan result // buffered(1): the loop never blocks delivering
+	done chan result // buffered(1): a loop never blocks delivering
 }
 
-// Batcher is the dynamic micro-batching scheduler: a bounded queue
-// drained by a single collector goroutine that groups requests into
-// batch windows and dispatches them through the backend. Safe for
-// concurrent use.
-type Batcher struct {
-	cfg   Config
-	be    Backend
-	m     *Metrics // optional; nil disables instrumentation
-	queue chan *request
-	stop  chan struct{}
-	wg    sync.WaitGroup
+// Dispatcher is the work-conserving scheduler: a bounded queue drained
+// by as many dispatch loops as the backend runs inferences at once, each
+// taking one live request, running it, delivering the result and coming
+// straight back. There is no batch window: an admitted request waits
+// only while every loop is inside the backend. Safe for concurrent use.
+type Dispatcher struct {
+	be       Backend
+	m        *Metrics
+	loops    int // dispatch loops: the backend's concurrency, at least 1
+	queue    chan *request
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	inEngine atomic.Int64 // requests inside be.Infer right now
 
 	mu     sync.RWMutex
 	closed bool
 }
 
-// NewBatcher starts the collector goroutine. m may be nil.
-func NewBatcher(be Backend, cfg Config, m *Metrics) *Batcher {
+// NewDispatcher starts the dispatch loops. m may be nil.
+func NewDispatcher(be Backend, cfg Config, m *Metrics) *Dispatcher {
 	cfg = cfg.withDefaults()
-	b := &Batcher{
-		cfg:   cfg,
+	if m == nil {
+		m = NewMetrics()
+	}
+	d := &Dispatcher{
 		be:    be,
 		m:     m,
+		loops: max(be.Concurrency(), 1),
 		queue: make(chan *request, cfg.QueueCap),
 		stop:  make(chan struct{}),
 	}
-	b.wg.Add(1)
-	go b.loop()
-	return b
+	d.wg.Add(d.loops)
+	for i := 0; i < d.loops; i++ {
+		go d.loop()
+	}
+	return d
 }
 
-// Do submits one request and blocks until its batch completes, its
-// context expires, or admission rejects it. It returns the output, the
-// size of the batch the request was dispatched in, and an error:
-// ErrOverloaded when shed at admission, ErrClosed after shutdown, or
-// the context's error when the deadline fired first.
-func (b *Batcher) Do(ctx context.Context, in *tensor.Tensor) (*tensor.Tensor, int, error) {
+// Do submits one request and blocks until it has been served, its
+// context expires, or admission rejects it. It returns the output, where
+// the time went, and an error: ErrOverloaded when shed at admission,
+// ErrClosed after shutdown, or the context's error when the deadline
+// fired first.
+func (d *Dispatcher) Do(ctx context.Context, in *tensor.Tensor) (*tensor.Tensor, Budget, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, Budget{}, err
 	}
 	r := &request{ctx: ctx, in: in, enq: time.Now(), done: make(chan result, 1)}
 
 	// The read lock pins the open/closed decision against a concurrent
 	// Close: once Close holds the write lock, no request can slip into
 	// the queue behind the drain.
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return nil, 0, ErrClosed
+	d.mu.RLock()
+	if d.closed {
+		d.mu.RUnlock()
+		return nil, Budget{}, ErrClosed
 	}
 	select {
-	case b.queue <- r:
-		if b.m != nil {
-			b.m.QueueDepth.Add(1)
-		}
-		b.mu.RUnlock()
+	case d.queue <- r:
+		d.m.QueueDepth.Add(1)
+		d.mu.RUnlock()
 	default:
-		b.mu.RUnlock()
-		if b.m != nil {
-			b.m.Shed.Inc()
-		}
-		return nil, 0, ErrOverloaded
+		d.mu.RUnlock()
+		d.m.Shed.Inc()
+		return nil, Budget{}, ErrOverloaded
 	}
 
 	select {
 	case res := <-r.done:
-		return res.out, res.batch, res.err
+		return res.out, res.budget, res.err
 	case <-ctx.Done():
-		// The loop will still find the request (its context is dead) and
+		// A loop will still find the request (its context is dead) and
 		// drop it before dispatch, delivering into the buffered channel.
-		return nil, 0, ctx.Err()
+		return nil, Budget{}, ctx.Err()
 	}
 }
 
-// Close stops admission, drains every queued request through the
-// backend, and waits for the collector to exit. Idempotent.
-func (b *Batcher) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return
+// Close stops admission, serves every queued request through the
+// backend, and waits for the dispatch loops to exit. Idempotent.
+func (d *Dispatcher) Close() {
+	d.mu.Lock()
+	if !d.closed {
+		d.closed = true
+		close(d.stop)
 	}
-	b.closed = true
-	b.mu.Unlock()
-	close(b.stop)
-	b.wg.Wait()
+	d.mu.Unlock()
+	d.wg.Wait()
 }
 
-// loop is the collector: it blocks for a window's first request, gathers
-// company until MaxBatch or MaxWait, and dispatches.
-func (b *Batcher) loop() {
-	defer b.wg.Done()
+// loop is one dispatcher: it takes a request whenever it is free. After
+// stop it serves (not drops) whatever is still queued — the graceful
+// half of shutdown — and exits.
+func (d *Dispatcher) loop() {
+	defer d.wg.Done()
 	for {
 		select {
-		case r := <-b.queue:
-			b.dequeued(1)
-			b.dispatch(b.collect(r))
-		case <-b.stop:
-			b.drain()
-			return
-		}
-	}
-}
-
-// collect gathers up to MaxBatch-1 more requests within the MaxWait
-// window opened by first.
-func (b *Batcher) collect(first *request) []*request {
-	batch := []*request{first}
-	if b.cfg.MaxBatch == 1 {
-		return batch
-	}
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
-	for len(batch) < b.cfg.MaxBatch {
-		select {
-		case r := <-b.queue:
-			b.dequeued(1)
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drain empties the queue after stop, serving (not dropping) everything
-// already admitted — the graceful half of shutdown.
-func (b *Batcher) drain() {
-	for {
-		var batch []*request
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case r := <-b.queue:
-				b.dequeued(1)
-				batch = append(batch, r)
-			default:
-				if len(batch) > 0 {
-					b.dispatch(batch)
+		case r := <-d.queue:
+			d.serve(r)
+		case <-d.stop:
+			for {
+				select {
+				case r := <-d.queue:
+					d.serve(r)
+				default:
+					return
 				}
-				return
 			}
 		}
-		b.dispatch(batch)
 	}
 }
 
-// dispatch drops dead-context requests, runs the survivors as one
-// backend batch, and delivers per-request results.
-func (b *Batcher) dispatch(batch []*request) {
-	live := make([]*request, 0, len(batch))
-	ins := make([]*tensor.Tensor, 0, len(batch))
-	for _, r := range batch {
-		if err := r.ctx.Err(); err != nil {
-			// Expired while queued: reject without touching the engine.
-			if b.m != nil {
-				b.m.DeadlineDrops.Inc()
-			}
-			r.done <- result{err: err}
-			continue
-		}
-		live = append(live, r)
-		ins = append(ins, r.in)
-	}
-	if len(live) == 0 {
+// serve runs one dequeued request through the backend and delivers its
+// result; a request whose context died while it was queued is rejected
+// without touching the engine.
+func (d *Dispatcher) serve(r *request) {
+	d.m.QueueDepth.Add(-1)
+	if err := r.ctx.Err(); err != nil {
+		d.m.DeadlineDrops.Inc()
+		r.done <- result{err: err}
 		return
 	}
-	if b.m != nil {
-		b.m.Batches.Inc()
-		b.m.BatchSize.Observe(float64(len(live)))
-		b.m.BatchMax.SetMax(float64(len(live)))
-		for _, r := range live {
-			b.m.QueueWait.Observe(time.Since(r.enq).Seconds())
-		}
+	picked := time.Now()
+	d.m.Batches.Inc()
+	d.m.EngineInflightMax.SetMax(float64(d.inEngine.Add(1)))
+	out, err := d.be.Infer(r.in)
+	d.inEngine.Add(-1)
+	b := Budget{Queue: picked.Sub(r.enq), Engine: time.Since(picked)}
+	d.m.QueueWait.Observe(b.Queue.Seconds())
+	d.m.EngineTime.Observe(b.Engine.Seconds())
+	if err != nil {
+		d.m.EngineErrors.Inc()
 	}
-	outs, err := b.be.InferBatch(ins)
-	if err != nil && b.m != nil {
-		b.m.EngineErrors.Inc()
-	}
-	for i, r := range live {
-		res := result{batch: len(live)}
-		if err != nil {
-			res.err = err
-		} else {
-			res.out = outs[i]
-		}
-		r.done <- res
-	}
-}
-
-// dequeued maintains the queue-depth gauge as the loop consumes.
-func (b *Batcher) dequeued(n int) {
-	if b.m != nil {
-		b.m.QueueDepth.Add(-float64(n))
-	}
+	r.done <- result{out: out, err: err, budget: b}
 }

@@ -25,8 +25,8 @@ type AttackOptions struct {
 	// Duration is how long the attack runs.
 	Duration time.Duration
 	// Burst fires this many simultaneous requests per arrival tick
-	// (default 1). Bursts > 1 exercise the micro-batcher: simultaneous
-	// arrivals land in one batch window.
+	// (default 1). Bursts > 1 exercise concurrent dispatch: simultaneous
+	// arrivals run on as many replicas as are idle, the rest queue.
 	Burst int
 	// Seed varies the generated inputs request to request.
 	Seed int64
@@ -75,10 +75,6 @@ type AttackReport struct {
 	// OK counts 200s, Shed counts 429s, Deadline counts 504s, and
 	// Failed counts transport errors plus every other status.
 	OK, Shed, Deadline, Failed int
-	// MaxBatch is the largest batch any request reported riding in.
-	MaxBatch int
-	// MeanBatch is the mean reported batch size over successes.
-	MeanBatch float64
 	// P50, P95, P99 are client-observed latency quantiles in seconds.
 	P50, P95, P99 float64
 	// Elapsed is the wall time of the whole run.
@@ -87,9 +83,9 @@ type AttackReport struct {
 
 // String renders the report on one line, mirroring serving.Result.
 func (r AttackReport) String() string {
-	return fmt.Sprintf("sent %d: ok %d, shed %d, deadline %d, failed %d; p50 %.1fms p95 %.1fms p99 %.1fms; batch mean %.2f max %d",
+	return fmt.Sprintf("sent %d: ok %d, shed %d, deadline %d, failed %d; p50 %.1fms p95 %.1fms p99 %.1fms",
 		r.Sent, r.OK, r.Shed, r.Deadline, r.Failed,
-		r.P50*1e3, r.P95*1e3, r.P99*1e3, r.MeanBatch, r.MaxBatch)
+		r.P50*1e3, r.P95*1e3, r.P99*1e3)
 }
 
 // Attack drives an open-loop constant-rate load (in bursts of
@@ -124,7 +120,6 @@ func Attack(baseURL string, opts AttackOptions) (AttackReport, error) {
 		mu        sync.Mutex
 		rep       AttackReport
 		latencies []float64
-		batchSum  int
 	)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -136,7 +131,7 @@ func Attack(baseURL string, opts AttackOptions) (AttackReport, error) {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				code, resp, err := fire(client, baseURL, opts, id)
+				code, err := fire(client, baseURL, opts, id)
 				lat := time.Since(start.Add(time.Duration(id/opts.Burst) * interval))
 				mu.Lock()
 				defer mu.Unlock()
@@ -147,10 +142,6 @@ func Attack(baseURL string, opts AttackOptions) (AttackReport, error) {
 				case code == http.StatusOK:
 					rep.OK++
 					latencies = append(latencies, lat.Seconds())
-					batchSum += resp.BatchSize
-					if resp.BatchSize > rep.MaxBatch {
-						rep.MaxBatch = resp.BatchSize
-					}
 				case code == http.StatusTooManyRequests:
 					rep.Shed++
 				case code == http.StatusGatewayTimeout:
@@ -163,9 +154,6 @@ func Attack(baseURL string, opts AttackOptions) (AttackReport, error) {
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	if rep.OK > 0 {
-		rep.MeanBatch = float64(batchSum) / float64(rep.OK)
-	}
 	if len(latencies) > 0 {
 		sort.Float64s(latencies)
 		rep.P50 = stats.Percentile(latencies, 50)
@@ -175,29 +163,27 @@ func Attack(baseURL string, opts AttackOptions) (AttackReport, error) {
 	return rep, nil
 }
 
-// fire issues one /infer request and decodes the response.
-func fire(client *http.Client, baseURL string, opts AttackOptions, id int) (int, InferResponse, error) {
+// fire issues one /infer request and returns its status; a 200 whose
+// body is not a well-formed response is an error.
+func fire(client *http.Client, baseURL string, opts AttackOptions, id int) (int, error) {
 	body, err := json.Marshal(InferRequest{
 		Seed:       opts.Seed + int64(id),
 		DeadlineMs: opts.DeadlineMs,
 	})
 	if err != nil {
-		return 0, InferResponse{}, err
+		return 0, err
 	}
 	resp, err := client.Post(baseURL+"/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, InferResponse{}, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	var out InferResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return resp.StatusCode, out, err
-		}
-	} else {
-		_, _ = io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
+		var out InferResponse
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(&out)
 	}
-	return resp.StatusCode, out, nil
+	_, _ = io.Copy(io.Discard, resp.Body) // drain so the connection is reusable
+	return resp.StatusCode, nil
 }
 
 // ScrapeMetrics fetches the /metrics endpoint and returns the raw

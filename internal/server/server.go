@@ -21,9 +21,9 @@ import (
 
 // Metrics is the server's observability surface: every quantity the
 // paper's serving analysis provisions by (request rate, tail latency,
-// queue depth, shed rate) plus the batching-specific ones (batch-size
-// distribution, high-water mark). Exposed on /metrics in Prometheus
-// text format.
+// queue depth, shed rate) plus where a request's time went (queue wait,
+// engine time) and how many ran at once. Exposed on /metrics in
+// Prometheus text format.
 type Metrics struct {
 	// Registry renders the families below on /metrics.
 	Registry *metrics.Registry
@@ -31,26 +31,30 @@ type Metrics struct {
 	Requests *metrics.CounterVec
 	// Shed counts admission rejections (429s before any queueing).
 	Shed *metrics.Counter
-	// Batches counts dispatched engine batches.
+	// Batches counts dispatches to the engine, one request each; the name
+	// is the one dashboards and the benchmark read.
 	Batches *metrics.Counter
-	// EngineErrors counts batches that failed inside the engine.
+	// EngineErrors counts dispatches that failed inside the engine.
 	EngineErrors *metrics.Counter
 	// DeadlineDrops counts requests whose context expired while queued,
 	// dropped before reaching the engine.
 	DeadlineDrops *metrics.Counter
-	// QueueDepth gauges requests currently waiting for a batch window.
+	// QueueDepth gauges requests currently waiting for a free dispatcher.
 	QueueDepth *metrics.Gauge
 	// InFlight gauges requests between admission and response.
 	InFlight *metrics.Gauge
-	// BatchSize summarizes dispatched batch sizes (quantiles).
-	BatchSize *metrics.Summary
-	// BatchMax is the high-water batch size — the single number that
-	// proves micro-batching is active (> 1 under concurrent load).
-	BatchMax *metrics.Gauge
+	// EngineInflightMax is the high-water count of requests inside the
+	// engine at the same time — the single number that proves the
+	// replicas ran concurrently (> 1 under concurrent load).
+	EngineInflightMax *metrics.Gauge
 	// Latency summarizes total request latency in seconds.
 	Latency *metrics.Summary
-	// QueueWait summarizes time spent queued before dispatch, seconds.
+	// QueueWait summarizes admission to a dispatcher picking the request
+	// up, seconds.
 	QueueWait *metrics.Summary
+	// EngineTime summarizes the engine call itself, seconds. A request's
+	// QueueWait and EngineTime add up to its Latency.
+	EngineTime *metrics.Summary
 	// ExecDType marks the engine's execution datatype: the active dtype's
 	// series is 1 ({dtype="int8"} after a -quantize int8 deployment).
 	ExecDType *metrics.GaugeVec
@@ -74,17 +78,18 @@ func NewMetrics() *Metrics {
 		Registry:      r,
 		Requests:      r.NewCounterVec("edgeserve_requests_total", "Completed HTTP inference requests by status code.", "code"),
 		Shed:          r.NewCounter("edgeserve_shed_total", "Requests rejected at admission because the queue was full."),
-		Batches:       r.NewCounter("edgeserve_batches_total", "Batches dispatched to the inference engine."),
-		EngineErrors:  r.NewCounter("edgeserve_engine_errors_total", "Batches that failed inside the inference engine."),
+		Batches:       r.NewCounter("edgeserve_batches_total", "Dispatches to the inference engine, one request each."),
+		EngineErrors:  r.NewCounter("edgeserve_engine_errors_total", "Dispatches that failed inside the inference engine."),
 		DeadlineDrops: r.NewCounter("edgeserve_deadline_drops_total", "Requests whose deadline expired while queued, dropped before the engine."),
-		QueueDepth:    r.NewGauge("edgeserve_queue_depth", "Requests currently waiting for a batch window."),
+		QueueDepth:    r.NewGauge("edgeserve_queue_depth", "Requests currently waiting for a free dispatcher."),
 		InFlight:      r.NewGauge("edgeserve_inflight", "Requests between admission and response."),
-		BatchSize:     r.NewSummary("edgeserve_batch_size", "Dispatched batch size distribution."),
-		BatchMax:      r.NewGauge("edgeserve_batch_size_max", "Largest batch dispatched since start."),
-		Latency:       r.NewSummary("edgeserve_request_seconds", "Total request latency in seconds (successful requests)."),
-		QueueWait:     r.NewSummary("edgeserve_queue_wait_seconds", "Time requests spent queued before dispatch."),
-		ExecDType:     r.NewGaugeVec("edgeserve_exec_dtype", "Execution datatype of the served model (active dtype is 1).", "dtype"),
-		WeightBytes:   r.NewGauge("edgeserve_model_weight_bytes", "Model parameter footprint in the execution datatype, bytes."),
+		EngineInflightMax: r.NewGauge("edgeserve_engine_inflight_max",
+			"Most requests inside the inference engine at the same time since start."),
+		Latency:     r.NewSummary("edgeserve_request_seconds", "Total request latency in seconds (successful requests)."),
+		QueueWait:   r.NewSummary("edgeserve_queue_wait_seconds", "Time requests spent queued before a dispatcher picked them up."),
+		EngineTime:  r.NewSummary("edgeserve_engine_seconds", "Time requests spent inside the inference engine."),
+		ExecDType:   r.NewGaugeVec("edgeserve_exec_dtype", "Execution datatype of the served model (active dtype is 1).", "dtype"),
+		WeightBytes: r.NewGauge("edgeserve_model_weight_bytes", "Model parameter footprint in the execution datatype, bytes."),
 		Int8Dispatches: r.NewGauge("edgeserve_int8_kernel_dispatches",
 			"Cumulative conv/dense kernels dispatched on the int8 path across replicas."),
 		FP32Dispatches: r.NewGauge("edgeserve_fp32_kernel_dispatches",
@@ -94,12 +99,12 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Engine is the backend contract the server fronts: batched inference
-// plus the introspection the metrics endpoint exports. serving.Engine
-// is the single-process implementation; cluster.Pipeline satisfies the
-// same contract across a chain of stage processes, so the whole HTTP
-// surface (admission queue, micro-batching, deadlines, metrics) fronts
-// either without knowing which.
+// Engine is the backend contract the server fronts: single-request
+// inference with a declared concurrency, plus the introspection the
+// metrics endpoint exports. serving.Engine is the single-process
+// implementation; cluster.Pipeline satisfies the same contract across a
+// chain of stage processes, so the whole HTTP surface (admission queue,
+// dispatch, deadlines, metrics) fronts either without knowing which.
 type Engine interface {
 	Backend
 	// InputShape is the shape one request tensor must have.
@@ -110,17 +115,17 @@ type Engine interface {
 	WeightBytes() int64
 	// DispatchCounts reports cumulative kernel dispatches by path.
 	DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int64)
-	// Close drains the backend; subsequent InferBatch calls must fail.
+	// Close drains the backend; subsequent Infer calls must fail.
 	Close() error
 }
 
 // Server is the HTTP inference server: admission control and
-// micro-batching in front of an Engine, with /infer, /healthz, and
-// /metrics endpoints.
+// work-conserving dispatch in front of an Engine, with /infer, /healthz,
+// and /metrics endpoints.
 type Server struct {
 	cfg      Config
 	eng      Engine
-	bat      *Batcher
+	disp     *Dispatcher
 	m        *Metrics
 	mux      *http.ServeMux
 	ready    atomic.Bool
@@ -138,7 +143,7 @@ func New(eng Engine, cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		eng:   eng,
-		bat:   NewBatcher(eng, cfg, m),
+		disp:  NewDispatcher(eng, cfg, m),
 		m:     m,
 		mux:   http.NewServeMux(),
 		shape: eng.InputShape(),
@@ -195,21 +200,21 @@ const (
 	readTimeout = 30 * time.Second
 	// idleTimeout bounds a keep-alive connection between requests.
 	idleTimeout = 2 * time.Minute
-	// batchServiceCeiling bounds one batch's time inside the engine for
-	// writeTimeout's derivation: the slowest zoo model (Inception-v4,
-	// ~3 s a frame on the 2-core reference host) at the default MaxBatch
-	// over two replicas.
-	batchServiceCeiling = 15 * time.Second
+	// enginePassCeiling bounds one request's time inside the engine for
+	// writeTimeout's derivation: five times the slowest zoo model's frame
+	// (Inception-v4, ~3 s on the 2-core reference host), the margin being
+	// for replicas that share the kernel pool's cores.
+	enginePassCeiling = 15 * time.Second
 )
 
 // writeTimeout bounds a request from the end of its headers to the end
 // of its response, so it must outlast the body read and the longest
 // legitimate residence: a request admitted at the back of a full queue
-// waits for every batch ahead of it, each at most one MaxWait window and
-// one engine pass.
-func (c Config) writeTimeout() time.Duration {
-	batchesAhead := (c.QueueCap + c.MaxBatch - 1) / c.MaxBatch
-	return readTimeout + time.Duration(batchesAhead+1)*(c.MaxWait+batchServiceCeiling)
+// waits for the engine passes ahead of it, which the backend runs
+// concurrency at a time, and then for its own.
+func (c Config) writeTimeout(concurrency int) time.Duration {
+	passesAhead := (c.QueueCap + concurrency - 1) / concurrency
+	return readTimeout + time.Duration(passesAhead+1)*enginePassCeiling
 }
 
 // HTTPServer returns the http.Server a deployment listens with: the
@@ -221,7 +226,7 @@ func (s *Server) HTTPServer() *http.Server {
 		Handler:           s.mux,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
-		WriteTimeout:      s.cfg.writeTimeout(),
+		WriteTimeout:      s.cfg.writeTimeout(s.disp.loops),
 		IdleTimeout:       idleTimeout,
 	}
 }
@@ -235,7 +240,7 @@ func (s *Server) Metrics() *Metrics { return s.m }
 // should http.Server.Shutdown first so in-flight connections finish.
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	s.bat.Close()
+	s.disp.Close()
 	return s.eng.Close()
 }
 
@@ -256,10 +261,16 @@ type InferResponse struct {
 	Argmax int `json:"argmax"`
 	// Output is the full output tensor, flattened.
 	Output []float32 `json:"output"`
-	// BatchSize is the size of the micro-batch this request rode in.
+	// BatchSize is always 1: every request is dispatched on its own. The
+	// field stays for clients written against the batching server.
 	BatchSize int `json:"batch_size"`
 	// TotalMs is the server-side latency: admission to engine result.
 	TotalMs float64 `json:"total_ms"`
+	// QueueMs and EngineMs are the request's budget: admission to a
+	// dispatcher picking it up, and the engine call. They sum to TotalMs
+	// less the hand-back to the handler's goroutine.
+	QueueMs  float64 `json:"queue_ms"`
+	EngineMs float64 `json:"engine_ms"`
 }
 
 // inferBodyLimit is the largest /infer body the server reads for a
@@ -298,8 +309,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Deadline propagation: explicit per-request deadline wins, then the
-	// server default; both ride the request context so queue, batcher,
-	// and engine all observe the same clock.
+	// server default; both ride the request context so queue and
+	// dispatcher observe the same clock.
 	ctx := r.Context()
 	deadline := s.cfg.Deadline
 	if req.DeadlineMs > 0 {
@@ -314,7 +325,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.m.InFlight.Add(1)
 	defer s.m.InFlight.Add(-1)
 	start := time.Now()
-	out, batch, err := s.bat.Do(ctx, in)
+	out, budget, err := s.disp.Do(ctx, in)
 	if err != nil {
 		code := statusFor(err)
 		if code == http.StatusTooManyRequests {
@@ -337,10 +348,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(InferResponse{
 		Argmax:    argmax(out.Data),
 		Output:    out.Data,
-		BatchSize: batch,
-		TotalMs:   float64(elapsed) / float64(time.Millisecond),
+		BatchSize: 1,
+		TotalMs:   ms(elapsed),
+		QueueMs:   ms(budget.Queue),
+		EngineMs:  ms(budget.Engine),
 	})
 }
+
+// ms renders a duration in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // handleHealthz is the readiness probe: 200 while serving, 503 once
 // drain has begun so load balancers stop routing here.

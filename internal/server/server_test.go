@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -36,24 +37,35 @@ func buildEngine(t testing.TB, replicas int) (*graph.Graph, *serving.Engine) {
 	return g, eng
 }
 
+// post sends one /infer request and decodes a 200's body. It reports
+// failures as an error, so goroutines other than the test's can call it.
+func post(url string, req server.InferRequest) (*http.Response, server.InferResponse, error) {
+	var out server.InferResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, out, err
+	}
+	resp, err := http.Post(url+"/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&out)
+	}
+	return resp, out, err
+}
+
 func postInfer(t *testing.T, url string, req server.InferRequest) (*http.Response, server.InferResponse) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/infer", "application/json", bytes.NewReader(body))
+	resp, out, err := post(url, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out server.InferResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp.Body.Close()
 	return resp, out
 }
 
-// TestServerInferMatchesEngine: a round trip through HTTP + batcher must
+// TestServerInferMatchesEngine: a round trip through HTTP + dispatcher must
 // return exactly what a direct engine call returns for the same input.
 func TestServerInferMatchesEngine(t *testing.T) {
 	g, eng := buildEngine(t, 2)
@@ -83,8 +95,8 @@ func TestServerInferMatchesEngine(t *testing.T) {
 			t.Fatalf("output[%d] = %v, want %v", j, out.Output[j], want.Data[j])
 		}
 	}
-	if out.BatchSize < 1 {
-		t.Errorf("batch size %d", out.BatchSize)
+	if out.BatchSize != 1 {
+		t.Errorf("batch size %d, want 1: every request is dispatched alone", out.BatchSize)
 	}
 }
 
@@ -261,9 +273,9 @@ type slowEngine struct {
 	delay time.Duration
 }
 
-func (s slowEngine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (s slowEngine) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	time.Sleep(s.delay)
-	return s.Engine.InferBatch(ins)
+	return s.Engine.Infer(in)
 }
 
 // TestServerOverloadReturns429 floods a tiny queue and requires shed
@@ -271,7 +283,7 @@ func (s slowEngine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 func TestServerOverloadReturns429(t *testing.T) {
 	_, eng := buildEngine(t, 1)
 	srv := server.New(slowEngine{Engine: eng, delay: 2 * time.Millisecond},
-		server.Config{MaxBatch: 1, QueueCap: 1, MaxWait: time.Millisecond})
+		server.Config{QueueCap: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -352,8 +364,17 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if got := series["edgeserve_request_seconds_count"]; got != 5 {
 		t.Errorf("request_seconds_count = %v, want 5", got)
 	}
-	if got := series["edgeserve_batches_total"]; got < 1 {
-		t.Errorf("batches_total = %v, want >= 1", got)
+	if got := series["edgeserve_batches_total"]; got != 5 {
+		t.Errorf("batches_total = %v, want 5: one dispatch per request", got)
+	}
+	if got := series["edgeserve_engine_seconds_count"]; got != 5 {
+		t.Errorf("engine_seconds_count = %v, want 5", got)
+	}
+	if got := series["edgeserve_engine_inflight_max"]; got != 1 {
+		t.Errorf("engine_inflight_max = %v, want 1 after sequential requests", got)
+	}
+	if _, gone := series["edgeserve_batch_size_max"]; gone || strings.Contains(raw, "edgeserve_batch_size") {
+		t.Errorf("batch-size series still exported:\n%s", raw)
 	}
 	if _, okq := series[`edgeserve_request_seconds{quantile="0.99"}`]; !okq {
 		t.Errorf("missing p99 quantile series:\n%s", raw)
@@ -447,15 +468,63 @@ func TestServerHealthzAndDrain(t *testing.T) {
 	}
 }
 
+// TestServerBudgetSums: a response carries where its time went, and on
+// an idle server the two parts account for the whole — queue_ms plus
+// engine_ms is total_ms less the hand-back to the handler, and queue_ms
+// is that of an empty queue, not of a batch window. The parts can never
+// exceed the whole; the size of the gap and of the wait are asserted on
+// the median of nine lone requests, so that one descheduling of the test
+// process cannot fail it.
+func TestServerBudgetSums(t *testing.T) {
+	_, eng := buildEngine(t, 2)
+	srv := server.New(eng, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	const n = 9
+	var gaps, waits []float64
+	for i := 0; i < n; i++ {
+		resp, out := postInfer(t, ts.URL, server.InferRequest{Seed: int64(i)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		if out.EngineMs <= 0 || out.QueueMs < 0 {
+			t.Fatalf("request %d: queue_ms %v engine_ms %v, want both measured", i, out.QueueMs, out.EngineMs)
+		}
+		gap := out.TotalMs - (out.QueueMs + out.EngineMs)
+		if gap < -1e-6 {
+			t.Errorf("request %d: queue_ms %v + engine_ms %v exceeds total_ms %v", i, out.QueueMs, out.EngineMs, out.TotalMs)
+		}
+		gaps = append(gaps, gap)
+		waits = append(waits, out.QueueMs)
+	}
+	sort.Float64s(gaps)
+	sort.Float64s(waits)
+	if gap := gaps[n/2]; gap > 0.2 {
+		t.Errorf("total_ms exceeds queue_ms + engine_ms by %.3f ms at the median, want <= 0.2 ms", gap)
+	}
+	if wait := waits[n/2]; wait >= 1 {
+		t.Errorf("idle queue_ms %.3f at the median, want < 1 ms", wait)
+	}
+	m := srv.Metrics()
+	if q, e := m.QueueWait.Count(), m.EngineTime.Count(); q != n || e != n {
+		t.Errorf("queue-wait and engine-time summaries hold %d and %d observations, want %d each", q, e, n)
+	}
+}
+
 // TestAttackAgainstLiveServer runs the built-in load generator against
 // an httptest server at a modest rate and requires zero shed, zero
-// failures, and micro-batching visibly active (max batch > 1).
+// failures, both replicas visibly used at once, and — for the seeds the
+// attack sent — outputs bit-identical to a sequential executor's.
 func TestAttackAgainstLiveServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real load")
 	}
-	_, eng := buildEngine(t, 2)
-	srv := server.New(eng, server.Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond, QueueCap: 128})
+	g, eng := buildEngine(t, 2)
+	// The test model runs in tens of microseconds; slowed to 2 ms, the
+	// requests of one burst are certain to overlap.
+	srv := server.New(slowEngine{Engine: eng, delay: 2 * time.Millisecond}, server.Config{QueueCap: 128})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -475,10 +544,42 @@ func TestAttackAgainstLiveServer(t *testing.T) {
 	if rep.Shed != 0 || rep.Failed != 0 || rep.Deadline != 0 {
 		t.Fatalf("attack saw rejects: %s", rep)
 	}
-	if rep.MaxBatch < 2 {
-		t.Errorf("micro-batching never coalesced: %s", rep)
+	if got := srv.Metrics().Batches.Value(); got != uint64(rep.OK) {
+		t.Errorf("%d dispatches for %d served requests, want one each", got, rep.OK)
 	}
-	if got := srv.Metrics().BatchMax.Value(); got < 2 {
-		t.Errorf("batch high-water mark %v, want >= 2", got)
+	if got := srv.Metrics().EngineInflightMax.Value(); got != 2 {
+		t.Errorf("engine in-flight high-water mark %v, want 2: bursts of 4 against 2 replicas", got)
+	}
+
+	// One more burst of the attack's own seeds, this time keeping the
+	// outputs: concurrent dispatch must not change a bit.
+	const burst = 4
+	outs := make([]server.InferResponse, burst)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if _, outs[i], err = post(ts.URL, server.InferRequest{Seed: int64(1 + i)}); err != nil {
+				t.Errorf("seed %d: %v", 1+i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	ref := &graph.Executor{}
+	for i, out := range outs {
+		want, err := ref.Run(g, server.SeededInput(eng.InputShape(), int64(1+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Output) != len(want.Data) {
+			t.Fatalf("seed %d: %d outputs, want %d", 1+i, len(out.Output), len(want.Data))
+		}
+		for j := range want.Data {
+			if out.Output[j] != want.Data[j] {
+				t.Fatalf("seed %d: output[%d] = %v, sequential executor %v", 1+i, j, out.Output[j], want.Data[j])
+			}
+		}
 	}
 }

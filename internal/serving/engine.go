@@ -91,6 +91,12 @@ func NewEngine(g *graph.Graph, replicas int) (*Engine, error) {
 // Replicas returns the configured replica count.
 func (e *Engine) Replicas() int { return e.size }
 
+// Concurrency is how many Infer calls run at the same time: one per
+// replica. The HTTP server starts that many dispatch loops, so every
+// replica has a request whenever one is waiting and none waits behind a
+// busy pool it cannot see.
+func (e *Engine) Concurrency() int { return e.Replicas() }
+
 // Warmup runs one throwaway inference on every replica so each
 // executor's arena is allocated before real traffic (or the first
 // pipelined frame) arrives. Stage workers call it before reporting
@@ -165,7 +171,9 @@ func (e *Engine) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 // batch fails with ErrEmptyBatch and a nil tensor with ErrNilInput (both
 // before any work is dispatched); otherwise every sample runs, the
 // output of a failed one is nil, and the error returned is the failure
-// with the lowest input index, which it names.
+// with the lowest input index, which it names. The HTTP server does not
+// come through here — it hands single requests to Infer, one per idle
+// replica; InferBatch is for a caller that holds a batch of its own.
 func (e *Engine) InferBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(ins) == 0 {
 		return nil, ErrEmptyBatch
