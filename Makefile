@@ -87,7 +87,7 @@ pipe-smoke:
 # the gate.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
-	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|Depthwise3x3|GemmPrepacked' -benchtime 1x
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6' -benchtime 1x
 
 # The CI gate: everything that must be clean before a merge.
 check: build fmt analyze opt-equiv race bench-test serve-smoke pipe-smoke

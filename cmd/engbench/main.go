@@ -219,7 +219,7 @@ func main() {
 	cdst := tensor.New(64, 56, 56)
 	gemm := benchMin("conv2d/gemm", &rep.Results, func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
-			tensor.Conv2DGEMMFusedInto(cdst, in, w, bias, spec, tensor.Epilogue{})
+			tensor.Conv2DGEMMFusedInto(cdst, in, w, bias, spec, tensor.Epilogue{}, 0)
 		}
 	})
 	pw := tensor.PackConvWeights(w)

@@ -56,7 +56,7 @@ func bind(n *Node) (kernel, error) {
 	case OpConv2D:
 		switch {
 		case n.Attrs.GroupCount() > 1:
-			k = kernel{run: runConvGrouped}
+			k = kernel{run: convGrouped()}
 		case int8 && n.PackedQ != nil:
 			k = kernel{run: runConvQPacked, dst: true, act: true, int8: true, packed: true}
 		case int8:
@@ -64,7 +64,7 @@ func bind(n *Node) (kernel, error) {
 		case n.Packed != nil:
 			k = kernel{run: runConvPacked, dst: true, act: true, affine: true, packed: true}
 		default:
-			k = kernel{run: runConvGEMM, pack: packConv, dst: true, act: true, affine: true}
+			k = kernel{run: convGEMM(), pack: packConv, dst: true, act: true, affine: true}
 		}
 		k.compute = true
 	case OpDepthwiseConv2D:
@@ -194,37 +194,57 @@ func runConvPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Ten
 	return dst
 }
 
-func runConvGEMM(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DGEMMFusedInto(dst, in[0], n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
-	return dst
+// convGEMM returns the unpacked GEMM convolution kernel. How sparse the
+// weights are decides between the dense and the zero-skipping GEMM, and
+// weights are constant, so the first run measures it and every later one
+// passes it down (bind also serves the planner and the passes, which run
+// nothing; an executor runs one inference at a time).
+// tensor.PackConvWeights refuses to pack on the same measure of the same
+// data, so a graph stays on one kernel family packed or not.
+func convGEMM() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
+	zeroFrac := -1.0
+	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+		if zeroFrac < 0 {
+			zeroFrac = tensor.Sparsity(n.Weights)
+		}
+		tensor.Conv2DGEMMFusedInto(dst, in[0], n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n), zeroFrac)
+		return dst
+	}
 }
 
-// runConvGrouped splits the input channels into groups and convolves
-// each group with its own filter slice (AlexNet's two-GPU heritage
-// layout). Weights are [Cout, Cin/groups, KH, KW]; output channels
-// partition evenly across groups.
-func runConvGrouped(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	x, groups := in[0], n.Attrs.GroupCount()
-	cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	cout := n.WShape[0]
-	if cin%groups != 0 || cout%groups != 0 {
-		panic(fmt.Sprintf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups))
-	}
-	cinG, coutG := cin/groups, cout/groups
-	kh, kw := n.WShape[2], n.WShape[3]
-	outs := make([]*tensor.Tensor, groups)
-	plane := h * w
-	wPer := coutG * cinG * kh * kw
-	for gi := 0; gi < groups; gi++ {
-		gin := tensor.FromData(x.Data[gi*cinG*plane:(gi+1)*cinG*plane], cinG, h, w)
-		gw := tensor.FromData(n.Weights.Data[gi*wPer:(gi+1)*wPer], coutG, cinG, kh, kw)
-		var gb []float32
-		if n.Bias != nil {
-			gb = n.Bias[gi*coutG : (gi+1)*coutG]
+// convGrouped returns the grouped convolution kernel: it splits the
+// input channels into groups and convolves each group with its own
+// filter slice (AlexNet's two-GPU heritage layout). Weights are
+// [Cout, Cin/groups, KH, KW]; output channels partition evenly across
+// groups. The first run measures each slice's sparsity, as in convGEMM.
+func convGrouped() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
+	var zeroFrac []float64
+	return func(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+		x, groups := in[0], n.Attrs.GroupCount()
+		cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+		cout := n.WShape[0]
+		if cin%groups != 0 || cout%groups != 0 {
+			panic(fmt.Sprintf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups))
 		}
-		outs[gi] = tensor.Conv2DGEMM(gin, gw, gb, n.Attrs.ConvSpec())
+		cinG, coutG := cin/groups, cout/groups
+		kh, kw := n.WShape[2], n.WShape[3]
+		outs := make([]*tensor.Tensor, groups)
+		plane := h * w
+		wPer := coutG * cinG * kh * kw
+		for gi := 0; gi < groups; gi++ {
+			gin := tensor.FromData(x.Data[gi*cinG*plane:(gi+1)*cinG*plane], cinG, h, w)
+			gw := tensor.FromData(n.Weights.Data[gi*wPer:(gi+1)*wPer], coutG, cinG, kh, kw)
+			var gb []float32
+			if n.Bias != nil {
+				gb = n.Bias[gi*coutG : (gi+1)*coutG]
+			}
+			if len(zeroFrac) == gi {
+				zeroFrac = append(zeroFrac, tensor.Sparsity(gw))
+			}
+			outs[gi] = tensor.Conv2DGEMM(gin, gw, gb, n.Attrs.ConvSpec(), zeroFrac[gi])
+		}
+		return tensor.ConcatChannels(outs...)
 	}
-	return tensor.ConcatChannels(outs...)
 }
 
 func runDepthwise(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

@@ -120,6 +120,62 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPrunedConvTakesZeroSkippingGEMM: the executor measures a conv's
+// weight sparsity once and hands it to the kernel, so a pruned layer
+// above the GEMM threshold — ungrouped, or each slice of a grouped one —
+// runs the zero-skipping GEMM on every inference, pooled or not, and
+// PrepackWeights leaves it unpacked. The reference is built from the
+// lowering and the sparse multiply directly.
+func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
+	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 67}, 16, 32, 32)
+	b.Conv2D("conv", 32, 3, 1, 1, true)
+	b.Conv2DG("gconv", 32, 3, 1, 1, 2, true)
+	g := b.Build()
+	graph.Prune(0.8)(g)
+	if graph.PrepackWeights(g) != 0 {
+		t.Fatal("PrepackWeights packed a pruned convolution")
+	}
+	in := seededInput(g.Input.OutShape, 4)
+	sparseConv := func(x, w *tensor.Tensor, bias []float32) *tensor.Tensor {
+		spec := tensor.Conv2DSpec{Stride: 1, Pad: 1}
+		if w.Shape.NumElems()*32*32 < tensor.ParallelThresholdMACs() || tensor.Sparsity(w) < 0.6 {
+			t.Fatalf("weights %v at sparsity %v would not take the zero-skipping kernel", w.Shape, tensor.Sparsity(w))
+		}
+		out := tensor.MatMulSparse(w.Reshape(w.Shape[0], w.Shape[1]*9), tensor.Im2Col(x, 3, 3, spec)).Reshape(w.Shape[0], 32, 32)
+		for oc, bv := range bias {
+			for i := range out.Data[oc*1024 : (oc+1)*1024] {
+				out.Data[oc*1024+i] += bv
+			}
+		}
+		dense, same := tensor.Conv2DGEMM(x, w, bias, spec, 0), true
+		for i := range out.Data {
+			same = same && dense.Data[i] == out.Data[i]
+		}
+		if same {
+			t.Fatal("the dense kernel gives the same bits: the comparison below would prove nothing")
+		}
+		return out
+	}
+	conv, gconv := findNode(t, g, "conv"), findNode(t, g, "gconv")
+	wantConv := sparseConv(in, conv.Weights, conv.Bias)
+	halves := make([]*tensor.Tensor, 2)
+	for gi := range halves {
+		halves[gi] = sparseConv(tensor.FromData(wantConv.Data[gi*16*1024:(gi+1)*16*1024], 16, 32, 32),
+			tensor.FromData(gconv.Weights.Data[gi*16*16*9:(gi+1)*16*16*9], 16, 16, 3, 3), gconv.Bias[gi*16:(gi+1)*16])
+	}
+	wantG := tensor.ConcatChannels(halves...)
+	for _, pooled := range []bool{false, true} {
+		e := &graph.Executor{Pooled: pooled}
+		for run := 0; run < 2; run++ {
+			got, err := e.Run(g, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, fmt.Sprintf("pooled=%v run %d", pooled, run), got, wantG)
+		}
+	}
+}
+
 func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 	t.Helper()
 	if !got.Shape.Equal(want.Shape) {

@@ -42,7 +42,7 @@ func BenchmarkConv2DGEMM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DGEMM(in, w, nil, spec)
+		Conv2DGEMM(in, w, nil, spec, 0)
 	}
 }
 
@@ -84,9 +84,9 @@ func BenchmarkSparseMatMul(b *testing.B) {
 	}
 }
 
-// The two benchmarks below sit at MobileNet-v2's hottest shapes (the
-// layers a CPU profile of the served model ranks first), so a kernel
-// change can be judged where the model's time goes.
+// The benchmarks below sit at MobileNet-v2's hottest shapes (the layers
+// a CPU profile of the served model ranks first), so a kernel change can
+// be judged where the model's time goes.
 
 func BenchmarkDepthwise3x3(b *testing.B) {
 	for _, tc := range []struct {
@@ -112,8 +112,9 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmPrepacked is the 112x112 pointwise projection 16→96 as the
-// prepacked path runs it: a 12544x16 im2row matrix times packed weights.
+// BenchmarkGemmPrepacked is the GEMM of the 112x112 pointwise projection
+// 16→96 alone, on one core: a 12544x16 im2row matrix times packed
+// weights, the rate the convolution around it cannot exceed.
 func BenchmarkGemmPrepacked(b *testing.B) {
 	const m, k, n = 12544, 16, 96
 	a := New(m, k).Randomize(stats.NewRNG(1), 1)
@@ -121,9 +122,63 @@ func BenchmarkGemmPrepacked(b *testing.B) {
 	dst := make([]float32, m*n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmPrepacked(dst, a.Data, pw, m)
+		gemmPrepackedRange(dst, a.Data, pw, 0, m)
 	}
 	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+// BenchmarkConv2DPrepacked is the whole pre-packed FP32 convolution —
+// lowering, GEMM and the absorbed batch-norm + ReLU6 epilogue — at three
+// MobileNet-v2 pointwise layers: the largest plane, a mid-size linear
+// projection (no activation in the model), and a 7x7 plane whose chunks
+// are smaller than a band.
+func BenchmarkConv2DPrepacked(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		cin, hw, cout int
+		act           Act
+	}{
+		{"16x112x112-96-relu6", 16, 112, 96, ActReLU6},
+		{"192x28x28-32", 192, 28, 32, ActNone},
+		{"160x7x7-960-relu6", 160, 7, 960, ActReLU6},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := benchInput(tc.cin, tc.hw, tc.hw)
+			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
+			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: tc.act}
+			dst := New(tc.cout, tc.hw, tc.hw)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Conv2DPrepackedInto(dst, in, pw, nil, Conv2DSpec{Stride: 1}, epi)
+			}
+			b.ReportMetric(float64(tc.cin*tc.cout*tc.hw*tc.hw)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkForkJoin is what one parallelFor costs when the work is
+// nothing: cut eight chunks, enlist the idle workers, drain the cursor,
+// wait. The sharding thresholds are set against this number.
+func BenchmarkForkJoin(b *testing.B) {
+	fn := func(lo, hi int) {}
+	for i := 0; i < b.N; i++ {
+		parallelFor(8, 1, fn)
+	}
+}
+
+// BenchmarkClampReLU6 is the affine + ReLU6 epilogue over activations of
+// random sign, a third of them above 6 — the input on which a
+// compare-and-branch clamp mispredicts most.
+func BenchmarkClampReLU6(b *testing.B) {
+	seg := New(1 << 14)
+	src := New(1<<14).Randomize(stats.NewRNG(9), 12)
+	epi := Epilogue{Scale: []float32{1.5}, Shift: []float32{0.25}, Act: ActReLU6}
+	b.SetBytes(int64(4 * len(seg.Data)))
+	for i := 0; i < b.N; i++ {
+		copy(seg.Data, src.Data)
+		applyEpilogueSpan(seg.Data, 0, epi)
+	}
 }
 
 // The benchmarks below sit at SqueezeNet v1.1's hottest int8-path

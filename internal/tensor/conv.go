@@ -210,13 +210,14 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 }
 
 // Conv2DGEMM computes the convolution by im2col lowering followed by
-// matrix multiplication (Conv2DGEMMFusedInto with nothing fused). Results
-// match Conv2D to floating-point reassociation tolerance.
-func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
+// matrix multiplication (Conv2DGEMMFusedInto with nothing fused, which
+// also says what wZeroFrac is). Results match Conv2D to floating-point
+// reassociation tolerance.
+func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec, wZeroFrac float64) *Tensor {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	out := New(cout, hout, wout)
-	Conv2DGEMMFusedInto(out, in, w, bias, spec, Epilogue{})
+	Conv2DGEMMFusedInto(out, in, w, bias, spec, Epilogue{}, wZeroFrac)
 	return out
 }
 

@@ -106,7 +106,7 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 		}
 		spec := Conv2DSpec{Stride: stride, Pad: pad}
 		a := Conv2D(in, w, bias, spec)
-		b := Conv2DGEMM(in, w, bias, spec)
+		b := Conv2DGEMM(in, w, bias, spec, 0)
 		if !a.Shape.Equal(b.Shape) {
 			return false
 		}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // Bit-exact differential tests for the shape-specialised kernels: the
-// 3x3 depthwise row kernel, the two-row GEMM microkernel, and the
-// pointwise transpose lowering. Each is compared with a plain reference
+// 3x3 depthwise row kernel, the two-row GEMM microkernel, the pointwise
+// transpose lowering, the banded pre-packed convolution and the
+// branch-free clamp. Each is compared with a plain reference
 // that performs the same float32 operations in the same order, so any
 // difference at all is a bug.
 
@@ -245,11 +247,242 @@ func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
 		for _, cut := range []int{0, 1, transposeTile - 1, transposeTile + 8, npix} {
 			cut = min(cut, npix)
 			got := dirty(npix, cin).Data
-			im2rowPixels(got, in, 1, 1, spec, hout, wout, 0, cut)
-			im2rowPixels(got, in, 1, 1, spec, hout, wout, cut, npix)
+			im2rowPixels(got, in.Data, cin, h, wd, 1, 1, spec, wout, 0, cut)
+			im2rowPixels(got[cut*cin:], in.Data, cin, h, wd, 1, 1, spec, wout, cut, npix)
 			if !bitsEqual(got, want) {
 				t.Errorf("spec %+v cut at %d: lowering differs from transposed im2col", spec, cut)
 			}
 		}
+	}
+}
+
+// checkBandedConv runs the pre-packed conv and requires it to equal the
+// unpacked Conv2DGEMMFusedInto (im2col, per-call packing, whole-plane
+// epilogue sweeps) bit for bit.
+func checkBandedConv(t *testing.T, name string, in, w *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
+	t.Helper()
+	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], w.Shape[2], w.Shape[3])
+	want := dirty(w.Shape[0], hout, wout)
+	Conv2DGEMMFusedInto(want, in, w, bias, spec, epi, 0)
+	got := dirty(want.Shape...)
+	Conv2DPrepackedInto(got, in, pw, bias, spec, epi)
+	if !bitsEqual(got.Data, want.Data) {
+		t.Errorf("%s: banded prepacked conv differs from the unpacked kernel", name)
+	}
+}
+
+// TestConv2DPrepackedBandSweep crosses kernel 1/3/5/7 with stride 1-3,
+// per-axis padding 0-2 (symmetric specs where the two agree, Asym ones
+// otherwise), bias nil or not, an absorbed affine or none and every
+// epilogue activation, on planes that give odd pixel counts, a single
+// output pixel, and H or W smaller than the kernel.
+func TestConv2DPrepackedBandSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(101))
+	const cin, cout = 3, 5
+	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
+	_, _, _, _, _, affine := bnEpilogue(cout, 3)
+	cases, single, clipped := 0, 0, 0
+	for _, k := range []int{1, 3, 5, 7} {
+		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
+		w := randTensor(r, cout, cin, k, k)
+		pw := PackConvWeights(w)
+		for stride := 1; stride <= 3; stride++ {
+			for padH := 0; padH <= 2; padH++ {
+				for padW := 0; padW <= 2; padW++ {
+					spec := Conv2DSpec{Stride: stride, PadH: padH, PadW: padW, Asym: true}
+					if padH == padW {
+						spec = Conv2DSpec{Stride: stride, Pad: padH}
+					}
+					for _, hw := range planes {
+						h, wd := hw[0], hw[1]
+						if h+2*padH < k || wd+2*padW < k {
+							continue
+						}
+						if hout, wout := spec.OutDims(h, wd, k, k); hout*wout == 1 {
+							single++
+						}
+						if h < k || wd < k {
+							clipped++
+						}
+						in := randTensor(r, cin, h, wd)
+						for _, bias := range [][]float32{nil, randTensor(r, cout).Data} {
+							for _, epi := range []Epilogue{{}, affine} {
+								for _, act := range acts {
+									epi.Act, epi.Alpha = act, 0.1
+									name := fmt.Sprintf("k%d s%d pad%dx%d in%dx%d bias=%v affine=%v act=%d",
+										k, stride, padH, padW, h, wd, bias != nil, len(epi.Scale) > 0, act)
+									checkBandedConv(t, name, in, w, pw, bias, spec, epi)
+									cases++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if cases < 5000 || single == 0 || clipped == 0 {
+		t.Fatalf("sweep ran %d cases, %d with one output pixel, %d with a plane below the kernel", cases, single, clipped)
+	}
+}
+
+// TestConv2DPrepackedBandEdges puts band and chunk boundaries where they
+// can go wrong: pixel counts one under, at and one over a band; a 7x7
+// plane with K = 960, whose eight chunks are each smaller than a band; a
+// pointwise layer and a padded 3x3 whose chunk edges fall inside a
+// transposeTile. Each must equal the unpacked kernel pooled, and the
+// pooled bits must be the ones a single core produces.
+func TestConv2DPrepackedBandEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(103))
+	_, _, _, _, _, relu6 := bnEpilogue(160, 5)
+	relu6.Act = ActReLU6
+	for _, c := range []struct {
+		convCase
+		sharded bool
+	}{
+		{convCase{"band-1", 5, 7, 9, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
+		{convCase{"band", 5, 8, 8, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
+		{convCase{"band+1", 5, 5, 13, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
+		{convCase{"band+1-3x3", 4, 5, 13, 6, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, false},
+		{convCase{"7x7-K960", 960, 7, 7, 160, 1, 1, Conv2DSpec{Stride: 1}}, true},
+		{convCase{"1x1-odd-chunks", 64, 37, 41, 48, 1, 1, Conv2DSpec{Stride: 1}}, true},
+		{convCase{"3x3-odd-chunks", 8, 45, 45, 32, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, true},
+	} {
+		spec := c.spec.check()
+		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
+		ncols, k := hout*wout, c.cin*c.kh*c.kw
+		chunk := 2 * max(((ncols+1)/2+7)/8, grainForMACs(2*k*c.cout)) // parallelFor's cut at GOMAXPROCS 2, in pixels
+		if c.sharded && (ncols*k*c.cout < parallelThresholdMACs || chunk%transposeTile == 0) {
+			t.Fatalf("%s: %d pixels in chunks of %d do not exercise an unaligned sharded cut", c.name, ncols, chunk)
+		}
+		in := randTensor(r, c.cin, c.h, c.w)
+		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
+		pw := PackConvWeights(w)
+		bias := randTensor(r, c.cout).Data
+		epi := Epilogue{Scale: relu6.Scale[:c.cout], Shift: relu6.Shift[:c.cout], Act: ActReLU6}
+		checkBandedConv(t, c.name, in, w, pw, bias, spec, epi)
+
+		pooled := dirty(c.cout, hout, wout)
+		Conv2DPrepackedInto(pooled, in, pw, bias, spec, epi)
+		old := runtime.GOMAXPROCS(1)
+		serial := dirty(pooled.Shape...)
+		Conv2DPrepackedInto(serial, in, pw, bias, spec, epi)
+		runtime.GOMAXPROCS(old)
+		assertBitEqual(t, serial, pooled, c.name+": GOMAXPROCS 1 vs pooled")
+	}
+}
+
+// branchyClamp is the ReLU/ReLU6 loop body as it stood before clamp: two
+// float compares. It is kept here as the reference for every bit pattern.
+func branchyClamp(v float32, relu6 bool) float32 {
+	if v < 0 {
+		v = 0
+	} else if relu6 && v > 6 {
+		v = 6
+	}
+	return v
+}
+
+// TestClampMatchesBranchyLoop holds clamp to the compare-and-branch form
+// for both signs of every exponent with an empty, a one-bit, a half and
+// a full mantissa — which takes in ±0, ±Inf, quiet and signalling NaNs
+// of both signs and the denormals — and for 6.0 and its neighbours, then
+// checks the three kernels built on it against the same reference and
+// that the activations it does not serve are untouched.
+func TestClampMatchesBranchyLoop(t *testing.T) {
+	var vals []float32
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp < 256; exp++ {
+			for _, mant := range []uint32{0, 1, 0x400000, 0x7fffff} {
+				vals = append(vals, math.Float32frombits(sign<<31|exp<<23|mant))
+			}
+		}
+	}
+	for _, six := range []uint32{sixBits - 1, sixBits, sixBits + 1} {
+		vals = append(vals, math.Float32frombits(six), math.Float32frombits(six|1<<31))
+	}
+	for _, act := range []Act{ActReLU, ActReLU6} {
+		want := make([]float32, len(vals))
+		for i, v := range vals {
+			want[i] = branchyClamp(v, act == ActReLU6)
+			if got := clamp(v, clampHi(act)); math.Float32bits(got) != math.Float32bits(want[i]) {
+				t.Fatalf("act %d: clamp(%#08x) = %#08x, branchy loop gives %#08x",
+					act, math.Float32bits(v), math.Float32bits(got), math.Float32bits(want[i]))
+			}
+		}
+		inPlace := append([]float32(nil), vals...)
+		applyActInPlace(inPlace, act, 0)
+		span := append([]float32(nil), vals...)
+		applyEpilogueSpan(span, 0, Epilogue{Scale: []float32{1}, Shift: []float32{0}, Act: act})
+		requant := make([]float32, 3)
+		requantizeInto(requant, []int32{-7, 2, 900}, 0.5, 0.25, act, 0)
+		strided := make([]float32, 3)
+		requantizeStrided(strided, []int32{-7, 0, 2, 0, 900}, 2, 0.5, 0.25, act, 0)
+		for i, v := range vals {
+			if math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("act %d: applyActInPlace(%#08x) differs from the branchy loop", act, math.Float32bits(v))
+			}
+			// The affine's v*1 + 0 turns -0.0 into +0.0 and quiets a NaN before the clamp sees it.
+			if w := branchyClamp(v*1+0, act == ActReLU6); math.Float32bits(span[i]) != math.Float32bits(w) {
+				t.Fatalf("act %d: applyEpilogueSpan(%#08x) differs from the branchy loop", act, math.Float32bits(v))
+			}
+		}
+		for i, acc := range []int32{-7, 2, 900} {
+			w := branchyClamp(float32(acc)*0.5+0.25, act == ActReLU6)
+			if requant[i] != w || strided[i] != w {
+				t.Fatalf("act %d: requantize(%d) = %v / strided %v, branchy loop gives %v", act, acc, requant[i], strided[i], w)
+			}
+		}
+	}
+	for _, act := range []Act{ActNone, ActLeakyReLU, ActSigmoid, ActTanh} {
+		got := []float32{-2, -0.5, 0, 0.5, 7}
+		applyActInPlace(got, act, 0.1)
+		want := map[Act][]float32{
+			ActNone:      {-2, -0.5, 0, 0.5, 7},
+			ActLeakyReLU: {0.1 * -2, 0.1 * -0.5, 0, 0.5, 7},
+			ActSigmoid:   {float32(1 / (1 + math.Exp(2))), float32(1 / (1 + math.Exp(0.5))), 0.5, float32(1 / (1 + math.Exp(-0.5))), float32(1 / (1 + math.Exp(-7)))},
+			ActTanh:      {float32(math.Tanh(-2)), float32(math.Tanh(-0.5)), 0, float32(math.Tanh(0.5)), float32(math.Tanh(7))},
+		}[act]
+		if !bitsEqual(got, want) {
+			t.Errorf("act %d: %v, want %v", act, got, want)
+		}
+	}
+}
+
+// TestDepthwiseShardsBelowGEMMThreshold takes layers between the
+// depthwise bar and the GEMM kernels' — MobileNet-v2's 14x14 and 7x7
+// depthwise shapes, which ran on one core before — and requires the
+// sharded run to enlist a helper and to equal one serial pass bit for bit.
+func TestDepthwiseShardsBelowGEMMThreshold(t *testing.T) {
+	r := rand.New(rand.NewSource(107))
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	for _, c := range []struct{ c, hw, stride int }{{384, 14, 1}, {576, 14, 2}, {960, 7, 1}} {
+		in := New(c.c, c.hw, c.hw).Randomize(r, 1)
+		w := New(c.c, 3, 3).Randomize(r, 1)
+		bias := New(c.c).Randomize(r, 1).Data
+		spec := Conv2DSpec{Stride: c.stride, Pad: 1}.check()
+		_, _, _, _, _, epi := bnEpilogue(c.c, 2)
+		epi.Act = ActReLU6
+		hout, wout := spec.OutDims(c.hw, c.hw, 3, 3)
+		if macs := c.c * hout * wout * 9; macs < depthwiseShardMACs || macs >= parallelThresholdMACs {
+			t.Fatalf("%dx%dx%d s%d: %d MACs is not between the two thresholds", c.c, c.hw, c.hw, c.stride, macs)
+		}
+		serial := dirty(c.c, hout, wout)
+		depthwiseRowsFused(serial, in, w, bias, spec, 0, c.c*hout, epi)
+		// Enlisting is a non-blocking hand-off to a parked worker, and one
+		// that has just finished a task may not have parked again yet.
+		enlisted := false
+		sharded := dirty(serial.Shape...)
+		for try := 0; try < 100 && !enlisted; try++ {
+			before := poolParallelRuns.Load()
+			DepthwiseConv2DFusedInto(sharded, in, w, bias, spec, epi)
+			enlisted = poolParallelRuns.Load() > before
+			runtime.Gosched()
+		}
+		if !enlisted {
+			t.Errorf("%dx%dx%d s%d: no helper enlisted", c.c, c.hw, c.hw, c.stride)
+		}
+		assertBitEqual(t, sharded, serial, fmt.Sprintf("%dx%dx%d s%d sharded vs serial", c.c, c.hw, c.hw, c.stride))
 	}
 }

@@ -1,0 +1,77 @@
+//go:build !race
+
+package tensor_test
+
+import (
+	"runtime"
+	"testing"
+
+	"edgebench/internal/graph"
+	"edgebench/internal/model"
+	"edgebench/internal/nn"
+	"edgebench/internal/opt"
+	"edgebench/internal/serving"
+	"edgebench/internal/tensor"
+)
+
+// TestPackedConvForksOnce counts the fork-joins of one served
+// MobileNet-v2 inference on two cores: one parallelFor per pre-packed
+// convolution (there were three: lowering, GEMM, epilogue sweep), one per
+// depthwise layer at or above the depthwise bar (all of them), one for
+// the classifier's matvec — and, on an idle pool, every one of them gets
+// a helper. Excluded under -race, where the forward takes seconds.
+func TestPackedConvForksOnce(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	spec, ok := model.Get("MobileNet-v2")
+	if !ok {
+		t.Fatal("no MobileNet-v2 in the zoo")
+	}
+	g := spec.Build(nn.Options{Materialize: true, Seed: 11})
+	if _, err := opt.Optimize(g, opt.O2); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := serving.NewEngine(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var convs, depthwise, forks int64
+	for _, n := range g.Nodes {
+		macs := int(graph.NodeCost(n).MACs)
+		switch {
+		case n.Kind == graph.OpConv2D && n.Packed != nil:
+			convs++
+			forks++
+		case n.Kind == graph.OpDepthwiseConv2D && macs >= tensor.DepthwiseShardMACs:
+			depthwise++
+			forks++
+		case n.Kind == graph.OpDense && macs >= tensor.ParallelThresholdMACs():
+			forks++
+		case n.Kind == graph.OpConv2D || n.Kind == graph.OpDepthwiseConv2D:
+			t.Errorf("%s would run on one core", n)
+		}
+	}
+	if convs != 35 || depthwise != 17 {
+		t.Fatalf("MobileNet-v2 has %d pre-packed convs and %d sharded depthwise layers, want 35 and 17", convs, depthwise)
+	}
+	in := tensor.New(g.Input.OutShape...).Fill(0.25)
+	// Enlisting is a non-blocking hand-off to a parked worker, and one that
+	// has just finished a task may not have parked again yet: the count of
+	// forks must hold on every inference, a helper for each on one of a few.
+	allHelped := false
+	for try := 0; try < 10 && !allHelped; try++ {
+		p0, s0 := tensor.PoolRuns()
+		if _, err := eng.Infer(in); err != nil {
+			t.Fatal(err)
+		}
+		p1, s1 := tensor.PoolRuns()
+		if got := (p1 - p0) + (s1 - s0); got != forks {
+			t.Fatalf("one inference issued %d parallelFor calls, want %d (one per sharded kernel)", got, forks)
+		}
+		allHelped = s1 == s0
+	}
+	if !allHelped {
+		t.Error("no inference in 10 on an idle pool gave every sharded kernel a helper")
+	}
+}

@@ -61,23 +61,51 @@ func (e Epilogue) ApplyInto(dst *Tensor) {
 	}
 }
 
+// Bit patterns the clamp tests against: +Inf, the largest pattern that is
+// not a NaN, and 6.0.
+const (
+	posInfBits = 0x7f800000
+	sixBits    = 0x40c00000
+)
+
+// clampHi returns the bit pattern of a clamping activation's upper
+// bound: 6.0 for ReLU6, +Inf (no bound a float exceeds) for ReLU.
+func clampHi(act Act) uint32 {
+	if act == ActReLU6 {
+		return sixBits
+	}
+	return posInfBits
+}
+
+// clamp returns what `if v < 0 { v = 0 } else if v > hi { v = hi }`
+// returns, for every float32 bit pattern: -0.0 and both signs of NaN
+// pass through, -Inf goes to +0.0 and +Inf to hi. The comparisons are
+// unsigned range tests on the bits — [0x80000001, 0xff800000] is every
+// negative value, (hi, +Inf] every value above the bound — which the
+// compiler turns into conditional moves on amd64 and arm64, so nothing
+// here depends on the data. The float comparisons it replaces are
+// branches that mispredict on every second element of sign-random
+// activations: 6.4–6.8 ns an element against 1.5–1.6, the affine and a
+// copy included (BenchmarkClampReLU6; Xeon 2.10 GHz, go1.24.0).
+func clamp(v float32, hi uint32) float32 {
+	b := math.Float32bits(v)
+	if b-0x80000001 < posInfBits {
+		b = 0
+	}
+	if b-hi-1 < posInfBits-hi {
+		b = hi
+	}
+	return math.Float32frombits(b)
+}
+
 // applyActInPlace applies the activation elementwise in place: the one
 // implementation behind both the fused epilogues and ActivationInto.
 func applyActInPlace(data []float32, act Act, alpha float32) {
 	switch act {
-	case ActReLU:
+	case ActReLU, ActReLU6:
+		hi := clampHi(act)
 		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			}
-		}
-	case ActReLU6:
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			} else if v > 6 {
-				data[i] = 6
-			}
+			data[i] = clamp(v, hi)
 		}
 	case ActLeakyReLU:
 		for i, v := range data {
@@ -115,23 +143,10 @@ func applyEpilogueSpan(seg []float32, oc int, epi Epilogue) {
 		for i, v := range seg {
 			seg[i] = v*scale + shift
 		}
-	case ActReLU:
+	case ActReLU, ActReLU6:
+		hi := clampHi(epi.Act)
 		for i, v := range seg {
-			v = v*scale + shift
-			if v < 0 {
-				v = 0
-			}
-			seg[i] = v
-		}
-	case ActReLU6:
-		for i, v := range seg {
-			v = v*scale + shift
-			if v < 0 {
-				v = 0
-			} else if v > 6 {
-				v = 6
-			}
-			seg[i] = v
+			seg[i] = clamp(v*scale+shift, hi)
 		}
 	case ActLeakyReLU:
 		for i, v := range seg {
@@ -178,11 +193,13 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 // preallocated dst of shape [Cout, Hout, Wout], overwriting every
 // element, with the bias, affine, and activation folded into one
 // per-channel output sweep. A zero epi is the plain GEMM convolution.
-// Weights that are mostly zeros (pruned models) reach the zero-skipping
-// kernel through matmulInto's own check of its left operand. The
-// im2col matrix is borrowed from the package scratch pool. This is the
-// reference the pre-packed kernel is bit-identical to.
-func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
+// wZeroFrac is Sparsity(w): weights that are mostly zeros (pruned
+// models) take the zero-skipping kernel, and since weights are constant
+// the caller measures them once instead of this kernel scanning them on
+// every call; 0 means dense. The im2col matrix is borrowed from the
+// package scratch pool. This is the reference the pre-packed kernel is
+// bit-identical to.
+func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue, wZeroFrac float64) {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	checkConvDst(dst, cout, hout, wout)
@@ -193,7 +210,7 @@ func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, ep
 	s := convScratchPool.Get().(*convScratch)
 	s.grow(rows*ncols, 0)
 	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
-	matmulInto(dst.Data, w.Data, s.rows, cout, rows, ncols)
+	matmulInto(dst.Data, w.Data, s.rows, cout, rows, ncols, wZeroFrac)
 	convScratchPool.Put(s)
 	for oc := 0; oc < cout; oc++ {
 		seg := dst.Data[oc*ncols : (oc+1)*ncols]
@@ -222,13 +239,26 @@ func depthwiseRowsFused(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo,
 	foldEpilogueRows(dst, lo, hi, epi)
 }
 
+// depthwiseShardMACs is the depthwise layer size from which the row
+// space is sharded: two grains, the least parallelFor cuts into more
+// than one chunk. The GEMM kernels' bar (parallelThresholdMACs, eight
+// times this) is too high here: a depthwise MAC with its epilogue runs
+// at 0.6–1.2 GMAC/s a core against the GEMM's 2.7, so a two-grain layer
+// is 110–220 µs of work, and a fork that gets no help costs its caller
+// about 1 µs (BenchmarkForkJoin: 0.8–1.4 µs; Xeon 2.10 GHz, 2 CPUs,
+// go1.24.0). Under the old bar 12 of MobileNet-v2's 17 depthwise layers,
+// 37 % of its depthwise MACs, ran on one core; sharded, the smallest of
+// them (576x14x14 stride 2, 254 K MACs) goes 332–399 → 299–326 µs and
+// 384x14x14 goes 912 → 533 µs.
+const depthwiseShardMACs = 2 * parallelGrainMACs
+
 // DepthwiseConv2DFusedInto computes the depthwise convolution into a
 // preallocated dst of shape [C, Hout, Wout], overwriting every element,
 // with the epilogue folded into the row loop — one output traversal; a
-// zero epi is the plain depthwise convolution. Above the MAC work
-// threshold the channel×row tile space is sharded across the worker
-// pool (per-tile writes are disjoint, so results are bitwise identical
-// to serial); small layers stay on the caller.
+// zero epi is the plain depthwise convolution. From depthwiseShardMACs
+// the channel×row tile space is sharded across the worker pool (per-tile
+// writes are disjoint, so results are bitwise identical to serial);
+// smaller layers stay on the caller.
 func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
@@ -243,7 +273,7 @@ func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpe
 	checkConvDst(dst, c, hout, wout)
 	checkEpilogueChannels(epi, c)
 	macsPerRow := kh * kw * wout
-	if c*hout*macsPerRow < parallelThresholdMACs {
+	if c*hout*macsPerRow < depthwiseShardMACs {
 		depthwiseRowsFused(dst, in, w, bias, spec, 0, c*hout, epi)
 		return
 	}

@@ -72,7 +72,7 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		// Unfused chain: conv kernel, then the standalone BN kernel, then
 		// the standalone activation kernel.
-		want := Conv2DGEMM(in, w, bias, spec)
+		want := Conv2DGEMM(in, w, bias, spec, 0)
 		BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 		applySeparateAct(want, act, 0.1)
 
@@ -80,7 +80,7 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		e.Act = act
 		e.Alpha = 0.1
 		got := New(6, 9, 9)
-		Conv2DGEMMFusedInto(got, in, w, bias, spec, e)
+		Conv2DGEMMFusedInto(got, in, w, bias, spec, e, 0)
 		assertBitEqual(t, got, want, "Conv2DGEMMFusedInto/"+actName(act))
 	}
 }
@@ -96,19 +96,19 @@ func TestConv2DGEMMFusedBitEquivalence(t *testing.T) {
 	gamma, beta, mean, variance, eps, epi := bnEpilogue(5, 8)
 
 	want := New(5, 8, 8)
-	Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{})
+	Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 	ActivationInto(want, want, ActReLU, 0)
 
 	e := epi
 	e.Act = ActReLU
 	got := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got, in, w, bias, spec, e)
+	Conv2DGEMMFusedInto(got, in, w, bias, spec, e, 0)
 	assertBitEqual(t, got, want, "Conv2DGEMMFusedInto")
 
 	// Second call, through the recycled package scratch, must be identical too.
 	got2 := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got2, in, w, bias, spec, e)
+	Conv2DGEMMFusedInto(got2, in, w, bias, spec, e, 0)
 	assertBitEqual(t, got2, want, "Conv2DGEMMFusedInto (pooled)")
 }
 
@@ -237,10 +237,10 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		}
 		_, _, _, _, _, epi := bnEpilogue(24, 8)
 		epi.Act = ActReLU6
-		want := Conv2DGEMM(in, w, bias, spec)
+		want := Conv2DGEMM(in, w, bias, spec, 0)
 		epi.ApplyInto(want)
 		got := New(24, 32, 32)
-		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi)
+		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi, 0)
 		assertBitEqual(t, got, want, "parallel fused conv")
 	})
 	t.Run("depthwise", func(t *testing.T) {
@@ -280,5 +280,5 @@ func TestFoldedEpilogueChannelMismatchPanics(t *testing.T) {
 	w := New(3, 2, 3, 3)
 	dst := New(3, 5, 5)
 	Conv2DGEMMFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
-		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)})
+		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)}, 0)
 }

@@ -28,19 +28,20 @@ func gemmPanelElems() int { return gemmKC * gemmNC }
 // overwriting all of dst[0:m*n]. It dispatches between the sparse,
 // parallel-blocked, and serial-blocked kernels; the parallel split is by
 // output rows, so results are bitwise identical to the serial kernel.
-func matmulInto(dst, a, b []float32, m, k, n int) {
-	macs := m * k * n
-	if macs >= parallelThresholdMACs {
-		if zeroFraction(a) >= sparseSkipFraction {
-			matmulSparseInto(dst, a, b, m, k, n)
-			return
-		}
+// aZeroFrac is the fraction of a's elements that are exactly zero, as
+// zeroFraction counts it: a caller whose left operand is a constant
+// measures it once, not per multiply.
+func matmulInto(dst, a, b []float32, m, k, n int, aZeroFrac float64) {
+	switch {
+	case m*k*n < parallelThresholdMACs:
+		panel := gemmPanelPool.Get().(*[]float32)
+		matmulBlockedRange(dst, a, b, m, k, n, 0, m, *panel)
+		gemmPanelPool.Put(panel)
+	case aZeroFrac >= sparseSkipFraction:
+		matmulSparseInto(dst, a, b, m, k, n)
+	default:
 		matmulParallelInto(dst, a, b, m, k, n)
-		return
 	}
-	panel := gemmPanelPool.Get().(*[]float32)
-	matmulBlockedRange(dst, a, b, m, k, n, 0, m, *panel)
-	gemmPanelPool.Put(panel)
 }
 
 // zeroFraction returns the fraction of exactly-zero entries in a.

@@ -149,7 +149,7 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 	}
 
 	check("Conv2DInto", Conv2D(in, w, bias, spec), func(d *Tensor) { Conv2DInto(d, in, w, bias, spec) })
-	check("Conv2DGEMMFusedInto", Conv2DGEMM(in, w, bias, spec), func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}) })
+	check("Conv2DGEMMFusedInto", Conv2DGEMM(in, w, bias, spec, 0), func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) })
 	check("DepthwiseConv2DFusedInto", DepthwiseConv2D(in, dw, bias[:3], spec), func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) })
 	check("AddInto", Add(in, in), func(d *Tensor) { AddInto(d, in, in) })
 	check("ConcatChannelsInto", ConcatChannels(in, in), func(d *Tensor) { ConcatChannelsInto(d, in, in) })
@@ -231,9 +231,9 @@ func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	want := New(8, 17, 17)
 	convRows(in, w, nil, spec, want, 0, 8*17)
 	for run := 0; run < 2; run++ {
-		Conv2DGEMM(New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1), nil, Conv2DSpec{})
+		Conv2DGEMM(New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1), nil, Conv2DSpec{}, 0)
 		dst := dirty(want.Shape...)
-		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{})
+		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{}, 0)
 		for i := range want.Data {
 			if d := dst.Data[i] - want.Data[i]; !(d < 1e-4 && d > -1e-4) {
 				t.Fatalf("run %d: dst[%d] = %v, want %v", run, i, dst.Data[i], want.Data[i])

@@ -10,7 +10,7 @@ import "fmt"
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	out := New(m, n)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n)
+	matmulInto(out.Data, a.Data, b.Data, m, k, n, zeroFraction(a.Data))
 	return out
 }
 

@@ -69,7 +69,7 @@ func packedPanelsLen(k, n, kc0, nc0, mr int) int {
 
 // PackGemmB packs a row-major [k, n] B matrix into the blocked-panel
 // layout, one packPanel tile per (jc, kc) block in kernel traversal
-// order. The result feeds GemmPrepacked.
+// order. The result feeds gemmPrepackedRange.
 func PackGemmB(b []float32, k, n int) *PackedWeights {
 	if len(b) != k*n {
 		panic(fmt.Sprintf("tensor: PackGemmB data length %d, want %d", len(b), k*n))
@@ -115,26 +115,12 @@ func PackConvWeights(w *Tensor) *PackedWeights {
 	return pw
 }
 
-// GemmPrepacked computes dst = a x B for a row-major a [m, pw.K] and the
-// prepacked B operand, overwriting all of dst[0:m*pw.N]. It is the
-// blocked kernel with the per-call packPanel step deleted: each (jc, kc)
-// tile's panel is a slice of pw.Panels at its precomputed offset. Large
-// multiplies shard output rows across the worker pool; per-row results
-// do not depend on the split, so output is bitwise identical to serial.
-func GemmPrepacked(dst, a []float32, pw *PackedWeights, m int) {
-	k, n := pw.K, pw.N
-	if m*k*n >= parallelThresholdMACs {
-		parallelFor(m, grainForMACs(k*n), func(lo, hi int) {
-			gemmPrepackedRange(dst, a, pw, lo, hi)
-		})
-		return
-	}
-	gemmPrepackedRange(dst, a, pw, 0, m)
-}
-
-// gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B:
+// gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B for a
+// row-major a [m, pw.K] and the prepacked B operand, overwriting them:
 // matmulBlockedRange's tile loop over the same microkernel, with each
-// tile's panel read from pw.Panels instead of packed on the spot.
+// tile's panel read from pw.Panels at its precomputed offset instead of
+// packed on the spot. A row's result does not depend on which rows
+// share its range, so callers may shard rows freely.
 func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 	k, n := pw.K, pw.N
 	for i := rlo; i < rhi; i++ {
@@ -152,37 +138,28 @@ func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 	}
 }
 
-// im2rowInto writes the im2row lowering of in into rowsA: a row-major
-// [Hout*Wout, Cin*KH*KW] matrix, one row per output pixel (the
-// transpose of im2colInto's layout), every element stored — padding
-// positions are explicit zeros, so dirty scratch cannot leak. Large
-// lowerings shard output-pixel rows across the worker pool; each row is
-// written by exactly one chunk.
-func im2rowInto(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout int) {
-	rdim := in.Shape[0] * kh * kw
-	if hout*wout*rdim < im2colElemsThreshold {
-		im2rowPixels(rowsA, in, kh, kw, spec, hout, wout, 0, hout*wout)
-		return
-	}
-	grain := (1 << 16) / rdim
-	parallelFor(hout*wout, grain, func(lo, hi int) {
-		im2rowPixels(rowsA, in, kh, kw, spec, hout, wout, lo, hi)
-	})
-}
-
-// im2rowPixels writes rows [plo, phi) of the im2row matrix, where row
-// index p maps to output pixel (oy = p/wout, ox = p%wout).
-func im2rowPixels(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout, plo, phi int) {
-	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
+// im2rowPixels writes rows [plo, phi) of the im2row lowering of in
+// (layout [cin, h, wd]) — the row-major [Hout*Wout, Cin*KH*KW] matrix
+// with one row per output pixel, the transpose of im2colInto's layout —
+// into tile, row p at tile[(p-plo)*rdim:]. Both pre-packed convolutions
+// lower through it, the FP32 one float32 activations and the int8 one
+// their codes. Every element is stored, padding positions as explicit
+// zeros (also the int8 zero-point of the symmetric scheme), so dirty
+// scratch cannot leak. A window whose columns are all in bounds copies
+// its kw taps per (channel, ky) at once; only border windows test each
+// tap.
+func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
 	padH, padW := spec.padHW()
 	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
-		transposePixels(rowsA, in.Data, cin, h*wd, plo, phi)
+		transposePixels(tile, in, cin, h*wd, plo, phi)
 		return
 	}
 	rdim := cin * kh * kw
+	oy, ox := plo/wout, plo%wout
 	for p := plo; p < phi; p++ {
-		oy, ox := p/wout, p%wout
-		dst := rowsA[p*rdim : (p+1)*rdim]
+		dst := tile[(p-plo)*rdim : (p-plo+1)*rdim]
+		ix0 := ox*spec.Stride - padW
+		inside := ix0 >= 0 && ix0+kw <= wd
 		r := 0
 		for ic := 0; ic < cin; ic++ {
 			for ky := 0; ky < kh; ky++ {
@@ -192,9 +169,14 @@ func im2rowPixels(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout
 					r += kw
 					continue
 				}
-				src := in.Data[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
+				src := in[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
+				if inside {
+					copy(dst[r:r+kw], src[ix0:ix0+kw])
+					r += kw
+					continue
+				}
 				for kx := 0; kx < kw; kx++ {
-					ix := ox*spec.Stride + kx - padW
+					ix := ix0 + kx
 					if ix >= 0 && ix < wd {
 						dst[r] = src[ix]
 					} else {
@@ -204,24 +186,27 @@ func im2rowPixels(rowsA []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout
 				}
 			}
 		}
+		if ox++; ox == wout {
+			oy, ox = oy+1, 0
+		}
 	}
 }
 
-// transposeTile is how many pixels transposePixels moves per pass: 32
-// floats is two cache lines of contiguous reads per channel, and the
-// tile's destination rows (32 x cin floats) stay cache-resident while
-// every channel scatters into them.
-const transposeTile = 32
+// transposeTile is how many pixels transposePixels moves per pass: 64
+// contiguous elements per channel read (a cache line of int8, four of
+// float32), and the 64 destination rows' current cache lines stay in L1
+// while consecutive channels scatter into them.
+const transposeTile = 64
 
 // transposePixels is the pointwise (1x1, stride 1, unpadded) lowering:
 // there the im2row matrix is just the [cin, npix] input transposed, so
-// rows [plo, phi) of dst[npix, cin] are filled a tile of pixels at a
-// time with contiguous per-channel reads, no per-pixel div/mod and no
-// per-tap bounds test.
-func transposePixels(dst, src []float32, cin, npix, plo, phi int) {
+// rows [plo, phi) go into dst (row p at dst[(p-plo)*cin:]) a tile of
+// pixels at a time with contiguous per-channel reads, no per-pixel
+// div/mod and no per-tap bounds test.
+func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
 	for p0 := plo; p0 < phi; p0 += transposeTile {
 		p1 := min(p0+transposeTile, phi)
-		out := dst[p0*cin : p1*cin]
+		out := dst[(p0-plo)*cin : (p1-plo)*cin]
 		for ic := 0; ic < cin; ic++ {
 			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
 				out[t*cin+ic] = v
@@ -230,12 +215,13 @@ func transposePixels(dst, src []float32, cin, npix, plo, phi int) {
 	}
 }
 
-// convScratch is the FP32 GEMM convolutions' per-call scratch: the
-// lowered activation matrix (im2row for the pre-packed kernel, im2col
-// for the unpacked one) and the pre-packed kernel's transposed GEMM
-// output. One package pool serves every caller, as qscratchPool does
-// for the int8 kernels, so concurrent executors never share a buffer
-// and a steady stream of convolutions reallocates nothing.
+// convScratch is what one shard of an FP32 GEMM convolution borrows: the
+// lowered activations — a band of im2row rows for the pre-packed kernel,
+// the whole im2col matrix for the unpacked one — and the pre-packed
+// kernel's transposed GEMM output for that band. One package pool serves
+// every caller, as qscratchPool does for the int8 kernels, so concurrent
+// shards never share a buffer and a steady stream of convolutions
+// reallocates nothing.
 type convScratch struct {
 	rows []float32
 	outT []float32
@@ -244,14 +230,8 @@ type convScratch struct {
 var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
 
 func (s *convScratch) grow(nrows, nout int) {
-	if cap(s.rows) < nrows {
-		s.rows = make([]float32, nrows)
-	}
-	s.rows = s.rows[:nrows]
-	if cap(s.outT) < nout {
-		s.outT = make([]float32, nout)
-	}
-	s.outT = s.outT[:nout]
+	s.rows = growSlice(s.rows, nrows)
+	s.outT = growSlice(s.outT, nout)
 }
 
 // prepackedConvDims validates the input against the packed weights and
@@ -269,47 +249,74 @@ func prepackedConvDims(in *Tensor, pw *PackedWeights, spec Conv2DSpec) (int, int
 	return cout, kh, kw, hout, wout
 }
 
-// convEpilogueTransposed writes output channel plane oc of dst from the
-// transposed GEMM output: the gather transposes outT's (pixel, channel)
-// layout back to channel-major, then the bias, affine, and activation
-// sweeps run over the contiguous plane with exactly the per-element
-// expressions of Conv2DGEMMFusedInto's epilogue, so prepacked output is
-// bitwise identical to the unpacked fused (or plain bias-swept) path.
-func convEpilogueTransposed(seg, outT []float32, oc, cout int, bias []float32, epi Epilogue) {
-	for i := range seg {
-		seg[i] = outT[i*cout+oc]
-	}
-	if bias != nil {
-		b := bias[oc]
-		for i := range seg {
-			seg[i] += b
-		}
-	}
-	if len(epi.Scale) > 0 {
-		scale, shift := epi.Scale[oc], epi.Shift[oc]
-		for i, v := range seg {
-			seg[i] = v*scale + shift
-		}
-	}
-	applyActInPlace(seg, epi.Act, epi.Alpha)
+// convJob is the pre-packed convolution a band pass is working on, with
+// the shard body as a function bound once, when the job is made: a
+// closure built per call would be a heap allocation per convolution.
+type convJob struct {
+	out                 []float32
+	in                  *Tensor
+	pw                  *PackedWeights
+	bias                []float32
+	spec                Conv2DSpec
+	epi                 Epilogue
+	kh, kw, wout, ncols int // ncols = Hout*Wout, the output pixels
+
+	fn func(lo, hi int)
 }
 
-// convEpilogueSweep runs convEpilogueTransposed over every output
-// channel, sharding channels across the worker pool when the output is
-// large (each channel's plane is written by exactly one chunk, so the
-// parallel sweep is bitwise identical to serial).
-func convEpilogueSweep(dst, outT []float32, cout, ncols int, bias []float32, epi Epilogue) {
-	if cout*ncols < parallelThresholdMACs {
-		for oc := 0; oc < cout; oc++ {
-			convEpilogueTransposed(dst[oc*ncols:(oc+1)*ncols], outT, oc, cout, bias, epi)
-		}
-		return
+var convJobPool = sync.Pool{New: func() any {
+	j := new(convJob)
+	j.fn = j.bands
+	return j
+}}
+
+// convBandPixels is how many output pixels a shard takes through lower →
+// GEMM → epilogue at a time: one transposeTile, so a band's rows (64 x K
+// floats: 240 KB at MobileNet-v2's widest K, 960) and its transposed
+// output (64 x Cout) are still in that core's cache when the next step
+// reads them.
+const convBandPixels = transposeTile
+
+// bands is the shard body: the output pixels of row pairs [lo, hi) of
+// every channel, a band at a time, on scratch of its own. A band is
+// never larger than the chunk, so a 7x7 plane still splits across cores;
+// chunks start on even pixels, so only the plane's last row can take the
+// microkernel's slower one-row form.
+func (j *convJob) bands(lo, hi int) {
+	lo, hi = qgemmPairRange(lo, hi, j.ncols)
+	s := convScratchPool.Get().(*convScratch)
+	for p0 := lo; p0 < hi; p0 += convBandPixels {
+		j.band(s, p0, min(p0+convBandPixels, hi))
 	}
-	parallelFor(cout, grainForMACs(ncols), func(lo, hi int) {
-		for oc := lo; oc < hi; oc++ {
-			convEpilogueTransposed(dst[oc*ncols:(oc+1)*ncols], outT, oc, cout, bias, epi)
+	convScratchPool.Put(s)
+}
+
+// band lowers output pixels [p0, p1) into s.rows, multiplies them with
+// the packed panels into s.outT, and writes those pixels of each output
+// channel: the gather transposes outT's (pixel, channel) layout back to
+// channel-major and adds the bias, then applyEpilogueSpan runs the
+// affine and the activation over the 256 bytes just written — per
+// element the expressions of Conv2DGEMMFusedInto's epilogue, so
+// pre-packed output is bitwise identical to the unpacked path's.
+func (j *convJob) band(s *convScratch, p0, p1 int) {
+	n, cout, ncols := p1-p0, j.pw.N, j.ncols
+	s.grow(n*j.pw.K, n*cout)
+	im2rowPixels(s.rows, j.in.Data, j.in.Shape[0], j.in.Shape[1], j.in.Shape[2], j.kh, j.kw, j.spec, j.wout, p0, p1)
+	gemmPrepackedRange(s.outT, s.rows, j.pw, 0, n)
+	for oc := 0; oc < cout; oc++ {
+		seg := j.out[oc*ncols+p0 : oc*ncols+p1]
+		if j.bias == nil {
+			for i := range seg {
+				seg[i] = s.outT[i*cout+oc]
+			}
+		} else {
+			b := j.bias[oc]
+			for i := range seg {
+				seg[i] = s.outT[i*cout+oc] + b
+			}
 		}
-	})
+		applyEpilogueSpan(seg, oc, j.epi)
+	}
 }
 
 // Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
@@ -317,15 +324,15 @@ func convEpilogueSweep(dst, outT []float32, cout, ncols int, bias []float32, epi
 // every element, with the bias/affine/activation epilogue applied
 // during the transpose back to channel-major layout. A zero-value epi
 // reproduces the plain GEMM conv (bias sweep only).
+//
+// It is one pass over bands of output pixels (the FP32 twin of
+// qscratch.runConv): above the MAC threshold one parallelFor hands out
+// chunks of pixels, and whichever core claims a chunk takes each of its
+// bands through lowering, GEMM and epilogue before touching the next, so
+// only the input and the finished output leave that core's cache. Bands
+// write disjoint pixels and a pixel's value does not depend on which
+// rows share its band, so the output does not depend on the cut.
 func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	s := convScratchPool.Get().(*convScratch)
-	s.runPrepacked(dst, in, pw, bias, spec, epi)
-	convScratchPool.Put(s)
-}
-
-// runPrepacked is the FP32 pre-packed convolution body: lower the input,
-// one GEMM against the packed panels, one epilogue sweep.
-func (s *convScratch) runPrepacked(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	cout, kh, kw, hout, wout := prepackedConvDims(in, pw, spec)
 	checkConvDst(dst, cout, hout, wout)
@@ -333,9 +340,15 @@ func (s *convScratch) runPrepacked(dst, in *Tensor, pw *PackedWeights, bias []fl
 	if bias != nil && len(bias) != cout {
 		panic("tensor: prepacked conv bias length mismatch")
 	}
-	ncols := hout * wout
-	s.grow(ncols*pw.K, ncols*cout)
-	im2rowInto(s.rows, in, kh, kw, spec, hout, wout)
-	GemmPrepacked(s.outT, s.rows, pw, ncols)
-	convEpilogueSweep(dst.Data, s.outT, cout, ncols, bias, epi)
+	j := convJobPool.Get().(*convJob)
+	fn := j.fn
+	*j = convJob{out: dst.Data, in: in, pw: pw, bias: bias, spec: spec, epi: epi,
+		kh: kh, kw: kw, wout: wout, ncols: hout * wout, fn: fn}
+	if pairs := (j.ncols + 1) / 2; j.ncols*pw.K*cout < parallelThresholdMACs {
+		j.bands(0, pairs)
+	} else {
+		parallelFor(pairs, grainForMACs(2*pw.K*cout), fn)
+	}
+	*j = convJob{fn: fn} // the pool must not keep the tensors alive
+	convJobPool.Put(j)
 }

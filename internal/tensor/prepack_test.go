@@ -37,17 +37,17 @@ func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 		want := MatMulSerial(a, b)
 		pw := PackGemmB(b.Data, c.k, c.n)
 		got := New(c.m, c.n)
-		GemmPrepacked(got.Data, a.Data, pw, c.m)
+		gemmPrepackedRange(got.Data, a.Data, pw, 0, c.m)
 		if !bitsEqual(got.Data, want.Data) {
 			t.Errorf("m=%d k=%d n=%d: prepacked GEMM differs from blocked", c.m, c.k, c.n)
 		}
 	}
 }
 
-// TestGemmPrepackedParallelMatchesSerial crosses the parallel MAC
-// threshold so the prepacked row sharding runs, which must not change a
-// bit relative to both the serial prepacked range and the unpacked
-// blocked kernel.
+// TestGemmPrepackedParallelMatchesSerial shards the prepacked GEMM's
+// rows across the worker pool the way the band pass does, which must not
+// change a bit relative to both the serial prepacked range and the
+// unpacked blocked kernel.
 func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m, k, n := 96, 200, 130 // 2.4M MACs: above parallelThresholdMACs
@@ -55,7 +55,9 @@ func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	b := New(k, n).Randomize(r, 1)
 	pw := PackGemmB(b.Data, k, n)
 	par := New(m, n)
-	GemmPrepacked(par.Data, a.Data, pw, m)
+	parallelFor(m, grainForMACs(k*n), func(lo, hi int) {
+		gemmPrepackedRange(par.Data, a.Data, pw, lo, hi)
+	})
 	ser := New(m, n)
 	gemmPrepackedRange(ser.Data, a.Data, pw, 0, m)
 	if !bitsEqual(par.Data, ser.Data) {
@@ -116,7 +118,7 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		}
 		hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 		want := New(c.cout, hout, wout)
-		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, Epilogue{})
+		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, Epilogue{}, 0)
 		pw := PackConvWeights(w)
 		if pw == nil {
 			t.Fatalf("%s: dense weights did not pack", c.name)
@@ -158,7 +160,7 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 	}
 	for _, epi := range epis {
 		want := New(c.cout, hout, wout)
-		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, epi)
+		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, epi, 0)
 		got := New(c.cout, hout, wout)
 		Conv2DPrepackedInto(got, in, pw, bias, c.spec, epi)
 		if !bitsEqual(got.Data, want.Data) {
@@ -176,7 +178,7 @@ func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	w := randTensor(r, 48, 32, 3, 3)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	want := New(48, 24, 24)
-	Conv2DGEMMFusedInto(want, in, w, nil, spec, Epilogue{})
+	Conv2DGEMMFusedInto(want, in, w, nil, spec, Epilogue{}, 0)
 	pw := PackConvWeights(w)
 	got := New(48, 24, 24)
 	Conv2DPrepackedInto(got, in, pw, nil, spec, Epilogue{})
@@ -282,7 +284,8 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	pw := PackConvWeights(w)
 	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	want := New(c.cout, hout, wout)
-	new(convScratch).runPrepacked(want, in, pw, nil, c.spec, Epilogue{})
+	fresh := &convJob{out: want.Data, in: in, pw: pw, spec: c.spec.check(), kh: c.kh, kw: c.kw, wout: wout, ncols: hout * wout}
+	fresh.band(new(convScratch), 0, hout*wout)
 	big := randTensor(r, 7, 15, 15)
 	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
 	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})
@@ -292,7 +295,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 		t.Fatal("prepacked conv on recycled scratch differs from fresh scratch")
 	}
 	ref := New(c.cout, hout, wout)
-	Conv2DGEMMFusedInto(ref, in, w, nil, c.spec, Epilogue{})
+	Conv2DGEMMFusedInto(ref, in, w, nil, c.spec, Epilogue{}, 0)
 	if !bitsEqual(got.Data, ref.Data) {
 		t.Fatal("prepacked conv differs from the unpacked GEMM reference")
 	}

@@ -119,23 +119,10 @@ func requantizeInto(dst []float32, acc []int32, scale float32, bias float32, act
 		for i, v := range acc {
 			dst[i] = float32(v)*scale + bias
 		}
-	case ActReLU:
+	case ActReLU, ActReLU6:
+		hi := clampHi(act)
 		for i, v := range acc {
-			x := float32(v)*scale + bias
-			if x < 0 {
-				x = 0
-			}
-			dst[i] = x
-		}
-	case ActReLU6:
-		for i, v := range acc {
-			x := float32(v)*scale + bias
-			if x < 0 {
-				x = 0
-			} else if x > 6 {
-				x = 6
-			}
-			dst[i] = x
+			dst[i] = clamp(float32(v)*scale+bias, hi)
 		}
 	case ActLeakyReLU:
 		for i, v := range acc {

@@ -129,77 +129,6 @@ func qgemmPrepackedRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int
 	}
 }
 
-// im2rowQPixels is the int8 twin of im2rowPixels: it writes rows
-// [plo, phi) of the [Hout*Wout, Cin*KH*KW] lowering of the quantized
-// input (layout [Cin, H, W]), one row per output pixel, every element
-// stored — padding positions are explicit zeros, the int8 zero-point of
-// the symmetric scheme. A window whose columns are all in bounds copies
-// its kw taps per (channel, ky) at once; only border windows test each
-// tap.
-func im2rowQPixels(rowsQ, qin []int8, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
-	padH, padW := spec.padHW()
-	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
-		transposePixelsQ(rowsQ, qin, cin, h*wd, plo, phi)
-		return
-	}
-	rdim := cin * kh * kw
-	oy, ox := plo/wout, plo%wout
-	for p := plo; p < phi; p++ {
-		dst := rowsQ[p*rdim : (p+1)*rdim]
-		ix0 := ox*spec.Stride - padW
-		inside := ix0 >= 0 && ix0+kw <= wd
-		r := 0
-		for ic := 0; ic < cin; ic++ {
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*spec.Stride + ky - padH
-				if iy < 0 || iy >= h {
-					clear(dst[r : r+kw])
-					r += kw
-					continue
-				}
-				src := qin[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
-				if inside {
-					copy(dst[r:r+kw], src[ix0:ix0+kw])
-					r += kw
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ix0 + kx
-					if ix >= 0 && ix < wd {
-						dst[r] = src[ix]
-					} else {
-						dst[r] = 0
-					}
-					r++
-				}
-			}
-		}
-		if ox++; ox == wout {
-			oy, ox = oy+1, 0
-		}
-	}
-}
-
-// transposeTileQ is transposePixelsQ's pixel tile: one cache line of
-// contiguous int8 reads per channel.
-const transposeTileQ = 64
-
-// transposePixelsQ is the pointwise (1x1, stride 1, unpadded) int8
-// lowering, transposePixels for bytes: rows [plo, phi) of dst[npix, cin]
-// are the [cin, npix] input transposed, a tile of pixels at a time with
-// contiguous per-channel reads.
-func transposePixelsQ(dst, src []int8, cin, npix, plo, phi int) {
-	for p0 := plo; p0 < phi; p0 += transposeTileQ {
-		p1 := min(p0+transposeTileQ, phi)
-		out := dst[p0*cin : p1*cin]
-		for ic := 0; ic < cin; ic++ {
-			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
-				out[t*cin+ic] = v
-			}
-		}
-	}
-}
-
 // requantizeStrided is requantizeInto over a strided accumulator view:
 // dst[i] is computed from acc[i*stride] with exactly the per-element
 // expressions of requantizeInto, so the transposed prepacked path's
@@ -210,23 +139,10 @@ func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bi
 		for i := range dst {
 			dst[i] = float32(acc[i*stride])*scale + bias
 		}
-	case ActReLU:
+	case ActReLU, ActReLU6:
+		hi := clampHi(act)
 		for i := range dst {
-			x := float32(acc[i*stride])*scale + bias
-			if x < 0 {
-				x = 0
-			}
-			dst[i] = x
-		}
-	case ActReLU6:
-		for i := range dst {
-			x := float32(acc[i*stride])*scale + bias
-			if x < 0 {
-				x = 0
-			} else if x > 6 {
-				x = 6
-			}
-			dst[i] = x
+			dst[i] = clamp(float32(acc[i*stride])*scale+bias, hi)
 		}
 	case ActLeakyReLU:
 		for i := range dst {
@@ -312,7 +228,7 @@ func (s *qscratch) convBand(lo, hi int) {
 	cout := j.pq.N
 	ncols := j.hout * j.wout
 	plo, phi := qgemmPairRange(lo, hi, ncols)
-	im2rowQPixels(s.cols, s.qin, j.cin, j.h, j.wd, j.kh, j.kw, j.spec, j.wout, plo, phi)
+	im2rowPixels(s.cols[plo*j.pq.K:], s.qin, j.cin, j.h, j.wd, j.kh, j.kw, j.spec, j.wout, plo, phi)
 	qgemmPrepackedRange(s.acc, s.cols, j.pq, plo, phi)
 	for p0 := plo; p0 < phi; p0 += requantTile {
 		p1 := min(p0+requantTile, phi)

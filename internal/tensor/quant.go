@@ -176,18 +176,21 @@ func quantizeSerial(dst []int8, src []float32) float32 {
 	return scale
 }
 
-// maxAbs returns the largest magnitude in src; a NaN never wins.
+// maxAbs returns the largest magnitude in src; a NaN never wins. With
+// the sign bit cleared, non-negative floats order as their bit patterns
+// do and every NaN sits above +Inf's, so the reduction is an unsigned
+// max over patterns with the NaNs zeroed — exact, and free of the two
+// float compares that mispredict on sign-random activations.
 func maxAbs(src []float32) float32 {
-	var m float32
+	var m uint32
 	for _, v := range src {
-		if v < 0 {
-			v = -v
+		b := math.Float32bits(v) &^ (1 << 31)
+		if b > posInfBits {
+			b = 0
 		}
-		if v > m {
-			m = v
-		}
+		m = max(m, b)
 	}
-	return m
+	return math.Float32frombits(m)
 }
 
 // quantizeRound writes the int8 code of every src element, scaled by
@@ -357,18 +360,7 @@ func PruneMagnitude(t *Tensor, fraction float64) int {
 }
 
 // Sparsity returns the fraction of exactly-zero elements in t.
-func Sparsity(t *Tensor) float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	zeros := 0
-	for _, v := range t.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(t.Data))
-}
+func Sparsity(t *Tensor) float64 { return zeroFraction(t.Data) }
 
 // kthSmallest returns the k-th smallest value (1-based) using quickselect.
 func kthSmallest(xs []float64, k int) float64 {

@@ -90,9 +90,9 @@ func TestConv2DParallelWorkerPath(t *testing.T) {
 	// The host may have one CPU; raise GOMAXPROCS so the sharded path
 	// actually runs multiple goroutines.
 	old := runtime.GOMAXPROCS(1)
-	serial := Conv2DGEMM(in, w, bias, spec)
+	serial := Conv2DGEMM(in, w, bias, spec, 0)
 	runtime.GOMAXPROCS(4)
-	sharded := Conv2DGEMM(in, w, bias, spec)
+	sharded := Conv2DGEMM(in, w, bias, spec, 0)
 	runtime.GOMAXPROCS(old)
 	oracle := Conv2D(in, w, bias, spec)
 	for i := range serial.Data {

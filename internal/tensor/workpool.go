@@ -33,8 +33,11 @@ import (
 // (nobody ever blocks waiting for a worker) or oversubscribing (the
 // worker set is fixed).
 const (
-	// parallelThresholdMACs is the work level above which sharding pays
-	// for its hand-off overhead (~1M multiply-accumulates).
+	// parallelThresholdMACs is the work level above which a GEMM-class
+	// kernel shards: ~1M multiply-accumulates, 0.4 ms of one core's GEMM
+	// at 2.7 GMAC/s, against a fork-join of 0.8–1.4 µs when the workers
+	// are hot and a helper that starts 110–190 µs late when its thread
+	// has gone to sleep (BenchmarkForkJoin; DESIGN §11).
 	parallelThresholdMACs = 1 << 20
 
 	// chunksPerWorker is how many chunks parallelFor aims to cut per
