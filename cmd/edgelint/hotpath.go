@@ -61,7 +61,9 @@ func isPackBuilder(ctx *Context, call *ast.CallExpr) (string, bool) {
 // and same-package only (cross-package callees are invisible, so the
 // rule under-approximates rather than guesses); function literals
 // inside a reachable body — worker goroutines included — are scanned
-// with it.
+// with it. Per-call packing does exist, by design, behind internal/tensor's
+// unpacked entry points (the kernels of a node nobody packed); what the
+// rule guards is the request path of graph, serving, cluster and server.
 var hotPackAnalyzer = register(&Analyzer{
 	Name: "hot-pack",
 	Doc:  "no ahead-of-time panel packing reachable from inference entry points",

@@ -196,9 +196,9 @@ var graphPassFns = map[string]bool{
 // passes outside internal/graph and internal/opt: a raw pass call skips
 // the verify gate, so an illegal rewrite would surface as a corrupted
 // inference instead of a structured diagnostic. Test files are not
-// parsed, so pass unit tests keep calling the raw functions; deliberate
-// unverified pipelines (the harness ablation tables) carry
-// edgelint:ignore directives.
+// parsed, so pass unit tests keep calling the raw functions; a
+// deliberately unverified pipeline would carry an edgelint:ignore
+// directive (none does today).
 var passVerifyAnalyzer = register(&Analyzer{
 	Name:    "pass-verify",
 	Doc:     "no raw internal/graph pass calls outside internal/graph and internal/opt; go through the verified pass manager",

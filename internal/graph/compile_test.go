@@ -176,6 +176,59 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 	}
 }
 
+// TestUnpackedConvSeesWeightUpdates: an unpacked kernel packs its weights
+// per call out of the node, so an update in place between two runs of one
+// executor — what training does — must show in the second run exactly as
+// in a fresh executor on a fresh copy of the graph. bind's closures cache
+// what they measure once (the zero fraction); panels are not such a thing.
+func TestUnpackedConvSeesWeightUpdates(t *testing.T) {
+	for _, int8 := range []bool{false, true} {
+		g := prepackCNN(t, 73)
+		if int8 {
+			graph.QuantizeINT8(g)
+			if i8, _, _, _, err := graph.KernelCounts(g); err != nil || i8 != 2 {
+				t.Fatalf("quantized graph binds %d int8 kernels (%v), want conv1 and fc", i8, err)
+			}
+		}
+		in := seededInput(g.Input.OutShape, 5)
+		e := &graph.Executor{Pooled: true}
+		first, err := e.Run(g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = first.Clone()
+		for _, n := range g.Nodes {
+			if n.Weights == nil {
+				continue
+			}
+			for i, v := range n.Weights.Data {
+				n.Weights.Data[i] = -v
+			}
+			if n.QWeights != nil {
+				for i, c := range n.QWeights.Data {
+					n.QWeights.Data[i] = -c
+				}
+			}
+		}
+		second, err := e.Run(g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&graph.Executor{}).Run(g.Clone(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, fmt.Sprintf("int8=%v after the update", int8), second, want)
+		same := true
+		for i := range first.Data {
+			same = same && first.Data[i] == second.Data[i]
+		}
+		if same {
+			t.Fatalf("int8=%v: the update changed no output bit: the comparison above proves nothing", int8)
+		}
+	}
+}
+
 func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 	t.Helper()
 	if !got.Shape.Equal(want.Shape) {

@@ -56,8 +56,13 @@ func removeNodes(g *Graph, dead map[*Node]bool) {
 }
 
 // FoldBN folds every batch-norm whose producer is a convolution or dense
-// layer with no other consumers into that producer's weights, then removes
-// the BN node. This is the conv+BN half of kernel fusion (§III-B).
+// layer with no other consumer, and not itself a graph root, into that
+// producer's weights, then removes the BN node. This is the conv+BN half
+// of kernel fusion (§III-B) as the paper's frameworks do it — zero
+// run-time cost (Table II) at the price of reassociated floats. It stays
+// beside the bit-exact FusePatterns because rewriting the weights is the
+// only route by which a Conv→BN chain reaches the int8 kernels: bind
+// refuses int8 codes on a node carrying an absorbed affine.
 func FoldBN(g *Graph) {
 	cons := consumers(g)
 	dead := map[*Node]bool{}
@@ -66,8 +71,8 @@ func FoldBN(g *Graph) {
 			continue
 		}
 		prod := n.Inputs[0]
-		if len(cons[prod]) != 1 {
-			continue // producer feeds other nodes; folding would change them
+		if !singleUse(g, cons, prod) {
+			continue // the producer's own value is read elsewhere; folding would change it
 		}
 		switch prod.Kind {
 		case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
@@ -90,9 +95,10 @@ func FoldBN(g *Graph) {
 	removeNodes(g, dead)
 }
 
-// FuseActivations merges activation nodes into their single producer when
-// the producer is a compute op — the second half of kernel fusion. The
-// activation still executes but without a separate kernel dispatch.
+// FuseActivations merges activation nodes into their producer when that
+// is a compute op with no other consumer and not itself a graph root —
+// the second half of kernel fusion. The activation still executes but
+// without a separate kernel dispatch.
 func FuseActivations(g *Graph) {
 	cons := consumers(g)
 	dead := map[*Node]bool{}
@@ -101,7 +107,7 @@ func FuseActivations(g *Graph) {
 			continue
 		}
 		prod := n.Inputs[0]
-		if dead[prod] || prod.Activation != 0 || len(cons[prod]) != 1 {
+		if dead[prod] || prod.Activation != 0 || !singleUse(g, cons, prod) {
 			continue
 		}
 		switch prod.Kind {

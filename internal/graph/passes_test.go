@@ -294,3 +294,45 @@ func TestPeakActivationBytes(t *testing.T) {
 		t.Fatalf("peak = %v, want %v", peak, want)
 	}
 }
+
+// TestLegacyFusionKeepsRootValues: a producer that is itself a graph root
+// (an SSD/YOLO head marked as an extra output) has its own value observed,
+// so neither FoldBN nor FuseActivations may rewrite it, single consumer or
+// not — the condition FusePatterns has always applied.
+func TestLegacyFusionKeepsRootValues(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bn   bool
+		pass graph.Pass
+	}{
+		{"FoldBN", true, graph.FoldBN},
+		{"FuseActivations", false, graph.FuseActivations},
+		{"FusePatterns", true, func(g *graph.Graph) { graph.FusePatterns(g) }},
+	} {
+		b := nn.NewBuilder("head", nn.Options{Materialize: true, Seed: 13}, 3, 8, 8)
+		b.MarkOutput(b.Conv2D("conv", 4, 3, 1, 1, true))
+		if c.bn {
+			b.BatchNorm("bn")
+		}
+		b.ReLU("relu")
+		g := b.Build()
+		in := seededInput(g.Input.OutShape, 6)
+		values := func() (head, out *tensor.Tensor) {
+			vals, err := (&graph.Executor{}).RunValues(g, in)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return vals[g.Extra[0]], vals[g.Output]
+		}
+		wantHead, wantOut := values()
+		before := len(g.Nodes)
+		c.pass(g)
+		checkAfterPass(t, g, c.name)
+		if len(g.Nodes) != before {
+			t.Errorf("%s rewrote a producer that is a graph root (%d nodes, was %d)", c.name, len(g.Nodes), before)
+		}
+		gotHead, gotOut := values()
+		requireBitEqual(t, c.name+": extra output", gotHead, wantHead)
+		requireBitEqual(t, c.name+": output", gotOut, wantOut)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/stats"
 	"edgebench/internal/trace"
 )
@@ -31,18 +32,15 @@ func Ext3Fidelity() (*Report, error) {
 		spec := model.MustGet(name)
 		ref := spec.Build(nn.Options{Materialize: true, Seed: 77})
 
-		// The ablation table measures the raw, unverified passes on
-		// purpose — fidelity drift of each lowering is the observable —
-		// so the pass-verify rule is suppressed per row.
 		lowerings := []struct {
 			name string
-			pass graph.Pass
+			pass func(*graph.Graph)
 		}{
-			{"fused", graph.Pipeline(graph.FoldBN, graph.FuseActivations)}, // edgelint:ignore pass-verify
-			{"fp16", graph.CastFP16},                       // edgelint:ignore pass-verify
-			{"int8/tensor", graph.QuantizeINT8},            // edgelint:ignore pass-verify
-			{"int8/channel", graph.QuantizeINT8PerChannel}, // edgelint:ignore pass-verify
-			{"fused+int8", graph.Pipeline(graph.FoldBN, graph.FuseActivations, graph.QuantizeINT8)}, // edgelint:ignore pass-verify
+			{"fused", func(g *graph.Graph) { opt.FoldBN(g); opt.FuseActivations(g) }},
+			{"fp16", opt.CastFP16},
+			{"int8/tensor", opt.QuantizeINT8},
+			{"int8/channel", opt.QuantizeINT8PerChannel},
+			{"fused+int8", func(g *graph.Graph) { opt.FoldBN(g); opt.FuseActivations(g); opt.QuantizeINT8(g) }},
 		}
 		for _, low := range lowerings {
 			g := ref.Clone()

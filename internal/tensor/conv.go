@@ -149,8 +149,34 @@ func Im2Col(in *Tensor, kh, kw int, spec Conv2DSpec) *Tensor {
 	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
 	hout, wout := spec.OutDims(h, wd, kh, kw)
 	out := New(cin*kh*kw, hout*wout)
-	im2colInto(out.Data, in, kh, kw, spec, hout, wout)
+	im2colRows(out.Data, in, kh, kw, spec, hout, wout, 0, cin*kh*kw)
 	return out
+}
+
+// conv2DSparseInto is the zero-skipping convolution for pruned weights.
+// matmulSparseInto skips a zero weight together with its whole row of B,
+// an axpy per kept weight, so B must be K-major — [Cin*KH*KW, Hout*Wout],
+// a row per tap: this kernel is the one caller im2colInto has left, every
+// dense convolution lowering through im2rowPixels. Bias, affine and
+// activation then sweep each output channel.
+func conv2DSparseInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
+	cout, kh, kw, hout, wout := w.Shape[0], w.Shape[2], w.Shape[3], dst.Shape[1], dst.Shape[2]
+	rows, ncols := w.Shape[1]*kh*kw, hout*wout
+	s := convScratchPool.Get().(*convScratch)
+	s.grow(rows*ncols, 0)
+	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
+	matmulSparseInto(dst.Data, w.Data, s.rows, cout, rows, ncols)
+	convScratchPool.Put(s)
+	for oc := 0; oc < cout; oc++ {
+		seg := dst.Data[oc*ncols : (oc+1)*ncols]
+		if bias != nil {
+			b := bias[oc]
+			for i := range seg {
+				seg[i] += b
+			}
+		}
+		applyEpilogueSpan(seg, oc, epi)
+	}
 }
 
 // im2colElemsThreshold is the lowered-matrix element count above which
@@ -209,9 +235,9 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 	}
 }
 
-// Conv2DGEMM computes the convolution by im2col lowering followed by
-// matrix multiplication (Conv2DGEMMFusedInto with nothing fused, which
-// also says what wZeroFrac is). Results match Conv2D to floating-point
+// Conv2DGEMM computes the convolution by lowering it to a matrix
+// multiplication (Conv2DGEMMFusedInto with nothing fused, which also says
+// what wZeroFrac is). Results match Conv2D to floating-point
 // reassociation tolerance.
 func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec, wZeroFrac float64) *Tensor {
 	spec = spec.check()

@@ -113,56 +113,114 @@ func TestDepthwise3x3ShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// oneRowGemm is the blocked kernel as it stood before the two-row
-// microkernel: one output row per pass over the panel. It is kept here,
-// not in the package, as the order-of-operations reference.
-func oneRowGemm(dst, a, b []float32, m, k, n int) {
-	panel := make([]float32, gemmPanelElems())
-	clear(dst[:m*n])
-	var abuf [gemmKC]float32
-	for jc := 0; jc < n; jc += gemmNC {
-		jb := min(n-jc, gemmNC)
-		for kc := 0; kc < k; kc += gemmKC {
-			kb := min(k-kc, gemmKC)
-			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-			packPanel(panel, b, n, kc, kb, kb4, jc, jb)
-			for i := 0; i < m; i++ {
-				copy(abuf[:kb], a[i*k+kc:i*k+kc+kb])
-				for z := kb; z < kb4; z++ {
-					abuf[z] = 0
-				}
-				orow := dst[i*n+jc : i*n+jc+jb]
-				for g := 0; g < kb4; g += gemmMR {
-					a0, a1, a2, a3 := abuf[g], abuf[g+1], abuf[g+2], abuf[g+3]
-					p := panel[g*jb : g*jb+jb*gemmMR]
-					for j := range orow {
-						base := j * gemmMR
-						orow[j] += a0*p[base] + a1*p[base+1] + a2*p[base+2] + a3*p[base+3]
-					}
-				}
+// blockedDot is one output element of the FP32 GEMM, accumulated in the
+// order the package documents and no other code here shares: K in blocks
+// of gemmKC, each block in quads of gemmMR with the short last quad
+// padded with +0.0 on both sides, acc += a0*w0 + a1*w1 + a2*w2 + a3*w3.
+// x is contiguous, y is read at stride ys.
+func blockedDot(x, y []float32, ys, k int) float32 {
+	var acc float32
+	for kc := 0; kc < k; kc += gemmKC {
+		kb := min(k-kc, gemmKC)
+		for g := 0; g < kb; g += gemmMR {
+			var a, w [gemmMR]float32
+			for r := 0; r < gemmMR && g+r < kb; r++ {
+				a[r], w[r] = x[kc+g+r], y[(kc+g+r)*ys]
 			}
+			acc += a[0]*w[0] + a[1]*w[1] + a[2]*w[2] + a[3]*w[3]
+		}
+	}
+	return acc
+}
+
+// oneRowGemm is the order-of-operations reference for the GEMM: every
+// output element on its own through blockedDot, no panels, no row pairs.
+func oneRowGemm(dst, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			dst[i*n+j] = blockedDot(a[i*k:], b[j:], n, k)
 		}
 	}
 }
 
-// checkGemmKernels asserts the per-call-packing kernel, the prepacked
-// kernel, and the prepacked kernel run as two row ranges split at an odd
-// row (so the pairs fall differently) all equal oneRowGemm bit for bit.
+// refAct is one element of an epilogue activation with the clamps written
+// as compares and branches.
+func refAct(v float32, act Act, alpha float32) float32 {
+	switch act {
+	case ActReLU, ActReLU6:
+		return branchyClamp(v, act == ActReLU6)
+	case ActLeakyReLU:
+		if v < 0 {
+			return alpha * v
+		}
+	case ActSigmoid:
+		return float32(1 / (1 + math.Exp(-float64(v))))
+	case ActTanh:
+		return float32(math.Tanh(float64(v)))
+	}
+	return v
+}
+
+// refConvBlocked is the reference for every dense FP32 GEMM convolution,
+// packed ahead of time or per call, and shares no code with them: per
+// output pixel it gathers the window's taps in (ic, ky, kx) order with
+// +0.0 for padding, and per output channel takes blockedDot of the taps
+// and the filter, then the bias, the affine, and a branchy activation.
+func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) *Tensor {
+	spec = spec.check()
+	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
+	cout, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
+	hout, wout := spec.OutDims(h, wd, kh, kw)
+	k := cin * kh * kw
+	out := New(cout, hout, wout)
+	taps := make([]float32, k)
+	for oy := 0; oy < hout; oy++ {
+		for ox := 0; ox < wout; ox++ {
+			r := 0
+			for ic := 0; ic < cin; ic++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						iy, ix := oy*spec.Stride+ky-spec.PadH, ox*spec.Stride+kx-spec.PadW
+						taps[r] = 0
+						if iy >= 0 && iy < h && ix >= 0 && ix < wd {
+							taps[r] = in.Data[(ic*h+iy)*wd+ix]
+						}
+						r++
+					}
+				}
+			}
+			for oc := 0; oc < cout; oc++ {
+				v := blockedDot(taps, w.Data[oc*k:], 1, k)
+				if bias != nil {
+					v += bias[oc]
+				}
+				if len(epi.Scale) > 0 {
+					v = v*epi.Scale[oc] + epi.Shift[oc]
+				}
+				out.Data[(oc*hout+oy)*wout+ox] = refAct(v, epi.Act, epi.Alpha)
+			}
+		}
+	}
+	return out
+}
+
+// checkGemmKernels asserts MatMulSerial (which packs per call), the
+// kernel on panels packed beforehand, and that kernel run as two row
+// ranges split at an odd row (so the pairs fall differently) all equal
+// oneRowGemm bit for bit.
 func checkGemmKernels(t *testing.T, a, b []float32, m, k, n int) {
 	t.Helper()
 	want := make([]float32, m*n)
 	oneRowGemm(want, a, b, m, k, n)
 
-	blocked := dirty(m, n).Data
-	matmulBlockedRange(blocked, a, b, m, k, n, 0, m, nil)
-	if !bitsEqual(blocked, want) {
-		t.Errorf("m=%d k=%d n=%d: matmulBlockedRange differs from the one-row kernel", m, k, n)
+	if got := MatMulSerial(FromData(a, m, k), FromData(b, k, n)); !bitsEqual(got.Data, want) {
+		t.Errorf("m=%d k=%d n=%d: MatMulSerial differs from the one-row reference", m, k, n)
 	}
 	pw := PackGemmB(b, k, n)
 	packed := dirty(m, n).Data
 	gemmPrepackedRange(packed, a, pw, 0, m)
 	if !bitsEqual(packed, want) {
-		t.Errorf("m=%d k=%d n=%d: gemmPrepackedRange differs from the one-row kernel", m, k, n)
+		t.Errorf("m=%d k=%d n=%d: gemmPrepackedRange differs from the one-row reference", m, k, n)
 	}
 	split := dirty(m, n).Data
 	gemmPrepackedRange(split, a, pw, 0, min(1, m))
@@ -256,18 +314,29 @@ func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
 	}
 }
 
-// checkBandedConv runs the pre-packed conv and requires it to equal the
-// unpacked Conv2DGEMMFusedInto (im2col, per-call packing, whole-plane
-// epilogue sweeps) bit for bit.
+// checkBandedConv runs the convolution on panels packed ahead of time (pw)
+// and on panels packed per call (Conv2DGEMMFusedInto) and requires both
+// to equal refConvBlocked bit for bit, and the direct loop nest Conv2D,
+// which sums in another order, within tolerance.
 func checkBandedConv(t *testing.T, name string, in, w *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	t.Helper()
-	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], w.Shape[2], w.Shape[3])
-	want := dirty(w.Shape[0], hout, wout)
-	Conv2DGEMMFusedInto(want, in, w, bias, spec, epi, 0)
+	want := refConvBlocked(in, w, bias, spec, epi)
 	got := dirty(want.Shape...)
 	Conv2DPrepackedInto(got, in, pw, bias, spec, epi)
 	if !bitsEqual(got.Data, want.Data) {
-		t.Errorf("%s: banded prepacked conv differs from the unpacked kernel", name)
+		t.Errorf("%s: banded prepacked conv differs from the loop-nest reference", name)
+	}
+	unpacked := dirty(want.Shape...)
+	Conv2DGEMMFusedInto(unpacked, in, w, bias, spec, epi, 0)
+	if !bitsEqual(unpacked.Data, want.Data) {
+		t.Errorf("%s: conv packed per call differs from the loop-nest reference", name)
+	}
+	direct := Conv2D(in, w, bias, spec)
+	epi.ApplyInto(direct)
+	for i, v := range direct.Data {
+		if d := float64(got.Data[i] - v); math.Abs(d) > 1e-4*(1+math.Abs(float64(v))) {
+			t.Fatalf("%s: out[%d] = %v, direct convolution gives %v", name, i, got.Data[i], v)
+		}
 	}
 }
 
@@ -330,7 +399,7 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 // can go wrong: pixel counts one under, at and one over a band; a 7x7
 // plane with K = 960, whose eight chunks are each smaller than a band; a
 // pointwise layer and a padded 3x3 whose chunk edges fall inside a
-// transposeTile. Each must equal the unpacked kernel pooled, and the
+// transposeTile. Each must equal the loop-nest reference pooled, and the
 // pooled bits must be the ones a single core produces.
 func TestConv2DPrepackedBandEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
@@ -415,7 +484,7 @@ func TestClampMatchesBranchyLoop(t *testing.T) {
 		span := append([]float32(nil), vals...)
 		applyEpilogueSpan(span, 0, Epilogue{Scale: []float32{1}, Shift: []float32{0}, Act: act})
 		requant := make([]float32, 3)
-		requantizeInto(requant, []int32{-7, 2, 900}, 0.5, 0.25, act, 0)
+		requantizeStrided(requant, []int32{-7, 2, 900}, 1, 0.5, 0.25, act, 0)
 		strided := make([]float32, 3)
 		requantizeStrided(strided, []int32{-7, 0, 2, 0, 900}, 2, 0.5, 0.25, act, 0)
 		for i, v := range vals {

@@ -189,45 +189,32 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 	}
 }
 
-// Conv2DGEMMFusedInto is the im2col+GEMM convolution into a
-// preallocated dst of shape [Cout, Hout, Wout], overwriting every
-// element, with the bias, affine, and activation folded into one
-// per-channel output sweep. A zero epi is the plain GEMM convolution.
+// Conv2DGEMMFusedInto is the GEMM convolution on weights nobody packed
+// ahead of time, into a preallocated dst of shape [Cout, Hout, Wout],
+// overwriting every element, with the bias, affine and activation folded
+// in. A zero epi is the plain GEMM convolution. It packs w into panels
+// borrowed from a pool — read out of w.Data on every call, so training's
+// in-place weight updates are seen — and runs Conv2DPrepackedInto on
+// them: the panels, microkernel and K order of a node packed ahead of
+// time, hence its bits; "unpacked" only says when the panels are built.
 // wZeroFrac is Sparsity(w): weights that are mostly zeros (pruned
-// models) take the zero-skipping kernel, and since weights are constant
-// the caller measures them once instead of this kernel scanning them on
-// every call; 0 means dense. The im2col matrix is borrowed from the
-// package scratch pool. This is the reference the pre-packed kernel is
-// bit-identical to.
+// models), on a layer of at least parallelThresholdMACs, take the
+// zero-skipping kernel instead, and since weights are constant the caller
+// measures them once instead of this kernel scanning them on every call;
+// 0 means dense.
 func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue, wZeroFrac float64) {
 	spec = spec.check()
 	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
 	checkConvDst(dst, cout, hout, wout)
 	checkEpilogueChannels(epi, cout)
-	cin, kh, kw := w.Shape[1], w.Shape[2], w.Shape[3]
-	rows := cin * kh * kw
-	ncols := hout * wout
-	s := convScratchPool.Get().(*convScratch)
-	s.grow(rows*ncols, 0)
-	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
-	matmulInto(dst.Data, w.Data, s.rows, cout, rows, ncols, wZeroFrac)
-	convScratchPool.Put(s)
-	for oc := 0; oc < cout; oc++ {
-		seg := dst.Data[oc*ncols : (oc+1)*ncols]
-		if bias != nil {
-			b := bias[oc]
-			for i := range seg {
-				seg[i] += b
-			}
-		}
-		if len(epi.Scale) > 0 {
-			scale, shift := epi.Scale[oc], epi.Shift[oc]
-			for i, v := range seg {
-				seg[i] = v*scale + shift
-			}
-		}
-		applyActInPlace(seg, epi.Act, epi.Alpha)
+	if wZeroFrac >= sparseSkipFraction && w.Shape.NumElems()*hout*wout >= parallelThresholdMACs {
+		conv2DSparseInto(dst, in, w, bias, spec, epi)
+		return
 	}
+	s := packScratchPool.Get().(*packScratch)
+	s.pw.packConv(w)
+	Conv2DPrepackedInto(dst, in, &s.pw, bias, spec, epi)
+	packScratchPool.Put(s)
 }
 
 // depthwiseRowsFused computes the flattened output-row tiles [lo, hi)

@@ -2,10 +2,8 @@ package tensor
 
 import "testing"
 
-// Benchmarks pinning the epilogue-fold satellite: the folded kernels
-// must not lose to compute-then-two-sweeps. engbench's epilogue group
-// reports the same comparison in BENCH_engine.json; these are the
-// package-local versions for `go test -bench` iteration.
+// Benchmarks pinning the epilogue fold: the folded depthwise kernel must
+// not lose to compute-then-two-sweeps (`go test -bench DepthwiseEpilogue`).
 
 func benchTensors(c, hw int) (in, dw *Tensor, bias []float32, epi Epilogue) {
 	in = New(c, hw, hw)

@@ -5,25 +5,23 @@ import (
 	"sync"
 )
 
-// This file is the ahead-of-time weight pre-packing layer for the FP32
-// GEMM path. The per-call blocked kernel (gemm.go) packs its B operand
-// into interleaved panels on every invocation; for inference the weight
-// operand is constant, so a session can pack it once and reuse the
-// panels forever. To make the *weights* the packed operand the
+// This file is the FP32 GEMM convolution. Its weight operand is constant
+// during inference, so it is what gets packed into the microkernel's
+// interleaved panels — ahead of time by PackConvWeights (a session packs
+// once and reuses the panels forever) or, for a node nobody packed, on
+// every call by Conv2DGEMMFusedInto; either way one kernel runs
+// (Conv2DPrepackedInto). To make the *weights* the packed operand the
 // convolution is executed in its transposed formulation:
 //
-//	unpacked: dst[cout, ncols]  = W[cout, rows]  x cols[rows, ncols]
-//	prepacked: out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
+//	out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
 //
 // where rowsA is the im2row lowering (one row per output pixel) and Wt
-// is the transposed weight matrix, packed AOT by PackConvWeights. The
-// blocked kernel's per-output-element accumulation order depends only
-// on the K blocking, which is identical in both formulations, and
-// float multiplication is bitwise commutative, so GemmPrepacked output
-// element (nc, oc) is bitwise identical to unpacked element (oc, nc) —
-// the property the prepack pass's zoo-wide equivalence gate pins down.
-// Padding positions contribute +0.0 in both formulations (both the
-// zero-padded A row and the zero-filled panel rows are positive zeros).
+// is the transposed weight matrix, which the packer reads out of
+// W[cout, rows] in place. Per output element the accumulation order
+// depends only on the K blocking, so when the panels were built changes
+// no bit — the property the zoo-wide packed-vs-unpacked gate pins down.
+// Padding positions contribute +0.0 (both the zero-padded A row and the
+// zero-filled panel rows are positive zeros).
 //
 // FP32 Dense is deliberately NOT prepacked: DenseInto accumulates each
 // dot product in four independent chains (matVecInto), an order the
@@ -31,11 +29,12 @@ import (
 // contract. The int8 twin (qprepack.go) packs Dense too, because
 // integer accumulation is exact in any order.
 
-// PackedWeights is a weight matrix packed AOT into the blocked-panel
-// layout the FP32 GEMM microkernel consumes: the panels of every
-// (N-block, K-block) tile of the transposed weight matrix, concatenated
-// in the kernel's traversal order (jc outer, kc inner). Immutable after
-// construction — clones of a graph share the pointer.
+// PackedWeights is a weight matrix packed into the blocked-panel layout
+// the FP32 GEMM microkernel consumes: the panels of every (N-block,
+// K-block) tile of the transposed weight matrix, concatenated in the
+// kernel's traversal order (jc outer, kc inner). One packed ahead of time
+// is immutable after construction — clones of a graph share the pointer;
+// the per-call pack refills a pooled one.
 type PackedWeights struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
 	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs).
@@ -67,33 +66,50 @@ func packedPanelsLen(k, n, kc0, nc0, mr int) int {
 	return total
 }
 
-// PackGemmB packs a row-major [k, n] B matrix into the blocked-panel
-// layout, one packPanel tile per (jc, kc) block in kernel traversal
-// order. The result feeds gemmPrepackedRange.
-func PackGemmB(b []float32, k, n int) *PackedWeights {
-	if len(b) != k*n {
-		panic(fmt.Sprintf("tensor: PackGemmB data length %d, want %d", len(b), k*n))
-	}
-	pw := &PackedWeights{K: k, N: n, Panels: make([]float32, packedPanelsLen(k, n, gemmKC, gemmNC, gemmMR))}
+// pack fills pw with the panels of the [k, n] B operand whose element
+// (r, c) is b[r*rs+c*cs], one packPanel tile per (jc, kc) block in kernel
+// traversal order, in pw.Panels' storage when that is large enough: the
+// one FP32 packer, ahead of time or per call.
+func (pw *PackedWeights) pack(b []float32, k, n, rs, cs int, shape Shape) {
+	*pw = PackedWeights{K: k, N: n, Shape: shape,
+		Panels: growSlice(pw.Panels, packedPanelsLen(k, n, gemmKC, gemmNC, gemmMR))}
 	off := 0
 	for jc := 0; jc < n; jc += gemmNC {
 		jb := min(n-jc, gemmNC)
 		for kc := 0; kc < k; kc += gemmKC {
 			kb := min(k-kc, gemmKC)
 			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-			packPanel(pw.Panels[off:off+kb4*jb], b, n, kc, kb, kb4, jc, jb)
+			packPanel(pw.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
 			off += kb4 * jb
 		}
 	}
+}
+
+// packConv packs the [rows, Cout] transpose of w's filters (rows =
+// Cin*KH*KW), read out of w.Data in place; pw.Shape is w's own. It is the
+// whole of packing a convolution, ahead of time (PackConvWeights) or per
+// call (Conv2DGEMMFusedInto).
+func (pw *PackedWeights) packConv(w *Tensor) {
+	rows := w.Shape[1] * w.Shape[2] * w.Shape[3]
+	pw.pack(w.Data, rows, w.Shape[0], 1, rows, w.Shape)
+}
+
+// PackGemmB packs a row-major [k, n] B matrix into the blocked-panel
+// layout. The result feeds gemmPrepackedRange.
+func PackGemmB(b []float32, k, n int) *PackedWeights {
+	if len(b) != k*n {
+		panic(fmt.Sprintf("tensor: PackGemmB data length %d, want %d", len(b), k*n))
+	}
+	pw := new(PackedWeights)
+	pw.pack(b, k, n, n, 1, nil)
 	return pw
 }
 
 // PackConvWeights packs a [Cout, Cin, KH, KW] convolution weight tensor
-// for the prepacked GEMM path: the weight matrix is transposed to
-// [rows, Cout] (rows = Cin*KH*KW) and packed with PackGemmB. It returns
-// nil for weights sparse enough that the unpacked path would take the
-// zero-skipping kernel (pruned models keep their sparse fast path, and
-// the prepacked dense kernel would not be bitwise identical to it).
+// for the prepacked GEMM path, into panels and a shape of its own. It
+// returns nil for weights sparse enough that Conv2DGEMMFusedInto may take
+// the zero-skipping kernel (pruned models keep their sparse fast path,
+// and the dense panel kernel would not be bitwise identical to it).
 func PackConvWeights(w *Tensor) *PackedWeights {
 	if len(w.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: PackConvWeights wants rank-4 weights, got %v", w.Shape))
@@ -101,26 +117,18 @@ func PackConvWeights(w *Tensor) *PackedWeights {
 	if zeroFraction(w.Data) >= sparseSkipFraction {
 		return nil
 	}
-	cout := w.Shape[0]
-	rows := w.Shape[1] * w.Shape[2] * w.Shape[3]
-	wt := make([]float32, rows*cout)
-	for oc := 0; oc < cout; oc++ {
-		src := w.Data[oc*rows : (oc+1)*rows]
-		for r, v := range src {
-			wt[r*cout+oc] = v
-		}
-	}
-	pw := PackGemmB(wt, rows, cout)
+	pw := new(PackedWeights)
+	pw.packConv(w)
 	pw.Shape = w.Shape.Clone()
 	return pw
 }
 
 // gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B for a
-// row-major a [m, pw.K] and the prepacked B operand, overwriting them:
-// matmulBlockedRange's tile loop over the same microkernel, with each
-// tile's panel read from pw.Panels at its precomputed offset instead of
-// packed on the spot. A row's result does not depend on which rows
-// share its range, so callers may shard rows freely.
+// row-major a [m, pw.K] and the packed B operand, overwriting them: the
+// one FP32 GEMM tile loop. Rows are zeroed first, then accumulated one
+// (K-block, N-block) panel at a time, each read from pw.Panels at its
+// offset in traversal order. A row's result does not depend on which
+// rows share its range, so callers may shard rows freely.
 func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
 	k, n := pw.K, pw.N
 	for i := rlo; i < rhi; i++ {
@@ -216,12 +224,11 @@ func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
 }
 
 // convScratch is what one shard of an FP32 GEMM convolution borrows: the
-// lowered activations — a band of im2row rows for the pre-packed kernel,
-// the whole im2col matrix for the unpacked one — and the pre-packed
-// kernel's transposed GEMM output for that band. One package pool serves
-// every caller, as qscratchPool does for the int8 kernels, so concurrent
-// shards never share a buffer and a steady stream of convolutions
-// reallocates nothing.
+// lowered activations — a band of im2row rows, or the zero-skipping
+// convolution's whole im2col matrix — and the band's transposed GEMM
+// output. One package pool serves every caller, as qscratchPool does for
+// the int8 kernels, so concurrent shards never share a buffer and a
+// steady stream of convolutions reallocates nothing.
 type convScratch struct {
 	rows []float32
 	outT []float32
@@ -233,6 +240,17 @@ func (s *convScratch) grow(nrows, nout int) {
 	s.rows = growSlice(s.rows, nrows)
 	s.outT = growSlice(s.outT, nout)
 }
+
+// packScratch is what an unpacked entry point borrows to pack its
+// constant operand per call. The panels stay with the pool, so a steady
+// stream of unpacked kernels allocates nothing; one pool serves both
+// datatypes, a call using the field of its own.
+type packScratch struct {
+	pw PackedWeights
+	pq PackedQWeights
+}
+
+var packScratchPool = sync.Pool{New: func() any { return new(packScratch) }}
 
 // prepackedConvDims validates the input against the packed weights and
 // returns (cout, kh, kw, hout, wout).
@@ -296,8 +314,8 @@ func (j *convJob) bands(lo, hi int) {
 // channel: the gather transposes outT's (pixel, channel) layout back to
 // channel-major and adds the bias, then applyEpilogueSpan runs the
 // affine and the activation over the 256 bytes just written — per
-// element the expressions of Conv2DGEMMFusedInto's epilogue, so
-// pre-packed output is bitwise identical to the unpacked path's.
+// element the expressions of the separate batch-norm and activation
+// kernels, so fused output is bitwise identical to the unfused chain's.
 func (j *convJob) band(s *convScratch, p0, p1 int) {
 	n, cout, ncols := p1-p0, j.pw.N, j.ncols
 	s.grow(n*j.pw.K, n*cout)

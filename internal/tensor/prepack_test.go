@@ -1,13 +1,14 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // bitsEqual reports whether two float32 slices are bitwise identical —
-// the prepacked kernels' contract against their unpacked twins.
+// the GEMM kernels' contract against their loop-nest references.
 func bitsEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -21,9 +22,10 @@ func bitsEqual(a, b []float32) bool {
 }
 
 // TestGemmPrepackedMatchesBlocked pins the core bitwise contract: the
-// prepacked GEMM over AOT panels equals the per-call-packing blocked
-// kernel for awkward K/N remainders, K blocks past gemmKC, N blocks
-// past gemmNC, and single-row A operands.
+// GEMM over panels packed beforehand, and MatMulSerial packing per call,
+// equal the blocked order written out element by element (oneRowGemm) for
+// awkward K/N remainders, K blocks past gemmKC, N blocks past gemmNC, and
+// single-row A operands.
 func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	cases := []struct{ m, k, n int }{
@@ -34,12 +36,16 @@ func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 	for _, c := range cases {
 		a := New(c.m, c.k).Randomize(r, 1)
 		b := New(c.k, c.n).Randomize(r, 1)
-		want := MatMulSerial(a, b)
+		want := New(c.m, c.n)
+		oneRowGemm(want.Data, a.Data, b.Data, c.m, c.k, c.n)
 		pw := PackGemmB(b.Data, c.k, c.n)
 		got := New(c.m, c.n)
 		gemmPrepackedRange(got.Data, a.Data, pw, 0, c.m)
 		if !bitsEqual(got.Data, want.Data) {
-			t.Errorf("m=%d k=%d n=%d: prepacked GEMM differs from blocked", c.m, c.k, c.n)
+			t.Errorf("m=%d k=%d n=%d: prepacked GEMM differs from the blocked order", c.m, c.k, c.n)
+		}
+		if !bitsEqual(MatMulSerial(a, b).Data, want.Data) {
+			t.Errorf("m=%d k=%d n=%d: MatMulSerial differs from the blocked order", c.m, c.k, c.n)
 		}
 	}
 }
@@ -47,7 +53,7 @@ func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 // TestGemmPrepackedParallelMatchesSerial shards the prepacked GEMM's
 // rows across the worker pool the way the band pass does, which must not
 // change a bit relative to both the serial prepacked range and the
-// unpacked blocked kernel.
+// blocked order written out element by element.
 func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m, k, n := 96, 200, 130 // 2.4M MACs: above parallelThresholdMACs
@@ -63,9 +69,10 @@ func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	if !bitsEqual(par.Data, ser.Data) {
 		t.Fatal("parallel prepacked GEMM differs from serial prepacked")
 	}
-	want := MatMulSerial(a, b)
-	if !bitsEqual(par.Data, want.Data) {
-		t.Fatal("parallel prepacked GEMM differs from unpacked blocked")
+	want := New(m, n)
+	oneRowGemm(want.Data, a.Data, b.Data, m, k, n)
+	if !bitsEqual(par.Data, want.Data) || !bitsEqual(MatMulParallel(a, b).Data, want.Data) {
+		t.Fatal("parallel prepacked GEMM differs from the blocked order")
 	}
 }
 
@@ -104,9 +111,10 @@ func prepackConvCases() []convCase {
 	}
 }
 
-// TestConv2DPrepackedMatchesGEMM: the prepacked conv (im2row +
-// transposed GEMM + transposing bias sweep) must be bitwise identical
-// to the unpacked im2col+GEMM conv on every awkward geometry.
+// TestConv2DPrepackedMatchesGEMM: the GEMM conv (im2row + transposed
+// GEMM + transposing bias sweep), on panels packed ahead of time and on
+// panels packed per call, must be bitwise identical to the loop-nest
+// reference on every awkward geometry.
 func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for _, c := range prepackConvCases() {
@@ -116,24 +124,17 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		for i := range bias {
 			bias[i] = r.Float32() - 0.5
 		}
-		hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
-		want := New(c.cout, hout, wout)
-		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, Epilogue{}, 0)
 		pw := PackConvWeights(w)
 		if pw == nil {
 			t.Fatalf("%s: dense weights did not pack", c.name)
 		}
-		got := New(c.cout, hout, wout)
-		Conv2DPrepackedInto(got, in, pw, bias, c.spec, Epilogue{})
-		if !bitsEqual(got.Data, want.Data) {
-			t.Errorf("%s: prepacked conv differs from unpacked GEMM conv", c.name)
-		}
+		checkBandedConv(t, c.name, in, w, pw, bias, c.spec, Epilogue{})
 	}
 }
 
 // TestConv2DPrepackedFusedMatchesGEMMFused sweeps every fusable
 // epilogue (affine alone, each activation, affine+activation) against
-// the unpacked fused GEMM kernel, bitwise.
+// the loop-nest reference, bitwise, packed ahead of time and per call.
 func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	c := convCase{"fused", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
@@ -148,7 +149,6 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		shift[i] = r.Float32() - 0.5
 	}
 	pw := PackConvWeights(w)
-	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	epis := []Epilogue{
 		{Scale: scale, Shift: shift},
 		{Act: ActReLU},
@@ -159,37 +159,24 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		{Scale: scale, Shift: shift, Act: ActTanh},
 	}
 	for _, epi := range epis {
-		want := New(c.cout, hout, wout)
-		Conv2DGEMMFusedInto(want, in, w, bias, c.spec, epi, 0)
-		got := New(c.cout, hout, wout)
-		Conv2DPrepackedInto(got, in, pw, bias, c.spec, epi)
-		if !bitsEqual(got.Data, want.Data) {
-			t.Errorf("act=%d affine=%v: prepacked fused conv differs from unpacked", epi.Act, len(epi.Scale) > 0)
-		}
+		checkBandedConv(t, fmt.Sprintf("act=%d affine=%v", epi.Act, len(epi.Scale) > 0), in, w, pw, bias, c.spec, epi)
 	}
 }
 
 // TestConv2DPrepackedLargeParallel crosses the GEMM parallel threshold
-// on the whole conv so the sharded prepacked path runs against the
-// sharded unpacked path — still bitwise.
+// on the whole conv so the sharded band pass runs, packed ahead of time
+// and per call — still bitwise the loop-nest reference.
 func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	in := randTensor(r, 32, 24, 24)
 	w := randTensor(r, 48, 32, 3, 3)
-	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	want := New(48, 24, 24)
-	Conv2DGEMMFusedInto(want, in, w, nil, spec, Epilogue{}, 0)
-	pw := PackConvWeights(w)
-	got := New(48, 24, 24)
-	Conv2DPrepackedInto(got, in, pw, nil, spec, Epilogue{})
-	if !bitsEqual(got.Data, want.Data) {
-		t.Fatal("large prepacked conv differs from unpacked GEMM conv")
-	}
+	checkBandedConv(t, "large", in, w, PackConvWeights(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
 }
 
-// TestQGemmPrepackedMatchesSerial pins the int8 twin: prepacked QGEMM
-// equals the unpacked blocked kernel, including the odd-M single-row
-// remainder and K blocks past qgemmKC.
+// TestQGemmPrepackedMatchesSerial pins the int8 twin: the QGEMM on
+// panels packed beforehand and QGEMMSerial packing per call equal the
+// plain triple loop, including the odd-M single-row remainder and K
+// blocks past qgemmKC.
 func TestQGemmPrepackedMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	cases := []struct{ m, k, n int }{
@@ -197,26 +184,15 @@ func TestQGemmPrepackedMatchesSerial(t *testing.T) {
 		{4, qgemmKC + 5, 17}, {7, 300, qgemmNC + 3}, {9, 37, 11},
 	}
 	for _, c := range cases {
-		a := randQ(r, c.m*c.k)
-		b := randQ(r, c.k*c.n)
-		want := make([]int32, c.m*c.n)
-		QGEMMSerial(want, a, b, c.m, c.k, c.n)
-		pq := PackQGemmB(b, c.k, c.n)
-		got := make([]int32, c.m*c.n)
-		QGemmPrepacked(got, a, pq, c.m)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("m=%d k=%d n=%d: prepacked QGEMM differs at %d: %d vs %d",
-					c.m, c.k, c.n, i, got[i], want[i])
-			}
-		}
+		checkQGemmKernels(t, "prepacked", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
 	}
 }
 
-// TestConv2DQPrepackedMatchesUnpacked: the prepacked int8 conv must be
-// bitwise identical to Conv2DQInt8Into under both per-tensor and
-// per-channel weight quantization, with and without activations, on
-// odd output-pixel counts (odd-M row pairs in the transposed GEMM).
+// TestConv2DQPrepackedMatchesUnpacked: the int8 conv, packed ahead of
+// time and per call, must be bitwise identical to the loop-nest reference
+// under both per-tensor and per-channel weight quantization, with and
+// without activations, on odd output-pixel counts (odd-M row pairs in
+// the transposed GEMM).
 func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	cases := []convCase{
@@ -231,24 +207,18 @@ func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 		for i := range bias {
 			bias[i] = r.Float32() - 0.5
 		}
-		hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			for _, act := range []Act{ActNone, ActReLU, ActLeakyReLU} {
-				want := New(c.cout, hout, wout)
-				Conv2DQInt8Into(want, in, qw, bias, c.spec, act, 0.1)
-				pq := PackQConvWeights(qw)
-				got := New(c.cout, hout, wout)
-				Conv2DQPrepackedInto(got, in, pq, qw, bias, c.spec, act, 0.1)
-				if !bitsEqual(got.Data, want.Data) {
-					t.Errorf("%s act=%d perchannel=%v: prepacked int8 conv differs", c.name, act, qw.Scales != nil)
-				}
+				name := fmt.Sprintf("%s act=%d perchannel=%v", c.name, act, qw.Scales != nil)
+				checkBandedQConv(t, name, in, qw, PackQConvWeights(qw), bias, c.spec, act)
 			}
 		}
 	}
 }
 
-// TestDenseQPrepackedMatchesUnpacked: prepacked int8 dense (single-row
-// QGEMM) vs the unpacked matvec path, per-tensor and per-channel.
+// TestDenseQPrepackedMatchesUnpacked: int8 dense (single-row QGEMM),
+// packed ahead of time and per call, vs the loop-nest reference,
+// per-tensor and per-channel.
 func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	for _, dims := range [][2]int{{7, 13}, {33, 300}, {64, 129}} {
@@ -260,13 +230,13 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 			bias[i] = r.Float32() - 0.5
 		}
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
-			want := make([]float32, out)
-			DenseQInt8Into(want, qw, bias, x.Data, ActReLU, 0)
-			pq := PackQDenseWeights(qw)
+			want := refQDense(qw, bias, x.Data, ActReLU, 0)
 			got := make([]float32, out)
-			DenseQPrepackedInto(got, pq, qw, bias, x.Data, ActReLU, 0)
-			if !bitsEqual(got, want) {
-				t.Errorf("out=%d in=%d perchannel=%v: prepacked int8 dense differs", out, in, qw.Scales != nil)
+			DenseQPrepackedInto(got, PackQDenseWeights(qw), qw, bias, x.Data, ActReLU, 0)
+			unpacked := make([]float32, out)
+			DenseQInt8Into(unpacked, qw, bias, x.Data, ActReLU, 0)
+			if !bitsEqual(got, want) || !bitsEqual(unpacked, want) {
+				t.Errorf("out=%d in=%d perchannel=%v: int8 dense differs from the loop-nest reference", out, in, qw.Scales != nil)
 			}
 		}
 	}
@@ -275,7 +245,7 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 // TestConv2DPrepackedScratchPool: a call handed recycled scratch — the
 // package pool's buffers left dirty by a larger convolution over
 // different values — must produce the same bits as a call on fresh
-// scratch, and the same bits as the unpacked GEMM reference.
+// scratch, and the same bits as the loop-nest reference.
 func TestConv2DPrepackedScratchPool(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	c := convCase{"scratch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
@@ -294,9 +264,94 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	if !bitsEqual(got.Data, want.Data) {
 		t.Fatal("prepacked conv on recycled scratch differs from fresh scratch")
 	}
-	ref := New(c.cout, hout, wout)
-	Conv2DGEMMFusedInto(ref, in, w, nil, c.spec, Epilogue{}, 0)
-	if !bitsEqual(got.Data, ref.Data) {
-		t.Fatal("prepacked conv differs from the unpacked GEMM reference")
+	if ref := refConvBlocked(in, w, nil, c.spec, Epilogue{}); !bitsEqual(got.Data, ref.Data) {
+		t.Fatal("prepacked conv differs from the loop-nest reference")
+	}
+}
+
+// TestUnpackedConvReusesDirtyPanels: per-call packing borrows its panels
+// from a pool, so a K = 27 conv (one K block of 28 with a zero row) may be
+// handed the storage a K = 130 conv (blocks of 128 and 4) left behind —
+// here poisoned with NaN, which any tail the packer skipped would
+// multiply into the output. Both dtypes, then the pooled entry points in
+// the same order.
+func TestUnpackedConvReusesDirtyPanels(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	bigIn, bigW := randTensor(r, 130, 6, 6), randTensor(r, 7, 130, 1, 1)
+	in, w := randTensor(r, 3, 6, 6), randTensor(r, 5, 3, 3, 3)
+	var s packScratch
+	for _, c := range []struct{ in, w *Tensor }{{bigIn, bigW}, {in, w}} {
+		stale := s.pw.Panels[:cap(s.pw.Panels)]
+		for i := range stale {
+			stale[i] = float32(math.NaN())
+		}
+		s.pw.packConv(c.w)
+		want := refConvBlocked(c.in, c.w, nil, spec, Epilogue{})
+		got := dirty(want.Shape...)
+		Conv2DPrepackedInto(got, c.in, &s.pw, nil, spec, Epilogue{})
+		unpacked := dirty(want.Shape...)
+		Conv2DGEMMFusedInto(unpacked, c.in, c.w, nil, spec, Epilogue{}, 0)
+		if !bitsEqual(got.Data, want.Data) || !bitsEqual(unpacked.Data, want.Data) {
+			t.Errorf("K=%d: conv on recycled panels differs from the loop-nest reference", s.pw.K)
+		}
+
+		qw := QuantizePerChannel(c.w)
+		qstale := s.pq.Panels[:cap(s.pq.Panels)]
+		for i := range qstale {
+			qstale[i] = 0x55
+		}
+		s.pq.packWeights(qw)
+		qwant := refQConv(c.in, qw, nil, spec, ActNone, 0)
+		qgot := dirty(qwant.Shape...)
+		Conv2DQPrepackedInto(qgot, c.in, &s.pq, qw, nil, spec, ActNone, 0)
+		qunpacked := dirty(qwant.Shape...)
+		Conv2DQInt8Into(qunpacked, c.in, qw, nil, spec, ActNone, 0)
+		if !bitsEqual(qgot.Data, qwant.Data) || !bitsEqual(qunpacked.Data, qwant.Data) {
+			t.Errorf("K=%d: int8 conv on recycled panels differs from the loop-nest reference", s.pq.K)
+		}
+	}
+	if s.pw.K != 27 || len(s.pw.Panels) >= cap(s.pw.Panels) || len(s.pq.Panels) >= cap(s.pq.Panels) {
+		t.Fatalf("second conv (K=%d) did not reuse the first one's larger panels", s.pw.K)
+	}
+}
+
+// TestSparseConvSelection pins both sides of the zero-skipping choice on
+// 80 %-pruned weights: at parallelThresholdMACs and above the unpacked
+// conv is im2col + the zero-skipping multiply, built here by hand, and not
+// the dense kernel's bits; below it the size rule wins and the conv is
+// the dense band pass, whatever the zero fraction says.
+func TestSparseConvSelection(t *testing.T) {
+	r := rand.New(rand.NewSource(113))
+	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	_, _, _, _, _, epi := bnEpilogue(32, 6)
+	epi.Act = ActReLU6
+	for _, hw := range []int{32, 8} {
+		in := randTensor(r, 16, hw, hw)
+		w := randTensor(r, 32, 16, 3, 3)
+		PruneMagnitude(w, 0.8)
+		bias := randTensor(r, 32).Data
+		sparse := w.Shape.NumElems()*hw*hw >= parallelThresholdMACs
+		if zf := Sparsity(w); zf < sparseSkipFraction || sparse != (hw == 32) {
+			t.Fatalf("%dx%d: zero fraction %v, above threshold %v: not the case this test is for", hw, hw, zf, sparse)
+		}
+		got := dirty(32, hw, hw)
+		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi, Sparsity(w))
+		dense := refConvBlocked(in, w, bias, spec, epi)
+		if !sparse {
+			assertBitEqual(t, got, dense, "pruned conv below the threshold vs the dense reference")
+			continue
+		}
+		want := MatMulSparse(w.Reshape(32, 16*9), Im2Col(in, 3, 3, spec)).Reshape(32, hw, hw)
+		for oc, b := range bias {
+			for i := range want.Data[oc*hw*hw : (oc+1)*hw*hw] {
+				want.Data[oc*hw*hw+i] += b
+			}
+		}
+		epi.ApplyInto(want)
+		assertBitEqual(t, got, want, "pruned conv above the threshold vs im2col + MatMulSparse")
+		if bitsEqual(got.Data, dense.Data) {
+			t.Fatal("the dense kernel gives the same bits: the comparison above proves nothing")
+		}
 	}
 }

@@ -6,10 +6,17 @@ import (
 	"testing"
 )
 
-// refQConv computes the exact integer reference for the int8 conv path:
-// the same dynamic input quantization, a naive int32 convolution over
-// the quantized values, and the same epilogue arithmetic — so the
-// optimized kernel must match it bit-for-bit.
+// refRequant is one element of the int8 epilogue, act(acc*scale + bias),
+// with the activation written as compares and branches (refAct).
+func refRequant(acc int32, scale, bias float32, act Act, alpha float32) float32 {
+	return refAct(float32(acc)*scale+bias, act, alpha)
+}
+
+// refQConv is the reference for every int8 convolution, packed ahead of
+// time or per call, and shares no code with them: the serial reference
+// quantizer, a naive int32 convolution over the codes, and refRequant —
+// integer accumulation is exact and the float expressions are per
+// element, so the kernels must match it bit for bit.
 func refQConv(in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) *Tensor {
 	spec = spec.check()
 	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
@@ -17,7 +24,7 @@ func refQConv(in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act,
 	hout, wout := spec.OutDims(h, wd, kh, kw)
 	padH, padW := spec.padHW()
 	qin := make([]int8, len(in.Data))
-	sx := QuantizeDynamicInto(qin, in.Data)
+	sx := quantizeDynamicSerial(qin, in.Data)
 	out := New(cout, hout, wout)
 	for oc := 0; oc < cout; oc++ {
 		var b float32
@@ -43,12 +50,28 @@ func refQConv(in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act,
 						}
 					}
 				}
-				seg := out.Data[(oc*hout+oy)*wout+ox : (oc*hout+oy)*wout+ox+1]
-				requantizeInto(seg, []int32{acc}, sx*qw.ScaleFor(oc), b, act, alpha)
+				out.Data[(oc*hout+oy)*wout+ox] = refRequant(acc, sx*qw.ScaleFor(oc), b, act, alpha)
 			}
 		}
 	}
 	return out
+}
+
+// refQDense is the same for an int8 dense layer: reference quantizer, a
+// plain int32 dot product per output, refRequant.
+func refQDense(qw *QTensor, bias, x []float32, act Act, alpha float32) []float32 {
+	out, in := qw.Shape[0], qw.Shape[1]
+	qx := make([]int8, in)
+	sx := quantizeDynamicSerial(qx, x)
+	want := make([]float32, out)
+	for i := range want {
+		var acc int32
+		for j, c := range qx {
+			acc += int32(qw.Data[i*in+j]) * int32(c)
+		}
+		want[i] = refRequant(acc, sx*qw.ScaleFor(i), bias[i], act, alpha)
+	}
+	return want
 }
 
 func randTensor(r *rand.Rand, shape ...int) *Tensor {
@@ -128,16 +151,7 @@ func TestDenseQInt8MatchesReference(t *testing.T) {
 		bias[i] = float32(r.NormFloat64())
 	}
 	for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
-		qx := make([]int8, in)
-		sx := QuantizeDynamicInto(qx, x)
-		want := make([]float32, out)
-		for i := 0; i < out; i++ {
-			var acc int32
-			for j := 0; j < in; j++ {
-				acc += int32(qw.Data[i*in+j]) * int32(qx[j])
-			}
-			requantizeInto(want[i:i+1], []int32{acc}, sx*qw.ScaleFor(i), bias[i], ActReLU, 0)
-		}
+		want := refQDense(qw, bias, x, ActReLU, 0)
 		got := make([]float32, out)
 		DenseQInt8Into(got, qw, bias, x, ActReLU, 0)
 		for i := range want {

@@ -10,21 +10,24 @@ import (
 // Bit-exact differential tests for the int8 fast paths: the banded
 // prepacked convolution, the sharded activation quantizer, the max-pool
 // interior path, and the four-column SWAR microkernel. Each is compared
-// with a kernel that shares none of the new code, so any difference at
-// all is a bug.
+// with a loop nest that shares no code with it, so any difference at all
+// is a bug.
 
-// checkBandedQConv runs the prepacked int8 conv and requires it to equal
-// the unpacked Conv2DQInt8Into (im2col, per-call packing, contiguous
-// epilogue) bit for bit.
+// checkBandedQConv runs the int8 conv on panels packed ahead of time (pq)
+// and on panels packed per call (Conv2DQInt8Into) and requires both to
+// equal the loop-nest reference refQConv bit for bit.
 func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *PackedQWeights, bias []float32, spec Conv2DSpec, act Act) {
 	t.Helper()
-	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], qw.Shape[2], qw.Shape[3])
-	want := dirty(qw.Shape[0], hout, wout)
-	Conv2DQInt8Into(want, in, qw, bias, spec, act, 0.1)
+	want := refQConv(in, qw, bias, spec, act, 0.1)
 	got := dirty(want.Shape...)
 	Conv2DQPrepackedInto(got, in, pq, qw, bias, spec, act, 0.1)
 	if !bitsEqual(got.Data, want.Data) {
-		t.Errorf("%s: banded prepacked int8 conv differs from the unpacked kernel", name)
+		t.Errorf("%s: banded prepacked int8 conv differs from the loop-nest reference", name)
+	}
+	unpacked := dirty(want.Shape...)
+	Conv2DQInt8Into(unpacked, in, qw, bias, spec, act, 0.1)
+	if !bitsEqual(unpacked.Data, want.Data) {
+		t.Errorf("%s: int8 conv packed per call differs from the loop-nest reference", name)
 	}
 }
 
@@ -120,7 +123,10 @@ func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 			maxAbs = v
 		}
 	}
-	scale := symmetricScale(maxAbs)
+	scale := maxAbs / 127
+	if scale == 0 {
+		scale = 1
+	}
 	inv := 1 / scale
 	for i, v := range src {
 		r := v * inv
@@ -286,9 +292,10 @@ func TestMaxPoolShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// checkQGemmKernels asserts the per-call-packing kernel, the prepacked
-// kernel, and the prepacked kernel run as two row ranges split at an odd
-// row (so the pairs fall differently) all equal the plain triple loop.
+// checkQGemmKernels asserts QGEMMSerial (which packs per call), the kernel
+// on panels packed beforehand, and that kernel run as two row ranges
+// split at an odd row (so the pairs fall differently) all equal the
+// plain triple loop.
 func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	t.Helper()
 	want := make([]int32, m*n)

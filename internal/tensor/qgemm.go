@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // Int8 GEMM blocking parameters. The kernel mirrors the FP32 blocked
 // kernel in gemm.go — tile over N and K, pack the B block into a panel
 // interleaved in groups of qgemmMR K-rows, stream every A row over it —
@@ -24,36 +22,13 @@ const (
 	qgemmMR = 4   // K-interleave of the packed panel / microkernel unroll
 )
 
-// qgemmPanelElems is the scratch size one packed B panel needs, in bytes.
-func qgemmPanelElems() int { return qgemmKC * qgemmNC }
-
-// qgemmPanelPool recycles packed int8 panels across parallel QGEMM
-// chunks (one panel per in-flight chunk, zero steady-state allocation).
-var qgemmPanelPool = sync.Pool{New: func() any {
-	p := make([]byte, qgemmPanelElems())
-	return &p
-}}
-
 // QGEMM computes dst = a x b for row-major int8 matrices a [m, k] and
-// b [k, n] into int32 accumulators, overwriting all of dst[0:m*n]. Work
-// above the parallel threshold is sharded across the persistent worker
-// pool by row *pairs* — qgemmPairRange maps each chunk to an even row
-// start, keeping the SWAR two-rows-per-int64 pairing intact so only the
-// final row of an odd-M matrix pays the single-row remainder kernel.
-// Results are identical to QGEMMSerial because integer accumulation is
-// exact regardless of the shard split.
+// b [k, n] into int32 accumulators, overwriting all of dst[0:m*n]: b is
+// packed into panels now, then QGemmPrepacked runs on them. Results are
+// identical to QGEMMSerial because integer accumulation is exact
+// regardless of the shard split.
 func QGEMM(dst []int32, a, b []int8, m, k, n int) {
-	if m*k*n < parallelThresholdMACs {
-		qgemmBlockedRange(dst, a, b, m, k, n, 0, m, nil)
-		return
-	}
-	pairs := (m + 1) / 2
-	parallelFor(pairs, grainForMACs(2*k*n), func(lo, hi int) {
-		rlo, rhi := qgemmPairRange(lo, hi, m)
-		panel := qgemmPanelPool.Get().(*[]byte)
-		qgemmBlockedRange(dst, a, b, m, k, n, rlo, rhi, *panel)
-		qgemmPanelPool.Put(panel)
-	})
+	QGemmPrepacked(dst, a, PackQGemmB(b, k, n), m)
 }
 
 // qgemmPairRange converts a chunk of row-pair indices [lo, hi) into the
@@ -67,39 +42,15 @@ func qgemmPairRange(lo, hi, m int) (rlo, rhi int) {
 	return rlo, rhi
 }
 
-// QGEMMSerial computes dst = a x b on the calling goroutine with the
-// blocked int8 kernel — the deterministic reference the parallel path
-// is checked against, and the kernel the fp32-vs-int8 benchmarks time.
+// QGEMMSerial is QGEMM on the calling goroutine — the deterministic
+// reference the parallel path is checked against.
 func QGEMMSerial(dst []int32, a, b []int8, m, k, n int) {
-	qgemmBlockedRange(dst, a, b, m, k, n, 0, m, nil)
+	qgemmPrepackedRange(dst, a, PackQGemmB(b, k, n), 0, m)
 }
 
-// qgemmBlockedRange computes output rows [rlo, rhi) of dst = a x b with
-// cache blocking. panel is optional scratch of qgemmPanelElems() bytes
-// (allocated when nil). Rows are zeroed first, then accumulated one
-// (K-block, N-block) panel at a time.
-func qgemmBlockedRange(dst []int32, a, b []int8, m, k, n, rlo, rhi int, panel []byte) {
-	_ = m
-	if panel == nil {
-		panel = make([]byte, qgemmPanelElems())
-	}
-	for i := rlo; i < rhi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
-	for jc := 0; jc < n; jc += qgemmNC {
-		jb := min(n-jc, qgemmNC)
-		for kc := 0; kc < k; kc += qgemmKC {
-			kb := min(k-kc, qgemmKC)
-			kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
-			packQPanel(panel, b, n, kc, kb, kb4, jc, jb)
-			qgemmPanelRows(dst, a, panel[:kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
-		}
-	}
-}
-
-// qgemmPanelRows is the row-staging loop both blocked int8 kernels
-// share (the int8 mirror of gemmPanelRows): it accumulates one packed
-// (K-block, N-block) panel into output rows [rlo, rhi),
+// qgemmPanelRows is the row-staging loop under the one int8 tile loop,
+// qgemmPrepackedRange (the int8 mirror of gemmPanelRows): it accumulates
+// one packed (K-block, N-block) panel into output rows [rlo, rhi),
 // dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go two at a time,
 // staged into one SWAR lane pair per K index, so a single 64-bit
 // multiply serves both; an odd last row takes the one-row kernel.
@@ -236,22 +187,24 @@ func qkernel1(o0 []int32, panel []byte, abuf []int8, corr0 int32, kb4 int) {
 	}
 }
 
-// packQPanel copies the B block rows [kc, kc+kb) x cols [jc, jc+jb) into
-// panel with a +128 bias (so panel bytes are unsigned and SWAR lanes
+// packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of a [K, N] B
+// operand whose element (r, c) is b[r*rs+c*cs] (packPanel's strides: a
+// row-major B at (n, 1), an [N, K] weight matrix read in place at (1, k))
+// into panel with a +128 bias (so panel bytes are unsigned and SWAR lanes
 // stay separable), column-major: element (kc+g, jc+j) lands at
 // panel[j*kb4 + g], making each output column's dot product one
-// contiguous byte run. Rows past kb (up to the kb4 round-up) are filled
-// with the bias value, which the zero-padded A rows multiply to nothing.
-func packQPanel(panel []byte, b []int8, n, kc, kb, kb4, jc, jb int) {
-	for g := 0; g < kb; g++ {
-		brow := b[(kc+g)*n+jc : (kc+g)*n+jc+jb]
-		for j, v := range brow {
-			panel[j*kb4+g] = byte(int16(v) + 128)
+// contiguous byte run. Every byte of the panel is stored; rows past kb
+// (up to the kb4 round-up) hold the bias value, which the zero-padded A
+// rows multiply to nothing.
+func packQPanel(panel []byte, b []int8, rs, cs, kc, kb, kb4, jc, jb int) {
+	for j := 0; j < jb; j++ {
+		src := b[kc*rs+(jc+j)*cs:]
+		col := panel[j*kb4 : (j+1)*kb4]
+		for g := 0; g < kb; g++ {
+			col[g] = byte(int16(src[g*rs]) + 128)
 		}
-	}
-	for g := kb; g < kb4; g++ {
-		for j := 0; j < jb; j++ {
-			panel[j*kb4+g] = 128
+		for g := kb; g < kb4; g++ {
+			col[g] = 128
 		}
 	}
 }

@@ -100,14 +100,16 @@ func TestQGEMMPairRange(t *testing.T) {
 	}
 }
 
+// BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time the two tile
+// loops alone, on one core, over panels packed outside the loop.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
-	a, bb := randQ(r, d*d), randQ(r, d*d)
+	a, pq := randQ(r, d*d), PackQGemmB(randQ(r, d*d), d, d)
 	dst := make([]int32, d*d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		QGEMMSerial(dst, a, bb, d, d, d)
+		qgemmPrepackedRange(dst, a, pq, 0, d)
 	}
 }
 
@@ -118,9 +120,10 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 		a.Data[i] = float32(i%255) - 127
 		bb.Data[i] = float32((i*7)%255) - 127
 	}
+	pw := PackGemmB(bb.Data, d, d)
 	dst := make([]float32, d*d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matmulBlockedRange(dst, a.Data, bb.Data, d, d, d, 0, d, nil)
+		gemmPrepackedRange(dst, a.Data, pw, 0, d)
 	}
 }

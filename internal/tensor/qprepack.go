@@ -2,22 +2,20 @@ package tensor
 
 import "fmt"
 
-// This file is the int8 twin of prepack.go: ahead-of-time packing of
-// quantized weights into the biased column-major panels the SWAR QGEMM
-// microkernel consumes, plus the transposed conv/dense entry points
-// that execute against them. The transposed formulation makes the
-// constant weight matrix the packed B operand (activations stream as A
-// rows), so the per-call packQPanel work in qgemm.go disappears
-// entirely. Integer accumulation is exact in any order, so — unlike the
-// FP32 path, which must replicate the blocked kernel's float
-// accumulation order — the int8 prepacked results are bitwise identical
-// to the unpacked kernels by construction, including int8 Dense (whose
-// FP32 counterpart stays unpacked).
+// This file is the int8 twin of prepack.go: packing of quantized weights
+// into the biased column-major panels the SWAR QGEMM microkernel
+// consumes — ahead of time, or per call by the unpacked entry points in
+// qconv.go — plus the transposed conv/dense kernels that execute against
+// them. The transposed formulation makes the constant weight matrix the
+// packed B operand (activations stream as A rows). Integer accumulation
+// is exact in any order, so int8 results do not depend on the blocking at
+// all, which is why int8 Dense packs too (its FP32 counterpart cannot).
 
-// PackedQWeights is an int8 weight matrix packed AOT into the QGEMM
-// panel layout: +128-biased bytes, column-major per (N-block, K-block)
-// tile, concatenated in kernel traversal order (jc outer, kc inner).
-// Immutable after construction — graph clones share the pointer.
+// PackedQWeights is an int8 weight matrix packed into the QGEMM panel
+// layout: +128-biased bytes, column-major per (N-block, K-block) tile,
+// concatenated in kernel traversal order (jc outer, kc inner). One packed
+// ahead of time is immutable after construction — graph clones share the
+// pointer; the per-call pack refills a pooled one.
 type PackedQWeights struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
 	// in for a [K, N] int8 B matrix (K = Cin*KH*KW, N = Cout for convs;
@@ -35,39 +33,49 @@ type PackedQWeights struct {
 func (p *PackedQWeights) Elems() int { return len(p.Panels) }
 
 // PackQGemmB packs a row-major [k, n] int8 B matrix into the QGEMM
-// panel layout, one packQPanel tile per (jc, kc) block in kernel
-// traversal order. The result feeds QGemmPrepacked.
+// panel layout. The result feeds QGemmPrepacked.
 func PackQGemmB(b []int8, k, n int) *PackedQWeights {
 	if len(b) != k*n {
 		panic(fmt.Sprintf("tensor: PackQGemmB data length %d, want %d", len(b), k*n))
 	}
-	pq := &PackedQWeights{K: k, N: n, Panels: make([]byte, packedPanelsLen(k, n, qgemmKC, qgemmNC, qgemmMR))}
+	pq := new(PackedQWeights)
+	pq.pack(b, k, n, n, 1, nil)
+	return pq
+}
+
+// pack fills pq with the panels of the [k, n] B operand whose element
+// (r, c) is b[r*rs+c*cs], one packQPanel tile per (jc, kc) block in
+// kernel traversal order, in pq.Panels' storage when that is large
+// enough: the one int8 packer, ahead of time or per call.
+func (pq *PackedQWeights) pack(b []int8, k, n, rs, cs int, shape Shape) {
+	*pq = PackedQWeights{K: k, N: n, Shape: shape,
+		Panels: growSlice(pq.Panels, packedPanelsLen(k, n, qgemmKC, qgemmNC, qgemmMR))}
 	off := 0
 	for jc := 0; jc < n; jc += qgemmNC {
 		jb := min(n-jc, qgemmNC)
 		for kc := 0; kc < k; kc += qgemmKC {
 			kb := min(k-kc, qgemmKC)
 			kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
-			packQPanel(pq.Panels[off:off+kb4*jb], b, n, kc, kb, kb4, jc, jb)
+			packQPanel(pq.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
 			off += kb4 * jb
 		}
 	}
-	return pq
 }
 
-// packQTransposed packs the transpose of a row-major [n, k] int8 matrix
-// (so the packed operand is [k, n]) — the shared core of the conv and
-// dense weight packers.
-func packQTransposed(data []int8, n, k int, shape Shape) *PackedQWeights {
-	bt := make([]int8, k*n)
-	for row := 0; row < n; row++ {
-		src := data[row*k : (row+1)*k]
-		for c, v := range src {
-			bt[c*n+row] = v
-		}
-	}
-	pq := PackQGemmB(bt, k, n)
-	pq.Shape = shape.Clone()
+// packWeights packs the transpose of qw's [n, k] codes (n = its first
+// axis: Cout or Out), read in place; pq.Shape is qw's own. It is the
+// whole of packing a quantized conv or dense weight.
+func (pq *PackedQWeights) packWeights(qw *QTensor) {
+	n := qw.Shape[0]
+	k := len(qw.Data) / n
+	pq.pack(qw.Data, k, n, 1, k, qw.Shape)
+}
+
+// packQWeights packs qw ahead of time, into panels and a shape of its own.
+func packQWeights(qw *QTensor) *PackedQWeights {
+	pq := new(PackedQWeights)
+	pq.packWeights(qw)
+	pq.Shape = qw.Shape.Clone()
 	return pq
 }
 
@@ -77,9 +85,7 @@ func PackQConvWeights(qw *QTensor) *PackedQWeights {
 	if len(qw.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: PackQConvWeights wants rank-4 weights, got %v", qw.Shape))
 	}
-	cout := qw.Shape[0]
-	rows := qw.Shape[1] * qw.Shape[2] * qw.Shape[3]
-	return packQTransposed(qw.Data, cout, rows, qw.Shape)
+	return packQWeights(qw)
 }
 
 // PackQDenseWeights packs an [Out, In] int8 dense weight matrix for the
@@ -88,7 +94,7 @@ func PackQDenseWeights(qw *QTensor) *PackedQWeights {
 	if len(qw.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: PackQDenseWeights wants rank-2 weights, got %v", qw.Shape))
 	}
-	return packQTransposed(qw.Data, qw.Shape[0], qw.Shape[1], qw.Shape)
+	return packQWeights(qw)
 }
 
 // QGemmPrepacked computes dst = a x B for a row-major int8 a [m, pq.K]
@@ -109,9 +115,10 @@ func QGemmPrepacked(dst []int32, a []int8, pq *PackedQWeights, m int) {
 	})
 }
 
-// qgemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B:
-// qgemmBlockedRange's tile loop over the same row-staging loop, with
-// each tile's panel read from pq.Panels instead of packed on the spot.
+// qgemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B,
+// overwriting them: the one int8 GEMM tile loop. Rows are zeroed first,
+// then accumulated one (K-block, N-block) panel at a time, each read
+// from pq.Panels at its offset in traversal order.
 func qgemmPrepackedRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int) {
 	k, n := pq.K, pq.N
 	for i := rlo; i < rhi; i++ {
@@ -129,16 +136,15 @@ func qgemmPrepackedRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int
 	}
 }
 
-// requantizeStrided is requantizeInto over a strided accumulator view:
-// dst[i] is computed from acc[i*stride] with exactly the per-element
-// expressions of requantizeInto, so the transposed prepacked path's
-// outputs are bitwise identical to the unpacked epilogue's.
+// requantizeStrided is the fused int8 epilogue: dst[i] =
+// act(acc[i*stride]*scale + bias), where scale combines the activation
+// scale and the (possibly per-channel) weight scale. The band pass reads
+// one output channel out of pixel-major accumulators at stride Cout;
+// stride 1 is the contiguous case. As in applyEpilogueSpan, the cheap
+// clamping activations fuse into the requantize loop and the rest take
+// applyActInPlace's sweep after it.
 func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bias float32, act Act, alpha float32) {
 	switch act {
-	case ActNone:
-		for i := range dst {
-			dst[i] = float32(acc[i*stride])*scale + bias
-		}
 	case ActReLU, ActReLU6:
 		hi := clampHi(act)
 		for i := range dst {
@@ -153,11 +159,10 @@ func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bi
 			dst[i] = x
 		}
 	default:
-		// The transcendental activations share requantizeInto's exact
-		// expressions via a per-element forwarding call.
 		for i := range dst {
-			requantizeInto(dst[i:i+1], acc[i*stride:i*stride+1], scale, bias, act, alpha)
+			dst[i] = float32(acc[i*stride])*scale + bias
 		}
+		applyActInPlace(dst, act, alpha)
 	}
 }
 
@@ -201,8 +206,7 @@ const requantTile = 64
 // band's slices of cols and acc never leave that core's cache between
 // the three steps. Bands write disjoint rows of cols and acc and
 // disjoint pixels of out. Integer accumulation is exact and every float
-// expression is per element, so the output does not depend on the cut —
-// it is Conv2DQInt8Into's, bit for bit.
+// expression is per element, so the output does not depend on the cut.
 func (s *qscratch) runConv(in []float32, qw *QTensor) {
 	j := &s.conv
 	k, cout := j.pq.K, j.pq.N
@@ -243,11 +247,13 @@ func (s *qscratch) convBand(lo, hi int) {
 	}
 }
 
-// Conv2DQPrepackedInto is Conv2DQInt8Into against AOT-packed weights:
-// dynamic activation quantization, then int8 im2row, prepacked QGEMM
-// and the fused requantize+bias+activation epilogue band by band
-// (runConv). qw supplies the weight scales (per-tensor or per-channel);
-// its codes are not read.
+// Conv2DQPrepackedInto computes a 2-D convolution with int8-quantized,
+// packed weights into a preallocated float32 dst of shape
+// [Cout, Hout, Wout], overwriting every element: dynamic per-tensor
+// symmetric activation quantization, then int8 im2row, QGEMM into int32
+// accumulators and the fused requantize+bias+activation epilogue band by
+// band (runConv) — one kernel call end to end. qw supplies the weight
+// scales (per-tensor or per-channel); its codes are not read.
 func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	spec = spec.check()
 	cin, h, wd, cout, kh, kw, hout, wout := prepackedQConvDims(in, pq, spec)
@@ -262,10 +268,11 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 	qscratchPool.Put(s)
 }
 
-// DenseQPrepackedInto is DenseQInt8Into against AOT-packed weights: the
-// quantized input runs as a single A row through the prepacked QGEMM
-// (integer-exact, so identical to the unpacked matvec), then the
-// requantize epilogue applies per output element.
+// DenseQPrepackedInto computes dst = act(wq*x + bias) for an
+// int8-quantized, packed [Out, In] weight matrix, overwriting all of dst
+// (length Out): the dynamically quantized input runs as a single A row
+// through the QGEMM, then the requantize epilogue applies per output
+// element.
 func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x []float32, act Act, alpha float32) {
 	if len(pq.Shape) != 2 || pq.K != len(x) {
 		panic(fmt.Sprintf("tensor: DenseQPrepacked shape mismatch: %v x vec(%d)", pq.Shape, len(x)))
@@ -286,7 +293,7 @@ func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x
 		if bias != nil {
 			b = bias[i]
 		}
-		requantizeInto(dst[i:i+1], s.acc[i:i+1], sx*qw.ScaleFor(i), b, act, alpha)
+		requantizeStrided(dst[i:i+1], s.acc[i:], 1, sx*qw.ScaleFor(i), b, act, alpha)
 	}
 	qscratchPool.Put(s)
 }

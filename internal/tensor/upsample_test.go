@@ -75,7 +75,7 @@ func TestMaxPool3DSpecPadding(t *testing.T) {
 }
 
 // TestConv2DParallelWorkerPath: the convolution the executor runs
-// shards its lowering and its GEMM across the worker pool above the MAC
+// shards its band pass across the worker pool above the MAC
 // threshold; the sharded result must be bit-identical to the same
 // kernel confined to one goroutine, and agree with the serial oracle.
 func TestConv2DParallelWorkerPath(t *testing.T) {

@@ -11,10 +11,9 @@ import (
 // (GEMM, int8 GEMM, conv, depthwise, im2col, matvec) shares, whichever
 // executor replica or pipeline stage called it. The previous design
 // spawned goroutines per kernel call; at single-inference granularity
-// the spawn and exit cost ate the sharding win (BENCH_engine.json
-// recorded the parallel kernels *losing* to serial). Here workers are
-// spawned once, park on a channel, and are enlisted per call with a
-// single non-blocking channel send.
+// the spawn and exit cost ate the sharding win (the parallel kernels
+// *lost* to serial). Here workers are spawned once, park on a channel,
+// and are enlisted per call with a single non-blocking channel send.
 //
 // Scheduling model: parallelFor cuts the index range [0, n) into chunks
 // of at least `grain` units and publishes an atomic cursor; the caller
@@ -110,7 +109,7 @@ var (
 	taskPool = sync.Pool{New: func() any { return new(workTask) }}
 
 	// Pool traffic counters (tests assert saturation fallback and
-	// enlistment actually happen; engbench reads nothing from these).
+	// enlistment actually happen).
 	poolParallelRuns atomic.Int64 // parallelFor calls that enlisted >= 1 helper
 	poolSerialRuns   atomic.Int64 // parallelFor calls that ran entirely on the caller
 	poolEnlistments  atomic.Int64 // total helper enlistments
@@ -118,7 +117,7 @@ var (
 
 // ensurePool returns the pool generation sized to the current
 // GOMAXPROCS, retiring the old workers and parking a fresh set when the
-// value changed since the last call (engbench sweeps GOMAXPROCS
+// value changed since the last call (tests change GOMAXPROCS
 // in-process; servers set it once at boot).
 func ensurePool() *poolState {
 	want := runtime.GOMAXPROCS(0)

@@ -88,9 +88,9 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolResize verifies the pool tracks GOMAXPROCS changes (the
-// engbench sweep does this in-process) and that retired generations
-// don't leak goroutines without bound.
+// TestPoolResize verifies the pool tracks GOMAXPROCS changes made
+// in-process and that retired generations don't leak goroutines without
+// bound.
 func TestPoolResize(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
