@@ -17,8 +17,6 @@ var hotPackBuilders = map[string]bool{
 	"PackConvWeights":   true,
 	"PackQConvWeights":  true,
 	"PackQDenseWeights": true,
-	"PackGemmB":         true,
-	"PackQGemmB":        true,
 }
 
 // hotPackRoots name the per-request entry points: any function or

@@ -880,11 +880,14 @@ type Tensor struct{}
 // PackedWeights is a fake.
 type PackedWeights struct{}
 
+// QTensor is a fake.
+type QTensor struct{}
+
 // PackConvWeights is a fake.
 func PackConvWeights(w *Tensor) *PackedWeights { return nil }
 
-// PackGemmB is a fake.
-func PackGemmB(b []float32, k, n int) *PackedWeights { return nil }
+// PackQDenseWeights is a fake.
+func PackQDenseWeights(qw *QTensor) *PackedWeights { return nil }
 `
 
 // TestHotPack pins the hot-pack rule: a pack-builder call two static
@@ -910,7 +913,7 @@ func helper(x *tensor.Tensor) { _ = tensor.PackConvWeights(x) }
 
 // NewEngine is session-open work: packing here is the point.
 func NewEngine() *Engine {
-	_ = tensor.PackGemmB(nil, 1, 1)
+	_ = tensor.PackQDenseWeights(nil)
 	return &Engine{}
 }
 

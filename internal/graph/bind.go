@@ -56,7 +56,7 @@ func bind(n *Node) (kernel, error) {
 	case OpConv2D:
 		switch {
 		case n.Attrs.GroupCount() > 1:
-			k = kernel{run: convGrouped()}
+			k = kernel{run: convGrouped(), dst: true, act: true, affine: true}
 		case int8 && n.PackedQ != nil:
 			k = kernel{run: runConvQPacked, dst: true, act: true, int8: true, packed: true}
 		case int8:
@@ -118,9 +118,8 @@ func bind(n *Node) (kernel, error) {
 	case n.EpiChannels > 0 && !k.affine:
 		return kernel{}, fmt.Errorf("no fused kernel for %s with an absorbed batch-norm epilogue", n.Kind)
 	case act && !k.act:
-		// Grouped and 3-D convolutions: the activation sweeps the
-		// kernel's own output in place. Views and constants own no
-		// output.
+		// 3-D convolutions: the activation sweeps the kernel's own output
+		// in place. Views and constants own no output.
 		if actFor(n.Activation) == tensor.ActNone || isAliasOp(n) || n.Kind == OpConst {
 			return kernel{}, fmt.Errorf("no kernel applies fused %v to %s", n.Activation, n.Kind)
 		}
@@ -199,8 +198,9 @@ func runConvPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Ten
 // weights are constant, so the first run measures it and every later one
 // passes it down (bind also serves the planner and the passes, which run
 // nothing; an executor runs one inference at a time).
-// tensor.PackConvWeights refuses to pack on the same measure of the same
-// data, so a graph stays on one kernel family packed or not.
+// tensor.PackConvWeights refuses to pack by the same predicate on the same
+// measure of the same data, so a graph stays on one kernel family packed
+// or not.
 func convGEMM() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
 	zeroFrac := -1.0
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
@@ -214,36 +214,50 @@ func convGEMM() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
 
 // convGrouped returns the grouped convolution kernel: it splits the
 // input channels into groups and convolves each group with its own
-// filter slice (AlexNet's two-GPU heritage layout). Weights are
-// [Cout, Cin/groups, KH, KW]; output channels partition evenly across
-// groups. The first run measures each slice's sparsity, as in convGEMM.
+// filter slice (AlexNet's two-GPU heritage layout) — the unpacked GEMM
+// convolution once per group, on views of the input, the filter bank, the
+// bias, the epilogue's affine and the destination, so nothing is copied
+// or joined. Weights are [Cout, Cin/groups, KH, KW]; output channels
+// partition evenly across groups. The first run builds the views and
+// measures each slice's sparsity, as in convGEMM; every run re-points
+// them (the input and destination are the executor's to recycle, and
+// training may have replaced the weights' storage).
 func convGrouped() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
-	var zeroFrac []float64
-	return func(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		x, groups := in[0], n.Attrs.GroupCount()
-		cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-		cout := n.WShape[0]
-		if cin%groups != 0 || cout%groups != 0 {
-			panic(fmt.Sprintf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups))
-		}
-		cinG, coutG := cin/groups, cout/groups
-		kh, kw := n.WShape[2], n.WShape[3]
-		outs := make([]*tensor.Tensor, groups)
-		plane := h * w
-		wPer := coutG * cinG * kh * kw
-		for gi := 0; gi < groups; gi++ {
-			gin := tensor.FromData(x.Data[gi*cinG*plane:(gi+1)*cinG*plane], cinG, h, w)
-			gw := tensor.FromData(n.Weights.Data[gi*wPer:(gi+1)*wPer], coutG, cinG, kh, kw)
-			var gb []float32
-			if n.Bias != nil {
-				gb = n.Bias[gi*coutG : (gi+1)*coutG]
+	type group struct {
+		in, w, dst *tensor.Tensor
+		zeroFrac   float64
+	}
+	var gs []group
+	// part is group gi's share of a per-channel or per-element slice.
+	part := func(data []float32, gi int) []float32 {
+		per := len(data) / len(gs)
+		return data[gi*per : (gi+1)*per]
+	}
+	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+		x := in[0]
+		if gs == nil {
+			groups, cin, cout := n.Attrs.GroupCount(), x.Shape[0], n.WShape[0]
+			if cin%groups != 0 || cout%groups != 0 {
+				panic(fmt.Sprintf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups))
 			}
-			if len(zeroFrac) == gi {
-				zeroFrac = append(zeroFrac, tensor.Sparsity(gw))
+			gs = make([]group, groups)
+			for gi := range gs {
+				gs[gi] = group{
+					in:  tensor.FromData(part(x.Data, gi), cin/groups, x.Shape[1], x.Shape[2]),
+					w:   tensor.FromData(part(n.Weights.Data, gi), cout/groups, cin/groups, n.WShape[2], n.WShape[3]),
+					dst: tensor.FromData(part(dst.Data, gi), cout/groups, dst.Shape[1], dst.Shape[2]),
+				}
+				gs[gi].zeroFrac = tensor.Sparsity(gs[gi].w)
 			}
-			outs[gi] = tensor.Conv2DGEMM(gin, gw, gb, n.Attrs.ConvSpec(), zeroFrac[gi])
 		}
-		return tensor.ConcatChannels(outs...)
+		epi := epilogue(n)
+		for gi := range gs {
+			g, gepi := &gs[gi], epi
+			g.in.Data, g.w.Data, g.dst.Data = part(x.Data, gi), part(n.Weights.Data, gi), part(dst.Data, gi)
+			gepi.Scale, gepi.Shift = part(epi.Scale, gi), part(epi.Shift, gi)
+			tensor.Conv2DGEMMFusedInto(g.dst, g.in, g.w, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi, g.zeroFrac)
+		}
+		return dst
 	}
 }
 

@@ -176,6 +176,84 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 	}
 }
 
+// TestPrunedConvBelowTheBarIsPacked: the zero-skipping kernel wants weights
+// at least 60 % zeros on a layer of at least 2^20 MACs, and PrepackWeights
+// must refuse panels by that whole predicate, not its first half: of two
+// 80 %-pruned convolutions either side of the MAC bar, the large one stays
+// unpacked (it runs the zero-skipping kernel) and the small one, which
+// runs the dense kernel, is packed ahead of time rather than on every
+// inference — same bits as the unpacked run.
+func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
+	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 79}, 16, 32, 32)
+	b.Conv2D("large", 32, 3, 1, 1, true) // 4.7M MACs
+	b.Conv2D("small", 32, 3, 4, 1, true) // 8x8 output: 590K MACs
+	g := b.Build()
+	graph.Prune(0.8)(g)
+	for name, above := range map[string]bool{"large": true, "small": false} {
+		n := findNode(t, g, name)
+		macs := int(graph.NodeCost(n).MACs)
+		if tensor.Sparsity(n.Weights) < 0.6 || (macs >= tensor.ParallelThresholdMACs()) != above {
+			t.Fatalf("%s: sparsity %v at %d MACs is not the case this test is for", name, tensor.Sparsity(n.Weights), macs)
+		}
+	}
+	in := seededInput(g.Input.OutShape, 6)
+	want, err := (&graph.Executor{}).Run(g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := graph.PrepackWeights(g); n != 1 || findNode(t, g, "small").Packed == nil {
+		t.Fatalf("PrepackWeights packed %d nodes, want the small convolution alone", n)
+	}
+	if n := packedSteps(t, g); n != 1 {
+		t.Fatalf("compiled steps reading packed panels = %d, want 1", n)
+	}
+	for _, pooled := range []bool{false, true} {
+		got, err := (&graph.Executor{Pooled: pooled}).Run(g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, fmt.Sprintf("packed, pooled=%v", pooled), got, want)
+	}
+}
+
+// TestGroupedConvFusesEpilogueIntoDst: the grouped convolution runs the
+// band pass once per group on views of its operands and of the
+// destination, with an absorbed affine and ReLU6 folded in — bit for bit
+// the unfused chain on per-slice convolutions joined by ConcatChannels,
+// into a recycled destination, run after run.
+func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
+	b := nn.NewBuilder("grouped", nn.Options{Materialize: true, Seed: 83}, 6, 9, 9)
+	gconv := b.Conv2DG("gconv", 12, 3, 2, 1, 3, true)
+	g := b.Build()
+	in := seededInput(g.Input.OutShape, 7)
+	slices := make([]*tensor.Tensor, 3)
+	for gi := range slices {
+		slices[gi] = tensor.Conv2DGEMM(tensor.FromData(in.Data[gi*2*81:(gi+1)*2*81], 2, 9, 9),
+			tensor.FromData(gconv.Weights.Data[gi*4*2*9:(gi+1)*4*2*9], 4, 2, 3, 3),
+			gconv.Bias[gi*4:(gi+1)*4], tensor.Conv2DSpec{Stride: 2, Pad: 1}, 0)
+	}
+	want := tensor.ConcatChannels(slices...)
+	gconv.EpiScale, gconv.EpiShift, gconv.EpiChannels = make([]float32, 12), make([]float32, 12), 12
+	for oc := range gconv.EpiScale {
+		gconv.EpiScale[oc], gconv.EpiShift[oc] = 0.5+float32(oc)/8, float32(oc%5)-2
+	}
+	gconv.Activation = graph.OpReLU6
+	tensor.Epilogue{Scale: gconv.EpiScale, Shift: gconv.EpiShift, Act: tensor.ActReLU6}.ApplyInto(want)
+	if _, _, fused, _, err := graph.KernelCounts(g); err != nil || fused != 1 {
+		t.Fatalf("grouped conv binds %d fused kernels (%v), want 1", fused, err)
+	}
+	for _, pooled := range []bool{false, true} {
+		e := &graph.Executor{Pooled: pooled}
+		for run := 0; run < 2; run++ {
+			got, err := e.Run(g, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, fmt.Sprintf("pooled=%v run %d", pooled, run), got, want)
+		}
+	}
+}
+
 // TestUnpackedConvSeesWeightUpdates: an unpacked kernel packs its weights
 // per call out of the node, so an update in place between two runs of one
 // executor — what training does — must show in the second run exactly as

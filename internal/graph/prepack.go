@@ -13,10 +13,10 @@ import "edgebench/internal/tensor"
 // What gets packed is what bind would then use:
 //
 //   - Ungrouped FP32 Conv2D packs Weights (transposed to [rows, Cout])
-//     unless the weights are sparse enough for the zero-skipping GEMM
-//     dispatch, which a fixed panel layout cannot reproduce —
-//     tensor.PackConvWeights returns nil there and the node keeps the
-//     unpacked path.
+//     unless the layer takes the zero-skipping GEMM (weights sparse
+//     enough on a layer large enough), which a fixed panel layout cannot
+//     reproduce — tensor.PackConvWeights, told the layer's output plane,
+//     returns nil exactly there and the node keeps the unpacked path.
 //   - Quantized Conv2D/Dense pack QWeights whenever bind selects an int8
 //     kernel; nodes the int8 path rejects (absorbed-BN epilogues,
 //     unfusable activations) run FP32 and get FP32 panels for their
@@ -60,6 +60,6 @@ func packConv(n *Node) bool {
 	if n.Weights == nil {
 		return false // structural-only graph
 	}
-	n.Packed = tensor.PackConvWeights(n.Weights)
+	n.Packed = tensor.PackConvWeights(n.Weights, n.OutShape[1]*n.OutShape[2])
 	return n.Packed != nil
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"edgebench/internal/stats"
@@ -11,17 +12,6 @@ import (
 
 func benchInput(c, h, w int) *Tensor {
 	return New(c, h, w).Randomize(stats.NewRNG(1), 1)
-}
-
-func BenchmarkMatMul128(b *testing.B) {
-	x := New(128, 128).Randomize(stats.NewRNG(1), 1)
-	y := New(128, 128).Randomize(stats.NewRNG(2), 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-	b.ReportMetric(2*128*128*128/1e6, "MFLOP/op")
 }
 
 func BenchmarkConv2DDirect(b *testing.B) {
@@ -80,7 +70,34 @@ func BenchmarkSparseMatMul(b *testing.B) {
 	y := New(128, 128).Randomize(stats.NewRNG(8), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		MatMulSparse(x, y)
+	}
+}
+
+// BenchmarkSparseVsDenseConv prices the zero-skipping convolution against
+// the dense band pass on the same pruned weights, either side of its
+// selection bar (sparseSkipFraction; every shape is above the MAC bar):
+// "skip" passes the measured zero fraction down, "dense" passes 0. One
+// invocation is one alternated round; -count would run each side N times
+// in a row (EXPERIMENTS.md table G).
+func BenchmarkSparseVsDenseConv(b *testing.B) {
+	for _, tc := range []struct{ c, hw int }{{64, 56}, {128, 28}, {256, 14}} {
+		in := benchInput(tc.c, tc.hw, tc.hw)
+		dst := New(tc.c, tc.hw, tc.hw)
+		for _, frac := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
+			w := New(tc.c, tc.c, 3, 3).Randomize(stats.NewRNG(3), 1)
+			PruneMagnitude(w, frac)
+			for _, side := range []struct {
+				name     string
+				zeroFrac float64
+			}{{"dense", 0}, {"skip", Sparsity(w)}} {
+				b.Run(fmt.Sprintf("%dx%dx%d-k3-%d/zeros=%.2f/%s", tc.c, tc.hw, tc.hw, tc.c, frac, side.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						Conv2DGEMMFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{}, side.zeroFrac)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -118,11 +135,11 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 func BenchmarkGemmPrepacked(b *testing.B) {
 	const m, k, n = 12544, 16, 96
 	a := New(m, k).Randomize(stats.NewRNG(1), 1)
-	pw := PackGemmB(New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n)
+	pw := packB(gemmFP32, New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n)
 	dst := make([]float32, m*n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmPrepackedRange(dst, a.Data, pw, 0, m)
+		gemmFP32.rowRange(dst, a.Data, pw, 0, m)
 	}
 	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }
@@ -144,7 +161,7 @@ func BenchmarkConv2DPrepacked(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.hw, tc.hw)
-			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
+			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1), tc.hw*tc.hw)
 			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: tc.act}
 			dst := New(tc.cout, tc.hw, tc.hw)
 			b.ReportAllocs()
@@ -231,6 +248,6 @@ func BenchmarkQuantizeDynamic(b *testing.B) {
 	b.SetBytes(int64(4 * len(in.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		QuantizeDynamicInto(dst, in.Data)
+		quantizeDynamic(dst, in.Data)
 	}
 }

@@ -61,19 +61,32 @@ func (s Conv2DSpec) OutDims(h, w, kh, kw int) (int, int) {
 	return s.outDim(h, kh, s.PadH), s.outDim(w, kw, s.PadW)
 }
 
-// conv2DDims validates operand shapes against the spec and returns
-// (cin, h, w, cout, kh, kw, hout, wout).
-func conv2DDims(in, w *Tensor, bias []float32, spec Conv2DSpec) (int, int, int, int, int, int, int, int) {
-	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	cout, wcin, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	if cin != wcin {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: input %v weights %v", in.Shape, w.Shape))
+// convGeom is the geometry of a validated 2-D convolution.
+type convGeom struct {
+	cin, h, wd, cout, kh, kw, hout, wout int
+}
+
+// convGeometry is the one validator of a 2-D convolution's operands —
+// input [Cin, H, W] against weights of shape w = [Cout, Cin, KH, KW]
+// (a tensor's, or the one packed panels carry), an optional bias, the
+// checked spec and, unless the caller allocates its own, a preallocated
+// dst of [Cout, Hout, Wout] — and returns the geometry.
+func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) convGeom {
+	if len(in.Shape) != 3 || len(w) != 4 {
+		panic(fmt.Sprintf("tensor: conv wants a rank-3 input and rank-4 weights, got %v and %v", in.Shape, w))
 	}
-	if bias != nil && len(bias) != cout {
-		panic("tensor: Conv2D bias length mismatch")
+	g := convGeom{cin: in.Shape[0], h: in.Shape[1], wd: in.Shape[2], cout: w[0], kh: w[2], kw: w[3]}
+	if g.cin != w[1] {
+		panic(fmt.Sprintf("tensor: conv channel mismatch: input %v weights %v", in.Shape, w))
 	}
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	return cin, h, wd, cout, kh, kw, hout, wout
+	if bias != nil && len(bias) != g.cout {
+		panic("tensor: conv bias length mismatch")
+	}
+	g.hout, g.wout = spec.OutDims(g.h, g.wd, g.kh, g.kw)
+	if dst != nil {
+		checkConvDst(dst, g.cout, g.hout, g.wout)
+	}
+	return g
 }
 
 // checkConvDst validates a preallocated conv output buffer.
@@ -89,20 +102,10 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 // agree.
 func Conv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	out := New(cout, hout, wout)
-	convRows(in, w, bias, spec, out, 0, cout*hout)
+	g := convGeometry(nil, in, w.Shape, bias, spec)
+	out := New(g.cout, g.hout, g.wout)
+	convRows(in, w, bias, spec, out, 0, g.cout*g.hout)
 	return out
-}
-
-// Conv2DInto computes the direct convolution into a preallocated dst of
-// shape [Cout, Hout, Wout], overwriting every element (safe for dirty
-// pooled buffers).
-func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec) {
-	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	checkConvDst(dst, cout, hout, wout)
-	convRows(in, w, bias, spec, dst, 0, cout*hout)
 }
 
 // convRows computes the flattened output-row tiles [lo, hi) into out,
@@ -162,11 +165,11 @@ func Im2Col(in *Tensor, kh, kw int, spec Conv2DSpec) *Tensor {
 func conv2DSparseInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	cout, kh, kw, hout, wout := w.Shape[0], w.Shape[2], w.Shape[3], dst.Shape[1], dst.Shape[2]
 	rows, ncols := w.Shape[1]*kh*kw, hout*wout
-	s := convScratchPool.Get().(*convScratch)
-	s.grow(rows*ncols, 0)
+	s := gemmFP32.scratch.Get().(*bandScratch[float32, float32])
+	s.rows = growSlice(s.rows, rows*ncols)
 	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
 	matmulSparseInto(dst.Data, w.Data, s.rows, cout, rows, ncols)
-	convScratchPool.Put(s)
+	gemmFP32.scratch.Put(s)
 	for oc := 0; oc < cout; oc++ {
 		seg := dst.Data[oc*ncols : (oc+1)*ncols]
 		if bias != nil {
@@ -241,8 +244,8 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 // reassociation tolerance.
 func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec, wZeroFrac float64) *Tensor {
 	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	out := New(cout, hout, wout)
+	g := convGeometry(nil, in, w.Shape, bias, spec)
+	out := New(g.cout, g.hout, g.wout)
 	Conv2DGEMMFusedInto(out, in, w, bias, spec, Epilogue{}, wZeroFrac)
 	return out
 }

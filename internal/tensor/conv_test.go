@@ -10,7 +10,7 @@ import (
 func TestMatMulSmall(t *testing.T) {
 	a := FromData([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromData([]float32{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := blockedMatMul(a, b)
 	want := []float32{19, 22, 43, 50}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -25,7 +25,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("mismatched inner dims should panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulSparse(New(2, 3), New(4, 2))
 }
 
 func TestMatVec(t *testing.T) {

@@ -204,27 +204,23 @@ func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue
 	return out
 }
 
-// checkGemmKernels asserts MatMulSerial (which packs per call), the
-// kernel on panels packed beforehand, and that kernel run as two row
-// ranges split at an odd row (so the pairs fall differently) all equal
+// checkGemmKernels asserts the tile loop over all rows, and run as two row
+// ranges split at an odd row (so the pairs fall differently), equals
 // oneRowGemm bit for bit.
 func checkGemmKernels(t *testing.T, a, b []float32, m, k, n int) {
 	t.Helper()
 	want := make([]float32, m*n)
 	oneRowGemm(want, a, b, m, k, n)
 
-	if got := MatMulSerial(FromData(a, m, k), FromData(b, k, n)); !bitsEqual(got.Data, want) {
-		t.Errorf("m=%d k=%d n=%d: MatMulSerial differs from the one-row reference", m, k, n)
-	}
-	pw := PackGemmB(b, k, n)
+	pw := packB(gemmFP32, b, k, n)
 	packed := dirty(m, n).Data
-	gemmPrepackedRange(packed, a, pw, 0, m)
+	gemmFP32.rowRange(packed, a, pw, 0, m)
 	if !bitsEqual(packed, want) {
-		t.Errorf("m=%d k=%d n=%d: gemmPrepackedRange differs from the one-row reference", m, k, n)
+		t.Errorf("m=%d k=%d n=%d: the tile loop differs from the one-row reference", m, k, n)
 	}
 	split := dirty(m, n).Data
-	gemmPrepackedRange(split, a, pw, 0, min(1, m))
-	gemmPrepackedRange(split, a, pw, min(1, m), m)
+	gemmFP32.rowRange(split, a, pw, 0, min(1, m))
+	gemmFP32.rowRange(split, a, pw, min(1, m), m)
 	if !bitsEqual(split, want) {
 		t.Errorf("m=%d k=%d n=%d: row-range split changes the result", m, k, n)
 	}
@@ -354,7 +350,7 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 	for _, k := range []int{1, 3, 5, 7} {
 		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
 		w := randTensor(r, cout, cin, k, k)
-		pw := PackConvWeights(w)
+		pw := packDense(w)
 		for stride := 1; stride <= 3; stride++ {
 			for padH := 0; padH <= 2; padH++ {
 				for padW := 0; padW <= 2; padW++ {
@@ -426,7 +422,7 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 		}
 		in := randTensor(r, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-		pw := PackConvWeights(w)
+		pw := packDense(w)
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: relu6.Scale[:c.cout], Shift: relu6.Shift[:c.cout], Act: ActReLU6}
 		checkBandedConv(t, c.name, in, w, pw, bias, spec, epi)
@@ -438,6 +434,59 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 		Conv2DPrepackedInto(serial, in, pw, bias, spec, epi)
 		runtime.GOMAXPROCS(old)
 		assertBitEqual(t, serial, pooled, c.name+": GOMAXPROCS 1 vs pooled")
+	}
+}
+
+// poisonBandScratch leaves each datatype's pool a scratch whose buffers
+// are larger than any test band needs and full of values no convolution
+// produces, for the next band pass on this goroutine to be handed.
+func poisonBandScratch(n int) {
+	f := gemmFP32.scratch.Get().(*bandScratch[float32, float32])
+	f.rows, f.acc = growSlice(f.rows, n), growSlice(f.acc, n)
+	for i := range f.rows {
+		f.rows[i], f.acc[i] = float32(math.NaN()), float32(math.NaN())
+	}
+	gemmFP32.scratch.Put(f)
+	q := gemmInt8.scratch.Get().(*bandScratch[int8, int32])
+	q.rows, q.acc = growSlice(q.rows, n), growSlice(q.acc, n)
+	for i := range q.rows {
+		q.rows[i], q.acc[i] = -128, math.MinInt32
+	}
+	gemmInt8.scratch.Put(q)
+}
+
+// TestBandPassEdgesBothDatatypes drives one table of band-geometry edges
+// through both instances of the band pass against their untouched
+// loop-nest references: planes of one and two pixels, one under, at and
+// one over a band and two bands, an odd plane under a padded 3x3, output
+// channels off the microkernels' four-column pass, stride 2 with padding,
+// and K = 130 (two FP32 K-blocks) followed by K = 27 — every case on
+// scratch the case before left poisoned.
+func TestBandPassEdgesBothDatatypes(t *testing.T) {
+	r := rand.New(rand.NewSource(127))
+	_, _, _, _, _, affine := bnEpilogue(9, 4)
+	for _, c := range []convCase{
+		{"1px", 3, 1, 1, 5, 1, 1, Conv2DSpec{Stride: 1}},
+		{"2px", 3, 1, 2, 5, 1, 1, Conv2DSpec{Stride: 1}},
+		{"63px", 4, 7, 9, 6, 1, 1, Conv2DSpec{Stride: 1}},
+		{"64px", 4, 8, 8, 6, 1, 1, Conv2DSpec{Stride: 1}},
+		{"65px-3x3-cout7", 4, 5, 13, 7, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"127px", 3, 1, 127, 5, 1, 1, Conv2DSpec{Stride: 1}},
+		{"129px", 3, 3, 43, 6, 1, 1, Conv2DSpec{Stride: 1}},
+		{"odd-plane-3x3", 5, 9, 11, 9, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"stride2-pad", 6, 11, 13, 9, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},
+		{"K130", 130, 6, 6, 7, 1, 1, Conv2DSpec{Stride: 1}},
+		{"K27-after-K130", 3, 6, 6, 5, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+	} {
+		in := randTensor(r, c.cin, c.h, c.w)
+		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
+		bias := randTensor(r, c.cout).Data
+		epi := Epilogue{Scale: affine.Scale[:c.cout], Shift: affine.Shift[:c.cout], Act: ActReLU6}
+		poisonBandScratch(1 << 16)
+		checkBandedConv(t, c.name, in, w, packDense(w), bias, c.spec, epi)
+		qw := QuantizePerChannel(w)
+		poisonBandScratch(1 << 16)
+		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActReLU6)
 	}
 }
 

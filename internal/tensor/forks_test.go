@@ -55,6 +55,63 @@ func TestPackedConvForksOnce(t *testing.T) {
 	if convs != 35 || depthwise != 17 {
 		t.Fatalf("MobileNet-v2 has %d pre-packed convs and %d sharded depthwise layers, want 35 and 17", convs, depthwise)
 	}
+	requireForks(t, eng, g, forks)
+}
+
+// TestPackedQConvForksOnce is the int8 twin on the benchmark's SqueezeNet
+// (O2, then quantized): one parallelFor per pre-packed int8 convolution at
+// or above the MAC bar — the band pass; lowering, QGEMM and requantize
+// fork nowhere else — two for the activation quantizer where the input is
+// long enough to shard (max-abs, then rounding), one per max-pool above its
+// bar, and nothing else.
+func TestPackedQConvForksOnce(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	spec, ok := model.Get("SqueezeNet")
+	if !ok {
+		t.Fatal("no SqueezeNet in the zoo")
+	}
+	g := spec.Build(nn.Options{Materialize: true, Seed: 11})
+	if _, err := opt.Optimize(g, opt.O2); err != nil {
+		t.Fatal(err)
+	}
+	opt.QuantizeINT8(g)
+	eng, err := serving.NewEngine(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var convs, quantized, forks int64
+	for _, n := range g.Nodes {
+		macs := int(graph.NodeCost(n).MACs)
+		switch {
+		case n.Kind == graph.OpConv2D && n.PackedQ != nil:
+			convs++
+			if macs >= tensor.ParallelThresholdMACs() {
+				forks++
+			}
+			if n.Inputs[0].OutShape.NumElems() >= tensor.QuantParallelElems {
+				quantized++
+				forks += 2
+			}
+		case n.Kind == graph.OpMaxPool2D:
+			if k := n.Attrs.Kernel; n.OutShape.NumElems()*k*k >= tensor.MaxPoolParallelTaps {
+				forks++
+			}
+		case n.Kind == graph.OpConv2D || n.Kind == graph.OpDense || n.Kind == graph.OpDepthwiseConv2D:
+			t.Errorf("%s is not a pre-packed int8 convolution", n)
+		}
+	}
+	if convs != 26 || quantized == 0 || quantized == convs {
+		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer; want 26, some but not all", convs, quantized)
+	}
+	requireForks(t, eng, g, forks)
+}
+
+// requireForks runs inferences on eng until one gives every fork a helper,
+// and requires each to issue exactly forks parallelFor calls.
+func requireForks(t *testing.T, eng *serving.Engine, g *graph.Graph, forks int64) {
+	t.Helper()
 	in := tensor.New(g.Input.OutShape...).Fill(0.25)
 	// Enlisting is a non-blocking hand-off to a parked worker, and one that
 	// has just finished a task may not have parked again yet: the count of

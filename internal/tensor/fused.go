@@ -189,34 +189,6 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 	}
 }
 
-// Conv2DGEMMFusedInto is the GEMM convolution on weights nobody packed
-// ahead of time, into a preallocated dst of shape [Cout, Hout, Wout],
-// overwriting every element, with the bias, affine and activation folded
-// in. A zero epi is the plain GEMM convolution. It packs w into panels
-// borrowed from a pool — read out of w.Data on every call, so training's
-// in-place weight updates are seen — and runs Conv2DPrepackedInto on
-// them: the panels, microkernel and K order of a node packed ahead of
-// time, hence its bits; "unpacked" only says when the panels are built.
-// wZeroFrac is Sparsity(w): weights that are mostly zeros (pruned
-// models), on a layer of at least parallelThresholdMACs, take the
-// zero-skipping kernel instead, and since weights are constant the caller
-// measures them once instead of this kernel scanning them on every call;
-// 0 means dense.
-func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue, wZeroFrac float64) {
-	spec = spec.check()
-	_, _, _, cout, _, _, hout, wout := conv2DDims(in, w, bias, spec)
-	checkConvDst(dst, cout, hout, wout)
-	checkEpilogueChannels(epi, cout)
-	if wZeroFrac >= sparseSkipFraction && w.Shape.NumElems()*hout*wout >= parallelThresholdMACs {
-		conv2DSparseInto(dst, in, w, bias, spec, epi)
-		return
-	}
-	s := packScratchPool.Get().(*packScratch)
-	s.pw.packConv(w)
-	Conv2DPrepackedInto(dst, in, &s.pw, bias, spec, epi)
-	packScratchPool.Put(s)
-}
-
 // depthwiseRowsFused computes the flattened output-row tiles [lo, hi)
 // and then applies the epilogue to just those rows while the shard is
 // still cache-resident, instead of as whole-tensor sweeps after all

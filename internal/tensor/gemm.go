@@ -13,11 +13,25 @@ const (
 	gemmMR = 4   // K-interleave of the packed panel / microkernel unroll
 )
 
-// sparseSkipFraction is the zero fraction of the left operand above which
-// MatMul dispatches to the zero-skipping kernel. Pruned-weight matrices
-// (the paper's sparsity study) sit far above this; dense activations sit
-// far below, so the dense path never pays a per-element branch.
+// sparseSkipFraction is the weight zero fraction from which a convolution
+// of at least parallelThresholdMACs takes the zero-skipping kernel
+// (sparseConv). Alternated with the dense band pass
+// (BenchmarkSparseVsDenseConv; EXPERIMENTS.md table G) the zero-skipping
+// kernel breaks even between 60 and 70 % zeros, is 1.2-1.7x ahead at 80 %
+// and 2.5-3x at 90 %; pruned-weight tensors (the paper's sparsity study)
+// sit far above the bar and dense ones far below, so the dense path never
+// pays a per-element branch.
 const sparseSkipFraction = 0.6
+
+// sparseConv reports whether a convolution of macs multiply-accumulates
+// whose weights are zeroFrac zeros takes the zero-skipping kernel. It is
+// the whole selection: the kernel asks it, and PackConvWeights refuses
+// panels exactly where it says yes, so a layer runs one kernel family
+// packed or not and a pruned layer below the MAC bar is still packed
+// ahead of time.
+func sparseConv(zeroFrac float64, macs int) bool {
+	return zeroFrac >= sparseSkipFraction && macs >= parallelThresholdMACs
+}
 
 // zeroFraction returns the fraction of exactly-zero entries in a.
 func zeroFraction(a []float32) float64 {
@@ -33,8 +47,8 @@ func zeroFraction(a []float32) float64 {
 	return float64(zeros) / float64(len(a))
 }
 
-// gemmPanelRows is the register-tiled microkernel under the one FP32 tile
-// loop (gemmPrepackedRange): it accumulates one packed (K-block, N-block)
+// gemmPanelRows is the register-tiled FP32 microkernel under the one tile
+// loop (gemm.rowRange): it accumulates one packed (K-block, N-block)
 // panel into output rows [rlo, rhi), dst[i, jc:jc+jb] += a[i, kc:kc+kb] x
 // panel. Rows go two at a time so each panel quad is loaded once and
 // feeds both rows' accumulators; an odd last row takes the one-row form.
@@ -103,8 +117,7 @@ func packPanel(panel, b []float32, rs, cs, kc, kb, kb4, jc, jb int) {
 }
 
 // matmulSparseInto is the zero-skipping ikj kernel for pruned left
-// operands: rows of a with mostly-zero entries skip whole B rows. Dense
-// inputs should use the panel kernel instead (MatMul dispatches).
+// operands: rows of a with mostly-zero entries skip whole B rows.
 func matmulSparseInto(dst, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -122,49 +135,14 @@ func matmulSparseInto(dst, a, b []float32, m, k, n int) {
 	}
 }
 
-// checkMatMul validates MatMul operand shapes and returns (m, k, n).
-func checkMatMul(a, b *Tensor) (int, int, int) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMul needs rank-2 operands")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	if b.Shape[0] != k {
-		panic("tensor: MatMul inner dims differ")
-	}
-	return m, k, b.Shape[1]
-}
-
-// MatMulSerial multiplies a [M, K] by b [K, N] on the calling goroutine:
-// b is packed into panels now, then every row goes through the panel
-// kernel — the deterministic reference the parallel path is checked
-// against.
-func MatMulSerial(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	out := New(m, n)
-	gemmPrepackedRange(out.Data, a.Data, PackGemmB(b.Data, k, n), 0, m)
-	return out
-}
-
-// MatMulParallel multiplies a [M, K] by b [K, N] with output rows sharded
-// across the persistent kernel worker pool in grain-bounded chunks over
-// one set of panels. A row's result does not depend on the split, so the
-// output is bitwise identical to MatMulSerial.
-func MatMulParallel(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	out := New(m, n)
-	pw := PackGemmB(b.Data, k, n)
-	parallelFor(m, grainForMACs(k*n), func(lo, hi int) {
-		gemmPrepackedRange(out.Data, a.Data, pw, lo, hi)
-	})
-	return out
-}
-
 // MatMulSparse multiplies a [M, K] by b [K, N] skipping zero entries of
-// a — the pruned-weight fast path. Dense operands should use MatMul,
-// which pays no per-element branch.
+// a — the pruned-weight kernel conv2DSparseInto runs on a lowered input.
 func MatMulSparse(a, b *Tensor) *Tensor {
-	m, k, nn := checkMatMul(a, b)
-	out := New(m, nn)
-	matmulSparseInto(out.Data, a.Data, b.Data, m, k, nn)
+	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[0] != a.Shape[1] {
+		panic("tensor: MatMulSparse needs rank-2 operands with equal inner dims")
+	}
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := New(m, n)
+	matmulSparseInto(out.Data, a.Data, b.Data, m, k, n)
 	return out
 }

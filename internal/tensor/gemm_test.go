@@ -24,6 +24,26 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// packB packs a row-major [k, n] B matrix under g's blocking: the operand
+// the tile-loop tests and benchmarks multiply by.
+func packB[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], b []T, k, n int) *Packed[P] {
+	if len(b) != k*n {
+		panic("packB: data length does not match k x n")
+	}
+	pw := new(Packed[P])
+	g.pack(pw, b, k, n, n, 1, nil)
+	return pw
+}
+
+// blockedMatMul is a x b through the FP32 tile loop on the calling
+// goroutine, b packed now.
+func blockedMatMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := dirty(m, n)
+	gemmFP32.rowRange(out.Data, a.Data, packB(gemmFP32, b.Data, k, n), 0, m)
+	return out
+}
+
 func maxAbsDiff(a, b []float32) float64 {
 	var m float64
 	for i := range a {
@@ -49,7 +69,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 		a := New(c.m, c.k).Randomize(r, 1)
 		b := New(c.k, c.n).Randomize(r, 1)
 		want := naiveMatMul(a, b)
-		got := MatMulSerial(a, b)
+		got := blockedMatMul(a, b)
 		// The blocked kernel reassociates the K sum, so allow a small
 		// accumulation tolerance scaled by K.
 		tol := 1e-5 * float64(c.k)
@@ -60,13 +80,18 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 }
 
 // TestMatMulParallelBitwiseEqualsSerial verifies the row-shard split
-// changes nothing: identical bits, not just close values.
+// changes nothing: identical bits, not just close values, on an odd M cut
+// by the worker pool wherever its chunks fall, odd rows included.
 func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a := New(37, 301).Randomize(r, 1)
 	b := New(301, 129).Randomize(r, 1)
-	serial := MatMulSerial(a, b)
-	parallel := MatMulParallel(a, b)
+	serial := blockedMatMul(a, b)
+	pw := packB(gemmFP32, b.Data, 301, 129)
+	parallel := dirty(37, 129)
+	parallelFor(37, 3, func(lo, hi int) {
+		gemmFP32.rowRange(parallel.Data, a.Data, pw, lo, hi)
+	})
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("element %d: serial %v != parallel %v", i, serial.Data[i], parallel.Data[i])
@@ -74,9 +99,8 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestMatMulSparseMatchesDense checks the pruned-weight path and that the
-// dense dispatcher routes a mostly-zero left operand through it with the
-// same results.
+// TestMatMulSparseMatchesDense checks the pruned-weight kernel against the
+// naive oracle on a left operand above the zero-skipping bar.
 func TestMatMulSparseMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := New(130, 140)
@@ -87,13 +111,8 @@ func TestMatMulSparseMatchesDense(t *testing.T) {
 	}
 	b := New(140, 150).Randomize(r, 1)
 	want := naiveMatMul(a, b)
-	for name, got := range map[string]*Tensor{
-		"MatMulSparse": MatMulSparse(a, b),
-		"MatMul":       MatMul(a, b),
-	} {
-		if d := maxAbsDiff(got.Data, want.Data); d > 1e-3 {
-			t.Errorf("%s vs naive diff %g", name, d)
-		}
+	if d := maxAbsDiff(MatMulSparse(a, b).Data, want.Data); d > 1e-3 {
+		t.Errorf("MatMulSparse vs naive diff %g", d)
 	}
 	if zf := zeroFraction(a.Data); zf < sparseSkipFraction {
 		t.Fatalf("test matrix zero fraction %v below dispatch threshold", zf)
@@ -102,8 +121,8 @@ func TestMatMulSparseMatchesDense(t *testing.T) {
 
 // TestConvMACsDispatchThreshold pins the threshold itself so dispatch
 // behaviour cannot drift silently. A convolution's MAC count — filter
-// elements times output positions, the m*k*n its GEMM lowering hands
-// matmulInto — decides whether it shards: a 16->16 3x3 conv on a 56x56
+// elements times output positions, the m*k*n of its GEMM lowering —
+// decides whether it shards: a 16->16 3x3 conv on a 56x56
 // output (7.2M MACs) is above the threshold, the same conv on 14x14
 // (450K MACs) is below.
 func TestConvMACsDispatchThreshold(t *testing.T) {
@@ -148,7 +167,6 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 		}
 	}
 
-	check("Conv2DInto", Conv2D(in, w, bias, spec), func(d *Tensor) { Conv2DInto(d, in, w, bias, spec) })
 	check("Conv2DGEMMFusedInto", Conv2DGEMM(in, w, bias, spec, 0), func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) })
 	check("DepthwiseConv2DFusedInto", DepthwiseConv2D(in, dw, bias[:3], spec), func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) })
 	check("AddInto", Add(in, in), func(d *Tensor) { AddInto(d, in, in) })

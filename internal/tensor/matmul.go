@@ -2,23 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMul multiplies a [M, K] tensor by a [K, N] tensor producing [M, N].
-// The dense path is the panel kernel in gemm.go (MatMulSerial, or
-// MatMulParallel from parallelThresholdMACs multiply-accumulates) with no
-// per-element branches; above that size, left operands that are at least
-// sparseSkipFraction zeros (pruned weights) take MatMulSparse's
-// zero-skipping kernel.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	switch {
-	case m*k*n < parallelThresholdMACs:
-		return MatMulSerial(a, b)
-	case zeroFraction(a.Data) >= sparseSkipFraction:
-		return MatMulSparse(a, b)
-	}
-	return MatMulParallel(a, b)
-}
-
 // MatVec multiplies a [M, K] matrix by a length-K vector producing a
 // length-M vector. Fully-connected layers in single-batch inference reduce
 // to this shape, which is why the paper calls CNN compute "dominated by

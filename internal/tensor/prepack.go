@@ -5,145 +5,150 @@ import (
 	"sync"
 )
 
-// This file is the FP32 GEMM convolution. Its weight operand is constant
-// during inference, so it is what gets packed into the microkernel's
-// interleaved panels — ahead of time by PackConvWeights (a session packs
-// once and reuses the panels forever) or, for a node nobody packed, on
-// every call by Conv2DGEMMFusedInto; either way one kernel runs
-// (Conv2DPrepackedInto). To make the *weights* the packed operand the
-// convolution is executed in its transposed formulation:
+// This file is the GEMM convolution, once for both datatypes. Its weight
+// operand is constant during inference, so it is what gets packed into the
+// microkernel's interleaved panels — ahead of time by PackConvWeights /
+// PackQConvWeights (a session packs once and reuses the panels forever)
+// or, for a node nobody packed, on every call by the unpacked entry
+// points; either way one kernel runs. To make the *weights* the packed
+// operand the convolution is executed in its transposed formulation:
 //
 //	out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
 //
 // where rowsA is the im2row lowering (one row per output pixel) and Wt
 // is the transposed weight matrix, which the packer reads out of
-// W[cout, rows] in place. Per output element the accumulation order
-// depends only on the K blocking, so when the panels were built changes
-// no bit — the property the zoo-wide packed-vs-unpacked gate pins down.
-// Padding positions contribute +0.0 (both the zero-padded A row and the
-// zero-filled panel rows are positive zeros).
+// W[cout, rows] in place. Per output element the FP32 accumulation order
+// depends only on the K blocking, and integer accumulation on nothing, so
+// when the panels were built changes no bit — the property the zoo-wide
+// packed-vs-unpacked gate pins down. Padding positions contribute +0.0
+// (both the zero-padded A row and the zero-filled panel rows are positive
+// zeros).
+//
+// What is per datatype is a gemm value (gemmFP32 here, gemmInt8 in
+// qprepack.go) and nothing else: the K blocking (128 floats or 256 bytes
+// of panel row, the same cache budget), the packer (interleaved quads, or
+// +128-biased bytes column-major for the SWAR lanes), the microkernel,
+// and the store — FP32 gathers, adds the bias and runs the affine and
+// activation; int8 requantizes, which has no affine stage.
 //
 // FP32 Dense is deliberately NOT prepacked: DenseInto accumulates each
-// dot product in four independent chains (matVecInto), an order the
-// blocked GEMM cannot reproduce, so packing it would break the bitwise
-// contract. The int8 twin (qprepack.go) packs Dense too, because
-// integer accumulation is exact in any order.
+// dot product in one chain (matVecRange), an order the blocked GEMM
+// cannot reproduce, so packing it would break the bitwise contract. Int8
+// Dense packs, because integer accumulation is exact in any order.
 
-// PackedWeights is a weight matrix packed into the blocked-panel layout
-// the FP32 GEMM microkernel consumes: the panels of every (N-block,
-// K-block) tile of the transposed weight matrix, concatenated in the
-// kernel's traversal order (jc outer, kc inner). One packed ahead of time
-// is immutable after construction — clones of a graph share the pointer;
-// the per-call pack refills a pooled one.
-type PackedWeights struct {
+// Packed is a weight matrix packed into the blocked-panel layout a GEMM
+// microkernel consumes: the panel of every (N-block, K-block) tile of a
+// [K, N] operand — for a convolution, the transposed filter bank —
+// concatenated in the kernel's traversal order (walkTiles). P is the panel
+// element: float32 under the FP32 kernel, a +128-biased byte under the
+// int8 one. One packed ahead of time is immutable after construction —
+// clones of a graph share the pointer; the per-call pack refills a pooled
+// one.
+type Packed[P float32 | byte] struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
-	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs).
+	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs; K = In,
+	// N = Out for dense layers).
 	K, N int
-	// Shape is the original weight tensor shape ([Cout, Cin, KH, KW]
-	// for convs), kept so the executor can derive conv geometry without
-	// consulting the FP32 weights.
+	// Shape is the original weight shape ([Cout, Cin, KH, KW] for convs),
+	// kept so the executor can derive kernel geometry from the pack alone.
 	Shape Shape
 	// Panels is the concatenated packed panel data.
-	Panels []float32
+	Panels []P
 }
 
-// Elems returns the packed panel element count (the memory cost of the
-// pre-pack, within rounding of the original weight count).
-func (p *PackedWeights) Elems() int { return len(p.Panels) }
+// PackedWeights is FP32 weights packed for the GEMM convolution.
+type PackedWeights = Packed[float32]
 
-// packedPanelsLen returns the total panel length for a [k, n] B operand
-// under the FP32 blocking: each (jc, kc) tile stores kb4 x jb elements.
-func packedPanelsLen(k, n, kc0, nc0, mr int) int {
-	total := 0
-	for jc := 0; jc < n; jc += nc0 {
-		jb := min(n-jc, nc0)
-		for kc := 0; kc < k; kc += kc0 {
-			kb := min(k-kc, kc0)
-			kb4 := (kb + mr - 1) &^ (mr - 1)
-			total += kb4 * jb
+// PackedQWeights is int8 weights packed for the QGEMM convolution and
+// dense kernels (one byte per element, value = int8 + 128).
+type PackedQWeights = Packed[byte]
+
+// gemm is what one datatype brings to the code both GEMM convolutions
+// share. T is the element of the streamed A operand (activations, or
+// their int8 codes), P of the packed panels, A of the accumulators.
+type gemm[T int8 | float32, P float32 | byte, A any] struct {
+	// kc and nc are the K- and N-block a panel covers, mr the K-interleave
+	// a K-block is rounded up to.
+	kc, nc, mr int
+	// packPanel packs one tile (packPanel, packQPanel); panelRows is the
+	// microkernel that accumulates one into rows [rlo, rhi) (gemmPanelRows,
+	// qgemmPanelRows).
+	packPanel func(panel []P, b []T, rs, cs, kc, kb, kb4, jc, jb int)
+	panelRows func(dst []A, a []T, panel []P, k, n, kc, kb, jc, jb, rlo, rhi int)
+	// store writes output pixels [p0, p1) of every channel from a band's
+	// pixel-major accumulators, epilogue applied.
+	store func(j *bandJob[T, P, A], acc []A, p0, p1 int)
+
+	// scratch lends each shard a *bandScratch[T, A], jobs each call its
+	// *bandJob[T, P, A], and panels an unpacked call the *Packed[P] it
+	// packs into: the storage stays with the pools, so a steady stream of
+	// convolutions, packed ahead of time or not, allocates nothing.
+	scratch, jobs, panels sync.Pool
+}
+
+var gemmFP32 = &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR,
+	packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
+	scratch: sync.Pool{New: func() any { return new(bandScratch[float32, float32]) }},
+	jobs:    sync.Pool{New: newBandJob[float32, float32, float32]},
+	panels:  sync.Pool{New: func() any { return new(PackedWeights) }}}
+
+// walkTiles calls fn for every (N-block, K-block) tile of a [k, n] packed
+// operand — columns [jc, jc+jb) x rows [kc, kc+kb), kb rounded up to the
+// interleave as kb4, its panel at Panels[off : off+kb4*jb] — jc outer, kc
+// inner: the order panels are stored in and consumed in, which the packer,
+// the tile loop and the length computation (a nil fn) all take from here.
+// It returns the total panel length.
+func (g *gemm[T, P, A]) walkTiles(k, n int, fn func(off, kc, kb, kb4, jc, jb int)) int {
+	off := 0
+	for jc := 0; jc < n; jc += g.nc {
+		jb := min(n-jc, g.nc)
+		for kc := 0; kc < k; kc += g.kc {
+			kb := min(k-kc, g.kc)
+			kb4 := (kb + g.mr - 1) &^ (g.mr - 1)
+			if fn != nil {
+				fn(off, kc, kb, kb4, jc, jb)
+			}
+			off += kb4 * jb
 		}
 	}
-	return total
+	return off
 }
 
 // pack fills pw with the panels of the [k, n] B operand whose element
-// (r, c) is b[r*rs+c*cs], one packPanel tile per (jc, kc) block in kernel
-// traversal order, in pw.Panels' storage when that is large enough: the
-// one FP32 packer, ahead of time or per call.
-func (pw *PackedWeights) pack(b []float32, k, n, rs, cs int, shape Shape) {
-	*pw = PackedWeights{K: k, N: n, Shape: shape,
-		Panels: growSlice(pw.Panels, packedPanelsLen(k, n, gemmKC, gemmNC, gemmMR))}
-	off := 0
-	for jc := 0; jc < n; jc += gemmNC {
-		jb := min(n-jc, gemmNC)
-		for kc := 0; kc < k; kc += gemmKC {
-			kb := min(k-kc, gemmKC)
-			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-			packPanel(pw.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
-			off += kb4 * jb
-		}
-	}
+// (r, c) is b[r*rs+c*cs] — a row-major B at strides (n, 1), an [N, K]
+// weight matrix read in place as its transpose at (1, k) — in pw.Panels'
+// storage when that is large enough: the one packer, ahead of time or per
+// call.
+func (g *gemm[T, P, A]) pack(pw *Packed[P], b []T, k, n, rs, cs int, shape Shape) {
+	*pw = Packed[P]{K: k, N: n, Shape: shape, Panels: growSlice(pw.Panels, g.walkTiles(k, n, nil))}
+	g.walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
+		g.packPanel(pw.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
+	})
 }
 
-// packConv packs the [rows, Cout] transpose of w's filters (rows =
-// Cin*KH*KW), read out of w.Data in place; pw.Shape is w's own. It is the
-// whole of packing a convolution, ahead of time (PackConvWeights) or per
-// call (Conv2DGEMMFusedInto).
-func (pw *PackedWeights) packConv(w *Tensor) {
-	rows := w.Shape[1] * w.Shape[2] * w.Shape[3]
-	pw.pack(w.Data, rows, w.Shape[0], 1, rows, w.Shape)
+// packWeights packs the transpose of a weight matrix w of the given shape,
+// [n, k] with n its first axis (Cout or Out), read in place; pw.Shape is
+// the caller's. It is the whole of packing a convolution or dense weight.
+func (g *gemm[T, P, A]) packWeights(pw *Packed[P], w []T, shape Shape) {
+	n := shape[0]
+	k := len(w) / n
+	g.pack(pw, w, k, n, 1, k, shape)
 }
 
-// PackGemmB packs a row-major [k, n] B matrix into the blocked-panel
-// layout. The result feeds gemmPrepackedRange.
-func PackGemmB(b []float32, k, n int) *PackedWeights {
-	if len(b) != k*n {
-		panic(fmt.Sprintf("tensor: PackGemmB data length %d, want %d", len(b), k*n))
-	}
-	pw := new(PackedWeights)
-	pw.pack(b, k, n, n, 1, nil)
-	return pw
-}
-
-// PackConvWeights packs a [Cout, Cin, KH, KW] convolution weight tensor
-// for the prepacked GEMM path, into panels and a shape of its own. It
-// returns nil for weights sparse enough that Conv2DGEMMFusedInto may take
-// the zero-skipping kernel (pruned models keep their sparse fast path,
-// and the dense panel kernel would not be bitwise identical to it).
-func PackConvWeights(w *Tensor) *PackedWeights {
-	if len(w.Shape) != 4 {
-		panic(fmt.Sprintf("tensor: PackConvWeights wants rank-4 weights, got %v", w.Shape))
-	}
-	if zeroFraction(w.Data) >= sparseSkipFraction {
-		return nil
-	}
-	pw := new(PackedWeights)
-	pw.packConv(w)
-	pw.Shape = w.Shape.Clone()
-	return pw
-}
-
-// gemmPrepackedRange computes output rows [rlo, rhi) of dst = a x B for a
-// row-major a [m, pw.K] and the packed B operand, overwriting them: the
-// one FP32 GEMM tile loop. Rows are zeroed first, then accumulated one
-// (K-block, N-block) panel at a time, each read from pw.Panels at its
-// offset in traversal order. A row's result does not depend on which
-// rows share its range, so callers may shard rows freely.
-func gemmPrepackedRange(dst, a []float32, pw *PackedWeights, rlo, rhi int) {
+// rowRange computes output rows [rlo, rhi) of dst = a x B for a row-major
+// a [m, pw.K] and the packed B operand, overwriting them: the one GEMM
+// tile loop. Rows are zeroed first, then accumulated one panel at a time.
+// A row's result does not depend on which rows share its range — every
+// output element sees the same expression and K order in the FP32
+// microkernel, and integer accumulation is exact — so callers may shard
+// rows freely (the int8 microkernel pairs rows, so on even boundaries:
+// qgemmPairRange).
+func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
 	k, n := pw.K, pw.N
-	for i := rlo; i < rhi; i++ {
-		clear(dst[i*n : (i+1)*n])
-	}
-	off := 0
-	for jc := 0; jc < n; jc += gemmNC {
-		jb := min(n-jc, gemmNC)
-		for kc := 0; kc < k; kc += gemmKC {
-			kb := min(k-kc, gemmKC)
-			kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-			gemmPanelRows(dst, a, pw.Panels[off:off+kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
-			off += kb4 * jb
-		}
-	}
+	clear(dst[rlo*n : rhi*n])
+	g.walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
+		g.panelRows(dst, a, pw.Panels[off:off+kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
+	})
 }
 
 // im2rowPixels writes rows [plo, phi) of the im2row lowering of in
@@ -223,150 +228,167 @@ func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
 	}
 }
 
-// convScratch is what one shard of an FP32 GEMM convolution borrows: the
-// lowered activations — a band of im2row rows, or the zero-skipping
-// convolution's whole im2col matrix — and the band's transposed GEMM
-// output. One package pool serves every caller, as qscratchPool does for
-// the int8 kernels, so concurrent shards never share a buffer and a
-// steady stream of convolutions reallocates nothing.
-type convScratch struct {
-	rows []float32
-	outT []float32
+// bandScratch is what one shard of a GEMM convolution borrows: the lowered
+// activations — a band of im2row rows, or the zero-skipping convolution's
+// whole im2col matrix — and the band's pixel-major accumulators. One pool
+// per datatype serves every caller, so concurrent shards never share a
+// buffer.
+type bandScratch[T, A any] struct {
+	rows []T
+	acc  []A
 }
 
-var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
-
-func (s *convScratch) grow(nrows, nout int) {
-	s.rows = growSlice(s.rows, nrows)
-	s.outT = growSlice(s.outT, nout)
-}
-
-// packScratch is what an unpacked entry point borrows to pack its
-// constant operand per call. The panels stay with the pool, so a steady
-// stream of unpacked kernels allocates nothing; one pool serves both
-// datatypes, a call using the field of its own.
-type packScratch struct {
-	pw PackedWeights
-	pq PackedQWeights
-}
-
-var packScratchPool = sync.Pool{New: func() any { return new(packScratch) }}
-
-// prepackedConvDims validates the input against the packed weights and
-// returns (cout, kh, kw, hout, wout).
-func prepackedConvDims(in *Tensor, pw *PackedWeights, spec Conv2DSpec) (int, int, int, int, int) {
-	if len(pw.Shape) != 4 {
-		panic(fmt.Sprintf("tensor: prepacked conv weights carry shape %v, want rank 4", pw.Shape))
-	}
-	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	cout, wcin, kh, kw := pw.Shape[0], pw.Shape[1], pw.Shape[2], pw.Shape[3]
-	if cin != wcin {
-		panic(fmt.Sprintf("tensor: prepacked conv channel mismatch: input %v weights %v", in.Shape, pw.Shape))
-	}
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	return cout, kh, kw, hout, wout
-}
-
-// convJob is the pre-packed convolution a band pass is working on, with
-// the shard body as a function bound once, when the job is made: a
-// closure built per call would be a heap allocation per convolution.
-type convJob struct {
-	out                 []float32
-	in                  *Tensor
-	pw                  *PackedWeights
-	bias                []float32
-	spec                Conv2DSpec
-	epi                 Epilogue
-	kh, kw, wout, ncols int // ncols = Hout*Wout, the output pixels
+// bandJob is the convolution a band pass is working on.
+type bandJob[T int8 | float32, P float32 | byte, A any] struct {
+	g    *gemm[T, P, A]
+	out  []float32 // [Cout, Hout*Wout]
+	in   []T       // [Cin, H, W]: the activations, or their int8 codes
+	geo  convGeom
+	spec Conv2DSpec
+	pw   *Packed[P]
+	bias []float32
+	// scales is the int8 requantize scale per output channel; epi the
+	// fused epilogue, of which int8 has the activation only.
+	scales []float32
+	epi    Epilogue
 
 	fn func(lo, hi int)
 }
 
-var convJobPool = sync.Pool{New: func() any {
-	j := new(convJob)
+// newBandJob makes a job with its shard body bound, once: a closure built
+// per call would be a heap allocation per convolution.
+func newBandJob[T int8 | float32, P float32 | byte, A any]() any {
+	j := new(bandJob[T, P, A])
 	j.fn = j.bands
 	return j
-}}
+}
 
 // convBandPixels is how many output pixels a shard takes through lower →
-// GEMM → epilogue at a time: one transposeTile, so a band's rows (64 x K
-// floats: 240 KB at MobileNet-v2's widest K, 960) and its transposed
-// output (64 x Cout) are still in that core's cache when the next step
-// reads them.
+// GEMM → store at a time: one transposeTile, so a band's rows (64 x K
+// elements: 240 KB of floats at MobileNet-v2's widest K, 960) and its
+// accumulators (64 x Cout) are still in that core's cache when the next
+// step reads them.
 const convBandPixels = transposeTile
 
 // bands is the shard body: the output pixels of row pairs [lo, hi) of
-// every channel, a band at a time, on scratch of its own. A band is
+// every channel, a band at a time, on scratch of its own — lowered into
+// s.rows, multiplied with the packed panels into s.acc, stored. A band is
 // never larger than the chunk, so a 7x7 plane still splits across cores;
 // chunks start on even pixels, so only the plane's last row can take the
-// microkernel's slower one-row form.
-func (j *convJob) bands(lo, hi int) {
-	lo, hi = qgemmPairRange(lo, hi, j.ncols)
-	s := convScratchPool.Get().(*convScratch)
+// microkernels' slower one-row form.
+func (j *bandJob[T, P, A]) bands(lo, hi int) {
+	ncols := j.geo.hout * j.geo.wout
+	lo, hi = qgemmPairRange(lo, hi, ncols)
+	s := j.g.scratch.Get().(*bandScratch[T, A])
 	for p0 := lo; p0 < hi; p0 += convBandPixels {
-		j.band(s, p0, min(p0+convBandPixels, hi))
+		p1 := min(p0+convBandPixels, hi)
+		s.rows = growSlice(s.rows, (p1-p0)*j.pw.K)
+		s.acc = growSlice(s.acc, (p1-p0)*j.pw.N)
+		im2rowPixels(s.rows, j.in, j.geo.cin, j.geo.h, j.geo.wd, j.geo.kh, j.geo.kw, j.spec, j.geo.wout, p0, p1)
+		j.g.rowRange(s.acc, s.rows, j.pw, 0, p1-p0)
+		j.g.store(j, s.acc, p0, p1)
 	}
-	convScratchPool.Put(s)
+	j.g.scratch.Put(s)
 }
 
-// band lowers output pixels [p0, p1) into s.rows, multiplies them with
-// the packed panels into s.outT, and writes those pixels of each output
-// channel: the gather transposes outT's (pixel, channel) layout back to
-// channel-major and adds the bias, then applyEpilogueSpan runs the
-// affine and the activation over the 256 bytes just written — per
-// element the expressions of the separate batch-norm and activation
-// kernels, so fused output is bitwise identical to the unfused chain's.
-func (j *convJob) band(s *convScratch, p0, p1 int) {
-	n, cout, ncols := p1-p0, j.pw.N, j.ncols
-	s.grow(n*j.pw.K, n*cout)
-	im2rowPixels(s.rows, j.in.Data, j.in.Shape[0], j.in.Shape[1], j.in.Shape[2], j.kh, j.kw, j.spec, j.wout, p0, p1)
-	gemmPrepackedRange(s.outT, s.rows, j.pw, 0, n)
+// run is the GEMM convolution: one pass over bands of output pixels.
+// Above the MAC threshold one parallelFor hands out chunks of pixels, and
+// whichever core claims a chunk takes each of its bands through lowering,
+// GEMM and store before touching the next, so only the input and the
+// finished output leave that core's cache. Bands write disjoint pixels
+// and a pixel's value does not depend on which rows share its band, so
+// the output does not depend on the cut. job carries everything but g and
+// fn.
+func (g *gemm[T, P, A]) run(job bandJob[T, P, A]) {
+	j := g.jobs.Get().(*bandJob[T, P, A])
+	job.g, job.fn = g, j.fn
+	*j = job
+	ncols, macsPerPixel := j.geo.hout*j.geo.wout, j.pw.K*j.pw.N
+	if pairs := (ncols + 1) / 2; ncols*macsPerPixel < parallelThresholdMACs {
+		j.bands(0, pairs)
+	} else {
+		parallelFor(pairs, grainForMACs(2*macsPerPixel), j.fn)
+	}
+	*j = bandJob[T, P, A]{fn: j.fn} // the pool must not keep the tensors alive
+	g.jobs.Put(j)
+}
+
+// storeFP32 writes pixels [p0, p1) of each output channel: the gather
+// transposes acc's (pixel, channel) layout back to channel-major and adds
+// the bias, then applyEpilogueSpan runs the affine and the activation
+// over the 256 bytes just written — per element the expressions of the
+// separate batch-norm and activation kernels, so fused output is bitwise
+// identical to the unfused chain's.
+func storeFP32(j *bandJob[float32, float32, float32], acc []float32, p0, p1 int) {
+	cout, ncols := j.pw.N, j.geo.hout*j.geo.wout
 	for oc := 0; oc < cout; oc++ {
 		seg := j.out[oc*ncols+p0 : oc*ncols+p1]
 		if j.bias == nil {
 			for i := range seg {
-				seg[i] = s.outT[i*cout+oc]
+				seg[i] = acc[i*cout+oc]
 			}
 		} else {
 			b := j.bias[oc]
 			for i := range seg {
-				seg[i] = s.outT[i*cout+oc] + b
+				seg[i] = acc[i*cout+oc] + b
 			}
 		}
 		applyEpilogueSpan(seg, oc, j.epi)
 	}
 }
 
+// PackConvWeights packs a [Cout, Cin, KH, KW] convolution weight tensor
+// for the prepacked GEMM path, into panels and a shape of its own.
+// outPixels is Hout*Wout of the layer the weights serve: it returns nil
+// exactly when Conv2DGEMMFusedInto would take the zero-skipping kernel
+// there (sparseConv — pruned models keep their sparse fast path, and the
+// dense panel kernel would not be bitwise identical to it).
+func PackConvWeights(w *Tensor, outPixels int) *PackedWeights {
+	if len(w.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: PackConvWeights wants rank-4 weights, got %v", w.Shape))
+	}
+	if sparseConv(zeroFraction(w.Data), len(w.Data)*outPixels) {
+		return nil
+	}
+	pw := new(PackedWeights)
+	gemmFP32.packWeights(pw, w.Data, w.Shape.Clone())
+	return pw
+}
+
 // Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
 // into a preallocated dst of shape [Cout, Hout, Wout], overwriting
 // every element, with the bias/affine/activation epilogue applied
-// during the transpose back to channel-major layout. A zero-value epi
-// reproduces the plain GEMM conv (bias sweep only).
-//
-// It is one pass over bands of output pixels (the FP32 twin of
-// qscratch.runConv): above the MAC threshold one parallelFor hands out
-// chunks of pixels, and whichever core claims a chunk takes each of its
-// bands through lowering, GEMM and epilogue before touching the next, so
-// only the input and the finished output leave that core's cache. Bands
-// write disjoint pixels and a pixel's value does not depend on which
-// rows share its band, so the output does not depend on the cut.
+// during the transpose back to channel-major layout (gemm.run). A
+// zero-value epi reproduces the plain GEMM conv (bias sweep only).
 func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
-	cout, kh, kw, hout, wout := prepackedConvDims(in, pw, spec)
-	checkConvDst(dst, cout, hout, wout)
-	checkEpilogueChannels(epi, cout)
-	if bias != nil && len(bias) != cout {
-		panic("tensor: prepacked conv bias length mismatch")
+	geo := convGeometry(dst, in, pw.Shape, bias, spec)
+	checkEpilogueChannels(epi, geo.cout)
+	gemmFP32.run(bandJob[float32, float32, float32]{out: dst.Data, in: in.Data, geo: geo, spec: spec, pw: pw, bias: bias, epi: epi})
+}
+
+// Conv2DGEMMFusedInto is the GEMM convolution on weights nobody packed
+// ahead of time, into a preallocated dst of shape [Cout, Hout, Wout],
+// overwriting every element, with the bias, affine and activation folded
+// in. A zero epi is the plain GEMM convolution. It packs w into panels
+// borrowed from a pool — read out of w.Data on every call, so training's
+// in-place weight updates are seen — and runs Conv2DPrepackedInto on
+// them: the panels, microkernel and K order of a node packed ahead of
+// time, hence its bits; "unpacked" only says when the panels are built.
+// wZeroFrac is Sparsity(w): where sparseConv says so the layer takes the
+// zero-skipping kernel instead, and since weights are constant the caller
+// measures them once instead of this kernel scanning them on every call;
+// 0 means dense.
+func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue, wZeroFrac float64) {
+	spec = spec.check()
+	geo := convGeometry(dst, in, w.Shape, bias, spec)
+	checkEpilogueChannels(epi, geo.cout)
+	if sparseConv(wZeroFrac, len(w.Data)*geo.hout*geo.wout) {
+		conv2DSparseInto(dst, in, w, bias, spec, epi)
+		return
 	}
-	j := convJobPool.Get().(*convJob)
-	fn := j.fn
-	*j = convJob{out: dst.Data, in: in, pw: pw, bias: bias, spec: spec, epi: epi,
-		kh: kh, kw: kw, wout: wout, ncols: hout * wout, fn: fn}
-	if pairs := (j.ncols + 1) / 2; j.ncols*pw.K*cout < parallelThresholdMACs {
-		j.bands(0, pairs)
-	} else {
-		parallelFor(pairs, grainForMACs(2*pw.K*cout), fn)
-	}
-	*j = convJob{fn: fn} // the pool must not keep the tensors alive
-	convJobPool.Put(j)
+	pw := gemmFP32.panels.Get().(*PackedWeights)
+	gemmFP32.packWeights(pw, w.Data, w.Shape)
+	Conv2DPrepackedInto(dst, in, pw, bias, spec, epi)
+	gemmFP32.panels.Put(pw)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -22,10 +23,9 @@ func bitsEqual(a, b []float32) bool {
 }
 
 // TestGemmPrepackedMatchesBlocked pins the core bitwise contract: the
-// GEMM over panels packed beforehand, and MatMulSerial packing per call,
-// equal the blocked order written out element by element (oneRowGemm) for
-// awkward K/N remainders, K blocks past gemmKC, N blocks past gemmNC, and
-// single-row A operands.
+// tile loop over packed panels equals the blocked order written out
+// element by element (oneRowGemm) for awkward K/N remainders, K blocks
+// past gemmKC, N blocks past gemmNC, and single-row A operands.
 func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	cases := []struct{ m, k, n int }{
@@ -38,14 +38,8 @@ func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 		b := New(c.k, c.n).Randomize(r, 1)
 		want := New(c.m, c.n)
 		oneRowGemm(want.Data, a.Data, b.Data, c.m, c.k, c.n)
-		pw := PackGemmB(b.Data, c.k, c.n)
-		got := New(c.m, c.n)
-		gemmPrepackedRange(got.Data, a.Data, pw, 0, c.m)
-		if !bitsEqual(got.Data, want.Data) {
+		if !bitsEqual(blockedMatMul(a, b).Data, want.Data) {
 			t.Errorf("m=%d k=%d n=%d: prepacked GEMM differs from the blocked order", c.m, c.k, c.n)
-		}
-		if !bitsEqual(MatMulSerial(a, b).Data, want.Data) {
-			t.Errorf("m=%d k=%d n=%d: MatMulSerial differs from the blocked order", c.m, c.k, c.n)
 		}
 	}
 }
@@ -59,35 +53,48 @@ func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	m, k, n := 96, 200, 130 // 2.4M MACs: above parallelThresholdMACs
 	a := New(m, k).Randomize(r, 1)
 	b := New(k, n).Randomize(r, 1)
-	pw := PackGemmB(b.Data, k, n)
+	pw := packB(gemmFP32, b.Data, k, n)
 	par := New(m, n)
 	parallelFor(m, grainForMACs(k*n), func(lo, hi int) {
-		gemmPrepackedRange(par.Data, a.Data, pw, lo, hi)
+		gemmFP32.rowRange(par.Data, a.Data, pw, lo, hi)
 	})
 	ser := New(m, n)
-	gemmPrepackedRange(ser.Data, a.Data, pw, 0, m)
+	gemmFP32.rowRange(ser.Data, a.Data, pw, 0, m)
 	if !bitsEqual(par.Data, ser.Data) {
 		t.Fatal("parallel prepacked GEMM differs from serial prepacked")
 	}
 	want := New(m, n)
 	oneRowGemm(want.Data, a.Data, b.Data, m, k, n)
-	if !bitsEqual(par.Data, want.Data) || !bitsEqual(MatMulParallel(a, b).Data, want.Data) {
+	if !bitsEqual(par.Data, want.Data) {
 		t.Fatal("parallel prepacked GEMM differs from the blocked order")
 	}
 }
 
-// TestPackConvWeightsSkipsSparse: pruned-grade weights must not pack,
-// preserving the unpacked path's zero-skipping sparse dispatch.
+// packDense packs weights the zero-skipping selection has no say over:
+// dense ones, for which the layer size PackConvWeights asks for is moot.
+func packDense(w *Tensor) *PackedWeights { return PackConvWeights(w, 1) }
+
+// TestPackConvWeightsSkipsSparse: pruned-grade weights must not pack on a
+// layer large enough for the zero-skipping kernel, preserving its
+// dispatch — and must pack on a smaller one, which runs the dense kernel
+// and would otherwise re-pack on every call.
 func TestPackConvWeightsSkipsSparse(t *testing.T) {
-	w := New(8, 4, 3, 3)
+	w := New(8, 4, 4, 4)
 	for i := 0; i < len(w.Data)/8; i++ {
 		w.Data[i] = 1 // 12.5% nonzero, far past sparseSkipFraction
 	}
-	if pw := PackConvWeights(w); pw != nil {
-		t.Fatal("PackConvWeights packed a sparse weight tensor")
+	atBar := parallelThresholdMACs / len(w.Data)
+	if len(w.Data)*atBar != parallelThresholdMACs {
+		t.Fatal("the weight count does not divide the MAC bar")
+	}
+	if pw := PackConvWeights(w, atBar); pw != nil {
+		t.Fatal("PackConvWeights packed a sparse weight tensor at the zero-skipping bar")
+	}
+	if pw := PackConvWeights(w, atBar-1); pw == nil {
+		t.Fatal("PackConvWeights refused sparse weights on a layer below the bar, where the dense kernel runs")
 	}
 	w.Randomize(rand.New(rand.NewSource(1)), 1)
-	if pw := PackConvWeights(w); pw == nil {
+	if pw := PackConvWeights(w, atBar); pw == nil {
 		t.Fatal("PackConvWeights refused dense weights")
 	}
 }
@@ -124,7 +131,7 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		for i := range bias {
 			bias[i] = r.Float32() - 0.5
 		}
-		pw := PackConvWeights(w)
+		pw := packDense(w)
 		if pw == nil {
 			t.Fatalf("%s: dense weights did not pack", c.name)
 		}
@@ -148,7 +155,7 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		scale[i] = r.Float32() + 0.5
 		shift[i] = r.Float32() - 0.5
 	}
-	pw := PackConvWeights(w)
+	pw := packDense(w)
 	epis := []Epilogue{
 		{Scale: scale, Shift: shift},
 		{Act: ActReLU},
@@ -170,13 +177,12 @@ func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	in := randTensor(r, 32, 24, 24)
 	w := randTensor(r, 48, 32, 3, 3)
-	checkBandedConv(t, "large", in, w, PackConvWeights(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
+	checkBandedConv(t, "large", in, w, packDense(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
 }
 
-// TestQGemmPrepackedMatchesSerial pins the int8 twin: the QGEMM on
-// panels packed beforehand and QGEMMSerial packing per call equal the
-// plain triple loop, including the odd-M single-row remainder and K
-// blocks past qgemmKC.
+// TestQGemmPrepackedMatchesSerial pins the int8 twin: the tile loop on
+// packed panels, whole, sharded and split, equals the plain triple loop,
+// including the odd-M single-row remainder and K blocks past qgemmKC.
 func TestQGemmPrepackedMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	cases := []struct{ m, k, n int }{
@@ -244,20 +250,23 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 
 // TestConv2DPrepackedScratchPool: a call handed recycled scratch — the
 // package pool's buffers left dirty by a larger convolution over
-// different values — must produce the same bits as a call on fresh
+// different values — must produce the same bits as a band on fresh
 // scratch, and the same bits as the loop-nest reference.
 func TestConv2DPrepackedScratchPool(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	c := convCase{"scratch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
 	in := randTensor(r, c.cin, c.h, c.w)
 	w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-	pw := PackConvWeights(w)
+	pw := packDense(w)
 	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	want := New(c.cout, hout, wout)
-	fresh := &convJob{out: want.Data, in: in, pw: pw, spec: c.spec.check(), kh: c.kh, kw: c.kw, wout: wout, ncols: hout * wout}
-	fresh.band(new(convScratch), 0, hout*wout)
+	spec := c.spec.check()
+	fresh := &bandJob[float32, float32, float32]{g: &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR, packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
+		scratch: sync.Pool{New: func() any { return new(bandScratch[float32, float32]) }}},
+		out: want.Data, in: in.Data, geo: convGeometry(want, in, pw.Shape, nil, spec), spec: spec, pw: pw}
+	fresh.bands(0, (hout*wout+1)/2) // a gemm value of its own: pools nothing has touched
 	big := randTensor(r, 7, 15, 15)
-	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
+	bigW := packDense(randTensor(r, 9, 7, 3, 3))
 	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})
 	got := New(c.cout, hout, wout)
 	Conv2DPrepackedInto(got, in, pw, nil, c.spec, Epilogue{})
@@ -280,39 +289,40 @@ func TestUnpackedConvReusesDirtyPanels(t *testing.T) {
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	bigIn, bigW := randTensor(r, 130, 6, 6), randTensor(r, 7, 130, 1, 1)
 	in, w := randTensor(r, 3, 6, 6), randTensor(r, 5, 3, 3, 3)
-	var s packScratch
+	var pw PackedWeights
+	var pq PackedQWeights
 	for _, c := range []struct{ in, w *Tensor }{{bigIn, bigW}, {in, w}} {
-		stale := s.pw.Panels[:cap(s.pw.Panels)]
+		stale := pw.Panels[:cap(pw.Panels)]
 		for i := range stale {
 			stale[i] = float32(math.NaN())
 		}
-		s.pw.packConv(c.w)
+		gemmFP32.packWeights(&pw, c.w.Data, c.w.Shape)
 		want := refConvBlocked(c.in, c.w, nil, spec, Epilogue{})
 		got := dirty(want.Shape...)
-		Conv2DPrepackedInto(got, c.in, &s.pw, nil, spec, Epilogue{})
+		Conv2DPrepackedInto(got, c.in, &pw, nil, spec, Epilogue{})
 		unpacked := dirty(want.Shape...)
 		Conv2DGEMMFusedInto(unpacked, c.in, c.w, nil, spec, Epilogue{}, 0)
 		if !bitsEqual(got.Data, want.Data) || !bitsEqual(unpacked.Data, want.Data) {
-			t.Errorf("K=%d: conv on recycled panels differs from the loop-nest reference", s.pw.K)
+			t.Errorf("K=%d: conv on recycled panels differs from the loop-nest reference", pw.K)
 		}
 
 		qw := QuantizePerChannel(c.w)
-		qstale := s.pq.Panels[:cap(s.pq.Panels)]
+		qstale := pq.Panels[:cap(pq.Panels)]
 		for i := range qstale {
 			qstale[i] = 0x55
 		}
-		s.pq.packWeights(qw)
+		gemmInt8.packWeights(&pq, qw.Data, qw.Shape)
 		qwant := refQConv(c.in, qw, nil, spec, ActNone, 0)
 		qgot := dirty(qwant.Shape...)
-		Conv2DQPrepackedInto(qgot, c.in, &s.pq, qw, nil, spec, ActNone, 0)
+		Conv2DQPrepackedInto(qgot, c.in, &pq, qw, nil, spec, ActNone, 0)
 		qunpacked := dirty(qwant.Shape...)
 		Conv2DQInt8Into(qunpacked, c.in, qw, nil, spec, ActNone, 0)
 		if !bitsEqual(qgot.Data, qwant.Data) || !bitsEqual(qunpacked.Data, qwant.Data) {
-			t.Errorf("K=%d: int8 conv on recycled panels differs from the loop-nest reference", s.pq.K)
+			t.Errorf("K=%d: int8 conv on recycled panels differs from the loop-nest reference", pq.K)
 		}
 	}
-	if s.pw.K != 27 || len(s.pw.Panels) >= cap(s.pw.Panels) || len(s.pq.Panels) >= cap(s.pq.Panels) {
-		t.Fatalf("second conv (K=%d) did not reuse the first one's larger panels", s.pw.K)
+	if pw.K != 27 || len(pw.Panels) >= cap(pw.Panels) || len(pq.Panels) >= cap(pq.Panels) {
+		t.Fatalf("second conv (K=%d) did not reuse the first one's larger panels", pw.K)
 	}
 }
 

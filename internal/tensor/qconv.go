@@ -5,9 +5,8 @@ import "sync"
 // This file holds what the int8 execution path shares — the fusable
 // activation set and the pooled per-call scratch — and its unpacked entry
 // points, which pack the quantized weights per call and run the kernels
-// in qprepack.go: dynamic per-tensor activation quantization, an int8
-// im2row, the QGEMM int32 accumulation, and a fused
-// requantize+bias+activation epilogue, so a quantized Conv/Dense is a
+// in qprepack.go: dynamic per-tensor activation quantization, then the
+// band pass of prepack.go on the codes, so a quantized Conv/Dense is a
 // single kernel call producing float32.
 //
 // Accumulator safety: products are at most 127*127 and the reduction
@@ -30,38 +29,27 @@ const (
 	ActTanh
 )
 
-// qscratch holds the per-call scratch of the int8 path. Pooled through
-// a sync.Pool so concurrent executor replicas never share or reallocate
-// buffers.
-//
-// It also carries the arguments of the passes the prepacked path shards
-// (quant, conv) and their shard bodies as functions bound once, when
-// the scratch is made: a closure built per call would be one heap
-// allocation per parallelFor, several per convolution.
+// qscratch holds what one int8 kernel call owns: the codes of its whole
+// input, quantized once before the band pass reads them from every
+// shard, the requantize scales, and the sharded quantizer's per-chunk
+// maxima, arguments and shard bodies — functions bound once, when the
+// scratch is made: a closure built per call would be a heap allocation
+// per parallelFor. Per-shard buffers are the band pass's (bandScratch).
+// Pooled, so concurrent executor replicas never share or reallocate it.
 type qscratch struct {
 	qin    []int8    // quantized input activations
-	cols   []int8    // int8 im2row matrix
-	acc    []int32   // GEMM accumulators
 	scales []float32 // requantize scales, activation scale x weight scale, per channel
 	maxima []float32 // per-chunk max-abs of the activation being quantized
 
-	quant quantJob
-	conv  qconvJob
-
-	maxFn, roundFn, convFn func(lo, hi int)
+	quant          quantJob
+	maxFn, roundFn func(lo, hi int)
 }
 
 var qscratchPool = sync.Pool{New: func() any {
 	s := new(qscratch)
-	s.maxFn, s.roundFn, s.convFn = s.quantMaxChunks, s.quantRoundChunks, s.convBand
+	s.maxFn, s.roundFn = s.quantMaxChunks, s.quantRoundChunks
 	return s
 }}
-
-func (s *qscratch) grow(nqin, ncols, nacc int) {
-	s.qin = growSlice(s.qin, nqin)
-	s.cols = growSlice(s.cols, ncols)
-	s.acc = growSlice(s.acc, nacc)
-}
 
 // growSlice returns buf resized to n elements, reallocating only when
 // its capacity is short; the contents are unspecified.
@@ -77,17 +65,17 @@ func growSlice[T any](buf []T, n int) []T {
 // runs that kernel on them — bit-identical, since integer accumulation is
 // exact.
 func Conv2DQInt8Into(dst, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
-	s := packScratchPool.Get().(*packScratch)
-	s.pq.packWeights(qw)
-	Conv2DQPrepackedInto(dst, in, &s.pq, qw, bias, spec, act, alpha)
-	packScratchPool.Put(s)
+	pq := gemmInt8.panels.Get().(*PackedQWeights)
+	gemmInt8.packWeights(pq, qw.Data, qw.Shape)
+	Conv2DQPrepackedInto(dst, in, pq, qw, bias, spec, act, alpha)
+	gemmInt8.panels.Put(pq)
 }
 
 // DenseQInt8Into is DenseQPrepackedInto on weights nobody packed ahead of
 // time, packed per call as in Conv2DQInt8Into.
 func DenseQInt8Into(dst []float32, qw *QTensor, bias, x []float32, act Act, alpha float32) {
-	s := packScratchPool.Get().(*packScratch)
-	s.pq.packWeights(qw)
-	DenseQPrepackedInto(dst, &s.pq, qw, bias, x, act, alpha)
-	packScratchPool.Put(s)
+	pq := gemmInt8.panels.Get().(*PackedQWeights)
+	gemmInt8.packWeights(pq, qw.Data, qw.Shape)
+	DenseQPrepackedInto(dst, pq, qw, bias, x, act, alpha)
+	gemmInt8.panels.Put(pq)
 }

@@ -169,7 +169,7 @@ func TestQuantizeDynamicIntoProperties(t *testing.T) {
 		src[i] = float32(r.NormFloat64() * 3)
 	}
 	dst := make([]int8, len(src))
-	scale := QuantizeDynamicInto(dst, src)
+	scale := quantizeDynamic(dst, src)
 	if scale <= 0 {
 		t.Fatalf("scale %g <= 0", scale)
 	}
@@ -183,7 +183,7 @@ func TestQuantizeDynamicIntoProperties(t *testing.T) {
 	}
 	// All-zero input quantizes with the degenerate-scale guard.
 	zero := make([]int8, 4)
-	if s := QuantizeDynamicInto(zero, make([]float32, 4)); s != 1 {
+	if s := quantizeDynamic(zero, make([]float32, 4)); s != 1 {
 		t.Fatalf("zero-input scale %g, want 1", s)
 	}
 }

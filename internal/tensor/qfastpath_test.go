@@ -111,8 +111,16 @@ func TestConv2DQPrepackedShardedBands(t *testing.T) {
 	}
 }
 
-// quantizeDynamicSerial is QuantizeDynamicInto as it stood before it was
-// sharded, kept here as the reference.
+// quantizeDynamic runs the activation quantizer as the int8 kernels do, on
+// a scratch borrowed from their pool.
+func quantizeDynamic(dst []int8, src []float32) float32 {
+	s := qscratchPool.Get().(*qscratch)
+	defer qscratchPool.Put(s)
+	return s.quantize(dst, src)
+}
+
+// quantizeDynamicSerial is the activation quantizer as it stood before it
+// was sharded, kept here as the reference.
 func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 	var maxAbs float32
 	for _, v := range src {
@@ -154,7 +162,7 @@ func checkQuantizer(t *testing.T, name string, src []float32) {
 	for i := range got {
 		got[i] = -128 // a code the quantizer never emits
 	}
-	scale := QuantizeDynamicInto(got, src)
+	scale := quantizeDynamic(got, src)
 	if math.Float32bits(scale) != math.Float32bits(wantScale) {
 		t.Errorf("%s: scale %v, want %v", name, scale, wantScale)
 	}
@@ -195,7 +203,7 @@ func TestQuantizeDynamicShardedMatchesSerial(t *testing.T) {
 
 		clear(src)
 		checkQuantizer(t, fmt.Sprintf("n=%d zero", n), src)
-		if s := QuantizeDynamicInto(make([]int8, n), src); s != 1 {
+		if s := quantizeDynamic(make([]int8, n), src); s != 1 {
 			t.Errorf("n=%d: all-zero scale %v, want 1", n, s)
 		}
 	}
@@ -292,10 +300,9 @@ func TestMaxPoolShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// checkQGemmKernels asserts QGEMMSerial (which packs per call), the kernel
-// on panels packed beforehand, and that kernel run as two row ranges
-// split at an odd row (so the pairs fall differently) all equal the
-// plain triple loop.
+// checkQGemmKernels asserts the int8 tile loop over all rows, sharded by
+// row pairs across the pool, and run as two row ranges split at an odd
+// row (so the pairs fall differently), equals the plain triple loop.
 func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	t.Helper()
 	want := make([]int32, m*n)
@@ -309,21 +316,21 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 		}
 	}
 	got := make([]int32, m*n)
-	QGEMMSerial(got, a, b, m, k, n)
-	check("QGEMMSerial", got)
-
-	pq := PackQGemmB(b, k, n)
-	for i := range got {
-		got[i] = math.MinInt32
-	}
-	QGemmPrepacked(got, a, pq, m)
-	check("QGemmPrepacked", got)
+	qgemmSerial(got, a, b, m, k, n)
+	check("serial", got)
 
 	for i := range got {
 		got[i] = math.MinInt32
 	}
-	qgemmPrepackedRange(got, a, pq, 0, min(1, m))
-	qgemmPrepackedRange(got, a, pq, min(1, m), m)
+	qgemmSharded(got, a, b, m, k, n, 1)
+	check("sharded by pairs", got)
+
+	pq := packB(gemmInt8, b, k, n)
+	for i := range got {
+		got[i] = math.MinInt32
+	}
+	gemmInt8.rowRange(got, a, pq, 0, min(1, m))
+	gemmInt8.rowRange(got, a, pq, min(1, m), m)
 	check("odd row-range split", got)
 }
 

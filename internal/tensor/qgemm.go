@@ -22,34 +22,15 @@ const (
 	qgemmMR = 4   // K-interleave of the packed panel / microkernel unroll
 )
 
-// QGEMM computes dst = a x b for row-major int8 matrices a [m, k] and
-// b [k, n] into int32 accumulators, overwriting all of dst[0:m*n]: b is
-// packed into panels now, then QGemmPrepacked runs on them. Results are
-// identical to QGEMMSerial because integer accumulation is exact
-// regardless of the shard split.
-func QGEMM(dst []int32, a, b []int8, m, k, n int) {
-	QGemmPrepacked(dst, a, PackQGemmB(b, k, n), m)
-}
-
 // qgemmPairRange converts a chunk of row-pair indices [lo, hi) into the
 // row range it owns: shard boundaries always land on even rows, and the
 // last pair of an odd-M matrix owns the lone remainder row.
 func qgemmPairRange(lo, hi, m int) (rlo, rhi int) {
-	rlo, rhi = lo*2, hi*2
-	if rhi > m {
-		rhi = m
-	}
-	return rlo, rhi
+	return lo * 2, min(hi*2, m)
 }
 
-// QGEMMSerial is QGEMM on the calling goroutine — the deterministic
-// reference the parallel path is checked against.
-func QGEMMSerial(dst []int32, a, b []int8, m, k, n int) {
-	qgemmPrepackedRange(dst, a, PackQGemmB(b, k, n), 0, m)
-}
-
-// qgemmPanelRows is the row-staging loop under the one int8 tile loop,
-// qgemmPrepackedRange (the int8 mirror of gemmPanelRows): it accumulates
+// qgemmPanelRows is the int8 microkernel's row-staging loop under the one
+// tile loop, gemm.rowRange (the int8 mirror of gemmPanelRows): it accumulates
 // one packed (K-block, N-block) panel into output rows [rlo, rhi),
 // dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go two at a time,
 // staged into one SWAR lane pair per K index, so a single 64-bit
@@ -82,9 +63,7 @@ func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, r
 // the zero padding contributes nothing to it or to any product).
 func loadQRow(abuf *[qgemmKC]int8, a []int8, i, k, kc, kb, kb4 int) int32 {
 	copy(abuf[:kb], a[i*k+kc:i*k+kc+kb])
-	for z := kb; z < kb4; z++ {
-		abuf[z] = 0
-	}
+	clear(abuf[kb:kb4])
 	var s int32
 	for _, v := range abuf[:kb] {
 		s += int32(v)

@@ -17,6 +17,21 @@ func qnaive(dst []int32, a, b []int8, m, k, n int) {
 	}
 }
 
+// qgemmSerial is a x b through the int8 tile loop on the calling goroutine,
+// b packed now; qgemmSharded cuts the same multiply into row pairs across
+// the worker pool, the way the band pass shards pixels.
+func qgemmSerial(dst []int32, a, b []int8, m, k, n int) {
+	gemmInt8.rowRange(dst, a, packB(gemmInt8, b, k, n), 0, m)
+}
+
+func qgemmSharded(dst []int32, a, b []int8, m, k, n, grain int) {
+	pq := packB(gemmInt8, b, k, n)
+	parallelFor((m+1)/2, grain, func(lo, hi int) {
+		rlo, rhi := qgemmPairRange(lo, hi, m)
+		gemmInt8.rowRange(dst, a, pq, rlo, rhi)
+	})
+}
+
 func randQ(r *rand.Rand, n int) []int8 {
 	out := make([]int8, n)
 	for i := range out {
@@ -33,14 +48,14 @@ func TestQGEMMMatchesNaive(t *testing.T) {
 		want := make([]int32, m*n)
 		qnaive(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		QGEMMSerial(got, a, b, m, k, n)
+		qgemmSerial(got, a, b, m, k, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dims %v: serial dst[%d] = %d, want %d", dims, i, got[i], want[i])
 			}
 		}
 		clear(got)
-		QGEMM(got, a, b, m, k, n)
+		qgemmSharded(got, a, b, m, k, n, 1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dims %v: parallel dst[%d] = %d, want %d", dims, i, got[i], want[i])
@@ -49,11 +64,12 @@ func TestQGEMMMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestQGEMMParallelOddM drives the sharded path above the parallel
-// threshold with odd M: shard boundaries must land on even rows so the
-// SWAR two-rows-per-int64 pairing stays intact, and only the final row
-// pays the single-row remainder kernel. Integer accumulation is exact,
-// so parallel must equal serial bit for bit.
+// TestQGEMMParallelOddM shards the tile loop's rows above the parallel
+// threshold with odd M, by pairs at the band pass's grain: shard
+// boundaries must land on even rows so the SWAR two-rows-per-int64
+// pairing stays intact, and only the final row pays the single-row
+// remainder kernel. Integer accumulation is exact, so parallel must equal
+// serial bit for bit.
 func TestQGEMMParallelOddM(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{129, 160, 160}, {255, 128, 64}, {65, 127, 255}} {
@@ -63,9 +79,9 @@ func TestQGEMMParallelOddM(t *testing.T) {
 		}
 		a, b := randQ(r, m*k), randQ(r, k*n)
 		want := make([]int32, m*n)
-		QGEMMSerial(want, a, b, m, k, n)
+		qgemmSerial(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		QGEMM(got, a, b, m, k, n)
+		qgemmSharded(got, a, b, m, k, n, grainForMACs(2*k*n))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dims %v: parallel dst[%d] = %d, want %d", dims, i, got[i], want[i])
@@ -105,11 +121,11 @@ func TestQGEMMPairRange(t *testing.T) {
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
-	a, pq := randQ(r, d*d), PackQGemmB(randQ(r, d*d), d, d)
+	a, pq := randQ(r, d*d), packB(gemmInt8, randQ(r, d*d), d, d)
 	dst := make([]int32, d*d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qgemmPrepackedRange(dst, a, pq, 0, d)
+		gemmInt8.rowRange(dst, a, pq, 0, d)
 	}
 }
 
@@ -120,10 +136,10 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 		a.Data[i] = float32(i%255) - 127
 		bb.Data[i] = float32((i*7)%255) - 127
 	}
-	pw := PackGemmB(bb.Data, d, d)
+	pw := packB(gemmFP32, bb.Data, d, d)
 	dst := make([]float32, d*d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmPrepackedRange(dst, a.Data, pw, 0, d)
+		gemmFP32.rowRange(dst, a.Data, pw, 0, d)
 	}
 }

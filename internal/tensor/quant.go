@@ -103,23 +103,6 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	return q
 }
 
-// QuantizeDynamicInto quantizes src per-tensor symmetric into dst
-// (same length, overwritten) and returns the scale — the runtime
-// activation quantization step of the int8 execution path. It is the
-// hot-path variant of QuantizeSymmetric: no allocation, float32 rounding.
-// Long inputs are sharded across the worker pool; max-abs is an exact
-// reduction in any order and every element is rounded by the same code
-// with the same scale, so the result does not depend on the split.
-func QuantizeDynamicInto(dst []int8, src []float32) float32 {
-	if len(src) < quantParallelElems {
-		return quantizeSerial(dst, src)
-	}
-	s := qscratchPool.Get().(*qscratch)
-	scale := s.quantize(dst, src)
-	qscratchPool.Put(s)
-	return scale
-}
-
 const (
 	// quantParallelElems is the activation length from which the
 	// quantizer shards: below it the two pool hand-offs cost more than
@@ -138,10 +121,18 @@ type quantJob struct {
 	inv float32
 }
 
-// quantize is QuantizeDynamicInto with the per-chunk maxima held in s.
+// quantize quantizes src per-tensor symmetric into dst (same length,
+// overwritten) and returns the scale — the runtime activation
+// quantization step of the int8 execution path: no allocation, float32
+// rounding. Long inputs are sharded across the worker pool, the per-chunk
+// maxima held in s; max-abs is an exact reduction in any order and every
+// element is rounded by the same code with the same scale, so the result
+// does not depend on the split.
 func (s *qscratch) quantize(dst []int8, src []float32) float32 {
 	if len(src) < quantParallelElems {
-		return quantizeSerial(dst, src)
+		scale := symmetricScale(maxAbs(src))
+		quantizeRound(dst, src, 1/scale)
+		return scale
 	}
 	chunks := (len(src) + quantChunk - 1) / quantChunk
 	s.maxima = growSlice(s.maxima, chunks)
@@ -167,13 +158,6 @@ func (s *qscratch) quantRoundChunks(lo, hi int) {
 	q := &s.quant
 	end := min(hi*quantChunk, len(q.src))
 	quantizeRound(q.dst[lo*quantChunk:end], q.src[lo*quantChunk:end], q.inv)
-}
-
-// quantizeSerial is the whole quantizer on the calling goroutine.
-func quantizeSerial(dst []int8, src []float32) float32 {
-	scale := symmetricScale(maxAbs(src))
-	quantizeRound(dst, src, 1/scale)
-	return scale
 }
 
 // maxAbs returns the largest magnitude in src; a NaN never wins. With

@@ -67,7 +67,7 @@ func TestQuantClampSymmetricRange(t *testing.T) {
 		}
 	}
 	dyn := make([]int8, len(adversarial))
-	QuantizeDynamicInto(dyn, adversarial)
+	quantizeDynamic(dyn, adversarial)
 	for i, v := range dyn {
 		if v == -128 {
 			t.Fatalf("dynamic code -128 emitted at %d for input %g", i, adversarial[i])
