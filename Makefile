@@ -69,9 +69,11 @@ serve-smoke:
 # ethernet link model), spawns three local stage-worker processes,
 # verifies the distributed pipeline is bit-identical to the
 # single-process executor, then fires a burst load through the front
-# server and asserts a clean run on a healthy pipeline; the throughput
-# beside one serving replica's is printed, not gated (three stages and a
-# dispatcher need more cores than CI has to overlap).
+# server and asserts a clean run on a healthy pipeline whose heaviest
+# stage had two frames inside its engine at once (each stage runs a
+# compute loop per core: edgepipe_stage_inflight_max >= 2 there); the
+# throughput beside one serving replica's is printed, not gated (three
+# stages and a dispatcher need more cores than CI has to overlap).
 pipe-smoke:
 	$(GO) run ./cmd/edgepipe run -model CifarNet -framework TFLite \
 		-devices RPi3,JetsonNano,JetsonTX2 -link ethernet \

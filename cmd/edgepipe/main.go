@@ -22,7 +22,8 @@
 // With -attack the dispatcher drives its own load generator against
 // the front server and prints pipeline throughput beside a measured
 // single-replica baseline; -smoke turns the run into an exit code: zero
-// failed requests and a healthy pipeline.
+// failed requests, a healthy pipeline, and — where the heaviest stage has
+// more than one compute loop — two frames inside it at once.
 package main
 
 import (
@@ -121,12 +122,12 @@ func runPipeline(args []string) int {
 	seed := fs.Int64("seed", 11, "weight materialization seed")
 	addr := fs.String("addr", "127.0.0.1:0", "HTTP front-end listen address")
 	workersCSV := fs.String("workers", "", "comma-separated addresses of already-running stage workers; empty spawns one local worker process per stage")
-	replicas := fs.Int("replicas", 1, "executor replicas per stage worker")
+	replicas := fs.Int("replicas", 0, "frames each stage worker computes at once, one engine replica apiece (0 = the worker's own core count, 1 = one frame at a time)")
 	credits := fs.Int("credits", 0, "per-hop credit window (0 = default)")
 	check := fs.Int("check", 4, "verify this many seeded inputs bitwise against a single-process run (0 disables)")
 	queueCap := fs.Int("queue", 64, "front server: admission queue capacity")
 	attack := fs.String("attack", "", "fire the built-in load generator: rate,duration[,burst] with rate in req/s or 'auto'")
-	smoke := fs.Bool("smoke", false, "with -attack: exit nonzero unless the run is clean (zero failed requests, pipeline healthy)")
+	smoke := fs.Bool("smoke", false, "with -attack: exit nonzero unless the run is clean (zero failed requests, pipeline healthy, the heaviest stage seen computing two frames at once if it can)")
 	verbose := fs.Bool("v", false, "log dispatcher progress to stderr")
 	_ = fs.Parse(args)
 
@@ -247,8 +248,12 @@ func runPipeline(args []string) int {
 	hs := srv.HTTPServer()
 	go func() { _ = hs.Serve(ln) }()
 	front := ln.Addr().String()
-	fmt.Printf("serving %s on http://%s (front of a %d-stage pipeline, %d frames in flight)\n\n",
-		plan.Model, front, len(stages), p.Concurrency())
+	var perStage []string
+	for _, st := range p.StageStats() {
+		perStage = append(perStage, fmt.Sprint(st.Concurrency))
+	}
+	fmt.Printf("serving %s on http://%s (front of a %d-stage pipeline computing %s frames at once per stage, %d frames in flight)\n\n",
+		plan.Model, front, len(stages), strings.Join(perStage, "/"), p.Concurrency())
 
 	code := 0
 	if *attack != "" {
@@ -392,6 +397,8 @@ func wireStageMetrics(srv *server.Server, p *cluster.Pipeline) {
 		"bytes":    r.NewGaugeVec("edgepipe_stage_transfer_bytes_out", "bytes forwarded downstream", "stage"),
 		"stalls":   r.NewGaugeVec("edgepipe_stage_credit_stalls_total", "times the stage blocked waiting for downstream credits", "stage"),
 		"queue":    r.NewGaugeVec("edgepipe_stage_queue_depth", "frames waiting in the stage's input queue", "stage"),
+		"conc":     r.NewGaugeVec("edgepipe_stage_concurrency", "frames the stage can compute at once (its compute loops)", "stage"),
+		"inflight": r.NewGaugeVec("edgepipe_stage_inflight_max", "high-water count of frames inside the stage's engine at once", "stage"),
 		"compute":  r.NewGaugeVec("edgepipe_stage_compute_seconds_total", "cumulative stage compute time", "stage"),
 	}
 	srv.OnScrape(func() {
@@ -404,6 +411,8 @@ func wireStageMetrics(srv *server.Server, p *cluster.Pipeline) {
 			vecs["bytes"].Set(label, float64(st.BytesOut))
 			vecs["stalls"].Set(label, float64(st.CreditStalls))
 			vecs["queue"].Set(label, float64(st.QueueDepth))
+			vecs["conc"].Set(label, float64(st.Concurrency))
+			vecs["inflight"].Set(label, float64(st.InflightMax))
 			vecs["compute"].Set(label, st.ComputeSeconds)
 		}
 	})
@@ -463,11 +472,24 @@ func runAttack(p *cluster.Pipeline, g *graph.Graph, baseURL, attack string, seed
 	if err := p.Err(); err != nil && !errors.Is(err, cluster.ErrPipelineClosed) {
 		problems = append(problems, fmt.Sprintf("pipeline error: %v", err))
 	}
+	// The stage with the most compute is where frames queue, so it is where
+	// a second compute loop must have shown.
+	var heaviest cluster.StageStats
+	for _, st := range p.StageStats() {
+		if st.ComputeSeconds > heaviest.ComputeSeconds {
+			heaviest = st
+		}
+	}
+	if heaviest.Concurrency >= 2 && opts.Burst >= 2 && heaviest.InflightMax < 2 {
+		problems = append(problems, fmt.Sprintf("the heaviest stage (%d, %d compute loops) never held two frames at once",
+			heaviest.Stage, heaviest.Concurrency))
+	}
 	if len(problems) > 0 {
 		fmt.Fprintf(os.Stderr, "\nedgepipe: smoke FAILED: %s\n", strings.Join(problems, "; "))
 		return 1
 	}
-	fmt.Println("\nsmoke OK: zero failed requests, pipeline healthy")
+	fmt.Printf("\nsmoke OK: zero failed requests, pipeline healthy, heaviest stage (%d) held %d of %d frames at once\n",
+		heaviest.Stage, heaviest.InflightMax, heaviest.Concurrency)
 	return 0
 }
 

@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"edgebench/internal/cluster"
+	"edgebench/internal/exchange"
 	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
@@ -22,9 +26,13 @@ import (
 
 // testModel builds a small materialized CNN with enough cut points for
 // a 3-stage split.
-func testModel(t *testing.T) *graph.Graph {
+func testModel(t *testing.T) *graph.Graph { return testModelHW(t, 12) }
+
+// testModelHW is testModel on an hw×hw input: the tests that need frames
+// to still be computing when something else happens use a larger one.
+func testModelHW(t *testing.T, hw int) *graph.Graph {
 	t.Helper()
-	b := nn.NewBuilder("pipetest", nn.Options{Materialize: true, Seed: 11}, 3, 12, 12)
+	b := nn.NewBuilder("pipetest", nn.Options{Materialize: true, Seed: 11}, 3, hw, hw)
 	b.Conv2D("c1", 8, 3, 1, 1, true)
 	b.ReLU("r1")
 	b.MaxPool("p1", 2, 2, 0)
@@ -78,6 +86,24 @@ func startWorkers(t *testing.T, n int) ([]cluster.Stage, []*workerProc) {
 		t.Cleanup(cancel)
 	}
 	return stages, procs
+}
+
+// wantBits fails the test unless got carries exactly the bits a
+// single-process executor computes for in on g.
+func wantBits(t *testing.T, g *graph.Graph, in *tensor.Tensor, got []float32, what string) {
+	t.Helper()
+	want, err := (&graph.Executor{}).Run(g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Data) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want.Data))
+	}
+	for i := range want.Data {
+		if got[i] != want.Data[i] {
+			t.Fatalf("%s: output[%d] = %v, single-process %v", what, i, got[i], want.Data[i])
+		}
+	}
 }
 
 func waitExit(t *testing.T, p *workerProc) error {
@@ -237,12 +263,15 @@ func TestPipelinePlanRoundTrip(t *testing.T) {
 // TestPipelineKillMiddleStage is the graceful-failure contract: kill
 // stage 1 mid-stream; the dispatcher must surface a structured
 // StageError (marked Unavailable), in-flight requests must fail rather
-// than hang, and the HTTP front end must answer 503.
+// than hang, and the HTTP front end must answer 503. Every stage runs two
+// compute loops, so the survivors each have loops parked on inQ (or on a
+// credit) when their neighbour dies; their Run returning proves none stays
+// parked.
 func TestPipelineKillMiddleStage(t *testing.T) {
 	g := testModel(t)
 	parts := splitThree(t, g)
 	stages, procs := startWorkers(t, 3)
-	p, err := cluster.Connect(parts, stages, cluster.Options{})
+	p, err := cluster.Connect(parts, stages, cluster.Options{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +313,14 @@ func TestPipelineKillMiddleStage(t *testing.T) {
 	if se.Stage != 0 && se.Stage != 1 && se.Stage != 2 {
 		t.Fatalf("implausible failed stage index %d", se.Stage)
 	}
-	if p.Err() == nil {
-		t.Fatal("pipeline should remember its terminal error")
+	if !errors.Is(p.Err(), inferErr) {
+		t.Fatalf("pipeline remembers %v, its callers were told %v", p.Err(), inferErr)
+	}
+	for _, i := range []int{0, 2} {
+		// Run waits for every goroutine the worker started.
+		if err := waitExit(t, procs[i]); err == nil {
+			t.Fatalf("stage %d exited clean after losing its neighbour", i)
+		}
 	}
 
 	// The front server must answer 503, not hang or 500.
@@ -305,85 +340,169 @@ func TestPipelineKillMiddleStage(t *testing.T) {
 }
 
 // TestPipelineFrontServerKeepsStagesFed: the front server sizes its
-// dispatch from Pipeline.Concurrency — one frame per stage and one for
-// the hops — so concurrent HTTP requests overlap inside the chain
-// instead of crossing it one at a time, and every answer still carries
-// the single-process executor's bits.
+// dispatch from Pipeline.Concurrency — the frames the stages compute at
+// once and one for the hops — so concurrent HTTP requests overlap inside
+// the chain instead of crossing it one at a time. With two loops a stage
+// frames overtake each other, so every answer is checked against the
+// single-process executor's bits for its own seed: a result handed to the
+// wrong request shows as a wrong output.
 func TestPipelineFrontServerKeepsStagesFed(t *testing.T) {
-	g := testModel(t)
-	graph.PrepackWeights(g) // match the stage engines' pre-packed lowering
-	parts := splitThree(t, g)
-	stages, _ := startWorkers(t, 3)
-	p, err := cluster.Connect(parts, stages, cluster.Options{})
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			g := testModel(t)
+			graph.PrepackWeights(g) // match the stage engines' pre-packed lowering
+			parts := splitThree(t, g)
+			stages, _ := startWorkers(t, 3)
+			p, err := cluster.Connect(parts, stages, cluster.Options{Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conc := p.Concurrency()
+			if want := 3*replicas + 1; conc != want {
+				t.Fatalf("3 stages of %d loops declare concurrency %d, want %d (a frame per loop + 1)", replicas, conc, want)
+			}
+			srv := server.New(p, server.Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer func() { _ = srv.Close() }() // closes the pipeline too
+
+			const n = 16
+			outs := make([]server.InferResponse, n)
+			var wg sync.WaitGroup
+			for i := range outs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					body, _ := json.Marshal(server.InferRequest{Seed: int64(i)})
+					resp, err := http.Post(ts.URL+"/infer", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer func() { _ = resp.Body.Close() }()
+					if err := json.NewDecoder(resp.Body).Decode(&outs[i]); err != nil {
+						t.Errorf("seed %d: status %d: %v", i, resp.StatusCode, err)
+					}
+				}()
+			}
+			wg.Wait()
+			for i, out := range outs {
+				wantBits(t, g, server.SeededInput(g.Input.OutShape, int64(i)), out.Output, fmt.Sprintf("seed %d", i))
+			}
+			m := srv.Metrics()
+			if got := m.EngineInflightMax.Value(); got < 2 || got > float64(conc) {
+				t.Errorf("most frames in flight at once %v, want 2..%d (%d concurrent requests)", got, conc, n)
+			}
+			if got := m.Batches.Value(); got != n {
+				t.Errorf("%d dispatches for %d requests, want one each", got, n)
+			}
+			for _, st := range p.StageStats() {
+				if st.Concurrency != replicas || st.InflightMax < 1 || st.InflightMax > replicas {
+					t.Errorf("stage %d: concurrency %d, most frames computing at once %d; want %d and 1..%d",
+						st.Stage, st.Concurrency, st.InflightMax, replicas, replicas)
+				}
+			}
+		})
+	}
+}
+
+// TestStageComputesFramesConcurrently: a stage whose engine has two
+// replicas computes two waiting frames side by side. Pairs of concurrent
+// Infers go in until the stage reports both inside the engine at once; a
+// stage that takes one frame at a time never does.
+func TestStageComputesFramesConcurrently(t *testing.T) {
+	g := testModelHW(t, 48)
+	graph.PrepackWeights(g)
+	stages, _ := startWorkers(t, 1)
+	p, err := cluster.Connect([]*graph.Graph{g}, stages, cluster.Options{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Concurrency(); got != 4 {
-		t.Fatalf("3-stage pipeline declares concurrency %d, want 4 (a frame per stage + 1)", got)
+	defer func() { _ = p.Close() }()
+	if got := p.Concurrency(); got != 3 {
+		t.Fatalf("one stage of two loops declares concurrency %d, want 3", got)
 	}
-	srv := server.New(p, server.Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer func() { _ = srv.Close() }() // closes the pipeline too
-
-	const n = 16
-	outs := make([]server.InferResponse, n)
-	var wg sync.WaitGroup
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, _ := json.Marshal(server.InferRequest{Seed: int64(i)})
-			resp, err := http.Post(ts.URL+"/infer", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer func() { _ = resp.Body.Close() }()
-			if err := json.NewDecoder(resp.Body).Decode(&outs[i]); err != nil {
-				t.Errorf("seed %d: status %d: %v", i, resp.StatusCode, err)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, out := range outs {
-		want, err := (&graph.Executor{}).Run(g, server.SeededInput(g.Input.OutShape, int64(i)))
-		if err != nil {
-			t.Fatal(err)
+	deadline := time.Now().Add(10 * time.Second)
+	for seed := int64(0); ; seed += 2 {
+		ins := []*tensor.Tensor{server.SeededInput(g.Input.OutShape, seed), server.SeededInput(g.Input.OutShape, seed+1)}
+		outs := make([]*tensor.Tensor, len(ins))
+		errs := make([]error, len(ins))
+		var wg sync.WaitGroup
+		for i := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i], errs[i] = p.Infer(ins[i])
+			}()
 		}
-		if len(out.Output) != len(want.Data) {
-			t.Fatalf("seed %d: %d outputs, want %d", i, len(out.Output), len(want.Data))
-		}
-		for j := range want.Data {
-			if out.Output[j] != want.Data[j] {
-				t.Fatalf("seed %d: output[%d] = %v, single-process %v", i, j, out.Output[j], want.Data[j])
+		wg.Wait()
+		for i := range ins {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
+			wantBits(t, g, ins[i], outs[i].Data, fmt.Sprintf("seed %d", seed+int64(i)))
 		}
-	}
-	m := srv.Metrics()
-	if got := m.EngineInflightMax.Value(); got < 2 || got > 4 {
-		t.Errorf("most frames in flight at once %v, want 2..4 (16 concurrent requests, concurrency 4)", got)
-	}
-	if got := m.Batches.Value(); got != n {
-		t.Errorf("%d dispatches for %d requests, want one each", got, n)
+		st := p.StageStats()[0]
+		if st.Concurrency != 2 || st.InflightMax > 2 {
+			t.Fatalf("stage reports concurrency %d and %d frames computing at once, want 2 and at most 2", st.Concurrency, st.InflightMax)
+		}
+		if st.InflightMax == 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d pairs of concurrent frames the stage never computed two at once", seed/2+1)
+		}
 	}
 }
 
 // TestPipelineGracefulClose: Close drains workers (they exit nil) and
-// later Infers fail fast with ErrPipelineClosed (also Unavailable).
+// later Infers fail fast with ErrPipelineClosed (also Unavailable). Close
+// is called with frames still inside the stages' compute loops (two a
+// stage): each of those calls gets its own bit-exact result or
+// ErrPipelineClosed, never a neighbour's bits and never a hang, and every
+// goroutine the pipeline and the workers started is gone afterwards.
 func TestPipelineGracefulClose(t *testing.T) {
-	g := testModel(t)
+	baseline := runtime.NumGoroutine()
+	g := testModelHW(t, 48)
+	graph.PrepackWeights(g)
 	parts := splitThree(t, g)
 	stages, procs := startWorkers(t, 3)
-	p, err := cluster.Connect(parts, stages, cluster.Options{Credits: 2})
+	p, err := cluster.Connect(parts, stages, cluster.Options{Credits: 2, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Infer(server.SeededInput(g.Input.OutShape, 5)); err != nil {
 		t.Fatal(err)
 	}
+
+	const n = 8
+	ins := make([]*tensor.Tensor, n)
+	outs := make([]*tensor.Tensor, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range ins {
+		ins[i] = server.SeededInput(g.Input.OutShape, int64(20+i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = p.Infer(ins[i])
+		}()
+	}
+	// Close once the burst has started to arrive at stage 0.
+	for p.StageStats()[0].FramesIn < 3 {
+		time.Sleep(50 * time.Microsecond)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	wg.Wait()
+	for i := range ins {
+		switch {
+		case errs[i] == nil:
+			wantBits(t, g, ins[i], outs[i].Data, fmt.Sprintf("in-flight frame %d", i))
+		case !errors.Is(errs[i], cluster.ErrPipelineClosed):
+			t.Fatalf("in-flight frame %d: %v, want a result or ErrPipelineClosed", i, errs[i])
+		}
 	}
 	for i, proc := range procs {
 		if err := waitExit(t, proc); err != nil {
@@ -400,5 +519,181 @@ func TestPipelineGracefulClose(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after close, %d before the pipeline existed", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// handConfigure plays the dispatcher's control role toward one worker:
+// hello, config, wait for Ready. It returns the control connection and the
+// compute-loop count the worker reported.
+func handConfigure(t *testing.T, addr string, cfg cluster.WorkerConfig, part *graph.Graph) (net.Conn, int) {
+	t.Helper()
+	var err error
+	if cfg.Graph, err = exchange.Export(part, exchange.Options{IncludeWeights: true}); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ctrl.Close() })
+	for _, f := range []*cluster.Frame{
+		cluster.ControlFrame(cluster.KindHello, uint64(cfg.Stage), []byte(cluster.RoleControl)),
+		cluster.ControlFrame(cluster.KindConfig, uint64(cfg.Stage), payload),
+	} {
+		if err := cluster.WriteFrame(ctrl, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ready, err := cluster.ReadFrame(ctrl)
+	if err != nil || ready.Kind != cluster.KindReady {
+		t.Fatalf("stage %d: no Ready: %v %v", cfg.Stage, ready, err)
+	}
+	return ctrl, int(ready.Seq)
+}
+
+// TestStageDrainSendsOneEOSLast watches the wire a Pipeline's result loop
+// stops reading at EOS: the test is the dispatcher of a two-stage chain
+// whose stages run two compute loops each, shuts it down with frames
+// still inside them, and reads the result connection past the EOS. Every
+// frame sent must arrive with its own bits, then one EOS — the last loop
+// to retire sends it, after its siblings' frames — then nothing, and the
+// chain unwinds from the back once the test hangs up.
+func TestStageDrainSendsOneEOSLast(t *testing.T) {
+	g := testModelHW(t, 48)
+	graph.PrepackWeights(g)
+	cuts := partition.CutPoints(g)
+	parts, err := partition.SplitN(g, cuts[len(cuts)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	partition.CopyParams(g, parts...)
+	stages, procs := startWorkers(t, 2)
+
+	resultLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resultLn.Close() }()
+	ctrls := make([]net.Conn, 2)
+	for i := 1; i >= 0; i-- { // last stage first: each dials a configured peer
+		down := resultLn.Addr().String()
+		if i == 0 {
+			down = stages[1].Addr
+		}
+		var loops int
+		ctrls[i], loops = handConfigure(t, stages[i].Addr, cluster.WorkerConfig{Stage: i, Downstream: down, Replicas: 2}, parts[i])
+		if loops != 2 {
+			t.Fatalf("stage %d reports %d compute loops in Ready, want 2", i, loops)
+		}
+	}
+	result, err := resultLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = result.Close() }()
+	if f, err := cluster.ReadFrame(result); err != nil || f.Kind != cluster.KindHello {
+		t.Fatalf("result connection: %v %v", f, err)
+	}
+	if err := cluster.WriteFrame(result, cluster.ControlFrame(cluster.KindCredit, cluster.DefaultCredits, nil)); err != nil {
+		t.Fatal(err)
+	}
+	head, err := net.Dial("tcp", stages[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = head.Close() }()
+	if err := cluster.WriteFrame(head, cluster.ControlFrame(cluster.KindHello, 0, []byte(cluster.RoleData))); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := cluster.ReadFrame(head); err != nil || f.Kind != cluster.KindCredit || f.Seq < 6 {
+		t.Fatalf("head connection: no credit window: %v %v", f, err)
+	}
+
+	// One frame all the way through first, as Connect's callers send
+	// before they close: a stage told to shut down before it has accepted
+	// its upstream's connection takes itself for the head of no chain.
+	if err := cluster.WriteFrame(head, cluster.TensorFrame(100, server.SeededInput(g.Input.OutShape, 100))); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := cluster.ReadFrame(result); err != nil || f.Kind != cluster.KindTensor || f.Seq != 100 {
+		t.Fatalf("warm frame: %v %v", f, err)
+	}
+	if err := cluster.WriteFrame(result, cluster.ControlFrame(cluster.KindCredit, 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Six frames inside the window, then the shutdown Pipeline.Close sends.
+	ins := map[uint64]*tensor.Tensor{}
+	for seq := uint64(1); seq <= 6; seq++ {
+		ins[seq] = server.SeededInput(g.Input.OutShape, int64(seq))
+		if err := cluster.WriteFrame(head, cluster.TensorFrame(seq, ins[seq])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range ctrls {
+		if err := cluster.WriteFrame(c, cluster.ControlFrame(cluster.KindShutdown, 0, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cluster.WriteFrame(head, cluster.ControlFrame(cluster.KindEOS, 0, nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := result.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for eos := false; !eos; {
+		f, err := cluster.ReadFrame(result)
+		if err != nil {
+			t.Fatalf("result connection ended with %v and %d frames undelivered, before any EOS", err, len(ins))
+		}
+		switch f.Kind {
+		case cluster.KindEOS:
+			eos = true
+		case cluster.KindTensor:
+			out, err := f.Tensor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := ins[f.Seq]
+			if in == nil {
+				t.Fatalf("seq %d arrived twice or was never sent", f.Seq)
+			}
+			delete(ins, f.Seq)
+			wantBits(t, g, in, out.Data, fmt.Sprintf("seq %d", f.Seq))
+			if err := cluster.WriteFrame(result, cluster.ControlFrame(cluster.KindCredit, 1, nil)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			t.Fatalf("unexpected %s frame on the result connection", f.Kind)
+		}
+	}
+	if len(ins) != 0 {
+		t.Fatalf("EOS arrived with %d frames still undelivered", len(ins))
+	}
+	// The stage stays until its downstream hangs up, and says nothing more.
+	if err := result.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	var timeout net.Error
+	if f, err := cluster.ReadFrame(result); !errors.As(err, &timeout) || !timeout.Timeout() {
+		t.Fatalf("after the stage's EOS: frame %v, error %v; want silence on an open connection", f, err)
+	}
+	_ = result.Close()
+	for i, proc := range procs {
+		if err := waitExit(t, proc); err != nil {
+			t.Fatalf("worker %d exited with %v after a clean drain", i, err)
+		}
 	}
 }

@@ -60,7 +60,9 @@ type Options struct {
 	// Credits is the per-hop flow-control window (default
 	// DefaultCredits).
 	Credits int
-	// Replicas sizes each stage's engine pool (default 1).
+	// Replicas sizes each stage's engine pool, which is also how many
+	// frames the stage computes at once. Zero leaves it to each worker,
+	// which uses its own core count; 1 is one frame at a time per stage.
 	Replicas int
 	// DialTimeout bounds every control handshake (default 15s).
 	DialTimeout time.Duration
@@ -71,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Credits <= 0 {
 		o.Credits = DefaultCredits
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 1
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 15 * time.Second
@@ -126,7 +125,10 @@ func (c *ctrlConn) write(f *Frame) error {
 type Pipeline struct {
 	parts  []*graph.Graph
 	stages []Stage
-	opts   Options
+	// stageConc[i] is how many frames stage i computes at once, as its
+	// worker reported in Ready.
+	stageConc []int
+	opts      Options
 
 	resultLn    net.Listener
 	head        net.Conn
@@ -168,6 +170,7 @@ func Connect(parts []*graph.Graph, stages []Stage, opts Options) (p *Pipeline, e
 	p = &Pipeline{
 		parts:       parts,
 		stages:      stages,
+		stageConc:   make([]int, len(stages)),
 		opts:        opts,
 		resultLn:    ln,
 		headCredits: newCredits(),
@@ -261,6 +264,7 @@ func (p *Pipeline) configureStage(i int) error {
 	}
 	switch f.Kind {
 	case KindReady:
+		p.stageConc[i] = int(f.Seq)
 	case KindError:
 		return &StageError{Stage: i, Device: st.Device, Err: fmt.Errorf("%s", f.Payload)}
 	default:
@@ -271,7 +275,8 @@ func (p *Pipeline) configureStage(i int) error {
 	}
 	p.wg.Add(1)
 	go p.monitor(c)
-	p.logf("pipeline: stage %d ready at %s (device %s, %d ops)", i, st.Addr, st.Device, p.parts[i].NumOps())
+	p.logf("pipeline: stage %d ready at %s (device %s, %d ops, %d frames at once)",
+		i, st.Addr, st.Device, p.parts[i].NumOps(), p.stageConc[i])
 	return nil
 }
 
@@ -467,14 +472,19 @@ func (p *Pipeline) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Concurrency is the number of frames in flight that keeps every stage
-// computing — what the front server sizes its dispatch loops from. A
-// stage's compute loop takes one frame at a time, so that is one frame
-// per stage, plus one to cover the hops and the dispatcher's turn-around
-// (with exactly one frame per stage, each stage idles for the hop after
-// every frame). The hops' credit windows bound what the chain can hold
-// at all.
+// computing — what the front server sizes its dispatch loops from. Each
+// stage reports how many frames it computes at once (its engine's
+// replicas, by default its device's cores), so that is the sum over the
+// stages, plus one to cover the hops and the dispatcher's turn-around
+// (with exactly as many frames as compute loops, each loop idles for the
+// hop after every frame). The hops' credit windows bound what the chain
+// can hold at all.
 func (p *Pipeline) Concurrency() int {
-	return min(len(p.stages)+1, len(p.stages)*p.opts.Credits)
+	frames := 1
+	for _, n := range p.stageConc {
+		frames += n
+	}
+	return min(frames, len(p.stages)*p.opts.Credits)
 }
 
 // InputShape is the first stage's input shape.
@@ -567,8 +577,10 @@ func (p *Pipeline) Err() error {
 }
 
 // Close shuts the pipeline down: workers are asked to drain (each
-// forwards its queue, passes EOS on, and exits), pending requests are
-// failed with ErrPipelineClosed, and all connections close. Idempotent.
+// forwards its queue, passes EOS on, and exits once its downstream hangs
+// up — so closing the result connection here unwinds the chain from the
+// back), pending requests are failed with ErrPipelineClosed, and all
+// connections close. Idempotent.
 func (p *Pipeline) Close() error {
 	p.closing.Store(true)
 	for _, c := range p.ctrls {

@@ -115,7 +115,8 @@ var (
 // Frame is one protocol message. Tensor frames carry Shape +
 // float32-encoded Payload; control frames leave Shape nil and use
 // Payload (or just Seq, which doubles as the credit count for
-// KindCredit and the stage index for KindHello) as their argument.
+// KindCredit, the stage index for KindHello and the stage's compute-loop
+// count for KindReady) as their argument.
 type Frame struct {
 	Kind    Kind
 	DType   DType

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,8 +49,10 @@ type WorkerConfig struct {
 	// Credits is the window this worker grants its upstream (default
 	// DefaultCredits).
 	Credits int `json:"credits,omitempty"`
-	// Replicas sizes the stage's serving.Engine replica pool (default 1;
-	// the pipeline's parallelism is across stages, not within one).
+	// Replicas sizes the stage's serving.Engine replica pool, and with it
+	// the number of frames the stage computes at once (one compute loop
+	// per replica). Zero or less means the worker's own core count — the
+	// dispatcher cannot know a remote device's; 1 is one frame at a time.
 	Replicas int `json:"replicas,omitempty"`
 }
 
@@ -68,6 +71,10 @@ type StageStats struct {
 	// P50Ms/P95Ms are per-frame stage compute latency quantiles.
 	P50Ms float64 `json:"p50_ms"`
 	P95Ms float64 `json:"p95_ms"`
+	// Concurrency is how many frames the stage can compute at once (its
+	// compute-loop count); InflightMax is the most it ever has.
+	Concurrency int `json:"concurrency"`
+	InflightMax int `json:"inflight_max"`
 	// Kernel dispatch counters by path, for the pipeline-wide gauges.
 	Int8Kernels  int64 `json:"int8_kernels"`
 	FP32Kernels  int64 `json:"fp32_kernels"`
@@ -141,19 +148,22 @@ type Worker struct {
 	upstream net.Conn
 	ctrlMu   sync.Mutex // serializes frames onto ctrl
 	upMu     sync.Mutex // serializes frames onto upstream
+	downMu   sync.Mutex // serializes frames onto down
 
 	downCredits *credits
 	ready       chan struct{} // closed once configured
 	inQ         chan inFrame
 	eos         chan struct{} // closed when upstream sends EOS
 	eosOnce     sync.Once
+	loops       atomic.Int32 // compute loops that have not yet seen the stream end
 	draining    atomic.Bool
 	eosSent     atomic.Bool
 
 	framesIn, framesOut, bytesIn, bytesOut atomic.Uint64
 	computeNs                              atomic.Int64
-	latMu                                  sync.Mutex
+	statMu                                 sync.Mutex // guards the three below
 	latency                                *stats.Digest
+	inflight, inflightMax                  int // frames inside eng.Infer now / at most
 
 	done    chan struct{} // closed on fatal error or shutdown
 	once    sync.Once
@@ -224,11 +234,10 @@ func (w *Worker) exit(err error) {
 
 // Run serves until ctx cancels, the dispatcher sends Shutdown, or a
 // fatal error occurs (which is also reported upstream on the control
-// connection). It owns the accept and compute loops.
+// connection). It owns the accept loop and everything that starts.
 func (w *Worker) Run(ctx context.Context) error {
-	w.wg.Add(2)
+	w.wg.Add(1)
 	go w.acceptLoop(ctx)
-	go w.computeLoop(ctx)
 	select {
 	case <-ctx.Done():
 		w.exit(ctx.Err())
@@ -331,8 +340,10 @@ func (w *Worker) controlLoop(ctx context.Context, conn net.Conn) {
 				w.exit(err)
 				return
 			}
+			// Ready carries the stage's compute-loop count; the dispatcher
+			// sizes the frames it keeps in flight from it.
 			w.ctrlMu.Lock()
-			err := WriteFrame(conn, ControlFrame(KindReady, 0, nil))
+			err := WriteFrame(conn, ControlFrame(KindReady, uint64(w.eng.Concurrency()), nil))
 			w.ctrlMu.Unlock()
 			if err != nil {
 				w.exit(fmt.Errorf("cluster: ready reply: %w", err))
@@ -360,7 +371,8 @@ func (w *Worker) controlLoop(ctx context.Context, conn net.Conn) {
 }
 
 // configure builds the stage: import the subgraph (verify-gated by
-// exchange.Import), spin up the engine, warm it, and dial downstream.
+// exchange.Import), spin up the engine, warm it, dial downstream, and
+// start one compute loop per inference the engine can run at once.
 func (w *Worker) configure(payload []byte) error {
 	var cfg WorkerConfig
 	if err := json.Unmarshal(payload, &cfg); err != nil {
@@ -370,7 +382,10 @@ func (w *Worker) configure(payload []byte) error {
 		cfg.Credits = DefaultCredits
 	}
 	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
+		// This device's cores, not GOMAXPROCS: a launcher may still be
+		// holding that at 1 while the stage is configured and raise it
+		// before traffic starts.
+		cfg.Replicas = runtime.NumCPU()
 	}
 	g, err := exchange.Import(cfg.Graph)
 	if err != nil {
@@ -407,10 +422,18 @@ func (w *Worker) configure(payload []byte) error {
 	w.downCredits = newCredits()
 	w.inQ = make(chan inFrame, cfg.Credits)
 	w.mu.Unlock()
+	// controlLoop, our caller, holds a wg slot until it returns, so Run's
+	// Wait cannot observe zero between these Adds and the goroutines.
 	w.wg.Add(1)
 	go w.downstreamLoop(down)
+	n := eng.Concurrency()
+	w.loops.Store(int32(n))
+	for i := 0; i < n; i++ {
+		w.wg.Add(1)
+		go w.computeLoop()
+	}
 	close(w.ready)
-	w.logf("worker: stage %d ready (%d ops, downstream %s)", cfg.Stage, g.NumOps(), cfg.Downstream)
+	w.logf("worker: stage %d ready (%d ops, %d compute loops, downstream %s)", cfg.Stage, g.NumOps(), n, cfg.Downstream)
 	return nil
 }
 
@@ -442,7 +465,7 @@ func (w *Worker) upstreamLoop(ctx context.Context, conn net.Conn) {
 				if w.draining.Load() && (errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)) {
 					// Upstream closed while we drain: no more frames can
 					// arrive, so treat the loss as end-of-stream and let
-					// the compute loop flush and exit.
+					// the compute loops flush and exit.
 					w.eosOnce.Do(func() { close(w.eos) })
 					return
 				}
@@ -484,13 +507,16 @@ func (w *Worker) downstreamLoop(conn net.Conn) {
 			select {
 			case <-w.done:
 			default:
-				// After we forward EOS the downstream peer tears down its
-				// side; racing its close against our own exit is the normal
-				// cross-process drain, not a failure.
-				if w.eosSent.Load() && (errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)) {
-					return
+				// Once our EOS is out, the downstream peer hanging up is how
+				// a drained chain unwinds, back to front, and what ends this
+				// worker: it stays until then so that the peer's late credit
+				// grants never meet a closed socket, whose reset would take
+				// the frames the peer has not read yet with it.
+				if w.eosSent.Load() {
+					w.exit(nil)
+				} else {
+					w.exit(fmt.Errorf("cluster: stage %d downstream connection lost: %w", w.stage(), err))
 				}
-				w.exit(fmt.Errorf("cluster: stage %d downstream connection lost: %w", w.stage(), err))
 			}
 			return
 		}
@@ -507,56 +533,65 @@ func (w *Worker) downstreamLoop(conn net.Conn) {
 	}
 }
 
-// computeLoop is the stage's single in-order execution thread: one
-// frame at a time through the engine, forwarded under the downstream
-// credit window, then one credit granted back upstream. One frame at a
-// time per stage is the pipeline-parallel model — concurrency comes
-// from K stages overlapping, not from reordering within a stage.
-func (w *Worker) computeLoop(ctx context.Context) {
+// computeLoop is one of the stage's identical execution loops; configure
+// starts as many as the engine runs inferences at once, so a stage with
+// two replicas computes two queued frames side by side (a core each)
+// while a lone frame still fans its kernels out over the idle cores.
+// Each loop takes a frame from inQ, runs it through the engine, forwards
+// the result under the downstream credit window, and grants one credit
+// back upstream. Frames may therefore leave a stage out of order; nothing
+// downstream cares, because the dispatcher matches results to requests by
+// seq. The stream ends in order all the same: a loop retires when it
+// finds upstream's EOS and an empty queue, every loop forwards its frame
+// before it looks again, so the last one to retire knows every frame is
+// out and passes the stage's one EOS on; the worker then ends when the
+// downstream peer hangs up (downstreamLoop).
+func (w *Worker) computeLoop() {
 	defer w.wg.Done()
-	select {
-	case <-w.ready:
-	case <-w.done:
-		return
-	case <-ctx.Done():
-		return
-	}
 	for {
 		var f inFrame
 		select {
 		case f = <-w.inQ:
 		case <-w.eos:
-			// Drain whatever arrived before EOS, then pass EOS on. The
-			// downstream conn has a single writer (this loop), no lock.
+			// Drain whatever arrived before EOS first.
 			select {
 			case f = <-w.inQ:
 			default:
-				w.eosSent.Store(true)
-				_ = WriteFrame(w.down, ControlFrame(KindEOS, 0, nil))
-				w.exit(nil)
+				if w.loops.Add(-1) == 0 {
+					w.eosSent.Store(true)
+					w.downMu.Lock()
+					_ = WriteFrame(w.down, ControlFrame(KindEOS, 0, nil))
+					w.downMu.Unlock()
+				}
 				return
 			}
 		case <-w.done:
 			return
-		case <-ctx.Done():
-			return
 		}
+		w.statMu.Lock()
+		w.inflight++
+		w.inflightMax = max(w.inflightMax, w.inflight)
+		w.statMu.Unlock()
 		start := time.Now()
 		out, err := w.eng.Infer(f.in)
+		elapsed := time.Since(start)
+		w.computeNs.Add(elapsed.Nanoseconds())
+		w.statMu.Lock()
+		w.inflight--
+		w.latency.Add(elapsed.Seconds() * 1e3)
+		w.statMu.Unlock()
 		if err != nil {
 			w.exit(fmt.Errorf("cluster: stage %d inference: %w", w.cfg.Stage, err))
 			return
 		}
-		elapsed := time.Since(start)
-		w.computeNs.Add(elapsed.Nanoseconds())
-		w.latMu.Lock()
-		w.latency.Add(elapsed.Seconds() * 1e3)
-		w.latMu.Unlock()
 		if !w.downCredits.acquire(w.done) {
 			return
 		}
 		of := TensorFrame(f.seq, out)
-		if err := WriteFrame(w.down, of); err != nil {
+		w.downMu.Lock()
+		err = WriteFrame(w.down, of)
+		w.downMu.Unlock()
+		if err != nil {
 			w.exit(fmt.Errorf("cluster: forward downstream: %w", err))
 			return
 		}
@@ -622,13 +657,15 @@ func (w *Worker) snapshot() StageStats {
 		st.CreditStalls = w.downCredits.stalls.Load()
 	}
 	if eng != nil {
+		st.Concurrency = eng.Concurrency()
 		st.Int8Kernels, st.FP32Kernels, st.FusedKernels = eng.DispatchCounts()
 	}
-	w.latMu.Lock()
+	w.statMu.Lock()
+	st.InflightMax = w.inflightMax
 	if w.latency.Count() > 0 {
 		st.P50Ms = w.latency.Quantile(0.5)
 		st.P95Ms = w.latency.Quantile(0.95)
 	}
-	w.latMu.Unlock()
+	w.statMu.Unlock()
 	return st
 }
