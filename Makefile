@@ -86,7 +86,8 @@ pipe-smoke:
 # what stands guard over the kernels the stream workloads measure. Then
 # one iteration of each hot-shape kernel micro-benchmark in
 # internal/tensor, so one that stops compiling or starts panicking fails
-# the gate.
+# the gate. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
+# kernel pool's hand-off between two calls.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|GEMMFP32Blocked512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6|SparseVsDenseConv' -benchtime 1x
@@ -105,7 +106,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 6121
+LOC_CEILING = 6210
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

@@ -2,7 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"edgebench/internal/stats"
 )
@@ -184,6 +186,35 @@ func BenchmarkForkJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkForkJoinGap is the hand-off between two kernels of one
+// inference: pairs of parallelFor calls, eight chunks of 20 µs of real
+// arithmetic each, separated by 5, 50 and 200 µs of serial caller work.
+// late-µs/call is enlist → helper start averaged over the calls a helper
+// took; hot/call and retracted/call are the shares of calls whose offer a
+// spinning worker took or nobody did.
+func BenchmarkForkJoinGap(b *testing.B) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	chunk := func(lo, hi int) { busyFor(time.Duration(hi-lo) * 20 * time.Microsecond) }
+	for _, gap := range []time.Duration{5 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			runs := poolParallelRuns.Load()
+			hot, retracted, wait := poolHotTakes.Load(), poolRetractions.Load(), poolStartWaitNs.Load()
+			for i := 0; i < b.N; i++ {
+				parallelFor(8, 1, chunk)
+				busyFor(gap)
+				parallelFor(8, 1, chunk)
+				busyFor(gap)
+			}
+			calls := float64(poolParallelRuns.Load() - runs)
+			taken := calls - float64(poolRetractions.Load()-retracted)
+			b.ReportMetric(float64(poolStartWaitNs.Load()-wait)/1e3/max(taken, 1), "late-µs/call")
+			b.ReportMetric(float64(poolHotTakes.Load()-hot)/max(calls, 1), "hot/call")
+			b.ReportMetric(float64(poolRetractions.Load()-retracted)/max(calls, 1), "retracted/call")
+		})
+	}
+}
+
 // BenchmarkClampReLU6 is the affine + ReLU6 epilogue over activations of
 // random sign, a third of them above 6 — the input on which a
 // compare-and-branch clamp mispredicts most.
@@ -229,15 +260,27 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPool3x3s2 is SqueezeNet's first max-pool on random data and
+// on the same data through a ReLU — the input it really gets: about half
+// the taps are 0, so ties are everywhere.
 func BenchmarkMaxPool3x3s2(b *testing.B) {
-	in := benchInput(64, 111, 111)
+	random := benchInput(64, 111, 111)
+	relu := New(64, 111, 111)
+	copy(relu.Data, random.Data)
+	applyActInPlace(relu.Data, ActReLU, 0)
 	spec := PoolSpec{Kernel: 3, Stride: 2}
 	dst := New(64, spec.OutDim(111), spec.OutDim(111))
-	b.ReportAllocs()
-	b.SetBytes(int64(4 * len(in.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxPool2DInto(dst, in, spec)
+	for _, tc := range []struct {
+		name string
+		in   *Tensor
+	}{{"random", random}, {"relu", relu}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(4 * len(tc.in.Data)))
+			for i := 0; i < b.N; i++ {
+				MaxPool2DInto(dst, tc.in, spec)
+			}
+		})
 	}
 }
 

@@ -108,6 +108,56 @@ func TestPackedQConvForksOnce(t *testing.T) {
 	requireForks(t, eng, g, forks)
 }
 
+// BenchmarkInferHandoff is one served inference on two cores, lone caller,
+// of the two stream workloads' models — MobileNet-v2 (O2, FP32) and
+// SqueezeNet (O2, int8) — reporting the pool's hand-off per inference:
+// offers made, offers taken by a worker still spinning, offers retracted,
+// and the late-start total, enlist → helper start summed over the offers
+// taken (EXPERIMENTS.md table J).
+func BenchmarkInferHandoff(b *testing.B) {
+	for _, tc := range []struct {
+		model string
+		int8  bool
+	}{{"MobileNet-v2", false}, {"SqueezeNet", true}} {
+		b.Run(tc.model, func(b *testing.B) {
+			old := runtime.GOMAXPROCS(2)
+			defer runtime.GOMAXPROCS(old)
+			spec, _ := model.Get(tc.model)
+			g := spec.Build(nn.Options{Materialize: true, Seed: 11})
+			if _, err := opt.Optimize(g, opt.O2); err != nil {
+				b.Fatal(err)
+			}
+			if tc.int8 {
+				opt.QuantizeINT8(g)
+			}
+			eng, err := serving.NewEngine(g, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			in := tensor.New(g.Input.OutShape...).Fill(0.25)
+			for i := 0; i < 3; i++ {
+				if _, err := eng.Infer(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			offers, hot, retracted, wait := tensor.PoolHandoff()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Infer(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			offers1, hot1, retracted1, wait1 := tensor.PoolHandoff()
+			n := float64(b.N)
+			b.ReportMetric(float64(offers1-offers)/n, "offers/op")
+			b.ReportMetric(float64(hot1-hot)/n, "hot/op")
+			b.ReportMetric(float64(retracted1-retracted)/n, "retracted/op")
+			b.ReportMetric(float64(wait1-wait)/n/1e3, "late-µs/op")
+		})
+	}
+}
+
 // requireForks runs inferences on eng until one gives every fork a helper,
 // and requires each to issue exactly forks parallelFor calls.
 func requireForks(t *testing.T, eng *serving.Engine, g *graph.Graph, forks int64) {

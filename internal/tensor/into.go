@@ -177,9 +177,12 @@ const maxPoolParallelTaps = parallelThresholdMACs / 4
 
 // maxPoolPlanes pools channel planes [clo, chi). Windows that lie
 // wholly inside the plane — all of them when Pad is 0 — read pre-sliced
-// rows with no per-tap bounds tests, in maxPoolWindow's tap order, so
-// the result is the same bit for bit; border windows go through
-// maxPoolWindow.
+// rows with no per-tap bounds tests, in maxPoolWindow's tap order and
+// with its `v > m` compare, so the result is the same bit for bit (a NaN
+// never wins, the first of −0 and +0 does); only the select is
+// branch-free — the running max is kept as bits, which amd64 updates
+// with a conditional move (CMOVLHI) where `if v > m` mispredicted.
+// Border windows go through maxPoolWindow.
 func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo, chi int) {
 	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
 	// Output rows [oyLo, oyHi) and columns [oxLo, oxHi) have their whole
@@ -200,15 +203,16 @@ func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo,
 			}
 			top := (oy*stride - pad) * w
 			for ox := lo; ox < hi; ox++ {
-				m := negInf
+				mb := math.Float32bits(negInf)
 				for off := top + ox*stride - pad; off < top+k*w; off += w {
 					for _, v := range plane[off : off+k] {
-						if v > m {
-							m = v
+						vb := math.Float32bits(v) // here: inside the if, go1.24 keeps the branch
+						if v > math.Float32frombits(mb) {
+							mb = vb
 						}
 					}
 				}
-				orow[ox] = m
+				orow[ox] = math.Float32frombits(mb)
 			}
 			for ox := hi; ox < wout; ox++ {
 				orow[ox] = maxPoolWindow(plane, h, w, oy, ox, spec)

@@ -300,6 +300,38 @@ func TestMaxPoolShardedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestMaxPoolSpecialWindows pins the interior select on single 3×3
+// windows holding several of the values poolInput salts only one in seven
+// taps with: between −0 and +0 the first tap wins, a NaN never wins, +Inf
+// does, and a window of nothing but NaN and −Inf keeps the running max's
+// starting value negInf (−MaxFloat32), as maxPoolWindow always has.
+func TestMaxPoolSpecialWindows(t *testing.T) {
+	nan, negNaN := float32(math.NaN()), math.Float32frombits(0xffc00000)
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name string
+		taps [9]float32
+		want float32
+	}{
+		{"-0 then +0", [9]float32{-1, -2, negZero, -3, 0, -4, -5, -6, -7}, negZero},
+		{"+0 then -0", [9]float32{-1, 0, -2, -3, -4, -5, negZero, -6, -7}, 0},
+		{"all NaN", [9]float32{nan, negNaN, nan, nan, nan, negNaN, nan, nan, nan}, negInf},
+		{"NaN before the max", [9]float32{nan, 1, 2, 3, negNaN, 0.5, -1, 4, 2}, 4},
+		{"NaN after the max", [9]float32{4, nan, 2, 3, 1, nan, -1, 0, negNaN}, 4},
+		{"+Inf", [9]float32{1, 2, nan, 3, inf, -inf, 0, negZero, 5}, inf},
+		{"-Inf only", [9]float32{-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf}, negInf},
+		{"-Inf and NaN", [9]float32{-inf, nan, -inf, negNaN, -inf, nan, -inf, nan, -inf}, negInf},
+	} {
+		in := FromData(tc.taps[:], 1, 3, 3)
+		got := dirty(1, 1, 1)
+		MaxPool2DInto(got, in, PoolSpec{Kernel: 3, Stride: 1})
+		ref := maxPoolWindow(in.Data, 3, 3, 0, 0, PoolSpec{Kernel: 3, Stride: 1})
+		if g, r, w := math.Float32bits(got.Data[0]), math.Float32bits(ref), math.Float32bits(tc.want); g != r || r != w {
+			t.Errorf("%s: interior %#08x, maxPoolWindow %#08x, want %#08x", tc.name, g, r, w)
+		}
+	}
+}
+
 // checkQGemmKernels asserts the int8 tile loop over all rows, sharded by
 // row pairs across the pool, and run as two row ranges split at an odd
 // row (so the pairs fall differently), equals the plain triple loop.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file is the package's intra-op parallelism substrate: a
@@ -12,8 +13,13 @@ import (
 // executor replica or pipeline stage called it. The previous design
 // spawned goroutines per kernel call; at single-inference granularity
 // the spawn and exit cost ate the sharding win (the parallel kernels
-// *lost* to serial). Here workers are spawned once, park on a channel,
-// and are enlisted per call with a single non-blocking channel send.
+// *lost* to serial). Here workers are spawned once and each has a
+// mailbox: parallelFor CASes its task into an idle worker's mailbox, a
+// worker that has finished a task polls its mailbox for workerSpin
+// before it parks on its doorbell channel, and only an offer to a
+// parked worker rings the bell. An offer nobody took by the time the
+// caller has drained the range is taken back, so a caller never waits
+// for a helper that has not started.
 //
 // Scheduling model: parallelFor cuts the index range [0, n) into chunks
 // of at least `grain` units and publishes an atomic cursor; the caller
@@ -27,7 +33,7 @@ import (
 // parallel kernel invoked while every worker is busy, e.g. two serving
 // replicas running conv nodes whose kernels both try to shard, or a
 // kernel called from inside another kernel's shard — the call finds no
-// parked worker and simply runs its whole range on the calling
+// idle worker and simply runs its whole range on the calling
 // goroutine. Parallelism degrades to serial instead of deadlocking
 // (nobody ever blocks waiting for a worker) or oversubscribing (the
 // worker set is fixed).
@@ -35,9 +41,21 @@ const (
 	// parallelThresholdMACs is the work level above which a GEMM-class
 	// kernel shards: ~1M multiply-accumulates, 0.4 ms of one core's GEMM
 	// at 2.7 GMAC/s, against a fork-join of 0.8–1.4 µs when the workers
-	// are hot and a helper that starts 110–190 µs late when its thread
-	// has gone to sleep (BenchmarkForkJoin; DESIGN §11).
+	// are hot and a helper that starts 50–100 µs late when its thread
+	// has gone to sleep (BenchmarkForkJoin, BenchmarkForkJoinGap; DESIGN
+	// §11).
 	parallelThresholdMACs = 1 << 20
+
+	// workerSpin is how long a worker that has finished a task polls its
+	// mailbox before it parks. A parked worker's thread sleeps, and the
+	// next offer it takes starts 50–100 µs late on this host (Xeon 2.10
+	// GHz, 2 CPUs). Between two offers of one MobileNet-v2 or
+	// SqueezeNet-int8 inference a helper idles — the caller's tail chunk
+	// plus the serial work between kernels — a median 10–50 µs, under
+	// 250 µs for 81–91 % of offers and under 500 µs for 89–97 %. 500 µs
+	// would let an idle two-core process spin 1 ms; 250 µs keeps it at
+	// half that (TestPoolIdleBurnsNoCPU; DESIGN §11).
+	workerSpin = 250 * time.Microsecond
 
 	// chunksPerWorker is how many chunks parallelFor aims to cut per
 	// available worker. >1 lets fast workers steal from slow ones;
@@ -51,9 +69,10 @@ const (
 )
 
 // workTask is one parallelFor invocation's shared state. Workers claim
-// chunk indices from cursor; wg counts enlisted helpers so the caller
-// can await them before returning. panicked holds the first value any
-// runner's fn panicked with, for the caller to re-raise.
+// chunk indices from cursor; wg counts offers not yet retracted so the
+// caller can await the helpers that took one. panicked holds the first
+// value any runner's fn panicked with, for the caller to re-raise.
+// enlisted is when the offers went out.
 type workTask struct {
 	cursor   atomic.Int64
 	chunks   int
@@ -62,6 +81,7 @@ type workTask struct {
 	fn       func(lo, hi int)
 	wg       sync.WaitGroup
 	panicked atomic.Pointer[any]
+	enlisted time.Time
 }
 
 // run claims chunks until the cursor passes the end of the range. A
@@ -91,13 +111,31 @@ func (t *workTask) run() {
 	}
 }
 
-// poolState is one generation of the worker pool: a parking channel and
-// the stop channel that retires the generation when GOMAXPROCS changes.
+// poolState is one generation of the worker pool: its workers and the
+// stop channel that retires the generation when GOMAXPROCS changes.
 // Generations are immutable once published, so readers need no lock.
 type poolState struct {
-	queue chan *workTask
-	stop  chan struct{}
-	size  int
+	workers []*worker
+	stop    chan struct{}
+}
+
+// Worker states. Only an idle worker — spinning or parked — is offered a
+// task, and only a parked one needs its bell rung.
+const (
+	workerBusy int32 = iota
+	workerSpinning
+	workerParked
+)
+
+// worker is one pool worker's hand-off state. mail holds a task offered
+// and not yet taken; the worker takes it with a Swap, the offering
+// caller retracts it with a CAS, so exactly one of them gets it. bell
+// has room for one ring: a ring that finds the worker already awake
+// costs it one more look at an empty mailbox when it next parks.
+type worker struct {
+	mail  atomic.Pointer[workTask]
+	state atomic.Int32
+	bell  chan struct{}
 }
 
 var (
@@ -109,10 +147,14 @@ var (
 	taskPool = sync.Pool{New: func() any { return new(workTask) }}
 
 	// Pool traffic counters (tests assert saturation fallback and
-	// enlistment actually happen).
-	poolParallelRuns atomic.Int64 // parallelFor calls that enlisted >= 1 helper
+	// enlistment actually happen; BenchmarkInferHandoff reports the
+	// hand-off per inference).
+	poolParallelRuns atomic.Int64 // parallelFor calls that offered >= 1 helper
 	poolSerialRuns   atomic.Int64 // parallelFor calls that ran entirely on the caller
-	poolEnlistments  atomic.Int64 // total helper enlistments
+	poolEnlistments  atomic.Int64 // offers placed in a mailbox
+	poolHotTakes     atomic.Int64 // offers taken by a worker still spinning
+	poolRetractions  atomic.Int64 // offers the caller took back untaken
+	poolStartWaitNs  atomic.Int64 // enlist → helper start, summed over taken offers
 )
 
 // ensurePool returns the pool generation sized to the current
@@ -121,49 +163,97 @@ var (
 // in-process; servers set it once at boot).
 func ensurePool() *poolState {
 	want := runtime.GOMAXPROCS(0)
-	if s := poolGen.Load(); s != nil && s.size == want {
+	if s := poolGen.Load(); s != nil && len(s.workers) == want {
 		return s
 	}
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	if s := poolGen.Load(); s != nil && s.size == want {
+	if s := poolGen.Load(); s != nil && len(s.workers) == want {
 		return s
 	}
 	if old := poolGen.Load(); old != nil {
 		close(old.stop) // old workers exit; one mid-task finishes it first
 	}
-	s := &poolState{
-		queue: make(chan *workTask),
-		stop:  make(chan struct{}),
-		size:  want,
-	}
-	for i := 0; i < want; i++ {
-		go poolWorker(s.queue, s.stop)
+	s := &poolState{workers: make([]*worker, want), stop: make(chan struct{})}
+	for i := range s.workers {
+		s.workers[i] = &worker{bell: make(chan struct{}, 1)}
+		go poolWorker(s.workers[i], s.stop)
 	}
 	poolGen.Store(s)
 	return s
 }
 
-// poolWorker parks on queue until enlisted, works the task's chunk
-// range, and reports completion through the task's WaitGroup. Closing
-// stop (pool resize or test shutdown) retires it; a worker mid-task
-// finishes that task before checking.
-func poolWorker(queue chan *workTask, stop chan struct{}) {
+// poolWorker runs the tasks offered to w and reports each through the
+// task's WaitGroup. Closing stop (pool resize or test shutdown) retires
+// it, spinning or parked; a worker mid-task finishes that task first.
+func poolWorker(w *worker, stop chan struct{}) {
 	for {
-		select {
-		case t := <-queue:
-			t.run()
-			t.wg.Done()
-		case <-stop:
+		t, hot := w.next(stop)
+		if t == nil {
 			return
+		}
+		if hot {
+			poolHotTakes.Add(1)
+		}
+		poolStartWaitNs.Add(int64(time.Since(t.enlisted)))
+		t.run()
+		// Idle before Done: the caller it frees may enlist again at once,
+		// and must find this worker, not ring a parked one.
+		w.state.Store(workerSpinning)
+		t.wg.Done()
+	}
+}
+
+// next returns the next task offered to w, and whether w was still
+// spinning when it came; nil once stop is closed. It polls the mailbox
+// for workerSpin, yielding its P at every poll so a spinner never keeps
+// a runnable goroutine (another replica, an HTTP handler) off a core,
+// then parks on the bell. A ring whose offer was retracted before w woke
+// parks it again at once, so an idle pool spins at most workerSpin a
+// worker after its last task.
+func (w *worker) next(stop chan struct{}) (*workTask, bool) {
+	w.state.Store(workerSpinning)
+	for start := time.Now(); time.Since(start) < workerSpin; runtime.Gosched() {
+		if t := w.take(); t != nil {
+			return t, true
+		}
+		select {
+		case <-stop:
+			return nil, false
+		default:
+		}
+	}
+	w.state.Store(workerParked)
+	for {
+		// An offer made before the store above saw w spinning and did not
+		// ring, so look before every sleep.
+		if t := w.take(); t != nil {
+			return t, false
+		}
+		select {
+		case <-w.bell:
+		case <-stop:
+			return nil, false
 		}
 	}
 }
 
+// take empties w's mailbox, marking w busy if it held a task.
+func (w *worker) take() *workTask {
+	if w.mail.Load() == nil {
+		return nil
+	}
+	t := w.mail.Swap(nil)
+	if t != nil {
+		w.state.Store(workerBusy)
+	}
+	return t
+}
+
 // shutdownPool retires the current worker generation without starting a
 // new one; the next parallelFor call rebuilds the pool. Exists for the
-// idle/shutdown tests — production code never needs it (idle workers
-// are parked on a channel receive and cost nothing).
+// idle/shutdown tests — production code never needs it (an idle worker
+// parks workerSpin after its last task and then costs nothing).
 func shutdownPool() {
 	poolMu.Lock()
 	defer poolMu.Unlock()
@@ -189,7 +279,7 @@ func parallelFor(n, grain int, fn func(lo, hi int)) {
 		grain = 1
 	}
 	s := ensurePool()
-	limit := s.size
+	limit := len(s.workers)
 	if limit <= 1 || n <= grain {
 		poolSerialRuns.Add(1)
 		fn(0, n)
@@ -209,34 +299,50 @@ func parallelFor(n, grain int, fn func(lo, hi int)) {
 	t.cursor.Store(0)
 	t.chunks, t.chunk, t.n, t.fn = chunks, chunk, n, fn
 
-	// Enlist parked workers with non-blocking sends: at most limit-1
-	// helpers (the caller is the limit-th runner) and never more than
-	// the chunks they could claim. The first refused send means every
-	// worker is busy — stop asking and run with what we have.
-	maxHelpers := limit - 1
-	if maxHelpers > chunks-1 {
-		maxHelpers = chunks - 1
-	}
+	// Offer the task to idle workers, spinning ones before parked ones (a
+	// parked worker must be rung and its thread woken): at most limit-1
+	// helpers (the caller is the limit-th runner) and never more than the
+	// chunks they could claim. Busy workers are skipped; with none idle
+	// the caller runs the range alone.
+	maxHelpers := min(limit-1, chunks-1)
 	helpers := 0
-enlist:
-	for helpers < maxHelpers {
-		t.wg.Add(1)
-		select {
-		case s.queue <- t:
+	t.enlisted = time.Now()
+	for want := workerSpinning; want <= workerParked && helpers < maxHelpers; want++ {
+		for _, w := range s.workers {
+			if helpers == maxHelpers || w.state.Load() != want {
+				continue
+			}
+			t.wg.Add(1)
+			if !w.mail.CompareAndSwap(nil, t) {
+				t.wg.Done()
+				continue
+			}
 			helpers++
-		default:
-			t.wg.Add(-1)
-			break enlist
+			if w.state.Load() == workerParked {
+				select {
+				case w.bell <- struct{}{}:
+				default:
+				}
+			}
 		}
 	}
-	if helpers > 0 {
+	if helpers == 0 {
+		poolSerialRuns.Add(1)
+		t.run()
+	} else {
 		poolParallelRuns.Add(1)
 		poolEnlistments.Add(int64(helpers))
-	} else {
-		poolSerialRuns.Add(1)
+		t.run()
+		// The range is drained: take back every offer no worker has
+		// taken, so the caller waits only for helpers that started.
+		for _, w := range s.workers {
+			if w.mail.Load() == t && w.mail.CompareAndSwap(t, nil) {
+				poolRetractions.Add(1)
+				t.wg.Done()
+			}
+		}
+		t.wg.Wait()
 	}
-	t.run()
-	t.wg.Wait()
 	t.fn = nil
 	p := t.panicked.Swap(nil)
 	taskPool.Put(t)
@@ -266,4 +372,4 @@ func ParallelThresholdMACs() int { return parallelThresholdMACs }
 // KernelParallelism reports the worker count the kernel pool targets
 // (GOMAXPROCS at last resize). Serving layers export it as a metric so
 // a deployment can see what intra-op speedup is even possible.
-func KernelParallelism() int { return ensurePool().size }
+func KernelParallelism() int { return len(ensurePool().workers) }
