@@ -47,6 +47,13 @@ func zeroFraction(a []float32) float64 {
 	return float64(zeros) / float64(len(a))
 }
 
+// gemmPairRange converts a chunk of row-pair indices [lo, hi) into the
+// row range it owns: shard boundaries always land on even rows, so only
+// the lone last row of an odd-M matrix takes gemmPanelRows' one-row form.
+func gemmPairRange(lo, hi, m int) (rlo, rhi int) {
+	return lo * 2, min(hi*2, m)
+}
+
 // gemmPanelRows is the register-tiled FP32 microkernel under the one tile
 // loop (gemm.rowRange): it accumulates one packed (K-block, N-block)
 // panel into output rows [rlo, rhi), dst[i, jc:jc+jb] += a[i, kc:kc+kb] x

@@ -99,6 +99,32 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestGEMMPairRange pins the pair-to-row mapping the band pass cuts
+// pixels with: even boundaries everywhere, the odd remainder row owned by
+// the last pair, and full coverage of [0, m).
+func TestGEMMPairRange(t *testing.T) {
+	cases := []struct {
+		lo, hi, m, rlo, rhi int
+	}{
+		{0, 2, 8, 0, 4},
+		{2, 4, 8, 4, 8},
+		{0, 3, 5, 0, 5}, // last pair absorbs the remainder row
+		{2, 3, 5, 4, 5}, // remainder pair alone
+		{0, 1, 1, 0, 1}, // m=1: a single lone row
+		{0, 65, 129, 0, 129},
+	}
+	for _, c := range cases {
+		rlo, rhi := gemmPairRange(c.lo, c.hi, c.m)
+		if rlo != c.rlo || rhi != c.rhi {
+			t.Errorf("gemmPairRange(%d, %d, m=%d) = [%d, %d), want [%d, %d)",
+				c.lo, c.hi, c.m, rlo, rhi, c.rlo, c.rhi)
+		}
+		if rlo%2 != 0 {
+			t.Errorf("gemmPairRange(%d, %d, m=%d): shard start %d is odd", c.lo, c.hi, c.m, rlo)
+		}
+	}
+}
+
 // TestMatMulSparseMatchesDense checks the pruned-weight kernel against the
 // naive oracle on a left operand above the zero-skipping bar.
 func TestMatMulSparseMatchesDense(t *testing.T) {

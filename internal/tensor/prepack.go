@@ -25,10 +25,10 @@ import (
 // zeros).
 //
 // What is per datatype is a gemm value (gemmFP32 here, gemmInt8 in
-// qprepack.go) and nothing else: the K blocking (128 floats or 256 bytes
-// of panel row, the same cache budget), the packer (interleaved quads, or
-// +128-biased bytes column-major for the SWAR lanes), the microkernel,
-// and the store — FP32 gathers, adds the bias and runs the affine and
+// qprepack.go) and nothing else: the K blocking (128 floats, or the 64
+// bytes the int8 SWAR lanes can sum), the packer (interleaved quads, or
+// signed bytes interleaved four columns at a time), the microkernel, and
+// the store — FP32 gathers, adds the bias and runs the affine and
 // activation; int8 requantizes, which has no affine stage.
 //
 // FP32 Dense is deliberately NOT prepacked: DenseInto accumulates each
@@ -40,7 +40,7 @@ import (
 // microkernel consumes: the panel of every (N-block, K-block) tile of a
 // [K, N] operand — for a convolution, the transposed filter bank —
 // concatenated in the kernel's traversal order (walkTiles). P is the panel
-// element: float32 under the FP32 kernel, a +128-biased byte under the
+// element: float32 under the FP32 kernel, an int8 code's byte under the
 // int8 one. One packed ahead of time is immutable after construction —
 // clones of a graph share the pointer; the per-call pack refills a pooled
 // one.
@@ -60,7 +60,7 @@ type Packed[P float32 | byte] struct {
 type PackedWeights = Packed[float32]
 
 // PackedQWeights is int8 weights packed for the QGEMM convolution and
-// dense kernels (one byte per element, value = int8 + 128).
+// dense kernels (one byte per element, the int8 code).
 type PackedQWeights = Packed[byte]
 
 // gemm is what one datatype brings to the code both GEMM convolutions
@@ -141,8 +141,8 @@ func (g *gemm[T, P, A]) packWeights(pw *Packed[P], w []T, shape Shape) {
 // A row's result does not depend on which rows share its range — every
 // output element sees the same expression and K order in the FP32
 // microkernel, and integer accumulation is exact — so callers may shard
-// rows freely (the int8 microkernel pairs rows, so on even boundaries:
-// qgemmPairRange).
+// rows freely (the FP32 microkernel pairs rows, so on even boundaries:
+// gemmPairRange).
 func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
 	k, n := pw.K, pw.N
 	clear(dst[rlo*n : rhi*n])
@@ -274,11 +274,12 @@ const convBandPixels = transposeTile
 // every channel, a band at a time, on scratch of its own — lowered into
 // s.rows, multiplied with the packed panels into s.acc, stored. A band is
 // never larger than the chunk, so a 7x7 plane still splits across cores;
-// chunks start on even pixels, so only the plane's last row can take the
-// microkernels' slower one-row form.
+// chunks start on even pixels (gemmPairRange), so only the plane's last
+// row can take the FP32 microkernel's one-row form. The int8 kernel's
+// result does not depend on the cut.
 func (j *bandJob[T, P, A]) bands(lo, hi int) {
 	ncols := j.geo.hout * j.geo.wout
-	lo, hi = qgemmPairRange(lo, hi, ncols)
+	lo, hi = gemmPairRange(lo, hi, ncols)
 	s := j.g.scratch.Get().(*bandScratch[T, A])
 	for p0 := lo; p0 < hi; p0 += convBandPixels {
 		p1 := min(p0+convBandPixels, hi)

@@ -333,8 +333,9 @@ func TestMaxPoolSpecialWindows(t *testing.T) {
 }
 
 // checkQGemmKernels asserts the int8 tile loop over all rows, sharded by
-// row pairs across the pool, and run as two row ranges split at an odd
-// row (so the pairs fall differently), equals the plain triple loop.
+// rows across the pool, and run as two row ranges split at rows 1, 2, 4
+// and 5 (so the lane triples fall differently), equals the plain triple
+// loop.
 func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	t.Helper()
 	want := make([]int32, m*n)
@@ -355,48 +356,88 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 		got[i] = math.MinInt32
 	}
 	qgemmSharded(got, a, b, m, k, n, 1)
-	check("sharded by pairs", got)
+	check("sharded by rows", got)
 
 	pq := packB(gemmInt8, b, k, n)
-	for i := range got {
-		got[i] = math.MinInt32
+	for _, split := range []int{1, 2, 4, 5} {
+		if split >= m {
+			break
+		}
+		for i := range got {
+			got[i] = math.MinInt32
+		}
+		gemmInt8.rowRange(got, a, pq, 0, split)
+		gemmInt8.rowRange(got, a, pq, split, m)
+		check(fmt.Sprintf("row-range split at %d", split), got)
 	}
-	gemmInt8.rowRange(got, a, pq, 0, min(1, m))
-	gemmInt8.rowRange(got, a, pq, min(1, m), m)
-	check("odd row-range split", got)
 }
 
-// TestQGemmPanelRowsMatchesNaive covers every column remainder of the
-// four-column pass, the one-row kernel (M = 1, odd M), K off the
-// interleave, and more than one K- and N-block.
+// TestQGemmPanelRowsMatchesNaive covers M mod 3 of 0, 1 and 2 (a short
+// last lane triple of one or two rows, M = 1 as the dense layer runs it),
+// N mod 4 of 0 to 3 (the column tail after the four-column groups), K off
+// the interleave, more than one K- and N-block, and a 64-row band.
 func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for _, c := range []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 9, 4}, {2, 8, 5}, {3, 7, 6}, {4, 13, 7}, {5, 16, 8},
 		{1, 30, 11}, {7, qgemmKC + 2, 9}, {6, 2*qgemmKC + 3, 10},
 		{5, 30, qgemmNC + 3}, {9, qgemmKC - 1, 2*qgemmNC + 1}, {64, 144, 64},
+		{8, qgemmKC, 13}, {10, 3*qgemmKC + 1, 14}, {11, 70, 3}, {2, 5, 2},
+		{64, 4 * qgemmKC, 1000},
 	} {
 		checkQGemmKernels(t, "random", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
 	}
 }
 
-// TestQGemmLaneSumEdge pins every code at +-127 over a full 256-deep
-// K-block, the largest lane sum a column accumulator can reach
-// (127*255*256 with the panel's +128 bias): rows of either sign paired
-// with each other, against columns of either sign, through the four-,
-// two- and one-column passes.
+// TestQGemmLaneSumEdge pins every code at +-127 over a full
+// qgemmKC-deep K-block, the largest lane sum a column accumulator can
+// reach (127*127*qgemmKC in each lane): row triples in all eight sign
+// patterns, against columns of either sign, through the four-column
+// groups and the column tail.
 func TestQGemmLaneSumEdge(t *testing.T) {
-	const m, k, n = 5, qgemmKC, 7
-	rowSign := []int8{127, -127, -127, 127, 127}
+	const m, k, n = 3 * 8, qgemmKC, 7
 	for _, colSign := range [][]int8{{127}, {-127}, {127, -127}} {
 		a := make([]int8, m*k)
 		for i := range a {
-			a[i] = rowSign[i/k]
+			triple, lane := i/k/3, i/k%3
+			a[i] = 127
+			if triple>>lane&1 == 1 {
+				a[i] = -127
+			}
 		}
 		b := make([]int8, k*n)
 		for i := range b {
 			b[i] = colSign[(i%n)%len(colSign)]
 		}
 		checkQGemmKernels(t, fmt.Sprintf("pinned cols %v", colSign), a, b, m, k, n)
+	}
+}
+
+// TestQGemmRowRangeWritesOnlyItsRows runs the tile loop on row ranges that
+// end on a short lane triple, inside and at either end of dst: rows
+// outside [rlo, rhi) keep their sentinel, so neither the range's edges nor
+// a short triple's missing lanes ever reach them.
+func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
+	const m, k, n, sentinel = 10, qgemmKC + 6, 9, math.MinInt32 + 7
+	r := rand.New(rand.NewSource(131))
+	a, b := randQ(r, m*k), randQ(r, k*n)
+	want := make([]int32, m*n)
+	qnaive(want, a, b, m, k, n)
+	pq := packB(gemmInt8, b, k, n)
+	for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}} {
+		got := make([]int32, m*n)
+		for i := range got {
+			got[i] = sentinel
+		}
+		gemmInt8.rowRange(got, a, pq, rr[0], rr[1])
+		for i := range got {
+			in := i/n >= rr[0] && i/n < rr[1]
+			if in && got[i] != want[i] {
+				t.Fatalf("rows %v: dst[%d] = %d, want %d", rr, i, got[i], want[i])
+			}
+			if !in && got[i] != sentinel {
+				t.Fatalf("rows %v: row %d outside the range was written: dst[%d] = %d", rr, i/n, i, got[i])
+			}
+		}
 	}
 }

@@ -18,17 +18,16 @@ func qnaive(dst []int32, a, b []int8, m, k, n int) {
 }
 
 // qgemmSerial is a x b through the int8 tile loop on the calling goroutine,
-// b packed now; qgemmSharded cuts the same multiply into row pairs across
-// the worker pool, the way the band pass shards pixels.
+// b packed now; qgemmSharded cuts the same multiply into row chunks across
+// the worker pool, wherever the chunks fall.
 func qgemmSerial(dst []int32, a, b []int8, m, k, n int) {
 	gemmInt8.rowRange(dst, a, packB(gemmInt8, b, k, n), 0, m)
 }
 
 func qgemmSharded(dst []int32, a, b []int8, m, k, n, grain int) {
 	pq := packB(gemmInt8, b, k, n)
-	parallelFor((m+1)/2, grain, func(lo, hi int) {
-		rlo, rhi := qgemmPairRange(lo, hi, m)
-		gemmInt8.rowRange(dst, a, pq, rlo, rhi)
+	parallelFor(m, grain, func(lo, hi int) {
+		gemmInt8.rowRange(dst, a, pq, lo, hi)
 	})
 }
 
@@ -65,11 +64,9 @@ func TestQGEMMMatchesNaive(t *testing.T) {
 }
 
 // TestQGEMMParallelOddM shards the tile loop's rows above the parallel
-// threshold with odd M, by pairs at the band pass's grain: shard
-// boundaries must land on even rows so the SWAR two-rows-per-int64
-// pairing stays intact, and only the final row pays the single-row
-// remainder kernel. Integer accumulation is exact, so parallel must equal
-// serial bit for bit.
+// threshold with odd M, at the band pass's grain, so shard boundaries fall
+// off the lane triples and every shard may end on a short triple. Integer
+// accumulation is exact, so parallel must equal serial bit for bit.
 func TestQGEMMParallelOddM(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{129, 160, 160}, {255, 128, 64}, {65, 127, 255}} {
@@ -81,7 +78,7 @@ func TestQGEMMParallelOddM(t *testing.T) {
 		want := make([]int32, m*n)
 		qgemmSerial(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		qgemmSharded(got, a, b, m, k, n, grainForMACs(2*k*n))
+		qgemmSharded(got, a, b, m, k, n, grainForMACs(k*n))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dims %v: parallel dst[%d] = %d, want %d", dims, i, got[i], want[i])
@@ -90,34 +87,10 @@ func TestQGEMMParallelOddM(t *testing.T) {
 	}
 }
 
-// TestQGEMMPairRange pins the pair-to-row mapping: even boundaries
-// everywhere, the odd remainder row owned by the last pair, and full
-// coverage of [0, m).
-func TestQGEMMPairRange(t *testing.T) {
-	cases := []struct {
-		lo, hi, m, rlo, rhi int
-	}{
-		{0, 2, 8, 0, 4},
-		{2, 4, 8, 4, 8},
-		{0, 3, 5, 0, 5}, // last pair absorbs the remainder row
-		{2, 3, 5, 4, 5}, // remainder pair alone
-		{0, 1, 1, 0, 1}, // m=1: a single lone row
-		{0, 65, 129, 0, 129},
-	}
-	for _, c := range cases {
-		rlo, rhi := qgemmPairRange(c.lo, c.hi, c.m)
-		if rlo != c.rlo || rhi != c.rhi {
-			t.Errorf("qgemmPairRange(%d, %d, m=%d) = [%d, %d), want [%d, %d)",
-				c.lo, c.hi, c.m, rlo, rhi, c.rlo, c.rhi)
-		}
-		if rlo%2 != 0 {
-			t.Errorf("qgemmPairRange(%d, %d, m=%d): shard start %d is odd", c.lo, c.hi, c.m, rlo)
-		}
-	}
-}
-
 // BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time the two tile
-// loops alone, on one core, over panels packed outside the loop.
+// loops alone, on one core, over panels packed outside the loop. MAC/mul
+// is the int8 kernel's rows per 64-bit multiply; GMAC/s over it is the
+// multiply rate BenchmarkIMULPeak bounds.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
@@ -127,6 +100,29 @@ func BenchmarkQGEMM512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gemmInt8.rowRange(dst, a, pq, 0, d)
 	}
+	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+	b.ReportMetric(qgemmLanes, "MAC/mul")
+}
+
+// imulSink keeps BenchmarkIMULPeak's chains live and its multiplier
+// unknown to the compiler, so no multiply folds into shifts.
+var imulSink int64
+
+// BenchmarkIMULPeak probes the ceiling the int8 kernel runs against: eight
+// independent 64-bit multiply-add chains, more multiplies in flight than
+// one multiply port retires, reported as Gmul/s on one core.
+func BenchmarkIMULPeak(b *testing.B) {
+	const steps = 1 << 16
+	m, c := imulSink+0x5851f42d4c957f2d, imulSink+0x14057b7ef767814f
+	x0, x1, x2, x3, x4, x5, x6, x7 := c, c+1, c+2, c+3, c+4, c+5, c+6, c+7
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < steps; s++ {
+			x0, x1, x2, x3 = x0*m+c, x1*m+c, x2*m+c, x3*m+c
+			x4, x5, x6, x7 = x4*m+c, x5*m+c, x6*m+c, x7*m+c
+		}
+	}
+	imulSink = x0 ^ x1 ^ x2 ^ x3 ^ x4 ^ x5 ^ x6 ^ x7
+	b.ReportMetric(8*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmul/s")
 }
 
 func BenchmarkGEMMFP32Blocked512(b *testing.B) {

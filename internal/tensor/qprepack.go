@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the int8 side of prepack.go: the gemm value of the SWAR
-// QGEMM microkernel (+128-biased, column-major byte panels), the
+// QGEMM microkernel (signed byte panels, four columns interleaved), the
 // ahead-of-time packers, the requantize store, and the conv/dense entry
 // points that execute against packed panels. Integer accumulation is
 // exact in any order, so int8 results do not depend on the blocking at
