@@ -103,7 +103,7 @@ func trainable(g *graph.Graph) error {
 			return fmt.Errorf("autodiff: node %s is %s; training requires fp32", n, n.DType)
 		}
 		if !n.Materialized() {
-			return fmt.Errorf("autodiff: node %s has structural-only parameters; build with Materialize", n)
+			return fmt.Errorf("autodiff: node %s has "+graph.ErrNotMaterialized+"; build with Materialize", n)
 		}
 		switch n.Kind {
 		case graph.OpConv3D, graph.OpMaxPool3D, graph.OpLSTM:

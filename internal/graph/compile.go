@@ -50,7 +50,7 @@ func compile(g *Graph) (*program, error) {
 	edges := 0
 	for i, n := range g.Nodes {
 		if !n.Materialized() {
-			return nil, fmt.Errorf("graph %s: node %s has structural-only parameters; build the model with materialized weights to execute it", g.Name, n)
+			return nil, fmt.Errorf("graph %s: node %s has "+ErrNotMaterialized+"; build the model with materialized weights to execute it", g.Name, n)
 		}
 		for _, in := range n.Inputs {
 			if _, ok := index[in]; !ok {

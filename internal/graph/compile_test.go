@@ -124,8 +124,9 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 // weight sparsity once and hands it to the kernel, so a pruned layer
 // above the GEMM threshold — ungrouped, or each slice of a grouped one —
 // runs the zero-skipping GEMM on every inference, pooled or not, and
-// PrepackWeights leaves it unpacked. The reference is built from the
-// lowering and the sparse multiply directly.
+// PrepackWeights leaves it unpacked. The reference calls the kernel
+// directly on each (slice of a) convolution with the weights' sparsity,
+// and must differ in bits from the dense kernel's.
 func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 67}, 16, 32, 32)
 	b.Conv2D("conv", 32, 3, 1, 1, true)
@@ -141,13 +142,9 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 		if w.Shape.NumElems()*32*32 < tensor.ParallelThresholdMACs() || tensor.Sparsity(w) < 0.6 {
 			t.Fatalf("weights %v at sparsity %v would not take the zero-skipping kernel", w.Shape, tensor.Sparsity(w))
 		}
-		out := tensor.MatMulSparse(w.Reshape(w.Shape[0], w.Shape[1]*9), tensor.Im2Col(x, 3, 3, spec)).Reshape(w.Shape[0], 32, 32)
-		for oc, bv := range bias {
-			for i := range out.Data[oc*1024 : (oc+1)*1024] {
-				out.Data[oc*1024+i] += bv
-			}
-		}
-		dense, same := tensor.Conv2DGEMM(x, w, bias, spec, 0), true
+		out, dense, same := tensor.New(w.Shape[0], 32, 32), tensor.New(w.Shape[0], 32, 32), true
+		tensor.Conv2DGEMMFusedInto(out, x, w, bias, spec, tensor.Epilogue{}, tensor.Sparsity(w))
+		tensor.Conv2DGEMMFusedInto(dense, x, w, bias, spec, tensor.Epilogue{}, 0)
 		for i := range out.Data {
 			same = same && dense.Data[i] == out.Data[i]
 		}
@@ -163,7 +160,8 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 		halves[gi] = sparseConv(tensor.FromData(wantConv.Data[gi*16*1024:(gi+1)*16*1024], 16, 32, 32),
 			tensor.FromData(gconv.Weights.Data[gi*16*16*9:(gi+1)*16*16*9], 16, 16, 3, 3), gconv.Bias[gi*16:(gi+1)*16])
 	}
-	wantG := tensor.ConcatChannels(halves...)
+	wantG := tensor.New(32, 32, 32)
+	tensor.ConcatChannelsInto(wantG, halves...)
 	for _, pooled := range []bool{false, true} {
 		e := &graph.Executor{Pooled: pooled}
 		for run := 0; run < 2; run++ {
@@ -219,7 +217,7 @@ func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
 // TestGroupedConvFusesEpilogueIntoDst: the grouped convolution runs the
 // band pass once per group on views of its operands and of the
 // destination, with an absorbed affine and ReLU6 folded in — bit for bit
-// the unfused chain on per-slice convolutions joined by ConcatChannels,
+// the unfused chain on per-slice convolutions joined by ConcatChannelsInto,
 // into a recycled destination, run after run.
 func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	b := nn.NewBuilder("grouped", nn.Options{Materialize: true, Seed: 83}, 6, 9, 9)
@@ -228,11 +226,13 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	in := seededInput(g.Input.OutShape, 7)
 	slices := make([]*tensor.Tensor, 3)
 	for gi := range slices {
-		slices[gi] = tensor.Conv2DGEMM(tensor.FromData(in.Data[gi*2*81:(gi+1)*2*81], 2, 9, 9),
+		slices[gi] = tensor.New(4, 5, 5)
+		tensor.Conv2DGEMMFusedInto(slices[gi], tensor.FromData(in.Data[gi*2*81:(gi+1)*2*81], 2, 9, 9),
 			tensor.FromData(gconv.Weights.Data[gi*4*2*9:(gi+1)*4*2*9], 4, 2, 3, 3),
-			gconv.Bias[gi*4:(gi+1)*4], tensor.Conv2DSpec{Stride: 2, Pad: 1}, 0)
+			gconv.Bias[gi*4:(gi+1)*4], tensor.Conv2DSpec{Stride: 2, Pad: 1}, tensor.Epilogue{}, 0)
 	}
-	want := tensor.ConcatChannels(slices...)
+	want := tensor.New(12, 5, 5)
+	tensor.ConcatChannelsInto(want, slices...)
 	gconv.EpiScale, gconv.EpiShift, gconv.EpiChannels = make([]float32, 12), make([]float32, 12), 12
 	for oc := range gconv.EpiScale {
 		gconv.EpiScale[oc], gconv.EpiShift[oc] = 0.5+float32(oc)/8, float32(oc%5)-2

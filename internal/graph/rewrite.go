@@ -21,9 +21,7 @@ import (
 // kernel that can absorb a batch-norm affine for n's kind.
 func epiFusable(n *Node) bool {
 	switch n.Kind {
-	case OpConv2D:
-		return n.Attrs.GroupCount() == 1
-	case OpDepthwiseConv2D, OpDense:
+	case OpConv2D, OpDepthwiseConv2D, OpDense:
 		return true
 	}
 	return false

@@ -105,6 +105,32 @@ func TestFusePatternsSkipsMultiConsumerProducer(t *testing.T) {
 	assertBitwiseEqual(t, got, ref, "multi-consumer graph")
 }
 
+// TestFusePatternsAbsorbsBNIntoGroupedConv: the grouped kernel applies the
+// epilogue's affine per group slice, so Conv2DG → BN → ReLU becomes one
+// node, bit for bit the unfused graph.
+func TestFusePatternsAbsorbsBNIntoGroupedConv(t *testing.T) {
+	b := nn.NewBuilder("gbn", nn.Options{Materialize: true, Seed: 25}, 6, 9, 9)
+	gconv := b.Conv2DG("gconv", 12, 3, 1, 1, 3, true)
+	b.BatchNorm("bn")
+	b.ReLU("relu")
+	g := b.Build()
+	in := seededInput(g.Input.OutShape, 8)
+	ref := run(t, g, in)
+	if fused := graph.FusePatterns(g); fused != 1 {
+		t.Fatalf("FusePatterns fused %d chains, want 1", fused)
+	}
+	checkAfterPass(t, g, "FusePatterns")
+	for _, n := range g.Nodes {
+		if n != gconv && n != g.Input {
+			t.Fatalf("node %s survived fusion", n)
+		}
+	}
+	if gconv.EpiChannels != 12 || gconv.Activation != graph.OpReLU {
+		t.Fatalf("grouped conv epilogue: %d channels, activation %v", gconv.EpiChannels, gconv.Activation)
+	}
+	assertBitwiseEqual(t, run(t, g, in), ref, "fused grouped conv")
+}
+
 func TestFusePatternsSkipsQuantizedBN(t *testing.T) {
 	// An int8-dispatched conv has no affine stage in its requantize
 	// epilogue, so the BN must stay a separate node; the activation can

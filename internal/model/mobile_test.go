@@ -54,7 +54,8 @@ func TestShuffleChannelsRoundTrip(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i / 4) // channel index
 	}
-	out := tensor.ShuffleChannels(in, 3)
+	out, back, same := tensor.New(6, 2, 2), tensor.New(6, 2, 2), tensor.New(6, 2, 2)
+	tensor.ShuffleChannelsInto(out, in, 3)
 	// Channel i -> (i%3)*2 + i/3: 0->0, 1->2, 2->4, 3->1, 4->3, 5->5.
 	want := []float32{0, 3, 1, 4, 2, 5}
 	for ch, w := range want {
@@ -63,13 +64,13 @@ func TestShuffleChannelsRoundTrip(t *testing.T) {
 		}
 	}
 	// Applying the shuffle with swapped group factor inverts it.
-	back := tensor.ShuffleChannels(out, 2)
+	tensor.ShuffleChannelsInto(back, out, 2)
 	for i := range in.Data {
 		if back.Data[i] != in.Data[i] {
 			t.Fatal("shuffle(g)∘shuffle(C/g) should be identity")
 		}
 	}
-	if tensor.ShuffleChannels(in, 1).Data[4] != in.Data[4] {
+	if tensor.ShuffleChannelsInto(same, in, 1); same.Data[4] != in.Data[4] {
 		t.Fatal("group 1 shuffle should copy")
 	}
 }

@@ -69,7 +69,7 @@ func NewEngine(g *graph.Graph, replicas int) (*Engine, error) {
 	}
 	for _, n := range g.Nodes {
 		if !n.Materialized() {
-			return nil, fmt.Errorf("serving: graph %s: node %s has structural-only parameters", g.Name, n)
+			return nil, fmt.Errorf("serving: graph %s: node %s has "+graph.ErrNotMaterialized, g.Name, n)
 		}
 	}
 	graph.PrepackWeights(g)

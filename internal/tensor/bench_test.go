@@ -31,10 +31,11 @@ func BenchmarkConv2DGEMM(b *testing.B) {
 	in := benchInput(32, 28, 28)
 	w := New(64, 32, 3, 3).Randomize(stats.NewRNG(3), 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	dst := New(64, 28, 28)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DGEMM(in, w, nil, spec, 0)
+		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{}, 0)
 	}
 }
 
@@ -42,9 +43,10 @@ func BenchmarkDepthwiseConv2D(b *testing.B) {
 	in := benchInput(64, 28, 28)
 	w := New(64, 3, 3).Randomize(stats.NewRNG(4), 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	dst := New(64, 28, 28)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DepthwiseConv2D(in, w, nil, spec)
+		DepthwiseConv2DFusedInto(dst, in, w, nil, spec, Epilogue{})
 	}
 }
 
@@ -70,9 +72,10 @@ func BenchmarkSparseMatMul(b *testing.B) {
 	x := New(128, 128).Randomize(stats.NewRNG(7), 1)
 	PruneMagnitude(x, 0.9)
 	y := New(128, 128).Randomize(stats.NewRNG(8), 1)
+	dst := make([]float32, 128*128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulSparse(x, y)
+		matmulSparseInto(dst, x.Data, y.Data, 128, 128, 128)
 	}
 }
 

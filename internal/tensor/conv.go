@@ -5,16 +5,17 @@ import "fmt"
 // Conv2DSpec describes a 2-D convolution. Input is [Cin, H, W], weights
 // are [Cout, Cin, KH, KW] (rectangular kernels allowed), output is
 // [Cout, Hout, Wout] with Hout = (H + 2*padH - KH)/Stride + 1 (and
-// likewise for width). Pad applies to both axes; PadH/PadW override it
-// per axis when >= 0 and set (used by Inception's 1x7/7x1 factorized
-// convolutions).
+// likewise for width). Pad applies to both axes unless Asym is set, in
+// which case PadH/PadW apply per axis instead (Inception's 1x7/7x1
+// factorized convolutions).
 type Conv2DSpec struct {
 	Stride int
 	Pad    int
-	// PadH/PadW, when either is non-zero, replace Pad per axis. Use
-	// Conv2DSpec{PadH: n, PadW: 0} semantics via the Asym flag below.
+	// PadH/PadW are the per-axis padding, read only when Asym is set;
+	// without Asym they are ignored, whatever their values, and Pad
+	// applies to both axes.
 	PadH, PadW int
-	// Asym marks PadH/PadW as authoritative even when zero.
+	// Asym makes PadH/PadW authoritative (Pad is then ignored).
 	Asym bool
 }
 
@@ -98,8 +99,8 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 
 // Conv2D computes a direct (naive loop-nest) 2-D convolution with bias
 // on the calling goroutine. bias may be nil. This is the reference
-// implementation; Conv2DGEMM is the optimized path, and tests assert both
-// agree.
+// implementation; Conv2DGEMMFusedInto is the optimized path, and tests
+// assert both agree.
 func Conv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
 	g := convGeometry(nil, in, w.Shape, bias, spec)
@@ -142,18 +143,6 @@ func convRows(in, w *Tensor, bias []float32, spec Conv2DSpec, out *Tensor, lo, h
 			out.Data[(oc*hout+oy)*wout+ox] = sum
 		}
 	}
-}
-
-// Im2Col lowers the convolution input into a [Cin*KH*KW, Hout*Wout] matrix
-// so convolution becomes one GEMM — the standard lowering every framework
-// in the paper uses on CPUs and GPUs.
-func Im2Col(in *Tensor, kh, kw int, spec Conv2DSpec) *Tensor {
-	spec = spec.check()
-	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	hout, wout := spec.OutDims(h, wd, kh, kw)
-	out := New(cin*kh*kw, hout*wout)
-	im2colRows(out.Data, in, kh, kw, spec, hout, wout, 0, cin*kh*kw)
-	return out
 }
 
 // conv2DSparseInto is the zero-skipping convolution for pruned weights.
@@ -236,31 +225,6 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 			}
 		}
 	}
-}
-
-// Conv2DGEMM computes the convolution by lowering it to a matrix
-// multiplication (Conv2DGEMMFusedInto with nothing fused, which also says
-// what wZeroFrac is). Results match Conv2D to floating-point
-// reassociation tolerance.
-func Conv2DGEMM(in, w *Tensor, bias []float32, spec Conv2DSpec, wZeroFrac float64) *Tensor {
-	spec = spec.check()
-	g := convGeometry(nil, in, w.Shape, bias, spec)
-	out := New(g.cout, g.hout, g.wout)
-	Conv2DGEMMFusedInto(out, in, w, bias, spec, Epilogue{}, wZeroFrac)
-	return out
-}
-
-// DepthwiseConv2D applies one [KH, KW] filter per input channel (the
-// MobileNet depthwise-separable building block). Weights are
-// [C, KH, KW]; bias may be nil.
-func DepthwiseConv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
-	spec = spec.check()
-	c := in.Shape[0]
-	kh, kw := w.Shape[1], w.Shape[2]
-	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
-	out := New(c, hout, wout)
-	DepthwiseConv2DFusedInto(out, in, w, bias, spec, Epilogue{})
-	return out
 }
 
 // depthwiseRows computes the flattened output-row tiles [lo, hi), where

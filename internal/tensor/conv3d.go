@@ -124,3 +124,82 @@ func MaxPool3D(in *Tensor, k, stride int) *Tensor {
 	}
 	return out
 }
+
+// Pool3DSpec describes 3-D max pooling with independent temporal and
+// spatial kernels/strides and optional spatial padding — C3D's pool1 is
+// (1,2,2) while its deeper pools are (2,2,2), and pool5 uses spatial
+// padding to keep a 4x4 map.
+type Pool3DSpec struct {
+	KernelD, Kernel int
+	StrideD, Stride int
+	PadSpatial      int
+}
+
+func (s Pool3DSpec) check() Pool3DSpec {
+	if s.Kernel <= 0 || s.KernelD <= 0 {
+		panic("tensor: pool3d kernels must be positive")
+	}
+	if s.Stride <= 0 {
+		s.Stride = s.Kernel
+	}
+	if s.StrideD <= 0 {
+		s.StrideD = s.KernelD
+	}
+	if s.PadSpatial < 0 {
+		panic("tensor: negative pool3d padding")
+	}
+	return s
+}
+
+// OutDims returns the pooled [D, H, W] dimensions.
+func (s Pool3DSpec) OutDims(d, h, w int) (int, int, int) {
+	s = s.check()
+	od := (d-s.KernelD)/s.StrideD + 1
+	oh := (h+2*s.PadSpatial-s.Kernel)/s.Stride + 1
+	ow := (w+2*s.PadSpatial-s.Kernel)/s.Stride + 1
+	if od <= 0 || oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: pool3d output %dx%dx%d <= 0", od, oh, ow))
+	}
+	return od, oh, ow
+}
+
+// MaxPool3DSpec applies asymmetric 3-D max pooling over [C, D, H, W].
+// Padded spatial positions never win the max.
+func MaxPool3DSpec(in *Tensor, spec Pool3DSpec) *Tensor {
+	spec = spec.check()
+	c, d, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	od, oh, ow := spec.OutDims(d, h, w)
+	out := New(c, od, oh, ow)
+	for ic := 0; ic < c; ic++ {
+		for z := 0; z < od; z++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					m := negInf
+					for kz := 0; kz < spec.KernelD; kz++ {
+						iz := z*spec.StrideD + kz
+						if iz >= d {
+							continue
+						}
+						for ky := 0; ky < spec.Kernel; ky++ {
+							iy := oy*spec.Stride + ky - spec.PadSpatial
+							if iy < 0 || iy >= h {
+								continue
+							}
+							for kx := 0; kx < spec.Kernel; kx++ {
+								ix := ox*spec.Stride + kx - spec.PadSpatial
+								if ix < 0 || ix >= w {
+									continue
+								}
+								if v := in.Data[((ic*d+iz)*h+iy)*w+ix]; v > m {
+									m = v
+								}
+							}
+						}
+					}
+					out.Data[((ic*od+z)*oh+oy)*ow+ox] = m
+				}
+			}
+		}
+	}
+	return out
+}

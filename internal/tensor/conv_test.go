@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("mismatched inner dims should panic")
 		}
 	}()
-	MatMulSparse(New(2, 3), New(4, 2))
+	MatVec(New(2, 3), make([]float32, 4))
 }
 
 func TestMatVec(t *testing.T) {
@@ -106,10 +107,7 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 		}
 		spec := Conv2DSpec{Stride: stride, Pad: pad}
 		a := Conv2D(in, w, bias, spec)
-		b := Conv2DGEMM(in, w, bias, spec, 0)
-		if !a.Shape.Equal(b.Shape) {
-			return false
-		}
+		b := into(func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) }, a.Shape...)
 		for i := range a.Data {
 			if !almostEq32(a.Data[i], b.Data[i], 1e-4) {
 				return false
@@ -122,11 +120,19 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestIm2ColShape: the lowering of [3, 8, 8] under a 3x3 same-padded
+// kernel fills exactly a [3*9, 64] matrix and not one cell past it.
 func TestIm2ColShape(t *testing.T) {
-	in := New(3, 8, 8)
-	cols := Im2Col(in, 3, 3, Conv2DSpec{Stride: 1, Pad: 1})
-	if !cols.Shape.Equal(Shape{3 * 9, 64}) {
-		t.Fatalf("im2col shape = %v", cols.Shape)
+	in := New(3, 8, 8).Fill(1)
+	cols := dirty(3*9*64 + 1)
+	im2colInto(cols.Data, in, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}.check(), 8, 8)
+	for i, v := range cols.Data[:3*9*64] {
+		if v != 0 && v != 1 {
+			t.Fatalf("im2col[%d] = %v, want 0 or 1", i, v)
+		}
+	}
+	if v := cols.Data[3*9*64]; !math.IsNaN(float64(v)) {
+		t.Fatalf("im2col wrote past its [27, 64] matrix: %v", v)
 	}
 }
 
@@ -140,10 +146,7 @@ func TestDepthwiseConv2D(t *testing.T) {
 		in.Data[9+i] = 2
 	}
 	w := New(2, 2, 2).Fill(1)
-	out := DepthwiseConv2D(in, w, []float32{0, 1}, Conv2DSpec{})
-	if !out.Shape.Equal(Shape{2, 2, 2}) {
-		t.Fatalf("shape = %v", out.Shape)
-	}
+	out := into(func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, w, []float32{0, 1}, Conv2DSpec{}, Epilogue{}) }, 2, 2, 2)
 	if out.At(0, 0, 0) != 4 {
 		t.Fatalf("ch0 = %v, want 4", out.At(0, 0, 0))
 	}
@@ -158,7 +161,7 @@ func TestDepthwiseMatchesGroupedDirect(t *testing.T) {
 	in := New(4, 6, 6).Randomize(r, 1)
 	w := New(4, 3, 3).Randomize(r, 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	dw := DepthwiseConv2D(in, w, nil, spec)
+	dw := into(func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, w, nil, spec, Epilogue{}) }, 4, 6, 6)
 	for c := 0; c < 4; c++ {
 		chIn := FromData(in.Data[c*36:(c+1)*36], 1, 6, 6)
 		chW := FromData(w.Data[c*9:(c+1)*9], 1, 1, 3, 3)

@@ -272,14 +272,17 @@ func TestGemmMicrokernelNegativeZero(t *testing.T) {
 }
 
 // transposedIm2Col returns the im2row matrix [hout*wout, cin*kh*kw] as
-// the transpose of Im2Col's output — a kernel independent of im2rowPixels.
+// the transpose of im2colInto's output — a kernel independent of
+// im2rowPixels.
 func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
-	cols := Im2Col(in, kh, kw, spec)
-	rdim, npix := cols.Shape[0], cols.Shape[1]
+	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
+	rdim, npix := in.Shape[0]*kh*kw, hout*wout
+	cols := make([]float32, rdim*npix)
+	im2colInto(cols, in, kh, kw, spec.check(), hout, wout)
 	out := make([]float32, npix*rdim)
 	for r := 0; r < rdim; r++ {
 		for p := 0; p < npix; p++ {
-			out[p*rdim+r] = cols.Data[r*npix+p]
+			out[p*rdim+r] = cols[r*npix+p]
 		}
 	}
 	return out

@@ -29,9 +29,6 @@ type Epilogue struct {
 	Alpha float32
 }
 
-// Empty reports whether the epilogue performs no work.
-func (e Epilogue) Empty() bool { return len(e.Scale) == 0 && e.Act == ActNone }
-
 // ApplyInto applies the epilogue to dst in place: the affine sweep runs
 // per channel (channel count = len(Scale), plane = elements/channel —
 // for a rank-1 vector that degenerates to one term per element), then

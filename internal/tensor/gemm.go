@@ -141,15 +141,3 @@ func matmulSparseInto(dst, a, b []float32, m, k, n int) {
 		}
 	}
 }
-
-// MatMulSparse multiplies a [M, K] by b [K, N] skipping zero entries of
-// a — the pruned-weight kernel conv2DSparseInto runs on a lowered input.
-func MatMulSparse(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || b.Shape[0] != a.Shape[1] {
-		panic("tensor: MatMulSparse needs rank-2 operands with equal inner dims")
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := New(m, n)
-	matmulSparseInto(out.Data, a.Data, b.Data, m, k, n)
-	return out
-}

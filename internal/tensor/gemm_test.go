@@ -137,8 +137,10 @@ func TestMatMulSparseMatchesDense(t *testing.T) {
 	}
 	b := New(140, 150).Randomize(r, 1)
 	want := naiveMatMul(a, b)
-	if d := maxAbsDiff(MatMulSparse(a, b).Data, want.Data); d > 1e-3 {
-		t.Errorf("MatMulSparse vs naive diff %g", d)
+	got := dirty(130, 150)
+	matmulSparseInto(got.Data, a.Data, b.Data, 130, 140, 150)
+	if d := maxAbsDiff(got.Data, want.Data); d > 1e-3 {
+		t.Errorf("matmulSparseInto vs naive diff %g", d)
 	}
 	if zf := zeroFraction(a.Data); zf < sparseSkipFraction {
 		t.Fatalf("test matrix zero fraction %v below dispatch threshold", zf)
@@ -170,10 +172,17 @@ func dirty(shape ...int) *Tensor {
 	return New(shape...).Fill(float32(math.NaN()))
 }
 
+// into allocates a zeroed dst of shape and runs kernel into it.
+func into(kernel func(dst *Tensor), shape ...int) *Tensor {
+	dst := New(shape...)
+	kernel(dst)
+	return dst
+}
+
 // TestIntoKernelsOverwriteDirtyBuffers runs every destination-passing
-// kernel against a NaN-poisoned dst and requires exact agreement with the
-// allocating variant — any cell the kernel forgets to write stays NaN and
-// fails the comparison.
+// kernel into a zeroed dst and into a NaN-poisoned one and requires the
+// two to agree bit for bit — any cell the kernel forgets to write stays
+// NaN on one side and 0 on the other.
 func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	in := New(3, 9, 9).Randomize(r, 1)
@@ -182,80 +191,62 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 	bias := []float32{0.1, -0.2, 0.3, -0.4}
 	spec := Conv2DSpec{Stride: 2, Pad: 1}
 
-	check := func(name string, want *Tensor, run func(dst *Tensor)) {
+	check := func(name string, run func(dst *Tensor), shape ...int) {
 		t.Helper()
-		dst := dirty(want.Shape...)
+		want := into(run, shape...)
+		dst := dirty(shape...)
 		run(dst)
 		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
+			if math.Float32bits(dst.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("%s: dst[%d] = %v, want %v (stale cell?)", name, i, dst.Data[i], want.Data[i])
 			}
 		}
 	}
 
-	check("Conv2DGEMMFusedInto", Conv2DGEMM(in, w, bias, spec, 0), func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) })
-	check("DepthwiseConv2DFusedInto", DepthwiseConv2D(in, dw, bias[:3], spec), func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) })
-	check("AddInto", Add(in, in), func(d *Tensor) { AddInto(d, in, in) })
-	check("ConcatChannelsInto", ConcatChannels(in, in), func(d *Tensor) { ConcatChannelsInto(d, in, in) })
-	check("Pad2DInto", Pad2D(in, 2), func(d *Tensor) { Pad2DInto(d, in, 2) })
-	check("UpsampleNearest2DInto", UpsampleNearest2D(in, 2), func(d *Tensor) { UpsampleNearest2DInto(d, in, 2) })
-	check("ShuffleChannelsInto", ShuffleChannels(in, 3), func(d *Tensor) { ShuffleChannelsInto(d, in, 3) })
+	check("Conv2DGEMMFusedInto", func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) }, 4, 5, 5)
+	check("DepthwiseConv2DFusedInto", func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) }, 3, 5, 5)
+	check("AddInto", func(d *Tensor) { AddInto(d, in, in) }, 3, 9, 9)
+	check("ConcatChannelsInto", func(d *Tensor) { ConcatChannelsInto(d, in, in) }, 6, 9, 9)
+	check("Pad2DInto", func(d *Tensor) { Pad2DInto(d, in, 2) }, 3, 13, 13)
+	check("UpsampleNearest2DInto", func(d *Tensor) { UpsampleNearest2DInto(d, in, 2) }, 3, 18, 18)
+	check("ShuffleChannelsInto", func(d *Tensor) { ShuffleChannelsInto(d, in, 3) }, 3, 9, 9)
 	for _, act := range []Act{ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		want := in.Clone()
 		Epilogue{Act: act, Alpha: 0.1}.ApplyInto(want)
-		check("ActivationInto/"+actName(act), want, func(d *Tensor) { ActivationInto(d, in, act, 0.1) })
+		got := dirty(3, 9, 9)
+		ActivationInto(got, in, act, 0.1)
+		assertBitEqual(t, got, want, "ActivationInto/"+actName(act))
 	}
 
 	gamma := []float32{1, 0.5, 2}
 	beta := []float32{0, 1, -1}
 	mean := []float32{0.1, 0.2, 0.3}
 	variance := []float32{1, 2, 3}
-	check("BatchNormInto", BatchNorm(in, gamma, beta, mean, variance, 1e-5),
-		func(d *Tensor) { BatchNormInto(d, in, gamma, beta, mean, variance, 1e-5) })
+	check("BatchNormInto", func(d *Tensor) { BatchNormInto(d, in, gamma, beta, mean, variance, 1e-5) }, 3, 9, 9)
 
 	pspec := PoolSpec{Kernel: 3, Stride: 2, Pad: 1}
-	check("MaxPool2DInto", MaxPool2D(in, pspec), func(d *Tensor) { MaxPool2DInto(d, in, pspec) })
-	check("AvgPool2DInto", AvgPool2D(in, pspec), func(d *Tensor) { AvgPool2DInto(d, in, pspec) })
+	check("MaxPool2DInto", func(d *Tensor) { MaxPool2DInto(d, in, pspec) }, 3, 5, 5)
+	check("AvgPool2DInto", func(d *Tensor) { AvgPool2DInto(d, in, pspec) }, 3, 5, 5)
 
 	// Vector-destination kernels.
 	dm := New(5, len(in.Data)).Randomize(r, 1)
-	wantDense := Dense(dm, []float32{1, 2, 3, 4, 5}, in.Data)
-	gotDense := []float32{negInf, negInf, negInf, negInf, negInf}
-	DenseInto(gotDense, dm, []float32{1, 2, 3, 4, 5}, in.Data)
-	for i := range wantDense {
-		if gotDense[i] != wantDense[i] {
-			t.Fatalf("DenseInto[%d] = %v, want %v", i, gotDense[i], wantDense[i])
-		}
-	}
-	wantSm := Softmax(wantDense)
-	gotSm := []float32{negInf, negInf, negInf, negInf, negInf}
-	SoftmaxInto(gotSm, wantDense)
-	for i := range wantSm {
-		if gotSm[i] != wantSm[i] {
-			t.Fatalf("SoftmaxInto[%d] = %v, want %v", i, gotSm[i], wantSm[i])
-		}
-	}
-	wantGap := GlobalAvgPool2D(in)
-	gotGap := []float32{negInf, negInf, negInf}
-	GlobalAvgPool2DInto(gotGap, in)
-	for i := range wantGap {
-		if gotGap[i] != wantGap[i] {
-			t.Fatalf("GlobalAvgPool2DInto[%d] = %v, want %v", i, gotGap[i], wantGap[i])
-		}
-	}
+	check("DenseInto", func(d *Tensor) { DenseInto(d.Data, dm, []float32{1, 2, 3, 4, 5}, in.Data) }, 5)
+	check("SoftmaxInto", func(d *Tensor) { SoftmaxInto(d.Data, in.Data[:5]) }, 5)
+	check("GlobalAvgPool2DInto", func(d *Tensor) { GlobalAvgPool2DInto(d.Data, in) }, 3)
 }
 
 // TestIm2ColIntoWritesPaddingZeros poisons the scratch buffer and checks
-// the lowering still matches a fresh Im2Col — the padding cells must be
-// written as explicit zeros.
+// the lowering still matches one into a zeroed buffer — the padding cells
+// must be written as explicit zeros.
 func TestIm2ColIntoWritesPaddingZeros(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	in := New(2, 5, 5).Randomize(r, 1)
-	spec := Conv2DSpec{Stride: 1, Pad: 2}
-	want := Im2Col(in, 3, 3, spec)
+	spec := Conv2DSpec{Stride: 1, Pad: 2}.check()
 	hout, wout := spec.OutDims(5, 5, 3, 3)
+	want := New(2*9, hout*wout)
+	im2colInto(want.Data, in, 3, 3, spec, hout, wout)
 	got := dirty(want.Shape...)
-	im2colInto(got.Data, in, 3, 3, spec.check(), hout, wout)
+	im2colInto(got.Data, in, 3, 3, spec, hout, wout)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("im2colInto[%d] = %v, want %v", i, got.Data[i], want.Data[i])
@@ -275,7 +266,8 @@ func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	want := New(8, 17, 17)
 	convRows(in, w, nil, spec, want, 0, 8*17)
 	for run := 0; run < 2; run++ {
-		Conv2DGEMM(New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1), nil, Conv2DSpec{}, 0)
+		in2, w2 := New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1)
+		Conv2DGEMMFusedInto(New(4, 21, 21), in2, w2, nil, Conv2DSpec{}, Epilogue{}, 0)
 		dst := dirty(want.Shape...)
 		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{}, 0)
 		for i := range want.Data {

@@ -44,15 +44,16 @@ func ConcatChannelsInto(dst *Tensor, ts ...*Tensor) {
 	if len(ts) == 0 {
 		panic("tensor: ConcatChannels needs at least one input")
 	}
-	h, w := ts[0].Shape[1], ts[0].Shape[2]
+	first := ts[0].Shape
 	totalC := 0
 	for _, t := range ts {
-		if len(t.Shape) != 3 || t.Shape[1] != h || t.Shape[2] != w {
-			panic(fmt.Sprintf("tensor: ConcatChannels spatial mismatch: %v", t.Shape))
+		// The rank test runs on ts[0] first, before any read of first[1:].
+		if len(t.Shape) != 3 || t.Shape[1] != first[1] || t.Shape[2] != first[2] {
+			panic(fmt.Sprintf("tensor: ConcatChannels wants rank-3 inputs of one spatial size, got %v", t.Shape))
 		}
 		totalC += t.Shape[0]
 	}
-	checkSameShape("ConcatChannels", dst, Shape{totalC, h, w})
+	checkSameShape("ConcatChannels", dst, Shape{totalC, first[1], first[2]})
 	off := 0
 	for _, t := range ts {
 		copy(dst.Data[off:], t.Data)
@@ -61,7 +62,9 @@ func ConcatChannelsInto(dst *Tensor, ts ...*Tensor) {
 }
 
 // BatchNormInto applies inference-mode per-channel affine normalization
-// of src into dst (see BatchNorm).
+// of src into dst, y = gamma * (x - mean) / sqrt(var + eps) + beta, with
+// channels on the first axis (frozen statistics, as every framework
+// executes BN at inference).
 func BatchNormInto(dst, src *Tensor, gamma, beta, mean, variance []float32, eps float32) {
 	c := src.Shape[0]
 	if len(gamma) != c || len(beta) != c || len(mean) != c || len(variance) != c {
@@ -296,6 +299,9 @@ func AvgPool2DInto(dst, src *Tensor, spec PoolSpec) {
 // GlobalAvgPool2DInto writes per-channel means of a [C, H, W] src into
 // dst (length C).
 func GlobalAvgPool2DInto(dst []float32, src *Tensor) {
+	if len(src.Shape) != 3 {
+		panic(fmt.Sprintf("tensor: GlobalAvgPool2D wants a rank-3 src, got %v", src.Shape))
+	}
 	c, h, w := src.Shape[0], src.Shape[1], src.Shape[2]
 	if len(dst) != c {
 		panic("tensor: GlobalAvgPool2D dst length mismatch")
@@ -335,7 +341,9 @@ func UpsampleNearest2DInto(dst, src *Tensor, factor int) {
 }
 
 // ShuffleChannelsInto permutes src's channels across groups into dst
-// (ShuffleNet interleave; see ShuffleChannels).
+// (ShuffleNet): channel i moves to position (i%g)*(C/g) + i/g, which
+// interleaves the groups so the next grouped convolution sees features
+// from every group.
 func ShuffleChannelsInto(dst, src *Tensor, groups int) {
 	c := src.Shape[0]
 	checkSameShape("ShuffleChannels", dst, src.Shape)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,34 +36,37 @@ func TestActivations(t *testing.T) {
 func TestAdd(t *testing.T) {
 	a := FromData([]float32{1, 2}, 2)
 	b := FromData([]float32{10, 20}, 2)
-	c := Add(a, b)
+	c := into(func(d *Tensor) { AddInto(d, a, b) }, 2)
 	if c.Data[0] != 11 || c.Data[1] != 22 || a.Data[0] != 1 {
 		t.Fatalf("Add = %v (a=%v)", c.Data, a.Data)
 	}
+	wantPanic(t, "Add shape mismatch", func() { AddInto(New(2), a, New(3)) })
+}
+
+// wantPanic fails unless f panics with a message containing msg: the
+// kernel's own, not a runtime index error.
+func wantPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch should panic")
+		r := recover()
+		if s, ok := r.(string); !ok || !strings.Contains(s, msg) {
+			t.Errorf("panic %v, want one containing %q", r, msg)
 		}
 	}()
-	Add(a, New(3))
+	f()
 }
 
 func TestConcatChannels(t *testing.T) {
 	a := New(1, 2, 2).Fill(1)
 	b := New(3, 2, 2).Fill(2)
-	c := ConcatChannels(a, b)
-	if !c.Shape.Equal(Shape{4, 2, 2}) {
-		t.Fatalf("shape = %v", c.Shape)
-	}
+	c := into(func(d *Tensor) { ConcatChannelsInto(d, a, b) }, 4, 2, 2)
 	if c.Data[0] != 1 || c.Data[4] != 2 {
 		t.Fatal("concat data order wrong")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("spatial mismatch should panic")
-		}
-	}()
-	ConcatChannels(a, New(1, 3, 3))
+	wantPanic(t, "ConcatChannels wants rank-3", func() { ConcatChannelsInto(New(2, 2, 2), a, New(1, 3, 3)) })
+	wantPanic(t, "ConcatChannels wants rank-3", func() { ConcatChannelsInto(New(5), New(4), a) })
+	wantPanic(t, "GlobalAvgPool2D wants a rank-3", func() { GlobalAvgPool2DInto(make([]float32, 4), New(4)) })
+	wantPanic(t, "ConcatChannels dst shape", func() { ConcatChannelsInto(New(3, 2, 2), a, b) })
 }
 
 func TestBatchNorm(t *testing.T) {
@@ -71,7 +75,7 @@ func TestBatchNorm(t *testing.T) {
 	beta := []float32{1}
 	mean := []float32{2.5}
 	variance := []float32{1.25}
-	out := BatchNorm(in, gamma, beta, mean, variance, 0)
+	out := into(func(d *Tensor) { BatchNormInto(d, in, gamma, beta, mean, variance, 0) }, 1, 2, 2)
 	// (x-2.5)/sqrt(1.25)*2 + 1
 	want0 := float32((1-2.5)/math.Sqrt(1.25)*2 + 1)
 	if !almostEq32(out.Data[0], want0, 1e-5) {
@@ -102,7 +106,8 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 			variance[i] = r.Float32() + 0.1
 		}
 		spec := Conv2DSpec{Stride: 1, Pad: 1}
-		ref := BatchNorm(Conv2D(in, w, bias, spec), gamma, beta, mean, variance, 1e-5)
+		ref := Conv2D(in, w, bias, spec)
+		BatchNormInto(ref, ref, gamma, beta, mean, variance, 1e-5)
 		fw, fb := FoldBatchNorm(w, bias, gamma, beta, mean, variance, 1e-5)
 		fused := Conv2D(in, fw, fb, spec)
 		for i := range ref.Data {
@@ -119,31 +124,31 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 
 func TestDense(t *testing.T) {
 	w := FromData([]float32{1, 2, 3, 4}, 2, 2)
-	out := Dense(w, []float32{10, 20}, []float32{1, 1})
+	out := make([]float32, 2)
+	DenseInto(out, w, []float32{10, 20}, []float32{1, 1})
 	if out[0] != 13 || out[1] != 27 {
 		t.Fatalf("Dense = %v", out)
 	}
-	out = Dense(w, nil, []float32{1, 0})
+	DenseInto(out, w, nil, []float32{1, 0})
 	if out[0] != 1 || out[1] != 3 {
 		t.Fatalf("Dense no-bias = %v", out)
 	}
 }
 
 func TestSoftmax(t *testing.T) {
-	out := Softmax([]float32{1, 1, 1, 1})
+	out := make([]float32, 4)
+	SoftmaxInto(out, []float32{1, 1, 1, 1})
 	for _, v := range out {
 		if !almostEq32(v, 0.25, 1e-6) {
 			t.Fatalf("uniform softmax = %v", out)
 		}
 	}
 	// Stability with large logits.
-	out = Softmax([]float32{1000, 1000})
+	SoftmaxInto(out[:2], []float32{1000, 1000})
 	if !almostEq32(out[0], 0.5, 1e-6) {
 		t.Fatalf("large-logit softmax = %v", out)
 	}
-	if Softmax(nil) != nil {
-		t.Fatal("Softmax(nil) should be nil")
-	}
+	SoftmaxInto(nil, nil) // empty input: nothing to write, no panic
 }
 
 func TestSoftmaxSumsToOneProperty(t *testing.T) {
@@ -157,8 +162,10 @@ func TestSoftmaxSumsToOneProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
+		out := make([]float32, len(xs))
+		SoftmaxInto(out, xs)
 		var sum float64
-		for _, v := range Softmax(xs) {
+		for _, v := range out {
 			if v < 0 {
 				return false
 			}
@@ -173,23 +180,20 @@ func TestSoftmaxSumsToOneProperty(t *testing.T) {
 
 func TestPad2D(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4}, 1, 2, 2)
-	out := Pad2D(in, 1)
-	if !out.Shape.Equal(Shape{1, 4, 4}) {
-		t.Fatalf("shape = %v", out.Shape)
-	}
+	out := into(func(d *Tensor) { Pad2DInto(d, in, 1) }, 1, 4, 4)
 	if out.At(0, 0, 0) != 0 || out.At(0, 1, 1) != 1 || out.At(0, 2, 2) != 4 {
 		t.Fatal("padding layout wrong")
 	}
-	same := Pad2D(in, 0)
+	same := into(func(d *Tensor) { Pad2DInto(d, in, 0) }, 1, 2, 2)
 	same.Data[0] = 9
-	if in.Data[0] != 1 {
-		t.Fatal("Pad2D(0) should return a copy")
+	if in.Data[0] != 1 || same.Data[3] != 4 {
+		t.Fatal("Pad2D(0) should copy")
 	}
 }
 
 func TestMaxPool2D(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
-	out := MaxPool2D(in, PoolSpec{Kernel: 2, Stride: 1})
+	out := into(func(d *Tensor) { MaxPool2DInto(d, in, PoolSpec{Kernel: 2, Stride: 1}) }, 1, 2, 2)
 	want := []float32{5, 6, 8, 9}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -198,7 +202,7 @@ func TestMaxPool2D(t *testing.T) {
 	}
 	// Negative inputs with padding: pad cells must not win.
 	neg := New(1, 2, 2).Fill(-3)
-	p := MaxPool2D(neg, PoolSpec{Kernel: 2, Stride: 2, Pad: 1})
+	p := into(func(d *Tensor) { MaxPool2DInto(d, neg, PoolSpec{Kernel: 2, Stride: 2, Pad: 1}) }, 1, 2, 2)
 	for _, v := range p.Data {
 		if v != -3 {
 			t.Fatalf("padded max pooled = %v, want -3", v)
@@ -208,12 +212,12 @@ func TestMaxPool2D(t *testing.T) {
 
 func TestAvgPool2D(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4}, 1, 2, 2)
-	out := AvgPool2D(in, PoolSpec{Kernel: 2, Stride: 2})
+	out := into(func(d *Tensor) { AvgPool2DInto(d, in, PoolSpec{Kernel: 2, Stride: 2}) }, 1, 1, 1)
 	if out.Data[0] != 2.5 {
 		t.Fatalf("AvgPool = %v, want 2.5", out.Data[0])
 	}
 	// Padding excluded from divisor.
-	p := AvgPool2D(in, PoolSpec{Kernel: 2, Stride: 2, Pad: 1})
+	p := into(func(d *Tensor) { AvgPool2DInto(d, in, PoolSpec{Kernel: 2, Stride: 2, Pad: 1}) }, 1, 2, 2)
 	if p.At(0, 0, 0) != 1 {
 		t.Fatalf("padded avg = %v, want 1 (single cell)", p.At(0, 0, 0))
 	}
@@ -225,7 +229,8 @@ func TestGlobalAvgPool2D(t *testing.T) {
 		in.Data[i] = 2
 		in.Data[4+i] = 4
 	}
-	got := GlobalAvgPool2D(in)
+	got := make([]float32, 2)
+	GlobalAvgPool2DInto(got, in)
 	if got[0] != 2 || got[1] != 4 {
 		t.Fatalf("GAP = %v", got)
 	}
@@ -240,5 +245,5 @@ func TestPoolSpecChecks(t *testing.T) {
 			t.Fatal("zero kernel should panic")
 		}
 	}()
-	MaxPool2D(New(1, 2, 2), PoolSpec{})
+	MaxPool2DInto(New(1, 2, 2), New(1, 2, 2), PoolSpec{})
 }

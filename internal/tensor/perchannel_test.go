@@ -19,7 +19,8 @@ func TestPerChannelQuantBound(t *testing.T) {
 			seg[i] = (r.Float32()*2 - 1) * mag
 		}
 	}
-	out, scales := QuantizePerChannelRoundTrip(w)
+	q := QuantizePerChannel(w)
+	out, scales := q.Dequantize(), q.Scales
 	if len(scales) != 4 {
 		t.Fatalf("scales = %d", len(scales))
 	}
@@ -48,7 +49,8 @@ func TestPerChannelZeroChannel(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		w.Data[i] = 1
 	}
-	out, scales := QuantizePerChannelRoundTrip(w)
+	q := QuantizePerChannel(w)
+	out, scales := q.Dequantize(), q.Scales
 	if scales[0] != 1 {
 		t.Fatalf("zero channel scale = %v, want 1", scales[0])
 	}

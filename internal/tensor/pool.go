@@ -33,89 +33,3 @@ func (s PoolSpec) OutDim(in int) int {
 	}
 	return out
 }
-
-// MaxPool2D applies max pooling. Padded positions never win the max
-// (they contribute -inf), matching framework semantics.
-func MaxPool2D(in *Tensor, spec PoolSpec) *Tensor {
-	spec = spec.check()
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	hout := spec.OutDim(h)
-	wout := spec.OutDim(w)
-	out := New(c, hout, wout)
-	for ic := 0; ic < c; ic++ {
-		for oy := 0; oy < hout; oy++ {
-			for ox := 0; ox < wout; ox++ {
-				m := negInf
-				for ky := 0; ky < spec.Kernel; ky++ {
-					iy := oy*spec.Stride + ky - spec.Pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < spec.Kernel; kx++ {
-						ix := ox*spec.Stride + kx - spec.Pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						if v := in.Data[(ic*h+iy)*w+ix]; v > m {
-							m = v
-						}
-					}
-				}
-				out.Data[(ic*hout+oy)*wout+ox] = m
-			}
-		}
-	}
-	return out
-}
-
-// AvgPool2D applies average pooling. The divisor counts only in-bounds
-// positions (the "count_exclude_pad" convention).
-func AvgPool2D(in *Tensor, spec PoolSpec) *Tensor {
-	spec = spec.check()
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	hout := spec.OutDim(h)
-	wout := spec.OutDim(w)
-	out := New(c, hout, wout)
-	for ic := 0; ic < c; ic++ {
-		for oy := 0; oy < hout; oy++ {
-			for ox := 0; ox < wout; ox++ {
-				var sum float32
-				var n int
-				for ky := 0; ky < spec.Kernel; ky++ {
-					iy := oy*spec.Stride + ky - spec.Pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < spec.Kernel; kx++ {
-						ix := ox*spec.Stride + kx - spec.Pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						sum += in.Data[(ic*h+iy)*w+ix]
-						n++
-					}
-				}
-				if n > 0 {
-					out.Data[(ic*hout+oy)*wout+ox] = sum / float32(n)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// GlobalAvgPool2D reduces [C, H, W] to a length-C vector of per-channel
-// means — the head of ResNet/MobileNet/Inception classifiers.
-func GlobalAvgPool2D(in *Tensor) []float32 {
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	out := make([]float32, c)
-	plane := h * w
-	for ic := 0; ic < c; ic++ {
-		var sum float32
-		for _, v := range in.Data[ic*plane : (ic+1)*plane] {
-			sum += v
-		}
-		out[ic] = sum / float32(plane)
-	}
-	return out
-}

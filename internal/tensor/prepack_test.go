@@ -352,14 +352,17 @@ func TestSparseConvSelection(t *testing.T) {
 			assertBitEqual(t, got, dense, "pruned conv below the threshold vs the dense reference")
 			continue
 		}
-		want := MatMulSparse(w.Reshape(32, 16*9), Im2Col(in, 3, 3, spec)).Reshape(32, hw, hw)
+		cols := make([]float32, 16*9*hw*hw)
+		im2colInto(cols, in, 3, 3, spec, hw, hw)
+		want := New(32, hw, hw)
+		matmulSparseInto(want.Data, w.Data, cols, 32, 16*9, hw*hw)
 		for oc, b := range bias {
 			for i := range want.Data[oc*hw*hw : (oc+1)*hw*hw] {
 				want.Data[oc*hw*hw+i] += b
 			}
 		}
 		epi.ApplyInto(want)
-		assertBitEqual(t, got, want, "pruned conv above the threshold vs im2col + MatMulSparse")
+		assertBitEqual(t, got, want, "pruned conv above the threshold vs im2col + matmulSparseInto")
 		if bitsEqual(got.Data, dense.Data) {
 			t.Fatal("the dense kernel gives the same bits: the comparison above proves nothing")
 		}

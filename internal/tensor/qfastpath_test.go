@@ -238,8 +238,7 @@ func poolInput(r *rand.Rand, shape ...int) *Tensor {
 
 // TestMaxPoolInteriorMatchesWindowReference sweeps kernel 2-3, stride
 // 1-3 and pad 0-1 over planes from one element up, including planes
-// smaller than the window, against the per-window reference and the
-// allocating MaxPool2D.
+// smaller than the window, against the per-window reference.
 func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	cases := 0
@@ -259,9 +258,6 @@ func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
 						MaxPool2DInto(got, in, spec)
 						if !bitsEqual(got.Data, want.Data) {
 							t.Errorf("%s: MaxPool2DInto differs from the per-window reference", name)
-						}
-						if !bitsEqual(MaxPool2D(in, spec).Data, want.Data) {
-							t.Errorf("%s: per-window reference differs from MaxPool2D", name)
 						}
 						cases++
 					}

@@ -39,9 +39,10 @@ func (q *QTensor) Clone() *QTensor {
 
 // quantClamp rounds v (already divided by the scale) to the nearest
 // int8 code in [-127, 127]. The symmetric scheme never emits -128: the
-// code range must mirror around zero so int8 GEMM accumulators and the
-// SWAR lane bias stay symmetric-safe, and so |code| * scale never
-// exceeds the calibrated maxabs. Every quantizer in this package funnels
+// int8 GEMM's three-lane multiply bounds each 64-deep lane sum by
+// 127*127*64 < 2^20 (qgemm.go's compile-time assertion), which
+// -128*-128*64 = 2^20 would reach; and |code| * scale must never exceed
+// the calibrated maxabs. Every quantizer in this package funnels
 // through here; TestQuantClampSymmetricRange pins the edge.
 func quantClamp(v float64) int8 {
 	r := math.RoundToEven(v)
@@ -221,17 +222,6 @@ func (q *QTensor) Dequantize() *Tensor {
 		t.Data[i] = float32(v) * q.Scale
 	}
 	return t
-}
-
-// QuantizePerChannelRoundTrip quantizes a weight tensor to INT8 with one
-// symmetric scale per output channel (the tensor's first axis) and
-// reconstructs it — the per-axis scheme TFLite actually applies to
-// convolution weights, which cuts quantization error on layers whose
-// channels have very different magnitudes. It returns the reconstructed
-// tensor and the per-channel scales.
-func QuantizePerChannelRoundTrip(t *Tensor) (*Tensor, []float32) {
-	q := QuantizePerChannel(t)
-	return q.Dequantize(), q.Scales
 }
 
 // RoundTripFP16 converts every element to IEEE-754 binary16 and back,

@@ -44,8 +44,9 @@ func TestQuantizeSaturation(t *testing.T) {
 
 // TestQuantClampSymmetricRange pins the negative clip edge: the
 // symmetric scheme's code range is [-127, 127] and no quantizer may
-// emit -128 — the int8 kernels' SWAR lane bias and the documented
-// |code|*scale <= maxabs contract both depend on it. The adversarial
+// emit -128 — the int8 GEMM's three-lane bound (127*127*64 < 2^20, where
+// -128*-128*64 would reach 2^20) and the documented |code|*scale <= maxabs
+// contract both depend on it. The adversarial
 // inputs steer float rounding toward the -128 boundary.
 func TestQuantClampSymmetricRange(t *testing.T) {
 	if got := quantClamp(-127.5); got != -127 {

@@ -9,10 +9,7 @@ import (
 
 func TestUpsampleNearest2D(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4}, 1, 2, 2)
-	out := UpsampleNearest2D(in, 2)
-	if !out.Shape.Equal(Shape{1, 4, 4}) {
-		t.Fatalf("shape %v", out.Shape)
-	}
+	out := into(func(d *Tensor) { UpsampleNearest2DInto(d, in, 2) }, 1, 4, 4)
 	want := []float32{
 		1, 1, 2, 2,
 		1, 1, 2, 2,
@@ -25,9 +22,9 @@ func TestUpsampleNearest2D(t *testing.T) {
 		}
 	}
 	// Factor 1 copies.
-	same := UpsampleNearest2D(in, 1)
+	same := into(func(d *Tensor) { UpsampleNearest2DInto(d, in, 1) }, 1, 2, 2)
 	same.Data[0] = 9
-	if in.Data[0] != 1 {
+	if in.Data[0] != 1 || same.Data[3] != 4 {
 		t.Fatal("factor-1 upsample should copy")
 	}
 	defer func() {
@@ -35,7 +32,7 @@ func TestUpsampleNearest2D(t *testing.T) {
 			t.Fatal("factor 0 should panic")
 		}
 	}()
-	UpsampleNearest2D(in, 0)
+	UpsampleNearest2DInto(New(1, 2, 2), in, 0)
 }
 
 func TestPool3DSpecOutDims(t *testing.T) {
@@ -90,9 +87,10 @@ func TestConv2DParallelWorkerPath(t *testing.T) {
 	// The host may have one CPU; raise GOMAXPROCS so the sharded path
 	// actually runs multiple goroutines.
 	old := runtime.GOMAXPROCS(1)
-	serial := Conv2DGEMM(in, w, bias, spec, 0)
+	conv := func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) }
+	serial := into(conv, 16, 40, 40)
 	runtime.GOMAXPROCS(4)
-	sharded := Conv2DGEMM(in, w, bias, spec, 0)
+	sharded := into(conv, 16, 40, 40)
 	runtime.GOMAXPROCS(old)
 	oracle := Conv2D(in, w, bias, spec)
 	for i := range serial.Data {

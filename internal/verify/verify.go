@@ -378,11 +378,7 @@ func (c *checker) checkFusion() {
 			// fused FP32 kernel; elsewhere the affine would silently be
 			// skipped by the generic fallback.
 			switch n.Kind {
-			case graph.OpConv2D:
-				if n.Attrs.GroupCount() != 1 {
-					c.add("fusion", Error, n, "BN epilogue on grouped convolution (no fused kernel)")
-				}
-			case graph.OpDepthwiseConv2D, graph.OpDense:
+			case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpDense:
 			default:
 				c.add("fusion", Error, n, "BN epilogue on op %s, which has no fused kernel", n.Kind)
 			}
