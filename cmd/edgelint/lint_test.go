@@ -855,7 +855,7 @@ func ignored(a, b float64) bool { return a == b } // edgelint:ignore float-eq
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"atomic-mixed", "exported-doc", "fake-quant", "float-eq",
-		"go-lifetime", "handler-ctx", "hot-pack", "into-alias",
+		"go-lifetime", "handler-ctx", "into-alias",
 		"mutex-infer", "nodes-mut", "panic-in-err", "pass-verify",
 		"pool-alloc", "unchecked-error", "wg-add",
 	}
@@ -866,102 +866,6 @@ func TestRegistry(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("rule %d = %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
-// fakeTensorPack is a stand-in exposing the AOT panel-pack builders the
-// hot-pack rule resolves against.
-const fakeTensorPack = `package tensor
-
-// Tensor is a fake.
-type Tensor struct{}
-
-// PackedWeights is a fake.
-type PackedWeights struct{}
-
-// QTensor is a fake.
-type QTensor struct{}
-
-// PackConvWeights is a fake.
-func PackConvWeights(w *Tensor) *PackedWeights { return nil }
-
-// PackQDenseWeights is a fake.
-func PackQDenseWeights(qw *QTensor) *PackedWeights { return nil }
-`
-
-// TestHotPack pins the hot-pack rule: a pack-builder call two static
-// hops below Infer is flagged, while the same builders at session open
-// (NewEngine) or in a function unreachable from any entry point are
-// design, not findings.
-func TestHotPack(t *testing.T) {
-	e := newEnv(t)
-	e.add(tensorPkg, fakeTensorPack)
-	p := e.add("edgebench/internal/serving", `package serving
-
-import "edgebench/internal/tensor"
-
-// Engine is a fake.
-type Engine struct{}
-
-// Infer is a hot root; the pack call two hops down must be flagged.
-func (e *Engine) Infer(x *tensor.Tensor) { e.step(x) }
-
-func (e *Engine) step(x *tensor.Tensor) { helper(x) }
-
-func helper(x *tensor.Tensor) { _ = tensor.PackConvWeights(x) }
-
-// NewEngine is session-open work: packing here is the point.
-func NewEngine() *Engine {
-	_ = tensor.PackQDenseWeights(nil)
-	return &Engine{}
-}
-
-// Warm is exported but unreachable from any inference entry point.
-func Warm(x *tensor.Tensor) { _ = tensor.PackConvWeights(x) }
-`)
-	wantRules(t, lintPackage(p), "hot-pack")
-}
-
-// TestHotPackGoroutine: a pack call inside a function literal spawned by
-// a hot root is still on the request path.
-func TestHotPackGoroutine(t *testing.T) {
-	e := newEnv(t)
-	e.add(tensorPkg, fakeTensorPack)
-	p := e.add(graphPkg, `package graph
-
-import "edgebench/internal/tensor"
-
-// Executor is a fake.
-type Executor struct{}
-
-// Run is a hot root spawning a packing worker.
-func (e *Executor) Run(x *tensor.Tensor) {
-	done := make(chan struct{})
-	go func() {
-		_ = tensor.PackConvWeights(x)
-		close(done)
-	}()
-	<-done
-}
-`)
-	wantRules(t, lintPackage(p), "hot-pack")
-}
-
-// TestHotPackScope: identical code outside the executor/serving
-// packages is not in the rule's scope.
-func TestHotPackScope(t *testing.T) {
-	e := newEnv(t)
-	e.add(tensorPkg, fakeTensorPack)
-	p := e.add("example.com/m/bench", `package bench
-
-import "edgebench/internal/tensor"
-
-func Infer(x *tensor.Tensor) { _ = tensor.PackConvWeights(x) }
-`)
-	for _, f := range lintPackage(p) {
-		if f.rule == "hot-pack" {
-			t.Fatalf("hot-pack reported out of scope: %s", f.msg)
 		}
 	}
 }

@@ -122,10 +122,6 @@ func waitExit(t *testing.T, p *workerProc) error {
 // in-process executor, sequentially and under concurrent load.
 func TestPipelineBitExact(t *testing.T) {
 	g := testModel(t)
-	// Stage engines pre-pack their subgraph weights at session open, so
-	// the single-process reference must run the same pre-packed GEMM
-	// lowering to stay bitwise comparable.
-	graph.PrepackWeights(g)
 	parts := splitThree(t, g)
 	stages, procs := startWorkers(t, 3)
 	p, err := cluster.Connect(parts, stages, cluster.Options{})
@@ -230,7 +226,6 @@ func TestPipelinePlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := model.MustGet(plan.Model).Build(nn.Options{Materialize: true, Seed: 21})
-	graph.PrepackWeights(g) // match the stage engines' pre-packed lowering
 	parts, err := cluster.BuildStages(g, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +345,6 @@ func TestPipelineFrontServerKeepsStagesFed(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
 			g := testModel(t)
-			graph.PrepackWeights(g) // match the stage engines' pre-packed lowering
 			parts := splitThree(t, g)
 			stages, _ := startWorkers(t, 3)
 			p, err := cluster.Connect(parts, stages, cluster.Options{Replicas: replicas})
@@ -412,7 +406,6 @@ func TestPipelineFrontServerKeepsStagesFed(t *testing.T) {
 // stage that takes one frame at a time never does.
 func TestStageComputesFramesConcurrently(t *testing.T) {
 	g := testModelHW(t, 48)
-	graph.PrepackWeights(g)
 	stages, _ := startWorkers(t, 1)
 	p, err := cluster.Connect([]*graph.Graph{g}, stages, cluster.Options{Replicas: 2})
 	if err != nil {
@@ -464,7 +457,6 @@ func TestStageComputesFramesConcurrently(t *testing.T) {
 func TestPipelineGracefulClose(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	g := testModelHW(t, 48)
-	graph.PrepackWeights(g)
 	parts := splitThree(t, g)
 	stages, procs := startWorkers(t, 3)
 	p, err := cluster.Connect(parts, stages, cluster.Options{Credits: 2, Replicas: 2})
@@ -571,7 +563,6 @@ func handConfigure(t *testing.T, addr string, cfg cluster.WorkerConfig, part *gr
 // chain unwinds from the back once the test hangs up.
 func TestStageDrainSendsOneEOSLast(t *testing.T) {
 	g := testModelHW(t, 48)
-	graph.PrepackWeights(g)
 	cuts := partition.CutPoints(g)
 	parts, err := partition.SplitN(g, cuts[len(cuts)/2])
 	if err != nil {

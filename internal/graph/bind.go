@@ -6,24 +6,20 @@ import (
 	"edgebench/internal/tensor"
 )
 
-// kernel is the implementation bind selects for one node, with the
-// facts the planner, the pre-packer and the dispatch counters need
-// about it. It is the single place the question "which
-// kernel runs this node" is answered; everything else reads the answer.
+// kernel is the implementation bind builds for one node, with the facts
+// the dispatch counters need about it. It is the single place the
+// question "which kernel runs this node" is answered; everything else
+// reads the answer.
 type kernel struct {
 	// run evaluates the node on in, its input values in Inputs order.
 	// When dst is set the executor passes a buffer of the node's OutShape
 	// whose contents are arbitrary (it may be a recycled arena buffer);
 	// run stores every element and returns it. Otherwise run is passed
 	// nil and returns a tensor it allocated — or, for views and
-	// constants, one it shares.
-	run func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor
+	// constants, one it shares. run only reads what it closes over: a
+	// program's steps run on several executors at once.
+	run runFunc
 	dst bool
-
-	// pack, on a kernel that packs its weight operand on every call,
-	// caches on the node the ahead-of-time panels bind then selects the
-	// kernel's pre-packed twin for; it reports whether it packed.
-	pack func(n *Node) bool
 
 	// act and affine say how much of a node's epilogue run applies
 	// itself: a fused activation, an absorbed batch-norm.
@@ -32,23 +28,22 @@ type kernel struct {
 	// What DispatchCounts records per evaluation: compute marks the
 	// conv/dense family; int8 the int8 path (else a compute kernel counts
 	// as FP32); fused a non-empty epilogue applied inside the kernel.
-	// int8 is also the quantizer's question: would int8 codes be used
-	// here. packed is a fact nothing counts: the kernel reads an
-	// ahead-of-time panel.
+	// packed is a fact nothing counts: run reads panels bind packed.
 	compute, int8, fused, packed bool
 }
 
-// bind selects n's kernel from what the node carries: its kind, group
-// count, absorbed epilogue, int8 codes and cached panels. A node with an
-// absorbed batch-norm affine but no kernel that applies one is refused —
-// any fallback would silently skip the affine, so the verifier forbids
-// the combination and the executor will not run it. Nodes whose int8
-// codes the int8 kernels cannot honour (an absorbed affine, which the
-// requantize epilogue has no stage for, or an unknown activation) run
-// the FP32 kernels on the dequantized shadow in Weights.
+// runFunc is a kernel's evaluator (kernel.run).
+type runFunc func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor
+
+// bind selects n's kernel from what the node carries — its kind, group
+// count, absorbed epilogue and int8 codes — and builds it: the weight
+// panels the kernel reads, and what it measures of the weights, are made
+// here, once per compile, and closed over. A node with an absorbed
+// batch-norm affine but no kernel that applies one is refused — any
+// fallback would silently skip the affine, so the verifier forbids the
+// combination and the executor will not run it.
 func bind(n *Node) (kernel, error) {
 	act := n.Activation != 0
-	int8 := n.QWeights != nil && n.EpiChannels == 0 && (!act || actFor(n.Activation) != tensor.ActNone)
 	var k kernel
 	switch n.Kind {
 	case OpConst:
@@ -56,57 +51,54 @@ func bind(n *Node) (kernel, error) {
 	case OpConv2D:
 		switch {
 		case n.Attrs.GroupCount() > 1:
-			k = kernel{run: convGrouped(), dst: true, act: true, affine: true}
-		case int8 && n.PackedQ != nil:
-			k = kernel{run: runConvQPacked, dst: true, act: true, int8: true, packed: true}
-		case int8:
-			k = kernel{run: runConvQ, pack: packConvQ, dst: true, act: true, int8: true}
-		case n.Packed != nil:
-			k = kernel{run: runConvPacked, dst: true, act: true, affine: true, packed: true}
+			run, err := convGrouped(n)
+			if err != nil {
+				return kernel{}, err
+			}
+			k = kernel{run: run, act: true, affine: true}
+		case runsInt8(n):
+			k = kernel{run: convQ(n), act: true, int8: true, packed: true}
 		default:
-			k = kernel{run: convGEMM(), pack: packConv, dst: true, act: true, affine: true}
+			k = convFP32(n)
 		}
 		k.compute = true
 	case OpDepthwiseConv2D:
-		k = kernel{run: runDepthwise, dst: true, act: true, affine: true, compute: true}
+		k = kernel{run: runDepthwise, act: true, affine: true, compute: true}
 	case OpConv3D:
 		k = kernel{run: runConv3D, compute: true}
 	case OpDense:
-		switch {
-		case int8 && n.PackedQ != nil:
-			k = kernel{run: runDenseQPacked, dst: true, act: true, int8: true, packed: true}
-		case int8:
-			k = kernel{run: runDenseQ, pack: packDenseQ, dst: true, act: true, int8: true}
-		default:
+		if runsInt8(n) {
+			k = kernel{run: denseQ(n), act: true, int8: true, packed: true}
+		} else {
 			// FP32 dense has no packed form: its matvec accumulation
 			// order is one the blocked GEMM cannot reproduce bitwise.
-			k = kernel{run: runDense, dst: true, act: true, affine: true}
+			k = kernel{run: runDense, act: true, affine: true}
 		}
 		k.compute = true
 	case OpAdd:
-		k = kernel{run: runAdd, dst: true, act: true}
+		k = kernel{run: runAdd, act: true}
 	case OpBatchNorm:
-		k = kernel{run: runBatchNorm, dst: true}
+		k = kernel{run: runBatchNorm}
 	case OpReLU, OpReLU6, OpLeakyReLU, OpSigmoid, OpTanh:
-		k = kernel{run: runActivation, dst: true}
+		k = kernel{run: runActivation}
 	case OpMaxPool2D:
-		k = kernel{run: runMaxPool, dst: true}
+		k = kernel{run: runMaxPool}
 	case OpAvgPool2D:
-		k = kernel{run: runAvgPool, dst: true}
+		k = kernel{run: runAvgPool}
 	case OpGlobalAvgPool:
-		k = kernel{run: runGlobalAvgPool, dst: true}
+		k = kernel{run: runGlobalAvgPool}
 	case OpMaxPool3D:
 		k = kernel{run: runMaxPool3D}
 	case OpUpsample:
-		k = kernel{run: runUpsample, dst: true}
+		k = kernel{run: runUpsample}
 	case OpShuffle:
-		k = kernel{run: runShuffle, dst: true}
+		k = kernel{run: runShuffle}
 	case OpConcat:
-		k = kernel{run: runConcat, dst: true}
+		k = kernel{run: runConcat}
 	case OpSoftmax:
-		k = kernel{run: runSoftmax, dst: true}
+		k = kernel{run: runSoftmax}
 	case OpPad:
-		k = kernel{run: runPad, dst: true}
+		k = kernel{run: runPad}
 	case OpFlatten:
 		k = kernel{run: runFlatten}
 	case OpLSTM:
@@ -114,6 +106,7 @@ func bind(n *Node) (kernel, error) {
 	default:
 		return kernel{}, fmt.Errorf("unsupported op %v", n.Kind)
 	}
+	k.dst = writesDst(n.Kind)
 	switch {
 	case n.EpiChannels > 0 && !k.affine:
 		return kernel{}, fmt.Errorf("no fused kernel for %s with an absorbed batch-norm epilogue", n.Kind)
@@ -133,6 +126,32 @@ func bind(n *Node) (kernel, error) {
 		k.fused = act || n.EpiChannels > 0
 	}
 	return k, nil
+}
+
+// writesDst reports whether the kernel of an op kind writes into a
+// buffer the executor hands it — an arena slot, when the plan gives one —
+// rather than returning a tensor of its own.
+func writesDst(k OpKind) bool {
+	switch k {
+	case OpInput, OpConst, OpConv3D, OpMaxPool3D, OpFlatten, OpLSTM:
+		return false
+	}
+	return true
+}
+
+// runsInt8 reports whether bind runs n on an int8 kernel: an ungrouped
+// convolution or a dense layer carrying int8 codes the int8 kernels can
+// honour. An absorbed affine, which the requantize epilogue has no stage
+// for, or an activation it cannot fuse sends the node to the FP32
+// kernels on the dequantized shadow in Weights.
+func runsInt8(n *Node) bool {
+	switch {
+	case n.QWeights == nil || n.EpiChannels > 0:
+		return false
+	case n.Activation != 0 && actFor(n.Activation) == tensor.ActNone:
+		return false
+	}
+	return n.Kind == OpDense || n.Kind == OpConv2D && n.Attrs.GroupCount() == 1
 }
 
 // epilogue is the node's absorbed batch-norm affine and activation as
@@ -168,97 +187,84 @@ func poolSpec(n *Node) tensor.PoolSpec {
 }
 
 // The kernels bind chooses between. Each adapts one internal/tensor
-// entry point to the run signature and reads the node's
-// parameters when called, so training's in-place weight updates are seen.
+// entry point to the run signature; the constructors among them (convQ,
+// convFP32, convGrouped, denseQ) build, once, what their kernel reads of
+// the weights.
 
 func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 	// Consumers treat inputs as read-only, so no defensive copy is made.
 	return n.Weights
 }
 
-func runConvQPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DQPrepackedInto(dst, in[0], n.PackedQ, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-		actFor(n.Activation), n.Attrs.LeakySlope())
-	return dst
-}
-
-func runConvQ(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DQInt8Into(dst, in[0], n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-		actFor(n.Activation), n.Attrs.LeakySlope())
-	return dst
-}
-
-func runConvPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.Conv2DPrepackedInto(dst, in[0], n.Packed, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
-	return dst
-}
-
-// convGEMM returns the unpacked GEMM convolution kernel. How sparse the
-// weights are decides between the dense and the zero-skipping GEMM, and
-// weights are constant, so the first run measures it and every later one
-// passes it down (bind also serves the planner and the passes, which run
-// nothing; an executor runs one inference at a time).
-// tensor.PackConvWeights refuses to pack by the same predicate on the same
-// measure of the same data, so a graph stays on one kernel family packed
-// or not.
-func convGEMM() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
-	zeroFrac := -1.0
+// convQ packs the int8 convolution's codes into panels and returns the
+// kernel that runs on them.
+func convQ(n *Node) runFunc {
+	pq := tensor.PackQConvWeights(n.QWeights)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		if zeroFrac < 0 {
-			zeroFrac = tensor.Sparsity(n.Weights)
-		}
+		tensor.Conv2DQPrepackedInto(dst, in[0], pq, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
+			actFor(n.Activation), n.Attrs.LeakySlope())
+		return dst
+	}
+}
+
+// convFP32 builds the FP32 GEMM convolution: on panels packed here, or —
+// where tensor.PackConvWeights refuses, because the weights are sparse
+// enough on a layer large enough for the zero-skipping kernel — on that
+// kernel, handed the zero fraction measured here: weights are constant,
+// and the kernel decides by the same predicate on the same measure, so
+// the node never runs the dense kernel packing per call.
+func convFP32(n *Node) kernel {
+	if pw := tensor.PackConvWeights(n.Weights, n.OutShape[1]*n.OutShape[2]); pw != nil {
+		return kernel{run: func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+			tensor.Conv2DPrepackedInto(dst, in[0], pw, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
+			return dst
+		}, act: true, affine: true, packed: true}
+	}
+	zeroFrac := tensor.Sparsity(n.Weights)
+	return kernel{run: func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		tensor.Conv2DGEMMFusedInto(dst, in[0], n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n), zeroFrac)
 		return dst
-	}
+	}, act: true, affine: true}
 }
 
-// convGrouped returns the grouped convolution kernel: it splits the
-// input channels into groups and convolves each group with its own
-// filter slice (AlexNet's two-GPU heritage layout) — the unpacked GEMM
-// convolution once per group, on views of the input, the filter bank, the
-// bias, the epilogue's affine and the destination, so nothing is copied
-// or joined. Weights are [Cout, Cin/groups, KH, KW]; output channels
-// partition evenly across groups. The first run builds the views and
-// measures each slice's sparsity, as in convGEMM; every run re-points
-// them (the input and destination are the executor's to recycle, and
-// training may have replaced the weights' storage).
-func convGrouped() func(*Node, *tensor.Tensor, []*tensor.Tensor) *tensor.Tensor {
-	type group struct {
-		in, w, dst *tensor.Tensor
-		zeroFrac   float64
+// convGrouped builds the grouped convolution kernel: it splits the input
+// channels into groups and convolves each group with its own filter
+// slice (AlexNet's two-GPU heritage layout) — the GEMM convolution once
+// per group, packing per call, on views of the input, the filter bank,
+// the bias, the epilogue's affine and the destination, so nothing is
+// copied or joined. Weights are [Cout, Cin/groups, KH, KW]; output
+// channels partition evenly across groups. The filter views and each
+// slice's sparsity are made here; the input and destination views are
+// headers on the run's own stack, since the buffers under them are the
+// executor's.
+func convGrouped(n *Node) (runFunc, error) {
+	groups, x, cout := n.Attrs.GroupCount(), n.Inputs[0].OutShape, n.WShape[0]
+	if x[0]%groups != 0 || cout%groups != 0 {
+		return nil, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", x[0], cout, groups)
 	}
-	var gs []group
 	// part is group gi's share of a per-channel or per-element slice.
 	part := func(data []float32, gi int) []float32 {
-		per := len(data) / len(gs)
+		per := len(data) / groups
 		return data[gi*per : (gi+1)*per]
 	}
+	ws, zeroFracs := make([]*tensor.Tensor, groups), make([]float64, groups)
+	for gi := range ws {
+		ws[gi] = tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3])
+		zeroFracs[gi] = tensor.Sparsity(ws[gi])
+	}
+	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
+	dstShape := tensor.Shape{cout / groups, n.OutShape[1], n.OutShape[2]}
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		x := in[0]
-		if gs == nil {
-			groups, cin, cout := n.Attrs.GroupCount(), x.Shape[0], n.WShape[0]
-			if cin%groups != 0 || cout%groups != 0 {
-				panic(fmt.Sprintf("grouped conv: channels %d/%d not divisible by %d groups", cin, cout, groups))
-			}
-			gs = make([]group, groups)
-			for gi := range gs {
-				gs[gi] = group{
-					in:  tensor.FromData(part(x.Data, gi), cin/groups, x.Shape[1], x.Shape[2]),
-					w:   tensor.FromData(part(n.Weights.Data, gi), cout/groups, cin/groups, n.WShape[2], n.WShape[3]),
-					dst: tensor.FromData(part(dst.Data, gi), cout/groups, dst.Shape[1], dst.Shape[2]),
-				}
-				gs[gi].zeroFrac = tensor.Sparsity(gs[gi].w)
-			}
-		}
 		epi := epilogue(n)
-		for gi := range gs {
-			g, gepi := &gs[gi], epi
-			g.in.Data, g.w.Data, g.dst.Data = part(x.Data, gi), part(n.Weights.Data, gi), part(dst.Data, gi)
+		for gi, w := range ws {
+			gin := tensor.Tensor{Shape: inShape, Data: part(in[0].Data, gi)}
+			gdst := tensor.Tensor{Shape: dstShape, Data: part(dst.Data, gi)}
+			gepi := epi
 			gepi.Scale, gepi.Shift = part(epi.Scale, gi), part(epi.Shift, gi)
-			tensor.Conv2DGEMMFusedInto(g.dst, g.in, g.w, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi, g.zeroFrac)
+			tensor.Conv2DGEMMFusedInto(&gdst, &gin, w, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi, zeroFracs[gi])
 		}
 		return dst
-	}
+	}, nil
 }
 
 func runDepthwise(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
@@ -270,15 +276,15 @@ func runConv3D(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv3D(in[0], n.Weights, n.Bias, tensor.Conv3DSpec{Stride: n.Attrs.Stride, Pad: n.Attrs.Pad})
 }
 
-func runDenseQPacked(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.DenseQPrepackedInto(dst.Data, n.PackedQ, n.QWeights, n.Bias, in[0].Data,
-		actFor(n.Activation), n.Attrs.LeakySlope())
-	return dst
-}
-
-func runDenseQ(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.DenseQInt8Into(dst.Data, n.QWeights, n.Bias, in[0].Data, actFor(n.Activation), n.Attrs.LeakySlope())
-	return dst
+// denseQ packs the int8 dense layer's codes into panels and returns the
+// kernel that runs on them.
+func denseQ(n *Node) runFunc {
+	pq := tensor.PackQDenseWeights(n.QWeights)
+	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+		tensor.DenseQPrepackedInto(dst.Data, pq, n.QWeights, n.Bias, in[0].Data,
+			actFor(n.Activation), n.Attrs.LeakySlope())
+		return dst
+	}
 }
 
 func runDense(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

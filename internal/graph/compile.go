@@ -7,13 +7,17 @@ import (
 )
 
 // program is a graph compiled for execution: every decision that does
-// not depend on the input tensor — which kernel runs a node, where its
-// operands and result live, whether its result comes from the arena,
-// what can be dropped once it has run — is taken here, once, and the
-// executor only walks the result. Values are numbered by
-// their node's position in g.Nodes. An Executor caches the program of
-// the last graph it ran; a graph edited afterwards needs a fresh
-// Executor (core.Session.Optimize drops its own for that reason).
+// not depend on the input tensor — which kernel runs a node, the weight
+// panels it reads, where its operands and result live, whether its
+// result comes from the arena, what can be dropped once it has run — is
+// taken here, once, and the executor only walks the result. Values are
+// numbered by their node's position in g.Nodes. A program is read-only
+// once built, so the executors NewExecutors makes share one: an engine's
+// replicas hold one copy of the panels. An Executor caches the program
+// of the last graph it ran, and compiling reads the graph without
+// writing it; a graph edited afterwards needs a fresh Executor, which
+// packs the edited weights (core.Session.Optimize drops its own for that
+// reason, and training builds one per step).
 type program struct {
 	g    *Graph
 	plan *Plan // nil for dynamic graphs, which have no arena
@@ -104,6 +108,14 @@ func compile(g *Graph) (*program, error) {
 		p.steps = append(p.steps, s)
 	}
 	return p, nil
+}
+
+// newFrame makes the run state for p's graph.
+func newFrame(p *program) *frame {
+	return &frame{
+		vals: make([]*tensor.Tensor, len(p.g.Nodes)),
+		args: make([]*tensor.Tensor, p.nargs),
+	}
 }
 
 // frame is an executor's mutable run state, reused across runs so a

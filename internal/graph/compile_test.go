@@ -15,7 +15,7 @@ import (
 
 // zooGraph builds a materialized zoo model at one of the three levels
 // the serving stack deploys: as built ("O0"), through the O2 pass
-// pipeline (which pre-packs), or O2 then int8-quantized and re-packed.
+// pipeline, or O2 then int8-quantized.
 func zooGraph(t testing.TB, name, level string) *graph.Graph {
 	t.Helper()
 	spec, ok := model.Get(name)
@@ -31,7 +31,6 @@ func zooGraph(t testing.TB, name, level string) *graph.Graph {
 	}
 	if level == "O2+int8" {
 		opt.QuantizeINT8(g)
-		graph.PrepackWeights(g)
 	}
 	return g
 }
@@ -80,41 +79,42 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 	}
 }
 
-// TestPackedUnpackedBitIdentical: a graph gives the same bits with its
-// weights pre-packed or not, pooled or not — the executor has one
-// convolution lowering, and the packed kernel is bit-identical to it.
+// TestPackedUnpackedBitIdentical: the panels a program packs at compile
+// give the bits of packing per call. Every ungrouped FP32 convolution
+// the program runs on packed panels equals, on the same operands, the
+// kernel that packs per call (which grouped convolutions run), and pooled
+// and sequential runs of the graph give the same output.
 func TestPackedUnpackedBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"grouped":  prepackCNN(t, 61),
-		"branchy":  branchyCNN(t, 62),
-		"CifarNet": zooGraph(t, "CifarNet", "O0"),
+		"grouped":     prepackCNN(t, 61),
+		"branchy":     branchyCNN(t, 62),
+		"CifarNet":    zooGraph(t, "CifarNet", "O0"),
+		"CifarNet/O2": zooGraph(t, "CifarNet", "O2"),
 	}
 	for name, g := range graphs {
-		ins := []*tensor.Tensor{
-			seededInput(g.Input.OutShape, 1), seededInput(g.Input.OutShape, 2), seededInput(g.Input.OutShape, 3),
+		in := seededInput(g.Input.OutShape, 1)
+		vals, err := (&graph.Executor{}).RunValues(g, in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wants := make([]*tensor.Tensor, len(ins))
-		for i, in := range ins {
-			var err error
-			if wants[i], err = (&graph.Executor{}).Run(g, in); err != nil {
-				t.Fatal(err)
+		convs := 0
+		for _, n := range g.Nodes {
+			if n.Kind == graph.OpConv2D && n.Attrs.GroupCount() == 1 {
+				requireBitEqual(t, name+"/"+n.Name, vals[n], graph.ConvPackedPerCall(n, vals[n.Inputs[0]]))
+				convs++
 			}
 		}
-		packed := g.Clone()
-		if graph.PrepackWeights(packed) == 0 {
-			t.Fatalf("%s: nothing to pack", name)
+		if n := packedSteps(t, g); n == 0 || n != int64(convs) {
+			t.Fatalf("%s: %d steps read packed panels, want every one of the %d convolutions", name, n, convs)
 		}
-		for _, tg := range []*graph.Graph{g, packed} {
-			for _, pooled := range []bool{false, true} {
-				label := fmt.Sprintf("%s/packed=%v/pooled=%v", name, tg == packed, pooled)
-				e := &graph.Executor{Pooled: pooled}
-				for i, in := range ins {
-					got, err := e.Run(tg, in)
-					if err != nil {
-						t.Fatalf("%s: Run: %v", label, err)
-					}
-					requireBitEqual(t, label, got, wants[i])
+		for _, pooled := range []bool{false, true} {
+			e := &graph.Executor{Pooled: pooled}
+			for run := 0; run < 2; run++ {
+				got, err := e.Run(g, in)
+				if err != nil {
+					t.Fatal(err)
 				}
+				requireBitEqual(t, fmt.Sprintf("%s/pooled=%v run %d", name, pooled, run), got, vals[g.Output])
 			}
 		}
 	}
@@ -124,7 +124,7 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 // weight sparsity once and hands it to the kernel, so a pruned layer
 // above the GEMM threshold — ungrouped, or each slice of a grouped one —
 // runs the zero-skipping GEMM on every inference, pooled or not, and
-// PrepackWeights leaves it unpacked. The reference calls the kernel
+// compile packs no panels for it. The reference calls the kernel
 // directly on each (slice of a) convolution with the weights' sparsity,
 // and must differ in bits from the dense kernel's.
 func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
@@ -133,8 +133,8 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 	b.Conv2DG("gconv", 32, 3, 1, 1, 2, true)
 	g := b.Build()
 	graph.Prune(0.8)(g)
-	if graph.PrepackWeights(g) != 0 {
-		t.Fatal("PrepackWeights packed a pruned convolution")
+	if n := packedSteps(t, g); n != 0 {
+		t.Fatalf("%d steps read packed panels, want none: both convolutions are pruned", n)
 	}
 	in := seededInput(g.Input.OutShape, 4)
 	sparseConv := func(x, w *tensor.Tensor, bias []float32) *tensor.Tensor {
@@ -175,12 +175,12 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 }
 
 // TestPrunedConvBelowTheBarIsPacked: the zero-skipping kernel wants weights
-// at least 60 % zeros on a layer of at least 2^20 MACs, and PrepackWeights
-// must refuse panels by that whole predicate, not its first half: of two
-// 80 %-pruned convolutions either side of the MAC bar, the large one stays
-// unpacked (it runs the zero-skipping kernel) and the small one, which
-// runs the dense kernel, is packed ahead of time rather than on every
-// inference — same bits as the unpacked run.
+// at least 60 % zeros on a layer of at least 2^20 MACs, and compile must
+// refuse panels by that whole predicate, not its first half: of two
+// 80 %-pruned convolutions either side of the MAC bar, the large one runs
+// the zero-skipping kernel and the small one, which runs the dense
+// kernel, reads panels packed at compile rather than on every inference —
+// the bits of packing per call.
 func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
 	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 79}, 16, 32, 32)
 	b.Conv2D("large", 32, 3, 1, 1, true) // 4.7M MACs
@@ -194,23 +194,22 @@ func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
 			t.Fatalf("%s: sparsity %v at %d MACs is not the case this test is for", name, tensor.Sparsity(n.Weights), macs)
 		}
 	}
+	if n := packedSteps(t, g); n != 1 {
+		t.Fatalf("compiled steps reading packed panels = %d, want the small convolution alone", n)
+	}
 	in := seededInput(g.Input.OutShape, 6)
-	want, err := (&graph.Executor{}).Run(g, in)
+	vals, err := (&graph.Executor{}).RunValues(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := graph.PrepackWeights(g); n != 1 || findNode(t, g, "small").Packed == nil {
-		t.Fatalf("PrepackWeights packed %d nodes, want the small convolution alone", n)
-	}
-	if n := packedSteps(t, g); n != 1 {
-		t.Fatalf("compiled steps reading packed panels = %d, want 1", n)
-	}
+	small := findNode(t, g, "small")
+	requireBitEqual(t, "small, packed at compile vs per call", vals[small], graph.ConvPackedPerCall(small, vals[small.Inputs[0]]))
 	for _, pooled := range []bool{false, true} {
 		got, err := (&graph.Executor{Pooled: pooled}).Run(g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitEqual(t, fmt.Sprintf("packed, pooled=%v", pooled), got, want)
+		requireBitEqual(t, fmt.Sprintf("pooled=%v", pooled), got, vals[g.Output])
 	}
 }
 
@@ -254,12 +253,12 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	}
 }
 
-// TestUnpackedConvSeesWeightUpdates: an unpacked kernel packs its weights
-// per call out of the node, so an update in place between two runs of one
-// executor — what training does — must show in the second run exactly as
-// in a fresh executor on a fresh copy of the graph. bind's closures cache
-// what they measure once (the zero fraction); panels are not such a thing.
-func TestUnpackedConvSeesWeightUpdates(t *testing.T) {
+// TestFreshExecutorSeesWeightUpdates: a program packs its panels and
+// measures its weights once, at compile, so an update made in place —
+// what training does — is seen by the fresh executor training builds for
+// every step: its output is a fresh executor's on a fresh copy of the
+// updated graph, and not the output from before the update.
+func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 	for _, int8 := range []bool{false, true} {
 		g := prepackCNN(t, 73)
 		if int8 {
@@ -269,8 +268,7 @@ func TestUnpackedConvSeesWeightUpdates(t *testing.T) {
 			}
 		}
 		in := seededInput(g.Input.OutShape, 5)
-		e := &graph.Executor{Pooled: true}
-		first, err := e.Run(g, in)
+		first, err := (&graph.Executor{Pooled: true}).Run(g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +286,7 @@ func TestUnpackedConvSeesWeightUpdates(t *testing.T) {
 				}
 			}
 		}
-		second, err := e.Run(g, in)
+		second, err := (&graph.Executor{Pooled: true}).Run(g, in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,9 @@ import (
 // latencies cannot be reproduced by host-CPU wall time).
 //
 // The first run on a graph compiles it (compile.go) into a flat list of
-// steps, each with its kernel already chosen (bind.go); Run and
-// RunValues walk that one list in graph order, so a graph gives the same
-// bits under every setting below, with weights pre-packed or not. All
+// steps, each with its kernel already chosen and its weight panels
+// already packed (bind.go); Run and RunValues walk that one list in graph
+// order, so a graph gives the same bits under every setting below. All
 // parallelism is inside the kernels (tensor's worker pool) or across
 // executors (serving.Engine's replicas): two inter-op schedules — a
 // wavefront over independent branches and a batch-folded wide GEMM —
@@ -43,7 +43,8 @@ type Executor struct {
 	// tests and `edgeserve -debug`.
 	Debug bool
 
-	// prog is the compiled form of the last graph run and f its run
+	// prog is the compiled form of the last graph run — shared with the
+	// executor's siblings when NewExecutors made it — and f its own run
 	// state, dropped on recompile; debugged is the last graph the Debug
 	// checker accepted, so revalidation runs once per graph, not per
 	// inference.
@@ -59,6 +60,23 @@ type Executor struct {
 	// loop) rather than separate elementwise passes. Atomic:
 	// DispatchCounts may be called while a run is in progress.
 	nInt8, nFP32, nFused atomic.Int64
+}
+
+// NewExecutors compiles g once and returns n executors sharing the
+// program — kernels and weight panels — each with its own frame, arena
+// and dispatch counters, and pooled when g is static: the replicas of a
+// serving engine or a pipeline stage. Each executor is still for one
+// goroutine at a time; different ones may run concurrently.
+func NewExecutors(g *Graph, n int) ([]*Executor, error) {
+	p, err := compile(g)
+	if err != nil {
+		return nil, err
+	}
+	exs := make([]*Executor, n)
+	for i := range exs {
+		exs[i] = &Executor{Pooled: g.Mode == Static, prog: p, f: newFrame(p)}
+	}
+	return exs, nil
 }
 
 // RunValues evaluates g on input and returns the value of every node —
@@ -122,11 +140,7 @@ func (e *Executor) prepare(g *Graph, pooled bool) (*program, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.prog = p
-		e.f = &frame{
-			vals: make([]*tensor.Tensor, len(g.Nodes)),
-			args: make([]*tensor.Tensor, p.nargs),
-		}
+		e.prog, e.f = p, newFrame(p)
 	}
 	p, f := e.prog, e.f
 	f.pooled = pooled && p.plan != nil

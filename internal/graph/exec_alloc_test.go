@@ -13,7 +13,9 @@ import (
 // of a pooled run on a branchy graph whose kernels shard over the worker
 // pool: a compiled run builds no per-run maps or slices, so what is left
 // is the kept output tensor (3), one closure per sharded kernel loop (two
-// GEMMs and a max-pool) and concat's shape check (1).
+// GEMMs and a max-pool) and concat's shape check (1). Packing panels
+// allocates them, so the bound also says no steady-state run packs, and
+// every run after the first reuses the first one's program.
 // Excluded under -race: the race runtime adds allocations of its own.
 func TestParallelSteadyStateAllocs(t *testing.T) {
 	g := branchyCNN(t, 31)
@@ -25,11 +27,15 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	prog := graph.ProgramOf(e)
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := e.Run(g, in); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if graph.ProgramOf(e) != prog {
+		t.Error("a later Run on the same executor and graph compiled a new program")
+	}
 	if allocs > 8 {
 		t.Errorf("pooled steady state = %.0f allocs/op, want <= 8; the executor is building per-run state again", allocs)
 	}

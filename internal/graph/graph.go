@@ -219,11 +219,6 @@ func (g *Graph) Clone() *Graph {
 		if n.QWeights != nil {
 			cp.QWeights = n.QWeights.Clone()
 		}
-		// Packed panels are immutable once built (any pass mutating the
-		// weights must clear them), so clones share the pointers instead of
-		// re-packing megabytes of panels per replica.
-		cp.Packed = n.Packed
-		cp.PackedQ = n.PackedQ
 		if n.Bias != nil {
 			cp.Bias = append([]float32(nil), n.Bias...)
 		}

@@ -111,19 +111,6 @@ type Node struct {
 	// shadow so verification, cloning, and the FP32 fallback still work.
 	QWeights *tensor.QTensor
 
-	// Packed caches the node's FP32 conv weights in the blocked-panel
-	// layout the GEMM microkernels consume, built once at session open by
-	// PrepackWeights (the opt prepack pass / serving.NewEngine). When set,
-	// the executor skips the per-call packPanel work via
-	// tensor.Conv2DPrepackedInto — bitwise identical to the unpacked
-	// im2col+GEMM lowering. PackedQ is the int8 twin covering
-	// quantized Conv2D and Dense weights. Both are immutable once built;
-	// passes that rewrite Weights/QWeights must clear them (stale panels
-	// would silently compute with the old values — the verifier's
-	// packed-shape rule backstops this).
-	Packed  *tensor.PackedWeights
-	PackedQ *tensor.PackedQWeights
-
 	// OutShape is the inferred output shape.
 	OutShape tensor.Shape
 

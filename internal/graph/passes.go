@@ -81,7 +81,6 @@ func FoldBN(g *Graph) {
 					n.BN.Gamma, n.BN.Beta, n.BN.Mean, n.BN.Variance, n.BN.Eps)
 				prod.Weights = fw
 				prod.Bias = fb
-				prod.Packed = nil // panels packed from the pre-fold weights are stale
 			}
 			// Structurally, folding moves the BN's scale/shift into the
 			// producer's weights and a bias of one value per channel
@@ -172,13 +171,12 @@ func quantizeNode(n *Node, perChannel bool) {
 		q = tensor.QuantizeSymmetric(n.Weights)
 	}
 	n.Weights = q.Dequantize()
-	n.Packed, n.PackedQ = nil, nil // both layouts derive from the replaced weights
 	// The codes stay only where bind would run them. A node carrying an
 	// absorbed-BN epilogue, for one, stays on the FP32 fused path: the
 	// int8 requantize epilogue has no per-channel affine stage (verify's
 	// fusion rule rejects the combination).
 	n.QWeights = q
-	if k, _ := bind(n); !k.int8 {
+	if !runsInt8(n) {
 		n.QWeights = nil
 	}
 }
@@ -229,7 +227,6 @@ func CastFP16(g *Graph) {
 	for _, n := range g.Nodes {
 		if n.Weights != nil {
 			n.Weights = tensor.RoundTripFP16(n.Weights)
-			n.Packed = nil // stale: packed from the pre-rounding weights
 		}
 		n.DType = tensor.FP16
 	}
@@ -247,7 +244,6 @@ func Prune(fraction float64) Pass {
 				if n.Weights != nil {
 					tensor.PruneMagnitude(n.Weights, fraction)
 					n.Sparsity = tensor.Sparsity(n.Weights)
-					n.Packed = nil // stale panels; pruned weights take the sparse path
 				} else {
 					// Structural graph: record the target sparsity for the
 					// cost model without weight data to prune.

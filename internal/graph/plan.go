@@ -143,8 +143,7 @@ func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
 			continue
 		}
 		elems := n.OutShape.NumElems()
-		// A node bind refuses gets no slot; running it reports the error.
-		if k, _ := bind(n); k.dst && !p.keep[n] {
+		if writesDst(n.Kind) && !p.keep[n] {
 			if ids := free[elems]; len(ids) > 0 {
 				p.slot[n] = ids[len(ids)-1]
 				free[elems] = ids[:len(ids)-1]

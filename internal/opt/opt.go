@@ -257,9 +257,8 @@ const (
 	// O0 applies no passes: the graph executes exactly as built.
 	O0
 	// O1 applies the always-safe cleanups — constant folding, identity
-	// elimination, dead-node elimination — plus ahead-of-time weight
-	// pre-packing into the GEMM panel layout (bitwise identical; it only
-	// changes where packing happens, not what is computed).
+	// elimination, dead-node elimination. Packing weights into the GEMM
+	// panel layout is not a pass: every executor's compile does it.
 	O1
 	// O2 adds pattern fusion: conv→BN→activation and dense→activation
 	// chains collapse into single fused-kernel dispatches, bitwise
@@ -300,9 +299,9 @@ func ParseLevel(s string) (Level, error) {
 func (l Level) Passes() []Pass {
 	switch l {
 	case O1:
-		return []Pass{ConstantFolding(), IdentityElimination(), DeadElimination(), WeightPrepack()}
+		return []Pass{ConstantFolding(), IdentityElimination(), DeadElimination()}
 	case O2:
-		return []Pass{ConstantFolding(), IdentityElimination(), PatternFusion(), DeadElimination(), WeightPrepack()}
+		return []Pass{ConstantFolding(), IdentityElimination(), PatternFusion(), DeadElimination()}
 	}
 	return nil
 }

@@ -209,8 +209,6 @@ func TestOptimizeBitEquivalence(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i%17)/8 - 1
 	}
-	// The reference runs unpacked weights, the O2 graph pre-packed ones:
-	// the bitwise contract spans that difference too.
 	ref, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatal(err)

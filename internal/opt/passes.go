@@ -45,18 +45,6 @@ func DeadElimination() Pass {
 	})
 }
 
-// WeightPrepack packs every GEMM-executable node's weights into the
-// blocked-panel layout the microkernels consume (Node.Packed/PackedQ),
-// so repeated forwards skip the per-call packing — the ahead-of-time
-// layout half of the paper's deployment pipeline. Runs last in the
-// sequence so it packs the weights the other rewrites settled on;
-// idempotent, so the fixpoint sweep after it reports zero rewrites.
-func WeightPrepack() Pass {
-	return NewPass("prepack-weights", func(g *graph.Graph) (int, error) {
-		return graph.PrepackWeights(g), nil
-	})
-}
-
 // Legacy lowering passes, re-exported behind the verify gate. These are
 // the void-style passes the framework lowering pipelines (Table II) and
 // the CLIs compose directly — each call runs the underlying rewrite and

@@ -29,12 +29,13 @@ var ErrNilInput = errors.New("serving: nil input tensor")
 var ErrEngineClosed = errors.New("serving: engine closed")
 
 // Engine executes real inferences over a materialized graph with a pool
-// of executor replicas. Each replica is an independent graph.Executor —
-// pooled (arena-reusing) for static graphs, eager-release for dynamic
-// ones — so concurrent requests never contend on buffers while still
-// reusing memory across requests hitting the same replica. Infer and
-// InferBatch are safe for concurrent use, including concurrently with
-// Close.
+// of executor replicas. The replicas share one compiled program — the
+// kernels and the weight panels they read, held once per engine — and
+// each has its own run state: pooled (arena-reusing) for static graphs,
+// eager-release for dynamic ones, so concurrent requests never contend on
+// buffers while still reusing memory across requests hitting the same
+// replica. Infer and InferBatch are safe for concurrent use, including
+// concurrently with Close.
 //
 // Intra-op parallelism composes with the replica pool: every replica's
 // kernels dispatch large layers onto tensor's single package-global
@@ -52,29 +53,23 @@ type Engine struct {
 	once     sync.Once
 }
 
-// NewEngine verifies g, requires materialized weights, and builds an
-// engine with the given number of executor replicas (<= 0 means
-// GOMAXPROCS).
-//
-// Session open is also where ahead-of-time weight pre-packing runs:
-// every GEMM-executable node's weights are packed once into the blocked
-// panel layout the microkernels consume (graph.PrepackWeights), in
-// place on g, so all replicas — and any executor the caller later runs
-// on the same graph object — share the panels and skip per-call
-// packing. Pre-packed execution is bitwise identical to the unpacked
-// GEMM lowering.
+// NewEngine verifies g and compiles it, once, into an engine with the
+// given number of executor replicas (<= 0 means GOMAXPROCS). Session open
+// is where the weights are packed into the panel layout the GEMM
+// microkernels consume; the replicas share those panels. A graph that
+// cannot execute — structural-only parameters, a node no kernel accepts —
+// fails here with the compiler's message. g is only read, and an edit to
+// it after NewEngine needs a new engine.
 func NewEngine(g *graph.Graph, replicas int) (*Engine, error) {
 	if err := verify.Err(verify.Check(g)); err != nil {
 		return nil, fmt.Errorf("serving: graph %s: %w", g.Name, err)
 	}
-	for _, n := range g.Nodes {
-		if !n.Materialized() {
-			return nil, fmt.Errorf("serving: graph %s: node %s has "+graph.ErrNotMaterialized, g.Name, n)
-		}
-	}
-	graph.PrepackWeights(g)
 	if replicas <= 0 {
 		replicas = runtime.GOMAXPROCS(0)
+	}
+	exs, err := graph.NewExecutors(g, replicas)
+	if err != nil {
+		return nil, fmt.Errorf("serving: %w", err)
 	}
 	e := &Engine{
 		g:        g,
@@ -82,8 +77,8 @@ func NewEngine(g *graph.Graph, replicas int) (*Engine, error) {
 		size:     replicas,
 		closed:   make(chan struct{}),
 	}
-	for i := 0; i < replicas; i++ {
-		e.replicas <- &graph.Executor{Pooled: g.Mode == graph.Static}
+	for _, ex := range exs {
+		e.replicas <- ex
 	}
 	return e, nil
 }

@@ -3,8 +3,10 @@
 package serving_test
 
 import (
+	"runtime"
 	"testing"
 
+	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
 	"edgebench/internal/opt"
@@ -53,5 +55,49 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, batch); got > 49 {
 		t.Errorf("InferBatch(2) steady state = %.0f allocs/op, want <= 49", got)
+	}
+}
+
+// TestEngineReplicasShareOnePanelSet: an engine's replicas share one
+// compiled program, so on MobileNet-v2 at O2 the live heap NewEngine(g, 4)
+// adds, after a GC, exceeds what NewEngine(g, 1) adds by less than a
+// quarter of one set of panels — a copy per replica would add three.
+// The panel set is taken as the ungrouped convolutions' FP32 weight
+// bytes, which their panels hold at least. Excluded under -race for its
+// run time.
+func TestEngineReplicasShareOnePanelSet(t *testing.T) {
+	g := model.MustGet("MobileNet-v2").Build(nn.Options{Materialize: true, Seed: 11})
+	if _, err := opt.Optimize(g, opt.O2); err != nil {
+		t.Fatal(err)
+	}
+	var panels int64
+	for _, n := range g.Nodes {
+		if n.Kind == graph.OpConv2D && n.Attrs.GroupCount() == 1 {
+			panels += int64(len(n.Weights.Data)) * 4
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	grow := func(replicas int) int64 {
+		before := heap()
+		eng, err := serving.NewEngine(g, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		return heap() - before
+	}
+	one, four := grow(1), grow(4)
+	t.Logf("panel set %.1f MB; heap growth of NewEngine(g, 1) %.1f MB, of NewEngine(g, 4) %.1f MB",
+		float64(panels)/1e6, float64(one)/1e6, float64(four)/1e6)
+	if one < panels {
+		t.Fatalf("NewEngine(g, 1) grew the heap by %d bytes, less than one panel set (%d): the test measures nothing", one, panels)
+	}
+	if four-one >= panels/4 {
+		t.Errorf("NewEngine(g, 4) grew the heap %d bytes more than NewEngine(g, 1), want < %d (a quarter of one panel set)", four-one, panels/4)
 	}
 }

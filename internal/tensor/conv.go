@@ -182,24 +182,26 @@ const im2colElemsThreshold = parallelThresholdMACs
 // so a dirty pooled scratch buffer cannot leak stale values. Large
 // lowerings shard output rows of the cols matrix across the worker pool;
 // each row is written by exactly one chunk, so the parallel copy is
-// bit-identical to the serial one.
+// bit-identical to the serial one. The shard closure copies what it reads
+// of in, so a caller's tensor header may live on its stack.
 func im2colInto(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout int) {
+	x, h, wd := in.Data, in.Shape[1], in.Shape[2]
 	rows := in.Shape[0] * kh * kw
 	ncols := hout * wout
 	if rows*ncols < im2colElemsThreshold {
-		im2colRows(cols, in, kh, kw, spec, hout, wout, 0, rows)
+		im2colRows(cols, x, h, wd, kh, kw, spec, hout, wout, 0, rows)
 		return
 	}
 	grain := (1 << 16) / ncols
 	parallelFor(rows, grain, func(lo, hi int) {
-		im2colRows(cols, in, kh, kw, spec, hout, wout, lo, hi)
+		im2colRows(cols, x, h, wd, kh, kw, spec, hout, wout, lo, hi)
 	})
 }
 
-// im2colRows writes rows [rlo, rhi) of the lowered matrix, where row
-// index r maps to (ic = r/(kh*kw), ky = r/kw%kh, kx = r%kw).
-func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout, rlo, rhi int) {
-	_, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
+// im2colRows writes rows [rlo, rhi) of the lowered matrix of the [cin, h,
+// wd] activations in, where row index r maps to (ic = r/(kh*kw),
+// ky = r/kw%kh, kx = r%kw).
+func im2colRows(cols, in []float32, h, wd, kh, kw int, spec Conv2DSpec, hout, wout, rlo, rhi int) {
 	padH, padW := spec.padHW()
 	ncols := hout * wout
 	for row := rlo; row < rhi; row++ {
@@ -213,7 +215,7 @@ func im2colRows(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, w
 				col += wout
 				continue
 			}
-			src := in.Data[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
+			src := in[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
 			for ox := 0; ox < wout; ox++ {
 				ix := ox*spec.Stride + kx - padW
 				if ix >= 0 && ix < wd {

@@ -40,7 +40,7 @@ func TestPackedConvForksOnce(t *testing.T) {
 	for _, n := range g.Nodes {
 		macs := int(graph.NodeCost(n).MACs)
 		switch {
-		case n.Kind == graph.OpConv2D && n.Packed != nil:
+		case n.Kind == graph.OpConv2D && n.Attrs.GroupCount() == 1:
 			convs++
 			forks++
 		case n.Kind == graph.OpDepthwiseConv2D && macs >= tensor.DepthwiseShardMACs:
@@ -85,7 +85,7 @@ func TestPackedQConvForksOnce(t *testing.T) {
 	for _, n := range g.Nodes {
 		macs := int(graph.NodeCost(n).MACs)
 		switch {
-		case n.Kind == graph.OpConv2D && n.PackedQ != nil:
+		case n.Kind == graph.OpConv2D && n.QWeights != nil:
 			convs++
 			if macs >= tensor.ParallelThresholdMACs() {
 				forks++

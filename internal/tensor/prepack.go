@@ -8,9 +8,9 @@ import (
 // This file is the GEMM convolution, once for both datatypes. Its weight
 // operand is constant during inference, so it is what gets packed into the
 // microkernel's interleaved panels — ahead of time by PackConvWeights /
-// PackQConvWeights (a session packs once and reuses the panels forever)
-// or, for a node nobody packed, on every call by the unpacked entry
-// points; either way one kernel runs. To make the *weights* the packed
+// PackQConvWeights (a compiled program packs once and reuses the panels
+// forever) or, for the slices of a grouped convolution, on every call by
+// Conv2DGEMMFusedInto; either way one kernel runs. To make the *weights* the packed
 // operand the convolution is executed in its transposed formulation:
 //
 //	out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
@@ -42,8 +42,8 @@ import (
 // concatenated in the kernel's traversal order (walkTiles). P is the panel
 // element: float32 under the FP32 kernel, an int8 code's byte under the
 // int8 one. One packed ahead of time is immutable after construction —
-// clones of a graph share the pointer; the per-call pack refills a pooled
-// one.
+// every executor of a compiled program reads the same one; the per-call
+// pack refills a pooled one.
 type Packed[P float32 | byte] struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
 	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs; K = In,
@@ -80,9 +80,10 @@ type gemm[T int8 | float32, P float32 | byte, A any] struct {
 	store func(j *bandJob[T, P, A], acc []A, p0, p1 int)
 
 	// scratch lends each shard a *bandScratch[T, A], jobs each call its
-	// *bandJob[T, P, A], and panels an unpacked call the *Packed[P] it
-	// packs into: the storage stays with the pools, so a steady stream of
-	// convolutions, packed ahead of time or not, allocates nothing.
+	// *bandJob[T, P, A], and panels (FP32 only) a per-call pack the
+	// *Packed[P] it packs into: the storage stays with the pools, so a
+	// steady stream of convolutions, packed ahead of time or not,
+	// allocates nothing.
 	scratch, jobs, panels sync.Pool
 }
 

@@ -194,8 +194,8 @@ func TestQGemmPrepackedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConv2DQPrepackedMatchesUnpacked: the int8 conv, packed ahead of
-// time and per call, must be bitwise identical to the loop-nest reference
+// TestConv2DQPrepackedMatchesUnpacked: the int8 conv on packed panels,
+// reused or fresh, must be bitwise identical to the loop-nest reference
 // under both per-tensor and per-channel weight quantization, with and
 // without activations, on odd output-pixel counts (odd-M row pairs in
 // the transposed GEMM).
@@ -222,8 +222,8 @@ func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestDenseQPrepackedMatchesUnpacked: int8 dense (single-row QGEMM),
-// packed ahead of time and per call, vs the loop-nest reference,
+// TestDenseQPrepackedMatchesUnpacked: int8 dense (single-row QGEMM) on
+// packed panels vs the loop-nest reference on the unpacked codes,
 // per-tensor and per-channel.
 func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
@@ -239,9 +239,7 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 			want := refQDense(qw, bias, x.Data, ActReLU, 0)
 			got := make([]float32, out)
 			DenseQPrepackedInto(got, PackQDenseWeights(qw), qw, bias, x.Data, ActReLU, 0)
-			unpacked := make([]float32, out)
-			DenseQInt8Into(unpacked, qw, bias, x.Data, ActReLU, 0)
-			if !bitsEqual(got, want) || !bitsEqual(unpacked, want) {
+			if !bitsEqual(got, want) {
 				t.Errorf("out=%d in=%d perchannel=%v: int8 dense differs from the loop-nest reference", out, in, qw.Scales != nil)
 			}
 		}
@@ -282,8 +280,8 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 // from a pool, so a K = 27 conv (one K block of 28 with a zero row) may be
 // handed the storage a K = 130 conv (blocks of 128 and 4) left behind —
 // here poisoned with NaN, which any tail the packer skipped would
-// multiply into the output. Both dtypes, then the pooled entry points in
-// the same order.
+// multiply into the output. Both dtypes, then the FP32 entry point that
+// borrows its panels from the pool, in the same order.
 func TestUnpackedConvReusesDirtyPanels(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
@@ -315,9 +313,7 @@ func TestUnpackedConvReusesDirtyPanels(t *testing.T) {
 		qwant := refQConv(c.in, qw, nil, spec, ActNone, 0)
 		qgot := dirty(qwant.Shape...)
 		Conv2DQPrepackedInto(qgot, c.in, &pq, qw, nil, spec, ActNone, 0)
-		qunpacked := dirty(qwant.Shape...)
-		Conv2DQInt8Into(qunpacked, c.in, qw, nil, spec, ActNone, 0)
-		if !bitsEqual(qgot.Data, qwant.Data) || !bitsEqual(qunpacked.Data, qwant.Data) {
+		if !bitsEqual(qgot.Data, qwant.Data) {
 			t.Errorf("K=%d: int8 conv on recycled panels differs from the loop-nest reference", pq.K)
 		}
 	}

@@ -2,10 +2,9 @@ package tensor
 
 import "sync"
 
-// This file holds what the int8 execution path shares — the fusable
-// activation set and the pooled per-call scratch — and its unpacked entry
-// points, which pack the quantized weights per call and run the kernels
-// in qprepack.go: dynamic per-tensor activation quantization, then the
+// This file holds what the int8 execution path shares: the fusable
+// activation set and the pooled per-call scratch of the kernels in
+// qprepack.go — dynamic per-tensor activation quantization, then the
 // band pass of prepack.go on the codes, so a quantized Conv/Dense is a
 // single kernel call producing float32.
 //
@@ -58,24 +57,4 @@ func growSlice[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// Conv2DQInt8Into is Conv2DQPrepackedInto on weights nobody packed ahead
-// of time: it packs qw's codes into panels borrowed from a pool, then
-// runs that kernel on them — bit-identical, since integer accumulation is
-// exact.
-func Conv2DQInt8Into(dst, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
-	pq := gemmInt8.panels.Get().(*PackedQWeights)
-	gemmInt8.packWeights(pq, qw.Data, qw.Shape)
-	Conv2DQPrepackedInto(dst, in, pq, qw, bias, spec, act, alpha)
-	gemmInt8.panels.Put(pq)
-}
-
-// DenseQInt8Into is DenseQPrepackedInto on weights nobody packed ahead of
-// time, packed per call as in Conv2DQInt8Into.
-func DenseQInt8Into(dst []float32, qw *QTensor, bias, x []float32, act Act, alpha float32) {
-	pq := gemmInt8.panels.Get().(*PackedQWeights)
-	gemmInt8.packWeights(pq, qw.Data, qw.Shape)
-	DenseQPrepackedInto(dst, pq, qw, bias, x, act, alpha)
-	gemmInt8.panels.Put(pq)
 }

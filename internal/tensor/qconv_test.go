@@ -12,8 +12,8 @@ func refRequant(acc int32, scale, bias float32, act Act, alpha float32) float32 
 	return refAct(float32(acc)*scale+bias, act, alpha)
 }
 
-// refQConv is the reference for every int8 convolution, packed ahead of
-// time or per call, and shares no code with them: the serial reference
+// refQConv is the reference for every int8 convolution, and shares no
+// code with them: the serial reference
 // quantizer, a naive int32 convolution over the codes, and refRequant —
 // integer accumulation is exact and the float expressions are per
 // element, so the kernels must match it bit for bit.
@@ -104,7 +104,7 @@ func TestConv2DQInt8MatchesIntegerReference(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			want := refQConv(in, qw, bias, tc.spec, tc.act, 0.1)
 			got := New(want.Shape...)
-			Conv2DQInt8Into(got, in, qw, bias, tc.spec, tc.act, 0.1)
+			Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), qw, bias, tc.spec, tc.act, 0.1)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("case %+v: out[%d] = %g, want %g", tc, i, got.Data[i], want.Data[i])
@@ -122,7 +122,8 @@ func TestConv2DQInt8CloseToFP32(t *testing.T) {
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	ref := Conv2D(in, w, bias, spec)
 	got := New(ref.Shape...)
-	Conv2DQInt8Into(got, in, QuantizePerChannel(w), bias, spec, ActNone, 0)
+	qw := QuantizePerChannel(w)
+	Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), qw, bias, spec, ActNone, 0)
 	var maxDiff, maxMag float64
 	for i := range ref.Data {
 		d := math.Abs(float64(got.Data[i] - ref.Data[i]))
@@ -153,7 +154,7 @@ func TestDenseQInt8MatchesReference(t *testing.T) {
 	for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 		want := refQDense(qw, bias, x, ActReLU, 0)
 		got := make([]float32, out)
-		DenseQInt8Into(got, qw, bias, x, ActReLU, 0)
+		DenseQPrepackedInto(got, PackQDenseWeights(qw), qw, bias, x, ActReLU, 0)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dense out[%d] = %g, want %g", i, got[i], want[i])

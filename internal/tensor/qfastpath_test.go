@@ -13,9 +13,10 @@ import (
 // with a loop nest that shares no code with it, so any difference at all
 // is a bug.
 
-// checkBandedQConv runs the int8 conv on panels packed ahead of time (pq)
-// and on panels packed per call (Conv2DQInt8Into) and requires both to
-// equal the loop-nest reference refQConv bit for bit.
+// checkBandedQConv runs the int8 conv on panels packed ahead of time (pq,
+// which callers reuse across calls) and on panels packed from qw for this
+// call, and requires both to equal the loop-nest reference refQConv bit
+// for bit.
 func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *PackedQWeights, bias []float32, spec Conv2DSpec, act Act) {
 	t.Helper()
 	want := refQConv(in, qw, bias, spec, act, 0.1)
@@ -25,7 +26,7 @@ func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *Pa
 		t.Errorf("%s: banded prepacked int8 conv differs from the loop-nest reference", name)
 	}
 	unpacked := dirty(want.Shape...)
-	Conv2DQInt8Into(unpacked, in, qw, bias, spec, act, 0.1)
+	Conv2DQPrepackedInto(unpacked, in, PackQConvWeights(qw), qw, bias, spec, act, 0.1)
 	if !bitsEqual(unpacked.Data, want.Data) {
 		t.Errorf("%s: int8 conv packed per call differs from the loop-nest reference", name)
 	}

@@ -15,8 +15,7 @@ import (
 var gemmInt8 = &gemm[int8, byte, int32]{kc: qgemmKC, nc: qgemmNC, mr: qgemmMR,
 	packPanel: packQPanel, panelRows: qgemmPanelRows, store: storeInt8,
 	scratch: sync.Pool{New: func() any { return new(bandScratch[int8, int32]) }},
-	jobs:    sync.Pool{New: newBandJob[int8, byte, int32]},
-	panels:  sync.Pool{New: func() any { return new(PackedQWeights) }}}
+	jobs:    sync.Pool{New: newBandJob[int8, byte, int32]}}
 
 // packQWeights packs qw ahead of time, into panels and a shape of its own.
 func packQWeights(qw *QTensor, rank int, who string) *PackedQWeights {

@@ -28,10 +28,6 @@
 //	fusion         fused activations/BN only on legal op kinds
 //	params         materialized parameters consistent with their
 //	               structural description
-//	packed-shape   ahead-of-time packed weight panels (Node.Packed /
-//	               PackedQ) agree with the weights they were packed
-//	               from — a mismatch means a pass mutated weights
-//	               without clearing the stale panels
 //	dead-node      (warning) node unreachable from any output
 package verify
 
@@ -130,7 +126,6 @@ func Check(g *graph.Graph) []Diagnostic {
 	c.checkFrozen()
 	c.checkFusion()
 	c.checkParams()
-	c.checkPacked()
 	c.checkLiveness()
 	return c.diags
 }
@@ -444,60 +439,6 @@ func (c *checker) checkParams() {
 			}
 			if n.Weights == nil {
 				c.add("params", Error, n, "int8 weights present without the dequantized FP32 shadow (FP32 fallback would fail)")
-			}
-		}
-	}
-}
-
-// checkPacked verifies ahead-of-time packed weight panels against the
-// node's declared weight geometry. Panels are a cached derivative of
-// Weights/QWeights: a pass that rewrites the weights must clear them
-// (stale panels would silently compute with the old values), so a
-// shape/dimension mismatch here is always a pass bug, never benign.
-func (c *checker) checkPacked() {
-	for _, n := range c.g.Nodes {
-		if n == nil {
-			continue
-		}
-		if p := n.Packed; p != nil {
-			if n.Kind != graph.OpConv2D || n.Attrs.GroupCount() > 1 {
-				c.add("packed-shape", Error, n, "FP32 packed panels on a %s node (only ungrouped Conv2D packs)", n.Kind)
-				continue
-			}
-			if n.Weights == nil {
-				c.add("packed-shape", Error, n, "FP32 packed panels without source weights")
-				continue
-			}
-			if !p.Shape.Equal(n.Weights.Shape) {
-				c.add("packed-shape", Error, n, "packed panels built from weight shape %v, weights now %v (stale panels)", p.Shape, n.Weights.Shape)
-				continue
-			}
-			rows := n.Weights.Shape[1] * n.Weights.Shape[2] * n.Weights.Shape[3]
-			if p.K != rows || p.N != n.Weights.Shape[0] {
-				c.add("packed-shape", Error, n, "packed panel dims %dx%d, want %dx%d from weights %v", p.K, p.N, rows, n.Weights.Shape[0], n.Weights.Shape)
-			}
-		}
-		if q := n.PackedQ; q != nil {
-			if n.QWeights == nil {
-				c.add("packed-shape", Error, n, "int8 packed panels without int8 weights")
-				continue
-			}
-			if !q.Shape.Equal(n.QWeights.Shape) {
-				c.add("packed-shape", Error, n, "int8 packed panels built from weight shape %v, weights now %v (stale panels)", q.Shape, n.QWeights.Shape)
-				continue
-			}
-			var rows, cout int
-			switch {
-			case n.Kind == graph.OpConv2D && n.Attrs.GroupCount() <= 1 && len(q.Shape) == 4:
-				rows, cout = q.Shape[1]*q.Shape[2]*q.Shape[3], q.Shape[0]
-			case n.Kind == graph.OpDense && len(q.Shape) == 2:
-				rows, cout = q.Shape[1], q.Shape[0]
-			default:
-				c.add("packed-shape", Error, n, "int8 packed panels on a %s node with weight rank %d", n.Kind, len(q.Shape))
-				continue
-			}
-			if q.K != rows || q.N != cout {
-				c.add("packed-shape", Error, n, "int8 packed panel dims %dx%d, want %dx%d from weights %v", q.K, q.N, rows, cout, q.Shape)
 			}
 		}
 	}

@@ -277,49 +277,3 @@ func TestMustVerify(t *testing.T) {
 	}()
 	verify.MustVerify(g, "corrupt")
 }
-
-// TestDetectsStalePackedPanels: the packed-shape rule backstops the
-// pass contract that weight-mutating passes clear cached panels. A
-// cleanly pre-packed graph verifies clean; any panel whose dimensions
-// or host node disagree with the declared weights is an error.
-func TestDetectsStalePackedPanels(t *testing.T) {
-	g := cleanCNN(t, 30)
-	if n := graph.PrepackWeights(g); n == 0 {
-		t.Fatal("pre-pack packed nothing")
-	}
-	if diags := verify.Check(g); len(diags) != 0 {
-		t.Fatalf("pre-packed graph should verify clean: %v", diags)
-	}
-
-	// A panel whose K no longer matches cin*kh*kw is stale.
-	conv2 := node(t, g, "conv2")
-	conv2.Packed.K++
-	diags := verify.Check(g)
-	if !hasRule(diags, "packed-shape") {
-		t.Fatalf("stale panel K not detected: %v", diags)
-	}
-	if verify.Err(diags) == nil {
-		t.Fatal("stale panels must be an error")
-	}
-	conv2.Packed.K--
-
-	// FP32 panels on a non-conv node (here: migrated onto the dense
-	// head) violate the only-ungrouped-Conv2D-packs invariant.
-	fc := node(t, g, "fc")
-	fc.Packed = conv2.Packed
-	if diags := verify.Check(g); !hasRule(diags, "packed-shape") {
-		t.Fatalf("FP32 panels on dense node not detected: %v", diags)
-	}
-	fc.Packed = nil
-
-	// Quantized panels require QWeights on the node.
-	fc.PackedQ = &tensor.PackedQWeights{K: 8, N: 10, Shape: tensor.Shape{10, 8}}
-	if diags := verify.Check(g); !hasRule(diags, "packed-shape") {
-		t.Fatalf("orphan quantized panels not detected: %v", diags)
-	}
-	fc.PackedQ = nil
-
-	if diags := verify.Check(g); len(diags) != 0 {
-		t.Fatalf("repaired graph should verify clean: %v", diags)
-	}
-}
