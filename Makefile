@@ -87,11 +87,11 @@ pipe-smoke:
 # one iteration of each hot-shape kernel micro-benchmark in
 # internal/tensor, so one that stops compiling or starts panicking fails
 # the gate. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
-# kernel pool's hand-off between two calls; IMULPeak is the multiply-port
-# probe QGEMM512's rate is read against.
+# kernel pool's hand-off between two calls; IMULPeak and FMULPeak are the
+# probes QGEMM512's and GEMMFP32Blocked512's rates are read against.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
-	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|GEMMFP32Blocked512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6|SparseVsDenseConv' -benchtime 1x
+	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|GEMMFP32Blocked512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6|SparseVsDenseConv' -benchtime 1x
 
 # The CI gate: everything that must be clean before a merge.
 check: build fmt loc-check analyze opt-equiv race bench-test serve-smoke pipe-smoke
@@ -107,7 +107,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5777
+LOC_CEILING = 5788
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

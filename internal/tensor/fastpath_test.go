@@ -206,7 +206,8 @@ func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue
 
 // checkGemmKernels asserts the tile loop over all rows, and run as two row
 // ranges split at an odd row (so the pairs fall differently), equals
-// oneRowGemm bit for bit.
+// oneRowGemm bit for bit, and that the first range, one row paired with
+// the microkernel's sink, writes no other row.
 func checkGemmKernels(t *testing.T, a, b []float32, m, k, n int) {
 	t.Helper()
 	want := make([]float32, m*n)
@@ -220,6 +221,9 @@ func checkGemmKernels(t *testing.T, a, b []float32, m, k, n int) {
 	}
 	split := dirty(m, n).Data
 	gemmFP32.rowRange(split, a, pw, 0, min(1, m))
+	if !bitsEqual(split[n:], dirty(m, n).Data[n:]) {
+		t.Errorf("m=%d k=%d n=%d: a one-row range wrote another row", m, k, n)
+	}
 	gemmFP32.rowRange(split, a, pw, min(1, m), m)
 	if !bitsEqual(split, want) {
 		t.Errorf("m=%d k=%d n=%d: row-range split changes the result", m, k, n)

@@ -49,55 +49,59 @@ func zeroFraction(a []float32) float64 {
 
 // gemmPairRange converts a chunk of row-pair indices [lo, hi) into the
 // row range it owns: shard boundaries always land on even rows, so only
-// the lone last row of an odd-M matrix takes gemmPanelRows' one-row form.
+// the lone last row of an odd-M matrix pairs with gemmPanelRows' sink.
 func gemmPairRange(lo, hi, m int) (rlo, rhi int) {
 	return lo * 2, min(hi*2, m)
 }
 
-// gemmPanelRows is the register-tiled FP32 microkernel under the one tile
-// loop (gemm.rowRange): it accumulates one packed (K-block, N-block)
-// panel into output rows [rlo, rhi), dst[i, jc:jc+jb] += a[i, kc:kc+kb] x
-// panel. Rows go two at a time so each panel quad is loaded once and
-// feeds both rows' accumulators; an odd last row takes the one-row form.
-// Every output element sees the same expression and the same K order
-// whichever form handles its row, so results do not depend on how callers
-// split rows. The A spans are staged into zero-padded buffers so the
-// kb..kb4 tail multiplies the panel's +0.0 padding by +0.0.
+// gemmPanelRows is the FP32 microkernel under the one tile loop
+// (gemm.rowRange): dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel for rows
+// [rlo, rhi), every element through one loop body, panel2x2. An odd last
+// row pairs with a copy of itself that accumulates into a sink. Each
+// element keeps its expression and K order however it is paired, so
+// results do not depend on how callers split rows.
 func gemmPanelRows(dst, a, panel []float32, k, n, kc, kb, jc, jb, rlo, rhi int) {
 	kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
-	var abuf0, abuf1 [gemmKC]float32
-	i := rlo
-	for ; i+1 < rhi; i += 2 {
-		copy(abuf0[:kb], a[i*k+kc:i*k+kc+kb])
-		copy(abuf1[:kb], a[(i+1)*k+kc:(i+1)*k+kc+kb])
-		clear(abuf0[kb:kb4])
-		clear(abuf1[kb:kb4])
-		o0 := dst[i*n+jc : i*n+jc+jb]
-		o1 := dst[(i+1)*n+jc : (i+1)*n+jc+jb]
-		o1 = o1[:len(o0)]
+	// a0 and a1 are never written past kb: the K tail is +0.0 x +0.0 padding.
+	var a0, a1 [gemmKC]float32
+	for i := rlo; i < rhi; i += 2 {
+		i1 := min(i+1, rhi-1)
+		copy(a0[:kb], a[i*k+kc:i*k+kc+kb])
+		copy(a1[:kb], a[i1*k+kc:i1*k+kc+kb])
+		o0, o1 := dst[i*n+jc:i*n+jc+jb], dst[i1*n+jc:i1*n+jc+jb]
+		if i1 == i {
+			var sink [gemmNC]float32
+			o1 = sink[:jb]
+		}
 		for g := 0; g < kb4; g += gemmMR {
-			a0, a1, a2, a3 := abuf0[g], abuf0[g+1], abuf0[g+2], abuf0[g+3]
-			b0, b1, b2, b3 := abuf1[g], abuf1[g+1], abuf1[g+2], abuf1[g+3]
-			p := panel[g*jb : g*jb+jb*gemmMR]
-			for j := range o0 {
-				q := p[j*gemmMR : j*gemmMR+gemmMR : j*gemmMR+gemmMR]
-				o0[j] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
-				o1[j] += b0*q[0] + b1*q[1] + b2*q[2] + b3*q[3]
-			}
+			panel2x2(o0, o1, panel[g*jb:(g+gemmMR)*jb], (*[gemmMR]float32)(a0[g:]), (*[gemmMR]float32)(a1[g:]))
 		}
 	}
-	if i < rhi {
-		copy(abuf0[:kb], a[i*k+kc:i*k+kc+kb])
-		clear(abuf0[kb:kb4])
-		o0 := dst[i*n+jc : i*n+jc+jb]
-		for g := 0; g < kb4; g += gemmMR {
-			a0, a1, a2, a3 := abuf0[g], abuf0[g+1], abuf0[g+2], abuf0[g+3]
-			p := panel[g*jb : g*jb+jb*gemmMR]
-			for j := range o0 {
-				q := p[j*gemmMR : j*gemmMR+gemmMR : j*gemmMR+gemmMR]
-				o0[j] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
-			}
-		}
+}
+
+// panel2x2 is the FP32 microkernel's loop body: one K-quad of two rows
+// against a row of panel quads, o0[j] += x . q_j and o1[j] += y . q_j, two
+// columns a step and an odd last column after the loop. Each quad is
+// loaded once and feeds both rows, and the eight A values stay in
+// registers: a leaf with one index, so gc spills none of that state.
+func panel2x2(o0, o1, p []float32, x, y *[gemmMR]float32) {
+	a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
+	b0, b1, b2, b3 := y[0], y[1], y[2], y[3]
+	o1 = o1[:len(o0)]
+	j := 1
+	for ; j < len(o0); j += 2 {
+		q := p[gemmMR*j-gemmMR : gemmMR*j+gemmMR : gemmMR*j+gemmMR]
+		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+		o0[j-1] += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		o1[j-1] += b0*q0 + b1*q1 + b2*q2 + b3*q3
+		q0, q1, q2, q3 = q[4], q[5], q[6], q[7]
+		o0[j] += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		o1[j] += b0*q0 + b1*q1 + b2*q2 + b3*q3
+	}
+	if j == len(o0) {
+		q := p[gemmMR*j-gemmMR : gemmMR*j : gemmMR*j]
+		o0[j-1] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
+		o1[j-1] += b0*q[0] + b1*q[1] + b2*q[2] + b3*q[3]
 	}
 }
 

@@ -276,8 +276,8 @@ const convBandPixels = transposeTile
 // s.rows, multiplied with the packed panels into s.acc, stored. A band is
 // never larger than the chunk, so a 7x7 plane still splits across cores;
 // chunks start on even pixels (gemmPairRange), so only the plane's last
-// row can take the FP32 microkernel's one-row form. The int8 kernel's
-// result does not depend on the cut.
+// row can pair with the FP32 microkernel's sink. Neither kernel's result
+// depends on the cut.
 func (j *bandJob[T, P, A]) bands(lo, hi int) {
 	ncols := j.geo.hout * j.geo.wout
 	lo, hi = gemmPairRange(lo, hi, ncols)

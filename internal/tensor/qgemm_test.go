@@ -90,7 +90,9 @@ func TestQGEMMParallelOddM(t *testing.T) {
 // BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time the two tile
 // loops alone, on one core, over panels packed outside the loop. MAC/mul
 // is the int8 kernel's rows per 64-bit multiply; GMAC/s over it is the
-// multiply rate BenchmarkIMULPeak bounds.
+// multiply rate BenchmarkIMULPeak bounds. An FP32 MAC is one multiply and
+// one add, so BenchmarkGEMMFP32Blocked512's GMAC/s is the rate
+// BenchmarkFMULPeak bounds.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
@@ -138,4 +140,29 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gemmFP32.rowRange(dst, a.Data, pw, 0, d)
 	}
+	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+// fmulSink keeps BenchmarkFMULPeak's chains live and its operands unknown
+// to the compiler.
+var fmulSink float32
+
+// BenchmarkFMULPeak probes the ceiling the FP32 kernel runs against:
+// twelve independent float32 chains, each step a multiply and then an add
+// rounded apart as the kernel's are (fusing them would move its bits),
+// more in flight than the multiply and add ports retire, reported as
+// Gmuladd/s on one core.
+func BenchmarkFMULPeak(b *testing.B) {
+	const steps = 1 << 16
+	m, c := fmulSink+0.999, fmulSink+0.001
+	x0, x1, x2, x3, x4, x5 := c, c+1, c+2, c+3, c+4, c+5
+	y0, y1, y2, y3, y4, y5 := c+6, c+7, c+8, c+9, c+10, c+11
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < steps; s++ {
+			x0, x1, x2, x3, x4, x5 = x0*m+c, x1*m+c, x2*m+c, x3*m+c, x4*m+c, x5*m+c
+			y0, y1, y2, y3, y4, y5 = y0*m+c, y1*m+c, y2*m+c, y3*m+c, y4*m+c, y5*m+c
+		}
+	}
+	fmulSink = x0 + x1 + x2 + x3 + x4 + x5 + y0 + y1 + y2 + y3 + y4 + y5
+	b.ReportMetric(12*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
 }
