@@ -89,9 +89,12 @@ pipe-smoke:
 # the gate. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
 # kernel pool's hand-off between two calls; IMULPeak and FMULPeak are the
 # probes QGEMM512's and GEMMFP32Blocked512's rates are read against.
+# Last, one weighted exchange Export + Import of CifarNet and
+# MobileNet-v2: what a pipeline stage's configure pays.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 	$(GO) test ./internal/tensor -run '^$$' -bench 'Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|GEMMFP32Blocked512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6|SparseVsDenseConv' -benchtime 1x
+	$(GO) test ./internal/exchange -run '^$$' -bench ExportImport -benchtime 1x
 
 # The CI gate: everything that must be clean before a merge.
 check: build fmt loc-check analyze opt-equiv race bench-test serve-smoke pipe-smoke

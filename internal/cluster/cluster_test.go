@@ -19,6 +19,7 @@ import (
 	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/partition"
 	"edgebench/internal/server"
 	"edgebench/internal/tensor"
@@ -530,7 +531,7 @@ func handConfigure(t *testing.T, addr string, cfg cluster.WorkerConfig, part *gr
 	if cfg.Graph, err = exchange.Export(part, exchange.Options{IncludeWeights: true}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(cfg)
+	payload, err := cfg.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,5 +687,92 @@ func TestStageDrainSendsOneEOSLast(t *testing.T) {
 		if err := waitExit(t, proc); err != nil {
 			t.Fatalf("worker %d exited with %v after a clean drain", i, err)
 		}
+	}
+}
+
+// TestPipelineInt8BitExact: a quantized graph reaches its stages with its
+// int8 codes, so every stage runs the int8 kernels and the pipeline
+// computes exactly the single-process executor's bits.
+func TestPipelineInt8BitExact(t *testing.T) {
+	g := testModel(t)
+	opt.QuantizeINT8(g)
+	cuts := partition.CutPoints(g)
+	parts, err := partition.SplitN(g, cuts[len(cuts)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	partition.CopyParams(g, parts...)
+	stages, _ := startWorkers(t, 2)
+	p, err := cluster.Connect(parts, stages, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	for seed := int64(0); seed < 4; seed++ {
+		in := server.SeededInput(g.Input.OutShape, seed)
+		got, err := p.Infer(in.Clone())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		wantBits(t, g, in, got.Data, fmt.Sprintf("seed %d", seed))
+	}
+	for i, st := range p.StageStats() {
+		if st.Int8Kernels == 0 {
+			t.Fatalf("stage %d ran no int8 kernel (fp32 %d): its codes were lost on the way", i, st.FP32Kernels)
+		}
+	}
+}
+
+// TestWorkerRejectsBadConfig: a worker sent a truncated or garbled Config
+// payload answers with an Error frame, and its Run returns the error.
+func TestWorkerRejectsBadConfig(t *testing.T) {
+	data, err := exchange.Export(testModel(t), exchange.Options{IncludeWeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := cluster.WorkerConfig{Downstream: "127.0.0.1:1", Graph: data}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphAt := len(good) - len(data)
+	edit := func(at int, b ...byte) []byte {
+		p := append([]byte(nil), good...)
+		copy(p[at:], b)
+		return p
+	}
+	for name, payload := range map[string][]byte{
+		"short length prefix": good[:3],
+		"length past end":     edit(0, 0xff, 0xff, 0xff, 0x7f),
+		"garbled JSON":        edit(4, ']'),
+		"no graph":            good[:graphAt],
+		"truncated graph":     good[:len(good)-9],
+		"garbled graph":       edit(graphAt+3, 0x40),
+	} {
+		t.Run(name, func(t *testing.T) {
+			stages, procs := startWorkers(t, 1)
+			ctrl, err := net.Dial("tcp", stages[0].Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ctrl.Close() }()
+			for _, f := range []*cluster.Frame{
+				cluster.ControlFrame(cluster.KindHello, 0, []byte(cluster.RoleControl)),
+				cluster.ControlFrame(cluster.KindConfig, 0, payload),
+			} {
+				if err := cluster.WriteFrame(ctrl, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ctrl.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			f, err := cluster.ReadFrame(ctrl)
+			if err != nil || f.Kind != cluster.KindError {
+				t.Fatalf("reply %v, %v; want an Error frame", f, err)
+			}
+			if err := waitExit(t, procs[0]); err == nil {
+				t.Fatal("worker exited cleanly after a bad config")
+			}
+		})
 	}
 }

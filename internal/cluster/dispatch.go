@@ -241,16 +241,16 @@ func (p *Pipeline) configureStage(i int) error {
 	if i < len(p.stages)-1 {
 		downstream = p.stages[i+1].Addr
 	}
-	payload, err := json.Marshal(WorkerConfig{
+	payload, err := WorkerConfig{
 		Stage:      i,
 		Device:     st.Device,
 		Graph:      data,
 		Downstream: downstream,
 		Credits:    p.opts.Credits,
 		Replicas:   p.opts.Replicas,
-	})
+	}.MarshalBinary()
 	if err != nil {
-		return fmt.Errorf("cluster: marshal stage %d config: %w", i, err)
+		return fmt.Errorf("cluster: stage %d: %w", i, err)
 	}
 	if err := c.write(ControlFrame(KindConfig, uint64(i), payload)); err != nil {
 		return fmt.Errorf("cluster: send stage %d config: %w", i, err)

@@ -88,7 +88,7 @@ type DType uint8
 
 // Payload encodings: DTypeNone for bare control frames, DTypeFP32 for
 // little-endian float32 tensor data (shape in the header), DTypeBytes
-// for opaque byte payloads (JSON configs, error strings, stats).
+// for opaque byte payloads (worker configs, error strings, stats).
 const (
 	DTypeNone DType = iota
 	DTypeFP32

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,15 +35,18 @@ const (
 const DefaultCredits = 8
 
 // WorkerConfig is the payload of the Config frame a dispatcher ships to
-// a stage worker: the stage subgraph (exchange format, weights
-// included), where to send outputs, and the execution knobs.
+// a stage worker: the stage subgraph (an exchange container, weights
+// included), where to send outputs, and the execution knobs. On the wire
+// it is MarshalBinary's layout, never plain JSON.
 type WorkerConfig struct {
 	// Stage is this worker's position in the chain (0-based).
 	Stage int `json:"stage"`
 	// Device labels the simulated device this stage was placed on.
 	Device string `json:"device,omitempty"`
-	// Graph is the stage subgraph in exchange format with weights.
-	Graph json.RawMessage `json:"graph"`
+	// Graph is the stage subgraph as an exchange container with weights.
+	// It rides after the JSON fields as raw bytes, so no JSON scanner
+	// ever reads a parameter.
+	Graph []byte `json:"-"`
 	// Downstream is the TCP address outputs go to: the next stage's
 	// listener, or the dispatcher's result listener for the last stage.
 	Downstream string `json:"downstream"`
@@ -54,6 +58,36 @@ type WorkerConfig struct {
 	// per replica). Zero or less means the worker's own core count — the
 	// dispatcher cannot know a remote device's; 1 is one frame at a time.
 	Replicas int `json:"replicas,omitempty"`
+}
+
+// MarshalBinary encodes c as a Config frame payload: a u32
+// little-endian length, c's fields as JSON without the graph, then
+// c.Graph as raw bytes.
+func (c WorkerConfig) MarshalBinary() ([]byte, error) {
+	js, err := json.Marshal(c)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: marshal worker config: %w", err)
+	}
+	p := make([]byte, 4, 4+len(js)+len(c.Graph))
+	binary.LittleEndian.PutUint32(p, uint32(len(js)))
+	return append(append(p, js...), c.Graph...), nil
+}
+
+// UnmarshalBinary decodes a Config frame payload MarshalBinary built.
+// c.Graph aliases p.
+func (c *WorkerConfig) UnmarshalBinary(p []byte) error {
+	if len(p) < 4 {
+		return fmt.Errorf("cluster: %d-byte worker config is shorter than its length prefix", len(p))
+	}
+	n := binary.LittleEndian.Uint32(p)
+	if uint64(n) > uint64(len(p)-4) {
+		return fmt.Errorf("cluster: worker config length %d runs past the %d-byte payload", n, len(p))
+	}
+	if err := json.Unmarshal(p[4:4+n], c); err != nil {
+		return fmt.Errorf("cluster: bad worker config: %w", err)
+	}
+	c.Graph = p[4+n:]
+	return nil
 }
 
 // StageStats is one worker's counter snapshot, shipped as the Stats
@@ -375,8 +409,8 @@ func (w *Worker) controlLoop(ctx context.Context, conn net.Conn) {
 // start one compute loop per inference the engine can run at once.
 func (w *Worker) configure(payload []byte) error {
 	var cfg WorkerConfig
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("cluster: bad worker config: %w", err)
+	if err := cfg.UnmarshalBinary(payload); err != nil {
+		return err
 	}
 	if cfg.Credits <= 0 {
 		cfg.Credits = DefaultCredits

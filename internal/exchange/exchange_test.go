@@ -1,6 +1,7 @@
 package exchange_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestImportRejectsCorruption(t *testing.T) {
 	}
 	cases := map[string]func(string) string{
 		"bad version": func(s string) string {
-			return strings.Replace(s, `"version":1`, `"version":9`, 1)
+			return strings.Replace(s, `"version":2`, `"version":9`, 1)
 		},
 		"unknown op": func(s string) string {
 			return strings.Replace(s, `"kind":"conv2d"`, `"kind":"quantum"`, 1)
@@ -107,11 +108,15 @@ func TestImportRejectsCorruption(t *testing.T) {
 		"not json": func(string) string { return "][" },
 	}
 	for name, corrupt := range cases {
-		if _, err := exchange.Import([]byte(corrupt(string(data)))); err == nil {
+		bad := editHeader(t, data, corrupt)
+		if bytes.Equal(bad, data) {
+			t.Fatalf("%s: the edit changed nothing", name)
+		}
+		if _, err := exchange.Import(bad); err == nil {
 			t.Errorf("%s: import should fail", name)
 		}
 	}
-	if _, err := exchange.Import([]byte(`{"version":1,"nodes":[]}`)); err == nil {
+	if _, err := exchange.Import(container(`{"version":2,"nodes":[]}`, nil)); err == nil {
 		t.Error("empty model should fail")
 	}
 }
@@ -200,14 +205,18 @@ func TestRoundTripDeploymentAnnotations(t *testing.T) {
 		t.Fatalf("annotations lost: %d fused, %d int8 of %d", fused, int8n, len(back.Nodes))
 	}
 	// Corrupt annotation values must be rejected.
-	bad := strings.Replace(string(data), `"activation":"relu6"`, `"activation":"conv2d"`, 1)
-	if bad != string(data) {
-		if _, err := exchange.Import([]byte(bad)); err == nil {
+	bad := editHeader(t, data, func(s string) string {
+		return strings.Replace(s, `"activation":"relu6"`, `"activation":"conv2d"`, 1)
+	})
+	if !bytes.Equal(bad, data) {
+		if _, err := exchange.Import(bad); err == nil {
 			t.Fatal("non-activation fused op should be rejected")
 		}
 	}
-	bad2 := strings.Replace(string(data), `"dtype":"int8"`, `"dtype":"int3"`, 1)
-	if _, err := exchange.Import([]byte(bad2)); err == nil {
+	bad2 := editHeader(t, data, func(s string) string {
+		return strings.Replace(s, `"dtype":"int8"`, `"dtype":"int3"`, 1)
+	})
+	if _, err := exchange.Import(bad2); err == nil {
 		t.Fatal("unknown dtype should be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package exchange_test
 
 import (
+	"strings"
 	"testing"
 
 	"edgebench/internal/exchange"
@@ -20,10 +21,20 @@ func FuzzImport(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"version":1,"name":"x","mode":"static","input_shape":[1,2,2],` +
-		`"nodes":[{"name":"input","kind":"input","inputs":[]}],"output":0}`))
-	f.Add([]byte("{}"))
+	f.Add(container(`{"version":2,"name":"x","mode":"static","input_shape":[1,2,2],`+
+		`"nodes":[{"name":"input","kind":"input","inputs":[]}],"output":0}`, nil))
+	f.Add(container("{}", nil))
 	f.Add([]byte("]["))
+	// A weighted export cut inside its parameter section, and one whose
+	// first reference points past the section's end.
+	weighted, err := exchange.Export(smallNet(), exchange.Options{IncludeWeights: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(weighted[:len(weighted)-7])
+	f.Add(editHeader(f, weighted, func(s string) string {
+		return strings.Replace(s, `"weights":{"off":0`, `"weights":{"off":99999`, 1)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := exchange.Import(data)
