@@ -505,7 +505,8 @@ func (p *Pipeline) ExecDType() string {
 	return best
 }
 
-// WeightBytes sums the parameter footprint across all stages.
+// WeightBytes sums the nominal parameter footprint (serving.Engine.WeightBytes)
+// across all stages.
 func (p *Pipeline) WeightBytes() int64 {
 	var total int64
 	for _, g := range p.parts {

@@ -156,18 +156,25 @@ func TestRoundTripInt8(t *testing.T) {
 	sameParams(t, g, back)
 
 	in := tensor.New(g.Input.OutShape...).Randomize(stats.NewRNG(3), 1)
-	var src, dst graph.Executor
-	want, err := src.Run(g, in.Clone())
+	want, err := (&graph.Executor{}).Run(g, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dst.Run(back, in.Clone())
+	got, err := (&graph.Executor{}).Run(back, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "output", want.Data, got.Data)
-	i8, f32, fused := src.DispatchCounts()
-	bi8, bf32, bfused := dst.DispatchCounts()
+	src, err := graph.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := graph.Compile(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i8, f32, fused := src.Counts()
+	bi8, bf32, bfused := dst.Counts()
 	if i8 == 0 || i8 != bi8 || f32 != bf32 || fused != bfused {
 		t.Fatalf("dispatch counts int8/fp32/fused %d/%d/%d became %d/%d/%d", i8, f32, fused, bi8, bf32, bfused)
 	}

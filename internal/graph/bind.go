@@ -7,7 +7,7 @@ import (
 )
 
 // kernel is the implementation bind builds for one node, with the facts
-// the dispatch counters need about it. It is the single place the
+// Program.Counts totals about it. It is the single place the
 // question "which kernel runs this node" is answered; everything else
 // reads the answer.
 type kernel struct {
@@ -25,10 +25,10 @@ type kernel struct {
 	// itself: a fused activation, an absorbed batch-norm.
 	act, affine bool
 
-	// What DispatchCounts records per evaluation: compute marks the
+	// What Compile totals into Program.Counts: compute marks the
 	// conv/dense family; int8 the int8 path (else a compute kernel counts
 	// as FP32); fused a non-empty epilogue applied inside the kernel.
-	// packed is a fact nothing counts: run reads panels bind packed.
+	// packed is a fact Counts leaves out: run reads panels bind packed.
 	compute, int8, fused, packed bool
 }
 

@@ -6,19 +6,19 @@ import (
 	"edgebench/internal/tensor"
 )
 
-// program is a graph compiled for execution: every decision that does
+// Program is a graph compiled for execution: every decision that does
 // not depend on the input tensor — which kernel runs a node, the weight
 // panels it reads, where its operands and result live, whether its
 // result comes from the arena, what can be dropped once it has run — is
 // taken here, once, and the executor only walks the result. Values are
-// numbered by their node's position in g.Nodes. A program is read-only
+// numbered by their node's position in g.Nodes. A Program is read-only
 // once built, so the executors NewExecutors makes share one: an engine's
 // replicas hold one copy of the panels. An Executor caches the program
 // of the last graph it ran, and compiling reads the graph without
 // writing it; a graph edited afterwards needs a fresh Executor, which
 // packs the edited weights (core.Session.Optimize drops its own for that
 // reason, and training builds one per step).
-type program struct {
+type Program struct {
 	g    *Graph
 	plan *Plan // nil for dynamic graphs, which have no arena
 
@@ -31,6 +31,19 @@ type program struct {
 
 	input, output int // value numbers of g.Input and g.Output
 	nargs         int // the widest step's input count: the size of a frame's args
+
+	// What every run dispatches, totalled from the steps' kernels (Counts).
+	int8Kernels, fp32Kernels, fusedKernels int64
+}
+
+// Counts reports the compute kernels (the conv/dense op families) one
+// run of the program dispatches: those on the int8 path, those on the
+// FP32 path, and the subset of either that applies a fused epilogue —
+// bias/BN/activation in the kernel's output loop instead of separate
+// node dispatches. Every run executes every step on its bound kernel, so
+// n runs dispatch n times these.
+func (p *Program) Counts() (int8Kernels, fp32Kernels, fusedKernels int64) {
+	return p.int8Kernels, p.fp32Kernels, p.fusedKernels
 }
 
 // step is one node ready to run.
@@ -45,11 +58,11 @@ type step struct {
 	free []int
 }
 
-// compile builds g's program. It fails for graphs that cannot execute:
+// Compile builds g's program. It fails for graphs that cannot execute:
 // structural-only parameters, a node no kernel accepts, or a static
 // graph the planner rejects.
-func compile(g *Graph) (*program, error) {
-	p := &program{g: g, slot: make([]int, len(g.Nodes))}
+func Compile(g *Graph) (*Program, error) {
+	p := &Program{g: g, slot: make([]int, len(g.Nodes))}
 	index := make(map[*Node]int, len(g.Nodes))
 	edges := 0
 	for i, n := range g.Nodes {
@@ -93,6 +106,15 @@ func compile(g *Graph) (*program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, n, err)
 		}
+		switch {
+		case k.int8:
+			p.int8Kernels++
+		case k.compute:
+			p.fp32Kernels++
+		}
+		if k.fused {
+			p.fusedKernels++
+		}
 		s := step{n: n, k: k, out: i, free: dead[i]}
 		first := len(ins)
 		for _, in := range n.Inputs {
@@ -111,7 +133,7 @@ func compile(g *Graph) (*program, error) {
 }
 
 // newFrame makes the run state for p's graph.
-func newFrame(p *program) *frame {
+func newFrame(p *Program) *frame {
 	return &frame{
 		vals: make([]*tensor.Tensor, len(p.g.Nodes)),
 		args: make([]*tensor.Tensor, p.nargs),
@@ -135,7 +157,7 @@ type frame struct {
 // every kernel writing into it must store all elements), a fresh tensor
 // otherwise. Adding a tensor.New call to a kernel instead silently
 // defeats the planner; edgelint's pool-alloc rule flags that.
-func (f *frame) alloc(p *program, s *step, in []*tensor.Tensor, debug bool) *tensor.Tensor {
+func (f *frame) alloc(p *Program, s *step, in []*tensor.Tensor, debug bool) *tensor.Tensor {
 	if f.pooled && p.slot[s.out] >= 0 {
 		t := f.arena.Get(s.n.OutShape...)
 		if debug {
@@ -164,7 +186,7 @@ func assertNoAlias(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) {
 // placed, and every run — static or dynamic — stops referencing a value
 // the moment nothing will read it again, which is define-by-run's eager
 // release.
-func (f *frame) release(p *program, free []int) {
+func (f *frame) release(p *Program, free []int) {
 	for _, v := range free {
 		if t := f.vals[v]; t != nil && f.pooled && p.slot[v] >= 0 {
 			f.arena.Put(t)

@@ -10,6 +10,7 @@ import (
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
 	"edgebench/internal/opt"
+	"edgebench/internal/serving"
 	"edgebench/internal/tensor"
 )
 
@@ -35,32 +36,46 @@ func zooGraph(t testing.TB, name, level string) *graph.Graph {
 	return g
 }
 
-// checkCountersMatchSteps runs g once and requires the executor's
-// dispatch counters to equal what the compiled steps say one pass
-// dispatches: every step ran exactly once, on the kernel bound to it.
-func checkCountersMatchSteps(t *testing.T, g *graph.Graph) (int8, fp32, fused int64) {
+// programCounts compiles g and returns what one run of it dispatches.
+func programCounts(t *testing.T, g *graph.Graph) (int8, fp32, fused int64) {
 	t.Helper()
-	wantI8, wantF32, wantFused, _, err := graph.KernelCounts(g)
+	p, err := graph.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &graph.Executor{Pooled: g.Mode == graph.Static}
-	if _, err := e.Run(g, seededInput(g.Input.OutShape, 3)); err != nil {
+	return p.Counts()
+}
+
+// checkEngineCounts serves g from a one-replica engine — Warmup, then
+// one Infer — and requires the engine's dispatch counts to be those two
+// runs times the program's per-run Counts, which it returns.
+func checkEngineCounts(t *testing.T, g *graph.Graph) (int8, fp32, fused int64) {
+	t.Helper()
+	int8, fp32, fused = programCounts(t, g)
+	eng, err := serving.NewEngine(g, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	int8, fp32, fused = e.DispatchCounts()
-	if int8 != wantI8 || fp32 != wantF32 || fused != wantFused {
-		t.Fatalf("dispatch counters int8/fp32/fused = %d/%d/%d, compiled steps say %d/%d/%d",
-			int8, fp32, fused, wantI8, wantF32, wantFused)
+	defer eng.Close()
+	if err := eng.Warmup(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Infer(seededInput(g.Input.OutShape, 3)); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 2
+	if i8, f32, fz := eng.DispatchCounts(); i8 != runs*int8 || f32 != runs*fp32 || fz != runs*fused {
+		t.Fatalf("engine dispatch counts int8/fp32/fused = %d/%d/%d after %d runs, program counts %d/%d/%d per run",
+			i8, f32, fz, runs, int8, fp32, fused)
 	}
 	return int8, fp32, fused
 }
 
 // TestDispatchCountersMatchCompiledSteps pins the single source of truth
 // zoo-wide: for every model under the compute budget, at every deployed
-// level, the counters after one Run are the compiled steps' counts.
-// (The two benchmark graphs, over budget here, are pinned to their exact
-// numbers in exec_alloc_test.go.)
+// level, a serving engine's dispatch counts after k runs are k times its
+// program's Counts. (The two benchmark graphs, over budget here, are
+// pinned to their exact numbers in exec_alloc_test.go.)
 func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 	ran := 0
 	for _, spec := range model.AllWithExtensions() {
@@ -70,7 +85,7 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 		for _, level := range []string{"O0", "O2", "O2+int8"} {
 			ran++
 			t.Run(spec.Name+"/"+level, func(t *testing.T) {
-				checkCountersMatchSteps(t, zooGraph(t, spec.Name, level))
+				checkEngineCounts(t, zooGraph(t, spec.Name, level))
 			})
 		}
 	}
@@ -238,8 +253,8 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	}
 	gconv.Activation = graph.OpReLU6
 	tensor.Epilogue{Scale: gconv.EpiScale, Shift: gconv.EpiShift, Act: tensor.ActReLU6}.ApplyInto(want)
-	if _, _, fused, _, err := graph.KernelCounts(g); err != nil || fused != 1 {
-		t.Fatalf("grouped conv binds %d fused kernels (%v), want 1", fused, err)
+	if _, _, fused := programCounts(t, g); fused != 1 {
+		t.Fatalf("grouped conv binds %d fused kernels, want 1", fused)
 	}
 	for _, pooled := range []bool{false, true} {
 		e := &graph.Executor{Pooled: pooled}
@@ -263,8 +278,8 @@ func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 		g := prepackCNN(t, 73)
 		if int8 {
 			graph.QuantizeINT8(g)
-			if i8, _, _, _, err := graph.KernelCounts(g); err != nil || i8 != 2 {
-				t.Fatalf("quantized graph binds %d int8 kernels (%v), want conv1 and fc", i8, err)
+			if i8, _, _ := programCounts(t, g); i8 != 2 {
+				t.Fatalf("quantized graph binds %d int8 kernels, want conv1 and fc", i8)
 			}
 		}
 		in := seededInput(g.Input.OutShape, 5)

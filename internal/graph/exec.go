@@ -2,17 +2,18 @@ package graph
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"edgebench/internal/tensor"
 )
 
-// Executor evaluates a graph numerically over real tensors. It backs the
-// functional-correctness path of the engine (the timing path uses the
-// analytic cost model in internal/core instead, since the paper's device
-// latencies cannot be reproduced by host-CPU wall time).
+// Executor evaluates a graph numerically over real tensors. It is the
+// measured engine: serving.Engine, the HTTP server, the pipeline stages
+// and the repository benchmark all run it, and their set-up and
+// per-inference times on the host are what the paper's method is
+// applied to (internal/core's analytic cost model prices the paper's
+// boards).
 //
-// The first run on a graph compiles it (compile.go) into a flat list of
+// The first run on a graph compiles it (Compile) into a flat list of
 // steps, each with its kernel already chosen and its weight panels
 // already packed (bind.go); Run and RunValues walk that one list in graph
 // order, so a graph gives the same bits under every setting below. All
@@ -48,35 +49,22 @@ type Executor struct {
 	// state, dropped on recompile; debugged is the last graph the Debug
 	// checker accepted, so revalidation runs once per graph, not per
 	// inference.
-	prog     *program
+	prog     *Program
 	f        *frame
 	debugged *Graph
-
-	// nInt8/nFP32 count compute-kernel dispatches (conv/dense families)
-	// by execution datatype — the probe tests and the serving metrics
-	// use to assert a quantized graph really runs int8 kernels. nFused
-	// counts the subset of dispatches (either datatype) that ran a fused
-	// epilogue kernel (absorbed BN/activation applied in the output
-	// loop) rather than separate elementwise passes. Atomic:
-	// DispatchCounts may be called while a run is in progress.
-	nInt8, nFP32, nFused atomic.Int64
 }
 
-// NewExecutors compiles g once and returns n executors sharing the
-// program — kernels and weight panels — each with its own frame, arena
-// and dispatch counters, and pooled when g is static: the replicas of a
-// serving engine or a pipeline stage. Each executor is still for one
-// goroutine at a time; different ones may run concurrently.
-func NewExecutors(g *Graph, n int) ([]*Executor, error) {
-	p, err := compile(g)
-	if err != nil {
-		return nil, err
-	}
+// NewExecutors returns n executors sharing p — kernels and weight panels
+// — each with its own frame and arena, and pooled when p's graph is
+// static: the replicas of a serving engine or a pipeline stage. Each
+// executor is still for one goroutine at a time; different ones may run
+// concurrently.
+func NewExecutors(p *Program, n int) []*Executor {
 	exs := make([]*Executor, n)
 	for i := range exs {
-		exs[i] = &Executor{Pooled: g.Mode == Static, prog: p, f: newFrame(p)}
+		exs[i] = &Executor{Pooled: p.g.Mode == Static, prog: p, f: newFrame(p)}
 	}
-	return exs, nil
+	return exs
 }
 
 // RunValues evaluates g on input and returns the value of every node —
@@ -111,16 +99,6 @@ func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// DispatchCounts reports how many compute-kernel dispatches (the
-// conv/dense op families) ran on the int8 path vs the FP32 path since
-// the executor was created, plus how many of those (across both paths)
-// ran a fused epilogue kernel — bias/BN/activation applied in the
-// kernel's output loop instead of separate node dispatches. Safe to
-// call concurrently with Run.
-func (e *Executor) DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int64) {
-	return e.nInt8.Load(), e.nFP32.Load(), e.nFused.Load()
-}
-
 // PoolStats reports the arena's traffic counters; zero-valued until a
 // Pooled run on a static graph has executed.
 func (e *Executor) PoolStats() tensor.PoolStats {
@@ -134,9 +112,9 @@ func (e *Executor) PoolStats() tensor.PoolStats {
 // program is g's, runs the Debug checker once per graph, and sets up the
 // frame. pooled asks for arena-backed results; it is granted only where
 // a plan exists.
-func (e *Executor) prepare(g *Graph, pooled bool) (*program, error) {
+func (e *Executor) prepare(g *Graph, pooled bool) (*Program, error) {
 	if e.prog == nil || e.prog.g != g {
-		p, err := compile(g)
+		p, err := Compile(g)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +176,7 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 // verifier miss degrades gracefully instead of crashing a whole sweep:
 // the recover guard converts residual kernel panics from internal/tensor
 // into errors.
-func (e *Executor) eval(p *program, f *frame, s *step) (err error) {
+func (e *Executor) eval(p *Program, f *frame, s *step) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel panic: %v", r)
@@ -214,14 +192,5 @@ func (e *Executor) eval(p *program, f *frame, s *step) (err error) {
 	}
 	f.vals[s.out] = s.k.run(s.n, dst, in)
 	clear(in)
-	switch {
-	case s.k.int8:
-		e.nInt8.Add(1)
-	case s.k.compute:
-		e.nFP32.Add(1)
-	}
-	if s.k.fused {
-		e.nFused.Add(1)
-	}
 	return nil
 }

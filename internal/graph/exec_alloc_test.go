@@ -45,7 +45,7 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 // repository benchmark streams: per forward pass MobileNet-v2 at O2
 // dispatches 53 FP32 conv/dense kernels, 52 of them fused, and
 // SqueezeNet at O2 quantized to int8 dispatches 26 int8 kernels, all
-// fused — and in both the counters are the compiled steps' counts.
+// fused — and in both a serving engine's counts are runs times those.
 // Excluded under -race only for its run time.
 func TestBenchmarkGraphDispatchCounts(t *testing.T) {
 	for _, c := range []struct {
@@ -56,7 +56,7 @@ func TestBenchmarkGraphDispatchCounts(t *testing.T) {
 		{"SqueezeNet", "O2+int8", 0, 26, 26},
 	} {
 		t.Run(c.model, func(t *testing.T) {
-			int8, fp32, fused := checkCountersMatchSteps(t, zooGraph(t, c.model, c.level))
+			int8, fp32, fused := checkEngineCounts(t, zooGraph(t, c.model, c.level))
 			if fp32 != c.fp32 || int8 != c.int8 || fused != c.fused {
 				t.Errorf("dispatches per run fp32/int8/fused = %d/%d/%d, want %d/%d/%d",
 					fp32, int8, fused, c.fp32, c.int8, c.fused)

@@ -24,9 +24,9 @@ func mixedCNN(t testing.TB, seed int64) *graph.Graph {
 }
 
 // TestQuantizedDispatchProbe asserts a QuantizeINT8 graph actually
-// executes the int8 kernels: the executor's dispatch counters must show
-// int8 dispatches for the conv and dense nodes and an FP32 fallback for
-// the depthwise conv — unpooled and pooled.
+// executes the int8 kernels: its program must dispatch int8 kernels for
+// the conv and dense nodes and an FP32 fallback for the depthwise conv,
+// and the output stays near FP32's — unpooled and pooled.
 func TestQuantizedDispatchProbe(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.25)
 	modes := []struct {
@@ -43,15 +43,11 @@ func TestQuantizedDispatchProbe(t *testing.T) {
 			ref := run(t, g, in)
 			graph.QuantizeINT8(g)
 
-			e := mode.mk()
-			if i8, f32, _ := e.DispatchCounts(); i8 != 0 || f32 != 0 {
-				t.Fatalf("fresh executor counts %d/%d, want 0/0", i8, f32)
-			}
-			out, err := e.Run(g, in)
+			out, err := mode.mk().Run(g, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			i8, f32, _ := e.DispatchCounts()
+			i8, f32, _ := programCounts(t, g)
 			if i8 != 2 {
 				t.Fatalf("int8 dispatches = %d, want 2 (conv1+fc)", i8)
 			}
@@ -90,12 +86,11 @@ func TestQuantizePerChannelExecutesInt8(t *testing.T) {
 	g := mixedCNN(t, 8)
 	ref := run(t, g, in)
 	graph.QuantizeINT8PerChannel(g)
-	e := &graph.Executor{}
-	out, err := e.Run(g, in)
+	out, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i8, _, _ := e.DispatchCounts(); i8 != 2 {
+	if i8, _, _ := programCounts(t, g); i8 != 2 {
 		t.Fatalf("int8 dispatches = %d, want 2", i8)
 	}
 	if d := maxAbsDiff(ref, out); d > 0.2 {

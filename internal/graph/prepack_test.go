@@ -81,7 +81,7 @@ func TestPrepackDispatchProbe(t *testing.T) {
 // reads panels packed at compile.
 func packedSteps(t *testing.T, g *graph.Graph) int64 {
 	t.Helper()
-	_, _, _, packed, err := graph.KernelCounts(g)
+	packed, err := graph.PackedSteps(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,7 @@ func TestPrepackInt8DispatchProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "pooled vs sequential int8", got, ref)
-	i8, f32, _ := e.DispatchCounts()
-	if i8 != 2 || f32 != 1 {
+	if i8, f32, _ := programCounts(t, g); i8 != 2 || f32 != 1 {
 		t.Fatalf("dispatch counts i8=%d f32=%d, want 2/1", i8, f32)
 	}
 }

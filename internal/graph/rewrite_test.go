@@ -70,11 +70,10 @@ func TestFusePatternsCountsFusedDispatches(t *testing.T) {
 	g := smallCNN(t, 22)
 	in := tensor.New(3, 8, 8).Fill(0.4)
 	graph.FusePatterns(g)
-	ex := &graph.Executor{}
-	if _, err := ex.Run(g, in); err != nil {
+	if _, err := (&graph.Executor{}).Run(g, in); err != nil {
 		t.Fatal(err)
 	}
-	i8, f32, fz := ex.DispatchCounts()
+	i8, f32, fz := programCounts(t, g)
 	if i8 != 0 {
 		t.Fatalf("fp32 graph dispatched %d int8 kernels", i8)
 	}

@@ -77,11 +77,13 @@ func TestZooInt8Conformance(t *testing.T) {
 					t.Fatalf("%s: int8 output drifts %.4f from FP32 (tolerance %v)",
 						v.name, maxDiff, int8Tolerance)
 				}
-				i8, _, _ := v.exec.DispatchCounts()
-				if quantizable > 0 && i8 == 0 {
-					t.Fatalf("%s: %d quantizable nodes but zero int8 kernel dispatches",
-						v.name, quantizable)
-				}
+			}
+			p, err := graph.Compile(qg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i8, _, _ := p.Counts(); quantizable > 0 && i8 == 0 {
+				t.Fatalf("%d quantizable nodes but zero int8 kernel dispatches", quantizable)
 			}
 		})
 	}

@@ -94,8 +94,11 @@ func TestZooOptEquivalence(t *testing.T) {
 				}
 			}
 			if rep.TotalRewrites() > 0 {
-				_, _, fz := ex.DispatchCounts()
-				if fz == 0 {
+				p, err := graph.Compile(og)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, fz := p.Counts(); fz == 0 {
 					t.Fatalf("%s: O2 rewrote %d chains but dispatched no fused kernels",
 						spec.Name, rep.TotalRewrites())
 				}

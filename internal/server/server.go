@@ -58,12 +58,13 @@ type Metrics struct {
 	// ExecDType marks the engine's execution datatype: the active dtype's
 	// series is 1 ({dtype="int8"} after a -quantize int8 deployment).
 	ExecDType *metrics.GaugeVec
-	// WeightBytes gauges the model's parameter footprint in the execution
-	// datatype — the series the 4x int8 footprint drop shows up in.
+	// WeightBytes gauges the model's nominal parameter footprint —
+	// parameter count × execution-dtype size, not resident bytes — the
+	// series the 4x int8 footprint drop shows up in.
 	WeightBytes *metrics.Gauge
 	// Int8Dispatches / FP32Dispatches gauge cumulative compute-kernel
 	// dispatches by datatype across the engine's replicas, refreshed on
-	// each /metrics scrape. FusedDispatches gauges the subset (either
+	// each /metrics scrape from Backend.DispatchCounts. FusedDispatches gauges the subset (either
 	// datatype) that ran a fused epilogue kernel — absorbed BN/activation
 	// applied inside the kernel's output loop.
 	Int8Dispatches  *metrics.Gauge
@@ -89,7 +90,7 @@ func NewMetrics() *Metrics {
 		QueueWait:   r.NewSummary("edgeserve_queue_wait_seconds", "Time requests spent queued before a dispatcher picked them up."),
 		EngineTime:  r.NewSummary("edgeserve_engine_seconds", "Time requests spent inside the inference engine."),
 		ExecDType:   r.NewGaugeVec("edgeserve_exec_dtype", "Execution datatype of the served model (active dtype is 1).", "dtype"),
-		WeightBytes: r.NewGauge("edgeserve_model_weight_bytes", "Model parameter footprint in the execution datatype, bytes."),
+		WeightBytes: r.NewGauge("edgeserve_model_weight_bytes", "Nominal model parameter footprint, bytes: parameter count x execution-dtype size, not resident bytes."),
 		Int8Dispatches: r.NewGauge("edgeserve_int8_kernel_dispatches",
 			"Cumulative conv/dense kernels dispatched on the int8 path across replicas."),
 		FP32Dispatches: r.NewGauge("edgeserve_fp32_kernel_dispatches",
@@ -111,7 +112,8 @@ type Engine interface {
 	InputShape() tensor.Shape
 	// ExecDType labels the execution datatype ("fp32", "int8", ...).
 	ExecDType() string
-	// WeightBytes is the parameter footprint in the execution datatype.
+	// WeightBytes is the nominal parameter footprint: parameter count ×
+	// execution-dtype size, not resident bytes.
 	WeightBytes() int64
 	// DispatchCounts reports cumulative kernel dispatches by path.
 	DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int64)
@@ -158,9 +160,9 @@ func New(eng Engine, cfg Config) *Server {
 		// Refresh the dispatch gauges from the engine at scrape time so
 		// the exported counts reflect kernels run since start.
 		i8, f32, fz := eng.DispatchCounts()
-		m.Int8Dispatches.SetMax(float64(i8))
-		m.FP32Dispatches.SetMax(float64(f32))
-		m.FusedDispatches.SetMax(float64(fz))
+		m.Int8Dispatches.Set(float64(i8))
+		m.FP32Dispatches.Set(float64(f32))
+		m.FusedDispatches.Set(float64(fz))
 		s.scrapeMu.Lock()
 		hooks := append([]func(){}, s.onScrape...)
 		s.scrapeMu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"edgebench/internal/graph"
 	"edgebench/internal/tensor"
@@ -47,10 +48,15 @@ var ErrEngineClosed = errors.New("serving: engine closed")
 // cores. KernelParallelism reports the shared pool's current size.
 type Engine struct {
 	g        *graph.Graph
+	prog     *graph.Program
 	replicas chan *graph.Executor
 	size     int
 	closed   chan struct{}
 	once     sync.Once
+
+	// runs counts the inferences that succeeded, Warmup's included:
+	// DispatchCounts is runs times the program's per-run counts.
+	runs atomic.Int64
 }
 
 // NewEngine verifies g and compiles it, once, into an engine with the
@@ -67,17 +73,18 @@ func NewEngine(g *graph.Graph, replicas int) (*Engine, error) {
 	if replicas <= 0 {
 		replicas = runtime.GOMAXPROCS(0)
 	}
-	exs, err := graph.NewExecutors(g, replicas)
+	p, err := graph.Compile(g)
 	if err != nil {
 		return nil, fmt.Errorf("serving: %w", err)
 	}
 	e := &Engine{
 		g:        g,
+		prog:     p,
 		replicas: make(chan *graph.Executor, replicas),
 		size:     replicas,
 		closed:   make(chan struct{}),
 	}
-	for _, ex := range exs {
+	for _, ex := range graph.NewExecutors(p, replicas) {
 		e.replicas <- ex
 	}
 	return e, nil
@@ -115,11 +122,21 @@ func (e *Engine) Warmup() error {
 		}
 	}
 	for _, ex := range exs {
-		if _, err := ex.Run(e.g, in); err != nil {
+		if _, err := e.run(ex, in); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// run is the engine's one call into an executor: it runs in on ex and
+// counts the run if it succeeded.
+func (e *Engine) run(ex *graph.Executor, in *tensor.Tensor) (*tensor.Tensor, error) {
+	out, err := ex.Run(e.g, in)
+	if err == nil {
+		e.runs.Add(1)
+	}
+	return out, err
 }
 
 // KernelParallelism returns the size of the package-global kernel
@@ -148,7 +165,7 @@ func (e *Engine) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	select {
 	case ex := <-e.replicas:
 		defer func() { e.replicas <- ex }()
-		return ex.Run(e.g, in)
+		return e.run(ex, in)
 	case <-e.closed:
 		return nil, ErrEngineClosed
 	}
@@ -203,7 +220,7 @@ acquire:
 	errs := make([]error, len(ins))
 	share := func(w int) {
 		for i := w; i < len(ins); i += len(exs) {
-			outs[i], errs[i] = exs[w].Run(e.g, ins[i])
+			outs[i], errs[i] = e.run(exs[w], ins[i])
 		}
 	}
 	var wg sync.WaitGroup
@@ -266,9 +283,10 @@ func GraphExecDType(g *graph.Graph) string {
 	return best.String()
 }
 
-// WeightBytes returns the graph's total parameter footprint in each
-// node's execution datatype — the number the 4x int8 footprint drop is
-// visible in.
+// WeightBytes returns the graph's nominal parameter footprint: parameter
+// count × execution-dtype size, not resident bytes — an int8 node also
+// holds its FP32 shadow, and the program holds the packed panels. It is
+// the number the 4x int8 footprint drop is visible in.
 func (e *Engine) WeightBytes() int64 {
 	var total int64
 	for _, n := range e.g.Nodes {
@@ -277,25 +295,16 @@ func (e *Engine) WeightBytes() int64 {
 	return total
 }
 
-// DispatchCounts sums the executor dispatch counters (int8-path vs
-// FP32-path compute kernels, plus the fused-epilogue subset) across all
-// replicas currently parked in the pool; quiesce the engine first for
-// exact totals.
+// DispatchCounts reports the compute kernels the engine's successful
+// runs (Warmup's included) have dispatched — int8-path and FP32-path
+// conv/dense kernels, plus the fused-epilogue subset — as the run count
+// times the program's per-run Counts. It borrows no replica, so it is
+// exact while requests are in flight, and the counts survive Close. A
+// run that fails part-way counts nothing.
 func (e *Engine) DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int64) {
-	n := len(e.replicas)
-	held := make([]*graph.Executor, 0, n)
-	for i := 0; i < n; i++ {
-		ex := <-e.replicas
-		i8, f32, fz := ex.DispatchCounts()
-		int8Kernels += i8
-		fp32Kernels += f32
-		fusedKernels += fz
-		held = append(held, ex)
-	}
-	for _, ex := range held {
-		e.replicas <- ex
-	}
-	return int8Kernels, fp32Kernels, fusedKernels
+	n := e.runs.Load()
+	i8, f32, fz := e.prog.Counts()
+	return n * i8, n * f32, n * fz
 }
 
 // PoolStats sums the arena counters across all replicas currently parked
