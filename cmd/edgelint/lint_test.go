@@ -195,17 +195,14 @@ const fakeGraphPasses = `package graph
 // Graph is a fake.
 type Graph struct{}
 
-// Pass is a fake.
-type Pass func(*Graph)
-
 // FoldBN is a fake.
 func FoldBN(g *Graph) {}
 
-// FuseActivations is a fake.
-func FuseActivations(g *Graph) {}
+// FusePatterns is a fake.
+func FusePatterns(g *Graph) int { return 0 }
 
-// Pipeline is a fake.
-func Pipeline(passes ...Pass) Pass { return nil }
+// Prune is a fake.
+func Prune(fraction float64) func(*Graph) { return nil }
 
 // Validate is a fake (not a pass; must not be flagged).
 func Validate(g *Graph) {}
@@ -220,7 +217,9 @@ import "edgebench/internal/graph"
 
 func lower(g *graph.Graph) { graph.FoldBN(g) }
 
-func pipeline() graph.Pass { return graph.Pipeline(graph.FuseActivations) }
+func fuse(g *graph.Graph) int { return graph.FusePatterns(g) }
+
+func pruner() func(*graph.Graph) { return graph.Prune(0.5) }
 
 func suppressed(g *graph.Graph) {
 	graph.FoldBN(g) // edgelint:ignore pass-verify

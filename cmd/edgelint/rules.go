@@ -175,18 +175,15 @@ const optPkg = "edgebench/internal/opt"
 
 // graphPassFns are the internal/graph rewrite functions the pass-verify
 // rule fences in: each mutates graph structure, so production code must
-// reach them through internal/opt, whose pass manager and checked
-// wrappers re-prove the IR invariants after every run.
+// reach them through internal/opt, whose gate re-proves the IR
+// invariants after every run.
 var graphPassFns = map[string]bool{
 	"FoldBN":                 true,
-	"FuseActivations":        true,
 	"EliminateDead":          true,
 	"QuantizeINT8":           true,
 	"QuantizeINT8PerChannel": true,
 	"CastFP16":               true,
 	"Prune":                  true,
-	"FreezeGraph":            true,
-	"Pipeline":               true,
 	"FusePatterns":           true,
 	"FoldConstants":          true,
 	"EliminateIdentity":      true,
@@ -213,7 +210,7 @@ var passVerifyAnalyzer = register(&Analyzer{
 			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != graphPkg {
 				return
 			}
-			ctx.reportf(sel.Pos(), "graph.%s bypasses the verified pass manager; use the internal/opt wrapper (or an opt.PassManager)", sel.Sel.Name)
+			ctx.reportf(sel.Pos(), "graph.%s bypasses the verified pass manager; use the internal/opt wrapper", sel.Sel.Name)
 		})
 	},
 })

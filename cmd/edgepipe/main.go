@@ -174,7 +174,6 @@ func runPipeline(args []string) int {
 	// Build the executable graph and split it along the plan's cuts.
 	g := model.MustGet(plan.Model).Build(nn.Options{Materialize: true, Seed: *seed})
 	if level > opt.O0 {
-		g.Frozen = false
 		orep, err := opt.Optimize(g, level)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "edgepipe:", err)

@@ -102,8 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	lowered := deployed.Clone()
-	graphopt.FoldBN(lowered)
-	graphopt.FuseActivations(lowered)
+	graphopt.FoldAndFuse(lowered)
 	graphopt.QuantizeINT8(lowered)
 	got, err := (&graph.Executor{}).Run(lowered, sample)
 	if err != nil {

@@ -216,7 +216,7 @@ func TestBackpropRejectsLoweredGraphs(t *testing.T) {
 	g := b.Build()
 	opt := g.Clone()
 	graph.FoldBN(opt)
-	graph.FuseActivations(opt)
+	graph.FusePatterns(opt)
 	in := tensor.New(1, 4, 4)
 	seed := tensor.New(2, 4, 4)
 	if _, err := autodiff.Backprop(opt, in, seed); err == nil {

@@ -7,6 +7,7 @@ import (
 	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 )
 
 // Ablation benchmarks for the design choices DESIGN.md §5 calls out:
@@ -14,7 +15,7 @@ import (
 // so `go test -bench=Ablation ./internal/core` quantifies where the
 // frameworks' speedups come from (§VI-B2's attribution).
 
-func ablate(b *testing.B, passes ...graph.Pass) float64 {
+func ablate(b *testing.B, passes ...func(*graph.Graph)) float64 {
 	b.Helper()
 	g := model.MustGet("ResNet-50").Build(nn.Options{})
 	for _, p := range passes {
@@ -38,7 +39,7 @@ func BenchmarkAblationBaselineFP32(b *testing.B) {
 func BenchmarkAblationFusionOnly(b *testing.B) {
 	var t float64
 	for i := 0; i < b.N; i++ {
-		t = ablate(b, graph.FoldBN, graph.FuseActivations)
+		t = ablate(b, opt.FoldAndFuse)
 	}
 	b.ReportMetric(t*1e3, "modeled-ms")
 }
@@ -62,7 +63,7 @@ func BenchmarkAblationFP16Only(b *testing.B) {
 func BenchmarkAblationFullTensorRTPipeline(b *testing.B) {
 	var t float64
 	for i := 0; i < b.N; i++ {
-		t = ablate(b, graph.FoldBN, graph.FuseActivations, graph.QuantizeINT8, graph.EliminateDead)
+		t = ablate(b, opt.FoldAndFuse, graph.QuantizeINT8, graph.EliminateDead)
 	}
 	b.ReportMetric(t*1e3, "modeled-ms")
 }
@@ -121,10 +122,10 @@ func BenchmarkAblationStaticVsDynamic(b *testing.B) {
 // optimization helps, and the full pipeline beats any single one.
 func TestAblationOrdering(t *testing.T) {
 	base := ablateT(t)
-	fused := ablateT(t, graph.FoldBN, graph.FuseActivations)
+	fused := ablateT(t, opt.FoldAndFuse)
 	quant := ablateT(t, graph.QuantizeINT8)
 	fp16 := ablateT(t, graph.CastFP16)
-	full := ablateT(t, graph.FoldBN, graph.FuseActivations, graph.QuantizeINT8, graph.EliminateDead)
+	full := ablateT(t, opt.FoldAndFuse, graph.QuantizeINT8, graph.EliminateDead)
 	if !(fused < base && quant < base && fp16 < base) {
 		t.Fatalf("each optimization should help: base %v fused %v quant %v fp16 %v", base, fused, quant, fp16)
 	}
@@ -137,7 +138,7 @@ func TestAblationOrdering(t *testing.T) {
 	}
 }
 
-func ablateT(t *testing.T, passes ...graph.Pass) float64 {
+func ablateT(t *testing.T, passes ...func(*graph.Graph)) float64 {
 	t.Helper()
 	g := model.MustGet("ResNet-50").Build(nn.Options{})
 	for _, p := range passes {

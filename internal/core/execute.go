@@ -38,17 +38,12 @@ func (s *Session) Materialize(seed int64) error {
 // Optimize runs the graph compiler's pass sequence for the given level
 // over the session's lowered graph — constant folding, identity and
 // dead-node elimination, and (at O2) pattern fusion into single-dispatch
-// fused kernels, each pass run gated by the IR verifier. The graph is
-// unfrozen for the rewrite and refrozen when it was frozen before, and
-// the cached executor is dropped so the next Infer replans buffers over
-// the optimized graph. Returns the pass manager's report.
+// fused kernels, each pass run gated by the IR verifier. A frozen graph
+// stays frozen (no pass appends nodes), and the cached executor is
+// dropped so the next Infer replans buffers over the optimized graph.
+// Returns the pass manager's report.
 func (s *Session) Optimize(level opt.Level) (*opt.Report, error) {
-	frozen := s.lowered.Frozen
-	s.lowered.Frozen = false
 	r, err := opt.Optimize(s.lowered, level)
-	if frozen {
-		s.lowered.Freeze()
-	}
 	if err != nil {
 		return r, fmt.Errorf("core: optimizing %s at %s: %w", s.lowered.Name, level, err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"edgebench/internal/core"
 	"edgebench/internal/graph"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 )
 
@@ -50,6 +51,31 @@ func TestSessionInferMatchesPlainExecutor(t *testing.T) {
 		if st.Gets == 0 {
 			t.Error("static session ran without touching the arena")
 		}
+	}
+}
+
+// TestSessionOptimizeKeepsFrozen: an O2 Optimize on a frozen TFLite
+// lowering succeeds without unfreezing the graph (no pass appends
+// nodes), and the optimized session still infers.
+func TestSessionOptimizeKeepsFrozen(t *testing.T) {
+	s, err := core.New("CifarNet", "TFLite", "RPi3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Materialize(42); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Lowered().Frozen {
+		t.Fatal("TFLite lowering should freeze the graph")
+	}
+	if _, err := s.Optimize(opt.O2); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Lowered().Frozen {
+		t.Fatal("Optimize unfroze the graph")
+	}
+	if _, err := s.Infer(sessionInput(s)); err != nil {
+		t.Fatal(err)
 	}
 }
 

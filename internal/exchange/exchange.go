@@ -79,7 +79,7 @@ type NodeJSON struct {
 	BNChannels int   `json:"bn_channels,omitempty"`
 
 	// Deployment annotations (set by lowering passes). EpiChannels
-	// records an absorbed batch-norm epilogue (opt.FusePatterns); the
+	// records an absorbed batch-norm epilogue (graph.FusePatterns); the
 	// materialized scale/shift ride with the weights below.
 	DType       string  `json:"dtype,omitempty"`
 	Activation  string  `json:"activation,omitempty"`

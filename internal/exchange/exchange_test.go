@@ -160,7 +160,7 @@ func TestRoundTripLoweredGraph(t *testing.T) {
 	// them so cost metrics survive exactly.
 	g := model.MustGet("ResNet-50").Build(nn.Options{})
 	graph.FoldBN(g)
-	graph.FuseActivations(g)
+	graph.FusePatterns(g)
 	graph.Prune(0.5)(g)
 	data, err := exchange.Export(g, exchange.Options{})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestRoundTripLoweredGraph(t *testing.T) {
 func TestRoundTripDeploymentAnnotations(t *testing.T) {
 	g := model.MustGet("MobileNet-v2").Build(nn.Options{})
 	graph.FoldBN(g)
-	graph.FuseActivations(g)
+	graph.FusePatterns(g)
 	graph.QuantizeINT8(g)
 	data, err := exchange.Export(g, exchange.Options{})
 	if err != nil {

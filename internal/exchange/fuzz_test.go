@@ -105,7 +105,7 @@ func TestFuzzOptimizationPipeline(t *testing.T) {
 		}
 		opt := g.Clone()
 		graph.FoldBN(opt)
-		graph.FuseActivations(opt)
+		graph.FusePatterns(opt)
 		graph.EliminateDead(opt)
 		if err := opt.Validate(); err != nil {
 			return false

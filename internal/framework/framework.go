@@ -104,8 +104,7 @@ func (f *Framework) Lower(g *graph.Graph, dev *device.Device) *graph.Graph {
 	out.Mode = f.Mode
 
 	if f.Opts.Fusion {
-		opt.FoldBN(out)
-		opt.FuseActivations(out)
+		opt.FoldAndFuse(out)
 	}
 	switch {
 	case f.Opts.Quantization && f.quantizeOn(dev):
@@ -115,7 +114,7 @@ func (f *Framework) Lower(g *graph.Graph, dev *device.Device) *graph.Graph {
 	}
 	if f.Mode == graph.Static {
 		opt.EliminateDead(out)
-		opt.FreezeGraph(out)
+		out.Freeze()
 	}
 	return out
 }

@@ -14,7 +14,7 @@ func TestDOTRendering(t *testing.T) {
 	b.Dense("fc", 2, true)
 	g := b.Build()
 	graph.FoldBN(g)
-	graph.FuseActivations(g)
+	graph.FusePatterns(g)
 	graph.Prune(0.5)(g)
 
 	dot := g.DOT()

@@ -39,7 +39,7 @@ func TestQuantizedDispatchProbe(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			g := mixedCNN(t, 21)
-			graph.FuseActivations(g)
+			graph.FusePatterns(g)
 			ref := run(t, g, in)
 			graph.QuantizeINT8(g)
 
@@ -69,7 +69,7 @@ func TestQuantizedFusedActivationMatchesUnfused(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.3)
 	unfused := mixedCNN(t, 33)
 	fused := unfused.Clone()
-	graph.FuseActivations(fused)
+	graph.FusePatterns(fused)
 	graph.QuantizeINT8(unfused)
 	graph.QuantizeINT8(fused)
 	a := run(t, unfused, in)

@@ -79,8 +79,10 @@ func (g *Graph) Add(n *Node) *Node {
 	return g.add(n)
 }
 
-// Freeze marks the graph as deployment-ready. Further structural changes
-// panic. Freezing an already frozen graph is a no-op.
+// Freeze marks the graph as deployment-ready: Append (and so every
+// builder) panics on a frozen graph; rewrites that only rewire or drop
+// existing nodes, like the optimization passes, still apply. Freezing
+// an already frozen graph is a no-op.
 func (g *Graph) Freeze() { g.Frozen = true }
 
 // Append appends a fully-formed node without shape inference or output

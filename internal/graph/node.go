@@ -128,7 +128,7 @@ type Node struct {
 
 	// EpiChannels, when non-zero, records a batch-norm absorbed into this
 	// node as a per-channel affine epilogue by the pattern-fusion pass
-	// (opt.FusePatterns). Unlike FoldBN, which rewrites the weights (and
+	// (FusePatterns). Unlike FoldBN, which rewrites the weights (and
 	// so perturbs numerics), the epilogue executes at runtime inside the
 	// fused kernel — bitwise identical to the separate BatchNorm node.
 	// EpiChannels is the structural description; EpiScale/EpiShift are the

@@ -4,12 +4,6 @@ import (
 	"edgebench/internal/tensor"
 )
 
-// A Pass transforms a graph in place. Frameworks compose passes into
-// their lowering pipelines (Table II optimization rows); each pass is
-// individually testable and semantics-preserving (asserted by the
-// equivalence property tests).
-type Pass func(*Graph)
-
 // consumers returns a map from node to the nodes that read it.
 func consumers(g *Graph) map[*Node][]*Node {
 	m := make(map[*Node][]*Node, len(g.Nodes))
@@ -88,32 +82,7 @@ func FoldBN(g *Graph) {
 			prod.BiasLen = prod.WShape[0]
 			prod.FusedBN = true
 			replaceUses(g, n, prod)
-			dead[n] = true
-		}
-	}
-	removeNodes(g, dead)
-}
-
-// FuseActivations merges activation nodes into their producer when that
-// is a compute op with no other consumer and not itself a graph root —
-// the second half of kernel fusion. The activation still executes but
-// without a separate kernel dispatch.
-func FuseActivations(g *Graph) {
-	cons := consumers(g)
-	dead := map[*Node]bool{}
-	for _, n := range g.Nodes {
-		if !n.Kind.IsActivation() {
-			continue
-		}
-		prod := n.Inputs[0]
-		if dead[prod] || prod.Activation != 0 || !singleUse(g, cons, prod) {
-			continue
-		}
-		switch prod.Kind {
-		case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense, OpAdd:
-			prod.Activation = n.Kind
-			prod.Attrs.Alpha = n.Attrs.Alpha
-			replaceUses(g, n, prod)
+			cons[prod] = cons[n] // the BN's readers now read prod
 			dead[n] = true
 		}
 	}
@@ -236,7 +205,7 @@ func CastFP16(g *Graph) {
 // convolution and dense layer, recording per-node sparsity. Whether the
 // zeros translate into compute savings depends on the framework's
 // sparse-execution support (Table II ‡‡), which the cost model consults.
-func Prune(fraction float64) Pass {
+func Prune(fraction float64) func(*Graph) {
 	return func(g *Graph) {
 		for _, n := range g.Nodes {
 			switch n.Kind {
@@ -250,22 +219,6 @@ func Prune(fraction float64) Pass {
 					n.Sparsity = fraction
 				}
 			}
-		}
-	}
-}
-
-// FreezeGraph marks the graph deployment-ready (static frameworks run it
-// after their offline passes).
-func FreezeGraph(g *Graph) { g.Freeze() }
-
-// Pipeline composes passes into one. It runs them unverified — for the
-// checked analogue that re-verifies the graph between passes, see
-// verify.Pipeline (this package cannot import the verifier without a
-// cycle; the old CheckAfterPass hook is absorbed into verify.Checked).
-func Pipeline(passes ...Pass) Pass {
-	return func(g *Graph) {
-		for _, p := range passes {
-			p(g)
 		}
 	}
 }

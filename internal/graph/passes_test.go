@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // checkAfterPass asserts the graph verifies clean after a pass — the
-// verify.Checked contract, usable mid-test without the panic.
+// internal/opt gate's contract, usable mid-test without the panic.
 func checkAfterPass(t *testing.T, g *graph.Graph, pass string) {
 	t.Helper()
 	if err := verify.Err(verify.Check(g)); err != nil {
@@ -75,7 +76,33 @@ func TestFoldBNPreservesSemantics(t *testing.T) {
 	}
 }
 
-func TestFuseActivationsPreservesSemantics(t *testing.T) {
+// TestFoldBNFanOut: on conv → bn1 → {bn2, add(bn1, bn2)}, folding bn1
+// gives the conv bn1's two readers, so bn2 must stay a node — folding it
+// too would make add read bn2(bn1(conv)) twice.
+func TestFoldBNFanOut(t *testing.T) {
+	b := nn.NewBuilder("fanout", nn.Options{Materialize: true, Seed: 18}, 3, 8, 8)
+	b.Conv2D("conv", 4, 3, 1, 1, true)
+	bn1 := b.BatchNorm("bn1")
+	bn2 := b.BatchNorm("bn2")
+	b.Add("add", bn1, bn2)
+	g := b.Build()
+	in := seededInput(g.Input.OutShape, 3)
+	ref := run(t, g, in)
+
+	graph.FoldBN(g)
+	checkAfterPass(t, g, "FoldBN")
+	if !slices.Contains(g.Nodes, bn2) {
+		t.Fatal("FoldBN folded bn2 into a conv that add also reads")
+	}
+	if len(g.Nodes) != 4 {
+		t.Fatalf("FoldBN left %d nodes, want 4 (input, conv, bn2, add)", len(g.Nodes))
+	}
+	if d := maxAbsDiff(ref, run(t, g, in)); d > 1e-4 {
+		t.Fatalf("FoldBN changed output by %v", d)
+	}
+}
+
+func TestFusePatternsAfterFoldBN(t *testing.T) {
 	g := smallCNN(t, 11)
 	in := tensor.New(3, 8, 8).Fill(-0.2)
 	ref := run(t, g, in)
@@ -83,10 +110,10 @@ func TestFuseActivationsPreservesSemantics(t *testing.T) {
 	opt := g.Clone()
 	graph.FoldBN(opt)
 	before := len(opt.Nodes)
-	graph.FuseActivations(opt)
-	checkAfterPass(t, opt, "FuseActivations")
+	graph.FusePatterns(opt)
+	checkAfterPass(t, opt, "FusePatterns")
 	if len(opt.Nodes) >= before {
-		t.Fatal("FuseActivations removed no nodes")
+		t.Fatal("FusePatterns removed no nodes")
 	}
 	got := run(t, opt, in)
 	if d := maxAbsDiff(ref, got); d > 1e-4 {
@@ -113,8 +140,8 @@ func TestFuseSkipsMultiConsumerProducer(t *testing.T) {
 	g := b.Build()
 	in := tensor.New(2, 6, 6).Fill(-1)
 	ref := run(t, g, in)
-	graph.FuseActivations(g)
-	checkAfterPass(t, g, "FuseActivations")
+	graph.FusePatterns(g)
+	checkAfterPass(t, g, "FusePatterns")
 	got := run(t, g, in)
 	if d := maxAbsDiff(ref, got); d != 0 {
 		t.Fatalf("fusion with shared producer changed output by %v", d)
@@ -205,22 +232,24 @@ func TestPruneStructuralGraph(t *testing.T) {
 	}
 }
 
+// TestPipelineComposes runs the static lowering sequence — fold, fuse,
+// eliminate, freeze — and requires the frozen result to compute the
+// same function.
 func TestPipelineComposes(t *testing.T) {
 	g := smallCNN(t, 17)
 	in := tensor.New(3, 8, 8).Fill(0.15)
 	ref := run(t, g, in)
-	p := graph.Pipeline(graph.FoldBN, graph.FuseActivations, graph.EliminateDead, graph.FreezeGraph)
-	p(g)
-	if !g.Frozen {
-		t.Fatal("pipeline should freeze")
-	}
+	graph.FoldBN(g)
+	graph.FusePatterns(g)
+	graph.EliminateDead(g)
+	g.Freeze()
 	got := run(t, g, in)
 	if d := maxAbsDiff(ref, got); d > 1e-4 {
 		t.Fatalf("pipeline changed output by %v", d)
 	}
 }
 
-// Property: for random small CNN seeds, FoldBN+Fuse is semantics
+// Property: for random small CNN seeds, FoldBN+FusePatterns is semantics
 // preserving and strictly reduces op count.
 func TestOptimizationEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -233,7 +262,7 @@ func TestOptimizationEquivalenceProperty(t *testing.T) {
 		opt := g.Clone()
 		nBefore := opt.NumOps()
 		graph.FoldBN(opt)
-		graph.FuseActivations(opt)
+		graph.FusePatterns(opt)
 		if opt.NumOps() >= nBefore {
 			return false
 		}
@@ -297,17 +326,18 @@ func TestPeakActivationBytes(t *testing.T) {
 
 // TestLegacyFusionKeepsRootValues: a producer that is itself a graph root
 // (an SSD/YOLO head marked as an extra output) has its own value observed,
-// so neither FoldBN nor FuseActivations may rewrite it, single consumer or
-// not — the condition FusePatterns has always applied.
+// so neither FoldBN nor FusePatterns may rewrite it, single consumer or
+// not, whether a batch-norm or an activation follows it.
 func TestLegacyFusionKeepsRootValues(t *testing.T) {
+	fuse := func(g *graph.Graph) { graph.FusePatterns(g) }
 	for _, c := range []struct {
 		name string
 		bn   bool
-		pass graph.Pass
+		pass func(*graph.Graph)
 	}{
 		{"FoldBN", true, graph.FoldBN},
-		{"FuseActivations", false, graph.FuseActivations},
-		{"FusePatterns", true, func(g *graph.Graph) { graph.FusePatterns(g) }},
+		{"FusePatterns/act", false, fuse},
+		{"FusePatterns/bn", true, fuse},
 	} {
 		b := nn.NewBuilder("head", nn.Options{Materialize: true, Seed: 13}, 3, 8, 8)
 		b.MarkOutput(b.Conv2D("conv", 4, 3, 1, 1, true))

@@ -94,7 +94,7 @@ func packedSteps(t *testing.T, g *graph.Graph) int64 {
 func TestPrepackInt8DispatchProbe(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.25)
 	g := mixedCNN(t, 33)
-	graph.FuseActivations(g)
+	graph.FusePatterns(g)
 	graph.QuantizeINT8(g)
 	ref := run(t, g, in)
 	if n := packedSteps(t, g); n != 2 {

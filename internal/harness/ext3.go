@@ -36,11 +36,11 @@ func Ext3Fidelity() (*Report, error) {
 			name string
 			pass func(*graph.Graph)
 		}{
-			{"fused", func(g *graph.Graph) { opt.FoldBN(g); opt.FuseActivations(g) }},
+			{"fused", opt.FoldAndFuse},
 			{"fp16", opt.CastFP16},
 			{"int8/tensor", opt.QuantizeINT8},
 			{"int8/channel", opt.QuantizeINT8PerChannel},
-			{"fused+int8", func(g *graph.Graph) { opt.FoldBN(g); opt.FuseActivations(g); opt.QuantizeINT8(g) }},
+			{"fused+int8", func(g *graph.Graph) { opt.FoldAndFuse(g); opt.QuantizeINT8(g) }},
 		}
 		for _, low := range lowerings {
 			g := ref.Clone()

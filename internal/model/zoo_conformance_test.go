@@ -8,6 +8,7 @@ import (
 	"edgebench/internal/graph"
 	"edgebench/internal/model"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/verify"
 )
 
@@ -54,19 +55,18 @@ func TestZooLoweredConformance(t *testing.T) {
 	}
 }
 
-// TestZooPassConformance applies each standalone optimization pass to
-// every model's structural graph under verify.Checked, so an invariant
-// break names both the model and the pass.
+// TestZooPassConformance applies each lowering pass to every model's
+// structural graph through its gated internal/opt wrapper, so an
+// invariant break names both the model and the pass.
 func TestZooPassConformance(t *testing.T) {
 	passes := []struct {
 		name string
-		pass graph.Pass
+		pass func(*graph.Graph)
 	}{
-		{"FoldBN", graph.FoldBN},
-		{"FuseActivations", graph.FuseActivations},
-		{"EliminateDead", graph.EliminateDead},
-		{"QuantizeINT8", graph.QuantizeINT8},
-		{"CastFP16", graph.CastFP16},
+		{"FoldAndFuse", opt.FoldAndFuse},
+		{"EliminateDead", opt.EliminateDead},
+		{"QuantizeINT8", opt.QuantizeINT8},
+		{"CastFP16", opt.CastFP16},
 	}
 	for _, spec := range model.AllWithExtensions() {
 		g := spec.Build(nn.Options{})
@@ -77,7 +77,7 @@ func TestZooPassConformance(t *testing.T) {
 						t.Errorf("%s + %s: %v", spec.Name, p.name, r)
 					}
 				}()
-				verify.Checked(p.name, p.pass)(g.Clone())
+				p.pass(g.Clone())
 			}()
 		}
 	}

@@ -1,10 +1,11 @@
-// Package opt is the graph compiler's pass manager: it owns the
-// catalog of optimization passes (pattern fusion, constant folding,
-// identity and dead-node elimination, plus the legacy lowering passes),
-// runs them in a deterministic order to a fixpoint, and gates every
-// pass run behind the full internal/verify rule catalog — an illegal
-// rewrite surfaces as a structured *VerifyError naming the pass and the
-// violated rules instead of a corrupted inference later.
+// Package opt is the graph compiler's pass manager: Optimize runs the
+// level's optimization passes (pattern fusion, constant folding,
+// identity and dead-node elimination) in a deterministic order to a
+// fixpoint, and the lowering wrappers (FoldAndFuse, QuantizeINT8,
+// CastFP16, ...) run one framework-lowering rewrite each. Every pass
+// run goes through one gate, the full internal/verify rule catalog — an
+// illegal rewrite surfaces as a structured *VerifyError naming the pass
+// and the violated rules instead of a corrupted inference later.
 //
 // The package exists because internal/graph cannot import the verifier
 // (verify already imports graph); opt sits above both and is the only
@@ -26,39 +27,12 @@ import (
 	"edgebench/internal/verify"
 )
 
-// PassResult reports what one pass run did to the graph.
-type PassResult struct {
-	// Rewrites counts the pass's unit of work (chains fused, nodes
-	// folded/removed). Zero means the pass found nothing — the
-	// manager's fixpoint terminates when a whole iteration is zero.
-	Rewrites int
-}
-
-// Pass is one graph rewrite under management: named for diagnostics
-// and reporting, returning how much it changed so the manager can
+// pass is one graph rewrite under management: named for diagnostics
+// and reporting, returning how many rewrites it made so the manager can
 // iterate to fixpoint.
-type Pass interface {
-	Name() string
-	Run(g *graph.Graph) (PassResult, error)
-}
-
-// funcPass adapts a count-returning rewrite function to the Pass
-// interface.
-type funcPass struct {
+type pass struct {
 	name string
 	run  func(*graph.Graph) (int, error)
-}
-
-func (p funcPass) Name() string { return p.name }
-
-func (p funcPass) Run(g *graph.Graph) (PassResult, error) {
-	n, err := p.run(g)
-	return PassResult{Rewrites: n}, err
-}
-
-// NewPass wraps a count-returning rewrite function as a managed pass.
-func NewPass(name string, run func(*graph.Graph) (int, error)) Pass {
-	return funcPass{name: name, run: run}
 }
 
 // VerifyError reports that a pass left the graph violating IR
@@ -88,18 +62,15 @@ func (e *VerifyError) Error() string {
 
 // PassStat accumulates one pass's effect across fixpoint iterations.
 type PassStat struct {
-	Pass      string
-	Runs      int // times executed
-	Rewrites  int // total rewrites across runs
-	NodeDelta int // nodes after - before, summed over runs
-	EdgeDelta int // input edges after - before, summed over runs
+	Pass     string
+	Rewrites int // total rewrites across runs
 }
 
-// Report summarizes one manager run: iteration count, whole-graph
+// Report summarizes one Optimize run: iteration count, whole-graph
 // node/edge deltas, and per-pass stats in execution order.
 type Report struct {
 	Graph       string
-	Level       Level // set by Optimize; LevelUnset for custom managers
+	Level       Level
 	Iterations  int
 	NodesBefore int
 	NodesAfter  int
@@ -130,63 +101,27 @@ func (r *Report) TotalRewrites() int {
 	return total
 }
 
-// PassManager runs a registered pass sequence over graphs. Passes
-// execute in registration order — the order is part of the compiler's
-// contract (cleanups expose fusion opportunities and vice versa), so
-// registration is explicit, never sorted behind the caller's back.
-type PassManager struct {
-	// MaxIter bounds fixpoint iteration; <= 0 means DefaultMaxIter.
-	// Each iteration runs the full pass sequence once; iteration stops
-	// early when a whole sweep performs zero rewrites.
-	MaxIter int
+// maxIter bounds fixpoint iteration. Each iteration runs the full pass
+// sequence once and iteration stops early when a whole sweep performs
+// zero rewrites; real models converge in 2-3 sweeps, so the bound only
+// guards against a pass that keeps "finding" work.
+const maxIter = 10
 
-	passes []Pass
-}
-
-// DefaultMaxIter bounds fixpoint iteration when MaxIter is unset. Real
-// models converge in 2-3 sweeps; the bound only guards against a pass
-// that keeps "finding" work.
-const DefaultMaxIter = 10
-
-// NewManager builds a manager over the given passes in order.
-func NewManager(passes ...Pass) *PassManager {
-	m := &PassManager{}
-	for _, p := range passes {
-		m.Register(p)
-	}
-	return m
-}
-
-// Register appends a pass to the sequence.
-func (m *PassManager) Register(p Pass) {
-	if p == nil {
-		panic("opt: Register(nil)")
-	}
-	m.passes = append(m.passes, p)
-}
-
-// Passes returns the registered sequence (callers must not mutate it).
-func (m *PassManager) Passes() []Pass { return m.passes }
-
-// Run executes the pass sequence over g to a fixpoint, verifying the
-// graph after every pass run. It returns the accumulated report; on an
-// invariant violation the error is a *VerifyError and the graph is left
-// as the offending pass produced it (for postmortem inspection — do not
-// execute it).
-func (m *PassManager) Run(g *graph.Graph) (*Report, error) {
-	maxIter := m.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
+// runPasses executes passes over g in order to a fixpoint — the order
+// is part of the compiler's contract (cleanups expose fusion
+// opportunities and vice versa) — verifying the graph after every pass
+// run. It returns the accumulated report; on an invariant violation the
+// error is a *VerifyError and the graph is left as the offending pass
+// produced it (for postmortem inspection — do not execute it).
+func runPasses(g *graph.Graph, passes []pass) (*Report, error) {
 	r := &Report{
 		Graph:       g.Name,
-		Level:       LevelUnset,
 		NodesBefore: len(g.Nodes),
 		EdgesBefore: countEdges(g),
 	}
-	stats := make([]*PassStat, len(m.passes))
-	for i, p := range m.passes {
-		stats[i] = &PassStat{Pass: p.Name()}
+	stats := make([]PassStat, len(passes))
+	for i, p := range passes {
+		stats[i].Pass = p.name
 	}
 	// Gate the input graph before any pass runs, so pre-existing
 	// breakage is attributed to the caller, not to the first pass.
@@ -196,21 +131,16 @@ func (m *PassManager) Run(g *graph.Graph) (*Report, error) {
 	for iter := 1; iter <= maxIter; iter++ {
 		r.Iterations = iter
 		sweep := 0
-		for i, p := range m.passes {
-			nodes, edges := len(g.Nodes), countEdges(g)
-			res, err := p.Run(g)
+		for i, p := range passes {
+			n, err := p.run(g)
 			if err != nil {
-				return r, fmt.Errorf("opt: pass %s (iteration %d): %w", p.Name(), iter, err)
+				return r, fmt.Errorf("opt: pass %s (iteration %d): %w", p.name, iter, err)
 			}
-			st := stats[i]
-			st.Runs++
-			st.Rewrites += res.Rewrites
-			st.NodeDelta += len(g.Nodes) - nodes
-			st.EdgeDelta += countEdges(g) - edges
+			stats[i].Rewrites += n
 			if diags := gate(g); len(diags) > 0 {
-				return r, &VerifyError{Pass: p.Name(), Iteration: iter, Diags: diags}
+				return r, &VerifyError{Pass: p.name, Iteration: iter, Diags: diags}
 			}
-			sweep += res.Rewrites
+			sweep += n
 		}
 		if sweep == 0 {
 			break
@@ -218,9 +148,7 @@ func (m *PassManager) Run(g *graph.Graph) (*Report, error) {
 	}
 	r.NodesAfter = len(g.Nodes)
 	r.EdgesAfter = countEdges(g)
-	for _, st := range stats {
-		r.Stats = append(r.Stats, *st)
-	}
+	r.Stats = stats
 	return r, nil
 }
 
@@ -251,11 +179,8 @@ func countEdges(g *graph.Graph) int {
 type Level int
 
 const (
-	// LevelUnset marks a report produced by a custom manager rather
-	// than a named level.
-	LevelUnset Level = iota - 1
 	// O0 applies no passes: the graph executes exactly as built.
-	O0
+	O0 Level = iota
 	// O1 applies the always-safe cleanups — constant folding, identity
 	// elimination, dead-node elimination. Packing weights into the GEMM
 	// panel layout is not a pass: every executor's compile does it.
@@ -276,7 +201,7 @@ func (l Level) String() string {
 	case O2:
 		return "O2"
 	}
-	return "unset"
+	return fmt.Sprintf("Level(%d)", int(l))
 }
 
 // ParseLevel parses "O0"/"O1"/"O2" (case-insensitive).
@@ -292,16 +217,16 @@ func ParseLevel(s string) (Level, error) {
 	return O0, fmt.Errorf("opt: unknown optimization level %q (want O0, O1, or O2)", s)
 }
 
-// Passes returns the pass sequence for a level, in execution order.
+// passes returns the pass sequence for a level, in execution order.
 // Cleanups run before fusion so folded subgraphs and removed identities
 // expose single-consumer chains; dead-node elimination runs last each
 // sweep to collect what the other passes orphaned.
-func (l Level) Passes() []Pass {
+func (l Level) passes() []pass {
 	switch l {
 	case O1:
-		return []Pass{ConstantFolding(), IdentityElimination(), DeadElimination()}
+		return []pass{constantFolding, identityElimination, deadElimination}
 	case O2:
-		return []Pass{ConstantFolding(), IdentityElimination(), PatternFusion(), DeadElimination()}
+		return []pass{constantFolding, identityElimination, patternFusion, deadElimination}
 	}
 	return nil
 }
@@ -311,10 +236,7 @@ func (l Level) Passes() []Pass {
 // accept a broken graph just because optimization was off) but runs no
 // passes.
 func Optimize(g *graph.Graph, level Level) (*Report, error) {
-	m := NewManager(level.Passes()...)
-	r, err := m.Run(g)
-	if r != nil {
-		r.Level = level
-	}
+	r, err := runPasses(g, level.passes())
+	r.Level = level
 	return r, err
 }

@@ -1,56 +1,48 @@
 package opt
 
 import (
-	"fmt"
-
 	"edgebench/internal/graph"
 )
 
-// Built-in pass constructors. Each wraps a count-returning rewrite from
-// internal/graph; the manager supplies verification, fixpoint
-// iteration, and reporting.
-
-// PatternFusion fuses compute→BatchNorm→activation chains into single
-// fused-kernel nodes: the BN becomes a runtime per-channel affine
-// epilogue (bitwise identical to the separate node — unlike FoldBN,
-// nothing rewrites the weights) and the activation becomes the node's
-// fused Activation.
-func PatternFusion() Pass {
-	return NewPass("pattern-fusion", func(g *graph.Graph) (int, error) {
+// The level passes. Each wraps a count-returning rewrite from
+// internal/graph; runPasses supplies verification, fixpoint iteration,
+// and reporting.
+var (
+	// patternFusion fuses compute→BatchNorm→activation chains into
+	// single fused-kernel nodes: the BN becomes a runtime per-channel
+	// affine epilogue (bitwise identical to the separate node — unlike
+	// FoldBN, nothing rewrites the weights) and the activation becomes
+	// the node's fused Activation.
+	patternFusion = pass{"pattern-fusion", func(g *graph.Graph) (int, error) {
 		return graph.FusePatterns(g), nil
-	})
-}
+	}}
 
-// ConstantFolding evaluates all-constant subgraphs at compile time
-// through the executor itself and replaces them with OpConst nodes.
-func ConstantFolding() Pass {
-	return NewPass("constant-folding", graph.FoldConstants)
-}
+	// constantFolding evaluates all-constant subgraphs at compile time
+	// through the executor itself and replaces them with OpConst nodes.
+	constantFolding = pass{"constant-folding", graph.FoldConstants}
 
-// IdentityElimination removes structural no-ops (factor-1 upsamples,
-// group-1 shuffles, zero pads, single-input concats, rank-1 flattens).
-func IdentityElimination() Pass {
-	return NewPass("identity-elimination", func(g *graph.Graph) (int, error) {
+	// identityElimination removes structural no-ops (factor-1
+	// upsamples, group-1 shuffles, zero pads, single-input concats,
+	// rank-1 flattens).
+	identityElimination = pass{"identity-elimination", func(g *graph.Graph) (int, error) {
 		return graph.EliminateIdentity(g), nil
-	})
-}
+	}}
 
-// DeadElimination removes nodes unreachable from any graph output,
-// keeping the graph input alive even when orphaned.
-func DeadElimination() Pass {
-	return NewPass("dead-elimination", func(g *graph.Graph) (int, error) {
+	// deadElimination removes nodes unreachable from any graph output,
+	// keeping the graph input alive even when orphaned.
+	deadElimination = pass{"dead-elimination", func(g *graph.Graph) (int, error) {
 		before := len(g.Nodes)
 		graph.EliminateDead(g)
 		return before - len(g.Nodes), nil
-	})
-}
+	}}
+)
 
-// Legacy lowering passes, re-exported behind the verify gate. These are
-// the void-style passes the framework lowering pipelines (Table II) and
-// the CLIs compose directly — each call runs the underlying rewrite and
-// re-proves the IR invariants, panicking on violation (passes are
-// internal transformations, so a broken graph is a programming error at
-// these call sites; use a PassManager for error-returning runs).
+// Lowering passes behind the verify gate. These are the void-style
+// passes the framework lowering pipelines (Table II) and the CLIs
+// compose directly — each call runs the underlying rewrite and re-proves
+// the IR invariants, panicking on violation (passes are internal
+// transformations, so a broken graph is a programming error at these
+// call sites; use Optimize for error-returning runs).
 
 // checked runs fn over g and panics with the verifier's diagnostics if
 // the rewrite broke IR invariants.
@@ -61,13 +53,18 @@ func checked(name string, g *graph.Graph, fn func(*graph.Graph)) {
 	}
 }
 
-// FoldBN folds batch-norms into producer weights (perturbs numerics;
-// prefer PatternFusion's bit-exact epilogue absorption when the graph
-// will be checked for equivalence).
-func FoldBN(g *graph.Graph) { checked("fold-bn", g, graph.FoldBN) }
-
-// FuseActivations merges activation nodes into their producers.
-func FuseActivations(g *graph.Graph) { checked("fuse-activations", g, graph.FuseActivations) }
+// FoldAndFuse is the deployment fusion of the paper's frameworks: it
+// folds batch-norms into their producers' weights (graph.FoldBN, which
+// perturbs numerics at float-reassociation level but is how a Conv→BN
+// chain reaches the int8 kernels), then fuses the remaining activations
+// into their producers (graph.FusePatterns, bit-exact). Prefer Optimize
+// at O2 when the graph will be checked for bitwise equivalence.
+func FoldAndFuse(g *graph.Graph) {
+	checked("fold-and-fuse", g, func(g *graph.Graph) {
+		graph.FoldBN(g)
+		graph.FusePatterns(g)
+	})
+}
 
 // EliminateDead removes nodes unreachable from any output.
 func EliminateDead(g *graph.Graph) { checked("dead-elimination", g, graph.EliminateDead) }
@@ -83,13 +80,3 @@ func QuantizeINT8PerChannel(g *graph.Graph) {
 
 // CastFP16 drops execution to half precision.
 func CastFP16(g *graph.Graph) { checked("cast-fp16", g, graph.CastFP16) }
-
-// Prune returns a magnitude-pruning pass at the given fraction.
-func Prune(fraction float64) func(*graph.Graph) {
-	return func(g *graph.Graph) {
-		checked(fmt.Sprintf("prune-%.2f", fraction), g, graph.Prune(fraction))
-	}
-}
-
-// FreezeGraph marks the graph deployment-ready.
-func FreezeGraph(g *graph.Graph) { checked("freeze", g, graph.FreezeGraph) }

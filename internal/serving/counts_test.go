@@ -23,7 +23,7 @@ func TestDispatchCountsExact(t *testing.T) {
 	b.GlobalAvgPool("gap")
 	b.Dense("fc", 10, true)
 	g := b.Build()
-	graph.FuseActivations(g)
+	graph.FusePatterns(g)
 	graph.QuantizeINT8(g)
 	p, err := graph.Compile(g)
 	if err != nil {

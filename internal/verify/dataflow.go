@@ -51,7 +51,7 @@ func init() {
 
 // CheckAll runs the structural rule catalog plus the quant-domain
 // dataflow pass — the full static checking surface for a graph without a
-// buffer plan. Pipeline/Checked verify with this between passes.
+// buffer plan. internal/opt's gate runs it after every pass.
 func CheckAll(g *graph.Graph) []Diagnostic {
 	diags := Check(g)
 	if g != nil && len(Errors(diags)) == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 	"edgebench/internal/verify"
 )
@@ -191,13 +192,14 @@ func TestDebugExecutorVetoesCorruptGraph(t *testing.T) {
 
 func TestCheckedRunsPlanPass(t *testing.T) {
 	// A pass that corrupts liveness-relevant structure on a static graph
-	// must be caught by the plan leg of Checked. Marking an interior
-	// node as an extra output after planning assumptions is fine for the
-	// structural rules, so corrupt the shape flow instead — Checked's
-	// CheckAll leg already panics there; here we only pin that a clean
-	// static pass still passes with the plan leg active.
+	// must be caught by the plan leg of internal/opt's gate. Marking an
+	// interior node as an extra output after planning assumptions is fine
+	// for the structural rules, so corrupt the shape flow instead — the
+	// gate's CheckAll leg already panics there; here we only pin that a
+	// clean static pass still passes with the plan leg active.
 	g := planCNN(t, 15)
-	verify.Pipeline(graph.FoldBN, graph.FuseActivations, graph.EliminateDead)(g)
+	opt.FoldAndFuse(g)
+	opt.EliminateDead(g)
 	if diags := verify.CheckAll(g); len(verify.Errors(diags)) != 0 {
 		t.Fatalf("pipeline left errors: %v", diags)
 	}

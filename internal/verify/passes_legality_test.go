@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edgebench/internal/graph"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 	"edgebench/internal/verify"
 )
@@ -29,26 +30,27 @@ func maxAbsDiff(a, b *tensor.Tensor) float64 {
 	return m
 }
 
-// TestPassLegalityTable runs every optimization pass under
-// verify.Checked (so a broken invariant panics with the rule ID),
-// asserts the optimized graph verifies with zero diagnostics — not even
-// warnings — and bounds the numeric deviation from the unoptimized
-// output on a fixed input. Tolerances reflect each transformation's
-// intrinsic error: exact rewrites near machine epsilon, reduced
-// precision at its quantization step, pruning at the damage a 5% weight
-// cut can do to a softmax.
+// TestPassLegalityTable runs every lowering pass — through its
+// internal/opt wrapper where it has one, so a broken invariant panics
+// with the rule ID — asserts the optimized graph verifies with zero
+// diagnostics — not even warnings — and bounds the numeric deviation
+// from the unoptimized output on a fixed input. Tolerances reflect each
+// transformation's intrinsic error: weight folding at float
+// reassociation, exact rewrites at zero, reduced precision at its
+// quantization step, pruning at the damage a 5% weight cut can do to a
+// softmax.
 func TestPassLegalityTable(t *testing.T) {
 	cases := []struct {
 		name string
-		pass graph.Pass
+		pass func(*graph.Graph)
 		tol  float64
 	}{
 		{"FoldBN", graph.FoldBN, 1e-4},
-		{"FuseActivations", graph.FuseActivations, 1e-6},
-		{"EliminateDead", graph.EliminateDead, 0},
-		{"QuantizeINT8", graph.QuantizeINT8, 0.3},
-		{"QuantizeINT8PerChannel", graph.QuantizeINT8PerChannel, 0.3},
-		{"CastFP16", graph.CastFP16, 0.02},
+		{"FoldAndFuse", opt.FoldAndFuse, 1e-4},
+		{"EliminateDead", opt.EliminateDead, 0},
+		{"QuantizeINT8", opt.QuantizeINT8, 0.3},
+		{"QuantizeINT8PerChannel", opt.QuantizeINT8PerChannel, 0.3},
+		{"CastFP16", opt.CastFP16, 0.02},
 		{"Prune", graph.Prune(0.05), 0.5},
 	}
 	in := tensor.New(3, 8, 8).Fill(0.3)
@@ -57,12 +59,12 @@ func TestPassLegalityTable(t *testing.T) {
 			g := cleanCNN(t, 42)
 			ref := runGraph(t, g, in)
 
-			opt := g.Clone()
-			verify.Checked(c.name, c.pass)(opt)
-			if diags := verify.Check(opt); len(diags) != 0 {
+			og := g.Clone()
+			c.pass(og)
+			if diags := verify.CheckAll(og); len(diags) != 0 {
 				t.Fatalf("%s left %d diagnostics: %v", c.name, len(diags), diags)
 			}
-			got := runGraph(t, opt, in)
+			got := runGraph(t, og, in)
 			if d := maxAbsDiff(ref, got); d > c.tol {
 				t.Fatalf("%s changed output by %v, tolerance %v", c.name, d, c.tol)
 			}
@@ -71,16 +73,14 @@ func TestPassLegalityTable(t *testing.T) {
 }
 
 // TestFullPipelineLegality chains the standard static-deployment
-// sequence through verify.Pipeline: fold, fuse, eliminate, quantize —
-// the order framework lowering uses — and requires a clean final graph.
+// sequence through the gated internal/opt wrappers: fold and fuse,
+// eliminate, quantize — the order framework lowering uses — and
+// requires a clean final graph.
 func TestFullPipelineLegality(t *testing.T) {
 	g := cleanCNN(t, 43)
-	verify.Pipeline(
-		graph.FoldBN,
-		graph.FuseActivations,
-		graph.EliminateDead,
-		graph.QuantizeINT8,
-	)(g)
+	opt.FoldAndFuse(g)
+	opt.EliminateDead(g)
+	opt.QuantizeINT8(g)
 	if diags := verify.Check(g); len(diags) != 0 {
 		t.Fatalf("pipeline left diagnostics: %v", diags)
 	}

@@ -11,7 +11,7 @@
 // measurement; this package enforces the structural half of that
 // statically, at graph-build time: exchange.Import rejects malformed
 // serialized graphs, core.Session verifies once at session open, and
-// Checked/Pipeline re-verify between optimization passes.
+// internal/opt re-verifies after every optimization pass.
 //
 // The rule catalog (IDs appear in diagnostics and DESIGN.md):
 //

