@@ -591,8 +591,8 @@ func pathsAlias(a, b []types.Object) bool {
 // exclusive output; a conv or matmul reading a source that is also its
 // destination consumes half-written values and produces garbage that no
 // shape check can catch. Only provable aliasing (same variable path) is
-// flagged — runtime aliasing through slices is the Debug executor's
-// assertNoAlias job.
+// flagged — aliasing through the executor's planned buffers is
+// verify.CheckPlan's plan-overlap proof.
 var intoAliasAnalyzer = register(&Analyzer{
 	Name: "into-alias",
 	Doc:  "tensor *Into calls must not pass dst as a source argument",

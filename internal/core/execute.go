@@ -52,22 +52,14 @@ func (s *Session) Optimize(level opt.Level) (*opt.Report, error) {
 }
 
 // Infer executes one real single-batch forward pass through the lowered
-// graph and returns the output tensor. Static-graph frameworks run with
-// the planned buffer arena (allocation-free in steady state); dynamic
-// frameworks run define-by-run with eager release. The graph must carry materialized weights (Materialize, or a
-// NewFromGraph session built from a materialized graph).
+// graph and returns the output tensor. The graph's mode decides memory
+// behaviour: a static lowering runs on the planned buffer arena
+// (allocation-free in steady state), a dynamic one define-by-run with
+// eager release. The graph must carry materialized weights (Materialize,
+// or a NewFromGraph session built from a materialized graph).
 func (s *Session) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
 	if s.exec == nil {
-		s.exec = &graph.Executor{Pooled: s.lowered.Mode == graph.Static}
+		s.exec = &graph.Executor{}
 	}
 	return s.exec.Run(s.lowered, in)
-}
-
-// ExecStats reports the arena counters of the session's executor —
-// zero-valued before the first pooled Infer.
-func (s *Session) ExecStats() tensor.PoolStats {
-	if s.exec == nil {
-		return tensor.PoolStats{}
-	}
-	return s.exec.PoolStats()
 }

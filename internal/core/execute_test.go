@@ -19,9 +19,9 @@ func sessionInput(s *core.Session) *tensor.Tensor {
 }
 
 // TestSessionInferMatchesPlainExecutor materializes a real session and
-// checks the session's engine (pooled + parallel) agrees bitwise with a
-// plain sequential executor on the same lowered graph, across repeated
-// calls (arena reuse).
+// checks its Infer (on the arena for a static lowering) agrees bitwise
+// with a dynamic copy of the lowered graph on fresh buffers, across
+// repeated calls (arena reuse).
 func TestSessionInferMatchesPlainExecutor(t *testing.T) {
 	s, err := core.New("CifarNet", "TensorFlow", "RPi3")
 	if err != nil {
@@ -31,7 +31,9 @@ func TestSessionInferMatchesPlainExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := sessionInput(s)
-	want, err := (&graph.Executor{}).Run(s.Lowered(), in)
+	fresh := s.Lowered().Clone()
+	fresh.Mode = graph.Dynamic
+	want, err := (&graph.Executor{}).Run(fresh, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +46,6 @@ func TestSessionInferMatchesPlainExecutor(t *testing.T) {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("pass %d: out[%d] = %v, want %v", pass, i, got.Data[i], want.Data[i])
 			}
-		}
-	}
-	if s.Lowered().Mode == graph.Static {
-		st := s.ExecStats()
-		if st.Gets == 0 {
-			t.Error("static session ran without touching the arena")
 		}
 	}
 }

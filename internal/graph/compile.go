@@ -157,28 +157,11 @@ type frame struct {
 // every kernel writing into it must store all elements), a fresh tensor
 // otherwise. Adding a tensor.New call to a kernel instead silently
 // defeats the planner; edgelint's pool-alloc rule flags that.
-func (f *frame) alloc(p *Program, s *step, in []*tensor.Tensor, debug bool) *tensor.Tensor {
+func (f *frame) alloc(p *Program, s *step) *tensor.Tensor {
 	if f.pooled && p.slot[s.out] >= 0 {
-		t := f.arena.Get(s.n.OutShape...)
-		if debug {
-			assertNoAlias(s.n, t, in)
-		}
-		return t
+		return f.arena.Get(s.n.OutShape...)
 	}
 	return tensor.New(s.n.OutShape...) // edgelint:ignore pool-alloc — the step allocator's "fresh" case
-}
-
-// assertNoAlias is the Debug-mode dynamic complement of the static plan
-// checker: a recycled dst buffer must not still back one of n's live
-// inputs, or the kernel would corrupt its own operand mid-write (the
-// *Into contract says dst contents are arbitrary on entry). The panic is
-// converted to an error by eval's recover guard.
-func assertNoAlias(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) {
-	for i, v := range in {
-		if v != nil && tensor.SameStorage(v, dst) {
-			panic(fmt.Sprintf("debug: planned dst buffer for %s aliases live input %s", n, n.Inputs[i]))
-		}
-	}
 }
 
 // release drops the values in free, returning arena buffers to the

@@ -97,8 +97,8 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 // TestPackedUnpackedBitIdentical: the panels a program packs at compile
 // give the bits of packing per call. Every ungrouped FP32 convolution
 // the program runs on packed panels equals, on the same operands, the
-// kernel that packs per call (which grouped convolutions run), and pooled
-// and sequential runs of the graph give the same output.
+// kernel that packs per call (which grouped convolutions run), and runs
+// on the arena and on fresh buffers give the same output.
 func TestPackedUnpackedBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grouped":     prepackCNN(t, 61),
@@ -122,14 +122,14 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 		if n := packedSteps(t, g); n == 0 || n != int64(convs) {
 			t.Fatalf("%s: %d steps read packed panels, want every one of the %d convolutions", name, n, convs)
 		}
-		for _, pooled := range []bool{false, true} {
-			e := &graph.Executor{Pooled: pooled}
+		for _, h := range []*graph.Graph{dynamicClone(g), g} {
+			e := &graph.Executor{}
 			for run := 0; run < 2; run++ {
-				got, err := e.Run(g, in)
+				got, err := e.Run(h, in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireBitEqual(t, fmt.Sprintf("%s/pooled=%v run %d", name, pooled, run), got, vals[g.Output])
+				requireBitEqual(t, fmt.Sprintf("%s/%v run %d", name, h.Mode, run), got, vals[g.Output])
 			}
 		}
 	}
@@ -138,7 +138,7 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 // TestPrunedConvTakesZeroSkippingGEMM: the executor measures a conv's
 // weight sparsity once and hands it to the kernel, so a pruned layer
 // above the GEMM threshold — ungrouped, or each slice of a grouped one —
-// runs the zero-skipping GEMM on every inference, pooled or not, and
+// runs the zero-skipping GEMM on every inference, on the arena or not, and
 // compile packs no panels for it. The reference calls the kernel
 // directly on each (slice of a) convolution with the weights' sparsity,
 // and must differ in bits from the dense kernel's.
@@ -177,14 +177,14 @@ func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
 	}
 	wantG := tensor.New(32, 32, 32)
 	tensor.ConcatChannelsInto(wantG, halves...)
-	for _, pooled := range []bool{false, true} {
-		e := &graph.Executor{Pooled: pooled}
+	for _, h := range []*graph.Graph{dynamicClone(g), g} {
+		e := &graph.Executor{}
 		for run := 0; run < 2; run++ {
-			got, err := e.Run(g, in)
+			got, err := e.Run(h, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireBitEqual(t, fmt.Sprintf("pooled=%v run %d", pooled, run), got, wantG)
+			requireBitEqual(t, fmt.Sprintf("%v run %d", h.Mode, run), got, wantG)
 		}
 	}
 }
@@ -219,12 +219,12 @@ func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
 	}
 	small := findNode(t, g, "small")
 	requireBitEqual(t, "small, packed at compile vs per call", vals[small], graph.ConvPackedPerCall(small, vals[small.Inputs[0]]))
-	for _, pooled := range []bool{false, true} {
-		got, err := (&graph.Executor{Pooled: pooled}).Run(g, in)
+	for _, h := range []*graph.Graph{dynamicClone(g), g} {
+		got, err := (&graph.Executor{}).Run(h, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitEqual(t, fmt.Sprintf("pooled=%v", pooled), got, vals[g.Output])
+		requireBitEqual(t, h.Mode.String(), got, vals[g.Output])
 	}
 }
 
@@ -256,14 +256,14 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	if _, _, fused := programCounts(t, g); fused != 1 {
 		t.Fatalf("grouped conv binds %d fused kernels, want 1", fused)
 	}
-	for _, pooled := range []bool{false, true} {
-		e := &graph.Executor{Pooled: pooled}
+	for _, h := range []*graph.Graph{dynamicClone(g), g} {
+		e := &graph.Executor{}
 		for run := 0; run < 2; run++ {
-			got, err := e.Run(g, in)
+			got, err := e.Run(h, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireBitEqual(t, fmt.Sprintf("pooled=%v run %d", pooled, run), got, want)
+			requireBitEqual(t, fmt.Sprintf("%v run %d", h.Mode, run), got, want)
 		}
 	}
 }
@@ -283,7 +283,7 @@ func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 			}
 		}
 		in := seededInput(g.Input.OutShape, 5)
-		first, err := (&graph.Executor{Pooled: true}).Run(g, in)
+		first, err := (&graph.Executor{}).Run(g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 				}
 			}
 		}
-		second, err := (&graph.Executor{Pooled: true}).Run(g, in)
+		second, err := (&graph.Executor{}).Run(g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,6 +318,15 @@ func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 			t.Fatalf("int8=%v: the update changed no output bit: the comparison above proves nothing", int8)
 		}
 	}
+}
+
+// dynamicClone returns a copy of g that runs on fresh buffers: the
+// graph's Mode decides whether the executor recycles intermediates
+// through its arena, so g against this copy is arena against fresh.
+func dynamicClone(g *graph.Graph) *graph.Graph {
+	d := g.Clone()
+	d.Mode = graph.Dynamic
+	return d
 }
 
 func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {

@@ -16,53 +16,37 @@ import (
 // The first run on a graph compiles it (Compile) into a flat list of
 // steps, each with its kernel already chosen and its weight panels
 // already packed (bind.go); Run and RunValues walk that one list in graph
-// order, so a graph gives the same bits under every setting below. All
-// parallelism is inside the kernels (tensor's worker pool) or across
-// executors (serving.Engine's replicas): two inter-op schedules — a
-// wavefront over independent branches and a batch-folded wide GEMM —
-// were measured against this one and removed (EXPERIMENTS.md,
+// order, so a graph gives the same bits however its buffers are
+// placed. All parallelism is inside the kernels (tensor's worker pool)
+// or across executors (serving.Engine's replicas): two inter-op
+// schedules — a wavefront over independent branches and a batch-folded
+// wide GEMM — were measured against this one and removed (EXPERIMENTS.md,
 // "Mechanisms judged").
 //
-// Pooled recycles a static graph's intermediate buffers through a
-// tensor.Pool arena across Run calls, as the buffer plan lays them out,
-// reproducing the static-framework memory reuse the paper measures
-// against define-by-run allocation; dynamic graphs allocate every
-// intermediate and drop it after its last reader. An Executor is not
-// safe for concurrent Run calls — use one per goroutine (see
+// The graph's Mode decides where intermediates live, not an option: a
+// static graph's Run recycles them through a per-executor tensor.Pool
+// arena across calls, as the buffer plan Compile built lays them out,
+// reproducing the static-framework memory reuse the paper measures; a
+// dynamic graph allocates every intermediate and drops it after its last
+// reader (define-by-run). The zero value is ready to use. An Executor is
+// not safe for concurrent Run calls — use one per goroutine (see
 // serving.Engine).
 type Executor struct {
-	// Pooled enables the static-graph buffer plan: intermediates live in
-	// a per-executor arena reused across Run calls. Ignored for dynamic
-	// graphs and for RunValues (which must retain every node value).
-	Pooled bool
-
-	// Debug re-proves static safety at runtime: before the first Run on
-	// each graph the registered DebugChecker (internal/verify's dataflow
-	// passes) revalidates the graph and its buffer plan, and every
-	// pooled allocation asserts the recycled dst buffer does not alias a
-	// live input of the node about to write it. Off in production, on in
-	// tests and `edgeserve -debug`.
-	Debug bool
-
 	// prog is the compiled form of the last graph run — shared with the
 	// executor's siblings when NewExecutors made it — and f its own run
-	// state, dropped on recompile; debugged is the last graph the Debug
-	// checker accepted, so revalidation runs once per graph, not per
-	// inference.
-	prog     *Program
-	f        *frame
-	debugged *Graph
+	// state, dropped on recompile.
+	prog *Program
+	f    *frame
 }
 
 // NewExecutors returns n executors sharing p — kernels and weight panels
-// — each with its own frame and arena, and pooled when p's graph is
-// static: the replicas of a serving engine or a pipeline stage. Each
-// executor is still for one goroutine at a time; different ones may run
-// concurrently.
+// — each with its own frame and arena: the replicas of a serving engine
+// or a pipeline stage. Each executor is still for one goroutine at a
+// time; different ones may run concurrently.
 func NewExecutors(p *Program, n int) []*Executor {
 	exs := make([]*Executor, n)
 	for i := range exs {
-		exs[i] = &Executor{Pooled: p.g.Mode == Static, prog: p, f: newFrame(p)}
+		exs[i] = &Executor{prog: p, f: newFrame(p)}
 	}
 	return exs
 }
@@ -87,7 +71,7 @@ func (e *Executor) RunValues(g *Graph, input *tensor.Tensor) (map[*Node]*tensor.
 
 // Run evaluates g on input and returns the output tensor. An
 // intermediate is dropped as soon as every node reading it has executed
-// (define-by-run memory behaviour), and in Pooled static mode its buffer
+// (define-by-run memory behaviour), and on a static graph its buffer
 // goes back to the arena.
 func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	f, err := e.forward(g, input, false)
@@ -99,8 +83,8 @@ func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// PoolStats reports the arena's traffic counters; zero-valued until a
-// Pooled run on a static graph has executed.
+// PoolStats reports the arena's traffic counters; zero-valued until Run
+// has executed a static graph.
 func (e *Executor) PoolStats() tensor.PoolStats {
 	if e.f == nil || e.f.arena == nil {
 		return tensor.PoolStats{}
@@ -109,9 +93,8 @@ func (e *Executor) PoolStats() tensor.PoolStats {
 }
 
 // prepare readies the executor to run g: it compiles g unless the cached
-// program is g's, runs the Debug checker once per graph, and sets up the
-// frame. pooled asks for arena-backed results; it is granted only where
-// a plan exists.
+// program is g's, and sets up the frame. pooled asks for arena-backed
+// results; it is granted only where Compile built a plan.
 func (e *Executor) prepare(g *Graph, pooled bool) (*Program, error) {
 	if e.prog == nil || e.prog.g != g {
 		p, err := Compile(g)
@@ -122,16 +105,6 @@ func (e *Executor) prepare(g *Graph, pooled bool) (*Program, error) {
 	}
 	p, f := e.prog, e.f
 	f.pooled = pooled && p.plan != nil
-	if e.Debug && e.debugged != g {
-		var plan *Plan
-		if f.pooled {
-			plan = p.plan
-		}
-		if err := debugCheck(g, plan); err != nil {
-			return nil, fmt.Errorf("graph %s: debug check: %w", g.Name, err)
-		}
-		e.debugged = g
-	}
 	if f.pooled && f.arena == nil {
 		f.arena = tensor.NewPool()
 		f.arena.Preallocate(p.plan.Slots...)
@@ -151,7 +124,7 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 	if !input.Shape.Equal(g.Input.OutShape) {
 		return nil, fmt.Errorf("graph %s: input shape %v, want %v", g.Name, input.Shape, g.Input.OutShape)
 	}
-	p, err := e.prepare(g, e.Pooled && !retain)
+	p, err := e.prepare(g, !retain)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +161,7 @@ func (e *Executor) eval(p *Program, f *frame, s *step) (err error) {
 	}
 	var dst *tensor.Tensor
 	if s.k.dst {
-		dst = f.alloc(p, s, in, e.Debug)
+		dst = f.alloc(p, s)
 	}
 	f.vals[s.out] = s.k.run(s.n, dst, in)
 	clear(in)

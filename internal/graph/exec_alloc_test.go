@@ -21,7 +21,7 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 	g := branchyCNN(t, 31)
 	in := tensor.New(3, 16, 16)
 	fillDeterministic(in)
-	e := &graph.Executor{Pooled: true}
+	e := &graph.Executor{}
 	for i := 0; i < 3; i++ { // warm plan, arena, pools
 		if _, err := e.Run(g, in); err != nil {
 			t.Fatal(err)

@@ -26,27 +26,21 @@ func mixedCNN(t testing.TB, seed int64) *graph.Graph {
 // TestQuantizedDispatchProbe asserts a QuantizeINT8 graph actually
 // executes the int8 kernels: its program must dispatch int8 kernels for
 // the conv and dense nodes and an FP32 fallback for the depthwise conv,
-// and the output stays near FP32's — unpooled and pooled.
+// and the output stays near FP32's — on fresh buffers and on the arena.
 func TestQuantizedDispatchProbe(t *testing.T) {
 	in := tensor.New(3, 8, 8).Fill(0.25)
-	modes := []struct {
+	for _, c := range []struct {
 		name string
-		mk   func() *graph.Executor
-	}{
-		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
-		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+		mode graph.Mode
+	}{{"sequential", graph.Dynamic}, {"pooled", graph.Static}} {
+		t.Run(c.name, func(t *testing.T) {
 			g := mixedCNN(t, 21)
+			g.Mode = c.mode
 			graph.FusePatterns(g)
 			ref := run(t, g, in)
 			graph.QuantizeINT8(g)
 
-			out, err := mode.mk().Run(g, in)
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := run(t, g, in)
 			i8, f32, _ := programCounts(t, g)
 			if i8 != 2 {
 				t.Fatalf("int8 dispatches = %d, want 2 (conv1+fc)", i8)

@@ -168,12 +168,6 @@ func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
 	return p
 }
 
-// Pooled reports whether the plan assigned n an arena slot.
-func (p *Plan) Pooled(n *Node) bool {
-	_, ok := p.slot[n]
-	return ok
-}
-
 // SlotOf returns the arena slot the plan assigned to n; ok is false when
 // n owns no slot (unpooled op, alias, kept output). The verify package's
 // plan dataflow pass reads assignments through this accessor so it can

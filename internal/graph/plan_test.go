@@ -96,14 +96,14 @@ func TestPlanBuffersKeepsRootsUnpooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, root := range g.Roots() {
-		if plan.Pooled(root) {
+		if _, ok := plan.SlotOf(root); ok {
 			t.Errorf("root %s assigned an arena slot; kept outputs must not recycle", root)
 		}
 		if !plan.Kept(root) {
 			t.Errorf("root %s not marked kept", root)
 		}
 	}
-	if plan.Pooled(g.Input) {
+	if _, ok := plan.SlotOf(g.Input); ok {
 		t.Error("graph input must never be pooled")
 	}
 }
@@ -124,16 +124,16 @@ func TestPlanBuffersLeavesGraphVerified(t *testing.T) {
 	}
 }
 
-// runVariants executes g on a pooled executor and checks outputs match
-// the unpooled run bitwise. The pooled executor runs three times so
-// later passes consume recycled (dirty) buffers.
+// runVariants executes static g on the arena and checks outputs match a
+// run of its dynamic copy on fresh buffers bitwise. The arena executor
+// runs three times so later passes consume recycled (dirty) buffers.
 func runVariants(t *testing.T, g *graph.Graph, in *tensor.Tensor) {
 	t.Helper()
-	ref, err := (&graph.Executor{}).Run(g, in)
+	ref, err := (&graph.Executor{}).Run(dynamicClone(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &graph.Executor{Pooled: true}
+	e := &graph.Executor{}
 	for pass := 0; pass < 3; pass++ {
 		got, err := e.Run(g, in)
 		if err != nil {
@@ -175,7 +175,7 @@ func TestExecutorVariantsEquivalentOnAliasGraph(t *testing.T) {
 		}
 	}
 	want := vals[side]
-	pooled := &graph.Executor{Pooled: true}
+	pooled := &graph.Executor{}
 	if _, err := pooled.Run(g, in); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExecutorVariantsEquivalentOnAliasGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kept side outputs are not exposed by Run; re-check through
-	// RunValues on the pooled executor (pooling disabled there, but the
+	// RunValues on the same executor (RunValues never pools, but the
 	// executor must recover cleanly from pooled state).
 	vals2, err := pooled.RunValues(g, in)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestPooledExecutorReusesArena(t *testing.T) {
 	g := branchyCNN(t, 9)
 	in := tensor.New(3, 16, 16)
 	fillDeterministic(in)
-	e := &graph.Executor{Pooled: true}
+	e := &graph.Executor{}
 	first, err := e.Run(g, in)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +231,35 @@ func TestPooledExecutorReusesArena(t *testing.T) {
 	}
 }
 
+// TestGraphModeDecidesArena: a zero-value executor pools exactly when the
+// graph is static. Two runs of a static graph draw from the arena, the
+// second without a miss; a dynamic graph never touches it.
+func TestGraphModeDecidesArena(t *testing.T) {
+	g := branchyCNN(t, 10)
+	in := tensor.New(3, 16, 16)
+	fillDeterministic(in)
+	e := &graph.Executor{}
+	if _, err := e.Run(g, in); err != nil {
+		t.Fatal(err)
+	}
+	misses := e.PoolStats().Misses
+	if _, err := e.Run(g, in); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.PoolStats(); st.Gets == 0 || st.Misses != misses {
+		t.Errorf("static graph: pool stats %+v after two runs (%d misses after the first), want gets and no new misses", st, misses)
+	}
+	d := &graph.Executor{}
+	for run := 0; run < 2; run++ {
+		if _, err := d.Run(dynamicClone(g), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.PoolStats(); st != (tensor.PoolStats{}) {
+		t.Errorf("dynamic graph: pool stats %+v, want the arena untouched", st)
+	}
+}
+
 // TestShardPanicBecomesNodeError: a kernel that panics inside a sharded
 // loop does so on whichever goroutine claimed the bad chunk, usually a
 // pool worker that evalNode's recover guard is not on the stack of. The
@@ -252,14 +281,15 @@ func TestShardPanicBecomesNodeError(t *testing.T) {
 	// clean, shards over the upper ones index past the end.
 	full := victim.Weights.Data
 	victim.Weights.Data = full[: len(full)/2 : len(full)/2]
-	for _, e := range []*graph.Executor{{}, {Pooled: true}} {
-		_, err := e.Run(g, in)
+	for _, mode := range []graph.Mode{graph.Dynamic, graph.Static} {
+		g.Mode = mode
+		_, err := (&graph.Executor{}).Run(g, in)
 		if err == nil || !strings.Contains(err.Error(), "kernel panic:") || !strings.Contains(err.Error(), victim.Name) {
-			t.Fatalf("Run with truncated weights: err = %v, want a kernel panic naming %s", err, victim.Name)
+			t.Fatalf("%v Run with truncated weights: err = %v, want a kernel panic naming %s", mode, err, victim.Name)
 		}
 	}
 	victim.Weights.Data = full
-	got, err := (&graph.Executor{Pooled: true}).Run(g, in)
+	got, err := (&graph.Executor{}).Run(g, in)
 	if err != nil {
 		t.Fatalf("Run after the contained panic: %v", err)
 	}
@@ -271,11 +301,16 @@ func TestShardPanicBecomesNodeError(t *testing.T) {
 }
 
 // TestRunValuesUnaffectedByPooling checks the training path still retains
-// every node value when the executor is configured for pooling.
+// every node value on a static graph whose executor has already run it
+// on the arena.
 func TestRunValuesUnaffectedByPooling(t *testing.T) {
 	g := smallCNN(t, 11)
 	in := tensor.New(3, 8, 8).Fill(0.3)
-	vals, err := (&graph.Executor{Pooled: true}).RunValues(g, in)
+	e := &graph.Executor{}
+	if _, err := e.Run(g, in); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := e.RunValues(g, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func seededInput(shape tensor.Shape, seed int) *tensor.Tensor {
 
 // TestPrepackDispatchProbe: compile packs exactly the eligible node —
 // conv1, not the grouped conv nor the FP32 dense layer — and the packed
-// program gives the same bits pooled or not.
+// program gives the same bits on the arena or on fresh buffers.
 func TestPrepackDispatchProbe(t *testing.T) {
 	g := prepackCNN(t, 31)
 	in := seededInput(g.Input.OutShape, 1)
@@ -59,20 +59,16 @@ func TestPrepackDispatchProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []struct {
+	for _, c := range []struct {
 		name string
-		mk   func() *graph.Executor
-	}{
-		{"sequential", func() *graph.Executor { return &graph.Executor{} }},
-		{"pooled", func() *graph.Executor { return &graph.Executor{Pooled: true} }},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			got, err := mode.mk().Run(g, in)
+		g    *graph.Graph
+	}{{"sequential", dynamicClone(g)}, {"pooled", g}} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := (&graph.Executor{}).Run(c.g, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireBitEqual(t, mode.name, got, want)
+			requireBitEqual(t, c.name, got, want)
 		})
 	}
 }
@@ -96,16 +92,11 @@ func TestPrepackInt8DispatchProbe(t *testing.T) {
 	g := mixedCNN(t, 33)
 	graph.FusePatterns(g)
 	graph.QuantizeINT8(g)
-	ref := run(t, g, in)
+	ref := run(t, dynamicClone(g), in)
 	if n := packedSteps(t, g); n != 2 {
 		t.Fatalf("compiled steps reading packed panels = %d, want 2 (conv1+fc)", n)
 	}
-	e := &graph.Executor{Pooled: true}
-	got, err := e.Run(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, "pooled vs sequential int8", got, ref)
+	requireBitEqual(t, "arena vs fresh int8", run(t, g, in), ref)
 	if i8, f32, _ := programCounts(t, g); i8 != 2 || f32 != 1 {
 		t.Fatalf("dispatch counts i8=%d f32=%d, want 2/1", i8, f32)
 	}

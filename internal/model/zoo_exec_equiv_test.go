@@ -52,8 +52,8 @@ func TestZooPlanConformance(t *testing.T) {
 }
 
 // TestZooExecEquivalence materializes every zoo model under the compute
-// budget and checks the pooled (planned-arena) executor produces
-// bitwise-identical outputs to the unpooled one — across repeated runs,
+// budget and checks its planned-arena run produces bitwise-identical
+// outputs to a dynamic copy on fresh buffers — across repeated runs,
 // so arena recycling is exercised. Under `-race` (see make race) this
 // doubles as the sharded kernels' data-race gate over real model
 // topologies: Inception branches, residual adds, depthwise chains, and
@@ -76,11 +76,13 @@ func TestZooExecEquivalence(t *testing.T) {
 			for i := range in.Data {
 				in.Data[i] = float32(math.Sin(float64(i)*0.7)) * 0.5
 			}
-			want, err := (&graph.Executor{}).Run(g, in)
+			fresh := g.Clone()
+			fresh.Mode = graph.Dynamic
+			want, err := (&graph.Executor{}).Run(fresh, in)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("fresh buffers: %v", err)
 			}
-			pooled := &graph.Executor{Pooled: true}
+			pooled := &graph.Executor{}
 			for pass := 0; pass < 2; pass++ {
 				got, err := pooled.Run(g, in)
 				if err != nil {

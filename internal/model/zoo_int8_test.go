@@ -17,7 +17,7 @@ const int8Tolerance = 0.2
 
 // TestZooInt8Conformance runs every zoo model under the compute budget
 // through the real int8 execution path: the graph is quantized with
-// QuantizeINT8, executed unpooled and pooled (so under `make race` this
+// QuantizeINT8, executed on fresh buffers and on the arena (so under `make race` this
 // doubles as the sharded int8 kernels' data-race gate), and each output
 // is compared against the FP32 run of the unquantized twin. Models with int8-executable layers
 // must actually dispatch int8 kernels, not silently fall back.
@@ -52,20 +52,15 @@ func TestZooInt8Conformance(t *testing.T) {
 					quantizable++
 				}
 			}
-			variants := []struct {
-				name string
-				exec *graph.Executor
-			}{
-				{"sequential", &graph.Executor{}},
-				{"pooled", &graph.Executor{Pooled: true}},
-			}
-			for _, v := range variants {
-				got, err := v.exec.Run(qg, in)
+			fresh := qg.Clone()
+			fresh.Mode = graph.Dynamic
+			for _, h := range []*graph.Graph{fresh, qg} {
+				got, err := (&graph.Executor{}).Run(h, in)
 				if err != nil {
-					t.Fatalf("%s int8 run: %v", v.name, err)
+					t.Fatalf("%v int8 run: %v", h.Mode, err)
 				}
 				if !got.Shape.Equal(ref.Shape) {
-					t.Fatalf("%s: shape %v, want %v", v.name, got.Shape, ref.Shape)
+					t.Fatalf("%v: shape %v, want %v", h.Mode, got.Shape, ref.Shape)
 				}
 				var maxDiff float64
 				for i := range ref.Data {
@@ -74,8 +69,8 @@ func TestZooInt8Conformance(t *testing.T) {
 					}
 				}
 				if maxDiff > int8Tolerance {
-					t.Fatalf("%s: int8 output drifts %.4f from FP32 (tolerance %v)",
-						v.name, maxDiff, int8Tolerance)
+					t.Fatalf("%v: int8 output drifts %.4f from FP32 (tolerance %v)",
+						h.Mode, maxDiff, int8Tolerance)
 				}
 			}
 			p, err := graph.Compile(qg)

@@ -77,7 +77,7 @@ func TestZooOptEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("O2: %v", err)
 			}
-			ex := &graph.Executor{Pooled: og.Mode == graph.Static}
+			ex := &graph.Executor{}
 			for pass := 0; pass < 2; pass++ { // twice: arena recycling over fused dispatches
 				got, err := ex.Run(og, in)
 				if err != nil {

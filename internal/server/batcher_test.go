@@ -98,6 +98,30 @@ func (f *fakeBackend) dispatched() int {
 	return len(f.seen)
 }
 
+// meetingEngine is a real engine whose calls wait, for at most two
+// seconds, until two of them have been inside at once. A tiny model's
+// first inference can otherwise finish before the dispatcher's second
+// loop picks up work, and whether both replicas were ever busy together
+// would be the scheduler's choice rather than the dispatcher's.
+type meetingEngine struct {
+	*serving.Engine
+	inside atomic.Int32
+	met    chan struct{}
+	once   sync.Once
+}
+
+func (e *meetingEngine) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
+	if e.inside.Add(1) >= 2 {
+		e.once.Do(func() { close(e.met) })
+	}
+	defer e.inside.Add(-1)
+	select {
+	case <-e.met:
+	case <-time.After(2 * time.Second):
+	}
+	return e.Engine.Infer(in)
+}
+
 // TestBatcherMatchesSequentialInfer is the dispatch correctness gate
 // (run under -race by make race): many concurrent requests through the
 // dispatcher + real engine must produce outputs element-identical to a
@@ -111,7 +135,7 @@ func TestBatcherMatchesSequentialInfer(t *testing.T) {
 	}
 	defer eng.Close()
 	m := NewMetrics()
-	d := NewDispatcher(eng, Config{}, m)
+	d := NewDispatcher(&meetingEngine{Engine: eng, met: make(chan struct{})}, Config{}, m)
 	defer d.Close()
 
 	const n = 24

@@ -45,7 +45,7 @@ var ErrEngineClosed = errors.New("serving: engine closed")
 // enlistment and each kernel runs serial on its replica's goroutine, so
 // total concurrency never exceeds GOMAXPROCS; when the engine is
 // lightly loaded a lone request fans its big layers out across the idle
-// cores. KernelParallelism reports the shared pool's current size.
+// cores.
 type Engine struct {
 	g        *graph.Graph
 	prog     *graph.Program
@@ -139,17 +139,8 @@ func (e *Engine) run(ex *graph.Executor, in *tensor.Tensor) (*tensor.Tensor, err
 	return out, err
 }
 
-// KernelParallelism returns the size of the package-global kernel
-// worker pool all replicas share (GOMAXPROCS at last use) — the
-// intra-op concurrency bound, as opposed to Replicas, the inter-request
-// bound.
-func (e *Engine) KernelParallelism() int { return tensor.KernelParallelism() }
-
 // InputShape returns the shape one request tensor must have.
 func (e *Engine) InputShape() tensor.Shape { return e.g.Input.OutShape }
-
-// Graph returns the materialized graph the engine executes.
-func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Infer runs one single-batch forward pass, borrowing a replica for the
 // duration of the call. After Close it fails fast with ErrEngineClosed.

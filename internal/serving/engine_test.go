@@ -183,9 +183,8 @@ func bigEngineCNN(t testing.TB) *graph.Graph {
 // concurrent requests whose kernels all try to shard onto the shared
 // worker pool. Every output must stay bitwise equal to a sequential
 // executor — the kernel pool's saturation fallback must never change
-// results — and the intra-op bound the engine reports must match the
-// package-global pool. Run with -race this is the replica × intra-op
-// contention stress.
+// results. Run with -race this is the replica × intra-op contention
+// stress.
 func TestEngineReplicasShareKernelPool(t *testing.T) {
 	g := bigEngineCNN(t)
 	eng, err := serving.NewEngine(g, 3)
@@ -193,9 +192,6 @@ func TestEngineReplicasShareKernelPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if kp := eng.KernelParallelism(); kp < 1 {
-		t.Fatalf("KernelParallelism() = %d, want >= 1", kp)
-	}
 	const n = 9
 	ins := make([]*tensor.Tensor, n)
 	want := make([]*tensor.Tensor, n)
@@ -314,8 +310,5 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if !eng.InputShape().Equal(tensor.Shape{3, 16, 16}) {
 		t.Errorf("input shape %v", eng.InputShape())
-	}
-	if eng.Graph() != g {
-		t.Error("Graph() should return the engine's graph")
 	}
 }

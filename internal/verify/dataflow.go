@@ -36,19 +36,6 @@ import (
 	"edgebench/internal/tensor"
 )
 
-func init() {
-	// Arm graph.Executor's Debug mode with both dataflow passes: a debug
-	// executor re-proves structural invariants, quant domains, and (for
-	// planned runs) buffer-plan safety before first executing a graph.
-	graph.RegisterDebugChecker(func(g *graph.Graph, p *graph.Plan) error {
-		diags := CheckAll(g)
-		if p != nil && len(Errors(diags)) == 0 {
-			diags = append(diags, CheckPlan(g, p)...)
-		}
-		return Err(diags)
-	})
-}
-
 // CheckAll runs the structural rule catalog plus the quant-domain
 // dataflow pass — the full static checking surface for a graph without a
 // buffer plan. internal/opt's gate runs it after every pass.
