@@ -168,6 +168,11 @@ func serve(s *core.Session, o serveOptions) {
 	if err != nil {
 		fatal(err)
 	}
+	warmStart := time.Now()
+	if err := eng.Warmup(); err != nil {
+		fatal(err)
+	}
+	warm := time.Since(warmStart)
 	srv := server.New(eng, o.cfg)
 	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
@@ -176,8 +181,8 @@ func serve(s *core.Session, o serveOptions) {
 	hs := srv.HTTPServer()
 	go hs.Serve(ln)
 	addr := ln.Addr().String()
-	fmt.Printf("serving %s on http://%s (replicas %d, queue %d, exec %s, weights %d bytes)\n",
-		s.Model.Name, addr, eng.Replicas(), o.cfg.QueueCap, eng.ExecDType(), eng.WeightBytes())
+	fmt.Printf("serving %s on http://%s (replicas %d, queue %d, exec %s, weights %d bytes, warmed in %v)\n",
+		s.Model.Name, addr, eng.Replicas(), o.cfg.QueueCap, eng.ExecDType(), eng.WeightBytes(), warm.Round(time.Microsecond))
 
 	// The simulated envelope for the same deployment, for comparison.
 	simMax, err := serving.MaxSustainableRate(s, o.p99.Seconds(), 30, o.seed)

@@ -405,8 +405,9 @@ func (w *Worker) controlLoop(ctx context.Context, conn net.Conn) {
 }
 
 // configure builds the stage: import the subgraph (verify-gated by
-// exchange.Import), spin up the engine, warm it, dial downstream, and
-// start one compute loop per inference the engine can run at once.
+// exchange.Import), spin up the engine, warm it — one run of the stage's
+// program, an arena for each other replica — dial downstream, and start
+// one compute loop per inference the engine can run at once.
 func (w *Worker) configure(payload []byte) error {
 	var cfg WorkerConfig
 	if err := cfg.UnmarshalBinary(payload); err != nil {

@@ -144,7 +144,7 @@ func newFrame(p *Program) *frame {
 // steady-state inference builds nothing: vals holds the value of every
 // node (nil before it is computed and after it is dead), args is the
 // buffer each step gathers its operand list into, and arena is the
-// buffer arena, created by the first pooled run.
+// buffer arena, created by the first pooled run or by Reserve.
 type frame struct {
 	vals   []*tensor.Tensor
 	args   []*tensor.Tensor

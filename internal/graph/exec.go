@@ -26,7 +26,8 @@ import (
 // The graph's Mode decides where intermediates live, not an option: a
 // static graph's Run recycles them through a per-executor tensor.Pool
 // arena across calls, as the buffer plan Compile built lays them out,
-// reproducing the static-framework memory reuse the paper measures; a
+// reproducing the static-framework memory reuse the paper measures (the
+// first Run builds the arena, or Reserve does without running); a
 // dynamic graph allocates every intermediate and drops it after its last
 // reader (define-by-run). The zero value is ready to use. An Executor is
 // not safe for concurrent Run calls — use one per goroutine (see
@@ -83,8 +84,18 @@ func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
+// Reserve readies the executor to Run g without running it, doing what
+// a first Run does before its first step: compile g unless the executor
+// holds its program (NewExecutors' shared one included) and, on a static
+// graph only, build the arena from the plan's slots. It warms no cache,
+// kernel-pool worker or scratch pool; only running does.
+func (e *Executor) Reserve(g *Graph) error {
+	_, err := e.prepare(g, true)
+	return err
+}
+
 // PoolStats reports the arena's traffic counters; zero-valued until Run
-// has executed a static graph.
+// or Reserve has prepared a static graph.
 func (e *Executor) PoolStats() tensor.PoolStats {
 	if e.f == nil || e.f.arena == nil {
 		return tensor.PoolStats{}

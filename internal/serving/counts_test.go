@@ -10,9 +10,9 @@ import (
 )
 
 // TestDispatchCountsExact: an engine's dispatch counts are its successful
-// runs — Warmup's, Infer's and InferBatch's alike — times its program's
-// per-run Counts, read without borrowing a replica: exact while a
-// request holds one, and unchanged after Close.
+// runs — Warmup's one per engine, Infer's and InferBatch's alike — times
+// its program's per-run Counts, read without borrowing a replica: exact
+// while a request holds one, and unchanged after Close.
 func TestDispatchCountsExact(t *testing.T) {
 	// An int8 conv with a fused ReLU, an FP32 depthwise conv and an int8
 	// dense head: every one of the three counts is nonzero.
@@ -52,7 +52,7 @@ func TestDispatchCountsExact(t *testing.T) {
 	if _, err := e.InferBatch([]*tensor.Tensor{in, in}); err != nil {
 		t.Fatal(err)
 	}
-	runs := int64(e.size + infers + 2)
+	runs := int64(1 + infers + 2)
 	want := [3]int64{runs * i8, runs * f32, runs * fz}
 
 	t.Run("replica busy", func(t *testing.T) {

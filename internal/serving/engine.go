@@ -35,7 +35,9 @@ var ErrEngineClosed = errors.New("serving: engine closed")
 // each has its own run state: pooled (arena-reusing) for static graphs,
 // eager-release for dynamic ones, so concurrent requests never contend on
 // buffers while still reusing memory across requests hitting the same
-// replica. Infer and InferBatch are safe for concurrent use, including
+// replica. A replica's arena is built by its first run, or ahead of
+// traffic by Warmup, which runs the shared program once per engine.
+// Infer and InferBatch are safe for concurrent use, including
 // concurrently with Close.
 //
 // Intra-op parallelism composes with the replica pool: every replica's
@@ -54,7 +56,7 @@ type Engine struct {
 	closed   chan struct{}
 	once     sync.Once
 
-	// runs counts the inferences that succeeded, Warmup's included:
+	// runs counts the inferences that succeeded, Warmup's one included:
 	// DispatchCounts is runs times the program's per-run counts.
 	runs atomic.Int64
 }
@@ -99,14 +101,18 @@ func (e *Engine) Replicas() int { return e.size }
 // busy pool it cannot see.
 func (e *Engine) Concurrency() int { return e.Replicas() }
 
-// Warmup runs one throwaway inference on every replica so each
-// executor's arena is allocated before real traffic (or the first
-// pipelined frame) arrives. Stage workers call it before reporting
-// Ready, keeping first-frame latency off the steady-state measurement.
-// It borrows every replica exactly once, so after Warmup no replica is
-// cold.
+// Warmup readies the engine for traffic before the first request (or
+// the first pipelined frame) arrives. It borrows every replica exactly
+// once and runs one throwaway inference on the first of them, which
+// warms what the replicas share — the program's kernels and panels, the
+// kernel pool and the scratch pools; every other replica only gets its
+// arena (Executor.Reserve), since a second run would warm nothing the
+// plan has not already sized. After Warmup no replica allocates an
+// arena on its first request, and the warm replica is the next one
+// borrowed; a sibling's first request still runs with cold caches.
+// Stage workers call it before reporting Ready, keeping first-frame
+// latency off the steady-state measurement.
 func (e *Engine) Warmup() error {
-	in := tensor.New(e.g.Input.OutShape...)
 	exs := make([]*graph.Executor, 0, e.size)
 	defer func() {
 		for _, ex := range exs {
@@ -121,8 +127,11 @@ func (e *Engine) Warmup() error {
 			return ErrEngineClosed
 		}
 	}
-	for _, ex := range exs {
-		if _, err := e.run(ex, in); err != nil {
+	if _, err := e.run(exs[0], tensor.New(e.g.Input.OutShape...)); err != nil {
+		return err
+	}
+	for _, ex := range exs[1:] {
+		if err := ex.Reserve(e.g); err != nil {
 			return err
 		}
 	}
@@ -287,7 +296,7 @@ func (e *Engine) WeightBytes() int64 {
 }
 
 // DispatchCounts reports the compute kernels the engine's successful
-// runs (Warmup's included) have dispatched — int8-path and FP32-path
+// runs (Warmup's one included) have dispatched — int8-path and FP32-path
 // conv/dense kernels, plus the fused-epilogue subset — as the run count
 // times the program's per-run Counts. It borrows no replica, so it is
 // exact while requests are in flight, and the counts survive Close. A

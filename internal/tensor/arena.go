@@ -55,13 +55,15 @@ func (p *Pool) Put(t *Tensor) {
 }
 
 // Preallocate seeds the pool with one buffer per element count in counts,
-// so a planned first inference runs without allocator traffic.
+// so a planned first inference runs without allocator traffic: each
+// buffer's shape has room for a C×D×H×W volume, so the first Get that
+// reshapes it does not allocate either.
 func (p *Pool) Preallocate(counts ...int) {
 	for _, c := range counts {
 		if c <= 0 {
 			continue
 		}
-		p.Put(New(c))
+		p.Put(&Tensor{Shape: Shape{c, 0, 0, 0}[:1], Data: make([]float32, c)})
 	}
 }
 
