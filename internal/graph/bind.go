@@ -37,11 +37,11 @@ type runFunc func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tens
 
 // bind selects n's kernel from what the node carries — its kind, group
 // count, absorbed epilogue and int8 codes — and builds it: the weight
-// panels the kernel reads, and what it measures of the weights, are made
-// here, once per compile, and closed over. A node with an absorbed
-// batch-norm affine but no kernel that applies one is refused — any
-// fallback would silently skip the affine, so the verifier forbids the
-// combination and the executor will not run it.
+// panels the kernel reads are made here, once per compile, and closed
+// over. A node with an absorbed batch-norm affine but no kernel that
+// applies one is refused — any fallback would silently skip the affine,
+// so the verifier forbids the combination and the executor will not run
+// it.
 func bind(n *Node) (kernel, error) {
 	act := n.Activation != 0
 	var k kernel
@@ -55,11 +55,11 @@ func bind(n *Node) (kernel, error) {
 			if err != nil {
 				return kernel{}, err
 			}
-			k = kernel{run: run, act: true, affine: true}
+			k = kernel{run: run, act: true, affine: true, packed: true}
 		case runsInt8(n):
 			k = kernel{run: convQ(n), act: true, int8: true, packed: true}
 		default:
-			k = convFP32(n)
+			k = kernel{run: convFP32(n), act: true, affine: true, packed: true}
 		}
 		k.compute = true
 	case OpDepthwiseConv2D:
@@ -207,36 +207,25 @@ func convQ(n *Node) runFunc {
 	}
 }
 
-// convFP32 builds the FP32 GEMM convolution: on panels packed here, or —
-// where tensor.PackConvWeights refuses, because the weights are sparse
-// enough on a layer large enough for the zero-skipping kernel — on that
-// kernel, handed the zero fraction measured here: weights are constant,
-// and the kernel decides by the same predicate on the same measure, so
-// the node never runs the dense kernel packing per call.
-func convFP32(n *Node) kernel {
-	if pw := tensor.PackConvWeights(n.Weights, n.OutShape[1]*n.OutShape[2]); pw != nil {
-		return kernel{run: func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-			tensor.Conv2DPrepackedInto(dst, in[0], pw, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
-			return dst
-		}, act: true, affine: true, packed: true}
-	}
-	zeroFrac := tensor.Sparsity(n.Weights)
-	return kernel{run: func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		tensor.Conv2DGEMMFusedInto(dst, in[0], n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n), zeroFrac)
+// convFP32 packs the FP32 convolution's weights into panels and returns
+// the kernel that runs on them.
+func convFP32(n *Node) runFunc {
+	pw := tensor.PackConvWeights(n.Weights)
+	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+		tensor.Conv2DPrepackedInto(dst, in[0], pw, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
 		return dst
-	}, act: true, affine: true}
+	}
 }
 
 // convGrouped builds the grouped convolution kernel: it splits the input
 // channels into groups and convolves each group with its own filter
 // slice (AlexNet's two-GPU heritage layout) — the GEMM convolution once
-// per group, packing per call, on views of the input, the filter bank,
-// the bias, the epilogue's affine and the destination, so nothing is
-// copied or joined. Weights are [Cout, Cin/groups, KH, KW]; output
-// channels partition evenly across groups. The filter views and each
-// slice's sparsity are made here; the input and destination views are
-// headers on the run's own stack, since the buffers under them are the
-// executor's.
+// per group, on panels packed here for each group's filter slice and on
+// views of the input, the bias, the epilogue's affine and the
+// destination, so nothing is copied or joined. Weights are
+// [Cout, Cin/groups, KH, KW]; output channels partition evenly across
+// groups. The input and destination views are headers on the run's own
+// stack, since the buffers under them are the executor's.
 func convGrouped(n *Node) (runFunc, error) {
 	groups, x, cout := n.Attrs.GroupCount(), n.Inputs[0].OutShape, n.WShape[0]
 	if x[0]%groups != 0 || cout%groups != 0 {
@@ -247,21 +236,20 @@ func convGrouped(n *Node) (runFunc, error) {
 		per := len(data) / groups
 		return data[gi*per : (gi+1)*per]
 	}
-	ws, zeroFracs := make([]*tensor.Tensor, groups), make([]float64, groups)
-	for gi := range ws {
-		ws[gi] = tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3])
-		zeroFracs[gi] = tensor.Sparsity(ws[gi])
+	pws := make([]*tensor.PackedWeights, groups)
+	for gi := range pws {
+		pws[gi] = tensor.PackConvWeights(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]))
 	}
 	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
 	dstShape := tensor.Shape{cout / groups, n.OutShape[1], n.OutShape[2]}
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		epi := epilogue(n)
-		for gi, w := range ws {
+		for gi, pw := range pws {
 			gin := tensor.Tensor{Shape: inShape, Data: part(in[0].Data, gi)}
 			gdst := tensor.Tensor{Shape: dstShape, Data: part(dst.Data, gi)}
 			gepi := epi
 			gepi.Scale, gepi.Shift = part(epi.Scale, gi), part(epi.Shift, gi)
-			tensor.Conv2DGEMMFusedInto(&gdst, &gin, w, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi, zeroFracs[gi])
+			tensor.Conv2DPrepackedInto(&gdst, &gin, pw, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi)
 		}
 		return dst
 	}, nil

@@ -94,33 +94,42 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 	}
 }
 
-// TestPackedUnpackedBitIdentical: the panels a program packs at compile
-// give the bits of packing per call. Every ungrouped FP32 convolution
-// the program runs on packed panels equals, on the same operands, the
-// kernel that packs per call (which grouped convolutions run), and runs
-// on the arena and on fresh buffers give the same output.
+// TestPackedUnpackedBitIdentical: every FP32 convolution — grouped ones,
+// and pruned ones, included — reads panels packed at compile, and runs on
+// the arena and on fresh buffers give the same output. A graph pruned to
+// 80 % zeros runs densely: its output is the packed kernel's on the same
+// weights, a group at a time, bit for bit.
 func TestPackedUnpackedBitIdentical(t *testing.T) {
+	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 67}, 16, 32, 32)
+	b.Conv2D("conv", 32, 3, 1, 1, true)
+	b.Conv2DG("gconv", 32, 3, 1, 1, 2, true)
+	pruned := b.Build()
+	graph.Prune(0.8)(pruned)
 	graphs := map[string]*graph.Graph{
 		"grouped":     prepackCNN(t, 61),
 		"branchy":     branchyCNN(t, 62),
+		"pruned":      pruned,
 		"CifarNet":    zooGraph(t, "CifarNet", "O0"),
 		"CifarNet/O2": zooGraph(t, "CifarNet", "O2"),
 	}
 	for name, g := range graphs {
-		in := seededInput(g.Input.OutShape, 1)
-		vals, err := (&graph.Executor{}).RunValues(g, in)
-		if err != nil {
-			t.Fatal(err)
-		}
 		convs := 0
 		for _, n := range g.Nodes {
-			if n.Kind == graph.OpConv2D && n.Attrs.GroupCount() == 1 {
-				requireBitEqual(t, name+"/"+n.Name, vals[n], graph.ConvPackedPerCall(n, vals[n.Inputs[0]]))
+			if n.Kind == graph.OpConv2D {
 				convs++
 			}
 		}
 		if n := packedSteps(t, g); n == 0 || n != int64(convs) {
 			t.Fatalf("%s: %d steps read packed panels, want every one of the %d convolutions", name, n, convs)
+		}
+		in := seededInput(g.Input.OutShape, 1)
+		vals, err := (&graph.Executor{}).RunValues(g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := vals[g.Output]
+		if g == pruned {
+			requireBitEqual(t, "pruned vs the packed kernel", want, prunedReference(t, g, in))
 		}
 		for _, h := range []*graph.Graph{dynamicClone(g), g} {
 			e := &graph.Executor{}
@@ -129,103 +138,41 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireBitEqual(t, fmt.Sprintf("%s/%v run %d", name, h.Mode, run), got, vals[g.Output])
+				requireBitEqual(t, fmt.Sprintf("%s/%v run %d", name, h.Mode, run), got, want)
 			}
 		}
 	}
 }
 
-// TestPrunedConvTakesZeroSkippingGEMM: the executor measures a conv's
-// weight sparsity once and hands it to the kernel, so a pruned layer
-// above the GEMM threshold — ungrouped, or each slice of a grouped one —
-// runs the zero-skipping GEMM on every inference, on the arena or not, and
-// compile packs no panels for it. The reference calls the kernel
-// directly on each (slice of a) convolution with the weights' sparsity,
-// and must differ in bits from the dense kernel's.
-func TestPrunedConvTakesZeroSkippingGEMM(t *testing.T) {
-	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 67}, 16, 32, 32)
-	b.Conv2D("conv", 32, 3, 1, 1, true)
-	b.Conv2DG("gconv", 32, 3, 1, 1, 2, true)
-	g := b.Build()
-	graph.Prune(0.8)(g)
-	if n := packedSteps(t, g); n != 0 {
-		t.Fatalf("%d steps read packed panels, want none: both convolutions are pruned", n)
-	}
-	in := seededInput(g.Input.OutShape, 4)
-	sparseConv := func(x, w *tensor.Tensor, bias []float32) *tensor.Tensor {
-		spec := tensor.Conv2DSpec{Stride: 1, Pad: 1}
-		if w.Shape.NumElems()*32*32 < tensor.ParallelThresholdMACs() || tensor.Sparsity(w) < 0.6 {
-			t.Fatalf("weights %v at sparsity %v would not take the zero-skipping kernel", w.Shape, tensor.Sparsity(w))
-		}
-		out, dense, same := tensor.New(w.Shape[0], 32, 32), tensor.New(w.Shape[0], 32, 32), true
-		tensor.Conv2DGEMMFusedInto(out, x, w, bias, spec, tensor.Epilogue{}, tensor.Sparsity(w))
-		tensor.Conv2DGEMMFusedInto(dense, x, w, bias, spec, tensor.Epilogue{}, 0)
-		for i := range out.Data {
-			same = same && dense.Data[i] == out.Data[i]
-		}
-		if same {
-			t.Fatal("the dense kernel gives the same bits: the comparison below would prove nothing")
-		}
-		return out
-	}
+// prunedReference is the pruned graph's output computed outside the
+// executor: the packed kernel on conv's weights, then on each half of
+// gconv's, the halves joined. Both layers must be mostly zeros and large
+// enough for the band pass to shard.
+func prunedReference(t *testing.T, g *graph.Graph, in *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
 	conv, gconv := findNode(t, g, "conv"), findNode(t, g, "gconv")
-	wantConv := sparseConv(in, conv.Weights, conv.Bias)
+	for _, n := range []*graph.Node{conv, gconv} {
+		if s, macs := tensor.Sparsity(n.Weights), int(graph.NodeCost(n).MACs); s < 0.7 || macs < tensor.ParallelThresholdMACs() {
+			t.Fatalf("%s: sparsity %v at %d MACs is not a pruned layer the kernel shards", n.Name, s, macs)
+		}
+	}
+	spec := tensor.Conv2DSpec{Stride: 1, Pad: 1}
+	x := tensor.New(32, 32, 32)
+	packedConv(x, in, conv.Weights, conv.Bias, spec)
 	halves := make([]*tensor.Tensor, 2)
 	for gi := range halves {
-		halves[gi] = sparseConv(tensor.FromData(wantConv.Data[gi*16*1024:(gi+1)*16*1024], 16, 32, 32),
-			tensor.FromData(gconv.Weights.Data[gi*16*16*9:(gi+1)*16*16*9], 16, 16, 3, 3), gconv.Bias[gi*16:(gi+1)*16])
+		halves[gi] = tensor.New(16, 32, 32)
+		packedConv(halves[gi], tensor.FromData(x.Data[gi*16*1024:(gi+1)*16*1024], 16, 32, 32),
+			tensor.FromData(gconv.Weights.Data[gi*16*16*9:(gi+1)*16*16*9], 16, 16, 3, 3), gconv.Bias[gi*16:(gi+1)*16], spec)
 	}
-	wantG := tensor.New(32, 32, 32)
-	tensor.ConcatChannelsInto(wantG, halves...)
-	for _, h := range []*graph.Graph{dynamicClone(g), g} {
-		e := &graph.Executor{}
-		for run := 0; run < 2; run++ {
-			got, err := e.Run(h, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitEqual(t, fmt.Sprintf("%v run %d", h.Mode, run), got, wantG)
-		}
-	}
+	want := tensor.New(32, 32, 32)
+	tensor.ConcatChannelsInto(want, halves...)
+	return want
 }
 
-// TestPrunedConvBelowTheBarIsPacked: the zero-skipping kernel wants weights
-// at least 60 % zeros on a layer of at least 2^20 MACs, and compile must
-// refuse panels by that whole predicate, not its first half: of two
-// 80 %-pruned convolutions either side of the MAC bar, the large one runs
-// the zero-skipping kernel and the small one, which runs the dense
-// kernel, reads panels packed at compile rather than on every inference —
-// the bits of packing per call.
-func TestPrunedConvBelowTheBarIsPacked(t *testing.T) {
-	b := nn.NewBuilder("pruned", nn.Options{Materialize: true, Seed: 79}, 16, 32, 32)
-	b.Conv2D("large", 32, 3, 1, 1, true) // 4.7M MACs
-	b.Conv2D("small", 32, 3, 4, 1, true) // 8x8 output: 590K MACs
-	g := b.Build()
-	graph.Prune(0.8)(g)
-	for name, above := range map[string]bool{"large": true, "small": false} {
-		n := findNode(t, g, name)
-		macs := int(graph.NodeCost(n).MACs)
-		if tensor.Sparsity(n.Weights) < 0.6 || (macs >= tensor.ParallelThresholdMACs()) != above {
-			t.Fatalf("%s: sparsity %v at %d MACs is not the case this test is for", name, tensor.Sparsity(n.Weights), macs)
-		}
-	}
-	if n := packedSteps(t, g); n != 1 {
-		t.Fatalf("compiled steps reading packed panels = %d, want the small convolution alone", n)
-	}
-	in := seededInput(g.Input.OutShape, 6)
-	vals, err := (&graph.Executor{}).RunValues(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := findNode(t, g, "small")
-	requireBitEqual(t, "small, packed at compile vs per call", vals[small], graph.ConvPackedPerCall(small, vals[small.Inputs[0]]))
-	for _, h := range []*graph.Graph{dynamicClone(g), g} {
-		got, err := (&graph.Executor{}).Run(h, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitEqual(t, h.Mode.String(), got, vals[g.Output])
-	}
+// packedConv is the FP32 convolution kernel on w, packed for the call.
+func packedConv(dst, in, w *tensor.Tensor, bias []float32, spec tensor.Conv2DSpec) {
+	tensor.Conv2DPrepackedInto(dst, in, tensor.PackConvWeights(w), bias, spec, tensor.Epilogue{})
 }
 
 // TestGroupedConvFusesEpilogueIntoDst: the grouped convolution runs the
@@ -241,9 +188,9 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	slices := make([]*tensor.Tensor, 3)
 	for gi := range slices {
 		slices[gi] = tensor.New(4, 5, 5)
-		tensor.Conv2DGEMMFusedInto(slices[gi], tensor.FromData(in.Data[gi*2*81:(gi+1)*2*81], 2, 9, 9),
+		packedConv(slices[gi], tensor.FromData(in.Data[gi*2*81:(gi+1)*2*81], 2, 9, 9),
 			tensor.FromData(gconv.Weights.Data[gi*4*2*9:(gi+1)*4*2*9], 4, 2, 3, 3),
-			gconv.Bias[gi*4:(gi+1)*4], tensor.Conv2DSpec{Stride: 2, Pad: 1}, tensor.Epilogue{}, 0)
+			gconv.Bias[gi*4:(gi+1)*4], tensor.Conv2DSpec{Stride: 2, Pad: 1})
 	}
 	want := tensor.New(12, 5, 5)
 	tensor.ConcatChannelsInto(want, slices...)
@@ -268,11 +215,11 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	}
 }
 
-// TestFreshExecutorSeesWeightUpdates: a program packs its panels and
-// measures its weights once, at compile, so an update made in place —
-// what training does — is seen by the fresh executor training builds for
-// every step: its output is a fresh executor's on a fresh copy of the
-// updated graph, and not the output from before the update.
+// TestFreshExecutorSeesWeightUpdates: a program packs its panels once,
+// at compile, so an update made in place — what training does — is seen
+// by the fresh executor training builds for every step: its output is a
+// fresh executor's on a fresh copy of the updated graph, and not the
+// output from before the update.
 func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 	for _, int8 := range []bool{false, true} {
 		g := prepackCNN(t, 73)

@@ -1,7 +1,5 @@
 package graph
 
-import "edgebench/internal/tensor"
-
 // PackedSteps reports, for tests, how many of g's compiled steps run a
 // kernel reading panels packed at compile — the one kernel fact
 // Program.Counts leaves out.
@@ -22,12 +20,3 @@ func PackedSteps(g *Graph) (int64, error) {
 // ProgramOf returns the program e runs, so a test can tell a reused one
 // from a recompiled one.
 func ProgramOf(e *Executor) *Program { return e.prog }
-
-// ConvPackedPerCall evaluates n, an ungrouped FP32 convolution, on in
-// with the kernel that packs its weights on every call — the reference
-// for the program's kernel, which reads panels packed at compile.
-func ConvPackedPerCall(n *Node, in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(n.OutShape...)
-	tensor.Conv2DGEMMFusedInto(out, in, n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n), 0)
-	return out
-}

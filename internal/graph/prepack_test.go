@@ -11,8 +11,8 @@ import (
 
 // prepackCNN builds a graph holding every packing class in one
 // topology: a dense FP32 conv (packed at compile), a grouped conv (packed
-// per call, per group — DESIGN §14), and an FP32 dense layer (never
-// packed — matVecInto's 4-chain accumulation has no packed twin).
+// at compile, once per group — DESIGN §14), and an FP32 dense layer
+// (never packed — matVecInto's 4-chain accumulation has no packed twin).
 func prepackCNN(t testing.TB, seed int64) *graph.Graph {
 	t.Helper()
 	b := nn.NewBuilder("prepack", nn.Options{Materialize: true, Seed: seed}, 4, 8, 8)
@@ -46,14 +46,14 @@ func seededInput(shape tensor.Shape, seed int) *tensor.Tensor {
 	return in
 }
 
-// TestPrepackDispatchProbe: compile packs exactly the eligible node —
-// conv1, not the grouped conv nor the FP32 dense layer — and the packed
+// TestPrepackDispatchProbe: compile packs exactly the eligible nodes —
+// conv1 and the grouped conv, not the FP32 dense layer — and the packed
 // program gives the same bits on the arena or on fresh buffers.
 func TestPrepackDispatchProbe(t *testing.T) {
 	g := prepackCNN(t, 31)
 	in := seededInput(g.Input.OutShape, 1)
-	if n := packedSteps(t, g); n != 1 {
-		t.Fatalf("compiled steps reading packed panels = %d, want 1 (conv1 only)", n)
+	if n := packedSteps(t, g); n != 2 {
+		t.Fatalf("compiled steps reading packed panels = %d, want 2 (conv1 and gconv)", n)
 	}
 	want, err := (&graph.Executor{}).Run(g.Clone(), in)
 	if err != nil {

@@ -12,11 +12,10 @@ import (
 )
 
 // TestReplicasShareProgramConcurrently: four replicas of one engine share
-// one compiled program — a grouped convolution, a pruned convolution
-// above the zero-skipping bar and an int8 convolution reading panels
-// packed at compile — and run it at once. Under -race any write to the
-// shared program is reported, and every output must be bit-equal to a
-// zero-value executor's.
+// one compiled program — a grouped convolution, a pruned convolution and
+// an int8 convolution, each reading panels packed at compile — and run it
+// at once. Under -race any write to the shared program is reported, and
+// every output must be bit-equal to a zero-value executor's.
 func TestReplicasShareProgramConcurrently(t *testing.T) {
 	b := nn.NewBuilder("shared", nn.Options{Materialize: true, Seed: 41}, 16, 32, 32)
 	b.Conv2DG("gconv", 32, 3, 1, 1, 2, true)
@@ -26,9 +25,6 @@ func TestReplicasShareProgramConcurrently(t *testing.T) {
 	b.GlobalAvgPool("gap")
 	g := b.Build()
 	tensor.PruneMagnitude(pruned.Weights, 0.8)
-	if macs := pruned.Weights.Shape.NumElems() * 32 * 32; tensor.Sparsity(pruned.Weights) < 0.6 || macs < tensor.ParallelThresholdMACs() {
-		t.Fatalf("pruned conv at sparsity %v and %d MACs would not take the zero-skipping kernel", tensor.Sparsity(pruned.Weights), macs)
-	}
 	q.QWeights = tensor.QuantizeSymmetric(q.Weights)
 	q.Weights = q.QWeights.Dequantize()
 

@@ -31,11 +31,12 @@ func BenchmarkConv2DGEMM(b *testing.B) {
 	in := benchInput(32, 28, 28)
 	w := New(64, 32, 3, 3).Randomize(stats.NewRNG(3), 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	pw := PackConvWeights(w)
 	dst := New(64, 28, 28)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{}, 0)
+		Conv2DPrepackedInto(dst, in, pw, nil, spec, Epilogue{})
 	}
 }
 
@@ -63,46 +64,6 @@ func BenchmarkFP16RoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RoundTripFP16(in)
-	}
-}
-
-// BenchmarkSparseMatMul shows the zero-skip path: a 90%-pruned operand
-// multiplies faster than a dense one.
-func BenchmarkSparseMatMul(b *testing.B) {
-	x := New(128, 128).Randomize(stats.NewRNG(7), 1)
-	PruneMagnitude(x, 0.9)
-	y := New(128, 128).Randomize(stats.NewRNG(8), 1)
-	dst := make([]float32, 128*128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matmulSparseInto(dst, x.Data, y.Data, 128, 128, 128)
-	}
-}
-
-// BenchmarkSparseVsDenseConv prices the zero-skipping convolution against
-// the dense band pass on the same pruned weights, either side of its
-// selection bar (sparseSkipFraction; every shape is above the MAC bar):
-// "skip" passes the measured zero fraction down, "dense" passes 0. One
-// invocation is one alternated round; -count would run each side N times
-// in a row (EXPERIMENTS.md table G).
-func BenchmarkSparseVsDenseConv(b *testing.B) {
-	for _, tc := range []struct{ c, hw int }{{64, 56}, {128, 28}, {256, 14}} {
-		in := benchInput(tc.c, tc.hw, tc.hw)
-		dst := New(tc.c, tc.hw, tc.hw)
-		for _, frac := range []float64{0.6, 0.7, 0.8, 0.9, 0.95} {
-			w := New(tc.c, tc.c, 3, 3).Randomize(stats.NewRNG(3), 1)
-			PruneMagnitude(w, frac)
-			for _, side := range []struct {
-				name     string
-				zeroFrac float64
-			}{{"dense", 0}, {"skip", Sparsity(w)}} {
-				b.Run(fmt.Sprintf("%dx%dx%d-k3-%d/zeros=%.2f/%s", tc.c, tc.hw, tc.hw, tc.c, frac, side.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						Conv2DGEMMFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{}, side.zeroFrac)
-					}
-				})
-			}
-		}
 	}
 }
 
@@ -166,7 +127,7 @@ func BenchmarkConv2DPrepacked(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.hw, tc.hw)
-			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1), tc.hw*tc.hw)
+			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
 			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: tc.act}
 			dst := New(tc.cout, tc.hw, tc.hw)
 			b.ReportAllocs()

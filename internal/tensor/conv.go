@@ -99,7 +99,7 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 
 // Conv2D computes a direct (naive loop-nest) 2-D convolution with bias
 // on the calling goroutine. bias may be nil. This is the reference
-// implementation; Conv2DGEMMFusedInto is the optimized path, and tests
+// implementation; Conv2DPrepackedInto is the optimized path, and tests
 // assert both agree.
 func Conv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
@@ -141,90 +141,6 @@ func convRows(in, w *Tensor, bias []float32, spec Conv2DSpec, out *Tensor, lo, h
 				}
 			}
 			out.Data[(oc*hout+oy)*wout+ox] = sum
-		}
-	}
-}
-
-// conv2DSparseInto is the zero-skipping convolution for pruned weights.
-// matmulSparseInto skips a zero weight together with its whole row of B,
-// an axpy per kept weight, so B must be K-major — [Cin*KH*KW, Hout*Wout],
-// a row per tap: this kernel is the one caller im2colInto has left, every
-// dense convolution lowering through im2rowPixels. Bias, affine and
-// activation then sweep each output channel.
-func conv2DSparseInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	cout, kh, kw, hout, wout := w.Shape[0], w.Shape[2], w.Shape[3], dst.Shape[1], dst.Shape[2]
-	rows, ncols := w.Shape[1]*kh*kw, hout*wout
-	s := gemmFP32.scratch.Get().(*bandScratch[float32, float32])
-	s.rows = growSlice(s.rows, rows*ncols)
-	im2colInto(s.rows, in, kh, kw, spec, hout, wout)
-	matmulSparseInto(dst.Data, w.Data, s.rows, cout, rows, ncols)
-	gemmFP32.scratch.Put(s)
-	for oc := 0; oc < cout; oc++ {
-		seg := dst.Data[oc*ncols : (oc+1)*ncols]
-		if bias != nil {
-			b := bias[oc]
-			for i := range seg {
-				seg[i] += b
-			}
-		}
-		applyEpilogueSpan(seg, oc, epi)
-	}
-}
-
-// im2colElemsThreshold is the lowered-matrix element count above which
-// the im2col copy is sharded across the worker pool. Copies are far
-// cheaper per element than MACs, so the bar sits at the MAC threshold's
-// element count — below it the copy is a microseconds-scale memmove.
-const im2colElemsThreshold = parallelThresholdMACs
-
-// im2colInto writes the im2col lowering into cols[0 : cin*kh*kw*hout*wout],
-// storing every element — padding positions are written as explicit zeros
-// so a dirty pooled scratch buffer cannot leak stale values. Large
-// lowerings shard output rows of the cols matrix across the worker pool;
-// each row is written by exactly one chunk, so the parallel copy is
-// bit-identical to the serial one. The shard closure copies what it reads
-// of in, so a caller's tensor header may live on its stack.
-func im2colInto(cols []float32, in *Tensor, kh, kw int, spec Conv2DSpec, hout, wout int) {
-	x, h, wd := in.Data, in.Shape[1], in.Shape[2]
-	rows := in.Shape[0] * kh * kw
-	ncols := hout * wout
-	if rows*ncols < im2colElemsThreshold {
-		im2colRows(cols, x, h, wd, kh, kw, spec, hout, wout, 0, rows)
-		return
-	}
-	grain := (1 << 16) / ncols
-	parallelFor(rows, grain, func(lo, hi int) {
-		im2colRows(cols, x, h, wd, kh, kw, spec, hout, wout, lo, hi)
-	})
-}
-
-// im2colRows writes rows [rlo, rhi) of the lowered matrix of the [cin, h,
-// wd] activations in, where row index r maps to (ic = r/(kh*kw),
-// ky = r/kw%kh, kx = r%kw).
-func im2colRows(cols, in []float32, h, wd, kh, kw int, spec Conv2DSpec, hout, wout, rlo, rhi int) {
-	padH, padW := spec.padHW()
-	ncols := hout * wout
-	for row := rlo; row < rhi; row++ {
-		ic, ky, kx := row/(kh*kw), row/kw%kh, row%kw
-		dst := cols[row*ncols : (row+1)*ncols]
-		col := 0
-		for oy := 0; oy < hout; oy++ {
-			iy := oy*spec.Stride + ky - padH
-			if iy < 0 || iy >= h {
-				clear(dst[col : col+wout])
-				col += wout
-				continue
-			}
-			src := in[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
-			for ox := 0; ox < wout; ox++ {
-				ix := ox*spec.Stride + kx - padW
-				if ix >= 0 && ix < wd {
-					dst[col] = src[ix]
-				} else {
-					dst[col] = 0
-				}
-				col++
-			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -107,7 +106,7 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 		}
 		spec := Conv2DSpec{Stride: stride, Pad: pad}
 		a := Conv2D(in, w, bias, spec)
-		b := into(func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) }, a.Shape...)
+		b := into(func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }, a.Shape...)
 		for i := range a.Data {
 			if !almostEq32(a.Data[i], b.Data[i], 1e-4) {
 				return false
@@ -117,22 +116,6 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestIm2ColShape: the lowering of [3, 8, 8] under a 3x3 same-padded
-// kernel fills exactly a [3*9, 64] matrix and not one cell past it.
-func TestIm2ColShape(t *testing.T) {
-	in := New(3, 8, 8).Fill(1)
-	cols := dirty(3*9*64 + 1)
-	im2colInto(cols.Data, in, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}.check(), 8, 8)
-	for i, v := range cols.Data[:3*9*64] {
-		if v != 0 && v != 1 {
-			t.Fatalf("im2col[%d] = %v, want 0 or 1", i, v)
-		}
-	}
-	if v := cols.Data[3*9*64]; !math.IsNaN(float64(v)) {
-		t.Fatalf("im2col wrote past its [27, 64] matrix: %v", v)
 	}
 }
 

@@ -161,11 +161,11 @@ func refAct(v float32, act Act, alpha float32) float32 {
 	return v
 }
 
-// refConvBlocked is the reference for every dense FP32 GEMM convolution,
-// packed ahead of time or per call, and shares no code with them: per
-// output pixel it gathers the window's taps in (ic, ky, kx) order with
-// +0.0 for padding, and per output channel takes blockedDot of the taps
-// and the filter, then the bias, the affine, and a branchy activation.
+// refConvBlocked is the reference for the FP32 GEMM convolution on packed
+// panels, and shares no code with it: per output pixel it gathers the
+// window's taps in (ic, ky, kx) order with +0.0 for padding, and per
+// output channel takes blockedDot of the taps and the filter, then the
+// bias, the affine, and a branchy activation.
 func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) *Tensor {
 	spec = spec.check()
 	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
@@ -275,18 +275,21 @@ func TestGemmMicrokernelNegativeZero(t *testing.T) {
 	checkGemmKernels(t, a, b, m, k, n)
 }
 
-// transposedIm2Col returns the im2row matrix [hout*wout, cin*kh*kw] as
-// the transpose of im2colInto's output — a kernel independent of
-// im2rowPixels.
+// transposedIm2Col returns the im2row matrix [hout*wout, cin*kh*kw], one
+// tap at a time — a lowering independent of im2rowPixels.
 func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
-	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
-	rdim, npix := in.Shape[0]*kh*kw, hout*wout
-	cols := make([]float32, rdim*npix)
-	im2colInto(cols, in, kh, kw, spec.check(), hout, wout)
-	out := make([]float32, npix*rdim)
-	for r := 0; r < rdim; r++ {
-		for p := 0; p < npix; p++ {
-			out[p*rdim+r] = cols[r*npix+p]
+	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
+	hout, wout := spec.OutDims(h, wd, kh, kw)
+	padH, padW := spec.padHW()
+	rdim := cin * kh * kw
+	out := make([]float32, hout*wout*rdim)
+	for p := 0; p < hout*wout; p++ {
+		for r := 0; r < rdim; r++ {
+			iy := p/wout*spec.Stride + r/kw%kh - padH
+			ix := p%wout*spec.Stride + r%kw - padW
+			if iy >= 0 && iy < h && ix >= 0 && ix < wd {
+				out[p*rdim+r] = in.Data[(r/(kh*kw)*h+iy)*wd+ix]
+			}
 		}
 	}
 	return out
@@ -318,9 +321,8 @@ func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
 }
 
 // checkBandedConv runs the convolution on panels packed ahead of time (pw)
-// and on panels packed per call (Conv2DGEMMFusedInto) and requires both
-// to equal refConvBlocked bit for bit, and the direct loop nest Conv2D,
-// which sums in another order, within tolerance.
+// and requires it to equal refConvBlocked bit for bit, and the direct loop
+// nest Conv2D, which sums in another order, within tolerance.
 func checkBandedConv(t *testing.T, name string, in, w *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	t.Helper()
 	want := refConvBlocked(in, w, bias, spec, epi)
@@ -328,11 +330,6 @@ func checkBandedConv(t *testing.T, name string, in, w *Tensor, pw *PackedWeights
 	Conv2DPrepackedInto(got, in, pw, bias, spec, epi)
 	if !bitsEqual(got.Data, want.Data) {
 		t.Errorf("%s: banded prepacked conv differs from the loop-nest reference", name)
-	}
-	unpacked := dirty(want.Shape...)
-	Conv2DGEMMFusedInto(unpacked, in, w, bias, spec, epi, 0)
-	if !bitsEqual(unpacked.Data, want.Data) {
-		t.Errorf("%s: conv packed per call differs from the loop-nest reference", name)
 	}
 	direct := Conv2D(in, w, bias, spec)
 	epi.ApplyInto(direct)
@@ -357,7 +354,7 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 	for _, k := range []int{1, 3, 5, 7} {
 		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
 		w := randTensor(r, cout, cin, k, k)
-		pw := packDense(w)
+		pw := PackConvWeights(w)
 		for stride := 1; stride <= 3; stride++ {
 			for padH := 0; padH <= 2; padH++ {
 				for padW := 0; padW <= 2; padW++ {
@@ -429,7 +426,7 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 		}
 		in := randTensor(r, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-		pw := packDense(w)
+		pw := PackConvWeights(w)
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: relu6.Scale[:c.cout], Shift: relu6.Shift[:c.cout], Act: ActReLU6}
 		checkBandedConv(t, c.name, in, w, pw, bias, spec, epi)
@@ -490,7 +487,7 @@ func TestBandPassEdgesBothDatatypes(t *testing.T) {
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: affine.Scale[:c.cout], Shift: affine.Shift[:c.cout], Act: ActReLU6}
 		poisonBandScratch(1 << 16)
-		checkBandedConv(t, c.name, in, w, packDense(w), bias, c.spec, epi)
+		checkBandedConv(t, c.name, in, w, PackConvWeights(w), bias, c.spec, epi)
 		qw := QuantizePerChannel(w)
 		poisonBandScratch(1 << 16)
 		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActReLU6)

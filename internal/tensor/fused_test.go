@@ -73,7 +73,7 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		// Unfused chain: conv kernel, then the standalone BN kernel, then
 		// the standalone activation kernel.
 		want := New(6, 9, 9)
-		Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
+		convPacked(want, in, w, bias, spec, Epilogue{})
 		BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 		applySeparateAct(want, act, 0.1)
 
@@ -81,8 +81,8 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		e.Act = act
 		e.Alpha = 0.1
 		got := New(6, 9, 9)
-		Conv2DGEMMFusedInto(got, in, w, bias, spec, e, 0)
-		assertBitEqual(t, got, want, "Conv2DGEMMFusedInto/"+actName(act))
+		convPacked(got, in, w, bias, spec, e)
+		assertBitEqual(t, got, want, "Conv2DPrepackedInto/"+actName(act))
 	}
 }
 
@@ -97,20 +97,20 @@ func TestConv2DGEMMFusedBitEquivalence(t *testing.T) {
 	gamma, beta, mean, variance, eps, epi := bnEpilogue(5, 8)
 
 	want := New(5, 8, 8)
-	Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
+	convPacked(want, in, w, bias, spec, Epilogue{})
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 	ActivationInto(want, want, ActReLU, 0)
 
 	e := epi
 	e.Act = ActReLU
 	got := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got, in, w, bias, spec, e, 0)
-	assertBitEqual(t, got, want, "Conv2DGEMMFusedInto")
+	convPacked(got, in, w, bias, spec, e)
+	assertBitEqual(t, got, want, "Conv2DPrepackedInto")
 
 	// Second call, through the recycled package scratch, must be identical too.
 	got2 := New(5, 8, 8)
-	Conv2DGEMMFusedInto(got2, in, w, bias, spec, e, 0)
-	assertBitEqual(t, got2, want, "Conv2DGEMMFusedInto (pooled)")
+	convPacked(got2, in, w, bias, spec, e)
+	assertBitEqual(t, got2, want, "Conv2DPrepackedInto (pooled)")
 }
 
 func TestDepthwiseConv2DFusedBitEquivalence(t *testing.T) {
@@ -230,10 +230,10 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		_, _, _, _, _, epi := bnEpilogue(24, 8)
 		epi.Act = ActReLU6
 		want := New(24, 32, 32)
-		Conv2DGEMMFusedInto(want, in, w, bias, spec, Epilogue{}, 0)
+		convPacked(want, in, w, bias, spec, Epilogue{})
 		epi.ApplyInto(want)
 		got := New(24, 32, 32)
-		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi, 0)
+		convPacked(got, in, w, bias, spec, epi)
 		assertBitEqual(t, got, want, "parallel fused conv")
 	})
 	t.Run("depthwise", func(t *testing.T) {
@@ -272,6 +272,6 @@ func TestFoldedEpilogueChannelMismatchPanics(t *testing.T) {
 	in := New(2, 5, 5)
 	w := New(3, 2, 3, 3)
 	dst := New(3, 5, 5)
-	Conv2DGEMMFusedInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
-		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)}, 0)
+	convPacked(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
+		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)})
 }

@@ -13,40 +13,6 @@ const (
 	gemmMR = 4   // K-interleave of the packed panel / microkernel unroll
 )
 
-// sparseSkipFraction is the weight zero fraction from which a convolution
-// of at least parallelThresholdMACs takes the zero-skipping kernel
-// (sparseConv). Alternated with the dense band pass
-// (BenchmarkSparseVsDenseConv; EXPERIMENTS.md table G) the zero-skipping
-// kernel breaks even between 60 and 70 % zeros, is 1.2-1.7x ahead at 80 %
-// and 2.5-3x at 90 %; pruned-weight tensors (the paper's sparsity study)
-// sit far above the bar and dense ones far below, so the dense path never
-// pays a per-element branch.
-const sparseSkipFraction = 0.6
-
-// sparseConv reports whether a convolution of macs multiply-accumulates
-// whose weights are zeroFrac zeros takes the zero-skipping kernel. It is
-// the whole selection: the kernel asks it, and PackConvWeights refuses
-// panels exactly where it says yes, so a layer runs one kernel family
-// packed or not and a pruned layer below the MAC bar is still packed
-// ahead of time.
-func sparseConv(zeroFrac float64, macs int) bool {
-	return zeroFrac >= sparseSkipFraction && macs >= parallelThresholdMACs
-}
-
-// zeroFraction returns the fraction of exactly-zero entries in a.
-func zeroFraction(a []float32) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	zeros := 0
-	for _, v := range a {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(a))
-}
-
 // gemmPairRange converts a chunk of row-pair indices [lo, hi) into the
 // row range it owns: shard boundaries always land on even rows, so only
 // the lone last row of an odd-M matrix pairs with gemmPanelRows' sink.
@@ -111,9 +77,9 @@ func panel2x2(o0, o1, p []float32, x, y *[gemmMR]float32) {
 // — into panel, interleaved in groups of gemmMR K-rows: element
 // (kc+g+r, jc+j) lands at panel[g*jb + j*gemmMR + r]. Every element of
 // the panel is stored, rows past kb (up to the kb4 round-up) as +0.0, so
-// the microkernel needs no K-remainder and a recycled panel's stale tail
-// cannot leak. Columns go one at a time because that is the contiguous
-// direction of the weight matrix, the operand packed per call.
+// the microkernel needs no K-remainder. Columns go one at a time because
+// that is the contiguous direction of the weight matrix, the operand
+// packed.
 func packPanel(panel, b []float32, rs, cs, kc, kb, kb4, jc, jb int) {
 	for j := 0; j < jb; j++ {
 		src := b[kc*rs+(jc+j)*cs:]
@@ -123,25 +89,6 @@ func packPanel(panel, b []float32, rs, cs, kc, kb, kb4, jc, jb int) {
 		}
 		for kk := kb; kk < kb4; kk++ {
 			col[(kk&^(gemmMR-1))*jb+kk&(gemmMR-1)] = 0
-		}
-	}
-}
-
-// matmulSparseInto is the zero-skipping ikj kernel for pruned left
-// operands: rows of a with mostly-zero entries skip whole B rows.
-func matmulSparseInto(dst, a, b []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		clear(orow)
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
 		}
 	}
 }

@@ -30,9 +30,7 @@ func packB[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], b []T, k
 	if len(b) != k*n {
 		panic("packB: data length does not match k x n")
 	}
-	pw := new(Packed[P])
-	g.pack(pw, b, k, n, n, 1, nil)
-	return pw
+	return g.pack(b, k, n, n, 1, nil)
 }
 
 // blockedMatMul is a x b through the FP32 tile loop on the calling
@@ -125,28 +123,6 @@ func TestGEMMPairRange(t *testing.T) {
 	}
 }
 
-// TestMatMulSparseMatchesDense checks the pruned-weight kernel against the
-// naive oracle on a left operand above the zero-skipping bar.
-func TestMatMulSparseMatchesDense(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	a := New(130, 140)
-	for i := range a.Data {
-		if r.Float32() < 0.2 { // 80% zeros: above sparseSkipFraction
-			a.Data[i] = r.Float32()*2 - 1
-		}
-	}
-	b := New(140, 150).Randomize(r, 1)
-	want := naiveMatMul(a, b)
-	got := dirty(130, 150)
-	matmulSparseInto(got.Data, a.Data, b.Data, 130, 140, 150)
-	if d := maxAbsDiff(got.Data, want.Data); d > 1e-3 {
-		t.Errorf("matmulSparseInto vs naive diff %g", d)
-	}
-	if zf := zeroFraction(a.Data); zf < sparseSkipFraction {
-		t.Fatalf("test matrix zero fraction %v below dispatch threshold", zf)
-	}
-}
-
 // TestConvMACsDispatchThreshold pins the threshold itself so dispatch
 // behaviour cannot drift silently. A convolution's MAC count — filter
 // elements times output positions, the m*k*n of its GEMM lowering —
@@ -203,7 +179,7 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 		}
 	}
 
-	check("Conv2DGEMMFusedInto", func(d *Tensor) { Conv2DGEMMFusedInto(d, in, w, bias, spec, Epilogue{}, 0) }, 4, 5, 5)
+	check("Conv2DPrepackedInto", func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }, 4, 5, 5)
 	check("DepthwiseConv2DFusedInto", func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) }, 3, 5, 5)
 	check("AddInto", func(d *Tensor) { AddInto(d, in, in) }, 3, 9, 9)
 	check("ConcatChannelsInto", func(d *Tensor) { ConcatChannelsInto(d, in, in) }, 6, 9, 9)
@@ -235,29 +211,10 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 	check("GlobalAvgPool2DInto", func(d *Tensor) { GlobalAvgPool2DInto(d.Data, in) }, 3)
 }
 
-// TestIm2ColIntoWritesPaddingZeros poisons the scratch buffer and checks
-// the lowering still matches one into a zeroed buffer — the padding cells
-// must be written as explicit zeros.
-func TestIm2ColIntoWritesPaddingZeros(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	in := New(2, 5, 5).Randomize(r, 1)
-	spec := Conv2DSpec{Stride: 1, Pad: 2}.check()
-	hout, wout := spec.OutDims(5, 5, 3, 3)
-	want := New(2*9, hout*wout)
-	im2colInto(want.Data, in, 3, 3, spec, hout, wout)
-	got := dirty(want.Shape...)
-	im2colInto(got.Data, in, 3, 3, spec, hout, wout)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("im2colInto[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// TestConv2DGEMMIntoWithPoolScratch runs the GEMM conv against a dirty
-// recycled im2col buffer: a larger convolution over different values
-// goes first, so the package scratch pool hands the measured calls a
-// buffer full of stale lowerings (padding positions included).
+// TestConv2DGEMMIntoWithPoolScratch runs the GEMM conv against dirty
+// recycled band scratch: a larger convolution over different values goes
+// first, so the package scratch pool hands the measured calls a buffer
+// full of stale lowerings (padding positions included).
 func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	in := New(3, 17, 17).Randomize(r, 1)
@@ -267,9 +224,9 @@ func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	convRows(in, w, nil, spec, want, 0, 8*17)
 	for run := 0; run < 2; run++ {
 		in2, w2 := New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1)
-		Conv2DGEMMFusedInto(New(4, 21, 21), in2, w2, nil, Conv2DSpec{}, Epilogue{}, 0)
+		convPacked(New(4, 21, 21), in2, w2, nil, Conv2DSpec{}, Epilogue{})
 		dst := dirty(want.Shape...)
-		Conv2DGEMMFusedInto(dst, in, w, nil, spec, Epilogue{}, 0)
+		convPacked(dst, in, w, nil, spec, Epilogue{})
 		for i := range want.Data {
 			if d := dst.Data[i] - want.Data[i]; !(d < 1e-4 && d > -1e-4) {
 				t.Fatalf("run %d: dst[%d] = %v, want %v", run, i, dst.Data[i], want.Data[i])

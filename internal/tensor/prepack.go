@@ -7,22 +7,20 @@ import (
 
 // This file is the GEMM convolution, once for both datatypes. Its weight
 // operand is constant during inference, so it is what gets packed into the
-// microkernel's interleaved panels — ahead of time by PackConvWeights /
-// PackQConvWeights (a compiled program packs once and reuses the panels
-// forever) or, for the slices of a grouped convolution, on every call by
-// Conv2DGEMMFusedInto; either way one kernel runs. To make the *weights* the packed
-// operand the convolution is executed in its transposed formulation:
+// microkernel's interleaved panels, ahead of time by PackConvWeights /
+// PackQConvWeights: a compiled program packs once — a grouped convolution
+// once per group — and reuses the panels forever. To make the *weights*
+// the packed operand the convolution is executed in its transposed
+// formulation:
 //
 //	out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
 //
 // where rowsA is the im2row lowering (one row per output pixel) and Wt
 // is the transposed weight matrix, which the packer reads out of
 // W[cout, rows] in place. Per output element the FP32 accumulation order
-// depends only on the K blocking, and integer accumulation on nothing, so
-// when the panels were built changes no bit — the property the zoo-wide
-// packed-vs-unpacked gate pins down. Padding positions contribute +0.0
-// (both the zero-padded A row and the zero-filled panel rows are positive
-// zeros).
+// depends only on the K blocking, and integer accumulation on nothing.
+// Padding positions contribute +0.0 (both the zero-padded A row and the
+// zero-filled panel rows are positive zeros).
 //
 // What is per datatype is a gemm value (gemmFP32 here, gemmInt8 in
 // qprepack.go) and nothing else: the K blocking (128 floats, or the 64
@@ -41,9 +39,8 @@ import (
 // [K, N] operand — for a convolution, the transposed filter bank —
 // concatenated in the kernel's traversal order (walkTiles). P is the panel
 // element: float32 under the FP32 kernel, an int8 code's byte under the
-// int8 one. One packed ahead of time is immutable after construction —
-// every executor of a compiled program reads the same one; the per-call
-// pack refills a pooled one.
+// int8 one. It is immutable after construction: every executor of a
+// compiled program reads the same one.
 type Packed[P float32 | byte] struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
 	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs; K = In,
@@ -79,19 +76,16 @@ type gemm[T int8 | float32, P float32 | byte, A any] struct {
 	// pixel-major accumulators, epilogue applied.
 	store func(j *bandJob[T, P, A], acc []A, p0, p1 int)
 
-	// scratch lends each shard a *bandScratch[T, A], jobs each call its
-	// *bandJob[T, P, A], and panels (FP32 only) a per-call pack the
-	// *Packed[P] it packs into: the storage stays with the pools, so a
-	// steady stream of convolutions, packed ahead of time or not,
-	// allocates nothing.
-	scratch, jobs, panels sync.Pool
+	// scratch lends each shard a *bandScratch[T, A] and jobs each call its
+	// *bandJob[T, P, A]: the storage stays with the pools, so a steady
+	// stream of convolutions allocates nothing.
+	scratch, jobs sync.Pool
 }
 
 var gemmFP32 = &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR,
 	packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
 	scratch: sync.Pool{New: func() any { return new(bandScratch[float32, float32]) }},
-	jobs:    sync.Pool{New: newBandJob[float32, float32, float32]},
-	panels:  sync.Pool{New: func() any { return new(PackedWeights) }}}
+	jobs:    sync.Pool{New: newBandJob[float32, float32, float32]}}
 
 // walkTiles calls fn for every (N-block, K-block) tile of a [k, n] packed
 // operand — columns [jc, jc+jb) x rows [kc, kc+kb), kb rounded up to the
@@ -115,25 +109,25 @@ func (g *gemm[T, P, A]) walkTiles(k, n int, fn func(off, kc, kb, kb4, jc, jb int
 	return off
 }
 
-// pack fills pw with the panels of the [k, n] B operand whose element
-// (r, c) is b[r*rs+c*cs] — a row-major B at strides (n, 1), an [N, K]
-// weight matrix read in place as its transpose at (1, k) — in pw.Panels'
-// storage when that is large enough: the one packer, ahead of time or per
-// call.
-func (g *gemm[T, P, A]) pack(pw *Packed[P], b []T, k, n, rs, cs int, shape Shape) {
-	*pw = Packed[P]{K: k, N: n, Shape: shape, Panels: growSlice(pw.Panels, g.walkTiles(k, n, nil))}
+// pack returns the panels of the [k, n] B operand whose element (r, c) is
+// b[r*rs+c*cs] — a row-major B at strides (n, 1), an [N, K] weight matrix
+// read in place as its transpose at (1, k): the one packer.
+func (g *gemm[T, P, A]) pack(b []T, k, n, rs, cs int, shape Shape) *Packed[P] {
+	pw := &Packed[P]{K: k, N: n, Shape: shape, Panels: make([]P, g.walkTiles(k, n, nil))}
 	g.walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
 		g.packPanel(pw.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
 	})
+	return pw
 }
 
 // packWeights packs the transpose of a weight matrix w of the given shape,
-// [n, k] with n its first axis (Cout or Out), read in place; pw.Shape is
-// the caller's. It is the whole of packing a convolution or dense weight.
-func (g *gemm[T, P, A]) packWeights(pw *Packed[P], w []T, shape Shape) {
+// [n, k] with n its first axis (Cout or Out), read in place; the pack's
+// Shape is the caller's. It is the whole of packing a convolution or dense
+// weight.
+func (g *gemm[T, P, A]) packWeights(w []T, shape Shape) *Packed[P] {
 	n := shape[0]
 	k := len(w) / n
-	g.pack(pw, w, k, n, 1, k, shape)
+	return g.pack(w, k, n, 1, k, shape)
 }
 
 // rowRange computes output rows [rlo, rhi) of dst = a x B for a row-major
@@ -154,14 +148,13 @@ func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
 
 // im2rowPixels writes rows [plo, phi) of the im2row lowering of in
 // (layout [cin, h, wd]) — the row-major [Hout*Wout, Cin*KH*KW] matrix
-// with one row per output pixel, the transpose of im2colInto's layout —
-// into tile, row p at tile[(p-plo)*rdim:]. Both pre-packed convolutions
-// lower through it, the FP32 one float32 activations and the int8 one
-// their codes. Every element is stored, padding positions as explicit
-// zeros (also the int8 zero-point of the symmetric scheme), so dirty
-// scratch cannot leak. A window whose columns are all in bounds copies
-// its kw taps per (channel, ky) at once; only border windows test each
-// tap.
+// with one row per output pixel — into tile, row p at
+// tile[(p-plo)*rdim:]. Both pre-packed convolutions lower through it, the
+// FP32 one float32 activations and the int8 one their codes. Every
+// element is stored, padding positions as explicit zeros (also the int8
+// zero-point of the symmetric scheme), so dirty scratch cannot leak. A
+// window whose columns are all in bounds copies its kw taps per (channel,
+// ky) at once; only border windows test each tap.
 func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
 	padH, padW := spec.padHW()
 	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
@@ -229,10 +222,9 @@ func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
 	}
 }
 
-// bandScratch is what one shard of a GEMM convolution borrows: the lowered
-// activations — a band of im2row rows, or the zero-skipping convolution's
-// whole im2col matrix — and the band's pixel-major accumulators. One pool
-// per datatype serves every caller, so concurrent shards never share a
+// bandScratch is what one shard of a GEMM convolution borrows: a band of
+// im2row rows and the band's pixel-major accumulators. One pool per
+// datatype serves every caller, so concurrent shards never share a
 // buffer.
 type bandScratch[T, A any] struct {
 	rows []T
@@ -341,20 +333,11 @@ func storeFP32(j *bandJob[float32, float32, float32], acc []float32, p0, p1 int)
 
 // PackConvWeights packs a [Cout, Cin, KH, KW] convolution weight tensor
 // for the prepacked GEMM path, into panels and a shape of its own.
-// outPixels is Hout*Wout of the layer the weights serve: it returns nil
-// exactly when Conv2DGEMMFusedInto would take the zero-skipping kernel
-// there (sparseConv — pruned models keep their sparse fast path, and the
-// dense panel kernel would not be bitwise identical to it).
-func PackConvWeights(w *Tensor, outPixels int) *PackedWeights {
+func PackConvWeights(w *Tensor) *PackedWeights {
 	if len(w.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: PackConvWeights wants rank-4 weights, got %v", w.Shape))
 	}
-	if sparseConv(zeroFraction(w.Data), len(w.Data)*outPixels) {
-		return nil
-	}
-	pw := new(PackedWeights)
-	gemmFP32.packWeights(pw, w.Data, w.Shape.Clone())
-	return pw
+	return gemmFP32.packWeights(w.Data, w.Shape.Clone())
 }
 
 // Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
@@ -367,30 +350,4 @@ func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spe
 	geo := convGeometry(dst, in, pw.Shape, bias, spec)
 	checkEpilogueChannels(epi, geo.cout)
 	gemmFP32.run(bandJob[float32, float32, float32]{out: dst.Data, in: in.Data, geo: geo, spec: spec, pw: pw, bias: bias, epi: epi})
-}
-
-// Conv2DGEMMFusedInto is the GEMM convolution on weights nobody packed
-// ahead of time, into a preallocated dst of shape [Cout, Hout, Wout],
-// overwriting every element, with the bias, affine and activation folded
-// in. A zero epi is the plain GEMM convolution. It packs w into panels
-// borrowed from a pool — read out of w.Data on every call, so training's
-// in-place weight updates are seen — and runs Conv2DPrepackedInto on
-// them: the panels, microkernel and K order of a node packed ahead of
-// time, hence its bits; "unpacked" only says when the panels are built.
-// wZeroFrac is Sparsity(w): where sparseConv says so the layer takes the
-// zero-skipping kernel instead, and since weights are constant the caller
-// measures them once instead of this kernel scanning them on every call;
-// 0 means dense.
-func Conv2DGEMMFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue, wZeroFrac float64) {
-	spec = spec.check()
-	geo := convGeometry(dst, in, w.Shape, bias, spec)
-	checkEpilogueChannels(epi, geo.cout)
-	if sparseConv(wZeroFrac, len(w.Data)*geo.hout*geo.wout) {
-		conv2DSparseInto(dst, in, w, bias, spec, epi)
-		return
-	}
-	pw := gemmFP32.panels.Get().(*PackedWeights)
-	gemmFP32.packWeights(pw, w.Data, w.Shape)
-	Conv2DPrepackedInto(dst, in, pw, bias, spec, epi)
-	gemmFP32.panels.Put(pw)
 }

@@ -70,36 +70,13 @@ func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// packDense packs weights the zero-skipping selection has no say over:
-// dense ones, for which the layer size PackConvWeights asks for is moot.
-func packDense(w *Tensor) *PackedWeights { return PackConvWeights(w, 1) }
-
-// TestPackConvWeightsSkipsSparse: pruned-grade weights must not pack on a
-// layer large enough for the zero-skipping kernel, preserving its
-// dispatch — and must pack on a smaller one, which runs the dense kernel
-// and would otherwise re-pack on every call.
-func TestPackConvWeightsSkipsSparse(t *testing.T) {
-	w := New(8, 4, 4, 4)
-	for i := 0; i < len(w.Data)/8; i++ {
-		w.Data[i] = 1 // 12.5% nonzero, far past sparseSkipFraction
-	}
-	atBar := parallelThresholdMACs / len(w.Data)
-	if len(w.Data)*atBar != parallelThresholdMACs {
-		t.Fatal("the weight count does not divide the MAC bar")
-	}
-	if pw := PackConvWeights(w, atBar); pw != nil {
-		t.Fatal("PackConvWeights packed a sparse weight tensor at the zero-skipping bar")
-	}
-	if pw := PackConvWeights(w, atBar-1); pw == nil {
-		t.Fatal("PackConvWeights refused sparse weights on a layer below the bar, where the dense kernel runs")
-	}
-	w.Randomize(rand.New(rand.NewSource(1)), 1)
-	if pw := PackConvWeights(w, atBar); pw == nil {
-		t.Fatal("PackConvWeights refused dense weights")
-	}
+// convPacked is the GEMM convolution from a weight tensor: w packed for
+// the call, then Conv2DPrepackedInto on the panels.
+func convPacked(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
+	Conv2DPrepackedInto(dst, in, PackConvWeights(w), bias, spec, epi)
 }
 
-// convCase is one prepacked-vs-unpacked conv comparison geometry.
+// convCase is one conv geometry the packed kernel is held to the reference on.
 type convCase struct {
 	name         string
 	cin, h, w    int
@@ -119,9 +96,8 @@ func prepackConvCases() []convCase {
 }
 
 // TestConv2DPrepackedMatchesGEMM: the GEMM conv (im2row + transposed
-// GEMM + transposing bias sweep), on panels packed ahead of time and on
-// panels packed per call, must be bitwise identical to the loop-nest
-// reference on every awkward geometry.
+// GEMM + transposing bias sweep) on packed panels must be bitwise
+// identical to the loop-nest reference on every awkward geometry.
 func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for _, c := range prepackConvCases() {
@@ -131,17 +107,13 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		for i := range bias {
 			bias[i] = r.Float32() - 0.5
 		}
-		pw := packDense(w)
-		if pw == nil {
-			t.Fatalf("%s: dense weights did not pack", c.name)
-		}
-		checkBandedConv(t, c.name, in, w, pw, bias, c.spec, Epilogue{})
+		checkBandedConv(t, c.name, in, w, PackConvWeights(w), bias, c.spec, Epilogue{})
 	}
 }
 
 // TestConv2DPrepackedFusedMatchesGEMMFused sweeps every fusable
 // epilogue (affine alone, each activation, affine+activation) against
-// the loop-nest reference, bitwise, packed ahead of time and per call.
+// the loop-nest reference, bitwise.
 func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	c := convCase{"fused", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
@@ -155,7 +127,7 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		scale[i] = r.Float32() + 0.5
 		shift[i] = r.Float32() - 0.5
 	}
-	pw := packDense(w)
+	pw := PackConvWeights(w)
 	epis := []Epilogue{
 		{Scale: scale, Shift: shift},
 		{Act: ActReLU},
@@ -171,13 +143,13 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 }
 
 // TestConv2DPrepackedLargeParallel crosses the GEMM parallel threshold
-// on the whole conv so the sharded band pass runs, packed ahead of time
-// and per call — still bitwise the loop-nest reference.
+// on the whole conv so the sharded band pass runs — still bitwise the
+// loop-nest reference.
 func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	in := randTensor(r, 32, 24, 24)
 	w := randTensor(r, 48, 32, 3, 3)
-	checkBandedConv(t, "large", in, w, packDense(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
+	checkBandedConv(t, "large", in, w, PackConvWeights(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
 }
 
 // TestQGemmPrepackedMatchesSerial pins the int8 twin: the tile loop on
@@ -255,7 +227,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	c := convCase{"scratch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
 	in := randTensor(r, c.cin, c.h, c.w)
 	w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-	pw := packDense(w)
+	pw := PackConvWeights(w)
 	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
 	want := New(c.cout, hout, wout)
 	spec := c.spec.check()
@@ -264,7 +236,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 		out: want.Data, in: in.Data, geo: convGeometry(want, in, pw.Shape, nil, spec), spec: spec, pw: pw}
 	fresh.bands(0, (hout*wout+1)/2) // a gemm value of its own: pools nothing has touched
 	big := randTensor(r, 7, 15, 15)
-	bigW := packDense(randTensor(r, 9, 7, 3, 3))
+	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
 	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})
 	got := New(c.cout, hout, wout)
 	Conv2DPrepackedInto(got, in, pw, nil, c.spec, Epilogue{})
@@ -273,94 +245,5 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	}
 	if ref := refConvBlocked(in, w, nil, c.spec, Epilogue{}); !bitsEqual(got.Data, ref.Data) {
 		t.Fatal("prepacked conv differs from the loop-nest reference")
-	}
-}
-
-// TestUnpackedConvReusesDirtyPanels: per-call packing borrows its panels
-// from a pool, so a K = 27 conv (one K block of 28 with a zero row) may be
-// handed the storage a K = 130 conv (blocks of 128 and 4) left behind —
-// here poisoned with NaN, which any tail the packer skipped would
-// multiply into the output. Both dtypes, then the FP32 entry point that
-// borrows its panels from the pool, in the same order.
-func TestUnpackedConvReusesDirtyPanels(t *testing.T) {
-	r := rand.New(rand.NewSource(97))
-	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	bigIn, bigW := randTensor(r, 130, 6, 6), randTensor(r, 7, 130, 1, 1)
-	in, w := randTensor(r, 3, 6, 6), randTensor(r, 5, 3, 3, 3)
-	var pw PackedWeights
-	var pq PackedQWeights
-	for _, c := range []struct{ in, w *Tensor }{{bigIn, bigW}, {in, w}} {
-		stale := pw.Panels[:cap(pw.Panels)]
-		for i := range stale {
-			stale[i] = float32(math.NaN())
-		}
-		gemmFP32.packWeights(&pw, c.w.Data, c.w.Shape)
-		want := refConvBlocked(c.in, c.w, nil, spec, Epilogue{})
-		got := dirty(want.Shape...)
-		Conv2DPrepackedInto(got, c.in, &pw, nil, spec, Epilogue{})
-		unpacked := dirty(want.Shape...)
-		Conv2DGEMMFusedInto(unpacked, c.in, c.w, nil, spec, Epilogue{}, 0)
-		if !bitsEqual(got.Data, want.Data) || !bitsEqual(unpacked.Data, want.Data) {
-			t.Errorf("K=%d: conv on recycled panels differs from the loop-nest reference", pw.K)
-		}
-
-		qw := QuantizePerChannel(c.w)
-		qstale := pq.Panels[:cap(pq.Panels)]
-		for i := range qstale {
-			qstale[i] = 0x55
-		}
-		gemmInt8.packWeights(&pq, qw.Data, qw.Shape)
-		qwant := refQConv(c.in, qw, nil, spec, ActNone, 0)
-		qgot := dirty(qwant.Shape...)
-		Conv2DQPrepackedInto(qgot, c.in, &pq, qw, nil, spec, ActNone, 0)
-		if !bitsEqual(qgot.Data, qwant.Data) {
-			t.Errorf("K=%d: int8 conv on recycled panels differs from the loop-nest reference", pq.K)
-		}
-	}
-	if pw.K != 27 || len(pw.Panels) >= cap(pw.Panels) || len(pq.Panels) >= cap(pq.Panels) {
-		t.Fatalf("second conv (K=%d) did not reuse the first one's larger panels", pw.K)
-	}
-}
-
-// TestSparseConvSelection pins both sides of the zero-skipping choice on
-// 80 %-pruned weights: at parallelThresholdMACs and above the unpacked
-// conv is im2col + the zero-skipping multiply, built here by hand, and not
-// the dense kernel's bits; below it the size rule wins and the conv is
-// the dense band pass, whatever the zero fraction says.
-func TestSparseConvSelection(t *testing.T) {
-	r := rand.New(rand.NewSource(113))
-	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	_, _, _, _, _, epi := bnEpilogue(32, 6)
-	epi.Act = ActReLU6
-	for _, hw := range []int{32, 8} {
-		in := randTensor(r, 16, hw, hw)
-		w := randTensor(r, 32, 16, 3, 3)
-		PruneMagnitude(w, 0.8)
-		bias := randTensor(r, 32).Data
-		sparse := w.Shape.NumElems()*hw*hw >= parallelThresholdMACs
-		if zf := Sparsity(w); zf < sparseSkipFraction || sparse != (hw == 32) {
-			t.Fatalf("%dx%d: zero fraction %v, above threshold %v: not the case this test is for", hw, hw, zf, sparse)
-		}
-		got := dirty(32, hw, hw)
-		Conv2DGEMMFusedInto(got, in, w, bias, spec, epi, Sparsity(w))
-		dense := refConvBlocked(in, w, bias, spec, epi)
-		if !sparse {
-			assertBitEqual(t, got, dense, "pruned conv below the threshold vs the dense reference")
-			continue
-		}
-		cols := make([]float32, 16*9*hw*hw)
-		im2colInto(cols, in, 3, 3, spec, hw, hw)
-		want := New(32, hw, hw)
-		matmulSparseInto(want.Data, w.Data, cols, 32, 16*9, hw*hw)
-		for oc, b := range bias {
-			for i := range want.Data[oc*hw*hw : (oc+1)*hw*hw] {
-				want.Data[oc*hw*hw+i] += b
-			}
-		}
-		epi.ApplyInto(want)
-		assertBitEqual(t, got, want, "pruned conv above the threshold vs im2col + matmulSparseInto")
-		if bitsEqual(got.Data, dense.Data) {
-			t.Fatal("the dense kernel gives the same bits: the comparison above proves nothing")
-		}
 	}
 }

@@ -22,9 +22,7 @@ func packQWeights(qw *QTensor, rank int, who string) *PackedQWeights {
 	if len(qw.Shape) != rank {
 		panic(fmt.Sprintf("tensor: %s wants rank-%d weights, got %v", who, rank, qw.Shape))
 	}
-	pq := new(PackedQWeights)
-	gemmInt8.packWeights(pq, qw.Data, qw.Shape.Clone())
-	return pq
+	return gemmInt8.packWeights(qw.Data, qw.Shape.Clone())
 }
 
 // PackQConvWeights packs [Cout, Cin, KH, KW] int8 convolution weights

@@ -334,7 +334,18 @@ func PruneMagnitude(t *Tensor, fraction float64) int {
 }
 
 // Sparsity returns the fraction of exactly-zero elements in t.
-func Sparsity(t *Tensor) float64 { return zeroFraction(t.Data) }
+func Sparsity(t *Tensor) float64 {
+	if len(t.Data) == 0 {
+		return 0
+	}
+	zeros := 0
+	for _, v := range t.Data {
+		if v == 0 {
+			zeros++
+		}
+	}
+	return float64(zeros) / float64(len(t.Data))
+}
 
 // kthSmallest returns the k-th smallest value (1-based) using quickselect.
 func kthSmallest(xs []float64, k int) float64 {
