@@ -12,6 +12,11 @@
 // the given level and prints the per-model pass report: node and edge
 // counts before/after, fixpoint iterations, and per-pass rewrite
 // totals. A model whose optimization fails verification exits nonzero.
+//
+// With -layers FILE it writes the per-layer table (layers.go): the
+// benchmark's three models timed step by step through the executor's
+// step observer, against rooflines probed in the same process. With
+// -plan MODEL it prints the compiled schedule of one model.
 package main
 
 import (
@@ -31,7 +36,16 @@ func main() {
 	sorted := flag.Bool("by-intensity", false, "sort by FLOP/parameter (paper Fig. 1)")
 	analyze := flag.Bool("analyze", false, "run the dataflow verifiers over every zoo model; nonzero exit on findings")
 	optLevel := flag.String("opt", "", "optimize every zoo model at this level (O0, O1, O2) and print per-model pass reports")
+	layers := flag.String("layers", "", "time the benchmark's three models step by step against probed rooflines; write the table to this JSON file")
+	plan := flag.String("plan", "", "print the compiled schedule (Program.Steps) of this zoo model at O2 FP32")
 	flag.Parse()
+
+	if *layers != "" {
+		os.Exit(runLayers(os.Stdout, *layers))
+	}
+	if *plan != "" {
+		os.Exit(runPlan(os.Stdout, *plan))
+	}
 
 	if *analyze {
 		os.Exit(runAnalyze(os.Stdout))

@@ -28,8 +28,11 @@ type kernel struct {
 	// What Compile totals into Program.Counts: compute marks the
 	// conv/dense family; int8 the int8 path (else a compute kernel counts
 	// as FP32); fused a non-empty epilogue applied inside the kernel.
-	// packed is a fact Counts leaves out: run reads panels bind packed.
-	compute, int8, fused, packed bool
+	compute, int8, fused bool
+
+	// panelBytes is a fact Counts leaves out: the size of the weight
+	// panels bind packed for run to read, 0 when it packed none.
+	panelBytes int
 }
 
 // runFunc is a kernel's evaluator (kernel.run).
@@ -51,15 +54,17 @@ func bind(n *Node) (kernel, error) {
 	case OpConv2D:
 		switch {
 		case n.Attrs.GroupCount() > 1:
-			run, err := convGrouped(n)
+			run, panels, err := convGrouped(n)
 			if err != nil {
 				return kernel{}, err
 			}
-			k = kernel{run: run, act: true, affine: true, packed: true}
+			k = kernel{run: run, act: true, affine: true, panelBytes: panels}
 		case runsInt8(n):
-			k = kernel{run: convQ(n), act: true, int8: true, packed: true}
+			run, panels := convQ(n)
+			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
 		default:
-			k = kernel{run: convFP32(n), act: true, affine: true, packed: true}
+			run, panels := convFP32(n)
+			k = kernel{run: run, act: true, affine: true, panelBytes: panels}
 		}
 		k.compute = true
 	case OpDepthwiseConv2D:
@@ -68,7 +73,8 @@ func bind(n *Node) (kernel, error) {
 		k = kernel{run: runConv3D, compute: true}
 	case OpDense:
 		if runsInt8(n) {
-			k = kernel{run: denseQ(n), act: true, int8: true, packed: true}
+			run, panels := denseQ(n)
+			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
 		} else {
 			// FP32 dense has no packed form: its matvec accumulation
 			// order is one the blocked GEMM cannot reproduce bitwise.
@@ -197,24 +203,24 @@ func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 }
 
 // convQ packs the int8 convolution's codes into panels and returns the
-// kernel that runs on them.
-func convQ(n *Node) runFunc {
+// kernel that runs on them, with the panels' size in bytes.
+func convQ(n *Node) (runFunc, int) {
 	pq := tensor.PackQConvWeights(n.QWeights)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		tensor.Conv2DQPrepackedInto(dst, in[0], pq, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
 			actFor(n.Activation), n.Attrs.LeakySlope())
 		return dst
-	}
+	}, len(pq.Panels)
 }
 
 // convFP32 packs the FP32 convolution's weights into panels and returns
-// the kernel that runs on them.
-func convFP32(n *Node) runFunc {
+// the kernel that runs on them, with the panels' size in bytes.
+func convFP32(n *Node) (runFunc, int) {
 	pw := tensor.PackConvWeights(n.Weights)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		tensor.Conv2DPrepackedInto(dst, in[0], pw, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
 		return dst
-	}
+	}, 4 * len(pw.Panels)
 }
 
 // convGrouped builds the grouped convolution kernel: it splits the input
@@ -225,20 +231,22 @@ func convFP32(n *Node) runFunc {
 // destination, so nothing is copied or joined. Weights are
 // [Cout, Cin/groups, KH, KW]; output channels partition evenly across
 // groups. The input and destination views are headers on the run's own
-// stack, since the buffers under them are the executor's.
-func convGrouped(n *Node) (runFunc, error) {
+// stack, since the buffers under them are the executor's. It also
+// returns the panels' total size in bytes.
+func convGrouped(n *Node) (runFunc, int, error) {
 	groups, x, cout := n.Attrs.GroupCount(), n.Inputs[0].OutShape, n.WShape[0]
 	if x[0]%groups != 0 || cout%groups != 0 {
-		return nil, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", x[0], cout, groups)
+		return nil, 0, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", x[0], cout, groups)
 	}
 	// part is group gi's share of a per-channel or per-element slice.
 	part := func(data []float32, gi int) []float32 {
 		per := len(data) / groups
 		return data[gi*per : (gi+1)*per]
 	}
-	pws := make([]*tensor.PackedWeights, groups)
+	pws, panels := make([]*tensor.PackedWeights, groups), 0
 	for gi := range pws {
 		pws[gi] = tensor.PackConvWeights(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]))
+		panels += 4 * len(pws[gi].Panels)
 	}
 	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
 	dstShape := tensor.Shape{cout / groups, n.OutShape[1], n.OutShape[2]}
@@ -252,7 +260,7 @@ func convGrouped(n *Node) (runFunc, error) {
 			tensor.Conv2DPrepackedInto(&gdst, &gin, pw, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi)
 		}
 		return dst
-	}, nil
+	}, panels, nil
 }
 
 func runDepthwise(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
@@ -265,14 +273,14 @@ func runConv3D(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 }
 
 // denseQ packs the int8 dense layer's codes into panels and returns the
-// kernel that runs on them.
-func denseQ(n *Node) runFunc {
+// kernel that runs on them, with the panels' size in bytes.
+func denseQ(n *Node) (runFunc, int) {
 	pq := tensor.PackQDenseWeights(n.QWeights)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		tensor.DenseQPrepackedInto(dst.Data, pq, n.QWeights, n.Bias, in[0].Data,
 			actFor(n.Activation), n.Attrs.LeakySlope())
 		return dst
-	}
+	}, len(pq.Panels)
 }
 
 func runDense(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"edgebench/internal/tensor"
 )
@@ -44,6 +45,43 @@ type Program struct {
 // n runs dispatch n times these.
 func (p *Program) Counts() (int8Kernels, fp32Kernels, fusedKernels int64) {
 	return p.int8Kernels, p.fp32Kernels, p.fusedKernels
+}
+
+// StepInfo is one step of a Program, as Steps reports it.
+type StepInfo struct {
+	Node *Node
+
+	// What bind decided for the node: a conv/dense kernel (Compute), on
+	// the int8 path (Int8), applying its epilogue itself (Fused), reading
+	// PanelBytes of weight panels packed at compile (Packed), writing
+	// into a buffer the executor hands it (WritesDst).
+	Compute, Int8, Fused, Packed, WritesDst bool
+	PanelBytes                              int
+
+	// In and Out are value numbers — positions in the graph's Nodes — of
+	// the step's operands and result; Slot is Out's arena slot, or -1 when
+	// it is allocated fresh; Free lists the values dead once the step has
+	// run.
+	In   []int
+	Out  int
+	Slot int
+	Free []int
+}
+
+// Steps returns the schedule every run walks, one entry per non-input
+// node in graph order: the indices an Executor's Observe reports are
+// positions in it. The slices are copies, so the program stays
+// read-only.
+func (p *Program) Steps() []StepInfo {
+	out := make([]StepInfo, len(p.steps))
+	for i, s := range p.steps {
+		out[i] = StepInfo{
+			Node: s.n, Compute: s.k.compute, Int8: s.k.int8, Fused: s.k.fused,
+			Packed: s.k.panelBytes > 0, WritesDst: s.k.dst, PanelBytes: s.k.panelBytes,
+			In: slices.Clone(s.in), Out: s.out, Slot: p.slot[s.out], Free: slices.Clone(s.free),
+		}
+	}
+	return out
 }
 
 // step is one node ready to run.

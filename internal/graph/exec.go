@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"time"
 
 	"edgebench/internal/tensor"
 )
@@ -33,12 +34,26 @@ import (
 // not safe for concurrent Run calls — use one per goroutine (see
 // serving.Engine).
 type Executor struct {
+	// Observe, when set, is called after each step a run executes, with
+	// what one row of a per-layer table needs (StepObserver). It is a
+	// field, not a decision taken once, because the same compiled program
+	// is served unobserved and measured observed: serving leaves it nil
+	// and pays one nil check per step, with no clock read.
+	Observe StepObserver
+
 	// prog is the compiled form of the last graph run — shared with the
 	// executor's siblings when NewExecutors made it — and f its own run
 	// state, dropped on recompile.
 	prog *Program
 	f    *frame
 }
+
+// StepObserver receives one executed step: its index in Program.Steps,
+// when it started and how long it took — the output's allocation, or
+// its arena Get, included — and the bytes of the tensors it read
+// (its inputs, 4 per element) and wrote (its output). A view's output
+// is counted although it shares its input's storage.
+type StepObserver func(step int, start time.Time, d time.Duration, bytesIn, bytesOut int)
 
 // NewExecutors returns n executors sharing p — kernels and weight panels
 // — each with its own frame and arena: the replicas of a serving engine
@@ -143,7 +158,13 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 	f.vals[p.input] = input
 	for i := range p.steps {
 		s := &p.steps[i]
-		if err := e.eval(p, f, s); err != nil {
+		var err error
+		if e.Observe == nil {
+			err = e.eval(p, f, s)
+		} else {
+			err = e.observe(p, f, i)
+		}
+		if err != nil {
 			clear(f.vals)
 			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, s.n, err)
 		}
@@ -152,6 +173,23 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 		}
 	}
 	return f, nil
+}
+
+// observe runs step i through eval and reports it to Observe; its
+// operands are still in the frame, as release has not run.
+func (e *Executor) observe(p *Program, f *frame, i int) error {
+	s := &p.steps[i]
+	start := time.Now()
+	if err := e.eval(p, f, s); err != nil {
+		return err
+	}
+	d := time.Since(start)
+	in := 0
+	for _, v := range s.in {
+		in += 4 * len(f.vals[v].Data)
+	}
+	e.Observe(i, start, d, in, 4*len(f.vals[s.out].Data))
+	return nil
 }
 
 // eval runs one step and publishes its value. It is the only place a

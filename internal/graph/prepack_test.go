@@ -77,9 +77,15 @@ func TestPrepackDispatchProbe(t *testing.T) {
 // reads panels packed at compile.
 func packedSteps(t *testing.T, g *graph.Graph) int64 {
 	t.Helper()
-	packed, err := graph.PackedSteps(g)
+	p, err := graph.Compile(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var packed int64
+	for _, s := range p.Steps() {
+		if s.Packed {
+			packed++
+		}
 	}
 	return packed
 }

@@ -248,6 +248,26 @@ func BenchmarkMaxPool3x3s2(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseFP32 runs the FP32 dense layer on the two shapes the
+// benchmark's models have: CifarNet's fc3 (384x1600, below
+// parallelThresholdMACs, so one core) and MobileNet-v2's classifier
+// (1000x1280, above it).
+func BenchmarkDenseFP32(b *testing.B) {
+	for _, sh := range []struct{ out, in int }{{384, 1600}, {1000, 1280}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.out, sh.in), func(b *testing.B) {
+			w := New(sh.out, sh.in).Randomize(stats.NewRNG(5), 1)
+			x := benchInput(1, 1, sh.in).Data
+			bias, dst := make([]float32, sh.out), New(sh.out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DenseFusedInto(dst, w, bias, x, Epilogue{Act: ActReLU})
+			}
+			b.ReportMetric(float64(sh.out*sh.in)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
 func BenchmarkQuantizeDynamic(b *testing.B) {
 	in := benchInput(64, 111, 111)
 	dst := make([]int8, len(in.Data))

@@ -264,22 +264,33 @@ func TestPoolReuse(t *testing.T) {
 	_ = d
 }
 
-// TestMatVecParallelMatchesSerial pins the sharded MatVec against the
-// plain row loop on a matrix above the parallel threshold.
+// TestMatVecParallelMatchesSerial pins matVecInto, serial and sharded,
+// against the dense layer's definition — each row one `sum +=` chain
+// over j, a row at a time — for every m mod 4 (the four-row passes and
+// their tail) on both sides of parallelThresholdMACs: 700..703 rows of
+// 1600 are above it.
 func TestMatVecParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	m, k := 2048, 1024 // 2M MACs: above parallelThresholdMACs
-	a := New(m, k).Randomize(r, 1)
-	x := make([]float32, k)
-	for i := range x {
-		x[i] = r.Float32()*2 - 1
-	}
-	want := make([]float32, m)
-	matVecRange(want, a.Data, x, k, 0, m)
-	got := MatVec(a, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want[i])
+	for _, k := range []int{0, 1, 7, 1600} {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 700, 701, 702, 703} {
+			a, x := make([]float32, m*k), make([]float32, k)
+			for i := range a {
+				a[i] = r.Float32()*2 - 1
+			}
+			for i := range x {
+				x[i] = r.Float32()*2 - 1
+			}
+			got := dirty(m).Data
+			matVecInto(got, a, x, m, k)
+			for i := 0; i < m; i++ {
+				var want float32
+				for j := 0; j < k; j++ {
+					want += a[i*k+j] * x[j]
+				}
+				if math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("m=%d k=%d: matVecInto[%d] = %v, want %v", m, k, i, got[i], want)
+				}
+			}
 		}
 	}
 }

@@ -185,7 +185,11 @@ const maxPoolParallelTaps = parallelThresholdMACs / 4
 // never wins, the first of −0 and +0 does); only the select is
 // branch-free — the running max is kept as bits, which amd64 updates
 // with a conditional move (CMOVLHI) where `if v > m` mispredicted.
-// Border windows go through maxPoolWindow.
+// Each conditional move still waits on the compare before it, so an
+// output row's interior goes four windows at a time, each with its own
+// running max and its own taps in the same order; the row's last
+// (hi-lo) mod 4 windows go one at a time. Border windows go through
+// maxPoolWindow.
 func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo, chi int) {
 	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
 	// Output rows [oyLo, oyHi) and columns [oxLo, oxHi) have their whole
@@ -205,7 +209,31 @@ func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo,
 				orow[ox] = maxPoolWindow(plane, h, w, oy, ox, spec)
 			}
 			top := (oy*stride - pad) * w
-			for ox := lo; ox < hi; ox++ {
+			ox := lo
+			for ; ox+4 <= hi; ox += 4 {
+				m0, m1, m2, m3 := math.Float32bits(negInf), math.Float32bits(negInf), math.Float32bits(negInf), math.Float32bits(negInf)
+				for off := top + ox*stride - pad; off < top+k*w; off += w {
+					row := plane[off : off+3*stride+k]
+					for kx := 0; kx < k; kx++ {
+						v0, v1, v2, v3 := row[kx], row[stride+kx], row[2*stride+kx], row[3*stride+kx]
+						b0, b1, b2, b3 := math.Float32bits(v0), math.Float32bits(v1), math.Float32bits(v2), math.Float32bits(v3)
+						if v0 > math.Float32frombits(m0) {
+							m0 = b0
+						}
+						if v1 > math.Float32frombits(m1) {
+							m1 = b1
+						}
+						if v2 > math.Float32frombits(m2) {
+							m2 = b2
+						}
+						if v3 > math.Float32frombits(m3) {
+							m3 = b3
+						}
+					}
+				}
+				orow[ox], orow[ox+1], orow[ox+2], orow[ox+3] = math.Float32frombits(m0), math.Float32frombits(m1), math.Float32frombits(m2), math.Float32frombits(m3)
+			}
+			for ; ox < hi; ox++ {
 				mb := math.Float32bits(negInf)
 				for off := top + ox*stride - pad; off < top+k*w; off += w {
 					for _, v := range plane[off : off+k] {

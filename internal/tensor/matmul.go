@@ -31,8 +31,31 @@ func matVecInto(out, a, x []float32, m, k int) {
 	})
 }
 
+// matVecRange computes rows [lo, hi) of out = a x vec. Every row is one
+// `sum += a[i][j]*x[j]` chain over j = 0..k-1, the order DenseInto's
+// bits are defined by. A lone chain waits on its previous add every
+// step, so four rows go at once, each on its own chain over the same
+// x[j]: each row's operations and their order are exactly the one-row
+// loop's, only the four chains' adds overlap in the pipeline. The
+// (hi-lo) mod 4 tail rows go one at a time.
 func matVecRange(out, a, x []float32, k, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	x = x[:k]
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := a[i*k : (i+1)*k]
+		r1 := a[(i+1)*k : (i+2)*k]
+		r2 := a[(i+2)*k : (i+3)*k]
+		r3 := a[(i+3)*k : (i+4)*k]
+		var s0, s1, s2, s3 float32
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
 		row := a[i*k : (i+1)*k]
 		var sum float32
 		for j, v := range row {

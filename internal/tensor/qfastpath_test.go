@@ -319,12 +319,32 @@ func TestMaxPoolSpecialWindows(t *testing.T) {
 		{"-Inf only", [9]float32{-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf}, negInf},
 		{"-Inf and NaN", [9]float32{-inf, nan, -inf, negNaN, -inf, nan, -inf, nan, -inf}, negInf},
 	} {
-		in := FromData(tc.taps[:], 1, 3, 3)
-		got := dirty(1, 1, 1)
-		MaxPool2DInto(got, in, PoolSpec{Kernel: 3, Stride: 1})
-		ref := maxPoolWindow(in.Data, 3, 3, 0, 0, PoolSpec{Kernel: 3, Stride: 1})
-		if g, r, w := math.Float32bits(got.Data[0]), math.Float32bits(ref), math.Float32bits(tc.want); g != r || r != w {
-			t.Errorf("%s: interior %#08x, maxPoolWindow %#08x, want %#08x", tc.name, g, r, w)
+		// One row of span interior windows at the given stride, the
+		// special one at output column at: every lane of maxPoolPlanes'
+		// four-window passes and their tail. The other windows overlap
+		// it and are checked against maxPoolWindow.
+		for _, stride := range []int{1, 2} {
+			spec := PoolSpec{Kernel: 3, Stride: stride}
+			for span := 1; span <= 9; span++ {
+				w := stride*(span-1) + 3
+				for at := 0; at < span; at++ {
+					in := New(1, 3, w).Fill(-10)
+					for ky := 0; ky < 3; ky++ {
+						copy(in.Data[ky*w+at*stride:], tc.taps[ky*3:ky*3+3])
+					}
+					got := dirty(1, 1, span)
+					MaxPool2DInto(got, in, spec)
+					for ox := range got.Data {
+						want := maxPoolWindow(in.Data, 3, w, 0, ox, spec)
+						if ox == at && math.Float32bits(want) != math.Float32bits(tc.want) {
+							t.Fatalf("%s: maxPoolWindow %#08x, want %#08x", tc.name, math.Float32bits(want), math.Float32bits(tc.want))
+						}
+						if g, r := math.Float32bits(got.Data[ox]), math.Float32bits(want); g != r {
+							t.Errorf("%s stride %d span %d at %d: window %d = %#08x, maxPoolWindow %#08x", tc.name, stride, span, at, ox, g, r)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -106,25 +106,19 @@ func BenchmarkQGEMM512(b *testing.B) {
 	b.ReportMetric(qgemmLanes, "MAC/mul")
 }
 
-// imulSink keeps BenchmarkIMULPeak's chains live and its multiplier
-// unknown to the compiler, so no multiply folds into shifts.
+// imulSink keeps BenchmarkIMULPeak's chains live.
 var imulSink int64
 
-// BenchmarkIMULPeak probes the ceiling the int8 kernel runs against: eight
-// independent 64-bit multiply-add chains, more multiplies in flight than
-// one multiply port retires, reported as Gmul/s on one core.
+// BenchmarkIMULPeak probes the ceiling the int8 kernel runs against:
+// IMULChains' eight independent 64-bit multiply-add chains, more
+// multiplies in flight than one multiply port retires, reported as
+// Gmul/s on one core.
 func BenchmarkIMULPeak(b *testing.B) {
 	const steps = 1 << 16
-	m, c := imulSink+0x5851f42d4c957f2d, imulSink+0x14057b7ef767814f
-	x0, x1, x2, x3, x4, x5, x6, x7 := c, c+1, c+2, c+3, c+4, c+5, c+6, c+7
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < steps; s++ {
-			x0, x1, x2, x3 = x0*m+c, x1*m+c, x2*m+c, x3*m+c
-			x4, x5, x6, x7 = x4*m+c, x5*m+c, x6*m+c, x7*m+c
-		}
+		imulSink ^= IMULChains(steps)
 	}
-	imulSink = x0 ^ x1 ^ x2 ^ x3 ^ x4 ^ x5 ^ x6 ^ x7
-	b.ReportMetric(8*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmul/s")
+	b.ReportMetric(IMULChainsWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmul/s")
 }
 
 func BenchmarkGEMMFP32Blocked512(b *testing.B) {
@@ -143,26 +137,17 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }
 
-// fmulSink keeps BenchmarkFMULPeak's chains live and its operands unknown
-// to the compiler.
+// fmulSink keeps BenchmarkFMULPeak's chains live.
 var fmulSink float32
 
 // BenchmarkFMULPeak probes the ceiling the FP32 kernel runs against:
-// twelve independent float32 chains, each step a multiply and then an add
-// rounded apart as the kernel's are (fusing them would move its bits),
-// more in flight than the multiply and add ports retire, reported as
+// FMULChains' twelve independent float32 multiply-then-add chains, more
+// in flight than the multiply and add ports retire, reported as
 // Gmuladd/s on one core.
 func BenchmarkFMULPeak(b *testing.B) {
 	const steps = 1 << 16
-	m, c := fmulSink+0.999, fmulSink+0.001
-	x0, x1, x2, x3, x4, x5 := c, c+1, c+2, c+3, c+4, c+5
-	y0, y1, y2, y3, y4, y5 := c+6, c+7, c+8, c+9, c+10, c+11
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < steps; s++ {
-			x0, x1, x2, x3, x4, x5 = x0*m+c, x1*m+c, x2*m+c, x3*m+c, x4*m+c, x5*m+c
-			y0, y1, y2, y3, y4, y5 = y0*m+c, y1*m+c, y2*m+c, y3*m+c, y4*m+c, y5*m+c
-		}
+		fmulSink += FMULChains(steps)
 	}
-	fmulSink = x0 + x1 + x2 + x3 + x4 + x5 + y0 + y1 + y2 + y3 + y4 + y5
-	b.ReportMetric(12*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
+	b.ReportMetric(FMULChainsWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
 }
