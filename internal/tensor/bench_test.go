@@ -194,8 +194,11 @@ func BenchmarkClampReLU6(b *testing.B) {
 }
 
 // The benchmarks below sit at SqueezeNet v1.1's hottest int8-path
-// shapes: the stem, the widest 3x3 expand, the classifier's 1x1, and
-// the first max-pool and the activation quantizer on its input.
+// shapes: the stem, the widest 3x3 expand, the classifier's 1x1, the
+// first fire module's squeeze and 1x1 expand (the pointwise convs
+// BENCH_layers.json ranks furthest below the int8 roof), the first
+// max-pool, and the activation quantizer on the stem's image and on a
+// ReLU'd activation.
 
 func BenchmarkConv2DQPrepacked(b *testing.B) {
 	for _, tc := range []struct {
@@ -206,6 +209,8 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 		{"conv1-3x224x224-3x3s2-64", 3, 224, 224, 64, 3, 2, 0},
 		{"fire3e3-16x55x55-3x3p1-64", 16, 55, 55, 64, 3, 1, 1},
 		{"conv10-512x13x13-1x1-1000", 512, 13, 13, 1000, 1, 1, 0},
+		{"fire3sq-128x55x55-1x1-16", 128, 55, 55, 16, 1, 1, 0},
+		{"fire2e1-16x55x55-1x1-64", 16, 55, 55, 64, 1, 1, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.h, tc.w)
@@ -268,13 +273,25 @@ func BenchmarkDenseFP32(b *testing.B) {
 	}
 }
 
+// BenchmarkQuantizeDynamic is the activation quantizer (max-abs, then
+// rounding) on the stem's input, an image of either sign, and on a ReLU'd
+// activation the size of the first fire module's input: the rounding
+// branch a sign test would take is random on the first and constant on
+// the second.
 func BenchmarkQuantizeDynamic(b *testing.B) {
-	in := benchInput(64, 111, 111)
-	dst := make([]int8, len(in.Data))
-	b.ReportAllocs()
-	b.SetBytes(int64(4 * len(in.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quantizeDynamic(dst, in.Data)
+	relu := benchInput(64, 111, 111)
+	applyActInPlace(relu.Data, ActReLU, 0)
+	for _, tc := range []struct {
+		name string
+		in   *Tensor
+	}{{"random-3x224x224", benchInput(3, 224, 224)}, {"relu-64x111x111", relu}} {
+		b.Run(tc.name, func(b *testing.B) {
+			dst := make([]int8, len(tc.in.Data))
+			b.ReportAllocs()
+			b.SetBytes(int64(4 * len(tc.in.Data)))
+			for i := 0; i < b.N; i++ {
+				quantizeDynamic(dst, tc.in.Data)
+			}
+		})
 	}
 }

@@ -61,9 +61,10 @@ func TestPackedConvForksOnce(t *testing.T) {
 // TestPackedQConvForksOnce is the int8 twin on the benchmark's SqueezeNet
 // (O2, then quantized): one parallelFor per pre-packed int8 convolution at
 // or above the MAC bar — the band pass; lowering, QGEMM and requantize
-// fork nowhere else — two for the activation quantizer where the input is
-// long enough to shard (max-abs, then rounding), one per max-pool above its
-// bar, and nothing else.
+// fork nowhere else — and, where the input is long enough to shard the
+// activation quantizer, one for its max-abs pass and, unless the conv is
+// pointwise (its bands round as they lower), one for its rounding pass;
+// one per max-pool above its bar, and nothing else: 46 forks.
 func TestPackedQConvForksOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -81,7 +82,7 @@ func TestPackedQConvForksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	var convs, quantized, forks int64
+	var convs, quantized, pointwise, forks int64
 	for _, n := range g.Nodes {
 		macs := int(graph.NodeCost(n).MACs)
 		switch {
@@ -93,6 +94,10 @@ func TestPackedQConvForksOnce(t *testing.T) {
 			if n.Inputs[0].OutShape.NumElems() >= tensor.QuantParallelElems {
 				quantized++
 				forks += 2
+				if tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
+					pointwise++
+					forks--
+				}
 			}
 		case n.Kind == graph.OpMaxPool2D:
 			if k := n.Attrs.Kernel; n.OutShape.NumElems()*k*k >= tensor.MaxPoolParallelTaps {
@@ -102,8 +107,9 @@ func TestPackedQConvForksOnce(t *testing.T) {
 			t.Errorf("%s is not a pre-packed int8 convolution", n)
 		}
 	}
-	if convs != 26 || quantized == 0 || quantized == convs {
-		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer; want 26, some but not all", convs, quantized)
+	if convs != 26 || quantized == 0 || quantized == convs || pointwise == 0 || pointwise == quantized {
+		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d of them pointwise; want 26, some but not all, some but not all",
+			convs, quantized, pointwise)
 	}
 	requireForks(t, eng, g, forks)
 }

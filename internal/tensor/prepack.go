@@ -31,8 +31,7 @@ import (
 //
 // FP32 Dense is deliberately NOT prepacked: DenseInto accumulates each
 // dot product in one chain (matVecRange), an order the blocked GEMM
-// cannot reproduce, so packing it would break the bitwise contract. Int8
-// Dense packs, because integer accumulation is exact in any order.
+// cannot reproduce, so packing it would break the bitwise contract.
 
 // Packed is a weight matrix packed into the blocked-panel layout a GEMM
 // microkernel consumes: the panel of every (N-block, K-block) tile of a
@@ -46,8 +45,8 @@ type Packed[P float32 | byte] struct {
 	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs; K = In,
 	// N = Out for dense layers).
 	K, N int
-	// Shape is the original weight shape ([Cout, Cin, KH, KW] for convs),
-	// kept so the executor can derive kernel geometry from the pack alone.
+	// Shape is the conv weight shape, [Cout, Cin, KH, KW] ([Out, In, 1, 1]
+	// for int8 dense), so kernel geometry derives from the pack alone.
 	Shape Shape
 	// Panels is the concatenated packed panel data.
 	Panels []P
@@ -153,11 +152,11 @@ func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
 // FP32 one float32 activations and the int8 one their codes. Every
 // element is stored, padding positions as explicit zeros (also the int8
 // zero-point of the symmetric scheme), so dirty scratch cannot leak. A
-// window whose columns are all in bounds copies its kw taps per (channel,
-// ky) at once; only border windows test each tap.
+// window whose columns are all in bounds moves its kw taps per (channel,
+// ky) in one loop, not a memmove call; only border windows test each tap.
 func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
 	padH, padW := spec.padHW()
-	if kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0 {
+	if pointwise(kh, kw, spec) {
 		transposePixels(tile, in, cin, h*wd, plo, phi)
 		return
 	}
@@ -178,7 +177,9 @@ func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec C
 				}
 				src := in[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
 				if inside {
-					copy(dst[r:r+kw], src[ix0:ix0+kw])
+					for kx, v := range src[ix0 : ix0+kw] {
+						dst[r+kx] = v
+					}
 					r += kw
 					continue
 				}
@@ -205,6 +206,12 @@ func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec C
 // while consecutive channels scatter into them.
 const transposeTile = 64
 
+// pointwise reports whether a convolution is 1x1, stride 1, unpadded.
+func pointwise(kh, kw int, spec Conv2DSpec) bool {
+	padH, padW := spec.padHW()
+	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0
+}
+
 // transposePixels is the pointwise (1x1, stride 1, unpadded) lowering:
 // there the im2row matrix is just the [cin, npix] input transposed, so
 // rows [plo, phi) go into dst (row p at dst[(p-plo)*cin:]) a tile of
@@ -218,6 +225,17 @@ func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
 			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
 				out[t*cin+ic] = v
 			}
+		}
+	}
+}
+
+// quantizePixels is transposePixels for a pointwise int8 conv, from its
+// FP32 input: each element is rounded (quantCode) as it moves into the
+// band's tile, which is one transposeTile wide at most. T is int8.
+func quantizePixels[T int8 | float32](dst []T, q quantJob, cin, npix, plo, phi int) {
+	for ic := 0; ic < cin; ic++ {
+		for t, v := range q.src[ic*npix+plo : ic*npix+phi] {
+			dst[t*cin+ic] = T(quantCode(v, q.inv))
 		}
 	}
 }
@@ -244,6 +262,7 @@ type bandJob[T int8 | float32, P float32 | byte, A any] struct {
 	// fused epilogue, of which int8 has the activation only.
 	scales []float32
 	epi    Epilogue
+	quant  quantJob // a pointwise int8 conv's FP32 input and 1/scale, in place of in
 
 	fn func(lo, hi int)
 }
@@ -278,7 +297,11 @@ func (j *bandJob[T, P, A]) bands(lo, hi int) {
 		p1 := min(p0+convBandPixels, hi)
 		s.rows = growSlice(s.rows, (p1-p0)*j.pw.K)
 		s.acc = growSlice(s.acc, (p1-p0)*j.pw.N)
-		im2rowPixels(s.rows, j.in, j.geo.cin, j.geo.h, j.geo.wd, j.geo.kh, j.geo.kw, j.spec, j.geo.wout, p0, p1)
+		if j.quant.src != nil {
+			quantizePixels(s.rows, j.quant, j.geo.cin, j.geo.h*j.geo.wd, p0, p1)
+		} else {
+			im2rowPixels(s.rows, j.in, j.geo.cin, j.geo.h, j.geo.wd, j.geo.kh, j.geo.kw, j.spec, j.geo.wout, p0, p1)
+		}
 		j.g.rowRange(s.acc, s.rows, j.pw, 0, p1-p0)
 		j.g.store(j, s.acc, p0, p1)
 	}

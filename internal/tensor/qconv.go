@@ -28,15 +28,14 @@ const (
 	ActTanh
 )
 
-// qscratch holds what one int8 kernel call owns: the codes of its whole
-// input, quantized once before the band pass reads them from every
-// shard, the requantize scales, and the sharded quantizer's per-chunk
-// maxima, arguments and shard bodies — functions bound once, when the
-// scratch is made: a closure built per call would be a heap allocation
-// per parallelFor. Per-shard buffers are the band pass's (bandScratch).
-// Pooled, so concurrent executor replicas never share or reallocate it.
+// qscratch holds what one int8 kernel call owns: a K×K conv's input
+// codes, which every shard of the band pass reads, the requantize scales,
+// and the sharded quantizer's per-chunk maxima, arguments and shard
+// bodies — bound once, when the scratch is made: a closure built per call
+// would be a heap allocation per parallelFor. Per-shard buffers are the
+// band pass's (bandScratch). Pooled, so executor replicas never share it.
 type qscratch struct {
-	qin    []int8    // quantized input activations
+	qin    []int8    // a K×K conv's quantized input activations
 	scales []float32 // requantize scales, activation scale x weight scale, per channel
 	maxima []float32 // per-chunk max-abs of the activation being quantized
 

@@ -117,7 +117,9 @@ func TestConv2DQPrepackedShardedBands(t *testing.T) {
 func quantizeDynamic(dst []int8, src []float32) float32 {
 	s := qscratchPool.Get().(*qscratch)
 	defer qscratchPool.Put(s)
-	return s.quantize(dst, src)
+	scale := s.absScale(src)
+	s.quantizeRound(dst, src, 1/scale)
+	return scale
 }
 
 // quantizeDynamicSerial is the activation quantizer as it stood before it
@@ -390,9 +392,11 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 }
 
 // TestQGemmPanelRowsMatchesNaive covers M mod 3 of 0, 1 and 2 (a short
-// last lane triple of one or two rows, M = 1 as the dense layer runs it),
-// N mod 4 of 0 to 3 (the column tail after the four-column groups), K off
-// the interleave, more than one K- and N-block, and a 64-row band.
+// last lane triple of one or two rows, repeating its last row into the
+// sink, M = 1 as the dense layer runs it), N mod 4 of 0 to 3 (the column
+// tail after the four-column groups), K off the interleave, more than one
+// K- and N-block (short triples on a full-width sink too), and a 64-row
+// band.
 func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for _, c := range []struct{ m, k, n int }{
@@ -401,6 +405,7 @@ func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
 		{5, 30, qgemmNC + 3}, {9, qgemmKC - 1, 2*qgemmNC + 1}, {64, 144, 64},
 		{8, qgemmKC, 13}, {10, 3*qgemmKC + 1, 14}, {11, 70, 3}, {2, 5, 2},
 		{64, 4 * qgemmKC, 1000},
+		{13, qgemmKC + 5, qgemmNC + 6}, {14, 2 * qgemmKC, qgemmNC + 7}, {65, 33, 2*qgemmNC + 2},
 	} {
 		checkQGemmKernels(t, "random", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
 	}
@@ -431,30 +436,189 @@ func TestQGemmLaneSumEdge(t *testing.T) {
 }
 
 // TestQGemmRowRangeWritesOnlyItsRows runs the tile loop on row ranges that
-// end on a short lane triple, inside and at either end of dst: rows
-// outside [rlo, rhi) keep their sentinel, so neither the range's edges nor
-// a short triple's missing lanes ever reach them.
+// end on a short lane triple of one row and of two, inside and at either
+// end of dst, with one N-block and with two: rows outside [rlo, rhi) keep
+// their sentinel, so neither the range's edges nor the repeated rows a
+// short triple sends to its sink ever reach them.
 func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
-	const m, k, n, sentinel = 10, qgemmKC + 6, 9, math.MinInt32 + 7
+	const m, k, sentinel = 10, qgemmKC + 6, math.MinInt32 + 7
 	r := rand.New(rand.NewSource(131))
-	a, b := randQ(r, m*k), randQ(r, k*n)
-	want := make([]int32, m*n)
-	qnaive(want, a, b, m, k, n)
-	pq := packB(gemmInt8, b, k, n)
-	for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}} {
-		got := make([]int32, m*n)
-		for i := range got {
-			got[i] = sentinel
-		}
-		gemmInt8.rowRange(got, a, pq, rr[0], rr[1])
-		for i := range got {
-			in := i/n >= rr[0] && i/n < rr[1]
-			if in && got[i] != want[i] {
-				t.Fatalf("rows %v: dst[%d] = %d, want %d", rr, i, got[i], want[i])
+	for _, n := range []int{9, qgemmNC + 5} {
+		a, b := randQ(r, m*k), randQ(r, k*n)
+		want := make([]int32, m*n)
+		qnaive(want, a, b, m, k, n)
+		pq := packB(gemmInt8, b, k, n)
+		for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}, {0, 7}, {1, 9}, {5, 10}, {0, 2}} {
+			got := make([]int32, m*n)
+			for i := range got {
+				got[i] = sentinel
 			}
-			if !in && got[i] != sentinel {
-				t.Fatalf("rows %v: row %d outside the range was written: dst[%d] = %d", rr, i/n, i, got[i])
+			gemmInt8.rowRange(got, a, pq, rr[0], rr[1])
+			for i := range got {
+				in := i/n >= rr[0] && i/n < rr[1]
+				if in && got[i] != want[i] {
+					t.Fatalf("n=%d rows %v: dst[%d] = %d, want %d", n, rr, i, got[i], want[i])
+				}
+				if !in && got[i] != sentinel {
+					t.Fatalf("n=%d rows %v: row %d outside the range was written: dst[%d] = %d", n, rr, i/n, i, got[i])
+				}
 			}
 		}
+	}
+}
+
+// quantCodeBranchy is the rounding loop body quantCode replaced, kept as
+// its reference: a branch on the sign of r picks the half.
+func quantCodeBranchy(v, inv float32) int8 {
+	r := v * inv
+	if r >= 0 {
+		r += 0.5
+	} else {
+		r -= 0.5
+	}
+	n := int32(r)
+	if n > 127 {
+		n = 127
+	} else if n < -127 {
+		n = -127
+	}
+	return int8(n)
+}
+
+// quantCodeInvs are the inverse scales the rounding contract is held at:
+// an exact power of two, a ReLU6 activation's 127/6, and a wide
+// activation's 127/1e4.
+var quantCodeInvs = []float32{0.25, 127.0 / 6, 127.0 / 1e4}
+
+// checkQuantCodes compares quantCode with the branchy reference on the
+// bit patterns start, start+stride, ... below 2^32 at every inverse scale.
+func checkQuantCodes(t testing.TB, start, stride uint64) (n int) {
+	for _, inv := range quantCodeInvs {
+		for b := start; b < 1<<32; b += stride {
+			v := math.Float32frombits(uint32(b))
+			if got, want := quantCode(v, inv), quantCodeBranchy(v, inv); got != want {
+				t.Fatalf("inv %g: quantCode(%#08x = %g) = %d, the branchy loop gives %d", inv, b, v, got, want)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestQuantCodeMatchesBranchyRounding holds the branch-free rounding to
+// the loop it replaced on the inputs where the two could part: both
+// zeros, NaNs of either sign, both infinities, subnormals of either sign,
+// every ±(k+½)/inv tie with the floats either side of it, ±127.5/inv (the
+// clamp edge) and the floats past it — then on a strided sweep of 2^24
+// bit patterns at each scale. BenchmarkQuantCodeEveryPattern sweeps all
+// 2^32.
+func TestQuantCodeMatchesBranchyRounding(t *testing.T) {
+	nan, negNaN := math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000)
+	special := []float32{0, float32(math.Copysign(0, -1)), nan, negNaN, math.Float32frombits(0x7f800001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1), math.Float32frombits(0x807fffff),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32}
+	for _, inv := range quantCodeInvs {
+		vals := append([]float32(nil), special...)
+		for k := 0; k <= 127; k++ {
+			for _, tie := range []float32{(float32(k) + 0.5) / inv, -(float32(k) + 0.5) / inv} {
+				vals = append(vals, tie, math.Nextafter32(tie, 0), math.Nextafter32(tie, 2*tie))
+			}
+		}
+		for _, v := range vals {
+			if got, want := quantCode(v, inv), quantCodeBranchy(v, inv); got != want {
+				t.Fatalf("inv %g: quantCode(%g) = %d, the branchy loop gives %d", inv, v, got, want)
+			}
+		}
+	}
+	// 127.5/inv and the floats past it clamp, at the power-of-two scale
+	// where the tie is exact.
+	for edge, n := float32(127.5/0.25), 0; n < 4; edge, n = math.Nextafter32(edge, math.MaxFloat32), n+1 {
+		if quantCode(edge, 0.25) != 127 || quantCode(-edge, 0.25) != -127 {
+			t.Fatalf("±%g at inv 0.25 = %d, %d; want ±127", edge, quantCode(edge, 0.25), quantCode(-edge, 0.25))
+		}
+	}
+	if n := checkQuantCodes(t, 7, 255); n < 3<<24 {
+		t.Fatalf("the strided sweep compared %d codes, want at least 3 x 2^24", n)
+	}
+}
+
+// BenchmarkQuantCodeEveryPattern is the full sweep: quantCode against the
+// branchy loop on all 2^32 float32 bit patterns at each scale of
+// quantCodeInvs, once per iteration (about a minute; run it with
+// -benchtime 1x). It is a benchmark so that the test suite leaves it out.
+func BenchmarkQuantCodeEveryPattern(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		checkQuantCodes(b, 0, 1)
+	}
+}
+
+// TestPointwiseQConvQuantizesAsItLowers holds the 1x1 int8 path — the
+// input's scale alone up front, each band rounding its pixels as it
+// lowers them — to quantizing the whole input first: the codes equal the
+// serial quantizer's transposed, lowered whole or cut at pixels inside
+// and at the edge of a band, and the outputs equal the loop-nest
+// reference. Planes of 1 to 3025 pixels (55x55) cross 1 to 129 input
+// channels and output widths of every N mod 4, so inputs fall below and
+// above quantParallelElems and convs below and above the MAC bar, on
+// random data and on data salted with both zeros, NaNs and an Inf.
+func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
+	r := rand.New(rand.NewSource(113))
+	spec := Conv2DSpec{Stride: 1}
+	long, sharded := 0, 0
+	for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
+		for ci, cin := range []int{1, 3, 16, 129} {
+			cout := 4 + (npix+ci)%4
+			qw := QuantizePerChannel(randTensor(r, cout, cin, 1, 1))
+			pq := PackQConvWeights(qw)
+			bias := randTensor(r, cout).Data
+			for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
+				in := randTensor(r, cin, 1, npix)
+				special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
+				if salt == "zeros+NaN+Inf" {
+					special = append(special, float32(math.Inf(-1)))
+				}
+				if salt != "random" {
+					for i := range in.Data {
+						if i%5 == 0 {
+							in.Data[i] = special[(i/5)%len(special)]
+						}
+					}
+				}
+				name := fmt.Sprintf("npix=%d cin=%d cout=%d %s", npix, cin, cout, salt)
+				codes := make([]int8, len(in.Data))
+				sx := quantizeDynamicSerial(codes, in.Data)
+				want := make([]int8, len(in.Data))
+				transposePixels(want, codes, cin, npix, 0, npix)
+				s := qscratchPool.Get().(*qscratch)
+				if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
+					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
+				}
+				qscratchPool.Put(s)
+				q := quantJob{src: in.Data, inv: 1 / sx}
+				for _, cut := range []int{0, 1, npix / 2, min(convBandPixels, npix), npix} {
+					got := make([]int8, len(in.Data))
+					for i := range got {
+						got[i] = -128 // a code the quantizer never emits
+					}
+					quantizePixels(got, q, cin, npix, 0, cut)
+					quantizePixels(got[cut*cin:], q, cin, npix, cut, npix)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+						}
+					}
+				}
+				checkBandedQConv(t, name, in, qw, pq, bias, spec, ActReLU)
+				if len(in.Data) >= quantParallelElems {
+					long++
+				}
+				if npix*cin*cout >= parallelThresholdMACs {
+					sharded++
+				}
+			}
+		}
+	}
+	if long == 0 || sharded == 0 {
+		t.Fatalf("%d inputs long enough to shard the scale, %d convs above the MAC bar; want some of each", long, sharded)
 	}
 }

@@ -34,35 +34,36 @@ const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
 // gemm.rowRange (the int8 mirror of gemmPanelRows): it accumulates one
 // packed (K-block, N-block) panel into output rows [rlo, rhi),
 // dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go three at a time,
-// staged into one lane triple per K index; a short last triple leaves its
-// missing lanes zero and its missing rows nil, so their (zero) results are
-// dropped rather than stored anywhere. Full groups of four columns go
-// through qdot4; the N mod 4 tail columns go one at a time. Integer
-// accumulation is exact, so results do not depend on how callers split
-// rows.
+// staged in one sweep into a lane triple per K index; a short last triple
+// repeats its last row into lanes that accumulate into a sink. Groups of
+// four columns go through qdot4, the N mod 4 tail one at a time. Results
+// do not depend on how callers split rows.
 func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, rlo, rhi int) {
 	kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
-	// lanes[kb:kb4] is never written: it stays zero, as do the panel rows
-	// it meets.
+	// lanes[kb:kb4] is never written: zero, as are the panel rows it meets.
 	var buf [qgemmKC]int64
 	lanes := buf[:kb4]
 	for i := rlo; i < rhi; i += qgemmLanes {
-		var out [qgemmLanes][]int32
-		clear(lanes[:kb])
-		for r := i; r < min(i+qgemmLanes, rhi); r++ {
-			shift := uint(r-i) * laneShift
-			for g, v := range a[r*k+kc : r*k+kc+kb] {
-				lanes[g] += int64(v) << shift
+		i1, i2 := min(i+1, rhi-1), min(i+2, rhi-1)
+		a0, a1, a2, l := a[i*k+kc:][:kb], a[i1*k+kc:][:kb], a[i2*k+kc:][:kb], lanes[:kb]
+		for g, v := range a0 {
+			l[g] = int64(v) + int64(a1[g])<<laneShift + int64(a2[g])<<(2*laneShift)
+		}
+		o0, o1, o2 := dst[i*n+jc:i*n+jc+jb], dst[i1*n+jc:i1*n+jc+jb], dst[i2*n+jc:i2*n+jc+jb]
+		if i2 == i1 {
+			var sink [qgemmNC]int32
+			o2 = sink[:jb]
+			if i1 == i {
+				o1 = o2
 			}
-			out[r-i] = dst[r*n+jc : r*n+jc+jb]
 		}
 		j := 0
 		for ; j+3 < jb; j += 4 {
 			s0, s1, s2, s3 := qdot4(lanes, panel[j*kb4:(j+4)*kb4])
-			addLanes(&out, j, s0)
-			addLanes(&out, j+1, s1)
-			addLanes(&out, j+2, s2)
-			addLanes(&out, j+3, s3)
+			addLanes(o0, o1, o2, j, s0)
+			addLanes(o0, o1, o2, j+1, s1)
+			addLanes(o0, o1, o2, j+2, s2)
+			addLanes(o0, o1, o2, j+3, s3)
 		}
 		for ; j < jb; j++ {
 			col := panel[j*kb4 : (j+1)*kb4]
@@ -70,7 +71,7 @@ func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, r
 			for g, l := range lanes {
 				s += l * int64(int8(col[g]))
 			}
-			addLanes(&out, j, s)
+			addLanes(o0, o1, o2, j, s)
 		}
 	}
 }
@@ -96,18 +97,14 @@ func qdot4(l []int64, q []byte) (s0, s1, s2, s3 int64) {
 }
 
 // addLanes splits a column's lane-triple sum s by sign extension and adds
-// each lane to column j of its row; a row the triple lacks is nil.
-func addLanes(out *[qgemmLanes][]int32, j int, s int64) {
+// each lane to column j of its row.
+func addLanes(o0, o1, o2 []int32, j int, s int64) {
 	l0 := s << (64 - laneShift) >> (64 - laneShift)
 	s = (s - l0) >> laneShift
 	l1 := s << (64 - laneShift) >> (64 - laneShift)
-	out[0][j] += int32(l0)
-	if out[1] != nil {
-		out[1][j] += int32(l1)
-	}
-	if out[2] != nil {
-		out[2][j] += int32((s - l1) >> laneShift)
-	}
+	o0[j] += int32(l0)
+	o1[j] += int32(l1)
+	o2[j] += int32((s - l1) >> laneShift)
 }
 
 // packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of a [K, N] B

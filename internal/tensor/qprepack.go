@@ -8,9 +8,8 @@ import (
 // This file is the int8 side of prepack.go: the gemm value of the SWAR
 // QGEMM microkernel (signed byte panels, four columns interleaved), the
 // ahead-of-time packers, the requantize store, and the conv/dense entry
-// points that execute against packed panels. Integer accumulation is
-// exact in any order, so int8 results do not depend on the blocking at
-// all, which is why int8 Dense packs too (its FP32 counterpart cannot).
+// points. Integer accumulation is exact in any order, so int8 results do
+// not depend on the blocking, and int8 Dense packs too: it is a 1x1 conv.
 
 var gemmInt8 = &gemm[int8, byte, int32]{kc: qgemmKC, nc: qgemmNC, mr: qgemmMR,
 	packPanel: packQPanel, panelRows: qgemmPanelRows, store: storeInt8,
@@ -30,8 +29,14 @@ func packQWeights(qw *QTensor, rank int, who string) *PackedQWeights {
 func PackQConvWeights(qw *QTensor) *PackedQWeights { return packQWeights(qw, 4, "PackQConvWeights") }
 
 // PackQDenseWeights packs an [Out, In] int8 dense weight matrix for the
-// prepacked QGEMM path (transposed to [In, Out]).
-func PackQDenseWeights(qw *QTensor) *PackedQWeights { return packQWeights(qw, 2, "PackQDenseWeights") }
+// prepacked QGEMM path (transposed to [In, Out]) as the [Out, In, 1, 1]
+// pointwise conv it runs as; the shape's backing array goes on with
+// [Out, 1, 1], so DenseQPrepackedInto's views need no allocation.
+func PackQDenseWeights(qw *QTensor) *PackedQWeights {
+	pq := packQWeights(qw, 2, "PackQDenseWeights")
+	pq.Shape = Shape{pq.N, pq.K, 1, 1, pq.N, 1, 1}[:4]
+	return pq
+}
 
 // requantizeStrided is the fused int8 epilogue: dst[i] =
 // act(acc[i*stride]*scale + bias), where scale combines the activation
@@ -80,56 +85,39 @@ func storeInt8(j *bandJob[int8, byte, int32], acc []int32, p0, p1 int) {
 // Conv2DQPrepackedInto computes a 2-D convolution with int8-quantized,
 // packed weights into a preallocated float32 dst of shape
 // [Cout, Hout, Wout], overwriting every element: dynamic per-tensor
-// symmetric activation quantization of the whole input, then the band
-// pass (gemm.run) — int8 im2row, QGEMM into int32 accumulators and the
-// fused requantize+bias+activation store, band by band — one kernel call
-// end to end. Every float expression is per element, so the output does
-// not depend on the cut. qw supplies the weight scales (per-tensor or
-// per-channel); its codes are not read.
+// symmetric activation quantization of the whole input (a pointwise conv
+// only takes its scale and rounds as its bands lower), then the band pass
+// (gemm.run) — int8 im2row, QGEMM into int32 accumulators and the fused
+// requantize+bias+activation store — one kernel call end to end. The
+// output does not depend on the cut. qw supplies the weight scales
+// (per-tensor or per-channel); its codes are not read.
 func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	spec = spec.check()
 	geo := convGeometry(dst, in, pq.Shape, bias, spec)
 	s := qscratchPool.Get().(*qscratch)
-	s.qin = growSlice(s.qin, len(in.Data))
 	s.scales = growSlice(s.scales, geo.cout)
-	sx := s.quantize(s.qin, in.Data)
+	job := bandJob[int8, byte, int32]{out: dst.Data, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, epi: Epilogue{Act: act, Alpha: alpha}}
+	sx := s.absScale(in.Data)
+	if pointwise(geo.kh, geo.kw, spec) {
+		job.quant = quantJob{src: in.Data, inv: 1 / sx}
+	} else {
+		s.qin = growSlice(s.qin, len(in.Data))
+		s.quantizeRound(s.qin, in.Data, 1/sx)
+		job.in = s.qin
+	}
 	for oc := range s.scales {
 		s.scales[oc] = sx * qw.ScaleFor(oc)
 	}
-	gemmInt8.run(bandJob[int8, byte, int32]{out: dst.Data, in: s.qin, geo: geo, spec: spec, pw: pq,
-		bias: bias, scales: s.scales, epi: Epilogue{Act: act, Alpha: alpha}})
+	gemmInt8.run(job)
 	qscratchPool.Put(s)
 }
 
 // DenseQPrepackedInto computes dst = act(wq*x + bias) for an
 // int8-quantized, packed [Out, In] weight matrix, overwriting all of dst
-// (length Out): the dynamically quantized input runs as a single A row
-// through the tile loop, on the calling goroutine, then the requantize
-// epilogue applies per output element.
+// (length Out): the pointwise conv of x as an [In, 1, 1] plane.
 func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x []float32, act Act, alpha float32) {
-	if len(pq.Shape) != 2 || pq.K != len(x) {
-		panic(fmt.Sprintf("tensor: DenseQPrepacked shape mismatch: %v x vec(%d)", pq.Shape, len(x)))
+	if len(pq.Shape) != 4 || cap(pq.Shape) < 7 || pq.K != len(x) || pq.N != len(dst) {
+		panic(fmt.Sprintf("tensor: DenseQPrepacked shape mismatch: %v x vec(%d) into %d", pq.Shape, len(x), len(dst)))
 	}
-	m := pq.N
-	if len(dst) != m {
-		panic("tensor: DenseQPrepacked dst length mismatch")
-	}
-	if bias != nil && len(bias) != m {
-		panic("tensor: DenseQPrepacked bias length mismatch")
-	}
-	s := qscratchPool.Get().(*qscratch)
-	s.qin = growSlice(s.qin, pq.K)
-	sx := s.quantize(s.qin, x)
-	b := gemmInt8.scratch.Get().(*bandScratch[int8, int32])
-	b.acc = growSlice(b.acc, m)
-	gemmInt8.rowRange(b.acc, s.qin, pq, 0, 1)
-	for i := range dst {
-		var bi float32
-		if bias != nil {
-			bi = bias[i]
-		}
-		requantizeStrided(dst[i:i+1], b.acc[i:], 1, sx*qw.ScaleFor(i), bi, act, alpha)
-	}
-	gemmInt8.scratch.Put(b)
-	qscratchPool.Put(s)
+	Conv2DQPrepackedInto(&Tensor{Shape: pq.Shape[4:7], Data: dst}, &Tensor{Shape: pq.Shape[1:4], Data: x}, pq, qw, bias, Conv2DSpec{}, act, alpha)
 }

@@ -115,35 +115,39 @@ const (
 	quantChunk = 1 << 13
 )
 
-// quantJob is the activation a scratch's sharded quantizer is working on.
+// quantJob is the activation a sharded quantizer, or a band pass that
+// quantizes as it lowers, is working on.
 type quantJob struct {
 	dst []int8
 	src []float32
 	inv float32
 }
 
-// quantize quantizes src per-tensor symmetric into dst (same length,
-// overwritten) and returns the scale — the runtime activation
-// quantization step of the int8 execution path: no allocation, float32
-// rounding. Long inputs are sharded across the worker pool, the per-chunk
-// maxima held in s; max-abs is an exact reduction in any order and every
-// element is rounded by the same code with the same scale, so the result
-// does not depend on the split.
-func (s *qscratch) quantize(dst []int8, src []float32) float32 {
+// absScale returns src's per-tensor symmetric scale, the int8 path's
+// runtime activation quantization step before quantizeRound. Long inputs
+// are sharded, the per-chunk maxima held in s: max-abs is exact in any order.
+func (s *qscratch) absScale(src []float32) float32 {
 	if len(src) < quantParallelElems {
-		scale := symmetricScale(maxAbs(src))
-		quantizeRound(dst, src, 1/scale)
-		return scale
+		return symmetricScale(maxAbs(src))
 	}
-	chunks := (len(src) + quantChunk - 1) / quantChunk
-	s.maxima = growSlice(s.maxima, chunks)
-	s.quant = quantJob{dst: dst, src: src}
-	parallelFor(chunks, 1, s.maxFn)
-	scale := symmetricScale(maxAbs(s.maxima))
-	s.quant.inv = 1 / scale
-	parallelFor(chunks, 1, s.roundFn)
+	s.maxima = growSlice(s.maxima, (len(src)+quantChunk-1)/quantChunk)
+	s.quant.src = src
+	parallelFor(len(s.maxima), 1, s.maxFn)
+	s.quant.src = nil
+	return symmetricScale(maxAbs(s.maxima))
+}
+
+// quantizeRound writes the int8 code of every src element at inv into dst
+// (same length): no allocation, float32 rounding. Long inputs are
+// sharded; each code is the same wherever the split falls.
+func (s *qscratch) quantizeRound(dst []int8, src []float32, inv float32) {
+	s.quant = quantJob{dst: dst, src: src, inv: inv}
+	if chunks := (len(src) + quantChunk - 1) / quantChunk; len(src) < quantParallelElems {
+		s.quantRoundChunks(0, chunks)
+	} else {
+		parallelFor(chunks, 1, s.roundFn)
+	}
 	s.quant = quantJob{}
-	return scale
 }
 
 // quantMaxChunks stores the max-abs of chunks [lo, hi) of the source.
@@ -156,9 +160,11 @@ func (s *qscratch) quantMaxChunks(lo, hi int) {
 
 // quantRoundChunks rounds chunks [lo, hi) of the source into dst.
 func (s *qscratch) quantRoundChunks(lo, hi int) {
-	q := &s.quant
-	end := min(hi*quantChunk, len(q.src))
-	quantizeRound(q.dst[lo*quantChunk:end], q.src[lo*quantChunk:end], q.inv)
+	lo, hi = lo*quantChunk, min(hi*quantChunk, len(s.quant.src))
+	dst, inv := s.quant.dst[lo:hi], s.quant.inv
+	for i, v := range s.quant.src[lo:hi] {
+		dst[i] = quantCode(v, inv)
+	}
 }
 
 // maxAbs returns the largest magnitude in src; a NaN never wins. With
@@ -178,27 +184,14 @@ func maxAbs(src []float32) float32 {
 	return math.Float32frombits(m)
 }
 
-// quantizeRound writes the int8 code of every src element, scaled by
-// inv, into dst.
-func quantizeRound(dst []int8, src []float32, inv float32) {
-	for i, v := range src {
-		r := v * inv
-		// Round half away from zero: cheaper than RoundToEven and at most
-		// half an ulp of code difference on exact .5 ties, which dynamic
-		// activation scales essentially never produce.
-		if r >= 0 {
-			r += 0.5
-		} else {
-			r -= 0.5
-		}
-		n := int32(r)
-		if n > 127 {
-			n = 127
-		} else if n < -127 {
-			n = -127
-		}
-		dst[i] = int8(n)
-	}
+// quantCode is the activation quantizer's code for v at inv = 1/scale:
+// v*inv rounded half away from zero (cheaper than RoundToEven, which only
+// exact .5 ties tell apart) and clamped to [-127, 127]. The half takes r's
+// sign bit, not a branch on r >= 0 that mispredicts on sign-random input.
+func quantCode(v, inv float32) int8 {
+	r := v * inv
+	half := math.Float32frombits(0x3f000000 | math.Float32bits(r)&(1<<31))
+	return int8(max(-127, min(127, int32(r+half))))
 }
 
 // Dequantize reconstructs a float32 tensor from q, honouring per-channel
