@@ -157,7 +157,6 @@ var inferMethods = map[string]bool{
 	"Infer":      true,
 	"InferBatch": true,
 	"Run":        true,
-	"RunValues":  true,
 }
 
 // expensiveCall reports whether call is inference or kernel work: a

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"edgebench/internal/graph"
+	"edgebench/internal/refexec"
 	"edgebench/internal/tensor"
 )
 
@@ -35,14 +36,28 @@ type Gradients struct {
 // with outGrad (same shape as the graph output), and back-propagates to
 // every parameter and the input.
 func Backprop(g *graph.Graph, input *tensor.Tensor, outGrad *tensor.Tensor) (*Gradients, error) {
-	if err := trainable(g); err != nil {
-		return nil, err
-	}
-	var exec graph.Executor
-	values, err := exec.RunValues(g, input)
+	values, err := forward(g, input)
 	if err != nil {
 		return nil, err
 	}
+	return backprop(g, values, outGrad)
+}
+
+// forward checks that g is trainable and runs it on the reference
+// interpreter, which keeps every node's value for the backward rules.
+// Training runs no engine: the engine's compiled programs are for
+// inference, and the reference is the function the engine is checked
+// against.
+func forward(g *graph.Graph, input *tensor.Tensor) (map[*graph.Node]*tensor.Tensor, error) {
+	if err := trainable(g); err != nil {
+		return nil, err
+	}
+	return refexec.Run(g, input)
+}
+
+// backprop back-propagates outGrad through the values of a forward pass.
+func backprop(g *graph.Graph, values map[*graph.Node]*tensor.Tensor, outGrad *tensor.Tensor) (*Gradients, error) {
+	input := values[g.Input]
 	if !outGrad.Shape.Equal(g.Output.OutShape) {
 		return nil, fmt.Errorf("autodiff: output grad shape %v, want %v", outGrad.Shape, g.Output.OutShape)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"edgebench/internal/graph"
+	"edgebench/internal/refexec"
 	"edgebench/internal/tensor"
 )
 
@@ -23,13 +24,13 @@ func CrossEntropy(g *graph.Graph, input *tensor.Tensor, label int) (loss float64
 	// node's *output* gradient with that and letting the softmax backward
 	// rule run would double-apply the Jacobian, so we instead seed
 	// dLoss/dSoftmaxOutput = -onehot/p (the direct CE derivative); the
-	// softmax rule then reproduces p - onehot exactly.
-	var exec graph.Executor
-	probs, err := exec.Run(g, input)
+	// softmax rule then reproduces p - onehot exactly. The probabilities
+	// come from the forward pass the backward pass reads.
+	values, err := forward(g, input)
 	if err != nil {
 		return 0, nil, err
 	}
-	p := float64(probs.Data[label])
+	p := float64(values[g.Output].Data[label])
 	if p < 1e-12 {
 		p = 1e-12
 	}
@@ -37,7 +38,7 @@ func CrossEntropy(g *graph.Graph, input *tensor.Tensor, label int) (loss float64
 
 	seed := tensor.New(classes)
 	seed.Data[label] = float32(-1 / p)
-	grads, err = Backprop(g, input, seed)
+	grads, err = backprop(g, values, seed)
 	return loss, grads, err
 }
 
@@ -180,15 +181,15 @@ func TrainEpoch(g *graph.Graph, opt *SGD, examples []Example) (meanLoss, accurac
 	return meanLoss / float64(len(examples)), float64(correct) / float64(len(examples)), nil
 }
 
-// Predict returns the argmax class for the input.
+// Predict returns the argmax class for the input, on the reference
+// interpreter training runs.
 func Predict(g *graph.Graph, input *tensor.Tensor) (int, error) {
-	var exec graph.Executor
-	probs, err := exec.Run(g, input)
+	values, err := refexec.Run(g, input)
 	if err != nil {
 		return 0, err
 	}
 	best, arg := float32(-1), 0
-	for i, p := range probs.Data {
+	for i, p := range values[g.Output].Data {
 		if p > best {
 			best, arg = p, i
 		}

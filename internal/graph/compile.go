@@ -18,7 +18,7 @@ import (
 // of the last graph it ran, and compiling reads the graph without
 // writing it; a graph edited afterwards needs a fresh Executor, which
 // packs the edited weights (core.Session.Optimize drops its own for that
-// reason, and training builds one per step).
+// reason).
 type Program struct {
 	g    *Graph
 	plan *Plan // nil for dynamic graphs, which have no arena
@@ -182,34 +182,34 @@ func newFrame(p *Program) *frame {
 // steady-state inference builds nothing: vals holds the value of every
 // node (nil before it is computed and after it is dead), args is the
 // buffer each step gathers its operand list into, and arena is the
-// buffer arena, created by the first pooled run or by Reserve.
+// buffer arena, created by the first run or by Reserve on a program
+// with a plan.
 type frame struct {
-	vals   []*tensor.Tensor
-	args   []*tensor.Tensor
-	arena  *tensor.Pool
-	pooled bool // this run takes planned results from arena
+	vals  []*tensor.Tensor
+	args  []*tensor.Tensor
+	arena *tensor.Pool
 }
 
 // alloc returns the output buffer for step s: a recycled arena buffer
-// when this run is pooled and the plan assigned one (contents arbitrary —
-// every kernel writing into it must store all elements), a fresh tensor
+// when the plan assigned the value a slot (contents arbitrary — every
+// kernel writing into it must store all elements), a fresh tensor
 // otherwise. Adding a tensor.New call to a kernel instead silently
 // defeats the planner; edgelint's pool-alloc rule flags that.
 func (f *frame) alloc(p *Program, s *step) *tensor.Tensor {
-	if f.pooled && p.slot[s.out] >= 0 {
+	if p.slot[s.out] >= 0 {
 		return f.arena.Get(s.n.OutShape...)
 	}
 	return tensor.New(s.n.OutShape...) // edgelint:ignore pool-alloc — the step allocator's "fresh" case
 }
 
 // release drops the values in free, returning arena buffers to the
-// arena. It is the one release rule: a pooled run recycles what the plan
-// placed, and every run — static or dynamic — stops referencing a value
-// the moment nothing will read it again, which is define-by-run's eager
-// release.
+// arena. It is the one release rule: a static graph recycles what the
+// plan placed, and every run — static or dynamic — stops referencing a
+// value the moment nothing will read it again, which is define-by-run's
+// eager release.
 func (f *frame) release(p *Program, free []int) {
 	for _, v := range free {
-		if t := f.vals[v]; t != nil && f.pooled && p.slot[v] >= 0 {
+		if t := f.vals[v]; t != nil && p.slot[v] >= 0 {
 			f.arena.Put(t)
 		}
 		f.vals[v] = nil

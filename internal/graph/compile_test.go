@@ -3,7 +3,6 @@ package graph_test
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"edgebench/internal/graph"
@@ -123,11 +122,7 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %d steps read packed panels, want every one of the %d convolutions", name, n, convs)
 		}
 		in := seededInput(g.Input.OutShape, 1)
-		vals, err := (&graph.Executor{}).RunValues(g, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := vals[g.Output]
+		want := engineAt(t, g, g.Output, in)
 		if g == pruned {
 			requireBitEqual(t, "pruned vs the packed kernel", want, prunedReference(t, g, in))
 		}
@@ -216,10 +211,9 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 }
 
 // TestFreshExecutorSeesWeightUpdates: a program packs its panels once,
-// at compile, so an update made in place — what training does — is seen
-// by the fresh executor training builds for every step: its output is a
-// fresh executor's on a fresh copy of the updated graph, and not the
-// output from before the update.
+// at compile, so a weight updated in place is seen by a fresh executor:
+// its output is a fresh executor's on a fresh copy of the updated graph,
+// and not the output from before the update.
 func TestFreshExecutorSeesWeightUpdates(t *testing.T) {
 	for _, int8 := range []bool{false, true} {
 		g := prepackCNN(t, 73)
@@ -289,8 +283,8 @@ func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
 }
 
 // TestNilInputIsAnError: a nil input tensor is reported as an error by
-// Run and RunValues, instead of a nil dereference outside the executor's
-// recover guard.
+// Run, instead of a nil dereference outside the executor's recover
+// guard.
 func TestNilInputIsAnError(t *testing.T) {
 	g := smallCNN(t, 71)
 	for _, c := range []struct {
@@ -298,7 +292,6 @@ func TestNilInputIsAnError(t *testing.T) {
 		run  func(e *graph.Executor) error
 	}{
 		{"Run(nil)", func(e *graph.Executor) error { _, err := e.Run(g, nil); return err }},
-		{"RunValues(nil)", func(e *graph.Executor) error { _, err := e.RunValues(g, nil); return err }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.run(&graph.Executor{})
@@ -306,56 +299,5 @@ func TestNilInputIsAnError(t *testing.T) {
 				t.Fatalf("err = %v, want one saying the input is nil", err)
 			}
 		})
-	}
-}
-
-// TestRunValuesLeavesGraphShared: executors are per goroutine but a
-// graph is shared (serving replicas all run one), so RunValues must not
-// write it. One goroutine trains (RunValues) while another infers (Run)
-// on the same dynamic graph; under -race any write to the graph is
-// reported, and both must see the sequential reference's bits.
-func TestRunValuesLeavesGraphShared(t *testing.T) {
-	g := smallCNN(t, 72)
-	g.Mode = graph.Dynamic
-	in := tensor.New(3, 8, 8).Fill(0.3)
-	want, err := (&graph.Executor{}).Run(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		var e graph.Executor
-		for i := 0; i < 20; i++ {
-			vals, err := e.RunValues(g, in)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if len(vals) != len(g.Nodes) || vals[g.Output].Data[0] != want.Data[0] {
-				t.Error("RunValues lost values or diverged while Run shared the graph")
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		var e graph.Executor
-		for i := 0; i < 20; i++ {
-			got, err := e.Run(g, in)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got.Data[0] != want.Data[0] {
-				t.Error("Run diverged while RunValues shared the graph")
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if g.Mode != graph.Dynamic {
-		t.Fatal("graph mode changed")
 	}
 }

@@ -16,12 +16,12 @@ import (
 //
 // The first run on a graph compiles it (Compile) into a flat list of
 // steps, each with its kernel already chosen and its weight panels
-// already packed (bind.go); Run and RunValues walk that one list in graph
-// order, so a graph gives the same bits however its buffers are
-// placed. All parallelism is inside the kernels (tensor's worker pool)
-// or across executors (serving.Engine's replicas): two inter-op
-// schedules — a wavefront over independent branches and a batch-folded
-// wide GEMM — were measured against this one and removed (EXPERIMENTS.md,
+// already packed (bind.go); Run walks that one list in graph order, so a
+// graph gives the same bits however its buffers are placed. All
+// parallelism is inside the kernels (tensor's worker pool) or across
+// executors (serving.Engine's replicas): two inter-op schedules — a
+// wavefront over independent branches and a batch-folded wide GEMM —
+// were measured against this one and removed (EXPERIMENTS.md,
 // "Mechanisms judged").
 //
 // The graph's Mode decides where intermediates live, not an option: a
@@ -67,45 +67,13 @@ func NewExecutors(p *Program, n int) []*Executor {
 	return exs
 }
 
-// RunValues evaluates g on input and returns the value of every node —
-// the retain-all forward pass training needs (backpropagation reads each
-// op's inputs). Nothing is released and nothing comes from the arena,
-// whatever the graph's mode; the graph itself is only read, so other
-// executors may run it at the same time.
-func (e *Executor) RunValues(g *Graph, input *tensor.Tensor) (map[*Node]*tensor.Tensor, error) {
-	f, err := e.forward(g, input, true)
-	if err != nil {
-		return nil, err
-	}
-	values := make(map[*Node]*tensor.Tensor, len(g.Nodes))
-	for i, n := range g.Nodes {
-		values[n] = f.vals[i]
-	}
-	clear(f.vals)
-	return values, nil
-}
-
-// Run evaluates g on input and returns the output tensor. An
-// intermediate is dropped as soon as every node reading it has executed
-// (define-by-run memory behaviour), and on a static graph its buffer
-// goes back to the arena.
-func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
-	f, err := e.forward(g, input, false)
-	if err != nil {
-		return nil, err
-	}
-	out := f.vals[e.prog.output]
-	clear(f.vals)
-	return out, nil
-}
-
 // Reserve readies the executor to Run g without running it, doing what
 // a first Run does before its first step: compile g unless the executor
 // holds its program (NewExecutors' shared one included) and, on a static
 // graph only, build the arena from the plan's slots. It warms no cache,
 // kernel-pool worker or scratch pool; only running does.
 func (e *Executor) Reserve(g *Graph) error {
-	_, err := e.prepare(g, true)
+	_, err := e.prepare(g)
 	return err
 }
 
@@ -119,9 +87,8 @@ func (e *Executor) PoolStats() tensor.PoolStats {
 }
 
 // prepare readies the executor to run g: it compiles g unless the cached
-// program is g's, and sets up the frame. pooled asks for arena-backed
-// results; it is granted only where Compile built a plan.
-func (e *Executor) prepare(g *Graph, pooled bool) (*Program, error) {
+// program is g's, and builds the frame's arena when Compile made a plan.
+func (e *Executor) prepare(g *Graph) (*Program, error) {
 	if e.prog == nil || e.prog.g != g {
 		p, err := Compile(g)
 		if err != nil {
@@ -130,27 +97,25 @@ func (e *Executor) prepare(g *Graph, pooled bool) (*Program, error) {
 		e.prog, e.f = p, newFrame(p)
 	}
 	p, f := e.prog, e.f
-	f.pooled = pooled && p.plan != nil
-	if f.pooled && f.arena == nil {
+	if p.plan != nil && f.arena == nil {
 		f.arena = tensor.NewPool()
 		f.arena.Preallocate(p.plan.Slots...)
 	}
 	return p, nil
 }
 
-// forward runs input through the steps in graph (topological) order and
-// returns the frame with its values in place. retain keeps every value
-// alive (RunValues); otherwise each step's dead list is released as soon
-// as the step has run. The caller clears the frame once it has taken
-// what it needs.
-func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame, error) {
+// Run evaluates g on input and returns the output tensor. The steps run
+// in graph (topological) order; an intermediate is dropped as soon as
+// every node reading it has executed (define-by-run memory behaviour),
+// and on a static graph its buffer goes back to the arena.
+func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil {
 		return nil, fmt.Errorf("graph %s: input is nil", g.Name)
 	}
 	if !input.Shape.Equal(g.Input.OutShape) {
 		return nil, fmt.Errorf("graph %s: input shape %v, want %v", g.Name, input.Shape, g.Input.OutShape)
 	}
-	p, err := e.prepare(g, !retain)
+	p, err := e.prepare(g)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +123,6 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 	f.vals[p.input] = input
 	for i := range p.steps {
 		s := &p.steps[i]
-		var err error
 		if e.Observe == nil {
 			err = e.eval(p, f, s)
 		} else {
@@ -168,11 +132,11 @@ func (e *Executor) forward(g *Graph, input *tensor.Tensor, retain bool) (*frame,
 			clear(f.vals)
 			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, s.n, err)
 		}
-		if !retain {
-			f.release(p, s.free)
-		}
+		f.release(p, s.free)
 	}
-	return f, nil
+	out := f.vals[p.output]
+	clear(f.vals)
+	return out, nil
 }
 
 // observe runs step i through eval and reports it to Observe; its

@@ -348,11 +348,7 @@ func TestLegacyFusionKeepsRootValues(t *testing.T) {
 		g := b.Build()
 		in := seededInput(g.Input.OutShape, 6)
 		values := func() (head, out *tensor.Tensor) {
-			vals, err := (&graph.Executor{}).RunValues(g, in)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			return vals[g.Extra[0]], vals[g.Output]
+			return engineAt(t, g, g.Extra[0], in), engineAt(t, g, g.Output, in)
 		}
 		wantHead, wantOut := values()
 		before := len(g.Nodes)

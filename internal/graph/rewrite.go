@@ -124,9 +124,9 @@ func absorbBN(n *Node, bn *Node) {
 }
 
 // FoldConstants evaluates every node whose inputs are all materialized
-// constants at compile time — by running the node through the executor
-// itself, so folded values take the exact kernel paths inference would —
-// and replaces it with an OpConst carrying the result. The sweep runs
+// constants at compile time — by running the node's bound kernel, so
+// folded values take the exact kernel paths inference would — and
+// replaces it with an OpConst carrying the result. The sweep runs
 // in topological order, so folds cascade through all-constant subgraphs
 // in one call. Returns the number of nodes folded.
 func FoldConstants(g *Graph) (int, error) {
@@ -135,7 +135,7 @@ func FoldConstants(g *Graph) (int, error) {
 		if !constFoldable(n) {
 			continue
 		}
-		val, err := evalConst(g, n)
+		val, err := evalConst(n)
 		if err != nil {
 			return folded, fmt.Errorf("graph %s: folding node %s: %w", g.Name, n, err)
 		}
@@ -176,44 +176,29 @@ func constFoldable(n *Node) bool {
 	return true
 }
 
-// evalConst evaluates n over its constant inputs with a scratch
-// executor on a minimal temporary graph (dummy input node, cloned
-// constant inputs, one clone of n).
-func evalConst(g *Graph, n *Node) (*tensor.Tensor, error) {
-	tmp := New(g.Name+"_constfold", 1)
-	cp := &Node{
-		Name:        n.Name,
-		Kind:        n.Kind,
-		Attrs:       n.Attrs,
-		WShape:      n.WShape,
-		BiasLen:     n.BiasLen,
-		BNChannels:  n.BNChannels,
-		Weights:     n.Weights,
-		Bias:        n.Bias,
-		BN:          n.BN,
-		OutShape:    n.OutShape,
-		DType:       n.DType,
-		Activation:  n.Activation,
-		EpiChannels: n.EpiChannels,
-		EpiScale:    n.EpiScale,
-		EpiShift:    n.EpiShift,
+// evalConst evaluates n over its constant inputs with the kernel bind
+// picks for it — the one inference would run, so the folded bits are
+// inference's. A kernel that writes into a buffer gets a fresh one, and
+// a residual kernel panic is an error, as in the executor.
+func evalConst(n *Node) (val *tensor.Tensor, err error) {
+	k, err := bind(n)
+	if err != nil {
+		return nil, err
 	}
-	for _, in := range n.Inputs {
-		c := &Node{
-			Name:     in.Name,
-			Kind:     OpConst,
-			WShape:   in.WShape,
-			Weights:  in.Weights,
-			OutShape: in.OutShape,
-			DType:    in.DType,
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("kernel panic: %v", r)
 		}
-		tmp.Append(c)
-		cp.Inputs = append(cp.Inputs, c)
+	}()
+	in := make([]*tensor.Tensor, len(n.Inputs))
+	for i, c := range n.Inputs {
+		in[i] = c.Weights
 	}
-	tmp.Append(cp)
-	tmp.Output = cp
-	// edgelint:ignore pool-alloc — compile-time dummy input, not a hot path
-	return (&Executor{}).Run(tmp, tensor.New(1))
+	var dst *tensor.Tensor
+	if k.dst {
+		dst = tensor.New(n.OutShape...) // edgelint:ignore pool-alloc — compile-time fold, not a hot path
+	}
+	return k.run(n, dst, in), nil
 }
 
 // EliminateIdentity removes structural no-ops — shape-preserving nodes

@@ -19,9 +19,8 @@ import (
 // arena with every planned slot idle, the two replicas that never ran
 // have served no Get, and a sibling's first run takes every buffer from
 // its arena and allocates no more than a steady-state Infer
-// (TestEngineSteadyStateAllocs). A zero-value executor that only runs
-// RunValues — training's per-step executor — never builds an arena.
-// Excluded under -race: the race runtime adds allocations of its own.
+// (TestEngineSteadyStateAllocs). Excluded under -race: the race runtime
+// adds allocations of its own.
 func TestWarmupRunsOncePerEngine(t *testing.T) {
 	g := model.MustGet("CifarNet").Build(nn.Options{Materialize: true, Seed: 7})
 	if _, err := opt.Optimize(g, opt.O2); err != nil {
@@ -89,11 +88,4 @@ func TestWarmupRunsOncePerEngine(t *testing.T) {
 		t.Errorf("a sibling's first run missed the arena %d times, want 0", st.Misses)
 	}
 
-	var train graph.Executor
-	if _, err := train.RunValues(g, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := train.PoolStats(); st != (tensor.PoolStats{}) {
-		t.Errorf("RunValues-only executor PoolStats = %+v, want zero: it must never build an arena", st)
-	}
 }

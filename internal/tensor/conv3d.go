@@ -87,44 +87,6 @@ func Conv3D(in, w *Tensor, bias []float32, spec Conv3DSpec) *Tensor {
 	return out
 }
 
-// MaxPool3D applies kxkxk max pooling with the given stride over
-// [C, D, H, W]. C3D uses 2x2x2 pooling (1x2x2 for the first layer, which
-// callers express by pre-slicing; the cost model handles the exact shape).
-func MaxPool3D(in *Tensor, k, stride int) *Tensor {
-	if stride <= 0 {
-		stride = k
-	}
-	c, d, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	dout := (d-k)/stride + 1
-	hout := (h-k)/stride + 1
-	wout := (w-k)/stride + 1
-	if dout <= 0 || hout <= 0 || wout <= 0 {
-		panic("tensor: MaxPool3D output dim <= 0")
-	}
-	out := New(c, dout, hout, wout)
-	for ic := 0; ic < c; ic++ {
-		for od := 0; od < dout; od++ {
-			for oy := 0; oy < hout; oy++ {
-				for ox := 0; ox < wout; ox++ {
-					m := float32(negInf)
-					for kz := 0; kz < k; kz++ {
-						for ky := 0; ky < k; ky++ {
-							for kx := 0; kx < k; kx++ {
-								v := in.Data[((ic*d+od*stride+kz)*h+oy*stride+ky)*w+ox*stride+kx]
-								if v > m {
-									m = v
-								}
-							}
-						}
-					}
-					out.Data[((ic*dout+od)*hout+oy)*wout+ox] = m
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Pool3DSpec describes 3-D max pooling with independent temporal and
 // spatial kernels/strides and optional spatial padding — C3D's pool1 is
 // (1,2,2) while its deeper pools are (2,2,2), and pool5 uses spatial

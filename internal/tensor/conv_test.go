@@ -184,9 +184,9 @@ func TestConv3DPadding(t *testing.T) {
 func TestMaxPool3D(t *testing.T) {
 	in := New(1, 2, 2, 2)
 	in.Data[7] = 5
-	out := MaxPool3D(in, 2, 2)
+	out := MaxPool3DSpec(in, Pool3DSpec{KernelD: 2, Kernel: 2, StrideD: 2, Stride: 2})
 	if !out.Shape.Equal(Shape{1, 1, 1, 1}) || out.Data[0] != 5 {
-		t.Fatalf("MaxPool3D = %v %v", out.Shape, out.Data)
+		t.Fatalf("MaxPool3DSpec = %v %v", out.Shape, out.Data)
 	}
 }
 
