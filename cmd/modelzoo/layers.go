@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,6 +50,16 @@ const (
 	// its forward p50 before the table is refused: a table that does not
 	// add up has lost time somewhere it does not show.
 	layerAddUpTol = 0.10
+	// A table is marked contended when the hypervisor stole more than
+	// stealBar of the host's CPU time while it was measured, or its
+	// one-core FMUL roof moved by more than driftBar between before and
+	// after the timed forwards. It is still written, but its numbers are
+	// not comparable with a quiet table's.
+	stealBar = 0.02
+	driftBar = 0.10
+	// userHZ is the tick /proc/stat counts in: 100 a second, fixed by
+	// the Linux ABI.
+	userHZ = 100
 )
 
 // layerProcs are the GOMAXPROCS values every model is timed at: one core,
@@ -57,9 +69,28 @@ var layerProcs = []int{1, 2}
 type layerTable struct {
 	Command string     `json:"command"`
 	Host    layerHost  `json:"host"`
+	Noise   layerNoise `json:"noise"`
 	Runs    int        `json:"runs"`
 	Roof    []roofline `json:"roofline"`
 	Models  []layerRun `json:"models"`
+}
+
+// layerNoise is what the host did besides the table while it was
+// measured: the CPU time the hypervisor stole from this VM (the steal
+// column of /proc/stat, read only) and how far the one-core FMUL roof
+// moved from before the timed forwards to after them.
+type layerNoise struct {
+	WallS      float64 `json:"wall_s"`
+	StealTicks int64   `json:"steal_ticks"`
+	// StealShare is StealTicks over the run's wall ticks on every CPU;
+	// -1 when /proc/stat cannot be read.
+	StealShare float64 `json:"steal_share"`
+	FMULBefore float64 `json:"fmul_before_gmuladd_s"`
+	FMULAfter  float64 `json:"fmul_after_gmuladd_s"`
+	// Drift is |FMULAfter / FMULBefore - 1|.
+	Drift     float64 `json:"fmul_drift"`
+	Contended bool    `json:"contended"`
+	Bar       string  `json:"contended_bar"`
 }
 
 type layerHost struct {
@@ -146,6 +177,8 @@ func runLayers(w io.Writer, path string) int {
 			OS: runtime.GOOS, Arch: runtime.GOARCH},
 		Runs: layerRuns,
 	}
+	start := time.Now()
+	steal0, stealOK := stealTicks()
 	for _, procs := range layerProcs {
 		runtime.GOMAXPROCS(procs)
 		t.Roof = append(t.Roof, probeRoofline(procs))
@@ -170,6 +203,18 @@ func runLayers(w io.Writer, path string) int {
 	if failed > 0 {
 		return 1
 	}
+	runtime.GOMAXPROCS(layerProcs[0])
+	after := probeRoofline(layerProcs[0]).FMUL
+	t.Noise = layerNoise{WallS: time.Since(start).Seconds(), StealShare: -1, FMULBefore: t.Roof[0].FMUL, FMULAfter: after,
+		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift > %.2f", stealBar, driftBar)}
+	if steal1, ok := stealTicks(); ok && stealOK {
+		t.Noise.StealTicks = int64(steal1 - steal0)
+		t.Noise.StealShare = float64(t.Noise.StealTicks) / (t.Noise.WallS * userHZ * float64(runtime.NumCPU()))
+	}
+	t.Noise.Drift = math.Abs(t.Noise.FMULAfter/t.Noise.FMULBefore - 1)
+	t.Noise.Contended = t.Noise.StealShare > stealBar || t.Noise.Drift > driftBar
+	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), contended %v\n",
+		t.Noise.StealTicks, t.Noise.WallS, 100*t.Noise.StealShare, t.Noise.FMULBefore, t.Noise.FMULAfter, 100*t.Noise.Drift, t.Noise.Contended)
 	data, err := json.MarshalIndent(t, "", " ")
 	if err == nil {
 		err = os.WriteFile(path, append(data, '\n'), 0o644)
@@ -375,6 +420,22 @@ func bestRate(procs int, units float64, work func(i int)) float64 {
 		best = max(best, float64(procs)*units/time.Since(start).Seconds())
 	}
 	return best
+}
+
+// stealTicks is the steal column of /proc/stat's all-CPU line: ticks the
+// hypervisor ran something else while this VM had work, since boot.
+func stealTicks() (int, bool) {
+	data, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, false
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(f[8])
+	return n, err == nil
 }
 
 // cpuModel is the host's CPU model name, from /proc/cpuinfo where there

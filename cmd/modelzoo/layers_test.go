@@ -13,8 +13,10 @@ import (
 // TestCommittedLayerTable checks the committed BENCH_layers.json against
 // the schema -layers writes, without timing anything: it parses, holds
 // the three benchmark models at every GOMAXPROCS with a roofline for
-// each, records the host fingerprint, and each model's step p50s add up
-// to its forward p50 within the tolerance -layers enforces.
+// each, records the host fingerprint and the host's noise while it was
+// measured, with the contended verdict its own numbers give, and each
+// model's step p50s add up to its forward p50 within the tolerance
+// -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_layers.json")
 	if err != nil {
@@ -28,6 +30,10 @@ func TestCommittedLayerTable(t *testing.T) {
 	}
 	if h := tab.Host; h.CPU == "" || h.NumCPU < 1 || !strings.HasPrefix(h.Go, "go") || h.OS == "" || h.Arch == "" {
 		t.Errorf("host fingerprint incomplete: %+v", h)
+	}
+	if n := tab.Noise; n.WallS <= 0 || n.StealTicks < 0 || n.FMULBefore <= 0 || n.FMULAfter <= 0 || n.Bar == "" ||
+		n.Contended != (n.StealShare > stealBar || n.Drift > driftBar) {
+		t.Errorf("noise block incomplete or inconsistent: %+v", n)
 	}
 	if tab.Runs < 30 {
 		t.Errorf("runs = %d, want >= 30", tab.Runs)

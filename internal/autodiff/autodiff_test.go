@@ -7,20 +7,28 @@ import (
 	"edgebench/internal/autodiff"
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
+	"edgebench/internal/refexec"
 	"edgebench/internal/stats"
 	"edgebench/internal/tensor"
 )
+
+// forward is g's output on the reference interpreter: the function
+// training runs, and so the one its gradients must be checked against.
+func forward(t *testing.T, g *graph.Graph, input *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	vals, err := refexec.Run(g, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals[g.Output]
+}
 
 // loss evaluates a scalar test loss (sum of squared outputs / 2) so that
 // dLoss/dOutput = output, giving a convenient seed for checking.
 func loss(t *testing.T, g *graph.Graph, input *tensor.Tensor) float64 {
 	t.Helper()
-	out, err := (&graph.Executor{}).Run(g, input)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var s float64
-	for _, v := range out.Data {
+	for _, v := range forward(t, g, input).Data {
 		s += float64(v) * float64(v) / 2
 	}
 	return s
@@ -28,11 +36,7 @@ func loss(t *testing.T, g *graph.Graph, input *tensor.Tensor) float64 {
 
 func seedGrad(t *testing.T, g *graph.Graph, input *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	out, err := (&graph.Executor{}).Run(g, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out.Clone()
+	return forward(t, g, input).Clone()
 }
 
 // checkGrad compares an analytic derivative against central finite
@@ -129,6 +133,19 @@ func TestGradDepthwiseLeakyUpsamplePad(t *testing.T) {
 	b.Conv2D("pw", 2, 1, 1, 0, true)
 	g := b.Build()
 	in := tensor.New(3, 4, 4).Randomize(stats.NewRNG(4), 1)
+	gradCheckAll(t, g, in)
+}
+
+// TestGradDepthwiseAsymmetricPad: a depthwise 3x3 padded on H only — a
+// geometry no builder makes, but an imported graph can — differentiates
+// the function the forward computes, per-axis padding included.
+func TestGradDepthwiseAsymmetricPad(t *testing.T) {
+	b := nn.NewBuilder("g", nn.Options{Materialize: true, Seed: 19}, 2, 5, 5)
+	dw := b.DepthwiseConv2D("dw", 3, 1, 0, true)
+	g := b.Build()
+	dw.Attrs = graph.Attrs{Stride: 1, PadH: 1, PadW: 0, Asym: true}
+	dw.OutShape = tensor.Shape{2, 5, 3}
+	in := tensor.New(2, 5, 5).Randomize(stats.NewRNG(7), 1)
 	gradCheckAll(t, g, in)
 }
 

@@ -203,10 +203,7 @@ func convBackward(n *graph.Node, x, dOut *tensor.Tensor, out *Gradients) ([]*ten
 	kh, kw := n.WShape[2], n.WShape[3]
 	cinG, coutG := cin/groups, cout/groups
 	hout, wout := dOut.Shape[1], dOut.Shape[2]
-	padH, padW := spec.Pad, spec.Pad
-	if spec.Asym {
-		padH, padW = spec.PadH, spec.PadW
-	}
+	padH, padW := convPads(spec)
 	stride := spec.Stride
 	if stride <= 0 {
 		stride = 1
@@ -258,6 +255,15 @@ func convBackward(n *graph.Node, x, dOut *tensor.Tensor, out *Gradients) ([]*ten
 	return []*tensor.Tensor{dx}, nil
 }
 
+// convPads is a convolution's padding per axis, as the forward reads it:
+// Pad on both, unless Asym makes PadH / PadW authoritative.
+func convPads(spec tensor.Conv2DSpec) (padH, padW int) {
+	if spec.Asym {
+		return spec.PadH, spec.PadW
+	}
+	return spec.Pad, spec.Pad
+}
+
 // dwConvBackward handles depthwise convolutions.
 func dwConvBackward(n *graph.Node, x, dOut *tensor.Tensor, out *Gradients) ([]*tensor.Tensor, error) {
 	spec := n.Attrs.ConvSpec()
@@ -268,7 +274,7 @@ func dwConvBackward(n *graph.Node, x, dOut *tensor.Tensor, out *Gradients) ([]*t
 	if stride <= 0 {
 		stride = 1
 	}
-	pad := spec.Pad
+	padH, padW := convPads(spec)
 
 	dx := tensor.New(x.Shape...)
 	dW := tensor.New(n.WShape...)
@@ -287,12 +293,12 @@ func dwConvBackward(n *graph.Node, x, dOut *tensor.Tensor, out *Gradients) ([]*t
 					dB[ic] += g
 				}
 				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
+					iy := oy*stride + ky - padH
 					if iy < 0 || iy >= h {
 						continue
 					}
 					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
+						ix := ox*stride + kx - padW
 						if ix < 0 || ix >= w {
 							continue
 						}

@@ -213,22 +213,55 @@ func convQ(n *Node) (runFunc, int) {
 	}, len(pq.Panels)
 }
 
-// convFP32 packs the FP32 convolution's weights into panels and returns
-// the kernel that runs on them, with the panels' size in bytes.
+// convFP32 packs the FP32 convolution's weights for the kernel its
+// geometry selects (packFP32) and returns the kernel that runs on them,
+// with the panels' size in bytes.
 func convFP32(n *Node) (runFunc, int) {
-	pw := tensor.PackConvWeights(n.Weights)
+	conv := packFP32(n.Weights, n.Attrs.ConvSpec())
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		tensor.Conv2DPrepackedInto(dst, in[0], pw, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
+		conv.run(dst, in[0], n.Bias, epilogue(n))
 		return dst
-	}, 4 * len(pw.Panels)
+	}, conv.bytes
+}
+
+// fp32Conv is one FP32 convolution's weights, packed for the kernel its
+// geometry selects — pp for a pointwise conv, pw for any other — and the
+// packs' size in bytes.
+type fp32Conv struct {
+	pp    *tensor.PackedPointwise
+	pw    *tensor.PackedWeights
+	spec  tensor.Conv2DSpec
+	bytes int
+}
+
+// packFP32 packs w once for the FP32 convolution kernel the geometry
+// selects: a pointwise conv (1x1, stride 1, unpadded) runs channel-major
+// on its input in place, any other the transposed im2row GEMM. Both give
+// the same bits, so the choice is speed alone, made here once.
+func packFP32(w *tensor.Tensor, spec tensor.Conv2DSpec) fp32Conv {
+	if tensor.Pointwise(w.Shape[2], w.Shape[3], spec) {
+		pp := tensor.PackPointwiseWeights(w)
+		return fp32Conv{pp: pp, bytes: 4 * len(pp.Panels)}
+	}
+	pw := tensor.PackConvWeights(w)
+	return fp32Conv{pw: pw, spec: spec, bytes: 4 * len(pw.Panels)}
+}
+
+// run convolves in into dst on the packed weights.
+func (c fp32Conv) run(dst, in *tensor.Tensor, bias []float32, epi tensor.Epilogue) {
+	if c.pp != nil {
+		tensor.PointwiseConvInto(dst, in, c.pp, bias, epi)
+		return
+	}
+	tensor.Conv2DPrepackedInto(dst, in, c.pw, bias, c.spec, epi)
 }
 
 // convGrouped builds the grouped convolution kernel: it splits the input
 // channels into groups and convolves each group with its own filter
-// slice (AlexNet's two-GPU heritage layout) — the GEMM convolution once
-// per group, on panels packed here for each group's filter slice and on
-// views of the input, the bias, the epilogue's affine and the
-// destination, so nothing is copied or joined. Weights are
+// slice (AlexNet's two-GPU heritage layout) — the FP32 convolution
+// packFP32 selects, once per group, on weights packed here for each
+// group's filter slice and on views of the input, the bias, the
+// epilogue's affine and the destination, so nothing is copied or joined. Weights are
 // [Cout, Cin/groups, KH, KW]; output channels partition evenly across
 // groups. The input and destination views are headers on the run's own
 // stack, since the buffers under them are the executor's. It also
@@ -243,21 +276,21 @@ func convGrouped(n *Node) (runFunc, int, error) {
 		per := len(data) / groups
 		return data[gi*per : (gi+1)*per]
 	}
-	pws, panels := make([]*tensor.PackedWeights, groups), 0
-	for gi := range pws {
-		pws[gi] = tensor.PackConvWeights(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]))
-		panels += 4 * len(pws[gi].Panels)
+	convs, panels := make([]fp32Conv, groups), 0
+	for gi := range convs {
+		convs[gi] = packFP32(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]), n.Attrs.ConvSpec())
+		panels += convs[gi].bytes
 	}
 	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
 	dstShape := tensor.Shape{cout / groups, n.OutShape[1], n.OutShape[2]}
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		epi := epilogue(n)
-		for gi, pw := range pws {
+		for gi, conv := range convs {
 			gin := tensor.Tensor{Shape: inShape, Data: part(in[0].Data, gi)}
 			gdst := tensor.Tensor{Shape: dstShape, Data: part(dst.Data, gi)}
 			gepi := epi
 			gepi.Scale, gepi.Shift = part(epi.Scale, gi), part(epi.Shift, gi)
-			tensor.Conv2DPrepackedInto(&gdst, &gin, pw, part(n.Bias, gi), n.Attrs.ConvSpec(), gepi)
+			conv.run(&gdst, &gin, part(n.Bias, gi), gepi)
 		}
 		return dst
 	}, panels, nil

@@ -210,6 +210,55 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 	}
 }
 
+// TestGroupedPointwiseConvRunsChannelMajor: a grouped 1x1 convolution
+// binds the channel-major pointwise kernel per group, on views, with an
+// absorbed affine and ReLU6 folded in and each group large enough to
+// shard — bit for bit the transposed kernel per group, joined, run after
+// run into a recycled destination. A group's Cout is odd, so the
+// channel-major pack, which pads it to a channel pair, shows in the
+// step's panel bytes.
+func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
+	const cin, hw, cout, groups = 96, 40, 94, 2
+	b := nn.NewBuilder("grouped-pointwise", nn.Options{Materialize: true, Seed: 89}, cin, hw, hw)
+	gconv := b.Conv2DG("gpw", cout, 1, 1, 0, groups, true)
+	g := b.Build()
+	if macs := int(graph.NodeCost(gconv).MACs) / groups; macs < tensor.ParallelThresholdMACs() {
+		t.Fatalf("a group's %d MACs do not shard", macs)
+	}
+	gconv.EpiScale, gconv.EpiShift, gconv.EpiChannels = make([]float32, cout), make([]float32, cout), cout
+	for oc := range gconv.EpiScale {
+		gconv.EpiScale[oc], gconv.EpiShift[oc] = 0.5+float32(oc%9)/8, float32(oc%5)-2
+	}
+	gconv.Activation = graph.OpReLU6
+	in := seededInput(g.Input.OutShape, 3)
+	ci, co, plane := cin/groups, cout/groups, hw*hw
+	want := tensor.New(cout, hw, hw)
+	for gi := 0; gi < groups; gi++ {
+		tensor.Conv2DPrepackedInto(tensor.FromData(want.Data[gi*co*plane:(gi+1)*co*plane], co, hw, hw),
+			tensor.FromData(in.Data[gi*ci*plane:(gi+1)*ci*plane], ci, hw, hw),
+			tensor.PackConvWeights(tensor.FromData(gconv.Weights.Data[gi*co*ci:(gi+1)*co*ci], co, ci, 1, 1)),
+			gconv.Bias[gi*co:(gi+1)*co], tensor.Conv2DSpec{Stride: 1},
+			tensor.Epilogue{Scale: gconv.EpiScale[gi*co : (gi+1)*co], Shift: gconv.EpiShift[gi*co : (gi+1)*co], Act: tensor.ActReLU6})
+	}
+	p, err := graph.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.Steps() {
+		if s.Node == gconv && s.PanelBytes != groups*4*(co+1)*ci {
+			t.Fatalf("grouped pointwise conv packed %d bytes, want the channel-major packs' %d", s.PanelBytes, groups*4*(co+1)*ci)
+		}
+	}
+	e := &graph.Executor{}
+	for run := 0; run < 2; run++ {
+		got, err := e.Run(g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, fmt.Sprintf("run %d", run), got, want)
+	}
+}
+
 // TestFreshExecutorSeesWeightUpdates: a program packs its panels once,
 // at compile, so a weight updated in place is seen by a fresh executor:
 // its output is a fresh executor's on a fresh copy of the updated graph,

@@ -95,11 +95,12 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmPrepacked is the GEMM of the 112x112 pointwise projection
-// 16→96 alone, on one core: a 12544x16 im2row matrix times packed
-// weights, the rate the convolution around it cannot exceed.
+// BenchmarkGemmPrepacked is the GEMM of MobileNet-v2's stem alone (3x3,
+// stride 2, 3→32 at 112x112 out), on one core: a 12544x27 im2row matrix
+// times packed weights, the rate the transposed convolution around it
+// cannot exceed.
 func BenchmarkGemmPrepacked(b *testing.B) {
-	const m, k, n = 12544, 16, 96
+	const m, k, n = 12544, 27, 32
 	a := New(m, k).Randomize(stats.NewRNG(1), 1)
 	pw := packB(gemmFP32, New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n)
 	dst := make([]float32, m*n)
@@ -110,11 +111,13 @@ func BenchmarkGemmPrepacked(b *testing.B) {
 	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }
 
-// BenchmarkConv2DPrepacked is the whole pre-packed FP32 convolution —
-// lowering, GEMM and the absorbed batch-norm + ReLU6 epilogue — at three
-// MobileNet-v2 pointwise layers: the largest plane, a mid-size linear
-// projection (no activation in the model), and a 7x7 plane whose chunks
-// are smaller than a band.
+// BenchmarkConv2DPrepacked is the whole pre-packed FP32 pointwise
+// convolution as a compiled program runs it — channel-major on its input
+// in place, with the absorbed batch-norm and, where the model has one,
+// ReLU6 — at six MobileNet-v2 layers: the largest plane's expand, the
+// slowest classes of the per-layer table (a K = 32 projection at 112x112,
+// K = 144 at 56x56 and its expand), a mid-size linear projection, and a
+// 7x7 plane smaller than a band, cut by channel pairs.
 func BenchmarkConv2DPrepacked(b *testing.B) {
 	for _, tc := range []struct {
 		name          string
@@ -122,18 +125,21 @@ func BenchmarkConv2DPrepacked(b *testing.B) {
 		act           Act
 	}{
 		{"16x112x112-96-relu6", 16, 112, 96, ActReLU6},
+		{"32x112x112-16", 32, 112, 16, ActNone},
+		{"144x56x56-24", 144, 56, 24, ActNone},
+		{"24x56x56-144-relu6", 24, 56, 144, ActReLU6},
 		{"192x28x28-32", 192, 28, 32, ActNone},
 		{"160x7x7-960-relu6", 160, 7, 960, ActReLU6},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.hw, tc.hw)
-			pw := PackConvWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
+			pp := PackPointwiseWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
 			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: tc.act}
 			dst := New(tc.cout, tc.hw, tc.hw)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Conv2DPrepackedInto(dst, in, pw, nil, Conv2DSpec{Stride: 1}, epi)
+				PointwiseConvInto(dst, in, pp, nil, epi)
 			}
 			b.ReportMetric(float64(tc.cin*tc.cout*tc.hw*tc.hw)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

@@ -13,10 +13,6 @@ const (
 	MaxPoolParallelTaps = maxPoolParallelTaps
 )
 
-// Pointwise reports whether a convolution is 1x1, stride 1 and unpadded:
-// an int8 one rounds its input as it lowers, with no rounding pass.
-func Pointwise(kh, kw int, spec Conv2DSpec) bool { return pointwise(kh, kw, spec) }
-
 // PoolRuns reports, for tests outside the package, how many parallelFor
 // calls so far enlisted at least one helper and how many ran entirely on
 // their caller.

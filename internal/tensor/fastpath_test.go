@@ -295,11 +295,12 @@ func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
 	return out
 }
 
-// TestPointwiseLoweringMatchesIm2Col checks the 1x1 lowering on a
-// non-square plane against the transposed im2col matrix, written as two
-// shards whose boundary falls at the edges, inside the first tile, and
-// inside a later one. The strided and padded 1x1 specs, which must keep
-// the generic loop, are held to the same reference.
+// TestPointwiseLoweringMatchesIm2Col checks im2rowPixels' 1x1 lowering
+// (the transposed kernel's, which a pointwise conv reaches only when
+// called directly) on a non-square plane against the transposed im2col
+// matrix, written as two shards whose boundary falls at the edges,
+// inside the first band, and inside a later one, for the unit-stride,
+// strided and padded 1x1 specs.
 func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
 	const cin, h, wd = 7, 5, 13
 	in := New(cin, h, wd).Randomize(rand.New(rand.NewSource(83)), 1)
@@ -308,7 +309,7 @@ func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
 		hout, wout := spec.OutDims(h, wd, 1, 1)
 		npix := hout * wout
 		want := transposedIm2Col(in, 1, 1, spec)
-		for _, cut := range []int{0, 1, transposeTile - 1, transposeTile + 8, npix} {
+		for _, cut := range []int{0, 1, convBandPixels - 1, convBandPixels + 8, npix} {
 			cut = min(cut, npix)
 			got := dirty(npix, cin).Data
 			im2rowPixels(got, in.Data, cin, h, wd, 1, 1, spec, wout, 0, cut)
@@ -399,7 +400,7 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 // can go wrong: pixel counts one under, at and one over a band; a 7x7
 // plane with K = 960, whose eight chunks are each smaller than a band; a
 // pointwise layer and a padded 3x3 whose chunk edges fall inside a
-// transposeTile. Each must equal the loop-nest reference pooled, and the
+// band. Each must equal the loop-nest reference pooled, and the
 // pooled bits must be the ones a single core produces.
 func TestConv2DPrepackedBandEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
@@ -421,7 +422,7 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
 		ncols, k := hout*wout, c.cin*c.kh*c.kw
 		chunk := 2 * max(((ncols+1)/2+7)/8, grainForMACs(2*k*c.cout)) // parallelFor's cut at GOMAXPROCS 2, in pixels
-		if c.sharded && (ncols*k*c.cout < parallelThresholdMACs || chunk%transposeTile == 0) {
+		if c.sharded && (ncols*k*c.cout < parallelThresholdMACs || chunk%convBandPixels == 0) {
 			t.Fatalf("%s: %d pixels in chunks of %d do not exercise an unaligned sharded cut", c.name, ncols, chunk)
 		}
 		in := randTensor(r, c.cin, c.h, c.w)

@@ -5,22 +5,38 @@ import (
 	"sync"
 )
 
-// This file is the GEMM convolution, once for both datatypes. Its weight
-// operand is constant during inference, so it is what gets packed into the
-// microkernel's interleaved panels, ahead of time by PackConvWeights /
-// PackQConvWeights: a compiled program packs once — a grouped convolution
-// once per group — and reuses the panels forever. To make the *weights*
-// the packed operand the convolution is executed in its transposed
-// formulation:
+// This file is the GEMM convolution, once for both datatypes, in its
+// transposed formulation. A convolution is a product of its weights
+// W[cout, rows] and its lowered input, rows = Cin*KH*KW deep, and it can
+// run either way round:
 //
-//	out[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
+//	out[cout, ncols]  = W[cout, rows] x im2col[rows, ncols]    (channel-major)
+//	outT[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]    (transposed)
 //
-// where rowsA is the im2row lowering (one row per output pixel) and Wt
-// is the transposed weight matrix, which the packer reads out of
-// W[cout, rows] in place. Per output element the FP32 accumulation order
-// depends only on the K blocking, and integer accumulation on nothing.
-// Padding positions contribute +0.0 (both the zero-padded A row and the
-// zero-filled panel rows are positive zeros).
+// Both keep each output element's expression: acc = +0, then per K-quad
+// in K order acc += x0*w0 + x1*w1 + x2*w2 + x3*w3, the last quad padded
+// with +0.0 on both sides, then the bias and the epilogue. IEEE products
+// commute, so the two give the same bits, and which one runs is speed
+// alone, decided from the geometry once, when bind packs the weights:
+//
+//   - a pointwise FP32 convolution (1x1, stride 1, unpadded: Pointwise)
+//     runs channel-major (pointwise.go). Its im2col matrix is the input
+//     itself, read in place, and the microkernel accumulates into dst's
+//     channel rows;
+//   - every other FP32 convolution, and every int8 one, runs transposed,
+//     here. rowsA is the im2row lowering, one row per output pixel, and
+//     Wt the transposed weight matrix, which the packer reads out of W in
+//     place. A band of pixels is lowered, multiplied into pixel-major
+//     accumulators and stored back to channel-major with the epilogue.
+//
+// Here the weights are constant during inference, so they are what gets
+// packed into the microkernel's interleaved panels, ahead of time by
+// PackConvWeights / PackQConvWeights: a compiled program packs once — a
+// grouped convolution once per group — and reuses the panels forever. Per
+// output element the FP32 accumulation order depends only on the K
+// blocking, and integer accumulation on nothing. Padding positions
+// contribute +0.0 (both the zero-padded A row and the zero-filled panel
+// rows are positive zeros).
 //
 // What is per datatype is a gemm value (gemmFP32 here, gemmInt8 in
 // qprepack.go) and nothing else: the K blocking (128 floats, or the 64
@@ -148,18 +164,15 @@ func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
 // im2rowPixels writes rows [plo, phi) of the im2row lowering of in
 // (layout [cin, h, wd]) — the row-major [Hout*Wout, Cin*KH*KW] matrix
 // with one row per output pixel — into tile, row p at
-// tile[(p-plo)*rdim:]. Both pre-packed convolutions lower through it, the
-// FP32 one float32 activations and the int8 one their codes. Every
-// element is stored, padding positions as explicit zeros (also the int8
+// tile[(p-plo)*rdim:]. Both transposed convolutions lower through it, the
+// FP32 one float32 activations and the int8 one their codes (a pointwise
+// int8 conv rounds its input into the band instead: quantizePixels).
+// Every element is stored, padding positions as explicit zeros (also the int8
 // zero-point of the symmetric scheme), so dirty scratch cannot leak. A
 // window whose columns are all in bounds moves its kw taps per (channel,
 // ky) in one loop, not a memmove call; only border windows test each tap.
 func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
 	padH, padW := spec.padHW()
-	if pointwise(kh, kw, spec) {
-		transposePixels(tile, in, cin, h*wd, plo, phi)
-		return
-	}
 	rdim := cin * kh * kw
 	oy, ox := plo/wout, plo%wout
 	for p := plo; p < phi; p++ {
@@ -200,38 +213,13 @@ func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec C
 	}
 }
 
-// transposeTile is how many pixels transposePixels moves per pass: 64
-// contiguous elements per channel read (a cache line of int8, four of
-// float32), and the 64 destination rows' current cache lines stay in L1
-// while consecutive channels scatter into them.
-const transposeTile = 64
-
-// pointwise reports whether a convolution is 1x1, stride 1, unpadded.
-func pointwise(kh, kw int, spec Conv2DSpec) bool {
-	padH, padW := spec.padHW()
-	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0
-}
-
-// transposePixels is the pointwise (1x1, stride 1, unpadded) lowering:
-// there the im2row matrix is just the [cin, npix] input transposed, so
-// rows [plo, phi) go into dst (row p at dst[(p-plo)*cin:]) a tile of
-// pixels at a time with contiguous per-channel reads, no per-pixel
-// div/mod and no per-tap bounds test.
-func transposePixels[T int8 | float32](dst, src []T, cin, npix, plo, phi int) {
-	for p0 := plo; p0 < phi; p0 += transposeTile {
-		p1 := min(p0+transposeTile, phi)
-		out := dst[(p0-plo)*cin : (p1-plo)*cin]
-		for ic := 0; ic < cin; ic++ {
-			for t, v := range src[ic*npix+p0 : ic*npix+p1] {
-				out[t*cin+ic] = v
-			}
-		}
-	}
-}
-
-// quantizePixels is transposePixels for a pointwise int8 conv, from its
-// FP32 input: each element is rounded (quantCode) as it moves into the
-// band's tile, which is one transposeTile wide at most. T is int8.
+// quantizePixels is the im2row lowering of a pointwise int8 conv, from
+// its FP32 input: rows [plo, phi) of the transposed [cin, npix] input go
+// into dst (row p at dst[(p-plo)*cin:]), each element rounded (quantCode)
+// as it moves, with contiguous per-channel reads and no per-pixel div/mod.
+// The band's tile is convBandPixels wide at most, so the destination
+// rows' cache lines stay in L1 while consecutive channels scatter into
+// them. T is int8.
 func quantizePixels[T int8 | float32](dst []T, q quantJob, cin, npix, plo, phi int) {
 	for ic := 0; ic < cin; ic++ {
 		for t, v := range q.src[ic*npix+plo : ic*npix+phi] {
@@ -276,11 +264,11 @@ func newBandJob[T int8 | float32, P float32 | byte, A any]() any {
 }
 
 // convBandPixels is how many output pixels a shard takes through lower →
-// GEMM → store at a time: one transposeTile, so a band's rows (64 x K
-// elements: 240 KB of floats at MobileNet-v2's widest K, 960) and its
-// accumulators (64 x Cout) are still in that core's cache when the next
-// step reads them.
-const convBandPixels = transposeTile
+// GEMM → store at a time, so a band's rows (64 x K elements: 6.9 KB of
+// floats at MobileNet-v2's stem, K = 27, 410 KB at CifarNet's conv2,
+// K = 1600) and its accumulators (64 x Cout) are still in that core's
+// cache when the next step reads them.
+const convBandPixels = 64
 
 // bands is the shard body: the output pixels of row pairs [lo, hi) of
 // every channel, a band at a time, on scratch of its own — lowered into
@@ -364,10 +352,12 @@ func PackConvWeights(w *Tensor) *PackedWeights {
 }
 
 // Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
-// into a preallocated dst of shape [Cout, Hout, Wout], overwriting
-// every element, with the bias/affine/activation epilogue applied
-// during the transpose back to channel-major layout (gemm.run). A
-// zero-value epi reproduces the plain GEMM conv (bias sweep only).
+// of any geometry into a preallocated dst of shape [Cout, Hout, Wout],
+// overwriting every element, with the bias/affine/activation epilogue
+// applied during the transpose back to channel-major layout (gemm.run).
+// A zero-value epi reproduces the plain GEMM conv (bias sweep only). A
+// compiled program runs a pointwise conv on PointwiseConvInto instead,
+// which gives the same bits faster.
 func Conv2DPrepackedInto(dst, in *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	geo := convGeometry(dst, in, pw.Shape, bias, spec)

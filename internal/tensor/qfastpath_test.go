@@ -552,6 +552,16 @@ func BenchmarkQuantCodeEveryPattern(b *testing.B) {
 	}
 }
 
+// transposeCodes writes the [cin, npix] codes in transposed, pixel-major:
+// element (ic, p) to dst[p*cin+ic].
+func transposeCodes(dst, src []int8, cin, npix int) {
+	for ic := 0; ic < cin; ic++ {
+		for p, v := range src[ic*npix : (ic+1)*npix] {
+			dst[p*cin+ic] = v
+		}
+	}
+}
+
 // TestPointwiseQConvQuantizesAsItLowers holds the 1x1 int8 path — the
 // input's scale alone up front, each band rounding its pixels as it
 // lowers them — to quantizing the whole input first: the codes equal the
@@ -588,7 +598,7 @@ func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
 				codes := make([]int8, len(in.Data))
 				sx := quantizeDynamicSerial(codes, in.Data)
 				want := make([]int8, len(in.Data))
-				transposePixels(want, codes, cin, npix, 0, npix)
+				transposeCodes(want, codes, cin, npix)
 				s := qscratchPool.Get().(*qscratch)
 				if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
 					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)

@@ -98,7 +98,7 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 	s.scales = growSlice(s.scales, geo.cout)
 	job := bandJob[int8, byte, int32]{out: dst.Data, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, epi: Epilogue{Act: act, Alpha: alpha}}
 	sx := s.absScale(in.Data)
-	if pointwise(geo.kh, geo.kw, spec) {
+	if Pointwise(geo.kh, geo.kw, spec) {
 		job.quant = quantJob{src: in.Data, inv: 1 / sx}
 	} else {
 		s.qin = growSlice(s.qin, len(in.Data))
