@@ -21,9 +21,10 @@ test:
 
 # Repo-specific static analysis (cmd/edgelint): the registered analyzer
 # suite — float equality, Graph.Nodes mutation, panic in error-returning
-# functions, missing doc comments, plus the concurrency family
-# (atomic-mixed, mutex-infer, go-lifetime, wg-add, unchecked-error,
-# into-alias). `go run ./cmd/edgelint -rules` lists everything.
+# functions, missing doc comments, exported engine code only tests
+# reach (unused-export), plus the concurrency family (atomic-mixed,
+# mutex-infer, go-lifetime, wg-add, unchecked-error, into-alias).
+# `go run ./cmd/edgelint -rules` lists everything.
 lint:
 	$(GO) run ./cmd/edgelint ./...
 
@@ -122,7 +123,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5765
+LOC_CEILING = 5604
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

@@ -40,7 +40,7 @@ func (e *env) add(path, src string) *pkg {
 	if err != nil {
 		e.t.Fatalf("parse %s: %v", path, err)
 	}
-	p := &pkg{path: path, fset: e.fset, files: []*ast.File{f}, info: newInfo()}
+	p := &pkg{path: path, fset: e.fset, files: []*ast.File{f}, info: newInfo(), module: e.imp.module}
 	conf := types.Config{Importer: e.imp}
 	tpkg, err := conf.Check(path, e.fset, p.files, p.info)
 	if err != nil {
@@ -281,7 +281,7 @@ func okFuncLit() error {
 
 func TestExportedDoc(t *testing.T) {
 	e := newEnv(t)
-	p := e.add("edgebench/internal/tensor", `package tensor
+	p := e.add("edgebench/internal/verify", `package verify
 
 // Documented is fine.
 type Documented struct{}
@@ -308,6 +308,74 @@ type hidden struct{}
 func (h hidden) Exported() {} // unexported receiver: not API
 `)
 	wantRules(t, lintPackage(p), "exported-doc", "exported-doc", "exported-doc")
+}
+
+// unusedSrc is an engine package with one exported identifier of each
+// standing the unused-export rule tells apart.
+const unusedSrc = `package tensor
+
+// Used is called from another package.
+func Used() {}
+
+// Local is called only in this file.
+func Local() {}
+
+func helper() { Local() }
+
+// Dead has no caller.
+func Dead() {}
+
+// Seam is reached only from tests.
+//
+// edgelint:seam tests read it.
+func Seam() {}
+
+// Bare is marked without a reason.
+//
+// edgelint:seam
+func Bare() {}
+
+// T is reached through a field and through fmt.
+type T struct{ F int }
+
+// String is what fmt prints.
+func (T) String() string { return "t" }
+
+// Make returns a T.
+func Make() T { return T{} }
+`
+
+// TestUnusedExport: in an engine package, an exported identifier used
+// only in its own file, one used nowhere and a seam without a reason are
+// flagged; one used from another package, a seam with a reason, a type
+// reached only through a field and a fmt.Stringer method are not.
+func TestUnusedExport(t *testing.T) {
+	e := newEnv(t)
+	p := e.add(tensorPkg, unusedSrc)
+	e.add("edgebench/internal/user", `package user
+
+import "edgebench/internal/tensor"
+
+func use() int {
+	tensor.Used()
+	return tensor.Make().F
+}
+`)
+	fs := lintPackage(p)
+	wantRules(t, fs, "unused-export", "unused-export", "unused-export")
+	for i, name := range []string{"Local", "Dead", "Bare"} {
+		if !strings.Contains(fs[i].msg, name) {
+			t.Errorf("finding %d = %q, want one naming %s", i, fs[i].msg, name)
+		}
+	}
+}
+
+// TestUnusedExportOutsideEngine: the rule holds internal/graph and
+// internal/tensor only.
+func TestUnusedExportOutsideEngine(t *testing.T) {
+	e := newEnv(t)
+	p := e.add("edgebench/internal/other", strings.Replace(unusedSrc, "package tensor", "package other", 1))
+	wantRules(t, lintPackage(p))
 }
 
 func TestIgnoreDirective(t *testing.T) {
@@ -856,7 +924,7 @@ func TestRegistry(t *testing.T) {
 		"atomic-mixed", "exported-doc", "fake-quant", "float-eq",
 		"go-lifetime", "handler-ctx", "into-alias",
 		"mutex-infer", "nodes-mut", "panic-in-err", "pass-verify",
-		"pool-alloc", "unchecked-error", "wg-add",
+		"pool-alloc", "unchecked-error", "unused-export", "wg-add",
 	}
 	got := analyzerNames()
 	if len(got) != len(want) {

@@ -42,6 +42,10 @@
 //	                writers exempt; assign to _ to show intent)
 //	into-alias      tensor *Into kernels must not receive a dst that
 //	                provably aliases a source argument
+//	unused-export   an exported internal/graph or internal/tensor
+//	                identifier needs a non-test reference outside its
+//	                own file, or an "edgelint:seam <reason>" line in its
+//	                doc comment
 //
 // A finding can be suppressed with a trailing or preceding
 // "// edgelint:ignore <rule>" comment; use sparingly and say why.
@@ -239,6 +243,10 @@ type pkg struct {
 	files []*ast.File
 	types *types.Package
 	info  *types.Info
+
+	// module holds every package loaded with this one, itself included,
+	// by import path: what the cross-package rules (unused-export) read.
+	module map[string]*pkg
 }
 
 // loadModule parses and type-checks every non-test package under root in
@@ -290,6 +298,7 @@ func loadModule(root, module string) ([]*pkg, error) {
 			return nil, fmt.Errorf("type-checking %s: %w", p.path, err)
 		}
 		p.types = tpkg
+		p.module = byPath
 	}
 	return sorted, nil
 }

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // graphPkg is the only package allowed to mutate Graph.Nodes directly.
@@ -422,44 +423,174 @@ var exportedDocAnalyzer = register(&Analyzer{
 	Doc:     "exported declarations in IR-critical and serving packages need doc comments",
 	Applies: func(path string) bool { return docPackages[path] },
 	Run: func(ctx *Context) {
-		undocumented := func(name *ast.Ident, doc *ast.CommentGroup, kind string) {
-			if !name.IsExported() || doc != nil {
-				return
+		eachExported(ctx.files(), func(name *ast.Ident, doc *ast.CommentGroup, kind string) {
+			if doc == nil {
+				ctx.reportf(name.Pos(), "exported %s %s has no doc comment", kind, name.Name)
 			}
-			ctx.reportf(name.Pos(), "exported %s %s has no doc comment", kind, name.Name)
+		})
+	},
+})
+
+// eachExported calls fn for every exported top-level declaration in
+// files — functions, methods on exported types, types and values — with
+// its doc comment (a const/var/type block's covers the whole block) and
+// its kind: "function", "type" or "value".
+func eachExported(files []*ast.File, fn func(name *ast.Ident, doc *ast.CommentGroup, kind string)) {
+	visit := func(name *ast.Ident, doc *ast.CommentGroup, kind string) {
+		if name.IsExported() {
+			fn(name, doc, kind)
 		}
-		for _, f := range ctx.files() {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv != nil && !exportedReceiver(d.Recv) {
-						continue // method on an unexported type: not API surface
-					}
-					undocumented(d.Name, d.Doc, "function")
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							doc := s.Doc
-							if doc == nil {
-								doc = d.Doc
-							}
-							undocumented(s.Name, doc, "type")
-						case *ast.ValueSpec:
-							doc := s.Doc
-							if doc == nil {
-								doc = d.Doc
-							}
-							for _, name := range s.Names {
-								undocumented(name, doc, "value")
-							}
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && !exportedReceiver(d.Recv) {
+					continue // method on an unexported type: not API surface
+				}
+				visit(d.Name, d.Doc, "function")
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						doc := s.Doc
+						if doc == nil {
+							doc = d.Doc
+						}
+						visit(s.Name, doc, "type")
+					case *ast.ValueSpec:
+						doc := s.Doc
+						if doc == nil {
+							doc = d.Doc
+						}
+						for _, name := range s.Names {
+							visit(name, doc, "value")
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// enginePackages are the packages whose exported API the unused-export
+// rule holds to a non-test caller (ROADMAP aim 2: every branch of the
+// engine is on the measured path).
+var enginePackages = map[string]bool{graphPkg: true, tensorPkg: true}
+
+// fmtMethods are the method names package fmt calls through an
+// interface, which no module file names at the call.
+var fmtMethods = map[string]bool{"String": true, "Error": true}
+
+// seamDirective marks an exported engine identifier that only tests
+// reach on purpose; the rest of the line (and of its comment paragraph)
+// is the reason, which must not be empty.
+const seamDirective = "edgelint:seam"
+
+// unusedExportAnalyzer flags an exported identifier of internal/graph or
+// internal/tensor that no non-test file references outside the file
+// declaring it: exported code that only tests reach is not on any path
+// the engine runs. Used only in its own file, it should be unexported;
+// used nowhere, deleted. A test seam says so with an "edgelint:seam
+// <reason>" line in its doc comment. A type counts as referenced when its
+// name, a field or a method is. A method is reached only through its
+// name, except the ones package fmt calls through its interfaces
+// (String, Error), so any other that satisfies an interface needs a seam
+// too.
+var unusedExportAnalyzer = register(&Analyzer{
+	Name:    "unused-export",
+	Doc:     "exported internal/graph and internal/tensor identifiers need a non-test reference outside their file, or an edgelint:seam reason",
+	Applies: func(path string) bool { return enginePackages[path] },
+	Run: func(ctx *Context) {
+		outside, inside := referenced(ctx.pkg)
+		eachExported(ctx.files(), func(name *ast.Ident, doc *ast.CommentGroup, kind string) {
+			if reason, ok := seamReason(doc); ok {
+				if reason == "" {
+					ctx.reportf(name.Pos(), "%s on %s gives no reason", seamDirective, name.Name)
+				}
+				return
+			}
+			obj := ctx.pkg.info.Defs[name]
+			switch {
+			case obj == nil || outside[obj]:
+			case kind == "function" && fmtMethods[name.Name] && obj.Type().(*types.Signature).Recv() != nil:
+			case inside[obj]:
+				ctx.reportf(name.Pos(), "exported %s %s is used only in its own file; unexport it", kind, name.Name)
+			default:
+				ctx.reportf(name.Pos(), "exported %s %s has no non-test reference; delete it, or mark it %s <reason>", kind, name.Name, seamDirective)
+			}
+		})
 	},
 })
+
+// origin maps an instantiated generic function, method or field to its
+// declared object.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// seamReason returns the text after the seam directive in doc, with
+// ok false when doc carries none.
+func seamReason(doc *ast.CommentGroup) (reason string, ok bool) {
+	if doc == nil {
+		return "", false
+	}
+	_, reason, ok = strings.Cut(doc.Text(), seamDirective)
+	reason, _, _ = strings.Cut(reason, "\n\n")
+	return strings.TrimSpace(reason), ok
+}
+
+// referenced returns the objects of p that a module package's non-test
+// files reference outside the file declaring them, and those referenced
+// only inside it. A field or method reference also marks its named
+// type.
+func referenced(p *pkg) (outside, inside map[types.Object]bool) {
+	owner := map[types.Object]types.Object{} // field or method -> its named type
+	scope := p.types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			owner[named.Method(i)] = tn
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				owner[st.Field(i)] = tn
+			}
+		}
+	}
+	outside, inside = map[types.Object]bool{}, map[types.Object]bool{}
+	for _, q := range p.module {
+		for id, obj := range q.info.Uses {
+			obj = origin(obj)
+			if obj.Pkg() != p.types {
+				continue
+			}
+			for _, o := range []types.Object{obj, owner[obj]} {
+				switch {
+				case o == nil:
+				case q != p || p.fset.File(id.Pos()) != p.fset.File(o.Pos()):
+					outside[o] = true
+				default:
+					inside[o] = true
+				}
+			}
+		}
+	}
+	return outside, inside
+}
 
 // exportedReceiver reports whether a method's receiver names an exported
 // type.

@@ -1,7 +1,9 @@
 package autodiff_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"edgebench/internal/autodiff"
@@ -307,5 +309,80 @@ func TestTrainEpochEmpty(t *testing.T) {
 	g := b.Build()
 	if _, _, err := autodiff.TrainEpoch(g, autodiff.NewSGD(0.1, 0), nil); err == nil {
 		t.Fatal("empty epoch should error")
+	}
+}
+
+// TestGradAttributeSweep checks the gradients of every spatial op
+// autodiff differentiates — conv, depthwise, max and average pooling —
+// across stride 1 and 2, symmetric and per-axis (Asym) padding, square
+// and rectangular kernels, and one and two groups where the op has
+// groups (conv). Every case ends in a dense head, so dense is checked
+// behind each of them. Pools take one square kernel and one padding for
+// both axes (tensor.PoolSpec has no per-axis form), so they sweep
+// stride, padding and kernel size instead. Weights and inputs are
+// seeded; the loss comes from refexec.Run, like every check here.
+func TestGradAttributeSweep(t *testing.T) {
+	const c, h, w = 4, 6, 6
+	seed := int64(40)
+	run := func(name string, build func(b *nn.Builder) *graph.Node, shape func(n *graph.Node, rng *rand.Rand)) {
+		seed++
+		t.Run(name, func(t *testing.T) {
+			rng := stats.NewRNG(seed)
+			b := nn.NewBuilder("sweep", nn.Options{Materialize: true, Seed: seed}, c, h, w)
+			n := build(b)
+			if shape != nil {
+				shape(n, rng)
+				out, err := graph.InferShapeE(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.OutShape = out
+			}
+			b.From(n).Dense("fc", 3, true)
+			g := b.Build()
+			gradCheckAll(t, g, tensor.New(c, h, w).Randomize(rng, 1))
+		})
+	}
+	for _, op := range []string{"conv", "depthwise"} {
+		for _, stride := range []int{1, 2} {
+			for _, asym := range []bool{false, true} {
+				for _, rect := range []bool{false, true} {
+					for _, groups := range []int{1, 2} {
+						if op == "depthwise" && groups > 1 {
+							continue // one filter per channel is its only grouping
+						}
+						name := fmt.Sprintf("%s/stride%d/asym=%v/rect=%v/groups%d", op, stride, asym, rect, groups)
+						run(name, func(b *nn.Builder) *graph.Node {
+							if op == "conv" {
+								return b.Conv2DG("op", c, 3, stride, 1, groups, true)
+							}
+							return b.DepthwiseConv2D("op", 3, stride, 1, true)
+						}, func(n *graph.Node, rng *rand.Rand) {
+							if asym {
+								n.Attrs.PadH, n.Attrs.PadW, n.Attrs.Asym = 1, 0, true
+							}
+							if rect {
+								n.WShape = append(n.WShape[:len(n.WShape)-1:len(n.WShape)-1], 2) // kh 3, kw 2
+								n.Weights = tensor.New(n.WShape...).Randomize(rng, 0.5)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	for _, pool := range []string{"maxpool", "avgpool"} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				for _, k := range []int{2, 3} {
+					run(fmt.Sprintf("%s/stride%d/pad%d/k%d", pool, stride, pad, k), func(b *nn.Builder) *graph.Node {
+						if pool == "maxpool" {
+							return b.MaxPool("op", k, stride, pad)
+						}
+						return b.AvgPool("op", k, stride, pad)
+					}, nil)
+				}
+			}
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 type kernel struct {
 	// run evaluates the node on in, its input values in Inputs order.
 	// When dst is set the executor passes a buffer of the node's OutShape
-	// whose contents are arbitrary (it may be a recycled arena buffer);
+	// whose contents are arbitrary (it may be its value's arena slot);
 	// run stores every element and returns it. Otherwise run is passed
 	// nil and returns a tensor it allocated — or, for views and
 	// constants, one it shares. run only reads what it closes over: a

@@ -181,37 +181,51 @@ func newFrame(p *Program) *frame {
 // frame is an executor's mutable run state, reused across runs so a
 // steady-state inference builds nothing: vals holds the value of every
 // node (nil before it is computed and after it is dead), args is the
-// buffer each step gathers its operand list into, and arena is the
-// buffer arena, created by the first run or by Reserve on a program
-// with a plan.
+// buffer each step gathers its operand list into, and arena holds one
+// buffer per plan slot, sized as the plan sizes it. hdrs[v] is value v's
+// tensor over arena[p.slot[v]], made with the arena, so a value's buffer
+// is the slot the plan gave it and verify.CheckPlan's proof covers what
+// runs. The first run or Reserve builds both on a program with a plan.
 type frame struct {
 	vals  []*tensor.Tensor
 	args  []*tensor.Tensor
-	arena *tensor.Pool
+	arena [][]float32
+	hdrs  []tensor.Tensor
 }
 
-// alloc returns the output buffer for step s: a recycled arena buffer
-// when the plan assigned the value a slot (contents arbitrary — every
-// kernel writing into it must store all elements), a fresh tensor
-// otherwise. Adding a tensor.New call to a kernel instead silently
-// defeats the planner; edgelint's pool-alloc rule flags that.
+// build makes the frame's arena and value headers from p's plan.
+func (f *frame) build(p *Program) {
+	f.arena = make([][]float32, len(p.plan.Slots))
+	for i, elems := range p.plan.Slots {
+		f.arena[i] = make([]float32, elems)
+	}
+	f.hdrs = make([]tensor.Tensor, len(p.slot))
+	for v, slot := range p.slot {
+		if slot >= 0 {
+			f.hdrs[v] = tensor.Tensor{Shape: p.g.Nodes[v].OutShape, Data: f.arena[slot]}
+		}
+	}
+}
+
+// alloc returns the output buffer for step s: its value's slot buffer
+// when the plan assigned it one (contents arbitrary — every kernel
+// writing into it must store all elements), a fresh tensor otherwise.
+// Adding a tensor.New call to a kernel instead silently defeats the
+// planner; edgelint's pool-alloc rule flags that.
 func (f *frame) alloc(p *Program, s *step) *tensor.Tensor {
 	if p.slot[s.out] >= 0 {
-		return f.arena.Get(s.n.OutShape...)
+		return &f.hdrs[s.out]
 	}
 	return tensor.New(s.n.OutShape...) // edgelint:ignore pool-alloc — the step allocator's "fresh" case
 }
 
-// release drops the values in free, returning arena buffers to the
-// arena. It is the one release rule: a static graph recycles what the
-// plan placed, and every run — static or dynamic — stops referencing a
-// value the moment nothing will read it again, which is define-by-run's
-// eager release.
-func (f *frame) release(p *Program, free []int) {
+// release drops the values in free. It is the one release rule: every
+// run — static or dynamic — stops referencing a value the moment nothing
+// will read it again, which is define-by-run's eager release. A slot
+// buffer needs no handing back: the plan already lets the next value
+// that owns the slot write it.
+func (f *frame) release(free []int) {
 	for _, v := range free {
-		if t := f.vals[v]; t != nil && p.slot[v] >= 0 {
-			f.arena.Put(t)
-		}
 		f.vals[v] = nil
 	}
 }

@@ -24,17 +24,6 @@ type Cost struct {
 // Bytes returns total memory traffic for the node.
 func (c Cost) Bytes() float64 { return c.WeightBytes + c.ActInBytes + c.ActOutBytes }
 
-// Plus returns the elementwise sum of two costs.
-func (c Cost) Plus(o Cost) Cost {
-	return Cost{
-		FLOPs:       c.FLOPs + o.FLOPs,
-		MACs:        c.MACs + o.MACs,
-		WeightBytes: c.WeightBytes + o.WeightBytes,
-		ActInBytes:  c.ActInBytes + o.ActInBytes,
-		ActOutBytes: c.ActOutBytes + o.ActOutBytes,
-	}
-}
-
 // NodeCost computes the analytic cost of a node from its structure. It is
 // recomputed on demand so optimization passes only need to mutate the
 // graph, never cached numbers.
@@ -102,17 +91,14 @@ func NodeCost(n *Node) Cost {
 	return c
 }
 
-// TotalCost sums the cost of every node in the graph.
-func (g *Graph) TotalCost() Cost {
-	var c Cost
-	for _, n := range g.Nodes {
-		c = c.Plus(NodeCost(n))
-	}
-	return c
-}
-
 // FLOPs returns the total arithmetic work of one inference.
-func (g *Graph) FLOPs() float64 { return g.TotalCost().FLOPs }
+func (g *Graph) FLOPs() float64 {
+	var f float64
+	for _, n := range g.Nodes {
+		f += NodeCost(n).FLOPs
+	}
+	return f
+}
 
 // PeakActivationBytes estimates the largest set of live activations during
 // a topological execution — the graph's working-set proxy used by the

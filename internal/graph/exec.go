@@ -24,10 +24,10 @@ import (
 // were measured against this one and removed (EXPERIMENTS.md,
 // "Mechanisms judged").
 //
-// The graph's Mode decides where intermediates live, not an option: a
-// static graph's Run recycles them through a per-executor tensor.Pool
-// arena across calls, as the buffer plan Compile built lays them out,
-// reproducing the static-framework memory reuse the paper measures (the
+// The graph's Mode decides where intermediates live, not an option: on a
+// static graph every planned value is written into the arena buffer of
+// the slot the buffer plan gave it, one buffer per slot, reused across
+// calls — the static-framework memory reuse the paper measures (the
 // first Run builds the arena, or Reserve does without running); a
 // dynamic graph allocates every intermediate and drops it after its last
 // reader (define-by-run). The zero value is ready to use. An Executor is
@@ -35,11 +35,15 @@ import (
 // serving.Engine).
 type Executor struct {
 	// Observe, when set, is called after each step a run executes, with
-	// what one row of a per-layer table needs (StepObserver). It is a
-	// field, not a decision taken once, because the same compiled program
-	// is served unobserved and measured observed: serving leaves it nil
-	// and pays one nil check per step, with no clock read.
-	Observe StepObserver
+	// what one row of a per-layer table needs: the step's index in
+	// Program.Steps, when it started and how long it took — the output's
+	// allocation, when it has no slot, included — and the bytes of the
+	// tensors it read (its inputs, 4 per element) and wrote (its output).
+	// A view's output is counted although it shares its input's storage.
+	// It is a field, not a decision taken once, because the same compiled
+	// program is served unobserved and measured observed: serving leaves
+	// it nil and pays one nil check per step, with no clock read.
+	Observe func(step int, start time.Time, d time.Duration, bytesIn, bytesOut int)
 
 	// prog is the compiled form of the last graph run — shared with the
 	// executor's siblings when NewExecutors made it — and f its own run
@@ -47,13 +51,6 @@ type Executor struct {
 	prog *Program
 	f    *frame
 }
-
-// StepObserver receives one executed step: its index in Program.Steps,
-// when it started and how long it took — the output's allocation, or
-// its arena Get, included — and the bytes of the tensors it read
-// (its inputs, 4 per element) and wrote (its output). A view's output
-// is counted although it shares its input's storage.
-type StepObserver func(step int, start time.Time, d time.Duration, bytesIn, bytesOut int)
 
 // NewExecutors returns n executors sharing p — kernels and weight panels
 // — each with its own frame and arena: the replicas of a serving engine
@@ -77,13 +74,14 @@ func (e *Executor) Reserve(g *Graph) error {
 	return err
 }
 
-// PoolStats reports the arena's traffic counters; zero-valued until Run
-// or Reserve has prepared a static graph.
-func (e *Executor) PoolStats() tensor.PoolStats {
-	if e.f == nil || e.f.arena == nil {
-		return tensor.PoolStats{}
+// ArenaBuffers returns the number of slot buffers the executor's arena
+// holds: the plan's slot count once Run or Reserve has prepared a static
+// graph, else 0.
+func (e *Executor) ArenaBuffers() int {
+	if e.f == nil {
+		return 0
 	}
-	return e.f.arena.Stats()
+	return len(e.f.arena)
 }
 
 // prepare readies the executor to run g: it compiles g unless the cached
@@ -98,16 +96,15 @@ func (e *Executor) prepare(g *Graph) (*Program, error) {
 	}
 	p, f := e.prog, e.f
 	if p.plan != nil && f.arena == nil {
-		f.arena = tensor.NewPool()
-		f.arena.Preallocate(p.plan.Slots...)
+		f.build(p)
 	}
 	return p, nil
 }
 
 // Run evaluates g on input and returns the output tensor. The steps run
 // in graph (topological) order; an intermediate is dropped as soon as
-// every node reading it has executed (define-by-run memory behaviour),
-// and on a static graph its buffer goes back to the arena.
+// every node reading it has executed (define-by-run memory behaviour);
+// on a static graph its slot buffer waits for the slot's next value.
 func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 	if input == nil {
 		return nil, fmt.Errorf("graph %s: input is nil", g.Name)
@@ -132,7 +129,7 @@ func (e *Executor) Run(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
 			clear(f.vals)
 			return nil, fmt.Errorf("graph %s: node %s: %w", g.Name, s.n, err)
 		}
-		f.release(p, s.free)
+		f.release(s.free)
 	}
 	out := f.vals[p.output]
 	clear(f.vals)

@@ -70,12 +70,18 @@ func (g *Graph) add(n *Node) *Node {
 // Add appends a node computing kind over the given inputs, infers its
 // output shape, and returns it. Weight-bearing ops must have Weights set
 // before Add via the With* option funcs on Node, so model builders use the
-// helper constructors below instead.
+// helper constructors below instead. It panics on inconsistent
+// structure: model builders are code, so a bad node is a bug.
+// Error-tolerant callers (deserializers, the verifier) use InferShapeE.
 func (g *Graph) Add(n *Node) *Node {
 	if len(n.Inputs) == 0 && n.Kind != OpInput {
 		n.Inputs = []*Node{g.Output}
 	}
-	n.OutShape = InferShape(n)
+	s, err := InferShapeE(n)
+	if err != nil {
+		panic(err.Error())
+	}
+	n.OutShape = s
 	return g.add(n)
 }
 
@@ -236,18 +242,6 @@ func (g *Graph) Clone() *Graph {
 		out.Extra = append(out.Extra, mapping[x])
 	}
 	return out
-}
-
-// InferShape computes a node's output shape from its inputs and
-// attributes. It panics on inconsistent structure: model builders are
-// code, so a bad node is a bug. Error-tolerant callers (deserializers,
-// the verifier) use InferShapeE instead.
-func InferShape(n *Node) tensor.Shape {
-	s, err := InferShapeE(n)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
 }
 
 // InferShapeE computes a node's output shape from its inputs and

@@ -76,15 +76,15 @@ func TestEveryOpKindExecutes(t *testing.T) {
 			}
 			// Every node must price without panicking, with non-negative
 			// cost, and the total must be positive.
-			var total graph.Cost
+			var flops float64
 			for _, n := range g.Nodes {
 				cost := graph.NodeCost(n)
 				if cost.FLOPs < 0 || cost.Bytes() < 0 {
 					t.Fatalf("negative cost on %s", n)
 				}
-				total = total.Plus(cost)
+				flops += cost.FLOPs
 			}
-			if total.FLOPs <= 0 {
+			if flops <= 0 {
 				t.Fatal("graph should cost something")
 			}
 			vals, err := refexec.Run(g, in)

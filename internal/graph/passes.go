@@ -205,6 +205,10 @@ func CastFP16(g *Graph) {
 // convolution and dense layer, recording per-node sparsity. Whether the
 // zeros translate into compute savings depends on the framework's
 // sparse-execution support (Table II ‡‡), which the cost model consults.
+//
+// edgelint:seam tests (graph, verify, exchange) and internal/core's
+// pruning ablation benchmark make sparse-weight graphs with it; nothing
+// outside a test prunes a graph.
 func Prune(fraction float64) func(*Graph) {
 	return func(g *Graph) {
 		for _, n := range g.Nodes {

@@ -290,12 +290,8 @@ func TestCostAccounting(t *testing.T) {
 	if c.WeightBytes != float64((3*3*3*16+16)*4) {
 		t.Fatalf("weight bytes = %v", c.WeightBytes)
 	}
-	total := g.TotalCost()
-	if total.FLOPs != c.FLOPs {
+	if g.FLOPs() != c.FLOPs {
 		t.Fatal("graph total should equal single conv cost")
-	}
-	if g.FLOPs() != total.FLOPs {
-		t.Fatal("FLOPs helper mismatch")
 	}
 }
 

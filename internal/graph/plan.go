@@ -4,11 +4,12 @@ import "fmt"
 
 // Plan is a static-mode buffer plan: a liveness-driven assignment of
 // every pooled intermediate to a reusable arena slot, computed once from
-// the verifier's shape inference and reused by every subsequent
-// Executor.Run on the same graph. Two nodes share a slot only when their
-// live ranges are disjoint in the executor's topological order, so a
-// planned run touches a bounded arena instead of allocating each
-// intermediate.
+// the verifier's shape inference. The executor allocates one buffer per
+// slot and writes each planned value into its slot's buffer on every
+// Run, so the plan is where a value lives. Two nodes share a slot only
+// when their live ranges are disjoint in the executor's topological
+// order, so a planned run touches a bounded arena instead of allocating
+// each intermediate.
 type Plan struct {
 	// Slots holds the element count of each arena slot.
 	Slots []int
@@ -17,8 +18,7 @@ type Plan struct {
 	// outputs.
 	PeakBytes int64
 
-	slot map[*Node]int  // pooled node -> slot index
-	keep map[*Node]bool // nodes whose storage outlives the run
+	slot map[*Node]int // pooled node -> slot index
 }
 
 // isAliasOp reports whether a node's output is a view sharing its input's
@@ -117,21 +117,19 @@ func PlanBuffers(g *Graph) (*Plan, error) {
 // assignSlots is the planner proper, for a validated static graph whose
 // storage analysis the caller already holds (PlanBuffers, or the
 // executor's compile step, which needs the same analysis for its own
-// release lists): dead is st.deadAfter.
+// release lists): dead is st.deadAfter. The slots it assigns are the
+// buffers the executor writes: a slot is exactly one value's size, so a
+// value's buffer holds its elements and no more.
 func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
-	p := &Plan{slot: make(map[*Node]int), keep: make(map[*Node]bool)}
-	for i, n := range g.Nodes {
-		if st.kept[st.owner[i]] {
-			p.keep[n] = true
-		}
-	}
+	p := &Plan{slot: make(map[*Node]int)}
 
-	// Liveness walk in executor order: assign each node whose kernel
-	// writes into a caller-supplied buffer the first free slot of its
-	// exact element count (mirroring the pool's keying), then return the
-	// slots of the values that die here. Allocation happens before
-	// release on purpose: a node must never be handed one of its own
-	// inputs' buffers.
+	// Liveness walk in executor order: give each node whose kernel writes
+	// into a buffer the executor hands it — unless its storage is kept
+	// past the run — the most recently freed slot of its exact element
+	// count, or a new slot, then free the slots of the values that die
+	// here. Assignment happens before release on purpose: a node must
+	// never be handed one of its own inputs' buffers. A value nothing
+	// reads never dies, so its slot stays reserved for the whole run.
 	free := make(map[int][]int)
 	var cur int64
 	if g.Input != nil {
@@ -143,7 +141,7 @@ func assignSlots(g *Graph, st storage, dead [][]int) *Plan {
 			continue
 		}
 		elems := n.OutShape.NumElems()
-		if writesDst(n.Kind) && !p.keep[n] {
+		if writesDst(n.Kind) && !st.kept[st.owner[i]] {
 			if ids := free[elems]; len(ids) > 0 {
 				p.slot[n] = ids[len(ids)-1]
 				free[elems] = ids[:len(ids)-1]
@@ -178,27 +176,13 @@ func (p *Plan) SlotOf(n *Node) (slot int, ok bool) {
 	return slot, ok
 }
 
-// Reassign overrides n's slot assignment. It exists only as a mutation
-// seam for the verify package's tests and fuzzing: seeding a deliberate
-// overlap (two live nodes sharing a slot) must be caught by
-// verify.CheckPlan, proving the checker would catch a real planner bug.
-// Production code never calls this — PlanBuffers is the sole authority.
+// Reassign overrides n's slot assignment. Production code never calls
+// this — PlanBuffers is the sole authority.
+//
+// edgelint:seam the verify package's tests and fuzzing seed a deliberate
+// overlap (two live nodes sharing a slot) through it, which
+// verify.CheckPlan must catch, proving the checker would catch a real
+// planner bug.
 func (p *Plan) Reassign(n *Node, slot int) {
 	p.slot[n] = slot
-}
-
-// Kept reports whether n's storage owner must survive the run (graph
-// input, output, or extra root) and so never returns to the arena.
-func (p *Plan) Kept(n *Node) bool { return p.keep[n] }
-
-// NumSlots returns the number of arena slots the plan uses.
-func (p *Plan) NumSlots() int { return len(p.Slots) }
-
-// ArenaBytes returns the total float32 byte size of the arena.
-func (p *Plan) ArenaBytes() int64 {
-	var b int64
-	for _, e := range p.Slots {
-		b += int64(e) * 4
-	}
-	return b
 }

@@ -70,11 +70,8 @@ func TestPlanBuffersSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumSlots() != 2 {
-		t.Errorf("chain plan uses %d slots (%v), want 2", plan.NumSlots(), plan.Slots)
-	}
-	if plan.ArenaBytes() != 2*4*8*8*4 {
-		t.Errorf("arena bytes = %d", plan.ArenaBytes())
+	if len(plan.Slots) != 2 || plan.Slots[0] != 4*8*8 || plan.Slots[1] != 4*8*8 {
+		t.Errorf("chain plan slots %v, want two of %d elements", plan.Slots, 4*8*8)
 	}
 	if plan.PeakBytes <= 0 {
 		t.Error("peak bytes not computed")
@@ -98,9 +95,6 @@ func TestPlanBuffersKeepsRootsUnpooled(t *testing.T) {
 	for _, root := range g.Roots() {
 		if _, ok := plan.SlotOf(root); ok {
 			t.Errorf("root %s assigned an arena slot; kept outputs must not recycle", root)
-		}
-		if !plan.Kept(root) {
-			t.Errorf("root %s not marked kept", root)
 		}
 	}
 	if _, ok := plan.SlotOf(g.Input); ok {
@@ -171,69 +165,6 @@ func TestExecutorVariantsEquivalentOnAliasGraph(t *testing.T) {
 		}
 	}
 	runVariants(t, side, in)
-}
-
-// TestPooledExecutorReusesArena pins the planner's win: after the first
-// pass, repeated inference performs zero pool misses (every intermediate
-// comes from the arena) and the executor's outputs stay immutable —
-// the previous pass's returned tensor is not overwritten.
-func TestPooledExecutorReusesArena(t *testing.T) {
-	g := branchyCNN(t, 9)
-	in := tensor.New(3, 16, 16)
-	fillDeterministic(in)
-	e := &graph.Executor{}
-	first, err := e.Run(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := append([]float32(nil), first.Data...)
-	misses0 := e.PoolStats().Misses
-	for i := 0; i < 3; i++ {
-		if _, err := e.Run(g, in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.PoolStats()
-	if st.Misses != misses0 {
-		t.Errorf("steady-state pool misses grew from %d to %d; arena not reused", misses0, st.Misses)
-	}
-	if st.Gets <= misses0 {
-		t.Errorf("pool stats %+v: expected hits on repeated runs", st)
-	}
-	for i := range snapshot {
-		if first.Data[i] != snapshot[i] {
-			t.Fatalf("first run's output mutated at %d: caller-visible tensor recycled", i)
-		}
-	}
-}
-
-// TestGraphModeDecidesArena: a zero-value executor pools exactly when the
-// graph is static. Two runs of a static graph draw from the arena, the
-// second without a miss; a dynamic graph never touches it.
-func TestGraphModeDecidesArena(t *testing.T) {
-	g := branchyCNN(t, 10)
-	in := tensor.New(3, 16, 16)
-	fillDeterministic(in)
-	e := &graph.Executor{}
-	if _, err := e.Run(g, in); err != nil {
-		t.Fatal(err)
-	}
-	misses := e.PoolStats().Misses
-	if _, err := e.Run(g, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.PoolStats(); st.Gets == 0 || st.Misses != misses {
-		t.Errorf("static graph: pool stats %+v after two runs (%d misses after the first), want gets and no new misses", st, misses)
-	}
-	d := &graph.Executor{}
-	for run := 0; run < 2; run++ {
-		if _, err := d.Run(dynamicClone(g), in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := d.PoolStats(); st != (tensor.PoolStats{}) {
-		t.Errorf("dynamic graph: pool stats %+v, want the arena untouched", st)
-	}
 }
 
 // TestShardPanicBecomesNodeError: a kernel that panics inside a sharded

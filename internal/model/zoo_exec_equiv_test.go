@@ -38,11 +38,13 @@ func TestZooPlanConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("PlanBuffers(%s): %v", spec.Name, err)
 			}
-			if plan.NumSlots() == 0 {
+			if len(plan.Slots) == 0 {
 				t.Fatalf("%s: plan assigned no arena slots", spec.Name)
 			}
-			if plan.ArenaBytes() <= 0 {
-				t.Fatalf("%s: non-positive arena footprint", spec.Name)
+			for i, elems := range plan.Slots {
+				if elems <= 0 {
+					t.Fatalf("%s: slot %d holds %d elements", spec.Name, i, elems)
+				}
 			}
 			if err := verify.Err(verify.Check(g)); err != nil {
 				t.Fatalf("%s: graph no longer verifies after planning: %v", spec.Name, err)

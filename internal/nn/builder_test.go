@@ -5,6 +5,7 @@ import (
 
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
+	"edgebench/internal/refexec"
 	"edgebench/internal/stats"
 	"edgebench/internal/tensor"
 )
@@ -76,12 +77,19 @@ func TestGroupedConvExecutionMatchesBlockDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: split manually.
+	// Reference: each half of the channels through its own ungrouped
+	// conv on the reference interpreter.
 	for gi := 0; gi < 2; gi++ {
-		gin := tensor.FromData(in.Data[gi*2*36:(gi+1)*2*36], 2, 6, 6)
-		gw := tensor.FromData(c.Weights.Data[gi*2*2*9:(gi+1)*2*2*9], 2, 2, 3, 3)
-		gb := c.Bias[gi*2 : (gi+1)*2]
-		ref := tensor.Conv2D(gin, gw, gb, tensor.Conv2DSpec{Stride: 1, Pad: 1})
+		hb := nn.NewBuilder("half", nn.Options{Materialize: true}, 2, 6, 6)
+		h := hb.Conv2D("h", 2, 3, 1, 1, true)
+		hg := hb.Build()
+		copy(h.Weights.Data, c.Weights.Data[gi*2*2*9:(gi+1)*2*2*9])
+		copy(h.Bias, c.Bias[gi*2:(gi+1)*2])
+		vals, err := refexec.Run(hg, tensor.FromData(in.Data[gi*2*36:(gi+1)*2*36], 2, 6, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := vals[h]
 		for i := range ref.Data {
 			got := out.Data[gi*2*36+i]
 			if d := got - ref.Data[i]; d > 1e-5 || d < -1e-5 {

@@ -307,20 +307,26 @@ func (e *Engine) DispatchCounts() (int8Kernels, fp32Kernels, fusedKernels int64)
 	return n * i8, n * f32, n * fz
 }
 
-// PoolStats sums the arena counters across all replicas currently parked
+// PoolStats is the arena of an engine's parked replicas. Idle counts the
+// slot buffers they hold, one per buffer-plan slot on each replica whose
+// arena Reserve or a run has built. Misses is zero by construction —
+// every planned value is written into its own slot's buffer — and is
+// kept only because the repository benchmark still reports it
+// (graph.arena_misses_per_op).
+type PoolStats struct {
+	Misses, Idle int
+}
+
+// PoolStats sums the arena buffers across all replicas currently parked
 // in the pool (callers should quiesce the engine first for exact totals).
 // After Close the pool is drained and the totals read zero.
-func (e *Engine) PoolStats() tensor.PoolStats {
-	var total tensor.PoolStats
+func (e *Engine) PoolStats() PoolStats {
+	var total PoolStats
 	n := len(e.replicas)
 	held := make([]*graph.Executor, 0, n)
 	for i := 0; i < n; i++ {
 		ex := <-e.replicas
-		st := ex.PoolStats()
-		total.Gets += st.Gets
-		total.Misses += st.Misses
-		total.Puts += st.Puts
-		total.Idle += st.Idle
+		total.Idle += ex.ArenaBuffers()
 		held = append(held, ex)
 	}
 	for _, ex := range held {

@@ -16,10 +16,10 @@ import (
 // TestWarmupRunsOncePerEngine: Warmup runs the shared program once, on
 // the first replica, and only builds the other replicas' arenas. After it
 // the engine has dispatched one run's kernels, every replica holds an
-// arena with every planned slot idle, the two replicas that never ran
-// have served no Get, and a sibling's first run takes every buffer from
-// its arena and allocates no more than a steady-state Infer
-// (TestEngineSteadyStateAllocs). Excluded under -race: the race runtime
+// arena of one buffer per planned slot, and a sibling's first run
+// allocates no more than a steady-state Infer
+// (TestEngineSteadyStateAllocs): its planned values are written into the
+// arena Warmup built. Excluded under -race: the race runtime
 // adds allocations of its own.
 func TestWarmupRunsOncePerEngine(t *testing.T) {
 	g := model.MustGet("CifarNet").Build(nn.Options{Materialize: true, Seed: 7})
@@ -57,16 +57,9 @@ func TestWarmupRunsOncePerEngine(t *testing.T) {
 		}
 	}()
 	for i, ex := range exs {
-		st := ex.PoolStats()
-		if st.Idle != len(plan.Slots) {
-			t.Errorf("replica %d: %d idle arena buffers after Warmup, want all %d planned slots", i, st.Idle, len(plan.Slots))
+		if n := ex.ArenaBuffers(); n != len(plan.Slots) {
+			t.Errorf("replica %d: %d arena buffers after Warmup, want all %d planned slots", i, n, len(plan.Slots))
 		}
-		if i > 0 && st.Gets != 0 {
-			t.Errorf("replica %d: %d arena Gets after Warmup, want 0: only the first replica runs", i, st.Gets)
-		}
-	}
-	if exs[0].PoolStats().Gets == 0 {
-		t.Error("replica 0 served no arena Get: Warmup ran no inference")
 	}
 
 	in := tensor.New(g.Input.OutShape...).Fill(0.25)
@@ -84,8 +77,4 @@ func TestWarmupRunsOncePerEngine(t *testing.T) {
 	if allocs := after.Mallocs - before.Mallocs; allocs > 8 {
 		t.Errorf("a sibling's first run made %d allocations, want <= 8", allocs)
 	}
-	if st := exs[1].PoolStats(); st.Misses != 0 {
-		t.Errorf("a sibling's first run missed the arena %d times, want 0", st.Misses)
-	}
-
 }

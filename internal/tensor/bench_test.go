@@ -16,17 +16,6 @@ func benchInput(c, h, w int) *Tensor {
 	return New(c, h, w).Randomize(stats.NewRNG(1), 1)
 }
 
-func BenchmarkConv2DDirect(b *testing.B) {
-	in := benchInput(32, 28, 28)
-	w := New(64, 32, 3, 3).Randomize(stats.NewRNG(3), 1)
-	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2D(in, w, nil, spec)
-	}
-}
-
 func BenchmarkConv2DGEMM(b *testing.B) {
 	in := benchInput(32, 28, 28)
 	w := New(64, 32, 3, 3).Randomize(stats.NewRNG(3), 1)

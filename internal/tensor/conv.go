@@ -47,14 +47,6 @@ func (s Conv2DSpec) outDim(in, k, pad int) int {
 	return out
 }
 
-// OutDim returns the spatial output dimension for input size in and kernel
-// size k under the spec's symmetric padding (height axis for asymmetric
-// specs; use OutDims for both).
-func (s Conv2DSpec) OutDim(in, k int) int {
-	s = s.check()
-	return s.outDim(in, k, s.PadH)
-}
-
 // OutDims returns both output dimensions for an input of h x w and a
 // kernel of kh x kw.
 func (s Conv2DSpec) OutDims(h, w, kh, kw int) (int, int) {
@@ -70,8 +62,8 @@ type convGeom struct {
 // convGeometry is the one validator of a 2-D convolution's operands —
 // input [Cin, H, W] against weights of shape w = [Cout, Cin, KH, KW]
 // (a tensor's, or the one packed panels carry), an optional bias, the
-// checked spec and, unless the caller allocates its own, a preallocated
-// dst of [Cout, Hout, Wout] — and returns the geometry.
+// checked spec and a preallocated dst of [Cout, Hout, Wout] — and
+// returns the geometry.
 func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) convGeom {
 	if len(in.Shape) != 3 || len(w) != 4 {
 		panic(fmt.Sprintf("tensor: conv wants a rank-3 input and rank-4 weights, got %v and %v", in.Shape, w))
@@ -84,9 +76,7 @@ func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) con
 		panic("tensor: conv bias length mismatch")
 	}
 	g.hout, g.wout = spec.OutDims(g.h, g.wd, g.kh, g.kw)
-	if dst != nil {
-		checkConvDst(dst, g.cout, g.hout, g.wout)
-	}
+	checkConvDst(dst, g.cout, g.hout, g.wout)
 	return g
 }
 
@@ -94,54 +84,6 @@ func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) con
 func checkConvDst(dst *Tensor, cout, hout, wout int) {
 	if len(dst.Shape) != 3 || dst.Shape[0] != cout || dst.Shape[1] != hout || dst.Shape[2] != wout {
 		panic(fmt.Sprintf("tensor: conv dst shape %v, want [%d %d %d]", dst.Shape, cout, hout, wout))
-	}
-}
-
-// Conv2D computes a direct (naive loop-nest) 2-D convolution with bias
-// on the calling goroutine. bias may be nil. This is the reference
-// implementation; Conv2DPrepackedInto is the optimized path, and tests
-// assert both agree.
-func Conv2D(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
-	spec = spec.check()
-	g := convGeometry(nil, in, w.Shape, bias, spec)
-	out := New(g.cout, g.hout, g.wout)
-	convRows(in, w, bias, spec, out, 0, g.cout*g.hout)
-	return out
-}
-
-// convRows computes the flattened output-row tiles [lo, hi) into out,
-// where tile index u covers output row (oc = u/hout, oy = u%hout).
-func convRows(in, w *Tensor, bias []float32, spec Conv2DSpec, out *Tensor, lo, hi int) {
-	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
-	kh, kw := w.Shape[2], w.Shape[3]
-	padH, padW := spec.padHW()
-	hout, wout := out.Shape[1], out.Shape[2]
-	for u := lo; u < hi; u++ {
-		oc, oy := u/hout, u%hout
-		var b float32
-		if bias != nil {
-			b = bias[oc]
-		}
-		for ox := 0; ox < wout; ox++ {
-			sum := b
-			for ic := 0; ic < cin; ic++ {
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*spec.Stride + ky - padH
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*spec.Stride + kx - padW
-						if ix < 0 || ix >= wd {
-							continue
-						}
-						sum += in.Data[(ic*h+iy)*wd+ix] *
-							w.Data[((oc*cin+ic)*kh+ky)*kw+kx]
-					}
-				}
-			}
-			out.Data[(oc*hout+oy)*wout+ox] = sum
-		}
 	}
 }
 

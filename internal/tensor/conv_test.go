@@ -39,7 +39,7 @@ func TestMatVec(t *testing.T) {
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	w := FromData([]float32{1}, 1, 1, 1, 1) // 1x1 identity
-	out := Conv2D(in, w, nil, Conv2DSpec{Stride: 1})
+	out := into(func(d *Tensor) { convPacked(d, in, w, nil, Conv2DSpec{Stride: 1}, Epilogue{}) }, 1, 3, 3)
 	if !out.Shape.Equal(Shape{1, 3, 3}) {
 		t.Fatalf("shape = %v", out.Shape)
 	}
@@ -54,7 +54,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	// 3x3 input, 2x2 kernel of ones, stride 1, no pad -> 2x2 box sums.
 	in := FromData([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	w := New(1, 1, 2, 2).Fill(1)
-	out := Conv2D(in, w, []float32{10}, Conv2DSpec{})
+	out := into(func(d *Tensor) { convPacked(d, in, w, []float32{10}, Conv2DSpec{}, Epilogue{}) }, 1, 2, 2)
 	want := []float32{12 + 10, 16 + 10, 24 + 10, 28 + 10}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -66,7 +66,7 @@ func TestConv2DKnownValues(t *testing.T) {
 func TestConv2DPaddingAndStride(t *testing.T) {
 	in := New(1, 4, 4).Fill(1)
 	w := New(1, 1, 3, 3).Fill(1)
-	out := Conv2D(in, w, nil, Conv2DSpec{Stride: 2, Pad: 1})
+	out := into(func(d *Tensor) { convPacked(d, in, w, nil, Conv2DSpec{Stride: 2, Pad: 1}, Epilogue{}) }, 1, 2, 2)
 	if !out.Shape.Equal(Shape{1, 2, 2}) {
 		t.Fatalf("shape = %v", out.Shape)
 	}
@@ -82,10 +82,11 @@ func TestConv2DChannelMismatchPanics(t *testing.T) {
 			t.Fatal("channel mismatch should panic")
 		}
 	}()
-	Conv2D(New(2, 3, 3), New(1, 3, 1, 1), nil, Conv2DSpec{})
+	convPacked(New(1, 3, 3), New(2, 3, 3), New(1, 3, 1, 1), nil, Conv2DSpec{}, Epilogue{})
 }
 
-// Property: GEMM-lowered convolution equals direct convolution.
+// Property: the packed convolution equals the blocked reference bit for
+// bit.
 func TestConvGEMMEquivalenceProperty(t *testing.T) {
 	r := stats.NewRNG(42)
 	f := func(seed int64) bool {
@@ -105,14 +106,9 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 			bias[i] = r.Float32()
 		}
 		spec := Conv2DSpec{Stride: stride, Pad: pad}
-		a := Conv2D(in, w, bias, spec)
+		a := refConvBlocked(in, w, bias, spec, Epilogue{})
 		b := into(func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }, a.Shape...)
-		for i := range a.Data {
-			if !almostEq32(a.Data[i], b.Data[i], 1e-4) {
-				return false
-			}
-		}
-		return true
+		return bitsEqual(a.Data, b.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -148,7 +144,7 @@ func TestDepthwiseMatchesGroupedDirect(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		chIn := FromData(in.Data[c*36:(c+1)*36], 1, 6, 6)
 		chW := FromData(w.Data[c*9:(c+1)*9], 1, 1, 3, 3)
-		ref := Conv2D(chIn, chW, nil, spec)
+		ref := refConvBlocked(chIn, chW, nil, spec, Epilogue{})
 		for i := range ref.Data {
 			if !almostEq32(ref.Data[i], dw.Data[c*36+i], 1e-5) {
 				t.Fatalf("channel %d diverges at %d", c, i)
@@ -192,16 +188,16 @@ func TestMaxPool3D(t *testing.T) {
 
 func TestConvSpecOutDim(t *testing.T) {
 	s := Conv2DSpec{Stride: 2, Pad: 1}
-	if got := s.OutDim(224, 3); got != 112 {
-		t.Fatalf("OutDim = %d, want 112", got)
+	if h, w := s.OutDims(224, 224, 3, 3); h != 112 || w != 112 {
+		t.Fatalf("OutDims = %d, %d, want 112, 112", h, w)
 	}
-	if got := (Conv2DSpec{}).OutDim(5, 3); got != 3 {
-		t.Fatalf("default stride OutDim = %d, want 3", got)
+	if h, w := (Conv2DSpec{}).OutDims(5, 6, 3, 1); h != 3 || w != 6 {
+		t.Fatalf("default stride OutDims = %d, %d, want 3, 6", h, w)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("degenerate output should panic")
 		}
 	}()
-	(Conv2DSpec{}).OutDim(2, 5)
+	(Conv2DSpec{}).OutDims(2, 2, 5, 5)
 }

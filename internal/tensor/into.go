@@ -7,8 +7,8 @@ import (
 
 // This file holds the destination-passing variants of the pointwise and
 // pooling kernels. Every *Into function overwrites all of dst — never
-// read-modify-write — so destinations may come from a tensor.Pool whose
-// buffers carry stale values from earlier inferences.
+// read-modify-write — so destinations may be the executor's arena
+// buffers, which carry stale values from earlier inferences.
 
 func checkSameShape(op string, dst *Tensor, shape Shape) {
 	if !dst.Shape.Equal(shape) {

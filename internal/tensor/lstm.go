@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// LSTMCellStep advances one LSTM time step. Weights follow the packed
+// lstmCellStep advances one LSTM time step. Weights follow the packed
 // [4H, F+H] layout (gate order: input, forget, cell, output), operating
 // on the concatenated [x_t ; h_{t-1}] vector; bias is length 4H. It
 // returns the new hidden and cell states.
@@ -13,7 +13,7 @@ import (
 // This is the recurrent building block of the paper's declared future
 // work (§II: "we plan to extend our models to include more varieties of
 // DNN models, such as RNNs and LSTMs").
-func LSTMCellStep(w *Tensor, bias, x, h, c []float32) (hNext, cNext []float32) {
+func lstmCellStep(w *Tensor, bias, x, h, c []float32) (hNext, cNext []float32) {
 	hidden := len(h)
 	features := len(x)
 	if len(w.Shape) != 2 || w.Shape[0] != 4*hidden || w.Shape[1] != features+hidden {
@@ -62,7 +62,7 @@ func LSTM(w *Tensor, bias []float32, seq *Tensor) []float32 {
 	c := make([]float32, hidden)
 	for t := 0; t < steps; t++ {
 		x := seq.Data[t*features : (t+1)*features]
-		h, c = LSTMCellStep(w, bias, x, h, c)
+		h, c = lstmCellStep(w, bias, x, h, c)
 	}
 	return h
 }

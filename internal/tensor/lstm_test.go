@@ -15,7 +15,7 @@ func TestLSTMCellStepZeroWeights(t *testing.T) {
 	x := []float32{1, -1}
 	h := make([]float32, hidden)
 	c := []float32{1, 0, -1}
-	hN, cN := LSTMCellStep(w, nil, x, h, c)
+	hN, cN := lstmCellStep(w, nil, x, h, c)
 	for j := 0; j < hidden; j++ {
 		wantC := 0.5 * c[j]
 		if !almostEq32(cN[j], wantC, 1e-6) {
@@ -34,13 +34,13 @@ func TestLSTMForgetGateSaturation(t *testing.T) {
 	w := New(4, 1+1)                    // hidden=1, features=1
 	bias := []float32{-30, +30, 0, -30} // i closed, f open, o closed
 	c := []float32{0.8}
-	_, cN := LSTMCellStep(w, bias, []float32{0.5}, []float32{0}, c)
+	_, cN := lstmCellStep(w, bias, []float32{0.5}, []float32{0}, c)
 	if !almostEq32(cN[0], 0.8, 1e-4) {
 		t.Fatalf("open forget gate should carry the cell: %v", cN[0])
 	}
 	// And with the forget gate slammed shut the cell resets.
 	bias[1] = -30
-	_, cN = LSTMCellStep(w, bias, []float32{0.5}, []float32{0}, c)
+	_, cN = lstmCellStep(w, bias, []float32{0.5}, []float32{0}, c)
 	if math.Abs(float64(cN[0])) > 1e-4 {
 		t.Fatalf("closed forget gate should clear the cell: %v", cN[0])
 	}
@@ -64,7 +64,7 @@ func TestLSTMSequence(t *testing.T) {
 	hm := make([]float32, 8)
 	cm := make([]float32, 8)
 	for step := 0; step < 10; step++ {
-		hm, cm = LSTMCellStep(w, bias, seq.Data[step*5:(step+1)*5], hm, cm)
+		hm, cm = lstmCellStep(w, bias, seq.Data[step*5:(step+1)*5], hm, cm)
 	}
 	for i := range h {
 		if h[i] != hm[i] {
@@ -102,9 +102,9 @@ func TestLSTMOrderSensitivity(t *testing.T) {
 func TestLSTMPanics(t *testing.T) {
 	w := New(8, 5) // 4H=8 -> H=2, F+H must be 5 -> F=3
 	for _, tc := range []func(){
-		func() { LSTMCellStep(w, nil, []float32{1, 2}, []float32{0, 0}, []float32{0, 0}) }, // F mismatch
-		func() { LSTMCellStep(w, []float32{1}, []float32{1, 2, 3}, []float32{0, 0}, []float32{0, 0}) },
-		func() { LSTMCellStep(w, nil, []float32{1, 2, 3}, []float32{0, 0}, []float32{0}) },
+		func() { lstmCellStep(w, nil, []float32{1, 2}, []float32{0, 0}, []float32{0, 0}) }, // F mismatch
+		func() { lstmCellStep(w, []float32{1}, []float32{1, 2, 3}, []float32{0, 0}, []float32{0, 0}) },
+		func() { lstmCellStep(w, nil, []float32{1, 2, 3}, []float32{0, 0}, []float32{0}) },
 		func() { LSTM(w, nil, New(2, 3, 4)) },
 	} {
 		func() {

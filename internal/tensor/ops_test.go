@@ -106,10 +106,10 @@ func TestFoldBatchNormEquivalence(t *testing.T) {
 			variance[i] = r.Float32() + 0.1
 		}
 		spec := Conv2DSpec{Stride: 1, Pad: 1}
-		ref := Conv2D(in, w, bias, spec)
+		ref := refConvBlocked(in, w, bias, spec, Epilogue{})
 		BatchNormInto(ref, ref, gamma, beta, mean, variance, 1e-5)
 		fw, fb := FoldBatchNorm(w, bias, gamma, beta, mean, variance, 1e-5)
-		fused := Conv2D(in, fw, fb, spec)
+		fused := refConvBlocked(in, fw, fb, spec, Epilogue{})
 		for i := range ref.Data {
 			if !almostEq32(ref.Data[i], fused.Data[i], 1e-3) {
 				return false

@@ -120,7 +120,7 @@ func TestConv2DQInt8CloseToFP32(t *testing.T) {
 	w := randTensor(r, 8, 3, 3, 3)
 	bias := make([]float32, 8)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	ref := Conv2D(in, w, bias, spec)
+	ref := refConvBlocked(in, w, bias, spec, Epilogue{})
 	got := New(ref.Shape...)
 	qw := QuantizePerChannel(w)
 	Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), qw, bias, spec, ActNone, 0)

@@ -88,6 +88,9 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Fill sets every element to v and returns t for chaining.
+//
+// edgelint:seam tests across the module build constant inputs and
+// weights with it.
 func (t *Tensor) Fill(v float32) *Tensor {
 	for i := range t.Data {
 		t.Data[i] = v
@@ -106,6 +109,8 @@ func (t *Tensor) Randomize(r *rand.Rand, scale float32) *Tensor {
 }
 
 // At returns the element at the given multi-dimensional index.
+//
+// edgelint:seam kernel tests read single output elements by index.
 func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
 
 // Set stores v at the given multi-dimensional index.

@@ -74,7 +74,7 @@ func TestMaxPool3DSpecPadding(t *testing.T) {
 // TestConv2DParallelWorkerPath: the convolution the executor runs
 // shards its band pass across the worker pool above the MAC
 // threshold; the sharded result must be bit-identical to the same
-// kernel confined to one goroutine, and agree with the serial oracle.
+// kernel confined to one goroutine, and equal the blocked reference.
 func TestConv2DParallelWorkerPath(t *testing.T) {
 	r := stats.NewRNG(31)
 	in := New(16, 40, 40).Randomize(r, 1)
@@ -92,13 +92,13 @@ func TestConv2DParallelWorkerPath(t *testing.T) {
 	runtime.GOMAXPROCS(4)
 	sharded := into(conv, 16, 40, 40)
 	runtime.GOMAXPROCS(old)
-	oracle := Conv2D(in, w, bias, spec)
+	oracle := refConvBlocked(in, w, bias, spec, Epilogue{})
 	for i := range serial.Data {
 		if sharded.Data[i] != serial.Data[i] {
 			t.Fatal("worker-sharded conv diverges from single-goroutine run")
 		}
-		if d := serial.Data[i] - oracle.Data[i]; d > 1e-3 || d < -1e-3 {
-			t.Fatalf("GEMM conv diverges from the direct oracle at %d: %v vs %v", i, serial.Data[i], oracle.Data[i])
+		if !bitsEqual(serial.Data[i:i+1], oracle.Data[i:i+1]) {
+			t.Fatalf("GEMM conv differs from the blocked reference at %d: %v vs %v", i, serial.Data[i], oracle.Data[i])
 		}
 	}
 }

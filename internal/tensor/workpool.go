@@ -365,11 +365,9 @@ func grainForMACs(macsPerUnit int) int {
 	return g
 }
 
-// ParallelThresholdMACs exposes the kernel-dispatch work threshold for
-// tests and benchmarks that pin dispatch behaviour.
+// ParallelThresholdMACs exposes the kernel-dispatch work threshold.
+//
+// edgelint:seam the graph package's tests size their layers against the
+// bar to pin which kernels shard, and export_test.go is invisible to
+// another package's tests.
 func ParallelThresholdMACs() int { return parallelThresholdMACs }
-
-// KernelParallelism reports the worker count the kernel pool targets
-// (GOMAXPROCS at last resize). Serving layers export it as a metric so
-// a deployment can see what intra-op speedup is even possible.
-func KernelParallelism() int { return len(ensurePool().workers) }

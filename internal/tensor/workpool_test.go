@@ -111,6 +111,10 @@ func awaitPoolWorkers(t *testing.T, want int) {
 	}
 }
 
+// poolSize is the worker count the kernel pool targets: GOMAXPROCS at its
+// last resize.
+func poolSize() int { return len(ensurePool().workers) }
+
 // TestPoolResize verifies the pool tracks GOMAXPROCS changes made
 // in-process and that a retired generation's workers exit, although they
 // were still spinning on their mailboxes when it was retired.
@@ -119,13 +123,13 @@ func TestPoolResize(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	runtime.GOMAXPROCS(2)
-	if got := KernelParallelism(); got != 2 {
-		t.Fatalf("KernelParallelism after GOMAXPROCS(2) = %d, want 2", got)
+	if got := poolSize(); got != 2 {
+		t.Fatalf("pool size after GOMAXPROCS(2) = %d, want 2", got)
 	}
 	warmPool(t) // leaves a worker mid-spin
 	runtime.GOMAXPROCS(4)
-	if got := KernelParallelism(); got != 4 {
-		t.Fatalf("KernelParallelism after GOMAXPROCS(4) = %d, want 4", got)
+	if got := poolSize(); got != 4 {
+		t.Fatalf("pool size after GOMAXPROCS(4) = %d, want 4", got)
 	}
 	awaitPoolWorkers(t, 4)
 	// Work still distributes correctly across a resize.
@@ -143,8 +147,8 @@ func TestPoolShutdown(t *testing.T) {
 	awaitPoolWorkers(t, 0)
 	// Pool must come back on demand.
 	coverage(t, 1000, 1)
-	if KernelParallelism() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("pool size %d after restart, want %d", KernelParallelism(), runtime.GOMAXPROCS(0))
+	if poolSize() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("pool size %d after restart, want %d", poolSize(), runtime.GOMAXPROCS(0))
 	}
 }
 
