@@ -52,9 +52,11 @@ const (
 	layerAddUpTol = 0.10
 	// A table is marked contended when the hypervisor stole more than
 	// stealBar of the host's CPU time while it was measured, or its
-	// one-core FMUL roof moved by more than driftBar between before and
-	// after the timed forwards. It is still written, but its numbers are
-	// not comparable with a quiet table's.
+	// one-core FMUL or copy roof moved by more than driftBar between
+	// before and after the timed forwards. It is still written, but its
+	// numbers are not comparable with a quiet table's. A co-tenant present
+	// for the whole run moves neither roof and still passes: only the
+	// roofs themselves, against a quiet table's, show it.
 	stealBar = 0.02
 	driftBar = 0.10
 	// userHZ is the tick /proc/stat counts in: 100 a second, fixed by
@@ -77,8 +79,10 @@ type layerTable struct {
 
 // layerNoise is what the host did besides the table while it was
 // measured: the CPU time the hypervisor stole from this VM (the steal
-// column of /proc/stat, read only) and how far the one-core FMUL roof
-// moved from before the timed forwards to after them.
+// column of /proc/stat, read only) and how far the one-core FMUL and
+// copy roofs moved from before the timed forwards to after them. The
+// register-only FMUL probe does not see a co-tenant that loads the
+// memory system; the copy probe does.
 type layerNoise struct {
 	WallS      float64 `json:"wall_s"`
 	StealTicks int64   `json:"steal_ticks"`
@@ -88,9 +92,18 @@ type layerNoise struct {
 	FMULBefore float64 `json:"fmul_before_gmuladd_s"`
 	FMULAfter  float64 `json:"fmul_after_gmuladd_s"`
 	// Drift is |FMULAfter / FMULBefore - 1|.
-	Drift     float64 `json:"fmul_drift"`
+	Drift      float64 `json:"fmul_drift"`
+	CopyBefore float64 `json:"copy_before_gb_s"`
+	CopyAfter  float64 `json:"copy_after_gb_s"`
+	// CopyDrift is |CopyAfter / CopyBefore - 1|.
+	CopyDrift float64 `json:"copy_drift"`
 	Contended bool    `json:"contended"`
 	Bar       string  `json:"contended_bar"`
+}
+
+// contended is the verdict the bar gives the noise block's numbers.
+func (n layerNoise) contended() bool {
+	return n.StealShare > stealBar || n.Drift > driftBar || n.CopyDrift > driftBar
 }
 
 type layerHost struct {
@@ -204,17 +217,22 @@ func runLayers(w io.Writer, path string) int {
 		return 1
 	}
 	runtime.GOMAXPROCS(layerProcs[0])
-	after := probeRoofline(layerProcs[0]).FMUL
-	t.Noise = layerNoise{WallS: time.Since(start).Seconds(), StealShare: -1, FMULBefore: t.Roof[0].FMUL, FMULAfter: after,
-		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift > %.2f", stealBar, driftBar)}
+	after := probeRoofline(layerProcs[0])
+	t.Noise = layerNoise{WallS: time.Since(start).Seconds(), StealShare: -1,
+		FMULBefore: t.Roof[0].FMUL, FMULAfter: after.FMUL, CopyBefore: t.Roof[0].Copy, CopyAfter: after.Copy,
+		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift > %.2f or copy_drift > %.2f; "+
+			"a co-tenant present for the whole run moves neither roof and passes", stealBar, driftBar, driftBar)}
 	if steal1, ok := stealTicks(); ok && stealOK {
 		t.Noise.StealTicks = int64(steal1 - steal0)
 		t.Noise.StealShare = float64(t.Noise.StealTicks) / (t.Noise.WallS * userHZ * float64(runtime.NumCPU()))
 	}
 	t.Noise.Drift = math.Abs(t.Noise.FMULAfter/t.Noise.FMULBefore - 1)
-	t.Noise.Contended = t.Noise.StealShare > stealBar || t.Noise.Drift > driftBar
-	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), contended %v\n",
-		t.Noise.StealTicks, t.Noise.WallS, 100*t.Noise.StealShare, t.Noise.FMULBefore, t.Noise.FMULAfter, 100*t.Noise.Drift, t.Noise.Contended)
+	t.Noise.CopyDrift = math.Abs(t.Noise.CopyAfter/t.Noise.CopyBefore - 1)
+	t.Noise.Contended = t.Noise.contended()
+	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), "+
+		"copy roof %.1f → %.1f GB/s (drift %.1f%%), contended %v\n",
+		t.Noise.StealTicks, t.Noise.WallS, 100*t.Noise.StealShare, t.Noise.FMULBefore, t.Noise.FMULAfter, 100*t.Noise.Drift,
+		t.Noise.CopyBefore, t.Noise.CopyAfter, 100*t.Noise.CopyDrift, t.Noise.Contended)
 	data, err := json.MarshalIndent(t, "", " ")
 	if err == nil {
 		err = os.WriteFile(path, append(data, '\n'), 0o644)

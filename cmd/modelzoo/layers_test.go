@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // the schema -layers writes, without timing anything: it parses, holds
 // the three benchmark models at every GOMAXPROCS with a roofline for
 // each, records the host fingerprint and the host's noise while it was
-// measured, with the contended verdict its own numbers give, and each
+// measured — steal, and the FMUL and copy roofs before and after the
+// forwards — with the contended verdict its own numbers give, and each
 // model's step p50s add up to its forward p50 within the tolerance
 // -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
@@ -31,8 +33,9 @@ func TestCommittedLayerTable(t *testing.T) {
 	if h := tab.Host; h.CPU == "" || h.NumCPU < 1 || !strings.HasPrefix(h.Go, "go") || h.OS == "" || h.Arch == "" {
 		t.Errorf("host fingerprint incomplete: %+v", h)
 	}
-	if n := tab.Noise; n.WallS <= 0 || n.StealTicks < 0 || n.FMULBefore <= 0 || n.FMULAfter <= 0 || n.Bar == "" ||
-		n.Contended != (n.StealShare > stealBar || n.Drift > driftBar) {
+	if n := tab.Noise; n.WallS <= 0 || n.StealTicks < 0 || n.FMULBefore <= 0 || n.FMULAfter <= 0 ||
+		n.CopyBefore <= 0 || n.CopyAfter <= 0 || n.Bar == "" || n.Contended != n.contended() ||
+		math.Abs(n.CopyDrift-math.Abs(n.CopyAfter/n.CopyBefore-1)) > 1e-9 {
 		t.Errorf("noise block incomplete or inconsistent: %+v", n)
 	}
 	if tab.Runs < 30 {

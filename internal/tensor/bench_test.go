@@ -60,14 +60,20 @@ func BenchmarkFP16RoundTrip(b *testing.B) {
 // a CPU profile of the served model ranks first), so a kernel change can
 // be judged where the model's time goes.
 
+// BenchmarkDepthwise3x3 runs MobileNet-v2's depthwise shapes — the
+// widest plane at both strides, a mid-size one and the two smallest —
+// with the batch-norm affine and ReLU6 epilogue the model folds into them.
 func BenchmarkDepthwise3x3(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		c, h, w int
 		stride  int
 	}{
-		{"144x56x56-s1", 144, 56, 56, 1},
+		{"32x112x112-s1", 32, 112, 112, 1},
 		{"96x112x112-s2", 96, 112, 112, 2},
+		{"144x56x56-s1", 144, 56, 56, 1},
+		{"384x14x14-s1", 384, 14, 14, 1},
+		{"960x7x7-s1", 960, 7, 7, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.c, tc.h, tc.w)
@@ -75,9 +81,12 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 			spec := Conv2DSpec{Stride: tc.stride, Pad: 1}
 			hout, wout := spec.OutDims(tc.h, tc.w, 3, 3)
 			dst := New(tc.c, hout, wout)
+			_, _, _, _, _, epi := bnEpilogue(tc.c, 0)
+			epi.Act = ActReLU6
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DepthwiseConv2DFusedInto(dst, in, w, nil, spec, Epilogue{})
+				DepthwiseConv2DFusedInto(dst, in, w, nil, spec, epi)
 			}
 			b.ReportMetric(float64(tc.c*hout*wout*9)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

@@ -88,33 +88,54 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 }
 
 // depthwiseRows computes the flattened output-row tiles [lo, hi), where
-// tile u covers output row (ic = u/hout, oy = u%hout). 3x3 kernels — the
-// only depthwise size MobileNet-class models use — take depthwiseRow3x3
-// on rows whose three input rows are all in bounds; everything else goes
-// pixel by pixel through the generic tap loop.
-func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int) {
+// tile u covers output row (ic = u/hout, oy = u%hout), and applies the
+// epilogue to each channel's span of them right after computing it, while
+// the span is still in cache. Layers that depthwise3x3Fits take the 3x3
+// row kernel, depthwiseRow; everything else goes pixel by pixel through
+// the generic tap loop.
+func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int, epi Epilogue) {
 	h, wd := in.Shape[1], in.Shape[2]
 	kh, kw := w.Shape[1], w.Shape[2]
 	padH, padW := spec.padHW()
 	hout, wout := dst.Shape[1], dst.Shape[2]
-	for u := lo; u < hi; u++ {
-		ic, oy := u/hout, u%hout
+	fast := depthwise3x3Fits(h, wd, kh, kw, spec.Stride, padH, padW)
+	for span := lo; span < hi; {
+		ic := span / hout
+		end := min((ic+1)*hout, hi)
 		var b float32
 		if bias != nil {
 			b = bias[ic]
 		}
 		plane := in.Data[ic*h*wd : (ic+1)*h*wd]
 		taps := w.Data[ic*kh*kw : (ic+1)*kh*kw]
-		orow := dst.Data[u*wout : (u+1)*wout]
-		iy0 := oy*spec.Stride - padH
-		if kh == 3 && kw == 3 && iy0 >= 0 && iy0+3 <= h {
-			depthwiseRow3x3(orow, plane, taps, b, h, wd, spec.Stride, iy0, padW)
-			continue
+		row := func(iy int) []float32 { return plane[iy*wd : (iy+1)*wd] }
+		for u := span; u < end; u++ {
+			orow := dst.Data[u*wout : (u+1)*wout]
+			iy0 := (u-ic*hout)*spec.Stride - padH
+			switch {
+			case !fast:
+				for ox := range orow {
+					orow[ox] = depthwisePixel(plane, taps, b, h, wd, kh, kw, iy0, ox*spec.Stride-padW)
+				}
+			case iy0 < 0: // the window's top row is padding
+				depthwiseRow(orow, row(0), row(1), nil, taps[3:9], b, spec.Stride, padW)
+			case iy0+3 > h: // its bottom row is
+				depthwiseRow(orow, row(iy0), row(iy0+1), nil, taps[0:6], b, spec.Stride, padW)
+			default:
+				depthwiseRow(orow, row(iy0), row(iy0+1), row(iy0+2), taps, b, spec.Stride, padW)
+			}
 		}
-		for ox := range orow {
-			orow[ox] = depthwisePixel(plane, taps, b, h, wd, kh, kw, iy0, ox*spec.Stride-padW)
-		}
+		applyEpilogueSpan(dst.Data[span*wout:end*wout], ic, epi)
+		span = end
 	}
+}
+
+// depthwise3x3Fits reports whether a depthwise layer takes the 3x3 row
+// kernel: a 3x3 kernel, stride <= 2, per-axis padding <= 1 and a plane of
+// at least 3x3, so that at most one row and one column of any output's
+// window fall in the padding.
+func depthwise3x3Fits(h, wd, kh, kw, stride, padH, padW int) bool {
+	return kh == 3 && kw == 3 && stride <= 2 && padH <= 1 && padW <= 1 && h >= 3 && wd >= 3
 }
 
 // depthwisePixel computes one depthwise output element whose kernel
@@ -140,49 +161,118 @@ func depthwisePixel(plane, taps []float32, b float32, h, wd, kh, kw, iy0, ix0 in
 	return sum
 }
 
-// depthwiseRow3x3 computes one output row of a 3x3 depthwise convolution
-// whose input rows iy0..iy0+2 are in bounds. Output columns whose window
-// also lies inside the row run the unrolled nine-tap chain — no bounds
-// test per tap, weights held in locals — in depthwisePixel's order; the
-// left and right border columns go through depthwisePixel itself.
-func depthwiseRow3x3(orow, plane, taps []float32, b float32, h, wd, stride, iy0, padW int) {
-	// Interior columns satisfy 0 <= ox*stride-padW and ox*stride-padW+3 <= wd.
-	oxLo := min((padW+stride-1)/stride, len(orow))
-	oxHi := oxLo
-	if wd+padW >= 3 {
-		oxHi = max(oxLo, min((wd+padW-3)/stride+1, len(orow)))
+// depthwiseRow computes one output row of a 3x3 depthwise convolution
+// from the input rows its windows have in bounds: r0..r2 against taps
+// t[0:9], or, when r2 is nil because one window row is in the padding,
+// r0 and r1 against t[0:6] (the kernel's rows 1-2 at the top edge, 0-1
+// at the bottom). Every output runs depthwisePixel's chain — bias, then
+// the taps it has in (ky, kx) order — unrolled with the weights in
+// locals. At stride 1 the interior computes four outputs a step as four
+// independent chains; at stride 2 one a step. The edge columns, whose
+// window may have a column in the padding, take depthwiseEdge.
+func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
+	// Output columns [lo, hi) have all three window columns in bounds;
+	// with padding <= 1 only column 0 and column len(orow)-1 can miss one.
+	wd := len(r0)
+	lo, hi := padW, len(orow)
+	if (hi-1)*stride-padW+3 > wd {
+		hi--
 	}
-	for ox := 0; ox < oxLo; ox++ {
-		orow[ox] = depthwisePixel(plane, taps, b, h, wd, 3, 3, iy0, ox*stride-padW)
+	if lo > 0 { // column -1 is padding: kernel columns 1-2 on input 0-1
+		orow[0] = depthwiseEdge(b, r0, r1, r2, t, 0, 1)
 	}
-	for ox := oxHi; ox < len(orow); ox++ {
-		orow[ox] = depthwisePixel(plane, taps, b, h, wd, 3, 3, iy0, ox*stride-padW)
+	if hi < len(orow) { // column wd is: kernel columns 0-1 on input wd-2, wd-1
+		orow[hi] = depthwiseEdge(b, r0, r1, r2, t, wd-2, 0)
 	}
-	if oxLo == oxHi {
-		return
+	w0, w1, w2 := t[0], t[1], t[2]
+	w3, w4, w5 := t[3], t[4], t[5]
+	var w6, w7, w8 float32
+	if r2 != nil {
+		w6, w7, w8 = t[6], t[7], t[8]
 	}
-	w0, w1, w2 := taps[0], taps[1], taps[2]
-	w3, w4, w5 := taps[3], taps[4], taps[5]
-	w6, w7, w8 := taps[6], taps[7], taps[8]
-	out := orow[oxLo:oxHi]
-	ix0 := oxLo*stride - padW
-	span := (len(out)-1)*stride + 3
-	r0 := plane[iy0*wd+ix0:][:span]
-	r1 := plane[(iy0+1)*wd+ix0:][:span]
-	r2 := plane[(iy0+2)*wd+ix0:][:span]
-	x := 0
-	for i := range out {
+	i, x := lo, lo*stride-padW
+	if stride == 1 {
+		for ; i+4 <= hi; i, x = i+4, x+4 {
+			p, q := r0[x:x+6:x+6], r1[x:x+6:x+6]
+			s0, s1, s2, s3 := b, b, b, b
+			s0 += p[0] * w0
+			s1 += p[1] * w0
+			s2 += p[2] * w0
+			s3 += p[3] * w0
+			s0 += p[1] * w1
+			s1 += p[2] * w1
+			s2 += p[3] * w1
+			s3 += p[4] * w1
+			s0 += p[2] * w2
+			s1 += p[3] * w2
+			s2 += p[4] * w2
+			s3 += p[5] * w2
+			s0 += q[0] * w3
+			s1 += q[1] * w3
+			s2 += q[2] * w3
+			s3 += q[3] * w3
+			s0 += q[1] * w4
+			s1 += q[2] * w4
+			s2 += q[3] * w4
+			s3 += q[4] * w4
+			s0 += q[2] * w5
+			s1 += q[3] * w5
+			s2 += q[4] * w5
+			s3 += q[5] * w5
+			if r2 != nil {
+				r := r2[x : x+6 : x+6]
+				s0 += r[0] * w6
+				s1 += r[1] * w6
+				s2 += r[2] * w6
+				s3 += r[3] * w6
+				s0 += r[1] * w7
+				s1 += r[2] * w7
+				s2 += r[3] * w7
+				s3 += r[4] * w7
+				s0 += r[2] * w8
+				s1 += r[3] * w8
+				s2 += r[4] * w8
+				s3 += r[5] * w8
+			}
+			o := orow[i : i+4 : i+4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+	}
+	for ; i < hi; i, x = i+1, x+stride {
+		p, q := r0[x:x+3:x+3], r1[x:x+3:x+3]
 		sum := b
-		sum += r0[x] * w0
-		sum += r0[x+1] * w1
-		sum += r0[x+2] * w2
-		sum += r1[x] * w3
-		sum += r1[x+1] * w4
-		sum += r1[x+2] * w5
-		sum += r2[x] * w6
-		sum += r2[x+1] * w7
-		sum += r2[x+2] * w8
-		out[i] = sum
-		x += stride
+		sum += p[0] * w0
+		sum += p[1] * w1
+		sum += p[2] * w2
+		sum += q[0] * w3
+		sum += q[1] * w4
+		sum += q[2] * w5
+		if r2 != nil {
+			r := r2[x : x+3 : x+3]
+			sum += r[0] * w6
+			sum += r[1] * w7
+			sum += r[2] * w8
+		}
+		orow[i] = sum
 	}
+}
+
+// depthwiseEdge is the output of an edge column in a row of depthwiseRow:
+// input columns c, c+1 of each in-bounds row against kernel columns k,
+// k+1 — k = 1 on the left edge, whose column -1 is padding, 0 on a
+// clipped right edge, whose column wd is. The padded taps are skipped,
+// not multiplied by +0.0, which would turn a -0.0 sum into +0.0 and an
+// Inf weight into NaN.
+func depthwiseEdge(b float32, r0, r1, r2, t []float32, c, k int) float32 {
+	t = t[k:]
+	sum := b
+	sum += r0[c] * t[0]
+	sum += r0[c+1] * t[1]
+	sum += r1[c] * t[3]
+	sum += r1[c+1] * t[4]
+	if r2 != nil {
+		sum += r2[c] * t[6]
+		sum += r2[c+1] * t[7]
+	}
+	return sum
 }

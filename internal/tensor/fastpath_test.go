@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ import (
 // difference at all is a bug.
 
 // depthwiseReference computes the whole depthwise output one pixel at a
-// time through depthwisePixel, never entering depthwiseRow3x3.
+// time through depthwisePixel, never entering the 3x3 row kernel.
 func depthwiseReference(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor {
 	spec = spec.check()
 	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
@@ -108,8 +109,110 @@ func TestDepthwise3x3ShardedMatchesSerial(t *testing.T) {
 		DepthwiseConv2DFusedInto(pooled, in, w, bias, spec, Epilogue{})
 		assertBitEqual(t, pooled, want, fmt.Sprintf("stride %d pooled", stride))
 		serial := dirty(want.Shape...)
-		depthwiseRows(serial, in, w, bias, spec.check(), 0, c*want.Shape[1])
+		depthwiseRows(serial, in, w, bias, spec.check(), 0, c*want.Shape[1], Epilogue{})
 		assertBitEqual(t, serial, want, fmt.Sprintf("stride %d serial", stride))
+	}
+}
+
+// TestDepthwise3x3SaltedSpecials runs the depthwise kernel on inputs and
+// weights salted with +-0, NaN and +-Inf, -0.0 and +Inf biases, and
+// compares every output bit with the pixel reference (any NaN equals any
+// NaN). The finite sweep above cannot tell a skipped padded tap from one
+// multiplied by +0.0: here channel 0 is all -0.0 under a -0.0 bias, so
+// an added +0.0 turns its -0.0 outputs into +0.0, and channel 1's
+// weights are +Inf, so a +0.0 input in the padding turns them into NaN.
+// The specs cover Asym pads, both strides, right edge columns that are
+// and are not clipped, and two layers the 3x3 row kernel must leave to
+// depthwisePixel.
+func TestDepthwise3x3SaltedSpecials(t *testing.T) {
+	r := rand.New(rand.NewSource(109))
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	specials := []float32{0, negZero, float32(math.NaN()), inf, -inf}
+	salt := func(x []float32) {
+		for i := range x {
+			if r.Intn(6) == 0 {
+				x[i] = specials[r.Intn(len(specials))]
+			}
+		}
+	}
+	const c = 5
+	clipped := map[bool]bool{}
+	for _, tc := range []struct {
+		spec Conv2DSpec
+		fast bool
+	}{
+		{Conv2DSpec{Stride: 1, Pad: 1}, true},
+		{Conv2DSpec{Stride: 2, Pad: 1}, true},
+		{Conv2DSpec{Stride: 1, Asym: true, PadH: 1, PadW: 0}, true},
+		{Conv2DSpec{Stride: 1, Asym: true, PadH: 0, PadW: 1}, true},
+		{Conv2DSpec{Stride: 2, Asym: true, PadH: 1, PadW: 0}, true},
+		{Conv2DSpec{Stride: 2, Asym: true, PadH: 0, PadW: 1}, true},
+		{Conv2DSpec{Stride: 3, Pad: 1}, false},
+		{Conv2DSpec{Stride: 1, Pad: 2}, false},
+	} {
+		spec := tc.spec.check()
+		for _, h := range []int{3, 6, 7} {
+			for _, wd := range []int{7, 8, 13} {
+				if depthwise3x3Fits(h, wd, 3, 3, spec.Stride, spec.PadH, spec.PadW) != tc.fast {
+					t.Fatalf("%+v: depthwise3x3Fits = %v", spec, !tc.fast)
+				}
+				if _, wout := spec.OutDims(h, wd, 3, 3); tc.fast && spec.Stride == 2 {
+					clipped[(wout-1)*spec.Stride-spec.PadW+3 > wd] = true
+				}
+				in := New(c, h, wd).Randomize(r, 1)
+				w := New(c, 3, 3).Randomize(r, 1)
+				for i := 0; i < h*wd; i++ {
+					in.Data[i] = negZero
+				}
+				for i := 0; i < 9; i++ {
+					w.Data[i] = float32(math.Abs(float64(w.Data[i])))
+					w.Data[9+i] = inf
+				}
+				salt(in.Data[2*h*wd:])
+				salt(w.Data[18:])
+				bias := []float32{negZero, 0.5, negZero, inf, -0.25}
+				name := fmt.Sprintf("%+v in%dx%d", spec, h, wd)
+				want := depthwiseReference(in, w, bias, spec)
+				got := dirty(want.Shape...)
+				DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
+				if !bitsOrNaN(got.Data, want.Data) {
+					t.Fatalf("%s: outputs differ from the pixel reference\ngot  %v\nwant %v", name, got.Data, want.Data)
+				}
+				_, _, _, _, _, epi := bnEpilogue(c, h+wd)
+				epi.Act = ActReLU6
+				epi.ApplyInto(want)
+				DepthwiseConv2DFusedInto(got, in, w, bias, spec, epi)
+				if !bitsOrNaN(got.Data, want.Data) {
+					t.Fatalf("%s fused: outputs differ from the pixel reference", name)
+				}
+			}
+		}
+	}
+	if !clipped[true] || !clipped[false] {
+		t.Fatalf("stride-2 widths cover right edges clipped %v, unclipped %v; want both", clipped[true], clipped[false])
+	}
+}
+
+// TestDepthwiseRejectsRanks: an input that is not [C, H, W] and weights
+// that are not [C, KH, KW] panic with the ranks named, rather than a
+// [C, 1, 3, 3] weight being read as a 1x3 kernel.
+func TestDepthwiseRejectsRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		in, w *Tensor
+	}{
+		{"rank-4 input", New(1, 2, 5, 5), New(2, 3, 3)},
+		{"rank-4 weights", New(2, 5, 5), New(2, 1, 3, 3)},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "rank-3") {
+					t.Errorf("%s: panic %q, want one naming the rank-3 shapes", tc.name, msg)
+				}
+			}()
+			DepthwiseConv2DFusedInto(New(2, 5, 5), tc.in, tc.w, nil, Conv2DSpec{Pad: 1}, Epilogue{})
+		}()
 	}
 }
 
@@ -584,7 +687,7 @@ func TestDepthwiseShardsBelowGEMMThreshold(t *testing.T) {
 			t.Fatalf("%dx%dx%d s%d: %d MACs is not between the two thresholds", c.c, c.hw, c.hw, c.stride, macs)
 		}
 		serial := dirty(c.c, hout, wout)
-		depthwiseRowsFused(serial, in, w, bias, spec, 0, c.c*hout, epi)
+		depthwiseRows(serial, in, w, bias, spec, 0, c.c*hout, epi)
 		// Enlisting is a non-blocking hand-off to a parked worker, and one
 		// that has just finished a task may not have parked again yet.
 		enlisted := false

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // This file is the FP32 twin of the int8 epilogue in qconv.go: fused
@@ -161,22 +162,6 @@ func applyEpilogueSpan(seg []float32, oc int, epi Epilogue) {
 	}
 }
 
-// foldEpilogueRows applies the epilogue to the flattened output-row
-// tiles [lo, hi) by channel-contiguous spans, so a compute shard's
-// epilogue costs a handful of span calls, not one call per row.
-func foldEpilogueRows(out *Tensor, lo, hi int, epi Epilogue) {
-	hout, wout := out.Shape[1], out.Shape[2]
-	for u := lo; u < hi; {
-		oc := u / hout
-		end := (oc + 1) * hout
-		if end > hi {
-			end = hi
-		}
-		applyEpilogueSpan(out.Data[u*wout:end*wout], oc, epi)
-		u = end
-	}
-}
-
 // checkEpilogueChannels rejects an affine epilogue whose channel count
 // does not match the kernel's output channels (the row-folded paths
 // index Scale/Shift by output channel directly).
@@ -186,26 +171,16 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 	}
 }
 
-// depthwiseRowsFused computes the flattened output-row tiles [lo, hi)
-// and then applies the epilogue to just those rows while the shard is
-// still cache-resident, instead of as whole-tensor sweeps after all
-// shards finish.
-func depthwiseRowsFused(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int, epi Epilogue) {
-	depthwiseRows(dst, in, w, bias, spec, lo, hi)
-	foldEpilogueRows(dst, lo, hi, epi)
-}
-
 // depthwiseShardMACs is the depthwise layer size from which the row
 // space is sharded: two grains, the least parallelFor cuts into more
 // than one chunk. The GEMM kernels' bar (parallelThresholdMACs, eight
 // times this) is too high here: a depthwise MAC with its epilogue runs
-// at 0.6–1.2 GMAC/s a core against the GEMM's 2.7, so a two-grain layer
-// is 110–220 µs of work, and a fork that gets no help costs its caller
-// about 1 µs (BenchmarkForkJoin: 0.8–1.4 µs; Xeon 2.10 GHz, 2 CPUs,
-// go1.24.0). Under the old bar 12 of MobileNet-v2's 17 depthwise layers,
-// 37 % of its depthwise MACs, ran on one core; sharded, the smallest of
-// them (576x14x14 stride 2, 254 K MACs) goes 332–399 → 299–326 µs and
-// 384x14x14 goes 912 → 533 µs.
+// at 0.65–1.3 GMAC/s a core against the GEMM's 2.7, so a two-grain layer
+// is 100–200 µs of work, and a fork that gets no help costs its caller
+// about 1 µs (BenchmarkForkJoin: 0.8–1.4 µs). Serial against sharded at
+// GOMAXPROCS 2, a 139 K-MAC layer goes 113–152 → 72–94 µs and the
+// smallest of MobileNet-v2's 17 depthwise layers (576x14x14 stride 2,
+// 254 K MACs) 356–391 → 193–230 µs (Xeon 2.10 GHz, 2 CPUs, go1.24.0).
 const depthwiseShardMACs = 2 * parallelGrainMACs
 
 // DepthwiseConv2DFusedInto computes the depthwise convolution into a
@@ -217,6 +192,9 @@ const depthwiseShardMACs = 2 * parallelGrainMACs
 // smaller layers stay on the caller.
 func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
+	if len(in.Shape) != 3 || len(w.Shape) != 3 {
+		panic(fmt.Sprintf("tensor: depthwise conv wants a rank-3 input and rank-3 [C, KH, KW] weights, got %v and %v", in.Shape, w.Shape))
+	}
 	c, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
 	wc, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2]
 	if c != wc {
@@ -230,13 +208,33 @@ func DepthwiseConv2DFusedInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpe
 	checkEpilogueChannels(epi, c)
 	macsPerRow := kh * kw * wout
 	if c*hout*macsPerRow < depthwiseShardMACs {
-		depthwiseRowsFused(dst, in, w, bias, spec, 0, c*hout, epi)
+		depthwiseRows(dst, in, w, bias, spec, 0, c*hout, epi)
 		return
 	}
-	parallelFor(c*hout, grainForMACs(macsPerRow), func(lo, hi int) {
-		depthwiseRowsFused(dst, in, w, bias, spec, lo, hi, epi)
-	})
+	j := depthwiseJobs.Get().(*depthwiseJob)
+	*j = depthwiseJob{dst: dst, in: in, w: w, bias: bias, spec: spec, epi: epi, fn: j.fn}
+	parallelFor(c*hout, grainForMACs(macsPerRow), j.fn)
+	*j = depthwiseJob{fn: j.fn} // the pool must not keep the tensors alive
+	depthwiseJobs.Put(j)
 }
+
+// depthwiseJob is one sharded depthwise call's operands.
+type depthwiseJob struct {
+	dst, in, w *Tensor
+	bias       []float32
+	spec       Conv2DSpec
+	epi        Epilogue
+	fn         func(lo, hi int)
+}
+
+// depthwiseJobs lends each sharded call its job, whose shard body is
+// bound once: a closure built per call would be a heap allocation per
+// convolution.
+var depthwiseJobs = sync.Pool{New: func() any {
+	j := new(depthwiseJob)
+	j.fn = func(lo, hi int) { depthwiseRows(j.dst, j.in, j.w, j.bias, j.spec, lo, hi, j.epi) }
+	return j
+}}
 
 // DenseFusedInto computes dst = epi(w*x + bias) for a [Out, In] weight
 // matrix; the epilogue's affine (if any) is per output element.
