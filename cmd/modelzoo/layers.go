@@ -59,6 +59,12 @@ const (
 	// roofs themselves, against a quiet table's, show it.
 	stealBar = 0.02
 	driftBar = 0.10
+	// scalingBar is the least a two-core FMUL roof may read as a multiple
+	// of the one-core one: two cores of the host's own run the register-
+	// only probe at about twice the rate, so a table whose second core
+	// was not there while the roofs were probed, which inflates its
+	// GOMAXPROCS-2 roof fractions, is marked contended too.
+	scalingBar = 1.5
 	// userHZ is the tick /proc/stat counts in: 100 a second, fixed by
 	// the Linux ABI.
 	userHZ = 100
@@ -79,10 +85,11 @@ type layerTable struct {
 
 // layerNoise is what the host did besides the table while it was
 // measured: the CPU time the hypervisor stole from this VM (the steal
-// column of /proc/stat, read only) and how far the one-core FMUL and
-// copy roofs moved from before the timed forwards to after them. The
-// register-only FMUL probe does not see a co-tenant that loads the
-// memory system; the copy probe does.
+// column of /proc/stat, read only), how far the one-core FMUL and copy
+// roofs and the two-core FMUL roof moved from before the timed forwards
+// to after them, and how the two-core FMUL roof scales on the one-core
+// one. The register-only FMUL probe does not see a co-tenant that loads
+// the memory system; the copy probe does.
 type layerNoise struct {
 	WallS      float64 `json:"wall_s"`
 	StealTicks int64   `json:"steal_ticks"`
@@ -97,13 +104,21 @@ type layerNoise struct {
 	CopyAfter  float64 `json:"copy_after_gb_s"`
 	// CopyDrift is |CopyAfter / CopyBefore - 1|.
 	CopyDrift float64 `json:"copy_drift"`
+	// FMUL2Before is the two-core roofline's FMUL, FMUL2After the same
+	// probe after the forwards, Drift2 |FMUL2After / FMUL2Before - 1|.
+	FMUL2Before float64 `json:"fmul2_before_gmuladd_s"`
+	FMUL2After  float64 `json:"fmul2_after_gmuladd_s"`
+	Drift2      float64 `json:"fmul2_drift"`
+	// Scaling is FMUL2Before / FMULBefore.
+	Scaling   float64 `json:"fmul2_scaling"`
 	Contended bool    `json:"contended"`
 	Bar       string  `json:"contended_bar"`
 }
 
 // contended is the verdict the bar gives the noise block's numbers.
 func (n layerNoise) contended() bool {
-	return n.StealShare > stealBar || n.Drift > driftBar || n.CopyDrift > driftBar
+	return n.StealShare > stealBar || n.Drift > driftBar || n.CopyDrift > driftBar ||
+		n.Drift2 > driftBar || n.Scaling < scalingBar
 }
 
 type layerHost struct {
@@ -216,23 +231,30 @@ func runLayers(w io.Writer, path string) int {
 	if failed > 0 {
 		return 1
 	}
-	runtime.GOMAXPROCS(layerProcs[0])
-	after := probeRoofline(layerProcs[0])
+	var after []roofline
+	for _, procs := range layerProcs {
+		runtime.GOMAXPROCS(procs)
+		after = append(after, probeRoofline(procs))
+	}
 	t.Noise = layerNoise{WallS: time.Since(start).Seconds(), StealShare: -1,
-		FMULBefore: t.Roof[0].FMUL, FMULAfter: after.FMUL, CopyBefore: t.Roof[0].Copy, CopyAfter: after.Copy,
-		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift > %.2f or copy_drift > %.2f; "+
-			"a co-tenant present for the whole run moves neither roof and passes", stealBar, driftBar, driftBar)}
+		FMULBefore: t.Roof[0].FMUL, FMULAfter: after[0].FMUL, CopyBefore: t.Roof[0].Copy, CopyAfter: after[0].Copy,
+		FMUL2Before: t.Roof[1].FMUL, FMUL2After: after[1].FMUL,
+		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift, copy_drift or fmul2_drift > %.2f or fmul2_scaling < %.1f; "+
+			"a co-tenant present for the whole run moves no roof but caps the scaling", stealBar, driftBar, scalingBar)}
 	if steal1, ok := stealTicks(); ok && stealOK {
 		t.Noise.StealTicks = int64(steal1 - steal0)
 		t.Noise.StealShare = float64(t.Noise.StealTicks) / (t.Noise.WallS * userHZ * float64(runtime.NumCPU()))
 	}
 	t.Noise.Drift = math.Abs(t.Noise.FMULAfter/t.Noise.FMULBefore - 1)
 	t.Noise.CopyDrift = math.Abs(t.Noise.CopyAfter/t.Noise.CopyBefore - 1)
+	t.Noise.Drift2 = math.Abs(t.Noise.FMUL2After/t.Noise.FMUL2Before - 1)
+	t.Noise.Scaling = t.Noise.FMUL2Before / t.Noise.FMULBefore
 	t.Noise.Contended = t.Noise.contended()
 	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), "+
-		"copy roof %.1f → %.1f GB/s (drift %.1f%%), contended %v\n",
+		"copy roof %.1f → %.1f GB/s (drift %.1f%%), two-core FMUL roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), contended %v\n",
 		t.Noise.StealTicks, t.Noise.WallS, 100*t.Noise.StealShare, t.Noise.FMULBefore, t.Noise.FMULAfter, 100*t.Noise.Drift,
-		t.Noise.CopyBefore, t.Noise.CopyAfter, 100*t.Noise.CopyDrift, t.Noise.Contended)
+		t.Noise.CopyBefore, t.Noise.CopyAfter, 100*t.Noise.CopyDrift,
+		t.Noise.FMUL2Before, t.Noise.FMUL2After, 100*t.Noise.Drift2, t.Noise.Scaling, t.Noise.Contended)
 	data, err := json.MarshalIndent(t, "", " ")
 	if err == nil {
 		err = os.WriteFile(path, append(data, '\n'), 0o644)

@@ -15,8 +15,10 @@ import (
 // the schema -layers writes, without timing anything: it parses, holds
 // the three benchmark models at every GOMAXPROCS with a roofline for
 // each, records the host fingerprint and the host's noise while it was
-// measured — steal, and the FMUL and copy roofs before and after the
-// forwards — with the contended verdict its own numbers give, and each
+// measured — steal, the one-core FMUL and copy roofs and the two-core
+// FMUL roof before and after the forwards, and the two-core roof's
+// scaling on the one-core one — with the contended verdict its own
+// numbers give, and each
 // model's step p50s add up to its forward p50 within the tolerance
 // -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
@@ -35,8 +37,13 @@ func TestCommittedLayerTable(t *testing.T) {
 	}
 	if n := tab.Noise; n.WallS <= 0 || n.StealTicks < 0 || n.FMULBefore <= 0 || n.FMULAfter <= 0 ||
 		n.CopyBefore <= 0 || n.CopyAfter <= 0 || n.Bar == "" || n.Contended != n.contended() ||
-		math.Abs(n.CopyDrift-math.Abs(n.CopyAfter/n.CopyBefore-1)) > 1e-9 {
+		math.Abs(n.CopyDrift-math.Abs(n.CopyAfter/n.CopyBefore-1)) > 1e-9 ||
+		n.FMUL2Before <= 0 || n.FMUL2After <= 0 || math.Abs(n.Drift2-math.Abs(n.FMUL2After/n.FMUL2Before-1)) > 1e-9 ||
+		math.Abs(n.Scaling-n.FMUL2Before/n.FMULBefore) > 1e-9 {
 		t.Errorf("noise block incomplete or inconsistent: %+v", n)
+	}
+	if len(tab.Roof) == len(layerProcs) && (tab.Roof[0].FMUL != tab.Noise.FMULBefore || tab.Roof[1].FMUL != tab.Noise.FMUL2Before) {
+		t.Errorf("noise block's before-roofs %.3f and %.3f are not the table's rooflines %+v", tab.Noise.FMULBefore, tab.Noise.FMUL2Before, tab.Roof)
 	}
 	if tab.Runs < 30 {
 		t.Errorf("runs = %d, want >= 30", tab.Runs)

@@ -100,13 +100,44 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 func BenchmarkGemmPrepacked(b *testing.B) {
 	const m, k, n = 12544, 27, 32
 	a := New(m, k).Randomize(stats.NewRNG(1), 1)
-	pw := packB(gemmFP32, New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n)
-	dst := make([]float32, m*n)
+	j := matrixJob(gemmFP32, a.Data, packB(gemmFP32, New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n))
+	dst, win := make([]float32, m*n), make([]window, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmFP32.rowRange(dst, a.Data, pw, 0, m)
+		j.rowRange(dst, win, 0, m)
 	}
 	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+}
+
+// BenchmarkConv2DPrepackedTransposed is the whole FP32 band pass,
+// Conv2DPrepackedInto with an absorbed batch-norm and ReLU, at the two
+// K x K convolutions of the benchmark's FP32 models: CifarNet's conv2
+// (K = 1600, so a K-block starts inside an (ic, ky) run of five taps)
+// and MobileNet-v2's stem (K = 27, strided, padded on two sides).
+func BenchmarkConv2DPrepackedTransposed(b *testing.B) {
+	for _, tc := range []struct {
+		name                 string
+		cin, hw              int
+		cout, k, stride, pad int
+	}{
+		{"cifar-conv2-64x15x15-5x5p2-64", 64, 15, 64, 5, 1, 2},
+		{"mbv2-stem-3x224x224-3x3s2p1-32", 3, 224, 32, 3, 2, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := benchInput(tc.cin, tc.hw, tc.hw)
+			pw := PackConvWeights(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1))
+			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: ActReLU}
+			spec := Conv2DSpec{Stride: tc.stride, Pad: tc.pad}
+			hout, wout := spec.OutDims(tc.hw, tc.hw, tc.k, tc.k)
+			dst := New(tc.cout, hout, wout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Conv2DPrepackedInto(dst, in, pw, nil, spec, epi)
+			}
+			b.ReportMetric(float64(pw.K*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
 }
 
 // BenchmarkConv2DPrepacked is the whole pre-packed FP32 pointwise
@@ -200,9 +231,11 @@ func BenchmarkClampReLU6(b *testing.B) {
 // The benchmarks below sit at SqueezeNet v1.1's hottest int8-path
 // shapes: the stem, the widest 3x3 expand, the classifier's 1x1, the
 // first fire module's squeeze and 1x1 expand (the pointwise convs
-// BENCH_layers.json ranks furthest below the int8 roof), the first
-// max-pool, and the activation quantizer on the stem's image and on a
-// ReLU'd activation.
+// BENCH_layers.json ranks furthest below the int8 roof), the last 3x3
+// expand (13-pixel rows under pad 1: about one lane triple in seven
+// wraps a row and over a third touch the padding), the first max-pool,
+// and the activation quantizer on the stem's image and on a ReLU'd
+// activation.
 
 func BenchmarkConv2DQPrepacked(b *testing.B) {
 	for _, tc := range []struct {
@@ -215,6 +248,7 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 		{"conv10-512x13x13-1x1-1000", 512, 13, 13, 1000, 1, 1, 0},
 		{"fire3sq-128x55x55-1x1-16", 128, 55, 55, 16, 1, 1, 0},
 		{"fire2e1-16x55x55-1x1-64", 16, 55, 55, 64, 1, 1, 0},
+		{"fire9e3-64x13x13-3x3p1-256", 64, 13, 13, 256, 3, 1, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.h, tc.w)

@@ -10,8 +10,8 @@ import (
 )
 
 // Bit-exact differential tests for the shape-specialised kernels: the
-// 3x3 depthwise row kernel, the two-row GEMM microkernel, the pointwise
-// transpose lowering, the banded pre-packed convolution and the
+// 3x3 depthwise row kernel, the two-row GEMM microkernel, the staging
+// of im2row rows, the banded pre-packed convolution and the
 // branch-free clamp. Each is compared with a plain reference
 // that performs the same float32 operations in the same order, so any
 // difference at all is a bug.
@@ -379,7 +379,7 @@ func TestGemmMicrokernelNegativeZero(t *testing.T) {
 }
 
 // transposedIm2Col returns the im2row matrix [hout*wout, cin*kh*kw], one
-// tap at a time — a lowering independent of im2rowPixels.
+// tap at a time — a lowering independent of the band pass's staging.
 func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
 	cin, h, wd := in.Shape[0], in.Shape[1], in.Shape[2]
 	hout, wout := spec.OutDims(h, wd, kh, kw)
@@ -398,28 +398,50 @@ func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
 	return out
 }
 
-// TestPointwiseLoweringMatchesIm2Col checks im2rowPixels' 1x1 lowering
-// (the transposed kernel's, which a pointwise conv reaches only when
-// called directly) on a non-square plane against the transposed im2col
-// matrix, written as two shards whose boundary falls at the edges,
-// inside the first band, and inside a later one, for the unit-stride,
-// strided and padded 1x1 specs.
+// stagedIm2Row returns the im2row matrix [npix, K] of an FP32 job as
+// gemmPanelRows stages it, K-block by K-block through convTaps and
+// stageWindow, into scratch poisoned with NaN.
+func stagedIm2Row(j *bandJob[float32, float32, float32]) []float32 {
+	k, npix := j.geo.cin*j.geo.kh*j.geo.kw, j.geo.hout*j.geo.wout
+	out := make([]float32, npix*k)
+	win := make([]window, npix)
+	j.windows(win, 0)
+	var t convTaps
+	for kc := 0; kc < k; kc += gemmKC {
+		kb := min(k-kc, gemmKC)
+		t.init(j.geo, kc, kb)
+		for p := 0; p < npix; p++ {
+			var row [gemmKC]float32
+			for i := range row {
+				row[i] = float32(math.NaN())
+			}
+			stageWindow(row[:kb], j.in, &t, win[p], &j.geo)
+			copy(out[p*k+kc:], row[:kb])
+		}
+	}
+	return out
+}
+
+// stagingJob is the FP32 band job of a convolution of in by kh x kw
+// weights, as far as staging reads it.
+func stagingJob(in *Tensor, kh, kw int, spec Conv2DSpec) *bandJob[float32, float32, float32] {
+	spec = spec.check()
+	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
+	return &bandJob[float32, float32, float32]{in: in.Data, spec: spec,
+		geo: convGeom{cin: in.Shape[0], h: in.Shape[1], wd: in.Shape[2], kh: kh, kw: kw, hout: hout, wout: wout}}
+}
+
+// TestPointwiseLoweringMatchesIm2Col checks the FP32 staging of a 1x1
+// window (the transposed kernel's, which a pointwise conv reaches only
+// when called directly) on a non-square plane against the transposed
+// im2col matrix, for the unit-stride, strided and padded 1x1 specs, with
+// Cin over one K-block, so a block starts at channel 128.
 func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
-	const cin, h, wd = 7, 5, 13
+	const cin, h, wd = gemmKC + 7, 5, 13
 	in := New(cin, h, wd).Randomize(rand.New(rand.NewSource(83)), 1)
 	for _, spec := range []Conv2DSpec{{Stride: 1}, {Stride: 2}, {Stride: 1, Pad: 1}} {
-		spec = spec.check()
-		hout, wout := spec.OutDims(h, wd, 1, 1)
-		npix := hout * wout
-		want := transposedIm2Col(in, 1, 1, spec)
-		for _, cut := range []int{0, 1, convBandPixels - 1, convBandPixels + 8, npix} {
-			cut = min(cut, npix)
-			got := dirty(npix, cin).Data
-			im2rowPixels(got, in.Data, cin, h, wd, 1, 1, spec, wout, 0, cut)
-			im2rowPixels(got[cut*cin:], in.Data, cin, h, wd, 1, 1, spec, wout, cut, npix)
-			if !bitsEqual(got, want) {
-				t.Errorf("spec %+v cut at %d: lowering differs from transposed im2col", spec, cut)
-			}
+		if !bitsEqual(stagedIm2Row(stagingJob(in, 1, 1, spec)), transposedIm2Col(in, 1, 1, spec)) {
+			t.Errorf("spec %+v: staged rows differ from transposed im2col", spec)
 		}
 	}
 }
@@ -516,7 +538,8 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 		spec := c.spec.check()
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
 		ncols, k := hout*wout, c.cin*c.kh*c.kw
-		chunk := 2 * max(((ncols+1)/2+7)/8, grainForMACs(2*k*c.cout)) // parallelFor's cut at GOMAXPROCS 2, in pixels
+		units := (ncols + convUnitPixels - 1) / convUnitPixels
+		chunk := convUnitPixels * max((units+7)/8, grainForMACs(convUnitPixels*k*c.cout)) // parallelFor's cut at GOMAXPROCS 2, in pixels
 		if c.sharded && (ncols*k*c.cout < parallelThresholdMACs || chunk%convBandPixels == 0) {
 			t.Fatalf("%s: %d pixels in chunks of %d do not exercise an unaligned sharded cut", c.name, ncols, chunk)
 		}
@@ -537,20 +560,21 @@ func TestConv2DPrepackedBandEdges(t *testing.T) {
 	}
 }
 
-// poisonBandScratch leaves each datatype's pool a scratch whose buffers
-// are larger than any test band needs and full of values no convolution
-// produces, for the next band pass on this goroutine to be handed.
+// poisonBandScratch leaves each datatype's pool a scratch whose
+// accumulators are larger than any test band needs and full of values no
+// convolution produces, for the next band pass on this goroutine to be
+// handed.
 func poisonBandScratch(n int) {
-	f := gemmFP32.scratch.Get().(*bandScratch[float32, float32])
-	f.rows, f.acc = growSlice(f.rows, n), growSlice(f.acc, n)
-	for i := range f.rows {
-		f.rows[i], f.acc[i] = float32(math.NaN()), float32(math.NaN())
+	f := gemmFP32.scratch.Get().(*bandScratch[float32])
+	f.acc = growSlice(f.acc, n)
+	for i := range f.acc {
+		f.acc[i] = float32(math.NaN())
 	}
 	gemmFP32.scratch.Put(f)
-	q := gemmInt8.scratch.Get().(*bandScratch[int8, int32])
-	q.rows, q.acc = growSlice(q.rows, n), growSlice(q.acc, n)
-	for i := range q.rows {
-		q.rows[i], q.acc[i] = -128, math.MinInt32
+	q := gemmInt8.scratch.Get().(*bandScratch[int32])
+	q.acc = growSlice(q.acc, n)
+	for i := range q.acc {
+		q.acc[i] = math.MinInt32
 	}
 	gemmInt8.scratch.Put(q)
 }

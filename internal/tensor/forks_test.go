@@ -60,10 +60,10 @@ func TestPackedConvForksOnce(t *testing.T) {
 
 // TestPackedQConvForksOnce is the int8 twin on the benchmark's SqueezeNet
 // (O2, then quantized): one parallelFor per pre-packed int8 convolution at
-// or above the MAC bar — the band pass; lowering, QGEMM and requantize
+// or above the MAC bar — the band pass; staging, QGEMM and requantize
 // fork nowhere else — and, where the input is long enough to shard the
 // activation quantizer, one for its max-abs pass and, unless the conv is
-// pointwise (its bands round as they lower), one for its rounding pass;
+// pointwise (its lanes round as they are staged), one for its rounding pass;
 // one per max-pool above its bar, and nothing else: 46 forks.
 func TestPackedQConvForksOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)

@@ -47,14 +47,17 @@ func bnEpilogue(c int, seed int) (gamma, beta, mean, variance []float32, eps flo
 	return
 }
 
+// assertBitEqual fails unless got has want's shape and want's bits,
+// NaNs matching any NaN (bitsOrNaN).
 func assertBitEqual(t *testing.T, got, want *Tensor, what string) {
 	t.Helper()
 	if !got.Shape.Equal(want.Shape) {
 		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("%s: out[%d] = %v, want %v (bitwise mismatch)", what, i, got.Data[i], want.Data[i])
+		if !bitsOrNaN(got.Data[i:i+1], want.Data[i:i+1]) {
+			t.Fatalf("%s: out[%d] = %v (%#08x), want %v (%#08x) (bitwise mismatch)", what, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
 		}
 	}
 }

@@ -13,28 +13,25 @@ const (
 	gemmMR = 4   // K-interleave of the packed panel / microkernel unroll
 )
 
-// gemmPairRange converts a chunk of row-pair indices [lo, hi) into the
-// row range it owns: shard boundaries always land on even rows, so only
-// the lone last row of an odd-M matrix pairs with gemmPanelRows' sink.
-func gemmPairRange(lo, hi, m int) (rlo, rhi int) {
-	return lo * 2, min(hi*2, m)
-}
-
 // gemmPanelRows is the FP32 microkernel under the one tile loop
-// (gemm.rowRange): dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel for rows
-// [rlo, rhi), every element through one loop body, panel2x2. An odd last
-// row pairs with a copy of itself that accumulates into a sink. Each
-// element keeps its expression and K order however it is paired, so
-// results do not depend on how callers split rows.
-func gemmPanelRows(dst, a, panel []float32, k, n, kc, kb, jc, jb, rlo, rhi int) {
-	kb4 := (kb + gemmMR - 1) &^ (gemmMR - 1)
+// (bandJob.rowRange): dst[i, jc:jc+jb] += im2row(in)[p, kc:kc+kb] x panel
+// for the pixel p of each window win[i], every element through one loop
+// body, panel2x2. A row pair's K-block is staged into a0 and a1 straight
+// from the input, through the block's taps. An odd last row pairs with a
+// copy of itself that accumulates into a sink. Each element keeps its
+// expression and K order however it is paired, so results do not depend
+// on how callers split rows.
+func gemmPanelRows(dst []float32, j *bandJob[float32, float32, float32], win []window, panel []float32, kc, kb, jc, jb int) {
+	n, kb4 := j.pw.N, (kb+gemmMR-1)&^(gemmMR-1)
+	var t convTaps
+	t.init(j.geo, kc, kb)
 	// a0 and a1 are never written past kb: the K tail is +0.0 x +0.0 padding.
 	var a0, a1 [gemmKC]float32
-	for i := rlo; i < rhi; i += 2 {
-		i1 := min(i+1, rhi-1)
-		copy(a0[:kb], a[i*k+kc:i*k+kc+kb])
-		copy(a1[:kb], a[i1*k+kc:i1*k+kc+kb])
-		o0, o1 := dst[i*n+jc:i*n+jc+jb], dst[i1*n+jc:i1*n+jc+jb]
+	for i := 0; i < len(win); i += 2 {
+		i1 := min(i+1, len(win)-1)
+		stageWindow(a0[:kb], j.in, &t, win[i], &j.geo)
+		stageWindow(a1[:kb], j.in, &t, win[i1], &j.geo)
+		o0, o1 := dst[i*n+jc:][:jb], dst[i1*n+jc:][:jb]
 		if i1 == i {
 			var sink [gemmNC]float32
 			o1 = sink[:jb]

@@ -33,6 +33,23 @@ func packB[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], b []T, k
 	return g.pack(b, k, n, n, 1, nil)
 }
 
+// matrixJob views a row-major [m, pw.K] matrix a as what the tile loop
+// multiplies: the im2row matrix of a 1 x K convolution over a [1, m, K]
+// plane, whose pixel i has row i of a for its one window. Every window is
+// interior, so the microkernels stage a's rows in one gather per K-block.
+func matrixJob[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], a []T, pw *Packed[P]) *bandJob[T, P, A] {
+	m := len(a) / pw.K
+	return &bandJob[T, P, A]{g: g, in: a, pw: pw, spec: Conv2DSpec{Stride: 1},
+		geo: convGeom{cin: 1, h: m, wd: pw.K, cout: pw.N, kh: 1, kw: pw.K, hout: m, wout: 1}}
+}
+
+// rowRange computes rows [rlo, rhi) of dst = a x B for a row-major a
+// [m, pw.K] and packed B, row i at dst[i*pw.N:], overwriting them: the
+// tile loop on matrixJob's view of a.
+func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
+	matrixJob(g, a, pw).rowRange(dst[rlo*pw.N:], make([]window, rhi-rlo), rlo, rhi)
+}
+
 // blockedMatMul is a x b through the FP32 tile loop on the calling
 // goroutine, b packed now.
 func blockedMatMul(a, b *Tensor) *Tensor {
@@ -97,28 +114,30 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestGEMMPairRange pins the pair-to-row mapping the band pass cuts
-// pixels with: even boundaries everywhere, the odd remainder row owned by
-// the last pair, and full coverage of [0, m).
-func TestGEMMPairRange(t *testing.T) {
+// TestConvUnitRange pins the unit-to-pixel mapping the band pass cuts
+// chunks with: boundaries on whole units everywhere — even pixels, whole
+// lane triples — the plane's short remainder owned by the last unit, and
+// full coverage of [0, m).
+func TestConvUnitRange(t *testing.T) {
 	cases := []struct {
-		lo, hi, m, rlo, rhi int
+		lo, hi, m, plo, phi int
 	}{
-		{0, 2, 8, 0, 4},
-		{2, 4, 8, 4, 8},
-		{0, 3, 5, 0, 5}, // last pair absorbs the remainder row
-		{2, 3, 5, 4, 5}, // remainder pair alone
-		{0, 1, 1, 0, 1}, // m=1: a single lone row
-		{0, 65, 129, 0, 129},
+		{0, 2, 24, 0, 12},
+		{2, 4, 24, 12, 24},
+		{0, 3, 13, 0, 13},  // last unit absorbs the one-pixel remainder
+		{2, 3, 17, 12, 17}, // remainder unit alone
+		{0, 1, 1, 0, 1},    // m=1: a single lone pixel
+		{0, 29, 169, 0, 169},
+		{11, 22, 169, convBandPixels, 2 * convBandPixels},
 	}
 	for _, c := range cases {
-		rlo, rhi := gemmPairRange(c.lo, c.hi, c.m)
-		if rlo != c.rlo || rhi != c.rhi {
-			t.Errorf("gemmPairRange(%d, %d, m=%d) = [%d, %d), want [%d, %d)",
-				c.lo, c.hi, c.m, rlo, rhi, c.rlo, c.rhi)
+		plo, phi := convUnitRange(c.lo, c.hi, c.m)
+		if plo != c.plo || phi != c.phi {
+			t.Errorf("convUnitRange(%d, %d, m=%d) = [%d, %d), want [%d, %d)",
+				c.lo, c.hi, c.m, plo, phi, c.plo, c.phi)
 		}
-		if rlo%2 != 0 {
-			t.Errorf("gemmPairRange(%d, %d, m=%d): shard start %d is odd", c.lo, c.hi, c.m, rlo)
+		if plo%2 != 0 || plo%qgemmLanes != 0 {
+			t.Errorf("convUnitRange(%d, %d, m=%d): shard start %d is not on a row pair and a lane triple", c.lo, c.hi, c.m, plo)
 		}
 	}
 }
@@ -213,8 +232,8 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 
 // TestConv2DGEMMIntoWithPoolScratch runs the GEMM conv against dirty
 // recycled band scratch: a larger convolution over different values goes
-// first, so the package scratch pool hands the measured calls a buffer
-// full of stale lowerings (padding positions included).
+// first, so the package scratch pool hands the measured calls
+// accumulators and windows full of stale values.
 func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	in := New(3, 17, 17).Randomize(r, 1)

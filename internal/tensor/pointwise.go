@@ -16,7 +16,7 @@ import (
 
 // Pointwise reports whether a convolution is 1x1, stride 1 and unpadded:
 // an FP32 one runs channel-major (PointwiseConvInto), an int8 one rounds
-// its input as it lowers, with no rounding pass.
+// its input as it stages its lanes, with no rounding pass.
 func Pointwise(kh, kw int, spec Conv2DSpec) bool {
 	padH, padW := spec.padHW()
 	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0

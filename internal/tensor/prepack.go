@@ -24,10 +24,11 @@ import (
 //     itself, read in place, and the microkernel accumulates into dst's
 //     channel rows;
 //   - every other FP32 convolution, and every int8 one, runs transposed,
-//     here. rowsA is the im2row lowering, one row per output pixel, and
-//     Wt the transposed weight matrix, which the packer reads out of W in
-//     place. A band of pixels is lowered, multiplied into pixel-major
-//     accumulators and stored back to channel-major with the epilogue.
+//     here. rowsA is the im2row matrix, one row per output pixel, never
+//     written out: the microkernels stage its rows from the input as they
+//     multiply them by Wt, the transposed weight matrix the packer reads
+//     out of W in place. A band goes into pixel-major accumulators and is
+//     stored back to channel-major with the epilogue.
 //
 // Here the weights are constant during inference, so they are what gets
 // packed into the microkernel's interleaved panels, ahead of time by
@@ -35,7 +36,7 @@ import (
 // grouped convolution once per group — and reuses the panels forever. Per
 // output element the FP32 accumulation order depends only on the K
 // blocking, and integer accumulation on nothing. Padding positions
-// contribute +0.0 (both the zero-padded A row and the zero-filled panel
+// contribute +0.0 (both the staged padding taps and the zero-filled panel
 // rows are positive zeros).
 //
 // What is per datatype is a gemm value (gemmFP32 here, gemmInt8 in
@@ -83,15 +84,16 @@ type gemm[T int8 | float32, P float32 | byte, A any] struct {
 	// a K-block is rounded up to.
 	kc, nc, mr int
 	// packPanel packs one tile (packPanel, packQPanel); panelRows is the
-	// microkernel that accumulates one into rows [rlo, rhi) (gemmPanelRows,
-	// qgemmPanelRows).
+	// microkernel that accumulates one into the rows of the pixels whose
+	// windows are win, staging their K-block from the job's input
+	// (gemmPanelRows, qgemmPanelRows).
 	packPanel func(panel []P, b []T, rs, cs, kc, kb, kb4, jc, jb int)
-	panelRows func(dst []A, a []T, panel []P, k, n, kc, kb, jc, jb, rlo, rhi int)
+	panelRows func(dst []A, j *bandJob[T, P, A], win []window, panel []P, kc, kb, jc, jb int)
 	// store writes output pixels [p0, p1) of every channel from a band's
 	// pixel-major accumulators, epilogue applied.
 	store func(j *bandJob[T, P, A], acc []A, p0, p1 int)
 
-	// scratch lends each shard a *bandScratch[T, A] and jobs each call its
+	// scratch lends each shard a *bandScratch[A] and jobs each call its
 	// *bandJob[T, P, A]: the storage stays with the pools, so a steady
 	// stream of convolutions allocates nothing.
 	scratch, jobs sync.Pool
@@ -99,7 +101,7 @@ type gemm[T int8 | float32, P float32 | byte, A any] struct {
 
 var gemmFP32 = &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR,
 	packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
-	scratch: sync.Pool{New: func() any { return new(bandScratch[float32, float32]) }},
+	scratch: sync.Pool{New: func() any { return new(bandScratch[float32]) }},
 	jobs:    sync.Pool{New: newBandJob[float32, float32, float32]}}
 
 // walkTiles calls fn for every (N-block, K-block) tile of a [k, n] packed
@@ -145,96 +147,102 @@ func (g *gemm[T, P, A]) packWeights(w []T, shape Shape) *Packed[P] {
 	return g.pack(w, k, n, 1, k, shape)
 }
 
-// rowRange computes output rows [rlo, rhi) of dst = a x B for a row-major
-// a [m, pw.K] and the packed B operand, overwriting them: the one GEMM
-// tile loop. Rows are zeroed first, then accumulated one panel at a time.
-// A row's result does not depend on which rows share its range — every
-// output element sees the same expression and K order in the FP32
-// microkernel, and integer accumulation is exact — so callers may shard
-// rows freely (the FP32 microkernel pairs rows, so on even boundaries:
-// gemmPairRange).
-func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
-	k, n := pw.K, pw.N
-	clear(dst[rlo*n : rhi*n])
-	g.walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
-		g.panelRows(dst, a, pw.Panels[off:off+kb4*jb], k, n, kc, kb, jc, jb, rlo, rhi)
+// rowRange computes pixels [plo, phi) of out[p, :] = im2row(in)[p, :] x
+// Wt into dst, pixel p's row at dst[(p-plo)*pw.N:], overwriting them:
+// the one GEMM tile loop. The pixels' windows go into win once for every
+// K-block; each microkernel stages its K-block of a row from the input.
+// A row's result does not depend on which rows share its range — the
+// FP32 expression and K order are fixed, integer sums exact — so callers
+// may shard pixels freely.
+func (j *bandJob[T, P, A]) rowRange(dst []A, win []window, plo, phi int) {
+	k, n := j.pw.K, j.pw.N
+	win = win[:phi-plo]
+	j.windows(win, plo)
+	clear(dst[:len(win)*n])
+	j.g.walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
+		j.g.panelRows(dst, j, win, j.pw.Panels[off:off+kb4*jb], kc, kb, jc, jb)
 	})
 }
 
-// im2rowPixels writes rows [plo, phi) of the im2row lowering of in
-// (layout [cin, h, wd]) — the row-major [Hout*Wout, Cin*KH*KW] matrix
-// with one row per output pixel — into tile, row p at
-// tile[(p-plo)*rdim:]. Both transposed convolutions lower through it, the
-// FP32 one float32 activations and the int8 one their codes (a pointwise
-// int8 conv rounds its input into the band instead: quantizePixels).
-// Every element is stored, padding positions as explicit zeros (also the int8
-// zero-point of the symmetric scheme), so dirty scratch cannot leak. A
-// window whose columns are all in bounds moves its kw taps per (channel,
-// ky) in one loop, not a memmove call; only border windows test each tap.
-func im2rowPixels[T int8 | float32](tile, in []T, cin, h, wd, kh, kw int, spec Conv2DSpec, wout, plo, phi int) {
-	padH, padW := spec.padHW()
-	rdim := cin * kh * kw
-	oy, ox := plo/wout, plo%wout
-	for p := plo; p < phi; p++ {
-		dst := tile[(p-plo)*rdim : (p-plo+1)*rdim]
-		ix0 := ox*spec.Stride - padW
-		inside := ix0 >= 0 && ix0+kw <= wd
-		r := 0
-		for ic := 0; ic < cin; ic++ {
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*spec.Stride + ky - padH
-				if iy < 0 || iy >= h {
-					clear(dst[r : r+kw])
-					r += kw
-					continue
-				}
-				src := in[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
-				if inside {
-					for kx, v := range src[ix0 : ix0+kw] {
-						dst[r+kx] = v
-					}
-					r += kw
-					continue
-				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ix0 + kx
-					if ix >= 0 && ix < wd {
-						dst[r] = src[ix]
-					} else {
-						dst[r] = 0
-					}
-					r++
-				}
+// convTaps is K indices [kc, kc+kb) of a convolution's im2row row: tap
+// g, input channel ic at kernel row ky and column kx, reads the input
+// [cin, h, wd] at off[g] = (ic*h+ky)*wd+kx past a pixel's window origin.
+// A microkernel builds it once per K-block from incremental counters, so
+// a block may start mid-run, and stages each row through it: that is the
+// whole of lowering, and the band pass writes no im2row tile.
+type convTaps struct {
+	off    [gemmKC]int
+	ky, kx [gemmKC]int32
+}
+
+// init makes t the taps of K indices [kc, kc+kb) of geometry geo.
+func (t *convTaps) init(geo convGeom, kc, kb int) {
+	kx, ky, ic := kc%geo.kw, kc/geo.kw%geo.kh, kc/(geo.kw*geo.kh)
+	off := (ic*geo.h+ky)*geo.wd + kx
+	for g := range kb {
+		t.off[g], t.ky[g], t.kx[g] = off, int32(ky), int32(kx)
+		off++
+		if kx++; kx == geo.kw {
+			kx, ky, off = 0, ky+1, off-geo.kw+geo.wd
+			if ky == geo.kh {
+				ky, off = 0, off+(geo.h-geo.kh)*geo.wd
 			}
 		}
-		if ox++; ox == wout {
+	}
+}
+
+// window is where an output pixel's receptive field starts in the
+// input: row iy and column ix of its (0, 0) tap (negative in the
+// padding) and base = iy*wd+ix; inside is set when every tap is in bounds.
+type window struct {
+	base, iy, ix int
+	inside       bool
+}
+
+// windows writes the windows of pixels plo, plo+1, ... into win, walking
+// the output rows from one division.
+func (j *bandJob[T, P, A]) windows(win []window, plo int) {
+	g, s := &j.geo, j.spec.Stride
+	oy, ox := plo/g.wout, plo%g.wout
+	for i := range win {
+		iy, ix := oy*s-j.spec.PadH, ox*s-j.spec.PadW
+		win[i] = window{base: iy*g.wd + ix, iy: iy, ix: ix,
+			inside: iy >= 0 && ix >= 0 && iy+g.kh <= g.h && ix+g.kw <= g.wd}
+		if ox++; ox == g.wout {
 			oy, ox = oy+1, 0
 		}
 	}
 }
 
-// quantizePixels is the im2row lowering of a pointwise int8 conv, from
-// its FP32 input: rows [plo, phi) of the transposed [cin, npix] input go
-// into dst (row p at dst[(p-plo)*cin:]), each element rounded (quantCode)
-// as it moves, with contiguous per-channel reads and no per-pixel div/mod.
-// The band's tile is convBandPixels wide at most, so the destination
-// rows' cache lines stay in L1 while consecutive channels scatter into
-// them. T is int8.
-func quantizePixels[T int8 | float32](dst []T, q quantJob, cin, npix, plo, phi int) {
-	for ic := 0; ic < cin; ic++ {
-		for t, v := range q.src[ic*npix+plo : ic*npix+phi] {
-			dst[t*cin+ic] = T(quantCode(v, q.inv))
+// stageWindow writes the first len(dst) taps of t for window w, read
+// from the input x of a geo-shaped convolution, into dst: an interior
+// window in one gather, one that touches padding tap by tap, a tap
+// outside the plane stored as 0 (+0.0, or the int8 zero-point of the
+// symmetric scheme), so dirty scratch cannot leak.
+func stageWindow[T int8 | float32](dst, x []T, t *convTaps, w window, geo *convGeom) {
+	if w.inside {
+		xw := x[w.base:]
+		for g, o := range t.off[:len(dst)] {
+			dst[g] = xw[o]
+		}
+		return
+	}
+	for g, o := range t.off[:len(dst)] {
+		if uint(w.iy+int(t.ky[g])) < uint(geo.h) && uint(w.ix+int(t.kx[g])) < uint(geo.wd) {
+			dst[g] = x[w.base+o]
+		} else {
+			dst[g] = 0
 		}
 	}
 }
 
-// bandScratch is what one shard of a GEMM convolution borrows: a band of
-// im2row rows and the band's pixel-major accumulators. One pool per
+// bandScratch is what one shard of a GEMM convolution borrows: the
+// band's pixel-major accumulators and its pixels' windows. One pool per
 // datatype serves every caller, so concurrent shards never share a
 // buffer.
-type bandScratch[T, A any] struct {
-	rows []T
-	acc  []A
+type bandScratch[A any] struct {
+	acc []A
+	win [convBandPixels]window
 }
 
 // bandJob is the convolution a band pass is working on.
@@ -263,56 +271,58 @@ func newBandJob[T int8 | float32, P float32 | byte, A any]() any {
 	return j
 }
 
-// convBandPixels is how many output pixels a shard takes through lower →
-// GEMM → store at a time, so a band's rows (64 x K elements: 6.9 KB of
-// floats at MobileNet-v2's stem, K = 27, 410 KB at CifarNet's conv2,
-// K = 1600) and its accumulators (64 x Cout) are still in that core's
-// cache when the next step reads them.
-const convBandPixels = 64
+// convUnitPixels is the unit a band pass cuts chunks in: two lane
+// triples, three row pairs, so only a plane's last unit can leave a
+// microkernel a short group whose repeated rows multiply into a sink.
+const convUnitPixels = 6
 
-// bands is the shard body: the output pixels of row pairs [lo, hi) of
-// every channel, a band at a time, on scratch of its own — lowered into
-// s.rows, multiplied with the packed panels into s.acc, stored. A band is
-// never larger than the chunk, so a 7x7 plane still splits across cores;
-// chunks start on even pixels (gemmPairRange), so only the plane's last
-// row can pair with the FP32 microkernel's sink. Neither kernel's result
-// depends on the cut.
+// convBandPixels is how many output pixels a shard takes through GEMM →
+// store at a time, so its input and accumulators (66 x Cout) are still in
+// that core's cache when the next step reads them: 11 whole units.
+const convBandPixels = 11 * convUnitPixels
+
+// convUnitRange converts a chunk of units [lo, hi) of an m-pixel plane
+// into the pixels it owns, the last unit's short remainder included.
+func convUnitRange(lo, hi, m int) (plo, phi int) {
+	return lo * convUnitPixels, min(hi*convUnitPixels, m)
+}
+
+// bands is the shard body: the output pixels of units [lo, hi).
 func (j *bandJob[T, P, A]) bands(lo, hi int) {
-	ncols := j.geo.hout * j.geo.wout
-	lo, hi = gemmPairRange(lo, hi, ncols)
-	s := j.g.scratch.Get().(*bandScratch[T, A])
-	for p0 := lo; p0 < hi; p0 += convBandPixels {
-		p1 := min(p0+convBandPixels, hi)
-		s.rows = growSlice(s.rows, (p1-p0)*j.pw.K)
+	j.pixels(convUnitRange(lo, hi, j.geo.hout*j.geo.wout))
+}
+
+// pixels computes output pixels [plo, phi) of every channel a band at a
+// time on scratch of its own, multiplied into s.acc and stored. A band is
+// never larger than the chunk, so a 7x7 plane still splits across cores.
+func (j *bandJob[T, P, A]) pixels(plo, phi int) {
+	s := j.g.scratch.Get().(*bandScratch[A])
+	for p0 := plo; p0 < phi; p0 += convBandPixels {
+		p1 := min(p0+convBandPixels, phi)
 		s.acc = growSlice(s.acc, (p1-p0)*j.pw.N)
-		if j.quant.src != nil {
-			quantizePixels(s.rows, j.quant, j.geo.cin, j.geo.h*j.geo.wd, p0, p1)
-		} else {
-			im2rowPixels(s.rows, j.in, j.geo.cin, j.geo.h, j.geo.wd, j.geo.kh, j.geo.kw, j.spec, j.geo.wout, p0, p1)
-		}
-		j.g.rowRange(s.acc, s.rows, j.pw, 0, p1-p0)
+		j.rowRange(s.acc, s.win[:], p0, p1)
 		j.g.store(j, s.acc, p0, p1)
 	}
 	j.g.scratch.Put(s)
 }
 
 // run is the GEMM convolution: one pass over bands of output pixels.
-// Above the MAC threshold one parallelFor hands out chunks of pixels, and
-// whichever core claims a chunk takes each of its bands through lowering,
-// GEMM and store before touching the next, so only the input and the
-// finished output leave that core's cache. Bands write disjoint pixels
-// and a pixel's value does not depend on which rows share its band, so
-// the output does not depend on the cut. job carries everything but g and
-// fn.
+// Above the MAC threshold one parallelFor hands out chunks of whole
+// units, and whichever core claims a chunk takes each of its bands
+// through GEMM and store before touching the next, so only the input and
+// the finished output leave that core's cache. Bands write disjoint
+// pixels and a pixel's value does not depend on which rows share its
+// band, so the output does not depend on the cut. job carries everything
+// but g and fn.
 func (g *gemm[T, P, A]) run(job bandJob[T, P, A]) {
 	j := g.jobs.Get().(*bandJob[T, P, A])
 	job.g, job.fn = g, j.fn
 	*j = job
 	ncols, macsPerPixel := j.geo.hout*j.geo.wout, j.pw.K*j.pw.N
-	if pairs := (ncols + 1) / 2; ncols*macsPerPixel < parallelThresholdMACs {
-		j.bands(0, pairs)
+	if units := (ncols + convUnitPixels - 1) / convUnitPixels; ncols*macsPerPixel < parallelThresholdMACs {
+		j.bands(0, units)
 	} else {
-		parallelFor(pairs, grainForMACs(2*macsPerPixel), j.fn)
+		parallelFor(units, grainForMACs(convUnitPixels*macsPerPixel), j.fn)
 	}
 	*j = bandJob[T, P, A]{fn: j.fn} // the pool must not keep the tensors alive
 	g.jobs.Put(j)
@@ -351,7 +361,7 @@ func PackConvWeights(w *Tensor) *PackedWeights {
 	return gemmFP32.packWeights(w.Data, w.Shape.Clone())
 }
 
-// Conv2DPrepackedInto computes the im2row + prepacked-GEMM convolution
+// Conv2DPrepackedInto computes the transposed prepacked-GEMM convolution
 // of any geometry into a preallocated dst of shape [Cout, Hout, Wout],
 // overwriting every element, with the bias/affine/activation epilogue
 // applied during the transpose back to channel-major layout (gemm.run).

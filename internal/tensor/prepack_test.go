@@ -232,7 +232,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 	want := New(c.cout, hout, wout)
 	spec := c.spec.check()
 	fresh := &bandJob[float32, float32, float32]{g: &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR, packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
-		scratch: sync.Pool{New: func() any { return new(bandScratch[float32, float32]) }}},
+		scratch: sync.Pool{New: func() any { return new(bandScratch[float32]) }}},
 		out: want.Data, in: in.Data, geo: convGeometry(want, in, pw.Shape, nil, spec), spec: spec, pw: pw}
 	fresh.bands(0, (hout*wout+1)/2) // a gemm value of its own: pools nothing has touched
 	big := randTensor(r, 7, 15, 15)

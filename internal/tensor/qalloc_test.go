@@ -13,7 +13,7 @@ import (
 // TestQKernelsAllocateNothing pins the int8 kernels' steady state at zero
 // allocations a call: the dense layer, which runs as a pointwise conv on
 // views whose shapes its pack holds, and the conv on both of its paths —
-// a pointwise one, rounding as it lowers, and a 3x3 one, rounding the
+// a pointwise one, rounding as it stages, and a 3x3 one, rounding the
 // whole input first — each with an input long enough to shard the
 // quantizer. Excluded under -race, whose runtime drops pooled scratch.
 func TestQKernelsAllocateNothing(t *testing.T) {

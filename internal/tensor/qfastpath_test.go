@@ -89,9 +89,9 @@ func TestConv2DQPrepackedBandSweep(t *testing.T) {
 
 // TestConv2DQPrepackedShardedBands uses layers above the parallel
 // threshold with an odd pixel count, so the pooled run cuts several
-// bands, none a multiple of the requantize tile: a 3x3 padded conv (the
-// copy and the per-tap lowering), a strided one, and a 1x1 (the
-// transposing lowering, band edges inside its pixel tile).
+// bands, none a multiple of the requantize tile: a 3x3 padded conv
+// (interior and bounds-tested staging), a strided one, and a 1x1 (lanes
+// rounded as they are staged, band edges inside a chunk).
 func TestConv2DQPrepackedShardedBands(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for _, c := range []convCase{
@@ -562,10 +562,45 @@ func transposeCodes(dst, src []int8, cin, npix int) {
 	}
 }
 
+// stagedCodes returns the im2row code matrix [npix, K] of an int8 job as
+// qgemmPanelRows stages it: lane triples of pixels [lo, hi) for each cut
+// [lo, hi), a short last triple repeating its last pixel, K-block by
+// K-block, each lane split back into its three codes.
+func stagedCodes(j *bandJob[int8, byte, int32], cuts ...int) []int8 {
+	k, npix := j.geo.cin*j.geo.kh*j.geo.kw, j.geo.hout*j.geo.wout
+	out := make([]int8, npix*k)
+	for i := range out {
+		out[i] = -128 // a code the quantizer never emits
+	}
+	win := make([]window, npix)
+	j.windows(win, 0)
+	var t convTaps
+	for kc := 0; kc < k; kc += qgemmKC {
+		kb := min(k-kc, qgemmKC)
+		t.init(j.geo, kc, kb)
+		for c := 0; c+1 < len(cuts); c++ {
+			lo, hi := cuts[c], cuts[c+1]
+			for p := lo; p < hi; p += qgemmLanes {
+				p1, p2 := min(p+1, hi-1), min(p+2, hi-1)
+				var lanes [qgemmKC]int64
+				stageLanes(lanes[:kb], j, &t, win[p], win[p1], win[p2])
+				for g, l := range lanes[:kb] {
+					var o [3]int32
+					addLanes(o[:1], o[1:2], o[2:], 0, l)
+					for i, q := range []int{p, p1, p2} {
+						out[q*k+kc+g] = int8(o[i])
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestPointwiseQConvQuantizesAsItLowers holds the 1x1 int8 path — the
-// input's scale alone up front, each band rounding its pixels as it
-// lowers them — to quantizing the whole input first: the codes equal the
-// serial quantizer's transposed, lowered whole or cut at pixels inside
+// input's scale alone up front, each lane triple rounding its pixels as
+// it is staged — to quantizing the whole input first: the codes equal the
+// serial quantizer's transposed, staged whole or cut at pixels inside
 // and at the edge of a band, and the outputs equal the loop-nest
 // reference. Planes of 1 to 3025 pixels (55x55) cross 1 to 129 input
 // channels and output widths of every N mod 4, so inputs fall below and
@@ -604,14 +639,10 @@ func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
 					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
 				}
 				qscratchPool.Put(s)
-				q := quantJob{src: in.Data, inv: 1 / sx}
+				j := &bandJob[int8, byte, int32]{quant: quantJob{src: in.Data, inv: 1 / sx}, spec: spec.check(),
+					geo: convGeom{cin: cin, h: 1, wd: npix, kh: 1, kw: 1, hout: 1, wout: npix}}
 				for _, cut := range []int{0, 1, npix / 2, min(convBandPixels, npix), npix} {
-					got := make([]int8, len(in.Data))
-					for i := range got {
-						got[i] = -128 // a code the quantizer never emits
-					}
-					quantizePixels(got, q, cin, npix, 0, cut)
-					quantizePixels(got[cut*cin:], q, cin, npix, cut, npix)
+					got := stagedCodes(j, 0, cut, npix)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])

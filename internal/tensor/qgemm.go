@@ -6,10 +6,11 @@ package tensor
 //
 // The microkernel beats scalar FP32 by dodging the integer-multiply
 // throughput wall (one scalar IMUL per cycle on most cores, vs two FP
-// multiply ports) with SWAR lanes: three A rows are staged into one int64
-// as signed laneShift-bit fields, a0 + a1<<21 + a2<<42, and multiplied by a
-// sign-extended panel code, so a single 64-bit multiply yields all three
-// rows' products. Codes are symmetric ([-127, 127], quantClamp), so a lane
+// multiply ports) with SWAR lanes: three A rows (output pixels) are
+// staged from the conv's input into one int64 as signed laneShift-bit
+// fields, a0 + a1<<21 + a2<<42, and multiplied by a sign-extended panel
+// code, so a single 64-bit multiply yields all three rows' products.
+// Codes are symmetric ([-127, 127], quantClamp), so a lane
 // summed over a qgemmKC-deep K-block stays inside its field and the three
 // sums come back exactly by sign extension: integer arithmetic throughout,
 // with no bias and no correction term.
@@ -31,25 +32,25 @@ const (
 const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
 
 // qgemmPanelRows is the int8 microkernel under the one tile loop,
-// gemm.rowRange (the int8 mirror of gemmPanelRows): it accumulates one
-// packed (K-block, N-block) panel into output rows [rlo, rhi),
-// dst[i, jc:jc+jb] += a[i, kc:kc+kb] x panel. Rows go three at a time,
-// staged in one sweep into a lane triple per K index; a short last triple
-// repeats its last row into lanes that accumulate into a sink. Groups of
-// four columns go through qdot4, the N mod 4 tail one at a time. Results
-// do not depend on how callers split rows.
-func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, rlo, rhi int) {
-	kb4 := (kb + qgemmMR - 1) &^ (qgemmMR - 1)
+// bandJob.rowRange (the int8 mirror of gemmPanelRows): it accumulates one
+// packed (K-block, N-block) panel into the rows of the pixels whose
+// windows are win, dst[i, jc:jc+jb] += im2row(codes)[p, kc:kc+kb] x
+// panel. Pixels go three at a time, staged from the input into a lane
+// triple per K index (stageLanes); a short last triple repeats its last
+// pixel into lanes that accumulate into a sink. Groups of four columns go
+// through qdot4, the N mod 4 tail one at a time. Results do not depend on
+// how callers split rows.
+func qgemmPanelRows(dst []int32, j *bandJob[int8, byte, int32], win []window, panel []byte, kc, kb, jc, jb int) {
+	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
+	var t convTaps
+	t.init(j.geo, kc, kb)
 	// lanes[kb:kb4] is never written: zero, as are the panel rows it meets.
 	var buf [qgemmKC]int64
 	lanes := buf[:kb4]
-	for i := rlo; i < rhi; i += qgemmLanes {
-		i1, i2 := min(i+1, rhi-1), min(i+2, rhi-1)
-		a0, a1, a2, l := a[i*k+kc:][:kb], a[i1*k+kc:][:kb], a[i2*k+kc:][:kb], lanes[:kb]
-		for g, v := range a0 {
-			l[g] = int64(v) + int64(a1[g])<<laneShift + int64(a2[g])<<(2*laneShift)
-		}
-		o0, o1, o2 := dst[i*n+jc:i*n+jc+jb], dst[i1*n+jc:i1*n+jc+jb], dst[i2*n+jc:i2*n+jc+jb]
+	for i := 0; i < len(win); i += qgemmLanes {
+		i1, i2 := min(i+1, len(win)-1), min(i+2, len(win)-1)
+		stageLanes(lanes[:kb], j, &t, win[i], win[i1], win[i2])
+		o0, o1, o2 := dst[i*n+jc:][:jb], dst[i1*n+jc:][:jb], dst[i2*n+jc:][:jb]
 		if i2 == i1 {
 			var sink [qgemmNC]int32
 			o2 = sink[:jb]
@@ -73,6 +74,36 @@ func qgemmPanelRows(dst []int32, a []int8, panel []byte, k, n, kc, kb, jc, jb, r
 			}
 			addLanes(o0, o1, o2, j, s)
 		}
+	}
+}
+
+// stageLanes writes the lane triple a0 + a1<<21 + a2<<42 of the pixels
+// with windows w0, w1, w2 at the first len(l) taps of t into l. A
+// pointwise conv rounds its FP32 input as it stages (quantCode; its
+// windows are interior columns). A K x K conv reads the code plane: three
+// interior windows in one gather, else each through stageWindow.
+func stageLanes(l []int64, j *bandJob[int8, byte, int32], t *convTaps, w0, w1, w2 window) {
+	offs := t.off[:len(l)]
+	if q := j.quant; q.src != nil {
+		x0, x1, x2 := q.src[w0.base:], q.src[w1.base:], q.src[w2.base:]
+		for g, o := range offs {
+			l[g] = int64(quantCode(x0[o], q.inv)) + int64(quantCode(x1[o], q.inv))<<laneShift + int64(quantCode(x2[o], q.inv))<<(2*laneShift)
+		}
+		return
+	}
+	if w0.inside && w1.inside && w2.inside {
+		x0, x1, x2 := j.in[w0.base:], j.in[w1.base:], j.in[w2.base:]
+		for g, o := range offs {
+			l[g] = int64(x0[o]) + int64(x1[o])<<laneShift + int64(x2[o])<<(2*laneShift)
+		}
+		return
+	}
+	var c0, c1, c2 [qgemmKC]int8
+	stageWindow(c0[:len(l)], j.in, t, w0, &j.geo)
+	stageWindow(c1[:len(l)], j.in, t, w1, &j.geo)
+	stageWindow(c2[:len(l)], j.in, t, w2, &j.geo)
+	for g := range l {
+		l[g] = int64(c0[g]) + int64(c1[g])<<laneShift + int64(c2[g])<<(2*laneShift)
 	}
 }
 

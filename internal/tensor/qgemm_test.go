@@ -88,7 +88,8 @@ func TestQGEMMParallelOddM(t *testing.T) {
 }
 
 // BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time the two tile
-// loops alone, on one core, over panels packed outside the loop. MAC/mul
+// loops alone, on one core, over panels packed outside the loop, their A
+// operand a 512x512 matrix staged as matrixJob's 1 x 512 convolution. MAC/mul
 // is the int8 kernel's rows per 64-bit multiply; GMAC/s over it is the
 // multiply rate BenchmarkIMULPeak bounds. An FP32 MAC is one multiply and
 // one add, so BenchmarkGEMMFP32Blocked512's GMAC/s is the rate
@@ -96,11 +97,11 @@ func TestQGEMMParallelOddM(t *testing.T) {
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
-	a, pq := randQ(r, d*d), packB(gemmInt8, randQ(r, d*d), d, d)
-	dst := make([]int32, d*d)
+	j := matrixJob(gemmInt8, randQ(r, d*d), packB(gemmInt8, randQ(r, d*d), d, d))
+	dst, win := make([]int32, d*d), make([]window, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmInt8.rowRange(dst, a, pq, 0, d)
+		j.rowRange(dst, win, 0, d)
 	}
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 	b.ReportMetric(qgemmLanes, "MAC/mul")
@@ -128,11 +129,11 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 		a.Data[i] = float32(i%255) - 127
 		bb.Data[i] = float32((i*7)%255) - 127
 	}
-	pw := packB(gemmFP32, bb.Data, d, d)
-	dst := make([]float32, d*d)
+	j := matrixJob(gemmFP32, a.Data, packB(gemmFP32, bb.Data, d, d))
+	dst, win := make([]float32, d*d), make([]window, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmFP32.rowRange(dst, a.Data, pw, 0, d)
+		j.rowRange(dst, win, 0, d)
 	}
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }

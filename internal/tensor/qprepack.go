@@ -13,7 +13,7 @@ import (
 
 var gemmInt8 = &gemm[int8, byte, int32]{kc: qgemmKC, nc: qgemmNC, mr: qgemmMR,
 	packPanel: packQPanel, panelRows: qgemmPanelRows, store: storeInt8,
-	scratch: sync.Pool{New: func() any { return new(bandScratch[int8, int32]) }},
+	scratch: sync.Pool{New: func() any { return new(bandScratch[int32]) }},
 	jobs:    sync.Pool{New: newBandJob[int8, byte, int32]}}
 
 // packQWeights packs qw ahead of time, into panels and a shape of its own.
@@ -86,9 +86,10 @@ func storeInt8(j *bandJob[int8, byte, int32], acc []int32, p0, p1 int) {
 // packed weights into a preallocated float32 dst of shape
 // [Cout, Hout, Wout], overwriting every element: dynamic per-tensor
 // symmetric activation quantization of the whole input (a pointwise conv
-// only takes its scale and rounds as its bands lower), then the band pass
-// (gemm.run) — int8 im2row, QGEMM into int32 accumulators and the fused
-// requantize+bias+activation store — one kernel call end to end. The
+// only takes its scale and rounds as its lanes are staged), then the band
+// pass (gemm.run) — QGEMM on lanes staged from the codes into int32
+// accumulators and the fused requantize+bias+activation store — one
+// kernel call end to end. The
 // output does not depend on the cut. qw supplies the weight scales
 // (per-tensor or per-channel); its codes are not read.
 func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {

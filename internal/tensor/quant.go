@@ -116,7 +116,7 @@ const (
 )
 
 // quantJob is the activation a sharded quantizer, or a band pass that
-// quantizes as it lowers, is working on.
+// quantizes as it stages its lanes, is working on.
 type quantJob struct {
 	dst []int8
 	src []float32
