@@ -508,6 +508,9 @@ func runPlan(w io.Writer, name string) int {
 	return 1
 }
 
+// printPlan writes the schedule, one line per step, then a footer: the
+// panel bytes the program packed beside the weight bytes the graph holds,
+// FP32 Weights and int8 codes, so a weight held twice shows in one line.
 func printPlan(w io.Writer, g *graph.Graph, steps []graph.StepInfo) {
 	fmt.Fprintf(w, "%s: %d steps (value numbers index the graph's nodes; slot -1 is a fresh tensor)\n", g.Name, len(steps))
 	fmt.Fprintf(w, "%4s %-24s %-14s %-16s %5s %4s %-12s %-12s %-26s %s\n", "step", "node", "op", "out", "value", "slot", "in", "free", "kernel", "panel B")
@@ -515,4 +518,17 @@ func printPlan(w io.Writer, g *graph.Graph, steps []graph.StepInfo) {
 		fmt.Fprintf(w, "%4d %-24s %-14s %-16v %5d %4d %-12s %-12s %-26s %d\n", i, s.Node.Name, s.Node.Kind, s.Node.OutShape,
 			s.Out, s.Slot, fmt.Sprint(s.In), fmt.Sprint(s.Free), kernelFacts(s), s.PanelBytes)
 	}
+	panels, fp32, codes := 0, 0, 0
+	for _, s := range steps {
+		panels += s.PanelBytes
+	}
+	for _, n := range g.Nodes {
+		if n.Weights != nil {
+			fp32 += 4 * len(n.Weights.Data)
+		}
+		if n.QWeights != nil {
+			codes += len(n.QWeights.Data)
+		}
+	}
+	fmt.Fprintf(w, "panels %d B; graph weights: FP32 %d B, int8 codes %d B\n", panels, fp32, codes)
 }

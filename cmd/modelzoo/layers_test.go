@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -81,7 +82,8 @@ func TestCommittedLayerTable(t *testing.T) {
 }
 
 // TestPlanPrintsEveryStep runs -plan's printer on CifarNet: a header,
-// a column line and one line per compiled step.
+// a column line, one line per compiled step, and the footer totalling
+// the program's panels beside the graph's FP32 weights and int8 codes.
 func TestPlanPrintsEveryStep(t *testing.T) {
 	g, err := buildServed("CifarNet", false)
 	if err != nil {
@@ -94,7 +96,18 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 	var out bytes.Buffer
 	printPlan(&out, g, p.Steps())
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2+len(p.Steps()) || !strings.Contains(lines[len(lines)-1], "prob") {
+	if len(lines) != 3+len(p.Steps()) || !strings.Contains(lines[len(lines)-2], "prob") {
 		t.Fatalf("plan has %d lines for %d steps:\n%s", len(lines), len(p.Steps()), out.String())
+	}
+	panels, weights := 0, 0
+	for _, s := range p.Steps() {
+		panels += s.PanelBytes
+		if s.Node.Weights != nil {
+			weights += 4 * len(s.Node.Weights.Data)
+		}
+	}
+	footer := fmt.Sprintf("panels %d B; graph weights: FP32 %d B, int8 codes 0 B", panels, weights)
+	if panels == 0 || lines[len(lines)-1] != footer {
+		t.Fatalf("plan footer %q, want %q", lines[len(lines)-1], footer)
 	}
 }

@@ -40,8 +40,9 @@ type runFunc func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tens
 
 // bind selects n's kernel from what the node carries — its kind, group
 // count, absorbed epilogue and int8 codes — and builds it: the weight
-// panels the kernel reads are made here, once per compile, and closed
-// over. A node with an absorbed batch-norm affine but no kernel that
+// panels a K×K FP32 or an int8 kernel reads are made here, once per
+// compile, and closed over; every other kernel reads the node's Weights
+// in place. A node with an absorbed batch-norm affine but no kernel that
 // applies one is refused — any fallback would silently skip the affine,
 // so the verifier forbids the combination and the executor will not run
 // it.
@@ -213,44 +214,44 @@ func convQ(n *Node) (runFunc, int) {
 	}, len(pq.Panels)
 }
 
-// convFP32 packs the FP32 convolution's weights for the kernel its
-// geometry selects (packFP32) and returns the kernel that runs on them,
-// with the panels' size in bytes.
+// convFP32 builds the FP32 convolution kernel its geometry selects
+// (fp32ConvOf) and returns it, with the size in bytes of the panels it
+// packed.
 func convFP32(n *Node) (runFunc, int) {
-	conv := packFP32(n.Weights, n.Attrs.ConvSpec())
+	conv := fp32ConvOf(n.Weights, n.Attrs.ConvSpec())
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		conv.run(dst, in[0], n.Bias, epilogue(n))
 		return dst
 	}, conv.bytes
 }
 
-// fp32Conv is one FP32 convolution's weights, packed for the kernel its
-// geometry selects — pp for a pointwise conv, pw for any other — and the
+// fp32Conv is one FP32 convolution's weights as its kernel reads them —
+// w in place for a pointwise conv, pw packed for any other — and the
 // packs' size in bytes.
 type fp32Conv struct {
-	pp    *tensor.PackedPointwise
+	w     *tensor.Tensor
 	pw    *tensor.PackedWeights
 	spec  tensor.Conv2DSpec
 	bytes int
 }
 
-// packFP32 packs w once for the FP32 convolution kernel the geometry
-// selects: a pointwise conv (1x1, stride 1, unpadded) runs channel-major
-// on its input in place, any other the transposed im2row GEMM. Both give
-// the same bits, so the choice is speed alone, made here once.
-func packFP32(w *tensor.Tensor, spec tensor.Conv2DSpec) fp32Conv {
+// fp32ConvOf selects w's FP32 convolution kernel once, from the
+// geometry: a pointwise conv (1x1, stride 1, unpadded) runs channel-major
+// on its input and weights in place, any other the transposed im2row
+// GEMM on panels packed here. Both give the same bits, so the choice is
+// speed alone.
+func fp32ConvOf(w *tensor.Tensor, spec tensor.Conv2DSpec) fp32Conv {
 	if tensor.Pointwise(w.Shape[2], w.Shape[3], spec) {
-		pp := tensor.PackPointwiseWeights(w)
-		return fp32Conv{pp: pp, bytes: 4 * len(pp.Panels)}
+		return fp32Conv{w: w}
 	}
 	pw := tensor.PackConvWeights(w)
 	return fp32Conv{pw: pw, spec: spec, bytes: 4 * len(pw.Panels)}
 }
 
-// run convolves in into dst on the packed weights.
+// run convolves in into dst.
 func (c fp32Conv) run(dst, in *tensor.Tensor, bias []float32, epi tensor.Epilogue) {
-	if c.pp != nil {
-		tensor.PointwiseConvInto(dst, in, c.pp, bias, epi)
+	if c.pw == nil {
+		tensor.PointwiseConvInto(dst, in, c.w, bias, epi)
 		return
 	}
 	tensor.Conv2DPrepackedInto(dst, in, c.pw, bias, c.spec, epi)
@@ -259,9 +260,9 @@ func (c fp32Conv) run(dst, in *tensor.Tensor, bias []float32, epi tensor.Epilogu
 // convGrouped builds the grouped convolution kernel: it splits the input
 // channels into groups and convolves each group with its own filter
 // slice (AlexNet's two-GPU heritage layout) — the FP32 convolution
-// packFP32 selects, once per group, on weights packed here for each
-// group's filter slice and on views of the input, the bias, the
-// epilogue's affine and the destination, so nothing is copied or joined. Weights are
+// fp32ConvOf selects, once per group, on a view of each group's filter
+// slice and on views of the input, the bias, the epilogue's affine and
+// the destination, so nothing is copied or joined. Weights are
 // [Cout, Cin/groups, KH, KW]; output channels partition evenly across
 // groups. The input and destination views are headers on the run's own
 // stack, since the buffers under them are the executor's. It also
@@ -278,7 +279,7 @@ func convGrouped(n *Node) (runFunc, int, error) {
 	}
 	convs, panels := make([]fp32Conv, groups), 0
 	for gi := range convs {
-		convs[gi] = packFP32(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]), n.Attrs.ConvSpec())
+		convs[gi] = fp32ConvOf(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]), n.Attrs.ConvSpec())
 		panels += convs[gi].bytes
 	}
 	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
@@ -317,12 +318,14 @@ func denseQ(n *Node) (runFunc, int) {
 }
 
 func runDense(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.DenseFusedInto(dst, n.Weights, n.Bias, in[0].Data, epilogue(n))
+	tensor.DenseInto(dst.Data, n.Weights, n.Bias, in[0].Data)
+	epilogue(n).ApplyInto(dst)
 	return dst
 }
 
 func runAdd(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-	tensor.AddFusedInto(dst, in[0], in[1], epilogue(n))
+	tensor.AddInto(dst, in[0], in[1])
+	epilogue(n).ApplyInto(dst)
 	return dst
 }
 

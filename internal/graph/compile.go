@@ -14,7 +14,10 @@ import (
 // taken here, once, and the executor only walks the result. Values are
 // numbered by their node's position in g.Nodes. A Program is read-only
 // once built, so the executors NewExecutors makes share one: an engine's
-// replicas hold one copy of the panels. An Executor caches the program
+// replicas hold one copy of the panels. A panel is a second copy of a
+// node's weights, made only for a microkernel that needs another layout
+// (K×K FP32 convs, int8 convs and dense layers); every other kernel reads
+// the graph's Weights in place. An Executor caches the program
 // of the last graph it ran, and compiling reads the graph without
 // writing it; a graph edited afterwards needs a fresh Executor, which
 // packs the edited weights (core.Session.Optimize drops its own for that

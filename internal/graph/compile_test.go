@@ -93,9 +93,10 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 	}
 }
 
-// TestPackedUnpackedBitIdentical: every FP32 convolution — grouped ones,
-// and pruned ones, included — reads panels packed at compile, and runs on
-// the arena and on fresh buffers give the same output. A graph pruned to
+// TestPackedUnpackedBitIdentical: every K×K FP32 convolution — grouped
+// ones, and pruned ones, included — reads panels packed at compile, no
+// pointwise one does (it reads its weights in place), and runs on the
+// arena and on fresh buffers give the same output. A graph pruned to
 // 80 % zeros runs densely: its output is the packed kernel's on the same
 // weights, a group at a time, bit for bit.
 func TestPackedUnpackedBitIdentical(t *testing.T) {
@@ -112,14 +113,14 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 		"CifarNet/O2": zooGraph(t, "CifarNet", "O2"),
 	}
 	for name, g := range graphs {
-		convs := 0
+		kxk := 0
 		for _, n := range g.Nodes {
-			if n.Kind == graph.OpConv2D {
-				convs++
+			if n.Kind == graph.OpConv2D && !tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
+				kxk++
 			}
 		}
-		if n := packedSteps(t, g); n == 0 || n != int64(convs) {
-			t.Fatalf("%s: %d steps read packed panels, want every one of the %d convolutions", name, n, convs)
+		if n := packedSteps(t, g); n == 0 || n != int64(kxk) {
+			t.Fatalf("%s: %d steps read packed panels, want every one of the %d K×K convolutions", name, n, kxk)
 		}
 		in := seededInput(g.Input.OutShape, 1)
 		want := engineAt(t, g, g.Output, in)
@@ -214,9 +215,9 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 // binds the channel-major pointwise kernel per group, on views, with an
 // absorbed affine and ReLU6 folded in and each group large enough to
 // shard — bit for bit the transposed kernel per group, joined, run after
-// run into a recycled destination. A group's Cout is odd, so the
-// channel-major pack, which pads it to a channel pair, shows in the
-// step's panel bytes.
+// run into a recycled destination. A group's Cout is odd, so the kernel
+// pairs its last channel with itself. The step's 0 panel bytes mark the
+// channel-major kernel: the transposed one would have packed each group.
 func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
 	const cin, hw, cout, groups = 96, 40, 94, 2
 	b := nn.NewBuilder("grouped-pointwise", nn.Options{Materialize: true, Seed: 89}, cin, hw, hw)
@@ -245,8 +246,8 @@ func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range p.Steps() {
-		if s.Node == gconv && s.PanelBytes != groups*4*(co+1)*ci {
-			t.Fatalf("grouped pointwise conv packed %d bytes, want the channel-major packs' %d", s.PanelBytes, groups*4*(co+1)*ci)
+		if s.Node == gconv && (s.PanelBytes != 0 || s.Packed) {
+			t.Fatalf("grouped pointwise conv packed %d bytes, want 0: it reads its weights in place", s.PanelBytes)
 		}
 	}
 	e := &graph.Executor{}

@@ -107,3 +107,29 @@ func TestPrepackInt8DispatchProbe(t *testing.T) {
 		t.Fatalf("dispatch counts i8=%d f32=%d, want 2/1", i8, f32)
 	}
 }
+
+// TestMobileNetV2PanelsAreTheStems: the benchmark's MobileNet-v2 at O2
+// holds each pointwise convolution's weights once. Its FP32 program packs
+// panels for the stem alone, the one K×K convolution (32 filters of 27
+// taps, 3 584 bytes); every pointwise step reads the graph's Weights in
+// place and packs nothing.
+func TestMobileNetV2PanelsAreTheStems(t *testing.T) {
+	p, err := graph.Compile(zooGraph(t, "MobileNet-v2", "O2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, pointwise := 0, 0
+	for _, s := range p.Steps() {
+		total += s.PanelBytes
+		n := s.Node
+		if n.Kind == graph.OpConv2D && tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
+			pointwise++
+			if s.Packed || s.PanelBytes != 0 {
+				t.Errorf("pointwise %s packs %d panel bytes, want it to read its weights in place", n.Name, s.PanelBytes)
+			}
+		}
+	}
+	if total != 3584 || pointwise != 34 {
+		t.Fatalf("program packs %d panel bytes over %d pointwise convs, want the stem's 3584 and 34", total, pointwise)
+	}
+}

@@ -285,8 +285,10 @@ func GraphExecDType(g *graph.Graph) string {
 
 // WeightBytes returns the graph's nominal parameter footprint: parameter
 // count × execution-dtype size, not resident bytes — an int8 node also
-// holds its FP32 shadow, and the program holds the packed panels. It is
-// the number the 4x int8 footprint drop is visible in.
+// holds its FP32 shadow, and the program holds panels for K×K FP32 and
+// int8 convs and int8 dense layers (a pointwise FP32 conv, depthwise and
+// FP32 dense read the weights in place, so an FP32 MobileNet-v2 holds
+// them once). It is the number the 4x int8 footprint drop is visible in.
 func (e *Engine) WeightBytes() int64 {
 	var total int64
 	for _, n := range e.g.Nodes {

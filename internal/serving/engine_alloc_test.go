@@ -59,22 +59,25 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineReplicasShareOnePanelSet: an engine's replicas share one
-// compiled program, so on MobileNet-v2 at O2 the live heap NewEngine(g, 4)
-// adds, after a GC, exceeds what NewEngine(g, 1) adds by less than a
-// quarter of one set of panels — a copy per replica would add three.
-// The panel set is taken as the ungrouped convolutions' FP32 weight
-// bytes, which their panels hold at least. Excluded under -race for its
-// run time.
+// compiled program, so on MobileNet-v2 at O2 quantized to int8 the live
+// heap NewEngine(g, 4) adds, after a GC, exceeds what NewEngine(g, 1)
+// adds by less than a quarter of one set of panels — a copy per replica
+// would add three. The panel set is the program's own panel bytes: the
+// int8 convs' packed codes (an FP32 MobileNet-v2 packs only its stem,
+// too little to see on the heap). Excluded under -race for its run time.
 func TestEngineReplicasShareOnePanelSet(t *testing.T) {
 	g := model.MustGet("MobileNet-v2").Build(nn.Options{Materialize: true, Seed: 11})
 	if _, err := opt.Optimize(g, opt.O2); err != nil {
 		t.Fatal(err)
 	}
+	opt.QuantizeINT8(g)
+	p, err := graph.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var panels int64
-	for _, n := range g.Nodes {
-		if n.Kind == graph.OpConv2D && n.Attrs.GroupCount() == 1 {
-			panels += int64(len(n.Weights.Data)) * 4
-		}
+	for _, s := range p.Steps() {
+		panels += int64(s.PanelBytes)
 	}
 	heap := func() int64 {
 		runtime.GC()

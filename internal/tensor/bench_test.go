@@ -140,14 +140,14 @@ func BenchmarkConv2DPrepackedTransposed(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2DPrepacked is the whole pre-packed FP32 pointwise
-// convolution as a compiled program runs it — channel-major on its input
-// in place, with the absorbed batch-norm and, where the model has one,
+// BenchmarkPointwiseConv is the whole FP32 pointwise convolution as a
+// compiled program runs it — channel-major on its input and weights in
+// place, with the absorbed batch-norm and, where the model has one,
 // ReLU6 — at six MobileNet-v2 layers: the largest plane's expand, the
 // slowest classes of the per-layer table (a K = 32 projection at 112x112,
 // K = 144 at 56x56 and its expand), a mid-size linear projection, and a
 // 7x7 plane smaller than a band, cut by channel pairs.
-func BenchmarkConv2DPrepacked(b *testing.B) {
+func BenchmarkPointwiseConv(b *testing.B) {
 	for _, tc := range []struct {
 		name          string
 		cin, hw, cout int
@@ -162,13 +162,13 @@ func BenchmarkConv2DPrepacked(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.hw, tc.hw)
-			pp := PackPointwiseWeights(New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1))
+			w := New(tc.cout, tc.cin, 1, 1).Randomize(stats.NewRNG(3), 1)
 			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: tc.act}
 			dst := New(tc.cout, tc.hw, tc.hw)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				PointwiseConvInto(dst, in, pp, nil, epi)
+				PointwiseConvInto(dst, in, w, nil, epi)
 			}
 			b.ReportMetric(float64(tc.cin*tc.cout*tc.hw*tc.hw)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
@@ -300,11 +300,12 @@ func BenchmarkDenseFP32(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", sh.out, sh.in), func(b *testing.B) {
 			w := New(sh.out, sh.in).Randomize(stats.NewRNG(5), 1)
 			x := benchInput(1, 1, sh.in).Data
-			bias, dst := make([]float32, sh.out), New(sh.out)
+			bias, dst, epi := make([]float32, sh.out), New(sh.out), Epilogue{Act: ActReLU}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DenseFusedInto(dst, w, bias, x, Epilogue{Act: ActReLU})
+				DenseInto(dst.Data, w, bias, x)
+				epi.ApplyInto(dst)
 			}
 			b.ReportMetric(float64(sh.out*sh.in)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

@@ -235,17 +235,3 @@ var depthwiseJobs = sync.Pool{New: func() any {
 	j.fn = func(lo, hi int) { depthwiseRows(j.dst, j.in, j.w, j.bias, j.spec, lo, hi, j.epi) }
 	return j
 }}
-
-// DenseFusedInto computes dst = epi(w*x + bias) for a [Out, In] weight
-// matrix; the epilogue's affine (if any) is per output element.
-func DenseFusedInto(dst *Tensor, w *Tensor, bias, x []float32, epi Epilogue) {
-	DenseInto(dst.Data, w, bias, x)
-	epi.ApplyInto(dst)
-}
-
-// AddFusedInto computes dst = epi(a + b) — the fused residual-add +
-// activation kernel (the epilogue carries no affine for adds).
-func AddFusedInto(dst, a, b *Tensor, epi Epilogue) {
-	AddInto(dst, a, b)
-	epi.ApplyInto(dst)
-}

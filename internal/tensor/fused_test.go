@@ -155,8 +155,9 @@ func TestDenseFusedBitEquivalence(t *testing.T) {
 	e := epi
 	e.Act = ActSigmoid
 	got := New(6)
-	DenseFusedInto(got, w, bias, x, e)
-	assertBitEqual(t, got, want, "DenseFusedInto")
+	DenseInto(got.Data, w, bias, x)
+	e.ApplyInto(got)
+	assertBitEqual(t, got, want, "DenseInto + ApplyInto")
 }
 
 func TestAddFusedBitEquivalence(t *testing.T) {
@@ -169,8 +170,9 @@ func TestAddFusedBitEquivalence(t *testing.T) {
 	ActivationInto(want, want, ActLeakyReLU, 0.2)
 
 	got := New(3, 5, 5)
-	AddFusedInto(got, a, b, Epilogue{Act: ActLeakyReLU, Alpha: 0.2})
-	assertBitEqual(t, got, want, "AddFusedInto")
+	AddInto(got, a, b)
+	Epilogue{Act: ActLeakyReLU, Alpha: 0.2}.ApplyInto(got)
+	assertBitEqual(t, got, want, "AddInto + ApplyInto")
 }
 
 func TestEpilogueEmptyIsNoOp(t *testing.T) {

@@ -26,20 +26,15 @@ func bitsOrNaN(a, b []float32) bool {
 }
 
 // checkPointwise runs the channel-major pointwise convolution into a
-// NaN-poisoned dst, packed for the call and on pp, and requires both to
-// equal refConvBlocked bit for bit (bitsOrNaN).
-func checkPointwise(t *testing.T, name string, in, w *Tensor, pp *PackedPointwise, bias []float32, epi Epilogue) *Tensor {
+// NaN-poisoned dst and requires it to equal refConvBlocked bit for bit
+// (bitsOrNaN).
+func checkPointwise(t *testing.T, name string, in, w *Tensor, bias []float32, epi Epilogue) *Tensor {
 	t.Helper()
 	want := refConvBlocked(in, w, bias, Conv2DSpec{Stride: 1}, epi)
 	got := dirty(want.Shape...)
-	PointwiseConvInto(got, in, pp, bias, epi)
+	PointwiseConvInto(got, in, w, bias, epi)
 	if !bitsOrNaN(got.Data, want.Data) {
 		t.Errorf("%s: channel-major pointwise conv differs from the loop-nest reference", name)
-	}
-	fresh := dirty(want.Shape...)
-	PointwiseConvInto(fresh, in, PackPointwiseWeights(w), bias, epi)
-	if !bitsOrNaN(fresh.Data, want.Data) {
-		t.Errorf("%s: pointwise conv packed per call differs from the loop-nest reference", name)
 	}
 	return got
 }
@@ -60,22 +55,26 @@ func salt(data []float32) {
 // K = 130 (two of the transposed kernel's K-blocks) and 960; Cout of
 // every residue mod the channel pair, odd ones included; planes of 1,
 // 49, 63, 64 and 65 pixels around the band, and 12544; inputs random or
-// salted with ±0, NaN and ±Inf; nil and non-nil bias; no epilogue, and
-// the affine with every activation.
+// salted with ±0, NaN and ±Inf, or weights salted so, where a quad that
+// read past its own row would meet them; nil and non-nil bias; no
+// epilogue, and the affine with every activation.
 func TestPointwiseConvMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
 	cases := 0
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 130} {
 		for _, cout := range []int{1, 2, 3, 4, 5} {
-			w := randTensor(r, cout, k, 1, 1)
-			pp := PackPointwiseWeights(w)
+			w, saltedW := randTensor(r, cout, k, 1, 1), randTensor(r, cout, k, 1, 1)
+			salt(saltedW.Data)
 			_, _, _, _, _, affine := bnEpilogue(cout, k)
 			for _, npix := range []int{1, 49, 63, 64, 65} {
-				for _, salted := range []bool{false, true} {
-					in := randTensor(r, k, 1, npix)
-					if salted {
+				for _, salted := range []string{"none", "input", "weights"} {
+					in, wt := randTensor(r, k, 1, npix), w
+					switch salted {
+					case "input":
 						salt(in.Data)
+					case "weights":
+						wt = saltedW
 					}
 					for _, bias := range [][]float32{nil, randTensor(r, cout).Data} {
 						epi := Epilogue{}
@@ -83,8 +82,8 @@ func TestPointwiseConvMatchesReference(t *testing.T) {
 							epi = affine
 							epi.Act, epi.Alpha = acts[cases/2%len(acts)], 0.1
 						}
-						name := fmt.Sprintf("K%d cout%d npix%d salted=%v bias=%v affine=%v act=%d", k, cout, npix, salted, bias != nil, len(epi.Scale) > 0, epi.Act)
-						checkPointwise(t, name, in, w, pp, bias, epi)
+						name := fmt.Sprintf("K%d cout%d npix%d salted=%s bias=%v affine=%v act=%d", k, cout, npix, salted, bias != nil, len(epi.Scale) > 0, epi.Act)
+						checkPointwise(t, name, in, wt, bias, epi)
 						cases++
 					}
 				}
@@ -99,9 +98,9 @@ func TestPointwiseConvMatchesReference(t *testing.T) {
 		salt(in.Data[:len(in.Data)/2])
 		_, _, _, _, _, epi := bnEpilogue(c.cout, 7)
 		epi.Act = ActReLU6
-		checkPointwise(t, fmt.Sprintf("K%d cout%d %dx%d", c.k, c.cout, c.h, c.w), in, w, PackPointwiseWeights(w), randTensor(r, c.cout).Data, epi)
+		checkPointwise(t, fmt.Sprintf("K%d cout%d %dx%d", c.k, c.cout, c.h, c.w), in, w, randTensor(r, c.cout).Data, epi)
 	}
-	if cases < 5*9*5*4 {
+	if cases < 5*9*5*6 {
 		t.Fatalf("sweep ran %d cases", cases)
 	}
 }
@@ -117,13 +116,13 @@ func TestPointwiseConvMatchesTransposed(t *testing.T) {
 	w := randTensor(r, cout, cin, 1, 1)
 	in := randTensor(r, cin, h, wd)
 	salt(in.Data)
-	pp, pw := PackPointwiseWeights(w), PackConvWeights(w)
+	pw := PackConvWeights(w)
 	_, _, _, _, _, affine := bnEpilogue(cout, 2)
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		for _, epi := range []Epilogue{{Act: act, Alpha: 0.1}, {Scale: affine.Scale, Shift: affine.Shift, Act: act, Alpha: 0.1}} {
 			for _, bias := range [][]float32{nil, randTensor(r, cout).Data} {
 				got, want := dirty(cout, h, wd), dirty(cout, h, wd)
-				PointwiseConvInto(got, in, pp, bias, epi)
+				PointwiseConvInto(got, in, w, bias, epi)
 				Conv2DPrepackedInto(want, in, pw, bias, Conv2DSpec{Stride: 1}, epi)
 				if !bitsOrNaN(got.Data, want.Data) {
 					t.Errorf("act=%d affine=%v bias=%v: channel-major and transposed formulations differ", act, len(epi.Scale) > 0, bias != nil)
@@ -162,14 +161,14 @@ func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
 		w := randTensor(r, c.cout, c.k, 1, 1)
 		in := randTensor(r, c.k, c.h, c.wd)
 		salt(in.Data)
-		pp, bias := PackPointwiseWeights(w), randTensor(r, c.cout).Data
+		bias := randTensor(r, c.cout).Data
 		_, _, _, _, _, epi := bnEpilogue(c.cout, 3)
 		epi.Act = ActReLU6
 		old := runtime.GOMAXPROCS(2)
-		pooled := checkPointwise(t, c.name, in, w, pp, bias, epi)
+		pooled := checkPointwise(t, c.name, in, w, bias, epi)
 		runtime.GOMAXPROCS(1)
 		serial := dirty(pooled.Shape...)
-		PointwiseConvInto(serial, in, pp, bias, epi)
+		PointwiseConvInto(serial, in, w, bias, epi)
 		runtime.GOMAXPROCS(old)
 		if !bitsEqual(serial.Data, pooled.Data) {
 			t.Errorf("%s: GOMAXPROCS 1 differs from pooled", c.name)

@@ -21,8 +21,8 @@ import (
 //
 //   - a pointwise FP32 convolution (1x1, stride 1, unpadded: Pointwise)
 //     runs channel-major (pointwise.go). Its im2col matrix is the input
-//     itself, read in place, and the microkernel accumulates into dst's
-//     channel rows;
+//     itself and W the weights as they lie, both read in place, and the
+//     microkernel accumulates into dst's channel rows;
 //   - every other FP32 convolution, and every int8 one, runs transposed,
 //     here. rowsA is the im2row matrix, one row per output pixel, never
 //     written out: the microkernels stage its rows from the input as they
@@ -33,7 +33,11 @@ import (
 // Here the weights are constant during inference, so they are what gets
 // packed into the microkernel's interleaved panels, ahead of time by
 // PackConvWeights / PackQConvWeights: a compiled program packs once — a
-// grouped convolution once per group — and reuses the panels forever. Per
+// grouped convolution once per group — and reuses the panels forever.
+// A panel is a second copy of the weights, kept because these
+// microkernels read a layout W does not have: quads of Wt's rows, or
+// codes four columns to a K-quad. The channel-major kernel reads W's own
+// rows, so it has no pack. Per
 // output element the FP32 accumulation order depends only on the K
 // blocking, and integer accumulation on nothing. Padding positions
 // contribute +0.0 (both the staged padding taps and the zero-filled panel

@@ -60,10 +60,10 @@ func TestPointwiseConvAllocatesNothing(t *testing.T) {
 		{"pairs", 161, 195, 7},
 		{"serial", 7, 9, 14},
 	} {
-		pp := tensor.PackPointwiseWeights(tensor.New(tc.cout, tc.k, 1, 1).Randomize(rng, 1))
+		w := tensor.New(tc.cout, tc.k, 1, 1).Randomize(rng, 1)
 		in, dst := tensor.New(tc.k, tc.hw, tc.hw).Randomize(rng, 1), tensor.New(tc.cout, tc.hw, tc.hw)
 		bias := tensor.New(tc.cout).Randomize(rng, 1).Data
-		run := func() { tensor.PointwiseConvInto(dst, in, pp, bias, tensor.Epilogue{Act: tensor.ActReLU6}) }
+		run := func() { tensor.PointwiseConvInto(dst, in, w, bias, tensor.Epilogue{Act: tensor.ActReLU6}) }
 		run() // fill the pools
 		if got := testing.AllocsPerRun(20, run); got != 0 {
 			t.Errorf("%s: %.1f allocs a call, want 0", tc.name, got)
