@@ -96,7 +96,7 @@ pipe-smoke:
 # MobileNet-v2: what a pipeline stage's configure pays.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
-	$(GO) test ./internal/tensor -run '^$$' -bench 'PointwiseConv|Conv2DPrepacked|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|GEMMFP32Blocked512|Depthwise3x3|GemmPrepacked|ForkJoin|ClampReLU6|DenseFP32' -benchtime 1x
+	$(GO) test ./internal/tensor -run '^$$' -bench 'PointwiseConv|Conv2DKxK|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|GEMMFP32Blocked512|Depthwise3x3|ForkJoin|ClampReLU6|DenseFP32' -benchtime 1x
 	$(GO) test ./internal/exchange -run '^$$' -bench ExportImport -benchtime 1x
 
 # The per-layer table: the benchmark's three models (MobileNet-v2 O2
@@ -123,7 +123,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5709
+LOC_CEILING = 5542
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

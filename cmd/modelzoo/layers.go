@@ -493,10 +493,17 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// runPlan prints the compiled schedule of one zoo model as the benchmark
-// serves it (O2, FP32): the steps every run walks, with what bind chose.
+// runPlan prints the compiled schedule of one zoo model as the layer
+// table serves it (O2, int8 where layerModels quantizes it, else FP32):
+// the steps every run walks, with what bind chose.
 func runPlan(w io.Writer, name string) int {
-	g, err := buildServed(name, false)
+	int8 := false
+	for _, m := range layerModels {
+		if m.model == name {
+			int8 = m.int8
+		}
+	}
+	g, err := buildServed(name, int8)
 	if err == nil {
 		var p *graph.Program
 		if p, err = graph.Compile(g); err == nil {

@@ -81,11 +81,16 @@ func TestCommittedLayerTable(t *testing.T) {
 	}
 }
 
-// TestPlanPrintsEveryStep runs -plan's printer on CifarNet: a header,
-// a column line, one line per compiled step, and the footer totalling
-// the program's panels beside the graph's FP32 weights and int8 codes.
+// TestPlanPrintsEveryStep runs -plan on SqueezeNet, which the layer table
+// serves quantized: a header, a column line, one line per compiled step,
+// and the footer totalling the program's int8 panels beside the graph's
+// FP32 weights and int8 codes, none of them zero.
 func TestPlanPrintsEveryStep(t *testing.T) {
-	g, err := buildServed("CifarNet", false)
+	var out bytes.Buffer
+	if code := runPlan(&out, "SqueezeNet"); code != 0 {
+		t.Fatalf("runPlan exit %d", code)
+	}
+	g, err := buildServed("SqueezeNet", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +98,24 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	printPlan(&out, g, p.Steps())
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 3+len(p.Steps()) || !strings.Contains(lines[len(lines)-2], "prob") {
 		t.Fatalf("plan has %d lines for %d steps:\n%s", len(lines), len(p.Steps()), out.String())
 	}
-	panels, weights := 0, 0
+	panels, weights, codes := 0, 0, 0
 	for _, s := range p.Steps() {
 		panels += s.PanelBytes
-		if s.Node.Weights != nil {
-			weights += 4 * len(s.Node.Weights.Data)
+	}
+	for _, n := range g.Nodes {
+		if n.Weights != nil {
+			weights += 4 * len(n.Weights.Data)
+		}
+		if n.QWeights != nil {
+			codes += len(n.QWeights.Data)
 		}
 	}
-	footer := fmt.Sprintf("panels %d B; graph weights: FP32 %d B, int8 codes 0 B", panels, weights)
-	if panels == 0 || lines[len(lines)-1] != footer {
+	footer := fmt.Sprintf("panels %d B; graph weights: FP32 %d B, int8 codes %d B", panels, weights, codes)
+	if panels == 0 || codes == 0 || lines[len(lines)-1] != footer {
 		t.Fatalf("plan footer %q, want %q", lines[len(lines)-1], footer)
 	}
 }

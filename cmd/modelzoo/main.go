@@ -16,7 +16,8 @@
 // With -layers FILE it writes the per-layer table (layers.go): the
 // benchmark's three models timed step by step through the executor's
 // step observer, against rooflines probed in the same process. With
-// -plan MODEL it prints the compiled schedule of one model.
+// -plan MODEL it prints the compiled schedule of one model as the layer
+// table serves it.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 	analyze := flag.Bool("analyze", false, "run the dataflow verifiers over every zoo model; nonzero exit on findings")
 	optLevel := flag.String("opt", "", "optimize every zoo model at this level (O0, O1, O2) and print per-model pass reports")
 	layers := flag.String("layers", "", "time the benchmark's three models step by step against probed rooflines; write the table to this JSON file")
-	plan := flag.String("plan", "", "print the compiled schedule (Program.Steps) of this zoo model at O2 FP32")
+	plan := flag.String("plan", "", "print the compiled schedule (Program.Steps) of this zoo model at O2, int8 where the layer table quantizes it")
 	flag.Parse()
 
 	if *layers != "" {

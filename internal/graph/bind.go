@@ -39,10 +39,10 @@ type kernel struct {
 type runFunc func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor
 
 // bind selects n's kernel from what the node carries — its kind, group
-// count, absorbed epilogue and int8 codes — and builds it: the weight
-// panels a K×K FP32 or an int8 kernel reads are made here, once per
-// compile, and closed over; every other kernel reads the node's Weights
-// in place. A node with an absorbed batch-norm affine but no kernel that
+// count, absorbed epilogue and int8 codes — and builds it: the panels an
+// int8 kernel reads are packed from the codes here, once per compile,
+// and closed over; every FP32 kernel reads the node's Weights in place,
+// at run time. A node with an absorbed batch-norm affine but no kernel that
 // applies one is refused — any fallback would silently skip the affine,
 // so the verifier forbids the combination and the executor will not run
 // it.
@@ -55,17 +55,16 @@ func bind(n *Node) (kernel, error) {
 	case OpConv2D:
 		switch {
 		case n.Attrs.GroupCount() > 1:
-			run, panels, err := convGrouped(n)
+			run, err := convGrouped(n)
 			if err != nil {
 				return kernel{}, err
 			}
-			k = kernel{run: run, act: true, affine: true, panelBytes: panels}
+			k = kernel{run: run, act: true, affine: true}
 		case runsInt8(n):
 			run, panels := convQ(n)
 			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
 		default:
-			run, panels := convFP32(n)
-			k = kernel{run: run, act: true, affine: true, panelBytes: panels}
+			k = kernel{run: runConv, act: true, affine: true}
 		}
 		k.compute = true
 	case OpDepthwiseConv2D:
@@ -195,8 +194,8 @@ func poolSpec(n *Node) tensor.PoolSpec {
 
 // The kernels bind chooses between. Each adapts one internal/tensor
 // entry point to the run signature; the constructors among them (convQ,
-// convFP32, convGrouped, denseQ) build, once, what their kernel reads of
-// the weights.
+// convGrouped, denseQ) build, once, what their kernel needs beyond the
+// node: int8 panels, or a grouped conv's view shapes.
 
 func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 	// Consumers treat inputs as read-only, so no defensive copy is made.
@@ -214,87 +213,45 @@ func convQ(n *Node) (runFunc, int) {
 	}, len(pq.Panels)
 }
 
-// convFP32 builds the FP32 convolution kernel its geometry selects
-// (fp32ConvOf) and returns it, with the size in bytes of the panels it
-// packed.
-func convFP32(n *Node) (runFunc, int) {
-	conv := fp32ConvOf(n.Weights, n.Attrs.ConvSpec())
-	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		conv.run(dst, in[0], n.Bias, epilogue(n))
-		return dst
-	}, conv.bytes
-}
-
-// fp32Conv is one FP32 convolution's weights as its kernel reads them —
-// w in place for a pointwise conv, pw packed for any other — and the
-// packs' size in bytes.
-type fp32Conv struct {
-	w     *tensor.Tensor
-	pw    *tensor.PackedWeights
-	spec  tensor.Conv2DSpec
-	bytes int
-}
-
-// fp32ConvOf selects w's FP32 convolution kernel once, from the
-// geometry: a pointwise conv (1x1, stride 1, unpadded) runs channel-major
-// on its input and weights in place, any other the transposed im2row
-// GEMM on panels packed here. Both give the same bits, so the choice is
-// speed alone.
-func fp32ConvOf(w *tensor.Tensor, spec tensor.Conv2DSpec) fp32Conv {
-	if tensor.Pointwise(w.Shape[2], w.Shape[3], spec) {
-		return fp32Conv{w: w}
-	}
-	pw := tensor.PackConvWeights(w)
-	return fp32Conv{pw: pw, spec: spec, bytes: 4 * len(pw.Panels)}
-}
-
-// run convolves in into dst.
-func (c fp32Conv) run(dst, in *tensor.Tensor, bias []float32, epi tensor.Epilogue) {
-	if c.pw == nil {
-		tensor.PointwiseConvInto(dst, in, c.w, bias, epi)
-		return
-	}
-	tensor.Conv2DPrepackedInto(dst, in, c.pw, bias, c.spec, epi)
+func runConv(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
+	tensor.Conv2DInto(dst, in[0], n.Weights, n.Bias, n.Attrs.ConvSpec(), epilogue(n))
+	return dst
 }
 
 // convGrouped builds the grouped convolution kernel: it splits the input
 // channels into groups and convolves each group with its own filter
-// slice (AlexNet's two-GPU heritage layout) — the FP32 convolution
-// fp32ConvOf selects, once per group, on a view of each group's filter
-// slice and on views of the input, the bias, the epilogue's affine and
-// the destination, so nothing is copied or joined. Weights are
-// [Cout, Cin/groups, KH, KW]; output channels partition evenly across
-// groups. The input and destination views are headers on the run's own
-// stack, since the buffers under them are the executor's. It also
-// returns the panels' total size in bytes.
-func convGrouped(n *Node) (runFunc, int, error) {
+// slice (AlexNet's two-GPU heritage layout) — the FP32 convolution, once
+// per group, on views of the group's filter slice of the node's Weights,
+// of the input, the bias, the epilogue's affine and the destination, so
+// nothing is copied or joined. Weights are [Cout, Cin/groups, KH, KW];
+// output channels partition evenly across groups. The views are headers
+// on the run's own stack, since the buffers under them are the
+// executor's and the graph's.
+func convGrouped(n *Node) (runFunc, error) {
 	groups, x, cout := n.Attrs.GroupCount(), n.Inputs[0].OutShape, n.WShape[0]
 	if x[0]%groups != 0 || cout%groups != 0 {
-		return nil, 0, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", x[0], cout, groups)
+		return nil, fmt.Errorf("grouped conv: channels %d/%d not divisible by %d groups", x[0], cout, groups)
 	}
 	// part is group gi's share of a per-channel or per-element slice.
 	part := func(data []float32, gi int) []float32 {
 		per := len(data) / groups
 		return data[gi*per : (gi+1)*per]
 	}
-	convs, panels := make([]fp32Conv, groups), 0
-	for gi := range convs {
-		convs[gi] = fp32ConvOf(tensor.FromData(part(n.Weights.Data, gi), cout/groups, x[0]/groups, n.WShape[2], n.WShape[3]), n.Attrs.ConvSpec())
-		panels += convs[gi].bytes
-	}
 	inShape := tensor.Shape{x[0] / groups, x[1], x[2]}
+	wShape := tensor.Shape{cout / groups, x[0] / groups, n.WShape[2], n.WShape[3]}
 	dstShape := tensor.Shape{cout / groups, n.OutShape[1], n.OutShape[2]}
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		epi := epilogue(n)
-		for gi, conv := range convs {
+		epi, spec := epilogue(n), n.Attrs.ConvSpec()
+		for gi := range groups {
 			gin := tensor.Tensor{Shape: inShape, Data: part(in[0].Data, gi)}
+			gw := tensor.Tensor{Shape: wShape, Data: part(n.Weights.Data, gi)}
 			gdst := tensor.Tensor{Shape: dstShape, Data: part(dst.Data, gi)}
 			gepi := epi
 			gepi.Scale, gepi.Shift = part(epi.Scale, gi), part(epi.Shift, gi)
-			conv.run(&gdst, &gin, part(n.Bias, gi), gepi)
+			tensor.Conv2DInto(&gdst, &gin, &gw, part(n.Bias, gi), spec, gepi)
 		}
 		return dst
-	}, panels, nil
+	}, nil
 }
 
 func runDepthwise(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

@@ -15,13 +15,12 @@ import (
 // numbered by their node's position in g.Nodes. A Program is read-only
 // once built, so the executors NewExecutors makes share one: an engine's
 // replicas hold one copy of the panels. A panel is a second copy of a
-// node's weights, made only for a microkernel that needs another layout
-// (K×K FP32 convs, int8 convs and dense layers); every other kernel reads
-// the graph's Weights in place. An Executor caches the program
-// of the last graph it ran, and compiling reads the graph without
-// writing it; a graph edited afterwards needs a fresh Executor, which
-// packs the edited weights (core.Session.Optimize drops its own for that
-// reason).
+// node's int8 codes, made for the int8 microkernel, which reads another
+// layout; every FP32 kernel reads the graph's Weights in place, so an
+// FP32 program packs 0 bytes. An Executor caches the program of the last
+// graph it ran, and compiling reads the graph without writing it; a graph
+// edited afterwards needs a fresh Executor, which packs the edited codes
+// (core.Session.Optimize drops its own for that reason).
 type Program struct {
 	g    *Graph
 	plan *Plan // nil for dynamic graphs, which have no arena

@@ -15,8 +15,8 @@ import (
 // boards).
 //
 // The first run on a graph compiles it (Compile) into a flat list of
-// steps, each with its kernel already chosen and its weight panels
-// already packed (bind.go); Run walks that one list in graph order, so a
+// steps, each with its kernel already chosen and its int8 panels already
+// packed (bind.go); Run walks that one list in graph order, so a
 // graph gives the same bits however its buffers are placed. All
 // parallelism is inside the kernels (tensor's worker pool) or across
 // executors (serving.Engine's replicas): two inter-op schedules — a

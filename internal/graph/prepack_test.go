@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	"edgebench/internal/graph"
+	"edgebench/internal/model"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 )
 
-// prepackCNN builds a graph holding every packing class in one
-// topology: a dense FP32 conv (packed at compile), a grouped conv (packed
-// at compile, once per group — DESIGN §14), and an FP32 dense layer
-// (never packed — matVecInto's 4-chain accumulation has no packed twin).
+// prepackCNN builds a graph holding every FP32 weight reader in one
+// topology: a K×K conv and a grouped conv (each group's filter slice a
+// view of the node's Weights — DESIGN §14), both read in place by the
+// channel-major kernel, and a dense layer (matVecInto's 4-chain
+// accumulation); quantized, its conv and dense layer pack int8 panels.
 func prepackCNN(t testing.TB, seed int64) *graph.Graph {
 	t.Helper()
 	b := nn.NewBuilder("prepack", nn.Options{Materialize: true, Seed: seed}, 4, 8, 8)
@@ -46,14 +49,15 @@ func seededInput(shape tensor.Shape, seed int) *tensor.Tensor {
 	return in
 }
 
-// TestPrepackDispatchProbe: compile packs exactly the eligible nodes —
-// conv1 and the grouped conv, not the FP32 dense layer — and the packed
-// program gives the same bits on the arena or on fresh buffers.
+// TestPrepackDispatchProbe: compile packs nothing for an FP32 graph —
+// conv1, the grouped conv and the dense layer all read their weights in
+// place — and the program gives the same bits on the arena or on fresh
+// buffers.
 func TestPrepackDispatchProbe(t *testing.T) {
 	g := prepackCNN(t, 31)
 	in := seededInput(g.Input.OutShape, 1)
-	if n := packedSteps(t, g); n != 2 {
-		t.Fatalf("compiled steps reading packed panels = %d, want 2 (conv1 and gconv)", n)
+	if n := packedSteps(t, g); n != 0 {
+		t.Fatalf("compiled steps reading packed panels = %d, want 0", n)
 	}
 	want, err := (&graph.Executor{}).Run(g.Clone(), in)
 	if err != nil {
@@ -108,28 +112,48 @@ func TestPrepackInt8DispatchProbe(t *testing.T) {
 	}
 }
 
-// TestMobileNetV2PanelsAreTheStems: the benchmark's MobileNet-v2 at O2
-// holds each pointwise convolution's weights once. Its FP32 program packs
-// panels for the stem alone, the one K×K convolution (32 filters of 27
-// taps, 3 584 bytes); every pointwise step reads the graph's Weights in
-// place and packs nothing.
+// TestMobileNetV2PanelsAreTheStems: no FP32 program packs a byte. Every
+// zoo model under the compute budget, the benchmark's MobileNet-v2 (its
+// stem included) and AlexNet's conv trunk (its grouped K×K convs; the
+// classifier's 400 MB of weights hold no convolution) compile at O2 FP32
+// to steps of 0 panel bytes: every FP32 conv, grouped or not, reads its
+// node's Weights in place.
 func TestMobileNetV2PanelsAreTheStems(t *testing.T) {
-	p, err := graph.Compile(zooGraph(t, "MobileNet-v2", "O2"))
-	if err != nil {
-		t.Fatal(err)
+	graphs := map[string]*graph.Graph{"MobileNet-v2": zooGraph(t, "MobileNet-v2", "O2"), "AlexNet trunk": alexNetTrunk(t)}
+	for _, spec := range model.AllWithExtensions() {
+		if spec.GFLOPs() <= zooBudgetGF {
+			graphs[spec.Name] = zooGraph(t, spec.Name, "O2")
+		}
 	}
-	total, pointwise := 0, 0
-	for _, s := range p.Steps() {
-		total += s.PanelBytes
-		n := s.Node
-		if n.Kind == graph.OpConv2D && tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
-			pointwise++
+	convs, grouped := 0, 0
+	for name, g := range graphs {
+		p, err := graph.Compile(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, s := range p.Steps() {
 			if s.Packed || s.PanelBytes != 0 {
-				t.Errorf("pointwise %s packs %d panel bytes, want it to read its weights in place", n.Name, s.PanelBytes)
+				t.Errorf("%s: %s packs %d panel bytes, want 0", name, s.Node.Name, s.PanelBytes)
+			}
+			if n := s.Node; n.Kind == graph.OpConv2D {
+				convs++
+				if n.Attrs.GroupCount() > 1 && !tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
+					grouped++
+				}
 			}
 		}
 	}
-	if total != 3584 || pointwise != 34 {
-		t.Fatalf("program packs %d panel bytes over %d pointwise convs, want the stem's 3584 and 34", total, pointwise)
+	if len(graphs) < 3 || convs < 35 || grouped < 3 {
+		t.Fatalf("%d programs with %d convs, %d of them grouped K×K: want the zoo, MobileNet-v2 and AlexNet's three", len(graphs), convs, grouped)
 	}
+}
+
+// alexNetTrunk is model.AlexNetTrunk through the O2 pipeline.
+func alexNetTrunk(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := model.AlexNetTrunk(nn.Options{Materialize: true, Seed: 7})
+	if _, err := opt.Optimize(g, opt.O2); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

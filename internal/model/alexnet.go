@@ -13,6 +13,27 @@ import (
 // shows.
 func buildAlexNet(opts nn.Options) *graph.Graph {
 	b := nn.NewBuilder("alexnet", opts, 3, 224, 224)
+	alexNetConvs(b)
+	b.Dense("fc6", 7168, true)
+	b.ReLU("fc6_relu")
+	b.Dense("fc7", 4096, true)
+	b.ReLU("fc7_relu")
+	b.Dense("fc8", 1000, true)
+	b.Softmax("prob")
+	return b.Build()
+}
+
+// AlexNetTrunk builds the zoo AlexNet's convolutions and pools alone: its
+// three grouped K×K convs without the 400 MB classifier, for tests that
+// compile or run them.
+func AlexNetTrunk(opts nn.Options) *graph.Graph {
+	b := nn.NewBuilder("alexnet-trunk", opts, 3, 224, 224)
+	alexNetConvs(b)
+	return b.Build()
+}
+
+// alexNetConvs adds AlexNet's five convolutions and three pools to b.
+func alexNetConvs(b *nn.Builder) {
 	b.Conv2D("conv1", 96, 11, 4, 2, true)
 	b.ReLU("relu1")
 	b.MaxPool("pool1", 3, 2, 0)
@@ -26,13 +47,6 @@ func buildAlexNet(opts nn.Options) *graph.Graph {
 	b.Conv2DG("conv5", 256, 3, 1, 1, 2, true)
 	b.ReLU("relu5")
 	b.MaxPool("pool5", 3, 2, 0)
-	b.Dense("fc6", 7168, true)
-	b.ReLU("fc6_relu")
-	b.Dense("fc7", 4096, true)
-	b.ReLU("fc7_relu")
-	b.Dense("fc8", 1000, true)
-	b.Softmax("prob")
-	return b.Build()
 }
 
 // buildCifarNet constructs the small CIFAR-10 CNN (TF-slim cifarnet

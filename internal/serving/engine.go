@@ -63,8 +63,8 @@ type Engine struct {
 
 // NewEngine verifies g and compiles it, once, into an engine with the
 // given number of executor replicas (<= 0 means GOMAXPROCS). Session open
-// is where the weights are packed into the panel layout the GEMM
-// microkernels consume; the replicas share those panels. A graph that
+// is where int8 codes are packed into the panel layout the int8
+// microkernel consumes; the replicas share those panels. A graph that
 // cannot execute — structural-only parameters, a node no kernel accepts —
 // fails here with the compiler's message. g is only read, and an edit to
 // it after NewEngine needs a new engine.
@@ -285,10 +285,10 @@ func GraphExecDType(g *graph.Graph) string {
 
 // WeightBytes returns the graph's nominal parameter footprint: parameter
 // count × execution-dtype size, not resident bytes — an int8 node also
-// holds its FP32 shadow, and the program holds panels for K×K FP32 and
-// int8 convs and int8 dense layers (a pointwise FP32 conv, depthwise and
-// FP32 dense read the weights in place, so an FP32 MobileNet-v2 holds
-// them once). It is the number the 4x int8 footprint drop is visible in.
+// holds its FP32 shadow, and the program holds panels of its codes for
+// int8 convs and int8 dense layers (every FP32 kernel reads the weights in
+// place, so an FP32 program holds them once). It is the number the 4x
+// int8 footprint drop is visible in.
 func (e *Engine) WeightBytes() int64 {
 	var total int64
 	for _, n := range e.g.Nodes {

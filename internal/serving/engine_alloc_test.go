@@ -63,8 +63,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // heap NewEngine(g, 4) adds, after a GC, exceeds what NewEngine(g, 1)
 // adds by less than a quarter of one set of panels — a copy per replica
 // would add three. The panel set is the program's own panel bytes: the
-// int8 convs' packed codes (an FP32 MobileNet-v2 packs only its stem,
-// too little to see on the heap). Excluded under -race for its run time.
+// int8 convs' packed codes (an FP32 program packs nothing). Excluded
+// under -race for its run time.
 func TestEngineReplicasShareOnePanelSet(t *testing.T) {
 	g := model.MustGet("MobileNet-v2").Build(nn.Options{Materialize: true, Seed: 11})
 	if _, err := opt.Optimize(g, opt.O2); err != nil {

@@ -20,12 +20,11 @@ func BenchmarkConv2DGEMM(b *testing.B) {
 	in := benchInput(32, 28, 28)
 	w := New(64, 32, 3, 3).Randomize(stats.NewRNG(3), 1)
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
-	pw := PackConvWeights(w)
 	dst := New(64, 28, 28)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DPrepackedInto(dst, in, pw, nil, spec, Epilogue{})
+		Conv2DInto(dst, in, w, nil, spec, Epilogue{})
 	}
 }
 
@@ -93,28 +92,13 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmPrepacked is the GEMM of MobileNet-v2's stem alone (3x3,
-// stride 2, 3→32 at 112x112 out), on one core: a 12544x27 im2row matrix
-// times packed weights, the rate the transposed convolution around it
-// cannot exceed.
-func BenchmarkGemmPrepacked(b *testing.B) {
-	const m, k, n = 12544, 27, 32
-	a := New(m, k).Randomize(stats.NewRNG(1), 1)
-	j := matrixJob(gemmFP32, a.Data, packB(gemmFP32, New(k, n).Randomize(stats.NewRNG(2), 1).Data, k, n))
-	dst, win := make([]float32, m*n), make([]window, m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j.rowRange(dst, win, 0, m)
-	}
-	b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-}
-
-// BenchmarkConv2DPrepackedTransposed is the whole FP32 band pass,
-// Conv2DPrepackedInto with an absorbed batch-norm and ReLU, at the two
-// K x K convolutions of the benchmark's FP32 models: CifarNet's conv2
-// (K = 1600, so a K-block starts inside an (ic, ky) run of five taps)
-// and MobileNet-v2's stem (K = 27, strided, padded on two sides).
-func BenchmarkConv2DPrepackedTransposed(b *testing.B) {
+// BenchmarkConv2DKxK is the whole staged FP32 convolution, Conv2DInto
+// with an absorbed batch-norm and ReLU, at the two K x K convolutions of
+// the benchmark's FP32 models: CifarNet's conv2 (K = 1600, so a K-block
+// starts inside an (ic, ky) run of five taps, on a 225-pixel plane cut by
+// channel pairs) and MobileNet-v2's stem (K = 27, strided, padded on two
+// sides).
+func BenchmarkConv2DKxK(b *testing.B) {
 	for _, tc := range []struct {
 		name                 string
 		cin, hw              int
@@ -125,7 +109,7 @@ func BenchmarkConv2DPrepackedTransposed(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.hw, tc.hw)
-			pw := PackConvWeights(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1))
+			w := New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1)
 			epi := Epilogue{Scale: New(tc.cout).Fill(1.5).Data, Shift: New(tc.cout).Fill(0.25).Data, Act: ActReLU}
 			spec := Conv2DSpec{Stride: tc.stride, Pad: tc.pad}
 			hout, wout := spec.OutDims(tc.hw, tc.hw, tc.k, tc.k)
@@ -133,9 +117,9 @@ func BenchmarkConv2DPrepackedTransposed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Conv2DPrepackedInto(dst, in, pw, nil, spec, epi)
+				Conv2DInto(dst, in, w, nil, spec, epi)
 			}
-			b.ReportMetric(float64(pw.K*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(float64(tc.cin*tc.k*tc.k*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
 	}
 }
@@ -168,7 +152,7 @@ func BenchmarkPointwiseConv(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				PointwiseConvInto(dst, in, w, nil, epi)
+				Conv2DInto(dst, in, w, nil, Conv2DSpec{Stride: 1}, epi)
 			}
 			b.ReportMetric(float64(tc.cin*tc.cout*tc.hw*tc.hw)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

@@ -39,7 +39,7 @@ func TestMatVec(t *testing.T) {
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := FromData([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	w := FromData([]float32{1}, 1, 1, 1, 1) // 1x1 identity
-	out := into(func(d *Tensor) { convPacked(d, in, w, nil, Conv2DSpec{Stride: 1}, Epilogue{}) }, 1, 3, 3)
+	out := into(func(d *Tensor) { Conv2DInto(d, in, w, nil, Conv2DSpec{Stride: 1}, Epilogue{}) }, 1, 3, 3)
 	if !out.Shape.Equal(Shape{1, 3, 3}) {
 		t.Fatalf("shape = %v", out.Shape)
 	}
@@ -54,7 +54,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	// 3x3 input, 2x2 kernel of ones, stride 1, no pad -> 2x2 box sums.
 	in := FromData([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	w := New(1, 1, 2, 2).Fill(1)
-	out := into(func(d *Tensor) { convPacked(d, in, w, []float32{10}, Conv2DSpec{}, Epilogue{}) }, 1, 2, 2)
+	out := into(func(d *Tensor) { Conv2DInto(d, in, w, []float32{10}, Conv2DSpec{}, Epilogue{}) }, 1, 2, 2)
 	want := []float32{12 + 10, 16 + 10, 24 + 10, 28 + 10}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -66,7 +66,7 @@ func TestConv2DKnownValues(t *testing.T) {
 func TestConv2DPaddingAndStride(t *testing.T) {
 	in := New(1, 4, 4).Fill(1)
 	w := New(1, 1, 3, 3).Fill(1)
-	out := into(func(d *Tensor) { convPacked(d, in, w, nil, Conv2DSpec{Stride: 2, Pad: 1}, Epilogue{}) }, 1, 2, 2)
+	out := into(func(d *Tensor) { Conv2DInto(d, in, w, nil, Conv2DSpec{Stride: 2, Pad: 1}, Epilogue{}) }, 1, 2, 2)
 	if !out.Shape.Equal(Shape{1, 2, 2}) {
 		t.Fatalf("shape = %v", out.Shape)
 	}
@@ -82,7 +82,7 @@ func TestConv2DChannelMismatchPanics(t *testing.T) {
 			t.Fatal("channel mismatch should panic")
 		}
 	}()
-	convPacked(New(1, 3, 3), New(2, 3, 3), New(1, 3, 1, 1), nil, Conv2DSpec{}, Epilogue{})
+	Conv2DInto(New(1, 3, 3), New(2, 3, 3), New(1, 3, 1, 1), nil, Conv2DSpec{}, Epilogue{})
 }
 
 // Property: the packed convolution equals the blocked reference bit for
@@ -107,7 +107,7 @@ func TestConvGEMMEquivalenceProperty(t *testing.T) {
 		}
 		spec := Conv2DSpec{Stride: stride, Pad: pad}
 		a := refConvBlocked(in, w, bias, spec, Epilogue{})
-		b := into(func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }, a.Shape...)
+		b := into(func(d *Tensor) { Conv2DInto(d, in, w, bias, spec, Epilogue{}) }, a.Shape...)
 		return bitsEqual(a.Data, b.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

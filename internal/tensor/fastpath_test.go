@@ -307,29 +307,37 @@ func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue
 	return out
 }
 
-// checkGemmKernels asserts the tile loop over all rows, and run as two row
-// ranges split at an odd row (so the pairs fall differently), equals
-// oneRowGemm bit for bit, and that the first range, one row paired with
-// the microkernel's sink, writes no other row.
+// checkGemmKernels asserts the channel-major kernel over the whole
+// product equals oneRowGemm bit for bit, and so does it run as two ranges
+// of each unit it cuts: columns split at an odd column, and row pairs
+// split after the first pair — a first range that must write no other
+// row, and whose lone row, when m is 1, pairs with the sink.
 func checkGemmKernels(t *testing.T, a, b []float32, m, k, n int) {
 	t.Helper()
 	want := make([]float32, m*n)
 	oneRowGemm(want, a, b, m, k, n)
 
-	pw := packB(gemmFP32, b, k, n)
-	packed := dirty(m, n).Data
-	gemmFP32.rowRange(packed, a, pw, 0, m)
-	if !bitsEqual(packed, want) {
-		t.Errorf("m=%d k=%d n=%d: the tile loop differs from the one-row reference", m, k, n)
+	whole := dirty(m, n).Data
+	matMulJob(whole, a, b, m, k, n, false).shard(0, n)
+	if !bitsEqual(whole, want) {
+		t.Errorf("m=%d k=%d n=%d: the channel-major kernel differs from the one-row reference", m, k, n)
 	}
-	split := dirty(m, n).Data
-	gemmFP32.rowRange(split, a, pw, 0, min(1, m))
-	if !bitsEqual(split[n:], dirty(m, n).Data[n:]) {
-		t.Errorf("m=%d k=%d n=%d: a one-row range wrote another row", m, k, n)
+	cols := dirty(m, n).Data
+	j := matMulJob(cols, a, b, m, k, n, false)
+	j.shard(0, min(1, n))
+	j.shard(min(1, n), n)
+	if !bitsEqual(cols, want) {
+		t.Errorf("m=%d k=%d n=%d: a column split changes the result", m, k, n)
 	}
-	gemmFP32.rowRange(split, a, pw, min(1, m), m)
-	if !bitsEqual(split, want) {
-		t.Errorf("m=%d k=%d n=%d: row-range split changes the result", m, k, n)
+	rows := dirty(m, n).Data
+	j = matMulJob(rows, a, b, m, k, n, true)
+	j.shard(0, 1)
+	if !bitsEqual(rows[min(2, m)*n:], dirty(m, n).Data[min(2, m)*n:]) {
+		t.Errorf("m=%d k=%d n=%d: the first row pair wrote another row", m, k, n)
+	}
+	j.shard(1, (m+1)/2)
+	if !bitsEqual(rows, want) {
+		t.Errorf("m=%d k=%d n=%d: a row-pair split changes the result", m, k, n)
 	}
 }
 
@@ -337,7 +345,7 @@ func TestGemmMicrokernelMatchesOneRow(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	for _, c := range []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 16, 96}, {2, 5, 3}, {3, 7, 17}, {7, gemmKC + 2, 33},
-		{8, 2*gemmKC + 3, 9}, {5, 30, gemmNC + 3}, {9, gemmKC - 1, 2*gemmNC + 1},
+		{8, 2*gemmKC + 3, 9}, {5, 30, gemmBand + 3}, {9, gemmKC - 1, 2*gemmBand + 1},
 		{64, 16, 96},
 	} {
 		a := New(c.m, c.k).Randomize(r, 1)
@@ -398,63 +406,85 @@ func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
 	return out
 }
 
-// stagedIm2Row returns the im2row matrix [npix, K] of an FP32 job as
-// gemmPanelRows stages it, K-block by K-block through convTaps and
-// stageWindow, into scratch poisoned with NaN.
-func stagedIm2Row(j *bandJob[float32, float32, float32]) []float32 {
-	k, npix := j.geo.cin*j.geo.kh*j.geo.kw, j.geo.hout*j.geo.wout
+// stagedIm2Row returns the transposed im2col matrix [npix, K] of an FP32
+// job as its bands stage it, a K-block at a time (convJob.stage), into a
+// tile poisoned with NaN, which must also come back with +0.0 in the rows
+// after a block up to the next K-quad.
+func stagedIm2Row(t *testing.T, j *convJob) []float32 {
+	k, npix := j.k, j.npix
 	out := make([]float32, npix*k)
-	win := make([]window, npix)
-	j.windows(win, 0)
-	var t convTaps
-	for kc := 0; kc < k; kc += gemmKC {
-		kb := min(k-kc, gemmKC)
-		t.init(j.geo, kc, kb)
-		for p := 0; p < npix; p++ {
-			var row [gemmKC]float32
-			for i := range row {
-				row[i] = float32(math.NaN())
+	tile := make([]float32, gemmKC*gemmBand)
+	for p0 := 0; p0 < npix; p0 += gemmBand {
+		p1 := min(p0+gemmBand, npix)
+		nb := p1 - p0
+		for kc := 0; kc < k; kc += gemmKC {
+			kb := min(k-kc, gemmKC)
+			for i := range tile {
+				tile[i] = float32(math.NaN())
 			}
-			stageWindow(row[:kb], j.in, &t, win[p], &j.geo)
-			copy(out[p*k+kc:], row[:kb])
+			j.stage(tile, kc, kb, p0, p1)
+			for r := range kb {
+				for p := range nb {
+					out[(p0+p)*k+kc+r] = tile[r*nb+p]
+				}
+			}
+			for _, v := range tile[kb*nb : (kb+gemmMR-1)&^(gemmMR-1)*nb] {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("K-block [%d, %d) of pixels [%d, %d): a row past the block holds %v, want +0", kc, kc+kb, p0, p1, v)
+				}
+			}
 		}
 	}
 	return out
 }
 
-// stagingJob is the FP32 band job of a convolution of in by kh x kw
-// weights, as far as staging reads it.
-func stagingJob(in *Tensor, kh, kw int, spec Conv2DSpec) *bandJob[float32, float32, float32] {
+// stagingJob is the FP32 job of a convolution of in by kh x kw weights,
+// as far as staging reads it.
+func stagingJob(in *Tensor, kh, kw int, spec Conv2DSpec) *convJob {
 	spec = spec.check()
 	hout, wout := spec.OutDims(in.Shape[1], in.Shape[2], kh, kw)
-	return &bandJob[float32, float32, float32]{in: in.Data, spec: spec,
+	return &convJob{in: in.Data, spec: spec, k: in.Shape[0] * kh * kw, npix: hout * wout, staged: true,
 		geo: convGeom{cin: in.Shape[0], h: in.Shape[1], wd: in.Shape[2], kh: kh, kw: kw, hout: hout, wout: wout}}
 }
 
 // TestPointwiseLoweringMatchesIm2Col checks the FP32 staging of a 1x1
-// window (the transposed kernel's, which a pointwise conv reaches only
-// when called directly) on a non-square plane against the transposed
-// im2col matrix, for the unit-stride, strided and padded 1x1 specs, with
-// Cin over one K-block, so a block starts at channel 128.
+// window (which a unit-stride unpadded conv reaches only when called
+// directly) on a non-square plane against the transposed im2col matrix,
+// for the unit-stride, strided and padded 1x1 specs, with Cin over one
+// K-block, so a block starts at channel 128 and the last leaves a K-tail;
+// then the same for the 3x3 and 5x5 windows of planes over a band, so a
+// band starts inside an output row.
 func TestPointwiseLoweringMatchesIm2Col(t *testing.T) {
-	const cin, h, wd = gemmKC + 7, 5, 13
-	in := New(cin, h, wd).Randomize(rand.New(rand.NewSource(83)), 1)
+	r := rand.New(rand.NewSource(83))
+	in := New(gemmKC+7, 5, 13).Randomize(r, 1)
 	for _, spec := range []Conv2DSpec{{Stride: 1}, {Stride: 2}, {Stride: 1, Pad: 1}} {
-		if !bitsEqual(stagedIm2Row(stagingJob(in, 1, 1, spec)), transposedIm2Col(in, 1, 1, spec)) {
-			t.Errorf("spec %+v: staged rows differ from transposed im2col", spec)
+		if !bitsEqual(stagedIm2Row(t, stagingJob(in, 1, 1, spec)), transposedIm2Col(in, 1, 1, spec)) {
+			t.Errorf("1x1 spec %+v: staged rows differ from transposed im2col", spec)
+		}
+	}
+	big := New(11, 19, 23).Randomize(r, 1)
+	for _, c := range []struct {
+		k    int
+		spec Conv2DSpec
+	}{
+		{3, Conv2DSpec{Stride: 1, Pad: 1}}, {3, Conv2DSpec{Stride: 2}}, {5, Conv2DSpec{Stride: 2, Pad: 2}},
+		{5, Conv2DSpec{Stride: 1, PadH: 0, PadW: 2, Asym: true}}, {3, Conv2DSpec{Stride: 3, PadH: 2, PadW: 1, Asym: true}},
+	} {
+		if !bitsEqual(stagedIm2Row(t, stagingJob(big, c.k, c.k, c.spec)), transposedIm2Col(big, c.k, c.k, c.spec)) {
+			t.Errorf("%dx%d spec %+v: staged rows differ from transposed im2col", c.k, c.k, c.spec)
 		}
 	}
 }
 
-// checkBandedConv runs the convolution on panels packed ahead of time (pw)
-// and requires it to equal refConvBlocked bit for bit.
-func checkBandedConv(t *testing.T, name string, in, w *Tensor, pw *PackedWeights, bias []float32, spec Conv2DSpec, epi Epilogue) {
+// checkBandedConv runs the convolution into a NaN-poisoned dst and
+// requires it to equal refConvBlocked bit for bit.
+func checkBandedConv(t *testing.T, name string, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	t.Helper()
 	want := refConvBlocked(in, w, bias, spec, epi)
 	got := dirty(want.Shape...)
-	Conv2DPrepackedInto(got, in, pw, bias, spec, epi)
+	Conv2DInto(got, in, w, bias, spec, epi)
 	if !bitsEqual(got.Data, want.Data) {
-		t.Errorf("%s: banded prepacked conv differs from the loop-nest reference", name)
+		t.Errorf("%s: banded conv differs from the loop-nest reference", name)
 	}
 }
 
@@ -472,7 +502,6 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 	for _, k := range []int{1, 3, 5, 7} {
 		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
 		w := randTensor(r, cout, cin, k, k)
-		pw := PackConvWeights(w)
 		for stride := 1; stride <= 3; stride++ {
 			for padH := 0; padH <= 2; padH++ {
 				for padW := 0; padW <= 2; padW++ {
@@ -498,7 +527,7 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 									epi.Act, epi.Alpha = act, 0.1
 									name := fmt.Sprintf("k%d s%d pad%dx%d in%dx%d bias=%v affine=%v act=%d",
 										k, stride, padH, padW, h, wd, bias != nil, len(epi.Scale) > 0, act)
-									checkBandedConv(t, name, in, w, pw, bias, spec, epi)
+									checkBandedConv(t, name, in, w, bias, spec, epi)
 									cases++
 								}
 							}
@@ -514,78 +543,90 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 }
 
 // TestConv2DPrepackedBandEdges puts band and chunk boundaries where they
-// can go wrong: pixel counts one under, at and one over a band; a 7x7
-// plane with K = 960, whose eight chunks are each smaller than a band; a
-// pointwise layer and a padded 3x3 whose chunk edges fall inside a
-// band. Each must equal the loop-nest reference pooled, and the
-// pooled bits must be the ones a single core produces.
+// can go wrong: pixel counts one under, at and one over a band, in place
+// and staged; a 7x7 plane with K = 960 and a padded 3x3 on 13x13, each
+// cut by channel pairs; a pointwise layer and a padded 3x3 whose pixel
+// chunks end inside a band. Each must equal the loop-nest reference bit
+// for bit pooled, and the pooled bits must be the ones a single core
+// produces. The data is unsalted, so no expected output is NaN and a
+// shard that writes nothing or the wrong pixels leaves dst's NaN behind.
 func TestConv2DPrepackedBandEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	_, _, _, _, _, relu6 := bnEpilogue(160, 5)
 	relu6.Act = ActReLU6
+	const chunks = 2 * chunksPerWorker // parallelFor's cut at GOMAXPROCS 2
 	for _, c := range []struct {
 		convCase
-		sharded bool
+		sharded, byPairs bool
 	}{
-		{convCase{"band-1", 5, 7, 9, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
-		{convCase{"band", 5, 8, 8, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
-		{convCase{"band+1", 5, 5, 13, 6, 1, 1, Conv2DSpec{Stride: 1}}, false},
-		{convCase{"band+1-3x3", 4, 5, 13, 6, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, false},
-		{convCase{"7x7-K960", 960, 7, 7, 160, 1, 1, Conv2DSpec{Stride: 1}}, true},
-		{convCase{"1x1-odd-chunks", 64, 37, 41, 48, 1, 1, Conv2DSpec{Stride: 1}}, true},
-		{convCase{"3x3-odd-chunks", 8, 45, 45, 32, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, true},
+		{convCase{"band-1", 5, 15, 17, 6, 1, 1, Conv2DSpec{Stride: 1}}, false, true},
+		{convCase{"band", 5, 16, 16, 6, 1, 1, Conv2DSpec{Stride: 1}}, false, true},
+		{convCase{"band+1", 5, 1, 257, 6, 1, 1, Conv2DSpec{Stride: 1}}, false, true},
+		{convCase{"band+1-3x3", 4, 1, 257, 7, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, false, true},
+		{convCase{"7x7-K960", 960, 7, 7, 160, 1, 1, Conv2DSpec{Stride: 1}}, true, true},
+		{convCase{"13x13-3x3-pairs", 64, 13, 13, 37, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, true, true},
+		{convCase{"1x1-odd-chunks", 64, 53, 61, 48, 1, 1, Conv2DSpec{Stride: 1}}, true, false},
+		{convCase{"3x3-odd-chunks", 8, 53, 61, 33, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}, true, false},
 	} {
 		spec := c.spec.check()
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
-		ncols, k := hout*wout, c.cin*c.kh*c.kw
-		units := (ncols + convUnitPixels - 1) / convUnitPixels
-		chunk := convUnitPixels * max((units+7)/8, grainForMACs(convUnitPixels*k*c.cout)) // parallelFor's cut at GOMAXPROCS 2, in pixels
-		if c.sharded && (ncols*k*c.cout < parallelThresholdMACs || chunk%convBandPixels == 0) {
-			t.Fatalf("%s: %d pixels in chunks of %d do not exercise an unaligned sharded cut", c.name, ncols, chunk)
+		npix, k := hout*wout, c.cin*c.kh*c.kw
+		if c.sharded && (npix*k*c.cout < parallelThresholdMACs || (npix < gemmBand*chunks) != c.byPairs) {
+			t.Fatalf("%s: %d MACs on %d pixels do not shard by pairs=%v", c.name, npix*k*c.cout, npix, c.byPairs)
+		}
+		if chunk := max((npix+chunks-1)/chunks, grainForMACs(k*c.cout)); c.sharded && !c.byPairs && chunk%gemmBand == 0 {
+			t.Fatalf("%s: chunks of %d pixels end on a band edge", c.name, chunk)
 		}
 		in := randTensor(r, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-		pw := PackConvWeights(w)
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: relu6.Scale[:c.cout], Shift: relu6.Shift[:c.cout], Act: ActReLU6}
-		checkBandedConv(t, c.name, in, w, pw, bias, spec, epi)
-
+		want := refConvBlocked(in, w, bias, spec, epi)
+		old := runtime.GOMAXPROCS(2)
 		pooled := dirty(c.cout, hout, wout)
-		Conv2DPrepackedInto(pooled, in, pw, bias, spec, epi)
-		old := runtime.GOMAXPROCS(1)
+		Conv2DInto(pooled, in, w, bias, spec, epi)
+		runtime.GOMAXPROCS(1)
 		serial := dirty(pooled.Shape...)
-		Conv2DPrepackedInto(serial, in, pw, bias, spec, epi)
+		Conv2DInto(serial, in, w, bias, spec, epi)
 		runtime.GOMAXPROCS(old)
-		assertBitEqual(t, serial, pooled, c.name+": GOMAXPROCS 1 vs pooled")
+		if !bitsEqual(pooled.Data, want.Data) {
+			t.Errorf("%s: pooled conv differs from the loop-nest reference", c.name)
+		}
+		if !bitsEqual(serial.Data, pooled.Data) {
+			t.Errorf("%s: GOMAXPROCS 1 differs from pooled", c.name)
+		}
 	}
 }
 
-// poisonBandScratch leaves each datatype's pool a scratch whose
-// accumulators are larger than any test band needs and full of values no
-// convolution produces, for the next band pass on this goroutine to be
-// handed.
+// poisonBandScratch leaves each datatype's pool a scratch full of values
+// no convolution produces, for the next call on this goroutine to be
+// handed: the FP32 tile and sink NaN, and int8 accumulators, at least n
+// long, of math.MinInt32.
 func poisonBandScratch(n int) {
-	f := gemmFP32.scratch.Get().(*bandScratch[float32])
-	f.acc = growSlice(f.acc, n)
-	for i := range f.acc {
-		f.acc[i] = float32(math.NaN())
+	f := convScratchPool.Get().(*convScratch)
+	for i := range f.tile {
+		f.tile[i] = float32(math.NaN())
 	}
-	gemmFP32.scratch.Put(f)
-	q := gemmInt8.scratch.Get().(*bandScratch[int32])
+	for i := range f.sink {
+		f.sink[i] = float32(math.NaN())
+	}
+	convScratchPool.Put(f)
+	q := bandScratchPool.Get().(*bandScratch)
 	q.acc = growSlice(q.acc, n)
 	for i := range q.acc {
 		q.acc[i] = math.MinInt32
 	}
-	gemmInt8.scratch.Put(q)
+	bandScratchPool.Put(q)
 }
 
 // TestBandPassEdgesBothDatatypes drives one table of band-geometry edges
-// through both instances of the band pass against their untouched
-// loop-nest references: planes of one and two pixels, one under, at and
-// one over a band and two bands, an odd plane under a padded 3x3, output
-// channels off the microkernels' four-column pass, stride 2 with padding,
-// and K = 130 (two FP32 K-blocks) followed by K = 27 — every case on
-// scratch the case before left poisoned.
+// through both datatypes' convolutions against their untouched loop-nest
+// references: planes of one and two pixels, one under, at and one over an
+// int8 band and two bands, an odd plane under a padded 3x3, output
+// channels off the microkernels' four-column pass and their pairs, stride
+// 2 with padding, K = 130 in place and K = 150 staged (two FP32 K-blocks,
+// the second with a K-tail) followed by K = 27 — every case on scratch
+// left poisoned.
 func TestBandPassEdgesBothDatatypes(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
 	_, _, _, _, _, affine := bnEpilogue(9, 4)
@@ -600,14 +641,15 @@ func TestBandPassEdgesBothDatatypes(t *testing.T) {
 		{"odd-plane-3x3", 5, 9, 11, 9, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
 		{"stride2-pad", 6, 11, 13, 9, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},
 		{"K130", 130, 6, 6, 7, 1, 1, Conv2DSpec{Stride: 1}},
-		{"K27-after-K130", 3, 6, 6, 5, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"K150-5x5", 6, 7, 8, 7, 5, 5, Conv2DSpec{Stride: 1, Pad: 2}},
+		{"K27-after-K150", 3, 6, 6, 5, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
 	} {
 		in := randTensor(r, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: affine.Scale[:c.cout], Shift: affine.Shift[:c.cout], Act: ActReLU6}
 		poisonBandScratch(1 << 16)
-		checkBandedConv(t, c.name, in, w, PackConvWeights(w), bias, c.spec, epi)
+		checkBandedConv(t, c.name, in, w, bias, c.spec, epi)
 		qw := QuantizePerChannel(w)
 		poisonBandScratch(1 << 16)
 		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActReLU6)

@@ -15,8 +15,9 @@ import (
 )
 
 // TestPackedConvForksOnce counts the fork-joins of one served
-// MobileNet-v2 inference on two cores: one parallelFor per pre-packed
-// convolution (there were three: lowering, GEMM, epilogue sweep), one per
+// MobileNet-v2 inference on two cores: one parallelFor per convolution,
+// the staged stem included (there were three: lowering, GEMM, epilogue
+// sweep), one per
 // depthwise layer at or above the depthwise bar (all of them), one for
 // the classifier's matvec — and, on an idle pool, every one of them gets
 // a helper. Excluded under -race, where the forward takes seconds.
@@ -53,7 +54,7 @@ func TestPackedConvForksOnce(t *testing.T) {
 		}
 	}
 	if convs != 35 || depthwise != 17 {
-		t.Fatalf("MobileNet-v2 has %d pre-packed convs and %d sharded depthwise layers, want 35 and 17", convs, depthwise)
+		t.Fatalf("MobileNet-v2 has %d convs and %d sharded depthwise layers, want 35 and 17", convs, depthwise)
 	}
 	requireForks(t, eng, g, forks)
 }

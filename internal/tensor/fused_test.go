@@ -76,7 +76,7 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		// Unfused chain: conv kernel, then the standalone BN kernel, then
 		// the standalone activation kernel.
 		want := New(6, 9, 9)
-		convPacked(want, in, w, bias, spec, Epilogue{})
+		Conv2DInto(want, in, w, bias, spec, Epilogue{})
 		BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 		applySeparateAct(want, act, 0.1)
 
@@ -84,8 +84,8 @@ func TestConv2DFusedBitEquivalence(t *testing.T) {
 		e.Act = act
 		e.Alpha = 0.1
 		got := New(6, 9, 9)
-		convPacked(got, in, w, bias, spec, e)
-		assertBitEqual(t, got, want, "Conv2DPrepackedInto/"+actName(act))
+		Conv2DInto(got, in, w, bias, spec, e)
+		assertBitEqual(t, got, want, "Conv2DInto/"+actName(act))
 	}
 }
 
@@ -100,20 +100,20 @@ func TestConv2DGEMMFusedBitEquivalence(t *testing.T) {
 	gamma, beta, mean, variance, eps, epi := bnEpilogue(5, 8)
 
 	want := New(5, 8, 8)
-	convPacked(want, in, w, bias, spec, Epilogue{})
+	Conv2DInto(want, in, w, bias, spec, Epilogue{})
 	BatchNormInto(want, want, gamma, beta, mean, variance, eps)
 	ActivationInto(want, want, ActReLU, 0)
 
 	e := epi
 	e.Act = ActReLU
 	got := New(5, 8, 8)
-	convPacked(got, in, w, bias, spec, e)
-	assertBitEqual(t, got, want, "Conv2DPrepackedInto")
+	Conv2DInto(got, in, w, bias, spec, e)
+	assertBitEqual(t, got, want, "Conv2DInto")
 
 	// Second call, through the recycled package scratch, must be identical too.
 	got2 := New(5, 8, 8)
-	convPacked(got2, in, w, bias, spec, e)
-	assertBitEqual(t, got2, want, "Conv2DPrepackedInto (pooled)")
+	Conv2DInto(got2, in, w, bias, spec, e)
+	assertBitEqual(t, got2, want, "Conv2DInto (pooled)")
 }
 
 func TestDepthwiseConv2DFusedBitEquivalence(t *testing.T) {
@@ -235,10 +235,10 @@ func TestFoldedEpilogueParallelPath(t *testing.T) {
 		_, _, _, _, _, epi := bnEpilogue(24, 8)
 		epi.Act = ActReLU6
 		want := New(24, 32, 32)
-		convPacked(want, in, w, bias, spec, Epilogue{})
+		Conv2DInto(want, in, w, bias, spec, Epilogue{})
 		epi.ApplyInto(want)
 		got := New(24, 32, 32)
-		convPacked(got, in, w, bias, spec, epi)
+		Conv2DInto(got, in, w, bias, spec, epi)
 		assertBitEqual(t, got, want, "parallel fused conv")
 	})
 	t.Run("depthwise", func(t *testing.T) {
@@ -277,6 +277,6 @@ func TestFoldedEpilogueChannelMismatchPanics(t *testing.T) {
 	in := New(2, 5, 5)
 	w := New(3, 2, 3, 3)
 	dst := New(3, 5, 5)
-	convPacked(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
+	Conv2DInto(dst, in, w, nil, Conv2DSpec{Stride: 1, Pad: 1},
 		Epilogue{Scale: make([]float32, 2), Shift: make([]float32, 2)})
 }

@@ -1,91 +1,268 @@
 package tensor
 
-// GEMM blocking parameters. The kernel tiles over N (gemmNC columns) and
-// K (gemmKC rows of B) so the packed B panel (gemmKC x gemmNC floats,
-// 256 KiB) and the current output row stripe stay cache-resident while
-// every A row streams over them. Within a panel, B rows are packed in
-// interleaved groups of gemmMR so the microkernel reads gemmMR
-// consecutive B values per output element and makes one write pass over
-// the output row per gemmMR K-steps instead of per K-step.
+import "sync"
+
+// This file is the FP32 convolution, every geometry, in one formulation:
+// channel-major, the product of the weights and the lowered input,
+//
+//	out[cout, npix] = W[cout, K] x im2col[K, npix],   K = Cin*KH*KW,
+//
+// with W's rows — the [Cout, Cin, KH, KW] weights as they lie — read in
+// place, a channel pair's two rows a K-quad at a time. Nothing is packed:
+// the microkernel holds one quad of each row in registers across a band
+// of pixels, so the rows' layout is already the one it reads.
+//
+// A pointwise convolution (1x1, stride 1, unpadded: Pointwise) reads its
+// input rows as they are, since its im2col matrix is the input itself. A
+// K x K one first stages its band's im2col rows, one K-block at a time,
+// into scratch of its shard's own: interior spans copied from the input,
+// padding taps +0.0, rows past K +0.0. Either way each output element
+// keeps one expression: acc = +0, then per K-quad in K order acc += x0*w0
+// + x1*w1 + x2*w2 + x3*w3, the last quad padded with +0.0 on both sides
+// (stack quads of weights against zero input rows, never real inputs, so
+// −0, Inf and NaN meet exactly what they would), then the bias and the
+// epilogue. The K blocking does not enter it, so the bits depend neither
+// on the geometry's path nor on how the work is cut.
+//
+// FP32 Dense is deliberately not a convolution here: DenseInto
+// accumulates each dot product in one chain (matVecRange), an order the
+// K-quads cannot reproduce.
+
 const (
-	gemmKC = 128 // K-block: rows of B packed per panel
-	gemmNC = 512 // N-block: columns of B packed per panel
-	gemmMR = 4   // K-interleave of the packed panel / microkernel unroll
+	gemmMR   = 4   // the K-quad: weights per row the microkernel holds in registers
+	gemmKC   = 128 // K-block: im2col rows a K x K convolution stages at a time
+	gemmBand = 256 // pixels a channel pair takes through its K-quads at a time
 )
 
-// gemmPanelRows is the FP32 microkernel under the one tile loop
-// (bandJob.rowRange): dst[i, jc:jc+jb] += im2row(in)[p, kc:kc+kb] x panel
-// for the pixel p of each window win[i], every element through one loop
-// body, panel2x2. A row pair's K-block is staged into a0 and a1 straight
-// from the input, through the block's taps. An odd last row pairs with a
-// copy of itself that accumulates into a sink. Each element keeps its
-// expression and K order however it is paired, so results do not depend
-// on how callers split rows.
-func gemmPanelRows(dst []float32, j *bandJob[float32, float32, float32], win []window, panel []float32, kc, kb, jc, jb int) {
-	n, kb4 := j.pw.N, (kb+gemmMR-1)&^(gemmMR-1)
-	var t convTaps
-	t.init(j.geo, kc, kb)
-	// a0 and a1 are never written past kb: the K tail is +0.0 x +0.0 padding.
-	var a0, a1 [gemmKC]float32
-	for i := 0; i < len(win); i += 2 {
-		i1 := min(i+1, len(win)-1)
-		stageWindow(a0[:kb], j.in, &t, win[i], &j.geo)
-		stageWindow(a1[:kb], j.in, &t, win[i1], &j.geo)
-		o0, o1 := dst[i*n+jc:][:jb], dst[i1*n+jc:][:jb]
-		if i1 == i {
-			var sink [gemmNC]float32
-			o1 = sink[:jb]
+// Pointwise reports whether a convolution is 1x1, stride 1 and unpadded:
+// an FP32 one reads its input rows in place, an int8 one rounds its
+// input as it stages its lanes, with no rounding pass.
+func Pointwise(kh, kw int, spec Conv2DSpec) bool {
+	padH, padW := spec.padHW()
+	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0
+}
+
+// convJob is the convolution a shard of Conv2DInto works on.
+type convJob struct {
+	out, in, w []float32 // [Cout, npix], [Cin, H, W] and [Cout, K]
+	geo        convGeom
+	spec       Conv2DSpec
+	k, npix    int // K = Cin*KH*KW and the output plane's pixels
+	bias       []float32
+	epi        Epilogue
+	// staged is set for a K x K convolution, whose bands stage their
+	// im2col rows; a pointwise one reads its input rows in place.
+	staged bool
+	// byPairs cuts the work by channel pairs, every shard taking whole
+	// rows, when a chunk of pixels would be shorter than a band (the
+	// plane is under a band per chunk parallelFor cuts). Otherwise it is
+	// cut by pixels, every shard taking all channels.
+	byPairs bool
+
+	fn func(lo, hi int)
+}
+
+// convJobs lends each call its job, whose shard body is bound once: a
+// closure built per call would be a heap allocation per convolution.
+var convJobs = sync.Pool{New: func() any {
+	j := new(convJob)
+	j.fn = j.shard
+	return j
+}}
+
+// convScratch is what one shard borrows: a band's staged im2col rows (a
+// pointwise conv's K-tail rows only) and the sink an odd last channel's
+// missing partner accumulates into. Pooled, so concurrent shards never
+// share one and a steady stream of convolutions allocates nothing.
+type convScratch struct {
+	tile [gemmKC * gemmBand]float32
+	sink [gemmBand]float32
+}
+
+var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
+
+// Conv2DInto computes the 2-D convolution of in [Cin, H, W] with weights
+// w [Cout, Cin, KH, KW], both read in place, into a preallocated dst
+// [Cout, Hout, Wout], overwriting every element, bias, affine and
+// activation applied as each channel pair finishes a band. A zero-value
+// epi applies the bias alone. Above the MAC threshold one parallelFor
+// cuts the plane by pixels, or by channel pairs when a pixel chunk would
+// be shorter than a band (at two cores, planes under 2048 pixels), so a
+// 7x7 layer still shards. Every such chunk of a K x K convolution stages
+// the whole plane again, so there it is cut into one chunk per worker.
+// The output does not depend on the cut.
+func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
+	spec = spec.check()
+	geo := convGeometry(dst, in, w.Shape, bias, spec)
+	checkEpilogueChannels(epi, geo.cout)
+	k, n, npix := geo.cin*geo.kh*geo.kw, geo.cout, geo.hout*geo.wout
+	workers := len(ensurePool().workers)
+	j := convJobs.Get().(*convJob)
+	*j = convJob{out: dst.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: k, npix: npix, bias: bias, epi: epi,
+		staged: !Pointwise(geo.kh, geo.kw, spec), byPairs: npix < gemmBand*chunksPerWorker*workers, fn: j.fn}
+	units, macsPerUnit := npix, k*n
+	if j.byPairs {
+		units, macsPerUnit = (n+1)/2, 2*k*npix
+	}
+	grain := grainForMACs(macsPerUnit)
+	if j.byPairs && j.staged {
+		grain = max(grain, (units+workers-1)/workers)
+	}
+	if units*macsPerUnit < parallelThresholdMACs {
+		j.shard(0, units)
+	} else {
+		parallelFor(units, grain, j.fn)
+	}
+	*j = convJob{fn: j.fn} // the pool must not keep the tensors alive
+	convJobs.Put(j)
+}
+
+// shard computes units [lo, hi) — pixels, or channel pairs when byPairs —
+// a band of pixels at a time.
+func (j *convJob) shard(lo, hi int) {
+	s := convScratchPool.Get().(*convScratch)
+	c0, c1, p0, p1 := 0, (j.geo.cout+1)/2, lo, hi
+	if j.byPairs {
+		c0, c1, p0, p1 = lo, hi, 0, j.npix
+	}
+	for b := p0; b < p1; b += gemmBand {
+		j.band(s, c0, c1, b, min(b+gemmBand, p1))
+	}
+	convScratchPool.Put(s)
+}
+
+// band computes pixels [p0, p1) of channel pairs [c0, c1), a K-block at a
+// time (a pointwise conv's whole K is one block): each pair's two rows
+// are cleared before the first block, accumulated over every K-quad in K
+// order, and finished after the last. An odd last channel pairs with its
+// own weight row, and the partner accumulates into the sink. When a block
+// is not a multiple of the quad, its last quad reads zero-padded input
+// rows — staged, or a pointwise conv's copied into the tile — and its
+// weights from stack quads padded the same way.
+func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
+	k, npix, nb := j.k, j.npix, p1-p0
+	kblock := k
+	if j.staged {
+		kblock = gemmKC
+	}
+	for kc := 0; kc < k; kc += kblock {
+		kb := min(k-kc, kblock)
+		full := kb &^ (gemmMR - 1)
+		x, stride, tail := j.in[p0:], npix, s.tile[:]
+		if j.staged {
+			j.stage(s.tile[:], kc, kb, p0, p1)
+			x, stride, tail = s.tile[:], nb, s.tile[full*nb:]
+		} else if full < kb {
+			for r := full; r < kb; r++ {
+				copy(tail[(r-full)*nb:], j.in[r*npix+p0:r*npix+p1])
+			}
+			clear(tail[(kb-full)*nb : gemmMR*nb])
 		}
-		for g := 0; g < kb4; g += gemmMR {
-			panel2x2(o0, o1, panel[g*jb:(g+gemmMR)*jb], (*[gemmMR]float32)(a0[g:]), (*[gemmMR]float32)(a1[g:]))
+		for c := c0; c < c1; c++ {
+			oc, pc := 2*c, min(2*c+1, j.geo.cout-1)
+			o0, o1 := j.out[oc*npix+p0:oc*npix+p1], s.sink[:nb]
+			if pc != oc {
+				o1 = j.out[pc*npix+p0 : pc*npix+p1]
+			}
+			if kc == 0 {
+				clear(o0)
+				clear(o1)
+			}
+			w0, w1 := j.w[oc*k+kc:][:kb], j.w[pc*k+kc:][:kb]
+			pointwiseQuads(o0, o1, x, stride, w0[:full], w1[:full])
+			if full < kb {
+				var t0, t1 [gemmMR]float32
+				copy(t0[:], w0[full:])
+				copy(t1[:], w1[full:])
+				pointwiseQuads(o0, o1, tail, nb, t0[:], t1[:])
+			}
+			if kc+kb == k {
+				j.finish(o0, oc)
+				if pc != oc {
+					j.finish(o1, pc)
+				}
+			}
 		}
 	}
 }
 
-// panel2x2 is the FP32 microkernel's loop body: one K-quad of two rows
-// against a row of panel quads, o0[j] += x . q_j and o1[j] += y . q_j, two
-// columns a step and an odd last column after the loop. Each quad is
-// loaded once and feeds both rows, and the eight A values stay in
-// registers: a leaf with one index, so gc spills none of that state.
-func panel2x2(o0, o1, p []float32, x, y *[gemmMR]float32) {
-	a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
-	b0, b1, b2, b3 := y[0], y[1], y[2], y[3]
-	o1 = o1[:len(o0)]
-	j := 1
-	for ; j < len(o0); j += 2 {
-		q := p[gemmMR*j-gemmMR : gemmMR*j+gemmMR : gemmMR*j+gemmMR]
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		o0[j-1] += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		o1[j-1] += b0*q0 + b1*q1 + b2*q2 + b3*q3
-		q0, q1, q2, q3 = q[4], q[5], q[6], q[7]
-		o0[j] += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		o1[j] += b0*q0 + b1*q1 + b2*q2 + b3*q3
+// stage writes im2col rows [kc, kc+kb) of pixels [p0, p1) into tile, row
+// kc+r at tile[r*nb:], and +0.0 into the rows after them up to the next
+// K-quad. Row (ic, ky, kx) of pixel (oy, ox) is the input at (ic, oy*s +
+// ky - padH, ox*s + kx - padW), +0.0 in the padding: the band is walked an
+// output row at a time, the span of columns inside the plane copied (a
+// gather at stride s) and the rest cleared.
+func (j *convJob) stage(tile []float32, kc, kb, p0, p1 int) {
+	g, s, nb := &j.geo, j.spec.Stride, p1-p0
+	kx, ky, ic := kc%g.kw, kc/g.kw%g.kh, kc/(g.kw*g.kh)
+	for r := range kb {
+		row, plane := tile[r*nb:(r+1)*nb], j.in[ic*g.h*g.wd:(ic+1)*g.h*g.wd]
+		// Output columns [xlo, xhi) read a column inside the plane.
+		dx := kx - j.spec.PadW
+		xlo, xhi := max(0, (s-1-dx)/s), min(g.wout, (g.wd-1-dx+s)/s)
+		oy, ox := p0/g.wout, p0%g.wout
+		for i := 0; i < nb; oy, ox = oy+1, 0 {
+			seg := row[i:min(nb, i+g.wout-ox)]
+			i += len(seg)
+			iy := oy*s + ky - j.spec.PadH
+			lo, hi := min(max(xlo-ox, 0), len(seg)), min(max(xhi-ox, 0), len(seg))
+			if uint(iy) >= uint(g.h) || lo >= hi {
+				clear(seg)
+				continue
+			}
+			clear(seg[:lo])
+			clear(seg[hi:])
+			src := plane[iy*g.wd+(ox+lo)*s+dx:]
+			if s == 1 {
+				copy(seg[lo:hi], src)
+				continue
+			}
+			for t := range seg[lo:hi] {
+				seg[lo+t] = src[t*s]
+			}
+		}
+		if kx++; kx == g.kw {
+			if kx, ky = 0, ky+1; ky == g.kh {
+				ky, ic = 0, ic+1
+			}
+		}
 	}
-	if j == len(o0) {
-		q := p[gemmMR*j-gemmMR : gemmMR*j : gemmMR*j]
-		o0[j-1] += a0*q[0] + a1*q[1] + a2*q[2] + a3*q[3]
-		o1[j-1] += b0*q[0] + b1*q[1] + b2*q[2] + b3*q[3]
-	}
+	clear(tile[kb*nb : (kb+gemmMR-1)&^(gemmMR-1)*nb])
 }
 
-// packPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of a [K, N] B
-// operand whose element (r, c) is b[r*rs+c*cs] — a row-major B at strides
-// (n, 1), a [N, K] weight matrix read in place as its transpose at (1, k)
-// — into panel, interleaved in groups of gemmMR K-rows: element
-// (kc+g+r, jc+j) lands at panel[g*jb + j*gemmMR + r]. Every element of
-// the panel is stored, rows past kb (up to the kb4 round-up) as +0.0, so
-// the microkernel needs no K-remainder. Columns go one at a time because
-// that is the contiguous direction of the weight matrix, the operand
-// packed.
-func packPanel(panel, b []float32, rs, cs, kc, kb, kb4, jc, jb int) {
-	for j := 0; j < jb; j++ {
-		src := b[kc*rs+(jc+j)*cs:]
-		col := panel[j*gemmMR:]
-		for kk := 0; kk < kb; kk++ {
-			col[(kk&^(gemmMR-1))*jb+kk&(gemmMR-1)] = src[kk*rs]
+// finish adds channel oc's bias to its accumulated row segment and runs
+// the affine and activation over it (applyEpilogueSpan): per element the
+// expressions of the separate batch-norm and activation kernels, so fused
+// output is bitwise identical to the unfused chain's.
+func (j *convJob) finish(seg []float32, oc int) {
+	if j.bias != nil {
+		b := j.bias[oc]
+		for i := range seg {
+			seg[i] += b
 		}
-		for kk := kb; kk < kb4; kk++ {
-			col[(kk&^(gemmMR-1))*jb+kk&(gemmMR-1)] = 0
+	}
+	applyEpilogueSpan(seg, oc, j.epi)
+}
+
+// pointwiseQuads is the channel-major microkernel: for each K-quad q of
+// a channel pair's weight rows w0 and w1, o0[p] += x0[p]*a0 + x1[p]*a1 +
+// x2[p]*a2 + x3[p]*a3 over the run of pixels, a the quad of w0, and o1[p]
+// the same with w1's, where row r of the quad is x[(4q+r)*stride:]. Each
+// input quad is loaded once and feeds both rows, and the eight weights
+// stay in registers.
+func pointwiseQuads(o0, o1, x []float32, stride int, w0, w1 []float32) {
+	n := len(o0)
+	o1, w1 = o1[:n], w1[:len(w0)]
+	for q := 0; q < len(w0)/gemmMR; q++ {
+		r := x[gemmMR*q*stride:]
+		x0, x1, x2, x3 := r[:n], r[stride:][:n], r[2*stride:][:n], r[3*stride:][:n]
+		wa, wb := (*[gemmMR]float32)(w0[gemmMR*q:]), (*[gemmMR]float32)(w1[gemmMR*q:])
+		a0, a1, a2, a3 := wa[0], wa[1], wa[2], wa[3]
+		b0, b1, b2, b3 := wb[0], wb[1], wb[2], wb[3]
+		for p := range o0 {
+			v0, v1, v2, v3 := x0[p], x1[p], x2[p], x3[p]
+			o0[p] += v0*a0 + v1*a1 + v2*a2 + v3*a3
+			o1[p] += v0*b0 + v1*b1 + v2*b2 + v3*b3
 		}
 	}
 }

@@ -24,38 +24,22 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// packB packs a row-major [k, n] B matrix under g's blocking: the operand
-// the tile-loop tests and benchmarks multiply by.
-func packB[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], b []T, k, n int) *Packed[P] {
-	if len(b) != k*n {
-		panic("packB: data length does not match k x n")
-	}
-	return g.pack(b, k, n, n, 1, nil)
+// matMulJob views dst [m, n] = a [m, k] x b [k, n], all row-major, as
+// what the channel-major kernel computes: the pointwise convolution of b,
+// a [k, 1, n] plane, by a's rows, [m, k, 1, 1] weights read in place. Its
+// shard takes columns (pixels), or row pairs (channel pairs) when byPairs
+// is set.
+func matMulJob(dst, a, b []float32, m, k, n int, byPairs bool) *convJob {
+	return &convJob{out: dst, in: b, w: a, k: k, npix: n, spec: Conv2DSpec{Stride: 1}, byPairs: byPairs,
+		geo: convGeom{cin: k, h: 1, wd: n, cout: m, kh: 1, kw: 1, hout: 1, wout: n}}
 }
 
-// matrixJob views a row-major [m, pw.K] matrix a as what the tile loop
-// multiplies: the im2row matrix of a 1 x K convolution over a [1, m, K]
-// plane, whose pixel i has row i of a for its one window. Every window is
-// interior, so the microkernels stage a's rows in one gather per K-block.
-func matrixJob[T int8 | float32, P float32 | byte, A any](g *gemm[T, P, A], a []T, pw *Packed[P]) *bandJob[T, P, A] {
-	m := len(a) / pw.K
-	return &bandJob[T, P, A]{g: g, in: a, pw: pw, spec: Conv2DSpec{Stride: 1},
-		geo: convGeom{cin: 1, h: m, wd: pw.K, cout: pw.N, kh: 1, kw: pw.K, hout: m, wout: 1}}
-}
-
-// rowRange computes rows [rlo, rhi) of dst = a x B for a row-major a
-// [m, pw.K] and packed B, row i at dst[i*pw.N:], overwriting them: the
-// tile loop on matrixJob's view of a.
-func (g *gemm[T, P, A]) rowRange(dst []A, a []T, pw *Packed[P], rlo, rhi int) {
-	matrixJob(g, a, pw).rowRange(dst[rlo*pw.N:], make([]window, rhi-rlo), rlo, rhi)
-}
-
-// blockedMatMul is a x b through the FP32 tile loop on the calling
-// goroutine, b packed now.
+// blockedMatMul is a x b through the channel-major kernel on the calling
+// goroutine.
 func blockedMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := dirty(m, n)
-	gemmFP32.rowRange(out.Data, a.Data, packB(gemmFP32, b.Data, k, n), 0, m)
+	matMulJob(out.Data, a.Data, b.Data, m, k, n, false).shard(0, n)
 	return out
 }
 
@@ -77,7 +61,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cases := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 2}, {4, gemmKC, 9}, {5, gemmKC - 1, 7},
-		{2, gemmKC + 1, gemmNC + 3}, {7, 300, 17}, {16, 130, 515},
+		{2, gemmKC + 1, gemmBand + 3}, {7, 300, 17}, {16, 130, 515},
 		{9, 2*gemmKC + 3, 33},
 	}
 	for _, c := range cases {
@@ -94,7 +78,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelBitwiseEqualsSerial verifies the row-shard split
+// TestMatMulParallelBitwiseEqualsSerial verifies the row-pair split
 // changes nothing: identical bits, not just close values, on an odd M cut
 // by the worker pool wherever its chunks fall, odd rows included.
 func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
@@ -102,11 +86,8 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	a := New(37, 301).Randomize(r, 1)
 	b := New(301, 129).Randomize(r, 1)
 	serial := blockedMatMul(a, b)
-	pw := packB(gemmFP32, b.Data, 301, 129)
 	parallel := dirty(37, 129)
-	parallelFor(37, 3, func(lo, hi int) {
-		gemmFP32.rowRange(parallel.Data, a.Data, pw, lo, hi)
-	})
+	parallelFor(19, 3, matMulJob(parallel.Data, a.Data, b.Data, 37, 301, 129, true).shard)
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("element %d: serial %v != parallel %v", i, serial.Data[i], parallel.Data[i])
@@ -198,7 +179,7 @@ func TestIntoKernelsOverwriteDirtyBuffers(t *testing.T) {
 		}
 	}
 
-	check("Conv2DPrepackedInto", func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }, 4, 5, 5)
+	check("Conv2DInto", func(d *Tensor) { Conv2DInto(d, in, w, bias, spec, Epilogue{}) }, 4, 5, 5)
 	check("DepthwiseConv2DFusedInto", func(d *Tensor) { DepthwiseConv2DFusedInto(d, in, dw, bias[:3], spec, Epilogue{}) }, 3, 5, 5)
 	check("AddInto", func(d *Tensor) { AddInto(d, in, in) }, 3, 9, 9)
 	check("ConcatChannelsInto", func(d *Tensor) { ConcatChannelsInto(d, in, in) }, 6, 9, 9)
@@ -242,9 +223,9 @@ func TestConv2DGEMMIntoWithPoolScratch(t *testing.T) {
 	want := refConvBlocked(in, w, nil, spec, Epilogue{})
 	for run := 0; run < 2; run++ {
 		in2, w2 := New(5, 23, 23).Randomize(r, 1), New(4, 5, 3, 3).Randomize(r, 1)
-		convPacked(New(4, 21, 21), in2, w2, nil, Conv2DSpec{}, Epilogue{})
+		Conv2DInto(New(4, 21, 21), in2, w2, nil, Conv2DSpec{}, Epilogue{})
 		dst := dirty(want.Shape...)
-		convPacked(dst, in, w, nil, spec, Epilogue{})
+		Conv2DInto(dst, in, w, nil, spec, Epilogue{})
 		for i := range want.Data {
 			if !bitsEqual(dst.Data[i:i+1], want.Data[i:i+1]) {
 				t.Fatalf("run %d: dst[%d] = %v, want %v", run, i, dst.Data[i], want.Data[i])

@@ -32,7 +32,7 @@ func checkPointwise(t *testing.T, name string, in, w *Tensor, bias []float32, ep
 	t.Helper()
 	want := refConvBlocked(in, w, bias, Conv2DSpec{Stride: 1}, epi)
 	got := dirty(want.Shape...)
-	PointwiseConvInto(got, in, w, bias, epi)
+	Conv2DInto(got, in, w, bias, Conv2DSpec{Stride: 1}, epi)
 	if !bitsOrNaN(got.Data, want.Data) {
 		t.Errorf("%s: channel-major pointwise conv differs from the loop-nest reference", name)
 	}
@@ -50,11 +50,11 @@ func salt(data []float32) {
 	}
 }
 
-// TestPointwiseConvMatchesReference sweeps the channel-major kernel's
+// TestPointwiseConvMatchesReference sweeps the in-place pointwise read's
 // edges against refConvBlocked: K of every residue mod the K-quad (1–8),
-// K = 130 (two of the transposed kernel's K-blocks) and 960; Cout of
-// every residue mod the channel pair, odd ones included; planes of 1,
-// 49, 63, 64 and 65 pixels around the band, and 12544; inputs random or
+// K = 130 and 960; Cout of every residue mod the channel pair, odd ones
+// included; planes of 1, 49, 63, 64 and 65 pixels, and 12544 (many bands
+// and a short last one); inputs random or
 // salted with ±0, NaN and ±Inf, or weights salted so, where a quad that
 // read past its own row would meet them; nil and non-nil bias; no
 // epilogue, and the affine with every activation.
@@ -105,30 +105,102 @@ func TestPointwiseConvMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPointwiseConvMatchesTransposed holds the two FP32 formulations to
-// each other on every epilogue: the channel-major kernel and the
-// transposed band pass on the same weights, on salted inputs, bit for
-// bit (bitsOrNaN: under -race the two compile to other operand orders,
-// and where an Inf·0 meets an input NaN they return different NaNs).
+// TestPointwiseConvMatchesTransposed holds a pointwise conv's two reads
+// of its input to each other on every epilogue: its rows in place, as a
+// compiled program runs it, and staged into scratch as a K x K conv's
+// are, on salted inputs, bit for bit (bitsOrNaN: where an Inf·0 meets an
+// input NaN the two paths may return different NaNs).
 func TestPointwiseConvMatchesTransposed(t *testing.T) {
 	r := rand.New(rand.NewSource(137))
 	const cin, cout, h, wd = 37, 11, 9, 13
 	w := randTensor(r, cout, cin, 1, 1)
 	in := randTensor(r, cin, h, wd)
 	salt(in.Data)
-	pw := PackConvWeights(w)
 	_, _, _, _, _, affine := bnEpilogue(cout, 2)
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		for _, epi := range []Epilogue{{Act: act, Alpha: 0.1}, {Scale: affine.Scale, Shift: affine.Shift, Act: act, Alpha: 0.1}} {
 			for _, bias := range [][]float32{nil, randTensor(r, cout).Data} {
 				got, want := dirty(cout, h, wd), dirty(cout, h, wd)
-				PointwiseConvInto(got, in, w, bias, epi)
-				Conv2DPrepackedInto(want, in, pw, bias, Conv2DSpec{Stride: 1}, epi)
+				Conv2DInto(got, in, w, bias, Conv2DSpec{Stride: 1}, epi)
+				j := &convJob{out: want.Data, in: in.Data, w: w.Data, spec: Conv2DSpec{Stride: 1}.check(), k: cin, npix: h * wd,
+					bias: bias, epi: epi, staged: true, geo: convGeometry(want, in, w.Shape, bias, Conv2DSpec{Stride: 1})}
+				j.shard(0, h*wd)
 				if !bitsOrNaN(got.Data, want.Data) {
-					t.Errorf("act=%d affine=%v bias=%v: channel-major and transposed formulations differ", act, len(epi.Scale) > 0, bias != nil)
+					t.Errorf("act=%d affine=%v bias=%v: in-place and staged reads differ", act, len(epi.Scale) > 0, bias != nil)
 				}
 			}
 		}
+	}
+}
+
+// TestKxKConvSaltedMatchesReference holds the staged K x K kernel to
+// refConvBlocked (bitsOrNaN) on: K of every residue mod the K-quad — 27,
+// 75 and 1600 among them, and K = 144, 150 and 1600, whose second K-block
+// starts inside an (ic, ky) run; stride 1 and 2, padding 0–2 and Asym;
+// Cout of 1, 2, 5 and 7; planes of 1–3 and of 255–257 output pixels; a
+// bias or none and an epilogue or none; and inputs, weights, both or
+// neither salted with ±0, NaN and ±Inf (the unsalted cases keep the
+// outputs of a long K finite, so an accumulation out of order shows) —
+// every call on scratch left poisoned with NaN, so a staged row that is
+// read before it is written shows.
+func TestKxKConvSaltedMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(151))
+	specs := []Conv2DSpec{
+		{Stride: 1}, {Stride: 1, Pad: 1}, {Stride: 1, Pad: 2}, {Stride: 2}, {Stride: 2, Pad: 1}, {Stride: 2, Pad: 2},
+		{Stride: 1, PadH: 0, PadW: 2, Asym: true}, {Stride: 2, PadH: 2, PadW: 1, Asym: true},
+	}
+	outs := [][2]int{{1, 1}, {1, 2}, {1, 3}, {15, 17}, {16, 16}, {1, 257}}
+	_, _, _, _, _, affine := bnEpilogue(7, 6)
+	cases, residues := 0, [gemmMR]int{}
+	for _, g := range []struct{ cin, kh, kw int }{
+		{3, 3, 3}, {3, 5, 5}, {64, 5, 5}, {16, 3, 3}, {6, 5, 5}, // K = 27, 75, 1600, 144, 150
+		{1, 3, 3}, {2, 3, 3}, {4, 3, 3}, {5, 3, 3}, {2, 1, 7}, {3, 7, 1}, // K = 9, 18, 36, 45, 14, 21
+	} {
+		k := g.cin * g.kh * g.kw
+		residues[k%gemmMR]++
+		for si, spec := range specs {
+			spec = spec.check()
+			for oi, o := range outs {
+				h, wd := (o[0]-1)*spec.Stride+g.kh-2*spec.PadH, (o[1]-1)*spec.Stride+g.kw-2*spec.PadW
+				if h < 1 || wd < 1 {
+					continue
+				}
+				cout := []int{1, 2, 5, 7}[(si+oi)%4]
+				in, w := randTensor(r, g.cin, h, wd), randTensor(r, cout, g.cin, g.kh, g.kw)
+				switch cases % 4 {
+				case 1:
+					salt(in.Data)
+				case 2:
+					salt(w.Data)
+				case 3:
+					salt(in.Data)
+					salt(w.Data)
+				}
+				var bias []float32
+				epi := Epilogue{}
+				if cases/4%2 == 0 {
+					bias = randTensor(r, cout).Data
+				}
+				if cases/8%2 == 0 {
+					epi = Epilogue{Scale: affine.Scale[:cout], Shift: affine.Shift[:cout], Act: ActReLU6}
+				}
+				want := refConvBlocked(in, w, bias, spec, epi)
+				if want.Shape[1] != o[0] || want.Shape[2] != o[1] {
+					t.Fatalf("K%d %+v: output %v, want %dx%d", k, spec, want.Shape, o[0], o[1])
+				}
+				got := dirty(want.Shape...)
+				poisonBandScratch(0)
+				Conv2DInto(got, in, w, bias, spec, epi)
+				if !bitsOrNaN(got.Data, want.Data) {
+					t.Errorf("K%d (%dx%dx%d) cout%d spec %+v out %dx%d bias=%v affine=%v: staged conv differs from the loop-nest reference",
+						k, g.cin, g.kh, g.kw, cout, spec, o[0], o[1], bias != nil, len(epi.Scale) > 0)
+				}
+				cases++
+			}
+		}
+	}
+	if cases < 400 || residues[0] == 0 || residues[1] == 0 || residues[2] == 0 || residues[3] == 0 {
+		t.Fatalf("sweep ran %d cases over K residues %v", cases, residues)
 	}
 }
 
@@ -149,10 +221,10 @@ func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
 		{"pairs-7x7", 960, 161, 7, 7, true},
 	} {
 		npix, pairs := c.h*c.wd, (c.cout+1)/2
-		if npix*c.k*c.cout < parallelThresholdMACs || (npix < pointwiseBand*chunks) != c.byPairs {
+		if npix*c.k*c.cout < parallelThresholdMACs || (npix < gemmBand*chunks) != c.byPairs {
 			t.Fatalf("%s: %d MACs on %d pixels do not shard by pairs=%v", c.name, npix*c.k*c.cout, npix, c.byPairs)
 		}
-		if chunk := max((npix+chunks-1)/chunks, grainForMACs(c.k*c.cout)); !c.byPairs && chunk%pointwiseBand == 0 {
+		if chunk := max((npix+chunks-1)/chunks, grainForMACs(c.k*c.cout)); !c.byPairs && chunk%gemmBand == 0 {
 			t.Fatalf("%s: chunks of %d pixels end on a band edge", c.name, chunk)
 		}
 		if c.byPairs && max((pairs+chunks-1)/chunks, grainForMACs(2*c.k*npix)) >= pairs {
@@ -168,7 +240,7 @@ func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
 		pooled := checkPointwise(t, c.name, in, w, bias, epi)
 		runtime.GOMAXPROCS(1)
 		serial := dirty(pooled.Shape...)
-		PointwiseConvInto(serial, in, w, bias, epi)
+		Conv2DInto(serial, in, w, bias, Conv2DSpec{Stride: 1}, epi)
 		runtime.GOMAXPROCS(old)
 		if !bitsEqual(serial.Data, pooled.Data) {
 			t.Errorf("%s: GOMAXPROCS 1 differs from pooled", c.name)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -23,14 +22,14 @@ func bitsEqual(a, b []float32) bool {
 }
 
 // TestGemmPrepackedMatchesBlocked pins the core bitwise contract: the
-// tile loop over packed panels equals the blocked order written out
-// element by element (oneRowGemm) for awkward K/N remainders, K blocks
-// past gemmKC, N blocks past gemmNC, and single-row A operands.
+// channel-major kernel on weights read in place equals the blocked order
+// written out element by element (oneRowGemm) for awkward K remainders, K
+// past a staged K-block, N past a band, and single-row products.
 func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	cases := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 2}, {4, gemmKC, 9}, {5, gemmKC - 1, 7},
-		{2, gemmKC + 1, gemmNC + 3}, {7, 300, 17}, {1, 130, 515},
+		{2, gemmKC + 1, gemmBand + 3}, {7, 300, 17}, {1, 130, 515},
 		{9, 2*gemmKC + 3, 33}, {25, 37, 11},
 	}
 	for _, c := range cases {
@@ -39,44 +38,39 @@ func TestGemmPrepackedMatchesBlocked(t *testing.T) {
 		want := New(c.m, c.n)
 		oneRowGemm(want.Data, a.Data, b.Data, c.m, c.k, c.n)
 		if !bitsEqual(blockedMatMul(a, b).Data, want.Data) {
-			t.Errorf("m=%d k=%d n=%d: prepacked GEMM differs from the blocked order", c.m, c.k, c.n)
+			t.Errorf("m=%d k=%d n=%d: channel-major product differs from the blocked order", c.m, c.k, c.n)
 		}
 	}
 }
 
-// TestGemmPrepackedParallelMatchesSerial shards the prepacked GEMM's
-// rows across the worker pool the way the band pass does, which must not
-// change a bit relative to both the serial prepacked range and the
-// blocked order written out element by element.
+// TestGemmPrepackedParallelMatchesSerial shards the channel-major
+// product across the worker pool both ways the kernel cuts — by columns
+// and by row pairs — which must not change a bit relative to both the
+// serial product and the blocked order written out element by element.
 func TestGemmPrepackedParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	m, k, n := 96, 200, 130 // 2.4M MACs: above parallelThresholdMACs
+	m, k, n := 95, 200, 130 // 2.5M MACs: above parallelThresholdMACs
 	a := New(m, k).Randomize(r, 1)
 	b := New(k, n).Randomize(r, 1)
-	pw := packB(gemmFP32, b.Data, k, n)
-	par := New(m, n)
-	parallelFor(m, grainForMACs(k*n), func(lo, hi int) {
-		gemmFP32.rowRange(par.Data, a.Data, pw, lo, hi)
-	})
-	ser := New(m, n)
-	gemmFP32.rowRange(ser.Data, a.Data, pw, 0, m)
-	if !bitsEqual(par.Data, ser.Data) {
-		t.Fatal("parallel prepacked GEMM differs from serial prepacked")
-	}
+	ser := blockedMatMul(a, b)
 	want := New(m, n)
 	oneRowGemm(want.Data, a.Data, b.Data, m, k, n)
-	if !bitsEqual(par.Data, want.Data) {
-		t.Fatal("parallel prepacked GEMM differs from the blocked order")
+	if !bitsEqual(ser.Data, want.Data) {
+		t.Fatal("serial channel-major product differs from the blocked order")
+	}
+	for _, byPairs := range []bool{false, true} {
+		par, units := dirty(m, n), n
+		if byPairs {
+			units = (m + 1) / 2
+		}
+		parallelFor(units, 7, matMulJob(par.Data, a.Data, b.Data, m, k, n, byPairs).shard)
+		if !bitsEqual(par.Data, ser.Data) {
+			t.Fatalf("byPairs=%v: parallel channel-major product differs from serial", byPairs)
+		}
 	}
 }
 
-// convPacked is the GEMM convolution from a weight tensor: w packed for
-// the call, then Conv2DPrepackedInto on the panels.
-func convPacked(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
-	Conv2DPrepackedInto(dst, in, PackConvWeights(w), bias, spec, epi)
-}
-
-// convCase is one conv geometry the packed kernel is held to the reference on.
+// convCase is one conv geometry a kernel is held to the reference on.
 type convCase struct {
 	name         string
 	cin, h, w    int
@@ -95,9 +89,9 @@ func prepackConvCases() []convCase {
 	}
 }
 
-// TestConv2DPrepackedMatchesGEMM: the GEMM conv (im2row + transposed
-// GEMM + transposing bias sweep) on packed panels must be bitwise
-// identical to the loop-nest reference on every awkward geometry.
+// TestConv2DPrepackedMatchesGEMM: the channel-major conv on its weights in
+// place must be bitwise identical to the loop-nest reference on every
+// awkward geometry.
 func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for _, c := range prepackConvCases() {
@@ -107,7 +101,7 @@ func TestConv2DPrepackedMatchesGEMM(t *testing.T) {
 		for i := range bias {
 			bias[i] = r.Float32() - 0.5
 		}
-		checkBandedConv(t, c.name, in, w, PackConvWeights(w), bias, c.spec, Epilogue{})
+		checkBandedConv(t, c.name, in, w, bias, c.spec, Epilogue{})
 	}
 }
 
@@ -127,7 +121,6 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		scale[i] = r.Float32() + 0.5
 		shift[i] = r.Float32() - 0.5
 	}
-	pw := PackConvWeights(w)
 	epis := []Epilogue{
 		{Scale: scale, Shift: shift},
 		{Act: ActReLU},
@@ -138,18 +131,18 @@ func TestConv2DPrepackedFusedMatchesGEMMFused(t *testing.T) {
 		{Scale: scale, Shift: shift, Act: ActTanh},
 	}
 	for _, epi := range epis {
-		checkBandedConv(t, fmt.Sprintf("act=%d affine=%v", epi.Act, len(epi.Scale) > 0), in, w, pw, bias, c.spec, epi)
+		checkBandedConv(t, fmt.Sprintf("act=%d affine=%v", epi.Act, len(epi.Scale) > 0), in, w, bias, c.spec, epi)
 	}
 }
 
-// TestConv2DPrepackedLargeParallel crosses the GEMM parallel threshold
-// on the whole conv so the sharded band pass runs — still bitwise the
-// loop-nest reference.
+// TestConv2DPrepackedLargeParallel crosses the parallel threshold on a
+// K x K conv so its sharded bands run — still bitwise the loop-nest
+// reference.
 func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	in := randTensor(r, 32, 24, 24)
 	w := randTensor(r, 48, 32, 3, 3)
-	checkBandedConv(t, "large", in, w, PackConvWeights(w), nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
+	checkBandedConv(t, "large", in, w, nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
 }
 
 // TestQGemmPrepackedMatchesSerial pins the int8 twin: the tile loop on
@@ -218,32 +211,36 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestConv2DPrepackedScratchPool: a call handed recycled scratch — the
-// package pool's buffers left dirty by a larger convolution over
-// different values — must produce the same bits as a band on fresh
-// scratch, and the same bits as the loop-nest reference.
+// TestConv2DPrepackedScratchPool: a K x K call handed recycled scratch —
+// the pool's tile and sink left full of NaN — must produce the same bits
+// as bands on fresh scratch, and the same bits as the loop-nest
+// reference: every staged row, padding and K-tail rows included, is
+// written before it is read.
 func TestConv2DPrepackedScratchPool(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
-	c := convCase{"scratch", 6, 9, 9, 8, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}}
-	in := randTensor(r, c.cin, c.h, c.w)
-	w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
-	pw := PackConvWeights(w)
-	hout, wout := c.spec.OutDims(c.h, c.w, c.kh, c.kw)
-	want := New(c.cout, hout, wout)
-	spec := c.spec.check()
-	fresh := &bandJob[float32, float32, float32]{g: &gemm[float32, float32, float32]{kc: gemmKC, nc: gemmNC, mr: gemmMR, packPanel: packPanel, panelRows: gemmPanelRows, store: storeFP32,
-		scratch: sync.Pool{New: func() any { return new(bandScratch[float32]) }}},
-		out: want.Data, in: in.Data, geo: convGeometry(want, in, pw.Shape, nil, spec), spec: spec, pw: pw}
-	fresh.bands(0, (hout*wout+1)/2) // a gemm value of its own: pools nothing has touched
-	big := randTensor(r, 7, 15, 15)
-	bigW := PackConvWeights(randTensor(r, 9, 7, 3, 3))
-	Conv2DPrepackedInto(New(9, 15, 15), big, bigW, nil, c.spec, Epilogue{})
-	got := New(c.cout, hout, wout)
-	Conv2DPrepackedInto(got, in, pw, nil, c.spec, Epilogue{})
-	if !bitsEqual(got.Data, want.Data) {
-		t.Fatal("prepacked conv on recycled scratch differs from fresh scratch")
-	}
-	if ref := refConvBlocked(in, w, nil, c.spec, Epilogue{}); !bitsEqual(got.Data, ref.Data) {
-		t.Fatal("prepacked conv differs from the loop-nest reference")
+	for _, c := range []convCase{
+		{"K54-tail", 6, 9, 9, 7, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"K150-2blocks", 6, 9, 9, 8, 5, 5, Conv2DSpec{Stride: 2, Pad: 2}},
+		{"1x1-K7", 7, 9, 9, 5, 1, 1, Conv2DSpec{Stride: 1}},
+	} {
+		in := randTensor(r, c.cin, c.h, c.w)
+		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
+		spec := c.spec.check()
+		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
+		want := dirty(c.cout, hout, wout)
+		j := &convJob{out: want.Data, in: in.Data, w: w.Data, geo: convGeometry(want, in, w.Shape, nil, spec), spec: spec,
+			k: c.cin * c.kh * c.kw, npix: hout * wout, staged: !Pointwise(c.kh, c.kw, spec)}
+		for p := 0; p < j.npix; p += gemmBand {
+			j.band(new(convScratch), 0, (c.cout+1)/2, p, min(p+gemmBand, j.npix)) // scratch nothing has touched
+		}
+		poisonBandScratch(0)
+		got := dirty(want.Shape...)
+		Conv2DInto(got, in, w, nil, spec, Epilogue{})
+		if !bitsEqual(got.Data, want.Data) {
+			t.Fatalf("%s: conv on recycled scratch differs from fresh scratch", c.name)
+		}
+		if ref := refConvBlocked(in, w, nil, spec, Epilogue{}); !bitsEqual(got.Data, ref.Data) {
+			t.Fatalf("%s: conv differs from the loop-nest reference", c.name)
+		}
 	}
 }

@@ -45,25 +45,27 @@ func qconv(rng *rand.Rand, in *tensor.Tensor, k, pad int) func() {
 	return func() { tensor.Conv2DQPrepackedInto(dst, in, pq, qw, nil, spec, tensor.ActReLU, 0) }
 }
 
-// TestPointwiseConvAllocatesNothing pins the FP32 pointwise conv's steady
-// state at zero allocations a call, on each way it runs: a 56x56 plane
-// cut by pixels at two cores, a 7x7 plane cut by channel pairs, and one
-// below the MAC bar on the caller alone, each with an odd Cout and a K
-// off the quad.
+// TestPointwiseConvAllocatesNothing pins the FP32 conv's steady state at
+// zero allocations a call, on each way it runs: a pointwise 56x56 plane
+// cut by pixels at two cores, a pointwise 7x7 plane cut by channel pairs,
+// one below the MAC bar on the caller alone, each with an odd Cout and a
+// K off the quad, and a staged 3x3 on a 15x15 plane cut by channel pairs.
 func TestPointwiseConvAllocatesNothing(t *testing.T) {
 	rng := stats.NewRNG(19)
 	for _, tc := range []struct {
-		name        string
-		k, cout, hw int
+		name               string
+		k, cout, hw, kk, p int
 	}{
-		{"pixels", 30, 33, 56},
-		{"pairs", 161, 195, 7},
-		{"serial", 7, 9, 14},
+		{"pixels", 30, 33, 56, 1, 0},
+		{"pairs", 161, 195, 7, 1, 0},
+		{"serial", 7, 9, 14, 1, 0},
+		{"3x3-pairs", 33, 63, 15, 3, 1},
 	} {
-		w := tensor.New(tc.cout, tc.k, 1, 1).Randomize(rng, 1)
+		w := tensor.New(tc.cout, tc.k, tc.kk, tc.kk).Randomize(rng, 1)
 		in, dst := tensor.New(tc.k, tc.hw, tc.hw).Randomize(rng, 1), tensor.New(tc.cout, tc.hw, tc.hw)
 		bias := tensor.New(tc.cout).Randomize(rng, 1).Data
-		run := func() { tensor.PointwiseConvInto(dst, in, w, bias, tensor.Epilogue{Act: tensor.ActReLU6}) }
+		spec := tensor.Conv2DSpec{Stride: 1, Pad: tc.p}
+		run := func() { tensor.Conv2DInto(dst, in, w, bias, spec, tensor.Epilogue{Act: tensor.ActReLU6}) }
 		run() // fill the pools
 		if got := testing.AllocsPerRun(20, run); got != 0 {
 			t.Errorf("%s: %.1f allocs a call, want 0", tc.name, got)

@@ -377,7 +377,7 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	qgemmSharded(got, a, b, m, k, n, 1)
 	check("sharded by rows", got)
 
-	pq := packB(gemmInt8, b, k, n)
+	pq := packB(b, k, n)
 	for _, split := range []int{1, 2, 4, 5} {
 		if split >= m {
 			break
@@ -385,8 +385,8 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 		for i := range got {
 			got[i] = math.MinInt32
 		}
-		gemmInt8.rowRange(got, a, pq, 0, split)
-		gemmInt8.rowRange(got, a, pq, split, m)
+		qRowRange(got, a, pq, 0, split)
+		qRowRange(got, a, pq, split, m)
 		check(fmt.Sprintf("row-range split at %d", split), got)
 	}
 }
@@ -447,13 +447,13 @@ func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
 		a, b := randQ(r, m*k), randQ(r, k*n)
 		want := make([]int32, m*n)
 		qnaive(want, a, b, m, k, n)
-		pq := packB(gemmInt8, b, k, n)
+		pq := packB(b, k, n)
 		for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}, {0, 7}, {1, 9}, {5, 10}, {0, 2}} {
 			got := make([]int32, m*n)
 			for i := range got {
 				got[i] = sentinel
 			}
-			gemmInt8.rowRange(got, a, pq, rr[0], rr[1])
+			qRowRange(got, a, pq, rr[0], rr[1])
 			for i := range got {
 				in := i/n >= rr[0] && i/n < rr[1]
 				if in && got[i] != want[i] {
@@ -566,7 +566,7 @@ func transposeCodes(dst, src []int8, cin, npix int) {
 // qgemmPanelRows stages it: lane triples of pixels [lo, hi) for each cut
 // [lo, hi), a short last triple repeating its last pixel, K-block by
 // K-block, each lane split back into its three codes.
-func stagedCodes(j *bandJob[int8, byte, int32], cuts ...int) []int8 {
+func stagedCodes(j *bandJob, cuts ...int) []int8 {
 	k, npix := j.geo.cin*j.geo.kh*j.geo.kw, j.geo.hout*j.geo.wout
 	out := make([]int8, npix*k)
 	for i := range out {
@@ -639,7 +639,7 @@ func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
 					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
 				}
 				qscratchPool.Put(s)
-				j := &bandJob[int8, byte, int32]{quant: quantJob{src: in.Data, inv: 1 / sx}, spec: spec.check(),
+				j := &bandJob{quant: quantJob{src: in.Data, inv: 1 / sx}, spec: spec.check(),
 					geo: convGeom{cin: cin, h: 1, wd: npix, kh: 1, kw: 1, hout: 1, wout: npix}}
 				for _, cut := range []int{0, 1, npix / 2, min(convBandPixels, npix), npix} {
 					got := stagedCodes(j, 0, cut, npix)

@@ -1,8 +1,8 @@
 package tensor
 
-// Int8 GEMM blocking parameters. The kernel mirrors the FP32 blocked
-// kernel in gemm.go — tile over N and K, pack the B block into a panel,
-// stream every A row over it — but the panel holds one byte per element.
+// Int8 GEMM blocking parameters. The kernel tiles over N and K, packs the
+// B block into a panel of one byte per element, and streams every A row
+// over it.
 //
 // The microkernel beats scalar FP32 by dodging the integer-multiply
 // throughput wall (one scalar IMUL per cycle on most cores, vs two FP
@@ -32,15 +32,14 @@ const (
 const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
 
 // qgemmPanelRows is the int8 microkernel under the one tile loop,
-// bandJob.rowRange (the int8 mirror of gemmPanelRows): it accumulates one
-// packed (K-block, N-block) panel into the rows of the pixels whose
-// windows are win, dst[i, jc:jc+jb] += im2row(codes)[p, kc:kc+kb] x
+// bandJob.rowRange: it accumulates one packed (K-block, N-block) panel
+// into the rows of the pixels whose windows are win, dst[i, jc:jc+jb] += im2row(codes)[p, kc:kc+kb] x
 // panel. Pixels go three at a time, staged from the input into a lane
 // triple per K index (stageLanes); a short last triple repeats its last
 // pixel into lanes that accumulate into a sink. Groups of four columns go
 // through qdot4, the N mod 4 tail one at a time. Results do not depend on
 // how callers split rows.
-func qgemmPanelRows(dst []int32, j *bandJob[int8, byte, int32], win []window, panel []byte, kc, kb, jc, jb int) {
+func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb, jc, jb int) {
 	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
 	var t convTaps
 	t.init(j.geo, kc, kb)
@@ -82,7 +81,7 @@ func qgemmPanelRows(dst []int32, j *bandJob[int8, byte, int32], win []window, pa
 // pointwise conv rounds its FP32 input as it stages (quantCode; its
 // windows are interior columns). A K x K conv reads the code plane: three
 // interior windows in one gather, else each through stageWindow.
-func stageLanes(l []int64, j *bandJob[int8, byte, int32], t *convTaps, w0, w1, w2 window) {
+func stageLanes(l []int64, j *bandJob, t *convTaps, w0, w1, w2 window) {
 	offs := t.off[:len(l)]
 	if q := j.quant; q.src != nil {
 		x0, x1, x2 := q.src[w0.base:], q.src[w1.base:], q.src[w2.base:]
@@ -139,7 +138,7 @@ func addLanes(o0, o1, o2 []int32, j int, s int64) {
 }
 
 // packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of a [K, N] B
-// operand whose element (r, c) is b[r*rs+c*cs] (packPanel's strides: a
+// operand whose element (r, c) is b[r*rs+c*cs] (pack's strides: a
 // row-major B at (n, 1), an [N, K] weight matrix read in place at (1, k))
 // into panel as signed codes. Full groups of four columns are interleaved
 // per K-quad, 16 contiguous bytes per quad: element (kc+g, jc+j) lands at

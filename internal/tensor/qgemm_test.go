@@ -17,17 +17,43 @@ func qnaive(dst []int32, a, b []int8, m, k, n int) {
 	}
 }
 
+// packB packs a row-major [k, n] B matrix: the operand the tile-loop
+// tests and benchmarks multiply by.
+func packB(b []int8, k, n int) *PackedQWeights {
+	if len(b) != k*n {
+		panic("packB: data length does not match k x n")
+	}
+	return pack(b, k, n, n, 1, nil)
+}
+
+// matrixJob views a row-major [m, pq.K] matrix a as what the tile loop
+// multiplies: the im2row matrix of a 1 x K convolution over a [1, m, K]
+// plane, whose pixel i has row i of a for its one window. Every window is
+// interior, so the microkernel stages a's rows in one gather per K-block.
+func matrixJob(a []int8, pq *PackedQWeights) *bandJob {
+	m := len(a) / pq.K
+	return &bandJob{in: a, pw: pq, spec: Conv2DSpec{Stride: 1},
+		geo: convGeom{cin: 1, h: m, wd: pq.K, cout: pq.N, kh: 1, kw: pq.K, hout: m, wout: 1}}
+}
+
+// qRowRange computes rows [rlo, rhi) of dst = a x B for a row-major a
+// [m, pq.K] and packed B, row i at dst[i*pq.N:], overwriting them: the
+// tile loop on matrixJob's view of a.
+func qRowRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int) {
+	matrixJob(a, pq).rowRange(dst[rlo*pq.N:], make([]window, rhi-rlo), rlo, rhi)
+}
+
 // qgemmSerial is a x b through the int8 tile loop on the calling goroutine,
 // b packed now; qgemmSharded cuts the same multiply into row chunks across
 // the worker pool, wherever the chunks fall.
 func qgemmSerial(dst []int32, a, b []int8, m, k, n int) {
-	gemmInt8.rowRange(dst, a, packB(gemmInt8, b, k, n), 0, m)
+	qRowRange(dst, a, packB(b, k, n), 0, m)
 }
 
 func qgemmSharded(dst []int32, a, b []int8, m, k, n, grain int) {
-	pq := packB(gemmInt8, b, k, n)
+	pq := packB(b, k, n)
 	parallelFor(m, grain, func(lo, hi int) {
-		gemmInt8.rowRange(dst, a, pq, lo, hi)
+		qRowRange(dst, a, pq, lo, hi)
 	})
 }
 
@@ -87,17 +113,19 @@ func TestQGEMMParallelOddM(t *testing.T) {
 	}
 }
 
-// BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time the two tile
-// loops alone, on one core, over panels packed outside the loop, their A
-// operand a 512x512 matrix staged as matrixJob's 1 x 512 convolution. MAC/mul
-// is the int8 kernel's rows per 64-bit multiply; GMAC/s over it is the
-// multiply rate BenchmarkIMULPeak bounds. An FP32 MAC is one multiply and
-// one add, so BenchmarkGEMMFP32Blocked512's GMAC/s is the rate
-// BenchmarkFMULPeak bounds.
+// BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time each datatype's
+// kernel alone, on one core, on a 512x512x512 product. The int8 tile loop
+// runs over panels packed outside the loop, its A operand staged as
+// matrixJob's 1 x 512 convolution; MAC/mul is its rows per 64-bit
+// multiply, and GMAC/s over it the multiply rate BenchmarkIMULPeak bounds.
+// The FP32 one is the channel-major kernel on matMulJob's view: weights
+// and input rows read in place, cut by columns. An FP32 MAC is one
+// multiply and one add, so its GMAC/s is the rate BenchmarkFMULPeak
+// bounds.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
-	j := matrixJob(gemmInt8, randQ(r, d*d), packB(gemmInt8, randQ(r, d*d), d, d))
+	j := matrixJob(randQ(r, d*d), packB(randQ(r, d*d), d, d))
 	dst, win := make([]int32, d*d), make([]window, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,11 +157,10 @@ func BenchmarkGEMMFP32Blocked512(b *testing.B) {
 		a.Data[i] = float32(i%255) - 127
 		bb.Data[i] = float32((i*7)%255) - 127
 	}
-	j := matrixJob(gemmFP32, a.Data, packB(gemmFP32, bb.Data, d, d))
-	dst, win := make([]float32, d*d), make([]window, d)
+	j := matMulJob(make([]float32, d*d), a.Data, bb.Data, d, d, d, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.rowRange(dst, win, 0, d)
+		j.shard(0, d)
 	}
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }

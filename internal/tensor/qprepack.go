@@ -1,27 +1,21 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// This file is the int8 side of prepack.go: the gemm value of the SWAR
-// QGEMM microkernel (signed byte panels, four columns interleaved), the
-// ahead-of-time packers, the requantize store, and the conv/dense entry
-// points. Integer accumulation is exact in any order, so int8 results do
-// not depend on the blocking, and int8 Dense packs too: it is a 1x1 conv.
+// This file is the int8 band pass's ends: the ahead-of-time packers, the
+// requantize store, and the conv/dense entry points. int8 Dense packs
+// too: it is a 1x1 conv.
 
-var gemmInt8 = &gemm[int8, byte, int32]{kc: qgemmKC, nc: qgemmNC, mr: qgemmMR,
-	packPanel: packQPanel, panelRows: qgemmPanelRows, store: storeInt8,
-	scratch: sync.Pool{New: func() any { return new(bandScratch[int32]) }},
-	jobs:    sync.Pool{New: newBandJob[int8, byte, int32]}}
-
-// packQWeights packs qw ahead of time, into panels and a shape of its own.
+// packQWeights packs qw ahead of time — the transpose of its [n, k]
+// matrix, n its first axis (Cout or Out), read in place — into panels
+// and a shape of its own.
 func packQWeights(qw *QTensor, rank int, who string) *PackedQWeights {
 	if len(qw.Shape) != rank {
 		panic(fmt.Sprintf("tensor: %s wants rank-%d weights, got %v", who, rank, qw.Shape))
 	}
-	return gemmInt8.packWeights(qw.Data, qw.Shape.Clone())
+	n := qw.Shape[0]
+	k := len(qw.Data) / n
+	return pack(qw.Data, k, n, 1, k, qw.Shape.Clone())
 }
 
 // PackQConvWeights packs [Cout, Cin, KH, KW] int8 convolution weights
@@ -71,14 +65,14 @@ func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bi
 // storeInt8 requantizes pixels [p0, p1) of each output channel out of the
 // band's pixel-major accumulators, a 256-byte contiguous store per
 // channel while the accumulator rows are still in cache from the GEMM.
-func storeInt8(j *bandJob[int8, byte, int32], acc []int32, p0, p1 int) {
+func storeInt8(j *bandJob, acc []int32, p0, p1 int) {
 	cout, ncols := j.pw.N, j.geo.hout*j.geo.wout
 	for oc, scale := range j.scales {
 		var b float32
 		if j.bias != nil {
 			b = j.bias[oc]
 		}
-		requantizeStrided(j.out[oc*ncols+p0:oc*ncols+p1], acc[oc:], cout, scale, b, j.epi.Act, j.epi.Alpha)
+		requantizeStrided(j.out[oc*ncols+p0:oc*ncols+p1], acc[oc:], cout, scale, b, j.act, j.alpha)
 	}
 }
 
@@ -87,7 +81,7 @@ func storeInt8(j *bandJob[int8, byte, int32], acc []int32, p0, p1 int) {
 // [Cout, Hout, Wout], overwriting every element: dynamic per-tensor
 // symmetric activation quantization of the whole input (a pointwise conv
 // only takes its scale and rounds as its lanes are staged), then the band
-// pass (gemm.run) — QGEMM on lanes staged from the codes into int32
+// pass (bandJob.run) — QGEMM on lanes staged from the codes into int32
 // accumulators and the fused requantize+bias+activation store — one
 // kernel call end to end. The
 // output does not depend on the cut. qw supplies the weight scales
@@ -97,7 +91,7 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 	geo := convGeometry(dst, in, pq.Shape, bias, spec)
 	s := qscratchPool.Get().(*qscratch)
 	s.scales = growSlice(s.scales, geo.cout)
-	job := bandJob[int8, byte, int32]{out: dst.Data, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, epi: Epilogue{Act: act, Alpha: alpha}}
+	job := bandJob{out: dst.Data, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, act: act, alpha: alpha}
 	sx := s.absScale(in.Data)
 	if Pointwise(geo.kh, geo.kw, spec) {
 		job.quant = quantJob{src: in.Data, inv: 1 / sx}
@@ -109,7 +103,7 @@ func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias
 	for oc := range s.scales {
 		s.scales[oc] = sx * qw.ScaleFor(oc)
 	}
-	gemmInt8.run(job)
+	job.run()
 	qscratchPool.Put(s)
 }
 

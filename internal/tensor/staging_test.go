@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-// The band pass stages each pixel's im2row row straight from the input
-// (convTaps, stageWindow, stageLanes). These tests hold both datatypes'
-// staging to the loop-nest references, refConvBlocked and refQConv, bit
-// for bit, where it can go wrong: lane triples and row pairs that wrap an
-// output row, windows in the padding on either side of a wrap, K-blocks
-// that start inside an (ic, ky) run, one-pixel planes, every chunk cut of
-// a band, and FP32 specials next to the padding.
+// Both convolutions stage their lowered input straight from the input:
+// the int8 band pass each pixel's im2row row (convTaps, stageWindow,
+// stageLanes), the FP32 kernel each band's im2col rows (convJob.stage).
+// These tests hold both datatypes' staging to the loop-nest references,
+// refConvBlocked and refQConv, bit for bit, where it can go wrong: lane
+// triples and bands that wrap an output row, windows in the padding on
+// either side of a wrap, K-blocks that start inside an (ic, ky) run,
+// one-pixel planes, every chunk cut of a band, and FP32 specials next to
+// the padding.
 
 // stagingCases is the geometry table both datatypes run.
 func stagingCases() []convCase {
@@ -52,7 +54,7 @@ func TestStagingMatchesReferences(t *testing.T) {
 		in := randTensor(r, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
 		bias := randTensor(r, c.cout).Data
-		checkBandedConv(t, c.name, in, w, PackConvWeights(w), bias, c.spec, Epilogue{Act: ActReLU})
+		checkBandedConv(t, c.name, in, w, bias, c.spec, Epilogue{Act: ActReLU})
 		qw := QuantizePerChannel(w)
 		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActNone)
 	}
@@ -69,11 +71,10 @@ func TestStagingChunkCuts(t *testing.T) {
 	in := randTensor(r, cin, h, wd)
 	w := randTensor(r, cout, cin, 3, 3)
 	bias := randTensor(r, cout).Data
-	pw := PackConvWeights(w)
 	qw := QuantizePerChannel(w)
 	pq := PackQConvWeights(qw)
 	want, wantQ := refConvBlocked(in, w, bias, spec, Epilogue{}), refQConv(in, qw, bias, spec, ActNone, 0)
-	geo := convGeometry(want, in, pw.Shape, bias, spec)
+	geo := convGeometry(want, in, w.Shape, bias, spec)
 	if npix := geo.hout * geo.wout; npix != convBandPixels {
 		t.Fatalf("plane has %d output pixels, want one band of %d", npix, convBandPixels)
 	}
@@ -85,13 +86,13 @@ func TestStagingChunkCuts(t *testing.T) {
 	}
 	for cut := 0; cut <= convBandPixels; cut += 2 {
 		got := dirty(want.Shape...)
-		j := &bandJob[float32, float32, float32]{g: gemmFP32, out: got.Data, in: in.Data, geo: geo, spec: spec, pw: pw, bias: bias}
-		j.pixels(0, cut)
-		j.pixels(cut, convBandPixels)
+		j := &convJob{out: got.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: cin * 9, npix: convBandPixels, bias: bias, staged: true}
+		j.shard(0, cut)
+		j.shard(cut, convBandPixels)
 		assertBitEqual(t, got, want, fmt.Sprintf("FP32 cut at %d", cut))
 
 		gotQ := dirty(want.Shape...)
-		q := &bandJob[int8, byte, int32]{g: gemmInt8, out: gotQ.Data, in: codes, geo: geo, spec: spec, pw: pq, bias: bias, scales: scales}
+		q := &bandJob{out: gotQ.Data, in: codes, geo: geo, spec: spec, pw: pq, bias: bias, scales: scales}
 		q.pixels(0, cut)
 		q.pixels(cut, convBandPixels)
 		assertBitEqual(t, gotQ, wantQ, fmt.Sprintf("int8 cut at %d", cut))
@@ -119,7 +120,7 @@ func TestStagingSpecialsNextToPadding(t *testing.T) {
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
 		want := refConvBlocked(in, w, nil, c.spec, Epilogue{})
 		got := dirty(want.Shape...)
-		Conv2DPrepackedInto(got, in, PackConvWeights(w), nil, c.spec, Epilogue{})
+		Conv2DInto(got, in, w, nil, c.spec, Epilogue{})
 		assertBitEqual(t, got, want, c.name)
 	}
 }

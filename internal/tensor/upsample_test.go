@@ -87,7 +87,7 @@ func TestConv2DParallelWorkerPath(t *testing.T) {
 	// The host may have one CPU; raise GOMAXPROCS so the sharded path
 	// actually runs multiple goroutines.
 	old := runtime.GOMAXPROCS(1)
-	conv := func(d *Tensor) { convPacked(d, in, w, bias, spec, Epilogue{}) }
+	conv := func(d *Tensor) { Conv2DInto(d, in, w, bias, spec, Epilogue{}) }
 	serial := into(conv, 16, 40, 40)
 	runtime.GOMAXPROCS(4)
 	sharded := into(conv, 16, 40, 40)

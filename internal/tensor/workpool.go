@@ -59,7 +59,8 @@ const (
 
 	// chunksPerWorker is how many chunks parallelFor aims to cut per
 	// available worker. >1 lets fast workers steal from slow ones;
-	// too many and panel repacking (GEMM) and handoff overhead grow.
+	// too many and per-chunk setup (staging, panels) and handoff overhead
+	// grow.
 	chunksPerWorker = 4
 
 	// parallelGrainMACs is the minimum multiply-accumulate count one
