@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test lint analyze race check cover bench-test layers opt-equiv reproduce sweep examples serve-smoke pipe-smoke loc loc-check clean
+.PHONY: all build fmt vet test lint analyze race check cover bench-test layers opt-equiv reproduce sweep examples serve-smoke pipe-smoke loc loc-check cross clean
 
 all: build vet test
 
@@ -15,6 +15,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The paper's boards are arm64: every package must build and vet there,
+# so a kernel written for one architecture keeps a portable fallback.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -110,7 +115,7 @@ layers:
 	$(GO) run ./cmd/modelzoo -layers BENCH_layers.json
 
 # The CI gate: everything that must be clean before a merge.
-check: build fmt loc-check analyze opt-equiv race bench-test serve-smoke pipe-smoke
+check: build fmt loc-check cross analyze opt-equiv race bench-test serve-smoke pipe-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -123,7 +128,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5542
+LOC_CEILING = 5501
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

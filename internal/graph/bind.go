@@ -73,7 +73,7 @@ func bind(n *Node) (kernel, error) {
 		k = kernel{run: runConv3D, compute: true}
 	case OpDense:
 		if runsInt8(n) {
-			run, panels := denseQ(n)
+			run, panels := convQ(n)
 			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
 		} else {
 			// FP32 dense has no packed form: its matvec accumulation
@@ -194,21 +194,35 @@ func poolSpec(n *Node) tensor.PoolSpec {
 
 // The kernels bind chooses between. Each adapts one internal/tensor
 // entry point to the run signature; the constructors among them (convQ,
-// convGrouped, denseQ) build, once, what their kernel needs beyond the
-// node: int8 panels, or a grouped conv's view shapes.
+// convGrouped) build, once, what their kernel needs beyond the node: int8
+// panels, or view shapes.
 
 func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 	// Consumers treat inputs as read-only, so no defensive copy is made.
 	return n.Weights
 }
 
-// convQ packs the int8 convolution's codes into panels and returns the
-// kernel that runs on them, with the panels' size in bytes.
+// convQ packs the int8 codes of a convolution or a dense layer into
+// panels and returns the kernel that runs on them, with the panels' size
+// in bytes. A dense layer is the 1x1 conv of its input as an [In, 1, 1]
+// plane: it packs an [Out, In, 1, 1] header that shares the node's codes
+// and scales, and each run views its input and output as planes, headers
+// on the run's own stack as convGrouped's are.
 func convQ(n *Node) (runFunc, int) {
-	pq := tensor.PackQConvWeights(n.QWeights)
+	qw := n.QWeights
+	var inShape, dstShape tensor.Shape
+	if n.Kind == OpDense {
+		view := *qw
+		view.Shape = tensor.Shape{qw.Shape[0], qw.Shape[1], 1, 1}
+		qw, inShape, dstShape = &view, view.Shape[1:], tensor.Shape{qw.Shape[0], 1, 1}
+	}
+	pq := tensor.PackQConvWeights(qw)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		tensor.Conv2DQPrepackedInto(dst, in[0], pq, n.QWeights, n.Bias, n.Attrs.ConvSpec(),
-			actFor(n.Activation), n.Attrs.LeakySlope())
+		x, out, spec := *in[0], *dst, n.Attrs.ConvSpec()
+		if inShape != nil {
+			x.Shape, out.Shape, spec = inShape, dstShape, tensor.Conv2DSpec{}
+		}
+		tensor.Conv2DQPrepackedInto(&out, &x, pq, n.Bias, spec, actFor(n.Activation), n.Attrs.LeakySlope())
 		return dst
 	}, len(pq.Panels)
 }
@@ -261,17 +275,6 @@ func runDepthwise(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tens
 
 func runConv3D(n *Node, _ *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv3D(in[0], n.Weights, n.Bias, tensor.Conv3DSpec{Stride: n.Attrs.Stride, Pad: n.Attrs.Pad})
-}
-
-// denseQ packs the int8 dense layer's codes into panels and returns the
-// kernel that runs on them, with the panels' size in bytes.
-func denseQ(n *Node) (runFunc, int) {
-	pq := tensor.PackQDenseWeights(n.QWeights)
-	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
-		tensor.DenseQPrepackedInto(dst.Data, pq, n.QWeights, n.Bias, in[0].Data,
-			actFor(n.Activation), n.Attrs.LeakySlope())
-		return dst
-	}, len(pq.Panels)
 }
 
 func runDense(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

@@ -181,3 +181,31 @@ func TestUnreadNodeTakesNoSteadyAllocs(t *testing.T) {
 		t.Errorf("steady state with an unread conv = %.0f allocs/op, without it %.0f; want equal", with, without)
 	}
 }
+
+// TestQuantizedDenseStepAllocatesNothing: an int8 dense layer — bind runs
+// it as the 1x1 conv of its input's [In, 1, 1] view, on headers built per
+// run — adds no allocation to a steady-state run of a static graph. At
+// 100 x 40 000, an input long enough to shard the quantizer, the graph
+// allocates as much a run as the same graph without the layer.
+func TestQuantizedDenseStepAllocatesNothing(t *testing.T) {
+	build := func(dense bool) *graph.Graph {
+		b := nn.NewBuilder("qdense", nn.Options{Materialize: true, Seed: 17}, 40000)
+		if dense {
+			b.Dense("fc", 100, true)
+		}
+		b.Softmax("prob")
+		g := b.Build()
+		graph.QuantizeINT8(g)
+		return g
+	}
+	in := tensor.New(40000)
+	fillDeterministic(in)
+	e := &graph.Executor{}
+	with := steadyAllocs(t, e, build(true), in)
+	if i8, _, _ := graph.ProgramOf(e).Counts(); i8 != 1 {
+		t.Fatalf("int8 dispatches = %d, want 1 (fc)", i8)
+	}
+	if without := steadyAllocs(t, &graph.Executor{}, build(false), in); with != without {
+		t.Errorf("steady state with the int8 dense layer = %.0f allocs/op, without it %.0f; want equal", with, without)
+	}
+}

@@ -244,7 +244,7 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Conv2DQPrepackedInto(dst, in, pq, qw, nil, spec, ActReLU, 0)
+				Conv2DQPrepackedInto(dst, in, pq, nil, spec, ActReLU, 0)
 			}
 			b.ReportMetric(float64(pq.K*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})

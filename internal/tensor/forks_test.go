@@ -63,9 +63,9 @@ func TestPackedConvForksOnce(t *testing.T) {
 // (O2, then quantized): one parallelFor per pre-packed int8 convolution at
 // or above the MAC bar — the band pass; staging, QGEMM and requantize
 // fork nowhere else — and, where the input is long enough to shard the
-// activation quantizer, one for its max-abs pass and, unless the conv is
-// pointwise (its lanes round as they are staged), one for its rounding pass;
-// one per max-pool above its bar, and nothing else: 46 forks.
+// activation quantizer, one for its max-abs pass and one for its rounding
+// pass, pointwise or not; one per max-pool above its bar, and nothing
+// else: 57 forks.
 func TestPackedQConvForksOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -83,7 +83,7 @@ func TestPackedQConvForksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	var convs, quantized, pointwise, forks int64
+	var convs, quantized, forks int64
 	for _, n := range g.Nodes {
 		macs := int(graph.NodeCost(n).MACs)
 		switch {
@@ -95,10 +95,6 @@ func TestPackedQConvForksOnce(t *testing.T) {
 			if n.Inputs[0].OutShape.NumElems() >= tensor.QuantParallelElems {
 				quantized++
 				forks += 2
-				if tensor.Pointwise(n.WShape[2], n.WShape[3], n.Attrs.ConvSpec()) {
-					pointwise++
-					forks--
-				}
 			}
 		case n.Kind == graph.OpMaxPool2D:
 			if k := n.Attrs.Kernel; n.OutShape.NumElems()*k*k >= tensor.MaxPoolParallelTaps {
@@ -108,9 +104,9 @@ func TestPackedQConvForksOnce(t *testing.T) {
 			t.Errorf("%s is not a pre-packed int8 convolution", n)
 		}
 	}
-	if convs != 26 || quantized == 0 || quantized == convs || pointwise == 0 || pointwise == quantized {
-		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d of them pointwise; want 26, some but not all, some but not all",
-			convs, quantized, pointwise)
+	if convs != 26 || quantized == 0 || quantized == convs || forks != 57 {
+		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d forks; want 26, some but not all, 57",
+			convs, quantized, forks)
 	}
 	requireForks(t, eng, g, forks)
 }

@@ -12,7 +12,7 @@ import "sync"
 // the microkernel holds one quad of each row in registers across a band
 // of pixels, so the rows' layout is already the one it reads.
 //
-// A pointwise convolution (1x1, stride 1, unpadded: Pointwise) reads its
+// A pointwise convolution (1x1, stride 1, unpadded: pointwise) reads its
 // input rows as they are, since its im2col matrix is the input itself. A
 // K x K one first stages its band's im2col rows, one K-block at a time,
 // into scratch of its shard's own: interior spans copied from the input,
@@ -34,10 +34,10 @@ const (
 	gemmBand = 256 // pixels a channel pair takes through its K-quads at a time
 )
 
-// Pointwise reports whether a convolution is 1x1, stride 1 and unpadded:
-// an FP32 one reads its input rows in place, an int8 one rounds its
-// input as it stages its lanes, with no rounding pass.
-func Pointwise(kh, kw int, spec Conv2DSpec) bool {
+// pointwise reports whether an FP32 convolution is 1x1, stride 1 and
+// unpadded, so it reads its input rows in place. The int8 convolution
+// has no such branch: every geometry stages from its rounded code plane.
+func pointwise(kh, kw int, spec Conv2DSpec) bool {
 	padH, padW := spec.padHW()
 	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0
 }
@@ -99,7 +99,7 @@ func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogu
 	workers := len(ensurePool().workers)
 	j := convJobs.Get().(*convJob)
 	*j = convJob{out: dst.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: k, npix: npix, bias: bias, epi: epi,
-		staged: !Pointwise(geo.kh, geo.kw, spec), byPairs: npix < gemmBand*chunksPerWorker*workers, fn: j.fn}
+		staged: !pointwise(geo.kh, geo.kw, spec), byPairs: npix < gemmBand*chunksPerWorker*workers, fn: j.fn}
 	units, macsPerUnit := npix, k*n
 	if j.byPairs {
 		units, macsPerUnit = (n+1)/2, 2*k*npix

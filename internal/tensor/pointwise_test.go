@@ -39,13 +39,30 @@ func checkPointwise(t *testing.T, name string, in, w *Tensor, bias []float32, ep
 	return got
 }
 
-// salt overwrites every third element of data with ±0, NaN or ±Inf in
-// turn, so the K tail's padding and the quads around it meet each.
-func salt(data []float32) {
-	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
-	for i := range data {
-		if i%3 == 1 {
-			data[i] = special[(i/3)%len(special)]
+// specials are the values salted tests write: ±0, NaN and ±Inf.
+var specials = []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+
+// saltPixels overwrites all channels of every fourth pixel of a [C, H, W]
+// tensor with ±0, NaN and ±Inf in turn, so the K tail's padding and the
+// quads around it meet each, while the outputs that read no salted pixel
+// stay finite and compare bit for bit.
+func saltPixels(t *Tensor) {
+	npix := t.Shape[1] * t.Shape[2]
+	for p := 0; p < npix; p += 4 {
+		for c := range t.Shape[0] {
+			t.Data[c*npix+p] = specials[(c+p/4)%len(specials)]
+		}
+	}
+}
+
+// saltRows overwrites every fourth output row of [Cout, ...] weights
+// whole with ±0, NaN and ±Inf in turn: the other channels' outputs stay
+// finite, and a quad that read past its own row would meet a salted one.
+func saltRows(w *Tensor) {
+	k := len(w.Data) / w.Shape[0]
+	for oc := 0; oc < w.Shape[0]; oc += 4 {
+		for i := range k {
+			w.Data[oc*k+i] = specials[(i+oc/4)%len(specials)]
 		}
 	}
 }
@@ -65,14 +82,14 @@ func TestPointwiseConvMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 130} {
 		for _, cout := range []int{1, 2, 3, 4, 5} {
 			w, saltedW := randTensor(r, cout, k, 1, 1), randTensor(r, cout, k, 1, 1)
-			salt(saltedW.Data)
+			saltRows(saltedW)
 			_, _, _, _, _, affine := bnEpilogue(cout, k)
 			for _, npix := range []int{1, 49, 63, 64, 65} {
 				for _, salted := range []string{"none", "input", "weights"} {
 					in, wt := randTensor(r, k, 1, npix), w
 					switch salted {
 					case "input":
-						salt(in.Data)
+						saltPixels(in)
 					case "weights":
 						wt = saltedW
 					}
@@ -95,7 +112,7 @@ func TestPointwiseConvMatchesReference(t *testing.T) {
 	} {
 		w := randTensor(r, c.cout, c.k, 1, 1)
 		in := randTensor(r, c.k, c.h, c.w)
-		salt(in.Data[:len(in.Data)/2])
+		saltPixels(in)
 		_, _, _, _, _, epi := bnEpilogue(c.cout, 7)
 		epi.Act = ActReLU6
 		checkPointwise(t, fmt.Sprintf("K%d cout%d %dx%d", c.k, c.cout, c.h, c.w), in, w, randTensor(r, c.cout).Data, epi)
@@ -115,7 +132,7 @@ func TestPointwiseConvMatchesTransposed(t *testing.T) {
 	const cin, cout, h, wd = 37, 11, 9, 13
 	w := randTensor(r, cout, cin, 1, 1)
 	in := randTensor(r, cin, h, wd)
-	salt(in.Data)
+	saltPixels(in)
 	_, _, _, _, _, affine := bnEpilogue(cout, 2)
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh} {
 		for _, epi := range []Epilogue{{Act: act, Alpha: 0.1}, {Scale: affine.Scale, Shift: affine.Shift, Act: act, Alpha: 0.1}} {
@@ -138,11 +155,12 @@ func TestPointwiseConvMatchesTransposed(t *testing.T) {
 // 75 and 1600 among them, and K = 144, 150 and 1600, whose second K-block
 // starts inside an (ic, ky) run; stride 1 and 2, padding 0–2 and Asym;
 // Cout of 1, 2, 5 and 7; planes of 1–3 and of 255–257 output pixels; a
-// bias or none and an epilogue or none; and inputs, weights, both or
-// neither salted with ±0, NaN and ±Inf (the unsalted cases keep the
-// outputs of a long K finite, so an accumulation out of order shows) —
-// every call on scratch left poisoned with NaN, so a staged row that is
-// read before it is written shows.
+// bias or none and an epilogue or none; and inputs (whole pixels),
+// weights (whole output rows), both or neither salted with ±0, NaN and
+// ±Inf — the outputs of unsalted rows and of windows that miss every
+// salted pixel stay finite however long K is, so an accumulation out of
+// order shows — every call on scratch left poisoned with NaN, so a staged
+// row that is read before it is written shows.
 func TestKxKConvSaltedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(151))
 	specs := []Conv2DSpec{
@@ -169,12 +187,12 @@ func TestKxKConvSaltedMatchesReference(t *testing.T) {
 				in, w := randTensor(r, g.cin, h, wd), randTensor(r, cout, g.cin, g.kh, g.kw)
 				switch cases % 4 {
 				case 1:
-					salt(in.Data)
+					saltPixels(in)
 				case 2:
-					salt(w.Data)
+					saltRows(w)
 				case 3:
-					salt(in.Data)
-					salt(w.Data)
+					saltPixels(in)
+					saltRows(w)
 				}
 				var bias []float32
 				epi := Epilogue{}
@@ -232,7 +250,7 @@ func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
 		}
 		w := randTensor(r, c.cout, c.k, 1, 1)
 		in := randTensor(r, c.k, c.h, c.wd)
-		salt(in.Data)
+		saltPixels(in)
 		bias := randTensor(r, c.cout).Data
 		_, _, _, _, _, epi := bnEpilogue(c.cout, 3)
 		epi.Act = ActReLU6

@@ -8,19 +8,21 @@ import "sync"
 //
 //	outT[ncols, cout] = rowsA[ncols, rows] x Wt[rows, cout]
 //
-// where rowsA is the im2row matrix, one row per output pixel, never
-// written out: the microkernel (qgemm.go) stages its rows from the codes
-// as it multiplies them by Wt, the transposed weight matrix packed into
-// panels. A band goes into pixel-major int32 accumulators and is
-// requantized back to channel-major by the store (qprepack.go).
+// where rowsA is the im2row matrix of the input's codes, one row per
+// output pixel, never written out: the microkernel (qgemm.go) stages its
+// rows from the code plane as it multiplies them by Wt, the transposed
+// weight matrix packed into panels. Every geometry, pointwise included,
+// stages from the same plane, which the entry point rounds once, whole
+// (qprepack.go). A band goes into pixel-major int32 accumulators and is
+// requantized back to channel-major by the store.
 //
 // The weights are constant during inference, so they are packed into the
-// microkernel's panels ahead of time by PackQConvWeights /
-// PackQDenseWeights: a compiled program packs once and reuses the panels
-// forever. A panel holds the codes four columns to a K-quad, a layout the
-// codes do not have, so it is a second copy of them. Integer accumulation
-// is exact in any order, so the results depend on no blocking. Padding
-// positions contribute the code 0.
+// microkernel's panels ahead of time by PackQConvWeights: a compiled
+// program packs once and reuses the panels forever. A panel holds the
+// codes four columns to a K-quad, a layout the codes do not have, so it
+// is a second copy of them. Integer accumulation is exact in any order,
+// so the results depend on no blocking. Padding positions contribute the
+// code 0.
 //
 // The FP32 convolution (gemm.go) packs nothing: it reads its weights'
 // rows in place, channel-major.
@@ -33,14 +35,13 @@ import "sync"
 // compiled program reads the same one.
 type PackedQWeights struct {
 	// K and N are the GEMM dimensions of the packed operand: it stands
-	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout for convs; K = In,
-	// N = Out for dense layers).
+	// in for a [K, N] B matrix (K = Cin*KH*KW, N = Cout).
 	K, N int
-	// Shape is the conv weight shape, [Cout, Cin, KH, KW] ([Out, In, 1, 1]
-	// for dense), so kernel geometry derives from the pack alone.
-	Shape Shape
 	// Panels is the concatenated packed panel data.
 	Panels []byte
+	// q is the [Cout, Cin, KH, KW] weights the panels were packed from:
+	// the kernel's geometry and its weight scales.
+	q *QTensor
 }
 
 // walkTiles calls fn for every (N-block, K-block) tile of a [k, n] packed
@@ -63,17 +64,6 @@ func walkTiles(k, n int, fn func(off, kc, kb, kb4, jc, jb int)) int {
 		}
 	}
 	return off
-}
-
-// pack returns the panels of the [k, n] B operand whose element (r, c) is
-// b[r*rs+c*cs] — a row-major B at strides (n, 1), an [N, K] weight matrix
-// read in place as its transpose at (1, k): the one packer.
-func pack(b []int8, k, n, rs, cs int, shape Shape) *PackedQWeights {
-	pw := &PackedQWeights{K: k, N: n, Shape: shape, Panels: make([]byte, walkTiles(k, n, nil))}
-	walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
-		packQPanel(pw.Panels[off:off+kb4*jb], b, rs, cs, kc, kb, kb4, jc, jb)
-	})
-	return pw
 }
 
 // rowRange computes pixels [plo, phi) of out[p, :] = im2row(in)[p, :] x
@@ -187,7 +177,6 @@ type bandJob struct {
 	scales []float32
 	act    Act
 	alpha  float32
-	quant  quantJob // a pointwise conv's FP32 input and 1/scale, in place of in
 
 	fn func(lo, hi int)
 }

@@ -187,9 +187,10 @@ func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestDenseQPrepackedMatchesUnpacked: int8 dense (single-row QGEMM) on
-// packed panels vs the loop-nest reference on the unpacked codes,
-// per-tensor and per-channel.
+// TestDenseQPrepackedMatchesUnpacked: int8 dense, the 1x1 conv of its
+// input's [In, 1, 1] view on packed panels (qdenseView, as the graph runs
+// it), vs the loop-nest reference on the unpacked codes, per-tensor and
+// per-channel.
 func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	for _, dims := range [][2]int{{7, 13}, {33, 300}, {64, 129}} {
@@ -203,7 +204,7 @@ func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			want := refQDense(qw, bias, x.Data, ActReLU, 0)
 			got := make([]float32, out)
-			DenseQPrepackedInto(got, PackQDenseWeights(qw), qw, bias, x.Data, ActReLU, 0)
+			qdenseView(got, qw, bias, x.Data, ActReLU, 0)
 			if !bitsEqual(got, want) {
 				t.Errorf("out=%d in=%d perchannel=%v: int8 dense differs from the loop-nest reference", out, in, qw.Scales != nil)
 			}
@@ -229,7 +230,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
 		want := dirty(c.cout, hout, wout)
 		j := &convJob{out: want.Data, in: in.Data, w: w.Data, geo: convGeometry(want, in, w.Shape, nil, spec), spec: spec,
-			k: c.cin * c.kh * c.kw, npix: hout * wout, staged: !Pointwise(c.kh, c.kw, spec)}
+			k: c.cin * c.kh * c.kw, npix: hout * wout, staged: !pointwise(c.kh, c.kw, spec)}
 		for p := 0; p < j.npix; p += gemmBand {
 			j.band(new(convScratch), 0, (c.cout+1)/2, p, min(p+gemmBand, j.npix)) // scratch nothing has touched
 		}

@@ -10,22 +10,18 @@ import (
 	"edgebench/internal/tensor"
 )
 
-// TestQKernelsAllocateNothing pins the int8 kernels' steady state at zero
-// allocations a call: the dense layer, which runs as a pointwise conv on
-// views whose shapes its pack holds, and the conv on both of its paths —
-// a pointwise one, rounding as it stages, and a 3x3 one, rounding the
-// whole input first — each with an input long enough to shard the
-// quantizer. Excluded under -race, whose runtime drops pooled scratch.
+// TestQKernelsAllocateNothing pins the int8 conv's steady state at zero
+// allocations a call, pointwise and 3x3, each with an input long enough
+// to shard the quantizer. (The int8 dense layer is the graph's view of a
+// pointwise conv; TestQuantizedDenseStepAllocatesNothing covers it.)
+// Excluded under -race, whose runtime drops pooled scratch.
 func TestQKernelsAllocateNothing(t *testing.T) {
 	rng := stats.NewRNG(17)
-	dw := tensor.QuantizePerChannel(tensor.New(100, 40000).Randomize(rng, 1))
-	dpq, x, dst := tensor.PackQDenseWeights(dw), tensor.New(40000).Randomize(rng, 1).Data, make([]float32, 100)
 	in := tensor.New(16, 55, 55).Randomize(rng, 1)
 	for _, tc := range []struct {
 		name string
 		run  func()
 	}{
-		{"dense", func() { tensor.DenseQPrepackedInto(dst, dpq, dw, nil, x, tensor.ActReLU, 0) }},
 		{"pointwise", qconv(rng, in, 1, 0)},
 		{"3x3", qconv(rng, in, 3, 1)},
 	} {
@@ -42,7 +38,7 @@ func qconv(rng *rand.Rand, in *tensor.Tensor, k, pad int) func() {
 	qw := tensor.QuantizePerChannel(tensor.New(32, in.Shape[0], k, k).Randomize(rng, 1))
 	pq, spec := tensor.PackQConvWeights(qw), tensor.Conv2DSpec{Stride: 1, Pad: pad}
 	dst := tensor.New(32, in.Shape[1], in.Shape[2])
-	return func() { tensor.Conv2DQPrepackedInto(dst, in, pq, qw, nil, spec, tensor.ActReLU, 0) }
+	return func() { tensor.Conv2DQPrepackedInto(dst, in, pq, nil, spec, tensor.ActReLU, 0) }
 }
 
 // TestPointwiseConvAllocatesNothing pins the FP32 conv's steady state at

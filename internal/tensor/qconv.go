@@ -3,10 +3,11 @@ package tensor
 import "sync"
 
 // This file holds what the int8 execution path shares: the fusable
-// activation set and the pooled per-call scratch of the kernels in
-// qprepack.go — dynamic per-tensor activation quantization, then the
-// band pass of prepack.go on the codes, so a quantized Conv/Dense is a
-// single kernel call producing float32.
+// activation set and the pooled per-call scratch of the kernel in
+// qprepack.go — dynamic per-tensor activation quantization, the whole
+// input rounded once, then the band pass of prepack.go on the codes, so
+// a quantized conv (a dense layer is the 1x1 conv the graph runs it as)
+// is a single kernel call producing float32.
 //
 // Accumulator safety: products are at most 127*127 and the reduction
 // length (Cin*KH*KW for convs, In for dense) tops out around 25088 in
@@ -28,14 +29,14 @@ const (
 	ActTanh
 )
 
-// qscratch holds what one int8 kernel call owns: a K×K conv's input
-// codes, which every shard of the band pass reads, the requantize scales,
+// qscratch holds what one int8 kernel call owns: the conv's input codes,
+// which every shard of the band pass reads, the requantize scales,
 // and the sharded quantizer's per-chunk maxima, arguments and shard
 // bodies — bound once, when the scratch is made: a closure built per call
 // would be a heap allocation per parallelFor. Per-shard buffers are the
 // band pass's (bandScratch). Pooled, so executor replicas never share it.
 type qscratch struct {
-	qin    []int8    // a K×K conv's quantized input activations
+	qin    []int8    // the conv's quantized input activations
 	scales []float32 // requantize scales, activation scale x weight scale, per channel
 	maxima []float32 // per-chunk max-abs of the activation being quantized
 

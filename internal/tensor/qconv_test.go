@@ -74,6 +74,16 @@ func refQDense(qw *QTensor, bias, x []float32, act Act, alpha float32) []float32
 	return want
 }
 
+// qdenseView runs the int8 dense layer of qw [Out, In] on x into dst the
+// way the graph's convQ does: the 1x1 conv of x as an [In, 1, 1] plane,
+// packed from an [Out, In, 1, 1] header on qw's codes and scales.
+func qdenseView(dst []float32, qw *QTensor, bias, x []float32, act Act, alpha float32) {
+	view := *qw
+	view.Shape = Shape{qw.Shape[0], qw.Shape[1], 1, 1}
+	Conv2DQPrepackedInto(&Tensor{Shape: Shape{len(dst), 1, 1}, Data: dst}, &Tensor{Shape: view.Shape[1:], Data: x},
+		PackQConvWeights(&view), bias, Conv2DSpec{}, act, alpha)
+}
+
 func randTensor(r *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
@@ -104,7 +114,7 @@ func TestConv2DQInt8MatchesIntegerReference(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			want := refQConv(in, qw, bias, tc.spec, tc.act, 0.1)
 			got := New(want.Shape...)
-			Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), qw, bias, tc.spec, tc.act, 0.1)
+			Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), bias, tc.spec, tc.act, 0.1)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("case %+v: out[%d] = %g, want %g", tc, i, got.Data[i], want.Data[i])
@@ -123,7 +133,7 @@ func TestConv2DQInt8CloseToFP32(t *testing.T) {
 	ref := refConvBlocked(in, w, bias, spec, Epilogue{})
 	got := New(ref.Shape...)
 	qw := QuantizePerChannel(w)
-	Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), qw, bias, spec, ActNone, 0)
+	Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), bias, spec, ActNone, 0)
 	var maxDiff, maxMag float64
 	for i := range ref.Data {
 		d := math.Abs(float64(got.Data[i] - ref.Data[i]))
@@ -154,7 +164,7 @@ func TestDenseQInt8MatchesReference(t *testing.T) {
 	for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 		want := refQDense(qw, bias, x, ActReLU, 0)
 		got := make([]float32, out)
-		DenseQPrepackedInto(got, PackQDenseWeights(qw), qw, bias, x, ActReLU, 0)
+		qdenseView(got, qw, bias, x, ActReLU, 0)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("dense out[%d] = %g, want %g", i, got[i], want[i])

@@ -21,12 +21,12 @@ func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *Pa
 	t.Helper()
 	want := refQConv(in, qw, bias, spec, act, 0.1)
 	got := dirty(want.Shape...)
-	Conv2DQPrepackedInto(got, in, pq, qw, bias, spec, act, 0.1)
+	Conv2DQPrepackedInto(got, in, pq, bias, spec, act, 0.1)
 	if !bitsEqual(got.Data, want.Data) {
 		t.Errorf("%s: banded prepacked int8 conv differs from the loop-nest reference", name)
 	}
 	unpacked := dirty(want.Shape...)
-	Conv2DQPrepackedInto(unpacked, in, PackQConvWeights(qw), qw, bias, spec, act, 0.1)
+	Conv2DQPrepackedInto(unpacked, in, PackQConvWeights(qw), bias, spec, act, 0.1)
 	if !bitsEqual(unpacked.Data, want.Data) {
 		t.Errorf("%s: int8 conv packed per call differs from the loop-nest reference", name)
 	}
@@ -90,8 +90,8 @@ func TestConv2DQPrepackedBandSweep(t *testing.T) {
 // TestConv2DQPrepackedShardedBands uses layers above the parallel
 // threshold with an odd pixel count, so the pooled run cuts several
 // bands, none a multiple of the requantize tile: a 3x3 padded conv
-// (interior and bounds-tested staging), a strided one, and a 1x1 (lanes
-// rounded as they are staged, band edges inside a chunk).
+// (interior and bounds-tested staging), a strided one, and a 1x1 (every
+// window interior, band edges inside a chunk).
 func TestConv2DQPrepackedShardedBands(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for _, c := range []convCase{
@@ -597,16 +597,17 @@ func stagedCodes(j *bandJob, cuts ...int) []int8 {
 	return out
 }
 
-// TestPointwiseQConvQuantizesAsItLowers holds the 1x1 int8 path — the
-// input's scale alone up front, each lane triple rounding its pixels as
-// it is staged — to quantizing the whole input first: the codes equal the
-// serial quantizer's transposed, staged whole or cut at pixels inside
-// and at the edge of a band, and the outputs equal the loop-nest
-// reference. Planes of 1 to 3025 pixels (55x55) cross 1 to 129 input
-// channels and output widths of every N mod 4, so inputs fall below and
-// above quantParallelElems and convs below and above the MAC bar, on
-// random data and on data salted with both zeros, NaNs and an Inf.
-func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
+// TestPointwiseQConvStagesRoundedCodes holds the 1x1 int8 path — the
+// whole input rounded once into the code plane (absScale, quantizeRound),
+// lane triples staged from it as for any geometry — to the serial
+// quantizer: the scale is its scale, and the staged codes equal its
+// codes transposed, staged whole or cut at pixels inside and at the edge
+// of a band; the outputs equal the loop-nest reference. Planes of 1 to
+// 3025 pixels (55x55) cross 1 to 129 input channels and output widths of
+// every N mod 4, so inputs fall below and above quantParallelElems and
+// convs below and above the MAC bar, on random data and on data salted
+// with both zeros, NaNs and an Inf.
+func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	spec := Conv2DSpec{Stride: 1}
 	long, sharded := 0, 0
@@ -638,8 +639,10 @@ func TestPointwiseQConvQuantizesAsItLowers(t *testing.T) {
 				if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
 					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
 				}
+				plane := make([]int8, len(in.Data))
+				s.quantizeRound(plane, in.Data, 1/sx)
 				qscratchPool.Put(s)
-				j := &bandJob{quant: quantJob{src: in.Data, inv: 1 / sx}, spec: spec.check(),
+				j := &bandJob{in: plane, spec: spec.check(),
 					geo: convGeom{cin: cin, h: 1, wd: npix, kh: 1, kw: 1, hout: 1, wout: npix}}
 				for _, cut := range []int{0, 1, npix / 2, min(convBandPixels, npix), npix} {
 					got := stagedCodes(j, 0, cut, npix)

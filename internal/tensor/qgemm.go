@@ -33,12 +33,12 @@ const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
 
 // qgemmPanelRows is the int8 microkernel under the one tile loop,
 // bandJob.rowRange: it accumulates one packed (K-block, N-block) panel
-// into the rows of the pixels whose windows are win, dst[i, jc:jc+jb] += im2row(codes)[p, kc:kc+kb] x
-// panel. Pixels go three at a time, staged from the input into a lane
-// triple per K index (stageLanes); a short last triple repeats its last
-// pixel into lanes that accumulate into a sink. Groups of four columns go
-// through qdot4, the N mod 4 tail one at a time. Results do not depend on
-// how callers split rows.
+// into the rows of the pixels whose windows are win, dst[i, jc:jc+jb] +=
+// im2row(codes)[p, kc:kc+kb] x panel. Pixels go three at a time, staged
+// from the code plane into a lane triple per K index (stageLanes); a
+// short last triple repeats its last pixel into lanes that accumulate
+// into a sink. Groups of four columns go through qdot4, the N mod 4 tail
+// one at a time. Results do not depend on how callers split rows.
 func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb, jc, jb int) {
 	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
 	var t convTaps
@@ -77,19 +77,11 @@ func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb,
 }
 
 // stageLanes writes the lane triple a0 + a1<<21 + a2<<42 of the pixels
-// with windows w0, w1, w2 at the first len(l) taps of t into l. A
-// pointwise conv rounds its FP32 input as it stages (quantCode; its
-// windows are interior columns). A K x K conv reads the code plane: three
-// interior windows in one gather, else each through stageWindow.
+// with windows w0, w1, w2 at the first len(l) taps of t into l, read
+// from the code plane: three interior windows (a pointwise conv's always
+// are) in one gather, else each through stageWindow.
 func stageLanes(l []int64, j *bandJob, t *convTaps, w0, w1, w2 window) {
 	offs := t.off[:len(l)]
-	if q := j.quant; q.src != nil {
-		x0, x1, x2 := q.src[w0.base:], q.src[w1.base:], q.src[w2.base:]
-		for g, o := range offs {
-			l[g] = int64(quantCode(x0[o], q.inv)) + int64(quantCode(x1[o], q.inv))<<laneShift + int64(quantCode(x2[o], q.inv))<<(2*laneShift)
-		}
-		return
-	}
 	if w0.inside && w1.inside && w2.inside {
 		x0, x1, x2 := j.in[w0.base:], j.in[w1.base:], j.in[w2.base:]
 		for g, o := range offs {
@@ -137,19 +129,18 @@ func addLanes(o0, o1, o2 []int32, j int, s int64) {
 	o2[j] += int32((s - l1) >> laneShift)
 }
 
-// packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of a [K, N] B
-// operand whose element (r, c) is b[r*rs+c*cs] (pack's strides: a
-// row-major B at (n, 1), an [N, K] weight matrix read in place at (1, k))
-// into panel as signed codes. Full groups of four columns are interleaved
-// per K-quad, 16 contiguous bytes per quad: element (kc+g, jc+j) lands at
-// panel[(j&^3)*kb4 + (g&^3)*4 + (j&3)*4 + g&3]. The N mod 4 tail is
-// column-major, at panel[j*kb4 + g]. Either layout keeps a column inside
-// the bytes its group would take column-major, so the panel is kb4*jb
-// bytes. Every byte is stored; rows past kb (up to the kb4 round-up) hold
-// zero.
-func packQPanel(panel []byte, b []int8, rs, cs, kc, kb, kb4, jc, jb int) {
+// packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of the [K, N]
+// transpose of an [N, K] weight matrix w, read in place (element (r, c)
+// is w[c*k+r]), into panel as signed codes. Full groups of four columns
+// are interleaved per K-quad, 16 contiguous bytes per quad: element
+// (kc+g, jc+j) lands at panel[(j&^3)*kb4 + (g&^3)*4 + (j&3)*4 + g&3]. The
+// N mod 4 tail is column-major, at panel[j*kb4 + g]. Either layout keeps
+// a column inside the bytes its group would take column-major, so the
+// panel is kb4*jb bytes. Every byte is stored; rows past kb (up to the
+// kb4 round-up) hold zero.
+func packQPanel(panel []byte, w []int8, k, kc, kb, kb4, jc, jb int) {
 	for j := 0; j < jb; j++ {
-		src := b[kc*rs+(jc+j)*cs:]
+		src := w[(jc+j)*k+kc:]
 		col, quad := panel[j*kb4:], qgemmMR
 		if j < jb&^3 {
 			col, quad = panel[(j&^3)*kb4+(j&3)*qgemmMR:], 4*qgemmMR
@@ -157,7 +148,7 @@ func packQPanel(panel []byte, b []int8, rs, cs, kc, kb, kb4, jc, jb int) {
 		for g := 0; g < kb4; g++ {
 			var v int8
 			if g < kb {
-				v = src[g*rs]
+				v = src[g]
 			}
 			col[g/qgemmMR*quad+g%qgemmMR] = byte(v)
 		}

@@ -17,13 +17,20 @@ func qnaive(dst []int32, a, b []int8, m, k, n int) {
 	}
 }
 
-// packB packs a row-major [k, n] B matrix: the operand the tile-loop
-// tests and benchmarks multiply by.
+// packB packs a row-major [k, n] B matrix, the operand the tile-loop
+// tests and benchmarks multiply by, as the [n, k, 1, 1] weights of its
+// transpose.
 func packB(b []int8, k, n int) *PackedQWeights {
 	if len(b) != k*n {
 		panic("packB: data length does not match k x n")
 	}
-	return pack(b, k, n, n, 1, nil)
+	bt := make([]int8, len(b))
+	for r := range k {
+		for c := range n {
+			bt[c*k+r] = b[r*n+c]
+		}
+	}
+	return PackQConvWeights(&QTensor{Shape: Shape{n, k, 1, 1}, Data: bt, Scale: 1})
 }
 
 // matrixJob views a row-major [m, pq.K] matrix a as what the tile loop

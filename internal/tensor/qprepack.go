@@ -2,34 +2,25 @@ package tensor
 
 import "fmt"
 
-// This file is the int8 band pass's ends: the ahead-of-time packers, the
-// requantize store, and the conv/dense entry points. int8 Dense packs
-// too: it is a 1x1 conv.
+// This file is the int8 band pass's ends: the ahead-of-time packer, the
+// requantize store, and the entry point. int8 Dense has none of its own:
+// the graph runs it as the 1x1 conv of its input as an [In, 1, 1] plane.
 
-// packQWeights packs qw ahead of time — the transpose of its [n, k]
-// matrix, n its first axis (Cout or Out), read in place — into panels
-// and a shape of its own.
-func packQWeights(qw *QTensor, rank int, who string) *PackedQWeights {
-	if len(qw.Shape) != rank {
-		panic(fmt.Sprintf("tensor: %s wants rank-%d weights, got %v", who, rank, qw.Shape))
+// PackQConvWeights packs [Cout, Cin, KH, KW] int8 convolution weights
+// ahead of time into the band pass's panels: the transpose of the
+// [Cout, Cin*KH*KW] matrix, read in place. The pack keeps qw, which
+// gives the kernel its geometry and weight scales.
+func PackQConvWeights(qw *QTensor) *PackedQWeights {
+	if len(qw.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: PackQConvWeights wants rank-4 weights, got %v", qw.Shape))
 	}
 	n := qw.Shape[0]
 	k := len(qw.Data) / n
-	return pack(qw.Data, k, n, 1, k, qw.Shape.Clone())
-}
-
-// PackQConvWeights packs [Cout, Cin, KH, KW] int8 convolution weights
-// for the prepacked QGEMM path (transposed to [Cin*KH*KW, Cout]).
-func PackQConvWeights(qw *QTensor) *PackedQWeights { return packQWeights(qw, 4, "PackQConvWeights") }
-
-// PackQDenseWeights packs an [Out, In] int8 dense weight matrix for the
-// prepacked QGEMM path (transposed to [In, Out]) as the [Out, In, 1, 1]
-// pointwise conv it runs as; the shape's backing array goes on with
-// [Out, 1, 1], so DenseQPrepackedInto's views need no allocation.
-func PackQDenseWeights(qw *QTensor) *PackedQWeights {
-	pq := packQWeights(qw, 2, "PackQDenseWeights")
-	pq.Shape = Shape{pq.N, pq.K, 1, 1, pq.N, 1, 1}[:4]
-	return pq
+	pw := &PackedQWeights{K: k, N: n, Panels: make([]byte, walkTiles(k, n, nil)), q: qw}
+	walkTiles(k, n, func(off, kc, kb, kb4, jc, jb int) {
+		packQPanel(pw.Panels[off:off+kb4*jb], qw.Data, k, kc, kb, kb4, jc, jb)
+	})
+	return pw
 }
 
 // requantizeStrided is the fused int8 epilogue: dst[i] =
@@ -78,41 +69,25 @@ func storeInt8(j *bandJob, acc []int32, p0, p1 int) {
 
 // Conv2DQPrepackedInto computes a 2-D convolution with int8-quantized,
 // packed weights into a preallocated float32 dst of shape
-// [Cout, Hout, Wout], overwriting every element: dynamic per-tensor
-// symmetric activation quantization of the whole input (a pointwise conv
-// only takes its scale and rounds as its lanes are staged), then the band
-// pass (bandJob.run) — QGEMM on lanes staged from the codes into int32
-// accumulators and the fused requantize+bias+activation store — one
-// kernel call end to end. The
-// output does not depend on the cut. qw supplies the weight scales
-// (per-tensor or per-channel); its codes are not read.
-func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
+// [Cout, Hout, Wout], overwriting every element, in one pipeline for
+// every geometry: dynamic per-tensor symmetric quantization of the whole
+// input — its scale (absScale), then every element rounded once into the
+// call's code plane (quantizeRound) — then the band pass (bandJob.run):
+// QGEMM on lane triples staged from the codes into int32 accumulators and
+// the fused requantize+bias+activation store. The weight scales
+// (per-tensor or per-channel) are those of the QTensor pq was packed
+// from. The output does not depend on the cut.
+func Conv2DQPrepackedInto(dst, in *Tensor, pq *PackedQWeights, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	spec = spec.check()
-	geo := convGeometry(dst, in, pq.Shape, bias, spec)
+	geo := convGeometry(dst, in, pq.q.Shape, bias, spec)
 	s := qscratchPool.Get().(*qscratch)
-	s.scales = growSlice(s.scales, geo.cout)
-	job := bandJob{out: dst.Data, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, act: act, alpha: alpha}
 	sx := s.absScale(in.Data)
-	if Pointwise(geo.kh, geo.kw, spec) {
-		job.quant = quantJob{src: in.Data, inv: 1 / sx}
-	} else {
-		s.qin = growSlice(s.qin, len(in.Data))
-		s.quantizeRound(s.qin, in.Data, 1/sx)
-		job.in = s.qin
-	}
+	s.qin = growSlice(s.qin, len(in.Data))
+	s.quantizeRound(s.qin, in.Data, 1/sx)
+	s.scales = growSlice(s.scales, geo.cout)
 	for oc := range s.scales {
-		s.scales[oc] = sx * qw.ScaleFor(oc)
+		s.scales[oc] = sx * pq.q.ScaleFor(oc)
 	}
-	job.run()
+	bandJob{out: dst.Data, in: s.qin, geo: geo, spec: spec, pw: pq, bias: bias, scales: s.scales, act: act, alpha: alpha}.run()
 	qscratchPool.Put(s)
-}
-
-// DenseQPrepackedInto computes dst = act(wq*x + bias) for an
-// int8-quantized, packed [Out, In] weight matrix, overwriting all of dst
-// (length Out): the pointwise conv of x as an [In, 1, 1] plane.
-func DenseQPrepackedInto(dst []float32, pq *PackedQWeights, qw *QTensor, bias, x []float32, act Act, alpha float32) {
-	if len(pq.Shape) != 4 || cap(pq.Shape) < 7 || pq.K != len(x) || pq.N != len(dst) {
-		panic(fmt.Sprintf("tensor: DenseQPrepacked shape mismatch: %v x vec(%d) into %d", pq.Shape, len(x), len(dst)))
-	}
-	Conv2DQPrepackedInto(&Tensor{Shape: pq.Shape[4:7], Data: dst}, &Tensor{Shape: pq.Shape[1:4], Data: x}, pq, qw, bias, Conv2DSpec{}, act, alpha)
 }

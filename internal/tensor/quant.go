@@ -115,8 +115,7 @@ const (
 	quantChunk = 1 << 13
 )
 
-// quantJob is the activation a sharded quantizer, or a band pass that
-// quantizes as it stages its lanes, is working on.
+// quantJob is the activation a sharded quantizer is working on.
 type quantJob struct {
 	dst []int8
 	src []float32
