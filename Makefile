@@ -17,9 +17,17 @@ vet:
 	$(GO) vet ./...
 
 # The paper's boards are arm64: every package must build and vet there,
-# so a kernel written for one architecture keeps a portable fallback.
+# so a kernel written for one architecture keeps a portable fallback. And
+# that fallback must keep the vector path's bits: pointwiseQuads in an
+# arm64 build of the tensor tests must multiply and add (FMULS, FADDS)
+# and fuse nothing into an FMADD or FMSUB.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	GOARCH=arm64 $(GO) test -c -o "$$dir/tensor.test" ./internal/tensor && \
+	$(GO) tool objdump -s 'tensor.pointwiseQuads$$' "$$dir/tensor.test" > "$$dir/dis" && \
+	grep -q FMULS "$$dir/dis" || { echo "make cross: no FMULS in an arm64 pointwiseQuads"; exit 1; }; \
+	! grep -E 'FMADD|FMSUB' "$$dir/dis" || { echo "make cross: arm64 pointwiseQuads fuses a multiply-add"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -94,14 +102,15 @@ pipe-smoke:
 # internal/tensor, so one that stops compiling or starts panicking fails
 # the gate. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
 # kernel pool's hand-off between two calls; IMULPeak and FMULPeak are the
-# probes QGEMM512's and GEMMFP32Blocked512's rates are read against;
+# probes QGEMM512's and GEMMFP32Blocked512's rates are read against, and
+# FMULVectorPeak the eight-lane one where the FP32 kernel runs on AVX2;
 # DenseFP32 is the FP32 dense layer at CifarNet's fc3 and MobileNet-v2's
 # classifier shapes.
 # Last, one weighted exchange Export + Import of CifarNet and
 # MobileNet-v2: what a pipeline stage's configure pays.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
-	$(GO) test ./internal/tensor -run '^$$' -bench 'PointwiseConv|Conv2DKxK|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|GEMMFP32Blocked512|Depthwise3x3|ForkJoin|ClampReLU6|DenseFP32' -benchtime 1x
+	$(GO) test ./internal/tensor -run '^$$' -bench 'PointwiseConv|Conv2DKxK|Conv2DQPrepacked|MaxPool3x3s2|QuantizeDynamic|QGEMM512|IMULPeak|FMULPeak|FMULVectorPeak|GEMMFP32Blocked512|Depthwise3x3|ForkJoin|ClampReLU6|DenseFP32' -benchtime 1x
 	$(GO) test ./internal/exchange -run '^$$' -bench ExportImport -benchtime 1x
 
 # The per-layer table: the benchmark's three models (MobileNet-v2 O2
@@ -120,15 +129,15 @@ check: build fmt loc-check cross analyze opt-equiv race bench-test serve-smoke p
 cover:
 	$(GO) test -cover ./...
 
-# Non-test lines in the two engine packages: the number ROADMAP aim 2
-# and CHANGES.md quote.
+# Non-test lines in the two engine packages, their assembly included:
+# the number ROADMAP aim 2 and CHANGES.md quote.
 loc:
-	@ls internal/graph/*.go internal/tensor/*.go | grep -v _test | xargs cat | wc -l
+	@ls internal/graph/*.go internal/tensor/*.go internal/tensor/*.s | grep -v _test | xargs cat | wc -l
 
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5501
+LOC_CEILING = 5805
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

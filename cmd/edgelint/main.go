@@ -68,6 +68,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -303,8 +304,9 @@ func loadModule(root, module string) ([]*pkg, error) {
 	return sorted, nil
 }
 
-// parseDir parses the non-test Go files of one directory; nil when the
-// directory holds no Go package.
+// parseDir parses the non-test Go files of one directory that build for
+// the host (GOOS / GOARCH file suffixes and //go:build lines); nil when
+// the directory holds no Go package.
 func parseDir(fset *token.FileSet, dir, root, module string) (*pkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -314,6 +316,13 @@ func parseDir(fset *token.FileSet, dir, root, module string) (*pkg, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

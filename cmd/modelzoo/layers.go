@@ -135,6 +135,10 @@ type roofline struct {
 	Procs int `json:"gomaxprocs"`
 	// FMUL is FMULChains' rate (Gmuladd/s), the FP32 rows' roof.
 	FMUL float64 `json:"fmul_gmuladd_s"`
+	// FMULVector is FMULVectorChains' rate (Gmuladd/s, eight lanes), the
+	// roof of the FP32 convolutions where they run the vector body
+	// (tensor.FP32Vector); 0 where they do not.
+	FMULVector float64 `json:"fmul_vector_gmuladd_s"`
 	// IMUL is IMULChains' rate (Gmul/s); Int8 = 3 x IMUL, the int8 rows'
 	// roof, since the int8 kernel's SWAR lanes retire three MACs per
 	// multiply.
@@ -361,10 +365,19 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 	switch {
 	case s.Int8:
 		row.Roof = "int8"
+	case vectorConv(s):
+		row.Roof = "fmul_vector"
 	case s.Compute:
 		row.Roof = "fmul"
 	}
 	return row
+}
+
+// vectorConv reports whether a step is an FP32 convolution on the vector
+// body of the channel-major microkernel: every FP32 Conv2D, grouped ones
+// included, where the host has one. Depthwise and dense steps are not.
+func vectorConv(s graph.StepInfo) bool {
+	return s.Compute && !s.Int8 && s.Node.Kind == graph.OpConv2D && tensor.FP32Vector() != ""
 }
 
 // times summarises one step's samples at one GOMAXPROCS.
@@ -375,6 +388,8 @@ func (row *stepRow) times(procs int, ns []float64, roof roofline) stepTimes {
 	switch row.Roof {
 	case "fmul":
 		st.RoofFrac = st.GMACs / roof.FMUL
+	case "fmul_vector":
+		st.RoofFrac = st.GMACs / roof.FMULVector
 	case "int8":
 		st.RoofFrac = st.GMACs / roof.Int8
 	default:
@@ -393,6 +408,9 @@ func kernelFacts(s graph.StepInfo) string {
 		if x.on {
 			f = append(f, x.name)
 		}
+	}
+	if vectorConv(s) {
+		f = append(f, tensor.FP32Vector())
 	}
 	if len(f) == 0 {
 		return "-"
@@ -423,6 +441,11 @@ func probeRoofline(procs int) roofline {
 	r.FMUL = bestRate(procs, tensor.FMULChainsWide*chainSteps, func(int) {
 		probeSink.Add(int64(tensor.FMULChains(chainSteps)))
 	}) / 1e9
+	if tensor.FP32Vector() != "" {
+		r.FMULVector = bestRate(procs, tensor.FMULVectorWide*chainSteps, func(int) {
+			probeSink.Add(int64(tensor.FMULVectorChains(chainSteps)))
+		}) / 1e9
+	}
 	r.IMUL = bestRate(procs, tensor.IMULChainsWide*chainSteps, func(int) {
 		probeSink.Add(tensor.IMULChains(chainSteps))
 	}) / 1e9

@@ -19,7 +19,8 @@ import (
 // measured — steal, the one-core FMUL and copy roofs and the two-core
 // FMUL roof before and after the forwards, and the two-core roof's
 // scaling on the one-core one — with the contended verdict its own
-// numbers give, and each
+// numbers give, every step read against the vector roof an FP32 conv
+// whose kernel names the vector body, with that roof probed, and each
 // model's step p50s add up to its forward p50 within the tolerance
 // -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
@@ -76,6 +77,10 @@ func TestCommittedLayerTable(t *testing.T) {
 		for j, s := range m.Steps {
 			if s.Step != j || s.Node == "" || s.Op == "" || len(s.Timing) != len(layerProcs) || s.BytesOut <= 0 {
 				t.Errorf("%s step %d: %+v", m.Model, j, s)
+			}
+			if s.Roof == "fmul_vector" && (s.Op != graph.OpConv2D.String() || !strings.HasSuffix(s.Kernel, ",avx2") ||
+				tab.Roof[0].FMULVector <= 0 || tab.Roof[1].FMULVector <= 0) {
+				t.Errorf("%s step %s reads against the vector roof as %s %q, rooflines %+v", m.Model, s.Node, s.Op, s.Kernel, tab.Roof)
 			}
 		}
 	}

@@ -219,8 +219,9 @@ func TestDepthwiseRejectsRanks(t *testing.T) {
 // blockedDot is one output element of the FP32 GEMM, accumulated in the
 // order the package documents and no other code here shares: K in blocks
 // of gemmKC, each block in quads of gemmMR with the short last quad
-// padded with +0.0 on both sides, acc += a0*w0 + a1*w1 + a2*w2 + a3*w3.
-// x is contiguous, y is read at stride ys.
+// padded with +0.0 on both sides, acc += a0*w0 + a1*w1 + a2*w2 + a3*w3,
+// each product rounded on its own as the kernel's are, so no architecture
+// fuses one into an add. x is contiguous, y is read at stride ys.
 func blockedDot(x, y []float32, ys, k int) float32 {
 	var acc float32
 	for kc := 0; kc < k; kc += gemmKC {
@@ -230,7 +231,7 @@ func blockedDot(x, y []float32, ys, k int) float32 {
 			for r := 0; r < gemmMR && g+r < kb; r++ {
 				a[r], w[r] = x[kc+g+r], y[(kc+g+r)*ys]
 			}
-			acc += a[0]*w[0] + a[1]*w[1] + a[2]*w[2] + a[3]*w[3]
+			acc += float32(a[0]*w[0]) + float32(a[1]*w[1]) + float32(a[2]*w[2]) + float32(a[3]*w[3])
 		}
 	}
 	return acc
@@ -550,7 +551,9 @@ func TestConv2DPrepackedBandSweep(t *testing.T) {
 // for bit pooled, and the pooled bits must be the ones a single core
 // produces. The data is unsalted, so no expected output is NaN and a
 // shard that writes nothing or the wrong pixels leaves dst's NaN behind.
-func TestConv2DPrepackedBandEdges(t *testing.T) {
+func TestConv2DPrepackedBandEdges(t *testing.T) { onEachPath(t, testConv2DPrepackedBandEdges) }
+
+func testConv2DPrepackedBandEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	_, _, _, _, _, relu6 := bnEpilogue(160, 5)
 	relu6.Act = ActReLU6

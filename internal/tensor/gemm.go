@@ -30,8 +30,12 @@ import "sync"
 
 const (
 	gemmMR   = 4   // the K-quad: weights per row the microkernel holds in registers
-	gemmKC   = 128 // K-block: im2col rows a K x K convolution stages at a time
+	gemmKC   = 128 // the most im2col rows a K x K convolution stages at a time
 	gemmBand = 256 // pixels a channel pair takes through its K-quads at a time
+
+	// gemmBlockFloats bounds a K-block's input rows over a band, read in
+	// place or staged, so that every channel pair reads the block from L1.
+	gemmBlockFloats = 6 << 10
 )
 
 // pointwise reports whether an FP32 convolution is 1x1, stride 1 and
@@ -132,18 +136,19 @@ func (j *convJob) shard(lo, hi int) {
 }
 
 // band computes pixels [p0, p1) of channel pairs [c0, c1), a K-block at a
-// time (a pointwise conv's whole K is one block): each pair's two rows
-// are cleared before the first block, accumulated over every K-quad in K
-// order, and finished after the last. An odd last channel pairs with its
-// own weight row, and the partner accumulates into the sink. When a block
-// is not a multiple of the quad, its last quad reads zero-padded input
-// rows — staged, or a pointwise conv's copied into the tile — and its
-// weights from stack quads padded the same way.
+// time (as many whole quads of rows as fit gemmBlockFloats over the band,
+// at most gemmKC staged ones): each pair's two rows are cleared
+// before the first block, accumulated over every K-quad in K order, and
+// finished after the last. An odd last channel pairs with its own weight
+// row, and the partner accumulates into the sink. When the last block is
+// not a multiple of the quad, its last quad reads zero-padded input rows
+// — staged, or a pointwise conv's copied into the tile — and its weights
+// from stack quads padded the same way.
 func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 	k, npix, nb := j.k, j.npix, p1-p0
-	kblock := k
+	kblock := max(gemmMR, gemmBlockFloats/nb&^(gemmMR-1))
 	if j.staged {
-		kblock = gemmKC
+		kblock = min(kblock, gemmKC)
 	}
 	for kc := 0; kc < k; kc += kblock {
 		kb := min(k-kc, kblock)
@@ -152,9 +157,9 @@ func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 		if j.staged {
 			j.stage(s.tile[:], kc, kb, p0, p1)
 			x, stride, tail = s.tile[:], nb, s.tile[full*nb:]
-		} else if full < kb {
+		} else if x = x[kc*npix:]; full < kb {
 			for r := full; r < kb; r++ {
-				copy(tail[(r-full)*nb:], j.in[r*npix+p0:r*npix+p1])
+				copy(tail[(r-full)*nb:], x[r*npix:][:nb])
 			}
 			clear(tail[(kb-full)*nb : gemmMR*nb])
 		}
@@ -249,10 +254,20 @@ func (j *convJob) finish(seg []float32, oc int) {
 // x2[p]*a2 + x3[p]*a3 over the run of pixels, a the quad of w0, and o1[p]
 // the same with w1's, where row r of the quad is x[(4q+r)*stride:]. Each
 // input quad is loaded once and feeds both rows, and the eight weights
-// stay in registers.
+// stay in registers. Every product is rounded on its own (the explicit
+// float32 conversions), so no architecture fuses a multiply into the add
+// after it. With AVX2 the same expressions run eight pixels to a
+// register (pointwiseQuadsAVX2), with the same bits.
 func pointwiseQuads(o0, o1, x []float32, stride int, w0, w1 []float32) {
 	n := len(o0)
 	o1, w1 = o1[:n], w1[:len(w0)]
+	if useAVX2 {
+		if quads := len(w0) / gemmMR; quads > 0 {
+			_ = x[(gemmMR*quads-1)*stride:][:n] // the last row the vector body reads
+			pointwiseQuadsAVX2(o0, o1, x, stride, w0, w1)
+		}
+		return
+	}
 	for q := 0; q < len(w0)/gemmMR; q++ {
 		r := x[gemmMR*q*stride:]
 		x0, x1, x2, x3 := r[:n], r[stride:][:n], r[2*stride:][:n], r[3*stride:][:n]
@@ -261,8 +276,8 @@ func pointwiseQuads(o0, o1, x []float32, stride int, w0, w1 []float32) {
 		b0, b1, b2, b3 := wb[0], wb[1], wb[2], wb[3]
 		for p := range o0 {
 			v0, v1, v2, v3 := x0[p], x1[p], x2[p], x3[p]
-			o0[p] += v0*a0 + v1*a1 + v2*a2 + v3*a3
-			o1[p] += v0*b0 + v1*b1 + v2*b2 + v3*b3
+			o0[p] += float32(v0*a0) + float32(v1*a1) + float32(v2*a2) + float32(v3*a3)
+			o1[p] += float32(v0*b0) + float32(v1*b1) + float32(v2*b2) + float32(v3*b3)
 		}
 	}
 }

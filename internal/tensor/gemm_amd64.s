@@ -1,0 +1,230 @@
+#include "textflag.h"
+
+// The AVX2 body of pointwiseQuads (gemm.go), eight pixels to a YMM
+// register, one lane per output. Each lane computes the Go loop's
+// expression for its pixel, operation for operation and in its order:
+// o + (((x0*a0 + x1*a1) + x2*a2) + x3*a3), every product a VMULPS with
+// the input first and every sum a VADDPS with the running sum first,
+// rounded apart. No FMA: one rounding in place of two would move the
+// bits.
+
+// tailMask<>+4*(8-r) is the mask of the first r lanes of eight.
+DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+DATA tailMask<>+56(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// QUAD accumulates one K-quad, its input rows in Y2-Y5, into Y0 with
+// w0's quad at (R8)(R13*1) and into Y1 with w1's at (R10)(R13*1).
+#define QUAD \
+	VBROADCASTSS 0(R8)(R13*1), Y6; \
+	VMULPS       Y6, Y2, Y6; \
+	VBROADCASTSS 4(R8)(R13*1), Y7; \
+	VMULPS       Y7, Y3, Y7; \
+	VADDPS       Y7, Y6, Y6; \
+	VBROADCASTSS 8(R8)(R13*1), Y7; \
+	VMULPS       Y7, Y4, Y7; \
+	VADDPS       Y7, Y6, Y6; \
+	VBROADCASTSS 12(R8)(R13*1), Y7; \
+	VMULPS       Y7, Y5, Y7; \
+	VADDPS       Y7, Y6, Y6; \
+	VADDPS       Y6, Y0, Y0; \
+	VBROADCASTSS 0(R10)(R13*1), Y8; \
+	VMULPS       Y8, Y2, Y8; \
+	VBROADCASTSS 4(R10)(R13*1), Y9; \
+	VMULPS       Y9, Y3, Y9; \
+	VADDPS       Y9, Y8, Y8; \
+	VBROADCASTSS 8(R10)(R13*1), Y9; \
+	VMULPS       Y9, Y4, Y9; \
+	VADDPS       Y9, Y8, Y8; \
+	VBROADCASTSS 12(R10)(R13*1), Y9; \
+	VMULPS       Y9, Y5, Y9; \
+	VADDPS       Y9, Y8, Y8; \
+	VADDPS       Y8, Y1, Y1
+
+// func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32)
+//
+// Pixels [0, len(o0)) of both rows, every K-quad of w0 and w1, a group of
+// eight pixels at a time: the group's two accumulators are loaded once,
+// carried in Y0 and Y1 across all the quads, and stored once. The last
+// len(o0) mod 8 pixels run the same quad loop on masked loads and stores,
+// which touch no element past the run. The caller has checked every
+// bound and that there is at least one quad.
+TEXT ·pointwiseQuadsAVX2(SB), NOSPLIT, $0-128
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	MOVQ o1_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ stride+72(FP), BX
+	MOVQ w0_base+80(FP), R8
+	MOVQ w0_len+88(FP), R9
+	MOVQ w1_base+104(FP), R10
+	SHLQ $2, BX             // a row's stride in bytes
+	LEAQ (BX)(BX*2), R11    // three rows'
+	ANDQ $-4, R9
+	SHLQ $2, R9             // the quads' weight bytes
+	XORQ AX, AX             // the group's first pixel
+	ANDQ $-8, CX            // the full groups' pixels
+
+group:
+	CMPQ AX, CX
+	JEQ  tail
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS (SI)(AX*4), Y1
+	LEAQ    (DX)(AX*4), R12
+	XORQ    R13, R13
+
+groupQuad:
+	VMOVUPS (R12), Y2
+	VMOVUPS (R12)(BX*1), Y3
+	VMOVUPS (R12)(BX*2), Y4
+	VMOVUPS (R12)(R11*1), Y5
+	QUAD
+	LEAQ    (R12)(BX*4), R12
+	ADDQ    $16, R13
+	CMPQ    R13, R9
+	JNE     groupQuad
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, (SI)(AX*4)
+	ADDQ    $8, AX
+	JMP     group
+
+tail:
+	MOVQ o0_len+8(FP), CX
+	SUBQ AX, CX             // r = len(o0) mod 8
+	JEQ  done
+	LEAQ tailMask<>(SB), R12
+	NEGQ CX
+	VMOVUPS 32(R12)(CX*4), Y10
+	VMASKMOVPS (DI)(AX*4), Y10, Y0
+	VMASKMOVPS (SI)(AX*4), Y10, Y1
+	LEAQ    (DX)(AX*4), R12
+	XORQ    R13, R13
+
+tailQuad:
+	VMASKMOVPS (R12), Y10, Y2
+	VMASKMOVPS (R12)(BX*1), Y10, Y3
+	VMASKMOVPS (R12)(BX*2), Y10, Y4
+	VMASKMOVPS (R12)(R11*1), Y10, Y5
+	QUAD
+	LEAQ    (R12)(BX*4), R12
+	ADDQ    $16, R13
+	CMPQ    R13, R9
+	JNE     tailQuad
+	VMASKMOVPS Y0, Y10, (DI)(AX*4)
+	VMASKMOVPS Y1, Y10, (SI)(AX*4)
+
+done:
+	VZEROUPPER
+	RET
+
+// func cpuAVX2() bool
+//
+// CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28), XGETBV(0) that
+// the OS saves the XMM and YMM state (bits 1 and 2), and CPUID.7:EBX
+// AVX2 (bit 5).
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func fmulChainsAVX2(steps int) float32
+//
+// Twelve independent chains of eight lanes, each step x = x*m + c as a
+// VMULPS and then a VADDPS: FMULChains' loop on the vector ports.
+TEXT ·fmulChainsAVX2(SB), NOSPLIT, $0-12
+	MOVQ steps+0(FP), CX
+	MOVQ ·probeSeed(SB), AX
+	CVTSQ2SS AX, X12
+	MOVL $0x3f7fbe77, BX    // 0.999
+	MOVQ BX, X13
+	ADDSS X12, X13
+	MOVL $0x3a83126f, BX    // 0.001
+	MOVQ BX, X14
+	ADDSS X12, X14
+	VBROADCASTSS X13, Y13
+	VBROADCASTSS X14, Y14
+	VMOVAPS Y14, Y0
+	VADDPS  Y14, Y0, Y1
+	VADDPS  Y14, Y1, Y2
+	VADDPS  Y14, Y2, Y3
+	VADDPS  Y14, Y3, Y4
+	VADDPS  Y14, Y4, Y5
+	VADDPS  Y14, Y5, Y6
+	VADDPS  Y14, Y6, Y7
+	VADDPS  Y14, Y7, Y8
+	VADDPS  Y14, Y8, Y9
+	VADDPS  Y14, Y9, Y10
+	VADDPS  Y14, Y10, Y11
+	TESTQ CX, CX
+	JLE   sum
+
+step:
+	VMULPS Y13, Y0, Y0
+	VMULPS Y13, Y1, Y1
+	VMULPS Y13, Y2, Y2
+	VMULPS Y13, Y3, Y3
+	VMULPS Y13, Y4, Y4
+	VMULPS Y13, Y5, Y5
+	VMULPS Y13, Y6, Y6
+	VMULPS Y13, Y7, Y7
+	VMULPS Y13, Y8, Y8
+	VMULPS Y13, Y9, Y9
+	VMULPS Y13, Y10, Y10
+	VMULPS Y13, Y11, Y11
+	VADDPS Y14, Y0, Y0
+	VADDPS Y14, Y1, Y1
+	VADDPS Y14, Y2, Y2
+	VADDPS Y14, Y3, Y3
+	VADDPS Y14, Y4, Y4
+	VADDPS Y14, Y5, Y5
+	VADDPS Y14, Y6, Y6
+	VADDPS Y14, Y7, Y7
+	VADDPS Y14, Y8, Y8
+	VADDPS Y14, Y9, Y9
+	VADDPS Y14, Y10, Y10
+	VADDPS Y14, Y11, Y11
+	DECQ CX
+	JNZ  step
+
+sum:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VADDPS Y9, Y8, Y8
+	VADDPS Y11, Y10, Y10
+	VADDPS Y2, Y0, Y0
+	VADDPS Y6, Y4, Y4
+	VADDPS Y10, Y8, Y8
+	VADDPS Y4, Y0, Y0
+	VADDPS Y8, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VZEROUPPER
+	MOVSS X0, ret+8(FP)
+	RET

@@ -76,6 +76,10 @@ func saltRows(w *Tensor) {
 // read past its own row would meet them; nil and non-nil bias; no
 // epilogue, and the affine with every activation.
 func TestPointwiseConvMatchesReference(t *testing.T) {
+	onEachPath(t, testPointwiseConvMatchesReference)
+}
+
+func testPointwiseConvMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
 	cases := 0
@@ -162,6 +166,10 @@ func TestPointwiseConvMatchesTransposed(t *testing.T) {
 // order shows — every call on scratch left poisoned with NaN, so a staged
 // row that is read before it is written shows.
 func TestKxKConvSaltedMatchesReference(t *testing.T) {
+	onEachPath(t, testKxKConvSaltedMatchesReference)
+}
+
+func testKxKConvSaltedMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(151))
 	specs := []Conv2DSpec{
 		{Stride: 1}, {Stride: 1, Pad: 1}, {Stride: 1, Pad: 2}, {Stride: 2}, {Stride: 2, Pad: 1}, {Stride: 2, Pad: 2},
@@ -227,6 +235,10 @@ func TestKxKConvSaltedMatchesReference(t *testing.T) {
 // channel pairs, on a 28x28 plane and on a 7x7 one with an odd Cout — and
 // requires the pooled bits to be a single core's and the reference's.
 func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
+	onEachPath(t, testPointwiseConvPooledMatchesSerial)
+}
+
+func testPointwiseConvPooledMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(139))
 	const chunks = 2 * chunksPerWorker // parallelFor's cut at GOMAXPROCS 2
 	for _, c := range []struct {
@@ -263,5 +275,111 @@ func TestPointwiseConvPooledMatchesSerial(t *testing.T) {
 		if !bitsEqual(serial.Data, pooled.Data) {
 			t.Errorf("%s: GOMAXPROCS 1 differs from pooled", c.name)
 		}
+	}
+}
+
+// onEachPath runs f once per pointwiseQuads body this CPU has: "vector"
+// (pointwiseQuadsAVX2) where useAVX2 found one, then "go", the Go loop,
+// with useAVX2 cleared.
+func onEachPath(t *testing.T, f func(t *testing.T)) {
+	vector := useAVX2
+	for _, p := range []struct {
+		name string
+		on   bool
+	}{{"vector", true}, {"go", false}} {
+		if p.on && !vector {
+			continue
+		}
+		t.Run(p.name, func(t *testing.T) {
+			useAVX2 = p.on
+			defer func() { useAVX2 = vector }()
+			f(t)
+		})
+	}
+}
+
+// TestPointwiseQuadsVectorMatchesGo holds the vector body of
+// pointwiseQuads to the Go loop, call by call: runs of 1–17 pixels (every
+// residue of the eight-lane group, and the masked tail alone, after one
+// group and after two) and of 255–257; 0–3 and 32 quads; rows at a stride
+// of the run and at one past it; x cut to the exact length the last row
+// needs, so a read past it panics on the Go side; and sentinels on both
+// sides of o0 and o1 that neither path may touch. Unsalted inputs must
+// give the same bits; inputs salted with ±0, NaN and ±Inf (x, and w0's
+// weights), the same bits wherever either output is a number.
+func TestPointwiseQuadsVectorMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector body on this CPU")
+	}
+	defer func() { useAVX2 = true }()
+	const guard = 9
+	sentinel := math.Float32frombits(0x7fa5a5a5)
+	r := rand.New(rand.NewSource(157))
+	ns := []int{255, 256, 257}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	cases := 0
+	for _, n := range ns {
+		for _, quads := range []int{0, 1, 2, 3, 32} {
+			for _, stride := range []int{n, n + 1} {
+				for _, salted := range []bool{false, true} {
+					x := make([]float32, max(0, (gemmMR*quads-1)*stride+n))
+					w0, w1 := make([]float32, gemmMR*quads), make([]float32, gemmMR*quads)
+					for _, s := range [][]float32{x, w0, w1} {
+						for i := range s {
+							s[i] = r.Float32()*2 - 1
+						}
+					}
+					if salted {
+						for i := 0; i < len(x); i += 3 {
+							x[i] = specials[i/3%len(specials)]
+						}
+						for i := 0; i < len(w0); i += 5 {
+							w0[i] = specials[i/5%len(specials)]
+						}
+					}
+					var out [2][2][]float32 // [path][row]: guard, run, guard
+					for row := range 2 {
+						init := make([]float32, n)
+						for i := range init {
+							init[i] = r.Float32()*2 - 1
+						}
+						for path := range 2 {
+							b := make([]float32, n+2*guard)
+							for i := range b {
+								b[i] = sentinel
+							}
+							copy(b[guard:], init)
+							out[path][row] = b
+						}
+					}
+					for path, vector := range []bool{true, false} {
+						useAVX2 = vector
+						o := out[path]
+						pointwiseQuads(o[0][guard:guard+n], o[1][guard:guard+n], x, stride, w0, w1)
+					}
+					useAVX2 = true
+					name := fmt.Sprintf("n%d quads%d stride%d salted=%v", n, quads, stride, salted)
+					for row := range 2 {
+						v, g := out[0][row], out[1][row]
+						for i := range guard {
+							for _, e := range []float32{v[i], v[guard+n+i], g[i], g[guard+n+i]} {
+								if math.Float32bits(e) != math.Float32bits(sentinel) {
+									t.Fatalf("%s: row %d written outside its run", name, row)
+								}
+							}
+						}
+						if same := bitsEqual(v, g); !same && (!salted || !bitsOrNaN(v, g)) {
+							t.Errorf("%s: row %d: the vector body differs from the Go loop", name, row)
+						}
+					}
+					cases++
+				}
+			}
+		}
+	}
+	if cases != len(ns)*5*2*2 {
+		t.Fatalf("ran %d cases", cases)
 	}
 }

@@ -4,7 +4,9 @@ package tensor
 // (BenchmarkFMULPeak and BenchmarkIMULPeak time the same loops). Each
 // runs more independent chains than the multiply and add ports keep in
 // flight, so it retires one operation per port per cycle: the scalar
-// ceiling of a kernel whose inner loop is a chain of that operation.
+// ceiling of a kernel whose inner loop is a chain of that operation, and
+// with FMULVectorChains, the eight-lane ceiling of the FP32 convolutions'
+// vector body.
 
 // probeSeed is zero, but the compiler cannot know that, so no operand of
 // the probes folds into a constant or a multiply into shifts.
@@ -27,6 +29,30 @@ func FMULChains(steps int) float32 {
 		y0, y1, y2, y3, y4, y5 = y0*m+c, y1*m+c, y2*m+c, y3*m+c, y4*m+c, y5*m+c
 	}
 	return x0 + x1 + x2 + x3 + x4 + x5 + y0 + y1 + y2 + y3 + y4 + y5
+}
+
+// FP32Vector names the vector instruction set every FP32 convolution's
+// microkernel runs on here: "avx2", or "" where it runs the Go loop.
+func FP32Vector() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return ""
+}
+
+// FMULVectorWide is the number of multiply-adds one step of
+// FMULVectorChains does: FMULChainsWide chains of eight lanes.
+const FMULVectorWide = 8 * FMULChainsWide
+
+// FMULVectorChains runs FMULChains' loop on eight-lane registers (a
+// VMULPS and then a VADDPS a step, as the vector body rounds them) for
+// steps steps, where FP32Vector is not "", and returns 0 at once where it
+// is. The result keeps the chains live.
+func FMULVectorChains(steps int) float32 {
+	if !useAVX2 {
+		return 0
+	}
+	return fmulChainsAVX2(steps)
 }
 
 // IMULChainsWide is the number of chains IMULChains runs: one call of

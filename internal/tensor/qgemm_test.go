@@ -186,3 +186,17 @@ func BenchmarkFMULPeak(b *testing.B) {
 	}
 	b.ReportMetric(FMULChainsWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
 }
+
+// BenchmarkFMULVectorPeak probes the ceiling the FP32 convolutions'
+// vector body runs against: FMULVectorChains' twelve eight-lane
+// multiply-then-add chains.
+func BenchmarkFMULVectorPeak(b *testing.B) {
+	if FP32Vector() == "" {
+		b.Skip("no vector body on this CPU")
+	}
+	const steps = 1 << 16
+	for i := 0; i < b.N; i++ {
+		fmulSink += FMULVectorChains(steps)
+	}
+	b.ReportMetric(FMULVectorWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
+}
