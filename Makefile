@@ -18,16 +18,23 @@ vet:
 
 # The paper's boards are arm64: every package must build and vet there,
 # so a kernel written for one architecture keeps a portable fallback. And
-# that fallback must keep the vector path's bits: pointwiseQuads in an
-# arm64 build of the tensor tests must multiply and add (FMULS, FADDS)
-# and fuse nothing into an FMADD or FMSUB.
+# the fallbacks must keep the vector bodies' bits: in an arm64 build of
+# the tensor tests, each FP32 kernel with an AVX2 body (pointwiseQuads,
+# the depthwise row with its edge and pixel loops, the epilogue), the
+# unfused BatchNorm that must match the epilogue's affine and the FMUL
+# probe must multiply apart (FMULS), and no instruction from their files,
+# inlined copies included, may fuse a multiply into an add.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	GOARCH=arm64 $(GO) test -c -o "$$dir/tensor.test" ./internal/tensor && \
-	$(GO) tool objdump -s 'tensor.pointwiseQuads$$' "$$dir/tensor.test" > "$$dir/dis" && \
-	grep -q FMULS "$$dir/dis" || { echo "make cross: no FMULS in an arm64 pointwiseQuads"; exit 1; }; \
-	! grep -E 'FMADD|FMSUB' "$$dir/dis" || { echo "make cross: arm64 pointwiseQuads fuses a multiply-add"; exit 1; }
+	$(GO) tool objdump "$$dir/tensor.test" > "$$dir/dis" && \
+	for f in pointwiseQuads depthwiseRow depthwiseEdge depthwisePixel applyEpilogueSpan BatchNormInto FMULChains; do \
+		awk -v f="edgebench/internal/tensor.$$f(SB)" '/^TEXT /{on = $$2 == f} on' "$$dir/dis" | grep -q FMULS || \
+			{ echo "make cross: no FMULS in an arm64 $$f"; exit 1; }; \
+	done; \
+	! grep -E '^ +(conv|fused|gemm|probe|into)\.go:.*FN?M(ADD|SUB)' "$$dir/dis" || \
+		{ echo "make cross: an arm64 FP32 kernel fuses a multiply-add"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -137,7 +144,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 5805
+LOC_CEILING = 6094
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

@@ -65,6 +65,11 @@ const (
 	// was not there while the roofs were probed, which inflates its
 	// GOMAXPROCS-2 roof fractions, is marked contended too.
 	scalingBar = 1.5
+	// vectorScalingBar is the same bar for the eight-lane roof. Its probe
+	// keeps the vector ports busy and has scaled less across the two
+	// vCPUs than the scalar one, 1.3-2.0x in runs where that read
+	// 1.9-2.0x, so its bar is lower.
+	vectorScalingBar = 1.25
 	// userHZ is the tick /proc/stat counts in: 100 a second, fixed by
 	// the Linux ABI.
 	userHZ = 100
@@ -88,8 +93,9 @@ type layerTable struct {
 // column of /proc/stat, read only), how far the one-core FMUL and copy
 // roofs and the two-core FMUL roof moved from before the timed forwards
 // to after them, and how the two-core FMUL roof scales on the one-core
-// one. The register-only FMUL probe does not see a co-tenant that loads
-// the memory system; the copy probe does.
+// one; the same for the eight-lane roof where it is probed. The
+// register-only FMUL probe does not see a co-tenant that loads the memory
+// system; the copy probe does.
 type layerNoise struct {
 	WallS      float64 `json:"wall_s"`
 	StealTicks int64   `json:"steal_ticks"`
@@ -110,15 +116,35 @@ type layerNoise struct {
 	FMUL2After  float64 `json:"fmul2_after_gmuladd_s"`
 	Drift2      float64 `json:"fmul2_drift"`
 	// Scaling is FMUL2Before / FMULBefore.
-	Scaling   float64 `json:"fmul2_scaling"`
-	Contended bool    `json:"contended"`
-	Bar       string  `json:"contended_bar"`
+	Scaling float64 `json:"fmul2_scaling"`
+	// The eight-lane roof's (roofline.FMULVector) one-core and two-core
+	// probes before and after the forwards, their drifts and the two-core
+	// one's scaling on the one-core one, as for the FMUL roof; all 0 where
+	// FP32Vector is "".
+	VectorBefore  float64 `json:"fmul_vector_before_gmuladd_s"`
+	VectorAfter   float64 `json:"fmul_vector_after_gmuladd_s"`
+	VectorDrift   float64 `json:"fmul_vector_drift"`
+	Vector2Before float64 `json:"fmul_vector2_before_gmuladd_s"`
+	Vector2After  float64 `json:"fmul_vector2_after_gmuladd_s"`
+	VectorDrift2  float64 `json:"fmul_vector2_drift"`
+	VectorScaling float64 `json:"fmul_vector2_scaling"`
+	Contended     bool    `json:"contended"`
+	Bar           string  `json:"contended_bar"`
 }
 
 // contended is the verdict the bar gives the noise block's numbers.
 func (n layerNoise) contended() bool {
 	return n.StealShare > stealBar || n.Drift > driftBar || n.CopyDrift > driftBar ||
-		n.Drift2 > driftBar || n.Scaling < scalingBar
+		n.Drift2 > driftBar || n.Scaling < scalingBar ||
+		n.VectorDrift > driftBar || n.VectorDrift2 > driftBar || (n.VectorBefore > 0 && n.VectorScaling < vectorScalingBar)
+}
+
+// drift is |after / before - 1|, 0 for a roof that was not probed.
+func drift(before, after float64) float64 {
+	if before == 0 {
+		return 0
+	}
+	return math.Abs(after/before - 1)
 }
 
 type layerHost struct {
@@ -243,22 +269,29 @@ func runLayers(w io.Writer, path string) int {
 	t.Noise = layerNoise{WallS: time.Since(start).Seconds(), StealShare: -1,
 		FMULBefore: t.Roof[0].FMUL, FMULAfter: after[0].FMUL, CopyBefore: t.Roof[0].Copy, CopyAfter: after[0].Copy,
 		FMUL2Before: t.Roof[1].FMUL, FMUL2After: after[1].FMUL,
-		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift, copy_drift or fmul2_drift > %.2f or fmul2_scaling < %.1f; "+
-			"a co-tenant present for the whole run moves no roof but caps the scaling", stealBar, driftBar, scalingBar)}
+		VectorBefore: t.Roof[0].FMULVector, VectorAfter: after[0].FMULVector,
+		Vector2Before: t.Roof[1].FMULVector, Vector2After: after[1].FMULVector,
+		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift, copy_drift, fmul2_drift, fmul_vector_drift or fmul_vector2_drift > %.2f "+
+			"or fmul2_scaling < %.1f or fmul_vector2_scaling < %.1f; a co-tenant present for the whole run moves no roof but caps the scaling",
+			stealBar, driftBar, scalingBar, vectorScalingBar)}
 	if steal1, ok := stealTicks(); ok && stealOK {
 		t.Noise.StealTicks = int64(steal1 - steal0)
 		t.Noise.StealShare = float64(t.Noise.StealTicks) / (t.Noise.WallS * userHZ * float64(runtime.NumCPU()))
 	}
-	t.Noise.Drift = math.Abs(t.Noise.FMULAfter/t.Noise.FMULBefore - 1)
-	t.Noise.CopyDrift = math.Abs(t.Noise.CopyAfter/t.Noise.CopyBefore - 1)
-	t.Noise.Drift2 = math.Abs(t.Noise.FMUL2After/t.Noise.FMUL2Before - 1)
-	t.Noise.Scaling = t.Noise.FMUL2Before / t.Noise.FMULBefore
-	t.Noise.Contended = t.Noise.contended()
+	n := &t.Noise
+	n.Drift, n.CopyDrift, n.Drift2 = drift(n.FMULBefore, n.FMULAfter), drift(n.CopyBefore, n.CopyAfter), drift(n.FMUL2Before, n.FMUL2After)
+	n.VectorDrift, n.VectorDrift2 = drift(n.VectorBefore, n.VectorAfter), drift(n.Vector2Before, n.Vector2After)
+	n.Scaling = n.FMUL2Before / n.FMULBefore
+	if n.VectorBefore > 0 {
+		n.VectorScaling = n.Vector2Before / n.VectorBefore
+	}
+	n.Contended = n.contended()
 	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), "+
-		"copy roof %.1f → %.1f GB/s (drift %.1f%%), two-core FMUL roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), contended %v\n",
-		t.Noise.StealTicks, t.Noise.WallS, 100*t.Noise.StealShare, t.Noise.FMULBefore, t.Noise.FMULAfter, 100*t.Noise.Drift,
-		t.Noise.CopyBefore, t.Noise.CopyAfter, 100*t.Noise.CopyDrift,
-		t.Noise.FMUL2Before, t.Noise.FMUL2After, 100*t.Noise.Drift2, t.Noise.Scaling, t.Noise.Contended)
+		"copy roof %.1f → %.1f GB/s (drift %.1f%%), two-core FMUL roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), "+
+		"vector roof %.2f → %.2f G/s (drift %.1f%%), two-core vector roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), contended %v\n",
+		n.StealTicks, n.WallS, 100*n.StealShare, n.FMULBefore, n.FMULAfter, 100*n.Drift,
+		n.CopyBefore, n.CopyAfter, 100*n.CopyDrift, n.FMUL2Before, n.FMUL2After, 100*n.Drift2, n.Scaling,
+		n.VectorBefore, n.VectorAfter, 100*n.VectorDrift, n.Vector2Before, n.Vector2After, 100*n.VectorDrift2, n.VectorScaling, n.Contended)
 	data, err := json.MarshalIndent(t, "", " ")
 	if err == nil {
 		err = os.WriteFile(path, append(data, '\n'), 0o644)
@@ -373,11 +406,21 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 	return row
 }
 
-// vectorConv reports whether a step is an FP32 convolution on the vector
-// body of the channel-major microkernel: every FP32 Conv2D, grouped ones
-// included, where the host has one. Depthwise and dense steps are not.
+// vectorConv reports whether a step's multiply-adds run on a vector body
+// where the host has one: every FP32 Conv2D, grouped ones included (the
+// channel-major microkernel), and every depthwise step at stride 1 the
+// 3x3 row kernel takes (its interior; the edge columns stay scalar).
+// Strided depthwise and dense steps do not.
 func vectorConv(s graph.StepInfo) bool {
-	return s.Compute && !s.Int8 && s.Node.Kind == graph.OpConv2D && tensor.FP32Vector() != ""
+	n := s.Node
+	if !s.Compute || s.Int8 || tensor.FP32Vector() == "" {
+		return false
+	}
+	if n.Kind == graph.OpDepthwiseConv2D {
+		in, w := n.Inputs[0].OutShape, n.Weights.Shape
+		return tensor.DepthwiseVector(in[1], in[2], w[1], w[2], n.Attrs.ConvSpec())
+	}
+	return n.Kind == graph.OpConv2D
 }
 
 // times summarises one step's samples at one GOMAXPROCS.

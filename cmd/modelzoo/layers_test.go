@@ -18,11 +18,11 @@ import (
 // each, records the host fingerprint and the host's noise while it was
 // measured — steal, the one-core FMUL and copy roofs and the two-core
 // FMUL roof before and after the forwards, and the two-core roof's
-// scaling on the one-core one — with the contended verdict its own
-// numbers give, every step read against the vector roof an FP32 conv
-// whose kernel names the vector body, with that roof probed, and each
-// model's step p50s add up to its forward p50 within the tolerance
-// -layers enforces.
+// scaling on the one-core one, and the same for the eight-lane roof —
+// with the contended verdict its own numbers give, every step read
+// against the vector roof an FP32 conv or depthwise conv whose kernel
+// names the vector body, with that roof probed, and each model's step
+// p50s add up to its forward p50 within the tolerance -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_layers.json")
 	if err != nil {
@@ -41,11 +41,16 @@ func TestCommittedLayerTable(t *testing.T) {
 		n.CopyBefore <= 0 || n.CopyAfter <= 0 || n.Bar == "" || n.Contended != n.contended() ||
 		math.Abs(n.CopyDrift-math.Abs(n.CopyAfter/n.CopyBefore-1)) > 1e-9 ||
 		n.FMUL2Before <= 0 || n.FMUL2After <= 0 || math.Abs(n.Drift2-math.Abs(n.FMUL2After/n.FMUL2Before-1)) > 1e-9 ||
-		math.Abs(n.Scaling-n.FMUL2Before/n.FMULBefore) > 1e-9 {
+		math.Abs(n.Scaling-n.FMUL2Before/n.FMULBefore) > 1e-9 ||
+		math.Abs(n.VectorDrift-drift(n.VectorBefore, n.VectorAfter)) > 1e-9 ||
+		math.Abs(n.VectorDrift2-drift(n.Vector2Before, n.Vector2After)) > 1e-9 ||
+		(n.VectorBefore > 0) != (n.Vector2Before > 0) || (n.VectorBefore > 0) != (n.VectorAfter > 0) ||
+		(n.VectorBefore > 0 && math.Abs(n.VectorScaling-n.Vector2Before/n.VectorBefore) > 1e-9) {
 		t.Errorf("noise block incomplete or inconsistent: %+v", n)
 	}
-	if len(tab.Roof) == len(layerProcs) && (tab.Roof[0].FMUL != tab.Noise.FMULBefore || tab.Roof[1].FMUL != tab.Noise.FMUL2Before) {
-		t.Errorf("noise block's before-roofs %.3f and %.3f are not the table's rooflines %+v", tab.Noise.FMULBefore, tab.Noise.FMUL2Before, tab.Roof)
+	if len(tab.Roof) == len(layerProcs) && (tab.Roof[0].FMUL != tab.Noise.FMULBefore || tab.Roof[1].FMUL != tab.Noise.FMUL2Before ||
+		tab.Roof[0].FMULVector != tab.Noise.VectorBefore || tab.Roof[1].FMULVector != tab.Noise.Vector2Before) {
+		t.Errorf("noise block's before-roofs are not the table's rooflines: %+v, %+v", tab.Noise, tab.Roof)
 	}
 	if tab.Runs < 30 {
 		t.Errorf("runs = %d, want >= 30", tab.Runs)
@@ -78,7 +83,8 @@ func TestCommittedLayerTable(t *testing.T) {
 			if s.Step != j || s.Node == "" || s.Op == "" || len(s.Timing) != len(layerProcs) || s.BytesOut <= 0 {
 				t.Errorf("%s step %d: %+v", m.Model, j, s)
 			}
-			if s.Roof == "fmul_vector" && (s.Op != graph.OpConv2D.String() || !strings.HasSuffix(s.Kernel, ",avx2") ||
+			if s.Roof == "fmul_vector" && (s.Op != graph.OpConv2D.String() && s.Op != graph.OpDepthwiseConv2D.String() ||
+				!strings.HasSuffix(s.Kernel, ",avx2") ||
 				tab.Roof[0].FMULVector <= 0 || tab.Roof[1].FMULVector <= 0) {
 				t.Errorf("%s step %s reads against the vector roof as %s %q, rooflines %+v", m.Model, s.Node, s.Op, s.Kernel, tab.Roof)
 			}

@@ -117,7 +117,7 @@ func absorbBN(n *Node, bn *Node) {
 		for ic := 0; ic < c; ic++ {
 			s := p.Gamma[ic] / float32(math.Sqrt(float64(p.Variance[ic]+p.Eps)))
 			scale[ic] = s
-			shift[ic] = p.Beta[ic] - p.Mean[ic]*s
+			shift[ic] = p.Beta[ic] - float32(p.Mean[ic]*s)
 		}
 		n.EpiScale, n.EpiShift = scale, shift
 	}

@@ -60,8 +60,9 @@ func BenchmarkFP16RoundTrip(b *testing.B) {
 // be judged where the model's time goes.
 
 // BenchmarkDepthwise3x3 runs MobileNet-v2's depthwise shapes — the
-// widest plane at both strides, a mid-size one and the two smallest —
-// with the batch-norm affine and ReLU6 epilogue the model folds into them.
+// widest plane at both strides, the 56² and 28² stride-1 ones and the two
+// smallest — with the batch-norm affine and ReLU6 epilogue the model
+// folds into them.
 func BenchmarkDepthwise3x3(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -71,6 +72,7 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 		{"32x112x112-s1", 32, 112, 112, 1},
 		{"96x112x112-s2", 96, 112, 112, 2},
 		{"144x56x56-s1", 144, 56, 56, 1},
+		{"192x28x28-s1", 192, 28, 28, 1},
 		{"384x14x14-s1", 384, 14, 14, 1},
 		{"960x7x7-s1", 960, 7, 7, 1},
 	} {
@@ -208,7 +210,7 @@ func BenchmarkClampReLU6(b *testing.B) {
 	b.SetBytes(int64(4 * len(seg.Data)))
 	for i := 0; i < b.N; i++ {
 		copy(seg.Data, src.Data)
-		applyEpilogueSpan(seg.Data, 0, epi)
+		applyEpilogueSpan(seg.Data, nil, 0, epi)
 	}
 }
 

@@ -125,7 +125,7 @@ func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi i
 				depthwiseRow(orow, row(iy0), row(iy0+1), row(iy0+2), taps, b, spec.Stride, padW)
 			}
 		}
-		applyEpilogueSpan(dst.Data[span*wout:end*wout], ic, epi)
+		applyEpilogueSpan(dst.Data[span*wout:end*wout], nil, ic, epi)
 		span = end
 	}
 }
@@ -136,6 +136,12 @@ func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi i
 // window fall in the padding.
 func depthwise3x3Fits(h, wd, kh, kw, stride, padH, padW int) bool {
 	return kh == 3 && kw == 3 && stride <= 2 && padH <= 1 && padW <= 1 && h >= 3 && wd >= 3
+}
+
+// depthwiseRowVector reports whether depthwiseRow runs a row's interior
+// on the vector body, depthwiseRowAVX2: at stride 1, on an AVX2 host.
+func depthwiseRowVector(stride int) bool {
+	return stride == 1 && useAVX2
 }
 
 // depthwisePixel computes one depthwise output element whose kernel
@@ -155,7 +161,7 @@ func depthwisePixel(plane, taps []float32, b float32, h, wd, kh, kw, iy0, ix0 in
 			if ix < 0 || ix >= wd {
 				continue
 			}
-			sum += plane[iy*wd+ix] * taps[ky*kw+kx]
+			sum += float32(plane[iy*wd+ix] * taps[ky*kw+kx])
 		}
 	}
 	return sum
@@ -167,9 +173,13 @@ func depthwisePixel(plane, taps []float32, b float32, h, wd, kh, kw, iy0, ix0 in
 // r0 and r1 against t[0:6] (the kernel's rows 1-2 at the top edge, 0-1
 // at the bottom). Every output runs depthwisePixel's chain — bias, then
 // the taps it has in (ky, kx) order — unrolled with the weights in
-// locals. At stride 1 the interior computes four outputs a step as four
-// independent chains; at stride 2 one a step. The edge columns, whose
-// window may have a column in the padding, take depthwiseEdge.
+// locals, every product rounded on its own (the explicit float32
+// conversions), so no architecture fuses it into the add after it. At
+// stride 1 the interior runs eight outputs to a register with AVX2
+// (depthwiseRowAVX2, one call a row, the same bits), and otherwise four
+// a step as four independent chains; at stride 2 one a step. The edge
+// columns, whose window may have a column in the padding, take
+// depthwiseEdge.
 func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
 	// Output columns [lo, hi) have all three window columns in bounds;
 	// with padding <= 1 only column 0 and column len(orow)-1 can miss one.
@@ -184,55 +194,65 @@ func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
 	if hi < len(orow) { // column wd is: kernel columns 0-1 on input wd-2, wd-1
 		orow[hi] = depthwiseEdge(b, r0, r1, r2, t, wd-2, 0)
 	}
+	i, x := lo, lo*stride-padW
+	if depthwiseRowVector(stride) {
+		if n := hi - lo; n > 0 {
+			r, taps := []float32(nil), t[:6]
+			if r2 != nil {
+				r, taps = r2[x:x+n+2], t[:9]
+			}
+			depthwiseRowAVX2(orow[lo:hi], r0[x:x+n+2], r1[x:x+n+2], r, taps, b)
+		}
+		return
+	}
 	w0, w1, w2 := t[0], t[1], t[2]
 	w3, w4, w5 := t[3], t[4], t[5]
 	var w6, w7, w8 float32
 	if r2 != nil {
 		w6, w7, w8 = t[6], t[7], t[8]
 	}
-	i, x := lo, lo*stride-padW
 	if stride == 1 {
 		for ; i+4 <= hi; i, x = i+4, x+4 {
 			p, q := r0[x:x+6:x+6], r1[x:x+6:x+6]
 			s0, s1, s2, s3 := b, b, b, b
-			s0 += p[0] * w0
-			s1 += p[1] * w0
-			s2 += p[2] * w0
-			s3 += p[3] * w0
-			s0 += p[1] * w1
-			s1 += p[2] * w1
-			s2 += p[3] * w1
-			s3 += p[4] * w1
-			s0 += p[2] * w2
-			s1 += p[3] * w2
-			s2 += p[4] * w2
-			s3 += p[5] * w2
-			s0 += q[0] * w3
-			s1 += q[1] * w3
-			s2 += q[2] * w3
-			s3 += q[3] * w3
-			s0 += q[1] * w4
-			s1 += q[2] * w4
-			s2 += q[3] * w4
-			s3 += q[4] * w4
-			s0 += q[2] * w5
-			s1 += q[3] * w5
-			s2 += q[4] * w5
-			s3 += q[5] * w5
+			s0 += float32(p[0] * w0)
+			s1 += float32(p[1] * w0)
+			s2 += float32(p[2] * w0)
+			s3 += float32(p[3] * w0)
+			s0 += float32(p[1] * w1)
+			s1 += float32(p[2] * w1)
+			s2 += float32(p[3] * w1)
+			s3 += float32(p[4] * w1)
+			s0 += float32(p[2] * w2)
+			s1 += float32(p[3] * w2)
+			s2 += float32(p[4] * w2)
+			s3 += float32(p[5] * w2)
+			s0 += float32(q[0] * w3)
+			s1 += float32(q[1] * w3)
+			s2 += float32(q[2] * w3)
+			s3 += float32(q[3] * w3)
+			s0 += float32(q[1] * w4)
+			s1 += float32(q[2] * w4)
+			s2 += float32(q[3] * w4)
+			s3 += float32(q[4] * w4)
+			s0 += float32(q[2] * w5)
+			s1 += float32(q[3] * w5)
+			s2 += float32(q[4] * w5)
+			s3 += float32(q[5] * w5)
 			if r2 != nil {
 				r := r2[x : x+6 : x+6]
-				s0 += r[0] * w6
-				s1 += r[1] * w6
-				s2 += r[2] * w6
-				s3 += r[3] * w6
-				s0 += r[1] * w7
-				s1 += r[2] * w7
-				s2 += r[3] * w7
-				s3 += r[4] * w7
-				s0 += r[2] * w8
-				s1 += r[3] * w8
-				s2 += r[4] * w8
-				s3 += r[5] * w8
+				s0 += float32(r[0] * w6)
+				s1 += float32(r[1] * w6)
+				s2 += float32(r[2] * w6)
+				s3 += float32(r[3] * w6)
+				s0 += float32(r[1] * w7)
+				s1 += float32(r[2] * w7)
+				s2 += float32(r[3] * w7)
+				s3 += float32(r[4] * w7)
+				s0 += float32(r[2] * w8)
+				s1 += float32(r[3] * w8)
+				s2 += float32(r[4] * w8)
+				s3 += float32(r[5] * w8)
 			}
 			o := orow[i : i+4 : i+4]
 			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
@@ -241,17 +261,17 @@ func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
 	for ; i < hi; i, x = i+1, x+stride {
 		p, q := r0[x:x+3:x+3], r1[x:x+3:x+3]
 		sum := b
-		sum += p[0] * w0
-		sum += p[1] * w1
-		sum += p[2] * w2
-		sum += q[0] * w3
-		sum += q[1] * w4
-		sum += q[2] * w5
+		sum += float32(p[0] * w0)
+		sum += float32(p[1] * w1)
+		sum += float32(p[2] * w2)
+		sum += float32(q[0] * w3)
+		sum += float32(q[1] * w4)
+		sum += float32(q[2] * w5)
 		if r2 != nil {
 			r := r2[x : x+3 : x+3]
-			sum += r[0] * w6
-			sum += r[1] * w7
-			sum += r[2] * w8
+			sum += float32(r[0] * w6)
+			sum += float32(r[1] * w7)
+			sum += float32(r[2] * w8)
 		}
 		orow[i] = sum
 	}
@@ -266,13 +286,13 @@ func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
 func depthwiseEdge(b float32, r0, r1, r2, t []float32, c, k int) float32 {
 	t = t[k:]
 	sum := b
-	sum += r0[c] * t[0]
-	sum += r0[c+1] * t[1]
-	sum += r1[c] * t[3]
-	sum += r1[c+1] * t[4]
+	sum += float32(r0[c] * t[0])
+	sum += float32(r0[c+1] * t[1])
+	sum += float32(r1[c] * t[3])
+	sum += float32(r1[c+1] * t[4])
 	if r2 != nil {
-		sum += r2[c] * t[6]
-		sum += r2[c+1] * t[7]
+		sum += float32(r2[c] * t[6])
+		sum += float32(r2[c+1] * t[7])
 	}
 	return sum
 }

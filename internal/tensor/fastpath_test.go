@@ -41,51 +41,73 @@ func depthwiseReference(in, w *Tensor, bias []float32, spec Conv2DSpec) *Tensor 
 	return out
 }
 
-// TestDepthwise3x3MatchesPixelReference sweeps every combination of
-// stride 1-3, per-axis padding 0-2 (symmetric specs where the two agree,
-// Asym ones otherwise), planes from 1 to 9 on a side — including H or W
-// below the kernel size, where no interior exists — and bias nil or not,
-// through both the plain and the fused-epilogue entry points.
+// TestDepthwise3x3MatchesPixelReference sweeps, on each path of the
+// stride-1 interior (onEachPath), every combination of stride 1-3,
+// per-axis padding 0-2 (symmetric specs where the two agree, Asym ones
+// otherwise), planes from 1 to 9 on a side — including H or W below the
+// kernel size, where no interior exists — and bias nil or not, through
+// both the plain and the fused-epilogue entry points. At stride 1 and
+// padding 0 or 1 on each axis it adds interior widths 1-18 (every residue
+// of the eight-lane groups, alone, after one group and after a pair) on
+// four rows, whose first and last windows have a padded row under
+// padding 1, and a 112 x 112 plane.
 func TestDepthwise3x3MatchesPixelReference(t *testing.T) {
+	onEachPath(t, testDepthwise3x3MatchesPixelReference)
+}
+
+func testDepthwise3x3MatchesPixelReference(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	sizes := []int{1, 2, 3, 4, 5, 8, 9}
 	const c = 3
-	cases := 0
+	type layer struct{ stride, padH, padW, h, wd int }
+	var layers []layer
 	for stride := 1; stride <= 3; stride++ {
 		for padH := 0; padH <= 2; padH++ {
 			for padW := 0; padW <= 2; padW++ {
 				for _, h := range sizes {
 					for _, wd := range sizes {
-						if h+2*padH < 3 || wd+2*padW < 3 {
-							continue
-						}
-						spec := Conv2DSpec{Stride: stride, PadH: padH, PadW: padW, Asym: true}
-						if padH == padW {
-							spec = Conv2DSpec{Stride: stride, Pad: padH}
-						}
-						in := dirty(c, h, wd).Randomize(r, 1)
-						w := New(c, 3, 3).Randomize(r, 1)
-						for _, bias := range [][]float32{nil, New(c).Randomize(r, 1).Data} {
-							name := fmt.Sprintf("s%d pad%dx%d in%dx%d bias=%v", stride, padH, padW, h, wd, bias != nil)
-							want := depthwiseReference(in, w, bias, spec)
-							got := dirty(want.Shape...)
-							DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
-							assertBitEqual(t, got, want, name)
-
-							_, _, _, _, _, epi := bnEpilogue(c, cases)
-							epi.Act = ActReLU6
-							epi.ApplyInto(want)
-							fused := dirty(want.Shape...)
-							DepthwiseConv2DFusedInto(fused, in, w, bias, spec, epi)
-							assertBitEqual(t, fused, want, name+" fused")
-							cases++
-						}
+						layers = append(layers, layer{stride, padH, padW, h, wd})
 					}
 				}
 			}
 		}
 	}
-	if cases < 400 {
+	for padH := 0; padH <= 1; padH++ {
+		for padW := 0; padW <= 1; padW++ {
+			for interior := 1; interior <= 18; interior++ {
+				layers = append(layers, layer{1, padH, padW, 4, interior + 2})
+			}
+			layers = append(layers, layer{1, padH, padW, 112, 112})
+		}
+	}
+	cases := 0
+	for _, l := range layers {
+		if l.h+2*l.padH < 3 || l.wd+2*l.padW < 3 {
+			continue
+		}
+		spec := Conv2DSpec{Stride: l.stride, PadH: l.padH, PadW: l.padW, Asym: true}
+		if l.padH == l.padW {
+			spec = Conv2DSpec{Stride: l.stride, Pad: l.padH}
+		}
+		in := dirty(c, l.h, l.wd).Randomize(r, 1)
+		w := New(c, 3, 3).Randomize(r, 1)
+		for _, bias := range [][]float32{nil, New(c).Randomize(r, 1).Data} {
+			name := fmt.Sprintf("s%d pad%dx%d in%dx%d bias=%v", l.stride, l.padH, l.padW, l.h, l.wd, bias != nil)
+			want := depthwiseReference(in, w, bias, spec)
+			got := dirty(want.Shape...)
+			DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
+			assertBitEqual(t, got, want, name)
+
+			_, _, _, _, _, epi := bnEpilogue(c, cases)
+			epi.Act = ActReLU6
+			epi.ApplyInto(want)
+			fused := dirty(want.Shape...)
+			DepthwiseConv2DFusedInto(fused, in, w, bias, spec, epi)
+			assertBitEqual(t, fused, want, name+" fused")
+			cases++
+		}
+	}
+	if cases < 470 {
 		t.Fatalf("sweep ran only %d cases", cases)
 	}
 }
@@ -114,21 +136,23 @@ func TestDepthwise3x3ShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDepthwise3x3SaltedSpecials runs the depthwise kernel on inputs and
-// weights salted with +-0, NaN and +-Inf, -0.0 and +Inf biases, and
-// compares every output bit with the pixel reference (any NaN equals any
-// NaN). The finite sweep above cannot tell a skipped padded tap from one
-// multiplied by +0.0: here channel 0 is all -0.0 under a -0.0 bias, so
-// an added +0.0 turns its -0.0 outputs into +0.0, and channel 1's
-// weights are +Inf, so a +0.0 input in the padding turns them into NaN.
-// The specs cover Asym pads, both strides, right edge columns that are
-// and are not clipped, and two layers the 3x3 row kernel must leave to
-// depthwisePixel.
-func TestDepthwise3x3SaltedSpecials(t *testing.T) {
+// TestDepthwise3x3SaltedSpecials runs the depthwise kernel, on each path
+// of the stride-1 interior, on inputs and weights salted with +-0, NaN
+// and +-Inf, -0.0 and +Inf biases, and compares every output bit with the
+// pixel reference (any NaN equals any NaN). The finite sweep above cannot
+// tell a skipped padded tap from one multiplied by +0.0: here channel 0
+// is all -0.0 under a -0.0 bias, so an added +0.0 turns its -0.0 outputs
+// into +0.0, and channel 1's weights are +Inf, so a +0.0 input in the
+// padding turns them into NaN. The specs cover Asym pads, both strides,
+// right edge columns that are and are not clipped, and two layers the
+// 3x3 row kernel must leave to depthwisePixel; at stride 1 every interior
+// width from 1 to 18 and a 112 x 112 plane.
+func TestDepthwise3x3SaltedSpecials(t *testing.T) { onEachPath(t, testDepthwise3x3SaltedSpecials) }
+
+func testDepthwise3x3SaltedSpecials(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
-	specials := []float32{0, negZero, float32(math.NaN()), inf, -inf}
 	salt := func(x []float32) {
 		for i := range x {
 			if r.Intn(6) == 0 {
@@ -152,40 +176,55 @@ func TestDepthwise3x3SaltedSpecials(t *testing.T) {
 		{Conv2DSpec{Stride: 1, Pad: 2}, false},
 	} {
 		spec := tc.spec.check()
+		widths := []int{7, 8, 13}
+		if tc.fast && spec.Stride == 1 {
+			widths = nil
+			for wd := 3; wd <= 20; wd++ { // interior widths 1-18
+				widths = append(widths, wd)
+			}
+		}
+		var planes [][2]int
 		for _, h := range []int{3, 6, 7} {
-			for _, wd := range []int{7, 8, 13} {
-				if depthwise3x3Fits(h, wd, 3, 3, spec.Stride, spec.PadH, spec.PadW) != tc.fast {
-					t.Fatalf("%+v: depthwise3x3Fits = %v", spec, !tc.fast)
-				}
-				if _, wout := spec.OutDims(h, wd, 3, 3); tc.fast && spec.Stride == 2 {
-					clipped[(wout-1)*spec.Stride-spec.PadW+3 > wd] = true
-				}
-				in := New(c, h, wd).Randomize(r, 1)
-				w := New(c, 3, 3).Randomize(r, 1)
-				for i := 0; i < h*wd; i++ {
-					in.Data[i] = negZero
-				}
-				for i := 0; i < 9; i++ {
-					w.Data[i] = float32(math.Abs(float64(w.Data[i])))
-					w.Data[9+i] = inf
-				}
-				salt(in.Data[2*h*wd:])
-				salt(w.Data[18:])
-				bias := []float32{negZero, 0.5, negZero, inf, -0.25}
-				name := fmt.Sprintf("%+v in%dx%d", spec, h, wd)
-				want := depthwiseReference(in, w, bias, spec)
-				got := dirty(want.Shape...)
-				DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
-				if !bitsOrNaN(got.Data, want.Data) {
-					t.Fatalf("%s: outputs differ from the pixel reference\ngot  %v\nwant %v", name, got.Data, want.Data)
-				}
-				_, _, _, _, _, epi := bnEpilogue(c, h+wd)
-				epi.Act = ActReLU6
-				epi.ApplyInto(want)
-				DepthwiseConv2DFusedInto(got, in, w, bias, spec, epi)
-				if !bitsOrNaN(got.Data, want.Data) {
-					t.Fatalf("%s fused: outputs differ from the pixel reference", name)
-				}
+			for _, wd := range widths {
+				planes = append(planes, [2]int{h, wd})
+			}
+		}
+		if tc.fast && spec.Stride == 1 {
+			planes = append(planes, [2]int{112, 112})
+		}
+		for _, hw := range planes {
+			h, wd := hw[0], hw[1]
+			if depthwise3x3Fits(h, wd, 3, 3, spec.Stride, spec.PadH, spec.PadW) != tc.fast {
+				t.Fatalf("%+v: depthwise3x3Fits = %v", spec, !tc.fast)
+			}
+			if _, wout := spec.OutDims(h, wd, 3, 3); tc.fast && spec.Stride == 2 {
+				clipped[(wout-1)*spec.Stride-spec.PadW+3 > wd] = true
+			}
+			in := New(c, h, wd).Randomize(r, 1)
+			w := New(c, 3, 3).Randomize(r, 1)
+			for i := 0; i < h*wd; i++ {
+				in.Data[i] = negZero
+			}
+			for i := 0; i < 9; i++ {
+				w.Data[i] = float32(math.Abs(float64(w.Data[i])))
+				w.Data[9+i] = inf
+			}
+			salt(in.Data[2*h*wd:])
+			salt(w.Data[18:])
+			bias := []float32{negZero, 0.5, negZero, inf, -0.25}
+			name := fmt.Sprintf("%+v in%dx%d", spec, h, wd)
+			want := depthwiseReference(in, w, bias, spec)
+			got := dirty(want.Shape...)
+			DepthwiseConv2DFusedInto(got, in, w, bias, spec, Epilogue{})
+			if !bitsOrNaN(got.Data, want.Data) {
+				t.Fatalf("%s: outputs differ from the pixel reference\ngot  %v\nwant %v", name, got.Data, want.Data)
+			}
+			_, _, _, _, _, epi := bnEpilogue(c, h+wd)
+			epi.Act = ActReLU6
+			epi.ApplyInto(want)
+			DepthwiseConv2DFusedInto(got, in, w, bias, spec, epi)
+			if !bitsOrNaN(got.Data, want.Data) {
+				t.Fatalf("%s fused: outputs differ from the pixel reference", name)
 			}
 		}
 	}
@@ -299,7 +338,7 @@ func refConvBlocked(in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue
 					v += bias[oc]
 				}
 				if len(epi.Scale) > 0 {
-					v = v*epi.Scale[oc] + epi.Shift[oc]
+					v = float32(v*epi.Scale[oc]) + epi.Shift[oc]
 				}
 				out.Data[(oc*hout+oy)*wout+ox] = refAct(v, epi.Act, epi.Alpha)
 			}
@@ -674,9 +713,12 @@ func branchyClamp(v float32, relu6 bool) float32 {
 // for both signs of every exponent with an empty, a one-bit, a half and
 // a full mantissa — which takes in ±0, ±Inf, quiet and signalling NaNs
 // of both signs and the denormals — and for 6.0 and its neighbours, then
-// checks the three kernels built on it against the same reference and
-// that the activations it does not serve are untouched.
-func TestClampMatchesBranchyLoop(t *testing.T) {
+// checks the three kernels built on it against the same reference, on
+// each path of the epilogue (onEachPath), and that the activations it
+// does not serve are untouched.
+func TestClampMatchesBranchyLoop(t *testing.T) { onEachPath(t, testClampMatchesBranchyLoop) }
+
+func testClampMatchesBranchyLoop(t *testing.T) {
 	var vals []float32
 	for sign := uint32(0); sign < 2; sign++ {
 		for exp := uint32(0); exp < 256; exp++ {
@@ -700,7 +742,7 @@ func TestClampMatchesBranchyLoop(t *testing.T) {
 		inPlace := append([]float32(nil), vals...)
 		applyActInPlace(inPlace, act, 0)
 		span := append([]float32(nil), vals...)
-		applyEpilogueSpan(span, 0, Epilogue{Scale: []float32{1}, Shift: []float32{0}, Act: act})
+		applyEpilogueSpan(span, nil, 0, Epilogue{Scale: []float32{1}, Shift: []float32{0}, Act: act})
 		requant := make([]float32, 3)
 		requantizeStrided(requant, []int32{-7, 2, 900}, 1, 0.5, 0.25, act, 0)
 		strided := make([]float32, 3)
@@ -733,6 +775,78 @@ func TestClampMatchesBranchyLoop(t *testing.T) {
 		if !bitsEqual(got, want) {
 			t.Errorf("act %d: %v, want %v", act, got, want)
 		}
+	}
+}
+
+// TestEpilogueSpanSaltedMatchesReference holds applyEpilogueSpan, on each
+// path, to a per-element reference — v + b, then float32(v*scale) +
+// shift, then the branchy activation — on spans of every length from 1 to
+// 17 (every residue of the eight-lane group, the masked tail alone, after
+// one group and after two) starting at every offset of a group, with
+// ±0, quiet and signalling NaNs of both signs, ±Inf, 6.0 and its
+// neighbours among random values; no bias, a -0.0 and a 0.5 one; no
+// affine and the affines 1/0, -1.5/0.25 and 1/-0.0; and every
+// activation. Every bit must match, NaN payloads included, and the
+// elements either side of the span must not move.
+func TestEpilogueSpanSaltedMatchesReference(t *testing.T) {
+	onEachPath(t, testEpilogueSpanSaltedMatchesReference)
+}
+
+func testEpilogueSpanSaltedMatchesReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	salts := append([]float32{math.Float32frombits(0x7f800001), math.Float32frombits(0xff800001),
+		math.Float32frombits(0xffc00000), 6, math.Nextafter32(6, 7), math.Nextafter32(6, 5), -6}, specials...)
+	affines := []struct{ scale, shift []float32 }{{nil, nil}, {[]float32{1}, []float32{0}},
+		{[]float32{-1.5}, []float32{0.25}}, {[]float32{1}, []float32{negZero}}}
+	biases := [][]float32{nil, {negZero}, {0.5}}
+	const guard = 9
+	sentinel := math.Float32frombits(0x7fa5a5a5)
+	r := rand.New(rand.NewSource(163))
+	cases := 0
+	for n := 1; n <= 17; n++ {
+		for off := range 8 {
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = r.Float32()*16 - 8
+				if r.Intn(2) == 0 {
+					src[i] = salts[r.Intn(len(salts))]
+				}
+			}
+			buf := make([]float32, guard+off+n+guard)
+			for _, a := range affines {
+				for _, bias := range biases {
+					for _, act := range []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid} {
+						for i := range buf {
+							buf[i] = sentinel
+						}
+						span := buf[guard+off : guard+off+n]
+						copy(span, src)
+						applyEpilogueSpan(span, bias, 0, Epilogue{Scale: a.scale, Shift: a.shift, Act: act, Alpha: 0.1})
+						for i, v := range src {
+							if bias != nil {
+								v += bias[0]
+							}
+							if a.scale != nil {
+								v = float32(v*a.scale[0]) + a.shift[0]
+							}
+							if want := refAct(v, act, 0.1); math.Float32bits(span[i]) != math.Float32bits(want) {
+								t.Fatalf("n %d off %d affine %v bias %v act %d: element %d (%#08x) = %#08x, want %#08x", n, off, a,
+									bias, act, i, math.Float32bits(src[i]), math.Float32bits(span[i]), math.Float32bits(want))
+							}
+						}
+						for i, v := range buf {
+							if (i < guard+off || i >= guard+off+n) && math.Float32bits(v) != math.Float32bits(sentinel) {
+								t.Fatalf("n %d off %d: element %d outside the span written", n, off, i-guard-off)
+							}
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if cases != 17*8*4*3*5 {
+		t.Fatalf("ran %d cases", cases)
 	}
 }
 

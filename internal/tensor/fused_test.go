@@ -41,7 +41,7 @@ func bnEpilogue(c int, seed int) (gamma, beta, mean, variance []float32, eps flo
 	for ic := 0; ic < c; ic++ {
 		s := gamma[ic] / float32(math.Sqrt(float64(variance[ic]+eps)))
 		scale[ic] = s
-		shift[ic] = beta[ic] - mean[ic]*s
+		shift[ic] = beta[ic] - float32(mean[ic]*s)
 	}
 	epi = Epilogue{Scale: scale, Shift: shift}
 	return

@@ -139,7 +139,8 @@ func (j *convJob) shard(lo, hi int) {
 // time (as many whole quads of rows as fit gemmBlockFloats over the band,
 // at most gemmKC staged ones): each pair's two rows are cleared
 // before the first block, accumulated over every K-quad in K order, and
-// finished after the last. An odd last channel pairs with its own weight
+// finished after the last: bias, affine and activation in one pass
+// (applyEpilogueSpan). An odd last channel pairs with its own weight
 // row, and the partner accumulates into the sink. When the last block is
 // not a multiple of the quad, its last quad reads zero-padded input rows
 // — staged, or a pointwise conv's copied into the tile — and its weights
@@ -182,9 +183,9 @@ func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 				pointwiseQuads(o0, o1, tail, nb, t0[:], t1[:])
 			}
 			if kc+kb == k {
-				j.finish(o0, oc)
+				applyEpilogueSpan(o0, j.bias, oc, j.epi)
 				if pc != oc {
-					j.finish(o1, pc)
+					applyEpilogueSpan(o1, j.bias, pc, j.epi)
 				}
 			}
 		}
@@ -233,20 +234,6 @@ func (j *convJob) stage(tile []float32, kc, kb, p0, p1 int) {
 		}
 	}
 	clear(tile[kb*nb : (kb+gemmMR-1)&^(gemmMR-1)*nb])
-}
-
-// finish adds channel oc's bias to its accumulated row segment and runs
-// the affine and activation over it (applyEpilogueSpan): per element the
-// expressions of the separate batch-norm and activation kernels, so fused
-// output is bitwise identical to the unfused chain's.
-func (j *convJob) finish(seg []float32, oc int) {
-	if j.bias != nil {
-		b := j.bias[oc]
-		for i := range seg {
-			seg[i] += b
-		}
-	}
-	applyEpilogueSpan(seg, oc, j.epi)
 }
 
 // pointwiseQuads is the channel-major microkernel: for each K-quad q of

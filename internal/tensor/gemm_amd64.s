@@ -228,3 +228,219 @@ sum:
 	VZEROUPPER
 	MOVSS X0, ret+8(FP)
 	RET
+
+// The AVX2 body of the FP32 epilogue (applyEpilogueSpan, fused.go), one
+// lane per element. Each lane runs the Go loops' operations in their
+// order, rounded apart: v + b (mode&epiBias), then v*scale as a VMULPS and
+// +shift as a VADDPS (mode&epiAffine), then clamp (mode&epiClamp) as two
+// ordered compares, which are false on a NaN: v < +0 selects +0.0 through
+// a VANDNPS, then v > hi selects hi through a VBLENDVPS. That is
+// `if v < 0 {0} else if v > hi {hi}` for every bit pattern, as clamp is:
+// -0.0 and NaNs pass, -Inf goes to +0.0 and +Inf to hi.
+
+// func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int)
+//
+// Eight elements at a time, the last len(seg) mod 8 through the same
+// operations on masked loads and stores, so no element's operations
+// depend on where the span starts or ends.
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-48
+	MOVQ seg_base+0(FP), DI
+	MOVQ seg_len+8(FP), CX
+	MOVQ mode+40(FP), BX
+	VBROADCASTSS b+24(FP), Y11
+	VBROADCASTSS scale+28(FP), Y12
+	VBROADCASTSS shift+32(FP), Y13
+	VBROADCASTSS hi+36(FP), Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ CX, DX
+	ANDQ $7, DX             // r = len(seg) mod 8
+	ANDQ $-8, CX            // the full groups' elements
+	LEAQ tailMask<>(SB), R8
+	NEGQ DX
+	VMOVUPS 32(R8)(DX*4), Y10
+	XORQ AX, AX
+
+epiLoop:
+	CMPQ AX, CX
+	JEQ  epiTailLoad
+	VMOVUPS (DI)(AX*4), Y0
+	JMP  epiBody
+
+epiTailLoad:
+	TESTQ DX, DX
+	JEQ   epiDone
+	VMASKMOVPS (DI)(AX*4), Y10, Y0
+
+epiBody:
+	TESTQ $1, BX
+	JEQ   epiNoBias
+	VADDPS Y11, Y0, Y0
+
+epiNoBias:
+	TESTQ $2, BX
+	JEQ   epiNoAffine
+	VMULPS Y12, Y0, Y0
+	VADDPS Y13, Y0, Y0
+
+epiNoAffine:
+	TESTQ $4, BX
+	JEQ   epiStore
+	VCMPPS    $0x11, Y15, Y0, Y1 // LT_OQ: v < +0
+	VANDNPS   Y0, Y1, Y0
+	VCMPPS    $0x1e, Y14, Y0, Y1 // GT_OQ: v > hi
+	VBLENDVPS Y1, Y14, Y0, Y0
+
+epiStore:
+	CMPQ AX, CX
+	JEQ  epiTailStore
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  epiLoop
+
+epiTailStore:
+	VMASKMOVPS Y0, Y10, (DI)(AX*4)
+
+epiDone:
+	VZEROUPPER
+	RET
+
+// The AVX2 body of depthwiseRow's stride-1 interior (conv.go), one lane
+// per output column. Each lane computes depthwisePixel's chain for its
+// column: b, then += r0[x]*t0, r0[x+1]*t1, ... r2[x+2]*t8 in (ky, kx)
+// order, every product a VMULPS with the input first and every sum a
+// VADDPS with the running sum first, rounded apart. No FMA.
+
+// ROW2 accumulates one input row at P against the taps TA, TB, TC into
+// the two groups of eight at AX, in Y0 and Y1.
+#define ROW2(P, TA, TB, TC) \
+	VMOVUPS 0(P)(AX*4), Y2; \
+	VMOVUPS 32(P)(AX*4), Y3; \
+	VMULPS  TA, Y2, Y2; \
+	VMULPS  TA, Y3, Y3; \
+	VADDPS  Y2, Y0, Y0; \
+	VADDPS  Y3, Y1, Y1; \
+	VMOVUPS 4(P)(AX*4), Y2; \
+	VMOVUPS 36(P)(AX*4), Y3; \
+	VMULPS  TB, Y2, Y2; \
+	VMULPS  TB, Y3, Y3; \
+	VADDPS  Y2, Y0, Y0; \
+	VADDPS  Y3, Y1, Y1; \
+	VMOVUPS 8(P)(AX*4), Y2; \
+	VMOVUPS 40(P)(AX*4), Y3; \
+	VMULPS  TC, Y2, Y2; \
+	VMULPS  TC, Y3, Y3; \
+	VADDPS  Y2, Y0, Y0; \
+	VADDPS  Y3, Y1, Y1
+
+// ROW1 is ROW2 for the one group at AX, in Y0.
+#define ROW1(P, TA, TB, TC) \
+	VMOVUPS 0(P)(AX*4), Y2; \
+	VMULPS  TA, Y2, Y2; \
+	VADDPS  Y2, Y0, Y0; \
+	VMOVUPS 4(P)(AX*4), Y2; \
+	VMULPS  TB, Y2, Y2; \
+	VADDPS  Y2, Y0, Y0; \
+	VMOVUPS 8(P)(AX*4), Y2; \
+	VMULPS  TC, Y2, Y2; \
+	VADDPS  Y2, Y0, Y0
+
+// ROWM is ROW1 on loads masked by Y4.
+#define ROWM(P, TA, TB, TC) \
+	LEAQ       (P)(AX*4), R12; \
+	VMASKMOVPS 0(R12), Y4, Y2; \
+	VMULPS     TA, Y2, Y2; \
+	VADDPS     Y2, Y0, Y0; \
+	VMASKMOVPS 4(R12), Y4, Y2; \
+	VMULPS     TB, Y2, Y2; \
+	VADDPS     Y2, Y0, Y0; \
+	VMASKMOVPS 8(R12), Y4, Y2; \
+	VMULPS     TC, Y2, Y2; \
+	VADDPS     Y2, Y0, Y0
+
+// func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32)
+//
+// Output columns [0, len(o)) from the input rows r0, r1 and r2, column x
+// reading r[x : x+3], against taps t[0:9]; with r2 empty, from r0 and r1
+// against t[0:6]. The taps and b are broadcast once; two groups of eight
+// run at a time, then one, then the last len(o) mod 8 on masked loads
+// and stores, which touch nothing past the run. The caller has checked
+// every bound.
+TEXT ·depthwiseRowAVX2(SB), NOSPLIT, $0-124
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), DX
+	MOVQ r2_base+72(FP), R8
+	MOVQ r2_len+80(FP), R9  // 0: two rows
+	MOVQ t_base+96(FP), BX
+	VBROADCASTSS b+120(FP), Y6
+	VBROADCASTSS 0(BX), Y7
+	VBROADCASTSS 4(BX), Y8
+	VBROADCASTSS 8(BX), Y9
+	VBROADCASTSS 12(BX), Y10
+	VBROADCASTSS 16(BX), Y11
+	VBROADCASTSS 20(BX), Y12
+	TESTQ R9, R9
+	JEQ   dwTaps
+	VBROADCASTSS 24(BX), Y13
+	VBROADCASTSS 28(BX), Y14
+	VBROADCASTSS 32(BX), Y15
+
+dwTaps:
+	XORQ AX, AX             // the group's first column
+	MOVQ CX, R10
+	ANDQ $-16, R10          // the pairs of groups' columns
+
+dwPair:
+	CMPQ AX, R10
+	JEQ  dwSingle
+	VMOVAPS Y6, Y0
+	VMOVAPS Y6, Y1
+	ROW2(SI, Y7, Y8, Y9)
+	ROW2(DX, Y10, Y11, Y12)
+	TESTQ R9, R9
+	JEQ   dwPairStore
+	ROW2(R8, Y13, Y14, Y15)
+
+dwPairStore:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	ADDQ $16, AX
+	JMP  dwPair
+
+dwSingle:
+	MOVQ CX, R10
+	ANDQ $-8, R10
+	CMPQ AX, R10
+	JEQ  dwTail
+	VMOVAPS Y6, Y0
+	ROW1(SI, Y7, Y8, Y9)
+	ROW1(DX, Y10, Y11, Y12)
+	TESTQ R9, R9
+	JEQ   dwSingleStore
+	ROW1(R8, Y13, Y14, Y15)
+
+dwSingleStore:
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+
+dwTail:
+	MOVQ CX, R10
+	SUBQ AX, R10            // r = len(o) mod 8
+	JEQ  dwDone
+	LEAQ tailMask<>(SB), R11
+	NEGQ R10
+	VMOVUPS 32(R11)(R10*4), Y4
+	VMOVAPS Y6, Y0
+	ROWM(SI, Y7, Y8, Y9)
+	ROWM(DX, Y10, Y11, Y12)
+	TESTQ R9, R9
+	JEQ   dwTailStore
+	ROWM(R8, Y13, Y14, Y15)
+
+dwTailStore:
+	VMASKMOVPS Y0, Y4, (DI)(AX*4)
+
+dwDone:
+	VZEROUPPER
+	RET

@@ -2,10 +2,19 @@
 
 package tensor
 
-// useAVX2 is false off amd64: pointwiseQuads runs its Go loop.
+// useAVX2 is false off amd64: pointwiseQuads, the FP32 epilogue and
+// depthwiseRow run their Go loops.
 var useAVX2 = false
 
 func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32) {
+	panic("tensor: no AVX2 body off amd64")
+}
+
+func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int) {
+	panic("tensor: no AVX2 body off amd64")
+}
+
+func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32) {
 	panic("tensor: no AVX2 body off amd64")
 }
 

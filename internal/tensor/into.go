@@ -64,7 +64,10 @@ func ConcatChannelsInto(dst *Tensor, ts ...*Tensor) {
 // BatchNormInto applies inference-mode per-channel affine normalization
 // of src into dst, y = gamma * (x - mean) / sqrt(var + eps) + beta, with
 // channels on the first axis (frozen statistics, as every framework
-// executes BN at inference).
+// executes BN at inference). Each product is rounded on its own (the
+// explicit float32 conversions), so no architecture fuses it into the add
+// after it and a BN absorbed into its producer's epilogue
+// (applyEpilogueSpan) gives the same bits.
 func BatchNormInto(dst, src *Tensor, gamma, beta, mean, variance []float32, eps float32) {
 	c := src.Shape[0]
 	if len(gamma) != c || len(beta) != c || len(mean) != c || len(variance) != c {
@@ -74,11 +77,11 @@ func BatchNormInto(dst, src *Tensor, gamma, beta, mean, variance []float32, eps 
 	plane := src.Shape.NumElems() / c
 	for ic := 0; ic < c; ic++ {
 		scale := gamma[ic] / float32(math.Sqrt(float64(variance[ic]+eps)))
-		shift := beta[ic] - mean[ic]*scale
+		shift := beta[ic] - float32(mean[ic]*scale)
 		in := src.Data[ic*plane : (ic+1)*plane]
 		out := dst.Data[ic*plane : (ic+1)*plane]
 		for i, v := range in {
-			out[i] = v*scale + shift
+			out[i] = float32(v*scale) + shift
 		}
 	}
 }

@@ -18,26 +18,39 @@ const FMULChainsWide = 12
 
 // FMULChains runs twelve independent float32 chains for steps steps,
 // each step a multiply and then an add rounded apart as the FP32 kernels'
-// are (fusing them would move their bits). The result keeps the chains
-// live.
+// are (fusing them would move their bits; the explicit float32
+// conversions keep every architecture from doing so). The result keeps
+// the chains live.
 func FMULChains(steps int) float32 {
 	m, c := float32(probeSeed)+0.999, float32(probeSeed)+0.001
 	x0, x1, x2, x3, x4, x5 := c, c+1, c+2, c+3, c+4, c+5
 	y0, y1, y2, y3, y4, y5 := c+6, c+7, c+8, c+9, c+10, c+11
 	for s := 0; s < steps; s++ {
-		x0, x1, x2, x3, x4, x5 = x0*m+c, x1*m+c, x2*m+c, x3*m+c, x4*m+c, x5*m+c
-		y0, y1, y2, y3, y4, y5 = y0*m+c, y1*m+c, y2*m+c, y3*m+c, y4*m+c, y5*m+c
+		x0, x1, x2 = float32(x0*m)+c, float32(x1*m)+c, float32(x2*m)+c
+		x3, x4, x5 = float32(x3*m)+c, float32(x4*m)+c, float32(x5*m)+c
+		y0, y1, y2 = float32(y0*m)+c, float32(y1*m)+c, float32(y2*m)+c
+		y3, y4, y5 = float32(y3*m)+c, float32(y4*m)+c, float32(y5*m)+c
 	}
 	return x0 + x1 + x2 + x3 + x4 + x5 + y0 + y1 + y2 + y3 + y4 + y5
 }
 
 // FP32Vector names the vector instruction set every FP32 convolution's
-// microkernel runs on here: "avx2", or "" where it runs the Go loop.
+// microkernel and the FP32 epilogue run on here: "avx2", or "" where they
+// run the Go loops.
 func FP32Vector() string {
 	if useAVX2 {
 		return "avx2"
 	}
 	return ""
+}
+
+// DepthwiseVector reports whether a depthwise convolution of an [C, h, wd]
+// input with kh x kw taps runs its interior on the vector body
+// (depthwiseRowAVX2): a layer the 3x3 row kernel takes, whose rows
+// depthwiseRowVector sends to the vector body.
+func DepthwiseVector(h, wd, kh, kw int, spec Conv2DSpec) bool {
+	spec = spec.check()
+	return depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW) && depthwiseRowVector(spec.Stride)
 }
 
 // FMULVectorWide is the number of multiply-adds one step of

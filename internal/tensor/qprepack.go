@@ -27,8 +27,8 @@ func PackQConvWeights(qw *QTensor) *PackedQWeights {
 // act(acc[i*stride]*scale + bias), where scale combines the activation
 // scale and the (possibly per-channel) weight scale. The band pass reads
 // one output channel out of pixel-major accumulators at stride Cout;
-// stride 1 is the contiguous case. As in applyEpilogueSpan, the cheap
-// clamping activations fuse into the requantize loop and the rest take
+// stride 1 is the contiguous case. The clamping activations and
+// LeakyReLU fuse into the requantize loop; the rest take
 // applyActInPlace's sweep after it.
 func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bias float32, act Act, alpha float32) {
 	switch act {
