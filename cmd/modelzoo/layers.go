@@ -120,7 +120,7 @@ type layerNoise struct {
 	// The eight-lane roof's (roofline.FMULVector) one-core and two-core
 	// probes before and after the forwards, their drifts and the two-core
 	// one's scaling on the one-core one, as for the FMUL roof; all 0 where
-	// FP32Vector is "".
+	// VectorISA is "".
 	VectorBefore  float64 `json:"fmul_vector_before_gmuladd_s"`
 	VectorAfter   float64 `json:"fmul_vector_after_gmuladd_s"`
 	VectorDrift   float64 `json:"fmul_vector_drift"`
@@ -163,13 +163,17 @@ type roofline struct {
 	FMUL float64 `json:"fmul_gmuladd_s"`
 	// FMULVector is FMULVectorChains' rate (Gmuladd/s, eight lanes), the
 	// roof of the FP32 convolutions where they run the vector body
-	// (tensor.FP32Vector); 0 where they do not.
+	// (tensor.VectorISA); 0 where they do not.
 	FMULVector float64 `json:"fmul_vector_gmuladd_s"`
-	// IMUL is IMULChains' rate (Gmul/s); Int8 = 3 x IMUL, the int8 rows'
-	// roof, since the int8 kernel's SWAR lanes retire three MACs per
-	// multiply.
+	// IMUL is IMULChains' rate (Gmul/s); Int8 = 3 x IMUL, the roof of the
+	// int8 rows on the Go path, since its SWAR lanes retire three MACs
+	// per multiply.
 	IMUL float64 `json:"imul_gmul_s"`
 	Int8 float64 `json:"int8_gmac_s"`
+	// QMACVector is QMACVectorChains' rate (GMAC/s, VPMADDWD on eight
+	// lanes), the roof of the int8 rows where they run the vector body
+	// (tensor.Int8ConvVector); 0 where VectorISA is "".
+	QMACVector float64 `json:"qmac_vector_gmac_s"`
 	// Copy is streaming-copy bandwidth (GB/s, bytes read plus written),
 	// the roof of every step that is not a conv or dense kernel.
 	Copy float64 `json:"copy_gb_s"`
@@ -396,9 +400,11 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 		row.WeightBytes = 4 * len(n.Weights.Data)
 	}
 	switch {
+	case s.Int8 && vectorStep(s):
+		row.Roof = "int8_vector"
 	case s.Int8:
 		row.Roof = "int8"
-	case vectorConv(s):
+	case vectorStep(s):
 		row.Roof = "fmul_vector"
 	case s.Compute:
 		row.Roof = "fmul"
@@ -406,15 +412,20 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 	return row
 }
 
-// vectorConv reports whether a step's multiply-adds run on a vector body
-// where the host has one: every FP32 Conv2D, grouped ones included (the
-// channel-major microkernel), and every depthwise step at stride 1 the
-// 3x3 row kernel takes (its interior; the edge columns stay scalar).
-// Strided depthwise and dense steps do not.
-func vectorConv(s graph.StepInfo) bool {
+// vectorStep reports whether a step's multiply-adds run on a vector body
+// where the host has one: every int8 step whose channels the vector body
+// takes (tensor.Int8ConvVector; int8 Dense is a 1x1 conv), every FP32
+// Conv2D, grouped ones included (the channel-major microkernel), and
+// every depthwise step at stride 1 the 3x3 row kernel takes (its
+// interior; the edge columns stay scalar). Strided depthwise and FP32
+// dense steps do not.
+func vectorStep(s graph.StepInfo) bool {
 	n := s.Node
-	if !s.Compute || s.Int8 || tensor.FP32Vector() == "" {
+	if !s.Compute || tensor.VectorISA() == "" {
 		return false
+	}
+	if s.Int8 {
+		return tensor.Int8ConvVector(n.OutShape[0])
 	}
 	if n.Kind == graph.OpDepthwiseConv2D {
 		in, w := n.Inputs[0].OutShape, n.Weights.Shape
@@ -435,6 +446,8 @@ func (row *stepRow) times(procs int, ns []float64, roof roofline) stepTimes {
 		st.RoofFrac = st.GMACs / roof.FMULVector
 	case "int8":
 		st.RoofFrac = st.GMACs / roof.Int8
+	case "int8_vector":
+		st.RoofFrac = st.GMACs / roof.QMACVector
 	default:
 		st.RoofFrac = st.GBs / roof.Copy
 	}
@@ -452,8 +465,8 @@ func kernelFacts(s graph.StepInfo) string {
 			f = append(f, x.name)
 		}
 	}
-	if vectorConv(s) {
-		f = append(f, tensor.FP32Vector())
+	if vectorStep(s) {
+		f = append(f, tensor.VectorISA())
 	}
 	if len(f) == 0 {
 		return "-"
@@ -484,7 +497,7 @@ func probeRoofline(procs int) roofline {
 	r.FMUL = bestRate(procs, tensor.FMULChainsWide*chainSteps, func(int) {
 		probeSink.Add(int64(tensor.FMULChains(chainSteps)))
 	}) / 1e9
-	if tensor.FP32Vector() != "" {
+	if tensor.VectorISA() != "" {
 		r.FMULVector = bestRate(procs, tensor.FMULVectorWide*chainSteps, func(int) {
 			probeSink.Add(int64(tensor.FMULVectorChains(chainSteps)))
 		}) / 1e9
@@ -493,6 +506,11 @@ func probeRoofline(procs int) roofline {
 		probeSink.Add(tensor.IMULChains(chainSteps))
 	}) / 1e9
 	r.Int8 = 3 * r.IMUL
+	if tensor.VectorISA() != "" {
+		r.QMACVector = bestRate(procs, tensor.QMACVectorWide*chainSteps, func(int) {
+			probeSink.Add(int64(tensor.QMACVectorChains(chainSteps)))
+		}) / 1e9
+	}
 	const copyElems = 8 << 20 // 32 MiB a buffer per goroutine
 	src, dst := make([][]float32, procs), make([][]float32, procs)
 	for i := range src {

@@ -15,13 +15,15 @@ import (
 // TestCommittedLayerTable checks the committed BENCH_layers.json against
 // the schema -layers writes, without timing anything: it parses, holds
 // the three benchmark models at every GOMAXPROCS with a roofline for
-// each, records the host fingerprint and the host's noise while it was
+// each (both eight-lane roofs probed, or neither), records the host fingerprint and the host's noise while it was
 // measured — steal, the one-core FMUL and copy roofs and the two-core
 // FMUL roof before and after the forwards, and the two-core roof's
 // scaling on the one-core one, and the same for the eight-lane roof —
 // with the contended verdict its own numbers give, every step read
 // against the vector roof an FP32 conv or depthwise conv whose kernel
-// names the vector body, with that roof probed, and each model's step
+// names the vector body, every int8 step whose kernel names it against
+// the int8 vector roof and every other int8 step against the IMUL one,
+// with those roofs probed, and each model's step
 // p50s add up to its forward p50 within the tolerance -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_layers.json")
@@ -59,7 +61,7 @@ func TestCommittedLayerTable(t *testing.T) {
 		t.Fatalf("%d rooflines, want one per GOMAXPROCS in %v", len(tab.Roof), layerProcs)
 	}
 	for i, r := range tab.Roof {
-		if r.Procs != layerProcs[i] || r.FMUL <= 0 || r.IMUL <= 0 || r.Int8 <= 0 || r.Copy <= 0 {
+		if r.Procs != layerProcs[i] || r.FMUL <= 0 || r.IMUL <= 0 || r.Int8 <= 0 || r.Copy <= 0 || (r.QMACVector > 0) != (r.FMULVector > 0) {
 			t.Errorf("roofline %d: %+v", i, r)
 		}
 	}
@@ -87,6 +89,11 @@ func TestCommittedLayerTable(t *testing.T) {
 				!strings.HasSuffix(s.Kernel, ",avx2") ||
 				tab.Roof[0].FMULVector <= 0 || tab.Roof[1].FMULVector <= 0) {
 				t.Errorf("%s step %s reads against the vector roof as %s %q, rooflines %+v", m.Model, s.Node, s.Op, s.Kernel, tab.Roof)
+			}
+			if int8 := strings.Contains(s.Kernel, "int8"); int8 && (s.Roof == "int8_vector") != strings.HasSuffix(s.Kernel, ",avx2") ||
+				int8 && s.Roof != "int8" && s.Roof != "int8_vector" || !int8 && strings.HasPrefix(s.Roof, "int8") ||
+				s.Roof == "int8_vector" && (tab.Roof[0].QMACVector <= 0 || tab.Roof[1].QMACVector <= 0) {
+				t.Errorf("%s step %s reads against the %s roof as %q, rooflines %+v", m.Model, s.Node, s.Roof, s.Kernel, tab.Roof)
 			}
 		}
 	}

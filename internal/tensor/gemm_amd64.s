@@ -444,3 +444,347 @@ dwTailStore:
 dwDone:
 	VZEROUPPER
 	RET
+
+// The AVX2 body of the int8 microkernel (qgemmPanelRows, qgemm.go): one
+// unit of six pixels against a panel's four-column groups, eight columns
+// at a time. A panel group's K-quad is 16 bytes, four codes of each of
+// its four columns; VPMOVSXBW widens it to int16, and VPMADDWD against a
+// pixel's four int16 codes broadcast to every quarter (VPBROADCASTQ)
+// gives each column two int32 partial sums. The K-block's quads
+// accumulate into them with VPADDD; then VPHADDD adds each pair and
+// VPERMQ puts the eight columns in order. Every step is integer and
+// exact: a VPMADDWD pair is at most 2*127*127, far from saturating, and
+// an int32 sum of products is the same in any order, so the accumulators
+// hold the Go loop's values bit for bit.
+
+// QPIX accumulates pixel OFF/128's quad at AX against the group's two
+// widened quads in Y12 and Y13 into A (columns 0-3) and B (4-7).
+#define QPIX(OFF, A, B) \
+	VPBROADCASTQ OFF(DX)(AX*1), Y14; \
+	VPMADDWD     Y14, Y12, Y15; \
+	VPADDD       Y15, A, A; \
+	VPMADDWD     Y14, Y13, Y15; \
+	VPADDD       Y15, B, B
+
+// QFOLD folds a pixel's pair sums in A and B into its eight columns in
+// order, in A.
+#define QFOLD(A, B) \
+	VPHADDD B, A, A; \
+	VPERMQ  $0xD8, A, A
+
+// func qgemmUnitAVX2(dst []int32, n, rows int, codes []int16, panel []byte, kb4, cols int)
+//
+// dst[p*n+c] += sum over g < kb4 of codes[p*64+g] * panel column c's code
+// g, for the pixels p < rows of a unit and the columns c < cols, cols a
+// multiple of four: the K-block's dot products for every full group of
+// four columns. The six pixels' accumulators (Y0-Y11) are zeroed per
+// group of eight columns, carried across all the quads and added into
+// dst once; a last group of four reads its quads twice (Y13 = Y12) and
+// stores only its low half. Pixels past rows are computed, never stored.
+// The caller has checked every bound.
+TEXT ·qgemmUnitAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ n+24(FP), BX
+	MOVQ rows+32(FP), CX
+	MOVQ codes_base+40(FP), DX
+	MOVQ panel_base+64(FP), SI
+	MOVQ kb4+88(FP), R13
+	MOVQ cols+96(FP), R9
+	SHLQ $2, BX             // a row's stride in bytes
+	LEAQ (BX)(BX*2), R11    // three rows'
+	LEAQ 0(R13*4), R8       // a four-column group's panel bytes
+	SHLQ $1, R13            // a pixel's codes' bytes: the quad loop's end
+
+qGroup:
+	TESTQ R9, R9
+	JEQ   qDone
+	MOVQ  SI, R10
+	CMPQ  R9, $8
+	JLT   qZero
+	ADDQ  R8, R10
+
+qZero:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	XORQ  AX, AX
+
+qQuad:
+	VPMOVSXBW (SI)(AX*2), Y12
+	VPMOVSXBW (R10)(AX*2), Y13
+	QPIX(0, Y0, Y1)
+	QPIX(128, Y2, Y3)
+	QPIX(256, Y4, Y5)
+	QPIX(384, Y6, Y7)
+	QPIX(512, Y8, Y9)
+	QPIX(640, Y10, Y11)
+	ADDQ $8, AX
+	CMPQ AX, R13
+	JNE  qQuad
+	QFOLD(Y0, Y1)
+	QFOLD(Y2, Y3)
+	QFOLD(Y4, Y5)
+	QFOLD(Y6, Y7)
+	QFOLD(Y8, Y9)
+	QFOLD(Y10, Y11)
+	LEAQ (DI)(BX*4), R12    // row 4
+	CMPQ R9, $8
+	JLT  qHalf
+	VPADDD  (DI), Y0, Y0
+	VMOVDQU Y0, (DI)
+	CMPQ    CX, $2
+	JLT     qNext
+	VPADDD  (DI)(BX*1), Y2, Y2
+	VMOVDQU Y2, (DI)(BX*1)
+	CMPQ    CX, $3
+	JLT     qNext
+	VPADDD  (DI)(BX*2), Y4, Y4
+	VMOVDQU Y4, (DI)(BX*2)
+	CMPQ    CX, $4
+	JLT     qNext
+	VPADDD  (DI)(R11*1), Y6, Y6
+	VMOVDQU Y6, (DI)(R11*1)
+	CMPQ    CX, $5
+	JLT     qNext
+	VPADDD  (R12), Y8, Y8
+	VMOVDQU Y8, (R12)
+	CMPQ    CX, $6
+	JLT     qNext
+	VPADDD  (R12)(BX*1), Y10, Y10
+	VMOVDQU Y10, (R12)(BX*1)
+
+qNext:
+	ADDQ $32, DI
+	LEAQ (SI)(R8*2), SI
+	SUBQ $8, R9
+	JMP  qGroup
+
+qHalf:
+	VPADDD  (DI), X0, X0
+	VMOVDQU X0, (DI)
+	CMPQ    CX, $2
+	JLT     qDone
+	VPADDD  (DI)(BX*1), X2, X2
+	VMOVDQU X2, (DI)(BX*1)
+	CMPQ    CX, $3
+	JLT     qDone
+	VPADDD  (DI)(BX*2), X4, X4
+	VMOVDQU X4, (DI)(BX*2)
+	CMPQ    CX, $4
+	JLT     qDone
+	VPADDD  (DI)(R11*1), X6, X6
+	VMOVDQU X6, (DI)(R11*1)
+	CMPQ    CX, $5
+	JLT     qDone
+	VPADDD  (R12), X8, X8
+	VMOVDQU X8, (R12)
+	CMPQ    CX, $6
+	JLT     qDone
+	VPADDD  (R12)(BX*1), X10, X10
+	VMOVDQU X10, (R12)(BX*1)
+
+qDone:
+	VZEROUPPER
+	RET
+
+// func qmacChainsAVX2(steps int) int32
+//
+// Twelve independent chains of eight int32 lanes, each step x =
+// VPMADDWD(x, m) + c as a VPMADDWD and then a VPADDD: the int8 body's
+// multiply-accumulate on the vector ports, sixteen int16 products a
+// VPMADDWD.
+TEXT ·qmacChainsAVX2(SB), NOSPLIT, $0-12
+	MOVQ steps+0(FP), CX
+	MOVQ ·probeSeed(SB), AX
+	LEAQ 0x30005(AX), BX    // the int16 pair (5, 3) in every dword
+	MOVQ BX, X13
+	VPBROADCASTD X13, Y13
+	LEAQ 1(AX), BX
+	MOVQ BX, X14
+	VPBROADCASTD X14, Y14
+	VMOVDQU Y14, Y0
+	VPADDD  Y14, Y0, Y1
+	VPADDD  Y14, Y1, Y2
+	VPADDD  Y14, Y2, Y3
+	VPADDD  Y14, Y3, Y4
+	VPADDD  Y14, Y4, Y5
+	VPADDD  Y14, Y5, Y6
+	VPADDD  Y14, Y6, Y7
+	VPADDD  Y14, Y7, Y8
+	VPADDD  Y14, Y8, Y9
+	VPADDD  Y14, Y9, Y10
+	VPADDD  Y14, Y10, Y11
+	TESTQ CX, CX
+	JLE   qmacSum
+
+qmacStep:
+	VPMADDWD Y13, Y0, Y0
+	VPMADDWD Y13, Y1, Y1
+	VPMADDWD Y13, Y2, Y2
+	VPMADDWD Y13, Y3, Y3
+	VPMADDWD Y13, Y4, Y4
+	VPMADDWD Y13, Y5, Y5
+	VPMADDWD Y13, Y6, Y6
+	VPMADDWD Y13, Y7, Y7
+	VPMADDWD Y13, Y8, Y8
+	VPMADDWD Y13, Y9, Y9
+	VPMADDWD Y13, Y10, Y10
+	VPMADDWD Y13, Y11, Y11
+	VPADDD   Y14, Y0, Y0
+	VPADDD   Y14, Y1, Y1
+	VPADDD   Y14, Y2, Y2
+	VPADDD   Y14, Y3, Y3
+	VPADDD   Y14, Y4, Y4
+	VPADDD   Y14, Y5, Y5
+	VPADDD   Y14, Y6, Y6
+	VPADDD   Y14, Y7, Y7
+	VPADDD   Y14, Y8, Y8
+	VPADDD   Y14, Y9, Y9
+	VPADDD   Y14, Y10, Y10
+	VPADDD   Y14, Y11, Y11
+	DECQ CX
+	JNZ  qmacStep
+
+qmacSum:
+	VPXOR  Y1, Y0, Y0
+	VPXOR  Y3, Y2, Y2
+	VPXOR  Y5, Y4, Y4
+	VPXOR  Y7, Y6, Y6
+	VPXOR  Y9, Y8, Y8
+	VPXOR  Y11, Y10, Y10
+	VPXOR  Y2, Y0, Y0
+	VPXOR  Y6, Y4, Y4
+	VPXOR  Y10, Y8, Y8
+	VPXOR  Y4, Y0, Y0
+	VPXOR  Y8, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPXOR  X1, X0, X0
+	VZEROUPPER
+	MOVQ X0, AX
+	MOVL AX, ret+8(FP)
+	RET
+
+// The AVX2 body of the int8 requantize store (storeInt8, qprepack.go): an
+// 8x8 block of the band's pixel-major accumulators, eight pixels' rows of
+// eight channels, is converted and scaled row by row — each lane
+// requantizeStrided's float32(acc)*scale, rounded, then + bias, the
+// product first in both (VMULPS, VADDPS), and the ReLU/ReLU6 clamp as
+// epilogueAVX2 clamps — and then transposed in registers, so each channel
+// stores its eight pixels in one contiguous write.
+
+// RQROW converts, scales and biases the accumulator row at ADDR into R.
+#define RQROW(ADDR, R) \
+	VCVTDQ2PS ADDR, R; \
+	VMULPS    Y12, R, R; \
+	VADDPS    Y13, R, R
+
+// RQCLAMP clamps R to [0, hi] as epilogueAVX2 does, through Y8.
+#define RQCLAMP(R) \
+	VCMPPS    $0x11, Y15, R, Y8; \
+	VANDNPS   R, Y8, R; \
+	VCMPPS    $0x1e, Y14, R, Y8; \
+	VBLENDVPS Y8, Y14, R, R
+
+// func requantizeAVX2(out []float32, ncols int, acc []int32, cout, npix int, scale, bias *[8]float32, hi float32, clamp bool)
+//
+// out[k*ncols+i] = act(float32(acc[i*cout+k])*scale[k] + bias[k]) for
+// the channels k < 8 and the pixels i < npix, npix a multiple of eight;
+// act clamps to [0, hi] when clamp is set and is the identity otherwise.
+// The caller has checked every bound.
+TEXT ·requantizeAVX2(SB), NOSPLIT, $0-93
+	MOVQ out_base+0(FP), DI
+	MOVQ ncols+24(FP), R8
+	MOVQ acc_base+32(FP), SI
+	MOVQ cout+56(FP), R10
+	MOVQ npix+64(FP), CX
+	MOVQ scale+72(FP), BX
+	MOVQ bias+80(FP), DX
+	VBROADCASTSS hi+88(FP), Y14
+	MOVBQZX clamp+92(FP), AX
+	VMOVUPS (BX), Y12
+	VMOVUPS (DX), Y13
+	VXORPS  Y15, Y15, Y15
+	SHLQ $2, R8             // a channel's stride in bytes
+	LEAQ (R8)(R8*2), R9     // three channels'
+	SHLQ $2, R10            // a pixel's stride in bytes
+	LEAQ (R10)(R10*2), R11  // three pixels'
+
+rqBlock:
+	TESTQ CX, CX
+	JEQ   rqDone
+	LEAQ  (SI)(R10*4), R12
+	RQROW((SI), Y0)
+	RQROW((SI)(R10*1), Y1)
+	RQROW((SI)(R10*2), Y2)
+	RQROW((SI)(R11*1), Y3)
+	RQROW((R12), Y4)
+	RQROW((R12)(R10*1), Y5)
+	RQROW((R12)(R10*2), Y6)
+	RQROW((R12)(R11*1), Y7)
+	TESTQ AX, AX
+	JEQ   rqTranspose
+	RQCLAMP(Y0)
+	RQCLAMP(Y1)
+	RQCLAMP(Y2)
+	RQCLAMP(Y3)
+	RQCLAMP(Y4)
+	RQCLAMP(Y5)
+	RQCLAMP(Y6)
+	RQCLAMP(Y7)
+
+rqTranspose:
+	// Pairs of rows interleaved: t0 = Y8, t1 = Y9, t2 = Y0, t3 = Y1,
+	// t4 = Y10, t5 = Y11, t6 = Y2, t7 = Y3.
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y0
+	VUNPCKHPS Y3, Y2, Y1
+	VUNPCKLPS Y5, Y4, Y10
+	VUNPCKHPS Y5, Y4, Y11
+	VUNPCKLPS Y7, Y6, Y2
+	VUNPCKHPS Y7, Y6, Y3
+	// Quads: pixels 0-3 of channels 0|4, 1|5, 2|6, 3|7 in Y4-Y7, pixels
+	// 4-7 of them in Y0, Y1, Y8, Y9.
+	VSHUFPS $0x44, Y0, Y8, Y4
+	VSHUFPS $0xEE, Y0, Y8, Y5
+	VSHUFPS $0x44, Y1, Y9, Y6
+	VSHUFPS $0xEE, Y1, Y9, Y7
+	VSHUFPS $0x44, Y2, Y10, Y0
+	VSHUFPS $0xEE, Y2, Y10, Y1
+	VSHUFPS $0x44, Y3, Y11, Y8
+	VSHUFPS $0xEE, Y3, Y11, Y9
+	// Halves joined: each channel's eight pixels, stored.
+	LEAQ (DI)(R8*4), R12
+	VPERM2F128 $0x20, Y0, Y4, Y10
+	VMOVUPS    Y10, (DI)
+	VPERM2F128 $0x31, Y0, Y4, Y10
+	VMOVUPS    Y10, (R12)
+	VPERM2F128 $0x20, Y1, Y5, Y10
+	VMOVUPS    Y10, (DI)(R8*1)
+	VPERM2F128 $0x31, Y1, Y5, Y10
+	VMOVUPS    Y10, (R12)(R8*1)
+	VPERM2F128 $0x20, Y8, Y6, Y10
+	VMOVUPS    Y10, (DI)(R8*2)
+	VPERM2F128 $0x31, Y8, Y6, Y10
+	VMOVUPS    Y10, (R12)(R8*2)
+	VPERM2F128 $0x20, Y9, Y7, Y10
+	VMOVUPS    Y10, (DI)(R9*1)
+	VPERM2F128 $0x31, Y9, Y7, Y10
+	VMOVUPS    Y10, (R12)(R9*1)
+	LEAQ (SI)(R10*8), SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  rqBlock
+
+rqDone:
+	VZEROUPPER
+	RET

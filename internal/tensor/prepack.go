@@ -11,9 +11,10 @@ import "sync"
 // where rowsA is the im2row matrix of the input's codes, one row per
 // output pixel, never written out: the microkernel (qgemm.go) stages its
 // rows from the code plane as it multiplies them by Wt, the transposed
-// weight matrix packed into panels. Every geometry, pointwise included,
-// stages from the same plane, which the entry point rounds once, whole
-// (qprepack.go). A band goes into pixel-major int32 accumulators and is
+// weight matrix packed into panels — as int16 codes for its AVX2 body,
+// as the Go fallback's SWAR lane triples elsewhere. Every geometry,
+// pointwise included, stages from the same plane, which the entry point
+// rounds once, whole (qprepack.go). A band goes into pixel-major int32 accumulators and is
 // requantized back to channel-major by the store.
 //
 // The weights are constant during inference, so they are packed into the
@@ -133,21 +134,22 @@ func (j *bandJob) windows(win []window, plo int) {
 }
 
 // stageWindow writes the first len(dst) taps of t for window w, read
-// from the codes x of a geo-shaped convolution, into dst: an interior
+// from the codes x of a geo-shaped convolution, into dst (as int16 for
+// the vector body, whose VPMADDWD takes int16 pairs): an interior
 // window in one gather, one that touches padding tap by tap, a tap
 // outside the plane stored as 0 (the zero-point of the symmetric
 // scheme), so dirty scratch cannot leak.
-func stageWindow(dst, x []int8, t *convTaps, w window, geo *convGeom) {
+func stageWindow[T int8 | int16](dst []T, x []int8, t *convTaps, w window, geo *convGeom) {
 	if w.inside {
 		xw := x[w.base:]
 		for g, o := range t.off[:len(dst)] {
-			dst[g] = xw[o]
+			dst[g] = T(xw[o])
 		}
 		return
 	}
 	for g, o := range t.off[:len(dst)] {
 		if uint(w.iy+int(t.ky[g])) < uint(geo.h) && uint(w.ix+int(t.kx[g])) < uint(geo.wd) {
-			dst[g] = x[w.base+o]
+			dst[g] = T(x[w.base+o])
 		} else {
 			dst[g] = 0
 		}
@@ -189,9 +191,11 @@ var bandJobs = sync.Pool{New: func() any {
 	return j
 }}
 
-// convUnitPixels is the unit a band pass cuts chunks in: two lane
-// triples, so only a plane's last unit can leave the microkernel a short
-// triple whose repeated pixels multiply into a sink.
+// convUnitPixels is the unit a band pass cuts chunks in: the pixels the
+// vector body (qgemmUnitAVX2) takes at a time, two of the Go fallback's
+// lane triples, so only a plane's last unit can leave the microkernel a
+// short unit, or a short triple whose repeated pixels multiply into a
+// sink.
 const convUnitPixels = 6
 
 // convBandPixels is how many output pixels a shard takes through GEMM →

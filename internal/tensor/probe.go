@@ -4,9 +4,9 @@ package tensor
 // (BenchmarkFMULPeak and BenchmarkIMULPeak time the same loops). Each
 // runs more independent chains than the multiply and add ports keep in
 // flight, so it retires one operation per port per cycle: the scalar
-// ceiling of a kernel whose inner loop is a chain of that operation, and
-// with FMULVectorChains, the eight-lane ceiling of the FP32 convolutions'
-// vector body.
+// ceiling of a kernel whose inner loop is a chain of that operation;
+// FMULVectorChains is the eight-lane ceiling of the FP32 convolutions'
+// vector body, QMACVectorChains that of the int8 microkernel's.
 
 // probeSeed is zero, but the compiler cannot know that, so no operand of
 // the probes folds into a constant or a multiply into shifts.
@@ -34,10 +34,11 @@ func FMULChains(steps int) float32 {
 	return x0 + x1 + x2 + x3 + x4 + x5 + y0 + y1 + y2 + y3 + y4 + y5
 }
 
-// FP32Vector names the vector instruction set every FP32 convolution's
-// microkernel and the FP32 epilogue run on here: "avx2", or "" where they
-// run the Go loops.
-func FP32Vector() string {
+// VectorISA names the vector instruction set the kernels with a vector
+// body — every FP32 convolution's microkernel, the FP32 epilogue, the
+// stride-1 depthwise interior and the int8 microkernel — run on here:
+// "avx2", or "" where they run the Go loops.
+func VectorISA() string {
 	if useAVX2 {
 		return "avx2"
 	}
@@ -53,13 +54,20 @@ func DepthwiseVector(h, wd, kh, kw int, spec Conv2DSpec) bool {
 	return depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW) && depthwiseRowVector(spec.Stride)
 }
 
+// Int8ConvVector reports whether an int8 convolution with cout output
+// channels runs its dot products on the vector body (qgemmUnitAVX2): the
+// predicate qgemmPanelRows dispatches on, for the layer's first panel.
+func Int8ConvVector(cout int) bool {
+	return qgemmVector(min(cout, qgemmNC))
+}
+
 // FMULVectorWide is the number of multiply-adds one step of
 // FMULVectorChains does: FMULChainsWide chains of eight lanes.
 const FMULVectorWide = 8 * FMULChainsWide
 
 // FMULVectorChains runs FMULChains' loop on eight-lane registers (a
 // VMULPS and then a VADDPS a step, as the vector body rounds them) for
-// steps steps, where FP32Vector is not "", and returns 0 at once where it
+// steps steps, where VectorISA is not "", and returns 0 at once where it
 // is. The result keeps the chains live.
 func FMULVectorChains(steps int) float32 {
 	if !useAVX2 {
@@ -83,4 +91,20 @@ func IMULChains(steps int) int64 {
 		x4, x5, x6, x7 = x4*m+c, x5*m+c, x6*m+c, x7*m+c
 	}
 	return x0 ^ x1 ^ x2 ^ x3 ^ x4 ^ x5 ^ x6 ^ x7
+}
+
+// QMACVectorWide is the number of int8 multiply-accumulates one step of
+// QMACVectorChains does: twelve chains of a VPMADDWD, sixteen int16
+// products summed in pairs into eight int32 lanes.
+const QMACVectorWide = 16 * 12
+
+// QMACVectorChains runs twelve independent eight-lane chains of the int8
+// vector body's multiply-accumulate, x = VPMADDWD(x, m) + c, for steps
+// steps where VectorISA is not "", and returns 0 at once where it is.
+// The result keeps the chains live.
+func QMACVectorChains(steps int) int32 {
+	if !useAVX2 {
+		return 0
+	}
+	return qmacChainsAVX2(steps)
 }

@@ -9,7 +9,7 @@ import (
 // refRequant is one element of the int8 epilogue, act(acc*scale + bias),
 // with the activation written as compares and branches (refAct).
 func refRequant(acc int32, scale, bias float32, act Act, alpha float32) float32 {
-	return refAct(float32(acc)*scale+bias, act, alpha)
+	return refAct(float32(float32(acc)*scale)+bias, act, alpha)
 }
 
 // refQConv is the reference for every int8 convolution, and shares no
@@ -92,7 +92,13 @@ func randTensor(r *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// TestConv2DQInt8MatchesIntegerReference holds a few padded, strided and
+// pointwise int8 convs to refQConv's integer loop nest, on both paths.
 func TestConv2DQInt8MatchesIntegerReference(t *testing.T) {
+	onEachPath(t, testConv2DQInt8MatchesIntegerReference)
+}
+
+func testConv2DQInt8MatchesIntegerReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cases := []struct {
 		cin, h, w, cout, kh, kw int

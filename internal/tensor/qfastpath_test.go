@@ -9,9 +9,10 @@ import (
 
 // Bit-exact differential tests for the int8 fast paths: the banded
 // prepacked convolution, the sharded activation quantizer, the max-pool
-// interior path, and the four-column SWAR microkernel. Each is compared
-// with a loop nest that shares no code with it, so any difference at all
-// is a bug.
+// interior path, and the int8 microkernel, its vector body and its
+// four-column SWAR Go loop (the tests that reach it run on both paths,
+// onEachPath). Each is compared with a loop nest that shares no code with
+// it, so any difference at all is a bug.
 
 // checkBandedQConv runs the int8 conv on panels packed ahead of time (pq,
 // which callers reuse across calls) and on panels packed from qw for this
@@ -36,8 +37,13 @@ func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *Pa
 // per-axis padding 0-2 (symmetric specs where the two agree, Asym ones
 // otherwise), bias nil or not, per-tensor and per-channel weight scales
 // and every epilogue activation, on planes that give odd pixel counts,
-// a single output pixel, and H or W smaller than the kernel.
+// a single output pixel, and H or W smaller than the kernel, on both
+// paths.
 func TestConv2DQPrepackedBandSweep(t *testing.T) {
+	onEachPath(t, testConv2DQPrepackedBandSweep)
+}
+
+func testConv2DQPrepackedBandSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	const cin, cout = 3, 5
 	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
@@ -91,8 +97,12 @@ func TestConv2DQPrepackedBandSweep(t *testing.T) {
 // threshold with an odd pixel count, so the pooled run cuts several
 // bands, none a multiple of the requantize tile: a 3x3 padded conv
 // (interior and bounds-tested staging), a strided one, and a 1x1 (every
-// window interior, band edges inside a chunk).
+// window interior, band edges inside a chunk), on both paths.
 func TestConv2DQPrepackedShardedBands(t *testing.T) {
+	onEachPath(t, testConv2DQPrepackedShardedBands)
+}
+
+func testConv2DQPrepackedShardedBands(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for _, c := range []convCase{
 		{"3x3-pad", 8, 45, 45, 32, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
@@ -123,7 +133,8 @@ func quantizeDynamic(dst []int8, src []float32) float32 {
 }
 
 // quantizeDynamicSerial is the activation quantizer as it stood before it
-// was sharded, kept here as the reference.
+// was sharded, kept here as the reference; its product is rounded apart,
+// as quantCode's is.
 func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 	var maxAbs float32
 	for _, v := range src {
@@ -140,7 +151,7 @@ func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 	}
 	inv := 1 / scale
 	for i, v := range src {
-		r := v * inv
+		r := float32(v * inv)
 		if r >= 0 {
 			r += 0.5
 		} else {
@@ -353,8 +364,8 @@ func TestMaxPoolSpecialWindows(t *testing.T) {
 
 // checkQGemmKernels asserts the int8 tile loop over all rows, sharded by
 // rows across the pool, and run as two row ranges split at rows 1, 2, 4
-// and 5 (so the lane triples fall differently), equals the plain triple
-// loop.
+// and 5 (so the lane triples and the vector body's units fall
+// differently), equals the plain triple loop.
 func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	t.Helper()
 	want := make([]int32, m*n)
@@ -396,8 +407,12 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 // sink, M = 1 as the dense layer runs it), N mod 4 of 0 to 3 (the column
 // tail after the four-column groups), K off the interleave, more than one
 // K- and N-block (short triples on a full-width sink too), and a 64-row
-// band.
+// band; on both paths.
 func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
+	onEachPath(t, testQGemmPanelRowsMatchesNaive)
+}
+
+func testQGemmPanelRowsMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for _, c := range []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 9, 4}, {2, 8, 5}, {3, 7, 6}, {4, 13, 7}, {5, 16, 8},
@@ -415,8 +430,12 @@ func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
 // qgemmKC-deep K-block, the largest lane sum a column accumulator can
 // reach (127*127*qgemmKC in each lane): row triples in all eight sign
 // patterns, against columns of either sign, through the four-column
-// groups and the column tail.
+// groups and the column tail, on both paths.
 func TestQGemmLaneSumEdge(t *testing.T) {
+	onEachPath(t, testQGemmLaneSumEdge)
+}
+
+func testQGemmLaneSumEdge(t *testing.T) {
 	const m, k, n = 3 * 8, qgemmKC, 7
 	for _, colSign := range [][]int8{{127}, {-127}, {127, -127}} {
 		a := make([]int8, m*k)
@@ -439,8 +458,13 @@ func TestQGemmLaneSumEdge(t *testing.T) {
 // end on a short lane triple of one row and of two, inside and at either
 // end of dst, with one N-block and with two: rows outside [rlo, rhi) keep
 // their sentinel, so neither the range's edges nor the repeated rows a
-// short triple sends to its sink ever reach them.
+// short triple sends to its sink (or a short unit computes and does not
+// store) ever reach them, on both paths.
 func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
+	onEachPath(t, testQGemmRowRangeWritesOnlyItsRows)
+}
+
+func testQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
 	const m, k, sentinel = 10, qgemmKC + 6, math.MinInt32 + 7
 	r := rand.New(rand.NewSource(131))
 	for _, n := range []int{9, qgemmNC + 5} {
@@ -467,10 +491,203 @@ func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
 	}
 }
 
+// TestQGemmSweepMatchesNaive holds the tile loop's int32 accumulators,
+// on both paths, to qnaive exactly (serial, sharded and split, as
+// checkQGemmKernels runs them, for the products): every N from 1 to 17 and 1000 (the
+// vector body's groups of eight, a last group of four and the column
+// tail in every combination, and two N-blocks), pixel counts 1-13 and
+// 65-67 (every short unit), K-blocks of kb mod 4 = 0-3, alone and after
+// a full block; then padded 3x3 and 5x5 convolutions, whose second
+// K-block starts inside an (ic, ky) run, against their explicit im2row
+// matrix; and codes of +-127 at K = 25088, qconv.go's accumulator bound.
+func TestQGemmSweepMatchesNaive(t *testing.T) {
+	onEachPath(t, testQGemmSweepMatchesNaive)
+}
+
+func testQGemmSweepMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(157))
+	ns := []int{1000}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	ms := []int{65, 66, 67}
+	for m := 1; m <= 13; m++ {
+		ms = append(ms, m)
+	}
+	for _, n := range ns {
+		for _, m := range ms {
+			for _, k := range []int{1, 2, 3, 4, qgemmKC + 5, qgemmKC + 6, qgemmKC + 7, 2 * qgemmKC} {
+				checkQGemmKernels(t, "sweep", randQ(r, m*k), randQ(r, k*n), m, k, n)
+			}
+		}
+	}
+
+	for _, c := range []convCase{
+		{"3x3-cin8-K72", 8, 1, 13, 17, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
+		{"5x5-cin3-K75", 3, 3, 67, 12, 5, 5, Conv2DSpec{Stride: 1, Pad: 2}},
+		{"3x3-cin16-K144-s2", 16, 5, 5, 1000, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},
+	} {
+		spec := c.spec.check()
+		in, w := randQ(r, c.cin*c.h*c.w), randQ(r, c.cout*c.cin*c.kh*c.kw)
+		pq := PackQConvWeights(&QTensor{Shape: Shape{c.cout, c.cin, c.kh, c.kw}, Data: w, Scale: 1})
+		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
+		j := &bandJob{in: in, spec: spec, pw: pq,
+			geo: convGeom{cin: c.cin, h: c.h, wd: c.w, cout: c.cout, kh: c.kh, kw: c.kw, hout: hout, wout: wout}}
+		m, k := hout*wout, pq.K
+		wt := make([]int8, k*c.cout) // the [K, N] transpose of w
+		for oc := range c.cout {
+			for g := range k {
+				wt[g*c.cout+oc] = w[oc*k+g]
+			}
+		}
+		want, got := make([]int32, m*c.cout), make([]int32, m*c.cout)
+		qnaive(want, im2rowCodes(j), wt, m, k, c.cout)
+		j.rowRange(got, make([]window, m), 0, m)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: pixel %d channel %d = %d, want %d", c.name, i/c.cout, i%c.cout, got[i], want[i])
+			}
+		}
+	}
+
+	const m, k, n = 7, 25088, 13
+	a, b := make([]int8, m*k), make([]int8, k*n)
+	for i := range a {
+		a[i] = 127
+		if i/k%2 == 1 {
+			a[i] = -127
+		}
+	}
+	for i := range b {
+		b[i] = 127
+		if i%n%3 == 1 {
+			b[i] = -127
+		}
+	}
+	want, got := make([]int32, m*n), make([]int32, m*n)
+	qnaive(want, a, b, m, k, n)
+	qgemmSerial(got, a, b, m, k, n)
+	for i := range want {
+		if got[i] != want[i] || (want[i] != 127*127*k && want[i] != -127*127*k) {
+			t.Fatalf("K=%d at +-127: dst[%d] = %d, want %d = +-127*127*K", k, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRequantizeStoreMatchesReference holds the band's requantize store
+// (storeInt8), on both paths, to refRequant element by element, bit for
+// bit: output widths 1-17 and 24 (whole eight-channel blocks and the
+// channels past them), pixel ranges of 1-17 and 66 starting at 0 and
+// mid-plane (whole eight-pixel blocks and the pixels past them), every
+// activation, bias nil, random or salted with -0, and scales that are
+// random or +Inf, so that NaN and both infinities meet the clamp; the
+// accumulators span int32 with 0 and both extremes salted in. Pixels
+// outside the range keep their sentinel.
+func TestRequantizeStoreMatchesReference(t *testing.T) {
+	onEachPath(t, testRequantizeStoreMatchesReference)
+}
+
+func testRequantizeStoreMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(163))
+	const sentinel = 0x7fc0dead
+	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
+	couts := []int{24}
+	for c := 1; c <= 17; c++ {
+		couts = append(couts, c)
+	}
+	for _, cout := range couts {
+		for _, npix := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 66} {
+			for _, p0 := range []int{0, 3} {
+				ncols := p0 + npix + 2
+				acc := make([]int32, npix*cout)
+				for i := range acc {
+					switch i % 11 {
+					case 0:
+						acc[i] = 0
+					case 5:
+						acc[i] = math.MaxInt32
+					case 7:
+						acc[i] = math.MinInt32
+					default:
+						acc[i] = int32(r.Uint32()) >> r.Intn(31)
+					}
+				}
+				scales := make([]float32, cout)
+				bias := make([]float32, cout)
+				for oc := range scales {
+					scales[oc] = float32(r.ExpFloat64() * 1e-6)
+					bias[oc] = float32(r.NormFloat64())
+					if oc%5 == 2 {
+						bias[oc] = float32(math.Copysign(0, -1))
+					}
+				}
+				for si, sc := range [][]float32{scales, {float32(math.Inf(1))}} {
+					for bi, b := range [][]float32{nil, bias} {
+						for _, act := range acts {
+							j := &bandJob{out: make([]float32, cout*ncols), geo: convGeom{hout: 1, wout: ncols},
+								pw: &PackedQWeights{N: cout}, bias: b, scales: make([]float32, cout), act: act, alpha: 0.1}
+							for oc := range j.scales {
+								j.scales[oc] = sc[oc%len(sc)]
+							}
+							for i := range j.out {
+								j.out[i] = math.Float32frombits(sentinel)
+							}
+							storeInt8(j, acc, p0, p0+npix)
+							for oc := range cout {
+								var bb float32
+								if b != nil {
+									bb = b[oc]
+								}
+								for p := range ncols {
+									want := uint32(sentinel)
+									if p >= p0 && p < p0+npix {
+										want = math.Float32bits(refRequant(acc[(p-p0)*cout+oc], j.scales[oc], bb, act, 0.1))
+									}
+									if got := math.Float32bits(j.out[oc*ncols+p]); got != want {
+										t.Fatalf("cout %d pixels [%d, %d) scales %d bias %d act %d: channel %d pixel %d = %#08x, want %#08x",
+											cout, p0, p0+npix, si, bi, act, oc, p, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2rowCodes is the [npix, K] im2row matrix of an int8 job's codes, a
+// loop nest sharing no code with the band pass's staging: row p holds
+// pixel p's taps in (ic, ky, kx) order, 0 in the padding.
+func im2rowCodes(j *bandJob) []int8 {
+	g := j.geo
+	padH, padW := j.spec.padHW()
+	k := g.cin * g.kh * g.kw
+	out := make([]int8, g.hout*g.wout*k)
+	for oy := range g.hout {
+		for ox := range g.wout {
+			row := out[(oy*g.wout+ox)*k:]
+			for ic := range g.cin {
+				for ky := range g.kh {
+					for kx := range g.kw {
+						iy, ix := oy*j.spec.Stride+ky-padH, ox*j.spec.Stride+kx-padW
+						if iy >= 0 && iy < g.h && ix >= 0 && ix < g.wd {
+							row[(ic*g.kh+ky)*g.kw+kx] = j.in[(ic*g.h+iy)*g.wd+ix]
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // quantCodeBranchy is the rounding loop body quantCode replaced, kept as
-// its reference: a branch on the sign of r picks the half.
+// its reference: a branch on the sign of r picks the half, and the
+// product is rounded apart as quantCode's is.
 func quantCodeBranchy(v, inv float32) int8 {
-	r := v * inv
+	r := float32(v * inv)
 	if r >= 0 {
 		r += 0.5
 	} else {

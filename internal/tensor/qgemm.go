@@ -4,16 +4,20 @@ package tensor
 // B block into a panel of one byte per element, and streams every A row
 // over it.
 //
-// The microkernel beats scalar FP32 by dodging the integer-multiply
-// throughput wall (one scalar IMUL per cycle on most cores, vs two FP
-// multiply ports) with SWAR lanes: three A rows (output pixels) are
-// staged from the conv's input into one int64 as signed laneShift-bit
-// fields, a0 + a1<<21 + a2<<42, and multiplied by a sign-extended panel
-// code, so a single 64-bit multiply yields all three rows' products.
-// Codes are symmetric ([-127, 127], quantClamp), so a lane
+// On an AVX2 host the microkernel is a vector body (qgemmUnitAVX2): a
+// unit of six pixels, each pixel's K-block staged as int16 codes, against
+// eight panel columns at a time with VPMADDWD, into int32 lanes. The Go
+// fallback, the path off AVX2 and the vector body's reference, dodges the
+// integer-multiply throughput wall (one scalar IMUL per cycle on most
+// cores, vs two FP multiply ports) with SWAR lanes: three A rows (output
+// pixels) are staged from the conv's input into one int64 as signed
+// laneShift-bit fields, a0 + a1<<21 + a2<<42, and multiplied by a
+// sign-extended panel code, so a single 64-bit multiply yields all three
+// rows' products. Codes are symmetric ([-127, 127], quantClamp), so a lane
 // summed over a qgemmKC-deep K-block stays inside its field and the three
 // sums come back exactly by sign extension: integer arithmetic throughout,
-// with no bias and no correction term.
+// with no bias and no correction term. Either path sums the same integer
+// products, so both give the same int32 accumulators.
 const (
 	qgemmKC = 64  // K-block: rows of B packed per panel, as deep as the lanes allow
 	qgemmNC = 512 // N-block: columns of B packed per panel
@@ -34,15 +38,21 @@ const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
 // qgemmPanelRows is the int8 microkernel under the one tile loop,
 // bandJob.rowRange: it accumulates one packed (K-block, N-block) panel
 // into the rows of the pixels whose windows are win, dst[i, jc:jc+jb] +=
-// im2row(codes)[p, kc:kc+kb] x panel. Pixels go three at a time, staged
-// from the code plane into a lane triple per K index (stageLanes); a
-// short last triple repeats its last pixel into lanes that accumulate
-// into a sink. Groups of four columns go through qdot4, the N mod 4 tail
-// one at a time. Results do not depend on how callers split rows.
+// im2row(codes)[p, kc:kc+kb] x panel. Where qgemmVector holds, the vector
+// body takes it (qgemmPanelRowsVector). Otherwise pixels go three at a
+// time, staged from the code plane into a lane triple per K index
+// (stageLanes); a short last triple repeats its last pixel into lanes
+// that accumulate into a sink. Groups of four columns go through qdot4,
+// the N mod 4 tail one at a time. Results do not depend on how callers
+// split rows.
 func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb, jc, jb int) {
-	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
 	var t convTaps
 	t.init(j.geo, kc, kb)
+	if qgemmVector(jb) {
+		qgemmPanelRowsVector(dst, j, &t, win, panel, kb, jc, jb)
+		return
+	}
+	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
 	// lanes[kb:kb4] is never written: zero, as are the panel rows it meets.
 	var buf [qgemmKC]int64
 	lanes := buf[:kb4]
@@ -72,6 +82,44 @@ func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb,
 				s += l * int64(int8(col[g]))
 			}
 			addLanes(o0, o1, o2, j, s)
+		}
+	}
+}
+
+// qgemmVector reports whether qgemmPanelRows runs a panel of jb columns
+// on the vector body: on an AVX2 host, a panel with a full group of four.
+func qgemmVector(jb int) bool {
+	return useAVX2 && jb >= qgemmMR
+}
+
+// qgemmPanelRowsVector is qgemmPanelRows on the vector body. Pixels go a
+// unit (convUnitPixels) at a time, each one's K-block staged from the
+// code plane as int16 codes, qgemmKC apart (stageWindow); qgemmUnitAVX2
+// multiplies the unit by every full four-column group of the panel and
+// the N mod 4 tail runs here on the same codes. A short unit stages only
+// its pixels: the vector body computes the stale rest and stores none of
+// it.
+func qgemmPanelRowsVector(dst []int32, j *bandJob, t *convTaps, win []window, panel []byte, kb, jc, jb int) {
+	n, kb4, cols := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1), jb&^(qgemmMR-1)
+	// Codes kb to kb4 of a pixel are never written: zero, as are the
+	// panel rows they meet.
+	var codes [convUnitPixels * qgemmKC]int16
+	for i := 0; i < len(win); i += convUnitPixels {
+		rows := min(convUnitPixels, len(win)-i)
+		for p, w := range win[i : i+rows] {
+			stageWindow(codes[p*qgemmKC:][:kb], j.in, t, w, &j.geo)
+		}
+		o := dst[i*n+jc : (i+rows-1)*n+jc+jb]
+		qgemmUnitAVX2(o, n, rows, codes[:], panel[:cols*kb4], kb4, cols)
+		for c := cols; c < jb; c++ {
+			col := panel[c*kb4:][:kb]
+			for p := range rows {
+				var s int32
+				for g, v := range codes[p*qgemmKC:][:kb] {
+					s += int32(v) * int32(int8(col[g]))
+				}
+				o[p*n+c] += s
+			}
 		}
 	}
 }

@@ -123,12 +123,13 @@ func TestQGEMMParallelOddM(t *testing.T) {
 // BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time each datatype's
 // kernel alone, on one core, on a 512x512x512 product. The int8 tile loop
 // runs over panels packed outside the loop, its A operand staged as
-// matrixJob's 1 x 512 convolution; MAC/mul is its rows per 64-bit
-// multiply, and GMAC/s over it the multiply rate BenchmarkIMULPeak bounds.
-// The FP32 one is the channel-major kernel on matMulJob's view: weights
-// and input rows read in place, cut by columns. An FP32 MAC is one
-// multiply and one add, so its GMAC/s is the rate BenchmarkFMULPeak
-// bounds.
+// matrixJob's 1 x 512 convolution. On the vector body its GMAC/s is the
+// rate BenchmarkQMACVectorPeak bounds; on the Go path MAC/mul is its
+// rows per 64-bit multiply, and GMAC/s over it the multiply rate
+// BenchmarkIMULPeak bounds. The FP32 one is the channel-major kernel on
+// matMulJob's view: weights and input rows read in place, cut by columns.
+// An FP32 MAC is one multiply and one add, so its GMAC/s is the rate
+// BenchmarkFMULPeak bounds.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
@@ -139,7 +140,9 @@ func BenchmarkQGEMM512(b *testing.B) {
 		j.rowRange(dst, win, 0, d)
 	}
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-	b.ReportMetric(qgemmLanes, "MAC/mul")
+	if !Int8ConvVector(d) {
+		b.ReportMetric(qgemmLanes, "MAC/mul")
+	}
 }
 
 // imulSink keeps BenchmarkIMULPeak's chains live.
@@ -191,7 +194,7 @@ func BenchmarkFMULPeak(b *testing.B) {
 // vector body runs against: FMULVectorChains' twelve eight-lane
 // multiply-then-add chains.
 func BenchmarkFMULVectorPeak(b *testing.B) {
-	if FP32Vector() == "" {
+	if VectorISA() == "" {
 		b.Skip("no vector body on this CPU")
 	}
 	const steps = 1 << 16
@@ -199,4 +202,21 @@ func BenchmarkFMULVectorPeak(b *testing.B) {
 		fmulSink += FMULVectorChains(steps)
 	}
 	b.ReportMetric(FMULVectorWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmuladd/s")
+}
+
+// qmacSink keeps BenchmarkQMACVectorPeak's chains live.
+var qmacSink int32
+
+// BenchmarkQMACVectorPeak probes the ceiling the int8 microkernel's
+// vector body runs against: QMACVectorChains' twelve eight-lane VPMADDWD
+// and VPADDD chains, reported as GMAC/s (int16 products) on one core.
+func BenchmarkQMACVectorPeak(b *testing.B) {
+	if VectorISA() == "" {
+		b.Skip("no vector body on this CPU")
+	}
+	const steps = 1 << 16
+	for i := 0; i < b.N; i++ {
+		qmacSink ^= QMACVectorChains(steps)
+	}
+	b.ReportMetric(QMACVectorWide*steps*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }

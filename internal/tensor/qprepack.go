@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file is the int8 band pass's ends: the ahead-of-time packer, the
 // requantize store, and the entry point. int8 Dense has none of its own:
@@ -29,17 +32,18 @@ func PackQConvWeights(qw *QTensor) *PackedQWeights {
 // one output channel out of pixel-major accumulators at stride Cout;
 // stride 1 is the contiguous case. The clamping activations and
 // LeakyReLU fuse into the requantize loop; the rest take
-// applyActInPlace's sweep after it.
+// applyActInPlace's sweep after it. The product is rounded before the
+// bias is added (float32(...)), so no architecture fuses the two.
 func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bias float32, act Act, alpha float32) {
 	switch act {
 	case ActReLU, ActReLU6:
 		hi := clampHi(act)
 		for i := range dst {
-			dst[i] = clamp(float32(acc[i*stride])*scale+bias, hi)
+			dst[i] = clamp(float32(float32(acc[i*stride])*scale)+bias, hi)
 		}
 	case ActLeakyReLU:
 		for i := range dst {
-			x := float32(acc[i*stride])*scale + bias
+			x := float32(float32(acc[i*stride])*scale) + bias
 			if x < 0 {
 				x *= alpha
 			}
@@ -47,23 +51,47 @@ func requantizeStrided(dst []float32, acc []int32, stride int, scale float32, bi
 		}
 	default:
 		for i := range dst {
-			dst[i] = float32(acc[i*stride])*scale + bias
+			dst[i] = float32(float32(acc[i*stride])*scale) + bias
 		}
 		applyActInPlace(dst, act, alpha)
 	}
 }
 
 // storeInt8 requantizes pixels [p0, p1) of each output channel out of the
-// band's pixel-major accumulators, a 256-byte contiguous store per
-// channel while the accumulator rows are still in cache from the GEMM.
+// band's pixel-major accumulators, a contiguous store per channel while
+// the accumulator rows are still in cache from the GEMM. On an AVX2 host
+// the clamping activations and ActNone take eight channels by eight
+// pixels at a time through requantizeAVX2; the channels and pixels past
+// the last whole block, and the other activations, take
+// requantizeStrided.
 func storeInt8(j *bandJob, acc []int32, p0, p1 int) {
 	cout, ncols := j.pw.N, j.geo.hout*j.geo.wout
+	nv, pv := 0, 0 // the channels and pixels the vector body stores
+	if useAVX2 && (j.act == ActNone || j.act == ActReLU || j.act == ActReLU6) {
+		nv, pv = cout&^7, (p1-p0)&^7
+		hi := math.Float32frombits(clampHi(j.act))
+		for oc := 0; oc < nv && pv > 0; oc += 8 {
+			var b [8]float32
+			if j.bias != nil {
+				b = [8]float32(j.bias[oc:])
+			}
+			requantizeAVX2(j.out[oc*ncols+p0:(oc+7)*ncols+p0+pv], ncols, acc[oc:(pv-1)*cout+oc+8], cout, pv,
+				(*[8]float32)(j.scales[oc:]), &b, hi, j.act != ActNone)
+		}
+	}
 	for oc, scale := range j.scales {
+		lo := p0
+		if oc < nv {
+			lo += pv
+		}
+		if lo == p1 {
+			continue
+		}
 		var b float32
 		if j.bias != nil {
 			b = j.bias[oc]
 		}
-		requantizeStrided(j.out[oc*ncols+p0:oc*ncols+p1], acc[oc:], cout, scale, b, j.act, j.alpha)
+		requantizeStrided(j.out[oc*ncols+lo:oc*ncols+p1], acc[(lo-p0)*cout+oc:], cout, scale, b, j.act, j.alpha)
 	}
 }
 

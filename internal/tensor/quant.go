@@ -187,8 +187,10 @@ func maxAbs(src []float32) float32 {
 // v*inv rounded half away from zero (cheaper than RoundToEven, which only
 // exact .5 ties tell apart) and clamped to [-127, 127]. The half takes r's
 // sign bit, not a branch on r >= 0 that mispredicts on sign-random input.
+// v*inv is rounded before the half is added (float32(...)), so no
+// architecture fuses the two.
 func quantCode(v, inv float32) int8 {
-	r := v * inv
+	r := float32(v * inv)
 	half := math.Float32frombits(0x3f000000 | math.Float32bits(r)&(1<<31))
 	return int8(max(-127, min(127, int32(r+half))))
 }
