@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test lint analyze race check cover bench-test layers opt-equiv reproduce sweep examples serve-smoke pipe-smoke loc loc-check cross clean
+.PHONY: all build fmt vet test lint analyze race check cover bench-test fuzz layers opt-equiv reproduce sweep examples serve-smoke pipe-smoke loc loc-check cross clean
 
 all: build vet test
 
@@ -22,19 +22,20 @@ vet:
 # the tensor tests, each FP32 kernel with an AVX2 body (pointwiseQuads,
 # the depthwise row with its edge and pixel loops, the epilogue), the
 # unfused BatchNorm that must match the epilogue's affine, the int8
-# requantize store and the FMUL probe must multiply apart (FMULS), and no
-# instruction from their files or the int8 quantizer's, inlined copies
+# requantize and the FMUL probe must multiply apart (FMULS), and no
+# instruction from their files, the int8 quantizer's or the other FP32
+# kernels' (dense, 3-D conv, LSTM, batch-norm folding), inlined copies
 # included, may fuse a multiply into an add.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	GOARCH=arm64 $(GO) test -c -o "$$dir/tensor.test" ./internal/tensor && \
 	$(GO) tool objdump "$$dir/tensor.test" > "$$dir/dis" && \
-	for f in pointwiseQuads depthwiseRow depthwiseEdge depthwisePixel applyEpilogueSpan BatchNormInto requantizeStrided FMULChains; do \
+	for f in pointwiseQuads depthwiseRow depthwiseEdge depthwisePixel applyEpilogueSpan BatchNormInto requantizeRow FMULChains; do \
 		awk -v f="edgebench/internal/tensor.$$f(SB)" '/^TEXT /{on = $$2 == f} on' "$$dir/dis" | grep -q FMULS || \
 			{ echo "make cross: no FMULS in an arm64 $$f"; exit 1; }; \
 	done; \
-	! grep -E '^ +(conv|fused|gemm|probe|into|qprepack|quant)\.go:.*FN?M(ADD|SUB)' "$$dir/dis" || \
+	! grep -E '^ +(conv|fused|gemm|probe|into|qgemm|quant|matmul|conv3d|lstm|ops)\.go:.*FN?M(ADD|SUB)' "$$dir/dis" || \
 		{ echo "make cross: an arm64 kernel fuses a multiply-add"; exit 1; }
 
 test:
@@ -108,7 +109,10 @@ pipe-smoke:
 # what stands guard over the kernels the stream workloads measure. Then
 # one iteration of each hot-shape kernel micro-benchmark in
 # internal/tensor, so one that stops compiling or starts panicking fails
-# the gate. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
+# the gate. Conv2DQPrepacked is the int8 convolution (on its codes in
+# place; the name is kept so its history stays comparable) at SqueezeNet's
+# hot shapes, and QGEMM512 a 1x1 int8 conv of 512 channels to 512 on a
+# 512-pixel plane. The pattern's ForkJoin also selects BenchmarkForkJoinGap, the
 # kernel pool's hand-off between two calls; IMULPeak and FMULPeak are the
 # probes QGEMM512's and GEMMFP32Blocked512's rates are read against on
 # their Go paths, and QMACVectorPeak and FMULVectorPeak the eight-lane
@@ -132,8 +136,15 @@ bench-test:
 layers:
 	$(GO) run ./cmd/modelzoo -layers BENCH_layers.json
 
+# The int8 microkernel's vector body against its Go loop
+# (FuzzQPointwiseQuads): `go test` runs its seed corpus; this runs the
+# fuzzer for ten seconds on two workers, about 20 s of wall time with the
+# build on a 2-vCPU host.
+fuzz:
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzQPointwiseQuads -fuzztime 10s -parallel 2
+
 # The CI gate: everything that must be clean before a merge.
-check: build fmt loc-check cross analyze opt-equiv race bench-test serve-smoke pipe-smoke
+check: build fmt loc-check cross analyze opt-equiv race bench-test fuzz serve-smoke pipe-smoke
 
 cover:
 	$(GO) test -cover ./...
@@ -146,7 +157,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 6588
+LOC_CEILING = 6236
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

@@ -165,14 +165,14 @@ type roofline struct {
 	// roof of the FP32 convolutions where they run the vector body
 	// (tensor.VectorISA); 0 where they do not.
 	FMULVector float64 `json:"fmul_vector_gmuladd_s"`
-	// IMUL is IMULChains' rate (Gmul/s); Int8 = 3 x IMUL, the roof of the
-	// int8 rows on the Go path, since its SWAR lanes retire three MACs
+	// IMUL is IMULChains' rate (Gmul/s); Int8 = IMUL, the roof of the
+	// int8 rows on the Go path, whose plain int32 loop retires one MAC
 	// per multiply.
 	IMUL float64 `json:"imul_gmul_s"`
 	Int8 float64 `json:"int8_gmac_s"`
 	// QMACVector is QMACVectorChains' rate (GMAC/s, VPMADDWD on eight
 	// lanes), the roof of the int8 rows where they run the vector body
-	// (tensor.Int8ConvVector); 0 where VectorISA is "".
+	// (every int8 step where VectorISA is not ""); 0 where it is "".
 	QMACVector float64 `json:"qmac_vector_gmac_s"`
 	// Copy is streaming-copy bandwidth (GB/s, bytes read plus written),
 	// the roof of every step that is not a conv or dense kernel.
@@ -207,8 +207,8 @@ type stepRow struct {
 	Kernel string  `json:"kernel"`
 	// MACs is graph.NodeCost's count. BytesIn and BytesOut are what the
 	// observer reported the step read and wrote (the engine keeps FP32
-	// between layers, int8 graphs included); WeightBytes is the panels
-	// bind packed, else the FP32 weights the kernel reads.
+	// between layers, int8 graphs included); WeightBytes is the weights
+	// the kernel reads in place: an int8 step's codes, else FP32.
 	MACs        float64     `json:"macs"`
 	BytesIn     int         `json:"bytes_in"`
 	BytesOut    int         `json:"bytes_out"`
@@ -392,11 +392,14 @@ func measureModel(name string, int8 bool, roofs []roofline) (layerRun, error) {
 func newStepRow(i int, s graph.StepInfo) stepRow {
 	n := s.Node
 	row := stepRow{Step: i, Node: n.Name, Op: n.Kind.String(), Out: n.OutShape, MACs: graph.NodeCost(n).MACs,
-		Kernel: kernelFacts(s), WeightBytes: s.PanelBytes, Roof: "copy"}
+		Kernel: kernelFacts(s), Roof: "copy"}
 	for _, x := range n.Inputs {
 		row.In = append(row.In, x.OutShape)
 	}
-	if !s.Packed && n.Weights != nil && n.Kind != graph.OpConst {
+	switch {
+	case s.Int8:
+		row.WeightBytes = len(n.QWeights.Data)
+	case n.Weights != nil && n.Kind != graph.OpConst:
 		row.WeightBytes = 4 * len(n.Weights.Data)
 	}
 	switch {
@@ -413,8 +416,7 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 }
 
 // vectorStep reports whether a step's multiply-adds run on a vector body
-// where the host has one: every int8 step whose channels the vector body
-// takes (tensor.Int8ConvVector; int8 Dense is a 1x1 conv), every FP32
+// where the host has one: every int8 step (int8 Dense is a 1x1 conv), every FP32
 // Conv2D, grouped ones included (the channel-major microkernel), and
 // every depthwise step at stride 1 the 3x3 row kernel takes (its
 // interior; the edge columns stay scalar). Strided depthwise and FP32
@@ -425,7 +427,7 @@ func vectorStep(s graph.StepInfo) bool {
 		return false
 	}
 	if s.Int8 {
-		return tensor.Int8ConvVector(n.OutShape[0])
+		return true
 	}
 	if n.Kind == graph.OpDepthwiseConv2D {
 		in, w := n.Inputs[0].OutShape, n.Weights.Shape
@@ -460,7 +462,7 @@ func kernelFacts(s graph.StepInfo) string {
 	for _, x := range []struct {
 		on   bool
 		name string
-	}{{s.Compute, "compute"}, {s.Int8, "int8"}, {s.Fused, "fused"}, {s.Packed, "packed"}, {s.WritesDst, "dst"}} {
+	}{{s.Compute, "compute"}, {s.Int8, "int8"}, {s.Fused, "fused"}, {s.WritesDst, "dst"}} {
 		if x.on {
 			f = append(f, x.name)
 		}
@@ -505,7 +507,7 @@ func probeRoofline(procs int) roofline {
 	r.IMUL = bestRate(procs, tensor.IMULChainsWide*chainSteps, func(int) {
 		probeSink.Add(tensor.IMULChains(chainSteps))
 	}) / 1e9
-	r.Int8 = 3 * r.IMUL
+	r.Int8 = r.IMUL
 	if tensor.VectorISA() != "" {
 		r.QMACVector = bestRate(procs, tensor.QMACVectorWide*chainSteps, func(int) {
 			probeSink.Add(int64(tensor.QMACVectorChains(chainSteps)))
@@ -600,19 +602,16 @@ func runPlan(w io.Writer, name string) int {
 }
 
 // printPlan writes the schedule, one line per step, then a footer: the
-// panel bytes the program packed beside the weight bytes the graph holds,
-// FP32 Weights and int8 codes, so a weight held twice shows in one line.
+// weight bytes the graph holds, FP32 Weights and int8 codes, which every
+// kernel reads in place.
 func printPlan(w io.Writer, g *graph.Graph, steps []graph.StepInfo) {
 	fmt.Fprintf(w, "%s: %d steps (value numbers index the graph's nodes; slot -1 is a fresh tensor)\n", g.Name, len(steps))
-	fmt.Fprintf(w, "%4s %-24s %-14s %-16s %5s %4s %-12s %-12s %-26s %s\n", "step", "node", "op", "out", "value", "slot", "in", "free", "kernel", "panel B")
+	fmt.Fprintf(w, "%4s %-24s %-14s %-16s %5s %4s %-12s %-12s %s\n", "step", "node", "op", "out", "value", "slot", "in", "free", "kernel")
 	for i, s := range steps {
-		fmt.Fprintf(w, "%4d %-24s %-14s %-16v %5d %4d %-12s %-12s %-26s %d\n", i, s.Node.Name, s.Node.Kind, s.Node.OutShape,
-			s.Out, s.Slot, fmt.Sprint(s.In), fmt.Sprint(s.Free), kernelFacts(s), s.PanelBytes)
+		fmt.Fprintf(w, "%4d %-24s %-14s %-16v %5d %4d %-12s %-12s %s\n", i, s.Node.Name, s.Node.Kind, s.Node.OutShape,
+			s.Out, s.Slot, fmt.Sprint(s.In), fmt.Sprint(s.Free), kernelFacts(s))
 	}
-	panels, fp32, codes := 0, 0, 0
-	for _, s := range steps {
-		panels += s.PanelBytes
-	}
+	fp32, codes := 0, 0
 	for _, n := range g.Nodes {
 		if n.Weights != nil {
 			fp32 += 4 * len(n.Weights.Data)
@@ -621,5 +620,5 @@ func printPlan(w io.Writer, g *graph.Graph, steps []graph.StepInfo) {
 			codes += len(n.QWeights.Data)
 		}
 	}
-	fmt.Fprintf(w, "panels %d B; graph weights: FP32 %d B, int8 codes %d B\n", panels, fp32, codes)
+	fmt.Fprintf(w, "graph weights: FP32 %d B, int8 codes %d B\n", fp32, codes)
 }

@@ -101,8 +101,8 @@ func TestCommittedLayerTable(t *testing.T) {
 
 // TestPlanPrintsEveryStep runs -plan on SqueezeNet, which the layer table
 // serves quantized: a header, a column line, one line per compiled step,
-// and the footer totalling the program's int8 panels beside the graph's
-// FP32 weights and int8 codes, none of them zero.
+// and the footer totalling the graph's FP32 weights and int8 codes, which
+// every kernel reads in place, neither of them zero.
 func TestPlanPrintsEveryStep(t *testing.T) {
 	var out bytes.Buffer
 	if code := runPlan(&out, "SqueezeNet"); code != 0 {
@@ -120,10 +120,7 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 	if len(lines) != 3+len(p.Steps()) || !strings.Contains(lines[len(lines)-2], "prob") {
 		t.Fatalf("plan has %d lines for %d steps:\n%s", len(lines), len(p.Steps()), out.String())
 	}
-	panels, weights, codes := 0, 0, 0
-	for _, s := range p.Steps() {
-		panels += s.PanelBytes
-	}
+	weights, codes := 0, 0
 	for _, n := range g.Nodes {
 		if n.Weights != nil {
 			weights += 4 * len(n.Weights.Data)
@@ -132,8 +129,8 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 			codes += len(n.QWeights.Data)
 		}
 	}
-	footer := fmt.Sprintf("panels %d B; graph weights: FP32 %d B, int8 codes %d B", panels, weights, codes)
-	if panels == 0 || codes == 0 || lines[len(lines)-1] != footer {
+	footer := fmt.Sprintf("graph weights: FP32 %d B, int8 codes %d B", weights, codes)
+	if weights == 0 || codes == 0 || lines[len(lines)-1] != footer {
 		t.Fatalf("plan footer %q, want %q", lines[len(lines)-1], footer)
 	}
 }

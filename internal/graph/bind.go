@@ -29,20 +29,14 @@ type kernel struct {
 	// conv/dense family; int8 the int8 path (else a compute kernel counts
 	// as FP32); fused a non-empty epilogue applied inside the kernel.
 	compute, int8, fused bool
-
-	// panelBytes is a fact Counts leaves out: the size of the weight
-	// panels bind packed for run to read, 0 when it packed none.
-	panelBytes int
 }
 
 // runFunc is a kernel's evaluator (kernel.run).
 type runFunc func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor
 
 // bind selects n's kernel from what the node carries — its kind, group
-// count, absorbed epilogue and int8 codes — and builds it: the panels an
-// int8 kernel reads are packed from the codes here, once per compile,
-// and closed over; every FP32 kernel reads the node's Weights in place,
-// at run time. A node with an absorbed batch-norm affine but no kernel that
+// count, absorbed epilogue and int8 codes — and builds it: every kernel
+// reads the node's Weights, or its int8 codes, in place, at run time. A node with an absorbed batch-norm affine but no kernel that
 // applies one is refused — any fallback would silently skip the affine,
 // so the verifier forbids the combination and the executor will not run
 // it.
@@ -61,8 +55,7 @@ func bind(n *Node) (kernel, error) {
 			}
 			k = kernel{run: run, act: true, affine: true}
 		case runsInt8(n):
-			run, panels := convQ(n)
-			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
+			k = kernel{run: convQ(n), act: true, int8: true}
 		default:
 			k = kernel{run: runConv, act: true, affine: true}
 		}
@@ -73,11 +66,10 @@ func bind(n *Node) (kernel, error) {
 		k = kernel{run: runConv3D, compute: true}
 	case OpDense:
 		if runsInt8(n) {
-			run, panels := convQ(n)
-			k = kernel{run: run, act: true, int8: true, panelBytes: panels}
+			k = kernel{run: convQ(n), act: true, int8: true}
 		} else {
-			// FP32 dense has no packed form: its matvec accumulation
-			// order is one the blocked GEMM cannot reproduce bitwise.
+			// FP32 dense is no convolution: its matvec accumulation
+			// order is one the K-quads cannot reproduce bitwise.
 			k = kernel{run: runDense, act: true, affine: true}
 		}
 		k.compute = true
@@ -194,21 +186,20 @@ func poolSpec(n *Node) tensor.PoolSpec {
 
 // The kernels bind chooses between. Each adapts one internal/tensor
 // entry point to the run signature; the constructors among them (convQ,
-// convGrouped) build, once, what their kernel needs beyond the node: int8
-// panels, or view shapes.
+// convGrouped) build, once, what their kernel needs beyond the node: view
+// shapes.
 
 func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 	// Consumers treat inputs as read-only, so no defensive copy is made.
 	return n.Weights
 }
 
-// convQ packs the int8 codes of a convolution or a dense layer into
-// panels and returns the kernel that runs on them, with the panels' size
-// in bytes. A dense layer is the 1x1 conv of its input as an [In, 1, 1]
-// plane: it packs an [Out, In, 1, 1] header that shares the node's codes
-// and scales, and each run views its input and output as planes, headers
-// on the run's own stack as convGrouped's are.
-func convQ(n *Node) (runFunc, int) {
+// convQ returns the kernel of an int8 convolution or dense layer, which
+// reads the node's codes in place. A dense layer is the 1x1 conv of its
+// input as an [In, 1, 1] plane: it runs on an [Out, In, 1, 1] header that
+// shares the node's codes and scales, and each run views its input and
+// output as planes, headers on the run's own stack as convGrouped's are.
+func convQ(n *Node) runFunc {
 	qw := n.QWeights
 	var inShape, dstShape tensor.Shape
 	if n.Kind == OpDense {
@@ -216,15 +207,14 @@ func convQ(n *Node) (runFunc, int) {
 		view.Shape = tensor.Shape{qw.Shape[0], qw.Shape[1], 1, 1}
 		qw, inShape, dstShape = &view, view.Shape[1:], tensor.Shape{qw.Shape[0], 1, 1}
 	}
-	pq := tensor.PackQConvWeights(qw)
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		x, out, spec := *in[0], *dst, n.Attrs.ConvSpec()
 		if inShape != nil {
 			x.Shape, out.Shape, spec = inShape, dstShape, tensor.Conv2DSpec{}
 		}
-		tensor.Conv2DQPrepackedInto(&out, &x, pq, n.Bias, spec, actFor(n.Activation), n.Attrs.LeakySlope())
+		tensor.Conv2DQInto(&out, &x, qw, n.Bias, spec, actFor(n.Activation), n.Attrs.LeakySlope())
 		return dst
-	}, len(pq.Panels)
+	}
 }
 
 func runConv(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {

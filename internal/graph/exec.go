@@ -15,8 +15,8 @@ import (
 // boards).
 //
 // The first run on a graph compiles it (Compile) into a flat list of
-// steps, each with its kernel already chosen and its int8 panels already
-// packed (bind.go); Run walks that one list in graph order, so a
+// steps, each with its kernel already chosen (bind.go); Run walks that
+// one list in graph order, so a
 // graph gives the same bits however its buffers are placed. All
 // parallelism is inside the kernels (tensor's worker pool) or across
 // executors (serving.Engine's replicas): two inter-op schedules — a
@@ -52,8 +52,8 @@ type Executor struct {
 	f    *frame
 }
 
-// NewExecutors returns n executors sharing p — kernels and weight panels
-// — each with its own frame and arena: the replicas of a serving engine
+// NewExecutors returns n executors sharing p — its kernels, which read the
+// graph's weights in place — each with its own frame and arena: the replicas of a serving engine
 // or a pipeline stage. Each executor is still for one goroutine at a
 // time; different ones may run concurrently.
 func NewExecutors(p *Program, n int) []*Executor {

@@ -14,9 +14,9 @@ import (
 // of a pooled run on a branchy graph whose kernels shard over the worker
 // pool: a compiled run builds no per-run maps or slices, so what is left
 // is the kept output tensor (3), one closure per sharded kernel loop (two
-// GEMMs and a max-pool) and concat's shape check (1). Packing panels
-// allocates them, so the bound also says no steady-state run packs, and
-// every run after the first reuses the first one's program.
+// GEMMs and a max-pool) and concat's shape check (1). Compiling
+// allocates, so the bound also says every run after the first reuses the
+// first one's program.
 // Excluded under -race: the race runtime adds allocations of its own.
 func TestParallelSteadyStateAllocs(t *testing.T) {
 	g := branchyCNN(t, 31)

@@ -23,15 +23,6 @@ func buildAlexNet(opts nn.Options) *graph.Graph {
 	return b.Build()
 }
 
-// AlexNetTrunk builds the zoo AlexNet's convolutions and pools alone: its
-// three grouped K×K convs without the 400 MB classifier, for tests that
-// compile or run them.
-func AlexNetTrunk(opts nn.Options) *graph.Graph {
-	b := nn.NewBuilder("alexnet-trunk", opts, 3, 224, 224)
-	alexNetConvs(b)
-	return b.Build()
-}
-
 // alexNetConvs adds AlexNet's five convolutions and three pools to b.
 func alexNetConvs(b *nn.Builder) {
 	b.Conv2D("conv1", 96, 11, 4, 2, true)

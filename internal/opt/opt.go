@@ -182,8 +182,7 @@ const (
 	// O0 applies no passes: the graph executes exactly as built.
 	O0 Level = iota
 	// O1 applies the always-safe cleanups — constant folding, identity
-	// elimination, dead-node elimination. Packing weights into the GEMM
-	// panel layout is not a pass: every executor's compile does it.
+	// elimination, dead-node elimination.
 	O1
 	// O2 adds pattern fusion: conv→BN→activation and dense→activation
 	// chains collapse into single fused-kernel dispatches, bitwise

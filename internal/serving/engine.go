@@ -31,7 +31,7 @@ var ErrEngineClosed = errors.New("serving: engine closed")
 
 // Engine executes real inferences over a materialized graph with a pool
 // of executor replicas. The replicas share one compiled program — the
-// kernels and the weight panels they read, held once per engine — and
+// kernels, which read the graph's weights in place — and
 // each has its own run state: pooled (arena-reusing) for static graphs,
 // eager-release for dynamic ones, so concurrent requests never contend on
 // buffers while still reusing memory across requests hitting the same
@@ -62,9 +62,7 @@ type Engine struct {
 }
 
 // NewEngine verifies g and compiles it, once, into an engine with the
-// given number of executor replicas (<= 0 means GOMAXPROCS). Session open
-// is where int8 codes are packed into the panel layout the int8
-// microkernel consumes; the replicas share those panels. A graph that
+// given number of executor replicas (<= 0 means GOMAXPROCS). A graph that
 // cannot execute — structural-only parameters, a node no kernel accepts —
 // fails here with the compiler's message. g is only read, and an edit to
 // it after NewEngine needs a new engine.
@@ -104,7 +102,7 @@ func (e *Engine) Concurrency() int { return e.Replicas() }
 // Warmup readies the engine for traffic before the first request (or
 // the first pipelined frame) arrives. It borrows every replica exactly
 // once and runs one throwaway inference on the first of them, which
-// warms what the replicas share — the program's kernels and panels, the
+// warms what the replicas share — the program's kernels, the
 // kernel pool and the scratch pools; every other replica only gets its
 // arena (Executor.Reserve), since a second run would warm nothing the
 // plan has not already sized. After Warmup no replica allocates an
@@ -285,10 +283,9 @@ func GraphExecDType(g *graph.Graph) string {
 
 // WeightBytes returns the graph's nominal parameter footprint: parameter
 // count × execution-dtype size, not resident bytes — an int8 node also
-// holds its FP32 shadow, and the program holds panels of its codes for
-// int8 convs and int8 dense layers (every FP32 kernel reads the weights in
-// place, so an FP32 program holds them once). It is the number the 4x
-// int8 footprint drop is visible in.
+// holds its FP32 shadow (every kernel reads the weights in place, so the
+// program holds no copy). It is the number the 4x int8 footprint drop is
+// visible in.
 func (e *Engine) WeightBytes() int64 {
 	var total int64
 	for _, n := range e.g.Nodes {

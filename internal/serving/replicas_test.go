@@ -13,7 +13,7 @@ import (
 
 // TestReplicasShareProgramConcurrently: four replicas of one engine share
 // one compiled program — a grouped convolution, a pruned convolution and
-// an int8 convolution, each reading panels packed at compile — and run it
+// an int8 convolution, each reading its node's weights in place — and run it
 // at once. Under -race any write to the shared program is reported, and
 // every output must be bit-equal to a zero-value executor's.
 func TestReplicasShareProgramConcurrently(t *testing.T) {

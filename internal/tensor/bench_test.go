@@ -218,8 +218,8 @@ func BenchmarkClampReLU6(b *testing.B) {
 // shapes: the stem, the widest 3x3 expand, the classifier's 1x1, the
 // first fire module's squeeze and 1x1 expand (the pointwise convs
 // BENCH_layers.json ranks furthest below the int8 roof), the last 3x3
-// expand (13-pixel rows under pad 1: about one lane triple in seven
-// wraps a row and over a third touch the padding), the first max-pool,
+// expand (13-pixel rows under pad 1, a plane under a band per chunk, so
+// cut by channel pairs), the first max-pool,
 // and the activation quantizer on the stem's image and on a ReLU'd
 // activation.
 
@@ -239,16 +239,15 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.h, tc.w)
 			qw := QuantizePerChannel(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1))
-			pq := PackQConvWeights(qw)
 			spec := Conv2DSpec{Stride: tc.stride, Pad: tc.pad}
 			hout, wout := spec.OutDims(tc.h, tc.w, tc.k, tc.k)
 			dst := New(tc.cout, hout, wout)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Conv2DQPrepackedInto(dst, in, pq, nil, spec, ActReLU, 0)
+				Conv2DQInto(dst, in, qw, nil, spec, ActReLU, 0)
 			}
-			b.ReportMetric(float64(pq.K*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			b.ReportMetric(float64(tc.cin*tc.k*tc.k*tc.cout*hout*wout)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
 	}
 }

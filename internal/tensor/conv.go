@@ -61,7 +61,7 @@ type convGeom struct {
 
 // convGeometry is the one validator of a 2-D convolution's operands —
 // input [Cin, H, W] against weights of shape w = [Cout, Cin, KH, KW]
-// (a tensor's, or the one int8 panels carry), an optional bias, the
+// (a tensor's or an int8 QTensor's), an optional bias, the
 // checked spec and a preallocated dst of [Cout, Hout, Wout] — and
 // returns the geometry.
 func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) convGeom {

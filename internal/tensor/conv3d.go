@@ -73,8 +73,8 @@ func Conv3D(in, w *Tensor, bias []float32, spec Conv3DSpec) *Tensor {
 									if ix < 0 || ix >= wd {
 										continue
 									}
-									sum += in.Data[((ic*d+iz)*h+iy)*wd+ix] *
-										w.Data[(((oc*cin+ic)*kd+kz)*kh+ky)*kw+kx]
+									sum += float32(in.Data[((ic*d+iz)*h+iy)*wd+ix] *
+										w.Data[(((oc*cin+ic)*kd+kz)*kh+ky)*kw+kx])
 								}
 							}
 						}

@@ -447,7 +447,7 @@ func transposedIm2Col(in *Tensor, kh, kw int, spec Conv2DSpec) []float32 {
 }
 
 // stagedIm2Row returns the transposed im2col matrix [npix, K] of an FP32
-// job as its bands stage it, a K-block at a time (convJob.stage), into a
+// job as its bands stage it, a K-block at a time (stage), into a
 // tile poisoned with NaN, which must also come back with +0.0 in the rows
 // after a block up to the next K-quad.
 func stagedIm2Row(t *testing.T, j *convJob) []float32 {
@@ -462,7 +462,7 @@ func stagedIm2Row(t *testing.T, j *convJob) []float32 {
 			for i := range tile {
 				tile[i] = float32(math.NaN())
 			}
-			j.stage(tile, kc, kb, p0, p1)
+			stage(j, tile, j.in, kc, kb, p0, p1)
 			for r := range kb {
 				for p := range nb {
 					out[(p0+p)*k+kc+r] = tile[r*nb+p]
@@ -640,11 +640,11 @@ func testConv2DPrepackedBandEdges(t *testing.T) {
 	}
 }
 
-// poisonBandScratch leaves each datatype's pool a scratch full of values
-// no convolution produces, for the next call on this goroutine to be
-// handed: the FP32 tile and sink NaN, and int8 accumulators, at least n
-// long, of math.MinInt32.
-func poisonBandScratch(n int) {
+// poisonBandScratch leaves the convolutions' pool a scratch full of
+// values no convolution produces, for the next call on this goroutine to
+// be handed: the FP32 tile and sink NaN, the int8 rows and pair rows
+// -32768.
+func poisonBandScratch() {
 	f := convScratchPool.Get().(*convScratch)
 	for i := range f.tile {
 		f.tile[i] = float32(math.NaN())
@@ -652,23 +652,20 @@ func poisonBandScratch(n int) {
 	for i := range f.sink {
 		f.sink[i] = float32(math.NaN())
 	}
-	convScratchPool.Put(f)
-	q := bandScratchPool.Get().(*bandScratch)
-	q.acc = growSlice(q.acc, n)
-	for i := range q.acc {
-		q.acc[i] = math.MinInt32
+	for i := range f.rows {
+		f.rows[i], f.pairs[i] = math.MinInt16, math.MinInt16
 	}
-	bandScratchPool.Put(q)
+	convScratchPool.Put(f)
 }
 
 // TestBandPassEdgesBothDatatypes drives one table of band-geometry edges
 // through both datatypes' convolutions against their untouched loop-nest
-// references: planes of one and two pixels, one under, at and one over an
-// int8 band and two bands, an odd plane under a padded 3x3, output
-// channels off the microkernels' four-column pass and their pairs, stride
-// 2 with padding, K = 130 in place and K = 150 staged (two FP32 K-blocks,
-// the second with a K-tail) followed by K = 27 — every case on scratch
-// left poisoned.
+// references: planes of one and two pixels, one under, at and one over
+// the int8 vector body's groups of sixteen, an odd plane under a padded
+// 3x3, odd output channels (a last channel paired with itself), stride 2
+// with padding, K = 130 in place and K = 150 staged (two K-blocks, the
+// second with a K-tail) followed by K = 27 — every case on scratch left
+// poisoned.
 func TestBandPassEdgesBothDatatypes(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
 	_, _, _, _, _, affine := bnEpilogue(9, 4)
@@ -690,11 +687,11 @@ func TestBandPassEdgesBothDatatypes(t *testing.T) {
 		w := randTensor(r, c.cout, c.cin, c.kh, c.kw)
 		bias := randTensor(r, c.cout).Data
 		epi := Epilogue{Scale: affine.Scale[:c.cout], Shift: affine.Shift[:c.cout], Act: ActReLU6}
-		poisonBandScratch(1 << 16)
+		poisonBandScratch()
 		checkBandedConv(t, c.name, in, w, bias, c.spec, epi)
 		qw := QuantizePerChannel(w)
-		poisonBandScratch(1 << 16)
-		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActReLU6)
+		poisonBandScratch()
+		checkBandedQConv(t, c.name, in, qw, bias, c.spec, ActReLU6)
 	}
 }
 
@@ -744,9 +741,8 @@ func testClampMatchesBranchyLoop(t *testing.T) {
 		span := append([]float32(nil), vals...)
 		applyEpilogueSpan(span, nil, 0, Epilogue{Scale: []float32{1}, Shift: []float32{0}, Act: act})
 		requant := make([]float32, 3)
-		requantizeStrided(requant, []int32{-7, 2, 900}, 1, 0.5, 0.25, act, 0)
-		strided := make([]float32, 3)
-		requantizeStrided(strided, []int32{-7, 0, 2, 0, 900}, 2, 0.5, 0.25, act, 0)
+		copy(int32Rows(requant), []int32{-7, 2, 900})
+		requantizeRow(requant, 0.5, 0.25, act, 0)
 		for i, v := range vals {
 			if math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("act %d: applyActInPlace(%#08x) differs from the branchy loop", act, math.Float32bits(v))
@@ -758,8 +754,8 @@ func testClampMatchesBranchyLoop(t *testing.T) {
 		}
 		for i, acc := range []int32{-7, 2, 900} {
 			w := branchyClamp(float32(acc)*0.5+0.25, act == ActReLU6)
-			if requant[i] != w || strided[i] != w {
-				t.Fatalf("act %d: requantize(%d) = %v / strided %v, branchy loop gives %v", act, acc, requant[i], strided[i], w)
+			if requant[i] != w {
+				t.Fatalf("act %d: requantize(%d) = %v, branchy loop gives %v", act, acc, requant[i], w)
 			}
 		}
 	}

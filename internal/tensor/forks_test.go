@@ -60,9 +60,9 @@ func TestPackedConvForksOnce(t *testing.T) {
 }
 
 // TestPackedQConvForksOnce is the int8 twin on the benchmark's SqueezeNet
-// (O2, then quantized): one parallelFor per pre-packed int8 convolution at
-// or above the MAC bar — the band pass; staging, QGEMM and requantize
-// fork nowhere else — and, where the input is long enough to shard the
+// (O2, then quantized): one parallelFor per int8 convolution at or above
+// the MAC bar — its cut (convJob.run); staging, the dot products and the
+// requantize fork nowhere else — and, where the input is long enough to shard the
 // activation quantizer, one for its max-abs pass and one for its rounding
 // pass, pointwise or not; one per max-pool above its bar, and nothing
 // else: 57 forks.

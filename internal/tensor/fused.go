@@ -96,11 +96,13 @@ func clamp(v float32, hi uint32) float32 {
 	return math.Float32frombits(b)
 }
 
-// The operations epilogueAVX2 runs, in this order.
+// The operations epilogueAVX2 runs, in this order; epiConvert, the int8
+// requantize's, comes first and implies epiAffine without epiBias.
 const (
-	epiBias   = 1 << iota // v + b
-	epiAffine             // v*scale + shift
-	epiClamp              // clamp(v, hi)
+	epiBias    = 1 << iota // v + b
+	epiAffine              // v*scale + shift
+	epiClamp               // clamp(v, hi)
+	epiConvert             // v = float32(the int32 in v's bits)
 )
 
 // applyActInPlace applies the activation elementwise in place: the one

@@ -38,22 +38,31 @@ const (
 	gemmBlockFloats = 6 << 10
 )
 
-// pointwise reports whether an FP32 convolution is 1x1, stride 1 and
-// unpadded, so it reads its input rows in place. The int8 convolution
-// has no such branch: every geometry stages from its rounded code plane.
+// pointwise reports whether a convolution is 1x1, stride 1 and
+// unpadded, so it reads its input rows in place.
 func pointwise(kh, kw int, spec Conv2DSpec) bool {
 	padH, padW := spec.padHW()
 	return kh == 1 && kw == 1 && spec.Stride == 1 && padH == 0 && padW == 0
 }
 
-// convJob is the convolution a shard of Conv2DInto works on.
+// convJob is the convolution a shard works on: an FP32 one's operands
+// (out, in, w, epi) or an int8 one's (acc, codes, qw, scales; qgemm.go),
+// and the band body that computes either.
 type convJob struct {
 	out, in, w []float32 // [Cout, npix], [Cin, H, W] and [Cout, K]
-	geo        convGeom
-	spec       Conv2DSpec
-	k, npix    int // K = Cin*KH*KW and the output plane's pixels
-	bias       []float32
-	epi        Epilogue
+	// acc is out viewed as int32 accumulators; codes the input's code
+	// plane in pair rows; qw the [Cout, K] weight codes; scales the
+	// requantize scale per output channel.
+	acc    []int32
+	codes  []int16
+	qw     []int8
+	scales []float32
+	geo    convGeom
+	spec   Conv2DSpec
+	k      int // K = Cin*KH*KW
+	npix   int // the output plane's pixels
+	bias   []float32
+	epi    Epilogue
 	// staged is set for a K x K convolution, whose bands stage their
 	// im2col rows; a pointwise one reads its input rows in place.
 	staged bool
@@ -62,6 +71,8 @@ type convJob struct {
 	// plane is under a band per chunk parallelFor cuts). Otherwise it is
 	// cut by pixels, every shard taking all channels.
 	byPairs bool
+	// kernel computes one band: (*convJob).band or (*convJob).qband.
+	kernel func(j *convJob, s *convScratch, c0, c1, p0, p1 int)
 
 	fn func(lo, hi int)
 }
@@ -75,12 +86,15 @@ var convJobs = sync.Pool{New: func() any {
 }}
 
 // convScratch is what one shard borrows: a band's staged im2col rows (a
-// pointwise conv's K-tail rows only) and the sink an odd last channel's
-// missing partner accumulates into. Pooled, so concurrent shards never
+// pointwise FP32 conv's K-tail rows only), FP32 or int8 (as rows and as
+// pair rows, qstage), and the sink an odd last channel's missing partner
+// accumulates into (as int32 for int8). Pooled, so concurrent shards never
 // share one and a steady stream of convolutions allocates nothing.
 type convScratch struct {
-	tile [gemmKC * gemmBand]float32
-	sink [gemmBand]float32
+	tile  [gemmKC * gemmBand]float32
+	sink  [gemmBand]float32
+	rows  [gemmKC * gemmBand]int16 // int8 im2col rows, as stage writes them
+	pairs [gemmKC * gemmBand]int16 // the same, as qpointwiseQuads reads them
 }
 
 var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
@@ -89,24 +103,35 @@ var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
 // w [Cout, Cin, KH, KW], both read in place, into a preallocated dst
 // [Cout, Hout, Wout], overwriting every element, bias, affine and
 // activation applied as each channel pair finishes a band. A zero-value
-// epi applies the bias alone. Above the MAC threshold one parallelFor
-// cuts the plane by pixels, or by channel pairs when a pixel chunk would
-// be shorter than a band (at two cores, planes under 2048 pixels), so a
-// 7x7 layer still shards. Every such chunk of a K x K convolution stages
-// the whole plane again, so there it is cut into one chunk per worker.
-// The output does not depend on the cut.
+// epi applies the bias alone. The output does not depend on the cut
+// (run).
 func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogue) {
 	spec = spec.check()
 	geo := convGeometry(dst, in, w.Shape, bias, spec)
 	checkEpilogueChannels(epi, geo.cout)
-	k, n, npix := geo.cin*geo.kh*geo.kw, geo.cout, geo.hout*geo.wout
+	convJob{out: dst.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, bias: bias, epi: epi,
+		kernel: (*convJob).band}.run()
+}
+
+// run computes the convolution job describes, of either datatype. Above
+// the MAC threshold one parallelFor cuts the plane by pixels, or by
+// channel pairs when a pixel chunk would be shorter than a band (at two
+// cores, planes under 2048 pixels), so a 7x7 layer still shards. Every
+// such chunk of a K x K convolution stages the whole plane again, so
+// there it is cut into one chunk per worker. Chunks write disjoint
+// outputs and an output's value does not depend on which others share
+// its chunk, so the output does not depend on the cut.
+func (job convJob) run() {
+	g := &job.geo
+	job.k, job.npix, job.staged = g.cin*g.kh*g.kw, g.hout*g.wout, !pointwise(g.kh, g.kw, job.spec)
 	workers := len(ensurePool().workers)
+	job.byPairs = job.npix < gemmBand*chunksPerWorker*workers
 	j := convJobs.Get().(*convJob)
-	*j = convJob{out: dst.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: k, npix: npix, bias: bias, epi: epi,
-		staged: !pointwise(geo.kh, geo.kw, spec), byPairs: npix < gemmBand*chunksPerWorker*workers, fn: j.fn}
-	units, macsPerUnit := npix, k*n
+	job.fn = j.fn
+	*j = job
+	units, macsPerUnit := j.npix, j.k*g.cout
 	if j.byPairs {
-		units, macsPerUnit = (n+1)/2, 2*k*npix
+		units, macsPerUnit = (g.cout+1)/2, 2*j.k*j.npix
 	}
 	grain := grainForMACs(macsPerUnit)
 	if j.byPairs && j.staged {
@@ -130,7 +155,7 @@ func (j *convJob) shard(lo, hi int) {
 		c0, c1, p0, p1 = lo, hi, 0, j.npix
 	}
 	for b := p0; b < p1; b += gemmBand {
-		j.band(s, c0, c1, b, min(b+gemmBand, p1))
+		j.kernel(j, s, c0, c1, b, min(b+gemmBand, p1))
 	}
 	convScratchPool.Put(s)
 }
@@ -156,7 +181,7 @@ func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 		full := kb &^ (gemmMR - 1)
 		x, stride, tail := j.in[p0:], npix, s.tile[:]
 		if j.staged {
-			j.stage(s.tile[:], kc, kb, p0, p1)
+			stage(j, s.tile[:], j.in, kc, kb, p0, p1)
 			x, stride, tail = s.tile[:], nb, s.tile[full*nb:]
 		} else if x = x[kc*npix:]; full < kb {
 			for r := full; r < kb; r++ {
@@ -192,17 +217,18 @@ func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 	}
 }
 
-// stage writes im2col rows [kc, kc+kb) of pixels [p0, p1) into tile, row
-// kc+r at tile[r*nb:], and +0.0 into the rows after them up to the next
+// stage writes im2col rows [kc, kc+kb) of pixels [p0, p1) of j's
+// convolution of in — its FP32 input or its int8 codes — into tile, row
+// kc+r at tile[r*nb:], and zero into the rows after them up to the next
 // K-quad. Row (ic, ky, kx) of pixel (oy, ox) is the input at (ic, oy*s +
-// ky - padH, ox*s + kx - padW), +0.0 in the padding: the band is walked an
-// output row at a time, the span of columns inside the plane copied (a
-// gather at stride s) and the rest cleared.
-func (j *convJob) stage(tile []float32, kc, kb, p0, p1 int) {
+// ky - padH, ox*s + kx - padW), zero (+0.0) in the padding: the band is
+// walked an output row at a time, the span of columns inside the plane
+// copied (a gather at stride s) and the rest cleared.
+func stage[T float32 | int16](j *convJob, tile, in []T, kc, kb, p0, p1 int) {
 	g, s, nb := &j.geo, j.spec.Stride, p1-p0
 	kx, ky, ic := kc%g.kw, kc/g.kw%g.kh, kc/(g.kw*g.kh)
 	for r := range kb {
-		row, plane := tile[r*nb:(r+1)*nb], j.in[ic*g.h*g.wd:(ic+1)*g.h*g.wd]
+		row, plane := tile[r*nb:(r+1)*nb], in[ic*g.h*g.wd:(ic+1)*g.h*g.wd]
 		// Output columns [xlo, xhi) read a column inside the plane.
 		dx := kx - j.spec.PadW
 		xlo, xhi := max(0, (s-1-dx)/s), min(g.wout, (g.wd-1-dx+s)/s)

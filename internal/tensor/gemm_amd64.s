@@ -229,20 +229,35 @@ sum:
 	MOVSS X0, ret+8(FP)
 	RET
 
-// The AVX2 body of the FP32 epilogue (applyEpilogueSpan, fused.go), one
-// lane per element. Each lane runs the Go loops' operations in their
-// order, rounded apart: v + b (mode&epiBias), then v*scale as a VMULPS and
+// The AVX2 body of the FP32 epilogue (applyEpilogueSpan, fused.go) and of
+// the int8 requantize (requantizeRow, qgemm.go), one lane per element.
+// Each lane runs the Go loops' operations in their order, rounded apart:
+// the int32 accumulator converted to float32 (mode&epiConvert, a
+// VCVTDQ2PS: exact up to 2^24, round to nearest even past it, as Go's
+// float32(int32) is; the int8 requantize's own loop), v + b
+// (mode&epiBias), then v*scale as a VMULPS and
 // +shift as a VADDPS (mode&epiAffine), then clamp (mode&epiClamp) as two
 // ordered compares, which are false on a NaN: v < +0 selects +0.0 through
 // a VANDNPS, then v > hi selects hi through a VBLENDVPS. That is
 // `if v < 0 {0} else if v > hi {hi}` for every bit pattern, as clamp is:
 // -0.0 and NaNs pass, -Inf goes to +0.0 and +Inf to hi.
 
+// EPICLAMP clamps Y0 to [0, hi] (hi in Y14, +0.0 in Y15), through Y1:
+// VCMPPS $0x11 is LT_OQ, v < +0; $0x1e is GT_OQ, v > hi.
+#define EPICLAMP \
+	VCMPPS    $0x11, Y15, Y0, Y1; \
+	VANDNPS   Y0, Y1, Y0; \
+	VCMPPS    $0x1e, Y14, Y0, Y1; \
+	VBLENDVPS Y1, Y14, Y0, Y0
+
 // func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int)
 //
 // Eight elements at a time, the last len(seg) mod 8 through the same
 // operations on masked loads and stores, so no element's operations
-// depend on where the span starts or ends.
+// depend on where the span starts or ends. A mode with epiConvert takes a
+// loop of its own (rqLoop), chosen once per call, which converts, then
+// always applies the affine and never the bias, so the FP32 loop runs no
+// test for it.
 TEXT ·epilogueAVX2(SB), NOSPLIT, $0-48
 	MOVQ seg_base+0(FP), DI
 	MOVQ seg_len+8(FP), CX
@@ -259,6 +274,8 @@ TEXT ·epilogueAVX2(SB), NOSPLIT, $0-48
 	NEGQ DX
 	VMOVUPS 32(R8)(DX*4), Y10
 	XORQ AX, AX
+	TESTQ $8, BX
+	JNE   rqLoop
 
 epiLoop:
 	CMPQ AX, CX
@@ -285,10 +302,7 @@ epiNoBias:
 epiNoAffine:
 	TESTQ $4, BX
 	JEQ   epiStore
-	VCMPPS    $0x11, Y15, Y0, Y1 // LT_OQ: v < +0
-	VANDNPS   Y0, Y1, Y0
-	VCMPPS    $0x1e, Y14, Y0, Y1 // GT_OQ: v > hi
-	VBLENDVPS Y1, Y14, Y0, Y0
+	EPICLAMP
 
 epiStore:
 	CMPQ AX, CX
@@ -301,6 +315,39 @@ epiTailStore:
 	VMASKMOVPS Y0, Y10, (DI)(AX*4)
 
 epiDone:
+	VZEROUPPER
+	RET
+
+	// With epiConvert: the same loop on each element's int32 bits,
+	// converted, then the affine and the clamp when mode has it.
+rqLoop:
+	CMPQ AX, CX
+	JEQ  rqTailLoad
+	VMOVUPS (DI)(AX*4), Y0
+	JMP  rqBody
+
+rqTailLoad:
+	TESTQ DX, DX
+	JEQ   epiDone
+	VMASKMOVPS (DI)(AX*4), Y10, Y0
+
+rqBody:
+	VCVTDQ2PS Y0, Y0
+	VMULPS    Y12, Y0, Y0
+	VADDPS    Y13, Y0, Y0
+	TESTQ     $4, BX
+	JEQ       rqStore
+	EPICLAMP
+
+rqStore:
+	CMPQ AX, CX
+	JEQ  rqTailStore
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  rqLoop
+
+rqTailStore:
+	VMASKMOVPS Y0, Y10, (DI)(AX*4)
 	VZEROUPPER
 	RET
 
@@ -445,157 +492,6 @@ dwDone:
 	VZEROUPPER
 	RET
 
-// The AVX2 body of the int8 microkernel (qgemmPanelRows, qgemm.go): one
-// unit of six pixels against a panel's four-column groups, eight columns
-// at a time. A panel group's K-quad is 16 bytes, four codes of each of
-// its four columns; VPMOVSXBW widens it to int16, and VPMADDWD against a
-// pixel's four int16 codes broadcast to every quarter (VPBROADCASTQ)
-// gives each column two int32 partial sums. The K-block's quads
-// accumulate into them with VPADDD; then VPHADDD adds each pair and
-// VPERMQ puts the eight columns in order. Every step is integer and
-// exact: a VPMADDWD pair is at most 2*127*127, far from saturating, and
-// an int32 sum of products is the same in any order, so the accumulators
-// hold the Go loop's values bit for bit.
-
-// QPIX accumulates pixel OFF/128's quad at AX against the group's two
-// widened quads in Y12 and Y13 into A (columns 0-3) and B (4-7).
-#define QPIX(OFF, A, B) \
-	VPBROADCASTQ OFF(DX)(AX*1), Y14; \
-	VPMADDWD     Y14, Y12, Y15; \
-	VPADDD       Y15, A, A; \
-	VPMADDWD     Y14, Y13, Y15; \
-	VPADDD       Y15, B, B
-
-// QFOLD folds a pixel's pair sums in A and B into its eight columns in
-// order, in A.
-#define QFOLD(A, B) \
-	VPHADDD B, A, A; \
-	VPERMQ  $0xD8, A, A
-
-// func qgemmUnitAVX2(dst []int32, n, rows int, codes []int16, panel []byte, kb4, cols int)
-//
-// dst[p*n+c] += sum over g < kb4 of codes[p*64+g] * panel column c's code
-// g, for the pixels p < rows of a unit and the columns c < cols, cols a
-// multiple of four: the K-block's dot products for every full group of
-// four columns. The six pixels' accumulators (Y0-Y11) are zeroed per
-// group of eight columns, carried across all the quads and added into
-// dst once; a last group of four reads its quads twice (Y13 = Y12) and
-// stores only its low half. Pixels past rows are computed, never stored.
-// The caller has checked every bound.
-TEXT ·qgemmUnitAVX2(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ n+24(FP), BX
-	MOVQ rows+32(FP), CX
-	MOVQ codes_base+40(FP), DX
-	MOVQ panel_base+64(FP), SI
-	MOVQ kb4+88(FP), R13
-	MOVQ cols+96(FP), R9
-	SHLQ $2, BX             // a row's stride in bytes
-	LEAQ (BX)(BX*2), R11    // three rows'
-	LEAQ 0(R13*4), R8       // a four-column group's panel bytes
-	SHLQ $1, R13            // a pixel's codes' bytes: the quad loop's end
-
-qGroup:
-	TESTQ R9, R9
-	JEQ   qDone
-	MOVQ  SI, R10
-	CMPQ  R9, $8
-	JLT   qZero
-	ADDQ  R8, R10
-
-qZero:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	VPXOR Y8, Y8, Y8
-	VPXOR Y9, Y9, Y9
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	XORQ  AX, AX
-
-qQuad:
-	VPMOVSXBW (SI)(AX*2), Y12
-	VPMOVSXBW (R10)(AX*2), Y13
-	QPIX(0, Y0, Y1)
-	QPIX(128, Y2, Y3)
-	QPIX(256, Y4, Y5)
-	QPIX(384, Y6, Y7)
-	QPIX(512, Y8, Y9)
-	QPIX(640, Y10, Y11)
-	ADDQ $8, AX
-	CMPQ AX, R13
-	JNE  qQuad
-	QFOLD(Y0, Y1)
-	QFOLD(Y2, Y3)
-	QFOLD(Y4, Y5)
-	QFOLD(Y6, Y7)
-	QFOLD(Y8, Y9)
-	QFOLD(Y10, Y11)
-	LEAQ (DI)(BX*4), R12    // row 4
-	CMPQ R9, $8
-	JLT  qHalf
-	VPADDD  (DI), Y0, Y0
-	VMOVDQU Y0, (DI)
-	CMPQ    CX, $2
-	JLT     qNext
-	VPADDD  (DI)(BX*1), Y2, Y2
-	VMOVDQU Y2, (DI)(BX*1)
-	CMPQ    CX, $3
-	JLT     qNext
-	VPADDD  (DI)(BX*2), Y4, Y4
-	VMOVDQU Y4, (DI)(BX*2)
-	CMPQ    CX, $4
-	JLT     qNext
-	VPADDD  (DI)(R11*1), Y6, Y6
-	VMOVDQU Y6, (DI)(R11*1)
-	CMPQ    CX, $5
-	JLT     qNext
-	VPADDD  (R12), Y8, Y8
-	VMOVDQU Y8, (R12)
-	CMPQ    CX, $6
-	JLT     qNext
-	VPADDD  (R12)(BX*1), Y10, Y10
-	VMOVDQU Y10, (R12)(BX*1)
-
-qNext:
-	ADDQ $32, DI
-	LEAQ (SI)(R8*2), SI
-	SUBQ $8, R9
-	JMP  qGroup
-
-qHalf:
-	VPADDD  (DI), X0, X0
-	VMOVDQU X0, (DI)
-	CMPQ    CX, $2
-	JLT     qDone
-	VPADDD  (DI)(BX*1), X2, X2
-	VMOVDQU X2, (DI)(BX*1)
-	CMPQ    CX, $3
-	JLT     qDone
-	VPADDD  (DI)(BX*2), X4, X4
-	VMOVDQU X4, (DI)(BX*2)
-	CMPQ    CX, $4
-	JLT     qDone
-	VPADDD  (DI)(R11*1), X6, X6
-	VMOVDQU X6, (DI)(R11*1)
-	CMPQ    CX, $5
-	JLT     qDone
-	VPADDD  (R12), X8, X8
-	VMOVDQU X8, (R12)
-	CMPQ    CX, $6
-	JLT     qDone
-	VPADDD  (R12)(BX*1), X10, X10
-	VMOVDQU X10, (R12)(BX*1)
-
-qDone:
-	VZEROUPPER
-	RET
-
 // func qmacChainsAVX2(steps int) int32
 //
 // Twelve independent chains of eight int32 lanes, each step x =
@@ -673,118 +569,210 @@ qmacSum:
 	MOVL AX, ret+8(FP)
 	RET
 
-// The AVX2 body of the int8 requantize store (storeInt8, qprepack.go): an
-// 8x8 block of the band's pixel-major accumulators, eight pixels' rows of
-// eight channels, is converted and scaled row by row — each lane
-// requantizeStrided's float32(acc)*scale, rounded, then + bias, the
-// product first in both (VMULPS, VADDPS), and the ReLU/ReLU6 clamp as
-// epilogueAVX2 clamps — and then transposed in registers, so each channel
-// stores its eight pixels in one contiguous write.
+// The AVX2 body of the int8 microkernel (qpointwiseQuads, qgemm.go): the
+// channel-major product of pointwiseQuadsAVX2 on int8 codes, eight pixels
+// to a YMM register, one int32 lane per output. A pair row of the input
+// holds each pixel's codes of two consecutive K rows as an int16 pair, so
+// a 32-byte load is eight pixels' pairs; VPMADDWD against a channel's
+// weight pair broadcast to every lane (VPBROADCASTD, from the weights
+// widened to int16 on the frame) gives each pixel x0*w0 + x1*w1, which
+// VPADDD adds into its accumulator. Every step is integer and exact: a
+// pair sum is at most 2*127*127 in magnitude, far from VPMADDWD's
+// saturation, and an int32 sum of products is the same in any order, so
+// the accumulators hold the Go loop's values bit for bit.
 
-// RQROW converts, scales and biases the accumulator row at ADDR into R.
-#define RQROW(ADDR, R) \
-	VCVTDQ2PS ADDR, R; \
-	VMULPS    Y12, R, R; \
-	VADDPS    Y13, R, R
+// QPAIR16 accumulates the pair row at R12 against w0's pair at W(R8) and
+// w1's at W(R10), R13 bytes into the widened rows, for sixteen pixels:
+// into Y0 and Y1 (o0) and Y2 and Y3 (o1).
+#define QPAIR16(W) \
+	VMOVDQU      (R12), Y4; \
+	VMOVDQU      32(R12), Y5; \
+	VPBROADCASTD W(R8)(R13*1), Y6; \
+	VPMADDWD     Y6, Y4, Y7; \
+	VPADDD       Y7, Y0, Y0; \
+	VPMADDWD     Y6, Y5, Y7; \
+	VPADDD       Y7, Y1, Y1; \
+	VPBROADCASTD W(R10)(R13*1), Y6; \
+	VPMADDWD     Y6, Y4, Y7; \
+	VPADDD       Y7, Y2, Y2; \
+	VPMADDWD     Y6, Y5, Y7; \
+	VPADDD       Y7, Y3, Y3
 
-// RQCLAMP clamps R to [0, hi] as epilogueAVX2 does, through Y8.
-#define RQCLAMP(R) \
-	VCMPPS    $0x11, Y15, R, Y8; \
-	VANDNPS   R, Y8, R; \
-	VCMPPS    $0x1e, Y14, R, Y8; \
-	VBLENDVPS Y8, Y14, R, R
+// QPAIR8 is QPAIR16 for the eight pixels of Y4, loaded by the caller,
+// into Y0 (o0) and Y2 (o1).
+#define QPAIR8(W) \
+	VPBROADCASTD W(R8)(R13*1), Y6; \
+	VPMADDWD     Y6, Y4, Y7; \
+	VPADDD       Y7, Y0, Y0; \
+	VPBROADCASTD W(R10)(R13*1), Y6; \
+	VPMADDWD     Y6, Y4, Y7; \
+	VPADDD       Y7, Y2, Y2
 
-// func requantizeAVX2(out []float32, ncols int, acc []int32, cout, npix int, scale, bias *[8]float32, hi float32, clamp bool)
+// func qpointwiseQuadsAVX2(o0, o1 []int32, x []int16, stride int, w0, w1 []int8)
 //
-// out[k*ncols+i] = act(float32(acc[i*cout+k])*scale[k] + bias[k]) for
-// the channels k < 8 and the pixels i < npix, npix a multiple of eight;
-// act clamps to [0, hi] when clamp is set and is the identity otherwise.
-// The caller has checked every bound.
-TEXT ·requantizeAVX2(SB), NOSPLIT, $0-93
-	MOVQ out_base+0(FP), DI
-	MOVQ ncols+24(FP), R8
-	MOVQ acc_base+32(FP), SI
-	MOVQ cout+56(FP), R10
-	MOVQ npix+64(FP), CX
-	MOVQ scale+72(FP), BX
-	MOVQ bias+80(FP), DX
-	VBROADCASTSS hi+88(FP), Y14
-	MOVBQZX clamp+92(FP), AX
-	VMOVUPS (BX), Y12
-	VMOVUPS (DX), Y13
-	VXORPS  Y15, Y15, Y15
-	SHLQ $2, R8             // a channel's stride in bytes
-	LEAQ (R8)(R8*2), R9     // three channels'
-	SHLQ $2, R10            // a pixel's stride in bytes
-	LEAQ (R10)(R10*2), R11  // three pixels'
+// Pixels [0, len(o0)) of both rows, every K-quad of w0 and w1. First w0
+// and w1 are widened to int16 on the frame, sixteen codes a VPMOVSXBW,
+// the last len(w0) mod 16 one at a time and zeros up to the quad. Then
+// sixteen pixels at a time, then eight, the accumulators loaded once,
+// carried across all the quads (two pair rows, stride int16s apart) and
+// stored once; the last len(o0) mod 8 pixels run the same loop on masked
+// loads and stores, which touch no element past the run. The caller has
+// checked every bound, that len(w0) is at most 128 and that there is at
+// least one code.
+TEXT ·qpointwiseQuadsAVX2(SB), $512-128
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	MOVQ o1_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ stride+72(FP), BX
+	MOVQ w0_base+80(FP), R11
+	MOVQ w0_len+88(FP), R9
+	MOVQ w1_base+104(FP), R12
+	LEAQ 0(SP), R8          // w0 widened
+	LEAQ 256(SP), R10       // w1 widened
+	XORQ AX, AX
+	MOVQ R9, R13
+	ANDQ $-16, R13
 
-rqBlock:
-	TESTQ CX, CX
-	JEQ   rqDone
-	LEAQ  (SI)(R10*4), R12
-	RQROW((SI), Y0)
-	RQROW((SI)(R10*1), Y1)
-	RQROW((SI)(R10*2), Y2)
-	RQROW((SI)(R11*1), Y3)
-	RQROW((R12), Y4)
-	RQROW((R12)(R10*1), Y5)
-	RQROW((R12)(R10*2), Y6)
-	RQROW((R12)(R11*1), Y7)
-	TESTQ AX, AX
-	JEQ   rqTranspose
-	RQCLAMP(Y0)
-	RQCLAMP(Y1)
-	RQCLAMP(Y2)
-	RQCLAMP(Y3)
-	RQCLAMP(Y4)
-	RQCLAMP(Y5)
-	RQCLAMP(Y6)
-	RQCLAMP(Y7)
+qWiden16:
+	CMPQ AX, R13
+	JEQ  qWiden1
+	VPMOVSXBW (R11)(AX*1), Y0
+	VMOVDQU   Y0, (R8)(AX*2)
+	VPMOVSXBW (R12)(AX*1), Y1
+	VMOVDQU   Y1, (R10)(AX*2)
+	ADDQ $16, AX
+	JMP  qWiden16
 
-rqTranspose:
-	// Pairs of rows interleaved: t0 = Y8, t1 = Y9, t2 = Y0, t3 = Y1,
-	// t4 = Y10, t5 = Y11, t6 = Y2, t7 = Y3.
-	VUNPCKLPS Y1, Y0, Y8
-	VUNPCKHPS Y1, Y0, Y9
-	VUNPCKLPS Y3, Y2, Y0
-	VUNPCKHPS Y3, Y2, Y1
-	VUNPCKLPS Y5, Y4, Y10
-	VUNPCKHPS Y5, Y4, Y11
-	VUNPCKLPS Y7, Y6, Y2
-	VUNPCKHPS Y7, Y6, Y3
-	// Quads: pixels 0-3 of channels 0|4, 1|5, 2|6, 3|7 in Y4-Y7, pixels
-	// 4-7 of them in Y0, Y1, Y8, Y9.
-	VSHUFPS $0x44, Y0, Y8, Y4
-	VSHUFPS $0xEE, Y0, Y8, Y5
-	VSHUFPS $0x44, Y1, Y9, Y6
-	VSHUFPS $0xEE, Y1, Y9, Y7
-	VSHUFPS $0x44, Y2, Y10, Y0
-	VSHUFPS $0xEE, Y2, Y10, Y1
-	VSHUFPS $0x44, Y3, Y11, Y8
-	VSHUFPS $0xEE, Y3, Y11, Y9
-	// Halves joined: each channel's eight pixels, stored.
-	LEAQ (DI)(R8*4), R12
-	VPERM2F128 $0x20, Y0, Y4, Y10
-	VMOVUPS    Y10, (DI)
-	VPERM2F128 $0x31, Y0, Y4, Y10
-	VMOVUPS    Y10, (R12)
-	VPERM2F128 $0x20, Y1, Y5, Y10
-	VMOVUPS    Y10, (DI)(R8*1)
-	VPERM2F128 $0x31, Y1, Y5, Y10
-	VMOVUPS    Y10, (R12)(R8*1)
-	VPERM2F128 $0x20, Y8, Y6, Y10
-	VMOVUPS    Y10, (DI)(R8*2)
-	VPERM2F128 $0x31, Y8, Y6, Y10
-	VMOVUPS    Y10, (R12)(R8*2)
-	VPERM2F128 $0x20, Y9, Y7, Y10
-	VMOVUPS    Y10, (DI)(R9*1)
-	VPERM2F128 $0x31, Y9, Y7, Y10
-	VMOVUPS    Y10, (R12)(R9*1)
-	LEAQ (SI)(R10*8), SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JMP  rqBlock
+qWiden1:
+	CMPQ AX, R9
+	JEQ  qWidenPad
+	MOVBWSX (R11)(AX*1), R13
+	MOVW    R13, (R8)(AX*2)
+	MOVBWSX (R12)(AX*1), R13
+	MOVW    R13, (R10)(AX*2)
+	INCQ AX
+	JMP  qWiden1
 
-rqDone:
+qWidenPad:
+	TESTQ $3, AX
+	JEQ   qWidened
+	MOVW $0, (R8)(AX*2)
+	MOVW $0, (R10)(AX*2)
+	INCQ AX
+	JMP  qWidenPad
+
+qWidened:
+	LEAQ 0(AX*2), R9        // the quads' weight bytes
+	SHLQ $1, BX             // a pair row's stride in bytes
+	XORQ AX, AX             // the group's first pixel
+	MOVQ CX, R11
+	ANDQ $-16, R11          // the pairs of groups' pixels
+
+q16:
+	CMPQ AX, R11
+	JEQ  q8
+	VMOVDQU (DI)(AX*4), Y0
+	VMOVDQU 32(DI)(AX*4), Y1
+	VMOVDQU (SI)(AX*4), Y2
+	VMOVDQU 32(SI)(AX*4), Y3
+	LEAQ    (DX)(AX*4), R12
+	XORQ    R13, R13
+
+q16Quad:
+	QPAIR16(0)
+	ADDQ    BX, R12
+	QPAIR16(4)
+	ADDQ    BX, R12
+	ADDQ    $8, R13
+	CMPQ    R13, R9
+	JNE     q16Quad
+	VMOVDQU Y0, (DI)(AX*4)
+	VMOVDQU Y1, 32(DI)(AX*4)
+	VMOVDQU Y2, (SI)(AX*4)
+	VMOVDQU Y3, 32(SI)(AX*4)
+	ADDQ    $16, AX
+	JMP     q16
+
+q8:
+	MOVQ CX, R11
+	ANDQ $-8, R11
+	CMPQ AX, R11
+	JEQ  qTail
+	VMOVDQU (DI)(AX*4), Y0
+	VMOVDQU (SI)(AX*4), Y2
+	LEAQ    (DX)(AX*4), R12
+	XORQ    R13, R13
+
+q8Quad:
+	VMOVDQU (R12), Y4
+	QPAIR8(0)
+	ADDQ    BX, R12
+	VMOVDQU (R12), Y4
+	QPAIR8(4)
+	ADDQ    BX, R12
+	ADDQ    $8, R13
+	CMPQ    R13, R9
+	JNE     q8Quad
+	VMOVDQU Y0, (DI)(AX*4)
+	VMOVDQU Y2, (SI)(AX*4)
+	ADDQ    $8, AX
+
+qTail:
+	SUBQ AX, CX             // r = len(o0) mod 8
+	JEQ  qDone
+	LEAQ tailMask<>(SB), R12
+	NEGQ CX
+	VMOVDQU 32(R12)(CX*4), Y5
+	VPMASKMOVD (DI)(AX*4), Y5, Y0
+	VPMASKMOVD (SI)(AX*4), Y5, Y2
+	LEAQ    (DX)(AX*4), R12
+	XORQ    R13, R13
+
+qTailQuad:
+	VPMASKMOVD (R12), Y5, Y4
+	QPAIR8(0)
+	ADDQ       BX, R12
+	VPMASKMOVD (R12), Y5, Y4
+	QPAIR8(4)
+	ADDQ       BX, R12
+	ADDQ       $8, R13
+	CMPQ       R13, R9
+	JNE        qTailQuad
+	VPMASKMOVD Y0, Y5, (DI)(AX*4)
+	VPMASKMOVD Y2, Y5, (SI)(AX*4)
+
+qDone:
+	VZEROUPPER
+	RET
+
+// func interleaveAVX2(dst, a, b []int16)
+//
+// dst[2i] = a[i] and dst[2i+1] = b[i] for i < len(a), a multiple of
+// sixteen: VPUNPCKLWD and VPUNPCKHWD pair each half-lane's codes, and
+// VPERM2I128 puts the four runs of four pixels back in order. The caller
+// has checked every bound.
+TEXT ·interleaveAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+
+ilLoop:
+	CMPQ AX, CX
+	JEQ  ilDone
+	VMOVDQU    (SI)(AX*2), Y0
+	VMOVDQU    (DX)(AX*2), Y1
+	VPUNPCKLWD Y1, Y0, Y2   // pixels 0-3 | 8-11
+	VPUNPCKHWD Y1, Y0, Y3   // pixels 4-7 | 12-15
+	VPERM2I128 $0x20, Y3, Y2, Y4
+	VPERM2I128 $0x31, Y3, Y2, Y5
+	VMOVDQU    Y4, (DI)(AX*4)
+	VMOVDQU    Y5, 32(DI)(AX*4)
+	ADDQ $16, AX
+	JMP  ilLoop
+
+ilDone:
 	VZEROUPPER
 	RET

@@ -31,7 +31,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 // is set.
 func matMulJob(dst, a, b []float32, m, k, n int, byPairs bool) *convJob {
 	return &convJob{out: dst, in: b, w: a, k: k, npix: n, spec: Conv2DSpec{Stride: 1}, byPairs: byPairs,
-		geo: convGeom{cin: k, h: 1, wd: n, cout: m, kh: 1, kw: 1, hout: 1, wout: n}}
+		geo: convGeom{cin: k, h: 1, wd: n, cout: m, kh: 1, kw: 1, hout: 1, wout: n}, kernel: (*convJob).band}
 }
 
 // blockedMatMul is a x b through the channel-major kernel on the calling
@@ -91,34 +91,6 @@ func TestMatMulParallelBitwiseEqualsSerial(t *testing.T) {
 	for i := range serial.Data {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("element %d: serial %v != parallel %v", i, serial.Data[i], parallel.Data[i])
-		}
-	}
-}
-
-// TestConvUnitRange pins the unit-to-pixel mapping the band pass cuts
-// chunks with: boundaries on whole units everywhere — even pixels, whole
-// lane triples — the plane's short remainder owned by the last unit, and
-// full coverage of [0, m).
-func TestConvUnitRange(t *testing.T) {
-	cases := []struct {
-		lo, hi, m, plo, phi int
-	}{
-		{0, 2, 24, 0, 12},
-		{2, 4, 24, 12, 24},
-		{0, 3, 13, 0, 13},  // last unit absorbs the one-pixel remainder
-		{2, 3, 17, 12, 17}, // remainder unit alone
-		{0, 1, 1, 0, 1},    // m=1: a single lone pixel
-		{0, 29, 169, 0, 169},
-		{11, 22, 169, convBandPixels, 2 * convBandPixels},
-	}
-	for _, c := range cases {
-		plo, phi := convUnitRange(c.lo, c.hi, c.m)
-		if plo != c.plo || phi != c.phi {
-			t.Errorf("convUnitRange(%d, %d, m=%d) = [%d, %d), want [%d, %d)",
-				c.lo, c.hi, c.m, plo, phi, c.plo, c.phi)
-		}
-		if plo%2 != 0 || plo%qgemmLanes != 0 {
-			t.Errorf("convUnitRange(%d, %d, m=%d): shard start %d is not on a row pair and a lane triple", c.lo, c.hi, c.m, plo)
 		}
 	}
 }

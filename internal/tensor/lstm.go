@@ -43,7 +43,7 @@ func lstmCellStep(w *Tensor, bias, x, h, c []float32) (hNext, cNext []float32) {
 		f := sigmoid32(gates[hidden+j])
 		g := tanh32(gates[2*hidden+j])
 		o := sigmoid32(gates[3*hidden+j])
-		cNext[j] = f*c[j] + i*g
+		cNext[j] = float32(f*c[j]) + float32(i*g)
 		hNext[j] = o * tanh32(cNext[j])
 	}
 	return hNext, cNext

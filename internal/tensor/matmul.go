@@ -37,7 +37,8 @@ func matVecInto(out, a, x []float32, m, k int) {
 // step, so four rows go at once, each on its own chain over the same
 // x[j]: each row's operations and their order are exactly the one-row
 // loop's, only the four chains' adds overlap in the pipeline. The
-// (hi-lo) mod 4 tail rows go one at a time.
+// (hi-lo) mod 4 tail rows go one at a time. Every product is rounded on
+// its own (float32(...)), so no architecture fuses it into the add.
 func matVecRange(out, a, x []float32, k, lo, hi int) {
 	x = x[:k]
 	i := lo
@@ -48,10 +49,10 @@ func matVecRange(out, a, x []float32, k, lo, hi int) {
 		r3 := a[(i+3)*k : (i+4)*k]
 		var s0, s1, s2, s3 float32
 		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+			s0 += float32(r0[j] * xj)
+			s1 += float32(r1[j] * xj)
+			s2 += float32(r2[j] * xj)
+			s3 += float32(r3[j] * xj)
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
 	}
@@ -59,7 +60,7 @@ func matVecRange(out, a, x []float32, k, lo, hi int) {
 		row := a[i*k : (i+1)*k]
 		var sum float32
 		for j, v := range row {
-			sum += v * x[j]
+			sum += float32(v * x[j])
 		}
 		out[i] = sum
 	}

@@ -26,7 +26,7 @@ func FoldBatchNorm(w *Tensor, bias, gamma, beta, mean, variance []float32, eps f
 		if bias != nil {
 			b = bias[oc]
 		}
-		fb[oc] = (b-mean[oc])*scale + beta[oc]
+		fb[oc] = float32((b-mean[oc])*scale) + beta[oc]
 	}
 	return fw, fb
 }

@@ -144,7 +144,8 @@ func TestPointwiseConvMatchesTransposed(t *testing.T) {
 				got, want := dirty(cout, h, wd), dirty(cout, h, wd)
 				Conv2DInto(got, in, w, bias, Conv2DSpec{Stride: 1}, epi)
 				j := &convJob{out: want.Data, in: in.Data, w: w.Data, spec: Conv2DSpec{Stride: 1}.check(), k: cin, npix: h * wd,
-					bias: bias, epi: epi, staged: true, geo: convGeometry(want, in, w.Shape, bias, Conv2DSpec{Stride: 1})}
+					bias: bias, epi: epi, staged: true, geo: convGeometry(want, in, w.Shape, bias, Conv2DSpec{Stride: 1}),
+					kernel: (*convJob).band}
 				j.shard(0, h*wd)
 				if !bitsOrNaN(got.Data, want.Data) {
 					t.Errorf("act=%d affine=%v bias=%v: in-place and staged reads differ", act, len(epi.Scale) > 0, bias != nil)
@@ -215,7 +216,7 @@ func testKxKConvSaltedMatchesReference(t *testing.T) {
 					t.Fatalf("K%d %+v: output %v, want %dx%d", k, spec, want.Shape, o[0], o[1])
 				}
 				got := dirty(want.Shape...)
-				poisonBandScratch(0)
+				poisonBandScratch()
 				Conv2DInto(got, in, w, bias, spec, epi)
 				if !bitsOrNaN(got.Data, want.Data) {
 					t.Errorf("K%d (%dx%dx%d) cout%d spec %+v out %dx%d bias=%v affine=%v: staged conv differs from the loop-nest reference",

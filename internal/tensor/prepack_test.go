@@ -145,25 +145,26 @@ func TestConv2DPrepackedLargeParallel(t *testing.T) {
 	checkBandedConv(t, "large", in, w, nil, Conv2DSpec{Stride: 1, Pad: 1}, Epilogue{})
 }
 
-// TestQGemmPrepackedMatchesSerial pins the int8 twin: the tile loop on
-// packed panels, whole, sharded and split, equals the plain triple loop,
-// including the odd-M single-row remainder and K blocks past qgemmKC.
+// TestQGemmPrepackedMatchesSerial pins the int8 twin: the int8
+// convolution as a GEMM on its weight codes in place, whole, sharded and
+// split, equals the plain triple loop, including odd M and K-blocks past
+// gemmKC.
 func TestQGemmPrepackedMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	cases := []struct{ m, k, n int }{
-		{1, 1, 1}, {2, 7, 3}, {5, qgemmKC, 9}, {3, qgemmKC - 1, 7}, // odd m: pair remainder
-		{4, qgemmKC + 5, 17}, {7, 300, qgemmNC + 3}, {9, 37, 11},
+		{1, 1, 1}, {2, 7, 3}, {5, gemmKC, 9}, {3, gemmKC - 1, 7},
+		{4, gemmKC + 5, 17}, {7, 300, 515}, {9, 37, 11},
 	}
 	for _, c := range cases {
 		checkQGemmKernels(t, "prepacked", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
 	}
 }
 
-// TestConv2DQPrepackedMatchesUnpacked: the int8 conv on packed panels,
-// reused or fresh, must be bitwise identical to the loop-nest reference
-// under both per-tensor and per-channel weight quantization, with and
-// without activations, on odd output-pixel counts (odd-M row pairs in
-// the transposed GEMM).
+// TestConv2DQPrepackedMatchesUnpacked: the int8 conv on its codes in
+// place, on fresh and on recycled scratch, must be bitwise identical to
+// the loop-nest reference under both per-tensor and per-channel weight
+// quantization, with and without activations, on odd output-pixel
+// counts.
 func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	cases := []convCase{
@@ -181,16 +182,15 @@ func TestConv2DQPrepackedMatchesUnpacked(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			for _, act := range []Act{ActNone, ActReLU, ActLeakyReLU} {
 				name := fmt.Sprintf("%s act=%d perchannel=%v", c.name, act, qw.Scales != nil)
-				checkBandedQConv(t, name, in, qw, PackQConvWeights(qw), bias, c.spec, act)
+				checkBandedQConv(t, name, in, qw, bias, c.spec, act)
 			}
 		}
 	}
 }
 
 // TestDenseQPrepackedMatchesUnpacked: int8 dense, the 1x1 conv of its
-// input's [In, 1, 1] view on packed panels (qdenseView, as the graph runs
-// it), vs the loop-nest reference on the unpacked codes, per-tensor and
-// per-channel.
+// input's [In, 1, 1] view on its codes in place (qdenseView, as the graph
+// runs it), vs the loop-nest reference, per-tensor and per-channel.
 func TestDenseQPrepackedMatchesUnpacked(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	for _, dims := range [][2]int{{7, 13}, {33, 300}, {64, 129}} {
@@ -234,7 +234,7 @@ func TestConv2DPrepackedScratchPool(t *testing.T) {
 		for p := 0; p < j.npix; p += gemmBand {
 			j.band(new(convScratch), 0, (c.cout+1)/2, p, min(p+gemmBand, j.npix)) // scratch nothing has touched
 		}
-		poisonBandScratch(0)
+		poisonBandScratch()
 		got := dirty(want.Shape...)
 		Conv2DInto(got, in, w, nil, spec, Epilogue{})
 		if !bitsEqual(got.Data, want.Data) {

@@ -54,13 +54,6 @@ func DepthwiseVector(h, wd, kh, kw int, spec Conv2DSpec) bool {
 	return depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW) && depthwiseRowVector(spec.Stride)
 }
 
-// Int8ConvVector reports whether an int8 convolution with cout output
-// channels runs its dot products on the vector body (qgemmUnitAVX2): the
-// predicate qgemmPanelRows dispatches on, for the layer's first panel.
-func Int8ConvVector(cout int) bool {
-	return qgemmVector(min(cout, qgemmNC))
-}
-
 // FMULVectorWide is the number of multiply-adds one step of
 // FMULVectorChains does: FMULChainsWide chains of eight lanes.
 const FMULVectorWide = 8 * FMULChainsWide
@@ -81,8 +74,8 @@ func FMULVectorChains(steps int) float32 {
 const IMULChainsWide = 8
 
 // IMULChains runs eight independent 64-bit multiply-add chains for steps
-// steps: the multiplies the int8 kernel's SWAR lanes ride on. The result
-// keeps the chains live.
+// steps: the integer multiplies the int8 kernel's Go loop issues, one a
+// MAC. The result keeps the chains live.
 func IMULChains(steps int) int64 {
 	m, c := probeSeed+0x5851f42d4c957f2d, probeSeed+0x14057b7ef767814f
 	x0, x1, x2, x3, x4, x5, x6, x7 := c, c+1, c+2, c+3, c+4, c+5, c+6, c+7

@@ -80,8 +80,8 @@ func refQDense(qw *QTensor, bias, x []float32, act Act, alpha float32) []float32
 func qdenseView(dst []float32, qw *QTensor, bias, x []float32, act Act, alpha float32) {
 	view := *qw
 	view.Shape = Shape{qw.Shape[0], qw.Shape[1], 1, 1}
-	Conv2DQPrepackedInto(&Tensor{Shape: Shape{len(dst), 1, 1}, Data: dst}, &Tensor{Shape: view.Shape[1:], Data: x},
-		PackQConvWeights(&view), bias, Conv2DSpec{}, act, alpha)
+	Conv2DQInto(&Tensor{Shape: Shape{len(dst), 1, 1}, Data: dst}, &Tensor{Shape: view.Shape[1:], Data: x}, &view,
+		bias, Conv2DSpec{}, act, alpha)
 }
 
 func randTensor(r *rand.Rand, shape ...int) *Tensor {
@@ -120,7 +120,7 @@ func testConv2DQInt8MatchesIntegerReference(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			want := refQConv(in, qw, bias, tc.spec, tc.act, 0.1)
 			got := New(want.Shape...)
-			Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), bias, tc.spec, tc.act, 0.1)
+			Conv2DQInto(got, in, qw, bias, tc.spec, tc.act, 0.1)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("case %+v: out[%d] = %g, want %g", tc, i, got.Data[i], want.Data[i])
@@ -139,7 +139,7 @@ func TestConv2DQInt8CloseToFP32(t *testing.T) {
 	ref := refConvBlocked(in, w, bias, spec, Epilogue{})
 	got := New(ref.Shape...)
 	qw := QuantizePerChannel(w)
-	Conv2DQPrepackedInto(got, in, PackQConvWeights(qw), bias, spec, ActNone, 0)
+	Conv2DQInto(got, in, qw, bias, spec, ActNone, 0)
 	var maxDiff, maxMag float64
 	for i := range ref.Data {
 		d := math.Abs(float64(got.Data[i] - ref.Data[i]))

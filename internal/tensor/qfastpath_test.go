@@ -7,29 +7,25 @@ import (
 	"testing"
 )
 
-// Bit-exact differential tests for the int8 fast paths: the banded
-// prepacked convolution, the sharded activation quantizer, the max-pool
-// interior path, and the int8 microkernel, its vector body and its
-// four-column SWAR Go loop (the tests that reach it run on both paths,
-// onEachPath). Each is compared with a loop nest that shares no code with
-// it, so any difference at all is a bug.
+// Bit-exact differential tests for the int8 fast paths: the channel-major
+// int8 convolution, the sharded activation quantizer, the max-pool
+// interior path, and the int8 microkernel, its vector body and its plain
+// int32 Go loop (the tests that reach it run on both paths, onEachPath).
+// Each is compared with a loop nest that shares no code with it, so any
+// difference at all is a bug.
 
-// checkBandedQConv runs the int8 conv on panels packed ahead of time (pq,
-// which callers reuse across calls) and on panels packed from qw for this
-// call, and requires both to equal the loop-nest reference refQConv bit
-// for bit.
-func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, pq *PackedQWeights, bias []float32, spec Conv2DSpec, act Act) {
+// checkBandedQConv runs the int8 conv twice into NaN-poisoned outputs, the
+// second call on the scratch the first left behind, and requires both to
+// equal the loop-nest reference refQConv bit for bit.
+func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act) {
 	t.Helper()
 	want := refQConv(in, qw, bias, spec, act, 0.1)
-	got := dirty(want.Shape...)
-	Conv2DQPrepackedInto(got, in, pq, bias, spec, act, 0.1)
-	if !bitsEqual(got.Data, want.Data) {
-		t.Errorf("%s: banded prepacked int8 conv differs from the loop-nest reference", name)
-	}
-	unpacked := dirty(want.Shape...)
-	Conv2DQPrepackedInto(unpacked, in, PackQConvWeights(qw), bias, spec, act, 0.1)
-	if !bitsEqual(unpacked.Data, want.Data) {
-		t.Errorf("%s: int8 conv packed per call differs from the loop-nest reference", name)
+	for _, call := range []string{"first", "second"} {
+		got := dirty(want.Shape...)
+		Conv2DQInto(got, in, qw, bias, spec, act, 0.1)
+		if !bitsEqual(got.Data, want.Data) {
+			t.Errorf("%s: %s int8 conv call differs from the loop-nest reference", name, call)
+		}
 	}
 }
 
@@ -52,7 +48,6 @@ func testConv2DQPrepackedBandSweep(t *testing.T) {
 		planes := [][2]int{{4, 6}, {7, 5}, {2, 9}, {k, k}}
 		w := randTensor(r, cout, cin, k, k)
 		quantized := []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)}
-		packed := []*PackedQWeights{PackQConvWeights(quantized[0]), PackQConvWeights(quantized[1])}
 		for stride := 1; stride <= 3; stride++ {
 			for padH := 0; padH <= 2; padH++ {
 				for padW := 0; padW <= 2; padW++ {
@@ -78,7 +73,7 @@ func testConv2DQPrepackedBandSweep(t *testing.T) {
 								for _, act := range acts {
 									name := fmt.Sprintf("k%d s%d pad%dx%d in%dx%d bias=%v perchannel=%v act=%d",
 										k, stride, padH, padW, h, wd, bias != nil, qi == 1, act)
-									checkBandedQConv(t, name, in, qw, packed[qi], bias, spec, act)
+									checkBandedQConv(t, name, in, qw, bias, spec, act)
 									cases++
 								}
 							}
@@ -95,9 +90,9 @@ func testConv2DQPrepackedBandSweep(t *testing.T) {
 
 // TestConv2DQPrepackedShardedBands uses layers above the parallel
 // threshold with an odd pixel count, so the pooled run cuts several
-// bands, none a multiple of the requantize tile: a 3x3 padded conv
-// (interior and bounds-tested staging), a strided one, and a 1x1 (every
-// window interior, band edges inside a chunk), on both paths.
+// bands, none a multiple of the vector body's eight pixels: a 3x3 padded
+// conv, a strided one, and a 1x1 (band edges inside a chunk), on both
+// paths.
 func TestConv2DQPrepackedShardedBands(t *testing.T) {
 	onEachPath(t, testConv2DQPrepackedShardedBands)
 }
@@ -116,9 +111,8 @@ func testConv2DQPrepackedShardedBands(t *testing.T) {
 			t.Fatalf("%s: %d pixels do not exercise the sharded odd-row path", c.name, ncols)
 		}
 		qw := QuantizePerChannel(randTensor(r, c.cout, c.cin, c.kh, c.kw))
-		pq := PackQConvWeights(qw)
 		bias := randTensor(r, c.cout).Data
-		checkBandedQConv(t, c.name, randTensor(r, c.cin, c.h, c.w), qw, pq, bias, spec, ActReLU)
+		checkBandedQConv(t, c.name, randTensor(r, c.cin, c.h, c.w), qw, bias, spec, ActReLU)
 	}
 }
 
@@ -128,7 +122,11 @@ func quantizeDynamic(dst []int8, src []float32) float32 {
 	s := qscratchPool.Get().(*qscratch)
 	defer qscratchPool.Put(s)
 	scale := s.absScale(src)
-	s.quantizeRound(dst, src, 1/scale)
+	codes := make([]int16, len(src))
+	s.quantizeRound(codes, src, len(src), false, 1/scale)
+	for i, c := range codes {
+		dst[i] = int8(c)
+	}
 	return scale
 }
 
@@ -362,10 +360,11 @@ func TestMaxPoolSpecialWindows(t *testing.T) {
 	}
 }
 
-// checkQGemmKernels asserts the int8 tile loop over all rows, sharded by
-// rows across the pool, and run as two row ranges split at rows 1, 2, 4
-// and 5 (so the lane triples and the vector body's units fall
-// differently), equals the plain triple loop.
+// checkQGemmKernels asserts the int8 convolution as a GEMM (matrixJob)
+// over all rows, sharded by rows across the pool, and run as two row
+// ranges split at rows 1, 2, 4, 5, 8 and 17 (so the vector body's groups
+// of sixteen and eight and its masked tail fall differently), equals the
+// plain triple loop.
 func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	t.Helper()
 	want := make([]int32, m*n)
@@ -388,26 +387,25 @@ func checkQGemmKernels(t *testing.T, name string, a, b []int8, m, k, n int) {
 	qgemmSharded(got, a, b, m, k, n, 1)
 	check("sharded by rows", got)
 
-	pq := packB(b, k, n)
-	for _, split := range []int{1, 2, 4, 5} {
+	j := matrixJob(a, packB(b, k, n), m, k, n)
+	for _, split := range []int{1, 2, 4, 5, 8, 17} {
 		if split >= m {
 			break
 		}
 		for i := range got {
 			got[i] = math.MinInt32
 		}
-		qRowRange(got, a, pq, 0, split)
-		qRowRange(got, a, pq, split, m)
+		qRowRange(got, j, 0, split)
+		qRowRange(got, j, split, m)
 		check(fmt.Sprintf("row-range split at %d", split), got)
 	}
 }
 
-// TestQGemmPanelRowsMatchesNaive covers M mod 3 of 0, 1 and 2 (a short
-// last lane triple of one or two rows, repeating its last row into the
-// sink, M = 1 as the dense layer runs it), N mod 4 of 0 to 3 (the column
-// tail after the four-column groups), K off the interleave, more than one
-// K- and N-block (short triples on a full-width sink too), and a 64-row
-// band; on both paths.
+// TestQGemmPanelRowsMatchesNaive covers the int8 microkernel's pixel
+// counts (M) of every residue mod 16 (groups of sixteen, a group of eight,
+// the masked tail, M = 1 as the dense layer runs it), odd N (a last
+// channel paired with itself, its partner in the sink), K off the quad,
+// more than one K-block, and a 64-row band; on both paths.
 func TestQGemmPanelRowsMatchesNaive(t *testing.T) {
 	onEachPath(t, testQGemmPanelRowsMatchesNaive)
 }
@@ -416,90 +414,93 @@ func testQGemmPanelRowsMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	for _, c := range []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 9, 4}, {2, 8, 5}, {3, 7, 6}, {4, 13, 7}, {5, 16, 8},
-		{1, 30, 11}, {7, qgemmKC + 2, 9}, {6, 2*qgemmKC + 3, 10},
-		{5, 30, qgemmNC + 3}, {9, qgemmKC - 1, 2*qgemmNC + 1}, {64, 144, 64},
-		{8, qgemmKC, 13}, {10, 3*qgemmKC + 1, 14}, {11, 70, 3}, {2, 5, 2},
-		{64, 4 * qgemmKC, 1000},
-		{13, qgemmKC + 5, qgemmNC + 6}, {14, 2 * qgemmKC, qgemmNC + 7}, {65, 33, 2*qgemmNC + 2},
+		{1, 30, 11}, {7, gemmKC + 2, 9}, {6, 2*gemmKC + 3, 10},
+		{5, 30, 515}, {9, gemmKC - 1, 1025}, {64, 144, 64},
+		{8, gemmKC, 13}, {10, 3*gemmKC + 1, 14}, {11, 70, 3}, {2, 5, 2},
+		{64, 4 * gemmKC, 1000}, {15, 27, 17}, {16, 75, 3}, {17, 147, 5}, {31, 33, 1},
+		{13, gemmKC + 5, 518}, {14, 2 * gemmKC, 519}, {65, 33, 1026},
 	} {
 		checkQGemmKernels(t, "random", randQ(r, c.m*c.k), randQ(r, c.k*c.n), c.m, c.k, c.n)
 	}
 }
 
-// TestQGemmLaneSumEdge pins every code at +-127 over a full
-// qgemmKC-deep K-block, the largest lane sum a column accumulator can
-// reach (127*127*qgemmKC in each lane): row triples in all eight sign
-// patterns, against columns of either sign, through the four-column
-// groups and the column tail, on both paths.
+// TestQGemmLaneSumEdge pins every code at +-127 over a full gemmKC-deep
+// K-block, the largest pair sum a VPMADDWD forms (2*127*127) in every
+// lane: rows in every sign pattern of three, against columns of either
+// sign and of both, for even and odd channel counts, on both paths.
 func TestQGemmLaneSumEdge(t *testing.T) {
 	onEachPath(t, testQGemmLaneSumEdge)
 }
 
 func testQGemmLaneSumEdge(t *testing.T) {
-	const m, k, n = 3 * 8, qgemmKC, 7
-	for _, colSign := range [][]int8{{127}, {-127}, {127, -127}} {
-		a := make([]int8, m*k)
-		for i := range a {
-			triple, lane := i/k/3, i/k%3
-			a[i] = 127
-			if triple>>lane&1 == 1 {
-				a[i] = -127
+	const m, k = 3 * 8, gemmKC
+	for _, n := range []int{7, 8} {
+		for _, colSign := range [][]int8{{127}, {-127}, {127, -127}} {
+			a := make([]int8, m*k)
+			for i := range a {
+				triple, lane := i/k/3, i/k%3
+				a[i] = 127
+				if triple>>lane&1 == 1 {
+					a[i] = -127
+				}
 			}
+			b := make([]int8, k*n)
+			for i := range b {
+				b[i] = colSign[(i%n)%len(colSign)]
+			}
+			checkQGemmKernels(t, fmt.Sprintf("pinned cols %v n=%d", colSign, n), a, b, m, k, n)
 		}
-		b := make([]int8, k*n)
-		for i := range b {
-			b[i] = colSign[(i%n)%len(colSign)]
-		}
-		checkQGemmKernels(t, fmt.Sprintf("pinned cols %v", colSign), a, b, m, k, n)
 	}
 }
 
-// TestQGemmRowRangeWritesOnlyItsRows runs the tile loop on row ranges that
-// end on a short lane triple of one row and of two, inside and at either
-// end of dst, with one N-block and with two: rows outside [rlo, rhi) keep
-// their sentinel, so neither the range's edges nor the repeated rows a
-// short triple sends to its sink (or a short unit computes and does not
-// store) ever reach them, on both paths.
+// TestQGemmRowRangeWritesOnlyItsRows runs the int8 convolution on pixel
+// ranges inside and at either end of the plane, even and odd channel
+// counts, with one K-block and with two: every output outside [rlo, rhi)
+// keeps its sentinel, so neither the range's edges, the vector body's
+// masked tail nor an odd channel's partner row ever reach them, on both
+// paths.
 func TestQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
 	onEachPath(t, testQGemmRowRangeWritesOnlyItsRows)
 }
 
 func testQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
-	const m, k, sentinel = 10, qgemmKC + 6, math.MinInt32 + 7
+	const m, sentinel = 37, 0x7fc0dead
 	r := rand.New(rand.NewSource(131))
-	for _, n := range []int{9, qgemmNC + 5} {
-		a, b := randQ(r, m*k), randQ(r, k*n)
-		want := make([]int32, m*n)
-		qnaive(want, a, b, m, k, n)
-		pq := packB(b, k, n)
-		for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}, {0, 7}, {1, 9}, {5, 10}, {0, 2}} {
-			got := make([]int32, m*n)
-			for i := range got {
-				got[i] = sentinel
-			}
-			qRowRange(got, a, pq, rr[0], rr[1])
-			for i := range got {
-				in := i/n >= rr[0] && i/n < rr[1]
-				if in && got[i] != want[i] {
-					t.Fatalf("n=%d rows %v: dst[%d] = %d, want %d", n, rr, i, got[i], want[i])
+	for _, n := range []int{9, 516} {
+		for _, k := range []int{gemmKC - 6, gemmKC + 6} {
+			a, b := randQ(r, m*k), randQ(r, k*n)
+			want := make([]int32, m*n)
+			qnaive(want, a, b, m, k, n)
+			j := matrixJob(a, packB(b, k, n), m, k, n)
+			for _, rr := range [][2]int{{2, 6}, {3, 8}, {0, 1}, {0, 5}, {8, 10}, {9, 10}, {4, 5}, {0, 17}, {1, 25}, {20, 37}, {36, 37}} {
+				for i := range j.out {
+					j.out[i] = math.Float32frombits(sentinel)
 				}
-				if !in && got[i] != sentinel {
-					t.Fatalf("n=%d rows %v: row %d outside the range was written: dst[%d] = %d", n, rr, i/n, i, got[i])
+				j.shard(rr[0], rr[1])
+				for i, v := range j.out {
+					c, p := i/m, i%m
+					if p >= rr[0] && p < rr[1] {
+						if int32(v) != want[p*n+c] {
+							t.Fatalf("n=%d k=%d rows %v: channel %d pixel %d = %v, want %d", n, k, rr, c, p, v, want[p*n+c])
+						}
+					} else if math.Float32bits(v) != sentinel {
+						t.Fatalf("n=%d k=%d rows %v: pixel %d outside the range was written: channel %d = %#x", n, k, rr, p, c, math.Float32bits(v))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestQGemmSweepMatchesNaive holds the tile loop's int32 accumulators,
-// on both paths, to qnaive exactly (serial, sharded and split, as
-// checkQGemmKernels runs them, for the products): every N from 1 to 17 and 1000 (the
-// vector body's groups of eight, a last group of four and the column
-// tail in every combination, and two N-blocks), pixel counts 1-13 and
-// 65-67 (every short unit), K-blocks of kb mod 4 = 0-3, alone and after
-// a full block; then padded 3x3 and 5x5 convolutions, whose second
-// K-block starts inside an (ic, ky) run, against their explicit im2row
-// matrix; and codes of +-127 at K = 25088, qconv.go's accumulator bound.
+// TestQGemmSweepMatchesNaive holds the int8 convolution, on both paths,
+// to qnaive exactly (serial, sharded and split, as checkQGemmKernels runs
+// it): every N from 1 to 17 and 1000 (channel pairs, an odd last channel
+// in the sink), pixel counts 1-13 and 65-67 (every tail mod 8 and 16),
+// K of every residue mod 4, alone and after a full K-block; then padded
+// 3x3 and 5x5 and strided convolutions (K = 27, 72, 75, 144 and 147),
+// staged from their code planes, against their explicit im2row matrix;
+// and codes of +-127 at K = 25088, qconv.go's accumulator bound, through
+// the microkernel a K-block at a time into int32.
 func TestQGemmSweepMatchesNaive(t *testing.T) {
 	onEachPath(t, testQGemmSweepMatchesNaive)
 }
@@ -516,7 +517,7 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 	}
 	for _, n := range ns {
 		for _, m := range ms {
-			for _, k := range []int{1, 2, 3, 4, qgemmKC + 5, qgemmKC + 6, qgemmKC + 7, 2 * qgemmKC} {
+			for _, k := range []int{1, 2, 3, 4, gemmKC + 5, gemmKC + 6, gemmKC + 7, 2 * gemmKC} {
 				checkQGemmKernels(t, "sweep", randQ(r, m*k), randQ(r, k*n), m, k, n)
 			}
 		}
@@ -525,15 +526,20 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 	for _, c := range []convCase{
 		{"3x3-cin8-K72", 8, 1, 13, 17, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
 		{"5x5-cin3-K75", 3, 3, 67, 12, 5, 5, Conv2DSpec{Stride: 1, Pad: 2}},
+		{"3x3-cin3-K27-s2", 3, 31, 29, 9, 3, 3, Conv2DSpec{Stride: 2}},
 		{"3x3-cin16-K144-s2", 16, 5, 5, 1000, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}},
+		{"7x7-cin3-K147-s2", 3, 23, 21, 7, 7, 7, Conv2DSpec{Stride: 2, Pad: 3}},
 	} {
 		spec := c.spec.check()
 		in, w := randQ(r, c.cin*c.h*c.w), randQ(r, c.cout*c.cin*c.kh*c.kw)
-		pq := PackQConvWeights(&QTensor{Shape: Shape{c.cout, c.cin, c.kh, c.kw}, Data: w, Scale: 1})
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
-		j := &bandJob{in: in, spec: spec, pw: pq,
-			geo: convGeom{cin: c.cin, h: c.h, wd: c.w, cout: c.cout, kh: c.kh, kw: c.kw, hout: hout, wout: wout}}
-		m, k := hout*wout, pq.K
+		m, k := hout*wout, c.cin*c.kh*c.kw
+		j := matrixJob(make([]int8, m*k), w, m, k, c.cout)
+		j.geo = convGeom{cin: c.cin, h: c.h, wd: c.w, cout: c.cout, kh: c.kh, kw: c.kw, hout: hout, wout: wout}
+		j.spec, j.staged, j.codes = spec, true, make([]int16, len(in))
+		for i, v := range in {
+			j.codes[i] = int16(v)
+		}
 		wt := make([]int8, k*c.cout) // the [K, N] transpose of w
 		for oc := range c.cout {
 			for g := range k {
@@ -542,7 +548,7 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 		}
 		want, got := make([]int32, m*c.cout), make([]int32, m*c.cout)
 		qnaive(want, im2rowCodes(j), wt, m, k, c.cout)
-		j.rowRange(got, make([]window, m), 0, m)
+		qRowRange(got, j, 0, m)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: pixel %d channel %d = %d, want %d", c.name, i/c.cout, i%c.cout, got[i], want[i])
@@ -564,25 +570,34 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 			b[i] = -127
 		}
 	}
-	want, got := make([]int32, m*n), make([]int32, m*n)
+	want := make([]int32, m*n)
 	qnaive(want, a, b, m, k, n)
-	qgemmSerial(got, a, b, m, k, n)
-	for i := range want {
-		if got[i] != want[i] || (want[i] != 127*127*k && want[i] != -127*127*k) {
-			t.Fatalf("K=%d at +-127: dst[%d] = %d, want %d = +-127*127*K", k, i, got[i], want[i])
+	j, w := matrixJob(a, nil, m, k, n), packB(b, k, n)
+	for c := 0; c < n; c += 2 {
+		c1 := min(c+1, n-1)
+		o0, o1 := make([]int32, m), make([]int32, m)
+		for kc := 0; kc < k; kc += gemmKC {
+			kb := min(k-kc, gemmKC)
+			qpointwiseQuads(o0, o1, j.codes[kc*m:], 2*m, w[c*k+kc:][:kb], w[c1*k+kc:][:kb])
+		}
+		for p := range m {
+			for ci, o := range [][]int32{o0, o1}[:c1-c+1] {
+				if g, w := o[p], want[p*n+c+ci]; g != w || (w != 127*127*k && w != -127*127*k) {
+					t.Fatalf("K=%d at +-127: pixel %d channel %d = %d, want %d = +-127*127*K", k, p, c+ci, g, w)
+				}
+			}
 		}
 	}
 }
 
-// TestRequantizeStoreMatchesReference holds the band's requantize store
-// (storeInt8), on both paths, to refRequant element by element, bit for
-// bit: output widths 1-17 and 24 (whole eight-channel blocks and the
-// channels past them), pixel ranges of 1-17 and 66 starting at 0 and
-// mid-plane (whole eight-pixel blocks and the pixels past them), every
-// activation, bias nil, random or salted with -0, and scales that are
-// random or +Inf, so that NaN and both infinities meet the clamp; the
-// accumulators span int32 with 0 and both extremes salted in. Pixels
-// outside the range keep their sentinel.
+// TestRequantizeStoreMatchesReference holds the int8 requantize
+// (requantizeRow), on both paths, to refRequant element by element, bit
+// for bit: rows of 1-17, 24 and 66 pixels (whole groups of eight and the
+// masked pixels past them) at two offsets, every activation, bias 0,
+// random or -0, and scales that are random or +Inf, so that NaN and both
+// infinities meet the clamp; the accumulators span int32 with 0 and both
+// extremes salted in. The elements on either side of the row keep their
+// sentinel.
 func TestRequantizeStoreMatchesReference(t *testing.T) {
 	onEachPath(t, testRequantizeStoreMatchesReference)
 }
@@ -591,63 +606,42 @@ func testRequantizeStoreMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(163))
 	const sentinel = 0x7fc0dead
 	acts := []Act{ActNone, ActReLU, ActReLU6, ActLeakyReLU, ActSigmoid, ActTanh}
-	couts := []int{24}
-	for c := 1; c <= 17; c++ {
-		couts = append(couts, c)
+	lens := []int{24, 66}
+	for n := 1; n <= 17; n++ {
+		lens = append(lens, n)
 	}
-	for _, cout := range couts {
-		for _, npix := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 66} {
-			for _, p0 := range []int{0, 3} {
-				ncols := p0 + npix + 2
-				acc := make([]int32, npix*cout)
-				for i := range acc {
-					switch i % 11 {
-					case 0:
-						acc[i] = 0
-					case 5:
-						acc[i] = math.MaxInt32
-					case 7:
-						acc[i] = math.MinInt32
-					default:
-						acc[i] = int32(r.Uint32()) >> r.Intn(31)
-					}
+	for _, n := range lens {
+		for _, off := range []int{0, 3} {
+			acc := make([]int32, n)
+			for i := range acc {
+				switch i % 11 {
+				case 0:
+					acc[i] = 0
+				case 5:
+					acc[i] = math.MaxInt32
+				case 7:
+					acc[i] = math.MinInt32
+				default:
+					acc[i] = int32(r.Uint32()) >> r.Intn(31)
 				}
-				scales := make([]float32, cout)
-				bias := make([]float32, cout)
-				for oc := range scales {
-					scales[oc] = float32(r.ExpFloat64() * 1e-6)
-					bias[oc] = float32(r.NormFloat64())
-					if oc%5 == 2 {
-						bias[oc] = float32(math.Copysign(0, -1))
-					}
-				}
-				for si, sc := range [][]float32{scales, {float32(math.Inf(1))}} {
-					for bi, b := range [][]float32{nil, bias} {
-						for _, act := range acts {
-							j := &bandJob{out: make([]float32, cout*ncols), geo: convGeom{hout: 1, wout: ncols},
-								pw: &PackedQWeights{N: cout}, bias: b, scales: make([]float32, cout), act: act, alpha: 0.1}
-							for oc := range j.scales {
-								j.scales[oc] = sc[oc%len(sc)]
+			}
+			for _, scale := range []float32{float32(r.ExpFloat64() * 1e-6), float32(math.Inf(1))} {
+				for _, shift := range []float32{0, float32(r.NormFloat64()), float32(math.Copysign(0, -1))} {
+					for _, act := range acts {
+						buf := make([]float32, off+n+2)
+						for i := range buf {
+							buf[i] = math.Float32frombits(sentinel)
+						}
+						copy(int32Rows(buf[off:off+n]), acc)
+						requantizeRow(buf[off:off+n], scale, shift, act, 0.1)
+						for i, v := range buf {
+							want := uint32(sentinel)
+							if i >= off && i < off+n {
+								want = math.Float32bits(refRequant(acc[i-off], scale, shift, act, 0.1))
 							}
-							for i := range j.out {
-								j.out[i] = math.Float32frombits(sentinel)
-							}
-							storeInt8(j, acc, p0, p0+npix)
-							for oc := range cout {
-								var bb float32
-								if b != nil {
-									bb = b[oc]
-								}
-								for p := range ncols {
-									want := uint32(sentinel)
-									if p >= p0 && p < p0+npix {
-										want = math.Float32bits(refRequant(acc[(p-p0)*cout+oc], j.scales[oc], bb, act, 0.1))
-									}
-									if got := math.Float32bits(j.out[oc*ncols+p]); got != want {
-										t.Fatalf("cout %d pixels [%d, %d) scales %d bias %d act %d: channel %d pixel %d = %#08x, want %#08x",
-											cout, p0, p0+npix, si, bi, act, oc, p, got, want)
-									}
-								}
+							if got := math.Float32bits(v); got != want {
+								t.Fatalf("n %d at %d scale %g shift %g act %d: element %d = %#08x, want %#08x",
+									n, off, scale, shift, act, i, got, want)
 							}
 						}
 					}
@@ -657,10 +651,11 @@ func testRequantizeStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// im2rowCodes is the [npix, K] im2row matrix of an int8 job's codes, a
-// loop nest sharing no code with the band pass's staging: row p holds
-// pixel p's taps in (ic, ky, kx) order, 0 in the padding.
-func im2rowCodes(j *bandJob) []int8 {
+// im2rowCodes is the [npix, K] im2row matrix of an int8 job's code plane,
+// [Cin, H, W] as a K x K conv's is written, a loop nest sharing no code
+// with the staging: row p holds pixel p's taps in (ic, ky, kx) order, 0
+// in the padding.
+func im2rowCodes(j *convJob) []int8 {
 	g := j.geo
 	padH, padW := j.spec.padHW()
 	k := g.cin * g.kh * g.kw
@@ -673,7 +668,7 @@ func im2rowCodes(j *bandJob) []int8 {
 					for kx := range g.kw {
 						iy, ix := oy*j.spec.Stride+ky-padH, ox*j.spec.Stride+kx-padW
 						if iy >= 0 && iy < g.h && ix >= 0 && ix < g.wd {
-							row[(ic*g.kh+ky)*g.kw+kx] = j.in[(ic*g.h+iy)*g.wd+ix]
+							row[(ic*g.kh+ky)*g.kw+kx] = int8(j.codes[(ic*g.h+iy)*g.wd+ix])
 						}
 					}
 				}
@@ -780,32 +775,35 @@ func transposeCodes(dst, src []int8, cin, npix int) {
 }
 
 // stagedCodes returns the im2row code matrix [npix, K] of an int8 job as
-// qgemmPanelRows stages it: lane triples of pixels [lo, hi) for each cut
-// [lo, hi), a short last triple repeating its last pixel, K-block by
-// K-block, each lane split back into its three codes.
-func stagedCodes(j *bandJob, cuts ...int) []int8 {
-	k, npix := j.geo.cin*j.geo.kh*j.geo.kw, j.geo.hout*j.geo.wout
-	out := make([]int8, npix*k)
+// its microkernel reads it, pixels [lo, hi) for each cut [lo, hi), a band
+// and a K-block at a time: a pointwise job's code plane in place, its pair
+// rows, and a K x K job's rows as qstage stages and interleaves them, on
+// scratch poisoned with -32768, a code the quantizer never emits.
+func stagedCodes(j *convJob, cuts ...int) []int16 {
+	k, npix := j.k, j.npix
+	out := make([]int16, npix*k)
 	for i := range out {
-		out[i] = -128 // a code the quantizer never emits
+		out[i] = math.MinInt16
 	}
-	win := make([]window, npix)
-	j.windows(win, 0)
-	var t convTaps
-	for kc := 0; kc < k; kc += qgemmKC {
-		kb := min(k-kc, qgemmKC)
-		t.init(j.geo, kc, kb)
-		for c := 0; c+1 < len(cuts); c++ {
-			lo, hi := cuts[c], cuts[c+1]
-			for p := lo; p < hi; p += qgemmLanes {
-				p1, p2 := min(p+1, hi-1), min(p+2, hi-1)
-				var lanes [qgemmKC]int64
-				stageLanes(lanes[:kb], j, &t, win[p], win[p1], win[p2])
-				for g, l := range lanes[:kb] {
-					var o [3]int32
-					addLanes(o[:1], o[1:2], o[2:], 0, l)
-					for i, q := range []int{p, p1, p2} {
-						out[q*k+kc+g] = int8(o[i])
+	s := new(convScratch)
+	for i := range s.pairs {
+		s.rows[i], s.pairs[i] = math.MinInt16, math.MinInt16
+	}
+	for c := 0; c+1 < len(cuts); c++ {
+		for p0 := cuts[c]; p0 < cuts[c+1]; p0 += gemmBand {
+			p1 := min(p0+gemmBand, cuts[c+1])
+			for kc := 0; kc < k; kc += gemmKC {
+				kb := min(k-kc, gemmKC)
+				var x []int16
+				stride := 2 * npix
+				if j.staged {
+					x, stride = j.qstage(s, kc, kb, p0, p1), 2*(p1-p0)
+				} else {
+					x = j.codes[kc*npix+2*p0:]
+				}
+				for r := range kb {
+					for p := p0; p < p1; p++ {
+						out[p*k+kc+r] = x[r/2*stride+2*(p-p0)+r&1]
 					}
 				}
 			}
@@ -814,67 +812,85 @@ func stagedCodes(j *bandJob, cuts ...int) []int8 {
 	return out
 }
 
-// TestPointwiseQConvStagesRoundedCodes holds the 1x1 int8 path — the
-// whole input rounded once into the code plane (absScale, quantizeRound),
-// lane triples staged from it as for any geometry — to the serial
-// quantizer: the scale is its scale, and the staged codes equal its
-// codes transposed, staged whole or cut at pixels inside and at the edge
-// of a band; the outputs equal the loop-nest reference. Planes of 1 to
-// 3025 pixels (55x55) cross 1 to 129 input channels and output widths of
-// every N mod 4, so inputs fall below and above quantParallelElems and
-// convs below and above the MAC bar, on random data and on data salted
-// with both zeros, NaNs and an Inf.
+// TestPointwiseQConvStagesRoundedCodes holds the int8 code plane — the
+// whole input rounded once (absScale, quantizeRound), as pair rows for a
+// 1x1 conv, as it lies for a 3x3 one — to the serial quantizer: the scale
+// is its scale, and the codes the microkernel reads, in place or staged
+// and interleaved (stagedCodes), equal its codes in im2row order, whole
+// or cut at pixels inside and at the edge of a band; the outputs equal
+// the loop-nest reference. Planes of 1 to 3025 pixels (55x55) cross 1 to
+// 129 input channels (odd ones leave a pair row half written) and output
+// widths of every N mod 4, so inputs fall below and above
+// quantParallelElems and convs below and above the MAC bar, on random
+// data and on data salted with both zeros, NaNs and an Inf.
 func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
-	spec := Conv2DSpec{Stride: 1}
 	long, sharded := 0, 0
 	for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
 		for ci, cin := range []int{1, 3, 16, 129} {
-			cout := 4 + (npix+ci)%4
-			qw := QuantizePerChannel(randTensor(r, cout, cin, 1, 1))
-			pq := PackQConvWeights(qw)
-			bias := randTensor(r, cout).Data
-			for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
-				in := randTensor(r, cin, 1, npix)
-				special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
-				if salt == "zeros+NaN+Inf" {
-					special = append(special, float32(math.Inf(-1)))
+			for _, kk := range []int{1, 3} {
+				if kk == 3 && (npix == 3025 || cin == 129) {
+					continue
 				}
-				if salt != "random" {
-					for i := range in.Data {
-						if i%5 == 0 {
-							in.Data[i] = special[(i/5)%len(special)]
+				spec := Conv2DSpec{Stride: 1, Pad: kk / 2}.check()
+				cout := 4 + (npix+ci)%4
+				qw := QuantizePerChannel(randTensor(r, cout, cin, kk, kk))
+				bias := randTensor(r, cout).Data
+				for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
+					in := randTensor(r, cin, 1, npix)
+					special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
+					if salt == "zeros+NaN+Inf" {
+						special = append(special, float32(math.Inf(-1)))
+					}
+					if salt != "random" {
+						for i := range in.Data {
+							if i%5 == 0 {
+								in.Data[i] = special[(i/5)%len(special)]
+							}
 						}
 					}
-				}
-				name := fmt.Sprintf("npix=%d cin=%d cout=%d %s", npix, cin, cout, salt)
-				codes := make([]int8, len(in.Data))
-				sx := quantizeDynamicSerial(codes, in.Data)
-				want := make([]int8, len(in.Data))
-				transposeCodes(want, codes, cin, npix)
-				s := qscratchPool.Get().(*qscratch)
-				if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
-					t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
-				}
-				plane := make([]int8, len(in.Data))
-				s.quantizeRound(plane, in.Data, 1/sx)
-				qscratchPool.Put(s)
-				j := &bandJob{in: plane, spec: spec.check(),
-					geo: convGeom{cin: cin, h: 1, wd: npix, kh: 1, kw: 1, hout: 1, wout: npix}}
-				for _, cut := range []int{0, 1, npix / 2, min(convBandPixels, npix), npix} {
-					got := stagedCodes(j, 0, cut, npix)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+					name := fmt.Sprintf("%dx%d npix=%d cin=%d cout=%d %s", kk, kk, npix, cin, cout, salt)
+					codes := make([]int8, len(in.Data))
+					sx := quantizeDynamicSerial(codes, in.Data)
+					j := &convJob{spec: spec, k: cin * kk * kk, npix: npix, staged: kk > 1,
+						geo: convGeom{cin: cin, h: 1, wd: npix, cout: cout, kh: kk, kw: kk, hout: 1, wout: npix}}
+					j.codes = make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*npix)
+					for i := range j.codes {
+						j.codes[i] = math.MinInt16
+					}
+					var want []int8
+					if kk == 1 {
+						want = make([]int8, len(in.Data))
+						transposeCodes(want, codes, cin, npix)
+					} else {
+						im := *j
+						im.codes = make([]int16, len(codes))
+						for i, c := range codes {
+							im.codes[i] = int16(c)
+						}
+						want = im2rowCodes(&im)
+					}
+					s := qscratchPool.Get().(*qscratch)
+					if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
+						t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
+					}
+					s.quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
+					qscratchPool.Put(s)
+					for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
+						got := stagedCodes(j, 0, cut, npix)
+						for i := range want {
+							if got[i] != int16(want[i]) {
+								t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+							}
 						}
 					}
-				}
-				checkBandedQConv(t, name, in, qw, pq, bias, spec, ActReLU)
-				if len(in.Data) >= quantParallelElems {
-					long++
-				}
-				if npix*cin*cout >= parallelThresholdMACs {
-					sharded++
+					checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
+					if len(in.Data) >= quantParallelElems {
+						long++
+					}
+					if npix*cin*cout*kk*kk >= parallelThresholdMACs {
+						sharded++
+					}
 				}
 			}
 		}

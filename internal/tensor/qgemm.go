@@ -1,204 +1,210 @@
 package tensor
 
-// Int8 GEMM blocking parameters. The kernel tiles over N and K, packs the
-// B block into a panel of one byte per element, and streams every A row
-// over it.
+import (
+	"math"
+	"unsafe"
+)
+
+// This file is the int8 convolution, every geometry, in the FP32 one's
+// formulation (gemm.go): channel-major, out[cout, npix] = W[cout, K] x
+// im2col[K, npix], on the same cut, bands and scratch pool (convJob.run),
+// with W's codes — the [Cout, Cin, KH, KW] int8 weights as they lie —
+// read in place. Nothing is packed. An int8 dense layer is the 1x1 conv
+// the graph runs it as.
 //
-// On an AVX2 host the microkernel is a vector body (qgemmUnitAVX2): a
-// unit of six pixels, each pixel's K-block staged as int16 codes, against
-// eight panel columns at a time with VPMADDWD, into int32 lanes. The Go
-// fallback, the path off AVX2 and the vector body's reference, dodges the
-// integer-multiply throughput wall (one scalar IMUL per cycle on most
-// cores, vs two FP multiply ports) with SWAR lanes: three A rows (output
-// pixels) are staged from the conv's input into one int64 as signed
-// laneShift-bit fields, a0 + a1<<21 + a2<<42, and multiplied by a
-// sign-extended panel code, so a single 64-bit multiply yields all three
-// rows' products. Codes are symmetric ([-127, 127], quantClamp), so a lane
-// summed over a qgemmKC-deep K-block stays inside its field and the three
-// sums come back exactly by sign extension: integer arithmetic throughout,
-// with no bias and no correction term. Either path sums the same integer
-// products, so both give the same int32 accumulators.
-const (
-	qgemmKC = 64  // K-block: rows of B packed per panel, as deep as the lanes allow
-	qgemmNC = 512 // N-block: columns of B packed per panel
-	qgemmMR = 4   // K-interleave of the packed panel / microkernel unroll
-)
+// The input is quantized dynamically, per tensor, into the call's code
+// plane, whole and once (absScale, quantizeRound), as int16. A pointwise
+// conv reads that plane in place, so its plane is written as pair rows:
+// channels 2i and 2i+1 of pixel p side by side as the int16 pair at
+// codes[2i*plane + 2p], the pair the microkernel's VPMADDWD multiplies by
+// a channel's weight pair. A K x K conv's plane is written as it lies,
+// [Cin, H, W], and each band stages its im2col rows from it a K-block at
+// a time with the FP32 conv's stage, then interleaves them into pair rows
+// (qstage). The microkernel (qpointwiseQuads) accumulates a channel
+// pair's int32 sums in the output's own memory (int32Rows), and after the
+// last K-block the requantize (requantizeRow) turns them, in place, into
+// float32: act(float32(acc)*scale + bias). Integer sums are exact in any
+// order, so the bits depend neither on the blocking, the path nor the
+// cut; the requantize keeps one expression per element.
 
-// qgemmLanes A rows share each 64-bit multiply, laneShift bits apiece.
-const (
-	qgemmLanes = 3
-	laneShift  = 64 / qgemmLanes
-)
-
-// The lane bound, checked by the compiler: a qgemmKC-deep sum of products
-// of codes in [-127, 127] fits a signed laneShift-bit field, so lanes never
-// carry into each other (127*127*64 = 1 032 256 < 2^20).
-const _ uint = 1<<(laneShift-1) - 1 - 127*127*qgemmKC
-
-// qgemmPanelRows is the int8 microkernel under the one tile loop,
-// bandJob.rowRange: it accumulates one packed (K-block, N-block) panel
-// into the rows of the pixels whose windows are win, dst[i, jc:jc+jb] +=
-// im2row(codes)[p, kc:kc+kb] x panel. Where qgemmVector holds, the vector
-// body takes it (qgemmPanelRowsVector). Otherwise pixels go three at a
-// time, staged from the code plane into a lane triple per K index
-// (stageLanes); a short last triple repeats its last pixel into lanes
-// that accumulate into a sink. Groups of four columns go through qdot4,
-// the N mod 4 tail one at a time. Results do not depend on how callers
-// split rows.
-func qgemmPanelRows(dst []int32, j *bandJob, win []window, panel []byte, kc, kb, jc, jb int) {
-	var t convTaps
-	t.init(j.geo, kc, kb)
-	if qgemmVector(jb) {
-		qgemmPanelRowsVector(dst, j, &t, win, panel, kb, jc, jb)
-		return
+// Conv2DQInto computes a 2-D convolution with int8 weights qw [Cout, Cin,
+// KH, KW], read in place, into a preallocated float32 dst [Cout, Hout,
+// Wout], overwriting every element: dynamic per-tensor symmetric
+// quantization of in, then the channel-major product on the codes into
+// int32 accumulators, then the fused requantize, bias and activation. The
+// weight scales (per-tensor or per-channel) are qw's. The output does not
+// depend on the cut.
+func Conv2DQInto(dst, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
+	spec = spec.check()
+	geo := convGeometry(dst, in, qw.Shape, bias, spec)
+	s := qscratchPool.Get().(*qscratch)
+	sx := s.absScale(in.Data)
+	plane, pairs := geo.h*geo.wd, pointwise(geo.kh, geo.kw, spec)
+	s.codes = growSlice(s.codes, (geo.cin+gemmMR-1)&^(gemmMR-1)*plane)
+	s.quantizeRound(s.codes, in.Data, plane, pairs, 1/sx)
+	s.scales = growSlice(s.scales, geo.cout)
+	for oc := range s.scales {
+		s.scales[oc] = sx * qw.ScaleFor(oc)
 	}
-	n, kb4 := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1)
-	// lanes[kb:kb4] is never written: zero, as are the panel rows it meets.
-	var buf [qgemmKC]int64
-	lanes := buf[:kb4]
-	for i := 0; i < len(win); i += qgemmLanes {
-		i1, i2 := min(i+1, len(win)-1), min(i+2, len(win)-1)
-		stageLanes(lanes[:kb], j, &t, win[i], win[i1], win[i2])
-		o0, o1, o2 := dst[i*n+jc:][:jb], dst[i1*n+jc:][:jb], dst[i2*n+jc:][:jb]
-		if i2 == i1 {
-			var sink [qgemmNC]int32
-			o2 = sink[:jb]
-			if i1 == i {
-				o1 = o2
-			}
-		}
-		j := 0
-		for ; j+3 < jb; j += 4 {
-			s0, s1, s2, s3 := qdot4(lanes, panel[j*kb4:(j+4)*kb4])
-			addLanes(o0, o1, o2, j, s0)
-			addLanes(o0, o1, o2, j+1, s1)
-			addLanes(o0, o1, o2, j+2, s2)
-			addLanes(o0, o1, o2, j+3, s3)
-		}
-		for ; j < jb; j++ {
-			col := panel[j*kb4 : (j+1)*kb4]
-			var s int64
-			for g, l := range lanes {
-				s += l * int64(int8(col[g]))
-			}
-			addLanes(o0, o1, o2, j, s)
-		}
-	}
+	convJob{out: dst.Data, acc: int32Rows(dst.Data), codes: s.codes, qw: qw.Data, scales: s.scales, geo: geo,
+		spec: spec, bias: bias, epi: Epilogue{Act: act, Alpha: alpha}, kernel: (*convJob).qband}.run()
+	qscratchPool.Put(s)
 }
 
-// qgemmVector reports whether qgemmPanelRows runs a panel of jb columns
-// on the vector body: on an AVX2 host, a panel with a full group of four.
-func qgemmVector(jb int) bool {
-	return useAVX2 && jb >= qgemmMR
+// int32Rows views an output span as the int32 accumulators an int8
+// convolution sums into before requantizeRow turns each into the float32
+// it stands for, in place: both types are four bytes and hold no
+// pointers.
+func int32Rows(f []float32) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
 }
 
-// qgemmPanelRowsVector is qgemmPanelRows on the vector body. Pixels go a
-// unit (convUnitPixels) at a time, each one's K-block staged from the
-// code plane as int16 codes, qgemmKC apart (stageWindow); qgemmUnitAVX2
-// multiplies the unit by every full four-column group of the panel and
-// the N mod 4 tail runs here on the same codes. A short unit stages only
-// its pixels: the vector body computes the stale rest and stores none of
-// it.
-func qgemmPanelRowsVector(dst []int32, j *bandJob, t *convTaps, win []window, panel []byte, kb, jc, jb int) {
-	n, kb4, cols := j.pw.N, (kb+qgemmMR-1)&^(qgemmMR-1), jb&^(qgemmMR-1)
-	// Codes kb to kb4 of a pixel are never written: zero, as are the
-	// panel rows they meet.
-	var codes [convUnitPixels * qgemmKC]int16
-	for i := 0; i < len(win); i += convUnitPixels {
-		rows := min(convUnitPixels, len(win)-i)
-		for p, w := range win[i : i+rows] {
-			stageWindow(codes[p*qgemmKC:][:kb], j.in, t, w, &j.geo)
+// qband is band for an int8 convolution: pixels [p0, p1) of channel pairs
+// [c0, c1), a K-block at a time (as many whole quads of rows as fit
+// gemmBlockFloats' bytes over the band as int16 codes, at most gemmKC):
+// each pair's two accumulator rows are cleared before the first block,
+// accumulated over every K-quad and requantized after the last. An odd
+// last channel pairs with its own weight row, and the partner accumulates
+// into the sink. A last block that is not a multiple of the quad reads
+// the rows after it — the code plane's padding rows, or stale staged ones
+// — against the zero weights qpointwiseQuads pads it with, and an integer
+// times zero adds nothing.
+func (j *convJob) qband(s *convScratch, c0, c1, p0, p1 int) {
+	k, npix, nb := j.k, j.npix, p1-p0
+	kblock := min(gemmKC, max(gemmMR, 2*gemmBlockFloats/nb&^(gemmMR-1)))
+	for kc := 0; kc < k; kc += kblock {
+		kb := min(k-kc, kblock)
+		var x []int16
+		stride := 2 * npix
+		if j.staged {
+			x, stride = j.qstage(s, kc, kb, p0, p1), 2*nb
+		} else {
+			x = j.codes[kc*npix+2*p0:]
 		}
-		o := dst[i*n+jc : (i+rows-1)*n+jc+jb]
-		qgemmUnitAVX2(o, n, rows, codes[:], panel[:cols*kb4], kb4, cols)
-		for c := cols; c < jb; c++ {
-			col := panel[c*kb4:][:kb]
-			for p := range rows {
-				var s int32
-				for g, v := range codes[p*qgemmKC:][:kb] {
-					s += int32(v) * int32(int8(col[g]))
+		for c := c0; c < c1; c++ {
+			oc, pc := 2*c, min(2*c+1, j.geo.cout-1)
+			o0, o1 := j.acc[oc*npix+p0:oc*npix+p1], int32Rows(s.sink[:nb])
+			if pc != oc {
+				o1 = j.acc[pc*npix+p0 : pc*npix+p1]
+			}
+			if kc == 0 {
+				clear(o0)
+				clear(o1)
+			}
+			qpointwiseQuads(o0, o1, x, stride, j.qw[oc*k+kc:][:kb], j.qw[pc*k+kc:][:kb])
+			if kc+kb == k {
+				j.requantize(oc, p0, p1)
+				if pc != oc {
+					j.requantize(pc, p0, p1)
 				}
-				o[p*n+c] += s
 			}
 		}
 	}
 }
 
-// stageLanes writes the lane triple a0 + a1<<21 + a2<<42 of the pixels
-// with windows w0, w1, w2 at the first len(l) taps of t into l, read
-// from the code plane: three interior windows (a pointwise conv's always
-// are) in one gather, else each through stageWindow.
-func stageLanes(l []int64, j *bandJob, t *convTaps, w0, w1, w2 window) {
-	offs := t.off[:len(l)]
-	if w0.inside && w1.inside && w2.inside {
-		x0, x1, x2 := j.in[w0.base:], j.in[w1.base:], j.in[w2.base:]
-		for g, o := range offs {
-			l[g] = int64(x0[o]) + int64(x1[o])<<laneShift + int64(x2[o])<<(2*laneShift)
+// requantize turns channel oc's accumulators for pixels [p0, p1) into
+// its outputs (requantizeRow).
+func (j *convJob) requantize(oc, p0, p1 int) {
+	var b float32
+	if j.bias != nil {
+		b = j.bias[oc]
+	}
+	requantizeRow(j.out[oc*j.npix+p0:oc*j.npix+p1], j.scales[oc], b, j.epi.Act, j.epi.Alpha)
+}
+
+// qstage stages im2col rows [kc, kc+kb) of pixels [p0, p1) from the
+// code plane into s.rows, as stage does the FP32 input, and returns them
+// as pair rows: rows 2i and 2i+1 interleaved into s.pairs[2i*nb:], pixel
+// p's codes of the two at [2p, 2p+1]. A last odd row pairs with one of
+// the zero rows stage writes up to the quad.
+func (j *convJob) qstage(s *convScratch, kc, kb, p0, p1 int) []int16 {
+	nb := p1 - p0
+	stage(j, s.rows[:], j.codes, kc, kb, p0, p1)
+	for r := 0; r < kb; r += 2 {
+		interleave(s.pairs[r*nb:][:2*nb], s.rows[r*nb:][:nb], s.rows[(r+1)*nb:][:nb])
+	}
+	return s.pairs[:]
+}
+
+// interleave writes a[i] and b[i] to dst[2i] and dst[2i+1]: two code rows
+// as one pair row. With AVX2, sixteen pixels at a time (interleaveAVX2).
+func interleave(dst, a, b []int16) {
+	n := len(a)
+	dst, b = dst[:2*n], b[:n]
+	v := 0
+	if useAVX2 {
+		if v = n &^ 15; v > 0 {
+			interleaveAVX2(dst[:2*v], a[:v], b[:v])
 		}
+	}
+	for i := v; i < n; i++ {
+		dst[2*i], dst[2*i+1] = a[i], b[i]
+	}
+}
+
+// qpointwiseQuads is the int8 microkernel, pointwiseQuads on codes: for
+// each pair q of a channel pair's weight codes w0 and w1, o0[p] +=
+// x0[p]*a0 + x1[p]*a1 over the run of pixels, a the pair of w0 and o1[p]
+// the same with w1's, where (x0[p], x1[p]) is x[q*stride+2p:][:2], a pair
+// row of the code plane or of a staged tile. The weights are padded with
+// zeros up to a quad, so x must hold every pair row up to it. With AVX2
+// the same sums run eight pixels to a register (qpointwiseQuadsAVX2);
+// integer sums are exact, so the bits are the same.
+func qpointwiseQuads(o0, o1 []int32, x []int16, stride int, w0, w1 []int8) {
+	n, kb := len(o0), len(w0)
+	o1, w1 = o1[:n], w1[:kb]
+	if kb == 0 || n == 0 {
 		return
 	}
-	var c0, c1, c2 [qgemmKC]int8
-	stageWindow(c0[:len(l)], j.in, t, w0, &j.geo)
-	stageWindow(c1[:len(l)], j.in, t, w1, &j.geo)
-	stageWindow(c2[:len(l)], j.in, t, w2, &j.geo)
-	for g := range l {
-		l[g] = int64(c0[g]) + int64(c1[g])<<laneShift + int64(c2[g])<<(2*laneShift)
+	if kb > gemmKC {
+		panic("tensor: an int8 K-block is at most gemmKC deep")
 	}
-}
-
-// qdot4 is the inner loop: the lanes against one four-column group of the
-// panel, one accumulator per column, each loaded lane feeding four
-// multiplies off the group's 16 contiguous bytes per K-quad. It is a
-// function of its own so the compiler keeps all four accumulators in
-// registers.
-func qdot4(l []int64, q []byte) (s0, s1, s2, s3 int64) {
-	for len(l) >= qgemmMR && len(q) >= 4*qgemmMR {
-		v := l[0]
-		s0, s1, s2, s3 = s0+v*int64(int8(q[0])), s1+v*int64(int8(q[4])), s2+v*int64(int8(q[8])), s3+v*int64(int8(q[12]))
-		v = l[1]
-		s0, s1, s2, s3 = s0+v*int64(int8(q[1])), s1+v*int64(int8(q[5])), s2+v*int64(int8(q[9])), s3+v*int64(int8(q[13]))
-		v = l[2]
-		s0, s1, s2, s3 = s0+v*int64(int8(q[2])), s1+v*int64(int8(q[6])), s2+v*int64(int8(q[10])), s3+v*int64(int8(q[14]))
-		v = l[3]
-		s0, s1, s2, s3 = s0+v*int64(int8(q[3])), s1+v*int64(int8(q[7])), s2+v*int64(int8(q[11])), s3+v*int64(int8(q[15]))
-		l, q = l[qgemmMR:], q[4*qgemmMR:]
+	_ = x[((kb+gemmMR-1)/gemmMR*2-1)*stride:][:2*n] // the last pair row the vector body reads
+	if useAVX2 {
+		qpointwiseQuadsAVX2(o0, o1, x, stride, w0, w1)
+		return
 	}
-	return
-}
-
-// addLanes splits a column's lane-triple sum s by sign extension and adds
-// each lane to column j of its row.
-func addLanes(o0, o1, o2 []int32, j int, s int64) {
-	l0 := s << (64 - laneShift) >> (64 - laneShift)
-	s = (s - l0) >> laneShift
-	l1 := s << (64 - laneShift) >> (64 - laneShift)
-	o0[j] += int32(l0)
-	o1[j] += int32(l1)
-	o2[j] += int32((s - l1) >> laneShift)
-}
-
-// packQPanel copies rows [kc, kc+kb) x cols [jc, jc+jb) of the [K, N]
-// transpose of an [N, K] weight matrix w, read in place (element (r, c)
-// is w[c*k+r]), into panel as signed codes. Full groups of four columns
-// are interleaved per K-quad, 16 contiguous bytes per quad: element
-// (kc+g, jc+j) lands at panel[(j&^3)*kb4 + (g&^3)*4 + (j&3)*4 + g&3]. The
-// N mod 4 tail is column-major, at panel[j*kb4 + g]. Either layout keeps
-// a column inside the bytes its group would take column-major, so the
-// panel is kb4*jb bytes. Every byte is stored; rows past kb (up to the
-// kb4 round-up) hold zero.
-func packQPanel(panel []byte, w []int8, k, kc, kb, kb4, jc, jb int) {
-	for j := 0; j < jb; j++ {
-		src := w[(jc+j)*k+kc:]
-		col, quad := panel[j*kb4:], qgemmMR
-		if j < jb&^3 {
-			col, quad = panel[(j&^3)*kb4+(j&3)*qgemmMR:], 4*qgemmMR
+	for q := 0; 2*q < kb; q++ {
+		r := x[q*stride:][:2*n]
+		a0, b0 := int32(w0[2*q]), int32(w1[2*q])
+		var a1, b1 int32
+		if 2*q+1 < kb {
+			a1, b1 = int32(w0[2*q+1]), int32(w1[2*q+1])
 		}
-		for g := 0; g < kb4; g++ {
-			var v int8
-			if g < kb {
-				v = src[g]
+		for p := range o0 {
+			v0, v1 := int32(r[2*p]), int32(r[2*p+1])
+			o0[p] += v0*a0 + v1*a1
+			o1[p] += v0*b0 + v1*b1
+		}
+	}
+}
+
+// requantizeRow is the int8 epilogue, in place: seg holds a channel's
+// int32 accumulators (int32Rows), and each becomes act(float32(acc)*scale
+// + shift), the product rounded before the shift is added (float32(...)),
+// so no architecture fuses the two. The clamping activations fuse into
+// the loop; the rest take applyActInPlace's sweep after it. With AVX2 the
+// conversion, the affine and a clamp run eight lanes at a time through
+// the FP32 epilogue's body (epilogueAVX2), to the same bits.
+func requantizeRow(seg []float32, scale, shift float32, act Act, alpha float32) {
+	clamps, hi := act == ActReLU || act == ActReLU6, clampHi(act)
+	if useAVX2 {
+		mode := epiConvert | epiAffine
+		if clamps {
+			mode |= epiClamp
+		}
+		epilogueAVX2(seg, 0, scale, shift, math.Float32frombits(hi), mode)
+	} else {
+		acc := int32Rows(seg)
+		for i, a := range acc {
+			v := float32(float32(a)*scale) + shift
+			if clamps {
+				v = clamp(v, hi)
 			}
-			col[g/qgemmMR*quad+g%qgemmMR] = byte(v)
+			seg[i] = v
 		}
+	}
+	if !clamps {
+		applyActInPlace(seg, act, alpha)
 	}
 }

@@ -17,10 +17,11 @@ func qnaive(dst []int32, a, b []int8, m, k, n int) {
 	}
 }
 
-// packB packs a row-major [k, n] B matrix, the operand the tile-loop
-// tests and benchmarks multiply by, as the [n, k, 1, 1] weights of its
-// transpose.
-func packB(b []int8, k, n int) *PackedQWeights {
+// packB lays a row-major [k, n] B matrix, the operand the GEMM tests and
+// benchmarks multiply by, out as the int8 convolution reads its weights:
+// the [n, k] rows of its transpose, as a 1x1 conv's [Cout, Cin] codes
+// lie. Nothing is packed beyond that transpose.
+func packB(b []int8, k, n int) []int8 {
 	if len(b) != k*n {
 		panic("packB: data length does not match k x n")
 	}
@@ -30,38 +31,59 @@ func packB(b []int8, k, n int) *PackedQWeights {
 			bt[c*k+r] = b[r*n+c]
 		}
 	}
-	return PackQConvWeights(&QTensor{Shape: Shape{n, k, 1, 1}, Data: bt, Scale: 1})
+	return bt
 }
 
-// matrixJob views a row-major [m, pq.K] matrix a as what the tile loop
-// multiplies: the im2row matrix of a 1 x K convolution over a [1, m, K]
-// plane, whose pixel i has row i of a for its one window. Every window is
-// interior, so the microkernel stages a's rows in one gather per K-block.
-func matrixJob(a []int8, pq *PackedQWeights) *bandJob {
-	m := len(a) / pq.K
-	return &bandJob{in: a, pw: pq, spec: Conv2DSpec{Stride: 1},
-		geo: convGeom{cin: 1, h: m, wd: pq.K, cout: pq.N, kh: 1, kw: pq.K, hout: m, wout: 1}}
+// matrixJob views a x B, a row-major [m, k] and B's [n, k] rows w, as the
+// int8 convolution computes it: the 1x1 conv of a's transpose, a [k, 1, m]
+// plane whose pixel i is row i of a, into channel-major [n, m] outputs.
+// The plane is written as the quantizer writes a pointwise conv's, in
+// pair rows padded to the quad; the requantize scale is 1 with no bias or
+// activation, so each output is float32(acc), exact below 2^24.
+func matrixJob(a, w []int8, m, k, n int) *convJob {
+	codes := make([]int16, (k+gemmMR-1)&^(gemmMR-1)*m)
+	for i := range m {
+		for c := range k {
+			codes[(c&^1)*m+2*i+c&1] = int16(a[i*k+c])
+		}
+	}
+	out, scales := make([]float32, n*m), make([]float32, n)
+	for oc := range scales {
+		scales[oc] = 1
+	}
+	return &convJob{out: out, acc: int32Rows(out), codes: codes, qw: w, scales: scales, spec: Conv2DSpec{Stride: 1},
+		geo: convGeom{cin: k, h: 1, wd: m, cout: n, kh: 1, kw: 1, hout: 1, wout: m}, k: k, npix: m,
+		kernel: (*convJob).qband}
 }
 
-// qRowRange computes rows [rlo, rhi) of dst = a x B for a row-major a
-// [m, pq.K] and packed B, row i at dst[i*pq.N:], overwriting them: the
-// tile loop on matrixJob's view of a.
-func qRowRange(dst []int32, a []int8, pq *PackedQWeights, rlo, rhi int) {
-	matrixJob(a, pq).rowRange(dst[rlo*pq.N:], make([]window, rhi-rlo), rlo, rhi)
+// qRowRange computes rows [rlo, rhi) of dst = a x B, row i at dst[i*n:],
+// overwriting them: pixels [rlo, rhi) of j, every channel, read back.
+func qRowRange(dst []int32, j *convJob, rlo, rhi int) {
+	j.shard(rlo, rhi)
+	readRows(dst, j, rlo, rhi)
 }
 
-// qgemmSerial is a x b through the int8 tile loop on the calling goroutine,
-// b packed now; qgemmSharded cuts the same multiply into row chunks across
+// readRows copies rows [rlo, rhi) of a x B out of j's channel-major
+// outputs into dst.
+func readRows(dst []int32, j *convJob, rlo, rhi int) {
+	for i := rlo; i < rhi; i++ {
+		for c := range j.geo.cout {
+			dst[i*j.geo.cout+c] = int32(j.out[c*j.npix+i])
+		}
+	}
+}
+
+// qgemmSerial is a x b through the int8 convolution on the calling
+// goroutine; qgemmSharded cuts the same multiply into pixel chunks across
 // the worker pool, wherever the chunks fall.
 func qgemmSerial(dst []int32, a, b []int8, m, k, n int) {
-	qRowRange(dst, a, packB(b, k, n), 0, m)
+	qRowRange(dst, matrixJob(a, packB(b, k, n), m, k, n), 0, m)
 }
 
 func qgemmSharded(dst []int32, a, b []int8, m, k, n, grain int) {
-	pq := packB(b, k, n)
-	parallelFor(m, grain, func(lo, hi int) {
-		qRowRange(dst, a, pq, lo, hi)
-	})
+	j := matrixJob(a, packB(b, k, n), m, k, n)
+	parallelFor(m, grain, j.shard)
+	readRows(dst, j, 0, m)
 }
 
 func randQ(r *rand.Rand, n int) []int8 {
@@ -96,10 +118,11 @@ func TestQGEMMMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestQGEMMParallelOddM shards the tile loop's rows above the parallel
-// threshold with odd M, at the band pass's grain, so shard boundaries fall
-// off the lane triples and every shard may end on a short triple. Integer
-// accumulation is exact, so parallel must equal serial bit for bit.
+// TestQGEMMParallelOddM shards the int8 convolution's pixels above the
+// parallel threshold with odd M, at the conv's grain, so shard boundaries
+// fall off the vector body's groups of eight and sixteen and every shard
+// may end on a masked tail. Integer accumulation is exact, so parallel
+// must equal serial bit for bit.
 func TestQGEMMParallelOddM(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{129, 160, 160}, {255, 128, 64}, {65, 127, 255}} {
@@ -121,35 +144,30 @@ func TestQGEMMParallelOddM(t *testing.T) {
 }
 
 // BenchmarkQGEMM512 and BenchmarkGEMMFP32Blocked512 time each datatype's
-// kernel alone, on one core, on a 512x512x512 product. The int8 tile loop
-// runs over panels packed outside the loop, its A operand staged as
-// matrixJob's 1 x 512 convolution. On the vector body its GMAC/s is the
-// rate BenchmarkQMACVectorPeak bounds; on the Go path MAC/mul is its
-// rows per 64-bit multiply, and GMAC/s over it the multiply rate
-// BenchmarkIMULPeak bounds. The FP32 one is the channel-major kernel on
-// matMulJob's view: weights and input rows read in place, cut by columns.
-// An FP32 MAC is one multiply and one add, so its GMAC/s is the rate
-// BenchmarkFMULPeak bounds.
+// kernel alone, on one core, on a 512x512x512 product. The int8 one is a
+// 1x1 convolution from 512 channels to 512 on a 512-pixel plane
+// (matrixJob), its input codes already rounded: on the vector body its
+// GMAC/s is the rate BenchmarkQMACVectorPeak bounds, on the Go path, one
+// multiply a MAC, the rate BenchmarkIMULPeak bounds. The FP32 one is the
+// channel-major kernel on matMulJob's view: weights and input rows read in
+// place, cut by columns. An FP32 MAC is one multiply and one add, so its
+// GMAC/s is the rate BenchmarkFMULPeak bounds.
 func BenchmarkQGEMM512(b *testing.B) {
 	const d = 512
 	r := rand.New(rand.NewSource(1))
-	j := matrixJob(randQ(r, d*d), packB(randQ(r, d*d), d, d))
-	dst, win := make([]int32, d*d), make([]window, d)
+	j := matrixJob(randQ(r, d*d), packB(randQ(r, d*d), d, d), d, d, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.rowRange(dst, win, 0, d)
+		j.shard(0, d)
 	}
 	b.ReportMetric(float64(d*d*d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-	if !Int8ConvVector(d) {
-		b.ReportMetric(qgemmLanes, "MAC/mul")
-	}
 }
 
 // imulSink keeps BenchmarkIMULPeak's chains live.
 var imulSink int64
 
-// BenchmarkIMULPeak probes the ceiling the int8 kernel runs against:
-// IMULChains' eight independent 64-bit multiply-add chains, more
+// BenchmarkIMULPeak probes the ceiling the int8 kernel's Go path runs
+// against: IMULChains' eight independent 64-bit multiply-add chains, more
 // multiplies in flight than one multiply port retires, reported as
 // Gmul/s on one core.
 func BenchmarkIMULPeak(b *testing.B) {

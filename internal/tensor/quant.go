@@ -39,11 +39,11 @@ func (q *QTensor) Clone() *QTensor {
 
 // quantClamp rounds v (already divided by the scale) to the nearest
 // int8 code in [-127, 127]. The symmetric scheme never emits -128: the
-// int8 GEMM's three-lane multiply bounds each 64-deep lane sum by
-// 127*127*64 < 2^20 (qgemm.go's compile-time assertion), which
-// -128*-128*64 = 2^20 would reach; and |code| * scale must never exceed
-// the calibrated maxabs. Every quantizer in this package funnels
-// through here; TestQuantClampSymmetricRange pins the edge.
+// code range stays symmetric about the zero-point, so negating a tensor
+// negates its codes, and |code| * scale never exceeds the calibrated
+// maxabs, which -128 * (maxabs/127) would. Every quantizer in this
+// package funnels through here; TestQuantClampSymmetricRange pins the
+// edge.
 func quantClamp(v float64) int8 {
 	r := math.RoundToEven(v)
 	if r > 127 {
@@ -117,9 +117,11 @@ const (
 
 // quantJob is the activation a sharded quantizer is working on.
 type quantJob struct {
-	dst []int8
-	src []float32
-	inv float32
+	dst   []int16
+	src   []float32
+	plane int
+	pairs bool
+	inv   float32
 }
 
 // absScale returns src's per-tensor symmetric scale, the int8 path's
@@ -136,11 +138,14 @@ func (s *qscratch) absScale(src []float32) float32 {
 	return symmetricScale(maxAbs(s.maxima))
 }
 
-// quantizeRound writes the int8 code of every src element at inv into dst
-// (same length): no allocation, float32 rounding. Long inputs are
-// sharded; each code is the same wherever the split falls.
-func (s *qscratch) quantizeRound(dst []int8, src []float32, inv float32) {
-	s.quant = quantJob{dst: dst, src: src, inv: inv}
+// quantizeRound writes the int8 code of every element of src, [C, plane],
+// at inv into dst as int16: in src's layout, or, with pairs, as pair rows,
+// channels 2i and 2i+1 of position p as the int16 pair at dst[2i*plane +
+// 2p] (a last odd channel's partner is not written). No allocation,
+// float32 rounding. Long inputs are sharded; each code is the same
+// wherever the split falls.
+func (s *qscratch) quantizeRound(dst []int16, src []float32, plane int, pairs bool, inv float32) {
+	s.quant = quantJob{dst: dst, src: src, plane: plane, pairs: pairs, inv: inv}
 	if chunks := (len(src) + quantChunk - 1) / quantChunk; len(src) < quantParallelElems {
 		s.quantRoundChunks(0, chunks)
 	} else {
@@ -157,12 +162,26 @@ func (s *qscratch) quantMaxChunks(lo, hi int) {
 	}
 }
 
-// quantRoundChunks rounds chunks [lo, hi) of the source into dst.
+// quantRoundChunks rounds chunks [lo, hi) of the source into dst; as pair
+// rows, a run of one channel at a time.
 func (s *qscratch) quantRoundChunks(lo, hi int) {
-	lo, hi = lo*quantChunk, min(hi*quantChunk, len(s.quant.src))
-	dst, inv := s.quant.dst[lo:hi], s.quant.inv
-	for i, v := range s.quant.src[lo:hi] {
-		dst[i] = quantCode(v, inv)
+	q := &s.quant
+	lo, hi = lo*quantChunk, min(hi*quantChunk, len(q.src))
+	if !q.pairs {
+		dst := q.dst[lo:hi]
+		for i, v := range q.src[lo:hi] {
+			dst[i] = int16(quantCode(v, q.inv))
+		}
+		return
+	}
+	for i := lo; i < hi; {
+		c, p := i/q.plane, i%q.plane
+		n := min(hi-i, q.plane-p)
+		dst := q.dst[(c&^1)*q.plane+2*p+c&1:]
+		for t, v := range q.src[i : i+n] {
+			dst[2*t] = int16(quantCode(v, q.inv))
+		}
+		i += n
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Both convolutions stage their lowered input straight from the input:
-// the int8 band pass each pixel's im2row row (convTaps, stageWindow,
-// stageLanes), the FP32 kernel each band's im2col rows (convJob.stage).
+// Both convolutions stage each band's im2col rows straight from their
+// input with one function (stage): the FP32 kernel from its input, the
+// int8 one from its code plane, then interleaved into pair rows (qstage).
 // These tests hold both datatypes' staging to the loop-nest references,
-// refConvBlocked and refQConv, bit for bit, where it can go wrong: lane
-// triples and bands that wrap an output row, windows in the padding on
+// refConvBlocked and refQConv, bit for bit, where it can go wrong: bands
+// and vector groups that wrap an output row, windows in the padding on
 // either side of a wrap, K-blocks that start inside an (ic, ky) run,
 // one-pixel planes, every chunk cut of a band, and FP32 specials next to
 // the padding.
@@ -19,14 +19,14 @@ import (
 // stagingCases is the geometry table both datatypes run.
 func stagingCases() []convCase {
 	var cs []convCase
-	// Output widths 9, 10 and 11 (wout mod 3 = 0, 1, 2) at stride 1 and
-	// 2, so triples and pairs wrap rows in every phase.
+	// Output widths 9, 10 and 11 at stride 1 and 2, so groups of pixels
+	// wrap rows in several phases.
 	for _, wout := range []int{9, 10, 11} {
 		cs = append(cs,
 			convCase{fmt.Sprintf("wout%d-s1", wout), 5, 4, wout, 7, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
 			convCase{fmt.Sprintf("wout%d-s2", wout), 5, 7, 2*wout - 1, 7, 3, 3, Conv2DSpec{Stride: 2, Pad: 1}})
 	}
-	// A wrapping triple whose pixels sit in the right padding of one row
+	// A wrapping group whose pixels sit in the right padding of one row
 	// and the left padding of the next, and the transposed pads.
 	for _, wd := range []int{7, 8} {
 		cs = append(cs,
@@ -34,8 +34,8 @@ func stagingCases() []convCase {
 			convCase{fmt.Sprintf("asym-h1w0-wd%d", wd), 4, 5, wd, 6, 3, 3, Conv2DSpec{Stride: 1, PadH: 1, PadW: 0, Asym: true}})
 	}
 	return append(cs,
-		// K-blocks that start mid-run: K = 144 and 75 under the int8
-		// K-block of 64, K = 1600 under the FP32 one of 128.
+		// K-blocks that start mid-run: K = 144 and 1600 under the staged
+		// K-block of 128; K = 75 in one.
 		convCase{"3x3-cin16-K144", 16, 6, 7, 9, 3, 3, Conv2DSpec{Stride: 1, Pad: 1}},
 		convCase{"5x5-cin3-K75", 3, 8, 9, 5, 5, 5, Conv2DSpec{Stride: 1, Pad: 2}},
 		convCase{"5x5-cin64-K1600", 64, 15, 15, 10, 5, 5, Conv2DSpec{Stride: 1, Pad: 2}},
@@ -55,45 +55,50 @@ func TestStagingMatchesReferences(t *testing.T) {
 		bias := randTensor(r, c.cout).Data
 		checkBandedConv(t, c.name, in, w, bias, c.spec, Epilogue{Act: ActReLU})
 		qw := QuantizePerChannel(w)
-		checkBandedQConv(t, c.name, in, qw, PackQConvWeights(qw), bias, c.spec, ActNone)
+		checkBandedQConv(t, c.name, in, qw, bias, c.spec, ActNone)
 	}
 }
 
-// TestStagingChunkCuts cuts a 66-pixel plane — one full band, 11 x 6
-// under a padded 3x3 — at every even pixel, the two pieces computed as
-// two shards would, and requires both datatypes' output to equal the
-// loop-nest references whatever the cut.
+// TestStagingChunkCuts cuts a 66-pixel plane, 11 x 6 under a padded
+// 3x3, at every even pixel, the two pieces computed as two shards would,
+// and requires both datatypes' output to equal the loop-nest references
+// whatever the cut.
 func TestStagingChunkCuts(t *testing.T) {
 	r := rand.New(rand.NewSource(139))
-	const cin, h, wd, cout = 6, 11, 6, 9
+	const cin, h, wd, cout, npix = 6, 11, 6, 9, 66
 	spec := Conv2DSpec{Stride: 1, Pad: 1}.check()
 	in := randTensor(r, cin, h, wd)
 	w := randTensor(r, cout, cin, 3, 3)
 	bias := randTensor(r, cout).Data
 	qw := QuantizePerChannel(w)
-	pq := PackQConvWeights(qw)
 	want, wantQ := refConvBlocked(in, w, bias, spec, Epilogue{}), refQConv(in, qw, bias, spec, ActNone, 0)
 	geo := convGeometry(want, in, w.Shape, bias, spec)
-	if npix := geo.hout * geo.wout; npix != convBandPixels {
-		t.Fatalf("plane has %d output pixels, want one band of %d", npix, convBandPixels)
+	if geo.hout*geo.wout != npix {
+		t.Fatalf("plane has %d output pixels, want %d", geo.hout*geo.wout, npix)
 	}
 	codes := make([]int8, len(in.Data))
 	sx := quantizeDynamicSerial(codes, in.Data)
+	plane := make([]int16, len(codes))
+	for i, c := range codes {
+		plane[i] = int16(c)
+	}
 	scales := make([]float32, cout)
 	for oc := range scales {
 		scales[oc] = sx * qw.ScaleFor(oc)
 	}
-	for cut := 0; cut <= convBandPixels; cut += 2 {
+	for cut := 0; cut <= npix; cut += 2 {
 		got := dirty(want.Shape...)
-		j := &convJob{out: got.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: cin * 9, npix: convBandPixels, bias: bias, staged: true}
+		j := &convJob{out: got.Data, in: in.Data, w: w.Data, geo: geo, spec: spec, k: cin * 9, npix: npix, bias: bias, staged: true,
+			kernel: (*convJob).band}
 		j.shard(0, cut)
-		j.shard(cut, convBandPixels)
+		j.shard(cut, npix)
 		assertBitEqual(t, got, want, fmt.Sprintf("FP32 cut at %d", cut))
 
 		gotQ := dirty(want.Shape...)
-		q := &bandJob{out: gotQ.Data, in: codes, geo: geo, spec: spec, pw: pq, bias: bias, scales: scales}
-		q.pixels(0, cut)
-		q.pixels(cut, convBandPixels)
+		q := &convJob{out: gotQ.Data, acc: int32Rows(gotQ.Data), codes: plane, qw: qw.Data, scales: scales, geo: geo, spec: spec,
+			k: cin * 9, npix: npix, bias: bias, staged: true, kernel: (*convJob).qband}
+		q.shard(0, cut)
+		q.shard(cut, npix)
 		assertBitEqual(t, gotQ, wantQ, fmt.Sprintf("int8 cut at %d", cut))
 	}
 }

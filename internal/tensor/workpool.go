@@ -59,7 +59,7 @@ const (
 
 	// chunksPerWorker is how many chunks parallelFor aims to cut per
 	// available worker. >1 lets fast workers steal from slow ones;
-	// too many and per-chunk setup (staging, panels) and handoff overhead
+	// too many and per-chunk setup (staging) and handoff overhead
 	// grow.
 	chunksPerWorker = 4
 
