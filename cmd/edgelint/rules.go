@@ -226,11 +226,12 @@ var quantRoundTripFns = map[string]bool{
 // fakeQuantAnalyzer flags QuantizeSymmetric(x).Dequantize() (and the
 // per-channel variant) call chains: quantizing and immediately
 // dequantizing simulates int8 error but throws the int8 codes away, so
-// the node can never reach the real int8 kernels. Now that the runtime
-// executes QTensors directly, keep the quantized tensor — bind it to a
-// variable, hand it to the executor as QWeights, and derive the FP32
-// shadow from that binding. Test files are not parsed, so accuracy
-// tests may still round-trip freely.
+// the node can never reach the real int8 kernels. The runtime executes
+// QTensors directly: bind the quantized tensor to a variable and decide
+// from that binding which one copy the node keeps — the codes as
+// QWeights where it runs int8, else their dequantized values as Weights
+// (graph's quantizeNode). Test files are not parsed, so accuracy tests
+// may still round-trip freely.
 var fakeQuantAnalyzer = register(&Analyzer{
 	Name: "fake-quant",
 	Doc:  "no Quantize*(x).Dequantize() round-trips; keep the QTensor",

@@ -102,7 +102,7 @@ func TestCommittedLayerTable(t *testing.T) {
 // TestPlanPrintsEveryStep runs -plan on SqueezeNet, which the layer table
 // serves quantized: a header, a column line, one line per compiled step,
 // and the footer totalling the graph's FP32 weights and int8 codes, which
-// every kernel reads in place, neither of them zero.
+// every kernel reads in place.
 func TestPlanPrintsEveryStep(t *testing.T) {
 	var out bytes.Buffer
 	if code := runPlan(&out, "SqueezeNet"); code != 0 {
@@ -129,8 +129,11 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 			codes += len(n.QWeights.Data)
 		}
 	}
+	// Every weighted node of int8 SqueezeNet runs int8 and holds only its
+	// codes: no FP32 weights are left to count.
+	const want = "graph weights: FP32 0 B, int8 codes 1231552 B"
 	footer := fmt.Sprintf("graph weights: FP32 %d B, int8 codes %d B", weights, codes)
-	if weights == 0 || codes == 0 || lines[len(lines)-1] != footer {
-		t.Fatalf("plan footer %q, want %q", lines[len(lines)-1], footer)
+	if footer != want || lines[len(lines)-1] != want {
+		t.Fatalf("plan footer %q (graph holds %q), want %q", lines[len(lines)-1], footer, want)
 	}
 }

@@ -206,19 +206,36 @@ func TestRoundTripInt8PerChannel(t *testing.T) {
 
 // TestWeightedExportSize pins the container's cost: CifarNet's weighted
 // export is at most 4 bytes per parameter plus a header under 64 KiB
-// (decimal text took about 12.5 bytes per parameter).
+// (decimal text took about 12.5 bytes per parameter), and int8
+// SqueezeNet's at most a byte per code plus 4 per other float (biases,
+// scales): a quantized node ships its codes and no FP32 copy of them.
 func TestWeightedExportSize(t *testing.T) {
-	g := model.MustGet("CifarNet").Build(nn.Options{Materialize: true, Seed: 1})
-	data, err := exchange.Export(g, exchange.Options{IncludeWeights: true})
-	if err != nil {
+	cifar := model.MustGet("CifarNet").Build(nn.Options{Materialize: true, Seed: 1})
+	squeeze := model.MustGet("SqueezeNet").Build(nn.Options{Materialize: true, Seed: 1})
+	if _, err := opt.Optimize(squeeze, opt.O2); err != nil {
 		t.Fatal(err)
 	}
-	header := binary.LittleEndian.Uint64(data)
-	if header >= 64<<10 {
-		t.Errorf("header is %d bytes, want under 64 KiB", header)
-	}
-	if limit := 4*g.Params() + 64<<10; int64(len(data)) > limit {
-		t.Errorf("%d-parameter export is %d bytes, want at most %d", g.Params(), len(data), limit)
+	opt.QuantizeINT8(squeeze)
+	for _, g := range []*graph.Graph{cifar, squeeze} {
+		data, err := exchange.Export(g, exchange.Options{IncludeWeights: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := binary.LittleEndian.Uint64(data)
+		if header >= 64<<10 {
+			t.Errorf("%s: header is %d bytes, want under 64 KiB", g.Name, header)
+		}
+		codes, floats := int64(0), g.Params()
+		for _, n := range g.Nodes {
+			if q := n.QWeights; q != nil {
+				codes += int64(len(q.Data))
+				floats += int64(1+len(q.Scales)) - int64(len(q.Data))
+			}
+		}
+		if limit := codes + 4*floats + 64<<10; int64(len(data)) > limit {
+			t.Errorf("%s: export of %d codes and %d floats is %d bytes, want at most %d",
+				g.Name, codes, floats, len(data), limit)
+		}
 	}
 }
 

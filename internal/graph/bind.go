@@ -54,7 +54,7 @@ func bind(n *Node) (kernel, error) {
 				return kernel{}, err
 			}
 			k = kernel{run: run, act: true, affine: true}
-		case runsInt8(n):
+		case n.QWeights != nil && Int8Kernel(n):
 			k = kernel{run: convQ(n), act: true, int8: true}
 		default:
 			k = kernel{run: runConv, act: true, affine: true}
@@ -65,7 +65,7 @@ func bind(n *Node) (kernel, error) {
 	case OpConv3D:
 		k = kernel{run: runConv3D, compute: true}
 	case OpDense:
-		if runsInt8(n) {
+		if n.QWeights != nil && Int8Kernel(n) {
 			k = kernel{run: convQ(n), act: true, int8: true}
 		} else {
 			// FP32 dense is no convolution: its matvec accumulation
@@ -137,14 +137,14 @@ func writesDst(k OpKind) bool {
 	return true
 }
 
-// runsInt8 reports whether bind runs n on an int8 kernel: an ungrouped
-// convolution or a dense layer carrying int8 codes the int8 kernels can
-// honour. An absorbed affine, which the requantize epilogue has no stage
-// for, or an activation it cannot fuse sends the node to the FP32
-// kernels on the dequantized shadow in Weights.
-func runsInt8(n *Node) bool {
+// Int8Kernel reports whether bind has an int8 kernel for n: an ungrouped
+// convolution or a dense layer with no absorbed affine (the requantize
+// epilogue has no stage for one) and no activation it cannot fuse. The
+// node runs int8 when it also carries codes; quantization keeps them
+// exactly where this holds.
+func Int8Kernel(n *Node) bool {
 	switch {
-	case n.QWeights == nil || n.EpiChannels > 0:
+	case n.EpiChannels > 0:
 		return false
 	case n.Activation != 0 && actFor(n.Activation) == tensor.ActNone:
 		return false

@@ -1,10 +1,12 @@
 package graph_test
 
 import (
+	"strings"
 	"testing"
 
 	"edgebench/internal/graph"
 	"edgebench/internal/nn"
+	"edgebench/internal/opt"
 	"edgebench/internal/tensor"
 )
 
@@ -93,6 +95,51 @@ func TestQuantizePerChannelExecutesInt8(t *testing.T) {
 	for _, n := range g.Nodes {
 		if n.Kind == graph.OpConv2D && n.QWeights != nil && n.QWeights.Scales == nil {
 			t.Fatalf("node %s missing per-channel scales", n)
+		}
+	}
+}
+
+// TestQuantizedNodesHoldOneCopy: after either quantization pass, on
+// SqueezeNet and MobileNet-v2 at O2, every weighted node holds its
+// weights once — int8 codes or FP32 Weights, never both — and the graph
+// compiles. A node stripped of both, or holding codes bind would not run
+// int8 and no Weights, fails Compile as unmaterialized.
+func TestQuantizedNodesHoldOneCopy(t *testing.T) {
+	passes := map[string]func(*graph.Graph){
+		"per-tensor":  opt.QuantizeINT8,
+		"per-channel": opt.QuantizeINT8PerChannel,
+	}
+	for _, name := range []string{"SqueezeNet", "MobileNet-v2"} {
+		for scheme, quantize := range passes {
+			g := zooGraph(t, name, "O2")
+			quantize(g)
+			var q *graph.Node
+			for _, n := range g.Nodes {
+				if n.WShape != nil && (n.Weights == nil) == (n.QWeights == nil) {
+					t.Fatalf("%s %s: %s holds Weights %v and codes %v, want exactly one",
+						name, scheme, n, n.Weights != nil, n.QWeights != nil)
+				}
+				if n.QWeights != nil {
+					q = n
+				}
+			}
+			if q == nil {
+				t.Fatalf("%s %s: no node kept int8 codes", name, scheme)
+			}
+			if _, err := graph.Compile(g); err != nil {
+				t.Fatalf("%s %s: %v", name, scheme, err)
+			}
+			codes, kind := q.QWeights, q.Kind
+			for _, strip := range []func(){
+				func() { q.QWeights = nil },
+				func() { q.Kind = graph.OpDepthwiseConv2D },
+			} {
+				strip()
+				if _, err := graph.Compile(g); err == nil || !strings.Contains(err.Error(), graph.ErrNotMaterialized) {
+					t.Fatalf("%s %s: %s without runnable weights compiled, err %v", name, scheme, q, err)
+				}
+				q.QWeights, q.Kind = codes, kind
+			}
 		}
 	}
 }

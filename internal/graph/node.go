@@ -105,10 +105,9 @@ type Node struct {
 	Bias    []float32
 	BN      *BNParams
 
-	// QWeights holds real int8 weights after a quantization pass. When
-	// set, the executor dispatches the node to the int8 kernels (with
-	// dynamic activation quantization); Weights keeps the dequantized
-	// shadow so verification, cloning, and the FP32 fallback still work.
+	// QWeights holds real int8 weights after a quantization pass, which
+	// keeps them only where the executor runs the int8 kernels
+	// (Int8Kernel) and then drops Weights: one copy, codes or FP32.
 	QWeights *tensor.QTensor
 
 	// OutShape is the inferred output shape.
@@ -166,10 +165,11 @@ func (n *Node) WeightBytes() int64 {
 	return n.ParamCount() * int64(n.DType.Bytes())
 }
 
-// Materialized reports whether the node's parameter values are allocated
-// (a requirement for numeric execution).
+// Materialized reports whether the node holds the parameter values its
+// kernel reads (a requirement for numeric execution): Weights, or int8
+// codes that bind runs int8.
 func (n *Node) Materialized() bool {
-	if n.WShape != nil && n.Weights == nil {
+	if n.WShape != nil && n.Weights == nil && (n.QWeights == nil || !Int8Kernel(n)) {
 		return false
 	}
 	if n.BiasLen > 0 && n.Bias == nil {

@@ -50,13 +50,15 @@ func removeNodes(g *Graph, dead map[*Node]bool) {
 }
 
 // FoldBN folds every batch-norm whose producer is a convolution or dense
-// layer with no other consumer, and not itself a graph root, into that
-// producer's weights, then removes the BN node. This is the conv+BN half
-// of kernel fusion (§III-B) as the paper's frameworks do it — zero
-// run-time cost (Table II) at the price of reassociated floats. It stays
-// beside the bit-exact FusePatterns because rewriting the weights is the
-// only route by which a Conv→BN chain reaches the int8 kernels: bind
-// refuses int8 codes on a node carrying an absorbed affine.
+// layer with no other consumer, not itself a graph root and holding no
+// int8 codes, into that producer's weights, then removes the BN node.
+// This is the conv+BN half of kernel fusion (§III-B) as the paper's
+// frameworks do it — zero run-time cost (Table II) at the price of
+// reassociated floats. It stays beside the bit-exact FusePatterns because
+// rewriting the weights is the only route by which a Conv→BN chain
+// reaches the int8 kernels (bind refuses int8 codes on a node carrying an
+// absorbed affine), so it runs before quantization: after it, a BN behind
+// a quantized producer stays a node of its own.
 func FoldBN(g *Graph) {
 	cons := consumers(g)
 	dead := map[*Node]bool{}
@@ -65,8 +67,10 @@ func FoldBN(g *Graph) {
 			continue
 		}
 		prod := n.Inputs[0]
-		if !singleUse(g, cons, prod) {
-			continue // the producer's own value is read elsewhere; folding would change it
+		// Folding would change a value read elsewhere, and cannot
+		// rewrite the int8 codes a quantized producer's kernel reads.
+		if !singleUse(g, cons, prod) || prod.QWeights != nil {
+			continue
 		}
 		switch prod.Kind {
 		case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
@@ -122,13 +126,11 @@ func EliminateDead(g *Graph) {
 	removeNodes(g, dead)
 }
 
-// quantizeNode stores real int8 weights on a node the executor has an
-// int8 kernel for — dense convolutions (groups == 1) and dense layers —
-// per channel when perChannel is set, and replaces the FP32 weights with
-// the dequantized shadow, so the int8 kernels and the FP32 fallback
-// compute from identical calibrated values. Other weight-bearing nodes
-// (depthwise, grouped, 3-D convs, LSTM) get only the round-trip
-// (quantization error without an int8 kernel).
+// quantizeNode quantizes n's weights to int8, per channel when perChannel
+// is set, and leaves the node one copy of them: the codes, in QWeights,
+// where bind runs it int8 (Int8Kernel), else the dequantized codes in
+// Weights (depthwise, grouped, 3-D, LSTM, absorbed-BN nodes), so the FP32
+// kernels see the quantization error.
 func quantizeNode(n *Node, perChannel bool) {
 	if n.Weights == nil {
 		return
@@ -139,14 +141,10 @@ func quantizeNode(n *Node, perChannel bool) {
 	} else {
 		q = tensor.QuantizeSymmetric(n.Weights)
 	}
-	n.Weights = q.Dequantize()
-	// The codes stay only where bind would run them. A node carrying an
-	// absorbed-BN epilogue, for one, stays on the FP32 fused path: the
-	// int8 requantize epilogue has no per-channel affine stage (verify's
-	// fusion rule rejects the combination).
-	n.QWeights = q
-	if !runsInt8(n) {
-		n.QWeights = nil
+	if Int8Kernel(n) {
+		n.QWeights, n.Weights = q, nil
+	} else {
+		n.Weights = q.Dequantize()
 	}
 }
 

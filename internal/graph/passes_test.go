@@ -102,6 +102,28 @@ func TestFoldBNFanOut(t *testing.T) {
 	}
 }
 
+// TestFoldBNSkipsQuantizedProducer: a conv quantized before FoldBN runs
+// on its int8 codes, which a fold cannot rewrite, so its BN stays a node
+// of its own and the output keeps its bits.
+func TestFoldBNSkipsQuantizedProducer(t *testing.T) {
+	g := smallCNN(t, 19)
+	graph.QuantizeINT8(g)
+	in := seededInput(g.Input.OutShape, 5)
+	ref := run(t, g, in)
+	before := len(g.Nodes)
+	graph.FoldBN(g)
+	checkAfterPass(t, g, "FoldBN")
+	if len(g.Nodes) != before {
+		t.Fatalf("FoldBN removed %d nodes behind an int8 producer", before-len(g.Nodes))
+	}
+	got := run(t, g, in)
+	for i := range ref.Data {
+		if math.Float32bits(ref.Data[i]) != math.Float32bits(got.Data[i]) {
+			t.Fatalf("output[%d] = %v after FoldBN, %v before", i, got.Data[i], ref.Data[i])
+		}
+	}
+}
+
 func TestFusePatternsAfterFoldBN(t *testing.T) {
 	g := smallCNN(t, 11)
 	in := tensor.New(3, 8, 8).Fill(-0.2)

@@ -282,10 +282,11 @@ func GraphExecDType(g *graph.Graph) string {
 }
 
 // WeightBytes returns the graph's nominal parameter footprint: parameter
-// count × execution-dtype size, not resident bytes — an int8 node also
-// holds its FP32 shadow (every kernel reads the weights in place, so the
-// program holds no copy). It is the number the 4x int8 footprint drop is
-// visible in.
+// count × execution-dtype size, not resident bytes. Each weight is held
+// once and every kernel reads it in place, so the program holds no copy,
+// but an int8 graph's biases and scales, and the weights of its nodes
+// with no int8 kernel (depthwise, grouped), stay FP32 while counted at
+// one byte. It is the number the 4x int8 footprint drop is visible in.
 func (e *Engine) WeightBytes() int64 {
 	var total int64
 	for _, n := range e.g.Nodes {

@@ -1,5 +1,5 @@
-// Dataflow passes over the graph IR: independent re-derivations of the
-// two properties the execution engine takes on faith at runtime.
+// Dataflow passes over the graph IR: checks of the two properties the
+// execution engine takes on faith at runtime.
 //
 // CheckPlan re-proves the static memory planner's central claim — no
 // arena slot ever holds two simultaneously-live tensors — from nothing
@@ -10,12 +10,12 @@
 // executor writes through an aliased buffer.
 //
 // CheckQuantDomains walks datatype flow and rejects graphs where int8
-// codes feed FP32-only ops without a requantize/dequantize boundary. In
-// this IR the boundary is concrete: the dequantized FP32 shadow
-// (Weights) is the dequantize side and the kernels' dynamic activation
-// quantization is the requantize side, so a node holding int8 codes the
-// executor cannot dispatch must carry the shadow or the graph is
-// unexecutable.
+// codes feed FP32-only ops. A quantized node holds its weights once: the
+// codes where the executor runs it int8, else the dequantized FP32
+// values in Weights. Which nodes run int8 is bind's decision, so the
+// check asks bind's predicate (graph.Int8Kernel) rather than keeping a
+// copy of it that could drift. A node holding codes but no int8 kernel
+// and no Weights is unexecutable.
 //
 // Rule catalog (extends the structural catalog in verify.go):
 //
@@ -27,8 +27,8 @@
 //	quant-codes    int8 codes on a node outside the int8 domain (the
 //	               executor would run int8 kernels the cost model and
 //	               serving metrics never see)
-//	quant-exec     int8 codes feed an FP32-only op with no dequantized
-//	               shadow: neither kernel path can execute the node
+//	quant-exec     int8 codes on an op with no int8 kernel and no FP32
+//	               Weights: neither kernel path can execute the node
 package verify
 
 import (
@@ -166,39 +166,12 @@ func CheckPlan(g *graph.Graph, p *graph.Plan) []Diagnostic {
 	return c.diags
 }
 
-// fusableActs mirrors the executor's int8 epilogue support: activations
-// outside this set force the FP32 fallback even on int8-executable ops.
-var fusableActs = map[graph.OpKind]bool{
-	graph.OpReLU:      true,
-	graph.OpReLU6:     true,
-	graph.OpLeakyReLU: true,
-	graph.OpSigmoid:   true,
-	graph.OpTanh:      true,
-}
-
-// int8Dispatchable mirrors the executor's int8 kernel coverage: dense
-// (ungrouped) Conv2D and Dense, with a fusable (or absent) activation.
-// Re-derived here rather than exported from internal/graph so the
-// checker stays an independent witness.
-func int8Dispatchable(n *graph.Node) bool {
-	if n.Activation != 0 && !fusableActs[n.Activation] {
-		return false
-	}
-	switch n.Kind {
-	case graph.OpConv2D:
-		return n.Attrs.GroupCount() == 1
-	case graph.OpDense:
-		return true
-	}
-	return false
-}
-
 // CheckQuantDomains walks datatype flow over the graph and enforces the
 // int8 execution-domain discipline: domains may not mix across an edge
 // (the IR has no cast op), int8 codes may not appear outside the int8
-// domain, and int8 codes on an op with no int8 kernel must carry the
-// dequantized FP32 shadow — the dequantize half of the boundary — or
-// neither kernel path can execute the node.
+// domain, and int8 codes on a node bind has no int8 kernel for
+// (graph.Int8Kernel) must come with FP32 Weights, or neither kernel path
+// can execute the node.
 func CheckQuantDomains(g *graph.Graph) []Diagnostic {
 	if g == nil {
 		return nil
@@ -226,9 +199,9 @@ func CheckQuantDomains(g *graph.Graph) []Diagnostic {
 			c.add("quant-codes", Error, n,
 				"node carries int8 weight codes but its execution datatype is %s; a quantization pass retyped only part of the graph", n.DType)
 		}
-		if !int8Dispatchable(n) && n.Weights == nil {
+		if !graph.Int8Kernel(n) && n.Weights == nil {
 			c.add("quant-exec", Error, n,
-				"int8 codes feed an op with no int8 kernel and no dequantized FP32 shadow; neither execution path can run this node")
+				"int8 codes on a node with no int8 kernel and no FP32 weights; neither execution path can run it")
 		}
 	}
 	return c.diags

@@ -437,9 +437,6 @@ func (c *checker) checkParams() {
 			if q.Scales != nil && len(q.Shape) > 0 && len(q.Scales) != q.Shape[0] {
 				c.add("params", Error, n, "int8 per-channel scales length %d, want %d", len(q.Scales), q.Shape[0])
 			}
-			if n.Weights == nil {
-				c.add("params", Error, n, "int8 weights present without the dequantized FP32 shadow (FP32 fallback would fail)")
-			}
 		}
 	}
 }
