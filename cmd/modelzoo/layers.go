@@ -93,7 +93,8 @@ type layerTable struct {
 // column of /proc/stat, read only), how far the one-core FMUL and copy
 // roofs and the two-core FMUL roof moved from before the timed forwards
 // to after them, and how the two-core FMUL roof scales on the one-core
-// one; the same for the eight-lane roof where it is probed. The
+// one; the same for the eight-lane roof where it is probed, and the
+// one-core and two-core drifts of the int8 eight-lane roof. The
 // register-only FMUL probe does not see a co-tenant that loads the memory
 // system; the copy probe does.
 type layerNoise struct {
@@ -128,15 +129,25 @@ type layerNoise struct {
 	Vector2After  float64 `json:"fmul_vector2_after_gmuladd_s"`
 	VectorDrift2  float64 `json:"fmul_vector2_drift"`
 	VectorScaling float64 `json:"fmul_vector2_scaling"`
-	Contended     bool    `json:"contended"`
-	Bar           string  `json:"contended_bar"`
+	// The int8 eight-lane roof's (roofline.QMACVector) one-core and
+	// two-core probes before and after the forwards and their drifts, as
+	// for the FMUL roof; all 0 where VectorISA is "".
+	QMACBefore  float64 `json:"qmac_vector_before_gmac_s"`
+	QMACAfter   float64 `json:"qmac_vector_after_gmac_s"`
+	QMACDrift   float64 `json:"qmac_vector_drift"`
+	QMAC2Before float64 `json:"qmac_vector2_before_gmac_s"`
+	QMAC2After  float64 `json:"qmac_vector2_after_gmac_s"`
+	QMACDrift2  float64 `json:"qmac_vector2_drift"`
+	Contended   bool    `json:"contended"`
+	Bar         string  `json:"contended_bar"`
 }
 
 // contended is the verdict the bar gives the noise block's numbers.
 func (n layerNoise) contended() bool {
 	return n.StealShare > stealBar || n.Drift > driftBar || n.CopyDrift > driftBar ||
 		n.Drift2 > driftBar || n.Scaling < scalingBar ||
-		n.VectorDrift > driftBar || n.VectorDrift2 > driftBar || (n.VectorBefore > 0 && n.VectorScaling < vectorScalingBar)
+		n.VectorDrift > driftBar || n.VectorDrift2 > driftBar || (n.VectorBefore > 0 && n.VectorScaling < vectorScalingBar) ||
+		n.QMACDrift > driftBar || n.QMACDrift2 > driftBar
 }
 
 // drift is |after / before - 1|, 0 for a roof that was not probed.
@@ -275,8 +286,11 @@ func runLayers(w io.Writer, path string) int {
 		FMUL2Before: t.Roof[1].FMUL, FMUL2After: after[1].FMUL,
 		VectorBefore: t.Roof[0].FMULVector, VectorAfter: after[0].FMULVector,
 		Vector2Before: t.Roof[1].FMULVector, Vector2After: after[1].FMULVector,
-		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift, copy_drift, fmul2_drift, fmul_vector_drift or fmul_vector2_drift > %.2f "+
-			"or fmul2_scaling < %.1f or fmul_vector2_scaling < %.1f; a co-tenant present for the whole run moves no roof but caps the scaling",
+		QMACBefore: t.Roof[0].QMACVector, QMACAfter: after[0].QMACVector,
+		QMAC2Before: t.Roof[1].QMACVector, QMAC2After: after[1].QMACVector,
+		Bar: fmt.Sprintf("steal_share > %.2f or fmul_drift, copy_drift, fmul2_drift, fmul_vector_drift, fmul_vector2_drift, "+
+			"qmac_vector_drift or qmac_vector2_drift > %.2f "+
+			"or fmul2_scaling < %.1f or fmul_vector2_scaling < %.2f; a co-tenant present for the whole run moves no roof but caps the scaling",
 			stealBar, driftBar, scalingBar, vectorScalingBar)}
 	if steal1, ok := stealTicks(); ok && stealOK {
 		t.Noise.StealTicks = int64(steal1 - steal0)
@@ -285,6 +299,7 @@ func runLayers(w io.Writer, path string) int {
 	n := &t.Noise
 	n.Drift, n.CopyDrift, n.Drift2 = drift(n.FMULBefore, n.FMULAfter), drift(n.CopyBefore, n.CopyAfter), drift(n.FMUL2Before, n.FMUL2After)
 	n.VectorDrift, n.VectorDrift2 = drift(n.VectorBefore, n.VectorAfter), drift(n.Vector2Before, n.Vector2After)
+	n.QMACDrift, n.QMACDrift2 = drift(n.QMACBefore, n.QMACAfter), drift(n.QMAC2Before, n.QMAC2After)
 	n.Scaling = n.FMUL2Before / n.FMULBefore
 	if n.VectorBefore > 0 {
 		n.VectorScaling = n.Vector2Before / n.VectorBefore
@@ -292,10 +307,12 @@ func runLayers(w io.Writer, path string) int {
 	n.Contended = n.contended()
 	fmt.Fprintf(w, "noise: %d steal ticks in %.1f s (%.2f%% of the CPUs), FMUL roof %.2f → %.2f G/s (drift %.1f%%), "+
 		"copy roof %.1f → %.1f GB/s (drift %.1f%%), two-core FMUL roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), "+
-		"vector roof %.2f → %.2f G/s (drift %.1f%%), two-core vector roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), contended %v\n",
+		"vector roof %.2f → %.2f G/s (drift %.1f%%), two-core vector roof %.2f → %.2f G/s (drift %.1f%%, %.2fx one core), "+
+		"int8 vector roof %.2f → %.2f GMAC/s (drift %.1f%%), two-core %.2f → %.2f GMAC/s (drift %.1f%%), contended %v\n",
 		n.StealTicks, n.WallS, 100*n.StealShare, n.FMULBefore, n.FMULAfter, 100*n.Drift,
 		n.CopyBefore, n.CopyAfter, 100*n.CopyDrift, n.FMUL2Before, n.FMUL2After, 100*n.Drift2, n.Scaling,
-		n.VectorBefore, n.VectorAfter, 100*n.VectorDrift, n.Vector2Before, n.Vector2After, 100*n.VectorDrift2, n.VectorScaling, n.Contended)
+		n.VectorBefore, n.VectorAfter, 100*n.VectorDrift, n.Vector2Before, n.Vector2After, 100*n.VectorDrift2, n.VectorScaling,
+		n.QMACBefore, n.QMACAfter, 100*n.QMACDrift, n.QMAC2Before, n.QMAC2After, 100*n.QMACDrift2, n.Contended)
 	data, err := json.MarshalIndent(t, "", " ")
 	if err == nil {
 		err = os.WriteFile(path, append(data, '\n'), 0o644)
@@ -403,6 +420,7 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 		row.WeightBytes = 4 * len(n.Weights.Data)
 	}
 	switch {
+	case !s.Compute: // the copy roof, on a vector body or not
 	case s.Int8 && vectorStep(s):
 		row.Roof = "int8_vector"
 	case s.Int8:
@@ -415,15 +433,23 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 	return row
 }
 
-// vectorStep reports whether a step's multiply-adds run on a vector body
-// where the host has one: every int8 step (int8 Dense is a 1x1 conv), every FP32
-// Conv2D, grouped ones included (the channel-major microkernel), and
-// every depthwise step at stride 1 the 3x3 row kernel takes (its
-// interior; the edge columns stay scalar). Strided depthwise and FP32
-// dense steps do not.
+// vectorStep reports whether a step runs on a vector body where the host
+// has one: every int8 step (int8 Dense is a 1x1 conv), every FP32 Conv2D,
+// grouped ones included (the channel-major microkernel), every depthwise
+// step at stride 1 the 3x3 row kernel takes and every max-pool
+// tensor.MaxPoolVector takes (their interiors; the edge columns stay
+// scalar). Strided depthwise, FP32 dense and every other max-pool do not.
+// Only the multiply-add steps among them read against a vector roof.
 func vectorStep(s graph.StepInfo) bool {
 	n := s.Node
-	if !s.Compute || tensor.VectorISA() == "" {
+	if tensor.VectorISA() == "" {
+		return false
+	}
+	if n.Kind == graph.OpMaxPool2D {
+		in := n.Inputs[0].OutShape
+		return tensor.MaxPoolVector(in[1], in[2], tensor.PoolSpec{Kernel: n.Attrs.Kernel, Stride: n.Attrs.Stride, Pad: n.Attrs.Pad})
+	}
+	if !s.Compute {
 		return false
 	}
 	if s.Int8 {

@@ -18,12 +18,13 @@ import (
 // each (both eight-lane roofs probed, or neither), records the host fingerprint and the host's noise while it was
 // measured — steal, the one-core FMUL and copy roofs and the two-core
 // FMUL roof before and after the forwards, and the two-core roof's
-// scaling on the one-core one, and the same for the eight-lane roof —
-// with the contended verdict its own numbers give, every step read
-// against the vector roof an FP32 conv or depthwise conv whose kernel
-// names the vector body, every int8 step whose kernel names it against
-// the int8 vector roof and every other int8 step against the IMUL one,
-// with those roofs probed, and each model's step
+// scaling on the one-core one, the same for the eight-lane roof, and the
+// int8 eight-lane roof's drifts — with the contended verdict its own
+// numbers give, every step read against the vector roof an FP32 conv or
+// depthwise conv whose kernel names the vector body, every int8 step
+// whose kernel names it against the int8 vector roof and every other
+// int8 step against the IMUL one, with those roofs probed, every
+// max-pool against the copy roof whatever its kernel, and each model's step
 // p50s add up to its forward p50 within the tolerance -layers enforces.
 func TestCommittedLayerTable(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_layers.json")
@@ -47,11 +48,15 @@ func TestCommittedLayerTable(t *testing.T) {
 		math.Abs(n.VectorDrift-drift(n.VectorBefore, n.VectorAfter)) > 1e-9 ||
 		math.Abs(n.VectorDrift2-drift(n.Vector2Before, n.Vector2After)) > 1e-9 ||
 		(n.VectorBefore > 0) != (n.Vector2Before > 0) || (n.VectorBefore > 0) != (n.VectorAfter > 0) ||
-		(n.VectorBefore > 0 && math.Abs(n.VectorScaling-n.Vector2Before/n.VectorBefore) > 1e-9) {
+		(n.VectorBefore > 0 && math.Abs(n.VectorScaling-n.Vector2Before/n.VectorBefore) > 1e-9) ||
+		math.Abs(n.QMACDrift-drift(n.QMACBefore, n.QMACAfter)) > 1e-9 ||
+		math.Abs(n.QMACDrift2-drift(n.QMAC2Before, n.QMAC2After)) > 1e-9 ||
+		(n.QMACBefore > 0) != (n.VectorBefore > 0) || (n.QMAC2Before > 0) != (n.QMACAfter > 0) {
 		t.Errorf("noise block incomplete or inconsistent: %+v", n)
 	}
 	if len(tab.Roof) == len(layerProcs) && (tab.Roof[0].FMUL != tab.Noise.FMULBefore || tab.Roof[1].FMUL != tab.Noise.FMUL2Before ||
-		tab.Roof[0].FMULVector != tab.Noise.VectorBefore || tab.Roof[1].FMULVector != tab.Noise.Vector2Before) {
+		tab.Roof[0].FMULVector != tab.Noise.VectorBefore || tab.Roof[1].FMULVector != tab.Noise.Vector2Before ||
+		tab.Roof[0].QMACVector != tab.Noise.QMACBefore || tab.Roof[1].QMACVector != tab.Noise.QMAC2Before) {
 		t.Errorf("noise block's before-roofs are not the table's rooflines: %+v, %+v", tab.Noise, tab.Roof)
 	}
 	if tab.Runs < 30 {
@@ -89,6 +94,9 @@ func TestCommittedLayerTable(t *testing.T) {
 				!strings.HasSuffix(s.Kernel, ",avx2") ||
 				tab.Roof[0].FMULVector <= 0 || tab.Roof[1].FMULVector <= 0) {
 				t.Errorf("%s step %s reads against the vector roof as %s %q, rooflines %+v", m.Model, s.Node, s.Op, s.Kernel, tab.Roof)
+			}
+			if s.Op == graph.OpMaxPool2D.String() && s.Roof != "copy" {
+				t.Errorf("%s step %s, a max-pool, reads against the %s roof", m.Model, s.Node, s.Roof)
 			}
 			if int8 := strings.Contains(s.Kernel, "int8"); int8 && (s.Roof == "int8_vector") != strings.HasSuffix(s.Kernel, ",avx2") ||
 				int8 && s.Roof != "int8" && s.Roof != "int8_vector" || !int8 && strings.HasPrefix(s.Roof, "int8") ||

@@ -252,25 +252,25 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPool3x3s2 is SqueezeNet's first max-pool on random data and
-// on the same data through a ReLU — the input it really gets: about half
-// the taps are 0, so ties are everywhere.
+// BenchmarkMaxPool3x3s2 runs the four 3x3 stride-2 max-pools of the
+// benchmark's models — SqueezeNet's pool1, pool3 and pool5 and CifarNet's
+// pool1 — on random data through a ReLU, the input they really get:
+// about half the taps are 0, so ties are everywhere. MB/s counts the
+// bytes read and written.
 func BenchmarkMaxPool3x3s2(b *testing.B) {
-	random := benchInput(64, 111, 111)
-	relu := New(64, 111, 111)
-	copy(relu.Data, random.Data)
-	applyActInPlace(relu.Data, ActReLU, 0)
-	spec := PoolSpec{Kernel: 3, Stride: 2}
-	dst := New(64, spec.OutDim(111), spec.OutDim(111))
-	for _, tc := range []struct {
-		name string
-		in   *Tensor
-	}{{"random", random}, {"relu", relu}} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, sh := range []struct {
+		name  string
+		c, hw int
+	}{{"squeeze_pool1", 64, 111}, {"squeeze_pool3", 128, 55}, {"squeeze_pool5", 256, 27}, {"cifar_pool1", 64, 32}} {
+		in := benchInput(sh.c, sh.hw, sh.hw)
+		applyActInPlace(in.Data, ActReLU, 0)
+		spec := PoolSpec{Kernel: 3, Stride: 2}
+		dst := New(sh.c, spec.OutDim(sh.hw), spec.OutDim(sh.hw))
+		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(4 * len(tc.in.Data)))
+			b.SetBytes(int64(4 * (len(in.Data) + len(dst.Data))))
 			for i := 0; i < b.N; i++ {
-				MaxPool2DInto(dst, tc.in, spec)
+				MaxPool2DInto(dst, in, spec)
 			}
 		})
 	}

@@ -3,7 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // FuzzQPointwiseQuads runs the int8 microkernel's vector body
@@ -110,3 +113,95 @@ func FuzzQPointwiseQuads(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMaxPoolRow runs the max-pool row's vector body (maxPoolRowAVX2) and
+// the Go interior loop (maxPoolPlanes with useAVX2 cleared) on copies of
+// the same three input rows and requires equal bits. The input chooses
+// the row's window count (8 to 71: one group of eight, every overlap of
+// the last group, many groups), where the output starts in its buffer,
+// and how many inputs are salted with the values a max must order with
+// care: both zeros, NaNs of both signs and several payloads, both
+// infinities, ±MaxFloat32 and subnormals. Each row ends at
+// the last float of a page of its own that is followed by a page that
+// cannot be read, so a load past the last tap faults, and the page before
+// the row holds +Inf, which would win any window that read it; the
+// output's slack on both sides holds NaN canaries, which both paths must
+// leave untouched. go test runs the seed corpus; make fuzz runs the
+// target for a bounded time.
+func FuzzMaxPoolRow(f *testing.F) {
+	for _, s := range []struct{ n, ooff, salt uint8 }{
+		{0, 0, 0}, {1, 7, 40}, {7, 5, 255}, {8, 3, 9}, {9, 1, 128}, {15, 7, 17}, {24, 6, 200}, {63, 5, 3},
+	} {
+		f.Add(s.n, s.ooff, s.salt, int64(s.n)*131+int64(s.ooff))
+	}
+	f.Fuzz(func(t *testing.T, n8, ooff8, salt uint8, seed int64) {
+		if !useAVX2 {
+			t.Skip("no vector body on this CPU")
+		}
+		const canary = 8
+		n := 8 + int(n8)%64
+		w := 2*n + 1
+		inf := float32(math.Inf(1))
+		special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00000),
+			math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00123), inf, float32(math.Inf(-1)),
+			math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(1), math.Float32frombits(0x807fffff)}
+		r := rand.New(rand.NewSource(seed))
+		plane := make([]float32, 3*w)
+		for i := range plane {
+			plane[i] = float32(r.NormFloat64())
+			if r.Intn(256) < int(salt) {
+				plane[i] = special[r.Intn(len(special))]
+			}
+		}
+		pages, err := guardedPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [3][]float32
+		for i, page := range pages {
+			for j := range page {
+				page[j] = inf
+			}
+			rows[i] = page[len(page)-w:]
+			copy(rows[i], plane[i*w:(i+1)*w])
+		}
+		ooff := int(ooff8) % 8
+		obuf := make([]float32, ooff+n+canary)
+		for i := range obuf {
+			obuf[i] = math.Float32frombits(0x7fa5a500 + uint32(i))
+		}
+		got, want := append([]float32(nil), obuf...), append([]float32(nil), obuf...)
+		maxPoolRowAVX2(got[ooff:][:n], rows[0], rows[1], rows[2])
+		useAVX2 = false
+		maxPoolPlanes(want[ooff:][:n], plane, 3, w, 1, n, PoolSpec{Kernel: 3, Stride: 2}, 0, 1)
+		useAVX2 = true
+		for i := range obuf {
+			g := math.Float32bits(got[i])
+			if g != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: element %d: vector %#08x, Go %#08x", n, i, g, math.Float32bits(want[i]))
+			}
+			if (i < ooff || i >= ooff+n) && g != math.Float32bits(obuf[i]) {
+				t.Fatalf("n=%d: canary %d overwritten: %#08x", n, i, g)
+			}
+		}
+	})
+}
+
+// guardedPages maps, once per process, three readable pages of float32s,
+// each followed by a page that cannot be read: a row cut to end at a
+// page's end faults on any load past its last element.
+var guardedPages = sync.OnceValues(func() ([3][]float32, error) {
+	var pages [3][]float32
+	size := syscall.Getpagesize()
+	for i := range pages {
+		mem, err := syscall.Mmap(-1, 0, 2*size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+		if err == nil {
+			err = syscall.Mprotect(mem[size:], syscall.PROT_NONE)
+		}
+		if err != nil {
+			return pages, err
+		}
+		pages[i] = unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), size/4)
+	}
+	return pages, nil
+})

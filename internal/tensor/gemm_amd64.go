@@ -1,10 +1,11 @@
 package tensor
 
 // useAVX2 sends pointwiseQuads, the FP32 epilogue and the int8
-// requantize, depthwiseRow's stride-1 interior and the int8 microkernel
-// to their AVX2 bodies (gemm_amd64.s), read once
-// from CPUID at package init. Tests clear it to run the Go kernel, the
-// reference and the path on every other CPU.
+// requantize, depthwiseRow's stride-1 interior, the int8 dot products and
+// their pair-row interleave, and the 3x3 stride-2 max-pool interior to
+// their AVX2 bodies (gemm_amd64.s), read once from CPUID at package init.
+// Tests clear it to run the Go kernel, the reference and the path on
+// every other CPU.
 var useAVX2 = cpuAVX2()
 
 // cpuAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -34,6 +35,14 @@ func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int)
 //
 //go:noescape
 func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32)
+
+// maxPoolRowAVX2 is maxPoolPlanes' 3x3 stride-2 interior on eight output
+// columns per YMM register, bit for bit: o[x] is the max of r0, r1 and
+// r2[2x : 2x+3] in maxPoolWindow's order. It checks no bound:
+// maxPoolPlanes does.
+//
+//go:noescape
+func maxPoolRowAVX2(o, r0, r1, r2 []float32)
 
 // fmulChainsAVX2 is FMULChains' loop on eight-lane registers: one call of
 // steps steps does 8*FMULChainsWide*steps multiply-adds.

@@ -776,3 +776,67 @@ ilLoop:
 ilDone:
 	VZEROUPPER
 	RET
+
+// poolFloor<> is negInf, −MaxFloat32: maxPoolWindow's running max before
+// its first tap.
+DATA poolFloor<>+0(SB)/4, $0xff7fffff
+GLOBL poolFloor<>(SB), RODATA|NOPTR, $4
+
+// POOLROW folds the three taps of input row P into Y0 for the group of
+// eight outputs at AX, which reads P[2*AX : 2*AX+17]. Y1 and Y2 hold the
+// group's first sixteen inputs and Y3 the eight from 2*AX+2; Y4 the eight
+// that end at 2*AX+16, the last tap, so no load passes it. Each VSHUFPS
+// takes the evens (kx = 0), the odds (kx = 1) and the evens from +2
+// (kx = 2) of every 128-bit half, which leaves outputs 0 1 4 5 | 2 3 6 7
+// in the lanes of all three alike. Each VMAXPS has the tap as Intel's
+// first source: the running max where they are equal or either is a
+// NaN, which is `if v > m { m = v }`.
+#define POOLROW(P) \
+	VMOVUPS 0(P)(AX*8), Y1; \
+	VMOVUPS 32(P)(AX*8), Y2; \
+	VMOVUPS 8(P)(AX*8), Y3; \
+	VMOVUPS 36(P)(AX*8), Y4; \
+	VSHUFPS $0x88, Y2, Y1, Y5; \
+	VMAXPS  Y0, Y5, Y0; \
+	VSHUFPS $0xDD, Y2, Y1, Y5; \
+	VMAXPS  Y0, Y5, Y0; \
+	VSHUFPS $0xD8, Y4, Y3, Y5; \
+	VMAXPS  Y0, Y5, Y0
+
+// func maxPoolRowAVX2(o, r0, r1, r2 []float32)
+//
+// Output columns [0, len(o)) of a 3×3 stride-2 max-pool, column x the
+// max of r0, r1 and r2[2x : 2x+3] in (ky, kx) order from negInf, eight
+// columns a group. A last partial group is the overlapping group ending
+// at len(o): a max is written the same whichever group computes it, so
+// no mask and no tail. VPERMPD puts the lanes back in column order
+// before the store. The caller has checked every bound, that len(o) >= 8
+// and that every row holds 2*len(o)+1 elements.
+TEXT ·maxPoolRowAVX2(SB), NOSPLIT, $0-96
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), DX
+	MOVQ r2_base+72(FP), R8
+	VBROADCASTSS poolFloor<>(SB), Y15
+	SUBQ $8, CX             // the last group's first column
+	XORQ AX, AX
+
+mpLoop:
+	VMOVAPS Y15, Y0
+	POOLROW(SI)
+	POOLROW(DX)
+	POOLROW(R8)
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	CMPQ AX, CX
+	JEQ  mpDone
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLE  mpLoop
+	MOVQ CX, AX
+	JMP  mpLoop
+
+mpDone:
+	VZEROUPPER
+	RET

@@ -3,8 +3,8 @@
 package tensor
 
 // useAVX2 is false off amd64: pointwiseQuads, the FP32 epilogue and the
-// int8 requantize, depthwiseRow and the int8 microkernel run their Go
-// loops.
+// int8 requantize, depthwiseRow, the int8 dot products and interleave,
+// and the max-pool interior run their Go loops.
 var useAVX2 = false
 
 func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32) {
@@ -16,6 +16,10 @@ func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int) {
 }
 
 func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32) {
+	panic("tensor: no AVX2 body off amd64")
+}
+
+func maxPoolRowAVX2(o, r0, r1, r2 []float32) {
 	panic("tensor: no AVX2 body off amd64")
 }
 

@@ -191,14 +191,16 @@ const maxPoolParallelTaps = parallelThresholdMACs / 4
 // Each conditional move still waits on the compare before it, so an
 // output row's interior goes four windows at a time, each with its own
 // running max and its own taps in the same order; the row's last
-// (hi-lo) mod 4 windows go one at a time. Border windows go through
-// maxPoolWindow.
+// (hi-lo) mod 4 windows go one at a time. Where MaxPoolVector holds, the
+// interior goes to maxPoolRowAVX2 instead, a row a call, which keeps the
+// same bits. Border windows go through maxPoolWindow.
 func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo, chi int) {
 	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
 	// Output rows [oyLo, oyHi) and columns [oxLo, oxHi) have their whole
 	// window in bounds: o*stride-pad >= 0 and o*stride-pad+k <= size.
 	oyLo, oyHi := interiorSpan(h, hout, k, stride, pad)
 	oxLo, oxHi := interiorSpan(w, wout, k, stride, pad)
+	vector := MaxPoolVector(h, w, spec)
 	for ic := clo; ic < chi; ic++ {
 		plane := src[ic*h*w : (ic+1)*h*w]
 		out := dst[ic*hout*wout : (ic+1)*hout*wout]
@@ -213,6 +215,12 @@ func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo,
 			}
 			top := (oy*stride - pad) * w
 			ox := lo
+			if vector && lo < hi {
+				// Each row of the windows: the 2(hi-lo)+1 inputs they read.
+				off, n := top+2*lo-pad, 2*(hi-lo)+1
+				maxPoolRowAVX2(orow[lo:hi], plane[off:][:n], plane[off+w:][:n], plane[off+2*w:][:n])
+				ox = hi
+			}
 			for ; ox+4 <= hi; ox += 4 {
 				m0, m1, m2, m3 := math.Float32bits(negInf), math.Float32bits(negInf), math.Float32bits(negInf), math.Float32bits(negInf)
 				for off := top + ox*stride - pad; off < top+k*w; off += w {

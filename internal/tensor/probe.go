@@ -35,9 +35,10 @@ func FMULChains(steps int) float32 {
 }
 
 // VectorISA names the vector instruction set the kernels with a vector
-// body — every FP32 convolution's microkernel, the FP32 epilogue, the
-// stride-1 depthwise interior and the int8 microkernel — run on here:
-// "avx2", or "" where they run the Go loops.
+// body — every FP32 convolution's microkernel, the FP32 epilogue and the
+// int8 requantize, the stride-1 depthwise interior, the int8 dot products
+// and their pair-row interleave, and the 3x3 stride-2 max-pool interior —
+// run on here: "avx2", or "" where they run the Go loops.
 func VectorISA() string {
 	if useAVX2 {
 		return "avx2"
@@ -52,6 +53,16 @@ func VectorISA() string {
 func DepthwiseVector(h, wd, kh, kw int, spec Conv2DSpec) bool {
 	spec = spec.check()
 	return depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW) && depthwiseRowVector(spec.Stride)
+}
+
+// MaxPoolVector reports whether max pooling an [C, h, w] input runs its
+// interior rows on the vector body (maxPoolRowAVX2): a 3x3 stride-2 pool
+// with an interior row of at least eight windows, on an AVX2 host.
+func MaxPoolVector(h, w int, spec PoolSpec) bool {
+	spec = spec.check()
+	ylo, yhi := interiorSpan(h, spec.OutDim(h), spec.Kernel, spec.Stride, spec.Pad)
+	xlo, xhi := interiorSpan(w, spec.OutDim(w), spec.Kernel, spec.Stride, spec.Pad)
+	return useAVX2 && spec.Kernel == 3 && spec.Stride == 2 && ylo < yhi && xhi-xlo >= 8
 }
 
 // FMULVectorWide is the number of multiply-adds one step of

@@ -250,62 +250,72 @@ func poolInput(r *rand.Rand, shape ...int) *Tensor {
 
 // TestMaxPoolInteriorMatchesWindowReference sweeps kernel 2-3, stride
 // 1-3 and pad 0-1 over planes from one element up, including planes
-// smaller than the window, against the per-window reference.
+// smaller than the window, against the per-window reference, on both
+// paths. The widths 15-20 and 31-36 give a 3x3 stride-2 row 7, 8, 9, 15,
+// 16 and 17 interior windows at pad 0 and at pad 1: no vector group, one,
+// one and an overlapping one, and two and overlapping ones.
 func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
-	r := rand.New(rand.NewSource(103))
-	cases := 0
-	for k := 2; k <= 3; k++ {
-		for stride := 1; stride <= 3; stride++ {
-			for pad := 0; pad <= 1; pad++ {
-				for _, h := range []int{1, 2, 3, 4, 7, 10} {
-					for _, w := range []int{1, 2, 3, 5, 8, 11} {
-						if h+2*pad < k || w+2*pad < k {
-							continue
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(103))
+		cases, vector := 0, 0
+		for k := 2; k <= 3; k++ {
+			for stride := 1; stride <= 3; stride++ {
+				for pad := 0; pad <= 1; pad++ {
+					for _, h := range []int{1, 2, 3, 4, 7, 10} {
+						for _, w := range []int{1, 2, 3, 5, 8, 11, 15, 16, 17, 18, 19, 20, 31, 32, 33, 34, 35, 36} {
+							if h+2*pad < k || w+2*pad < k {
+								continue
+							}
+							spec := PoolSpec{Kernel: k, Stride: stride, Pad: pad}
+							in := poolInput(r, 3, h, w)
+							name := fmt.Sprintf("k%d s%d p%d in%dx%d", k, stride, pad, h, w)
+							want := maxPoolReference(in, spec)
+							got := dirty(want.Shape...)
+							MaxPool2DInto(got, in, spec)
+							if !bitsEqual(got.Data, want.Data) {
+								t.Errorf("%s: MaxPool2DInto differs from the per-window reference", name)
+							}
+							cases++
+							if MaxPoolVector(h, w, spec) {
+								vector++
+							}
 						}
-						spec := PoolSpec{Kernel: k, Stride: stride, Pad: pad}
-						in := poolInput(r, 3, h, w)
-						name := fmt.Sprintf("k%d s%d p%d in%dx%d", k, stride, pad, h, w)
-						want := maxPoolReference(in, spec)
-						got := dirty(want.Shape...)
-						MaxPool2DInto(got, in, spec)
-						if !bitsEqual(got.Data, want.Data) {
-							t.Errorf("%s: MaxPool2DInto differs from the per-window reference", name)
-						}
-						cases++
 					}
 				}
 			}
 		}
-	}
-	if cases < 300 {
-		t.Fatalf("sweep ran only %d cases", cases)
-	}
+		if cases < 900 || useAVX2 && vector < 40 {
+			t.Fatalf("sweep ran only %d cases, %d of them on the vector body", cases, vector)
+		}
+	})
 }
 
 // TestMaxPoolShardedMatchesSerial crosses the sharding threshold: the
 // pooled run, one serial pass over all planes, and the per-window
 // reference must agree bit for bit, padded and not.
 func TestMaxPoolShardedMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(107))
-	for _, spec := range []PoolSpec{{Kernel: 3, Stride: 2}, {Kernel: 3, Stride: 2, Pad: 1}, {Kernel: 2}} {
-		spec = spec.check()
-		const c, h, w = 64, 81, 83
-		in := poolInput(r, c, h, w)
-		want := maxPoolReference(in, spec)
-		if want.Shape.NumElems()*spec.Kernel*spec.Kernel < maxPoolParallelTaps {
-			t.Fatalf("%+v: pooling too small to hit the sharded path", spec)
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(107))
+		for _, spec := range []PoolSpec{{Kernel: 3, Stride: 2}, {Kernel: 3, Stride: 2, Pad: 1}, {Kernel: 2}} {
+			spec = spec.check()
+			const c, h, w = 64, 81, 83
+			in := poolInput(r, c, h, w)
+			want := maxPoolReference(in, spec)
+			if want.Shape.NumElems()*spec.Kernel*spec.Kernel < maxPoolParallelTaps {
+				t.Fatalf("%+v: pooling too small to hit the sharded path", spec)
+			}
+			pooled := dirty(want.Shape...)
+			MaxPool2DInto(pooled, in, spec)
+			if !bitsEqual(pooled.Data, want.Data) {
+				t.Errorf("%+v: pooled max-pool differs from the per-window reference", spec)
+			}
+			serial := dirty(want.Shape...)
+			maxPoolPlanes(serial.Data, in.Data, h, w, want.Shape[1], want.Shape[2], spec, 0, c)
+			if !bitsEqual(serial.Data, want.Data) {
+				t.Errorf("%+v: serial max-pool differs from the per-window reference", spec)
+			}
 		}
-		pooled := dirty(want.Shape...)
-		MaxPool2DInto(pooled, in, spec)
-		if !bitsEqual(pooled.Data, want.Data) {
-			t.Errorf("%+v: pooled max-pool differs from the per-window reference", spec)
-		}
-		serial := dirty(want.Shape...)
-		maxPoolPlanes(serial.Data, in.Data, h, w, want.Shape[1], want.Shape[2], spec, 0, c)
-		if !bitsEqual(serial.Data, want.Data) {
-			t.Errorf("%+v: serial max-pool differs from the per-window reference", spec)
-		}
-	}
+	})
 }
 
 // TestMaxPoolSpecialWindows pins the interior select on single 3×3
@@ -314,50 +324,54 @@ func TestMaxPoolShardedMatchesSerial(t *testing.T) {
 // does, and a window of nothing but NaN and −Inf keeps the running max's
 // starting value negInf (−MaxFloat32), as maxPoolWindow always has.
 func TestMaxPoolSpecialWindows(t *testing.T) {
-	nan, negNaN := float32(math.NaN()), math.Float32frombits(0xffc00000)
-	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
-	for _, tc := range []struct {
-		name string
-		taps [9]float32
-		want float32
-	}{
-		{"-0 then +0", [9]float32{-1, -2, negZero, -3, 0, -4, -5, -6, -7}, negZero},
-		{"+0 then -0", [9]float32{-1, 0, -2, -3, -4, -5, negZero, -6, -7}, 0},
-		{"all NaN", [9]float32{nan, negNaN, nan, nan, nan, negNaN, nan, nan, nan}, negInf},
-		{"NaN before the max", [9]float32{nan, 1, 2, 3, negNaN, 0.5, -1, 4, 2}, 4},
-		{"NaN after the max", [9]float32{4, nan, 2, 3, 1, nan, -1, 0, negNaN}, 4},
-		{"+Inf", [9]float32{1, 2, nan, 3, inf, -inf, 0, negZero, 5}, inf},
-		{"-Inf only", [9]float32{-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf}, negInf},
-		{"-Inf and NaN", [9]float32{-inf, nan, -inf, negNaN, -inf, nan, -inf, nan, -inf}, negInf},
-	} {
-		// One row of span interior windows at the given stride, the
-		// special one at output column at: every lane of maxPoolPlanes'
-		// four-window passes and their tail. The other windows overlap
-		// it and are checked against maxPoolWindow.
-		for _, stride := range []int{1, 2} {
-			spec := PoolSpec{Kernel: 3, Stride: stride}
-			for span := 1; span <= 9; span++ {
-				w := stride*(span-1) + 3
-				for at := 0; at < span; at++ {
-					in := New(1, 3, w).Fill(-10)
-					for ky := 0; ky < 3; ky++ {
-						copy(in.Data[ky*w+at*stride:], tc.taps[ky*3:ky*3+3])
-					}
-					got := dirty(1, 1, span)
-					MaxPool2DInto(got, in, spec)
-					for ox := range got.Data {
-						want := maxPoolWindow(in.Data, 3, w, 0, ox, spec)
-						if ox == at && math.Float32bits(want) != math.Float32bits(tc.want) {
-							t.Fatalf("%s: maxPoolWindow %#08x, want %#08x", tc.name, math.Float32bits(want), math.Float32bits(tc.want))
+	onEachPath(t, func(t *testing.T) {
+		nan, negNaN := float32(math.NaN()), math.Float32frombits(0xffc00000)
+		negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+		for _, tc := range []struct {
+			name string
+			taps [9]float32
+			want float32
+		}{
+			{"-0 then +0", [9]float32{-1, -2, negZero, -3, 0, -4, -5, -6, -7}, negZero},
+			{"+0 then -0", [9]float32{-1, 0, -2, -3, -4, -5, negZero, -6, -7}, 0},
+			{"all NaN", [9]float32{nan, negNaN, nan, nan, nan, negNaN, nan, nan, nan}, negInf},
+			{"NaN before the max", [9]float32{nan, 1, 2, 3, negNaN, 0.5, -1, 4, 2}, 4},
+			{"NaN after the max", [9]float32{4, nan, 2, 3, 1, nan, -1, 0, negNaN}, 4},
+			{"+Inf", [9]float32{1, 2, nan, 3, inf, -inf, 0, negZero, 5}, inf},
+			{"-Inf only", [9]float32{-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf}, negInf},
+			{"-Inf and NaN", [9]float32{-inf, nan, -inf, negNaN, -inf, nan, -inf, nan, -inf}, negInf},
+		} {
+			// One row of span interior windows at the given stride, the
+			// special one at output column at: every lane of maxPoolPlanes'
+			// four-window passes and their tail, and at stride 2 of the
+			// vector body's groups of eight, the overlapping last one
+			// included. The other windows overlap it and are checked against
+			// maxPoolWindow.
+			for _, stride := range []int{1, 2} {
+				spec := PoolSpec{Kernel: 3, Stride: stride}
+				for span := 1; span <= 17; span++ {
+					w := stride*(span-1) + 3
+					for at := 0; at < span; at++ {
+						in := New(1, 3, w).Fill(-10)
+						for ky := 0; ky < 3; ky++ {
+							copy(in.Data[ky*w+at*stride:], tc.taps[ky*3:ky*3+3])
 						}
-						if g, r := math.Float32bits(got.Data[ox]), math.Float32bits(want); g != r {
-							t.Errorf("%s stride %d span %d at %d: window %d = %#08x, maxPoolWindow %#08x", tc.name, stride, span, at, ox, g, r)
+						got := dirty(1, 1, span)
+						MaxPool2DInto(got, in, spec)
+						for ox := range got.Data {
+							want := maxPoolWindow(in.Data, 3, w, 0, ox, spec)
+							if ox == at && math.Float32bits(want) != math.Float32bits(tc.want) {
+								t.Fatalf("%s: maxPoolWindow %#08x, want %#08x", tc.name, math.Float32bits(want), math.Float32bits(tc.want))
+							}
+							if g, r := math.Float32bits(got.Data[ox]), math.Float32bits(want); g != r {
+								t.Errorf("%s stride %d span %d at %d: window %d = %#08x, maxPoolWindow %#08x", tc.name, stride, span, at, ox, g, r)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // checkQGemmKernels asserts the int8 convolution as a GEMM (matrixJob)
