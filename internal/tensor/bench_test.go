@@ -297,24 +297,35 @@ func BenchmarkDenseFP32(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantizeDynamic is the activation quantizer (max-abs, then
-// rounding) on the stem's input, an image of either sign, and on a ReLU'd
-// activation the size of the first fire module's input: the rounding
-// branch a sign test would take is random on the first and constant on
-// the second.
+// BenchmarkQuantizeDynamic is the activation quantizer as the int8 convs
+// run it — absScale, then quantizeRound into a code plane, on scratch from
+// their pool — on SqueezeNet's quantizer inputs: conv1's image of either
+// sign (flat rows, sharded), fire3_sq's ReLU'd input (pair rows, sharded)
+// and fire4_e3's, shorter than quantParallelElems (flat rows, one core).
+// MB/s counts the floats read.
 func BenchmarkQuantizeDynamic(b *testing.B) {
-	relu := benchInput(64, 111, 111)
-	applyActInPlace(relu.Data, ActReLU, 0)
 	for _, tc := range []struct {
-		name string
-		in   *Tensor
-	}{{"random-3x224x224", benchInput(3, 224, 224)}, {"relu-64x111x111", relu}} {
+		name        string
+		c, h, w     int
+		pairs, relu bool
+	}{
+		{"flat-3x224x224", 3, 224, 224, false, false},
+		{"pairs-128x55x55", 128, 55, 55, true, true},
+		{"flat-32x27x27", 32, 27, 27, false, true},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			dst := make([]int8, len(tc.in.Data))
+			in, plane := benchInput(tc.c, tc.h, tc.w), tc.h*tc.w
+			if tc.relu {
+				applyActInPlace(in.Data, ActReLU, 0)
+			}
+			codes := make([]int16, (tc.c+gemmMR-1)&^(gemmMR-1)*plane)
 			b.ReportAllocs()
-			b.SetBytes(int64(4 * len(tc.in.Data)))
+			b.SetBytes(int64(4 * len(in.Data)))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				quantizeDynamic(dst, tc.in.Data)
+				s := qscratchPool.Get().(*qscratch)
+				s.quantizeRound(codes, in.Data, plane, tc.pairs, 1/s.absScale(in.Data))
+				qscratchPool.Put(s)
 			}
 		})
 	}

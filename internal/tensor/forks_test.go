@@ -65,7 +65,7 @@ func TestPackedConvForksOnce(t *testing.T) {
 // requantize fork nowhere else — and, where the input is long enough to shard the
 // activation quantizer, one for its max-abs pass and one for its rounding
 // pass, pointwise or not; one per max-pool above its bar, and nothing
-// else: 57 forks.
+// else: 37 forks.
 func TestPackedQConvForksOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -104,8 +104,8 @@ func TestPackedQConvForksOnce(t *testing.T) {
 			t.Errorf("%s is not a pre-packed int8 convolution", n)
 		}
 	}
-	if convs != 26 || quantized == 0 || quantized == convs || forks != 57 {
-		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d forks; want 26, some but not all, 57",
+	if convs != 26 || quantized == 0 || quantized == convs || forks != 37 {
+		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d forks; want 26, some but not all, 37",
 			convs, quantized, forks)
 	}
 	requireForks(t, eng, g, forks)

@@ -187,9 +187,92 @@ func FuzzMaxPoolRow(f *testing.F) {
 	})
 }
 
+// FuzzQuantizeRow runs the activation quantizer's vector bodies
+// (quantizeRowAVX2 through quantizeRow and quantizePairRow, maxAbsAVX2
+// through maxAbs) and their Go loops on copies of the same rows, and
+// requires equal codes and an equal maximum. The input chooses the
+// plane's length (1 to 520: every tail mod 8 and 16), where the span
+// starts in it (the span runs to the plane's end), the inverse scale's
+// bits (negative, zero, subnormal, infinite and NaN scales included: the
+// body must match the loop on every float) and how many inputs quantSalt
+// salts. The two channels' source rows and each layout's destination row
+// end at the last element of a page followed by one that can be neither
+// read nor written, so a load or store past the span faults; the
+// destination holds -32768 before the span, which neither path may
+// overwrite. go test runs the seed corpus; make fuzz runs the target for
+// a bounded time.
+func FuzzQuantizeRow(f *testing.F) {
+	for _, s := range []struct {
+		plane, off uint16
+		inv        float32
+		salt       uint8
+	}{
+		{1, 0, 0.25, 0}, {8, 0, 0.25, 255}, {9, 1, 127.0 / 6, 40}, {16, 3, 0.25, 128}, {17, 0, 127.0 / 1e4, 9},
+		{24, 7, -0.6, 60}, {63, 5, 1e30, 20}, {520, 11, 0.25, 30}, {333, 0, float32(math.NaN()), 10}, {40, 8, 0, 80},
+	} {
+		f.Add(s.plane, s.off, math.Float32bits(s.inv), s.salt, int64(s.plane)*131+int64(s.off))
+	}
+	f.Fuzz(func(t *testing.T, plane16, off16 uint16, invBits uint32, salt uint8, seed int64) {
+		if !useAVX2 {
+			t.Skip("no vector body on this CPU")
+		}
+		plane := 1 + int(plane16)%520
+		off, inv := int(off16)%plane, math.Float32frombits(invBits)
+		r := rand.New(rand.NewSource(seed))
+		pages, err := guardedPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := pages[0][len(pages[0])-plane:], pages[1][len(pages[1])-plane:]
+		for _, row := range [][]float32{a, b} {
+			for i := range row {
+				row[i] = float32(r.NormFloat64() * 100)
+			}
+			quantSalt(r, row, inv, int(salt))
+		}
+		ga, gb := append([]float32(nil), a...), append([]float32(nil), b...)
+		useAVX2 = false
+		want := math.Float32bits(maxAbs(ga[off:]))
+		useAVX2 = true
+		if got := math.Float32bits(maxAbs(a[off:])); got != want {
+			t.Fatalf("plane=%d off=%d: max-abs vector %#08x, Go %#08x", plane, off, got, want)
+		}
+		page := unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(pages[2]))), 2*len(pages[2]))
+		for _, pairs := range []bool{false, true} {
+			w := plane
+			if pairs {
+				w = 2 * plane
+			}
+			vec, ref := page[len(page)-w:], make([]int16, w)
+			for i := range vec {
+				vec[i], ref[i] = math.MinInt16, math.MinInt16
+			}
+			for _, c := range []struct {
+				dst    []int16
+				a, b   []float32
+				vector bool
+			}{{vec, a, b, true}, {ref, ga, gb, false}} {
+				useAVX2 = c.vector
+				if pairs {
+					quantizePairRow(c.dst[2*off:], c.a[off:], c.b[off:], inv)
+				} else {
+					quantizeRow(c.dst[off:], c.a[off:], inv)
+				}
+			}
+			useAVX2 = true
+			for i := range ref {
+				if vec[i] != ref[i] {
+					t.Fatalf("plane=%d off=%d inv=%g pairs=%v: slot %d: vector %d, Go %d", plane, off, inv, pairs, i, vec[i], ref[i])
+				}
+			}
+		}
+	})
+}
+
 // guardedPages maps, once per process, three readable pages of float32s,
-// each followed by a page that cannot be read: a row cut to end at a
-// page's end faults on any load past its last element.
+// each followed by a page that can be neither read nor written: a row cut
+// to end at a page's end faults on any load or store past its last
+// element.
 var guardedPages = sync.OnceValues(func() ([3][]float32, error) {
 	var pages [3][]float32
 	size := syscall.Getpagesize()

@@ -2,8 +2,9 @@ package tensor
 
 // useAVX2 sends pointwiseQuads, the FP32 epilogue and the int8
 // requantize, depthwiseRow's stride-1 interior, the int8 dot products and
-// their pair-row interleave, and the 3x3 stride-2 max-pool interior to
-// their AVX2 bodies (gemm_amd64.s), read once from CPUID at package init.
+// their pair-row interleave, the 3x3 stride-2 max-pool interior, and the
+// activation quantizer's max-abs and rounding to their AVX2 bodies
+// (gemm_amd64.s), read once from CPUID at package init.
 // Tests clear it to run the Go kernel, the reference and the path on
 // every other CPU.
 var useAVX2 = cpuAVX2()
@@ -68,6 +69,21 @@ const (
 	_ uint = gemmKC - 128
 	_ uint = 128 - gemmKC
 )
+
+// maxAbsAVX2 is maxAbs's reduction on eight lanes, for len(src) a multiple
+// of eight: the largest of the patterns with the sign bit cleared and the
+// NaNs zeroed, exact in any order. It checks no bound: maxAbs does.
+//
+//go:noescape
+func maxAbsAVX2(src []float32) uint32
+
+// quantizeRowAVX2 is quantCode at inv on eight lanes, bit for bit, for
+// len(a) a multiple of eight: with b empty dst[i] = code(a[i]), else the
+// pair rows dst[2i] = code(a[i]) and dst[2i+1] = code(b[i]). It checks no
+// bound: quantizeRow and quantizePairRow do.
+//
+//go:noescape
+func quantizeRowAVX2(dst []int16, a, b []float32, inv float32)
 
 // qmacChainsAVX2 is QMACVectorChains' loop: one call of steps steps does
 // QMACVectorWide*steps multiply-accumulates.

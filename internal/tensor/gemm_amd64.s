@@ -840,3 +840,171 @@ mpLoop:
 mpDone:
 	VZEROUPPER
 	RET
+
+// The AVX2 bodies of the activation quantizer (quant.go), one lane per
+// element: maxAbs's reduction, and quantCode's rounding in its order.
+
+// func maxAbsAVX2(src []float32) uint32
+//
+// maxAbs's reduction on eight lanes, for len(src) a multiple of eight:
+// each lane clears the sign bit (VPAND), zeroes a pattern above +Inf's, a
+// NaN (VPCMPGTD, a signed compare that is exact once the sign bit is
+// clear, then VPANDN), and keeps the unsigned max (VPMAXUD); four
+// registers at a time, then one, then a fold of the lanes. An unsigned
+// max is exact in any order, so the result is maxAbs's bit pattern. The
+// caller has checked every bound.
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-28
+	MOVQ src_base+0(FP), SI
+	MOVQ src_len+8(FP), CX
+	MOVL $0x7fffffff, AX
+	MOVQ AX, X8
+	VPBROADCASTD X8, Y8     // everything but the sign bit
+	MOVL $0x7f800000, AX
+	MOVQ AX, X9
+	VPBROADCASTD X9, Y9     // posInfBits
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-32, DX           // the fours of groups' elements
+
+ma32:
+	CMPQ AX, DX
+	JEQ  ma8
+	VPAND    (SI)(AX*4), Y8, Y4
+	VPAND    32(SI)(AX*4), Y8, Y5
+	VPAND    64(SI)(AX*4), Y8, Y6
+	VPAND    96(SI)(AX*4), Y8, Y7
+	VPCMPGTD Y9, Y4, Y10
+	VPCMPGTD Y9, Y5, Y11
+	VPCMPGTD Y9, Y6, Y12
+	VPCMPGTD Y9, Y7, Y13
+	VPANDN   Y4, Y10, Y4
+	VPANDN   Y5, Y11, Y5
+	VPANDN   Y6, Y12, Y6
+	VPANDN   Y7, Y13, Y7
+	VPMAXUD  Y4, Y0, Y0
+	VPMAXUD  Y5, Y1, Y1
+	VPMAXUD  Y6, Y2, Y2
+	VPMAXUD  Y7, Y3, Y3
+	ADDQ $32, AX
+	JMP  ma32
+
+ma8:
+	CMPQ AX, CX
+	JEQ  maFold
+	VPAND    (SI)(AX*4), Y8, Y4
+	VPCMPGTD Y9, Y4, Y10
+	VPANDN   Y4, Y10, Y4
+	VPMAXUD  Y4, Y0, Y0
+	ADDQ $8, AX
+	JMP  ma8
+
+maFold:
+	VPMAXUD Y1, Y0, Y0
+	VPMAXUD Y3, Y2, Y2
+	VPMAXUD Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD X1, X0, X0
+	VPSHUFD $0x4E, X0, X1
+	VPMAXUD X1, X0, X0
+	VPSHUFD $0xB1, X0, X1
+	VPMAXUD X1, X0, X0
+	VZEROUPPER
+	MOVQ X0, AX
+	MOVL AX, ret+24(FP)
+	RET
+
+// QCODE turns the eight products v*inv in R into their codes, through T:
+// the half takes r's sign bit (VANDPS, then VORPS onto 0.5 in Y13), r +
+// half is a VADDPS rounded apart, VCVTTPS2DQ truncates it toward zero —
+// 0x80000000 on a NaN or past int32, as amd64's CVTTSS2SL does for Go's
+// int32(float32) — and VPMINSD and VPMAXSD clamp to [-127, 127] (Y12,
+// Y11): quantCode's steps in its order.
+#define QCODE(R, T) \
+	VANDPS     Y14, R, T; \
+	VORPS      Y13, T, T; \
+	VADDPS     T, R, R; \
+	VCVTTPS2DQ R, R; \
+	VPMINSD    Y12, R, R; \
+	VPMAXSD    Y11, R, R
+
+// func quantizeRowAVX2(dst []int16, a, b []float32, inv float32)
+//
+// quantCode at inv of every element of a, and of b when b is not empty,
+// into dst, for len(a) a multiple of eight: with b empty, dst[i] = a's
+// code i, sixteen codes at a time (VPACKSSDW, then VPERMQ puts the two
+// 128-bit halves' runs back in order), then eight; else, as pair rows,
+// dst[2i] and dst[2i+1] = a's and b's codes i, eight pairs at a time,
+// each int32 lane b's code shifted up 16 and blended over a's (VPSLLD,
+// VPBLENDW) and the eight pairs written by one 32-byte store. Each
+// product is one VMULPS, rounded apart (the operands' order cannot move
+// a bit: a NaN product codes the same whatever its payload). The codes
+// fit int16, so the pack never saturates. The caller has checked every
+// bound.
+TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-76
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), DX
+	MOVQ b_len+56(FP), R8
+	VBROADCASTSS inv+72(FP), Y15
+	MOVL $0x80000000, AX
+	MOVQ AX, X14
+	VPBROADCASTD X14, Y14   // the sign bit
+	MOVL $0x3f000000, AX
+	MOVQ AX, X13
+	VPBROADCASTD X13, Y13   // 0.5
+	MOVL $127, AX
+	MOVQ AX, X12
+	VPBROADCASTD X12, Y12
+	MOVL $-127, AX
+	MOVQ AX, X11
+	VPBROADCASTD X11, Y11
+	XORQ AX, AX
+	TESTQ R8, R8
+	JNE   qrPairs
+	MOVQ CX, R9
+	ANDQ $-16, R9           // the pairs of groups' elements
+
+qrFlat16:
+	CMPQ AX, R9
+	JEQ  qrFlat8
+	VMULPS    (SI)(AX*4), Y15, Y0
+	VMULPS    32(SI)(AX*4), Y15, Y1
+	QCODE(Y0, Y2)
+	QCODE(Y1, Y3)
+	VPACKSSDW Y1, Y0, Y0    // codes 0-3 8-11 | 4-7 12-15
+	VPERMQ    $0xD8, Y0, Y0
+	VMOVDQU   Y0, (DI)(AX*2)
+	ADDQ $16, AX
+	JMP  qrFlat16
+
+qrFlat8:
+	CMPQ AX, CX
+	JEQ  qrDone
+	VMULPS       (SI)(AX*4), Y15, Y0
+	QCODE(Y0, Y2)
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW    X1, X0, X0
+	VMOVDQU      X0, (DI)(AX*2)
+	JMP  qrDone
+
+qrPairs:
+	CMPQ AX, CX
+	JEQ  qrDone
+	VMULPS   (SI)(AX*4), Y15, Y0
+	VMULPS   (DX)(AX*4), Y15, Y1
+	QCODE(Y0, Y2)
+	QCODE(Y1, Y3)
+	VPSLLD   $16, Y1, Y1
+	VPBLENDW $0xAA, Y1, Y0, Y0
+	VMOVDQU  Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  qrPairs
+
+qrDone:
+	VZEROUPPER
+	RET

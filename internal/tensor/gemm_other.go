@@ -4,7 +4,7 @@ package tensor
 
 // useAVX2 is false off amd64: pointwiseQuads, the FP32 epilogue and the
 // int8 requantize, depthwiseRow, the int8 dot products and interleave,
-// and the max-pool interior run their Go loops.
+// the max-pool interior and the activation quantizer run their Go loops.
 var useAVX2 = false
 
 func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32) {
@@ -36,5 +36,13 @@ func qmacChainsAVX2(steps int) int32 {
 }
 
 func interleaveAVX2(dst, a, b []int16) {
+	panic("tensor: no AVX2 body off amd64")
+}
+
+func maxAbsAVX2(src []float32) uint32 {
+	panic("tensor: no AVX2 body off amd64")
+}
+
+func quantizeRowAVX2(dst []int16, a, b []float32, inv float32) {
 	panic("tensor: no AVX2 body off amd64")
 }

@@ -47,7 +47,7 @@ type qscratch struct {
 
 var qscratchPool = sync.Pool{New: func() any {
 	s := new(qscratch)
-	s.maxFn, s.roundFn = s.quantMaxChunks, s.quantRoundChunks
+	s.maxFn, s.roundFn = s.quantMaxChunks, s.quantRoundUnits
 	return s
 }}
 

@@ -188,37 +188,132 @@ func checkQuantizer(t *testing.T, name string, src []float32) {
 // TestQuantizeDynamicShardedMatchesSerial walks lengths either side of
 // the sharding threshold and of a chunk boundary, puts the maximum in
 // the last (partial) chunk, and feeds the inputs that stress the
-// reduction: all zeros, infinities, and NaNs, which must never win it.
+// reduction: all zeros, infinities, and NaNs, which must never win it;
+// on the vector bodies and on the Go loops.
 func TestQuantizeDynamicShardedMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(101))
-	for _, n := range []int{
-		quantChunk, quantParallelElems - 1, quantParallelElems, quantParallelElems + 1,
-		quantParallelElems + quantChunk - 1, quantParallelElems + quantChunk, quantParallelElems + quantChunk + 1,
-		5*quantChunk + 17,
-	} {
-		src := make([]float32, n)
-		for i := range src {
-			src[i] = float32(r.NormFloat64())
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(101))
+		for _, n := range []int{
+			quantChunk, quantParallelElems - 1, quantParallelElems, quantParallelElems + 1,
+			quantParallelElems + quantChunk - 1, quantParallelElems + quantChunk, quantParallelElems + quantChunk + 1,
+			5*quantChunk + 17,
+		} {
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = float32(r.NormFloat64())
+			}
+			checkQuantizer(t, fmt.Sprintf("n=%d", n), src)
+
+			src[n-1] = -40
+			checkQuantizer(t, fmt.Sprintf("n=%d max last", n), src)
+
+			src[n/3] = float32(math.NaN())
+			src[n-2] = float32(math.NaN())
+			checkQuantizer(t, fmt.Sprintf("n=%d NaN", n), src)
+
+			src[n/2] = float32(math.Inf(-1))
+			src[0] = float32(math.Inf(1))
+			checkQuantizer(t, fmt.Sprintf("n=%d Inf", n), src)
+
+			clear(src)
+			checkQuantizer(t, fmt.Sprintf("n=%d zero", n), src)
+			if s := quantizeDynamic(make([]int8, n), src); s != 1 {
+				t.Errorf("n=%d: all-zero scale %v, want 1", n, s)
+			}
 		}
-		checkQuantizer(t, fmt.Sprintf("n=%d", n), src)
+	})
+}
 
-		src[n-1] = -40
-		checkQuantizer(t, fmt.Sprintf("n=%d max last", n), src)
-
-		src[n/3] = float32(math.NaN())
-		src[n-2] = float32(math.NaN())
-		checkQuantizer(t, fmt.Sprintf("n=%d NaN", n), src)
-
-		src[n/2] = float32(math.Inf(-1))
-		src[0] = float32(math.Inf(1))
-		checkQuantizer(t, fmt.Sprintf("n=%d Inf", n), src)
-
-		clear(src)
-		checkQuantizer(t, fmt.Sprintf("n=%d zero", n), src)
-		if s := quantizeDynamic(make([]int8, n), src); s != 1 {
-			t.Errorf("n=%d: all-zero scale %v, want 1", n, s)
+// quantSalt overwrites about salt/256 of src with the inputs a quantizer
+// must reduce and round with care: both zeros, NaNs of both signs and
+// several payloads, both infinities, ±MaxFloat32, subnormals, and the
+// ties ±(k+½)/inv with the floats either side of them (exact ties where
+// inv is a power of two).
+func quantSalt(r *rand.Rand, src []float32, inv float32, salt int) {
+	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00000),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00123), math.Float32frombits(0xff800001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
+		math.Float32frombits(1), math.Float32frombits(0x807fffff)}
+	for i := range src {
+		if r.Intn(256) >= salt {
+			continue
 		}
+		if r.Intn(2) == 0 {
+			src[i] = special[r.Intn(len(special))]
+			continue
+		}
+		tie := (float32(r.Intn(128)) + 0.5) / inv
+		if r.Intn(2) == 0 {
+			tie = -tie
+		}
+		src[i] = [...]float32{tie, math.Nextafter32(tie, 0), math.Nextafter32(tie, 2*tie)}[r.Intn(3)]
 	}
+}
+
+// TestQuantizeRoundMatchesQuantCode holds quantizeRound, both layouts, to
+// the branchy rounding element by element, and absScale to the serial
+// quantizer's scale, on the vector bodies and on the Go loops: 1, 2, 3
+// and 17 channels (an odd last channel leaves its pair's odd slots
+// unwritten) over planes of 1–17, 169, 729 and 3025 positions and of
+// quantChunk/2+9 and quantChunk+3, whose pair rows cross a shard unit;
+// random inputs, and inputs salted by quantSalt; at inv 0.25, where the
+// ties are exact, and at 127/6. Every code lands in a plane poisoned with
+// -32768, a code the quantizer never emits, so every slot it must not
+// write (the odd channel's partner, the padding rows) is checked
+// untouched.
+func TestQuantizeRoundMatchesQuantCode(t *testing.T) {
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(127))
+		planes := []int{169, 729, 3025, quantChunk/2 + 9, quantChunk + 3}
+		for p := 1; p <= 17; p++ {
+			planes = append(planes, p)
+		}
+		sharded := 0
+		for _, c := range []int{1, 2, 3, 17} {
+			for _, plane := range planes {
+				for _, inv := range []float32{0.25, 127.0 / 6} {
+					src := make([]float32, c*plane)
+					for i := range src {
+						src[i] = float32(r.NormFloat64()*60) / inv
+					}
+					for _, salt := range []int{0, 40} {
+						quantSalt(r, src, inv, salt)
+						s := qscratchPool.Get().(*qscratch)
+						if got, want := s.absScale(src), quantizeDynamicSerial(make([]int8, len(src)), src); math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("c=%d plane=%d: absScale %g, the serial quantizer's %g", c, plane, got, want)
+						}
+						for _, pairs := range []bool{false, true} {
+							got, want := make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane), make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane)
+							for i := range got {
+								got[i], want[i] = math.MinInt16, math.MinInt16
+							}
+							for i, v := range src {
+								j := i
+								if pairs {
+									ch, p := i/plane, i%plane
+									j = (ch&^1)*plane + 2*p + ch&1
+								}
+								want[j] = int16(quantCodeBranchy(v, inv))
+							}
+							s.quantizeRound(got, src, plane, pairs, inv)
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("c=%d plane=%d inv=%g salt=%d pairs=%v: slot %d = %d, want %d", c, plane, inv, salt, pairs, i, got[i], want[i])
+								}
+							}
+						}
+						qscratchPool.Put(s)
+					}
+					if len(src) >= quantParallelElems {
+						sharded++
+					}
+				}
+			}
+		}
+		if sharded == 0 {
+			t.Fatal("no input long enough to shard the quantizer")
+		}
+	})
 }
 
 // maxPoolReference pools every window through maxPoolWindow, never
@@ -716,17 +811,41 @@ func quantCodeBranchy(v, inv float32) int8 {
 // activation's 127/1e4.
 var quantCodeInvs = []float32{0.25, 127.0 / 6, 127.0 / 1e4}
 
-// checkQuantCodes compares quantCode with the branchy reference on the
-// bit patterns start, start+stride, ... below 2^32 at every inverse scale.
+// checkQuantCodes compares quantCode, and quantizeRow and quantizePairRow
+// on the path useAVX2 picks (eight lanes at a time in the vector body on
+// an AVX2 host), with the branchy reference on the bit patterns start,
+// start+stride, ... below 2^32 at every inverse scale. The patterns go to
+// the rows a batch at a time: flat, and as the pair rows of the batch's
+// two halves.
 func checkQuantCodes(t testing.TB, start, stride uint64) (n int) {
+	const batch = 1 << 10
+	vals := make([]float32, 0, batch)
+	flat, pairs := make([]int16, batch), make([]int16, batch)
 	for _, inv := range quantCodeInvs {
+		check := func() {
+			h := len(vals) / 2
+			quantizeRow(flat, vals, inv)
+			quantizePairRow(pairs, vals[:h], vals[h:2*h], inv)
+			for i, v := range vals {
+				want := quantCodeBranchy(v, inv)
+				pair := want
+				if i < 2*h {
+					pair = int8(pairs[2*(i%h)+i/h])
+				}
+				if got := quantCode(v, inv); got != want || int8(flat[i]) != want || pair != want {
+					t.Fatalf("inv %g: %#08x = %g: quantCode %d, the flat row %d, the pair row %d; the branchy loop gives %d",
+						inv, math.Float32bits(v), v, got, flat[i], pair, want)
+				}
+			}
+			vals = vals[:0]
+		}
 		for b := start; b < 1<<32; b += stride {
-			v := math.Float32frombits(uint32(b))
-			if got, want := quantCode(v, inv), quantCodeBranchy(v, inv); got != want {
-				t.Fatalf("inv %g: quantCode(%#08x = %g) = %d, the branchy loop gives %d", inv, b, v, got, want)
+			if vals = append(vals, math.Float32frombits(uint32(b))); len(vals) == batch {
+				check()
 			}
 			n++
 		}
+		check()
 	}
 	return n
 }
@@ -768,10 +887,12 @@ func TestQuantCodeMatchesBranchyRounding(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantCodeEveryPattern is the full sweep: quantCode against the
-// branchy loop on all 2^32 float32 bit patterns at each scale of
-// quantCodeInvs, once per iteration (about a minute; run it with
-// -benchtime 1x). It is a benchmark so that the test suite leaves it out.
+// BenchmarkQuantCodeEveryPattern is the full sweep: quantCode and the
+// quantizer's rows (the vector body on an AVX2 host) against the branchy
+// loop on all 2^32 float32 bit patterns at each scale of quantCodeInvs,
+// once per iteration (two and a half minutes on a 2-vCPU Xeon; run it
+// with -benchtime 1x). It is a benchmark so that the test suite leaves it
+// out.
 func BenchmarkQuantCodeEveryPattern(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		checkQuantCodes(b, 0, 1)
@@ -836,80 +957,83 @@ func stagedCodes(j *convJob, cuts ...int) []int16 {
 // 129 input channels (odd ones leave a pair row half written) and output
 // widths of every N mod 4, so inputs fall below and above
 // quantParallelElems and convs below and above the MAC bar, on random
-// data and on data salted with both zeros, NaNs and an Inf.
+// data and on data salted with both zeros, NaNs and an Inf; on the
+// vector bodies and on the Go loops.
 func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
-	r := rand.New(rand.NewSource(113))
-	long, sharded := 0, 0
-	for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
-		for ci, cin := range []int{1, 3, 16, 129} {
-			for _, kk := range []int{1, 3} {
-				if kk == 3 && (npix == 3025 || cin == 129) {
-					continue
-				}
-				spec := Conv2DSpec{Stride: 1, Pad: kk / 2}.check()
-				cout := 4 + (npix+ci)%4
-				qw := QuantizePerChannel(randTensor(r, cout, cin, kk, kk))
-				bias := randTensor(r, cout).Data
-				for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
-					in := randTensor(r, cin, 1, npix)
-					special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
-					if salt == "zeros+NaN+Inf" {
-						special = append(special, float32(math.Inf(-1)))
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(113))
+		long, sharded := 0, 0
+		for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
+			for ci, cin := range []int{1, 3, 16, 129} {
+				for _, kk := range []int{1, 3} {
+					if kk == 3 && (npix == 3025 || cin == 129) {
+						continue
 					}
-					if salt != "random" {
-						for i := range in.Data {
-							if i%5 == 0 {
-								in.Data[i] = special[(i/5)%len(special)]
+					spec := Conv2DSpec{Stride: 1, Pad: kk / 2}.check()
+					cout := 4 + (npix+ci)%4
+					qw := QuantizePerChannel(randTensor(r, cout, cin, kk, kk))
+					bias := randTensor(r, cout).Data
+					for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
+						in := randTensor(r, cin, 1, npix)
+						special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
+						if salt == "zeros+NaN+Inf" {
+							special = append(special, float32(math.Inf(-1)))
+						}
+						if salt != "random" {
+							for i := range in.Data {
+								if i%5 == 0 {
+									in.Data[i] = special[(i/5)%len(special)]
+								}
 							}
 						}
-					}
-					name := fmt.Sprintf("%dx%d npix=%d cin=%d cout=%d %s", kk, kk, npix, cin, cout, salt)
-					codes := make([]int8, len(in.Data))
-					sx := quantizeDynamicSerial(codes, in.Data)
-					j := &convJob{spec: spec, k: cin * kk * kk, npix: npix, staged: kk > 1,
-						geo: convGeom{cin: cin, h: 1, wd: npix, cout: cout, kh: kk, kw: kk, hout: 1, wout: npix}}
-					j.codes = make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*npix)
-					for i := range j.codes {
-						j.codes[i] = math.MinInt16
-					}
-					var want []int8
-					if kk == 1 {
-						want = make([]int8, len(in.Data))
-						transposeCodes(want, codes, cin, npix)
-					} else {
-						im := *j
-						im.codes = make([]int16, len(codes))
-						for i, c := range codes {
-							im.codes[i] = int16(c)
+						name := fmt.Sprintf("%dx%d npix=%d cin=%d cout=%d %s", kk, kk, npix, cin, cout, salt)
+						codes := make([]int8, len(in.Data))
+						sx := quantizeDynamicSerial(codes, in.Data)
+						j := &convJob{spec: spec, k: cin * kk * kk, npix: npix, staged: kk > 1,
+							geo: convGeom{cin: cin, h: 1, wd: npix, cout: cout, kh: kk, kw: kk, hout: 1, wout: npix}}
+						j.codes = make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*npix)
+						for i := range j.codes {
+							j.codes[i] = math.MinInt16
 						}
-						want = im2rowCodes(&im)
-					}
-					s := qscratchPool.Get().(*qscratch)
-					if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
-						t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
-					}
-					s.quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
-					qscratchPool.Put(s)
-					for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
-						got := stagedCodes(j, 0, cut, npix)
-						for i := range want {
-							if got[i] != int16(want[i]) {
-								t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+						var want []int8
+						if kk == 1 {
+							want = make([]int8, len(in.Data))
+							transposeCodes(want, codes, cin, npix)
+						} else {
+							im := *j
+							im.codes = make([]int16, len(codes))
+							for i, c := range codes {
+								im.codes[i] = int16(c)
+							}
+							want = im2rowCodes(&im)
+						}
+						s := qscratchPool.Get().(*qscratch)
+						if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
+							t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
+						}
+						s.quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
+						qscratchPool.Put(s)
+						for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
+							got := stagedCodes(j, 0, cut, npix)
+							for i := range want {
+								if got[i] != int16(want[i]) {
+									t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+								}
 							}
 						}
-					}
-					checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
-					if len(in.Data) >= quantParallelElems {
-						long++
-					}
-					if npix*cin*cout*kk*kk >= parallelThresholdMACs {
-						sharded++
+						checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
+						if len(in.Data) >= quantParallelElems {
+							long++
+						}
+						if npix*cin*cout*kk*kk >= parallelThresholdMACs {
+							sharded++
+						}
 					}
 				}
 			}
 		}
-	}
-	if long == 0 || sharded == 0 {
-		t.Fatalf("%d inputs long enough to shard the scale, %d convs above the MAC bar; want some of each", long, sharded)
-	}
+		if long == 0 || sharded == 0 {
+			t.Fatalf("%d inputs long enough to shard the scale, %d convs above the MAC bar; want some of each", long, sharded)
+		}
+	})
 }

@@ -107,11 +107,13 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 const (
 	// quantParallelElems is the activation length from which the
 	// quantizer shards: below it the two pool hand-offs cost more than
-	// the second core saves.
-	quantParallelElems = 1 << 15
+	// the second core saves. On eight lanes one core quantizes 128 K
+	// floats in about 40 µs (EXPERIMENTS.md table BR).
+	quantParallelElems = 1 << 17
 	// quantChunk is the unit the sharded quantizer hands out, and the
 	// span one per-chunk maximum covers: 32 KB of float32, so a chunk's
-	// max-abs pass and its rounding pass each stream from L1.
+	// max-abs pass and its rounding pass each stream from L1. A pair-row
+	// unit is a channel pair over quantChunk/2 positions, as many floats.
 	quantChunk = 1 << 13
 )
 
@@ -120,7 +122,7 @@ type quantJob struct {
 	dst   []int16
 	src   []float32
 	plane int
-	pairs bool
+	spans int // a pair row's units, its plane cut every quantChunk/2 positions; 0 for the flat layout
 	inv   float32
 }
 
@@ -142,14 +144,21 @@ func (s *qscratch) absScale(src []float32) float32 {
 // at inv into dst as int16: in src's layout, or, with pairs, as pair rows,
 // channels 2i and 2i+1 of position p as the int16 pair at dst[2i*plane +
 // 2p] (a last odd channel's partner is not written). No allocation,
-// float32 rounding. Long inputs are sharded; each code is the same
-// wherever the split falls.
+// float32 rounding, every code quantCode's: eight at a time in
+// quantizeRowAVX2 where useAVX2 is set, the last odd channel and the
+// tails in Go. Long inputs are sharded, a chunk of src or a channel pair's
+// span a unit; each code is the same wherever the split falls.
 func (s *qscratch) quantizeRound(dst []int16, src []float32, plane int, pairs bool, inv float32) {
-	s.quant = quantJob{dst: dst, src: src, plane: plane, pairs: pairs, inv: inv}
-	if chunks := (len(src) + quantChunk - 1) / quantChunk; len(src) < quantParallelElems {
-		s.quantRoundChunks(0, chunks)
+	s.quant = quantJob{dst: dst, src: src, plane: plane, inv: inv}
+	units := (len(src) + quantChunk - 1) / quantChunk
+	if pairs {
+		s.quant.spans = (plane + quantChunk/2 - 1) / (quantChunk / 2)
+		units = (len(src)/plane + 1) / 2 * s.quant.spans
+	}
+	if len(src) < quantParallelElems {
+		s.quantRoundUnits(0, units)
 	} else {
-		parallelFor(chunks, 1, s.roundFn)
+		parallelFor(units, 1, s.roundFn)
 	}
 	s.quant = quantJob{}
 }
@@ -162,36 +171,74 @@ func (s *qscratch) quantMaxChunks(lo, hi int) {
 	}
 }
 
-// quantRoundChunks rounds chunks [lo, hi) of the source into dst; as pair
-// rows, a run of one channel at a time.
-func (s *qscratch) quantRoundChunks(lo, hi int) {
+// quantRoundUnits rounds units [lo, hi) of the source into dst.
+func (s *qscratch) quantRoundUnits(lo, hi int) {
 	q := &s.quant
-	lo, hi = lo*quantChunk, min(hi*quantChunk, len(q.src))
-	if !q.pairs {
-		dst := q.dst[lo:hi]
-		for i, v := range q.src[lo:hi] {
-			dst[i] = int16(quantCode(v, q.inv))
+	if q.spans == 0 {
+		lo, hi = lo*quantChunk, min(hi*quantChunk, len(q.src))
+		quantizeRow(q.dst[lo:hi], q.src[lo:hi], q.inv)
+		return
+	}
+	for u := lo; u < hi; u++ {
+		c, p := 2*(u/q.spans), u%q.spans*(quantChunk/2)
+		n := min(quantChunk/2, q.plane-p)
+		a, b := q.src[c*q.plane+p:][:n], []float32(nil)
+		if (c+2)*q.plane <= len(q.src) {
+			b = q.src[(c+1)*q.plane+p:][:n]
+		}
+		quantizePairRow(q.dst[c*q.plane+2*p:][:2*n], a, b, q.inv)
+	}
+}
+
+// quantizeRow writes quantCode(src[i], inv) to dst[i]: eight codes at a
+// time in quantizeRowAVX2 where useAVX2 is set; the last len(src) mod 8,
+// and every code where it is not, in Go.
+func quantizeRow(dst []int16, src []float32, inv float32) {
+	dst = dst[:len(src)]
+	if n := len(src) &^ 7; useAVX2 && n > 0 {
+		quantizeRowAVX2(dst[:n], src[:n], nil, inv)
+		dst, src = dst[n:], src[n:]
+	}
+	for i, v := range src {
+		dst[i] = int16(quantCode(v, inv))
+	}
+}
+
+// quantizePairRow writes the codes of two channels' runs over the same
+// positions as int16 pairs: dst[2i] = quantCode(a[i], inv) and dst[2i+1] =
+// quantCode(b[i], inv); with b nil, a last odd channel, dst[2i+1] is not
+// written. Eight pairs at a time in quantizeRowAVX2 where useAVX2 is set,
+// one 32-byte store each; a lone channel and the tail in Go.
+func quantizePairRow(dst []int16, a, b []float32, inv float32) {
+	dst = dst[:2*len(a)]
+	if b == nil {
+		for i, v := range a {
+			dst[2*i] = int16(quantCode(v, inv))
 		}
 		return
 	}
-	for i := lo; i < hi; {
-		c, p := i/q.plane, i%q.plane
-		n := min(hi-i, q.plane-p)
-		dst := q.dst[(c&^1)*q.plane+2*p+c&1:]
-		for t, v := range q.src[i : i+n] {
-			dst[2*t] = int16(quantCode(v, q.inv))
-		}
-		i += n
+	b = b[:len(a)]
+	if n := len(a) &^ 7; useAVX2 && n > 0 {
+		quantizeRowAVX2(dst[:2*n], a[:n], b[:n], inv)
+		dst, a, b = dst[2*n:], a[n:], b[n:]
+	}
+	for i, v := range a {
+		dst[2*i], dst[2*i+1] = int16(quantCode(v, inv)), int16(quantCode(b[i], inv))
 	}
 }
 
 // maxAbs returns the largest magnitude in src; a NaN never wins. With
 // the sign bit cleared, non-negative floats order as their bit patterns
 // do and every NaN sits above +Inf's, so the reduction is an unsigned
-// max over patterns with the NaNs zeroed — exact, and free of the two
-// float compares that mispredict on sign-random activations.
+// max over patterns with the NaNs zeroed — exact in any order, and free
+// of the two float compares that mispredict on sign-random activations.
+// Where useAVX2 is set, maxAbsAVX2 reduces the whole groups of eight on
+// eight lanes and the Go loop folds in the tail.
 func maxAbs(src []float32) float32 {
 	var m uint32
+	if n := len(src) &^ 7; useAVX2 && n > 0 {
+		m, src = maxAbsAVX2(src[:n]), src[n:]
+	}
 	for _, v := range src {
 		b := math.Float32bits(v) &^ (1 << 31)
 		if b > posInfBits {
