@@ -137,13 +137,15 @@ layers:
 	$(GO) run ./cmd/modelzoo -layers BENCH_layers.json
 
 # The int8 microkernel's vector body against its Go loop
-# (FuzzQPointwiseQuads), then the max-pool row's (FuzzMaxPoolRow), then
-# the activation quantizer's (FuzzQuantizeRow): `go test` runs their seed
-# corpora; this runs each fuzzer for ten seconds on two workers, about
-# 35 s of wall time with the build on a 2-vCPU host.
+# (FuzzQPointwiseQuads), then the max-pool row's (FuzzMaxPoolRow), the
+# stride-1 depthwise row's (FuzzDepthwiseRow) and the activation
+# quantizer's (FuzzQuantizeRow): `go test` runs their seed corpora; this
+# runs each fuzzer for ten seconds on two workers, about 45 s of wall
+# time with the build on a 2-vCPU host.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzQPointwiseQuads -fuzztime 10s -parallel 2
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzMaxPoolRow -fuzztime 10s -parallel 2
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzDepthwiseRow -fuzztime 10s -parallel 2
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzQuantizeRow -fuzztime 10s -parallel 2
 
 # The CI gate: everything that must be clean before a merge.
@@ -160,7 +162,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 6570
+LOC_CEILING = 6475
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

@@ -231,4 +231,14 @@ func TestOpKindStrings(t *testing.T) {
 	if !graph.OpConv2D.HasWeights() || graph.OpAdd.HasWeights() {
 		t.Error("HasWeights wrong")
 	}
+	// What each kind can absorb: a batch-norm affine only where the
+	// executor has a fused FP32 epilogue, a folded batch-norm into any
+	// linear op, an activation into those and Add.
+	affine := map[graph.OpKind]bool{graph.OpConv2D: true, graph.OpDepthwiseConv2D: true, graph.OpDense: true}
+	linear := map[graph.OpKind]bool{graph.OpConv2D: true, graph.OpDepthwiseConv2D: true, graph.OpConv3D: true, graph.OpDense: true}
+	for k := graph.OpInput; k <= graph.OpConst; k++ {
+		if k.AbsorbsAffine() != affine[k] || k.IsLinear() != linear[k] || k.AbsorbsActivation() != (linear[k] || k == graph.OpAdd) {
+			t.Errorf("%s: AbsorbsAffine %v, IsLinear %v, AbsorbsActivation %v", k, k.AbsorbsAffine(), k.IsLinear(), k.AbsorbsActivation())
+		}
+	}
 }

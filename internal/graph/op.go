@@ -113,6 +113,36 @@ func (k OpKind) IsActivation() bool {
 	return false
 }
 
+// IsLinear reports whether the op is a weighted linear map — a
+// convolution of any kind or a dense layer — whose weights' first axis is
+// its output channels: the kinds FoldBN folds a batch-norm into, the
+// per-channel weight scheme gives one scale a channel, and Prune prunes.
+func (k OpKind) IsLinear() bool {
+	switch k {
+	case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
+		return true
+	}
+	return false
+}
+
+// AbsorbsAffine reports whether the executor has a fused FP32 epilogue
+// kernel for the op that can absorb a batch-norm as a per-channel affine.
+func (k OpKind) AbsorbsAffine() bool {
+	switch k {
+	case OpConv2D, OpDepthwiseConv2D, OpDense:
+		return true
+	}
+	return false
+}
+
+// AbsorbsActivation reports whether an activation node can be absorbed
+// into the op (the executor either has a fused kernel or applies the
+// recorded activation after the unfused kernel, so this set is wider than
+// AbsorbsAffine's).
+func (k OpKind) AbsorbsActivation() bool {
+	return k.IsLinear() || k == OpAdd
+}
+
 // HasWeights reports whether the op carries learned parameters.
 // OpConst counts: its value lives in Weights like a parameter tensor.
 func (k OpKind) HasWeights() bool {

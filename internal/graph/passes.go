@@ -69,26 +69,23 @@ func FoldBN(g *Graph) {
 		prod := n.Inputs[0]
 		// Folding would change a value read elsewhere, and cannot
 		// rewrite the int8 codes a quantized producer's kernel reads.
-		if !singleUse(g, cons, prod) || prod.QWeights != nil {
+		if !prod.Kind.IsLinear() || !singleUse(g, cons, prod) || prod.QWeights != nil {
 			continue
 		}
-		switch prod.Kind {
-		case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
-			if prod.Weights != nil && n.BN != nil {
-				fw, fb := tensor.FoldBatchNorm(prod.Weights, prod.Bias,
-					n.BN.Gamma, n.BN.Beta, n.BN.Mean, n.BN.Variance, n.BN.Eps)
-				prod.Weights = fw
-				prod.Bias = fb
-			}
-			// Structurally, folding moves the BN's scale/shift into the
-			// producer's weights and a bias of one value per channel
-			// (WShape[0] is Cout for convs, channels for depthwise).
-			prod.BiasLen = prod.WShape[0]
-			prod.FusedBN = true
-			replaceUses(g, n, prod)
-			cons[prod] = cons[n] // the BN's readers now read prod
-			dead[n] = true
+		if prod.Weights != nil && n.BN != nil {
+			fw, fb := tensor.FoldBatchNorm(prod.Weights, prod.Bias,
+				n.BN.Gamma, n.BN.Beta, n.BN.Mean, n.BN.Variance, n.BN.Eps)
+			prod.Weights = fw
+			prod.Bias = fb
 		}
+		// Structurally, folding moves the BN's scale/shift into the
+		// producer's weights and a bias of one value per channel
+		// (WShape[0] is Cout for convs, channels for depthwise).
+		prod.BiasLen = prod.WShape[0]
+		prod.FusedBN = true
+		replaceUses(g, n, prod)
+		cons[prod] = cons[n] // the BN's readers now read prod
+		dead[n] = true
 	}
 	removeNodes(g, dead)
 }
@@ -136,7 +133,7 @@ func quantizeNode(n *Node, perChannel bool) {
 		return
 	}
 	var q *tensor.QTensor
-	if perChannel && isPerChannelKind(n.Kind) {
+	if perChannel && n.Kind.IsLinear() {
 		q = tensor.QuantizePerChannel(n.Weights)
 	} else {
 		q = tensor.QuantizeSymmetric(n.Weights)
@@ -146,16 +143,6 @@ func quantizeNode(n *Node, perChannel bool) {
 	} else {
 		n.Weights = q.Dequantize()
 	}
-}
-
-// isPerChannelKind reports whether the per-channel weight scheme applies
-// to the op (one scale per output channel along the first weight axis).
-func isPerChannelKind(k OpKind) bool {
-	switch k {
-	case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
-		return true
-	}
-	return false
 }
 
 // QuantizeINT8 applies post-training symmetric INT8 quantization to every
@@ -210,16 +197,15 @@ func CastFP16(g *Graph) {
 func Prune(fraction float64) func(*Graph) {
 	return func(g *Graph) {
 		for _, n := range g.Nodes {
-			switch n.Kind {
-			case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense:
-				if n.Weights != nil {
-					tensor.PruneMagnitude(n.Weights, fraction)
-					n.Sparsity = tensor.Sparsity(n.Weights)
-				} else {
-					// Structural graph: record the target sparsity for the
-					// cost model without weight data to prune.
-					n.Sparsity = fraction
-				}
+			switch {
+			case !n.Kind.IsLinear():
+			case n.Weights != nil:
+				tensor.PruneMagnitude(n.Weights, fraction)
+				n.Sparsity = tensor.Sparsity(n.Weights)
+			default:
+				// Structural graph: record the target sparsity for the
+				// cost model without weight data to prune.
+				n.Sparsity = fraction
 			}
 		}
 	}

@@ -17,28 +17,6 @@ import (
 // runtime per-channel affine epilogue inside the fused kernel, so a
 // fused graph's outputs are bitwise identical to the unfused graph's.
 
-// epiFusable reports whether the executor has a fused FP32 epilogue
-// kernel that can absorb a batch-norm affine for n's kind.
-func epiFusable(n *Node) bool {
-	switch n.Kind {
-	case OpConv2D, OpDepthwiseConv2D, OpDense:
-		return true
-	}
-	return false
-}
-
-// actFusable reports whether an activation node can be absorbed into n
-// (the executor either has a fused kernel or applies the recorded
-// activation after the unfused kernel, so this set is wider than
-// epiFusable).
-func actFusable(n *Node) bool {
-	switch n.Kind {
-	case OpConv2D, OpDepthwiseConv2D, OpConv3D, OpDense, OpAdd:
-		return true
-	}
-	return false
-}
-
 // FusePatterns rewrites compute→BatchNorm→activation chains (and the
 // degenerate BN-only / activation-only tails) into single fused nodes
 // and returns the number of chains rewritten. The batch-norm is
@@ -56,17 +34,15 @@ func FusePatterns(g *Graph) int {
 	dead := map[*Node]bool{}
 	fused := 0
 	for _, n := range g.Nodes {
-		if dead[n] || n.Activation != 0 || n.EpiChannels > 0 {
-			continue
-		}
-		if !epiFusable(n) && !actFusable(n) {
+		// Every kind that absorbs an affine absorbs an activation too.
+		if dead[n] || n.Activation != 0 || n.EpiChannels > 0 || !n.Kind.AbsorbsActivation() {
 			continue
 		}
 		tail := n
 		changed := false
 
 		// Absorb a following batch-norm as the affine epilogue.
-		if epiFusable(n) && n.QWeights == nil && singleUse(g, cons, tail) {
+		if n.Kind.AbsorbsAffine() && n.QWeights == nil && singleUse(g, cons, tail) {
 			if bn := cons[tail][0]; bn.Kind == OpBatchNorm && !dead[bn] {
 				absorbBN(n, bn)
 				replaceUses(g, bn, n)
@@ -78,7 +54,7 @@ func FusePatterns(g *Graph) int {
 		}
 
 		// Absorb a following activation.
-		if actFusable(n) && singleUse(g, cons, tail) {
+		if n.Kind.AbsorbsActivation() && singleUse(g, cons, tail) {
 			if a := cons[tail][0]; a.Kind.IsActivation() && !dead[a] {
 				n.Activation = a.Kind
 				n.Attrs.Alpha = a.Attrs.Alpha

@@ -15,9 +15,10 @@ import (
 
 // TestEngineSteadyStateAllocs pins what a served CifarNet request costs
 // the allocator once arenas and scratch pools are warm: Infer builds
-// only its output tensor and the sharded kernels' closures (none for a
-// pre-packed convolution, whose shard body is bound once per pooled
-// job), and a two-sample InferBatch — fan-out over both replicas —
+// only its output tensor, Flatten's view of its input and the expected
+// shapes of the two max-pools' shape checks, and no kernel builds a
+// closure (a convolution's shard body is bound once per pooled job); a
+// two-sample InferBatch — fan-out over both replicas —
 // stays under what the batch-folded schedule it replaced cost (49
 // allocs/op).
 // Excluded under -race: the race runtime adds allocations of its own.

@@ -298,11 +298,10 @@ func BenchmarkDenseFP32(b *testing.B) {
 }
 
 // BenchmarkQuantizeDynamic is the activation quantizer as the int8 convs
-// run it — absScale, then quantizeRound into a code plane, on scratch from
-// their pool — on SqueezeNet's quantizer inputs: conv1's image of either
-// sign (flat rows, sharded), fire3_sq's ReLU'd input (pair rows, sharded)
-// and fire4_e3's, shorter than quantParallelElems (flat rows, one core).
-// MB/s counts the floats read.
+// run it — the scale of maxAbs, then quantizeRound into a code plane — on
+// SqueezeNet's quantizer inputs: conv1's image of either sign (flat rows),
+// fire3_sq's ReLU'd input (pair rows) and fire4_e3's (flat rows), all on
+// the calling core. MB/s counts the floats read.
 func BenchmarkQuantizeDynamic(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
@@ -323,9 +322,7 @@ func BenchmarkQuantizeDynamic(b *testing.B) {
 			b.SetBytes(int64(4 * len(in.Data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := qscratchPool.Get().(*qscratch)
-				s.quantizeRound(codes, in.Data, plane, tc.pairs, 1/s.absScale(in.Data))
-				qscratchPool.Put(s)
+				quantizeRound(codes, in.Data, plane, tc.pairs, 1/symmetricScale(maxAbs(in.Data)))
 			}
 		})
 	}

@@ -60,12 +60,11 @@ func TestPackedConvForksOnce(t *testing.T) {
 }
 
 // TestPackedQConvForksOnce is the int8 twin on the benchmark's SqueezeNet
-// (O2, then quantized): one parallelFor per int8 convolution at or above
-// the MAC bar — its cut (convJob.run); staging, the dot products and the
-// requantize fork nowhere else — and, where the input is long enough to shard the
-// activation quantizer, one for its max-abs pass and one for its rounding
-// pass, pointwise or not; one per max-pool above its bar, and nothing
-// else: 37 forks.
+// (O2, then quantized): one parallelFor per int8 convolution — its cut
+// (convJob.run); staging, the dot products and the requantize fork
+// nowhere else — every one of them at or above the MAC bar, and nothing
+// else: the activation quantizer and the max-pools run on the calling
+// core. 26 forks.
 func TestPackedQConvForksOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -83,30 +82,20 @@ func TestPackedQConvForksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	var convs, quantized, forks int64
+	var convs, forks int64
 	for _, n := range g.Nodes {
-		macs := int(graph.NodeCost(n).MACs)
 		switch {
 		case n.Kind == graph.OpConv2D && n.QWeights != nil:
 			convs++
-			if macs >= tensor.ParallelThresholdMACs() {
-				forks++
-			}
-			if n.Inputs[0].OutShape.NumElems() >= tensor.QuantParallelElems {
-				quantized++
-				forks += 2
-			}
-		case n.Kind == graph.OpMaxPool2D:
-			if k := n.Attrs.Kernel; n.OutShape.NumElems()*k*k >= tensor.MaxPoolParallelTaps {
+			if int(graph.NodeCost(n).MACs) >= tensor.ParallelThresholdMACs() {
 				forks++
 			}
 		case n.Kind == graph.OpConv2D || n.Kind == graph.OpDense || n.Kind == graph.OpDepthwiseConv2D:
-			t.Errorf("%s is not a pre-packed int8 convolution", n)
+			t.Errorf("%s is not an int8 convolution", n)
 		}
 	}
-	if convs != 26 || quantized == 0 || quantized == convs || forks != 37 {
-		t.Fatalf("SqueezeNet-int8 has %d pre-packed int8 convs, %d with a sharded quantizer, %d forks; want 26, some but not all, 37",
-			convs, quantized, forks)
+	if convs != 26 || forks != 26 {
+		t.Fatalf("SqueezeNet-int8 has %d int8 convs, %d of them at or above the MAC bar; want 26 and 26", convs, forks)
 	}
 	requireForks(t, eng, g, forks)
 }

@@ -142,15 +142,12 @@ func FuzzMaxPoolRow(f *testing.F) {
 		n := 8 + int(n8)%64
 		w := 2*n + 1
 		inf := float32(math.Inf(1))
-		special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00000),
-			math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00123), inf, float32(math.Inf(-1)),
-			math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(1), math.Float32frombits(0x807fffff)}
 		r := rand.New(rand.NewSource(seed))
 		plane := make([]float32, 3*w)
 		for i := range plane {
 			plane[i] = float32(r.NormFloat64())
 			if r.Intn(256) < int(salt) {
-				plane[i] = special[r.Intn(len(special))]
+				plane[i] = saltSpecials[r.Intn(len(saltSpecials))]
 			}
 		}
 		pages, err := guardedPages()
@@ -173,7 +170,7 @@ func FuzzMaxPoolRow(f *testing.F) {
 		got, want := append([]float32(nil), obuf...), append([]float32(nil), obuf...)
 		maxPoolRowAVX2(got[ooff:][:n], rows[0], rows[1], rows[2])
 		useAVX2 = false
-		maxPoolPlanes(want[ooff:][:n], plane, 3, w, 1, n, PoolSpec{Kernel: 3, Stride: 2}, 0, 1)
+		maxPoolPlanes(want[ooff:][:n], plane, 3, w, 1, n, PoolSpec{Kernel: 3, Stride: 2})
 		useAVX2 = true
 		for i := range obuf {
 			g := math.Float32bits(got[i])
@@ -182,6 +179,90 @@ func FuzzMaxPoolRow(f *testing.F) {
 			}
 			if (i < ooff || i >= ooff+n) && g != math.Float32bits(obuf[i]) {
 				t.Fatalf("n=%d: canary %d overwritten: %#08x", n, i, g)
+			}
+		}
+	})
+}
+
+// FuzzDepthwiseRow runs the stride-1 depthwise row's vector body
+// (depthwiseRowAVX2) and the Go loop (depthwiseRow with useAVX2 cleared)
+// on copies of the same input rows, taps and bias, and requires equal
+// bits, any NaN matching any NaN (the two may keep different payloads
+// where two NaNs meet). The input chooses the row's output count (1 to
+// 72: every tail mod 8 and 16, one group, many pairs of groups), whether
+// the window has three rows or two (a kernel row in the padding: r2
+// empty, taps t[0:6]), where the output starts in its buffer, and how
+// many inputs, taps and the bias are salted with saltSpecials. Each input
+// row ends at the last float of a page of its own that is followed by a
+// page that cannot be read, so a load past the last tap faults, and the
+// page before the row holds NaN, which would reach any output that read
+// it; the output's slack on both sides holds NaN canaries, which both
+// paths must leave untouched, bit for bit. go test runs the seed corpus;
+// make fuzz runs the target for a bounded time.
+func FuzzDepthwiseRow(f *testing.F) {
+	for _, s := range []struct {
+		n, ooff, salt uint8
+		two           bool
+	}{
+		{0, 0, 0, false}, {6, 7, 40, true}, {7, 5, 255, false}, {8, 3, 9, true}, {14, 1, 128, false},
+		{15, 7, 17, false}, {16, 0, 60, true}, {23, 6, 200, false}, {71, 5, 3, true},
+	} {
+		f.Add(s.n, s.ooff, s.salt, s.two, int64(s.n)*131+int64(s.ooff))
+	}
+	f.Fuzz(func(t *testing.T, n8, ooff8, salt uint8, two bool, seed int64) {
+		if !useAVX2 {
+			t.Skip("no vector body on this CPU")
+		}
+		const canary = 8
+		n := 1 + int(n8)%72
+		w := n + 2
+		r := rand.New(rand.NewSource(seed))
+		value := func() float32 {
+			if r.Intn(256) < int(salt) {
+				return saltSpecials[r.Intn(len(saltSpecials))]
+			}
+			return float32(r.NormFloat64())
+		}
+		taps := make([]float32, 9)
+		for i := range taps {
+			taps[i] = value()
+		}
+		b := value()
+		pages, err := guardedPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows, copies [3][]float32
+		for i, page := range pages {
+			for j := range page {
+				page[j] = float32(math.NaN())
+			}
+			rows[i] = page[len(page)-w:]
+			for j := range rows[i] {
+				rows[i][j] = value()
+			}
+			copies[i] = append([]float32(nil), rows[i]...)
+		}
+		r2, c2, vtaps := rows[2], copies[2], taps
+		if two {
+			r2, c2, vtaps = nil, nil, taps[:6]
+		}
+		ooff := int(ooff8) % 8
+		obuf := make([]float32, ooff+n+canary)
+		for i := range obuf {
+			obuf[i] = math.Float32frombits(0x7fa5a500 + uint32(i))
+		}
+		got, want := append([]float32(nil), obuf...), append([]float32(nil), obuf...)
+		depthwiseRowAVX2(got[ooff:][:n], rows[0], rows[1], r2, vtaps, b)
+		useAVX2 = false
+		depthwiseRow(want[ooff:][:n], copies[0], copies[1], c2, taps, b, 1, 0)
+		useAVX2 = true
+		if !bitsOrNaN(got[ooff:][:n], want[ooff:][:n]) {
+			t.Fatalf("n=%d two=%v: vector %v, Go %v", n, two, got[ooff:][:n], want[ooff:][:n])
+		}
+		for i := range obuf {
+			if (i < ooff || i >= ooff+n) && math.Float32bits(got[i]) != math.Float32bits(obuf[i]) {
+				t.Fatalf("n=%d two=%v: canary %d overwritten: %#08x", n, two, i, math.Float32bits(got[i]))
 			}
 		}
 	})

@@ -158,30 +158,18 @@ func Pad2DInto(dst, src *Tensor, p int) {
 }
 
 // MaxPool2DInto applies max pooling of src into dst of shape
-// [C, Hout, Wout]. Padded positions never win the max. Large poolings
-// shard channel planes across the worker pool; each plane is written by
-// exactly one chunk.
+// [C, Hout, Wout]. Padded positions never win the max. It runs on the
+// calling goroutine: the pass is memory-bound, and on the vector body a
+// fork of it cost more than the second core saved (DESIGN §11).
 func MaxPool2DInto(dst, src *Tensor, spec PoolSpec) {
 	spec = spec.check()
 	c, h, w := src.Shape[0], src.Shape[1], src.Shape[2]
 	hout, wout := spec.OutDim(h), spec.OutDim(w)
 	checkSameShape("MaxPool2D", dst, Shape{c, hout, wout})
-	perPlane := hout * wout * spec.Kernel * spec.Kernel
-	if c*perPlane < maxPoolParallelTaps {
-		maxPoolPlanes(dst.Data, src.Data, h, w, hout, wout, spec, 0, c)
-		return
-	}
-	parallelFor(c, grainForMACs(perPlane), func(lo, hi int) {
-		maxPoolPlanes(dst.Data, src.Data, h, w, hout, wout, spec, lo, hi)
-	})
+	maxPoolPlanes(dst.Data, src.Data, h, w, hout, wout, spec)
 }
 
-// maxPoolParallelTaps is the comparison count from which max pooling
-// shards: a tap is cheaper than a multiply-accumulate but the pass is
-// memory-bound, so the cut sits a factor below the MAC threshold.
-const maxPoolParallelTaps = parallelThresholdMACs / 4
-
-// maxPoolPlanes pools channel planes [clo, chi). Windows that lie
+// maxPoolPlanes pools every channel plane of src. Windows that lie
 // wholly inside the plane — all of them when Pad is 0 — read pre-sliced
 // rows with no per-tap bounds tests, in maxPoolWindow's tap order and
 // with its `v > m` compare, so the result is the same bit for bit (a NaN
@@ -194,16 +182,15 @@ const maxPoolParallelTaps = parallelThresholdMACs / 4
 // (hi-lo) mod 4 windows go one at a time. Where MaxPoolVector holds, the
 // interior goes to maxPoolRowAVX2 instead, a row a call, which keeps the
 // same bits. Border windows go through maxPoolWindow.
-func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec, clo, chi int) {
+func maxPoolPlanes(dst, src []float32, h, w, hout, wout int, spec PoolSpec) {
 	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
 	// Output rows [oyLo, oyHi) and columns [oxLo, oxHi) have their whole
 	// window in bounds: o*stride-pad >= 0 and o*stride-pad+k <= size.
 	oyLo, oyHi := interiorSpan(h, hout, k, stride, pad)
 	oxLo, oxHi := interiorSpan(w, wout, k, stride, pad)
 	vector := MaxPoolVector(h, w, spec)
-	for ic := clo; ic < chi; ic++ {
-		plane := src[ic*h*w : (ic+1)*h*w]
-		out := dst[ic*hout*wout : (ic+1)*hout*wout]
+	for ; len(src) > 0; src, dst = src[h*w:], dst[hout*wout:] {
+		plane, out := src[:h*w], dst[:hout*wout]
 		for oy := 0; oy < hout; oy++ {
 			orow := out[oy*wout : (oy+1)*wout]
 			lo, hi := oxLo, oxHi

@@ -29,27 +29,16 @@ const (
 	ActTanh
 )
 
-// qscratch holds what one int8 kernel call owns: the conv's input codes
-// in pair rows, which every shard reads, the requantize scales, and the
-// sharded quantizer's per-chunk maxima, arguments and shard bodies —
-// bound once, when the scratch is made: a closure built per call would be
-// a heap allocation per parallelFor. Per-shard buffers are the
-// convolution's (convScratch). Pooled, so executor replicas never share
-// it.
+// qscratch holds what one int8 kernel call owns: the conv's input codes,
+// which every shard reads, and the requantize scales. Per-shard buffers
+// are the convolution's (convScratch). Pooled, so executor replicas never
+// share it.
 type qscratch struct {
-	codes  []int16   // the conv's quantized input activations, in pair rows
+	codes  []int16   // the conv's quantized input activations: pair rows, or flat for a K x K conv
 	scales []float32 // requantize scales, activation scale x weight scale, per channel
-	maxima []float32 // per-chunk max-abs of the activation being quantized
-
-	quant          quantJob
-	maxFn, roundFn func(lo, hi int)
 }
 
-var qscratchPool = sync.Pool{New: func() any {
-	s := new(qscratch)
-	s.maxFn, s.roundFn = s.quantMaxChunks, s.quantRoundUnits
-	return s
-}}
+var qscratchPool = sync.Pool{New: func() any { return new(qscratch) }}
 
 // growSlice returns buf resized to n elements, reallocating only when
 // its capacity is short; the contents are unspecified.

@@ -116,23 +116,21 @@ func testConv2DQPrepackedShardedBands(t *testing.T) {
 	}
 }
 
-// quantizeDynamic runs the activation quantizer as the int8 kernels do, on
-// a scratch borrowed from their pool.
+// quantizeDynamic runs the activation quantizer as the int8 kernels do:
+// the scale of src's max-abs, then the flat codes.
 func quantizeDynamic(dst []int8, src []float32) float32 {
-	s := qscratchPool.Get().(*qscratch)
-	defer qscratchPool.Put(s)
-	scale := s.absScale(src)
+	scale := symmetricScale(maxAbs(src))
 	codes := make([]int16, len(src))
-	s.quantizeRound(codes, src, len(src), false, 1/scale)
+	quantizeRound(codes, src, len(src), false, 1/scale)
 	for i, c := range codes {
 		dst[i] = int8(c)
 	}
 	return scale
 }
 
-// quantizeDynamicSerial is the activation quantizer as it stood before it
-// was sharded, kept here as the reference; its product is rounded apart,
-// as quantCode's is.
+// quantizeDynamicSerial is the activation quantizer as a plain scalar
+// loop, kept here as the reference; its product is rounded apart, as
+// quantCode's is.
 func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 	var maxAbs float32
 	for _, v := range src {
@@ -166,80 +164,25 @@ func quantizeDynamicSerial(dst []int8, src []float32) float32 {
 	return scale
 }
 
-func checkQuantizer(t *testing.T, name string, src []float32) {
-	t.Helper()
-	want := make([]int8, len(src))
-	wantScale := quantizeDynamicSerial(want, src)
-	got := make([]int8, len(src))
-	for i := range got {
-		got[i] = -128 // a code the quantizer never emits
-	}
-	scale := quantizeDynamic(got, src)
-	if math.Float32bits(scale) != math.Float32bits(wantScale) {
-		t.Errorf("%s: scale %v, want %v", name, scale, wantScale)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: code[%d] = %d, want %d", name, i, got[i], want[i])
-		}
-	}
-}
-
-// TestQuantizeDynamicShardedMatchesSerial walks lengths either side of
-// the sharding threshold and of a chunk boundary, puts the maximum in
-// the last (partial) chunk, and feeds the inputs that stress the
-// reduction: all zeros, infinities, and NaNs, which must never win it;
-// on the vector bodies and on the Go loops.
-func TestQuantizeDynamicShardedMatchesSerial(t *testing.T) {
-	onEachPath(t, func(t *testing.T) {
-		r := rand.New(rand.NewSource(101))
-		for _, n := range []int{
-			quantChunk, quantParallelElems - 1, quantParallelElems, quantParallelElems + 1,
-			quantParallelElems + quantChunk - 1, quantParallelElems + quantChunk, quantParallelElems + quantChunk + 1,
-			5*quantChunk + 17,
-		} {
-			src := make([]float32, n)
-			for i := range src {
-				src[i] = float32(r.NormFloat64())
-			}
-			checkQuantizer(t, fmt.Sprintf("n=%d", n), src)
-
-			src[n-1] = -40
-			checkQuantizer(t, fmt.Sprintf("n=%d max last", n), src)
-
-			src[n/3] = float32(math.NaN())
-			src[n-2] = float32(math.NaN())
-			checkQuantizer(t, fmt.Sprintf("n=%d NaN", n), src)
-
-			src[n/2] = float32(math.Inf(-1))
-			src[0] = float32(math.Inf(1))
-			checkQuantizer(t, fmt.Sprintf("n=%d Inf", n), src)
-
-			clear(src)
-			checkQuantizer(t, fmt.Sprintf("n=%d zero", n), src)
-			if s := quantizeDynamic(make([]int8, n), src); s != 1 {
-				t.Errorf("n=%d: all-zero scale %v, want 1", n, s)
-			}
-		}
-	})
-}
+// saltSpecials are the values the float kernels' tests and fuzz targets
+// salt their inputs with: both zeros, NaNs of both signs and several
+// payloads, both infinities, ±MaxFloat32 and subnormals.
+var saltSpecials = []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00000),
+	math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00123), math.Float32frombits(0xff800001),
+	float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
+	math.Float32frombits(1), math.Float32frombits(0x807fffff)}
 
 // quantSalt overwrites about salt/256 of src with the inputs a quantizer
-// must reduce and round with care: both zeros, NaNs of both signs and
-// several payloads, both infinities, ±MaxFloat32, subnormals, and the
-// ties ±(k+½)/inv with the floats either side of them (exact ties where
-// inv is a power of two).
+// must reduce and round with care: saltSpecials, and the ties ±(k+½)/inv
+// with the floats either side of them (exact ties where inv is a power of
+// two).
 func quantSalt(r *rand.Rand, src []float32, inv float32, salt int) {
-	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc00000),
-		math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00123), math.Float32frombits(0xff800001),
-		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
-		math.Float32frombits(1), math.Float32frombits(0x807fffff)}
 	for i := range src {
 		if r.Intn(256) >= salt {
 			continue
 		}
 		if r.Intn(2) == 0 {
-			src[i] = special[r.Intn(len(special))]
+			src[i] = saltSpecials[r.Intn(len(saltSpecials))]
 			continue
 		}
 		tie := (float32(r.Intn(128)) + 0.5) / inv
@@ -251,24 +194,23 @@ func quantSalt(r *rand.Rand, src []float32, inv float32, salt int) {
 }
 
 // TestQuantizeRoundMatchesQuantCode holds quantizeRound, both layouts, to
-// the branchy rounding element by element, and absScale to the serial
-// quantizer's scale, on the vector bodies and on the Go loops: 1, 2, 3
+// the branchy rounding element by element, and maxAbs's scale to the
+// serial quantizer's, on the vector bodies and on the Go loops: 1, 2, 3
 // and 17 channels (an odd last channel leaves its pair's odd slots
-// unwritten) over planes of 1–17, 169, 729 and 3025 positions and of
-// quantChunk/2+9 and quantChunk+3, whose pair rows cross a shard unit;
-// random inputs, and inputs salted by quantSalt; at inv 0.25, where the
-// ties are exact, and at 127/6. Every code lands in a plane poisoned with
-// -32768, a code the quantizer never emits, so every slot it must not
-// write (the odd channel's partner, the padding rows) is checked
-// untouched.
+// unwritten) over planes of 1–17, 169, 729, 3025, 4105 and 8195
+// positions; random inputs, and inputs salted by quantSalt; at inv 0.25,
+// where the ties are exact, and at 127/6. Then one channel of long
+// planes, 8 K to 136 K positions either side of the 8 K and 128 K marks
+// (tails of 0, 1 and 7 mod 8), at the quantizer's own scale: random,
+// with the maximum last, with NaNs, which must never win the max-abs,
+// with infinities, and all zeros, whose scale is 1.
 func TestQuantizeRoundMatchesQuantCode(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(127))
-		planes := []int{169, 729, 3025, quantChunk/2 + 9, quantChunk + 3}
+		planes := []int{169, 729, 3025, 4105, 8195}
 		for p := 1; p <= 17; p++ {
 			planes = append(planes, p)
 		}
-		sharded := 0
 		for _, c := range []int{1, 2, 3, 17} {
 			for _, plane := range planes {
 				for _, inv := range []float32{0.25, 127.0 / 6} {
@@ -278,42 +220,68 @@ func TestQuantizeRoundMatchesQuantCode(t *testing.T) {
 					}
 					for _, salt := range []int{0, 40} {
 						quantSalt(r, src, inv, salt)
-						s := qscratchPool.Get().(*qscratch)
-						if got, want := s.absScale(src), quantizeDynamicSerial(make([]int8, len(src)), src); math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("c=%d plane=%d: absScale %g, the serial quantizer's %g", c, plane, got, want)
-						}
-						for _, pairs := range []bool{false, true} {
-							got, want := make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane), make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane)
-							for i := range got {
-								got[i], want[i] = math.MinInt16, math.MinInt16
-							}
-							for i, v := range src {
-								j := i
-								if pairs {
-									ch, p := i/plane, i%plane
-									j = (ch&^1)*plane + 2*p + ch&1
-								}
-								want[j] = int16(quantCodeBranchy(v, inv))
-							}
-							s.quantizeRound(got, src, plane, pairs, inv)
-							for i := range want {
-								if got[i] != want[i] {
-									t.Fatalf("c=%d plane=%d inv=%g salt=%d pairs=%v: slot %d = %d, want %d", c, plane, inv, salt, pairs, i, got[i], want[i])
-								}
-							}
-						}
-						qscratchPool.Put(s)
-					}
-					if len(src) >= quantParallelElems {
-						sharded++
+						checkQuantizeRound(t, fmt.Sprintf("c=%d plane=%d inv=%g salt=%d", c, plane, inv, salt), src, plane, inv)
 					}
 				}
 			}
 		}
-		if sharded == 0 {
-			t.Fatal("no input long enough to shard the quantizer")
+		for _, n := range []int{1 << 13, 1<<17 - 1, 1 << 17, 1<<17 + 1, 1<<17 + 1<<13 - 1, 1<<17 + 1<<13, 1<<17 + 1<<13 + 1, 5<<13 + 17} {
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = float32(r.NormFloat64())
+			}
+			check := func(what string) float32 {
+				scale := quantizeDynamicSerial(make([]int8, n), src)
+				checkQuantizeRound(t, fmt.Sprintf("plane=%d %s", n, what), src, n, 1/scale)
+				return scale
+			}
+			check("random")
+			src[n-1] = -40
+			check("max last")
+			src[n/3], src[n-2] = float32(math.NaN()), float32(math.NaN())
+			check("NaN")
+			src[n/2], src[0] = float32(math.Inf(-1)), float32(math.Inf(1))
+			check("Inf")
+			clear(src)
+			if scale := check("zero"); scale != 1 {
+				t.Errorf("plane=%d: all-zero scale %v, want 1", n, scale)
+			}
 		}
 	})
+}
+
+// checkQuantizeRound holds maxAbs's scale of src, [C, plane], to the
+// serial quantizer's, and quantizeRound's codes at inv, in both layouts,
+// to quantCodeBranchy's. Every code lands in a plane poisoned with
+// -32768, a code the quantizer never emits, so every slot it must not
+// write (an odd last channel's partner, the padding rows) is checked
+// untouched.
+func checkQuantizeRound(t *testing.T, name string, src []float32, plane int, inv float32) {
+	t.Helper()
+	if got, want := symmetricScale(maxAbs(src)), quantizeDynamicSerial(make([]int8, len(src)), src); math.Float32bits(got) != math.Float32bits(want) {
+		t.Fatalf("%s: scale %g, the serial quantizer's %g", name, got, want)
+	}
+	c := len(src) / plane
+	for _, pairs := range []bool{false, true} {
+		got, want := make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane), make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane)
+		for i := range got {
+			got[i], want[i] = math.MinInt16, math.MinInt16
+		}
+		for i, v := range src {
+			j := i
+			if pairs {
+				ch, p := i/plane, i%plane
+				j = (ch&^1)*plane + 2*p + ch&1
+			}
+			want[j] = int16(quantCodeBranchy(v, inv))
+		}
+		quantizeRound(got, src, plane, pairs, inv)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s pairs=%v: slot %d = %d, want %d", name, pairs, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // maxPoolReference pools every window through maxPoolWindow, never
@@ -348,7 +316,9 @@ func poolInput(r *rand.Rand, shape ...int) *Tensor {
 // smaller than the window, against the per-window reference, on both
 // paths. The widths 15-20 and 31-36 give a 3x3 stride-2 row 7, 8, 9, 15,
 // 16 and 17 interior windows at pad 0 and at pad 1: no vector group, one,
-// one and an overlapping one, and two and overlapping ones.
+// one and an overlapping one, and two and overlapping ones. Then 64
+// planes of 81x83 at 3x3 stride 2, padded and not, and at 2x2: rows of 41
+// and 40 windows, many groups and an overlapping last one.
 func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(103))
@@ -382,32 +352,13 @@ func TestMaxPoolInteriorMatchesWindowReference(t *testing.T) {
 		if cases < 900 || useAVX2 && vector < 40 {
 			t.Fatalf("sweep ran only %d cases, %d of them on the vector body", cases, vector)
 		}
-	})
-}
-
-// TestMaxPoolShardedMatchesSerial crosses the sharding threshold: the
-// pooled run, one serial pass over all planes, and the per-window
-// reference must agree bit for bit, padded and not.
-func TestMaxPoolShardedMatchesSerial(t *testing.T) {
-	onEachPath(t, func(t *testing.T) {
-		r := rand.New(rand.NewSource(107))
 		for _, spec := range []PoolSpec{{Kernel: 3, Stride: 2}, {Kernel: 3, Stride: 2, Pad: 1}, {Kernel: 2}} {
-			spec = spec.check()
-			const c, h, w = 64, 81, 83
-			in := poolInput(r, c, h, w)
-			want := maxPoolReference(in, spec)
-			if want.Shape.NumElems()*spec.Kernel*spec.Kernel < maxPoolParallelTaps {
-				t.Fatalf("%+v: pooling too small to hit the sharded path", spec)
-			}
-			pooled := dirty(want.Shape...)
-			MaxPool2DInto(pooled, in, spec)
-			if !bitsEqual(pooled.Data, want.Data) {
-				t.Errorf("%+v: pooled max-pool differs from the per-window reference", spec)
-			}
-			serial := dirty(want.Shape...)
-			maxPoolPlanes(serial.Data, in.Data, h, w, want.Shape[1], want.Shape[2], spec, 0, c)
-			if !bitsEqual(serial.Data, want.Data) {
-				t.Errorf("%+v: serial max-pool differs from the per-window reference", spec)
+			in := poolInput(r, 64, 81, 83)
+			want := maxPoolReference(in, spec.check())
+			got := dirty(want.Shape...)
+			MaxPool2DInto(got, in, spec)
+			if !bitsEqual(got.Data, want.Data) {
+				t.Errorf("%+v on 64x81x83: MaxPool2DInto differs from the per-window reference", spec)
 			}
 		}
 	})
@@ -948,21 +899,20 @@ func stagedCodes(j *convJob, cuts ...int) []int16 {
 }
 
 // TestPointwiseQConvStagesRoundedCodes holds the int8 code plane — the
-// whole input rounded once (absScale, quantizeRound), as pair rows for a
+// whole input rounded once (maxAbs, quantizeRound), as pair rows for a
 // 1x1 conv, as it lies for a 3x3 one — to the serial quantizer: the scale
 // is its scale, and the codes the microkernel reads, in place or staged
 // and interleaved (stagedCodes), equal its codes in im2row order, whole
 // or cut at pixels inside and at the edge of a band; the outputs equal
 // the loop-nest reference. Planes of 1 to 3025 pixels (55x55) cross 1 to
 // 129 input channels (odd ones leave a pair row half written) and output
-// widths of every N mod 4, so inputs fall below and above
-// quantParallelElems and convs below and above the MAC bar, on random
+// widths of every N mod 4, so convs fall below and above the MAC bar, on random
 // data and on data salted with both zeros, NaNs and an Inf; on the
 // vector bodies and on the Go loops.
 func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(113))
-		long, sharded := 0, 0
+		sharded := 0
 		for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
 			for ci, cin := range []int{1, 3, 16, 129} {
 				for _, kk := range []int{1, 3} {
@@ -1007,12 +957,10 @@ func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 							}
 							want = im2rowCodes(&im)
 						}
-						s := qscratchPool.Get().(*qscratch)
-						if scale := s.absScale(in.Data); math.Float32bits(scale) != math.Float32bits(sx) {
-							t.Fatalf("%s: absScale %g, the serial quantizer's scale %g", name, scale, sx)
+						if scale := symmetricScale(maxAbs(in.Data)); math.Float32bits(scale) != math.Float32bits(sx) {
+							t.Fatalf("%s: scale %g, the serial quantizer's scale %g", name, scale, sx)
 						}
-						s.quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
-						qscratchPool.Put(s)
+						quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
 						for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
 							got := stagedCodes(j, 0, cut, npix)
 							for i := range want {
@@ -1022,9 +970,6 @@ func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 							}
 						}
 						checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
-						if len(in.Data) >= quantParallelElems {
-							long++
-						}
 						if npix*cin*cout*kk*kk >= parallelThresholdMACs {
 							sharded++
 						}
@@ -1032,8 +977,8 @@ func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 				}
 			}
 		}
-		if long == 0 || sharded == 0 {
-			t.Fatalf("%d inputs long enough to shard the scale, %d convs above the MAC bar; want some of each", long, sharded)
+		if sharded == 0 {
+			t.Fatal("no conv above the MAC bar")
 		}
 	})
 }

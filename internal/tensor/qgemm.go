@@ -13,7 +13,7 @@ import (
 // the graph runs it as.
 //
 // The input is quantized dynamically, per tensor, into the call's code
-// plane, whole and once (absScale, quantizeRound), as int16. A pointwise
+// plane, whole and once (maxAbs, quantizeRound), as int16. A pointwise
 // conv reads that plane in place, so its plane is written as pair rows:
 // channels 2i and 2i+1 of pixel p side by side as the int16 pair at
 // codes[2i*plane + 2p], the pair the microkernel's VPMADDWD multiplies by
@@ -38,10 +38,10 @@ func Conv2DQInto(dst, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, 
 	spec = spec.check()
 	geo := convGeometry(dst, in, qw.Shape, bias, spec)
 	s := qscratchPool.Get().(*qscratch)
-	sx := s.absScale(in.Data)
+	sx := symmetricScale(maxAbs(in.Data))
 	plane, pairs := geo.h*geo.wd, pointwise(geo.kh, geo.kw, spec)
 	s.codes = growSlice(s.codes, (geo.cin+gemmMR-1)&^(gemmMR-1)*plane)
-	s.quantizeRound(s.codes, in.Data, plane, pairs, 1/sx)
+	quantizeRound(s.codes, in.Data, plane, pairs, 1/sx)
 	s.scales = growSlice(s.scales, geo.cout)
 	for oc := range s.scales {
 		s.scales[oc] = sx * qw.ScaleFor(oc)

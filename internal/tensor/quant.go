@@ -104,89 +104,26 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	return q
 }
 
-const (
-	// quantParallelElems is the activation length from which the
-	// quantizer shards: below it the two pool hand-offs cost more than
-	// the second core saves. On eight lanes one core quantizes 128 K
-	// floats in about 40 µs (EXPERIMENTS.md table BR).
-	quantParallelElems = 1 << 17
-	// quantChunk is the unit the sharded quantizer hands out, and the
-	// span one per-chunk maximum covers: 32 KB of float32, so a chunk's
-	// max-abs pass and its rounding pass each stream from L1. A pair-row
-	// unit is a channel pair over quantChunk/2 positions, as many floats.
-	quantChunk = 1 << 13
-)
-
-// quantJob is the activation a sharded quantizer is working on.
-type quantJob struct {
-	dst   []int16
-	src   []float32
-	plane int
-	spans int // a pair row's units, its plane cut every quantChunk/2 positions; 0 for the flat layout
-	inv   float32
-}
-
-// absScale returns src's per-tensor symmetric scale, the int8 path's
-// runtime activation quantization step before quantizeRound. Long inputs
-// are sharded, the per-chunk maxima held in s: max-abs is exact in any order.
-func (s *qscratch) absScale(src []float32) float32 {
-	if len(src) < quantParallelElems {
-		return symmetricScale(maxAbs(src))
-	}
-	s.maxima = growSlice(s.maxima, (len(src)+quantChunk-1)/quantChunk)
-	s.quant.src = src
-	parallelFor(len(s.maxima), 1, s.maxFn)
-	s.quant.src = nil
-	return symmetricScale(maxAbs(s.maxima))
-}
-
 // quantizeRound writes the int8 code of every element of src, [C, plane],
 // at inv into dst as int16: in src's layout, or, with pairs, as pair rows,
 // channels 2i and 2i+1 of position p as the int16 pair at dst[2i*plane +
 // 2p] (a last odd channel's partner is not written). No allocation,
 // float32 rounding, every code quantCode's: eight at a time in
 // quantizeRowAVX2 where useAVX2 is set, the last odd channel and the
-// tails in Go. Long inputs are sharded, a chunk of src or a channel pair's
-// span a unit; each code is the same wherever the split falls.
-func (s *qscratch) quantizeRound(dst []int16, src []float32, plane int, pairs bool, inv float32) {
-	s.quant = quantJob{dst: dst, src: src, plane: plane, inv: inv}
-	units := (len(src) + quantChunk - 1) / quantChunk
-	if pairs {
-		s.quant.spans = (plane + quantChunk/2 - 1) / (quantChunk / 2)
-		units = (len(src)/plane + 1) / 2 * s.quant.spans
-	}
-	if len(src) < quantParallelElems {
-		s.quantRoundUnits(0, units)
-	} else {
-		parallelFor(units, 1, s.roundFn)
-	}
-	s.quant = quantJob{}
-}
-
-// quantMaxChunks stores the max-abs of chunks [lo, hi) of the source.
-func (s *qscratch) quantMaxChunks(lo, hi int) {
-	src := s.quant.src
-	for c := lo; c < hi; c++ {
-		s.maxima[c] = maxAbs(src[c*quantChunk : min((c+1)*quantChunk, len(src))])
-	}
-}
-
-// quantRoundUnits rounds units [lo, hi) of the source into dst.
-func (s *qscratch) quantRoundUnits(lo, hi int) {
-	q := &s.quant
-	if q.spans == 0 {
-		lo, hi = lo*quantChunk, min(hi*quantChunk, len(q.src))
-		quantizeRow(q.dst[lo:hi], q.src[lo:hi], q.inv)
+// tails in Go. It runs on the calling goroutine: on eight lanes the pass
+// streams near the copy roof, and a fork of it cost the int8 inference
+// more tail than it saved median (DESIGN §11).
+func quantizeRound(dst []int16, src []float32, plane int, pairs bool, inv float32) {
+	if !pairs {
+		quantizeRow(dst, src, inv)
 		return
 	}
-	for u := lo; u < hi; u++ {
-		c, p := 2*(u/q.spans), u%q.spans*(quantChunk/2)
-		n := min(quantChunk/2, q.plane-p)
-		a, b := q.src[c*q.plane+p:][:n], []float32(nil)
-		if (c+2)*q.plane <= len(q.src) {
-			b = q.src[(c+1)*q.plane+p:][:n]
+	for c := 0; c*plane < len(src); c += 2 {
+		a, b := src[c*plane:][:plane], []float32(nil)
+		if (c+2)*plane <= len(src) {
+			b = src[(c+1)*plane:][:plane]
 		}
-		quantizePairRow(q.dst[c*q.plane+2*p:][:2*n], a, b, q.inv)
+		quantizePairRow(dst[c*plane:][:2*plane], a, b, inv)
 	}
 }
 

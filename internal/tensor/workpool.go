@@ -9,7 +9,7 @@ import (
 
 // This file is the package's intra-op parallelism substrate: a
 // persistent, GOMAXPROCS-sized worker pool that every parallel kernel
-// (GEMM, int8 GEMM, conv, depthwise, matvec) shares, whichever
+// (the FP32 and int8 convolutions, depthwise, matvec) shares, whichever
 // executor replica or pipeline stage called it. The previous design
 // spawned goroutines per kernel call; at single-inference granularity
 // the spawn and exit cost ate the sharding win (the parallel kernels

@@ -355,26 +355,18 @@ func (c *checker) checkFusion() {
 			if !n.Activation.IsActivation() {
 				c.add("fusion", Error, n, "fused op %s is not an activation", n.Activation)
 			}
-			switch n.Kind {
-			case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpConv3D, graph.OpDense, graph.OpAdd:
-			default:
+			if !n.Kind.AbsorbsActivation() {
 				c.add("fusion", Error, n, "fused activation on non-compute op %s", n.Kind)
 			}
 		}
-		if n.FusedBN {
-			switch n.Kind {
-			case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpConv3D, graph.OpDense:
-			default:
-				c.add("fusion", Error, n, "FusedBN on op %s, which FoldBN never folds into", n.Kind)
-			}
+		if n.FusedBN && !n.Kind.IsLinear() {
+			c.add("fusion", Error, n, "FusedBN on op %s, which FoldBN never folds into", n.Kind)
 		}
 		if n.EpiChannels > 0 {
 			// The absorbed-BN epilogue exists only where the executor has a
 			// fused FP32 kernel; elsewhere the affine would silently be
 			// skipped by the generic fallback.
-			switch n.Kind {
-			case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpDense:
-			default:
+			if !n.Kind.AbsorbsAffine() {
 				c.add("fusion", Error, n, "BN epilogue on op %s, which has no fused kernel", n.Kind)
 			}
 			if n.QWeights != nil {
