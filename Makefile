@@ -138,7 +138,7 @@ layers:
 
 # The int8 microkernel's vector body against its Go loop
 # (FuzzQPointwiseQuads), then the max-pool row's (FuzzMaxPoolRow), the
-# stride-1 depthwise row's (FuzzDepthwiseRow) and the activation
+# 3x3 depthwise kernel's (FuzzDepthwiseRow) and the activation
 # quantizer's (FuzzQuantizeRow): `go test` runs their seed corpora; this
 # runs each fuzzer for ten seconds on two workers, about 45 s of wall
 # time with the build on a 2-vCPU host.
@@ -162,7 +162,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 6475
+LOC_CEILING = 6665
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

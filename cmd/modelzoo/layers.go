@@ -436,9 +436,9 @@ func newStepRow(i int, s graph.StepInfo) stepRow {
 // vectorStep reports whether a step runs on a vector body where the host
 // has one: every int8 step (int8 Dense is a 1x1 conv), every FP32 Conv2D,
 // grouped ones included (the channel-major microkernel), every depthwise
-// step at stride 1 the 3x3 row kernel takes and every max-pool
-// tensor.MaxPoolVector takes (their interiors; the edge columns stay
-// scalar). Strided depthwise, FP32 dense and every other max-pool do not.
+// step the 3x3 kernel takes, at stride 1 and 2 (tensor.DepthwiseVector),
+// and every max-pool tensor.MaxPoolVector takes (its interior; the edge
+// columns stay scalar). FP32 dense and every other max-pool do not.
 // Only the multiply-add steps among them read against a vector roof.
 func vectorStep(s graph.StepInfo) bool {
 	n := s.Node

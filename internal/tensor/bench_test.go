@@ -59,10 +59,9 @@ func BenchmarkFP16RoundTrip(b *testing.B) {
 // a CPU profile of the served model ranks first), so a kernel change can
 // be judged where the model's time goes.
 
-// BenchmarkDepthwise3x3 runs MobileNet-v2's depthwise shapes — the
-// widest plane at both strides, the 56² and 28² stride-1 ones and the two
-// smallest — with the batch-norm affine and ReLU6 epilogue the model
-// folds into them.
+// BenchmarkDepthwise3x3 runs every depthwise geometry of MobileNet-v2 —
+// its 17 steps take these ten shapes, at stride 1 and 2 — with the
+// batch-norm affine and ReLU6 epilogue the model folds into them.
 func BenchmarkDepthwise3x3(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -72,8 +71,12 @@ func BenchmarkDepthwise3x3(b *testing.B) {
 		{"32x112x112-s1", 32, 112, 112, 1},
 		{"96x112x112-s2", 96, 112, 112, 2},
 		{"144x56x56-s1", 144, 56, 56, 1},
+		{"144x56x56-s2", 144, 56, 56, 2},
 		{"192x28x28-s1", 192, 28, 28, 1},
+		{"192x28x28-s2", 192, 28, 28, 2},
 		{"384x14x14-s1", 384, 14, 14, 1},
+		{"576x14x14-s1", 576, 14, 14, 1},
+		{"576x14x14-s2", 576, 14, 14, 2},
 		{"960x7x7-s1", 960, 7, 7, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

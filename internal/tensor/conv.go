@@ -91,14 +91,16 @@ func checkConvDst(dst *Tensor, cout, hout, wout int) {
 // tile u covers output row (ic = u/hout, oy = u%hout), and applies the
 // epilogue to each channel's span of them right after computing it, while
 // the span is still in cache. Layers that depthwise3x3Fits take the 3x3
-// row kernel, depthwiseRow; everything else goes pixel by pixel through
-// the generic tap loop.
+// kernel: on an AVX2 host one depthwiseAVX2 call per channel span, else
+// depthwiseRow a row at a time; everything else goes pixel by pixel
+// through the generic tap loop.
 func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi int, epi Epilogue) {
 	h, wd := in.Shape[1], in.Shape[2]
 	kh, kw := w.Shape[1], w.Shape[2]
 	padH, padW := spec.padHW()
 	hout, wout := dst.Shape[1], dst.Shape[2]
 	fast := depthwise3x3Fits(h, wd, kh, kw, spec.Stride, padH, padW)
+	xlo, xhi := depthwiseInterior(wd, wout, spec.Stride, padW)
 	for span := lo; span < hi; {
 		ic := span / hout
 		end := min((ic+1)*hout, hi)
@@ -108,24 +110,33 @@ func depthwiseRows(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, lo, hi i
 		}
 		plane := in.Data[ic*h*wd : (ic+1)*h*wd]
 		taps := w.Data[ic*kh*kw : (ic+1)*kh*kw]
-		row := func(iy int) []float32 { return plane[iy*wd : (iy+1)*wd] }
-		for u := span; u < end; u++ {
-			orow := dst.Data[u*wout : (u+1)*wout]
-			iy0 := (u-ic*hout)*spec.Stride - padH
-			switch {
-			case !fast:
-				for ox := range orow {
-					orow[ox] = depthwisePixel(plane, taps, b, h, wd, kh, kw, iy0, ox*spec.Stride-padW)
+		out := dst.Data[span*wout : end*wout]
+		oy0, oy1 := span-ic*hout, end-ic*hout
+		switch {
+		case fast && useAVX2:
+			depthwiseAVX2(out, plane, taps, b, oy0*spec.Stride-padH, wd, wout, spec.Stride, xlo, xhi)
+		case fast:
+			row := func(iy int) []float32 { return plane[iy*wd : (iy+1)*wd] }
+			for oy := oy0; oy < oy1; oy++ {
+				orow := out[(oy-oy0)*wout:][:wout]
+				switch iy0 := oy*spec.Stride - padH; {
+				case iy0 < 0: // the window's top row is padding
+					depthwiseRow(orow, row(0), row(1), nil, taps[3:9], b, spec.Stride, padW)
+				case iy0+3 > h: // its bottom row is
+					depthwiseRow(orow, row(iy0), row(iy0+1), nil, taps[0:6], b, spec.Stride, padW)
+				default:
+					depthwiseRow(orow, row(iy0), row(iy0+1), row(iy0+2), taps, b, spec.Stride, padW)
 				}
-			case iy0 < 0: // the window's top row is padding
-				depthwiseRow(orow, row(0), row(1), nil, taps[3:9], b, spec.Stride, padW)
-			case iy0+3 > h: // its bottom row is
-				depthwiseRow(orow, row(iy0), row(iy0+1), nil, taps[0:6], b, spec.Stride, padW)
-			default:
-				depthwiseRow(orow, row(iy0), row(iy0+1), row(iy0+2), taps, b, spec.Stride, padW)
+			}
+		default:
+			for oy := oy0; oy < oy1; oy++ {
+				orow := out[(oy-oy0)*wout:][:wout]
+				for ox := range orow {
+					orow[ox] = depthwisePixel(plane, taps, b, h, wd, kh, kw, oy*spec.Stride-padH, ox*spec.Stride-padW)
+				}
 			}
 		}
-		applyEpilogueSpan(dst.Data[span*wout:end*wout], nil, ic, epi)
+		applyEpilogueSpan(out, nil, ic, epi)
 		span = end
 	}
 }
@@ -138,10 +149,15 @@ func depthwise3x3Fits(h, wd, kh, kw, stride, padH, padW int) bool {
 	return kh == 3 && kw == 3 && stride <= 2 && padH <= 1 && padW <= 1 && h >= 3 && wd >= 3
 }
 
-// depthwiseRowVector reports whether depthwiseRow runs a row's interior
-// on the vector body, depthwiseRowAVX2: at stride 1, on an AVX2 host.
-func depthwiseRowVector(stride int) bool {
-	return stride == 1 && useAVX2
+// depthwiseInterior returns the output columns [lo, hi) of a 3x3 layer
+// that depthwise3x3Fits whose windows have all three columns in bounds:
+// with padding <= 1 only column 0 and column wout-1 can miss one.
+func depthwiseInterior(wd, wout, stride, padW int) (lo, hi int) {
+	lo, hi = padW, wout
+	if (hi-1)*stride-padW+3 > wd {
+		hi--
+	}
+	return lo, hi
 }
 
 // depthwisePixel computes one depthwise output element whose kernel
@@ -175,19 +191,14 @@ func depthwisePixel(plane, taps []float32, b float32, h, wd, kh, kw, iy0, ix0 in
 // the taps it has in (ky, kx) order — unrolled with the weights in
 // locals, every product rounded on its own (the explicit float32
 // conversions), so no architecture fuses it into the add after it. At
-// stride 1 the interior runs eight outputs to a register with AVX2
-// (depthwiseRowAVX2, one call a row, the same bits), and otherwise four
-// a step as four independent chains; at stride 2 one a step. The edge
-// columns, whose window may have a column in the padding, take
-// depthwiseEdge.
+// stride 1 the interior runs four outputs a step as four independent
+// chains, at stride 2 one a step. The edge columns, whose window may have
+// a column in the padding, take depthwiseEdge. It is the kernel where
+// depthwiseAVX2 does not run, and the reference that body is fuzzed
+// against.
 func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
-	// Output columns [lo, hi) have all three window columns in bounds;
-	// with padding <= 1 only column 0 and column len(orow)-1 can miss one.
 	wd := len(r0)
-	lo, hi := padW, len(orow)
-	if (hi-1)*stride-padW+3 > wd {
-		hi--
-	}
+	lo, hi := depthwiseInterior(wd, len(orow), stride, padW)
 	if lo > 0 { // column -1 is padding: kernel columns 1-2 on input 0-1
 		orow[0] = depthwiseEdge(b, r0, r1, r2, t, 0, 1)
 	}
@@ -195,16 +206,6 @@ func depthwiseRow(orow, r0, r1, r2, t []float32, b float32, stride, padW int) {
 		orow[hi] = depthwiseEdge(b, r0, r1, r2, t, wd-2, 0)
 	}
 	i, x := lo, lo*stride-padW
-	if depthwiseRowVector(stride) {
-		if n := hi - lo; n > 0 {
-			r, taps := []float32(nil), t[:6]
-			if r2 != nil {
-				r, taps = r2[x:x+n+2], t[:9]
-			}
-			depthwiseRowAVX2(orow[lo:hi], r0[x:x+n+2], r1[x:x+n+2], r, taps, b)
-		}
-		return
-	}
 	w0, w1, w2 := t[0], t[1], t[2]
 	w3, w4, w5 := t[3], t[4], t[5]
 	var w6, w7, w8 float32

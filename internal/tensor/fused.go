@@ -201,13 +201,16 @@ func checkEpilogueChannels(epi Epilogue, cout int) {
 // depthwiseShardMACs is the depthwise layer size from which the row
 // space is sharded: two grains, the least parallelFor cuts into more
 // than one chunk. The GEMM kernels' bar (parallelThresholdMACs, eight
-// times this) is too high here: a depthwise MAC with its epilogue runs
-// at 0.65–1.3 GMAC/s a core against the GEMM's 2.7, so a two-grain layer
-// is 100–200 µs of work, and a fork that gets no help costs its caller
-// about 1 µs (BenchmarkForkJoin: 0.8–1.4 µs). Serial against sharded at
-// GOMAXPROCS 2, a 139 K-MAC layer goes 113–152 → 72–94 µs and the
-// smallest of MobileNet-v2's 17 depthwise layers (576x14x14 stride 2,
-// 254 K MACs) 356–391 → 193–230 µs (Xeon 2.10 GHz, 2 CPUs, go1.24.0).
+// times this) is too high here. On the AVX2 body a depthwise MAC with
+// its epilogue runs at 4.1–13.1 GMAC/s a core (BenchmarkDepthwise3x3 at
+// -cpu 1: 4.1 at 576x14x14 stride 2 and 4.6 at 960x7x7, 7.2–7.6 on the
+// other stride-2 shapes, 7.6–13.1 on the stride-1 ones), so a two-grain
+// layer is 10–30 µs of work, and a fork that gets no help costs its
+// caller about 1 µs (BenchmarkForkJoin: 0.8–1.4 µs). Serial against
+// sharded at GOMAXPROCS 2, three runs of 2000 calls: 960x7x7 85–119 →
+// 49–73 µs, while a 139 K-MAC layer (13–15 → 12–19 µs) and 576x14x14
+// stride 2 (59–60 → 45–69 µs) gain nothing resolved (Xeon 2.10 GHz, 2
+// CPUs, go1.24.0).
 const depthwiseShardMACs = 2 * parallelGrainMACs
 
 // DepthwiseConv2DFusedInto computes the depthwise convolution into a

@@ -184,38 +184,52 @@ func FuzzMaxPoolRow(f *testing.F) {
 	})
 }
 
-// FuzzDepthwiseRow runs the stride-1 depthwise row's vector body
-// (depthwiseRowAVX2) and the Go loop (depthwiseRow with useAVX2 cleared)
-// on copies of the same input rows, taps and bias, and requires equal
-// bits, any NaN matching any NaN (the two may keep different payloads
-// where two NaNs meet). The input chooses the row's output count (1 to
-// 72: every tail mod 8 and 16, one group, many pairs of groups), whether
-// the window has three rows or two (a kernel row in the padding: r2
-// empty, taps t[0:6]), where the output starts in its buffer, and how
-// many inputs, taps and the bias are salted with saltSpecials. Each input
-// row ends at the last float of a page of its own that is followed by a
-// page that cannot be read, so a load past the last tap faults, and the
-// page before the row holds NaN, which would reach any output that read
-// it; the output's slack on both sides holds NaN canaries, which both
-// paths must leave untouched, bit for bit. go test runs the seed corpus;
-// make fuzz runs the target for a bounded time.
+// FuzzDepthwiseRow runs depthwiseRows on the vector body (depthwiseAVX2)
+// and on the Go kernel (depthwiseRow with useAVX2 cleared) over the same
+// one-channel plane, taps and bias, and requires equal bits, any NaN
+// matching any NaN (the two may keep different payloads where two NaNs
+// meet). The input chooses the plane's height and width (3 to 40: every
+// interior tail mod 8 and 16 at both strides, interiors of none to 38
+// columns), the stride (1 or 2) and each axis' padding (0 or 1), the
+// output rows [oy0, oy1) the call computes (a sharded call starts and
+// ends inside a channel), and how many inputs, taps and the bias
+// saltSpecials salts. One input in four takes a shape depthwise3x3Fits
+// refuses — stride 3, or padding 2 on both axes — which must take the
+// pixel loop on both paths and so agree too. The plane ends at the last
+// float of a guarded page, so a load past it faults, and the page before
+// it holds NaN, which would reach any output that read it; the output
+// rows outside the span and the slack on both sides of the output hold
+// NaN canaries, which both paths must leave untouched, bit for bit. go
+// test runs the seed corpus; make fuzz runs the target for a bounded
+// time.
 func FuzzDepthwiseRow(f *testing.F) {
 	for _, s := range []struct {
-		n, ooff, salt uint8
-		two           bool
+		h, w, geom, salt uint8
+		rows             uint16
 	}{
-		{0, 0, 0, false}, {6, 7, 40, true}, {7, 5, 255, false}, {8, 3, 9, true}, {14, 1, 128, false},
-		{15, 7, 17, false}, {16, 0, 60, true}, {23, 6, 200, false}, {71, 5, 3, true},
+		{0, 0, 0, 0, 0}, {4, 4, 7, 40, 0}, {11, 11, 6, 255, 0}, {11, 11, 7, 9, 0}, {11, 11, 7, 128, 0x0203},
+		{25, 25, 7, 17, 0}, {53, 53, 7, 60, 0x0105}, {0, 1, 7, 200, 0}, {1, 0, 6, 3, 0}, {37, 37, 1, 20, 0xff07},
+		{5, 12, 2, 30, 0x0401}, {20, 21, 4, 10, 0}, {9, 9, 0xc7, 50, 0}, {9, 9, 0xe0, 50, 0x0101},
+		{12, 30, 3, 0, 0}, {2, 14, 5, 90, 0x0002}, {7, 9, 7, 70, 0}, {10, 8, 6, 15, 0x0004},
 	} {
-		f.Add(s.n, s.ooff, s.salt, s.two, int64(s.n)*131+int64(s.ooff))
+		f.Add(s.h, s.w, s.geom, s.salt, s.rows, int64(s.h)*131+int64(s.w))
 	}
-	f.Fuzz(func(t *testing.T, n8, ooff8, salt uint8, two bool, seed int64) {
+	f.Fuzz(func(t *testing.T, h8, w8, geom, salt uint8, rows uint16, seed int64) {
 		if !useAVX2 {
 			t.Skip("no vector body on this CPU")
 		}
 		const canary = 8
-		n := 1 + int(n8)%72
-		w := n + 2
+		h, wd := 3+int(h8)%38, 3+int(w8)%38
+		spec := Conv2DSpec{Stride: 1 + int(geom)&1, PadH: int(geom>>1) & 1, PadW: int(geom>>2) & 1, Asym: true}
+		switch geom >> 5 {
+		case 6:
+			spec.Stride = 3
+		case 7:
+			spec.PadH, spec.PadW = 2, 2
+		}
+		hout, wout := spec.OutDims(h, wd, 3, 3)
+		oy0 := int(rows&0xff) % hout
+		oy1 := hout - int(rows>>8)%(hout-oy0)
 		r := rand.New(rand.NewSource(seed))
 		value := func() float32 {
 			if r.Intn(256) < int(salt) {
@@ -223,46 +237,46 @@ func FuzzDepthwiseRow(f *testing.F) {
 			}
 			return float32(r.NormFloat64())
 		}
-		taps := make([]float32, 9)
-		for i := range taps {
-			taps[i] = value()
-		}
-		b := value()
 		pages, err := guardedPages()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rows, copies [3][]float32
-		for i, page := range pages {
-			for j := range page {
-				page[j] = float32(math.NaN())
-			}
-			rows[i] = page[len(page)-w:]
-			for j := range rows[i] {
-				rows[i][j] = value()
-			}
-			copies[i] = append([]float32(nil), rows[i]...)
+		page := pages[0]
+		for i := range page {
+			page[i] = float32(math.NaN())
 		}
-		r2, c2, vtaps := rows[2], copies[2], taps
-		if two {
-			r2, c2, vtaps = nil, nil, taps[:6]
+		plane := page[len(page)-h*wd:]
+		for i := range plane {
+			plane[i] = value()
 		}
-		ooff := int(ooff8) % 8
-		obuf := make([]float32, ooff+n+canary)
+		taps := make([]float32, 9)
+		for i := range taps {
+			taps[i] = value()
+		}
+		bias := []float32{value()}
+		ooff := int(r.Intn(8))
+		obuf := make([]float32, ooff+hout*wout+canary)
 		for i := range obuf {
 			obuf[i] = math.Float32frombits(0x7fa5a500 + uint32(i))
 		}
 		got, want := append([]float32(nil), obuf...), append([]float32(nil), obuf...)
-		depthwiseRowAVX2(got[ooff:][:n], rows[0], rows[1], r2, vtaps, b)
-		useAVX2 = false
-		depthwiseRow(want[ooff:][:n], copies[0], copies[1], c2, taps, b, 1, 0)
+		in, w := &Tensor{Shape: Shape{1, h, wd}, Data: plane}, &Tensor{Shape: Shape{1, 3, 3}, Data: taps}
+		for _, c := range []struct {
+			out    []float32
+			vector bool
+		}{{got, true}, {want, false}} {
+			useAVX2 = c.vector
+			dst := &Tensor{Shape: Shape{1, hout, wout}, Data: c.out[ooff:][:hout*wout]}
+			depthwiseRows(dst, in, w, bias, spec, oy0, oy1, Epilogue{})
+		}
 		useAVX2 = true
-		if !bitsOrNaN(got[ooff:][:n], want[ooff:][:n]) {
-			t.Fatalf("n=%d two=%v: vector %v, Go %v", n, two, got[ooff:][:n], want[ooff:][:n])
+		lo, hi := ooff+oy0*wout, ooff+oy1*wout
+		if !bitsOrNaN(got[lo:hi], want[lo:hi]) {
+			t.Fatalf("%dx%d %+v rows [%d, %d): vector %v, Go %v", h, wd, spec, oy0, oy1, got[lo:hi], want[lo:hi])
 		}
 		for i := range obuf {
-			if (i < ooff || i >= ooff+n) && math.Float32bits(got[i]) != math.Float32bits(obuf[i]) {
-				t.Fatalf("n=%d two=%v: canary %d overwritten: %#08x", n, two, i, math.Float32bits(got[i]))
+			if (i < lo || i >= hi) && (math.Float32bits(got[i]) != math.Float32bits(obuf[i]) || math.Float32bits(want[i]) != math.Float32bits(obuf[i])) {
+				t.Fatalf("%dx%d %+v rows [%d, %d): canary %d overwritten", h, wd, spec, oy0, oy1, i)
 			}
 		}
 	})
@@ -350,22 +364,23 @@ func FuzzQuantizeRow(f *testing.F) {
 	})
 }
 
-// guardedPages maps, once per process, three readable pages of float32s,
-// each followed by a page that can be neither read nor written: a row cut
-// to end at a page's end faults on any load or store past its last
+// guardedPages maps, once per process, three readable buffers of two
+// pages of float32s (at least 2048, room for a 40x40 plane), each
+// followed by a page that can be neither read nor written: a row cut to
+// end at a buffer's end faults on any load or store past its last
 // element.
 var guardedPages = sync.OnceValues(func() ([3][]float32, error) {
 	var pages [3][]float32
 	size := syscall.Getpagesize()
 	for i := range pages {
-		mem, err := syscall.Mmap(-1, 0, 2*size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+		mem, err := syscall.Mmap(-1, 0, 3*size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 		if err == nil {
-			err = syscall.Mprotect(mem[size:], syscall.PROT_NONE)
+			err = syscall.Mprotect(mem[2*size:], syscall.PROT_NONE)
 		}
 		if err != nil {
 			return pages, err
 		}
-		pages[i] = unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), size/4)
+		pages[i] = unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), 2*size/4)
 	}
 	return pages, nil
 })

@@ -1,7 +1,7 @@
 package tensor
 
 // useAVX2 sends pointwiseQuads, the FP32 epilogue and the int8
-// requantize, depthwiseRow's stride-1 interior, the int8 dot products and
+// requantize, the 3x3 depthwise kernel, the int8 dot products and
 // their pair-row interleave, the 3x3 stride-2 max-pool interior, and the
 // activation quantizer's max-abs and rounding to their AVX2 bodies
 // (gemm_amd64.s), read once from CPUID at package init.
@@ -29,13 +29,16 @@ func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32)
 //go:noescape
 func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int)
 
-// depthwiseRowAVX2 is depthwiseRow's stride-1 interior on eight output
-// columns per YMM register, bit for bit: o[x] = b + r0[x]*t[0] + ... +
-// r2[x+2]*t[8], or through r1[x+2]*t[5] when r2 is empty. It checks no
-// bound: depthwiseRow does.
+// depthwiseAVX2 is depthwiseRows' 3x3 kernel on eight output columns per
+// YMM register, bit for bit, for the output rows in o of one channel,
+// stride 1 or 2, edges and padded rows included: every output is
+// depthwisePixel's chain over the plane, wd columns wide, against taps
+// t[0:9] and bias b. The first row's window starts at plane row iy0;
+// output columns [lo, hi) are the interior depthwiseInterior gives. It
+// checks no bound: depthwiseRows does.
 //
 //go:noescape
-func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32)
+func depthwiseAVX2(o, plane, t []float32, b float32, iy0, wd, wout, stride, lo, hi int)
 
 // maxPoolRowAVX2 is maxPoolPlanes' 3x3 stride-2 interior on eight output
 // columns per YMM register, bit for bit: o[x] is the max of r0, r1 and

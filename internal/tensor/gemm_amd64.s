@@ -8,16 +8,26 @@
 // rounded apart. No FMA: one rounding in place of two would move the
 // bits.
 
-// tailMask<>+4*(8-r) is the mask of the first r lanes of eight.
+// tailMask<>+4*(16-r) is the mask of the first r lanes of eight: sixteen
+// all-ones lanes, then sixteen zero lanes, so r may run from -8 (no lane)
+// to 16 (every lane).
 DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+24(SB)/8, $0xffffffffffffffff
-DATA tailMask<>+32(SB)/8, $0
-DATA tailMask<>+40(SB)/8, $0
-DATA tailMask<>+48(SB)/8, $0
-DATA tailMask<>+56(SB)/8, $0
-GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+DATA tailMask<>+32(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+40(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+48(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+56(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+64(SB)/8, $0
+DATA tailMask<>+72(SB)/8, $0
+DATA tailMask<>+80(SB)/8, $0
+DATA tailMask<>+88(SB)/8, $0
+DATA tailMask<>+96(SB)/8, $0
+DATA tailMask<>+104(SB)/8, $0
+DATA tailMask<>+112(SB)/8, $0
+DATA tailMask<>+120(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $128
 
 // QUAD accumulates one K-quad, its input rows in Y2-Y5, into Y0 with
 // w0's quad at (R8)(R13*1) and into Y1 with w1's at (R10)(R13*1).
@@ -100,7 +110,7 @@ tail:
 	JEQ  done
 	LEAQ tailMask<>(SB), R12
 	NEGQ CX
-	VMOVUPS 32(R12)(CX*4), Y10
+	VMOVUPS 64(R12)(CX*4), Y10
 	VMASKMOVPS (DI)(AX*4), Y10, Y0
 	VMASKMOVPS (SI)(AX*4), Y10, Y1
 	LEAQ    (DX)(AX*4), R12
@@ -272,7 +282,7 @@ TEXT ·epilogueAVX2(SB), NOSPLIT, $0-48
 	ANDQ $-8, CX            // the full groups' elements
 	LEAQ tailMask<>(SB), R8
 	NEGQ DX
-	VMOVUPS 32(R8)(DX*4), Y10
+	VMOVUPS 64(R8)(DX*4), Y10
 	XORQ AX, AX
 	TESTQ $8, BX
 	JNE   rqLoop
@@ -351,35 +361,16 @@ rqTailStore:
 	VZEROUPPER
 	RET
 
-// The AVX2 body of depthwiseRow's stride-1 interior (conv.go), one lane
-// per output column. Each lane computes depthwisePixel's chain for its
-// column: b, then += r0[x]*t0, r0[x+1]*t1, ... r2[x+2]*t8 in (ky, kx)
-// order, every product a VMULPS with the input first and every sum a
-// VADDPS with the running sum first, rounded apart. No FMA.
+// The AVX2 body of the 3x3 depthwise convolution (depthwiseRows,
+// conv.go), one lane per output column. Each output runs depthwisePixel's
+// chain: b, then += in*tap for the taps its window has in bounds, in
+// (ky, kx) order, every product a VMULPS (VMULSS at an edge column) with
+// the input first and every sum a VADDPS (VADDSS) with the running sum
+// first, rounded apart. No FMA. A padded tap is skipped, never multiplied
+// by +0.0, which would turn a -0.0 sum into +0.0 and an Inf tap into NaN.
 
-// ROW2 accumulates one input row at P against the taps TA, TB, TC into
-// the two groups of eight at AX, in Y0 and Y1.
-#define ROW2(P, TA, TB, TC) \
-	VMOVUPS 0(P)(AX*4), Y2; \
-	VMOVUPS 32(P)(AX*4), Y3; \
-	VMULPS  TA, Y2, Y2; \
-	VMULPS  TA, Y3, Y3; \
-	VADDPS  Y2, Y0, Y0; \
-	VADDPS  Y3, Y1, Y1; \
-	VMOVUPS 4(P)(AX*4), Y2; \
-	VMOVUPS 36(P)(AX*4), Y3; \
-	VMULPS  TB, Y2, Y2; \
-	VMULPS  TB, Y3, Y3; \
-	VADDPS  Y2, Y0, Y0; \
-	VADDPS  Y3, Y1, Y1; \
-	VMOVUPS 8(P)(AX*4), Y2; \
-	VMOVUPS 40(P)(AX*4), Y3; \
-	VMULPS  TC, Y2, Y2; \
-	VMULPS  TC, Y3, Y3; \
-	VADDPS  Y2, Y0, Y0; \
-	VADDPS  Y3, Y1, Y1
-
-// ROW1 is ROW2 for the one group at AX, in Y0.
+// ROW1 accumulates one input row at P against the taps TA, TB, TC into
+// the stride-1 group of eight at AX, in Y0.
 #define ROW1(P, TA, TB, TC) \
 	VMOVUPS 0(P)(AX*4), Y2; \
 	VMULPS  TA, Y2, Y2; \
@@ -391,102 +382,293 @@ rqTailStore:
 	VMULPS  TC, Y2, Y2; \
 	VADDPS  Y2, Y0, Y0
 
-// ROWM is ROW1 on loads masked by Y4.
+// ROWM is ROW1 for a group at column 0 on loads masked by Y4.
 #define ROWM(P, TA, TB, TC) \
-	LEAQ       (P)(AX*4), R12; \
-	VMASKMOVPS 0(R12), Y4, Y2; \
+	VMASKMOVPS 0(P), Y4, Y2; \
 	VMULPS     TA, Y2, Y2; \
 	VADDPS     Y2, Y0, Y0; \
-	VMASKMOVPS 4(R12), Y4, Y2; \
+	VMASKMOVPS 4(P), Y4, Y2; \
 	VMULPS     TB, Y2, Y2; \
 	VADDPS     Y2, Y0, Y0; \
-	VMASKMOVPS 8(R12), Y4, Y2; \
+	VMASKMOVPS 8(P), Y4, Y2; \
 	VMULPS     TC, Y2, Y2; \
 	VADDPS     Y2, Y0, Y0
 
-// func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32)
+// S2TAPS accumulates the three taps of a stride-2 row, its group's first
+// sixteen inputs in Y1 and Y2, the eight from input 2 in Y3 and the eight
+// that end at input 16 in Y4, into Y0. Each VSHUFPS takes the evens
+// (kx = 0), the odds (kx = 1) and the evens from +2 (kx = 2) of every
+// 128-bit half, as maxPoolRowAVX2's does, which leaves outputs
+// 0 1 4 5 | 2 3 6 7 in the lanes of all three alike: the sums stay in that
+// order until a VPERMPD puts them back before the store.
+#define S2TAPS(TA, TB, TC) \
+	VSHUFPS $0x88, Y2, Y1, Y5; \
+	VMULPS  TA, Y5, Y5; \
+	VADDPS  Y5, Y0, Y0; \
+	VSHUFPS $0xDD, Y2, Y1, Y5; \
+	VMULPS  TB, Y5, Y5; \
+	VADDPS  Y5, Y0, Y0; \
+	VSHUFPS $0xD8, Y4, Y3, Y5; \
+	VMULPS  TC, Y5, Y5; \
+	VADDPS  Y5, Y0, Y0
+
+// S2ROW accumulates one input row at P into the stride-2 group of eight
+// at AX, which reads P[2*AX : 2*AX+17].
+#define S2ROW(P, TA, TB, TC) \
+	VMOVUPS 0(P)(AX*8), Y1; \
+	VMOVUPS 32(P)(AX*8), Y2; \
+	VMOVUPS 8(P)(AX*8), Y3; \
+	VMOVUPS 36(P)(AX*8), Y4; \
+	S2TAPS(TA, TB, TC)
+
+// S2ROWM is S2ROW for a group at column 0 on loads masked by the four
+// masks at R13, one for each load.
+#define S2ROWM(P, TA, TB, TC) \
+	VMOVUPS    0(R13), Y1; \
+	VMASKMOVPS 0(P), Y1, Y1; \
+	VMOVUPS    32(R13), Y2; \
+	VMASKMOVPS 32(P), Y2, Y2; \
+	VMOVUPS    64(R13), Y3; \
+	VMASKMOVPS 8(P), Y3, Y3; \
+	VMOVUPS    96(R13), Y4; \
+	VMASKMOVPS 36(P), Y4, Y4; \
+	S2TAPS(TA, TB, TC)
+
+// EDGEROW accumulates the two in-bounds taps TA, TB of an edge column's
+// window row at P+R13 into X0.
+#define EDGEROW(P, TA, TB) \
+	VMOVSS 0(P)(R13*1), X2; \
+	VMULSS TA, X2, X2; \
+	VADDSS X2, X0, X0; \
+	VMOVSS 4(P)(R13*1), X2; \
+	VMULSS TB, X2, X2; \
+	VADDSS X2, X0, X0
+
+// func depthwiseAVX2(o, plane, t []float32, b float32, iy0, wd, wout, stride, lo, hi int)
 //
-// Output columns [0, len(o)) from the input rows r0, r1 and r2, column x
-// reading r[x : x+3], against taps t[0:9]; with r2 empty, from r0 and r1
-// against t[0:6]. The taps and b are broadcast once; two groups of eight
-// run at a time, then one, then the last len(o) mod 8 on masked loads
-// and stores, which touch nothing past the run. The caller has checked
-// every bound.
-TEXT ·depthwiseRowAVX2(SB), NOSPLIT, $0-124
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVQ r0_base+24(FP), SI
-	MOVQ r1_base+48(FP), DX
-	MOVQ r2_base+72(FP), R8
-	MOVQ r2_len+80(FP), R9  // 0: two rows
-	MOVQ t_base+96(FP), BX
-	VBROADCASTSS b+120(FP), Y6
+// The output rows in o, wout columns each, of one channel's 3x3
+// depthwise convolution at stride 1 or 2 of the plane, wd columns wide,
+// against taps t[0:9]; the first row's window starts at plane row iy0,
+// -1 where its top row is padding. Output columns [lo, hi) have every
+// window column in bounds; column 0 when lo is 1 and column hi when hi <
+// wout each miss one, and take two taps a window row in VMULSS and VADDSS.
+// A window row in the padding — the top one when its row index is below
+// 0, the bottom one at or past the plane's end — is skipped, per group,
+// by comparing its pointer with the plane's bounds (SI, DX). The taps and
+// b are broadcast once per call. The interior runs a group of eight at a
+// time; a last partial group is the overlapping group ending at hi, which
+// writes the same bits again. Rows with fewer than eight interior columns
+// run one group on loads and a store masked to what it reads and writes.
+// The caller has checked every bound and that the geometry is one
+// depthwise3x3Fits takes, so no load leaves the plane and no store
+// leaves o.
+//
+// Frame: the stride-2 group's four load masks at 0-127, the store mask
+// (also stride 1's load mask) at 128, the edges' input offsets from a
+// row's interior at 160 and 168, a row's bytes in o at 176.
+TEXT ·depthwiseAVX2(SB), NOSPLIT, $184-128
+	MOVQ t_base+48(FP), BX
+	VBROADCASTSS b+72(FP), Y6
 	VBROADCASTSS 0(BX), Y7
 	VBROADCASTSS 4(BX), Y8
 	VBROADCASTSS 8(BX), Y9
 	VBROADCASTSS 12(BX), Y10
 	VBROADCASTSS 16(BX), Y11
 	VBROADCASTSS 20(BX), Y12
-	TESTQ R9, R9
-	JEQ   dwTaps
 	VBROADCASTSS 24(BX), Y13
 	VBROADCASTSS 28(BX), Y14
 	VBROADCASTSS 32(BX), Y15
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), R12
+	MOVQ plane_base+24(FP), SI
+	MOVQ plane_len+32(FP), DX
+	MOVQ wd+88(FP), AX
+	MOVQ stride+104(FP), BX
+	MOVQ lo+112(FP), CX
+	XORQ R13, R13           // x0, the interior's first input column:
+	CMPQ BX, $2             // lo at stride 2, 0 at stride 1
+	CMOVQEQ CX, R13
+	LEAQ (DI)(CX*4), DI     // the first row's interior
+	LEAQ (DI)(R12*4), R12   // and the end of o, moved as far
+	LEAQ (SI)(DX*4), DX
+	LEAQ (DX)(R13*4), DX    // a row pointer at or past DX is padding
+	MOVQ iy0+80(FP), R8
+	IMULQ AX, R8
+	LEAQ (SI)(R8*4), R8
+	LEAQ (R8)(R13*4), R8    // the window's top row
+	LEAQ (R8)(AX*4), R9
+	LEAQ (R9)(AX*4), R10
+	LEAQ (SI)(R13*4), SI    // a row pointer below SI is padding
+	MOVQ R13, R11
+	SHLQ $2, R11
+	NEGQ R11
+	MOVQ R11, 160(SP)       // the left edge reads columns 0 and 1
+	LEAQ -2(AX), R11
+	SUBQ R13, R11
+	SHLQ $2, R11
+	MOVQ R11, 168(SP)       // the right edge wd-2 and wd-1
+	MOVQ wout+96(FP), R11
+	SHLQ $2, R11
+	MOVQ R11, 176(SP)
+	IMULQ AX, BX
+	SHLQ $2, BX             // the rows' step in the plane
+	MOVQ hi+120(FP), CX
+	SUBQ lo+112(FP), CX     // n, the interior columns
+	CMPQ CX, $8
+	JCC  dwRow
+	LEAQ tailMask<>+64(SB), R11 // the first k lanes at R11-4k
+	MOVQ CX, AX
+	NEGQ AX
+	VMOVUPS -4(R11)(AX*8), Y0   // inputs 0 to 2n of the group's 17
+	VMOVUPS Y0, 0(SP)
+	VMOVUPS 28(R11)(AX*8), Y0   // 8 to 2n
+	VMOVUPS Y0, 32(SP)
+	VMOVUPS 4(R11)(AX*8), Y0    // 2 to 2n
+	VMOVUPS Y0, 64(SP)
+	VMOVUPS 32(R11)(AX*8), Y0   // 9 to 2n
+	VMOVUPS Y0, 96(SP)
+	VMOVUPS (R11)(AX*4), Y0     // outputs 0 to n-1
+	VMOVUPS Y0, 128(SP)
 
-dwTaps:
-	XORQ AX, AX             // the group's first column
-	MOVQ CX, R10
-	ANDQ $-16, R10          // the pairs of groups' columns
+dwRow:
+	CMPQ DI, R12
+	JCC  dwDone
+	CMPQ lo+112(FP), $0
+	JEQ  dwInterior
+	MOVQ 160(SP), R13
+	VMOVAPS X6, X0
+	CMPQ R8, SI
+	JCS  dwLeftMid
+	EDGEROW(R8, X8, X9)
 
-dwPair:
-	CMPQ AX, R10
-	JEQ  dwSingle
+dwLeftMid:
+	EDGEROW(R9, X11, X12)
+	CMPQ R10, DX
+	JCC  dwLeftStore
+	EDGEROW(R10, X14, X15)
+
+dwLeftStore:
+	VMOVSS X0, -4(DI)
+
+dwInterior:
+	XORQ AX, AX
+	MOVQ CX, R11
+	SUBQ $8, R11            // the last group's first column
+	JCS  dwMasked
+	CMPQ stride+104(FP), $2
+	JEQ  dwS2
+
+dwS1:
+	CMPQ AX, CX
+	JEQ  dwRight
+	CMPQ AX, R11
+	JLE  dwS1One
+	MOVQ R11, AX
+
+dwS1One:
 	VMOVAPS Y6, Y0
-	VMOVAPS Y6, Y1
-	ROW2(SI, Y7, Y8, Y9)
-	ROW2(DX, Y10, Y11, Y12)
-	TESTQ R9, R9
-	JEQ   dwPairStore
-	ROW2(R8, Y13, Y14, Y15)
+	CMPQ R8, SI
+	JCS  dwS1OneMid
+	ROW1(R8, Y7, Y8, Y9)
 
-dwPairStore:
-	VMOVUPS Y0, (DI)(AX*4)
-	VMOVUPS Y1, 32(DI)(AX*4)
-	ADDQ $16, AX
-	JMP  dwPair
+dwS1OneMid:
+	ROW1(R9, Y10, Y11, Y12)
+	CMPQ R10, DX
+	JCC  dwS1OneStore
+	ROW1(R10, Y13, Y14, Y15)
 
-dwSingle:
-	MOVQ CX, R10
-	ANDQ $-8, R10
-	CMPQ AX, R10
-	JEQ  dwTail
-	VMOVAPS Y6, Y0
-	ROW1(SI, Y7, Y8, Y9)
-	ROW1(DX, Y10, Y11, Y12)
-	TESTQ R9, R9
-	JEQ   dwSingleStore
-	ROW1(R8, Y13, Y14, Y15)
-
-dwSingleStore:
+dwS1OneStore:
 	VMOVUPS Y0, (DI)(AX*4)
 	ADDQ $8, AX
+	JMP  dwS1
 
-dwTail:
-	MOVQ CX, R10
-	SUBQ AX, R10            // r = len(o) mod 8
-	JEQ  dwDone
-	LEAQ tailMask<>(SB), R11
-	NEGQ R10
-	VMOVUPS 32(R11)(R10*4), Y4
+dwS2:
+	CMPQ AX, CX
+	JEQ  dwRight
+	CMPQ AX, R11
+	JLE  dwS2One
+	MOVQ R11, AX
+
+dwS2One:
 	VMOVAPS Y6, Y0
-	ROWM(SI, Y7, Y8, Y9)
-	ROWM(DX, Y10, Y11, Y12)
-	TESTQ R9, R9
-	JEQ   dwTailStore
-	ROWM(R8, Y13, Y14, Y15)
+	CMPQ R8, SI
+	JCS  dwS2OneMid
+	S2ROW(R8, Y7, Y8, Y9)
 
-dwTailStore:
-	VMASKMOVPS Y0, Y4, (DI)(AX*4)
+dwS2OneMid:
+	S2ROW(R9, Y10, Y11, Y12)
+	CMPQ R10, DX
+	JCC  dwS2OneStore
+	S2ROW(R10, Y13, Y14, Y15)
+
+dwS2OneStore:
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP  dwS2
+
+dwMasked:
+	TESTQ CX, CX
+	JEQ   dwRight
+	VMOVAPS Y6, Y0
+	CMPQ stride+104(FP), $2
+	JEQ  dwS2Masked
+	VMOVUPS 128(SP), Y4
+	CMPQ R8, SI
+	JCS  dwS1MaskedMid
+	ROWM(R8, Y7, Y8, Y9)
+
+dwS1MaskedMid:
+	ROWM(R9, Y10, Y11, Y12)
+	CMPQ R10, DX
+	JCC  dwMaskedStore
+	ROWM(R10, Y13, Y14, Y15)
+	JMP  dwMaskedStore
+
+dwS2Masked:
+	LEAQ 0(SP), R13
+	CMPQ R8, SI
+	JCS  dwS2MaskedMid
+	S2ROWM(R8, Y7, Y8, Y9)
+
+dwS2MaskedMid:
+	S2ROWM(R9, Y10, Y11, Y12)
+	CMPQ R10, DX
+	JCC  dwS2MaskedPerm
+	S2ROWM(R10, Y13, Y14, Y15)
+
+dwS2MaskedPerm:
+	VPERMPD $0xD8, Y0, Y0
+
+dwMaskedStore:
+	VMOVUPS    128(SP), Y4
+	VMASKMOVPS Y0, Y4, (DI)
+
+dwRight:
+	MOVQ hi+120(FP), R11
+	CMPQ R11, wout+96(FP)
+	JEQ  dwNext
+	MOVQ 168(SP), R13
+	VMOVAPS X6, X0
+	CMPQ R8, SI
+	JCS  dwRightMid
+	EDGEROW(R8, X7, X8)
+
+dwRightMid:
+	EDGEROW(R9, X10, X11)
+	CMPQ R10, DX
+	JCC  dwRightStore
+	EDGEROW(R10, X13, X14)
+
+dwRightStore:
+	VMOVSS X0, (DI)(CX*4)
+
+dwNext:
+	ADDQ 176(SP), DI
+	ADDQ BX, R8
+	ADDQ BX, R9
+	ADDQ BX, R10
+	JMP  dwRow
 
 dwDone:
 	VZEROUPPER
@@ -723,7 +905,7 @@ qTail:
 	JEQ  qDone
 	LEAQ tailMask<>(SB), R12
 	NEGQ CX
-	VMOVDQU 32(R12)(CX*4), Y5
+	VMOVDQU 64(R12)(CX*4), Y5
 	VPMASKMOVD (DI)(AX*4), Y5, Y0
 	VPMASKMOVD (SI)(AX*4), Y5, Y2
 	LEAQ    (DX)(AX*4), R12

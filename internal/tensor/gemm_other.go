@@ -15,7 +15,7 @@ func epilogueAVX2(seg []float32, b, scale, shift, hi float32, mode int) {
 	panic("tensor: no AVX2 body off amd64")
 }
 
-func depthwiseRowAVX2(o, r0, r1, r2, t []float32, b float32) {
+func depthwiseAVX2(o, plane, t []float32, b float32, iy0, wd, wout, stride, lo, hi int) {
 	panic("tensor: no AVX2 body off amd64")
 }
 

@@ -10,9 +10,11 @@ import (
 // read-modify-write — so destinations may be the executor's arena
 // buffers, which carry stale values from earlier inferences.
 
+// checkSameShape panics unless dst has the given shape. Only the failure
+// formats a copy of shape, so a caller's literal stays on its stack.
 func checkSameShape(op string, dst *Tensor, shape Shape) {
 	if !dst.Shape.Equal(shape) {
-		panic(fmt.Sprintf("tensor: %s dst shape %v, want %v", op, dst.Shape, shape))
+		panic(fmt.Sprintf("tensor: %s dst shape %v, want %v", op, dst.Shape, append(Shape(nil), shape...)))
 	}
 }
 

@@ -36,7 +36,7 @@ func FMULChains(steps int) float32 {
 
 // VectorISA names the vector instruction set the kernels with a vector
 // body — every FP32 convolution's microkernel, the FP32 epilogue and the
-// int8 requantize, the stride-1 depthwise interior, the int8 dot products
+// int8 requantize, the 3x3 depthwise kernel, the int8 dot products
 // and their pair-row interleave, the 3x3 stride-2 max-pool interior, and
 // the activation quantizer's max-abs and rounding — run on here: "avx2",
 // or "" where they run the Go loops.
@@ -48,12 +48,11 @@ func VectorISA() string {
 }
 
 // DepthwiseVector reports whether a depthwise convolution of an [C, h, wd]
-// input with kh x kw taps runs its interior on the vector body
-// (depthwiseRowAVX2): a layer the 3x3 row kernel takes, whose rows
-// depthwiseRowVector sends to the vector body.
+// input with kh x kw taps runs on the vector body (depthwiseAVX2): a
+// layer the 3x3 kernel takes, at stride 1 or 2, on an AVX2 host.
 func DepthwiseVector(h, wd, kh, kw int, spec Conv2DSpec) bool {
 	spec = spec.check()
-	return depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW) && depthwiseRowVector(spec.Stride)
+	return useAVX2 && depthwise3x3Fits(h, wd, kh, kw, spec.Stride, spec.PadH, spec.PadW)
 }
 
 // MaxPoolVector reports whether max pooling an [C, h, w] input runs its
