@@ -162,7 +162,7 @@ loc:
 # The engine packages grow on purpose or not at all: a change that takes
 # `make loc` past the ceiling raises the ceiling in the same commit and
 # says why in CHANGES.md (ROADMAP aim 2).
-LOC_CEILING = 6665
+LOC_CEILING = 6633
 
 loc-check:
 	@n=$$($(MAKE) -s loc); test "$$n" -le $(LOC_CEILING) || \

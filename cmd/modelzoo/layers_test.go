@@ -138,8 +138,10 @@ func TestPlanPrintsEveryStep(t *testing.T) {
 		}
 	}
 	// Every weighted node of int8 SqueezeNet runs int8 and holds only its
-	// codes: no FP32 weights are left to count.
-	const want = "graph weights: FP32 0 B, int8 codes 1231552 B"
+	// codes: no FP32 weights are left to count. The stem's three input
+	// channels round up to four, a zero code per tap: 64 x 3 x 3 codes
+	// over the weights' 1231552.
+	const want = "graph weights: FP32 0 B, int8 codes 1232128 B"
 	footer := fmt.Sprintf("graph weights: FP32 %d B, int8 codes %d B", weights, codes)
 	if footer != want || lines[len(lines)-1] != want {
 		t.Fatalf("plan footer %q (graph holds %q), want %q", lines[len(lines)-1], footer, want)

@@ -3,6 +3,7 @@ package exchange_test
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,8 +138,8 @@ func TestRoundTripNonFinite(t *testing.T) {
 
 // TestRoundTripInt8 is the int8 path through the exchange: a quantized
 // SqueezeNet (O2, then QuantizeINT8, as the int8 stream benchmark
-// builds it) must come back with its codes, run the same kernels, and
-// compute the same bits.
+// builds it) must come back with its codes, its stem's padded to an even
+// channel count, run the same kernels, and compute the same bits.
 func TestRoundTripInt8(t *testing.T) {
 	g := model.MustGet("SqueezeNet").Build(nn.Options{Materialize: true, Seed: 1})
 	if _, err := opt.Optimize(g, opt.O2); err != nil {
@@ -154,6 +155,17 @@ func TestRoundTripInt8(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameParams(t, g, back)
+	// The stem's three input channels round up to four, a zero code per
+	// tap, and come back so.
+	stem := back.Nodes[slices.IndexFunc(back.Nodes, func(n *graph.Node) bool { return n.Name == "conv1" })].QWeights
+	if !stem.Shape.Equal(tensor.Shape{64, 3, 3, 4}) {
+		t.Fatalf("conv1's codes came back as %v, want [64 3 3 4]", stem.Shape)
+	}
+	for i := 3; i < len(stem.Data); i += 4 {
+		if stem.Data[i] != 0 {
+			t.Fatalf("conv1's pad channel code %d is %d, want 0", i, stem.Data[i])
+		}
+	}
 
 	in := tensor.New(g.Input.OutShape...).Randomize(stats.NewRNG(3), 1)
 	want, err := (&graph.Executor{}).Run(g, in.Clone())
@@ -270,6 +282,9 @@ func TestImportRejectsBadContainer(t *testing.T) {
 		{"short", data[:7], "shorter"},
 		{"header past end", append(long, data[8:]...), "runs past"},
 		{"version 1 JSON", []byte(v1), "version-1"},
+		{"version 2 container", editHeader(t, data, func(s string) string {
+			return strings.Replace(s, `"version":3`, `"version":2`, 1)
+		}), "version-2"},
 		{"truncated section", data[:len(data)-5], "outside"},
 		{"negative offset", ref("weights", `{"off":-4,"n":108}`), "outside"},
 		{"offset past end", ref("bias", `{"off":1000000,"n":4}`), "outside"},

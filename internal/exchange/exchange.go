@@ -34,8 +34,11 @@ import (
 )
 
 // FormatVersion guards decoding across releases. Version 1 was a pure
-// JSON document with decimal weights; Import rejects it by name.
-const FormatVersion = 2
+// JSON document with decimal weights; version 2 held int8 codes in their
+// weights' logical order, [Cout, Cin, KH, KW], where version 3 holds them
+// as the int8 kernel reads them (tensor.ConvCodeShape). Import rejects
+// both by name.
+const FormatVersion = 3
 
 // File is the container's JSON header.
 type File struct {
@@ -277,6 +280,10 @@ func split(data []byte) (*File, []byte, error) {
 	if err := json.Unmarshal(data[8:8+h], &f); err != nil {
 		return nil, nil, fmt.Errorf("exchange: header: %w", err)
 	}
+	if f.Version == 2 {
+		return nil, nil, fmt.Errorf("exchange: input is a version-2 container, whose int8 codes lie in "+
+			"[Cout, Cin, KH, KW] order; this reader takes only the version-%d container", FormatVersion)
+	}
 	if f.Version != FormatVersion {
 		return nil, nil, fmt.Errorf("exchange: format version %d, want %d", f.Version, FormatVersion)
 	}
@@ -351,12 +358,13 @@ func (d *decoder) node(n *graph.Node, nj *NodeJSON) {
 	if nj.QScales.N != 1 && len(n.WShape) > 0 {
 		want += max(n.WShape[0], 0)
 	}
+	shape := tensor.ConvCodeShape(n.WShape)
 	scales := d.floats(nj.QScales, want, "int8 scales")
-	codes := d.span(nj.QCodes, 1, elems, "int8 codes")
+	codes := d.span(nj.QCodes, 1, shape.NumElems(), "int8 codes")
 	if d.err != nil {
 		return
 	}
-	q := &tensor.QTensor{Shape: n.WShape.Clone(), Data: make([]int8, len(codes)), Scale: scales[0]}
+	q := &tensor.QTensor{Shape: shape, Data: make([]int8, len(codes)), Scale: scales[0]}
 	for i, x := range codes {
 		q.Data[i] = int8(x)
 	}

@@ -97,7 +97,7 @@ func TestImportRejectsCorruption(t *testing.T) {
 	}
 	cases := map[string]func(string) string{
 		"bad version": func(s string) string {
-			return strings.Replace(s, `"version":2`, `"version":9`, 1)
+			return strings.Replace(s, `"version":3`, `"version":9`, 1)
 		},
 		"unknown op": func(s string) string {
 			return strings.Replace(s, `"kind":"conv2d"`, `"kind":"quantum"`, 1)
@@ -116,7 +116,7 @@ func TestImportRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: import should fail", name)
 		}
 	}
-	if _, err := exchange.Import(container(`{"version":2,"nodes":[]}`, nil)); err == nil {
+	if _, err := exchange.Import(container(`{"version":3,"nodes":[]}`, nil)); err == nil {
 		t.Error("empty model should fail")
 	}
 }

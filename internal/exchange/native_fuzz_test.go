@@ -21,7 +21,7 @@ func FuzzImport(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add(container(`{"version":2,"name":"x","mode":"static","input_shape":[1,2,2],`+
+	f.Add(container(`{"version":3,"name":"x","mode":"static","input_shape":[1,2,2],`+
 		`"nodes":[{"name":"input","kind":"input","inputs":[]}],"output":0}`, nil))
 	f.Add(container("{}", nil))
 	f.Add([]byte("]["))

@@ -32,24 +32,24 @@ func FuzzVerify(f *testing.F) {
 		header string
 		sec    []byte
 	}{
-		{`{"version":2,"name":"x","input_shape":[1,2,2],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[1,2,2],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]},` +
 			`{"name":"r","kind":"relu","inputs":[5]}],"output":1}`, nil},
-		{`{"version":2,"name":"x","input_shape":[1,2,2],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[1,2,2],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]},` +
 			`{"name":"r","kind":"relu","inputs":[1]}],"output":1}`, nil},
-		{`{"version":2,"name":"x","input_shape":[1,2,2],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[1,2,2],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]},` +
 			`{"name":"c","kind":"conv2d","inputs":[0],"kernel":3,"stride":1,` +
 			`"w_shape":[4,1,3,3],"weights":{"off":0,"n":3}}],"output":1}`, make([]byte, 12)},
-		{`{"version":2,"name":"x","input_shape":[1,2,2],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[1,2,2],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]},` +
 			`{"name":"c","kind":"conv2d","inputs":[0],"kernel":1,"stride":1,` +
 			`"w_shape":[1,1,1,1],"weights":{"off":0,"n":1}}],"output":1}`, make([]byte, 3)},
-		{`{"version":2,"name":"x","input_shape":[1,2,2],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[1,2,2],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]},` +
 			`{"name":"r","kind":"relu","inputs":[0],"dtype":"int9"}],"output":1}`, nil},
-		{`{"version":2,"name":"x","input_shape":[-1,0],"nodes":[` +
+		{`{"version":3,"name":"x","input_shape":[-1,0],"nodes":[` +
 			`{"name":"in","kind":"input","inputs":[]}],"output":0}`, nil},
 	} {
 		f.Add(container(corrupt.header, corrupt.sec))

@@ -196,23 +196,21 @@ func runConst(n *Node, _ *tensor.Tensor, _ []*tensor.Tensor) *tensor.Tensor {
 
 // convQ returns the kernel of an int8 convolution or dense layer, which
 // reads the node's codes in place. A dense layer is the 1x1 conv of its
-// input as an [In, 1, 1] plane: it runs on an [Out, In, 1, 1] header that
-// shares the node's codes and scales, and each run views its input and
-// output as planes, headers on the run's own stack as convGrouped's are.
+// input as an [In, 1, 1] plane, its codes already the [Out, 1, 1, In
+// rounded up to even] the conv reads (tensor.ConvCodeShape): each run
+// views its input and output as planes, headers on the run's own stack as
+// convGrouped's are.
 func convQ(n *Node) runFunc {
-	qw := n.QWeights
 	var inShape, dstShape tensor.Shape
 	if n.Kind == OpDense {
-		view := *qw
-		view.Shape = tensor.Shape{qw.Shape[0], qw.Shape[1], 1, 1}
-		qw, inShape, dstShape = &view, view.Shape[1:], tensor.Shape{qw.Shape[0], 1, 1}
+		inShape, dstShape = tensor.Shape{n.WShape[1], 1, 1}, tensor.Shape{n.WShape[0], 1, 1}
 	}
 	return func(n *Node, dst *tensor.Tensor, in []*tensor.Tensor) *tensor.Tensor {
 		x, out, spec := *in[0], *dst, n.Attrs.ConvSpec()
 		if inShape != nil {
 			x.Shape, out.Shape, spec = inShape, dstShape, tensor.Conv2DSpec{}
 		}
-		tensor.Conv2DQInto(&out, &x, qw, n.Bias, spec, actFor(n.Activation), n.Attrs.LeakySlope())
+		tensor.Conv2DQInto(&out, &x, n.QWeights, n.Bias, spec, actFor(n.Activation), n.Attrs.LeakySlope())
 		return dst
 	}
 }

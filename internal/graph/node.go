@@ -107,7 +107,8 @@ type Node struct {
 
 	// QWeights holds real int8 weights after a quantization pass, which
 	// keeps them only where the executor runs the int8 kernels
-	// (Int8Kernel) and then drops Weights: one copy, codes or FP32.
+	// (Int8Kernel) and then drops Weights: one copy, codes or FP32. The
+	// codes lie as the kernel reads them, tensor.ConvCodeShape(WShape).
 	QWeights *tensor.QTensor
 
 	// OutShape is the inferred output shape.

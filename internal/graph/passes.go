@@ -124,10 +124,11 @@ func EliminateDead(g *Graph) {
 }
 
 // quantizeNode quantizes n's weights to int8, per channel when perChannel
-// is set, and leaves the node one copy of them: the codes, in QWeights,
-// where bind runs it int8 (Int8Kernel), else the dequantized codes in
-// Weights (depthwise, grouped, 3-D, LSTM, absorbed-BN nodes), so the FP32
-// kernels see the quantization error.
+// is set, and leaves the node one copy of them: the codes, in QWeights in
+// the layout the int8 kernel reads (tensor.ConvCodes), where bind runs it
+// int8 (Int8Kernel), else the dequantized codes in Weights (depthwise,
+// grouped, 3-D, LSTM, absorbed-BN nodes), so the FP32 kernels see the
+// quantization error.
 func quantizeNode(n *Node, perChannel bool) {
 	if n.Weights == nil {
 		return
@@ -139,7 +140,7 @@ func quantizeNode(n *Node, perChannel bool) {
 		q = tensor.QuantizeSymmetric(n.Weights)
 	}
 	if Int8Kernel(n) {
-		n.QWeights, n.Weights = q, nil
+		n.QWeights, n.Weights = tensor.ConvCodes(q), nil
 	} else {
 		n.Weights = q.Dequantize()
 	}

@@ -25,7 +25,7 @@ func TestReplicasShareProgramConcurrently(t *testing.T) {
 	b.GlobalAvgPool("gap")
 	g := b.Build()
 	tensor.PruneMagnitude(pruned.Weights, 0.8)
-	q.QWeights, q.Weights = tensor.QuantizeSymmetric(q.Weights), nil
+	q.QWeights, q.Weights = tensor.ConvCodes(tensor.QuantizeSymmetric(q.Weights)), nil
 
 	ins := make([]*tensor.Tensor, 6)
 	wants := make([]*tensor.Tensor, len(ins))

@@ -224,7 +224,10 @@ func BenchmarkClampReLU6(b *testing.B) {
 // expand (13-pixel rows under pad 1, a plane under a band per chunk, so
 // cut by channel pairs), the first max-pool,
 // and the activation quantizer on the stem's image and on a ReLU'd
-// activation.
+// activation. Conv2DQPrepacked adds a ResNet-style 7x7 stride-2 stem:
+// like SqueezeNet's, three input channels, so each tap's channel pair
+// rounds them up to four (ConvCodes). GMAC/s counts the layer's own MACs,
+// not the pad channel's.
 
 func BenchmarkConv2DQPrepacked(b *testing.B) {
 	for _, tc := range []struct {
@@ -233,6 +236,7 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 		cout, k, stride, pad int
 	}{
 		{"conv1-3x224x224-3x3s2-64", 3, 224, 224, 64, 3, 2, 0},
+		{"stem-3x224x224-7x7s2p3-64", 3, 224, 224, 64, 7, 2, 3},
 		{"fire3e3-16x55x55-3x3p1-64", 16, 55, 55, 64, 3, 1, 1},
 		{"conv10-512x13x13-1x1-1000", 512, 13, 13, 1000, 1, 1, 0},
 		{"fire3sq-128x55x55-1x1-16", 128, 55, 55, 16, 1, 1, 0},
@@ -241,7 +245,7 @@ func BenchmarkConv2DQPrepacked(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := benchInput(tc.cin, tc.h, tc.w)
-			qw := QuantizePerChannel(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1))
+			qw := ConvCodes(QuantizePerChannel(New(tc.cout, tc.cin, tc.k, tc.k).Randomize(stats.NewRNG(3), 1)))
 			spec := Conv2DSpec{Stride: tc.stride, Pad: tc.pad}
 			hout, wout := spec.OutDims(tc.h, tc.w, tc.k, tc.k)
 			dst := New(tc.cout, hout, wout)
@@ -301,19 +305,19 @@ func BenchmarkDenseFP32(b *testing.B) {
 }
 
 // BenchmarkQuantizeDynamic is the activation quantizer as the int8 convs
-// run it — the scale of maxAbs, then quantizeRound into a code plane — on
-// SqueezeNet's quantizer inputs: conv1's image of either sign (flat rows),
-// fire3_sq's ReLU'd input (pair rows) and fire4_e3's (flat rows), all on
-// the calling core. MB/s counts the floats read.
+// run it — the scale of maxAbs, then quantizeRound into a code plane of
+// pair rows — on SqueezeNet's quantizer inputs: conv1's image of either
+// sign (an odd last channel), fire3_sq's ReLU'd input and fire4_e3's,
+// all on the calling core. MB/s counts the floats read.
 func BenchmarkQuantizeDynamic(b *testing.B) {
 	for _, tc := range []struct {
-		name        string
-		c, h, w     int
-		pairs, relu bool
+		name    string
+		c, h, w int
+		relu    bool
 	}{
-		{"flat-3x224x224", 3, 224, 224, false, false},
-		{"pairs-128x55x55", 128, 55, 55, true, true},
-		{"flat-32x27x27", 32, 27, 27, false, true},
+		{"conv1-3x224x224", 3, 224, 224, false},
+		{"fire3sq-128x55x55", 128, 55, 55, true},
+		{"fire4e3-32x27x27", 32, 27, 27, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in, plane := benchInput(tc.c, tc.h, tc.w), tc.h*tc.w
@@ -325,7 +329,7 @@ func BenchmarkQuantizeDynamic(b *testing.B) {
 			b.SetBytes(int64(4 * len(in.Data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				quantizeRound(codes, in.Data, plane, tc.pairs, 1/symmetricScale(maxAbs(in.Data)))
+				quantizeRound(codes, in.Data, plane, 1/symmetricScale(maxAbs(in.Data)))
 			}
 		})
 	}

@@ -60,17 +60,17 @@ type convGeom struct {
 }
 
 // convGeometry is the one validator of a 2-D convolution's operands —
-// input [Cin, H, W] against weights of shape w = [Cout, Cin, KH, KW]
-// (a tensor's or an int8 QTensor's), an optional bias, the
-// checked spec and a preallocated dst of [Cout, Hout, Wout] — and
-// returns the geometry.
+// input [Cin, H, W] against weights of logical shape w = [Cout, Cin, KH,
+// KW], an optional bias, the checked spec and a preallocated dst of
+// [Cout, Hout, Wout] — and returns the geometry. It formats a copy of w
+// only on failure, so a caller's literal does not escape.
 func convGeometry(dst, in *Tensor, w Shape, bias []float32, spec Conv2DSpec) convGeom {
 	if len(in.Shape) != 3 || len(w) != 4 {
-		panic(fmt.Sprintf("tensor: conv wants a rank-3 input and rank-4 weights, got %v and %v", in.Shape, w))
+		panic(fmt.Sprintf("tensor: conv wants a rank-3 input and rank-4 weights, got %v and %v", in.Shape, w.Clone()))
 	}
 	g := convGeom{cin: in.Shape[0], h: in.Shape[1], wd: in.Shape[2], cout: w[0], kh: w[2], kw: w[3]}
 	if g.cin != w[1] {
-		panic(fmt.Sprintf("tensor: conv channel mismatch: input %v weights %v", in.Shape, w))
+		panic(fmt.Sprintf("tensor: conv channel mismatch: input %v weights %v", in.Shape, w.Clone()))
 	}
 	if bias != nil && len(bias) != g.cout {
 		panic("tensor: conv bias length mismatch")

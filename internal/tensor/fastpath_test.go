@@ -396,7 +396,7 @@ func TestGemmMicrokernelMatchesOneRow(t *testing.T) {
 
 // TestGemmMicrokernelNegativeZero drives −0.0 partial sums through the
 // zero-padded K tail: whole rows of A are −0.0 or negative against zero
-// and positive B columns, K is not a multiple of the interleave, and the
+// and positive B columns, K is not a multiple of the K-quad, and the
 // signs of the resulting zeros must match the one-row kernel's.
 func TestGemmMicrokernelNegativeZero(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
@@ -642,8 +642,8 @@ func testConv2DPrepackedBandEdges(t *testing.T) {
 
 // poisonBandScratch leaves the convolutions' pool a scratch full of
 // values no convolution produces, for the next call on this goroutine to
-// be handed: the FP32 tile and sink NaN, the int8 rows and pair rows
-// -32768.
+// be handed: the tile and sink NaN, whose bits, as an int8 tile's code
+// pair, are 0 and 32704, a code the quantizer never emits.
 func poisonBandScratch() {
 	f := convScratchPool.Get().(*convScratch)
 	for i := range f.tile {
@@ -651,9 +651,6 @@ func poisonBandScratch() {
 	}
 	for i := range f.sink {
 		f.sink[i] = float32(math.NaN())
-	}
-	for i := range f.rows {
-		f.rows[i], f.pairs[i] = math.MinInt16, math.MinInt16
 	}
 	convScratchPool.Put(f)
 }

@@ -18,9 +18,8 @@ import (
 // is the first (an odd last channel paired with itself) and how many codes
 // are salted with +-127. Every buffer has slack on both sides filled with
 // canaries, which both paths must leave untouched; the pair rows past the
-// K-block, which meet zero weights, hold arbitrary codes. The same pair
-// rows then go through interleave on both paths. go test runs the seed
-// corpus; make fuzz runs the target for a bounded time.
+// K-block, which meet zero weights, hold arbitrary codes. go test runs the
+// seed corpus; make fuzz runs the target for a bounded time.
 func FuzzQPointwiseQuads(f *testing.F) {
 	for _, s := range []struct {
 		kb, n, slack, off uint8
@@ -88,29 +87,6 @@ func FuzzQPointwiseQuads(f *testing.F) {
 			}
 		}
 
-		a, b := x[:n], x[stride:][:n]
-		ibuf := make([]int16, 2*n+2*canary)
-		for i := range ibuf {
-			ibuf[i] = math.MinInt16
-		}
-		iv, ig := append([]int16(nil), ibuf...), append([]int16(nil), ibuf...)
-		for _, c := range []struct {
-			dst    []int16
-			vector bool
-		}{{iv, true}, {ig, false}} {
-			useAVX2 = c.vector
-			interleave(c.dst[canary:][:2*n], a, b)
-		}
-		useAVX2 = true
-		for i := range ibuf {
-			want := ibuf[i]
-			if p := i - canary; p >= 0 && p < 2*n {
-				want = []int16{a[p/2], b[p/2]}[p%2]
-			}
-			if iv[i] != want || ig[i] != want {
-				t.Fatalf("n=%d: interleaved element %d: vector %d, Go %d, want %d", n, i, iv[i], ig[i], want)
-			}
-		}
 	})
 }
 
@@ -283,19 +259,20 @@ func FuzzDepthwiseRow(f *testing.F) {
 }
 
 // FuzzQuantizeRow runs the activation quantizer's vector bodies
-// (quantizeRowAVX2 through quantizeRow and quantizePairRow, maxAbsAVX2
-// through maxAbs) and their Go loops on copies of the same rows, and
-// requires equal codes and an equal maximum. The input chooses the
-// plane's length (1 to 520: every tail mod 8 and 16), where the span
-// starts in it (the span runs to the plane's end), the inverse scale's
-// bits (negative, zero, subnormal, infinite and NaN scales included: the
-// body must match the loop on every float) and how many inputs quantSalt
-// salts. The two channels' source rows and each layout's destination row
-// end at the last element of a page followed by one that can be neither
-// read nor written, so a load or store past the span faults; the
-// destination holds -32768 before the span, which neither path may
-// overwrite. go test runs the seed corpus; make fuzz runs the target for
-// a bounded time.
+// (quantizeRowAVX2 through quantizePairRow, maxAbsAVX2 through maxAbs)
+// and their Go loops on copies of the same rows, and requires equal codes
+// and an equal maximum. The input chooses the plane's length (1 to 520:
+// every tail mod 8 and 16), where the span starts in it (the span runs to
+// the plane's end), the inverse scale's bits (negative, zero, subnormal,
+// infinite and NaN scales included: the body must match the loop on
+// every float) and how many inputs quantSalt salts. The two channels'
+// source rows and the pair row they are written to end at the last
+// element of a page followed by one that can be neither read nor
+// written, so a load or store past the span faults; the destination
+// holds -32768 before the span, which neither path may overwrite. A lone
+// last channel (quantizePairRow with no partner) is written too, and must
+// leave its partner's slots as they were. go test runs the seed corpus;
+// make fuzz runs the target for a bounded time.
 func FuzzQuantizeRow(f *testing.F) {
 	for _, s := range []struct {
 		plane, off uint16
@@ -333,12 +310,8 @@ func FuzzQuantizeRow(f *testing.F) {
 			t.Fatalf("plane=%d off=%d: max-abs vector %#08x, Go %#08x", plane, off, got, want)
 		}
 		page := unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(pages[2]))), 2*len(pages[2]))
-		for _, pairs := range []bool{false, true} {
-			w := plane
-			if pairs {
-				w = 2 * plane
-			}
-			vec, ref := page[len(page)-w:], make([]int16, w)
+		for _, lone := range []bool{false, true} {
+			vec, ref := page[len(page)-2*plane:], make([]int16, 2*plane)
 			for i := range vec {
 				vec[i], ref[i] = math.MinInt16, math.MinInt16
 			}
@@ -348,16 +321,17 @@ func FuzzQuantizeRow(f *testing.F) {
 				vector bool
 			}{{vec, a, b, true}, {ref, ga, gb, false}} {
 				useAVX2 = c.vector
-				if pairs {
-					quantizePairRow(c.dst[2*off:], c.a[off:], c.b[off:], inv)
+				if lone {
+					c.b = nil
 				} else {
-					quantizeRow(c.dst[off:], c.a[off:], inv)
+					c.b = c.b[off:]
 				}
+				quantizePairRow(c.dst[2*off:], c.a[off:], c.b, inv)
 			}
 			useAVX2 = true
 			for i := range ref {
-				if vec[i] != ref[i] {
-					t.Fatalf("plane=%d off=%d inv=%g pairs=%v: slot %d: vector %d, Go %d", plane, off, inv, pairs, i, vec[i], ref[i])
+				if vec[i] != ref[i] || lone && i%2 == 1 && vec[i] != math.MinInt16 {
+					t.Fatalf("plane=%d off=%d inv=%g lone=%v: slot %d: vector %d, Go %d", plane, off, inv, lone, i, vec[i], ref[i])
 				}
 			}
 		}

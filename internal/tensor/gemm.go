@@ -51,15 +51,15 @@ func pointwise(kh, kw int, spec Conv2DSpec) bool {
 type convJob struct {
 	out, in, w []float32 // [Cout, npix], [Cin, H, W] and [Cout, K]
 	// acc is out viewed as int32 accumulators; codes the input's code
-	// plane in pair rows; qw the [Cout, K] weight codes; scales the
-	// requantize scale per output channel.
+	// plane in pair rows; qw the [Cout, K] weight codes, K tap-major;
+	// scales the requantize scale per output channel.
 	acc    []int32
 	codes  []int16
 	qw     []int8
 	scales []float32
 	geo    convGeom
 	spec   Conv2DSpec
-	k      int // K = Cin*KH*KW
+	k      int // K = Cin*KH*KW, Cin rounded up to even for int8
 	npix   int // the output plane's pixels
 	bias   []float32
 	epi    Epilogue
@@ -86,15 +86,14 @@ var convJobs = sync.Pool{New: func() any {
 }}
 
 // convScratch is what one shard borrows: a band's staged im2col rows (a
-// pointwise FP32 conv's K-tail rows only), FP32 or int8 (as rows and as
-// pair rows, qstage), and the sink an odd last channel's missing partner
-// accumulates into (as int32 for int8). Pooled, so concurrent shards never
-// share one and a steady stream of convolutions allocates nothing.
+// pointwise FP32 conv's K-tail rows only), FP32, or int8 pair rows of
+// four-byte code pairs (int32Rows), and the sink an odd last channel's
+// missing partner accumulates into (as int32 for int8). Pooled, so
+// concurrent shards never share one and a steady stream of convolutions
+// allocates nothing.
 type convScratch struct {
-	tile  [gemmKC * gemmBand]float32
-	sink  [gemmBand]float32
-	rows  [gemmKC * gemmBand]int16 // int8 im2col rows, as stage writes them
-	pairs [gemmKC * gemmBand]int16 // the same, as qpointwiseQuads reads them
+	tile [gemmKC * gemmBand]float32
+	sink [gemmBand]float32
 }
 
 var convScratchPool = sync.Pool{New: func() any { return new(convScratch) }}
@@ -123,7 +122,11 @@ func Conv2DInto(dst, in, w *Tensor, bias []float32, spec Conv2DSpec, epi Epilogu
 // its chunk, so the output does not depend on the cut.
 func (job convJob) run() {
 	g := &job.geo
-	job.k, job.npix, job.staged = g.cin*g.kh*g.kw, g.hout*g.wout, !pointwise(g.kh, g.kw, job.spec)
+	cin := g.cin
+	if job.qw != nil {
+		cin = (cin + 1) &^ 1
+	}
+	job.k, job.npix, job.staged = cin*g.kh*g.kw, g.hout*g.wout, !pointwise(g.kh, g.kw, job.spec)
 	workers := len(ensurePool().workers)
 	job.byPairs = job.npix < gemmBand*chunksPerWorker*workers
 	j := convJobs.Get().(*convJob)
@@ -217,17 +220,25 @@ func (j *convJob) band(s *convScratch, c0, c1, p0, p1 int) {
 	}
 }
 
-// stage writes im2col rows [kc, kc+kb) of pixels [p0, p1) of j's
-// convolution of in — its FP32 input or its int8 codes — into tile, row
-// kc+r at tile[r*nb:], and zero into the rows after them up to the next
-// K-quad. Row (ic, ky, kx) of pixel (oy, ox) is the input at (ic, oy*s +
-// ky - padH, ox*s + kx - padW), zero (+0.0) in the padding: the band is
-// walked an output row at a time, the span of columns inside the plane
-// copied (a gather at stride s) and the rest cleared.
-func stage[T float32 | int16](j *convJob, tile, in []T, kc, kb, p0, p1 int) {
+// stage writes im2col rows [r0, r0+rows) of pixels [p0, p1) of j's
+// convolution of in into tile, row r0+r at tile[r*nb:], and zero into the
+// rows after them up to the next quad of rows. An FP32 convolution's rows
+// run channel-major, (ic, ky, kx), the order its sums depend on; an int8
+// one's are pair rows of its code plane's four-byte code pairs
+// (codePairs), and run tap-major, (ky, kx, ic) over the channel pairs,
+// so that each is one channel pair at one tap. Row (ic, ky, kx) of pixel
+// (oy, ox) is the input at (ic, oy*s + ky - padH, ox*s + kx - padW), zero
+// in the padding: the band is walked an output row at a time, the span of
+// columns inside the plane copied (a gather at stride s) and the rest
+// cleared.
+func stage[T float32 | int32](j *convJob, tile, in []T, r0, rows, p0, p1 int) {
 	g, s, nb := &j.geo, j.spec.Stride, p1-p0
-	kx, ky, ic := kc%g.kw, kc/g.kw%g.kh, kc/(g.kw*g.kh)
-	for r := range kb {
+	tapMajor, pairs := j.qw != nil, (g.cin+1)/2
+	kx, ky, ic := r0%g.kw, r0/g.kw%g.kh, r0/(g.kw*g.kh)
+	if tapMajor {
+		ic, kx, ky = r0%pairs, r0/pairs%g.kw, r0/(pairs*g.kw)
+	}
+	for r := range rows {
 		row, plane := tile[r*nb:(r+1)*nb], in[ic*g.h*g.wd:(ic+1)*g.h*g.wd]
 		// Output columns [xlo, xhi) read a column inside the plane.
 		dx := kx - j.spec.PadW
@@ -253,13 +264,19 @@ func stage[T float32 | int16](j *convJob, tile, in []T, kc, kb, p0, p1 int) {
 				seg[lo+t] = src[t*s]
 			}
 		}
-		if kx++; kx == g.kw {
+		if tapMajor {
+			if ic++; ic == pairs {
+				if ic, kx = 0, kx+1; kx == g.kw {
+					kx, ky = 0, ky+1
+				}
+			}
+		} else if kx++; kx == g.kw {
 			if kx, ky = 0, ky+1; ky == g.kh {
 				ky, ic = 0, ic+1
 			}
 		}
 	}
-	clear(tile[kb*nb : (kb+gemmMR-1)&^(gemmMR-1)*nb])
+	clear(tile[rows*nb : (rows+gemmMR-1)&^(gemmMR-1)*nb])
 }
 
 // pointwiseQuads is the channel-major microkernel: for each K-quad q of

@@ -1,10 +1,10 @@
 package tensor
 
 // useAVX2 sends pointwiseQuads, the FP32 epilogue and the int8
-// requantize, the 3x3 depthwise kernel, the int8 dot products and
-// their pair-row interleave, the 3x3 stride-2 max-pool interior, and the
-// activation quantizer's max-abs and rounding to their AVX2 bodies
-// (gemm_amd64.s), read once from CPUID at package init.
+// requantize, the 3x3 depthwise kernel, the int8 dot products, the 3x3
+// stride-2 max-pool interior, and the activation quantizer's max-abs and
+// rounding to their AVX2 bodies (gemm_amd64.s), read once from CPUID at
+// package init.
 // Tests clear it to run the Go kernel, the reference and the path on
 // every other CPU.
 var useAVX2 = cpuAVX2()
@@ -60,12 +60,6 @@ func fmulChainsAVX2(steps int) float32
 //go:noescape
 func qpointwiseQuadsAVX2(o0, o1 []int32, x []int16, stride int, w0, w1 []int8)
 
-// interleaveAVX2 is interleave on sixteen pixels at a time, for a
-// multiple of sixteen. It checks no bound: interleave does.
-//
-//go:noescape
-func interleaveAVX2(dst, a, b []int16)
-
 // The vector body's frame holds two widened K-blocks of 128 codes: the
 // compiler holds gemmKC to 128.
 const (
@@ -81,9 +75,8 @@ const (
 func maxAbsAVX2(src []float32) uint32
 
 // quantizeRowAVX2 is quantCode at inv on eight lanes, bit for bit, for
-// len(a) a multiple of eight: with b empty dst[i] = code(a[i]), else the
-// pair rows dst[2i] = code(a[i]) and dst[2i+1] = code(b[i]). It checks no
-// bound: quantizeRow and quantizePairRow do.
+// len(a) a multiple of eight, into pair rows: dst[2i] = code(a[i]) and
+// dst[2i+1] = code(b[i]). It checks no bound: quantizePairRow does.
 //
 //go:noescape
 func quantizeRowAVX2(dst []int16, a, b []float32, inv float32)

@@ -928,37 +928,6 @@ qDone:
 	VZEROUPPER
 	RET
 
-// func interleaveAVX2(dst, a, b []int16)
-//
-// dst[2i] = a[i] and dst[2i+1] = b[i] for i < len(a), a multiple of
-// sixteen: VPUNPCKLWD and VPUNPCKHWD pair each half-lane's codes, and
-// VPERM2I128 puts the four runs of four pixels back in order. The caller
-// has checked every bound.
-TEXT ·interleaveAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ b_base+48(FP), DX
-	XORQ AX, AX
-
-ilLoop:
-	CMPQ AX, CX
-	JEQ  ilDone
-	VMOVDQU    (SI)(AX*2), Y0
-	VMOVDQU    (DX)(AX*2), Y1
-	VPUNPCKLWD Y1, Y0, Y2   // pixels 0-3 | 8-11
-	VPUNPCKHWD Y1, Y0, Y3   // pixels 4-7 | 12-15
-	VPERM2I128 $0x20, Y3, Y2, Y4
-	VPERM2I128 $0x31, Y3, Y2, Y5
-	VMOVDQU    Y4, (DI)(AX*4)
-	VMOVDQU    Y5, 32(DI)(AX*4)
-	ADDQ $16, AX
-	JMP  ilLoop
-
-ilDone:
-	VZEROUPPER
-	RET
-
 // poolFloor<> is negInf, −MaxFloat32: maxPoolWindow's running max before
 // its first tap.
 DATA poolFloor<>+0(SB)/4, $0xff7fffff
@@ -1115,23 +1084,18 @@ maFold:
 
 // func quantizeRowAVX2(dst []int16, a, b []float32, inv float32)
 //
-// quantCode at inv of every element of a, and of b when b is not empty,
-// into dst, for len(a) a multiple of eight: with b empty, dst[i] = a's
-// code i, sixteen codes at a time (VPACKSSDW, then VPERMQ puts the two
-// 128-bit halves' runs back in order), then eight; else, as pair rows,
-// dst[2i] and dst[2i+1] = a's and b's codes i, eight pairs at a time,
-// each int32 lane b's code shifted up 16 and blended over a's (VPSLLD,
-// VPBLENDW) and the eight pairs written by one 32-byte store. Each
-// product is one VMULPS, rounded apart (the operands' order cannot move
-// a bit: a NaN product codes the same whatever its payload). The codes
-// fit int16, so the pack never saturates. The caller has checked every
-// bound.
+// quantCode at inv of every element of a and b into dst as pair rows,
+// for len(a) a multiple of eight: dst[2i] and dst[2i+1] = a's and b's
+// codes i, eight pairs at a time, each int32 lane b's code shifted up 16
+// and blended over a's (VPSLLD, VPBLENDW) and the eight pairs written by
+// one 32-byte store. Each product is one VMULPS, rounded apart (the
+// operands' order cannot move a bit: a NaN product codes the same
+// whatever its payload). The caller has checked every bound.
 TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-76
 	MOVQ dst_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ a_len+32(FP), CX
 	MOVQ b_base+48(FP), DX
-	MOVQ b_len+56(FP), R8
 	VBROADCASTSS inv+72(FP), Y15
 	MOVL $0x80000000, AX
 	MOVQ AX, X14
@@ -1146,33 +1110,6 @@ TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-76
 	MOVQ AX, X11
 	VPBROADCASTD X11, Y11
 	XORQ AX, AX
-	TESTQ R8, R8
-	JNE   qrPairs
-	MOVQ CX, R9
-	ANDQ $-16, R9           // the pairs of groups' elements
-
-qrFlat16:
-	CMPQ AX, R9
-	JEQ  qrFlat8
-	VMULPS    (SI)(AX*4), Y15, Y0
-	VMULPS    32(SI)(AX*4), Y15, Y1
-	QCODE(Y0, Y2)
-	QCODE(Y1, Y3)
-	VPACKSSDW Y1, Y0, Y0    // codes 0-3 8-11 | 4-7 12-15
-	VPERMQ    $0xD8, Y0, Y0
-	VMOVDQU   Y0, (DI)(AX*2)
-	ADDQ $16, AX
-	JMP  qrFlat16
-
-qrFlat8:
-	CMPQ AX, CX
-	JEQ  qrDone
-	VMULPS       (SI)(AX*4), Y15, Y0
-	QCODE(Y0, Y2)
-	VEXTRACTI128 $1, Y0, X1
-	VPACKSSDW    X1, X0, X0
-	VMOVDQU      X0, (DI)(AX*2)
-	JMP  qrDone
 
 qrPairs:
 	CMPQ AX, CX

@@ -3,8 +3,8 @@
 package tensor
 
 // useAVX2 is false off amd64: pointwiseQuads, the FP32 epilogue and the
-// int8 requantize, depthwiseRow, the int8 dot products and interleave,
-// the max-pool interior and the activation quantizer run their Go loops.
+// int8 requantize, depthwiseRow, the int8 dot products, the max-pool
+// interior and the activation quantizer run their Go loops.
 var useAVX2 = false
 
 func pointwiseQuadsAVX2(o0, o1, x []float32, stride int, w0, w1 []float32) {
@@ -32,10 +32,6 @@ func qpointwiseQuadsAVX2(o0, o1 []int32, x []int16, stride int, w0, w1 []int8) {
 }
 
 func qmacChainsAVX2(steps int) int32 {
-	panic("tensor: no AVX2 body off amd64")
-}
-
-func interleaveAVX2(dst, a, b []int16) {
 	panic("tensor: no AVX2 body off amd64")
 }
 

@@ -370,8 +370,8 @@ func UpsampleNearest2DInto(dst, src *Tensor, factor int) {
 
 // ShuffleChannelsInto permutes src's channels across groups into dst
 // (ShuffleNet): channel i moves to position (i%g)*(C/g) + i/g, which
-// interleaves the groups so the next grouped convolution sees features
-// from every group.
+// deals the groups' channels out in turn, so the next grouped
+// convolution sees features from every group.
 func ShuffleChannelsInto(dst, src *Tensor, groups int) {
 	c := src.Shape[0]
 	checkSameShape("ShuffleChannels", dst, src.Shape)

@@ -36,10 +36,9 @@ func FMULChains(steps int) float32 {
 
 // VectorISA names the vector instruction set the kernels with a vector
 // body — every FP32 convolution's microkernel, the FP32 epilogue and the
-// int8 requantize, the 3x3 depthwise kernel, the int8 dot products
-// and their pair-row interleave, the 3x3 stride-2 max-pool interior, and
-// the activation quantizer's max-abs and rounding — run on here: "avx2",
-// or "" where they run the Go loops.
+// int8 requantize, the 3x3 depthwise kernel, the int8 dot products, the
+// 3x3 stride-2 max-pool interior, and the activation quantizer's max-abs
+// and rounding — run on here: "avx2", or "" where they run the Go loops.
 func VectorISA() string {
 	if useAVX2 {
 		return "avx2"

@@ -35,7 +35,7 @@ func TestQKernelsAllocateNothing(t *testing.T) {
 // qconv returns a call of the int8 conv of in with a k x k filter bank of
 // 32 outputs.
 func qconv(rng *rand.Rand, in *tensor.Tensor, k, pad int) func() {
-	qw := tensor.QuantizePerChannel(tensor.New(32, in.Shape[0], k, k).Randomize(rng, 1))
+	qw := tensor.ConvCodes(tensor.QuantizePerChannel(tensor.New(32, in.Shape[0], k, k).Randomize(rng, 1)))
 	spec := tensor.Conv2DSpec{Stride: 1, Pad: pad}
 	dst := tensor.New(32, in.Shape[1], in.Shape[2])
 	return func() { tensor.Conv2DQInto(dst, in, qw, nil, spec, tensor.ActReLU, 0) }

@@ -5,9 +5,9 @@ import "sync"
 // This file holds what the int8 execution path shares: the fusable
 // activation set and the pooled per-call scratch of Conv2DQInto (qgemm.go)
 // — dynamic per-tensor activation quantization, the whole input rounded
-// once, then the channel-major product on the codes — so a quantized conv
-// (a dense layer is the 1x1 conv the graph runs it as) is a single kernel
-// call producing float32.
+// once into pair rows, then the channel-major product on the codes — so
+// a quantized conv (a dense layer is the 1x1 conv the graph runs it as)
+// is a single kernel call producing float32.
 //
 // Accumulator safety: a VPMADDWD pair sum is at most 2*127*127 = 32258 in
 // magnitude, inside its int32 lane, and the reduction length (Cin*KH*KW
@@ -34,7 +34,7 @@ const (
 // are the convolution's (convScratch). Pooled, so executor replicas never
 // share it.
 type qscratch struct {
-	codes  []int16   // the conv's quantized input activations: pair rows, or flat for a K x K conv
+	codes  []int16   // the conv's quantized input activations, as pair rows for every geometry
 	scales []float32 // requantize scales, activation scale x weight scale, per channel
 }
 

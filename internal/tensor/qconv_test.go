@@ -76,11 +76,10 @@ func refQDense(qw *QTensor, bias, x []float32, act Act, alpha float32) []float32
 
 // qdenseView runs the int8 dense layer of qw [Out, In] on x into dst the
 // way the graph's convQ does: the 1x1 conv of x as an [In, 1, 1] plane,
-// packed from an [Out, In, 1, 1] header on qw's codes and scales.
+// on qw's codes as ConvCodes lays them out, [Out, 1, 1, In rounded up to
+// even].
 func qdenseView(dst []float32, qw *QTensor, bias, x []float32, act Act, alpha float32) {
-	view := *qw
-	view.Shape = Shape{qw.Shape[0], qw.Shape[1], 1, 1}
-	Conv2DQInto(&Tensor{Shape: Shape{len(dst), 1, 1}, Data: dst}, &Tensor{Shape: view.Shape[1:], Data: x}, &view,
+	Conv2DQInto(&Tensor{Shape: Shape{len(dst), 1, 1}, Data: dst}, &Tensor{Shape: Shape{len(x), 1, 1}, Data: x}, ConvCodes(qw),
 		bias, Conv2DSpec{}, act, alpha)
 }
 
@@ -120,13 +119,37 @@ func testConv2DQInt8MatchesIntegerReference(t *testing.T) {
 		for _, qw := range []*QTensor{QuantizeSymmetric(w), QuantizePerChannel(w)} {
 			want := refQConv(in, qw, bias, tc.spec, tc.act, 0.1)
 			got := New(want.Shape...)
-			Conv2DQInto(got, in, qw, bias, tc.spec, tc.act, 0.1)
+			Conv2DQInto(got, in, ConvCodes(qw), bias, tc.spec, tc.act, 0.1)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("case %+v: out[%d] = %g, want %g", tc, i, got.Data[i], want.Data[i])
 				}
 			}
 		}
+	}
+}
+
+// TestConv2DQRefusesOtherCodeShapes: codes in the weights' logical
+// layout, [Cout, Cin, KH, KW], or laid out for another channel count,
+// make Conv2DQInto panic rather than compute a wrong output.
+func TestConv2DQRefusesOtherCodeShapes(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	in := randTensor(r, 4, 6, 6)
+	spec := Conv2DSpec{Stride: 1, Pad: 1}
+	for name, qw := range map[string]*QTensor{
+		"logical 3x3":  QuantizePerChannel(randTensor(r, 5, 4, 3, 3)),
+		"logical 1x1":  QuantizePerChannel(randTensor(r, 5, 4, 1, 1)),
+		"cin 6":        ConvCodes(QuantizePerChannel(randTensor(r, 5, 6, 3, 3))),
+		"rank 2 dense": QuantizePerChannel(randTensor(r, 5, 4)),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s codes %v on input %v: no panic", name, qw.Shape, in.Shape)
+				}
+			}()
+			Conv2DQInto(New(5, 6, 6), in, qw, nil, spec, ActNone, 0)
+		}()
 	}
 }
 
@@ -138,8 +161,7 @@ func TestConv2DQInt8CloseToFP32(t *testing.T) {
 	spec := Conv2DSpec{Stride: 1, Pad: 1}
 	ref := refConvBlocked(in, w, bias, spec, Epilogue{})
 	got := New(ref.Shape...)
-	qw := QuantizePerChannel(w)
-	Conv2DQInto(got, in, qw, bias, spec, ActNone, 0)
+	Conv2DQInto(got, in, ConvCodes(QuantizePerChannel(w)), bias, spec, ActNone, 0)
 	var maxDiff, maxMag float64
 	for i := range ref.Data {
 		d := math.Abs(float64(got.Data[i] - ref.Data[i]))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -14,15 +15,18 @@ import (
 // Each is compared with a loop nest that shares no code with it, so any
 // difference at all is a bug.
 
-// checkBandedQConv runs the int8 conv twice into NaN-poisoned outputs, the
-// second call on the scratch the first left behind, and requires both to
-// equal the loop-nest reference refQConv bit for bit.
+// checkBandedQConv runs the int8 conv of qw's codes, [Cout, Cin, KH, KW]
+// as quantized, laid out by ConvCodes, twice into NaN-poisoned outputs,
+// the second call on the scratch the first left behind, and requires both
+// to equal the loop-nest reference refQConv, which reads qw as quantized,
+// bit for bit.
 func checkBandedQConv(t *testing.T, name string, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act) {
 	t.Helper()
 	want := refQConv(in, qw, bias, spec, act, 0.1)
+	codes := ConvCodes(qw)
 	for _, call := range []string{"first", "second"} {
 		got := dirty(want.Shape...)
-		Conv2DQInto(got, in, qw, bias, spec, act, 0.1)
+		Conv2DQInto(got, in, codes, bias, spec, act, 0.1)
 		if !bitsEqual(got.Data, want.Data) {
 			t.Errorf("%s: %s int8 conv call differs from the loop-nest reference", name, call)
 		}
@@ -117,13 +121,14 @@ func testConv2DQPrepackedShardedBands(t *testing.T) {
 }
 
 // quantizeDynamic runs the activation quantizer as the int8 kernels do:
-// the scale of src's max-abs, then the flat codes.
+// the scale of src's max-abs, then the codes, here of src as both
+// channels of one pair row; dst takes the first channel's.
 func quantizeDynamic(dst []int8, src []float32) float32 {
 	scale := symmetricScale(maxAbs(src))
-	codes := make([]int16, len(src))
-	quantizeRound(codes, src, len(src), false, 1/scale)
-	for i, c := range codes {
-		dst[i] = int8(c)
+	codes := make([]int16, 2*len(src))
+	quantizeRound(codes, append(append([]float32(nil), src...), src...), len(src), 1/scale)
+	for i := range dst {
+		dst[i] = int8(codes[2*i])
 	}
 	return scale
 }
@@ -193,7 +198,7 @@ func quantSalt(r *rand.Rand, src []float32, inv float32, salt int) {
 	}
 }
 
-// TestQuantizeRoundMatchesQuantCode holds quantizeRound, both layouts, to
+// TestQuantizeRoundMatchesQuantCode holds quantizeRound's pair rows to
 // the branchy rounding element by element, and maxAbs's scale to the
 // serial quantizer's, on the vector bodies and on the Go loops: 1, 2, 3
 // and 17 channels (an odd last channel leaves its pair's odd slots
@@ -251,8 +256,8 @@ func TestQuantizeRoundMatchesQuantCode(t *testing.T) {
 }
 
 // checkQuantizeRound holds maxAbs's scale of src, [C, plane], to the
-// serial quantizer's, and quantizeRound's codes at inv, in both layouts,
-// to quantCodeBranchy's. Every code lands in a plane poisoned with
+// serial quantizer's, and quantizeRound's pair rows at inv to
+// quantCodeBranchy's codes. Every code lands in a plane poisoned with
 // -32768, a code the quantizer never emits, so every slot it must not
 // write (an odd last channel's partner, the padding rows) is checked
 // untouched.
@@ -262,24 +267,18 @@ func checkQuantizeRound(t *testing.T, name string, src []float32, plane int, inv
 		t.Fatalf("%s: scale %g, the serial quantizer's %g", name, got, want)
 	}
 	c := len(src) / plane
-	for _, pairs := range []bool{false, true} {
-		got, want := make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane), make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane)
-		for i := range got {
-			got[i], want[i] = math.MinInt16, math.MinInt16
-		}
-		for i, v := range src {
-			j := i
-			if pairs {
-				ch, p := i/plane, i%plane
-				j = (ch&^1)*plane + 2*p + ch&1
-			}
-			want[j] = int16(quantCodeBranchy(v, inv))
-		}
-		quantizeRound(got, src, plane, pairs, inv)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s pairs=%v: slot %d = %d, want %d", name, pairs, i, got[i], want[i])
-			}
+	got, want := make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane), make([]int16, (c+gemmMR-1)&^(gemmMR-1)*plane)
+	for i := range got {
+		got[i], want[i] = math.MinInt16, math.MinInt16
+	}
+	for i, v := range src {
+		ch, p := i/plane, i%plane
+		want[(ch&^1)*plane+2*p+ch&1] = int16(quantCodeBranchy(v, inv))
+	}
+	quantizeRound(got, src, plane, inv)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: slot %d = %d, want %d", name, i, got[i], want[i])
 		}
 	}
 }
@@ -557,8 +556,10 @@ func testQGemmRowRangeWritesOnlyItsRows(t *testing.T) {
 // it): every N from 1 to 17 and 1000 (channel pairs, an odd last channel
 // in the sink), pixel counts 1-13 and 65-67 (every tail mod 8 and 16),
 // K of every residue mod 4, alone and after a full K-block; then padded
-// 3x3 and 5x5 and strided convolutions (K = 27, 72, 75, 144 and 147),
-// staged from their code planes, against their explicit im2row matrix;
+// 3x3 and 5x5 and strided convolutions (K = 27, 72, 75, 144 and 147 as
+// logical weights, odd Cin among them), staged from their pair-row code
+// planes on codes laid out by ConvCodes, against the explicit im2row
+// matrix of the logical weights;
 // and codes of +-127 at K = 25088, qconv.go's accumulator bound, through
 // the microkernel a K-block at a time into int32.
 func TestQGemmSweepMatchesNaive(t *testing.T) {
@@ -594,12 +595,10 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 		in, w := randQ(r, c.cin*c.h*c.w), randQ(r, c.cout*c.cin*c.kh*c.kw)
 		hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
 		m, k := hout*wout, c.cin*c.kh*c.kw
-		j := matrixJob(make([]int8, m*k), w, m, k, c.cout)
+		codes := ConvCodes(&QTensor{Shape: Shape{c.cout, c.cin, c.kh, c.kw}, Data: w}).Data
+		j := matrixJob(make([]int8, len(codes)/c.cout*m), codes, m, len(codes)/c.cout, c.cout)
 		j.geo = convGeom{cin: c.cin, h: c.h, wd: c.w, cout: c.cout, kh: c.kh, kw: c.kw, hout: hout, wout: wout}
-		j.spec, j.staged, j.codes = spec, true, make([]int16, len(in))
-		for i, v := range in {
-			j.codes[i] = int16(v)
-		}
+		j.spec, j.staged, j.codes = spec, true, pairRows(in, c.cin, c.h*c.w)
 		wt := make([]int8, k*c.cout) // the [K, N] transpose of w
 		for oc := range c.cout {
 			for g := range k {
@@ -607,7 +606,7 @@ func testQGemmSweepMatchesNaive(t *testing.T) {
 			}
 		}
 		want, got := make([]int32, m*c.cout), make([]int32, m*c.cout)
-		qnaive(want, im2rowCodes(j), wt, m, k, c.cout)
+		qnaive(want, im2rowCodes(in, j.geo, spec), wt, m, k, c.cout)
 		qRowRange(got, j, 0, m)
 		for i := range want {
 			if got[i] != want[i] {
@@ -711,13 +710,12 @@ func testRequantizeStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// im2rowCodes is the [npix, K] im2row matrix of an int8 job's code plane,
-// [Cin, H, W] as a K x K conv's is written, a loop nest sharing no code
-// with the staging: row p holds pixel p's taps in (ic, ky, kx) order, 0
-// in the padding.
-func im2rowCodes(j *convJob) []int8 {
-	g := j.geo
-	padH, padW := j.spec.padHW()
+// im2rowCodes is the [npix, K] im2row matrix of a K x K conv of g over
+// the flat code plane codes, [Cin, H, W], a loop nest sharing no code
+// with the staging: row p holds pixel p's taps in (ic, ky, kx) order, the
+// weights' logical one, 0 in the padding.
+func im2rowCodes(codes []int8, g convGeom, spec Conv2DSpec) []int8 {
+	padH, padW := spec.padHW()
 	k := g.cin * g.kh * g.kw
 	out := make([]int8, g.hout*g.wout*k)
 	for oy := range g.hout {
@@ -726,10 +724,55 @@ func im2rowCodes(j *convJob) []int8 {
 			for ic := range g.cin {
 				for ky := range g.kh {
 					for kx := range g.kw {
-						iy, ix := oy*j.spec.Stride+ky-padH, ox*j.spec.Stride+kx-padW
+						iy, ix := oy*spec.Stride+ky-padH, ox*spec.Stride+kx-padW
 						if iy >= 0 && iy < g.h && ix >= 0 && ix < g.wd {
-							row[(ic*g.kh+ky)*g.kw+kx] = int8(j.codes[(ic*g.h+iy)*g.wd+ix])
+							row[(ic*g.kh+ky)*g.kw+kx] = codes[(ic*g.h+iy)*g.wd+ix]
 						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// pairRows lays the flat code plane codes, [cin, plane], out as the pair
+// rows quantizeRound writes, channels rounded up to the quad, every slot
+// no channel fills -32768.
+func pairRows(codes []int8, cin, plane int) []int16 {
+	rows := make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*plane)
+	for i := range rows {
+		rows[i] = math.MinInt16
+	}
+	for i, c := range codes {
+		ch, p := i/plane, i%plane
+		rows[(ch&^1)*plane+2*p+ch&1] = int16(c)
+	}
+	return rows
+}
+
+// pairRowRead is the [npix, K] matrix an int8 conv of g reads from its
+// pair-row code plane codes, a loop nest sharing no code with the
+// staging: row p holds pixel p's K codes tap-major, (ky, kx, c) with c
+// over Cin rounded up to even, each the plane's slot for channel c at the
+// tap's input pixel (an odd Cin's pad channel reads its partner slot), 0
+// in the padding.
+func pairRowRead(codes []int16, g convGeom, spec Conv2DSpec) []int16 {
+	padH, padW := spec.padHW()
+	cin, plane := (g.cin+1)&^1, g.h*g.wd
+	k := g.kh * g.kw * cin
+	out := make([]int16, g.hout*g.wout*k)
+	for oy := range g.hout {
+		for ox := range g.wout {
+			row := out[(oy*g.wout+ox)*k:]
+			for ky := range g.kh {
+				for kx := range g.kw {
+					iy, ix := oy*spec.Stride+ky-padH, ox*spec.Stride+kx-padW
+					if iy < 0 || iy >= g.h || ix < 0 || ix >= g.wd {
+						continue
+					}
+					for c := range cin {
+						row[(ky*g.kw+kx)*cin+c] = codes[(c&^1)*plane+2*(iy*g.wd+ix)+c&1]
 					}
 				}
 			}
@@ -762,30 +805,31 @@ func quantCodeBranchy(v, inv float32) int8 {
 // activation's 127/1e4.
 var quantCodeInvs = []float32{0.25, 127.0 / 6, 127.0 / 1e4}
 
-// checkQuantCodes compares quantCode, and quantizeRow and quantizePairRow
-// on the path useAVX2 picks (eight lanes at a time in the vector body on
-// an AVX2 host), with the branchy reference on the bit patterns start,
+// checkQuantCodes compares quantCode, and quantizePairRow on the path
+// useAVX2 picks (eight pairs at a time in the vector body on an AVX2
+// host), with the branchy reference on the bit patterns start,
 // start+stride, ... below 2^32 at every inverse scale. The patterns go to
-// the rows a batch at a time: flat, and as the pair rows of the batch's
-// two halves.
+// the pair row of each batch's two halves, the last of an odd batch
+// alone.
 func checkQuantCodes(t testing.TB, start, stride uint64) (n int) {
 	const batch = 1 << 10
 	vals := make([]float32, 0, batch)
-	flat, pairs := make([]int16, batch), make([]int16, batch)
+	pairs := make([]int16, batch+1)
 	for _, inv := range quantCodeInvs {
 		check := func() {
 			h := len(vals) / 2
-			quantizeRow(flat, vals, inv)
 			quantizePairRow(pairs, vals[:h], vals[h:2*h], inv)
+			if len(vals)%2 == 1 {
+				quantizePairRow(pairs[2*h:], vals[2*h:], nil, inv)
+			}
 			for i, v := range vals {
-				want := quantCodeBranchy(v, inv)
-				pair := want
+				want, pair := quantCodeBranchy(v, inv), int8(pairs[2*h])
 				if i < 2*h {
 					pair = int8(pairs[2*(i%h)+i/h])
 				}
-				if got := quantCode(v, inv); got != want || int8(flat[i]) != want || pair != want {
-					t.Fatalf("inv %g: %#08x = %g: quantCode %d, the flat row %d, the pair row %d; the branchy loop gives %d",
-						inv, math.Float32bits(v), v, got, flat[i], pair, want)
+				if got := quantCode(v, inv); got != want || pair != want {
+					t.Fatalf("inv %g: %#08x = %g: quantCode %d, the pair row %d; the branchy loop gives %d",
+						inv, math.Float32bits(v), v, got, pair, want)
 				}
 			}
 			vals = vals[:0]
@@ -850,30 +894,20 @@ func BenchmarkQuantCodeEveryPattern(b *testing.B) {
 	}
 }
 
-// transposeCodes writes the [cin, npix] codes in transposed, pixel-major:
-// element (ic, p) to dst[p*cin+ic].
-func transposeCodes(dst, src []int8, cin, npix int) {
-	for ic := 0; ic < cin; ic++ {
-		for p, v := range src[ic*npix : (ic+1)*npix] {
-			dst[p*cin+ic] = v
-		}
-	}
-}
-
-// stagedCodes returns the im2row code matrix [npix, K] of an int8 job as
-// its microkernel reads it, pixels [lo, hi) for each cut [lo, hi), a band
-// and a K-block at a time: a pointwise job's code plane in place, its pair
-// rows, and a K x K job's rows as qstage stages and interleaves them, on
-// scratch poisoned with -32768, a code the quantizer never emits.
+// stagedCodes returns the [npix, K] code matrix of an int8 job as its
+// microkernel reads it, pixels [lo, hi) for each cut [lo, hi), a band and
+// a K-block at a time: a pointwise job's pair-row plane in place, and a K
+// x K job's pair rows as stage stages them into a tile poisoned with
+// -32768, a code the quantizer never emits.
 func stagedCodes(j *convJob, cuts ...int) []int16 {
 	k, npix := j.k, j.npix
 	out := make([]int16, npix*k)
 	for i := range out {
 		out[i] = math.MinInt16
 	}
-	s := new(convScratch)
-	for i := range s.pairs {
-		s.rows[i], s.pairs[i] = math.MinInt16, math.MinInt16
+	tile := int32Rows(new(convScratch).tile[:])
+	for i := range pairCodes(tile) {
+		pairCodes(tile)[i] = math.MinInt16
 	}
 	for c := 0; c+1 < len(cuts); c++ {
 		for p0 := cuts[c]; p0 < cuts[c+1]; p0 += gemmBand {
@@ -883,7 +917,8 @@ func stagedCodes(j *convJob, cuts ...int) []int16 {
 				var x []int16
 				stride := 2 * npix
 				if j.staged {
-					x, stride = j.qstage(s, kc, kb, p0, p1), 2*(p1-p0)
+					stage(j, tile, codePairs(j.codes), kc/2, kb/2, p0, p1)
+					x, stride = pairCodes(tile), 2*(p1-p0)
 				} else {
 					x = j.codes[kc*npix+2*p0:]
 				}
@@ -899,79 +934,85 @@ func stagedCodes(j *convJob, cuts ...int) []int16 {
 }
 
 // TestPointwiseQConvStagesRoundedCodes holds the int8 code plane — the
-// whole input rounded once (maxAbs, quantizeRound), as pair rows for a
-// 1x1 conv, as it lies for a 3x3 one — to the serial quantizer: the scale
-// is its scale, and the codes the microkernel reads, in place or staged
-// and interleaved (stagedCodes), equal its codes in im2row order, whole
-// or cut at pixels inside and at the edge of a band; the outputs equal
-// the loop-nest reference. Planes of 1 to 3025 pixels (55x55) cross 1 to
-// 129 input channels (odd ones leave a pair row half written) and output
-// widths of every N mod 4, so convs fall below and above the MAC bar, on random
-// data and on data salted with both zeros, NaNs and an Inf; on the
-// vector bodies and on the Go loops.
+// whole input rounded once (maxAbs, quantizeRound) into pair rows — to
+// the serial quantizer: the scale is its scale, and every code its code,
+// every slot no channel fills untouched; then the codes the microkernel
+// reads, in place for a 1x1 conv or staged for a 3x3 one (stagedCodes),
+// to a naive read of that plane (pairRowRead), whole or cut at pixels
+// inside and at the edge of a band; and the outputs to the loop-nest
+// reference. Planes of 1 to 3025 pixels (55x55) cross 1 to 129 input
+// channels (odd ones leave a pair row half written) and output widths of
+// every N mod 4, so convs fall below and above the MAC bar; the 3x3 ones
+// run at stride 1 and 2 and under Asym pads; on random data and on data
+// salted with both zeros, NaNs and an Inf; on the vector bodies and on
+// the Go loops.
 func TestPointwiseQConvStagesRoundedCodes(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(113))
 		sharded := 0
-		for _, npix := range []int{1, 2, 3, 63, 64, 65, 3025} {
+		specs := map[int][]Conv2DSpec{
+			1: {{Stride: 1}},
+			3: {{Stride: 1, Pad: 1}, {Stride: 2, Pad: 1}, {Stride: 1, PadH: 0, PadW: 1, Asym: true}, {Stride: 2, PadH: 1, PadW: 0, Asym: true}},
+		}
+		for _, hw := range [][2]int{{1, 1}, {1, 2}, {1, 3}, {7, 9}, {8, 8}, {5, 13}, {55, 55}} {
+			h, wd := hw[0], hw[1]
 			for ci, cin := range []int{1, 3, 16, 129} {
 				for _, kk := range []int{1, 3} {
-					if kk == 3 && (npix == 3025 || cin == 129) {
+					if kk == 3 && (h*wd == 3025 || cin == 129) {
 						continue
 					}
-					spec := Conv2DSpec{Stride: 1, Pad: kk / 2}.check()
-					cout := 4 + (npix+ci)%4
-					qw := QuantizePerChannel(randTensor(r, cout, cin, kk, kk))
-					bias := randTensor(r, cout).Data
-					for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
-						in := randTensor(r, cin, 1, npix)
-						special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
-						if salt == "zeros+NaN+Inf" {
-							special = append(special, float32(math.Inf(-1)))
+					for _, spec := range specs[kk] {
+						spec = spec.check()
+						if h+2*spec.PadH < kk || wd+2*spec.PadW < kk {
+							continue
 						}
-						if salt != "random" {
-							for i := range in.Data {
-								if i%5 == 0 {
-									in.Data[i] = special[(i/5)%len(special)]
+						hout, wout := spec.OutDims(h, wd, kk, kk)
+						cout := 4 + (h*wd+ci)%4
+						qw := QuantizePerChannel(randTensor(r, cout, cin, kk, kk))
+						bias := randTensor(r, cout).Data
+						for _, salt := range []string{"random", "zeros+NaN", "zeros+NaN+Inf"} {
+							in := randTensor(r, cin, h, wd)
+							special := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0xffc00000)}
+							if salt == "zeros+NaN+Inf" {
+								special = append(special, float32(math.Inf(-1)))
+							}
+							if salt != "random" {
+								for i := range in.Data {
+									if i%5 == 0 {
+										in.Data[i] = special[(i/5)%len(special)]
+									}
 								}
 							}
-						}
-						name := fmt.Sprintf("%dx%d npix=%d cin=%d cout=%d %s", kk, kk, npix, cin, cout, salt)
-						codes := make([]int8, len(in.Data))
-						sx := quantizeDynamicSerial(codes, in.Data)
-						j := &convJob{spec: spec, k: cin * kk * kk, npix: npix, staged: kk > 1,
-							geo: convGeom{cin: cin, h: 1, wd: npix, cout: cout, kh: kk, kw: kk, hout: 1, wout: npix}}
-						j.codes = make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*npix)
-						for i := range j.codes {
-							j.codes[i] = math.MinInt16
-						}
-						var want []int8
-						if kk == 1 {
-							want = make([]int8, len(in.Data))
-							transposeCodes(want, codes, cin, npix)
-						} else {
-							im := *j
-							im.codes = make([]int16, len(codes))
-							for i, c := range codes {
-								im.codes[i] = int16(c)
+							name := fmt.Sprintf("%dx%d %+v in=%dx%d cin=%d cout=%d %s", kk, kk, spec, h, wd, cin, cout, salt)
+							codes := make([]int8, len(in.Data))
+							sx := quantizeDynamicSerial(codes, in.Data)
+							if scale := symmetricScale(maxAbs(in.Data)); math.Float32bits(scale) != math.Float32bits(sx) {
+								t.Fatalf("%s: scale %g, the serial quantizer's scale %g", name, scale, sx)
 							}
-							want = im2rowCodes(&im)
-						}
-						if scale := symmetricScale(maxAbs(in.Data)); math.Float32bits(scale) != math.Float32bits(sx) {
-							t.Fatalf("%s: scale %g, the serial quantizer's scale %g", name, scale, sx)
-						}
-						quantizeRound(j.codes, in.Data, npix, kk == 1, 1/sx)
-						for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
-							got := stagedCodes(j, 0, cut, npix)
-							for i := range want {
-								if got[i] != int16(want[i]) {
-									t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+							npix := hout * wout
+							j := &convJob{spec: spec, k: (cin + 1) &^ 1 * kk * kk, npix: npix, staged: kk > 1, qw: ConvCodes(qw).Data,
+								geo: convGeom{cin: cin, h: h, wd: wd, cout: cout, kh: kk, kw: kk, hout: hout, wout: wout}}
+							j.codes = make([]int16, (cin+gemmMR-1)&^(gemmMR-1)*h*wd)
+							for i := range j.codes {
+								j.codes[i] = math.MinInt16
+							}
+							quantizeRound(j.codes, in.Data, h*wd, 1/sx)
+							if want := pairRows(codes, cin, h*wd); !slices.Equal(j.codes, want) {
+								t.Fatalf("%s: the pair-row plane differs from the serial quantizer's codes", name)
+							}
+							want := pairRowRead(j.codes, j.geo, spec)
+							for _, cut := range []int{0, 1, npix / 2, min(gemmBand, npix), npix} {
+								got := stagedCodes(j, 0, cut, npix)
+								for i := range want {
+									if got[i] != want[i] {
+										t.Fatalf("%s cut at %d: code[%d] = %d, want %d", name, cut, i, got[i], want[i])
+									}
 								}
 							}
-						}
-						checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
-						if npix*cin*cout*kk*kk >= parallelThresholdMACs {
-							sharded++
+							checkBandedQConv(t, name, in, qw, bias, spec, ActReLU)
+							if npix*cin*cout*kk*kk >= parallelThresholdMACs {
+								sharded++
+							}
 						}
 					}
 				}

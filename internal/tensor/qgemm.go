@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"unsafe"
 )
@@ -8,40 +9,48 @@ import (
 // This file is the int8 convolution, every geometry, in the FP32 one's
 // formulation (gemm.go): channel-major, out[cout, npix] = W[cout, K] x
 // im2col[K, npix], on the same cut, bands and scratch pool (convJob.run),
-// with W's codes — the [Cout, Cin, KH, KW] int8 weights as they lie —
-// read in place. Nothing is packed. An int8 dense layer is the 1x1 conv
-// the graph runs it as.
+// with W's codes read in place. Nothing is packed. An int8 dense layer is
+// the 1x1 conv the graph runs it as.
 //
-// The input is quantized dynamically, per tensor, into the call's code
-// plane, whole and once (maxAbs, quantizeRound), as int16. A pointwise
-// conv reads that plane in place, so its plane is written as pair rows:
-// channels 2i and 2i+1 of pixel p side by side as the int16 pair at
-// codes[2i*plane + 2p], the pair the microkernel's VPMADDWD multiplies by
-// a channel's weight pair. A K x K conv's plane is written as it lies,
-// [Cin, H, W], and each band stages its im2col rows from it a K-block at
-// a time with the FP32 conv's stage, then interleaves them into pair rows
-// (qstage). The microkernel (qpointwiseQuads) accumulates a channel
-// pair's int32 sums in the output's own memory (int32Rows), and after the
-// last K-block the requantize (requantizeRow) turns them, in place, into
-// float32: act(float32(acc)*scale + bias). Integer sums are exact in any
-// order, so the bits depend neither on the blocking, the path nor the
-// cut; the requantize keeps one expression per element.
+// Every int8 convolution reads one layout, pair rows. The input is
+// quantized dynamically, per tensor, into the call's code plane, whole
+// and once (maxAbs, quantizeRound), as int16 pair rows: channels 2i and
+// 2i+1 of pixel p side by side as the int16 pair at codes[2i*plane + 2p],
+// the pair the microkernel's VPMADDWD multiplies by a channel's weight
+// pair. K runs tap-major, K = (ky, kx, c) with Cin rounded up to even,
+// and the weight codes lie the same way (ConvCodes: [Cout, KH, KW, Cin
+// rounded up to even], a zero code in an odd Cin's pad channel), so each
+// K-pair is one channel pair at one tap. A pointwise conv reads the plane
+// in place; a K x K conv's bands stage their im2col pair rows from it a
+// K-block at a time with the FP32 conv's stage, moving each code pair as
+// one four-byte unit. The microkernel (qpointwiseQuads) accumulates a
+// channel pair's int32 sums in the output's own memory (int32Rows), and
+// after the last K-block the requantize (requantizeRow) turns them, in
+// place, into float32: act(float32(acc)*scale + bias). Integer sums are
+// exact in any order, so the bits depend neither on K's order, the
+// blocking, the path nor the cut; the requantize keeps one expression
+// per element.
 
-// Conv2DQInto computes a 2-D convolution with int8 weights qw [Cout, Cin,
-// KH, KW], read in place, into a preallocated float32 dst [Cout, Hout,
-// Wout], overwriting every element: dynamic per-tensor symmetric
-// quantization of in, then the channel-major product on the codes into
-// int32 accumulators, then the fused requantize, bias and activation. The
-// weight scales (per-tensor or per-channel) are qw's. The output does not
-// depend on the cut.
+// Conv2DQInto computes a 2-D convolution with int8 weight codes qw,
+// [Cout, KH, KW, Cin rounded up to even] (ConvCodes), read in place, into
+// a preallocated float32 dst [Cout, Hout, Wout], overwriting every
+// element: dynamic per-tensor symmetric quantization of in, then the
+// channel-major product on the codes into int32 accumulators, then the
+// fused requantize, bias and activation. The weight scales (per-tensor
+// or per-channel) are qw's. It panics on codes of any other shape. The
+// output does not depend on the cut.
 func Conv2DQInto(dst, in *Tensor, qw *QTensor, bias []float32, spec Conv2DSpec, act Act, alpha float32) {
 	spec = spec.check()
-	geo := convGeometry(dst, in, qw.Shape, bias, spec)
+	if len(in.Shape) != 3 || len(qw.Shape) != 4 || qw.Shape[3] != (in.Shape[0]+1)&^1 {
+		panic(fmt.Sprintf("tensor: int8 conv codes of shape %v for input %v, want [Cout, KH, KW, Cin rounded up to even]",
+			qw.Shape, in.Shape))
+	}
+	geo := convGeometry(dst, in, Shape{qw.Shape[0], in.Shape[0], qw.Shape[1], qw.Shape[2]}, bias, spec)
 	s := qscratchPool.Get().(*qscratch)
 	sx := symmetricScale(maxAbs(in.Data))
-	plane, pairs := geo.h*geo.wd, pointwise(geo.kh, geo.kw, spec)
+	plane := geo.h * geo.wd
 	s.codes = growSlice(s.codes, (geo.cin+gemmMR-1)&^(gemmMR-1)*plane)
-	quantizeRound(s.codes, in.Data, plane, pairs, 1/sx)
+	quantizeRound(s.codes, in.Data, plane, 1/sx)
 	s.scales = growSlice(s.scales, geo.cout)
 	for oc := range s.scales {
 		s.scales[oc] = sx * qw.ScaleFor(oc)
@@ -59,16 +68,29 @@ func int32Rows(f []float32) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
 }
 
+// codePairs views pair rows of int16 codes as four-byte units, one a
+// code pair, as stage moves them; pairCodes views the units as the codes
+// the microkernel reads.
+func codePairs(c []int16) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(c))), len(c)/2)
+}
+
+func pairCodes(u []int32) []int16 {
+	return unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(u))), 2*len(u))
+}
+
 // qband is band for an int8 convolution: pixels [p0, p1) of channel pairs
-// [c0, c1), a K-block at a time (as many whole quads of rows as fit
-// gemmBlockFloats' bytes over the band as int16 codes, at most gemmKC):
-// each pair's two accumulator rows are cleared before the first block,
-// accumulated over every K-quad and requantized after the last. An odd
-// last channel pairs with its own weight row, and the partner accumulates
-// into the sink. A last block that is not a multiple of the quad reads
-// the rows after it — the code plane's padding rows, or stale staged ones
-// — against the zero weights qpointwiseQuads pads it with, and an integer
-// times zero adds nothing.
+// [c0, c1), a K-block at a time (as many whole quads of codes as fit
+// gemmBlockFloats' bytes over the band as int16 codes, at most gemmKC),
+// a K x K convolution's pair rows staged into the tile: each pair's two
+// accumulator rows are cleared before the first block, accumulated over
+// every K-quad and requantized after the last. An odd last channel pairs
+// with its own weight row, and the partner accumulates into the sink. A
+// last block of an odd number of pair rows reads the pair row after it —
+// the code plane's padding rows, or a stale or cleared staged one —
+// against the zero weights qpointwiseQuads pads it with, and an integer
+// times zero adds nothing; so does an odd Cin's unwritten partner code
+// against its pad channel's zero weight code.
 func (j *convJob) qband(s *convScratch, c0, c1, p0, p1 int) {
 	k, npix, nb := j.k, j.npix, p1-p0
 	kblock := min(gemmKC, max(gemmMR, 2*gemmBlockFloats/nb&^(gemmMR-1)))
@@ -77,7 +99,9 @@ func (j *convJob) qband(s *convScratch, c0, c1, p0, p1 int) {
 		var x []int16
 		stride := 2 * npix
 		if j.staged {
-			x, stride = j.qstage(s, kc, kb, p0, p1), 2*nb
+			tile := int32Rows(s.tile[:])
+			stage(j, tile, codePairs(j.codes), kc/2, kb/2, p0, p1)
+			x, stride = pairCodes(tile), 2*nb
 		} else {
 			x = j.codes[kc*npix+2*p0:]
 		}
@@ -110,36 +134,6 @@ func (j *convJob) requantize(oc, p0, p1 int) {
 		b = j.bias[oc]
 	}
 	requantizeRow(j.out[oc*j.npix+p0:oc*j.npix+p1], j.scales[oc], b, j.epi.Act, j.epi.Alpha)
-}
-
-// qstage stages im2col rows [kc, kc+kb) of pixels [p0, p1) from the
-// code plane into s.rows, as stage does the FP32 input, and returns them
-// as pair rows: rows 2i and 2i+1 interleaved into s.pairs[2i*nb:], pixel
-// p's codes of the two at [2p, 2p+1]. A last odd row pairs with one of
-// the zero rows stage writes up to the quad.
-func (j *convJob) qstage(s *convScratch, kc, kb, p0, p1 int) []int16 {
-	nb := p1 - p0
-	stage(j, s.rows[:], j.codes, kc, kb, p0, p1)
-	for r := 0; r < kb; r += 2 {
-		interleave(s.pairs[r*nb:][:2*nb], s.rows[r*nb:][:nb], s.rows[(r+1)*nb:][:nb])
-	}
-	return s.pairs[:]
-}
-
-// interleave writes a[i] and b[i] to dst[2i] and dst[2i+1]: two code rows
-// as one pair row. With AVX2, sixteen pixels at a time (interleaveAVX2).
-func interleave(dst, a, b []int16) {
-	n := len(a)
-	dst, b = dst[:2*n], b[:n]
-	v := 0
-	if useAVX2 {
-		if v = n &^ 15; v > 0 {
-			interleaveAVX2(dst[:2*v], a[:v], b[:v])
-		}
-	}
-	for i := v; i < n; i++ {
-		dst[2*i], dst[2*i+1] = a[i], b[i]
-	}
 }
 
 // qpointwiseQuads is the int8 microkernel, pointwiseQuads on codes: for

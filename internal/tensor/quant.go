@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // QTensor is a symmetric INT8-quantized tensor: value ≈ scale * int8.
 // This is the representation TFLite/EdgeTPU and TensorRT INT8 modes use
@@ -104,40 +107,69 @@ func QuantizePerChannel(t *Tensor) *QTensor {
 	return q
 }
 
-// quantizeRound writes the int8 code of every element of src, [C, plane],
-// at inv into dst as int16: in src's layout, or, with pairs, as pair rows,
-// channels 2i and 2i+1 of position p as the int16 pair at dst[2i*plane +
-// 2p] (a last odd channel's partner is not written). No allocation,
-// float32 rounding, every code quantCode's: eight at a time in
-// quantizeRowAVX2 where useAVX2 is set, the last odd channel and the
-// tails in Go. It runs on the calling goroutine: on eight lanes the pass
-// streams near the copy roof, and a fork of it cost the int8 inference
-// more tail than it saved median (DESIGN §11).
-func quantizeRound(dst []int16, src []float32, plane int, pairs bool, inv float32) {
-	if !pairs {
-		quantizeRow(dst, src, inv)
-		return
+// ConvCodeShape returns the shape of the int8 codes Conv2DQInto reads
+// for weights of logical shape w: [Cout, KH, KW, Cin rounded up to even]
+// for a convolution's [Cout, Cin, KH, KW], and [Out, 1, 1, In rounded up
+// to even] for a dense layer's [Out, In], the 1x1 convolution it runs
+// as. Codes of any other shape no int8 kernel reads, and keep w.
+func ConvCodeShape(w Shape) Shape {
+	switch len(w) {
+	case 2:
+		return Shape{w[0], 1, 1, (w[1] + 1) &^ 1}
+	case 4:
+		return Shape{w[0], w[2], w[3], (w[1] + 1) &^ 1}
 	}
+	return w.Clone()
+}
+
+// ConvCodes returns q's codes, quantized from a convolution's or a dense
+// layer's weights in their logical layout, in the layout Conv2DQInto
+// reads (ConvCodeShape): each output channel's row tap-major, (ky, kx,
+// ic), with a zero code for the pad channel of an odd Cin, so that each
+// pair of codes is one channel pair at one tap, the pair a pair row of
+// the input holds. The scales are q's.
+func ConvCodes(q *QTensor) *QTensor {
+	w := q.Shape
+	if len(w) == 2 {
+		w = Shape{w[0], w[1], 1, 1}
+	}
+	if len(w) != 4 {
+		panic(fmt.Sprintf("tensor: int8 conv codes from weights of shape %v", q.Shape))
+	}
+	cin, taps := w[1], w[2]*w[3]
+	shape := ConvCodeShape(w)
+	out := &QTensor{Shape: shape, Data: make([]int8, shape.NumElems()), Scale: q.Scale, Scales: q.Scales}
+	for oc := range w[0] {
+		src, dst := q.Data[oc*cin*taps:][:cin*taps], out.Data[oc*taps*shape[3]:][:taps*shape[3]]
+		if taps == 1 {
+			copy(dst, src)
+			continue
+		}
+		for t := range taps {
+			for ic := range cin {
+				dst[t*shape[3]+ic] = src[ic*taps+t]
+			}
+		}
+	}
+	return out
+}
+
+// quantizeRound writes the int8 code of every element of src, [C, plane],
+// at inv into dst as int16 pair rows: channels 2i and 2i+1 of position p
+// as the int16 pair at dst[2i*plane + 2p] (a last odd channel's partner
+// is not written). No allocation, float32 rounding, every code
+// quantCode's: eight pairs at a time in quantizeRowAVX2 where useAVX2 is
+// set, the last odd channel and the tails in Go. It runs on the calling
+// goroutine: on eight lanes the pass streams near the copy roof, and a
+// fork of it cost the int8 inference more tail than it saved median
+// (DESIGN §11).
+func quantizeRound(dst []int16, src []float32, plane int, inv float32) {
 	for c := 0; c*plane < len(src); c += 2 {
 		a, b := src[c*plane:][:plane], []float32(nil)
 		if (c+2)*plane <= len(src) {
 			b = src[(c+1)*plane:][:plane]
 		}
 		quantizePairRow(dst[c*plane:][:2*plane], a, b, inv)
-	}
-}
-
-// quantizeRow writes quantCode(src[i], inv) to dst[i]: eight codes at a
-// time in quantizeRowAVX2 where useAVX2 is set; the last len(src) mod 8,
-// and every code where it is not, in Go.
-func quantizeRow(dst []int16, src []float32, inv float32) {
-	dst = dst[:len(src)]
-	if n := len(src) &^ 7; useAVX2 && n > 0 {
-		quantizeRowAVX2(dst[:n], src[:n], nil, inv)
-		dst, src = dst[n:], src[n:]
-	}
-	for i, v := range src {
-		dst[i] = int16(quantCode(v, inv))
 	}
 }
 

@@ -3,18 +3,21 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // Both convolutions stage each band's im2col rows straight from their
-// input with one function (stage): the FP32 kernel from its input, the
-// int8 one from its code plane, then interleaved into pair rows (qstage).
-// These tests hold both datatypes' staging to the loop-nest references,
-// refConvBlocked and refQConv, bit for bit, where it can go wrong: bands
-// and vector groups that wrap an output row, windows in the padding on
-// either side of a wrap, K-blocks that start inside an (ic, ky) run,
-// one-pixel planes, every chunk cut of a band, and FP32 specials next to
-// the padding.
+// input with one function (stage): the FP32 kernel its rows,
+// channel-major, from its input; the int8 one its pair rows, tap-major,
+// from its pair-row code plane, a four-byte code pair at a time. These
+// tests hold both datatypes' staging to the loop-nest references,
+// refConvBlocked and refQConv, bit for bit, and the int8 staging to a
+// naive read of its plane (pairRowRead), where it can go wrong: bands and
+// vector groups that wrap an output row, windows in the padding on
+// either side of a wrap, K-blocks that start inside an (ic, ky) run or a
+// tap's channel pairs, odd channel counts, one-pixel planes, every chunk
+// cut of a band, and FP32 specials next to the padding.
 
 // stagingCases is the geometry table both datatypes run.
 func stagingCases() []convCase {
@@ -59,13 +62,38 @@ func TestStagingMatchesReferences(t *testing.T) {
 	}
 }
 
+// TestStagingPairRowsMatchPlane stages every staging case's int8 pair
+// rows (stagedCodes), whole and cut at a pixel inside the first band, and
+// requires them to equal a naive read of the pair-row plane, on both
+// paths.
+func TestStagingPairRowsMatchPlane(t *testing.T) {
+	onEachPath(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(151))
+		for _, c := range stagingCases() {
+			spec := c.spec.check()
+			hout, wout := spec.OutDims(c.h, c.w, c.kh, c.kw)
+			geo := convGeom{cin: c.cin, h: c.h, wd: c.w, cout: c.cout, kh: c.kh, kw: c.kw, hout: hout, wout: wout}
+			// An int8 job (qw set), whose rows stage tap-major.
+			j := &convJob{geo: geo, spec: spec, k: (c.cin + 1) &^ 1 * c.kh * c.kw, npix: hout * wout, staged: true,
+				qw: []int8{}, codes: pairRows(randQ(r, c.cin*c.h*c.w), c.cin, c.h*c.w)}
+			want := pairRowRead(j.codes, geo, spec)
+			for _, cut := range []int{0, j.npix / 3} {
+				if got := stagedCodes(j, 0, cut, j.npix); !slices.Equal(got, want) {
+					t.Errorf("%s cut at %d: the staged pair rows differ from the plane's", c.name, cut)
+				}
+			}
+		}
+	})
+}
+
 // TestStagingChunkCuts cuts a 66-pixel plane, 11 x 6 under a padded
 // 3x3, at every even pixel, the two pieces computed as two shards would,
 // and requires both datatypes' output to equal the loop-nest references
-// whatever the cut.
+// whatever the cut: five input channels, so the int8 pair rows carry a
+// pad channel.
 func TestStagingChunkCuts(t *testing.T) {
 	r := rand.New(rand.NewSource(139))
-	const cin, h, wd, cout, npix = 6, 11, 6, 9, 66
+	const cin, h, wd, cout, npix = 5, 11, 6, 9, 66
 	spec := Conv2DSpec{Stride: 1, Pad: 1}.check()
 	in := randTensor(r, cin, h, wd)
 	w := randTensor(r, cout, cin, 3, 3)
@@ -78,10 +106,7 @@ func TestStagingChunkCuts(t *testing.T) {
 	}
 	codes := make([]int8, len(in.Data))
 	sx := quantizeDynamicSerial(codes, in.Data)
-	plane := make([]int16, len(codes))
-	for i, c := range codes {
-		plane[i] = int16(c)
-	}
+	plane := pairRows(codes, cin, h*wd)
 	scales := make([]float32, cout)
 	for oc := range scales {
 		scales[oc] = sx * qw.ScaleFor(oc)
@@ -95,8 +120,8 @@ func TestStagingChunkCuts(t *testing.T) {
 		assertBitEqual(t, got, want, fmt.Sprintf("FP32 cut at %d", cut))
 
 		gotQ := dirty(want.Shape...)
-		q := &convJob{out: gotQ.Data, acc: int32Rows(gotQ.Data), codes: plane, qw: qw.Data, scales: scales, geo: geo, spec: spec,
-			k: cin * 9, npix: npix, bias: bias, staged: true, kernel: (*convJob).qband}
+		q := &convJob{out: gotQ.Data, acc: int32Rows(gotQ.Data), codes: plane, qw: ConvCodes(qw).Data, scales: scales, geo: geo,
+			spec: spec, k: (cin + 1) &^ 1 * 9, npix: npix, bias: bias, staged: true, kernel: (*convJob).qband}
 		q.shard(0, cut)
 		q.shard(cut, npix)
 		assertBitEqual(t, gotQ, wantQ, fmt.Sprintf("int8 cut at %d", cut))

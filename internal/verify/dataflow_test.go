@@ -163,7 +163,7 @@ func TestQuantCodesOutsideDomainCaught(t *testing.T) {
 	conv2 := node(t, g, "conv2")
 	// int8 codes stored while the node (and graph) stay in the fp
 	// domain: a quantization pass that retyped only part of the graph.
-	conv2.QWeights = tensor.QuantizeSymmetric(conv2.Weights)
+	conv2.QWeights = tensor.ConvCodes(tensor.QuantizeSymmetric(conv2.Weights))
 	if diags := verify.CheckQuantDomains(g); !hasRule(diags, "quant-codes") {
 		t.Fatalf("codes outside the int8 domain not caught: %v", diags)
 	}

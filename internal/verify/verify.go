@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"edgebench/internal/graph"
+	"edgebench/internal/tensor"
 )
 
 // Severity grades a diagnostic.
@@ -420,8 +421,8 @@ func (c *checker) checkParams() {
 		if q := n.QWeights; q != nil {
 			if n.WShape == nil {
 				c.add("params", Error, n, "int8 weights present but WShape is nil")
-			} else if !q.Shape.Equal(n.WShape) {
-				c.add("params", Error, n, "int8 weights shape %v, declared %v", q.Shape, n.WShape)
+			} else if want := tensor.ConvCodeShape(n.WShape); !q.Shape.Equal(want) {
+				c.add("params", Error, n, "int8 weights shape %v, want %v for declared %v", q.Shape, want, n.WShape)
 			}
 			if len(q.Data) != q.Shape.NumElems() {
 				c.add("params", Error, n, "int8 weights hold %d values for shape %v", len(q.Data), q.Shape)

@@ -208,6 +208,36 @@ func TestDetectsParamMismatch(t *testing.T) {
 	}
 }
 
+// TestDetectsInt8CodesInLogicalLayout: a quantized 3x3 conv whose codes
+// lie as its weights do, [Cout, Cin, KH, KW], not as the int8 kernel reads
+// them (tensor.ConvCodeShape), is an Error, as is one whose codes miss
+// the pad channel; the codes quantization leaves pass.
+func TestDetectsInt8CodesInLogicalLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codes func(w *tensor.Tensor) *tensor.QTensor
+		bad   bool
+	}{
+		{"laid out", func(w *tensor.Tensor) *tensor.QTensor { return tensor.ConvCodes(tensor.QuantizeSymmetric(w)) }, false},
+		{"logical", tensor.QuantizeSymmetric, true},
+		{"no pad channel", func(w *tensor.Tensor) *tensor.QTensor {
+			q := tensor.ConvCodes(tensor.QuantizeSymmetric(w))
+			q.Shape[3]--
+			q.Data = q.Data[:q.Shape.NumElems()]
+			return q
+		}, true},
+	} {
+		for _, name := range []string{"block1_conv", "conv2"} {
+			g := cleanCNN(t, 22)
+			n := node(t, g, name)
+			n.QWeights = tc.codes(n.Weights)
+			if got := verify.Errors(verify.Check(g)); hasRule(got, "params") != tc.bad {
+				t.Errorf("%s codes on %s (weights %v, codes %v): errors %v", tc.name, name, n.WShape, n.QWeights.Shape, got)
+			}
+		}
+	}
+}
+
 func TestDetectsBrokenIO(t *testing.T) {
 	g := cleanCNN(t, 17)
 	g.Output = &graph.Node{Kind: graph.OpReLU, Name: "foreign_out"}
